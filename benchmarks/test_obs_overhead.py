@@ -6,8 +6,8 @@ Two assertions keep ``repro.obs`` honest:
   ``NULL_RECORDER`` and runs the batched fast path at (noise-bounded)
   parity with the pre-obs loop — the only added work per quantum is one
   hoisted ``enabled`` attribute load.  Measured here as untraced-vs-
-  traced throughput; the cross-PR guard is ``tools/bench_compare.py``
-  against the committed BENCH trajectory.
+  traced throughput; the cross-PR number is perfbench's
+  ``obs.trace.overhead_ratio`` (``perfbench/run.py run --layers``).
 - **Enabled path**: recording every event of a flush-heavy run costs a
   bounded multiple, not an order of magnitude.
 """
@@ -78,8 +78,8 @@ def test_enabled_path_overhead_is_bounded():
 
 def test_streaming_recorder_overhead_is_bounded(tmp_path):
     """The full live pipeline — ring, counts, JSONL spill — stays a
-    bounded multiple of the untraced run (BENCH tracks the exact ratio
-    as ``streaming_recorder.streaming_overhead``)."""
+    bounded multiple of the untraced run (perfbench tracks the exact
+    ratio as ``obs.live.streaming_overhead_ratio``)."""
     from repro.obs.live import StreamingRecorder
 
     workload = get_workload("queue", scale=SCALE)    # flush/FASE heavy

@@ -12,7 +12,7 @@ Usage::
 """
 
 from repro.cache.adaptive import AdaptiveConfig
-from repro.cache.policies import make_factory
+from repro.cache.spec import technique_factory
 from repro.nvram.machine import Machine, MachineConfig
 from repro.workloads.generators import TilePatternConfig, TilePatternWorkload
 
@@ -23,7 +23,7 @@ def run(workload, technique, **kwargs):
     # workloads go through repro.api.run (see examples/quickstart.py).
     machine = Machine(MachineConfig())
     return machine.run(
-        workload, make_factory(technique, **kwargs), num_threads=1, seed=0
+        workload, technique_factory(technique, **kwargs), num_threads=1, seed=0
     )
 
 

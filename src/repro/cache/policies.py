@@ -326,28 +326,3 @@ def _base_factory(
     raise ConfigurationError(
         f"unknown technique {technique!r}; expected one of {TECHNIQUES}"
     )
-
-
-def make_factory(
-    technique: str,
-    **kwargs,
-) -> Callable[[int], PersistenceTechnique]:
-    """Deprecated: use :func:`repro.cache.spec.technique_factory`.
-
-    Thin shim over the spec path — the string is parsed with
-    :meth:`~repro.cache.spec.TechniqueSpec.parse` (so spec strings like
-    ``"SC+clean"`` work here too) and the kwargs configure the base
-    technique exactly as before.  Results are bit-identical to the old
-    implementation for every seed technique.
-    """
-    import warnings
-
-    warnings.warn(
-        "make_factory is deprecated; use "
-        "repro.cache.spec.technique_factory (or pass a TechniqueSpec)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.cache.spec import technique_factory
-
-    return technique_factory(technique, **kwargs)

@@ -62,13 +62,12 @@ provenance store every entry point records into (DESIGN.md §16) —
 longitudinally: per-spec ``trend`` timelines with EWMA fits and
 changepoints, a ``regress`` gate against the fitted trend (non-zero exit
 on a flagged timeline, the CI hook), last-two ``compare`` deltas, and
-``flaky`` campaign tracking.  ``--import BENCH_*.json`` seeds the bench
-timeline from committed files::
+``flaky`` campaign tracking::
 
     python -m repro.experiments history --query regress --metric time \\
         --kind run --threshold 15
-    python -m repro.experiments history --query trend --kind bench \\
-        --metric batched_eps_geomean --json trend.json --html trend.html
+    python -m repro.experiments history --query trend --kind grid \\
+        --metric time --json trend.json --html trend.html
 """
 
 from __future__ import annotations
@@ -359,9 +358,9 @@ def _run_crashmatrix(args: argparse.Namespace) -> int:
 def _run_history(args: argparse.Namespace) -> int:
     """The ``history`` pseudo-artifact: longitudinal ledger queries.
 
-    Exit codes follow ``bench_compare``: 0 clean, 1 when the query
-    flagged something (a regression finding, a changepoint, a drifted
-    compare, a flaky campaign), 2 when there is nothing to query.
+    Exit codes: 0 clean, 1 when the query flagged something (a
+    regression finding, a changepoint, a drifted compare, a flaky
+    campaign), 2 when there is nothing to query.
     """
     import json
 
@@ -378,16 +377,6 @@ def _run_history(args: argparse.Namespace) -> int:
         )
         return 2
     ledger = RunLedger(root)
-    for path in args.import_bench or []:
-        try:
-            record = hist.import_bench_doc(ledger, path)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"history: cannot import {path}: {exc}", file=sys.stderr)
-            return 2
-        print(
-            f"imported {path} as bench record {record.run_id}",
-            file=sys.stderr,
-        )
 
     if args.query == "trend":
         lines = hist.trend(
@@ -646,7 +635,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         metavar="KIND",
         help="restrict to one record kind (run, traced_run, grid, "
-        "campaign, bench, ...)",
+        "campaign, ...)",
     )
     ledger.add_argument(
         "--spec",
@@ -676,14 +665,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         metavar="N",
         help="use only the newest N records of each timeline",
-    )
-    ledger.add_argument(
-        "--import",
-        dest="import_bench",
-        action="append",
-        metavar="PATH",
-        help="first wrap an existing BENCH_*.json as a bench ledger "
-        "record (seeds history from committed files); repeatable",
     )
     ledger.add_argument(
         "--md",
@@ -812,10 +793,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     if args.artifact == "history":
         return _run_history(args)
-    if args.artifact == "profile":
-        return _run_profile(args)
-    if args.artifact == "tracediff":
-        return _run_tracediff(args)
+    if args.artifact in ("profile", "tracediff"):
+        offline = _run_profile if args.artifact == "profile" else _run_tracediff
+        try:
+            return offline(args)
+        except ConfigurationError as exc:
+            # A trace this build cannot read (other schema, headerless,
+            # malformed line): the decoder's message names the line.
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     if args.artifact == "crashmatrix":
         rc = _run_crashmatrix(args)
         print(f"\n[{time.time() - start:.1f}s]", file=sys.stderr)

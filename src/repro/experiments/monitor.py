@@ -48,13 +48,7 @@ from repro.obs.live import (
     default_rules,
     parse_rule,
 )
-from repro.obs.trace import (
-    LEGACY_ARG_NAMES,
-    TRACE_META_KIND,
-    TRACE_SCHEMA_VERSION,
-    V1_ARG_DEFAULTS,
-)
-from repro.obs.trace import _ARG_COLUMNS as ARG_COLUMNS
+from repro.obs.trace import TRACE_SCHEMA_VERSION, decode_trace_line
 
 #: How many recent rows (cells or windows) the dashboard shows.
 DASHBOARD_ROWS = 10
@@ -280,44 +274,29 @@ class TraceTailer(_LineTailer):
     """Incrementally parse a JSONL trace file that may still be written.
 
     Feeds complete lines into the profile as they appear, holding back
-    a trailing partial line until its newline arrives.  Unknown event
-    kinds are a hard error (same contract as
-    :func:`repro.obs.trace.parse_jsonl`); renamed schema-2 fields read
-    back through :data:`~repro.obs.trace.LEGACY_ARG_NAMES`, and fields
-    absent from a schema-1 file decode to their documented defaults.
+    a trailing partial line until its newline arrives.  Lines decode
+    through :func:`repro.obs.trace.decode_trace_line`, so the contract is
+    :func:`~repro.obs.trace.parse_jsonl`'s: a header of another schema,
+    an event before the header and an unknown event kind are hard errors.
     """
 
     def __init__(self, path: str, profile: StreamingProfile) -> None:
         super().__init__(path)
         self.profile = profile
-        self.schema = TRACE_SCHEMA_VERSION
+        #: The followed file's schema; ``None`` until its header arrives.
+        self.schema: Optional[int] = None
 
     def _ingest(self, line: str) -> bool:
         try:
-            doc = json.loads(line)
-        except ValueError as exc:
+            event = decode_trace_line(line, self.schema is not None)
+        except ConfigurationError as exc:
             raise ConfigurationError(
-                f"{self.path} line {self.lines}: not JSON ({exc})"
+                f"{self.path} line {self.lines}: {exc}"
             ) from None
-        kind = doc.get("kind")
-        if kind == TRACE_META_KIND:
-            self.schema = int(doc.get("schema", TRACE_SCHEMA_VERSION))
+        if event is None:
+            self.schema = TRACE_SCHEMA_VERSION
             return False
-        if kind not in ARG_COLUMNS:
-            raise ConfigurationError(
-                f"{self.path} line {self.lines}: unknown event kind {kind!r}"
-            )
-        cols = [0, 0, 0]
-        for name, idx in ARG_COLUMNS[kind].items():
-            if name in doc:
-                cols[idx] = doc[name]
-                continue
-            legacy = LEGACY_ARG_NAMES.get((kind, name))
-            if legacy is not None and legacy in doc:
-                cols[idx] = doc[legacy]
-            else:
-                cols[idx] = V1_ARG_DEFAULTS.get((kind, name), 0)
-        self.profile.record(kind, doc["tid"], doc["ts"], cols[0], cols[1], cols[2])
+        self.profile.record(*event)
         self.events += 1
         return True
 
@@ -428,7 +407,7 @@ def monitor_follow(
     finally:
         tailer.close()
 
-    final = profile.finalize(schema=tailer.schema)
+    final = profile.finalize()
     engine.observe_diagnoses(final.diagnoses, source=path)
     if not once:
         render(force=True)

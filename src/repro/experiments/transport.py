@@ -23,7 +23,7 @@ immediately unregisters and the module manages unlinking explicitly.
 
 **Fork-once workers.**  :class:`WorkerPool` spawns ``jobs`` processes
 once per sweep, each of which builds its state (a ``Harness`` with the
-frozen config, or nothing for shard tasks) a single time and then pulls
+frozen config, or nothing for crash tasks) a single time and then pulls
 tasks from one shared queue until it sees the stop sentinel.  A shared
 queue *is* work stealing: whichever worker finishes first pulls the next
 chunk, so imbalanced groups level out without any up-front assignment.
@@ -42,7 +42,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.common.errors import ConfigurationError
-from repro.common.events import EventBatch
 
 #: Column offsets inside a segment are aligned to this many bytes so
 #: ``numpy.frombuffer`` views are always well-aligned.
@@ -155,32 +154,7 @@ def unlink_segment(manifest: Optional[Dict]) -> None:
         segment.close()
 
 
-# -- event batches and traces over the column transport ----------------------
-
-
-def share_batches(per_thread_batches: Sequence[Sequence[EventBatch]]) -> Dict:
-    """Publish per-thread :class:`EventBatch` lists as one segment."""
-    columns: List[object] = []
-    shape: List[int] = []
-    for batches in per_thread_batches:
-        shape.append(len(batches))
-        for batch in batches:
-            columns.extend(batch.columns())
-    manifest = share_columns(columns)
-    manifest["batches_per_thread"] = shape
-    return manifest
-
-
-def attach_batches(manifest: Dict) -> List[List[EventBatch]]:
-    """Rebuild the per-thread batch lists of a :func:`share_batches` manifest."""
-    columns = attach_columns(manifest)
-    out: List[List[EventBatch]] = []
-    it = iter(columns)
-    for count in manifest["batches_per_thread"]:
-        out.append(
-            [EventBatch.from_columns(next(it), next(it), next(it)) for _ in range(count)]
-        )
-    return out
+# -- traces over the column transport -------------------------------------
 
 
 def share_traces(traces: Sequence[object]) -> Dict:

@@ -24,7 +24,6 @@ machine calls ``bind(port)``, ``on_store(line)``, ``on_fase_begin()``,
 from __future__ import annotations
 
 import heapq
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -284,28 +283,10 @@ class Machine:
     def __init__(
         self,
         config: Optional[MachineConfig] = None,
-        *args: object,
+        *,
         recorder: Optional[object] = None,
         metrics: Optional[object] = None,
     ) -> None:
-        if args:
-            # Deprecation shim: Machine(config, recorder, metrics) used to
-            # accept these positionally.  Remove after one release.
-            warnings.warn(
-                "passing recorder/metrics to Machine() positionally is "
-                "deprecated; use the recorder=/metrics= keywords",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if len(args) > 2:
-                raise TypeError(
-                    f"Machine() takes at most 3 positional arguments "
-                    f"({3 + len(args)} given)"
-                )
-            if recorder is None:
-                recorder = args[0]
-            if len(args) == 2 and metrics is None:
-                metrics = args[1]
         self.config = config or MachineConfig()
         self.memory = MainMemory()
         self.hwcache = HardwareCache(
@@ -1002,7 +983,7 @@ class Machine:
         self,
         workload: object,
         technique_factory: Callable[[int], object],
-        *args: object,
+        *,
         num_threads: int = 1,
         seed: int = 0,
         record_traces: bool = False,
@@ -1035,25 +1016,6 @@ class Machine:
             streams and value tracking is off (batches carry no store
             payloads).  Both paths produce bit-identical results.
         """
-        if args:
-            # Deprecation shim for the old positional signature
-            # run(workload, factory, num_threads, seed, record_traces,
-            # crash_plan, use_batches).  Remove after one release.
-            warnings.warn(
-                "passing Machine.run() options positionally is deprecated; "
-                "use keywords (num_threads=, seed=, record_traces=, "
-                "crash_plan=, use_batches=)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if len(args) > 5:
-                raise TypeError(
-                    f"Machine.run() takes at most 7 positional arguments "
-                    f"({3 + len(args)} given)"
-                )
-            legacy = (num_threads, seed, record_traces, crash_plan, use_batches)
-            patched = args + legacy[len(args):]
-            num_threads, seed, record_traces, crash_plan, use_batches = patched
         if num_threads < 1:
             raise ConfigurationError("num_threads must be >= 1")
         self.arm_crash_plan(crash_plan)

@@ -71,7 +71,6 @@ from repro.obs.history import (
     TrendLine,
     detect_changepoint,
     ewma,
-    import_bench_doc,
 )
 from repro.obs.ledger import (
     LEDGER_ENV,
@@ -174,7 +173,6 @@ __all__ = [
     "diff_profiles",
     "ewma",
     "fleet_rules",
-    "import_bench_doc",
     "max_severity",
     "nearest_rank",
     "record_run",

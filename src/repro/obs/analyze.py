@@ -23,8 +23,8 @@ parallel event arrays once — no per-event objects — into a
 :func:`reconcile` cross-checks a profile against the matching
 :class:`~repro.nvram.stats.RunResult` — the provenance totals are exact
 counters, not estimates, so any mismatch is a bug.  :func:`diff_profiles`
-aligns two profiles and reports deltas under configurable tolerances,
-with the same verdict/notes shape as ``tools/bench_compare.py``.
+aligns two profiles and reports deltas under configurable tolerances
+as a verdict plus notes.
 
 Everything here is a pure function of the trace, so profiles — and the
 reports rendered from them — are byte-deterministic across repeated
@@ -130,7 +130,7 @@ class FlushProvenance:
     top_lines: List[Tuple[int, int]] = field(default_factory=list)
     #: thread id -> {capacity, resize, fase_drains, drain_stall}.
     per_thread: Dict[int, Dict[str, int]] = field(default_factory=dict)
-    #: FASE uid -> commit-drain stall cycles (schema-2 traces only).
+    #: FASE uid -> commit-drain stall cycles.
     fase_drain_stall_by_fase: Dict[int, int] = field(default_factory=dict)
 
     @property
@@ -201,7 +201,7 @@ class FaseLatencyProfile:
     max: int = 0
     total_cycles: int = 0
     #: Commit-drain stall cycles attributed to a FASE via the drain's
-    #: ``fase_id`` (schema 2; zero on schema-1 traces).
+    #: ``fase_id``.
     drain_stall_cycles: int = 0
     per_thread_count: Dict[int, int] = field(default_factory=dict)
 
@@ -489,7 +489,7 @@ class ProfileFold:
                     f.adoptions += 1
                     adapt.adoptions += 1
 
-    def finalize(self, schema: int = TRACE_SCHEMA_VERSION) -> TraceProfile:
+    def finalize(self) -> TraceProfile:
         """Post-process the accumulated state into a :class:`TraceProfile`.
 
         Safe to call more than once (and to keep feeding afterwards):
@@ -624,7 +624,7 @@ class ProfileFold:
             key=lambda d: (-_SEVERITY_RANK[d.severity], d.code, d.thread_id)
         )
         return TraceProfile(
-            schema=schema,
+            schema=TRACE_SCHEMA_VERSION,
             events=self.events,
             event_counts=self.counts,
             threads=sorted(folds),
@@ -642,13 +642,11 @@ def analyze(
 
     Walks the recorder's parallel arrays directly (no per-event tuple
     per event); cost is linear in the trace and independent of the
-    model's size.  Works on schema-1 traces too — the reader already
-    filled the missing ``c`` columns with their defaults, so resize
-    provenance and per-FASE drain attribution simply come out empty.
+    model's size.
     """
     fold = ProfileFold(config)
     fold.feed_columns(*trace.columns())
-    return fold.finalize(schema=trace.schema)
+    return fold.finalize()
 
 
 def reconcile(profile: TraceProfile, result: object) -> List[str]:
@@ -752,12 +750,12 @@ def diff_profiles(
 ) -> Dict:
     """Align two profiles and report their deltas.
 
-    Returns ``{"verdict", "entries", "notes"}`` in the
-    ``bench_compare`` idiom: verdict ``"ok"`` when every compared metric
-    is within tolerance, ``"different"`` otherwise, ``"incomparable"``
-    when the runs cannot be meaningfully aligned (different thread
-    sets).  Notes call out structural differences (schema versions,
-    diverging trajectories) that tolerances do not cover.
+    Returns ``{"verdict", "entries", "notes"}``: verdict ``"ok"`` when
+    every compared metric is within tolerance, ``"different"``
+    otherwise, ``"incomparable"`` when the runs cannot be meaningfully
+    aligned (different thread sets).  Notes call out structural
+    differences (schema versions, diverging trajectories) that
+    tolerances do not cover.
     """
     tol = tolerances or DiffTolerances()
     notes: List[str] = []

@@ -1,8 +1,8 @@
 """Longitudinal queries over the run ledger: trend, compare, regress, flaky.
 
-Where :mod:`repro.experiments.bench_compare` diffs exactly two BENCH
-files and ``tracediff`` exactly two traces, this module reads the whole
-:class:`~repro.obs.ledger.RunLedger` and answers trajectory questions:
+Where ``tracediff`` diffs exactly two traces, this module reads the
+whole :class:`~repro.obs.ledger.RunLedger` and answers trajectory
+questions:
 
 ``trend``
     Per-spec timelines of one metric — every record of a spec in append
@@ -36,7 +36,6 @@ wraps these queries with table/markdown/JSON/HTML rendering.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -486,113 +485,3 @@ def flaky(
                 }
             )
     return {"kind": kind, "rows": rows, "ok": not rows}
-
-
-# ---------------------------------------------------------------------------
-# BENCH document distillation (the bench timeline's counters)
-# ---------------------------------------------------------------------------
-
-
-def bench_counters(doc: Dict) -> Dict[str, float]:
-    """Distill a BENCH document into flat, gateable ledger counters.
-
-    Geometric means over the pinned per-case rows (the same folds
-    ``bench_compare`` gates on) plus the single-number sections, so a
-    bench timeline supports ``history regress`` on dotted names like
-    ``counters.batched_eps_geomean`` without re-parsing documents.
-    """
-
-    def _geomean(values: List[float]) -> Optional[float]:
-        vals = [v for v in values if v and v > 0]
-        if not vals:
-            return None
-        return math.exp(sum(math.log(v) for v in vals) / len(vals))
-
-    counters: Dict[str, float] = {}
-    sim = doc.get("simulator") or []
-    for name, key in (
-        ("batched_eps_geomean", "batched_eps"),
-        ("per_event_eps_geomean", "per_event_eps"),
-    ):
-        fit = _geomean([row.get(key, 0) for row in sim])
-        if fit is not None:
-            counters[name] = round(fit, 3)
-    if "simulator_speedup_geomean" in doc:
-        counters["simulator_speedup_geomean"] = float(
-            doc["simulator_speedup_geomean"]
-        )
-    reuse = doc.get("reuse_counts") or {}
-    if "intervals_per_sec" in reuse:
-        counters["reuse_intervals_per_sec"] = float(reuse["intervals_per_sec"])
-    analyzer = doc.get("analyzer") or {}
-    if "events_per_sec" in analyzer:
-        counters["analyzer_eps"] = float(analyzer["events_per_sec"])
-    streaming = doc.get("streaming_recorder") or {}
-    if "streaming_eps" in streaming:
-        counters["streaming_eps"] = float(streaming["streaming_eps"])
-    if "streaming_overhead" in streaming:
-        counters["streaming_overhead"] = float(streaming["streaming_overhead"])
-    zoo = doc.get("policy_zoo") or []
-    fit = _geomean([row.get("eps", 0) for row in zoo])
-    if fit is not None:
-        counters["policy_zoo_eps_geomean"] = round(fit, 3)
-    fleet = doc.get("fleet_overhead") or {}
-    if "fleet_overhead" in fleet:
-        counters["fleet_overhead"] = float(fleet["fleet_overhead"])
-    led = doc.get("ledger") or {}
-    if "ledger_overhead" in led:
-        counters["ledger_overhead"] = float(led["ledger_overhead"])
-    return counters
-
-
-def bench_spec(doc: Dict) -> Dict:
-    """The spec dict one BENCH document records under (its timeline key).
-
-    Quick and full suites are different pinned configurations, so they
-    form separate timelines; reps/jobs ride along because they change
-    what the numbers mean on a loaded host.
-    """
-    return {
-        "suite": "bench",
-        "suite_version": doc.get("suite_version"),
-        "bench_schema": doc.get("schema_version", 1),
-        "quick": bool(doc.get("quick")),
-        "reps": doc.get("reps"),
-        "jobs": (doc.get("harness") or {}).get("jobs"),
-    }
-
-
-def import_bench_doc(
-    ledger: RunLedger, path: str, doc: Optional[Dict] = None
-) -> RunRecord:
-    """Wrap one existing BENCH file as a ledger record and append it.
-
-    The committed ``BENCH_<date>.json`` trajectory predates the ledger;
-    importing it seeds the bench timeline so ``bench_compare --ledger``
-    and ``history regress`` have history from day one.  The full
-    document rides in ``extra["bench"]``; the record's ``ts`` is taken
-    from the document's ``date`` so imported history sorts before
-    freshly recorded runs.
-    """
-    import calendar
-    import time as _time
-
-    if doc is None:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    record = RunRecord(
-        kind="bench",
-        spec=bench_spec(doc),
-        counters=bench_counters(doc),
-        extra={"bench": doc},
-        artifacts={"bench": path},
-    )
-    date = doc.get("date")
-    if date:
-        try:
-            record.ts = float(
-                calendar.timegm(_time.strptime(str(date), "%Y-%m-%d"))
-            )
-        except ValueError:
-            pass
-    return ledger.append(record)

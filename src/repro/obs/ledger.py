@@ -2,15 +2,14 @@
 
 Every entry point that executes simulation — ``repro.api.run`` /
 ``traced_run``, ``Harness.run_grid``, ``run_grid_parallel``,
-``repro.faults.run_campaign``, the ``profile``/``crashmatrix`` CLI
-artifacts and ``tools/bench.py`` — appends one :class:`RunRecord` here,
-so the repository keeps a durable, queryable history of *everything that
-was ever run*: the canonical spec (and its SHA-256), the result
-counters, the host environment, wall time and the artifact paths the
-run produced.  ``bench_compare`` can then gate against a fitted trend
-over many baselines instead of one prior file, and the ``history`` CLI
-(:mod:`repro.obs.history`) answers longitudinal questions the pairwise
-tools (``bench_compare``, ``tracediff``) cannot.
+``repro.faults.run_campaign`` and the ``profile``/``crashmatrix`` CLI
+artifacts — appends one :class:`RunRecord` here, so the repository keeps
+a durable, queryable history of *everything that was ever run*: the
+canonical spec (and its SHA-256), the result counters, the host
+environment, wall time and the artifact paths the run produced.  The
+``history`` CLI (:mod:`repro.obs.history`) gates against a fitted trend
+over many records and answers longitudinal questions a pairwise tool
+(``tracediff``) cannot.
 
 Durability model (NVCache's append-only log, scaled to a JSONL file):
 
@@ -188,9 +187,9 @@ class RunRecord:
     fingerprint form one timeline.  ``counters`` hold the deterministic
     result numbers; ``profile`` an optional trace-profile digest;
     ``alerts`` an optional alert/violation summary; ``extra`` any other
-    deterministic payload (e.g. the full BENCH document).  The
-    :data:`ENV_FIELDS` describe the recording environment and are the
-    only fields allowed to differ between re-runs of one spec.
+    deterministic payload.  The :data:`ENV_FIELDS` describe the
+    recording environment and are the only fields allowed to differ
+    between re-runs of one spec.
     """
 
     kind: str

@@ -566,7 +566,7 @@ class StreamingProfile:
 
     # -- finalization ----------------------------------------------------
 
-    def finalize(self, schema: int = TRACE_SCHEMA_VERSION) -> TraceProfile:
+    def finalize(self) -> TraceProfile:
         """Fold the open remainder and return the full offline profile.
 
         Equal — field for field — to ``analyze()`` of the complete
@@ -583,7 +583,7 @@ class StreamingProfile:
             self._a = []
             self._b = []
             self._c = []
-        return self._fold.finalize(schema=schema)
+        return self._fold.finalize()
 
     def __repr__(self) -> str:
         return (

@@ -37,15 +37,11 @@ Event taxonomy (see DESIGN.md §9, §11):
                 1 for a hardware eviction write-back)
 ==============  ========================================================
 
-The ``c`` column (``cause`` on ``evict_flush``, ``fase_id`` on
-``drain``) arrived in trace schema 2 under the name ``resize_evict``
-(a 0/1 flag); schema 3 renames it to ``cause`` and widens it to the
-cause codes above — values 0/1 mean exactly what the schema-2 flag
-meant, so base-technique traces are byte-identical apart from the key.
-:func:`parse_jsonl` reads schema-2 documents through
-:data:`LEGACY_ARG_NAMES` and schema-1 documents (PR 2) with the
-documented defaults (``cause=0``, ``fase_id=-1``), so provenance
-degrades to "unattributed", never to a parse error.
+Schema 3 is the only schema read back: :func:`decode_trace_line` — the
+one per-line decoder behind :func:`parse_jsonl` and ``monitor --follow``
+— rejects a ``trace_meta`` header carrying any other version, and an
+event that precedes the header, with a :class:`ConfigurationError`
+naming the line.
 
 Exports: JSON-lines (a ``trace_meta`` header line carrying the schema
 version, then one event per line, sorted keys — byte-identical across
@@ -56,7 +52,8 @@ simulated thread (model cycles are mapped to microseconds).
 When tracing is off the machine holds the module-level
 :data:`NULL_RECORDER`, whose ``enabled`` flag gates every recording site
 — the batched fast path stays allocation-free (enforced by
-``benchmarks/test_obs_overhead.py`` and ``tools/bench_compare.py``).
+``benchmarks/test_obs_overhead.py``; measured by perfbench's
+``obs.trace.overhead_ratio``).
 """
 
 from __future__ import annotations
@@ -64,12 +61,10 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
-#: Version of the event taxonomy written by this recorder.  Schema 2
-#: added the third event argument (``resize_evict`` on ``evict_flush``,
-#: ``fase_id`` on ``drain``); schema 3 renamed ``resize_evict`` to
-#: ``cause`` and widened it to the policy-stage cause codes (clean /
-#: bypass / victim).  Older documents read back through
-#: :data:`LEGACY_ARG_NAMES` and :data:`V1_ARG_DEFAULTS`.
+from repro.common.errors import ConfigurationError
+
+#: Version of the event taxonomy written — and the only one read — by
+#: this module.
 TRACE_SCHEMA_VERSION = 3
 
 #: The ``kind`` of the JSONL header line (not a simulator event).
@@ -110,21 +105,6 @@ ARG_NAMES: Dict[str, Tuple[Optional[str], Optional[str], Optional[str]]] = {
     EV_KNEE_CANDIDATE: ("size", "miss_ratio_ppm", None),
     EV_SIZE_SELECTED: ("size", None, None),
     EV_STALL: ("stall_cycles", "source", None),
-}
-
-#: Value assumed for a newer-schema field absent from an older document,
-#: keyed by ``(kind, arg_name)``.  Anything else missing decodes as 0.
-V1_ARG_DEFAULTS: Dict[Tuple[str, str], int] = {
-    (EV_EVICT_FLUSH, "cause"): 0,
-    (EV_DRAIN, "fase_id"): -1,
-}
-
-#: Superseded JSONL key per ``(kind, current_arg_name)``: schema-2
-#: documents wrote the ``evict_flush`` cause under ``resize_evict``
-#: (same 0/1 values as cause codes 0/1), and :func:`parse_jsonl` falls
-#: back to it before assuming a default.
-LEGACY_ARG_NAMES: Dict[Tuple[str, str], str] = {
-    (EV_EVICT_FLUSH, "cause"): "resize_evict",
 }
 
 
@@ -262,9 +242,7 @@ class TraceRecorder:
         self._a: List[int] = []
         self._b: List[int] = []
         self._c: List[int] = []
-        #: Schema of the taxonomy these events use.  A fresh recorder
-        #: writes the current schema; :func:`parse_jsonl` sets the
-        #: loaded document's declared (or sniffed) version instead.
+        #: Schema of the taxonomy these events use.
         self.schema = TRACE_SCHEMA_VERSION
 
     # -- recording -------------------------------------------------------
@@ -443,51 +421,62 @@ _ARG_COLUMNS: Dict[str, Dict[str, int]] = {
 }
 
 
-def parse_jsonl(text: str) -> TraceRecorder:
-    """Rebuild a :class:`TraceRecorder` from its JSONL export.
+def decode_trace_line(
+    line: str, header_seen: bool
+) -> Optional[Tuple[str, int, int, int, int, int]]:
+    """Decode one non-blank JSONL trace line; the one decoder for every reader.
 
-    Accepts schema-3 and schema-2 documents (``trace_meta`` header line)
-    and the headerless schema-1 documents written by PR 2.  Renamed
-    fields read back through :data:`LEGACY_ARG_NAMES` (schema 2's
-    ``resize_evict`` becomes ``cause`` — the values coincide) and absent
-    fields decode to :data:`V1_ARG_DEFAULTS`, so old traces analyze with
-    provenance "unattributed" rather than failing.
+    Returns ``None`` for the ``trace_meta`` header and ``(kind, tid, ts,
+    a, b, c)`` for an event.  Malformed JSON, a header whose schema is
+    not :data:`TRACE_SCHEMA_VERSION`, an event before any header
+    (``header_seen`` false) and an unknown event kind each raise
+    :class:`ConfigurationError`; the caller knows which line this is and
+    prefixes the location.
     """
-    from repro.common.errors import ConfigurationError
+    try:
+        doc = json.loads(line)
+    except ValueError as exc:
+        raise ConfigurationError(f"not JSON ({exc})") from None
+    kind = doc.get("kind")
+    if kind == TRACE_META_KIND:
+        schema = doc.get("schema")
+        if schema != TRACE_SCHEMA_VERSION:
+            raise ConfigurationError(
+                f"unsupported trace schema {schema!r} "
+                f"(this build reads schema {TRACE_SCHEMA_VERSION} only)"
+            )
+        return None
+    if not header_seen:
+        raise ConfigurationError(
+            f"event before the trace_meta header (headerless traces are "
+            f"not supported; this build reads schema "
+            f"{TRACE_SCHEMA_VERSION} only)"
+        )
+    columns = _ARG_COLUMNS.get(kind)
+    if columns is None:
+        raise ConfigurationError(f"unknown event kind {kind!r}")
+    cols = [0, 0, 0]
+    for name, idx in columns.items():
+        cols[idx] = doc.get(name, 0)
+    return (kind, doc["tid"], doc["ts"], cols[0], cols[1], cols[2])
 
+
+def parse_jsonl(text: str) -> TraceRecorder:
+    """Rebuild a :class:`TraceRecorder` from its JSONL export."""
     rec = TraceRecorder()
-    rec.schema = 1  # headerless documents are schema 1 by definition
+    header_seen = False
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            doc = json.loads(line)
-        except ValueError as exc:
-            raise ConfigurationError(f"trace line {lineno}: not JSON ({exc})") from None
-        kind = doc.get("kind")
-        if kind == TRACE_META_KIND:
-            schema = doc.get("schema")
-            if not isinstance(schema, int) or schema < 1 or schema > TRACE_SCHEMA_VERSION:
-                raise ConfigurationError(
-                    f"trace line {lineno}: unsupported trace schema {schema!r} "
-                    f"(this build reads 1..{TRACE_SCHEMA_VERSION})"
-                )
-            rec.schema = schema
-            continue
-        if kind not in _ARG_COLUMNS:
-            raise ConfigurationError(f"trace line {lineno}: unknown event kind {kind!r}")
-        cols = [0, 0, 0]
-        for name, idx in _ARG_COLUMNS[kind].items():
-            if name in doc:
-                cols[idx] = doc[name]
-            else:
-                legacy = LEGACY_ARG_NAMES.get((kind, name))
-                if legacy is not None and legacy in doc:
-                    cols[idx] = doc[legacy]
-                else:
-                    cols[idx] = V1_ARG_DEFAULTS.get((kind, name), 0)
-        rec.record(kind, doc["tid"], doc["ts"], cols[0], cols[1], cols[2])
+            event = decode_trace_line(line, header_seen)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"trace line {lineno}: {exc}") from None
+        if event is None:
+            header_seen = True
+        else:
+            rec.record(*event)
     return rec
 
 

@@ -118,44 +118,6 @@ class BatchCachingWorkload(Workload):
         return [iter(per_thread) for per_thread in entry]
 
 
-class PrebuiltBatchWorkload(Workload):
-    """Serve already-materialized per-thread :class:`EventBatch` lists.
-
-    The adapter the sharded executor and the shared-memory transport
-    feed into ``Machine.run``: a shard's substreams (or batches rebuilt
-    from a shared-memory segment) are plain lists of batches, and this
-    wraps them in the ``Workload`` protocol without re-deriving anything
-    from a generator.  Reusable: every ``batch_streams`` call returns
-    fresh iterators over the same lists.
-    """
-
-    def __init__(self, name: str, per_thread_batches: Sequence[Sequence[EventBatch]]) -> None:
-        self.name = name
-        self._batches: List[List[EventBatch]] = [list(b) for b in per_thread_batches]
-
-    def supports_threads(self, num_threads: int) -> bool:
-        return num_threads == len(self._batches)
-
-    def _check_threads(self, num_threads: int) -> None:
-        if num_threads != len(self._batches):
-            raise ConfigurationError(
-                f"prebuilt workload has {len(self._batches)} threads, "
-                f"{num_threads} requested"
-            )
-
-    def batch_streams(
-        self, num_threads: int, seed: int
-    ) -> List[Iterator[EventBatch]]:
-        self._check_threads(num_threads)
-        return [iter(batches) for batches in self._batches]
-
-    def streams(self, num_threads: int, seed: int) -> List[Iterator[Event]]:
-        from repro.common.events import events_from_batches
-
-        self._check_threads(num_threads)
-        return [events_from_batches(iter(b)) for b in self._batches]
-
-
 class BumpAllocator:
     """A trivial persistent-heap allocator for workload data structures.
 

@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.cache.policies import make_factory
+from repro.cache.spec import technique_factory
 from repro.common.events import batches_from_events, events_from_batches
 from repro.nvram.machine import Machine, MachineConfig
 from repro.workloads.base import BatchCachingWorkload
@@ -37,7 +37,7 @@ def _run(workload, technique, threads, use_batches):
     machine = Machine(MachineConfig())
     result = machine.run(
         workload,
-        make_factory(technique),
+        technique_factory(technique),
         num_threads=threads,
         seed=7,
         record_traces=True,

@@ -9,7 +9,7 @@ future work, finite hibernation).
 import pytest
 
 from repro.cache.adaptive import AdaptiveConfig
-from repro.cache.policies import make_factory
+from repro.cache.spec import technique_factory
 from repro.common.errors import ConfigurationError
 from repro.nvram.machine import Machine, MachineConfig
 from repro.workloads.base import ComposedWorkload
@@ -31,7 +31,7 @@ def tile_workload(name, tile_lines, passes=8.0, tiles=4, fases=10, burst=4.0):
 
 def run(workload, technique, threads=1, **kw):
     machine = Machine(MachineConfig())
-    return machine.run(workload, make_factory(technique, **kw), num_threads=threads, seed=0)
+    return machine.run(workload, technique_factory(technique, **kw), num_threads=threads, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.atlas.fase import FaseLock, FaseManager
-from repro.cache.policies import make_factory
+from repro.cache.spec import technique_factory
 from repro.common.errors import SimulationError
 from repro.nvram.machine import Machine, MachineConfig
 
@@ -11,7 +11,7 @@ from repro.nvram.machine import Machine, MachineConfig
 @pytest.fixture
 def manager():
     machine = Machine(MachineConfig(track_values=True))
-    session = machine.session(make_factory("LA")(0))
+    session = machine.session(technique_factory("LA")(0))
     return FaseManager(session)
 
 

@@ -6,13 +6,10 @@ import pytest
 
 from repro.experiments.__main__ import main
 from repro.obs.history import (
-    bench_counters,
-    bench_spec,
     compare,
     detect_changepoint,
     ewma,
     flaky,
-    import_bench_doc,
     metric_direction,
     metric_value,
     regress,
@@ -194,54 +191,6 @@ def test_spec_label_falls_back_to_fingerprint(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# BENCH import
-# ---------------------------------------------------------------------------
-
-
-BENCH_DOC = {
-    "schema_version": 3,
-    "suite_version": 5,
-    "date": "2026-08-01",
-    "quick": False,
-    "reps": 3,
-    "harness": {"jobs": 2},
-    "simulator": [
-        {"workload": "queue", "technique": "ER",
-         "batched_eps": 1000.0, "per_event_eps": 500.0},
-        {"workload": "queue", "technique": "SC",
-         "batched_eps": 4000.0, "per_event_eps": 250.0},
-    ],
-    "simulator_speedup_geomean": 1.5,
-    "analyzer": {"events_per_sec": 9000.0},
-    "streaming_recorder": {"streaming_eps": 800.0, "streaming_overhead": 1.2},
-    "ledger": {"ledger_overhead": 1.01},
-}
-
-
-def test_bench_counters_distill_the_document():
-    counters = bench_counters(BENCH_DOC)
-    assert counters["batched_eps_geomean"] == pytest.approx(2000.0)
-    assert counters["analyzer_eps"] == 9000.0
-    assert counters["ledger_overhead"] == 1.01
-    assert counters["simulator_speedup_geomean"] == 1.5
-    assert "policy_zoo_eps_geomean" not in counters
-    assert bench_spec(BENCH_DOC)["quick"] is False
-    assert bench_spec(BENCH_DOC)["jobs"] == 2
-
-
-def test_import_bench_doc_appends_a_dated_record(tmp_path):
-    ledger = RunLedger(str(tmp_path))
-    path = tmp_path / "BENCH_2026-08-01.json"
-    path.write_text(json.dumps(BENCH_DOC))
-    record = import_bench_doc(ledger, str(path))
-    assert record.kind == "bench"
-    assert record.extra["bench"]["date"] == "2026-08-01"
-    assert record.ts == pytest.approx(1785542400.0)  # 2026-08-01 UTC
-    (back,) = ledger.records(kind="bench")
-    assert back.counters == record.counters
-
-
-# ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 
@@ -295,24 +244,29 @@ def test_cli_disabled_ledger_is_exit_2(monkeypatch, capsys):
     assert "disabled" in capsys.readouterr().err
 
 
-def test_cli_import_seeds_the_bench_timeline(tmp_path, capsys):
+def test_cli_trend_renders_preexisting_bench_records(tmp_path, capsys):
+    """Ledgers seeded by the retired BENCH importer stay queryable: a
+    ``kind="bench"`` record is an ordinary record with flat counters."""
     root = str(tmp_path / "led")
-    docs = []
-    for i, date in enumerate(["2026-08-01", "2026-08-02"]):
-        doc = dict(BENCH_DOC, date=date)
-        doc["analyzer"] = {"events_per_sec": 9000.0 + i}
-        path = tmp_path / f"BENCH_{date}.json"
-        path.write_text(json.dumps(doc))
-        docs.append(str(path))
+    ledger = RunLedger(root)
+    spec = {"suite": "bench", "suite_version": 5, "bench_schema": 3,
+            "quick": False, "reps": 3, "jobs": 2}
+    for i in range(2):
+        ledger.append(
+            RunRecord(
+                kind="bench",
+                spec=spec,
+                counters={"analyzer_eps": 9000.0 + i,
+                          "batched_eps_geomean": 2000.0},
+                ts=float(i + 1),
+            )
+        )
     rc = main(["history", "--ledger", root, "--query", "trend",
-               "--kind", "bench", "--metric", "analyzer_eps",
-               "--import", docs[0], "--import", docs[1]])
+               "--kind", "bench", "--metric", "analyzer_eps"])
     assert rc == 0
-    assert "9001" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "9001" in out and "bench/" in out
     assert len(RunLedger(root).records(kind="bench")) == 2
-    # A bad import path is exit 2.
-    assert main(["history", "--ledger", root, "--import",
-                 str(tmp_path / "missing.json")]) == 2
 
 
 def test_cli_flaky_query(tmp_path, capsys):

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.policies import make_factory
+from repro.cache.spec import technique_factory
 from repro.common.events import FaseBegin, FaseEnd, Load, Store, Work
 from repro.nvram.machine import Machine, MachineConfig
 from repro.nvram.memory import NVRAM_BASE
@@ -59,7 +59,7 @@ def run(events, technique):
     machine = Machine(MachineConfig())
     kwargs = {"sc_fixed_size": 4} if technique == "SC-offline" else {}
     result = machine.run(
-        ListWorkload(events), make_factory(technique, **kwargs), num_threads=1, seed=0
+        ListWorkload(events), technique_factory(technique, **kwargs), num_threads=1, seed=0
     )
     return machine, result
 

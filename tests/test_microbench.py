@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache.policies import make_factory
+from repro.cache.spec import technique_factory
 from repro.nvram.machine import Machine, MachineConfig
 from repro.workloads.hashtable import HashTableWorkload
 from repro.workloads.linkedlist import LinkedListWorkload, perfect_shuffle_order
@@ -11,7 +11,7 @@ from repro.workloads.msqueue import QueueWorkload
 
 def run(workload, technique, threads=1, **kw):
     machine = Machine(MachineConfig())
-    return machine.run(workload, make_factory(technique, **kw), num_threads=threads, seed=3)
+    return machine.run(workload, technique_factory(technique, **kw), num_threads=threads, seed=3)
 
 
 # ---------------------------------------------------------------------------

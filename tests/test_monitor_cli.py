@@ -193,6 +193,24 @@ def test_cli_monitor_rejects_bad_rule(tmp_path, capsys):
     assert "unparseable" in capsys.readouterr().err
 
 
+def test_cli_monitor_follow_rejects_foreign_schema(tmp_path, capsys):
+    """A header of another schema fails typed instead of folding garbage;
+    so does a headerless file (same decoder as ``parse_jsonl``)."""
+    events = _trace_file(tmp_path).read_text().split("\n", 1)[1]
+    future = tmp_path / "schema4.jsonl"
+    future.write_text('{"kind":"trace_meta","schema":4}\n' + events)
+    rc = main(["monitor", "--follow", str(future), "--once"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{future} line 1: unsupported trace schema 4" in err
+
+    headerless = tmp_path / "schema1.jsonl"
+    headerless.write_text(events)
+    rc = main(["monitor", "--follow", str(headerless), "--once"])
+    assert rc == 2
+    assert "line 1: event before the trace_meta header" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # CLI: grid mode
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.policies import make_factory
+from repro.cache.spec import technique_factory
 from repro.common.errors import ConfigurationError
 from repro.experiments.harness import HarnessConfig
 from repro.nvram.machine import Machine
@@ -55,7 +55,7 @@ def _traced_pair(window_cycles=5_000):
     config = HarnessConfig(scale=0.02, seed=7).machine_config()
     Machine(config, recorder=rec).run(
         get_workload("queue", scale=0.02),
-        make_factory("SC"),
+        technique_factory("SC"),
         num_threads=2,
         seed=7,
     )
@@ -125,7 +125,7 @@ def test_async_spill_is_byte_identical_under_backpressure():
     config = HarnessConfig(scale=0.02, seed=7).machine_config()
     Machine(config, recorder=rec).run(
         get_workload("queue", scale=0.02),
-        make_factory("SC"),
+        technique_factory("SC"),
         num_threads=2,
         seed=7,
     )

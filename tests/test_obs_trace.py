@@ -111,22 +111,28 @@ def test_fast_encoder_matches_json_reference_for_every_kind():
     )
 
 
-def test_parse_jsonl_reads_schema1_with_defaults():
-    # A PR-2 document: no trace_meta header, no resize_evict/fase_id.
-    text = (
+def test_parse_jsonl_rejects_older_schemas():
+    # A schema-1 document (no trace_meta header) and a schema-2 one
+    # (``resize_evict`` key) are typed errors naming the line, not a
+    # best-effort decode.
+    headerless = (
         '{"dirty":1,"kind":"evict_flush","line":42,"tid":0,"ts":10}\n'
         '{"kind":"drain","outstanding":3,"stall_cycles":7,"tid":0,"ts":20}\n'
     )
-    rec = parse_jsonl(text)
-    assert rec.schema == 1
-    flush, drain = rec.events()
-    assert flush.c == 0      # resize_evict defaults to "not resize-forced"
-    assert drain.c == -1     # fase_id defaults to "unattributed"
+    with pytest.raises(ConfigurationError, match="trace line 1: event before"):
+        parse_jsonl(headerless)
+    for schema in (1, 2, 4, "3", None):
+        header = json.dumps({"kind": "trace_meta", "schema": schema})
+        with pytest.raises(
+            ConfigurationError, match="trace line 2: unsupported trace schema"
+        ):
+            parse_jsonl("\n" + header + "\n" + headerless)
 
 
 def test_parse_jsonl_rejects_garbage():
-    with pytest.raises(ConfigurationError):
-        parse_jsonl('{"kind":"no_such_event","tid":0,"ts":0}\n')
+    header = '{"kind":"trace_meta","schema":3}\n'
+    with pytest.raises(ConfigurationError, match="line 2: unknown event kind"):
+        parse_jsonl(header + '{"kind":"no_such_event","tid":0,"ts":0}\n')
     with pytest.raises(ConfigurationError):
         parse_jsonl("not json\n")
     with pytest.raises(ConfigurationError):

@@ -8,7 +8,7 @@ assert the *exact* machine-measured values at full and reduced scale.
 
 import pytest
 
-from repro.cache.policies import make_factory
+from repro.cache.spec import technique_factory
 from repro.locality.knee import select_cache_size
 from repro.locality.mrc import mrc_from_trace
 from repro.nvram.machine import Machine, MachineConfig
@@ -17,7 +17,7 @@ from repro.workloads.parray import PersistentArray
 
 def run(workload, technique, **kw):
     machine = Machine(MachineConfig())
-    return machine.run(workload, make_factory(technique, **kw), num_threads=1, seed=0)
+    return machine.run(workload, technique_factory(technique, **kw), num_threads=1, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +78,7 @@ def test_sc_offline_matches_lazy_bound(parray):
 
 def test_offline_selection_picks_26(parray):
     machine = Machine(MachineConfig())
-    res = machine.run(parray, make_factory("BEST"), num_threads=1, seed=0, record_traces=True)
+    res = machine.run(parray, technique_factory("BEST"), num_threads=1, seed=0, record_traces=True)
     assert select_cache_size(mrc_from_trace(res.traces[0])) == 26
 
 

@@ -96,6 +96,20 @@ def test_cli_profile_requires_exactly_one_trace(tmp_path, capsys):
     assert main(["profile", "--trace", str(trace), "--trace", str(trace)]) == 2
 
 
+def test_cli_offline_readers_reject_an_unreadable_trace(tmp_path, capsys):
+    """profile/tracediff report the decoder's typed error, exit 2."""
+    good = _traced_cell(tmp_path, "a")
+    old = tmp_path / "schema2.jsonl"
+    old.write_text(
+        '{"kind":"trace_meta","schema":2}\n' + good.read_text().split("\n", 1)[1]
+    )
+    capsys.readouterr()
+    assert main(["profile", "--trace", str(old)]) == 2
+    assert "trace line 1: unsupported trace schema 2" in capsys.readouterr().err
+    assert main(["tracediff", "--trace", str(good), "--trace", str(old)]) == 2
+    assert "unsupported trace schema 2" in capsys.readouterr().err
+
+
 def test_cli_tracediff_artifact(tmp_path, capsys):
     a = _traced_cell(tmp_path, "a")
     b = _traced_cell(tmp_path, "b")          # identical configuration

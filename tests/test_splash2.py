@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache.policies import make_factory
+from repro.cache.spec import technique_factory
 from repro.common.errors import ConfigurationError
 from repro.locality.knee import select_cache_size
 from repro.locality.mrc import mrc_from_trace
@@ -14,7 +14,7 @@ BUDGET = 60_000   # scaled-down store budget for the test suite
 
 def run(workload, technique, **kw):
     machine = Machine(MachineConfig())
-    return machine.run(workload, make_factory(technique, **kw), num_threads=1, seed=1)
+    return machine.run(workload, technique_factory(technique, **kw), num_threads=1, seed=1)
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +24,7 @@ def results():
     for name, profile in SPLASH2_PROFILES.items():
         w = make_splash2(name, store_budget=BUDGET)
         machine = Machine(MachineConfig())
-        best = machine.run(w, make_factory("BEST"), num_threads=1, seed=1, record_traces=True)
+        best = machine.run(w, technique_factory("BEST"), num_threads=1, seed=1, record_traces=True)
         knee = select_cache_size(mrc_from_trace(best.traces[0]))
         out[name] = {
             "profile": profile,

@@ -13,13 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
-from repro.common.events import EventBatch
 from repro.experiments.transport import (
     WorkerPool,
-    attach_batches,
     attach_columns,
     attach_traces,
-    share_batches,
     share_columns,
     share_traces,
     unlink_segment,
@@ -85,67 +82,6 @@ def test_attached_columns_outlive_the_segment():
     (col,) = attach_columns(manifest)
     unlink_segment(manifest)
     assert list(col) == [7, 8, 9]     # copied out, not a view
-
-
-def test_share_batches_round_trip():
-    b1 = EventBatch()
-    b1.append_fase_begin()
-    b1.append_store(0x1000, 8)
-    b1.append_load(0x2000, 16)
-    b1.append_work(123)
-    b1.append_fase_end()
-    b2 = EventBatch()
-    b2.append_store(0x3000, 64)
-    per_thread = [[b1], [b2], []]
-    manifest = share_batches(per_thread)
-    try:
-        out = attach_batches(manifest)
-    finally:
-        unlink_segment(manifest)
-    assert len(out) == 3
-    for orig_list, new_list in zip(per_thread, out):
-        assert len(orig_list) == len(new_list)
-        for orig, new in zip(orig_list, new_list):
-            assert list(orig.kinds) == list(new.kinds)
-            assert list(orig.args) == list(new.args)
-            assert list(orig.sizes) == list(new.sizes)
-
-
-def test_rebuilt_batches_execute_identically():
-    """A batch rebuilt from shared memory drives the machine exactly as
-    the original did (the transport's end-to-end guarantee)."""
-    from repro.cache.policies import make_factory
-    from repro.experiments.harness import HarnessConfig
-    from repro.nvram.machine import Machine
-    from repro.workloads.base import PrebuiltBatchWorkload
-    from repro.workloads.registry import get_workload
-
-    from repro.common.events import batches_from_events
-
-    workload = get_workload("queue", scale=0.02)
-    batches = [
-        list(batches_from_events(s)) for s in workload.streams(2, 7)
-    ]
-    config = HarnessConfig(scale=0.02, seed=7).machine_config()
-
-    direct = Machine(config).run(
-        PrebuiltBatchWorkload("queue", batches),
-        make_factory("ER"),
-        num_threads=2,
-        seed=7,
-    )
-    manifest = share_batches(batches)
-    try:
-        rebuilt = attach_batches(manifest)
-    finally:
-        unlink_segment(manifest)
-    via_shm = Machine(config).run(
-        PrebuiltBatchWorkload("queue", rebuilt),
-        make_factory("ER"),
-        num_threads=2,
-        seed=7,
-    )
-    assert via_shm.to_dict() == direct.to_dict()
 
 
 def test_share_traces_round_trip():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache.policies import make_factory
+from repro.cache.spec import technique_factory
 from repro.common.errors import ConfigurationError
 from repro.common.geometry import CACHE_LINE_SIZE
 from repro.locality.trace import WriteTrace
@@ -37,7 +37,7 @@ def test_trace_workload_replays_fases():
     t = WriteTrace([1, 2, 1, 3], [0, 0, 1, -1])
     w = TraceWorkload([t])
     machine = Machine(MachineConfig())
-    res = machine.run(w, make_factory("LA"), num_threads=1, seed=0, record_traces=True)
+    res = machine.run(w, technique_factory("LA"), num_threads=1, seed=0, record_traces=True)
     assert res.persistent_stores == 4
     assert res.fase_count == 2
     replayed = res.traces[0]
@@ -65,7 +65,7 @@ def test_trace_workload_thread_count_enforced():
 def test_trace_workload_multi_thread():
     w = TraceWorkload([WriteTrace([1, 2]), WriteTrace([3])])
     machine = Machine(MachineConfig())
-    res = machine.run(w, make_factory("ER"), num_threads=2, seed=0)
+    res = machine.run(w, technique_factory("ER"), num_threads=2, seed=0)
     assert res.persistent_stores == 3
     assert res.threads[0].persistent_stores == 2
     assert res.threads[1].persistent_stores == 1

@@ -3,9 +3,8 @@
 
 Usable without installing the package::
 
-    python tools/history.py --query trend --kind bench --metric batched_eps_geomean
+    python tools/history.py --query trend --kind grid --metric time
     python tools/history.py --query regress --metric time --threshold 15
-    python tools/history.py --import BENCH_2026-08-08.json
 
 Exit codes: 0 clean, 1 the query flagged something (regression,
 changepoint, drift, flaky campaign), 2 nothing to query.
