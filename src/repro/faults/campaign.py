@@ -3,13 +3,14 @@
 One campaign = one ``(workload, technique, threads)`` configuration.  A
 golden replay enumerates the injectable sites and records FASE ground
 truth; the :class:`~repro.faults.enumerator.CrashPointEnumerator` picks
-the injection targets; each ``(site, fault_model)`` pair then replays to
-the site, crashes, recovers, and is judged by the oracle.  Results fold
+the injection targets; one forward replay per fault model (a *sweep*)
+then captures the crashed image at every target on the way, and each is
+recovered and judged by the oracle while the replay waits.  Results fold
 into a :class:`CrashMatrix` — the (crash-site-class × fault-model →
 verified/violated) table the ``crashmatrix`` CLI artifact emits.
 
-Replays are independent pure functions of the configuration, so they fan
-out over the same fork-once
+Sweeps are independent pure functions of the configuration, so strided
+chunks of the targets fan out over the same fork-once
 :class:`~repro.experiments.transport.WorkerPool` as experiment grid
 cells (``--jobs``) — which also means campaigns ride the fleet telemetry
 bus: pass ``telemetry=`` and every worker streams per-chunk claims and
@@ -23,9 +24,10 @@ so they always recompute).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.experiments.cache import ResultCache
@@ -194,12 +196,44 @@ class CrashMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _crash_info(golden: GoldenRun, site: int, model: str, violated: bool) -> dict:
+    """The per-crash progress record (monitor feed / fleet bus)."""
+    return {
+        "site": site,
+        "model": model,
+        "site_class": golden.site_class(site),
+        "violated": violated,
+    }
+
+
+def _sweep_jobs(
+    driver: AtlasReplayDriver,
+    golden: GoldenRun,
+    jobs: Sequence[Tuple[int, str]],
+    fault_seed: int,
+    report: Callable[[int, str, list], None],
+) -> None:
+    """Inject ``jobs`` with one :meth:`crash_sweep` per fault model.
+
+    ``jobs`` are ``(site, fault_model)`` pairs, model-major with sites
+    ascending within a model.  ``report(site, model, violations)`` runs
+    inside the sweep, right after the oracle judged that crash, so no
+    crashed image outlives its verdict.
+    """
+    for model, group in itertools.groupby(jobs, key=lambda job: job[1]):
+
+        def on_crash(state, model=model):
+            report(state.at_site, model, check_crash(golden, state.at_site, state))
+
+        driver.crash_sweep([site for site, _ in group], model, fault_seed, on_crash)
+
+
 def execute_crash_chunk(
     state: Dict[str, object],
-    payload: Tuple[dict, object, GoldenRun, List[Tuple[int, str, int]]],
+    payload: Tuple[dict, object, GoldenRun, List[Tuple[int, str]], int],
     emitter=None,
 ) -> List[Tuple[int, str, List[dict]]]:
-    """Inject one chunk of ``(site, fault_model, fault_seed)`` crashes.
+    """Inject one chunk of ``(site, fault_model)`` crashes.
 
     Runs inside a :class:`~repro.experiments.transport.WorkerPool`
     worker (dispatched by the ``"crash"`` handler in
@@ -209,13 +243,13 @@ def execute_crash_chunk(
     once per (workload, config) and reused across every chunk the worker
     pulls, the same fork-once amortization grid cells get.  The golden
     run ships from the parent, so workers never repeat the crash-free
-    replay.
+    replay; the chunk itself costs one sweep per fault model in it.
 
     ``emitter``, when the pool carries fleet telemetry, streams one
     ``task_progress`` event per injected crash with the site class and
     violation verdict — the campaign monitor's live feed.
     """
-    driver_kwargs, workload, golden, jobs = payload
+    driver_kwargs, workload, golden, jobs, fault_seed = payload
     key = "crash_driver:{}:{}".format(
         getattr(workload, "name", type(workload).__name__),
         repr(sorted(driver_kwargs.items())),
@@ -225,21 +259,15 @@ def execute_crash_chunk(
         driver = AtlasReplayDriver(workload, **driver_kwargs)
         state[key] = driver
     out: List[Tuple[int, str, List[dict]]] = []
-    for site, model, fseed in jobs:
-        crash_state, layout = driver.crash_at(
-            site, fault_model=model, fault_seed=fseed
-        )
-        violations = check_crash(golden, site, crash_state, layout)
+
+    def report(site, model, violations):
         out.append((site, model, [v.to_dict() for v in violations]))
         if emitter is not None:
             emitter.task_progress(
-                {
-                    "site": site,
-                    "model": model,
-                    "site_class": golden.site_class(site),
-                    "violated": bool(violations),
-                }
+                _crash_info(golden, site, model, bool(violations))
             )
+
+    _sweep_jobs(driver, golden, jobs, fault_seed, report)
     return out
 
 
@@ -278,8 +306,8 @@ def run_campaign(
     dict (``site``/``model``/``site_class``/``violated``).
 
     ``recorder``/``metrics`` attach the observability layer to the
-    replays this process performs (the golden run, plus every crash
-    replay when ``spec.jobs == 1``; worker processes never ship their
+    replays this process performs (the golden run, plus one sweep per
+    fault model when ``spec.jobs == 1``; worker processes never ship their
     observability home).  A campaign served whole from the on-disk
     cache performs no replays at all, so both stay empty then.
 
@@ -361,11 +389,9 @@ def run_campaign(
         site_classes=spec.site_classes,
     )
     targets = enumerator.select()
-    jobs = [
-        (site[0], model, spec.fault_seed + site[0])
-        for model in spec.fault_models
-        for site in targets
-    ]
+    # Model-major, sites ascending: the order sweeps need and the
+    # order results fold in.
+    jobs = [(site[0], model) for model in spec.fault_models for site in targets]
 
     matrix = CrashMatrix(
         workload=name,
@@ -394,7 +420,7 @@ def run_campaign(
     if spec.jobs > 1 and len(jobs) > 1:
         from repro.experiments.transport import WorkerPool
 
-        chunks: List[List[Tuple[int, str, int]]] = [
+        chunks: List[List[Tuple[int, str]]] = [
             jobs[i :: spec.jobs * 2] for i in range(spec.jobs * 2)
         ]
         chunks = [c for c in chunks if c]
@@ -415,7 +441,10 @@ def run_campaign(
         collected = []
         with WorkerPool(spec.jobs, (None, None), telemetry=telemetry) as pool:
             for chunk in chunks:
-                pool.submit("crash", (driver_kwargs, workload, golden, chunk))
+                pool.submit(
+                    "crash",
+                    (driver_kwargs, workload, golden, chunk, spec.fault_seed),
+                )
             while pool.outstanding:
                 _task_id, replies = pool.next_result()
                 for site, model, viols in replies:
@@ -425,12 +454,7 @@ def run_campaign(
                         notify(
                             done,
                             len(jobs),
-                            {
-                                "site": site,
-                                "model": model,
-                                "site_class": golden.site_class(site),
-                                "violated": bool(viols),
-                            },
+                            _crash_info(golden, site, model, bool(viols)),
                         )
         if plan is not None:
             telemetry.export_spans(plan, spec.jobs)
@@ -445,22 +469,19 @@ def run_campaign(
                 cell["violated"] += 1
                 matrix.violations.extend(viols)
     else:
-        for site, model, fseed in jobs:
-            state, layout = driver.crash_at(site, fault_model=model, fault_seed=fseed)
-            violations = check_crash(golden, site, state, layout)
+
+        def report(site, model, violations):
+            nonlocal done
             matrix.record(golden.site_class(site), model, violations)
             done += 1
             if notify is not None:
                 notify(
                     done,
                     len(jobs),
-                    {
-                        "site": site,
-                        "model": model,
-                        "site_class": golden.site_class(site),
-                        "violated": bool(violations),
-                    },
+                    _crash_info(golden, site, model, bool(violations)),
                 )
+
+        _sweep_jobs(driver, golden, jobs, spec.fault_seed, report)
 
     if cache is not None and cache_key is not None:
         cache.put(cache_key, matrix.to_dict())

@@ -4,8 +4,9 @@ The fault-injection campaign needs to execute a workload *with full Atlas
 semantics* — undo logging, data-drain-before-commit ordering, per-thread
 software caches — and to do so twice over: once crash-free while
 recording every injectable site plus the ground-truth FASE bookkeeping
-(the **golden run**), then once per crash plan, stopping dead at one
-site.  :class:`AtlasReplayDriver` is that executor.
+(the **golden run**), then once per fault model, capturing the crashed
+image at every target site on the way (a **sweep**).
+:class:`AtlasReplayDriver` is that executor.
 
 It is deliberately *not* ``Machine.run``: the stream path routes stores
 through the persistence technique only, while fault injection needs each
@@ -16,7 +17,7 @@ a shared value-tracking machine, interleaved with the same
 smallest-cycle-first, ``SCHED_BATCH``-quantum scheduling the machine
 uses — so a replay is bit-deterministic and every replay of one
 configuration visits the identical global site sequence, which is what
-makes ``CrashPlan(at_site=k)`` meaningful.
+makes a crash target's site index meaningful.
 
 Address plumbing: workload allocators hand out addresses from
 ``NVRAM_BASE`` up — the same space the Atlas region manager carves log
@@ -31,14 +32,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.atlas.region import RegionManager
 from repro.atlas.runtime import AtlasLayout, AtlasRuntime
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.events import EventKind
 from repro.common.geometry import CACHE_LINE_SIZE
-from repro.nvram.failure import CrashedState, CrashPlan, PowerFailure
+from repro.nvram.failure import CrashedState, PowerFailure
 from repro.nvram.machine import SCHED_BATCH, Machine, MachineConfig
 from repro.nvram.memory import NVRAM_BASE
 from repro.nvram.timing import DEFAULT_TIMING, TimingModel
@@ -148,7 +149,7 @@ class AtlasReplayDriver:
         """A fresh machine + per-thread runtimes + the data-address shift.
 
         Every replay rebuilds from scratch so state never leaks between
-        crash plans; construction is deterministic, so the region layout
+        sweeps; construction is deterministic, so the region layout
         — and with it the shift — is identical across replays.
         """
         machine = Machine(
@@ -297,6 +298,54 @@ class AtlasReplayDriver:
         golden.final_nvram = machine.memory.nvram_snapshot()
         return golden
 
+    def crash_sweep(
+        self,
+        sites: Sequence[int],
+        fault_model: str,
+        fault_seed: int,
+        on_crash: Callable[[CrashedState], None],
+    ) -> AtlasLayout:
+        """One forward replay crashing at every site of ``sites``.
+
+        ``sites`` must ascend.  As each one completes, ``on_crash``
+        receives the (fault-mutated) durable image a power cut there
+        leaves — the fault model seeded ``fault_seed + site`` — and the
+        replay continues to the next; the power fails for good after the
+        last.  Every state equals what :meth:`crash_at` returns for that
+        site, at the cost of one replay rather than one per site, and
+        only the image being judged is alive at any time.  An exception
+        from ``on_crash`` aborts the sweep and propagates.  Returns the
+        layout recovery needs; raises
+        :class:`~repro.common.errors.SimulationError` naming the first
+        site that never fired (index out of this configuration's range).
+        """
+        return self._sweep(
+            [(site, fault_seed + site) for site in sites], fault_model, on_crash
+        )
+
+    def _sweep(
+        self,
+        targets: List[Tuple[int, int]],
+        fault_model: str,
+        on_crash: Callable[[CrashedState], None],
+    ) -> AtlasLayout:
+        """:meth:`crash_sweep` over explicit ``(site, fault_seed)`` targets."""
+        machine, runtimes, shift = self._build()
+        layout = runtimes[0].layout()
+        if not targets:
+            return layout
+        machine.arm_crash_sweep(targets, fault_model, on_crash)
+        try:
+            self._replay(machine, runtimes, shift, golden=None)
+        except PowerFailure:
+            pass
+        unfired = machine.next_crash_target
+        if unfired is not None:
+            raise SimulationError(
+                f"crash site {unfired} never fired (run has fewer sites)"
+            )
+        return layout
+
     def crash_at(
         self,
         site: int,
@@ -305,21 +354,12 @@ class AtlasReplayDriver:
     ) -> Tuple[CrashedState, AtlasLayout]:
         """Replay until site ``site`` completes, then fail the power.
 
-        Returns the (fault-mutated) durable image and the layout recovery
-        needs.  Raises :class:`~repro.common.errors.SimulationError` if
-        the site never fires (index out of this configuration's range).
+        The one-target :meth:`crash_sweep`, with ``fault_seed`` used as
+        given.  Returns the (fault-mutated) durable image and the layout
+        recovery needs.  Raises
+        :class:`~repro.common.errors.SimulationError` if the site never
+        fires (index out of this configuration's range).
         """
-        machine, runtimes, shift = self._build()
-        machine.arm_crash_plan(
-            CrashPlan(at_site=site, fault_model=fault_model, fault_seed=fault_seed)
-        )
-        try:
-            self._replay(machine, runtimes, shift, golden=None)
-        except PowerFailure:
-            pass
-        state = machine.crashed_state
-        if state is None:
-            raise SimulationError(
-                f"crash site {site} never fired (run has fewer sites)"
-            )
-        return state, runtimes[0].layout()
+        captured: List[CrashedState] = []
+        layout = self._sweep([(site, fault_seed)], fault_model, captured.append)
+        return captured[0], layout

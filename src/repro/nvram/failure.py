@@ -11,7 +11,9 @@ point where the durable state just changed or a persistence-critical
 operation just completed.  The machine numbers sites globally in
 execution order (see :data:`SITE_CLASSES`); the fault-injection campaign
 (:mod:`repro.faults`) enumerates them in a golden run and then replays
-with a plan per site.
+once per fault model, capturing the crashed image at every target site
+on the way (``Machine.arm_crash_sweep``; a site plan is its one-target
+case).
 
 Fault models sharpen the failure beyond a clean power cut:
 

@@ -25,7 +25,16 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.events import Event, EventBatch, EventKind
@@ -313,6 +322,14 @@ class Machine:
         self._sites_active = False
         self._sites_seen = 0
         self._site_log: Optional[List[Tuple[int, str, int, int]]] = None
+        # Scheduled site crashes: ascending ``(site, fault_seed)`` targets
+        # and a cursor.  ``_next_target`` caches the cursor's site index
+        # (-1: none left) so ``_note_site`` tests one int per site.
+        self._crash_targets: Sequence[Tuple[int, int]] = ()
+        self._target_cursor = 0
+        self._next_target = -1
+        self._fault_model = FAULT_CLEAN
+        self._on_crash: Optional[Callable[[CrashedState], None]] = None
         # In-flight hardware eviction write-backs, recorded only when a
         # reordered_flush plan is armed: (ctx, line, {addr: old durable}).
         self._record_inflight = False
@@ -352,15 +369,57 @@ class Machine:
         directly before pushing operations.  A site-triggered crash
         raises :class:`~repro.nvram.failure.PowerFailure` out of the
         operation that completed the site, with ``crashed_state``
-        already populated.
+        already populated; it is the one-target case of
+        :meth:`arm_crash_sweep`.
         """
         self._crash_plan = plan
         if plan is None:
-            return
-        if plan.at_site is not None:
+            self.arm_crash_sweep(())
+        elif plan.at_site is None:
+            self.arm_crash_sweep((), plan.fault_model)
+        else:
+            self.arm_crash_sweep(
+                [(plan.at_site, plan.fault_seed)], plan.fault_model
+            )
+
+    def arm_crash_sweep(
+        self,
+        targets: Sequence[Tuple[int, int]],
+        fault_model: str = FAULT_CLEAN,
+        on_crash: Optional[Callable[[CrashedState], None]] = None,
+    ) -> None:
+        """Schedule a crash at every ``(site, fault_seed)`` target.
+
+        ``targets`` must ascend by site index.  As each target site
+        completes, the machine captures the crashed image a power cut
+        there would leave (``fault_model`` applied with that target's
+        seed), stores it in ``crashed_state`` and hands it to
+        ``on_crash``; execution then *continues* — capturing mutates
+        only a copy of the durable image, never the machine — and
+        :class:`~repro.nvram.failure.PowerFailure` is raised only after
+        the last target.  One forward run therefore yields exactly the
+        states that one run per target would.
+        """
+        targets = list(targets)
+        for (site, _), (later, _) in zip(targets, targets[1:]):
+            if later <= site:
+                raise ConfigurationError(
+                    f"crash targets must ascend; site {later} follows {site}"
+                )
+        self._crash_targets = targets
+        self._target_cursor = 0
+        self._next_target = targets[0][0] if targets else -1
+        self._on_crash = on_crash
+        self._fault_model = fault_model
+        if targets:
             self._sites_active = True
-        if plan.fault_model == FAULT_REORDERED_FLUSH:
+        if fault_model == FAULT_REORDERED_FLUSH:
             self._record_inflight = True
+
+    @property
+    def next_crash_target(self) -> Optional[int]:
+        """Site index of the first armed target that has not fired yet."""
+        return self._next_target if self._next_target >= 0 else None
 
     def _note_site(self, ctx: "_ThreadContext", site_class: str) -> None:
         """One injectable site just completed; crash here if scheduled."""
@@ -369,12 +428,20 @@ class Machine:
         log = self._site_log
         if log is not None:
             log.append((idx, site_class, ctx.thread_id, ctx.stats.cycles))
-        plan = self._crash_plan
-        if plan is not None and plan.at_site == idx:
-            self._crash(site=idx, site_class=site_class)
-            raise PowerFailure(
-                f"scheduled power failure at site {idx} ({site_class})"
-            )
+        if idx == self._next_target:
+            targets = self._crash_targets
+            cursor = self._target_cursor
+            self._crash(idx, site_class, targets[cursor][1])
+            cursor += 1
+            last = cursor == len(targets)
+            self._target_cursor = cursor
+            self._next_target = -1 if last else targets[cursor][0]
+            if self._on_crash is not None:
+                self._on_crash(self.crashed_state)
+            if last:
+                raise PowerFailure(
+                    f"scheduled power failure at site {idx} ({site_class})"
+                )
 
     def _note_evict_inflight(
         self, ctx: "_ThreadContext", line: int, values: Dict[int, object]
@@ -912,21 +979,29 @@ class Machine:
         m.set_gauge(f"cycles/{key}", s.cycles)
 
     def _crash(
-        self, site: Optional[int] = None, site_class: Optional[str] = None
+        self,
+        site: Optional[int] = None,
+        site_class: Optional[str] = None,
+        fault_seed: Optional[int] = None,
     ) -> None:
+        """Capture what a power cut *now* leaves durable.
+
+        Non-destructive: the fault model mutates only the snapshot, so a
+        sweep can capture at one site and keep executing to the next.
+        """
         image = self.memory.nvram_snapshot()
         dirty = self.hwcache.dirty_lines()
-        plan = self._crash_plan
-        model = plan.fault_model if plan is not None else FAULT_CLEAN
+        model = self._fault_model
+        if fault_seed is None:
+            plan = self._crash_plan
+            fault_seed = plan.fault_seed if plan is not None else 0
         torn: List[int] = []
         dropped = 0
         if model == FAULT_TORN_LINE:
-            torn = apply_torn_lines(
-                image, dirty, self.hwcache.values, plan.fault_seed
-            )
+            torn = apply_torn_lines(image, dirty, self.hwcache.values, fault_seed)
         elif model == FAULT_REORDERED_FLUSH:
             dropped = apply_reordered_flushes(
-                image, self._fault_inflight, plan.fault_seed
+                image, self._fault_inflight, fault_seed
             )
         self.crashed_state = CrashedState(
             nvram=image,

@@ -10,6 +10,7 @@ The load-bearing properties:
   fan-out all reproduce bit-identically for a fixed seed.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -30,7 +31,9 @@ from repro.faults import (
 from repro.nvram.failure import FAULT_MODELS, SITE_CLASSES
 from repro.nvram.memory import NVRAM_BASE
 from repro.workloads.base import Workload
+from repro.workloads.hashtable import HashTableWorkload
 from repro.workloads.linkedlist import LinkedListWorkload
+from repro.workloads.msqueue import QueueWorkload
 
 PA = NVRAM_BASE
 
@@ -327,6 +330,149 @@ def test_crash_at_unreachable_site_errors():
     golden = driver.golden()
     with pytest.raises(SimulationError):
         driver.crash_at(len(golden.sites) + 10)
+
+
+def test_sweep_unreachable_site_names_first_unfired():
+    driver = AtlasReplayDriver(ListWorkload([FaseBegin(), Store(PA, 8, 1), FaseEnd()]))
+    total = len(driver.golden().sites)
+    seen = []
+    with pytest.raises(SimulationError, match=f"crash site {total + 3} never fired"):
+        driver.crash_sweep(
+            [0, total - 1, total + 3, total + 9], "clean", 0, seen.append
+        )
+    # The reachable targets were still delivered before the run ended.
+    assert [state.at_site for state in seen] == [0, total - 1]
+
+
+def test_sweep_on_crash_exception_propagates():
+    """The driver swallows PowerFailure only — a failing callback (an
+    oracle bug, a broken progress sink) must surface as itself, at the
+    site that raised it."""
+    driver = AtlasReplayDriver(LinkedListWorkload(elements=12), technique="SC")
+    seen = []
+
+    def on_crash(state):
+        seen.append(state.at_site)
+        if state.at_site == 5:
+            raise KeyError("oracle bug")
+
+    with pytest.raises(KeyError, match="oracle bug"):
+        driver.crash_sweep([2, 5, 9], "clean", 0, on_crash)
+    assert seen == [2, 5]
+
+
+def test_sweep_rejects_unordered_sites():
+    driver = AtlasReplayDriver(LinkedListWorkload(elements=12), technique="SC")
+    with pytest.raises(ConfigurationError, match="ascend"):
+        driver.crash_sweep([4, 4], "clean", 0, lambda state: None)
+
+
+# ---------------------------------------------------------------------------
+# Single-pass sweeps: exactly the states one replay per site produces
+# ---------------------------------------------------------------------------
+
+
+def _layout_facts(layout):
+    return (
+        [(r.name, r.base, r.size) for r in layout.regions],
+        [r.name for r in layout.log_regions],
+    )
+
+
+@pytest.mark.parametrize("l1", [{}, {"l1_capacity_lines": 2, "l1_ways": 1}])
+@pytest.mark.parametrize(
+    "workload, technique, threads, options",
+    [
+        (LinkedListWorkload(elements=12), "SC", 2, {}),
+        (HashTableWorkload(elements=12), "SC+clean:2+victim:4", 1, {}),
+        (QueueWorkload(operations=12), "AT", 2, {}),
+        # A 2-line software cache: eviction and cleaning flushes are sites too.
+        (
+            LinkedListWorkload(elements=12),
+            "SC-offline+clean:2+victim:4",
+            1,
+            {"sc_fixed_size": 2},
+        ),
+    ],
+    ids=["linked-list", "hash-composed", "queue", "linked-list-evicting"],
+)
+def test_sweep_states_equal_crash_at_for_every_site(
+    workload, technique, threads, options, l1
+):
+    """The 2-line direct-mapped L1 variant forces dirty hardware
+    evictions, so ``reordered_flush`` has write-backs to drop."""
+    driver = AtlasReplayDriver(
+        workload,
+        technique=technique,
+        num_threads=threads,
+        technique_options=options,
+        **l1,
+    )
+    sites = range(len(driver.golden().sites))
+    fault_seed = 3
+    for model in FAULT_MODELS:
+        swept = []
+        sweep_layout = driver.crash_sweep(sites, model, fault_seed, swept.append)
+        assert [state.at_site for state in swept] == list(sites)
+        for site, state in zip(sites, swept):
+            single, layout = driver.crash_at(
+                site, fault_model=model, fault_seed=fault_seed + site
+            )
+            assert dataclasses.asdict(state) == dataclasses.asdict(single), (
+                site,
+                model,
+            )
+            assert _layout_facts(layout) == _layout_facts(sweep_layout)
+
+
+def test_campaign_progress_streams_in_sweep_order():
+    workload = LinkedListWorkload(elements=12)
+    spec = FaultCampaignSpec(
+        fault_models=("torn_line", "clean"), max_sites=100_000
+    )
+    seen = []
+    matrix = run_campaign(
+        workload,
+        technique="SC",
+        spec=spec,
+        progress=lambda d, t, info: seen.append((d, t, info["model"], info["site"])),
+    )
+    total = 2 * matrix.total_sites
+    assert [d for d, _t, _m, _s in seen] == list(range(1, total + 1))
+    assert {t for _d, t, _m, _s in seen} == {total}
+    # Model-major in the spec's order, sites ascending within a model.
+    every_site = list(range(matrix.total_sites))
+    assert [(m, s) for _d, _t, m, s in seen] == [
+        (model, site) for model in spec.fault_models for site in every_site
+    ]
+    # The two-argument spelling keeps working.
+    counts = []
+    run_campaign(
+        workload,
+        technique="SC",
+        spec=spec,
+        progress=lambda done, total: counts.append((done, total)),
+    )
+    assert counts == [(d, total) for d in range(1, total + 1)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_mdb_exhaustive_all_fault_models_zero_violations(threads):
+    """Every durability point of the B+tree/MVCC store under a composed
+    spec, under every fault model — affordable only as single-pass
+    sweeps (one replay per site took minutes)."""
+    matrix = run_campaign(
+        "mdb",
+        technique="SC+victim:16",
+        threads=threads,
+        scale=0.002,
+        spec=FaultCampaignSpec(fault_models=FAULT_MODELS, max_sites=10**9),
+    )
+    assert matrix.threads == threads
+    assert matrix.exhaustive
+    assert matrix.ok, matrix.violations[:3]
+    assert matrix.injected == 3 * matrix.total_sites > 6000
+    assert {cls for (cls, _model) in matrix.cells} == set(SITE_CLASSES)
 
 
 def test_spec_validation():

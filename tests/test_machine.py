@@ -5,7 +5,7 @@ import pytest
 from repro.cache.spec import technique_factory
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.events import FaseBegin, FaseEnd, Load, Store, Work
-from repro.nvram.failure import CrashPlan
+from repro.nvram.failure import CrashPlan, PowerFailure
 from repro.nvram.machine import Machine, MachineConfig
 from repro.nvram.memory import NVRAM_BASE
 from repro.workloads.base import Workload
@@ -136,6 +136,34 @@ def test_crash_plan_stops_execution():
     assert machine.crashed_state is not None
     assert machine.crashed_state.at_store == 4
     assert res.persistent_stores == 4
+
+
+def test_site_crash_plan_stops_run_at_that_site():
+    events = [FaseBegin()] + [Store(PA + i * 64, 8, value=i) for i in range(10)]
+    events += [FaseEnd()]
+    machine = Machine(MachineConfig(track_values=True))
+    res = run(machine, events, technique="ER", crash_plan=CrashPlan(at_site=5))
+    assert res.crashed
+    assert res.persistent_stores == 6   # ER's only sites are its stores
+    assert machine.crashed_state.at_site == 5
+
+
+def test_crash_sweep_leaves_last_captured_state():
+    """Execution continues past every target but the last, and callers
+    that read ``machine.crashed_state`` after the failure see the final
+    target's image, whatever was captured on the way."""
+    machine = Machine(MachineConfig(track_values=True))
+    captured = []
+    machine.arm_crash_sweep([(1, 0), (3, 0), (5, 0)], on_crash=captured.append)
+    session = machine.session(technique_factory("ER")(0))
+    with pytest.raises(PowerFailure):
+        for i in range(10):
+            session.store(PA + i * 64, 8, i)
+    assert session.stats.persistent_stores == 6
+    assert [state.at_site for state in captured] == [1, 3, 5]
+    assert [len(state.nvram) for state in captured] == [2, 4, 6]
+    assert machine.crashed_state is captured[-1]
+    assert machine.crashed_state.nvram == {PA + i * 64: i for i in range(6)}
 
 
 def test_crash_preserves_only_written_back_values():

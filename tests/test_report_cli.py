@@ -134,7 +134,8 @@ def test_cli_crashmatrix_observability(tmp_path, capsys):
         ]
     )
     assert rc == 0
-    # The golden run plus every crash replay recorded into one trace.
+    # The golden run plus one crash sweep per fault model (not one
+    # replay per site) recorded into one trace.
     text = trace.read_text()
     assert '"kind":"trace_meta"' in text.splitlines()[0].replace(" ", "")
     doc = json.loads(metrics.read_text())
