@@ -39,10 +39,11 @@ alternative — three parallel ``array`` columns (kind / addr-or-amount /
 size, ~17 bytes per event) that a workload fills by appending plain
 integers and the machine consumes with an indexed loop, no per-event
 allocation at all.  Workloads expose batches through
-``Workload.batch_streams`` *alongside* the per-object ``streams``; both
-encodings describe the same event sequence, and the machine's two
-execution paths are required (and tested) to produce bit-identical
-statistics.
+``Workload.batch_streams`` *alongside* the per-object ``streams`` —
+natively, or recorded once from ``streams`` by ``BatchCachingWorkload``
+via :func:`batches_from_events`; both encodings describe the same event
+sequence, and the machine's two execution paths are required (and
+tested) to produce bit-identical statistics.
 """
 
 from __future__ import annotations
@@ -244,9 +245,11 @@ def batches_from_events(
 ) -> BatchStream:
     """Chunk a per-object event stream into :class:`EventBatch` runs.
 
-    A compatibility adapter for workloads without a native batch
-    emitter; it still pays the source stream's per-event costs once, so
-    native emitters are preferred on hot paths.
+    The recording path for workloads without a native batch emitter:
+    ``BatchCachingWorkload`` drains each generator stream through here
+    once and every technique replays the columns.  Store payloads are
+    dropped, and the source stream's per-event cost is still paid that
+    one time, so a native emitter remains the cheaper first run.
     """
     batch = EventBatch()
     append = batch.append_event

@@ -91,6 +91,11 @@ class MtestWorkload(Workload):
     def store_threads(self, num_threads: int) -> int:
         return 1   # MVCC: a single writer; readers never store
 
+    def schedule_independent(self, num_threads: int) -> bool:
+        # ``streams`` runs the whole store before returning; the machine
+        # only drains the finished per-thread channels.
+        return True
+
     def streams(self, num_threads: int, seed: int) -> List[Iterator[Event]]:
         ops = ChannelRecordingOps(num_threads)
         rng = make_rng(derive_seed(seed, "mtest"))

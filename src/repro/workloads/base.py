@@ -11,6 +11,7 @@ from repro.common.events import (
     FaseBegin,
     FaseEnd,
     Store,
+    batches_from_events,
 )
 from repro.common.geometry import CACHE_LINE_SIZE, align_up
 from repro.nvram.memory import NVRAM_BASE
@@ -24,12 +25,16 @@ class Workload:
     workload instance must be reusable: each ``streams`` call starts a
     fresh logical execution.
 
-    Workloads on hot experiment paths should additionally implement
-    :meth:`batch_streams`, emitting the *same* event sequence as compact
+    A workload may additionally implement :meth:`batch_streams`,
+    emitting the *same* event sequence natively as compact
     :class:`~repro.common.events.EventBatch` columns; the machine then
-    executes them on its allocation-free batch loop.  The two encodings
-    must stay equivalent — the batch path is an optimisation, never a
-    semantic fork.
+    executes them on its allocation-free batch loop.  A workload without
+    a native emitter reaches the same loop through
+    :class:`BatchCachingWorkload`, which records ``streams`` into
+    batches once — wherever :meth:`schedule_independent` says a
+    recording is the execution every technique would have seen.  The two
+    encodings must stay equivalent — the batch path is an optimisation,
+    never a semantic fork.
     """
 
     name = "abstract"
@@ -48,6 +53,20 @@ class Workload:
         """
         return None
 
+    def schedule_independent(self, num_threads: int) -> bool:
+        """Whether ``streams(num_threads, seed)`` yields the same events
+        however the machine interleaves the threads.
+
+        Generators are resumed smallest-clock-first, so streams that
+        share mutable state (one allocator handing out node addresses,
+        say) emit a sequence that depends on the technique being
+        simulated; such a stream must be re-executed per run.  A single
+        thread has no interleaving, hence the default; a workload whose
+        threads share nothing, or that computes every event before
+        returning its iterators, overrides this.
+        """
+        return num_threads == 1
+
     def supports_threads(self, num_threads: int) -> bool:
         """Whether the workload can be partitioned over this many threads."""
         return num_threads == 1
@@ -64,16 +83,26 @@ class Workload:
 
 
 class BatchCachingWorkload(Workload):
-    """Memoize a workload's materialized batch streams across runs.
+    """Execute a workload once per ``(threads, seed)``; replay it batched.
 
-    Experiment pipelines replay the same ``(workload, threads, seed)``
-    event sequence once per technique — five times for a Table III row.
-    Generators must re-emit the sequence every time; batches are plain
-    data, so they can be built once and re-read.  This wrapper
-    materializes the wrapped workload's ``batch_streams`` into lists and
-    serves iterators over them on repeat calls, keeping at most
-    ``max_entries`` ``(threads, seed)`` materializations (FIFO) so
+    Experiment pipelines run the same ``(workload, threads, seed)``
+    event sequence once per technique — five times for a Table III row,
+    plus the profiling run — as the paper compares techniques on *one*
+    instrumented execution.  Batches are plain data, so this wrapper
+    materializes them into lists on the first ``batch_streams`` call and
+    serves iterators over those lists on every later one, keeping at
+    most ``max_entries`` ``(threads, seed)`` materializations (FIFO) so
     thread-sweep grids do not accumulate unbounded batch data.
+
+    The batches come from the wrapped workload's native emitter when it
+    has one.  Otherwise ``streams`` is recorded through
+    :func:`~repro.common.events.batches_from_events` — but only where
+    :meth:`Workload.schedule_independent` holds, because a recording
+    fixes one interleaving: where streams share mutable state (``queue``
+    and ``linked-list`` above one thread) ``batch_streams`` stays
+    ``None`` and the machine re-executes the generators per event.  An
+    error raised by the wrapped workload propagates unchanged and
+    memoizes nothing.
 
     Everything else — ``streams``, ``store_threads``, workload-specific
     attributes — delegates to the wrapped workload.
@@ -91,6 +120,11 @@ class BatchCachingWorkload(Workload):
         return self._inner.name
 
     def __getattr__(self, attr: str):
+        # Only public workload attributes delegate.  copy/pickle probe
+        # dunders on an instance whose __dict__ is still empty, where
+        # looking up ``_inner`` would re-enter this method forever.
+        if attr.startswith("_"):
+            raise AttributeError(attr)
         return getattr(self._inner, attr)
 
     def streams(self, num_threads: int, seed: int) -> List[Iterator[Event]]:
@@ -102,15 +136,26 @@ class BatchCachingWorkload(Workload):
     def store_threads(self, num_threads: int) -> int:
         return self._inner.store_threads(num_threads)
 
+    def schedule_independent(self, num_threads: int) -> bool:
+        return self._inner.schedule_independent(num_threads)
+
     def batch_streams(
         self, num_threads: int, seed: int
     ) -> Optional[List[Iterator[EventBatch]]]:
         key = (num_threads, seed)
         entry = self._materialized.get(key)
         if entry is None:
-            inner_streams = self._inner.batch_streams(num_threads, seed)
+            inner = self._inner
+            inner_streams = inner.batch_streams(num_threads, seed)
             if inner_streams is None:
-                return None
+                # Built before the rule is consulted: a thread count the
+                # workload rejects raises here, it is not "unrecordable".
+                event_streams = inner.streams(num_threads, seed)
+                if not inner.schedule_independent(num_threads):
+                    return None
+                inner_streams = [
+                    batches_from_events(stream) for stream in event_streams
+                ]
             entry = [list(stream) for stream in inner_streams]
             while len(self._materialized) >= self._max_entries:
                 self._materialized.pop(next(iter(self._materialized)))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Iterator, List
 
+from repro.common.errors import ConfigurationError
 from repro.common.events import Event, FaseBegin, FaseEnd, Store, Work
 from repro.common.geometry import CACHE_LINE_SIZE
 from repro.workloads.base import BumpAllocator, Workload
@@ -63,7 +64,7 @@ class PersistentArray(Workload):
 
     def streams(self, num_threads: int, seed: int) -> List[Iterator[Event]]:
         if num_threads != 1:
-            raise ValueError("persistent-array is a sequential benchmark")
+            raise ConfigurationError("persistent-array is a sequential benchmark")
         return [self._stream()]
 
     def _stream(self) -> Iterator[Event]:

@@ -1,26 +1,74 @@
 """The batched execution path must be bit-identical to the per-event path.
 
 The machine's ``_run_batches`` loop is an optimisation, never a semantic
-fork: for any workload exposing ``batch_streams``, a run with
-``use_batches=True`` must produce exactly the statistics of the same run
-with ``use_batches=False`` — every per-thread counter, every flush
-category, the shared hardware-cache counters, and the recorded traces.
+fork: whatever ``batch_streams`` serves — a native emitter's columns or
+``BatchCachingWorkload``'s one-time recording of a generator — a batched
+run must produce exactly the statistics of the same run with
+``use_batches=False``: every per-thread counter, every flush category,
+the shared hardware-cache counters, and the recorded traces.
 """
 
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.cache.spec import technique_factory
-from repro.common.events import batches_from_events, events_from_batches
+from repro.common.errors import ConfigurationError
+from repro.common.events import (
+    FaseBegin,
+    FaseEnd,
+    Store,
+    Work,
+    batches_from_events,
+    events_from_batches,
+)
+from repro.experiments.harness import (
+    Harness,
+    HarnessConfig,
+    ProfileSummary,
+    execute_cell,
+    sc_factory_kwargs,
+)
+from repro.nvram.failure import CrashPlan
 from repro.nvram.machine import Machine, MachineConfig
-from repro.workloads.base import BatchCachingWorkload
-from repro.workloads.registry import get_workload
+from repro.nvram.memory import NVRAM_BASE
+from repro.workloads.base import BatchCachingWorkload, Workload
+from repro.workloads.hashtable import HashTableWorkload
+from repro.workloads.parray import PersistentArray
+from repro.workloads.registry import WORKLOAD_NAMES, get_workload
 
-WORKLOADS = ("water-spatial", "barnes")
-TECHNIQUES = ("BEST", "SC")
+SEED = 7
+NATIVE = ("water-spatial", "barnes")
+TECHNIQUES = ("ER", "LA", "AT", "SC", "SC-offline", "BEST", "SC+victim:16")
 THREADS = (1, 4)
+#: Generators whose threads draw node addresses from one allocator: above
+#: one thread their event stream depends on the schedule, so on the
+#: technique, and is never recorded.
+SHARED_ALLOCATOR = ("queue", "linked-list")
+
+CONFIG = HarnessConfig(scale=0.02, seed=SEED)
+
+
+@pytest.fixture(scope="module")
+def harness():
+    """One harness for the module, as a report uses one per grid: each
+    workload's recording is shared by every technique below."""
+    return Harness(CONFIG)
+
+
+def _grid():
+    for name in WORKLOAD_NAMES:
+        workload = get_workload(name, scale=CONFIG.scale)
+        for threads in THREADS:
+            if workload.supports_threads(threads):
+                for technique in TECHNIQUES:
+                    yield pytest.param(
+                        name, technique, threads,
+                        id=f"{threads}-{technique}-{name}",
+                    )
 
 
 def _full_stats(result):
@@ -33,26 +81,31 @@ def _full_stats(result):
     }
 
 
-def _run(workload, technique, threads, use_batches):
+def _run(workload, technique, threads, use_batches, **factory_kwargs):
     machine = Machine(MachineConfig())
     result = machine.run(
         workload,
-        technique_factory(technique),
+        technique_factory(technique, **factory_kwargs),
         num_threads=threads,
-        seed=7,
+        seed=SEED,
         record_traces=True,
         use_batches=use_batches,
     )
     return machine, result
 
 
-@pytest.mark.parametrize("name", WORKLOADS)
-@pytest.mark.parametrize("technique", TECHNIQUES)
-@pytest.mark.parametrize("threads", THREADS)
-def test_batched_run_is_bit_identical(name, technique, threads):
-    workload = get_workload(name, scale=0.05)
-    m_ev, r_ev = _run(workload, technique, threads, use_batches=False)
-    m_b, r_b = _run(workload, technique, threads, use_batches=True)
+@pytest.mark.parametrize("name,technique,threads", _grid())
+def test_batched_run_is_bit_identical(harness, name, technique, threads):
+    """Every registry workload, as the harness builds it: the automatic
+    path (recorded or native batches) against the forced per-event one."""
+    workload = harness.workload(name)
+    recordable = threads == 1 or name not in SHARED_ALLOCATOR
+    assert (workload.batch_streams(threads, SEED) is not None) == recordable
+    kwargs = sc_factory_kwargs(
+        CONFIG, workload, technique, threads, harness.profile_summary(name)
+    )
+    m_ev, r_ev = _run(workload, technique, threads, False, **kwargs)
+    m_b, r_b = _run(workload, technique, threads, None, **kwargs)
 
     assert _full_stats(r_b) == _full_stats(r_ev)
     # The shared hardware cache's full counter set, not just the two
@@ -67,7 +120,7 @@ def test_batched_run_is_bit_identical(name, technique, threads):
         assert np.array_equal(got.fase_ids, want.fase_ids)
 
 
-@pytest.mark.parametrize("name", WORKLOADS)
+@pytest.mark.parametrize("name", NATIVE)
 def test_native_batches_encode_the_stream(name):
     """``batch_streams`` must emit exactly the events of ``streams``."""
     workload = get_workload(name, scale=0.05)
@@ -117,3 +170,209 @@ def test_auto_batching_matches_explicit():
     _, r_auto = _run(workload, "BEST", 1, use_batches=None)
     _, r_ev = _run(workload, "BEST", 1, use_batches=False)
     assert _full_stats(r_auto) == _full_stats(r_ev)
+
+
+# -- recording: once per (threads, seed), bounded, never partial ---------
+
+
+class CountingWorkload(Workload):
+    """A generator-only workload that counts how often it is executed.
+
+    Threads write disjoint lines and share nothing, so it declares
+    itself schedule-independent at any thread count.  ``fail_after``
+    makes every stream raise once it has emitted that many FASEs.
+    """
+
+    name = "counting"
+
+    def __init__(self, fases=200, fail_after=None):
+        self.fases = fases
+        self.fail_after = fail_after
+        self.executions = 0
+
+    def supports_threads(self, num_threads):
+        return True
+
+    def schedule_independent(self, num_threads):
+        return True
+
+    def streams(self, num_threads, seed):
+        self.executions += 1
+        return [self._stream(t, seed) for t in range(num_threads)]
+
+    def _stream(self, tid, seed):
+        base = NVRAM_BASE + (tid << 20)
+        for i in range(self.fases):
+            if i == self.fail_after:
+                raise RuntimeError("generator failed mid-stream")
+            yield FaseBegin()
+            yield Work(20)
+            yield Store(base + 64 * ((i * (seed + 1)) % 48), 8)
+            yield Store(base + 64 * (i % 5), 8)
+            yield FaseEnd()
+
+
+def test_generator_executes_once_per_threads_and_seed():
+    """Seven techniques and the profiling run share one execution."""
+    inner = CountingWorkload()
+    workload = BatchCachingWorkload(inner)
+    summary = ProfileSummary(persistent_stores=2 * inner.fases, offline_size=8)
+    expected = 0
+    for seed in (SEED, 11):
+        config = dataclasses.replace(CONFIG, seed=seed)
+        for threads in (1, 2):
+            expected += 1
+            for technique in TECHNIQUES:
+                execute_cell(
+                    config, inner.name, technique, threads,
+                    summary=summary, workload=workload,
+                )
+            Machine(config.machine_config()).run(
+                workload, technique_factory("BEST"), num_threads=threads,
+                seed=seed, record_traces=True,
+            )
+            assert inner.executions == expected
+
+
+def test_max_entries_bounds_recordings_fifo():
+    inner = CountingWorkload(fases=10)
+    workload = BatchCachingWorkload(inner, max_entries=2)
+    for seed in (1, 2, 3):
+        workload.batch_streams(1, seed)
+    assert list(workload._materialized) == [(1, 2), (1, 3)]
+    workload.batch_streams(1, 3)
+    assert inner.executions == 3       # still held: replayed
+    workload.batch_streams(1, 1)
+    assert inner.executions == 4       # evicted first: re-executed
+    assert list(workload._materialized) == [(1, 3), (1, 1)]
+
+
+def test_failed_recording_memoizes_nothing():
+    """A stream that raises mid-recording raises again on the next call
+    instead of replaying the truncated prefix."""
+    inner = CountingWorkload(fail_after=150)
+    workload = BatchCachingWorkload(inner)
+    for attempt in (1, 2):
+        with pytest.raises(RuntimeError, match="mid-stream"):
+            workload.batch_streams(1, SEED)
+        assert inner.executions == attempt
+        assert not workload._materialized
+
+
+@pytest.mark.parametrize(
+    "inner", [PersistentArray(outer=4), HashTableWorkload(elements=64)],
+    ids=["persistent-array", "hash"],
+)
+def test_thread_count_errors_surface_through_the_wrapper(inner):
+    """Both sequential benchmarks reject threads with the same typed
+    error, and the wrapper never turns it into a ``None`` fallback."""
+    workload = BatchCachingWorkload(inner)
+    with pytest.raises(ConfigurationError):
+        inner.streams(2, SEED)
+    with pytest.raises(ConfigurationError):
+        workload.batch_streams(2, SEED)
+    assert not workload._materialized
+
+
+def test_wrapper_holding_a_recording_copies_and_pickles():
+    """``__getattr__`` used to recurse on the half-built instance that
+    copy and pickle probe for dunders."""
+    workload = BatchCachingWorkload(get_workload("hash", scale=0.02))
+    want = [repr(ev) for ev in events_from_batches(workload.batch_streams(1, SEED)[0])]
+    for clone in (copy.copy(workload), pickle.loads(pickle.dumps(workload))):
+        assert clone.name == "hash"
+        assert clone.elements == workload.elements      # still delegates
+        assert list(clone._materialized) == [(1, SEED)]
+        got = [repr(ev) for ev in events_from_batches(clone.batch_streams(1, SEED)[0])]
+        assert got == want
+    with pytest.raises(AttributeError):
+        workload._no_such_private_attribute
+
+
+# -- the exclusion, and the runs that bypass batches altogether ----------
+
+
+class TappedWorkload(Workload):
+    """Record the events each thread's generator actually handed out."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.name = inner.name
+        self.consumed = []
+
+    def streams(self, num_threads, seed):
+        self.consumed = [[] for _ in range(num_threads)]
+        return [
+            self._tap(stream, log)
+            for stream, log in zip(self._inner.streams(num_threads, seed), self.consumed)
+        ]
+
+    @staticmethod
+    def _tap(stream, log):
+        for ev in stream:
+            log.append(repr(ev))
+            yield ev
+
+
+def _consumed_under(name, technique, threads):
+    tapped = TappedWorkload(get_workload(name, scale=CONFIG.scale))
+    Machine(MachineConfig()).run(
+        tapped, technique_factory(technique), num_threads=threads, seed=SEED
+    )
+    return tapped.consumed
+
+
+@pytest.mark.parametrize("name", SHARED_ALLOCATOR)
+def test_shared_allocator_streams_depend_on_the_technique(name):
+    """Why queue/linked-list are not recorded above one thread: their
+    generators bump one allocator in smallest-clock-first order, so the
+    addresses a thread sees under AT are not the ones it sees under SC."""
+    workload = BatchCachingWorkload(get_workload(name, scale=CONFIG.scale))
+    assert workload.batch_streams(4, SEED) is None
+    assert not workload._materialized
+    assert _consumed_under(name, "AT", 4) != _consumed_under(name, "SC", 4)
+    # A single thread has no interleaving to observe.
+    assert workload.batch_streams(1, SEED) is not None
+    assert _consumed_under(name, "AT", 1) == _consumed_under(name, "SC", 1)
+
+
+def test_mdb_reader_threads_are_recorded_bit_identically():
+    """1 writer + 3 readers: the store runs to completion inside
+    ``streams``, so the recording is the stream under every technique."""
+    inner = get_workload("mdb", scale=CONFIG.scale)
+    assert inner.schedule_independent(4)
+    recorded = BatchCachingWorkload(inner).batch_streams(4, SEED)
+    assert recorded is not None
+    got = [[repr(ev) for ev in events_from_batches(s)] for s in recorded]
+    # Store payloads are not part of a batch; everything else is.
+    want = [
+        [repr(ev) for ev in events_from_batches(batches_from_events(s))]
+        for s in inner.streams(4, SEED)
+    ]
+    assert got == want
+    assert len(got) == 4 and all(got)
+    assert _consumed_under("mdb", "AT", 4) == _consumed_under("mdb", "SC", 4)
+
+
+class BatchSpy(BatchCachingWorkload):
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.batch_calls = 0
+
+    def batch_streams(self, num_threads, seed):
+        self.batch_calls += 1
+        return super().batch_streams(num_threads, seed)
+
+
+def test_value_tracking_and_site_plans_never_ask_for_batches():
+    spy = BatchSpy(get_workload("linked-list", scale=CONFIG.scale))
+    tracking = Machine(MachineConfig(track_values=True))
+    tracking.run(spy, technique_factory("SC"), seed=SEED)
+    sited = Machine(MachineConfig())
+    result = sited.run(
+        spy, technique_factory("SC"), seed=SEED, crash_plan=CrashPlan(at_site=3)
+    )
+    assert result.crashed
+    assert spy.batch_calls == 0
+    Machine(MachineConfig()).run(spy, technique_factory("SC"), seed=SEED)
+    assert spy.batch_calls == 1

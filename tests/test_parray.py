@@ -9,6 +9,7 @@ assert the *exact* machine-measured values at full and reduced scale.
 import pytest
 
 from repro.cache.spec import technique_factory
+from repro.common.errors import ConfigurationError
 from repro.locality.knee import select_cache_size
 from repro.locality.mrc import mrc_from_trace
 from repro.nvram.machine import Machine, MachineConfig
@@ -83,7 +84,7 @@ def test_offline_selection_picks_26(parray):
 
 
 def test_sequential_benchmark_rejects_threads(parray):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         parray.streams(2, 0)
 
 
