@@ -113,7 +113,7 @@ class RunSpec:
 
         Pure function of the spec (``technique`` is already the
         canonical spec string), so identical specs fingerprint
-        identically across processes and sessions (DESIGN.md §16).
+        identically across processes and sessions (DESIGN.md §15).
         """
         return asdict(self)
 

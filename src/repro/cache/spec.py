@@ -18,8 +18,8 @@ Examples: ``SC``, ``SC+clean``, ``SC+nhit:2+clean+victim:16``.
 
 ``parse``/``format`` round-trip exactly (property-tested with
 hypothesis); ``to_dict``/``from_dict`` give the deterministic form used
-for :class:`~repro.experiments.cache.ResultCache` sha256 keys and
-shared-memory worker transport.  Degenerate stage parameters
+for :class:`~repro.experiments.cache.ResultCache` sha256 keys.
+Degenerate stage parameters
 (``victim:0``, ``clean:0``, ``nhit:0``/``nhit:1``, ``cutoff:0``) are
 dropped at factory time, so e.g. ``SC+victim:0`` builds the *same* bare
 :class:`~repro.cache.policies.SoftwareCacheTechnique` as plain ``SC``
@@ -217,7 +217,7 @@ class TechniqueSpec:
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> Dict:
-        """Deterministic JSON-ready form (cache keys, worker transport)."""
+        """Deterministic JSON-ready form (cache keys)."""
         return {
             "base": self.base,
             "stages": [[name, param] for name, param in self.stages],

@@ -58,7 +58,7 @@ window by window.  ``--once --json`` is the headless/CI form::
     python -m repro.experiments monitor --follow run.jsonl --once
 
 The ``history`` pseudo-artifact queries the run ledger — the append-only
-provenance store every entry point records into (DESIGN.md §16) —
+provenance store every entry point records into (DESIGN.md §15) —
 longitudinally: per-spec ``trend`` timelines with EWMA fits and
 changepoints, a ``regress`` gate against the fitted trend (non-zero exit
 on a flagged timeline, the CI hook), last-two ``compare`` deltas, and
@@ -729,49 +729,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="follow mode: stop after this long with no new trace bytes "
         "(default: follow until interrupted)",
     )
-    mon.add_argument(
-        "--fleet",
-        action="store_true",
-        help="fleet mode: watch the --jobs worker pool itself (per-worker "
-        "rows, dead-worker/straggler/RSS alerts); with --follow PATH, "
-        "tail a fleet JSONL spill instead of a trace",
-    )
-    mon.add_argument(
-        "--campaign",
-        action="store_true",
-        help="fleet mode: run a crash campaign (first of --workloads × "
-        "--techniques, with the crashmatrix sampling knobs) instead of "
-        "a grid",
-    )
-    mon.add_argument(
-        "--span-export",
-        default=None,
-        metavar="PATH",
-        help="fleet mode: write the deterministic Perfetto scheduler "
-        "timeline of the pool after the run",
-    )
-    mon.add_argument(
-        "--fleet-log",
-        default=None,
-        metavar="PATH",
-        help="fleet mode: spill every fleet event to PATH as JSONL "
-        "(tail it elsewhere with --fleet --follow PATH)",
-    )
-    mon.add_argument(
-        "--sample-interval",
-        type=float,
-        default=0.2,
-        metavar="SECONDS",
-        help="fleet mode: per-worker RSS/CPU sampling cadence "
-        "(default 0.2; 0 disables the sampler threads)",
-    )
     args = parser.parse_args(argv)
 
-    # Validate technique specs up front, before any simulation starts,
-    # so a typo in a composed spec fails in milliseconds with the
-    # parser's precise message (naming the bad stage or parameter)
-    # rather than deep inside a worker process.
+    # Validate technique specs and the worker count up front, before any
+    # simulation starts, so a typo in a composed spec fails in
+    # milliseconds with the parser's precise message (naming the bad
+    # stage or parameter) rather than deep inside a worker process.
     try:
+        if args.jobs < 1:
+            raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
         TechniqueSpec.parse(args.technique)
         for entry in args.techniques.split(","):
             if entry:

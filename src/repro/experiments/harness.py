@@ -350,8 +350,7 @@ class Harness:
         return {t: self.run(name, t, threads) for t in techniques}
 
     def run_grid(
-        self, cells: Iterable[Cell], jobs: int = 1, progress=None,
-        telemetry=None,
+        self, cells: Iterable[Cell], jobs: int = 1, progress=None
     ) -> Dict[Cell, RunResult]:
         """Execute a batch of cells, optionally across worker processes.
 
@@ -368,18 +367,14 @@ class Harness:
         cell's metric snapshot
         (:func:`repro.obs.live.snapshot_from_result`) — the richer hook
         the live monitor attaches to.
-
-        ``telemetry`` (:class:`repro.obs.fleet.FleetTelemetry`) attaches
-        the fleet bus on the parallel path; the sequential path has no
-        fleet and ignores it.
         """
+        if jobs < 1:
+            raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         cells = list(dict.fromkeys(cells))
         if jobs > 1 and len(cells) > 1:
             from repro.experiments.parallel import run_grid_parallel
 
-            return run_grid_parallel(
-                self, cells, jobs, progress=progress, telemetry=telemetry
-            )
+            return run_grid_parallel(self, cells, jobs, progress=progress)
         from repro.obs.live import resolve_grid_progress
 
         notify = resolve_grid_progress(progress)

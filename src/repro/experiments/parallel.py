@@ -1,52 +1,44 @@
-"""Process-parallel execution of experiment grids.
+"""Process-parallel execution: one stdlib pool for grids and campaigns.
 
 The harness's unit of work — one ``(workload, technique, threads)`` cell
 under a frozen :class:`HarnessConfig` — is a pure, deterministic
-function (``execute_cell``), so cells can run in any order in any
-process and produce bit-identical results.  Earlier versions fanned a
-grid over ``ProcessPoolExecutor`` with one future per group and a hard
-barrier between the profiling and cell phases; this module replaces that
-with fork-once workers over a shared work queue
-(:class:`~repro.experiments.transport.WorkerPool`):
+function (``execute_cell``), and so is one chunk of a crash campaign, so
+tasks can run in any order in any process and produce bit-identical
+results.  :class:`TaskPool` fans them over one
+``concurrent.futures.ProcessPoolExecutor``:
 
-- **Fork once, reuse everywhere.**  ``jobs`` workers spawn once per
-  sweep with the frozen config preloaded; each builds its ``Harness``
-  a single time and keeps it across tasks, so a workload's materialized
-  batch columns amortize over *every* group that worker pulls, not just
-  one.
-- **Work stealing, no phase barrier.**  ``(workload, threads)`` groups
-  sit in one shared queue — whichever worker drains first pulls the next
-  group, so imbalanced groups level out by construction.  Summary
-  (profiling) tasks are enqueued first and *only the groups that need
-  them* wait; everything else starts immediately, and a group blocked on
-  a summary is released the moment that summary lands.
-- **Shared-memory transport.**  Small control tuples cross the queues;
-  bulk event data (recorded profile traces) crosses as
-  ``multiprocessing.shared_memory`` manifests
-  (:mod:`repro.experiments.transport`) — no pickling of event data.
-  Profile traces shipped back this way let the parent adopt the worker's
-  profiling run, making trace-consuming artifacts (figure2/figure7) free
-  after an ``--artifact all`` sweep.
+- **State built once per worker.**  The executor's ``initializer``
+  builds the worker's state (a ``Harness`` for grids, a replay driver
+  for campaigns) a single time; every task the worker later pulls runs
+  against it, so a workload's recorded batch columns amortize over
+  *every* group that worker pulls, not just one.
+- **No phase barrier.**  Profile-summary tasks are submitted first and
+  *only the groups that need them* wait; everything else starts
+  immediately, and a group blocked on a summary is submitted the moment
+  that summary's future lands.
+- **Everything crosses by pickle.**  Task arguments are small control
+  tuples; results are ``RunResult`` objects, and a summary task ships
+  its whole profiling run (recorded traces included) so the parent can
+  adopt it — trace-consuming artifacts (figure2/figure7) are free after
+  an ``--artifact all`` sweep.
+- **A dead worker costs time, not results.**  A task whose worker died
+  (``BrokenProcessPool``) is re-run by the parent against its own
+  state; a task that *raised* surfaces as a :class:`SimulationError`
+  naming it, with the worker's traceback in the ``__cause__`` chain.
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+import warnings
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.harness import (
-    Cell,
-    Harness,
-    HarnessConfig,
-    ProfileSummary,
-    record_grid,
-)
-from repro.experiments.transport import (
-    WorkerPool,
-    attach_traces,
-    share_traces,
-    unlink_segment,
-)
+from repro.cache.spec import TechniqueSpec
+from repro.common.errors import SimulationError
+from repro.experiments.harness import Cell, Harness, ProfileSummary, record_grid
 from repro.nvram.stats import RunResult
 
 #: Base techniques whose cells require a profiling pass first.
@@ -55,103 +47,152 @@ _NEEDS_SUMMARY = ("SC", "SC-offline")
 
 def _needs_summary(technique: str) -> bool:
     """Whether a technique spec's *base* needs a profiling pass."""
-    from repro.cache.spec import TechniqueSpec
-
     return TechniqueSpec.parse(technique).base in _NEEDS_SUMMARY
 
 
 # ---------------------------------------------------------------------------
-# Worker-side task handlers
+# The pool
+# ---------------------------------------------------------------------------
+
+#: The state a worker process built in its initializer; every task that
+#: worker runs receives it as first argument.  Set only inside workers.
+_worker_state: object = None
+
+
+def _init_worker(build_state: Callable, state_args: Tuple) -> None:
+    global _worker_state
+    _worker_state = build_state(*state_args)
+
+
+def _run_in_worker(fn: Callable, *args: object) -> object:
+    return fn(_worker_state, *args)
+
+
+#: One submitted task: (label, on_done, fn, args).
+_Task = Tuple[str, Callable, Callable, Tuple]
+
+
+class TaskPool:
+    """A ``ProcessPoolExecutor`` plus this repo's death/exception contract.
+
+    Tasks are module-level functions ``fn(state, *args)``.  In a worker,
+    ``state`` is what ``build_state(*state_args)`` returned when that
+    worker started; ``parent_state`` is the parent's own equivalent (the
+    calling harness, the campaign's driver), used when the parent has to
+    finish tasks itself.  Results are handed to each task's ``on_done``
+    callback in the parent, in completion order; a callback may submit
+    further tasks.
+
+    - A task that raises in a worker aborts :meth:`drain` with a
+      :class:`SimulationError` naming the task's label, chained to the
+      original exception (whose own ``__cause__`` is the remote
+      traceback).
+    - A worker that dies breaks the executor; every task it had not
+      finished, and every task submitted afterwards, is run by the parent
+      in-process — tasks are pure, so the results are the same — and one
+      ``RuntimeWarning`` says how many tasks that was.
+    """
+
+    def __init__(
+        self,
+        workers: int,
+        build_state: Callable,
+        state_args: Tuple,
+        parent_state: object,
+    ) -> None:
+        # Fork where available: the parent's imports and ``state_args``
+        # arrive by copy-on-write page, not by pickle.
+        method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        self._executor = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=mp.get_context(method),
+            initializer=_init_worker,
+            initargs=(build_state, state_args),
+        )
+        self._parent_state = parent_state
+        self._pending: Dict[Future, _Task] = {}
+        #: Tasks left to the parent once the executor broke.
+        self._orphans: List[_Task] = []
+
+    def submit(self, label: str, on_done: Callable, fn: Callable, *args: object) -> None:
+        """Queue ``fn(state, *args)``; ``on_done(result)`` runs in the parent."""
+        task = (label, on_done, fn, args)
+        try:
+            self._pending[self._executor.submit(_run_in_worker, fn, *args)] = task
+        except BrokenProcessPool:
+            self._orphans.append(task)
+
+    def drain(self) -> None:
+        """Deliver results until no task — submitted before or during — is left."""
+        taken_over = 0
+        try:
+            while self._pending or self._orphans:
+                if self._orphans:
+                    _label, on_done, fn, args = self._orphans.pop(0)
+                    taken_over += 1
+                    on_done(fn(self._parent_state, *args))
+                    continue
+                done, _ = wait(self._pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    task = self._pending.pop(future)
+                    label, on_done, _fn, _args = task
+                    try:
+                        result = future.result()
+                    except BrokenProcessPool:
+                        self._orphans.append(task)
+                        continue
+                    except Exception as exc:
+                        raise SimulationError(
+                            f"worker failed on {label}: {exc!r}"
+                        ) from exc
+                    on_done(result)
+        finally:
+            if taken_over:
+                warnings.warn(
+                    f"a worker process died; the parent ran {taken_over} "
+                    f"unfinished task(s) in-process",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+
+    def __enter__(self) -> "TaskPool":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        # Joins every worker: no child outlives the sweep.
+        self._executor.shutdown(wait=True, cancel_futures=True)
+
+
+# ---------------------------------------------------------------------------
+# Grid tasks (run against a Harness: a worker's own, or the parent's)
 # ---------------------------------------------------------------------------
 
 
-def describe_task(kind: str, payload) -> str:
-    """A short human label for one pool task (fleet-bus event text)."""
-    try:
-        if kind == "summary":
-            return f"summary:{payload[0]}"
-        if kind == "cells":
-            cells = payload[1]
-            name, _technique, threads = cells[0]
-            return f"{name}/t{threads}×{len(cells)}"
-        if kind == "crash":
-            workload, chunk = payload[1], payload[3]
-            return f"crash:{getattr(workload, 'name', '?')}×{len(chunk)}"
-    except (IndexError, TypeError):
-        pass
-    return kind
+def _summary_task(
+    harness: Harness, name: str
+) -> Tuple[ProfileSummary, Optional[RunResult]]:
+    """One workload's profile summary, plus the profiling run behind it.
 
-
-def make_task_handlers(
-    config: Optional[HarnessConfig],
-    cache_dir: Optional[str],
-    emitter=None,
-) -> Dict[str, object]:
-    """Build one worker's task handlers around its once-built state.
-
-    Called exactly once per worker process by the pool's worker loop.
-    The harness is created lazily on the first harness-needing task (a
-    pool running only ``"crash"`` tasks never builds one) and then kept
-    for the worker's lifetime — the fork-once discipline that lets batch
-    materializations amortize across every task the worker pulls.
-
-    ``emitter`` is the worker's :class:`repro.obs.fleet.FleetEmitter`
-    when the pool carries telemetry; handlers with sub-task progress
-    (crash chunks) stream it through ``emitter.task_progress``.
+    The run (recorded traces included) is ``None`` when the summary was
+    loaded from the disk cache rather than computed here; otherwise the
+    parent adopts it so later trace requests cost nothing.
     """
-    state: Dict[str, object] = {}
+    summary = harness.profile_summary(name)
+    return summary, harness._profiles.get((name, 1))
 
-    def get_harness() -> Harness:
-        harness = state.get("harness")
-        if harness is None:
-            harness = Harness(config, cache_dir=cache_dir)
-            state["harness"] = harness
-        return harness
 
-    def handle_summary(payload) -> Tuple:
-        """(name, want_trace) -> (name, summary, profile_doc, trace_manifest).
+def _cells_task(
+    harness: Harness, summaries: Dict[str, ProfileSummary], cells: List[Cell]
+) -> List[Tuple[Cell, RunResult]]:
+    """One ``(workload, threads)`` group of cells.
 
-        ``profile_doc``/``trace_manifest`` ship the profiling run's
-        counters and recorded traces (via shared memory) when the
-        summary was computed here rather than loaded from disk; the
-        parent adopts them so later trace requests cost nothing.
-        """
-        name, want_trace = payload
-        harness = get_harness()
-        summary = harness.profile_summary(name)
-        profile_doc = None
-        trace_manifest = None
-        if want_trace:
-            profile = harness._profiles.get((name, 1))
-            if profile is not None and profile.traces:
-                profile_doc = profile.to_dict()
-                trace_manifest = share_traces(profile.traces)
-        return (name, summary, profile_doc, trace_manifest)
-
-    def handle_cells(payload) -> List[Tuple[Cell, Dict]]:
-        """(summaries, cells) -> [(cell, result_doc), ...].
-
-        A group shares one ``(workload, threads)`` pair, so the worker's
-        harness materializes the batch columns once and replays them for
-        every technique — and, because the harness persists across
-        tasks, for every *later* group of the same workload too.
-        """
-        summaries, cells = payload
-        harness = get_harness()
-        harness.preload_summaries(summaries)
-        return [(cell, harness.run(*cell).to_dict()) for cell in cells]
-
-    def handle_crash(payload) -> List[Tuple]:
-        """One crash-campaign chunk; the driver caches in worker state."""
-        from repro.faults.campaign import execute_crash_chunk
-
-        return execute_crash_chunk(state, payload, emitter=emitter)
-
-    return {
-        "summary": handle_summary,
-        "cells": handle_cells,
-        "crash": handle_crash,
-    }
+    The group shares one event stream, so the harness materializes the
+    batch columns once and replays them for every technique — and,
+    because a worker's harness persists across tasks, for every *later*
+    group of the same workload too.
+    """
+    harness.preload_summaries(summaries)
+    return [(cell, harness.run(*cell)) for cell in cells]
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +205,8 @@ def run_grid_parallel(
     cells: Sequence[Cell],
     jobs: int,
     progress=None,
-    telemetry=None,
-):
-    """Fan ``cells`` over ``jobs`` fork-once worker processes.
+) -> Dict[Cell, RunResult]:
+    """Fan ``cells`` over up to ``jobs`` worker processes.
 
     Cells already in the harness's memory cache are served from it;
     everything computed by workers is folded back in, so the calling
@@ -180,15 +220,6 @@ def run_grid_parallel(
     A four-parameter callback additionally receives the cell's metric
     snapshot (:func:`repro.obs.live.snapshot_from_result`), computed
     parent-side from the worker's shipped result — no extra IPC.
-
-    ``telemetry`` (:class:`repro.obs.fleet.FleetTelemetry`) attaches the
-    fleet bus to the pool and, if a span path is configured, exports the
-    deterministic scheduler timeline afterwards: every summary task and
-    cell group is registered in a :class:`repro.obs.spans.SchedulePlan`
-    up front in deterministic submission order, blocked groups carrying
-    their summary's release edge, and costs are filled in from the
-    (deterministic) results — persistent stores for summaries, modeled
-    cycles for cell groups.
     """
     from repro.obs.live import resolve_grid_progress
 
@@ -196,20 +227,19 @@ def run_grid_parallel(
     started = time.monotonic()
     cells = list(dict.fromkeys(cells))
     results: Dict[Cell, RunResult] = {}
+
+    def landed(cell: Cell, result: RunResult) -> None:
+        results[cell] = result
+        if notify is not None:
+            notify(len(results), len(cells), cell, result)
+
     pending: List[Cell] = []
     for cell in cells:
         cached = harness._runs.get(cell)
         if cached is not None:
-            results[cell] = cached
-            if notify is not None:
-                notify(len(results), len(cells), cell, cached)
+            landed(cell, cached)
         else:
             pending.append(cell)
-    if not pending:
-        record_grid(
-            harness, results, jobs=jobs, wall_s=time.monotonic() - started
-        )
-        return results
 
     # Group cells sharing a (workload, threads) pair: the worker that
     # pulls a group materializes that stream's batch columns once for
@@ -218,103 +248,67 @@ def run_grid_parallel(
     for cell in pending:
         name, _technique, threads = cell
         groups.setdefault((name, threads), []).append(cell)
-
-    need_summary = {
-        name
-        for (name, technique, _threads) in pending
-        if _needs_summary(technique) and name not in harness._summaries
-    }
-
-    def group_summaries(key: Tuple[str, int]) -> Dict[str, ProfileSummary]:
-        name = key[0]
-        if any(_needs_summary(t) for (_n, t, _th) in groups[key]):
-            return {name: harness._summaries[name]}
-        return {}
-
-    def group_blocked(key: Tuple[str, int]) -> bool:
-        return key[0] in need_summary and any(
-            _needs_summary(t) for (_n, t, _th) in groups[key]
-        )
-
+    need_summary = sorted(
+        {
+            name
+            for (name, technique, _threads) in pending
+            if _needs_summary(technique) and name not in harness._summaries
+        }
+    )
     # Largest groups first, so stragglers start early and small groups
     # backfill — the usual longest-processing-time heuristic.
-    by_size = sorted(
-        groups, key=lambda key: (-len(groups[key]) * key[1], key)
-    )
-    plan = None
-    if telemetry is not None:
-        from repro.obs.spans import SchedulePlan
+    by_size = sorted(groups, key=lambda key: (-len(groups[key]) * key[1], key))
 
-        # Register the whole plan up front, in deterministic submission
-        # order — blocked groups at the position the scheduler considered
-        # them, with a release edge, not at the racy moment the release
-        # landed.  That keeps the span export a pure function of the grid.
-        plan = SchedulePlan()
-        for name in sorted(need_summary):
-            plan.add(f"summary:{name}", "summary", f"summary:{name}")
-        for key in by_size:
-            plan.add(
-                f"cells:{key[0]}:t{key[1]}",
-                "cells",
-                f"{key[0]}/t{key[1]}×{len(groups[key])}",
-                release_after=f"summary:{key[0]}" if group_blocked(key) else None,
-            )
-        if telemetry.aggregator.tasks_total is None:
-            telemetry.aggregator.tasks_total = len(need_summary) + len(by_size)
+    wants_summary = {
+        key: any(_needs_summary(t) for (_n, t, _th) in group)
+        for key, group in groups.items()
+    }
     blocked: Dict[str, List[Tuple[str, int]]] = {}
-    with WorkerPool(
-        jobs, (harness.config, harness.cache_dir), telemetry=telemetry
-    ) as pool:
-        task_kind: Dict[int, str] = {}
-        for name in sorted(need_summary):
-            task_kind[pool.submit("summary", (name, True))] = "summary"
-        for key in by_size:
-            if group_blocked(key):
-                blocked.setdefault(key[0], []).append(key)
-            else:
-                task_id = pool.submit("cells", (group_summaries(key), groups[key]))
-                task_kind[task_id] = "cells"
-        while pool.outstanding:
-            task_id, payload = pool.next_result()
-            if task_kind.pop(task_id) == "summary":
-                name, summary, profile_doc, trace_manifest = payload
-                harness._summaries[name] = summary
-                if trace_manifest is not None:
-                    try:
-                        profile = RunResult.from_dict(profile_doc)
-                        profile.traces = attach_traces(trace_manifest)
-                    finally:
-                        unlink_segment(trace_manifest)
-                    harness._profiles.setdefault((name, 1), profile)
-                for key in blocked.pop(name, ()):
-                    task_id = pool.submit(
-                        "cells", (group_summaries(key), groups[key])
-                    )
-                    task_kind[task_id] = "cells"
-            else:
-                for cell, doc in payload:
-                    result = RunResult.from_dict(doc)
-                    harness._runs[cell] = result
-                    results[cell] = result
-                    if notify is not None:
-                        notify(len(results), len(cells), cell, result)
-    if plan is not None:
-        # Deterministic costs, now that every result is in hand: a
-        # summary "runs" for its workload's persistent stores, a cell
-        # group for the sum of its cells' modeled cycles.
-        for name in need_summary:
-            plan.set_cost(
-                f"summary:{name}", harness._summaries[name].persistent_stores
-            )
-        for key in by_size:
-            plan.set_cost(
-                f"cells:{key[0]}:t{key[1]}",
-                sum(
-                    max((t.cycles for t in results[cell].threads), default=1)
-                    for cell in groups[key]
-                ),
-            )
-        telemetry.export_spans(plan, jobs)
+
+    def fold_cells(payload: List[Tuple[Cell, RunResult]]) -> None:
+        for cell, result in payload:
+            harness._runs[cell] = result
+            landed(cell, result)
+
+    def submit_group(pool: TaskPool, key: Tuple[str, int]) -> None:
+        name, threads = key
+        pool.submit(
+            f"cell group {name}/t{threads}",
+            fold_cells,
+            _cells_task,
+            {name: harness._summaries[name]} if wants_summary[key] else {},
+            groups[key],
+        )
+
+    def submit_summary(pool: TaskPool, name: str) -> None:
+        def fold_summary(payload: Tuple[ProfileSummary, Optional[RunResult]]) -> None:
+            summary, profile = payload
+            harness._summaries[name] = summary
+            if profile is not None:
+                harness._profiles.setdefault((name, 1), profile)
+            for key in blocked.pop(name, ()):
+                submit_group(pool, key)
+
+        pool.submit(f"profile summary of {name}", fold_summary, _summary_task, name)
+
+    if groups:
+        with TaskPool(
+            min(jobs, len(need_summary) + len(groups)),
+            Harness,
+            (harness.config, harness.cache_dir),
+            harness,
+        ) as pool:
+            for name in need_summary:
+                submit_summary(pool, name)
+            for key in by_size:
+                if wants_summary[key] and key[0] in need_summary:
+                    blocked.setdefault(key[0], []).append(key)
+                else:
+                    submit_group(pool, key)
+            pool.drain()
+
+    # Request order, whatever order the workers finished in.
+    results = {cell: results[cell] for cell in cells}
     record_grid(harness, results, jobs=jobs, wall_s=time.monotonic() - started)
     return results
 

@@ -10,11 +10,9 @@ into a :class:`CrashMatrix` — the (crash-site-class × fault-model →
 verified/violated) table the ``crashmatrix`` CLI artifact emits.
 
 Sweeps are independent pure functions of the configuration, so strided
-chunks of the targets fan out over the same fork-once
-:class:`~repro.experiments.transport.WorkerPool` as experiment grid
-cells (``--jobs``) — which also means campaigns ride the fleet telemetry
-bus: pass ``telemetry=`` and every worker streams per-chunk claims and
-per-crash progress (site class, violation verdict) live.  A finished
+chunks of the targets fan out over the same
+:class:`~repro.experiments.parallel.TaskPool` as experiment grid cells
+(``--jobs``), one chunk per worker.  A finished
 campaign memoizes whole into the PR-1 on-disk
 :class:`~repro.experiments.cache.ResultCache` when the workload is
 registry-named (anonymous workload objects have no stable fingerprint,
@@ -108,14 +106,15 @@ class CrashMatrix:
         """True when every injected crash recovered cleanly."""
         return not self.violations
 
-    def record(self, site_class: str, fault_model: str, violations) -> None:
+    def record(self, site_class: str, fault_model: str, violations: List[dict]) -> None:
+        """Count one injected crash; ``violations`` are ``to_dict()`` forms."""
         cell = self.cells.setdefault(
             (site_class, fault_model), {"injected": 0, "violated": 0}
         )
         cell["injected"] += 1
         if violations:
             cell["violated"] += 1
-            self.violations.extend(v.to_dict() for v in violations)
+            self.violations.extend(violations)
 
     # -- serialization ---------------------------------------------------
 
@@ -192,12 +191,12 @@ class CrashMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Worker entry point (the pool's "crash" task handler body)
+# Sweeps (in-process, or as pool tasks)
 # ---------------------------------------------------------------------------
 
 
 def _crash_info(golden: GoldenRun, site: int, model: str, violated: bool) -> dict:
-    """The per-crash progress record (monitor feed / fleet bus)."""
+    """The per-crash progress record (the monitor feed)."""
     return {
         "site": site,
         "model": model,
@@ -211,63 +210,48 @@ def _sweep_jobs(
     golden: GoldenRun,
     jobs: Sequence[Tuple[int, str]],
     fault_seed: int,
-    report: Callable[[int, str, list], None],
+    report: Callable[[int, str, List[dict]], None],
 ) -> None:
     """Inject ``jobs`` with one :meth:`crash_sweep` per fault model.
 
     ``jobs`` are ``(site, fault_model)`` pairs, model-major with sites
     ascending within a model.  ``report(site, model, violations)`` runs
     inside the sweep, right after the oracle judged that crash, so no
-    crashed image outlives its verdict.
+    crashed image outlives its verdict; violations arrive as dicts.
     """
     for model, group in itertools.groupby(jobs, key=lambda job: job[1]):
 
         def on_crash(state, model=model):
-            report(state.at_site, model, check_crash(golden, state.at_site, state))
+            verdict = check_crash(golden, state.at_site, state)
+            report(state.at_site, model, [v.to_dict() for v in verdict])
 
         driver.crash_sweep([site for site, _ in group], model, fault_seed, on_crash)
 
 
-def execute_crash_chunk(
-    state: Dict[str, object],
-    payload: Tuple[dict, object, GoldenRun, List[Tuple[int, str]], int],
-    emitter=None,
-) -> List[Tuple[int, str, List[dict]]]:
-    """Inject one chunk of ``(site, fault_model)`` crashes.
+def _build_crash_state(
+    workload: object, driver_kwargs: dict, golden: GoldenRun
+) -> Tuple[AtlasReplayDriver, GoldenRun]:
+    """A pool worker's state: its own replay driver, the parent's golden run.
 
-    Runs inside a :class:`~repro.experiments.transport.WorkerPool`
-    worker (dispatched by the ``"crash"`` handler in
-    :func:`repro.experiments.parallel.make_task_handlers`).  ``state``
-    is the worker's lifetime dict: the replay driver — whose
-    construction re-materializes the workload's event streams — is built
-    once per (workload, config) and reused across every chunk the worker
-    pulls, the same fork-once amortization grid cells get.  The golden
-    run ships from the parent, so workers never repeat the crash-free
-    replay; the chunk itself costs one sweep per fault model in it.
-
-    ``emitter``, when the pool carries fleet telemetry, streams one
-    ``task_progress`` event per injected crash with the site class and
-    violation verdict — the campaign monitor's live feed.
+    Building the driver re-materializes the workload's event streams, so
+    it happens once per worker, not per chunk; the golden run ships from
+    the parent, so workers never repeat the crash-free replay.
     """
-    driver_kwargs, workload, golden, jobs, fault_seed = payload
-    key = "crash_driver:{}:{}".format(
-        getattr(workload, "name", type(workload).__name__),
-        repr(sorted(driver_kwargs.items())),
-    )
-    driver = state.get(key)
-    if driver is None:
-        driver = AtlasReplayDriver(workload, **driver_kwargs)
-        state[key] = driver
+    return AtlasReplayDriver(workload, **driver_kwargs), golden
+
+
+def _crash_chunk_task(
+    state: Tuple[AtlasReplayDriver, GoldenRun],
+    chunk: List[Tuple[int, str]],
+    fault_seed: int,
+) -> List[Tuple[int, str, List[dict]]]:
+    """Inject one chunk: one sweep per fault model in it."""
+    driver, golden = state
     out: List[Tuple[int, str, List[dict]]] = []
-
-    def report(site, model, violations):
-        out.append((site, model, [v.to_dict() for v in violations]))
-        if emitter is not None:
-            emitter.task_progress(
-                _crash_info(golden, site, model, bool(violations))
-            )
-
-    _sweep_jobs(driver, golden, jobs, fault_seed, report)
+    _sweep_jobs(
+        driver, golden, chunk, fault_seed,
+        lambda site, model, violations: out.append((site, model, violations)),
+    )
     return out
 
 
@@ -293,7 +277,6 @@ def run_campaign(
     recorder: Optional[object] = None,
     metrics: Optional[object] = None,
     progress=None,
-    telemetry=None,
 ) -> CrashMatrix:
     """Run one fault-injection campaign; see the module docstring.
 
@@ -310,12 +293,6 @@ def run_campaign(
     fault model when ``spec.jobs == 1``; worker processes never ship their
     observability home).  A campaign served whole from the on-disk
     cache performs no replays at all, so both stay empty then.
-
-    ``telemetry`` (:class:`repro.obs.fleet.FleetTelemetry`) attaches the
-    fleet bus to the parallel fan-out (``spec.jobs > 1``): workers
-    stream per-chunk claims and per-crash site-class/violation progress,
-    and a configured span path gets the deterministic chunk-schedule
-    timeline.  The sequential path has no fleet and ignores it.
     """
     spec = spec or FaultCampaignSpec()
     # One parser for every entry point: reject bad specs up front and
@@ -417,69 +394,53 @@ def run_campaign(
         notify = None
 
     done = 0
+
+    def landed(site: int, model: str, violations: List[dict]) -> None:
+        nonlocal done
+        done += 1
+        if notify is not None:
+            notify(done, len(jobs), _crash_info(golden, site, model, bool(violations)))
+
     if spec.jobs > 1 and len(jobs) > 1:
-        from repro.experiments.transport import WorkerPool
+        from repro.experiments.parallel import TaskPool
 
-        chunks: List[List[Tuple[int, str]]] = [
-            jobs[i :: spec.jobs * 2] for i in range(spec.jobs * 2)
-        ]
-        chunks = [c for c in chunks if c]
-        plan = None
-        if telemetry is not None:
-            from repro.obs.spans import SchedulePlan
+        # Every chunk pays one full forward replay per fault model in
+        # it, so one chunk per worker; striding balances them.
+        chunks = [c for c in (jobs[i :: spec.jobs] for i in range(spec.jobs)) if c]
+        collected: List[Tuple[int, str, List[dict]]] = []
 
-            # Chunk sizes and order are deterministic (pure striding of
-            # the enumerator's selection), so the plan — and hence the
-            # span export — is a pure function of the campaign config.
-            plan = SchedulePlan()
+        def fold_chunk(replies: List[Tuple[int, str, List[dict]]]) -> None:
+            for reply in replies:
+                collected.append(reply)
+                landed(*reply)
+
+        with TaskPool(
+            len(chunks),
+            _build_crash_state,
+            (workload, driver_kwargs, golden),
+            (driver, golden),
+        ) as pool:
             for i, chunk in enumerate(chunks):
-                uid = f"crash:{i}"
-                plan.add(uid, "crash", f"crash:{name}#{i}×{len(chunk)}")
-                plan.set_cost(uid, len(chunk))
-            if telemetry.aggregator.tasks_total is None:
-                telemetry.aggregator.tasks_total = len(chunks)
-        collected = []
-        with WorkerPool(spec.jobs, (None, None), telemetry=telemetry) as pool:
-            for chunk in chunks:
                 pool.submit(
-                    "crash",
-                    (driver_kwargs, workload, golden, chunk, spec.fault_seed),
+                    f"crash chunk {i} of {name} ({len(chunk)} injections)",
+                    fold_chunk,
+                    _crash_chunk_task,
+                    chunk,
+                    spec.fault_seed,
                 )
-            while pool.outstanding:
-                _task_id, replies = pool.next_result()
-                for site, model, viols in replies:
-                    collected.append((site, model, viols))
-                    done += 1
-                    if notify is not None:
-                        notify(
-                            done,
-                            len(jobs),
-                            _crash_info(golden, site, model, bool(viols)),
-                        )
-        if plan is not None:
-            telemetry.export_spans(plan, spec.jobs)
-        # Fold in deterministic order regardless of completion order.
-        for site, model, viols in sorted(collected, key=lambda r: (r[1], r[0])):
-            matrix.cells.setdefault(
-                (golden.site_class(site), model), {"injected": 0, "violated": 0}
-            )
-            cell = matrix.cells[(golden.site_class(site), model)]
-            cell["injected"] += 1
-            if viols:
-                cell["violated"] += 1
-                matrix.violations.extend(viols)
+            pool.drain()
+        # Fold in the sequential path's order (model-major as the spec
+        # lists them, sites ascending), whatever order chunks finished in.
+        rank = {model: i for i, model in enumerate(spec.fault_models)}
+        for site, model, violations in sorted(
+            collected, key=lambda r: (rank[r[1]], r[0])
+        ):
+            matrix.record(golden.site_class(site), model, violations)
     else:
 
-        def report(site, model, violations):
-            nonlocal done
+        def report(site: int, model: str, violations: List[dict]) -> None:
             matrix.record(golden.site_class(site), model, violations)
-            done += 1
-            if notify is not None:
-                notify(
-                    done,
-                    len(jobs),
-                    _crash_info(golden, site, model, bool(violations)),
-                )
+            landed(site, model, violations)
 
         _sweep_jobs(driver, golden, jobs, spec.fault_seed, report)
 

@@ -17,16 +17,9 @@
   spill, window-folding :class:`~repro.obs.live.StreamingProfile`, and
   the rule-driven :class:`~repro.obs.live.AlertEngine` behind the
   ``monitor`` CLI artifact (DESIGN.md §12).
-- :mod:`repro.obs.fleet` — the cross-process telemetry bus for parallel
-  pools: per-worker event emitters, opt-in RSS/CPU samplers, and the
-  parent-side :class:`~repro.obs.fleet.FleetAggregator` behind
-  ``monitor --fleet`` (DESIGN.md §15).
-- :mod:`repro.obs.spans` — deterministic Perfetto timelines of the
-  pool scheduler (virtual replay of the recorded
-  :class:`~repro.obs.spans.SchedulePlan`).
 - :mod:`repro.obs.ledger` — the append-only run registry: every entry
   point records a crash-safe JSONL provenance line (spec sha, env,
-  counters, artifacts) into ``.ledger/`` (DESIGN.md §16).
+  counters, artifacts) into ``.ledger/`` (DESIGN.md §15).
 - :mod:`repro.obs.history` — longitudinal queries over the ledger:
   per-spec timelines, EWMA trend fitting, changepoint detection and
   regression gating behind the ``history`` CLI artifact.
@@ -58,14 +51,6 @@ from repro.obs.live import (
     parse_rule,
     snapshot_from_result,
 )
-from repro.obs.fleet import (
-    FleetAggregator,
-    FleetEmitter,
-    FleetTelemetry,
-    ResourceSampler,
-    WorkerState,
-    fleet_rules,
-)
 from repro.obs.history import (
     RegressionFinding,
     TrendLine,
@@ -82,13 +67,6 @@ from repro.obs.ledger import (
     spec_fingerprint,
 )
 from repro.obs.metrics import DEFAULT_INTERVAL, MetricsRegistry, nearest_rank
-from repro.obs.spans import (
-    SchedulePlan,
-    ScheduledSpan,
-    replay_schedule,
-    schedule_to_chrome,
-    write_schedule_spans,
-)
 from repro.obs.trace import (
     ARG_NAMES,
     EV_BURST_START,
@@ -144,19 +122,12 @@ __all__ = [
     "EV_MRC_COMPUTED",
     "EV_SIZE_SELECTED",
     "EV_STALL",
-    "FleetAggregator",
-    "FleetEmitter",
-    "FleetTelemetry",
     "LEDGER_ENV",
     "MetricsRegistry",
     "RegressionFinding",
     "RunLedger",
     "RunRecord",
     "TrendLine",
-    "ResourceSampler",
-    "SchedulePlan",
-    "ScheduledSpan",
-    "WorkerState",
     "NULL_RECORDER",
     "NullRecorder",
     "StreamingProfile",
@@ -172,7 +143,6 @@ __all__ = [
     "detect_changepoint",
     "diff_profiles",
     "ewma",
-    "fleet_rules",
     "max_severity",
     "nearest_rank",
     "record_run",
@@ -182,10 +152,7 @@ __all__ = [
     "parse_rule",
     "read_jsonl",
     "reconcile",
-    "replay_schedule",
-    "schedule_to_chrome",
     "snapshot_from_result",
-    "write_schedule_spans",
     "render_diff_html",
     "render_diff_text",
     "render_history_html",

@@ -292,8 +292,7 @@ class TraceProfile:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n"
 
 
-# Nearest-rank percentile, shared with the fleet aggregator and the
-# registry's series helpers (one implementation, one definition of p95).
+# Nearest-rank percentile: one definition of p95 for every summary.
 from repro.obs.metrics import nearest_rank as _percentile  # noqa: E402
 
 

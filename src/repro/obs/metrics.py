@@ -26,11 +26,10 @@ DEFAULT_INTERVAL = 10_000
 def nearest_rank(sorted_values, q: float):
     """Nearest-rank percentile of an ascending list (0 when empty).
 
-    The one percentile implementation shared by the trace analyzer's
-    FASE latency summary and the fleet aggregator's straggler fold, so
-    single-run and fleet summaries agree on what "p95" means.  ``q`` is
-    a fraction in ``[0, 1]``; the result is always an element of the
-    input (never interpolated), which keeps integer series integral.
+    The percentile behind the trace analyzer's FASE latency summary.
+    ``q`` is a fraction in ``[0, 1]``; the result is always an element
+    of the input (never interpolated), which keeps integer series
+    integral.
     """
     n = len(sorted_values)
     if n == 0:
@@ -122,72 +121,9 @@ class MetricsRegistry:
             raise ConfigurationError(f"no series named {name!r}")
         return self._series[name]
 
-    def ensure_series(self, name: str) -> Tuple[List[int], List[float]]:
-        """The series ``name``, created empty if it does not exist yet.
-
-        Registration hook for callers that want a series to show up in
-        :meth:`to_dict` (and be queryable by name) before the first
-        sample lands — e.g. a dashboard pre-declaring every panel.
-        """
-        series = self._series.get(name)
-        if series is None:
-            series = ([], [])
-            self._series[name] = series
-        return series
-
     def series_names(self) -> List[str]:
         """All series names, sorted."""
         return sorted(self._series)
-
-    def series_percentile(self, name: str, q: float) -> float:
-        """Nearest-rank percentile of one series' values.
-
-        Same :func:`nearest_rank` semantics as the trace analyzer's FASE
-        latency percentiles.  Raises :class:`ConfigurationError` on an
-        unknown series *and* on an empty one — a percentile of nothing
-        is a caller bug, not a 0 (0 is a legal sample value, so it can't
-        double as a sentinel).  A single-sample series returns that
-        sample for every ``q``.
-        """
-        values = self.series(name)[1]
-        if not values:
-            raise ConfigurationError(
-                f"series {name!r} is empty: percentile undefined"
-            )
-        return nearest_rank(sorted(values), q)
-
-    def series_histogram(
-        self, name: str, bins: int = 10
-    ) -> List[Tuple[float, float, int]]:
-        """Equal-width value histogram of one series.
-
-        Returns ``[(lo, hi, count), ...]`` with ``bins`` contiguous
-        buckets spanning ``[min, max]``; a constant (including
-        single-sample) series collapses to one ``(v, v, n)`` bucket.
-        An empty series raises :class:`ConfigurationError` — same
-        contract as :meth:`series_percentile`, so "no data yet" is
-        never mistaken for a real all-zero bucket.  Pure arithmetic on
-        the recorded values, so the result is as deterministic as the
-        series.
-        """
-        if bins < 1:
-            raise ConfigurationError(f"histogram bins must be >= 1, got {bins}")
-        values = self.series(name)[1]
-        if not values:
-            raise ConfigurationError(
-                f"series {name!r} is empty: histogram undefined"
-            )
-        lo, hi = min(values), max(values)
-        if lo == hi or bins == 1:
-            return [(float(lo), float(hi), len(values))]
-        width = (hi - lo) / bins
-        counts = [0] * bins
-        for v in values:
-            counts[min(bins - 1, int((v - lo) / width))] += 1
-        return [
-            (float(lo + i * width), float(lo + (i + 1) * width), counts[i])
-            for i in range(bins)
-        ]
 
     # -- export ----------------------------------------------------------
 

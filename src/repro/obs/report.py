@@ -14,7 +14,6 @@ Import direction: this module pulls from ``repro.experiments``, so
 from __future__ import annotations
 
 import html
-import time
 from typing import Dict, List, Optional
 
 from repro.experiments.plots import svg_bar_chart, svg_line_chart
@@ -353,56 +352,6 @@ def render_diff_html(diff: Dict, label_a: str = "A", label_b: str = "B") -> str:
         parts.append(f"<p>note: {html.escape(note)}</p>")
     parts.append("</body></html>")
     return "\n".join(parts) + "\n"
-
-
-def render_fleet_lines(aggregator) -> List[str]:
-    """The per-worker fleet table (text lines, monitor-dashboard body).
-
-    One row per worker: status, current task (with its age), completed
-    task count, busy wall seconds, live/peak RSS and CPU%.  Renders from
-    a :class:`repro.obs.fleet.FleetAggregator` regardless of whether it
-    was fed from the live bus or a spill file.
-    """
-    snap = aggregator.snapshot()
-    total = snap["tasks_total"] or "?"
-    lines = [
-        f"fleet: {snap['workers_alive']}/{snap['workers']} workers alive"
-        + (f", {snap['dead_workers']} dead" if snap["dead_workers"] else "")
-        + f" — {snap['tasks_done']}/{total} tasks, "
-        f"{snap['throughput_per_s']:.2f} tasks/s, "
-        f"{snap['elapsed_s']:.1f}s elapsed",
-    ]
-    if snap["violations"]:
-        lines.append(f"violations: {snap['violations']}")
-    lines.append("")
-    lines.append(
-        f"{'w':>3} {'status':>9} {'done':>5} {'busy-s':>8} "
-        f"{'rss-MB':>7} {'peak':>7} {'cpu%':>6}  current task"
-    )
-    now = time.time()
-    for index in sorted(aggregator.workers):
-        w = aggregator.workers[index]
-        if w.current is not None:
-            current = f"{w.current['label']} ({now - w.current['since']:.1f}s)"
-        else:
-            current = "-"
-        lines.append(
-            f"{w.worker:>3} {w.status():>9} {w.done:>5} {w.busy_wall_s:>8.2f} "
-            f"{w.rss_kb / 1024:>7.1f} {w.rss_peak_kb / 1024:>7.1f} "
-            f"{w.cpu_pct:>6.1f}  {current}"
-        )
-    if aggregator.site_classes:
-        lines.append("")
-        lines.append(f"{'site class':>16} {'done':>6} {'violated':>9}")
-        for cls in sorted(aggregator.site_classes):
-            cell = aggregator.site_classes[cls]
-            lines.append(
-                f"{cls:>16} {cell['done']:>6} {cell['violated']:>9}"
-            )
-    for worker, tb in aggregator.tracebacks[-2:]:
-        last = tb.strip().rsplit("\n", 1)[-1]
-        lines.append(f"  worker {worker} error: {last}")
-    return lines
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import signal
 import tempfile
 
 # Keep the suite hermetic: the run ledger is on by default, and tests
@@ -18,6 +20,22 @@ import pytest
 from repro.experiments.harness import Harness, HarnessConfig
 from repro.locality.trace import WriteTrace
 from repro.nvram.machine import Machine, MachineConfig
+
+
+def die_once_in_worker(flag: str) -> None:
+    """SIGKILL the calling pool worker — the first one to get here only.
+
+    ``flag`` is a path no file exists at yet; creating it elects the one
+    victim.  A no-op in the parent, so the parent can finish the tasks
+    the victim left behind.
+    """
+    if multiprocessing.parent_process() is None:
+        return
+    try:
+        os.close(os.open(flag, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 @pytest.fixture

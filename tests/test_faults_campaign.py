@@ -11,6 +11,8 @@ The load-bearing properties:
 """
 
 import dataclasses
+import functools
+import multiprocessing
 import random
 
 import pytest
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.events import FaseBegin, FaseEnd, Load, Store, Work
+from repro.faults import campaign
 from repro.faults import (
     AtlasReplayDriver,
     CrashMatrix,
@@ -34,6 +37,7 @@ from repro.workloads.base import Workload
 from repro.workloads.hashtable import HashTableWorkload
 from repro.workloads.linkedlist import LinkedListWorkload
 from repro.workloads.msqueue import QueueWorkload
+from tests.conftest import die_once_in_worker
 
 PA = NVRAM_BASE
 
@@ -294,6 +298,112 @@ def test_parallel_campaign_matches_sequential():
         workload, technique="SC", spec=FaultCampaignSpec(max_sites=40, jobs=2)
     )
     assert par.to_dict() == seq.to_dict()
+
+
+_THREE_MODELS = ("torn_line", "clean", "reordered_flush")   # not alphabetical
+
+
+def test_parallel_campaign_on_registry_workload_matches_sequential(
+    monkeypatch, tmp_path
+):
+    from repro.obs.ledger import RunLedger
+
+    monkeypatch.setenv("REPRO_LEDGER", str(tmp_path))
+    kwargs = dict(technique="SC", threads=2, scale=0.01)
+    par = run_campaign(
+        "linked-list", spec=FaultCampaignSpec(max_sites=30, jobs=2), **kwargs
+    )
+    assert multiprocessing.active_children() == []
+    seq = run_campaign(
+        "linked-list", spec=FaultCampaignSpec(max_sites=30, jobs=1), **kwargs
+    )
+    assert par.to_dict() == seq.to_dict()
+    # One ledger record each, and nothing in them depends on the job count.
+    first, second = RunLedger(str(tmp_path)).records(kind="campaign")
+    assert first.stable_dict() == second.stable_dict()
+
+
+def test_parallel_campaign_is_one_chunk_per_worker(monkeypatch):
+    """Each chunk pays a full forward replay per fault model in it, so a
+    jobs=2, 3-model campaign is 2 x 3 sweeps — and still the same matrix."""
+    sweeps = multiprocessing.get_context("fork").Value("i", 0)
+    real = AtlasReplayDriver.crash_sweep
+
+    def counting(self, *args, **kwargs):
+        with sweeps.get_lock():
+            sweeps.value += 1
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(AtlasReplayDriver, "crash_sweep", counting)
+    workload = LinkedListWorkload(elements=12)
+    spec = FaultCampaignSpec(fault_models=_THREE_MODELS, max_sites=40)
+    seq = run_campaign(workload, technique="SC", spec=spec)
+    assert sweeps.value == 3
+    sweeps.value = 0
+    par = run_campaign(
+        workload, technique="SC", spec=dataclasses.replace(spec, jobs=2)
+    )
+    assert sweeps.value == 6
+    assert par.to_dict() == seq.to_dict()
+
+
+def test_parallel_campaign_reports_violations_in_sequential_order():
+    """The fold is model-major in the *spec's* order, so a campaign that
+    does find violations lists them identically at any job count."""
+    workload = LinkedListWorkload(elements=12)
+    spec = FaultCampaignSpec(fault_models=_THREE_MODELS, max_sites=100_000)
+    kwargs = dict(technique="SC", commit_before_drain=True)
+    seq = run_campaign(workload, spec=spec, **kwargs)
+    par = run_campaign(workload, spec=dataclasses.replace(spec, jobs=2), **kwargs)
+    assert seq.violations and par.to_dict() == seq.to_dict()
+
+
+_REAL_CHUNK_TASK = campaign._crash_chunk_task
+
+
+def _chunk_task_dying_once(flag, state, chunk, fault_seed):
+    die_once_in_worker(flag)
+    return _REAL_CHUNK_TASK(state, chunk, fault_seed)
+
+
+def _chunk_task_raising(state, chunk, fault_seed):
+    raise ValueError("boom")
+
+
+def test_campaign_survives_worker_killed_mid_flight(monkeypatch, tmp_path):
+    monkeypatch.setattr(
+        campaign,
+        "_crash_chunk_task",
+        functools.partial(_chunk_task_dying_once, str(tmp_path / "victim")),
+    )
+    workload = LinkedListWorkload(elements=12)
+    spec = FaultCampaignSpec(fault_models=_THREE_MODELS, max_sites=40, jobs=2)
+    seen = []
+    with pytest.warns(RuntimeWarning, match=r"parent ran \d+ unfinished task"):
+        par = run_campaign(
+            workload, technique="SC", spec=spec,
+            progress=lambda done, total: seen.append((done, total)),
+        )
+    assert (tmp_path / "victim").exists()
+    assert multiprocessing.active_children() == []
+    seq = run_campaign(
+        workload, technique="SC", spec=dataclasses.replace(spec, jobs=1)
+    )
+    assert par.to_dict() == seq.to_dict()
+    assert seen == [(d, seq.injected) for d in range(1, seq.injected + 1)]
+
+
+def test_campaign_worker_exception_names_the_chunk(monkeypatch):
+    monkeypatch.setattr(campaign, "_crash_chunk_task", _chunk_task_raising)
+    with pytest.raises(SimulationError, match=r"crash chunk \d of linked-list") as info:
+        run_campaign(
+            LinkedListWorkload(elements=12),
+            technique="SC",
+            spec=FaultCampaignSpec(max_sites=40, jobs=2),
+        )
+    assert isinstance(info.value.__cause__, ValueError)
+    assert "_chunk_task_raising" in str(info.value.__cause__.__cause__)
+    assert multiprocessing.active_children() == []
 
 
 def test_campaign_result_caches(tmp_path):

@@ -122,20 +122,6 @@ def test_build_rules_overrides_defaults_by_name():
     assert "mine" in extra
 
 
-def test_build_rules_base_swaps_the_stock_set():
-    from repro.obs.fleet import fleet_rules
-
-    rules = {
-        r.name: r
-        for r in build_rules(
-            ["dead_worker: dead_workers > 5"], base=fleet_rules()
-        )
-    }
-    assert rules["dead_worker"].value == 5.0        # override still by name
-    assert "straggler_ratio" in rules               # fleet defaults intact
-    assert "stall_share_slo" not in rules           # single-run set swapped out
-
-
 # ---------------------------------------------------------------------------
 # CLI: follow mode
 # ---------------------------------------------------------------------------
@@ -255,82 +241,6 @@ def test_monitor_grid_renders_dashboard(capsys):
     assert "repro live monitor" in out
     assert "alerts:" in out
     assert summary["cells_done"] == summary["cells_total"]
-
-
-# ---------------------------------------------------------------------------
-# CLI: fleet mode
-# ---------------------------------------------------------------------------
-
-
-def test_cli_monitor_fleet_grid_once_then_follow(tmp_path, capsys):
-    json_out = tmp_path / "fleet.json"
-    span = tmp_path / "spans.json"
-    flog = tmp_path / "fleet.jsonl"
-    log = tmp_path / "alerts.jsonl"
-    rc = main(
-        [
-            "monitor", "--fleet", "--grid", "adaptation",
-            "--scale", "0.02", "--seed", "7", "--jobs", "2", "--once",
-            "--json", str(json_out), "--span-export", str(span),
-            "--fleet-log", str(flog), "--alert-log", str(log),
-        ]
-    )
-    assert rc == 0                          # no dead workers on the seed grid
-    doc = json.loads(json_out.read_text())
-    assert doc["mode"] == "fleet-grid"
-    snap = doc["fleet"]
-    assert snap["tasks_done"] == snap["tasks_total"] > 0
-    assert snap["dead_workers"] == 0 and snap["errors"] == 0
-    assert len(doc["workers"]) == 2
-    assert all(w["status"] == "done" for w in doc["workers"])
-    # The span export is valid Perfetto trace_event JSON for this pool.
-    spans = json.loads(span.read_text())
-    assert spans["otherData"]["jobs"] == 2
-    assert spans["otherData"]["tasks"] == snap["tasks_total"]
-    assert any(e["ph"] == "X" for e in spans["traceEvents"])
-
-    # The spill replays to the same fleet state in another process.
-    out2 = tmp_path / "follow.json"
-    rc2 = main(
-        [
-            "monitor", "--fleet", "--follow", str(flog), "--once",
-            "--json", str(out2),
-        ]
-    )
-    assert rc2 == 0
-    followed = json.loads(out2.read_text())
-    assert followed["mode"] == "fleet-follow"
-    assert followed["events"] > 0
-    assert followed["fleet"]["tasks_done"] == snap["tasks_done"]
-    assert followed["workers"] == doc["workers"]
-
-
-def test_cli_monitor_fleet_campaign_once(tmp_path, capsys):
-    json_out = tmp_path / "campaign.json"
-    rc = main(
-        [
-            "monitor", "--fleet", "--campaign",
-            "--workloads", "linked-list", "--techniques", "SC",
-            "--scale", "0.01", "--max-sites", "20",
-            "--jobs", "2", "--once", "--json", str(json_out),
-        ]
-    )
-    assert rc == 0
-    doc = json.loads(json_out.read_text())
-    assert doc["mode"] == "fleet-campaign"
-    assert doc["workload"] == "linked-list" and doc["technique"] == "SC"
-    assert doc["matrix_ok"] is True
-    assert doc["injected"] > 0
-    # Per-crash progress events folded into the site-class table.
-    assert sum(c["done"] for c in doc["site_classes"].values()) == doc["injected"]
-
-
-def test_cli_monitor_fleet_rejects_single_job(tmp_path, capsys):
-    rc = main(
-        ["monitor", "--fleet", "--grid", "table1", "--jobs", "1", "--once"]
-    )
-    assert rc == 2
-    assert "--jobs >= 2" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

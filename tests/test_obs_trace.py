@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, nearest_rank
 from repro.obs.trace import (
     ARG_NAMES,
     EV_DRAIN,
@@ -291,3 +291,23 @@ def test_max_points_default_is_unbounded():
         m.sample("depth", i * 10, float(i))
     assert len(m.series("depth")[0]) == 100
     assert m.to_dict()["max_points"] is None
+
+
+def test_nearest_rank_matches_analyzer_idiom():
+    values = [10, 20, 30, 40, 50]
+    assert nearest_rank(values, 0.5) == 30
+    assert nearest_rank(values, 0.95) == 50
+    assert nearest_rank(values, 0.0) == 10
+    assert nearest_rank(values, 1.0) == 50
+    assert nearest_rank([7], 0.99) == 7
+    assert nearest_rank([], 0.5) == 0
+    # Even-length median is the lower-of-two (nearest rank, not midpoint).
+    assert nearest_rank([1, 2, 3, 4], 0.5) == 2
+    with pytest.raises(ConfigurationError):
+        nearest_rank(values, 1.5)
+
+
+def test_nearest_rank_is_the_analyzers_percentile():
+    from repro.obs.analyze import _percentile
+
+    assert _percentile is nearest_rank

@@ -5,11 +5,17 @@ sequential sweep bit for bit, because each cell is a pure function of
 ``(HarnessConfig, name, technique, threads, ProfileSummary)``.
 """
 
+import functools
 import json
+import multiprocessing
 import os
+import signal
+import warnings
 
 import pytest
 
+from repro.common.errors import ConfigurationError, SimulationError
+from repro.experiments import parallel
 from repro.experiments.cache import ResultCache
 from repro.experiments.harness import (
     Harness,
@@ -19,6 +25,7 @@ from repro.experiments.harness import (
     sc_factory_kwargs,
 )
 from repro.experiments.parallel import grid_for, run_grid_parallel
+from tests.conftest import die_once_in_worker
 
 CONFIG = HarnessConfig(scale=0.02, seed=7)
 
@@ -41,8 +48,7 @@ def test_parallel_grid_equals_sequential():
 
 def test_full_artifact_grid_parallel_equals_sequential():
     """Every cell of every artifact — all workloads, techniques and
-    thread counts — survives the worker/transport round trip bit for
-    bit.  Small scale keeps this affordable (~220 cells)."""
+    thread counts — survives the worker round trip bit for bit.  Small scale keeps this affordable (~220 cells)."""
     tiny = HarnessConfig(scale=0.005, seed=7)
     cells = grid_for(Harness(tiny), "all")
     sequential = Harness(tiny).run_grid(cells, jobs=1)
@@ -51,8 +57,8 @@ def test_full_artifact_grid_parallel_equals_sequential():
 
 
 def test_parallel_grid_adopts_profiles_from_workers():
-    """Profile runs done inside workers for SC summaries ride home over
-    shared memory, so figure2/figure7-style trace analysis needs no new
+    """Profile runs done inside workers for SC summaries ride home with
+    the summary, so figure2/figure7-style trace analysis needs no new
     simulation in the parent."""
     harness = Harness(CONFIG)
     cells = [("water-spatial", "SC", 1), ("water-spatial", "SC-offline", 1)]
@@ -76,6 +82,131 @@ def test_parallel_results_land_in_harness_cache():
     # identical objects, no recomputation.
     for cell in CELLS:
         assert harness.run(*cell) is harness._runs[cell]
+
+
+def _state(harness):
+    """Everything a sweep leaves in a harness, in comparable form."""
+    return (
+        {cell: run.to_dict() for cell, run in harness._runs.items()},
+        dict(harness._summaries),
+        {
+            key: (run.to_dict(), [t.lines.tolist() for t in run.traces])
+            for key, run in harness._profiles.items()
+        },
+    )
+
+
+@pytest.mark.parametrize("jobs", [2, 4])
+def test_parallel_sweep_leaves_the_sequential_harness_state(jobs):
+    """Runs, summaries and adopted profile traces: jobs=N == jobs=1, and
+    every worker is joined by the time run_grid returns."""
+    sequential, fanned = Harness(CONFIG), Harness(CONFIG)
+    want = sequential.run_grid(CELLS, jobs=1)
+    got = fanned.run_grid(CELLS, jobs=jobs)
+    assert multiprocessing.active_children() == []
+    assert list(got) == list(want)              # request order, not finish order
+    assert _state(fanned) == _state(sequential)
+
+
+def test_grid_ledger_record_differs_only_in_jobs(monkeypatch, tmp_path):
+    from repro.obs.ledger import RunLedger
+
+    stable = {}
+    for jobs in (1, 2):
+        monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / f"j{jobs}"))
+        Harness(CONFIG).run_grid(CELLS, jobs=jobs)
+        (record,) = RunLedger(str(tmp_path / f"j{jobs}")).records(kind="grid")
+        stable[jobs] = record.stable_dict()
+        assert stable[jobs]["extra"].pop("jobs") == jobs
+    assert stable[1] == stable[2]
+
+
+def test_jobs_must_be_positive():
+    for jobs in (0, -3):
+        with pytest.raises(ConfigurationError, match="jobs must be >= 1"):
+            Harness(CONFIG).run_grid(CELLS, jobs=jobs)
+
+
+@pytest.mark.parametrize("artifact", ["table1", "crashmatrix", "monitor"])
+def test_cli_rejects_nonpositive_jobs_before_simulating(artifact, capsys):
+    from repro.experiments.__main__ import main
+
+    for jobs in ("0", "-3"):
+        assert main([artifact, "--scale", "0.02", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert "--jobs must be >= 1" in captured.err and captured.out == ""
+
+
+def test_pool_is_no_larger_than_the_task_count(monkeypatch):
+    sizes = []
+    real = parallel.ProcessPoolExecutor
+
+    def spy(max_workers, **kwargs):
+        sizes.append(max_workers)
+        return real(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", spy)
+    # One (workload, threads) group, no summary needed: one task.
+    Harness(CONFIG).run_grid([("barnes", "ER", 1), ("barnes", "BEST", 1)], jobs=4)
+    assert sizes == [1]
+
+
+# -- worker death and worker exceptions -------------------------------------
+
+_REAL_CELLS_TASK = parallel._cells_task
+
+
+def _cells_task_dying_once(flag, harness, summaries, cells):
+    die_once_in_worker(flag)
+    return _REAL_CELLS_TASK(harness, summaries, cells)
+
+
+def _harness_dying_at_birth(config, cache_dir):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _cells_task_raising(harness, summaries, cells):
+    raise ValueError("boom")
+
+
+def test_grid_survives_worker_killed_mid_flight(monkeypatch, tmp_path):
+    """A worker SIGKILLed while holding a cell group costs time, not
+    results: the parent finishes what the pool could not and says so."""
+    monkeypatch.setattr(
+        parallel,
+        "_cells_task",
+        functools.partial(_cells_task_dying_once, str(tmp_path / "victim")),
+    )
+    harness = Harness(CONFIG)
+    with pytest.warns(RuntimeWarning, match=r"parent ran \d+ unfinished task"):
+        results = harness.run_grid(CELLS, jobs=2)
+    assert (tmp_path / "victim").exists()
+    assert multiprocessing.active_children() == []
+    sequential = Harness(CONFIG)
+    assert _dicts(results) == _dicts(sequential.run_grid(CELLS))
+    assert _state(harness) == _state(sequential)
+
+
+def test_grid_completes_in_parent_when_every_worker_dies(monkeypatch):
+    # What the pool's initializer builds each worker's state with.
+    monkeypatch.setattr(parallel, "Harness", _harness_dying_at_birth)
+    with pytest.warns(RuntimeWarning, match="parent ran 4 unfinished"):
+        results = Harness(CONFIG).run_grid(CELLS, jobs=2)   # 2 summaries + 2 groups
+    assert multiprocessing.active_children() == []
+    assert _dicts(results) == _dicts(Harness(CONFIG).run_grid(CELLS))
+
+
+def test_worker_exception_names_the_cell_group(monkeypatch):
+    monkeypatch.setattr(parallel, "_cells_task", _cells_task_raising)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # an exception is not a death
+        with pytest.raises(SimulationError, match=r"cell group \S+/t1") as info:
+            Harness(CONFIG).run_grid(CELLS, jobs=2)
+    cause = info.value.__cause__
+    assert isinstance(cause, ValueError) and str(cause) == "boom"
+    # concurrent.futures chains the worker-side traceback text.
+    assert "_cells_task_raising" in str(cause.__cause__)
+    assert multiprocessing.active_children() == []
 
 
 def test_execute_cell_is_pure_and_matches_harness():

@@ -68,7 +68,7 @@ def test_dict_round_trip(spec):
 
     d = spec.to_dict()
     assert TechniqueSpec.from_dict(d) == spec
-    # Survives a JSON round-trip (worker transport / cache keys).
+    # Survives a JSON round-trip (cache keys).
     assert TechniqueSpec.from_dict(json.loads(json.dumps(d))) == spec
 
 
