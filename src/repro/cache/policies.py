@@ -13,8 +13,9 @@ BEST      no flushes at all — not a correct technique, but the upper
 
 A technique instance is strictly per-thread (the machine builds one per
 thread through a factory).  The machine drives it through ``bind``,
-``on_store``, ``on_fase_begin``/``on_fase_end`` (outermost only) and
-``finish``, and charges ``cost_per_store`` cycles of bookkeeping per
+``on_store`` (or, for the repeats of a line-touch run,
+``absorb_repeats``), ``on_fase_begin``/``on_fase_end`` (outermost only)
+and ``finish``, and charges ``cost_per_store`` cycles of bookkeeping per
 persistent store.  The per-store costs are read off the paper's
 Table IV instruction counts (per store: AT ~16-19, SC ~24 on top of the
 program's own ~62): BEST < ER < LA < AT < SC, with SC running ~8% more
@@ -52,6 +53,21 @@ class PersistenceTechnique:
 
     def on_store(self, line: int) -> None:
         """A persistent store touched ``line``."""
+
+    def absorb_repeats(self, line: int, n: int) -> bool:
+        """Take the ``n`` stores that repeat ``on_store(line)`` in one step.
+
+        Called right after ``on_store(line)`` when the thread's next
+        ``n`` stores hit the same line with nothing but computation
+        between them, and only if that ``on_store`` left ``line`` dirty
+        in L1 (the machine checks; a flushed line's repeat is a miss).
+        Return True after accounting all ``n`` as the hits they are,
+        and the machine skips their ``on_store`` calls; return False —
+        the default — and the run arrives store by store.  True is only
+        legal when a repeat is a pure hit: no flush, no port call, no
+        state but a counter.
+        """
+        return False
 
     def on_fase_begin(self) -> None:
         """An outermost FASE began."""
@@ -96,6 +112,9 @@ class LazyTechnique(PersistenceTechnique):
     def on_store(self, line: int) -> None:
         self._pending[line] = None
 
+    def absorb_repeats(self, line: int, n: int) -> bool:
+        return True  # the line is already pending
+
     def on_fase_end(self) -> None:
         if self._pending:
             self.port.flush_sync(self._pending.keys(), "fase_end")
@@ -121,6 +140,10 @@ class AtlasTechnique(PersistenceTechnique):
         evicted = self.table.access(line)
         if evicted is not None:
             self.port.flush_async(evicted, "eviction")
+
+    def absorb_repeats(self, line: int, n: int) -> bool:
+        self.table.hits += n  # the line now owns its slot
+        return True
 
     def on_fase_end(self) -> None:
         lines = self.table.drain()
@@ -216,6 +239,17 @@ class SoftwareCacheTechnique(PersistenceTechnique):
         if evicted is not None:
             port.flush_async(evicted, "eviction", invalidate=not self.use_clwb)
 
+    def absorb_repeats(self, line: int, n: int) -> bool:
+        controller = self.controller
+        if controller is not None and not controller.sampler.done:
+            return False  # the sampler still counts or records every write
+        # The line is the cache's newest entry — even when ``on_store``
+        # resized it out first, which the machine sees as a line no
+        # longer dirty in L1 — and a size published by another thread
+        # cannot arrive inside this thread's quantum.
+        self.cache.hits += n
+        return True
+
     def on_fase_end(self) -> None:
         lines = self.cache.drain()
         if lines:
@@ -253,6 +287,9 @@ class BestTechnique(PersistenceTechnique):
     name = "BEST"
     cost_per_store = 0
     on_store_noop = True
+
+    def absorb_repeats(self, line: int, n: int) -> bool:
+        return True
 
 
 #: Base technique names accepted by the spec parser

@@ -155,6 +155,17 @@ class StagedTechnique(PersistenceTechnique):
         else:
             self.port.flush_async(line, "bypass", invalidate=not self.use_clwb)
 
+    def absorb_repeats(self, line: int, n: int) -> bool:
+        # nhit/cutoff count or bypass every store.  Without them a
+        # repeat is the base technique's own — unless the base's resize
+        # just parked ``line`` itself, and a repeat would rescue it.
+        if self.nhit or self.cutoff:
+            return False
+        victim = self._victim
+        if victim is not None and line in victim:
+            return False
+        return self.inner.absorb_repeats(line, n)
+
     def on_quantum(self) -> None:
         """Scheduler quantum boundary: opportunistic background cleaning.
 

@@ -44,12 +44,25 @@ natively, or recorded once from ``streams`` by ``BatchCachingWorkload``
 via :func:`batches_from_events`; both encodings describe the same event
 sequence, and the machine's two execution paths are required (and
 tested) to produce bit-identical statistics.
+
+Line-touch runs
+---------------
+Most persistent stores directly repeat the previous store's cache line
+(the premise of the paper's Table III), and a repeat changes nothing but
+counters: it hits the hardware cache at the MRU position and the
+technique's buffer at its newest entry.  :meth:`EventBatch.line_runs`
+therefore gives the machine the *line-touch runs* of a batch — computed
+once per batch with numpy and kept with it, so every technique
+replaying the batch shares them — and the machine enters Python once
+per run instead of once per event.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Tuple, Union
+
+import numpy as np
 
 
 class EventKind:
@@ -128,6 +141,16 @@ Event = Union[Store, Load, Work, FaseBegin, FaseEnd]
 EventStream = Iterator[Event]
 
 
+#: ``WORK`` amounts from here up never join a line-touch run.
+_MAX_RUN_WORK = 1 << 40
+
+
+def _compact(column: np.ndarray) -> array:
+    """A non-negative column as the narrowest unsigned ``array``."""
+    dtype = np.min_scalar_type(int(column.max(initial=0)))
+    return array(dtype.char, column.astype(dtype).tobytes())
+
+
 class EventBatch:
     """A run of events as parallel integer columns (no per-event objects).
 
@@ -146,12 +169,22 @@ class EventBatch:
     automatically when value tracking is on).
     """
 
-    __slots__ = ("kinds", "args", "sizes")
+    __slots__ = ("kinds", "args", "sizes", "_runs")
 
     def __init__(self) -> None:
         self.kinds = array("b")
         self.args = array("q")
         self.sizes = array("q")
+        # (len, cpi, run columns) of the last line_runs() call: derived
+        # data, rebuilt when the batch grew, dropped by copy and pickle.
+        self._runs: Optional[tuple] = None
+
+    def __getstate__(self) -> tuple:
+        return self.kinds, self.args, self.sizes
+
+    def __setstate__(self, state: tuple) -> None:
+        self.kinds, self.args, self.sizes = state
+        self._runs = None
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -212,6 +245,74 @@ class EventBatch:
         for ev in events:
             batch.append_event(ev)
         return batch
+
+    # -- line-touch runs -------------------------------------------------
+
+    def line_runs(self, cpi: float = 1.0) -> Tuple[array, array, array, array]:
+        """The batch's line-touch runs as four per-event columns.
+
+        A *run* starts at a single-line ``STORE`` and extends over every
+        directly following event that is a single-line ``STORE`` to the
+        same cache line or a ``WORK``.  Any other event — a ``LOAD``, a
+        FASE mark, a store to another line or one spanning two lines —
+        ends it, and so does the batch.  For event ``i``:
+
+        ``span[i]``
+            Events after ``i`` in its run (0: ``i`` ends a run or is in
+            none).
+        ``stores[i]``
+            ``STORE`` events among those ``span[i]``.
+        ``work[i]`` / ``cycles[i]``
+            Their summed ``WORK`` amounts, and the cycles those cost at
+            ``cpi`` (``int(amount * cpi)`` each: the charging rule
+            stated on ``repro.nvram.timing.TimingModel.cpi``).
+
+        Every column is a suffix *within* the run, so the part of a run
+        from ``i`` up to an arbitrary cut at ``j`` — a scheduler quantum
+        edge — is ``col[i] - col[j]``.  Computed once per batch length
+        and ``cpi`` and kept with the batch; never pickled or copied.
+        """
+        n = len(self.kinds)
+        cached = self._runs
+        if cached is not None and cached[0] == n and cached[1] == cpi:
+            return cached[2]
+        kinds = np.frombuffer(self.kinds, dtype=np.int8)
+        args = np.frombuffer(self.args, dtype=np.int64)
+        sizes = np.frombuffer(self.sizes, dtype=np.int64)
+        line = args >> 6
+        store = kinds == EventKind.STORE
+        real = args >= 0
+        # The line a run may continue on after this event; -1 (no real
+        # line: negative addresses are excluded) lets none continue.
+        touch = np.where(
+            store & real & (line == (args + sizes - 1) >> 6), line, -1
+        )
+        # Amounts are bounded so that the int64 sums below cannot wrap
+        # and ``amount * cpi`` rounds as it does for a Python int.
+        work = (kinds == EventKind.WORK) & real & (args < _MAX_RUN_WORK)
+        index = np.arange(n)
+        # prev[i]: ``touch`` of the nearest non-WORK event before ``i``.
+        anchor = np.maximum.accumulate(np.where(work, 0, index))
+        prev = np.full(n, -1, dtype=np.int64)
+        prev[1:] = touch[anchor[:-1]]
+        head = (prev == -1) | (np.where(work, prev, touch) != prev)
+        # last[i]: the final event of the run (or lone event) holding i.
+        last = (np.append(np.flatnonzero(head)[1:], n) - 1)[np.cumsum(head) - 1]
+
+        def suffix(per_event: np.ndarray) -> array:
+            total = np.cumsum(per_event, dtype=np.int64)
+            return _compact(total[last] - total)
+
+        amount = np.where(work, args, 0)
+        run_work = suffix(amount)
+        runs = (
+            _compact(last - index),
+            suffix(store),
+            run_work,
+            run_work if cpi == 1.0 else suffix((amount * cpi).astype(np.int64)),
+        )
+        self._runs = (n, cpi, runs)
+        return runs
 
     # -- expanding -------------------------------------------------------
 

@@ -14,9 +14,9 @@ paper's techniques trade off:
   empty.  The lazy technique pays this for its entire working set; the
   software cache bounds it by capping its size (§III-C).
 
-The queue is shared by all threads (one memory channel), so heavy
-flushing by one thread delays the others — a second-order effect the
-paper attributes contention to.
+``Machine`` builds one queue per simulated thread: ``clflush`` ordering
+is a per-core constraint, and the emulated NVRAM behind it is DRAM with
+bandwidth to spare, so one thread's flushing does not delay another's.
 
 All times are absolute model cycles supplied by the caller's clock.
 """
@@ -32,7 +32,7 @@ from repro.common.errors import ConfigurationError
 class FlushQueue:
     """A depth-bounded FIFO over a serialised write-back channel."""
 
-    __slots__ = ("depth", "service", "pending", "last_completion", "issued", "busy_until")
+    __slots__ = ("depth", "service", "pending", "last_completion", "issued")
 
     def __init__(self, depth: int = 8, service: int = 250) -> None:
         if depth < 1:
@@ -45,11 +45,6 @@ class FlushQueue:
         self.last_completion = 0                 # channel serialisation point
         self.issued = 0
 
-    def _reap(self, now: int) -> None:
-        pending = self.pending
-        while pending and pending[0] <= now:
-            pending.popleft()
-
     def issue(self, now: int) -> Tuple[int, int]:
         """Issue one write-back at cycle ``now``.
 
@@ -57,17 +52,24 @@ class FlushQueue:
         ``stall`` cycles for a slot.  The write-back completes in the
         background.
         """
-        self._reap(now)
+        # Completed write-backs are reaped inline, here and after a
+        # stall: this is the per-flush path of every technique.
+        pending = self.pending
+        while pending and pending[0] <= now:
+            pending.popleft()
         stall = 0
-        if len(self.pending) >= self.depth:
+        if len(pending) >= self.depth:
             # Wait until the oldest of the last `depth` entries completes.
-            free_at = self.pending[len(self.pending) - self.depth]
+            free_at = pending[len(pending) - self.depth]
             stall = free_at - now
             now = free_at
-            self._reap(now)
-        start = max(now, self.last_completion)
-        done = start + self.service
-        self.pending.append(done)
+            while pending and pending[0] <= now:
+                pending.popleft()
+        done = self.last_completion
+        if done < now:
+            done = now
+        done += self.service
+        pending.append(done)
         self.last_completion = done
         self.issued += 1
         return now, stall

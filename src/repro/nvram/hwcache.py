@@ -122,6 +122,15 @@ class HardwareCache:
         cache_set[line] = is_write
         return False, evicted
 
+    def repeat_stores(self, count: int) -> None:
+        """Count ``count`` further stores to the line just stored to.
+
+        With no other access in between they are exactly ``count``
+        ``access(line, True)`` hits: the line is already dirty and most
+        recently used in its set, so only the counter moves.
+        """
+        self.stores += count
+
     def store_value(self, line: int, addr: int, value: object) -> None:
         """Attach a value to a dirty line (value-tracking mode only)."""
         self.values.setdefault(line, {})[addr] = value

@@ -18,7 +18,9 @@ of events.  Wall-clock time of a run is the largest per-thread clock.
 The technique object is duck-typed (see :mod:`repro.cache.policies`): the
 machine calls ``bind(port)``, ``on_store(line)``, ``on_fase_begin()``,
 ``on_fase_end()`` (outermost FASEs only) and ``finish()``, and reads the
-``cost_per_store`` attribute for per-store bookkeeping cycles.
+``cost_per_store`` attribute for per-store bookkeeping cycles.  The
+batched loop also reads ``on_store_noop`` and ``absorb_repeats``, the
+two members that let it skip ``on_store`` calls.
 """
 
 from __future__ import annotations
@@ -239,7 +241,6 @@ class _ThreadContext:
         "batch_iter",
         "batch",
         "batch_pos",
-        "batch_cols",
     )
 
     def __init__(
@@ -256,7 +257,6 @@ class _ThreadContext:
         self.batch_iter: Optional[Iterator[EventBatch]] = None
         self.batch: Optional[EventBatch] = None
         self.batch_pos = 0
-        self.batch_cols: Optional[Tuple[list, list, list]] = None
         self.flushq: Optional[FlushQueue] = None
         self.stats = ThreadStats(thread_id=thread_id)
         self.port: Optional[FlushPort] = None
@@ -314,6 +314,9 @@ class Machine:
         self._first_selection: dict = {}
         self._selected_size: dict = {}
         self._stores_seen = 0
+        #: Persistent stores the batched loop took as part of a
+        #: line-touch run, i.e. without an ``on_store`` call of their own.
+        self.absorbed_stores = 0
         self._crash_plan: Optional[CrashPlan] = None
         self.crashed_state: Optional[CrashedState] = None
         # Crash-site machinery (repro.faults).  ``_sites_active`` gates
@@ -608,9 +611,25 @@ class Machine:
         the event semantics of :meth:`_process_event` inlined, but with
         no per-event object allocation, no generator resumption, the
         per-quantum invariants (timing constants, cache, technique
-        callbacks, crash plan) hoisted into locals, the batch columns
-        decoded to plain lists once per batch, and the single-line store
-        — the overwhelmingly common case — fully short-circuited.
+        callbacks, crash plan) hoisted into locals, and the single-line
+        store — the overwhelmingly common case — fully short-circuited.
+
+        *Line-touch runs.*  Most stores repeat the previous store's
+        line.  The first store of such a run executes as any other; the
+        rest of it (:meth:`EventBatch.line_runs`: the same-line stores
+        and the ``WORK`` between them) is taken in one step — ``n`` L1
+        hits, ``n`` technique hits via ``absorb_repeats(line, n)``, the
+        summed computation, ``n`` trace records.  That is exact because
+        the run lies inside one thread's quantum and batch, so no other
+        thread touches the L1 set; ``on_store`` left the line dirty in
+        L1 (checked here) and the technique absorbed it, so a repeat is
+        a pure hit; and no callback runs inside it, so the cycle
+        additions commute (DESIGN.md §8).  A run is cut at the quantum
+        edge, and executed store by store when an ``after_stores`` crash
+        point falls inside it, when ``on_store`` flushed the line, when
+        the technique declines or when values are tracked.
+        :meth:`_process_event` never coalesces and stays the oracle;
+        ``absorbed_stores`` counts what this loop skipped.
 
         The hot ``ThreadStats`` counters are accumulated in locals.
         ``stats.cycles`` is written back before every point that can
@@ -641,6 +660,12 @@ class Machine:
         skip_on_store = getattr(technique, "on_store_noop", False)
         cost_per_store = technique.cost_per_store
         track_values = config.track_values
+        # Value tracking keeps every persistent store's own payload, so
+        # there it is as if the technique could not absorb repeats.
+        absorb = (
+            None if track_values else getattr(technique, "absorb_repeats", None)
+        )
+        is_dirty = hw.is_dirty
         trace_lines = ctx.trace_lines
         trace_fids = ctx.trace_fids
         evict_writeback = self._evict_writeback
@@ -674,6 +699,7 @@ class Machine:
         persistent_loads = stats.persistent_loads
         fase_count = stats.fase_count
         stores_seen = self._stores_seen
+        absorbed = repeats = 0
         crashed = False
         try:
             while budget > 0:
@@ -685,21 +711,19 @@ class Machine:
                         ctx.batch = None
                         return False
                     ctx.batch = batch
-                    # Decode the compact columns to lists once per batch:
-                    # list indexing beats array indexing in the hot loop,
-                    # and the cost amortises over many scheduler quanta.
-                    ctx.batch_cols = (
-                        batch.kinds.tolist(),
-                        batch.args.tolist(),
-                        batch.sizes.tolist(),
-                    )
                     pos = 0
-                kinds, args, sizes = ctx.batch_cols
+                # Indexed as they are: most events are absorbed unseen,
+                # so decoding to lists would cost more than it saves.
+                kinds = batch.kinds
+                args = batch.args
+                sizes = batch.sizes
+                spans, run_stores, run_work, run_cycles = batch.line_runs(cpi)
                 end = len(kinds)
                 if end - pos > budget:
                     end = pos + budget
                 budget -= end - pos
                 i = pos
+                resume = 0  # a declined run's events, before this, go one by one
                 while i < end:
                     kind = kinds[i]
                     if kind == kind_store:
@@ -766,6 +790,47 @@ class Machine:
                                 crashed = True
                                 self._crash()
                                 return False
+                        if i >= resume and (span := spans[i]):
+                            # The rest of this line touch, cut at the
+                            # quantum edge: ``n`` L1 and technique hits
+                            # plus computation, taken in one step.
+                            last = i + span
+                            if last < end:
+                                n = run_stores[i]
+                                amount = run_work[i]
+                                work_cycles = run_cycles[i]
+                            else:
+                                last = end - 1
+                                n = run_stores[i] - run_stores[last]
+                                amount = run_work[i] - run_work[last]
+                                work_cycles = run_cycles[i] - run_cycles[last]
+                            if persistent and n:
+                                # ``on_store`` may have flushed the line
+                                # itself: ER always, SC when it shrinks.
+                                if (
+                                    absorb is None
+                                    or not is_dirty(first)
+                                    or (
+                                        plan_after is not None
+                                        and stores_seen + n >= plan_after
+                                    )
+                                    or not absorb(first, n)
+                                ):
+                                    resume = last + 1
+                                    i += 1
+                                    continue
+                                absorbed += n
+                                persistent_stores += n
+                                stores_seen += n
+                                cycles += n * cost_per_store
+                                instructions += n * cost_per_store
+                                if trace_lines is not None:
+                                    trace_lines.extend([first] * n)
+                                    trace_fids.extend([trace_fids[-1]] * n)
+                            repeats += n
+                            cycles += n * hit_cost + work_cycles
+                            instructions += n + amount
+                            i = last
                     elif kind == kind_work:
                         amount = args[i]
                         cycles += int(amount * cpi)
@@ -828,6 +893,9 @@ class Machine:
             stats.persistent_stores = persistent_stores
             stats.persistent_loads = persistent_loads
             stats.fase_count = fase_count
+            self.absorbed_stores += absorbed
+            if repeats:
+                hw.repeat_stores(repeats)
             if not crashed:
                 self._stores_seen = stores_seen
 

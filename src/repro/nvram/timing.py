@@ -50,7 +50,11 @@ class TimingModel:
     Attributes
     ----------
     cpi:
-        Cycles per plain instruction (``Work`` units and bookkeeping).
+        Cycles per plain instruction: a ``Work`` of ``a`` instructions
+        costs ``int(a * cpi)`` cycles, truncated per event.  The machine
+        charges that in both engines, and
+        :meth:`repro.common.events.EventBatch.line_runs` mirrors it for
+        the ``Work`` inside line-touch runs — change the three together.
     l1_hit:
         Cycles for a load/store that hits the hardware cache.
     l1_miss:

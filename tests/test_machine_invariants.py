@@ -1,13 +1,28 @@
 """Machine-level invariants over random event streams (hypothesis)."""
 
+import dataclasses
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache.adaptive import AdaptiveConfig
 from repro.cache.spec import technique_factory
-from repro.common.events import FaseBegin, FaseEnd, Load, Store, Work
+from repro.cache.write_cache import WriteCombiningCache
+from repro.common.events import (
+    FaseBegin,
+    FaseEnd,
+    Load,
+    Store,
+    Work,
+    batches_from_events,
+)
+from repro.nvram.failure import CrashPlan
 from repro.nvram.machine import Machine, MachineConfig
 from repro.nvram.memory import NVRAM_BASE
+from repro.obs.trace import TraceRecorder
 from repro.workloads.base import Workload
+from repro.workloads.registry import get_workload
 
 
 class ListWorkload(Workload):
@@ -141,3 +156,293 @@ def test_nothing_left_dirty_after_finish(events, technique):
     """After the final drain only BEST may leave dirty persistent lines."""
     machine, _res = run(events, technique)
     assert machine.hwcache.dirty_lines() == []
+
+
+# -- line-touch runs: the batched loop against the per-event oracle ---------
+
+
+class BatchedListWorkload(ListWorkload):
+    """The same events in both encodings, cut into ``chunk``-event batches
+    so batch edges fall inside runs."""
+
+    def __init__(self, streams, chunk):
+        super().__init__(*streams)
+        self._chunk = chunk
+
+    def batch_streams(self, num_threads, seed):
+        return [batches_from_events(iter(s), self._chunk) for s in self._streams]
+
+
+#: Lines 0-3 are persistent, 4-5 volatile.
+LINE_POOL = [NVRAM_BASE + i * 64 for i in range(4)] + [4096, 4160]
+
+
+@st.composite
+def run_heavy_streams(draw):
+    """Mostly runs of stores to one line — four in five pieces repeat the
+    previous piece's line — with lengths straddling the 64-event quantum,
+    computation inside them, and every run-breaking event between them."""
+    pieces = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["run"] * 5 + ["load", "fase", "wide", "work"]),
+                st.sampled_from([None] * 4 + [0, 1, 2, 3, 4, 5]),
+                st.sampled_from([1, 2, 3, 7, 31, 62, 63, 64, 65, 66, 130]),
+                st.sampled_from([0, 0, 1, 3]),
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    events = []
+    depth = 0
+    base = LINE_POOL[0]
+    for op, line, length, work_every in pieces:
+        if line is not None:
+            base = LINE_POOL[line]
+        if op == "run":
+            for j in range(length):
+                events.append(Store(base + (j % 8) * 8, 8))
+                if work_every and j % work_every == 0:
+                    events.append(Work(1 + 70 * (j % 3)))
+        elif op == "load":
+            events.append(Load(base, 8))
+        elif op == "wide":
+            events.append(Store(base + 60, 8))
+        elif op == "work":
+            events.append(Work(length))
+        elif depth and length % 2:
+            events.append(FaseEnd())
+            depth -= 1
+        else:
+            events.append(FaseBegin())
+            depth += 1
+    events.extend(FaseEnd() for _ in range(depth))
+    return events
+
+
+def adaptive(burst, skip=0):
+    return {
+        "adaptive_config": AdaptiveConfig(burst_length=burst, initial_skip=skip)
+    }
+
+
+#: Every way a technique answers ``absorb_repeats``: never (ER, and the
+#: filters that count or bypass each store), always (LA, AT, SC-offline,
+#: BEST), once its burst closed (SC and the stages that pass repeats
+#: through), and with a size published by another thread.
+RUN_TECHNIQUES = {
+    "ER": lambda burst, skip: {},
+    "LA": lambda burst, skip: {},
+    "AT": lambda burst, skip: {},
+    "BEST": lambda burst, skip: {},
+    "SC": adaptive,
+    "SC clwb": lambda burst, skip: dict(adaptive(burst, skip), use_clwb=True),
+    "SC-offline": lambda burst, skip: {"sc_fixed_size": 4},
+    "SC+victim:1": adaptive,
+    "SC+victim:16": adaptive,
+    "SC+nhit:2": adaptive,
+    "SC+cutoff:4": adaptive,
+    "SC+clean:4": adaptive,
+    "SC shared": lambda burst, skip: dict(
+        adaptive(burst, skip), shared_adaptation=True
+    ),
+}
+
+
+def run_engine(streams, chunk, technique, burst, use_batches, **run_kwargs):
+    """One run; returns ``(machine, everything observable about it)``."""
+    config = run_kwargs.pop("config", MachineConfig())
+    skip = run_kwargs.pop("skip", 0)
+    inner = technique_factory(
+        technique.split()[0], **RUN_TECHNIQUES[technique](burst, skip)
+    )
+    made, on_store_calls = [], [0]
+
+    def factory(tid):
+        instance = inner(tid)
+        on_store = instance.on_store
+
+        def counted(line):
+            on_store_calls[0] += 1
+            on_store(line)
+
+        instance.on_store = counted
+        made.append(instance)
+        return instance
+
+    recorder = TraceRecorder()
+    machine = Machine(config, recorder=recorder)
+    result = machine.run(
+        BatchedListWorkload(streams, chunk),
+        factory,
+        num_threads=len(streams),
+        seed=0,
+        record_traces=True,
+        use_batches=use_batches,
+        **run_kwargs,
+    )
+    hw = machine.hwcache
+    caches = [getattr(t, "cache", None) for t in made]
+    tables = [getattr(t, "table", None) for t in made]
+    observed = {
+        "threads": [dataclasses.asdict(t) for t in result.threads],
+        "crashed": (result.crashed, machine.crashed_state),
+        "l1": (hw.loads, hw.stores, hw.load_misses, hw.store_misses,
+               hw.evict_writebacks, hw.flush_writebacks, hw.clean_flushes),
+        "dirty": sorted(hw.dirty_lines()),
+        "traces": [(t.lines.tolist(), t.fase_ids.tolist()) for t in result.traces],
+        "jsonl": recorder.to_jsonl(),
+        "write_caches": [c.snapshot() for c in caches if c is not None],
+        "atlas_tables": [(t.hits, t.misses, t.conflicts) for t in tables if t is not None],
+    }
+    touches = sum(t.n for t in result.traces)
+    return machine, observed, on_store_calls[0], touches
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.lists(run_heavy_streams(), min_size=1, max_size=3),
+    st.sampled_from([50, 64, 100, 4096]),
+    st.sampled_from(sorted(RUN_TECHNIQUES)),
+    st.integers(min_value=2, max_value=90),
+)
+def test_coalesced_runs_match_the_per_event_engine(streams, chunk, technique, burst):
+    """Everything a run leaves behind — counters the goldens carry and the
+    ones they cannot see — is the same whether repeats were absorbed or
+    executed one by one."""
+    m_b, batched, calls_b, touches = run_engine(streams, chunk, technique, burst, True)
+    m_e, per_event, calls_e, _ = run_engine(streams, chunk, technique, burst, False)
+    assert batched == per_event
+    assert m_e.absorbed_stores == 0
+    if technique == "BEST":
+        assert calls_b == 0                 # on_store_noop: never called
+    else:
+        assert calls_e == touches
+        assert m_b.absorbed_stores + calls_b == touches
+    if technique in ("ER", "SC+nhit:2", "SC+cutoff:4"):
+        assert m_b.absorbed_stores == 0
+
+
+A, B, C, D = (NVRAM_BASE + i * 64 for i in range(4))
+#: SC caches A, B, C during the sampler's three-write warm-up; the burst
+#: then sees five stores to D and closes — selecting size 1 — on a store
+#: to A, the cache's oldest entry, which opens a run.
+SHRINK_ONTO_OWN_LINE = (
+    [Store(A, 8), Store(B, 8), Store(C, 8)]
+    + [Store(D, 8)] * 5
+    + [Store(A + 8 * j, 8) for j in range(6)]
+    + [Store(B, 8)] * 3
+)
+#: The same under shared adaptation: thread 1 caches A, B, C and computes
+#: while thread 0 samples D and publishes size 1, then opens its run on A.
+SHRINK_BY_PUBLISHED_SIZE = [
+    [Work(1000)] * 64 + [Store(D, 8)] * 6,
+    [Store(A, 8), Store(B, 8), Store(C, 8)]
+    + [Work(100_000)] * 61
+    + [Store(A + 8 * j, 8) for j in range(6)]
+    + [Store(B, 8)] * 3,
+]
+
+
+@pytest.mark.parametrize(
+    "technique, streams, skip",
+    [
+        ("SC", [SHRINK_ONTO_OWN_LINE], 3),
+        ("SC clwb", [SHRINK_ONTO_OWN_LINE], 3),
+        ("SC+victim:16", [SHRINK_ONTO_OWN_LINE], 3),
+        ("SC+victim:1", [SHRINK_ONTO_OWN_LINE], 3),
+        ("SC shared", SHRINK_BY_PUBLISHED_SIZE, 0),
+    ],
+)
+def test_a_resize_that_evicts_the_stored_line_splits_its_run(
+    technique, streams, skip, monkeypatch
+):
+    """``on_store(A)`` shrinks the cache and so flushes (or parks) A
+    itself before re-inserting it: the first repeat is then no pure hit —
+    an L1 miss, a re-dirtied line, a victim rescue — and must execute.
+    A's run goes store by store; the run on B after it is absorbed."""
+    evicted = []
+    resize = WriteCombiningCache.resize
+    monkeypatch.setattr(
+        WriteCombiningCache,
+        "resize",
+        lambda self, size: evicted.append(resize(self, size)) or evicted[-1],
+    )
+    m_b, batched, _, _ = run_engine(streams, 4096, technique, 6, True, skip=skip)
+    _m, per_event, _, _ = run_engine(streams, 4096, technique, 6, False, skip=skip)
+    assert any(A >> 6 in lines for lines in evicted)    # scenario reached
+    assert batched == per_event
+    assert m_b.absorbed_stores == 2
+
+
+def test_long_runs_are_entered_once_per_quantum():
+    """The point of the exercise, as a count: 200 stores to one line cost
+    LA one ``on_store`` per 64-event quantum, not 200."""
+    stream = [Store(NVRAM_BASE + (j % 8) * 8, 8) for j in range(200)]
+    machine, _obs, calls, touches = run_engine([stream], 4096, "LA", 2, True)
+    assert (touches, calls, machine.absorbed_stores) == (200, 4, 196)
+
+
+RUN_WITH_WORK = (
+    [Store(NVRAM_BASE + 64, 8), Store(NVRAM_BASE + 128, 8), FaseBegin()]
+    + [ev for j in range(12) for ev in (Store(NVRAM_BASE + (j % 8) * 8, 8), Work(5))]
+    + [Store(NVRAM_BASE + 192, 8), FaseEnd()]
+)
+
+
+@pytest.mark.parametrize("technique", ["LA", "AT", "SC-offline", "BEST"])
+@pytest.mark.parametrize("track_values", [False, True])
+def test_store_count_crash_inside_a_run(technique, track_values):
+    """A power cut after every store of a run, one plan per position: the
+    run is split at the crash point, so the image, the dirty lines and
+    every counter up to the cut match the per-event engine's."""
+    config = MachineConfig(track_values=track_values)
+    for after in range(1, 16):
+        runs = [
+            run_engine(
+                [RUN_WITH_WORK], 4096, technique, 2, use_batches,
+                config=config, crash_plan=CrashPlan(after_stores=after),
+            )
+            for use_batches in (True, False)
+        ]
+        (m_b, batched, _, _), (_m, per_event, _, _) = runs
+        assert batched == per_event
+        assert m_b.crashed_state.at_store == after
+        if track_values:
+            assert m_b.absorbed_stores == 0
+
+
+@pytest.mark.parametrize("technique", ["AT", "SC", "SC-offline", "SC+victim:16"])
+@pytest.mark.parametrize("threads", [1, 4])
+def test_technique_counters_survive_coalescing_on_a_splash_stream(technique, threads):
+    """What ``RunResult`` and the goldens do not carry — the write cache's
+    ``snapshot()``, the Atlas table's counters — on a stream where most
+    stores are absorbed."""
+    workload = get_workload("water-spatial", scale=0.02)
+    kwargs = {"sc_fixed_size": 12} if technique == "SC-offline" else {}
+    if technique.startswith("SC") and not kwargs:
+        kwargs = adaptive(60)
+    seen = {}
+    for use_batches in (True, False):
+        made = []
+        inner = technique_factory(technique, **kwargs)
+        machine = Machine(MachineConfig())
+        result = machine.run(
+            workload,
+            lambda tid: made.append(inner(tid)) or made[-1],
+            num_threads=threads,
+            seed=7,
+            use_batches=use_batches,
+        )
+        seen[use_batches] = (
+            [t.cache.snapshot() for t in made if t.cache is not None]
+            if technique != "AT"
+            else [(t.table.hits, t.table.misses, t.table.conflicts) for t in made],
+            machine.hwcache.stores,
+            machine.hwcache.store_misses,
+            [dataclasses.asdict(t) for t in result.threads],
+        )
+        if use_batches:
+            assert machine.absorbed_stores > 0.7 * result.persistent_stores
+    assert seen[True] == seen[False]

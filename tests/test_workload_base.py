@@ -1,5 +1,9 @@
 """Workload base utilities: allocator, trace replay."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.cache.spec import technique_factory
@@ -8,7 +12,8 @@ from repro.common.geometry import CACHE_LINE_SIZE
 from repro.locality.trace import WriteTrace
 from repro.nvram.machine import Machine, MachineConfig
 from repro.nvram.memory import NVRAM_BASE
-from repro.workloads.base import BumpAllocator, TraceWorkload
+from repro.workloads.base import BatchCachingWorkload, BumpAllocator, TraceWorkload
+from repro.workloads.registry import get_workload
 
 
 def test_bump_allocator_monotone_disjoint():
@@ -69,3 +74,24 @@ def test_trace_workload_multi_thread():
     assert res.persistent_stores == 3
     assert res.threads[0].persistent_stores == 2
     assert res.threads[1].persistent_stores == 1
+
+
+def test_wrapper_ships_its_recording_without_the_run_tables():
+    """A run leaves each batch's line-touch runs cached on it; a wrapper
+    sent to a worker carries the columns only and replays identically."""
+    workload = BatchCachingWorkload(get_workload("hash", scale=0.02))
+    factory = technique_factory("AT")
+
+    def stats(w):
+        result = Machine(MachineConfig()).run(w, factory, num_threads=1, seed=7)
+        return dataclasses.asdict(result.threads[0])
+
+    workload.batch_streams(1, 7)                     # record the stream
+    bare = len(pickle.dumps(workload))
+    want = stats(workload)
+    batches = workload._materialized[(1, 7)][0]
+    assert all(batch._runs is not None for batch in batches)
+    assert len(pickle.dumps(workload)) == bare
+    for clone in (copy.deepcopy(workload), pickle.loads(pickle.dumps(workload))):
+        assert all(b._runs is None for b in clone._materialized[(1, 7)][0])
+        assert stats(clone) == want
