@@ -81,12 +81,24 @@ from repro.cache.spec import TechniqueSpec
 from repro.common.errors import ConfigurationError
 from repro.experiments.harness import Harness, HarnessConfig
 from repro.experiments.report import GENERATORS, generate
+from repro.obs.analyze import FAIL_ON_CHOICES
 
 
 def _heartbeat(done: int, total: int, cell) -> None:
     """The per-cell progress line parallel sweeps print to stderr."""
     name, technique, threads = cell
     print(f"[{done}/{total}] {name}/{technique}/{threads}", file=sys.stderr)
+
+
+def _write_traces(recorder, paths: Optional[List[str]]) -> None:
+    """Export one recorder to every ``--trace`` path: a ``.jsonl``
+    suffix selects JSON lines, anything else Chrome ``trace_event``."""
+    for path in paths or []:
+        if path.endswith(".jsonl"):
+            recorder.write_jsonl(path)
+        else:
+            recorder.write_chrome(path)
+        print(f"wrote {path}", file=sys.stderr)
 
 
 def _run_traced(harness: Harness, args: argparse.Namespace) -> int:
@@ -119,28 +131,23 @@ def _run_traced(harness: Harness, args: argparse.Namespace) -> int:
     sizes = result.selected_sizes
     if any(sizes.values()):
         print(f"selected sizes: {sizes}")
-    for path in args.trace or []:
-        if path.endswith(".jsonl"):
-            recorder.write_jsonl(path)
-        else:
-            recorder.write_chrome(path)
-        print(f"wrote {path}", file=sys.stderr)
+    _write_traces(recorder, args.trace)
     if args.metrics:
         metrics.write_json(args.metrics)
         print(f"wrote {args.metrics}", file=sys.stderr)
     return 0
 
 
-def _severity_gate(diagnoses, fail_on: str) -> int:
-    """Exit code for a diagnosis list under the ``--fail-on`` policy."""
-    from repro.obs.analyze import SEVERITIES, max_severity
+def _write_report(path: str, text: str) -> None:
+    """Deliver one rendered report where its flag points: ``-`` is
+    stdout, anything else a file (announced on stderr)."""
+    if path == "-":
+        sys.stdout.write(text)
+        return
+    from repro.obs.report import write_text
 
-    if fail_on == "never":
-        return 0
-    worst = max_severity(diagnoses)
-    if worst is None:
-        return 0
-    return 1 if SEVERITIES.index(worst) >= SEVERITIES.index(fail_on) else 0
+    write_text(path, text)
+    print(f"wrote {path}", file=sys.stderr)
 
 
 def _run_profile(args: argparse.Namespace) -> int:
@@ -150,7 +157,7 @@ def _run_profile(args: argparse.Namespace) -> int:
     from repro.obs import analyze, read_jsonl
     from repro.obs import report as obs_report
 
-    from repro.obs.analyze import AnalyzerConfig
+    from repro.obs.analyze import AnalyzerConfig, max_severity, severity_gate
 
     if not args.trace or len(args.trace) != 1:
         print("profile needs exactly one --trace PATH (a .jsonl trace)",
@@ -173,24 +180,18 @@ def _run_profile(args: argparse.Namespace) -> int:
         file=report_stream,
     )
     if args.json_out:
-        if args.json_out == "-":
-            sys.stdout.write(profile.to_json())
-        else:
-            obs_report.write_text(args.json_out, profile.to_json())
-            print(f"wrote {args.json_out}", file=sys.stderr)
+        _write_report(args.json_out, profile.to_json())
     if args.html:
-        obs_report.write_text(
+        _write_report(
             args.html,
             obs_report.render_html(
                 profile, title=f"Trace profile: {path}", metrics_doc=metrics_doc
             ),
         )
-        print(f"wrote {args.html}", file=sys.stderr)
 
     # Register the analysis in the run ledger, keyed by the trace it
     # read: `history regress` joins a flagged run to this record through
     # the shared trace path, pointing straight at the profile reports.
-    from repro.obs.analyze import max_severity
     from repro.obs.ledger import record_run
 
     artifacts = {"trace": path}
@@ -205,7 +206,7 @@ def _run_profile(args: argparse.Namespace) -> int:
         profile={"max_severity": max_severity(profile.diagnoses)},
         artifacts=artifacts,
     )
-    return _severity_gate(profile.diagnoses, args.fail_on)
+    return severity_gate(max_severity(profile.diagnoses), args.fail_on)
 
 
 def _run_tracediff(args: argparse.Namespace) -> int:
@@ -230,19 +231,11 @@ def _run_tracediff(args: argparse.Namespace) -> int:
         file=sys.stderr if args.json_out == "-" else sys.stdout,
     )
     if args.json_out:
-        if args.json_out == "-":
-            sys.stdout.write(json.dumps(diff, sort_keys=True, indent=1) + "\n")
-        else:
-            obs_report.write_text(
-                args.json_out, json.dumps(diff, sort_keys=True, indent=1) + "\n"
-            )
-            print(f"wrote {args.json_out}", file=sys.stderr)
+        _write_report(args.json_out, json.dumps(diff, sort_keys=True, indent=1) + "\n")
     if args.html:
-        obs_report.write_text(
-            args.html,
-            obs_report.render_diff_html(diff, label_a=path_a, label_b=path_b),
+        _write_report(
+            args.html, obs_report.render_diff_html(diff, label_a=path_a, label_b=path_b)
         )
-        print(f"wrote {args.html}", file=sys.stderr)
     if diff["verdict"] == "incomparable":
         return 2
     return 0 if diff["verdict"] == "ok" else 1
@@ -303,13 +296,7 @@ def _run_crashmatrix(args: argparse.Namespace) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload[0] if len(payload) == 1 else payload, fh, indent=2)
         print(f"wrote {args.out}", file=sys.stderr)
-    for path in args.trace or []:
-        if recorder is not None:
-            if path.endswith(".jsonl"):
-                recorder.write_jsonl(path)
-            else:
-                recorder.write_chrome(path)
-            print(f"wrote {path}", file=sys.stderr)
+    _write_traces(recorder, args.trace)
     if metrics is not None:
         metrics.write_json(args.metrics)
         print(f"wrote {args.metrics}", file=sys.stderr)
@@ -419,22 +406,11 @@ def _run_history(args: argparse.Namespace) -> int:
     print(obs_report.render_history_text(doc), file=report_stream, end="")
     title = f"Run history: {args.query}"
     if args.json_out:
-        body = json.dumps(doc, sort_keys=True, indent=1) + "\n"
-        if args.json_out == "-":
-            sys.stdout.write(body)
-        else:
-            obs_report.write_text(args.json_out, body)
-            print(f"wrote {args.json_out}", file=sys.stderr)
+        _write_report(args.json_out, json.dumps(doc, sort_keys=True, indent=1) + "\n")
     if args.md:
-        obs_report.write_text(
-            args.md, obs_report.render_history_markdown(doc, title=title)
-        )
-        print(f"wrote {args.md}", file=sys.stderr)
+        _write_report(args.md, obs_report.render_history_markdown(doc, title=title))
     if args.html:
-        obs_report.write_text(
-            args.html, obs_report.render_history_html(doc, title=title)
-        )
-        print(f"wrote {args.html}", file=sys.stderr)
+        _write_report(args.html, obs_report.render_history_html(doc, title=title))
     return 0 if doc.get("ok", True) else 1
 
 
@@ -557,10 +533,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     analytics.add_argument(
         "--fail-on",
-        choices=["error", "warning", "never"],
+        choices=FAIL_ON_CHOICES,
         default="error",
-        help="'profile': exit non-zero on a diagnosis at or above this "
-        "severity (default error)",
+        help="'profile'/'monitor': exit non-zero on a diagnosis or alert "
+        "at or above this severity (default error)",
     )
     analytics.add_argument(
         "--tolerance",

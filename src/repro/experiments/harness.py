@@ -141,6 +141,9 @@ def execute_cell(
     threads: int,
     summary: Optional[ProfileSummary] = None,
     workload: Optional[Workload] = None,
+    *,
+    recorder: Optional[object] = None,
+    metrics: Optional[object] = None,
 ) -> RunResult:
     """Execute one grid cell from scratch — no caches involved.
 
@@ -148,12 +151,15 @@ def execute_cell(
     ``config.seed``), so a worker process computing a cell produces the
     bit-identical result the sequential harness would.  ``workload`` may
     be passed to reuse an already-built (batch-caching) instance.
+    ``recorder``/``metrics`` attach the observability layer to the
+    machine; they only observe, so the result is the same with or
+    without them (``tests/test_obs_machine.py``).
     """
     spec = TechniqueSpec.parse(technique)  # one parser, one error text
     if workload is None:
         workload = make_workload(config, name)
     factory_kwargs = sc_factory_kwargs(config, workload, technique, threads, summary)
-    machine = Machine(config.machine_config())
+    machine = Machine(config.machine_config(), recorder=recorder, metrics=metrics)
     return machine.run(
         workload,
         technique_factory(spec, **factory_kwargs),
@@ -289,12 +295,12 @@ class Harness:
         return self.profile_summary(name).offline_size
 
     def burst_length(self, name: str, threads: int = 1) -> int:
-        """Online sampling burst for one thread of ``name`` (see
-        :func:`sc_factory_kwargs` for the sizing rule)."""
-        n = self.profile_summary(name).persistent_stores
-        writers = self.workload(name).store_threads(threads)
-        per_thread = n / max(1, writers)
-        return max(MIN_BURST, min(MAX_BURST, int(per_thread * BURST_FRACTION)))
+        """Online sampling burst for one thread of ``name``: the one an
+        SC cell is configured with (:func:`sc_factory_kwargs`)."""
+        kwargs = sc_factory_kwargs(
+            self.config, self.workload(name), "SC", threads, self.profile_summary(name)
+        )
+        return kwargs["adaptive_config"].burst_length
 
     # ------------------------------------------------------------------
 
@@ -329,19 +335,34 @@ class Harness:
                 if result is not None:
                     self._runs[key] = result
                     return result
-        summary = (
-            self.profile_summary(name)
-            if spec.base in ("SC", "SC-offline")
-            else None
-        )
-        result = execute_cell(
-            self.config, name, technique, threads,
-            summary=summary, workload=self.workload(name),
-        )
+        result = self.execute(name, technique, threads)
         self._runs[key] = result
         if self._disk is not None:
             self._disk.put(disk_key, result.to_dict())
         return result
+
+    def execute(
+        self,
+        name: str,
+        technique: str,
+        threads: int = 1,
+        *,
+        recorder: Optional[object] = None,
+        metrics: Optional[object] = None,
+    ) -> RunResult:
+        """Simulate one cell now, past the result caches.
+
+        :func:`execute_cell` on this harness's (cached) workload object
+        and profile summary — what :meth:`run` does on a miss, and what
+        a traced run does with ``recorder``/``metrics`` attached.
+        """
+        needs_profile = TechniqueSpec.parse(technique).base in ("SC", "SC-offline")
+        return execute_cell(
+            self.config, name, technique, threads,
+            summary=self.profile_summary(name) if needs_profile else None,
+            workload=self.workload(name),
+            recorder=recorder, metrics=metrics,
+        )
 
     def run_techniques(
         self, name: str, techniques: List[str], threads: int = 1

@@ -6,6 +6,7 @@ from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
+from repro.common.document import format_table
 from repro.common.errors import ConfigurationError
 from repro.nvram.stats import RunResult
 
@@ -31,22 +32,6 @@ def geometric_mean(values: Iterable[float]) -> float:
     if len(values) == 0 or np.any(values <= 0):
         raise ConfigurationError("geometric mean needs positive values")
     return float(np.exp(np.mean(np.log(values))))
-
-
-def format_table(
-    headers: Sequence[str], rows: Sequence[Sequence[object]]
-) -> str:
-    """Render an aligned plain-text table (monospace output)."""
-    cells = [[str(h) for h in headers]] + [
-        [str(c) for c in row] for row in rows
-    ]
-    widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
-    lines = []
-    for i, row in enumerate(cells):
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-        if i == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)
 
 
 def ascii_series(

@@ -11,7 +11,7 @@ Two modes, one pipeline (DESIGN.md §12):
   results, so nothing extra crosses the process boundary);
 - **follow mode** (``--follow PATH``) tails a schema-3 JSONL trace file
   as it is being written — e.g. a :class:`~repro.obs.live.StreamingRecorder`
-  spill from another process — feeding every event into a
+  spill from another process — recording every event into a
   :class:`~repro.obs.live.StreamingProfile` whose closed cycle-windows
   drive the same alert rules and dashboard.
 
@@ -30,7 +30,7 @@ import time
 from typing import Dict, IO, List, Optional
 
 from repro.common.errors import ConfigurationError
-from repro.obs.analyze import SEVERITIES
+from repro.obs.analyze import SEVERITIES, severity_gate
 from repro.obs.live import (
     DEFAULT_WINDOW_CYCLES,
     AlertEngine,
@@ -60,16 +60,6 @@ def build_rules(rule_strings: Optional[List[str]]) -> List[AlertRule]:
         rule = parse_rule(text)
         rules[rule.name] = rule
     return list(rules.values())
-
-
-def _alert_gate(engine: AlertEngine, fail_on: str) -> int:
-    """Exit code under the ``--fail-on`` policy (mirrors `profile`)."""
-    if fail_on == "never":
-        return 0
-    worst = engine.max_severity()
-    if worst is None:
-        return 0
-    return 1 if SEVERITIES.index(worst) >= SEVERITIES.index(fail_on) else 0
 
 
 def _alert_lines(engine: AlertEngine) -> List[str]:
@@ -192,7 +182,8 @@ class TraceTailer:
     drops its partial-line buffer (the old file's bytes).  Lines decode
     through :func:`repro.obs.trace.decode_trace_line`, so the contract is
     :func:`~repro.obs.trace.parse_jsonl`'s: a header of another schema,
-    an event before the header and an unknown event kind are hard errors.
+    an event before the header, an unknown event kind and a malformed
+    event are hard errors naming the line.
     """
 
     def __init__(self, path: str, profile: StreamingProfile) -> None:
@@ -237,14 +228,12 @@ class TraceTailer:
         chunk = self._fh.read()
         if not chunk:
             return 0
-        self._buf += chunk
+        # One split per poll: a poll may read the whole file, and peeling
+        # lines off the front of the buffer one at a time is quadratic.
+        *lines, self._buf = (self._buf + chunk).split("\n")
         ingested = 0
-        while True:
-            nl = self._buf.find("\n")
-            if nl < 0:
-                break
-            line = self._buf[:nl].strip()
-            self._buf = self._buf[nl + 1 :]
+        for line in lines:
+            line = line.strip()
             if not line:
                 continue
             self.lines += 1
@@ -292,8 +281,10 @@ def monitor_follow(
     stream = stream if stream is not None else sys.stderr
     board = _Dashboard(stream, refresh, live=not once)
 
-    profile = StreamingProfile(window_cycles)
-    profile.on_window = lambda snap: engine.observe_window(snap, source=path)
+    profile = StreamingProfile(
+        window_cycles,
+        on_window=lambda snap: engine.observe_window(snap, source=path),
+    )
     tailer = TraceTailer(path, profile)
 
     def render(force: bool = False) -> None:
@@ -425,4 +416,4 @@ def run_monitor(args, harness_factory) -> int:
                 )
         if args.alert_log:
             print(f"alert log: {args.alert_log}", file=sys.stderr)
-        return _alert_gate(engine, args.fail_on)
+        return severity_gate(engine.max_severity(), args.fail_on)

@@ -7,9 +7,10 @@
 - :mod:`repro.obs.analyze` — offline trace analytics: flush provenance,
   FASE latency profiles, adaptive-controller diagnostics, cross-run
   diffs (DESIGN.md §11).
-- :mod:`repro.obs.report` — markdown / self-contained-HTML rendering of
-  those profiles (re-exported lazily: it imports the experiment
-  harness's SVG renderer, which the simulator must not depend on).
+- :mod:`repro.obs.report` — those profiles, diffs and history queries
+  as text / markdown / self-contained HTML (import it explicitly: it
+  pulls in the experiment harness's SVG renderer, which the simulator
+  must not depend on, so this package does not).
 - :mod:`repro.obs.runner` — ``traced_run``: one harness cell executed
   with a live recorder/registry (the ``repro.experiments run`` CLI).
 - :mod:`repro.obs.live` — the streaming pipeline: bounded
@@ -88,20 +89,6 @@ from repro.obs.trace import (
     read_jsonl,
 )
 
-#: Names served lazily from repro.obs.report (see module docstring).
-_REPORT_EXPORTS = frozenset(
-    {
-        "render_markdown",
-        "render_html",
-        "render_diff_text",
-        "render_diff_html",
-        "render_history_markdown",
-        "render_history_html",
-        "render_history_text",
-        "write_text",
-    }
-)
-
 __all__ = [
     "ARG_NAMES",
     "Alert",
@@ -153,20 +140,4 @@ __all__ = [
     "read_jsonl",
     "reconcile",
     "snapshot_from_result",
-    "render_diff_html",
-    "render_diff_text",
-    "render_history_html",
-    "render_history_markdown",
-    "render_history_text",
-    "render_html",
-    "render_markdown",
-    "write_text",
 ]
-
-
-def __getattr__(name: str):
-    if name in _REPORT_EXPORTS:
-        from repro.obs import report
-
-        return getattr(report, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

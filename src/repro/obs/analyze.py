@@ -34,7 +34,7 @@ runs of one configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.trace import (
     EV_BURST_START,
@@ -99,11 +99,27 @@ class Diagnosis:
         }
 
 
-def max_severity(diagnoses: List[Diagnosis]) -> Optional[str]:
-    """The most severe level present, or ``None`` for a clean bill."""
-    if not diagnoses:
-        return None
-    return max((d.severity for d in diagnoses), key=_SEVERITY_RANK.__getitem__)
+def max_severity(findings: Iterable[object]) -> Optional[str]:
+    """The most severe level among ``findings`` — diagnoses, alerts,
+    anything with a ``severity`` — or ``None`` for a clean bill."""
+    return max(
+        (f.severity for f in findings), key=_SEVERITY_RANK.__getitem__, default=None
+    )
+
+
+#: What ``--fail-on`` accepts: any severity, or ``never``.
+FAIL_ON_CHOICES = SEVERITIES[::-1] + ("never",)
+
+
+def severity_gate(worst: Optional[str], fail_on: str) -> int:
+    """Exit code under a ``--fail-on`` policy (``profile`` and ``monitor``).
+
+    1 when ``worst`` — a :func:`max_severity` result, ``None`` = clean —
+    is at or above ``fail_on``; ``"never"`` always passes.
+    """
+    if worst is None or fail_on == "never":
+        return 0
+    return int(_SEVERITY_RANK[worst] >= _SEVERITY_RANK[fail_on])
 
 
 @dataclass

@@ -3,40 +3,24 @@
 Everything in :mod:`repro.obs.trace` / :mod:`repro.obs.analyze` is
 post-mortem — the recorder retains every event in unbounded arrays and
 the analyzer folds a complete trace after the run.  This module is the
-*online* counterpart (DESIGN.md §12), three pieces that compose into a
-streaming pipeline:
+*online* counterpart (DESIGN.md §12): one windowed recorder base, two
+things to do with a closed window, and alerting over the result.
 
-- :class:`StreamingRecorder` shares :class:`TraceRecorder`'s recording
-  interface but holds only a bounded ring of recent events, incrementally
-  spills schema-2 JSONL to disk and fans every event into subscribers.
-  The spill is append-only in recording order through the same
-  :func:`~repro.obs.trace.encode_event_line` encoder the offline export
-  uses, so the finished file is **byte-identical** to a post-hoc
-  ``TraceRecorder.write_jsonl`` of the same run — when a flush happens
-  never changes what the bytes are.
-- :class:`StreamingProfile` folds events online, one fixed cycle-window
-  at a time, into the very same :class:`~repro.obs.analyze.ProfileFold`
-  the offline :func:`~repro.obs.analyze.analyze` runs — one fold
-  implementation, so ``finalize()`` over any stream equals the offline
-  profile *by construction* (and by the hypothesis property in
-  ``tests/test_obs_live.py``).  Each closed window emits a
-  :class:`WindowSnapshot` carrying the window's deltas and the
-  cumulative derived metrics (write amplification, stall share).
+- :class:`WindowedRecorder` is a :class:`~repro.obs.trace.TraceRecorder`
+  whose six columns hold only the *open* cycle window; it owns the
+  window rule and hands each closed window to ``_close_window()``.
+- :class:`StreamingRecorder` appends each closed window to a schema-3
+  JSONL file through the offline export's own encoder, so the finished
+  file is **byte-identical** to ``TraceRecorder.write_jsonl`` of the
+  same run.
+- :class:`StreamingProfile` feeds each closed window to the very
+  :class:`~repro.obs.analyze.ProfileFold` the offline ``analyze()``
+  runs, so ``finalize()`` equals the offline profile *by construction*,
+  and emits a :class:`WindowSnapshot` per window.
 - :class:`AlertEngine` evaluates declarative :class:`AlertRule`\\ s —
   threshold, rate-of-change, sustained-window — over those snapshots
   (and over analyzer diagnoses), emitting typed, severity-ranked
   :class:`Alert` records to a deterministic JSONL log.
-
-**Window semantics.**  Per-thread cycle clocks interleave, so raw
-timestamps are not globally monotonic in recording order.  Windows are
-therefore driven by a *watermark* — the maximum timestamp observed so
-far (events and scheduler-quantum ticks both advance it).  Window ``w``
-spans model cycles ``[w*W, (w+1)*W)`` and closes the first time the
-watermark reaches ``(w+1)*W``; every event is attributed to the window
-open at the moment it is recorded.  That makes windowing a pure function
-of the event/tick sequence — deterministic across runs — while the
-*final* profile provably never depends on where the window boundaries
-fell.
 
 The import direction rule of :mod:`repro.obs` holds: nothing here
 imports :mod:`repro.experiments` (the ``monitor`` CLI lives on the
@@ -46,13 +30,11 @@ experiments side and imports us).
 from __future__ import annotations
 
 import json
-import queue
+import os
 import re
-import threading
 from collections import Counter, deque
-from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, Deque, Dict, IO, Iterable, List, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Callable, Deque, Dict, IO, Iterable, List, Optional, Union
 
 from repro.common.errors import ConfigurationError
 from repro.obs.analyze import (
@@ -62,29 +44,86 @@ from repro.obs.analyze import (
     Diagnosis,
     ProfileFold,
     TraceProfile,
+    max_severity,
 )
-from repro.obs.trace import (
-    TRACE_SCHEMA_VERSION,
-    TraceEvent,
-    encode_event_chunk,
-    encode_meta_line,
-)
+from repro.obs.trace import TraceRecorder, encode_columns, encode_meta_line
 
 #: Default streaming window length in model cycles.  Small enough that a
 #: seed run closes many windows, large enough that per-window deltas are
 #: statistically meaningful.
 DEFAULT_WINDOW_CYCLES = 100_000
 
-#: Default bounded-ring capacity of :class:`StreamingRecorder`.
-DEFAULT_RING_CAPACITY = 4096
 
-#: Default bound of the spill writer's handoff queue, in pending chunks.
-#: A full queue blocks the recording thread (backpressure) rather than
-#: dropping events — the spill guarantee is completeness, not liveness.
-DEFAULT_SPILL_QUEUE_CHUNKS = 8
+# ---------------------------------------------------------------------------
+# the windowed recorder base
+# ---------------------------------------------------------------------------
 
-#: Sentinel telling the spill writer thread to exit.
-_SPILL_STOP = object()
+
+class WindowedRecorder(TraceRecorder):
+    """A :class:`TraceRecorder` that buffers one cycle window at a time.
+
+    Drop-in at every machine recording site (``enabled`` / ``record`` /
+    ``on_quantum``).  The inherited columns — and so the inherited
+    readers (``len()``, ``events()``, ``to_jsonl()``) — hold the open
+    window only: when it closes, the subclass's ``_close_window()``
+    consumes ``columns()`` and clears them, which bounds memory by one
+    window whatever the run length.
+
+    **Window semantics.**  Per-thread cycle clocks interleave, so raw
+    timestamps are not globally monotonic in recording order.  Windows
+    are therefore driven by a *watermark* — the maximum timestamp
+    observed so far (events and scheduler-quantum ticks both advance
+    it).  Window ``w`` spans model cycles ``[w*W, (w+1)*W)`` and closes
+    the first time the watermark reaches ``(w+1)*W``; every event is
+    attributed to the window open at the moment it is recorded.  That
+    makes windowing a pure function of the event/tick sequence —
+    deterministic across runs — while a fold or a spill that only
+    *chunks* at the boundaries never depends on where they fell.  The
+    watermark itself is implicit: boundaries only move forward, so
+    ``now >= boundary`` is exactly "the running maximum has reached it".
+    """
+
+    __slots__ = ("window_cycles", "windows_closed", "_boundary")
+
+    def __init__(self, window_cycles: int = DEFAULT_WINDOW_CYCLES) -> None:
+        if window_cycles < 1:
+            raise ConfigurationError(f"window_cycles must be >= 1, got {window_cycles}")
+        super().__init__()
+        self.window_cycles = window_cycles
+        self.windows_closed = 0
+        #: End cycle of the open window.
+        self._boundary = window_cycles
+
+    def record(
+        self, kind: str, thread_id: int, time: int, a: int = 0, b: int = 0, c: int = 0
+    ) -> None:
+        """Attribute one event to the open window; close windows if due."""
+        # TraceRecorder.record, inlined: a super() call per event is a
+        # measurable share of the streaming overhead.
+        self._kinds.append(kind)
+        self._tids.append(thread_id)
+        self._times.append(time)
+        self._a.append(a)
+        self._b.append(b)
+        self._c.append(c)
+        if time >= self._boundary:
+            self._advance(time)
+
+    def on_quantum(self, thread_id: int, now: int) -> None:
+        """Scheduler tick: lets an event-free stretch still close windows."""
+        if now >= self._boundary:
+            self._advance(now)
+
+    def _advance(self, now: int) -> None:
+        while now >= self._boundary:
+            self._close_window()
+            self._boundary += self.window_cycles
+            self.windows_closed += 1
+
+    def _close_window(self) -> None:
+        """Consume the buffered rows of window ``windows_closed``, which
+        ends at ``_boundary``; must leave the buffer empty."""
+        raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------
@@ -92,265 +131,65 @@ _SPILL_STOP = object()
 # ---------------------------------------------------------------------------
 
 
-class StreamingRecorder:
-    """Bounded-memory recorder: ring buffer + incremental JSONL spill.
+class StreamingRecorder(WindowedRecorder):
+    """Bounded-memory recorder: every closed window is appended to a file.
 
-    Drop-in for :class:`~repro.obs.trace.TraceRecorder` at every machine
-    recording site (``enabled``/``record``/``on_quantum``), but instead
-    of unbounded parallel arrays it keeps:
+    ``target`` is the spill file — a path (opened here, closed by
+    ``close()``) or an already-open text file (left open).  The
+    ``trace_meta`` header is written at once; each window's rows are
+    encoded, written and flushed when the window closes, and the
+    remainder at ``close()`` — synchronously, in recording order, so a
+    write error surfaces as itself at the boundary that hit it and the
+    finished file is byte-identical to ``TraceRecorder.write_jsonl`` of
+    the same run.  (A writer thread was measured and removed: under the
+    GIL it was never faster than this — DESIGN.md §12.)
 
-    - a ring of the most recent ``ring_capacity`` events (``tail()``),
-    - per-kind counts (``counts()``) and a total (``len()``),
-    - optionally, a JSONL spill file: the ``trace_meta`` header is
-      written on open and buffered event lines are flushed whenever a
-      cycle window closes (and on ``close()``), preserving recording
-      order — so the finished file is byte-identical to what a
-      ``TraceRecorder.write_jsonl`` of the same run would have written.
-
-    With ``spill_thread=True`` (the default) the spill runs on a
-    dedicated writer thread: window closings hand the pending buffer to
-    a bounded queue and return immediately, and encoding + file I/O
-    happen off the simulation thread.  A full queue *blocks* the
-    recording thread until the writer catches up — backpressure, never
-    drops — so completeness is unconditional.  ``flush()`` still means
-    "the file now holds every event recorded so far" (it drains the
-    queue before returning), a writer error re-raises at the next
-    ``flush()``/``close()``, and the single-consumer FIFO preserves
-    recording order, so the byte-identity guarantee is untouched.
-
-    Subscribers receive every event as it is recorded: either a callable
-    ``fn(kind, thread_id, time, a, b, c)`` or an object with a matching
-    ``record`` method (a :class:`StreamingProfile`, or even another
-    recorder).  Subscribers with an ``on_quantum`` method also receive
-    the scheduler's window ticks, which is how a subscribed profile
-    closes windows during event-free stretches.
+    ``len()`` and ``counts()`` still cover the whole stream.
     """
 
-    __slots__ = (
-        "schema",
-        "window_cycles",
-        "ring",
-        "total",
-        "_counts",
-        "_pending",
-        "_fh",
-        "_owns_fh",
-        "_watermark",
-        "_boundary",
-        "windows_flushed",
-        "_subs",
-        "_tick_subs",
-        "closed",
-        "_spill_queue",
-        "_spill_thread",
-        "_spill_error",
-    )
-
-    enabled = True
+    __slots__ = ("_fh", "_owns_fh", "_spilled", "_spilled_counts", "closed")
 
     def __init__(
         self,
-        path: Optional[str] = None,
-        *,
-        fileobj: Optional[IO[str]] = None,
+        target: Union[str, "os.PathLike[str]", IO[str]],
         window_cycles: int = DEFAULT_WINDOW_CYCLES,
-        ring_capacity: int = DEFAULT_RING_CAPACITY,
-        subscribers: Iterable[object] = (),
-        spill_thread: bool = True,
-        spill_queue_chunks: int = DEFAULT_SPILL_QUEUE_CHUNKS,
     ) -> None:
-        if window_cycles < 1:
-            raise ConfigurationError(f"window_cycles must be >= 1, got {window_cycles}")
-        if ring_capacity < 1:
-            raise ConfigurationError(f"ring_capacity must be >= 1, got {ring_capacity}")
-        if path is not None and fileobj is not None:
-            raise ConfigurationError("pass either path or fileobj, not both")
-        self.schema = TRACE_SCHEMA_VERSION
-        self.window_cycles = window_cycles
-        self.ring: Deque[Tuple[str, int, int, int, int, int]] = deque(
-            maxlen=ring_capacity
+        super().__init__(window_cycles)
+        self._owns_fh = isinstance(target, (str, os.PathLike))
+        self._fh: IO[str] = (
+            open(target, "w", encoding="utf-8") if self._owns_fh else target
         )
-        self.total = 0
-        self._counts: Dict[str, int] = {}
-        self._pending: List[Tuple[str, int, int, int, int, int]] = []
-        self._owns_fh = path is not None
-        self._fh = open(path, "w", encoding="utf-8") if path is not None else fileobj
-        self._watermark = -1
-        self._boundary = window_cycles
-        self.windows_flushed = 0
-        self._subs: List[Callable[[str, int, int, int, int, int], None]] = []
-        self._tick_subs: List[object] = []
+        self._spilled = 0
+        self._spilled_counts: Counter = Counter()
         self.closed = False
-        self._spill_queue: Optional[queue.Queue] = None
-        self._spill_thread: Optional[threading.Thread] = None
-        self._spill_error: Optional[BaseException] = None
-        if self._fh is not None:
-            if spill_queue_chunks < 1:
-                raise ConfigurationError(
-                    f"spill_queue_chunks must be >= 1, got {spill_queue_chunks}"
-                )
-            # Header before the writer starts: from here on the writer
-            # thread is the file's only writer.
-            self._fh.write(encode_meta_line() + "\n")
-            if spill_thread:
-                self._spill_queue = queue.Queue(maxsize=spill_queue_chunks)
-                self._spill_thread = threading.Thread(
-                    target=self._spill_writer,
-                    name="streaming-spill",
-                    daemon=True,
-                )
-                self._spill_thread.start()
-        for sub in subscribers:
-            self.subscribe(sub)
-
-    # -- subscribers -----------------------------------------------------
-
-    def subscribe(self, subscriber: object) -> None:
-        """Fan events (and quantum ticks) into ``subscriber``."""
-        record = getattr(subscriber, "record", None)
-        self._subs.append(record if callable(record) else subscriber)  # type: ignore[arg-type]
-        if callable(getattr(subscriber, "on_quantum", None)):
-            self._tick_subs.append(subscriber)
-
-    # -- recording (the TraceRecorder interface) -------------------------
-
-    def record(
-        self, kind: str, thread_id: int, time: int, a: int = 0, b: int = 0, c: int = 0
-    ) -> None:
-        """Append one event: ring + counts + spill buffer + fan-out.
-
-        The ring stores the plain tuple (shared with the spill buffer —
-        one allocation per event); ``tail()`` decodes to
-        :class:`TraceEvent` lazily, ``dropped`` derives from ``total``
-        and the ring occupancy, and with a spill file the per-kind
-        counts fold in bulk when a chunk is consumed (``counts()``
-        merges the not-yet-spilled tail).
-        """
-        self.total += 1
-        event = (kind, thread_id, time, a, b, c)
-        self.ring.append(event)
-        if self._fh is not None:
-            self._pending.append(event)
-        else:
-            self._counts[kind] = self._counts.get(kind, 0) + 1
-        if self._subs:
-            for sub in self._subs:
-                sub(kind, thread_id, time, a, b, c)
-        if time > self._watermark:
-            self._watermark = time
-            if time >= self._boundary:
-                self._cross_boundary()
-
-    def on_quantum(self, thread_id: int, now: int) -> None:
-        """Scheduler window tick: advance the watermark, spill if due."""
-        if now > self._watermark:
-            self._watermark = now
-            if now >= self._boundary:
-                self._cross_boundary()
-        for sub in self._tick_subs:
-            sub.on_quantum(thread_id, now)
-
-    def _cross_boundary(self) -> None:
-        w = self.window_cycles
-        while self._watermark >= self._boundary:
-            self._boundary += w
-            self.windows_flushed += 1
-        if self._spill_queue is not None:
-            # Hand the pending chunk to the writer and keep simulating;
-            # a full queue blocks here (backpressure, never drops).
-            self._handoff()
-            self._check_spill_error()
-        else:
-            self.flush()
-
-    # -- spill -----------------------------------------------------------
-
-    def _fold_counts(self, chunk: List[Tuple[str, int, int, int, int, int]]) -> None:
-        """Fold a consumed chunk's kinds into the running counts (one
-        C-level Counter pass per chunk, nothing per event)."""
-        counts = self._counts
-        for kind, n in Counter(map(itemgetter(0), chunk)).items():
-            counts[kind] = counts.get(kind, 0) + n
-
-    def _handoff(self) -> None:
-        if self._pending:
-            self._fold_counts(self._pending)
-            self._spill_queue.put(self._pending)
-            self._pending = []
-
-    def _check_spill_error(self) -> None:
-        if self._spill_error is not None:
-            raise RuntimeError(
-                "streaming spill writer failed"
-            ) from self._spill_error
-
-    def _spill_writer(self) -> None:
-        """Writer-thread loop: encode and write chunks, FIFO, one at a
-        time.  After an error, chunks are drained and discarded (with
-        ``task_done``) so the recording thread can never deadlock on a
-        full queue; the error re-raises at the next flush/close."""
-        spill_queue = self._spill_queue
-        fh = self._fh
-        while True:
-            chunk = spill_queue.get()
-            try:
-                if chunk is _SPILL_STOP:
-                    return
-                if self._spill_error is None:
-                    try:
-                        fh.write(encode_event_chunk(chunk))
-                        # Flush only at idle: the recording thread is the
-                        # sole producer, so when it blocks in flush()'s
-                        # Queue.join the final chunk sees an empty queue
-                        # and lands a flush before task_done — the drain
-                        # guarantee holds without a syscall per chunk.
-                        if spill_queue.empty():
-                            fh.flush()
-                    except BaseException as exc:
-                        self._spill_error = exc
-            finally:
-                spill_queue.task_done()
+        self._fh.write(encode_meta_line() + "\n")
 
     def flush(self) -> None:
-        """Write buffered event lines to the spill file, in order.
+        """Append every buffered row to the file; on return the file
+        holds every event recorded so far."""
+        kinds = self._kinds
+        if not kinds:
+            return
+        self._fh.write(encode_columns(*self.columns()))
+        self._fh.flush()
+        self._spilled += len(kinds)
+        self._spilled_counts.update(kinds)
+        self.clear()
 
-        On return the file holds every event recorded so far — with a
-        writer thread this drains the handoff queue (``Queue.join``)
-        before returning, so the synchronous meaning is preserved.
-        """
-        if self._fh is None:
-            return
-        if self._spill_queue is not None:
-            self._handoff()
-            self._spill_queue.join()
-            self._check_spill_error()
-            return
-        if not self._pending:
-            return
-        fh = self._fh
-        self._fold_counts(self._pending)
-        fh.write(encode_event_chunk(self._pending))
-        self._pending.clear()
-        fh.flush()
+    def _close_window(self) -> None:
+        self.flush()
 
     def close(self) -> None:
-        """Flush the remaining buffer and close an owned spill file."""
+        """Spill the remainder and close an owned file — also when that
+        last spill raises."""
         if self.closed:
             return
-        error: Optional[BaseException] = None
+        self.closed = True
         try:
             self.flush()
-        except BaseException as exc:
-            error = exc
-        if self._spill_thread is not None:
-            self._spill_queue.put(_SPILL_STOP)
-            self._spill_thread.join()
-            self._spill_thread = None
-        if self._fh is not None and self._owns_fh:
-            self._fh.close()
-        self.closed = True
-        if error is not None:
-            raise error
+        finally:
+            if self._owns_fh:
+                self._fh.close()
 
     def __enter__(self) -> "StreamingRecorder":
         return self
@@ -358,41 +197,16 @@ class StreamingRecorder:
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-    # -- reading ---------------------------------------------------------
-
     def __len__(self) -> int:
-        """Total events observed (not the ring occupancy)."""
-        return self.total
-
-    @property
-    def dropped(self) -> int:
-        """Events no longer in the ring (derived, not tracked per event)."""
-        return max(0, self.total - (self.ring.maxlen or 0))
-
-    def tail(self, n: Optional[int] = None) -> List[TraceEvent]:
-        """The most recent events still in the ring (oldest first)."""
-        events = [TraceEvent(*event) for event in self.ring]
-        return events if n is None else events[-n:]
+        """Total events observed (not the buffered rows)."""
+        return self._spilled + len(self._kinds)
 
     def counts(self) -> Dict[str, int]:
-        """Event count per kind over the whole stream (sorted by kind).
-
-        With a spill file, events buffered since the last chunk handoff
-        are merged in on the fly (they fold into ``_counts`` when their
-        chunk is consumed).
-        """
-        if not self._pending:
-            return dict(sorted(self._counts.items()))
-        merged = dict(self._counts)
-        for kind, n in Counter(map(itemgetter(0), self._pending)).items():
-            merged[kind] = merged.get(kind, 0) + n
-        return dict(sorted(merged.items()))
+        """Event count per kind over the whole stream (sorted by kind)."""
+        return dict(sorted((self._spilled_counts + Counter(self._kinds)).items()))
 
     def __repr__(self) -> str:
-        return (
-            f"StreamingRecorder(total={self.total}, ring={len(self.ring)}, "
-            f"windows={self.windows_flushed})"
-        )
+        return f"StreamingRecorder(events={len(self)}, windows={self.windows_closed})"
 
 
 # ---------------------------------------------------------------------------
@@ -422,50 +236,46 @@ class WindowSnapshot:
     distinct_lines: int
 
     def to_dict(self) -> Dict:
-        return {
-            "index": self.index,
-            "start_cycle": self.start_cycle,
-            "end_cycle": self.end_cycle,
-            "events": self.events,
-            "evict_flushes": self.evict_flushes,
-            "resize_evictions": self.resize_evictions,
-            "fase_drains": self.fase_drains,
-            "stall_cycles": self.stall_cycles,
-            "selections": self.selections,
-            "fases": self.fases,
-            "total_events": self.total_events,
-            "write_amplification": round(self.write_amplification, 6),
-            "stall_share": round(self.stall_share, 6),
-            "distinct_lines": self.distinct_lines,
-        }
+        doc = asdict(self)
+        doc["write_amplification"] = round(self.write_amplification, 6)
+        doc["stall_share"] = round(self.stall_share, 6)
+        return doc
 
 
-def _fold_stalls(fold: ProfileFold) -> int:
+def _fold_totals(fold: ProfileFold) -> Dict[str, int]:
+    """The cumulative counters whose per-window deltas a
+    :class:`WindowSnapshot` reports, keyed by its field names."""
     p = fold.prov
-    return (
-        p.fase_drain_stall_cycles
+    return {
+        "events": fold.events,
+        "evict_flushes": p.evict_flushes,
+        "resize_evictions": p.resize_evictions,
+        "fase_drains": p.fase_drains,
+        "stall_cycles": p.fase_drain_stall_cycles
         + p.final_drain_stall_cycles
         + p.issue_stall_cycles
-        + p.writeback_stall_cycles
-    )
+        + p.writeback_stall_cycles,
+        "selections": fold.adapt.selections,
+        "fases": fold.fase.count,
+    }
 
 
-class StreamingProfile:
+class StreamingProfile(WindowedRecorder):
     """Fold a live event stream into the offline profile, window by window.
 
-    Buffers the open window's events as parallel columns and, when the
-    watermark closes the window, feeds them through the *same*
-    :class:`~repro.obs.analyze.ProfileFold` that powers the offline
-    :func:`~repro.obs.analyze.analyze` — a single fold implementation is
-    what makes ``finalize()`` provably equal to the post-hoc analysis of
-    the full trace, for any window size.
+    A recorder in its own right — hand it to a ``Machine``, or let the
+    monitor's ``TraceTailer`` drive ``record`` — whose closed windows
+    feed the *same* :class:`~repro.obs.analyze.ProfileFold` that powers
+    the offline :func:`~repro.obs.analyze.analyze`: a single fold
+    implementation is what makes ``finalize()`` provably equal to the
+    post-hoc analysis of the full trace, for any window size.
 
-    Usable standalone (call ``record`` / ``on_quantum`` yourself) or as
-    a :class:`StreamingRecorder` subscriber.  Each closed window appends
-    a :class:`WindowSnapshot` to ``snapshots`` (a bounded ring) and
-    invokes the optional ``on_window`` callback — the feed the
-    :class:`AlertEngine` and the monitor dashboard consume.
+    Each closed window appends a :class:`WindowSnapshot` to ``snapshots``
+    (a bounded ring) and invokes the optional ``on_window`` callback —
+    the feed the :class:`AlertEngine` and the monitor dashboard consume.
     """
+
+    __slots__ = ("on_window", "fold", "snapshots")
 
     def __init__(
         self,
@@ -475,96 +285,30 @@ class StreamingProfile:
         on_window: Optional[Callable[[WindowSnapshot], None]] = None,
         keep_snapshots: int = 256,
     ) -> None:
-        if window_cycles < 1:
-            raise ConfigurationError(f"window_cycles must be >= 1, got {window_cycles}")
-        self.window_cycles = window_cycles
+        super().__init__(window_cycles)
         self.on_window = on_window
-        self._fold = ProfileFold(config)
-        self._watermark = -1
-        self._boundary = window_cycles
-        self.window_index = 0
+        #: The cumulative fold (read its counters mid-stream).
+        self.fold = ProfileFold(config)
         self.snapshots: Deque[WindowSnapshot] = deque(maxlen=keep_snapshots)
-        self.windows_closed = 0
-        self._kinds: List[str] = []
-        self._tids: List[int] = []
-        self._times: List[int] = []
-        self._a: List[int] = []
-        self._b: List[int] = []
-        self._c: List[int] = []
-
-    # -- live-readable cumulative state ----------------------------------
-
-    @property
-    def fold(self) -> ProfileFold:
-        """The underlying cumulative fold (read its counters mid-stream)."""
-        return self._fold
-
-    # -- recording -------------------------------------------------------
-
-    def record(
-        self, kind: str, thread_id: int, time: int, a: int = 0, b: int = 0, c: int = 0
-    ) -> None:
-        """Attribute one event to the open window; close windows if due."""
-        self._kinds.append(kind)
-        self._tids.append(thread_id)
-        self._times.append(time)
-        self._a.append(a)
-        self._b.append(b)
-        self._c.append(c)
-        if time > self._watermark:
-            self._watermark = time
-            while self._watermark >= self._boundary:
-                self._close_window()
-
-    def on_quantum(self, thread_id: int, now: int) -> None:
-        """Advance the watermark from a scheduler tick (no event)."""
-        if now > self._watermark:
-            self._watermark = now
-            while self._watermark >= self._boundary:
-                self._close_window()
 
     def _close_window(self) -> None:
-        fold = self._fold
-        before_events = fold.events
-        before_evict = fold.prov.evict_flushes
-        before_resize = fold.prov.resize_evictions
-        before_drains = fold.prov.fase_drains
-        before_stalls = _fold_stalls(fold)
-        before_sel = fold.adapt.selections
-        before_fases = fold.fase.count
-
-        fold.feed_columns(self._kinds, self._tids, self._times, self._a, self._b, self._c)
-        self._kinds = []
-        self._tids = []
-        self._times = []
-        self._a = []
-        self._b = []
-        self._c = []
-
+        fold = self.fold
+        before = _fold_totals(fold)
+        fold.feed_columns(*self.columns())
+        self.clear()
         snap = WindowSnapshot(
-            index=self.window_index,
-            start_cycle=self.window_index * self.window_cycles,
+            index=self.windows_closed,
+            start_cycle=self._boundary - self.window_cycles,
             end_cycle=self._boundary,
-            events=fold.events - before_events,
-            evict_flushes=fold.prov.evict_flushes - before_evict,
-            resize_evictions=fold.prov.resize_evictions - before_resize,
-            fase_drains=fold.prov.fase_drains - before_drains,
-            stall_cycles=_fold_stalls(fold) - before_stalls,
-            selections=fold.adapt.selections - before_sel,
-            fases=fold.fase.count - before_fases,
+            **{k: v - before[k] for k, v in _fold_totals(fold).items()},
             total_events=fold.events,
             write_amplification=fold.prov.write_amplification,
             stall_share=fold.fase.stall_share,
             distinct_lines=fold.prov.distinct_lines,
         )
-        self.window_index += 1
-        self._boundary += self.window_cycles
-        self.windows_closed += 1
         self.snapshots.append(snap)
         if self.on_window is not None:
             self.on_window(snap)
-
-    # -- finalization ----------------------------------------------------
 
     def finalize(self) -> TraceProfile:
         """Fold the open remainder and return the full offline profile.
@@ -573,22 +317,14 @@ class StreamingProfile:
         trace, because both paths run the identical fold over the
         identical event sequence; only the chunking differs.
         """
-        if self._kinds:
-            self._fold.feed_columns(
-                self._kinds, self._tids, self._times, self._a, self._b, self._c
-            )
-            self._kinds = []
-            self._tids = []
-            self._times = []
-            self._a = []
-            self._b = []
-            self._c = []
-        return self._fold.finalize()
+        self.fold.feed_columns(*self.columns())
+        self.clear()
+        return self.fold.finalize()
 
     def __repr__(self) -> str:
         return (
             f"StreamingProfile(windows={self.windows_closed}, "
-            f"events={self._fold.events + len(self._kinds)})"
+            f"events={self.fold.events + len(self)})"
         )
 
 
@@ -908,9 +644,7 @@ class AlertEngine:
 
     def max_severity(self) -> Optional[str]:
         """Most severe alert level emitted so far (``None`` when clean)."""
-        if not self.alerts:
-            return None
-        return max((a.severity for a in self.alerts), key=_SEVERITY_RANK.__getitem__)
+        return max_severity(self.alerts)
 
     def by_severity(self) -> List[Alert]:
         """Alerts ranked most-severe first (stable within a severity)."""

@@ -1,20 +1,19 @@
 """Execute one harness cell with live observability attached.
 
-``traced_run`` mirrors :func:`repro.experiments.harness.execute_cell`
-but builds the machine with a :class:`~repro.obs.trace.TraceRecorder`
-(and optionally a :class:`~repro.obs.metrics.MetricsRegistry`), reusing
-the harness's profile summaries so the cell is configured exactly like
-an untraced run — tracing never perturbs simulation results, only
-records them (asserted by ``tests/test_obs_machine.py``).
+``traced_run`` is :meth:`repro.experiments.harness.Harness.execute` —
+the one way a cell is executed — with a fresh
+:class:`~repro.obs.trace.TraceRecorder` (and optionally a
+:class:`~repro.obs.metrics.MetricsRegistry`) passed in, so the cell is
+configured exactly like an untraced run — tracing never perturbs
+simulation results, only records them (asserted by
+``tests/test_obs_machine.py``).
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.cache.spec import TechniqueSpec, technique_factory
-from repro.experiments.harness import Harness, sc_factory_kwargs
-from repro.nvram.machine import Machine
+from repro.experiments.harness import Harness
 from repro.nvram.stats import RunResult
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceRecorder
@@ -34,24 +33,11 @@ def traced_run(
     The run itself is bit-identical to ``harness.run(...)`` for the same
     cell — the recorder only observes.
     """
-    config = harness.config
-    workload = harness.workload(name)
-    spec = TechniqueSpec.parse(technique)
-    summary = (
-        harness.profile_summary(name)
-        if spec.base in ("SC", "SC-offline")
-        else None
-    )
-    factory_kwargs = sc_factory_kwargs(config, workload, technique, threads, summary)
     recorder = TraceRecorder()
     metrics = (
         MetricsRegistry(metrics_interval) if metrics_interval is not None else None
     )
-    machine = Machine(config.machine_config(), recorder=recorder, metrics=metrics)
-    result = machine.run(
-        workload,
-        technique_factory(spec, **factory_kwargs),
-        num_threads=threads,
-        seed=config.seed,
+    result = harness.execute(
+        name, technique, threads, recorder=recorder, metrics=metrics
     )
     return result, recorder, metrics

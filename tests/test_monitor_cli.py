@@ -107,6 +107,11 @@ def test_tailer_rejects_garbage(tmp_path):
     path.write_text("not json\n")
     with pytest.raises(ConfigurationError):
         TraceTailer(str(path), StreamingProfile(100)).poll()
+    # Valid JSON that is not a well-formed event: typed, with the line.
+    for hostile in ("[1,2]", '{"kind":"stall"}', '{"kind":"stall","tid":"x","ts":null}'):
+        path.write_text('{"kind":"trace_meta","schema":3}\n' + hostile + "\n")
+        with pytest.raises(ConfigurationError, match=f"{path} line 2: "):
+            TraceTailer(str(path), StreamingProfile(100)).poll()
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +174,12 @@ def test_cli_monitor_fail_on_gates_exit_code(tmp_path, capsys):
     ]
     assert main(args) == 1
     assert main(args + ["--fail-on", "never"]) == 0
+    # Rules may carry @info, so the gate accepts it too (every severity
+    # is a --fail-on choice); an info alert passes the default gate.
+    args[-1] = "everything: events >= 0 @info"
+    assert main(args) == 0
+    assert main(args + ["--fail-on", "warning"]) == 0
+    assert main(args + ["--fail-on", "info"]) == 1
     capsys.readouterr()
 
 

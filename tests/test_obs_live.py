@@ -40,27 +40,41 @@ from repro.obs.trace import (
 from repro.workloads.registry import get_workload
 
 
-def _traced_pair(window_cycles=5_000):
-    """One real run recorded three ways at once via subscriber fan-out:
-    a streaming recorder spilling to a buffer, a full TraceRecorder
-    mirror, and a StreamingProfile."""
-    buf = io.StringIO()
-    mirror = TraceRecorder()
-    prof = StreamingProfile(window_cycles)
-    rec = StreamingRecorder(
-        fileobj=buf,
-        window_cycles=window_cycles,
-        subscribers=(mirror, prof),
-    )
+def _run_cell(recorder):
+    """The deterministic cell every comparison below records."""
     config = HarnessConfig(scale=0.02, seed=7).machine_config()
-    Machine(config, recorder=rec).run(
+    Machine(config, recorder=recorder).run(
         get_workload("queue", scale=0.02),
         technique_factory("SC"),
         num_threads=2,
         seed=7,
     )
+
+
+def _traced_pair(window_cycles=5_000):
+    """One cell recorded three ways, by running it three times: a
+    streaming recorder spilling to a buffer, a full TraceRecorder, and a
+    StreamingProfile driven by the machine itself."""
+    buf = io.StringIO()
+    rec = StreamingRecorder(buf, window_cycles=window_cycles)
+    mirror = TraceRecorder()
+    prof = StreamingProfile(window_cycles)
+    for recorder in (rec, mirror, prof):
+        _run_cell(recorder)
     rec.close()
     return rec, buf, mirror, prof
+
+
+class _CountingRecorder(StreamingRecorder):
+    """Notes how many rows stay buffered after each window close."""
+
+    def __init__(self, target, window_cycles):
+        super().__init__(target, window_cycles)
+        self.buffered_after_close = []
+
+    def _close_window(self):
+        super()._close_window()
+        self.buffered_after_close.append(len(self.columns()[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -71,74 +85,69 @@ def _traced_pair(window_cycles=5_000):
 def test_spill_is_byte_identical_to_offline_export():
     rec, buf, mirror, _ = _traced_pair()
     assert len(mirror) == len(rec) > 0
-    assert rec.windows_flushed > 0          # flushed incrementally, not once
+    assert rec.windows_closed > 0           # spilled incrementally, not once
+    assert buf.getvalue() == mirror.to_jsonl()
+
+
+@pytest.mark.parametrize("window_cycles", [1, 7, 10**12])
+def test_spill_bytes_do_not_depend_on_the_window(window_cycles):
+    """Every event its own window, an odd window, and a window longer
+    than the run (close() writes everything) all spill write_jsonl's
+    bytes."""
+    buf = io.StringIO()
+    rec = StreamingRecorder(buf, window_cycles=window_cycles)
+    mirror = TraceRecorder()
+    for recorder in (rec, mirror):
+        _run_cell(recorder)
+    assert (rec.windows_closed == 0) == (window_cycles == 10**12)
+    rec.close()
     assert buf.getvalue() == mirror.to_jsonl()
 
 
 def test_ring_is_bounded_and_counts_are_not():
-    rec = StreamingRecorder(ring_capacity=4, window_cycles=10)
-    for i in range(10):
-        rec.record(EV_EVICT_FLUSH, 0, i, i, 1, 0)
-    assert len(rec) == 10
-    assert rec.dropped == 6
-    assert [e.a for e in rec.tail()] == [6, 7, 8, 9]
-    assert [e.a for e in rec.tail(2)] == [8, 9]
-    assert rec.counts() == {EV_EVICT_FLUSH: 10}
+    """The buffer holds at most the open window's rows — none right
+    after a close — while ``len()`` and ``counts()`` cover the stream."""
+    rec = _CountingRecorder(io.StringIO(), window_cycles=2_000)
+    mirror = TraceRecorder()
+    for recorder in (rec, mirror):
+        _run_cell(recorder)
+    assert len(rec.buffered_after_close) == rec.windows_closed > 1
+    assert set(rec.buffered_after_close) == {0}
+    assert len(rec.columns()[0]) < len(rec) == len(mirror)
+    assert rec.counts() == mirror.counts()
+    rec.close()
+    assert len(rec) == len(mirror) and rec.counts() == mirror.counts()
 
 
 def test_flush_happens_on_window_boundary_not_only_on_close():
-    # spill_thread=False: the synchronous path makes the spill instant
-    # observable (the async writer hands off at the same boundary but
-    # lands the bytes a moment later).
     buf = io.StringIO()
-    rec = StreamingRecorder(fileobj=buf, window_cycles=100, spill_thread=False)
+    rec = StreamingRecorder(buf, window_cycles=100)
     rec.record(EV_EVICT_FLUSH, 0, 10, 1, 1, 0)
     assert buf.getvalue().count("\n") == 1  # header only: window still open
     rec.record(EV_STALL, 0, 150, 5, 0)      # watermark crosses cycle 100
-    assert rec.windows_flushed == 1
+    assert rec.windows_closed == 1
     assert buf.getvalue().count("\n") == 3  # header + both events spilled
     rec.close()
 
 
 def test_quantum_tick_flushes_event_free_window():
     buf = io.StringIO()
-    rec = StreamingRecorder(fileobj=buf, window_cycles=100, spill_thread=False)
+    rec = StreamingRecorder(buf, window_cycles=100)
     rec.record(EV_EVICT_FLUSH, 0, 10, 1, 1, 0)
     rec.on_quantum(0, 250)
-    assert rec.windows_flushed == 2          # cycles 100 and 200 both passed
+    assert rec.windows_closed == 2           # cycles 100 and 200 both passed
+    assert buf.getvalue().count("\n") == 2
+    rec.on_quantum(0, 1_050)                 # an event-free stretch: ticks alone
+    assert rec.windows_closed == 10
     assert buf.getvalue().count("\n") == 2
     rec.close()
 
 
-def test_async_spill_is_byte_identical_under_backpressure():
-    """With a one-chunk queue every boundary handoff blocks until the
-    writer drains — the backpressure path — and the file must still come
-    out byte-identical to the offline export."""
-    buf = io.StringIO()
-    mirror = TraceRecorder()
-    rec = StreamingRecorder(
-        fileobj=buf,
-        window_cycles=2_000,
-        subscribers=(mirror,),
-        spill_queue_chunks=1,
-    )
-    config = HarnessConfig(scale=0.02, seed=7).machine_config()
-    Machine(config, recorder=rec).run(
-        get_workload("queue", scale=0.02),
-        technique_factory("SC"),
-        num_threads=2,
-        seed=7,
-    )
-    rec.close()
-    assert rec.windows_flushed > 1
-    assert buf.getvalue() == mirror.to_jsonl()
-
-
 def test_flush_lands_all_events_mid_run():
-    """flush() keeps its synchronous meaning with the writer thread: on
-    return the file holds every event recorded so far, even mid-window."""
+    """On return from flush() the file holds every event recorded so
+    far, even mid-window."""
     buf = io.StringIO()
-    rec = StreamingRecorder(fileobj=buf, window_cycles=1_000_000)
+    rec = StreamingRecorder(buf, window_cycles=1_000_000)
     for i in range(5):
         rec.record(EV_EVICT_FLUSH, 0, 10 + i, i, 1, 0)
     rec.flush()
@@ -146,63 +155,41 @@ def test_flush_lands_all_events_mid_run():
     rec.close()
 
 
-class _FailingFile(io.StringIO):
-    """Accepts the schema header, then fails every write."""
+def test_write_error_surfaces_at_the_boundary_and_close_still_closes(
+    tmp_path, monkeypatch
+):
+    """A failing write is raised, as itself, by the record() that closed
+    the window; close() raises it again but still closes the file it
+    opened, and a second close is a no-op."""
+    rec = StreamingRecorder(str(tmp_path / "spill.jsonl"), window_cycles=100)
+    fh = rec._fh
 
-    def __init__(self):
-        super().__init__()
-        self._writes = 0
-
-    def write(self, s):
-        self._writes += 1
-        if self._writes > 1:
+    class _DiskFull:
+        def write(self, text):
             raise OSError("disk full")
-        return super().write(s)
 
+        def close(self):
+            fh.close()
 
-def test_spill_writer_error_surfaces_at_flush_then_close():
-    rec = StreamingRecorder(fileobj=_FailingFile(), window_cycles=100)
+    monkeypatch.setattr(rec, "_fh", _DiskFull())
     rec.record(EV_EVICT_FLUSH, 0, 10, 1, 1, 0)
-    with pytest.raises(RuntimeError, match="spill writer failed"):
-        rec.flush()
-    # close() re-raises but still tears down: thread joined, recorder
-    # closed, and a second close is a no-op.
-    with pytest.raises(RuntimeError, match="spill writer failed"):
+    with pytest.raises(OSError, match="disk full"):
+        rec.record(EV_EVICT_FLUSH, 0, 150, 2, 1, 0)
+    with pytest.raises(OSError, match="disk full"):
         rec.close()
-    assert rec.closed
+    assert rec.closed and fh.closed
     rec.close()
 
 
-def test_spill_writer_error_surfaces_at_close_without_flush():
-    rec = StreamingRecorder(fileobj=_FailingFile(), window_cycles=100)
-    rec.record(EV_EVICT_FLUSH, 0, 10, 1, 1, 0)
-    # No boundary crossed: the failing write only happens during the
-    # close-time flush, so close() is where the error must surface.
-    with pytest.raises(RuntimeError, match="spill writer failed"):
-        rec.close()
-    assert rec.closed
-
-
-def test_subscriber_fanout_and_tick_forwarding():
-    seen = []
-    prof = StreamingProfile(100)
-    rec = StreamingRecorder(window_cycles=100)
-    rec.subscribe(lambda *event: seen.append(event))
-    rec.subscribe(prof)
-    rec.record(EV_SIZE_SELECTED, 1, 20, 8)
-    rec.on_quantum(1, 350)
-    assert seen == [(EV_SIZE_SELECTED, 1, 20, 8, 0, 0)]
-    assert prof.windows_closed == 3          # ticks forwarded to subscribers
-    assert prof.fold.adapt.selections == 1
-
-
-def test_constructor_validation():
+def test_constructor_validation(tmp_path):
     with pytest.raises(ConfigurationError):
-        StreamingRecorder(window_cycles=0)
+        StreamingRecorder(io.StringIO(), window_cycles=0)
     with pytest.raises(ConfigurationError):
-        StreamingRecorder(ring_capacity=0)
+        StreamingProfile(0)
+    assert not list(tmp_path.iterdir())      # rejected before anything opens
     with pytest.raises(ConfigurationError):
-        StreamingRecorder("x.jsonl", fileobj=io.StringIO())
+        StreamingRecorder(str(tmp_path / "x.jsonl"), window_cycles=-1)
+    assert not list(tmp_path.iterdir())
 
 
 def test_owned_file_is_closed_and_complete(tmp_path):

@@ -90,25 +90,26 @@ def test_jsonl_round_trips_every_kind():
 
 
 def test_fast_encoder_matches_json_reference_for_every_kind():
-    """The template-based ``encode_event_line`` must emit exactly what
-    the json.dumps reference emits — for every known kind, including
+    """The template-based ``encode_columns`` must emit exactly what the
+    json.dumps reference emits — for every known kind, including
     negative and huge int64 arguments — and fall back to the reference
     for unknown kinds."""
-    from repro.obs.trace import encode_event_line, encode_event_line_json
+    from repro.obs.trace import encode_columns, encode_event_line_json
 
     arg_sets = [
         (0, 0, 0, 0, 0),
         (3, 123_456, 7, -1, 42),
         (255, 2 ** 62, -(2 ** 62), 2 ** 63 - 1, -(2 ** 63)),
     ]
-    for kind in EVENT_KINDS:
-        for tid, ts, a, b, c in arg_sets:
-            assert encode_event_line(kind, tid, ts, a, b, c) == (
-                encode_event_line_json(kind, tid, ts, a, b, c)
-            ), kind
-    assert encode_event_line("no-such-kind", 1, 2, 3, 4, 5) == (
-        encode_event_line_json("no-such-kind", 1, 2, 3, 4, 5)
+    rows = [
+        (kind, *args)
+        for kind in (*EVENT_KINDS, "no-such-kind")
+        for args in arg_sets
+    ]
+    assert encode_columns(*zip(*rows)) == "".join(
+        encode_event_line_json(*row) + "\n" for row in rows
     )
+    assert encode_columns([], [], [], [], [], []) == ""
 
 
 def test_parse_jsonl_rejects_older_schemas():
@@ -137,6 +138,37 @@ def test_parse_jsonl_rejects_garbage():
         parse_jsonl("not json\n")
     with pytest.raises(ConfigurationError):
         parse_jsonl('{"kind":"trace_meta","schema":99}\n')
+
+
+@pytest.mark.parametrize(
+    "line, complaint",
+    [
+        ("[1,2]", "not a JSON object"),
+        ("3", "not a JSON object"),
+        ('{"kind":["stall"],"tid":0,"ts":0}', "unknown event kind"),
+        ('{"kind":"stall"}', "stall event has no 'tid'"),
+        ('{"kind":"stall","tid":0}', "stall event has no 'ts'"),
+        ('{"kind":"stall","tid":"x","ts":0}', "field 'tid' is not an integer"),
+        ('{"kind":"stall","tid":0,"ts":null}', "field 'ts' is not an integer"),
+        ('{"kind":"stall","tid":0,"ts":1.5}', "field 'ts' is not an integer"),
+        ('{"kind":"stall","tid":true,"ts":0}', "field 'tid' is not an integer"),
+        (
+            '{"kind":"stall","tid":0,"ts":0,"stall_cycles":"9"}',
+            "field 'stall_cycles' is not an integer",
+        ),
+    ],
+    ids=[
+        "array", "number", "list-kind", "no-tid", "no-ts", "str-tid", "null-ts", "float-ts",
+        "bool-tid", "str-arg",
+    ],
+)
+def test_parse_jsonl_rejects_hostile_lines(line, complaint):
+    """Valid JSON that is not a well-formed event is the typed error the
+    decoder promises, naming the line — never a KeyError/AttributeError
+    or a silently accepted non-integer."""
+    header = '{"kind":"trace_meta","schema":3}\n'
+    with pytest.raises(ConfigurationError, match=f"trace line 2: .*{complaint}"):
+        parse_jsonl(header + line + "\n")
 
 
 def test_chrome_export_structure():
@@ -174,20 +206,26 @@ def test_write_exports(tmp_path):
     assert json.loads(chrome.read_text()) == rec.to_chrome()
 
 
-def test_iter_jsonl_streams_lines_lazily():
+def test_iter_jsonl_streams_lines_lazily(monkeypatch):
     import types
 
+    from repro.obs import trace
+
+    monkeypatch.setattr(trace, "EXPORT_CHUNK_ROWS", 2)
     rec = TraceRecorder()
-    rec.record(EV_FASE_BEGIN, 0, 1, 1)
-    rec.record(EV_EVICT_FLUSH, 1, 2, 9, 1, 0)
+    for i in range(5):
+        rec.record(EV_EVICT_FLUSH, 1, i, 9, 1, 0)
+    whole = rec.to_jsonl()
     it = rec.iter_jsonl()
     assert isinstance(it, types.GeneratorType)
-    lines = list(it)
-    # header + one line per event, each newline-terminated, and joining
-    # them reproduces the document byte for byte.
-    assert len(lines) == 3
-    assert all(line.endswith("\n") for line in lines)
-    assert "".join(lines) == rec.to_jsonl()
+    chunks = list(it)
+    # header, then chunks of at most EXPORT_CHUNK_ROWS whole lines; the
+    # bytes do not depend on the chunking.
+    assert [chunk.count("\n") for chunk in chunks] == [1, 2, 2, 1]
+    assert all(chunk.endswith("\n") for chunk in chunks)
+    assert "".join(chunks) == whole
+    monkeypatch.undo()
+    assert rec.to_jsonl() == whole
 
 
 def test_write_jsonl_streams_byte_identically(tmp_path):

@@ -108,6 +108,17 @@ def test_cli_offline_readers_reject_an_unreadable_trace(tmp_path, capsys):
     assert "trace line 1: unsupported trace schema 2" in capsys.readouterr().err
     assert main(["tracediff", "--trace", str(good), "--trace", str(old)]) == 2
     assert "unsupported trace schema 2" in capsys.readouterr().err
+    # Valid JSON that is not a well-formed event gets the same treatment.
+    hostile = tmp_path / "hostile.jsonl"
+    for line, complaint in (
+        ('{"kind":"stall"}', "trace line 2: stall event has no 'tid'"),
+        ("[1,2]", "trace line 2: not a JSON object"),
+        ('{"kind":"stall","tid":"x","ts":null}', "field 'tid' is not an integer"),
+    ):
+        hostile.write_text('{"kind":"trace_meta","schema":3}\n' + line + "\n")
+        assert main(["profile", "--trace", str(hostile)]) == 2
+        err = capsys.readouterr().err
+        assert complaint in err and "Traceback" not in err
 
 
 def test_cli_tracediff_artifact(tmp_path, capsys):
