@@ -14,12 +14,13 @@ BEST      no flushes at all — not a correct technique, but the upper
 A technique instance is strictly per-thread (the machine builds one per
 thread through a factory).  The machine drives it through ``bind``,
 ``on_store`` (or, for the repeats of a line-touch run,
-``absorb_repeats``), ``on_fase_begin``/``on_fase_end`` (outermost only)
-and ``finish``, and charges ``cost_per_store`` cycles of bookkeeping per
-persistent store.  The per-store costs are read off the paper's
-Table IV instruction counts (per store: AT ~16-19, SC ~24 on top of the
-program's own ~62): BEST < ER < LA < AT < SC, with SC running ~8% more
-instructions than AT.
+``absorb_repeats`` when the line stayed dirty in L1 and
+``write_through`` when it was flushed out of it),
+``on_fase_begin``/``on_fase_end`` (outermost only) and ``finish``, and
+charges ``cost_per_store`` cycles of bookkeeping per persistent store.
+The per-store costs are read off the paper's Table IV instruction counts
+(per store: AT ~16-19, SC ~24 on top of the program's own ~62):
+BEST < ER < LA < AT < SC, with SC running ~8% more instructions than AT.
 """
 
 from __future__ import annotations
@@ -69,6 +70,21 @@ class PersistenceTechnique:
         """
         return False
 
+    def write_through(self, line: int, n: int) -> Optional[str]:
+        """Name the flush that answers each of the ``n`` stores repeating
+        ``on_store(line)``.
+
+        Called in place of ``absorb_repeats`` when that ``on_store`` left
+        ``line`` absent from L1 (flushed and invalidated).  Return a flush
+        category and the machine takes the ``n`` stores as one train of
+        write-backs, skipping their ``on_store`` calls; return None — the
+        default — and the run arrives store by store.  A category is only
+        legal when each of those calls would be exactly one
+        ``port.flush_async(line, category)`` and nothing else: no state,
+        no other port call.
+        """
+        return None
+
     def on_fase_begin(self) -> None:
         """An outermost FASE began."""
 
@@ -92,6 +108,9 @@ class EagerTechnique(PersistenceTechnique):
 
     def on_store(self, line: int) -> None:
         self.port.flush_async(line, "eager")
+
+    def write_through(self, line: int, n: int) -> Optional[str]:
+        return "eager"
 
 
 class LazyTechnique(PersistenceTechnique):

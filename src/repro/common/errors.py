@@ -20,3 +20,12 @@ class SimulationError(ReproError):
 
 class RecoveryError(ReproError):
     """Post-crash recovery found NVRAM in an unrecoverable state."""
+
+
+def require_int(name: str, value: object, minimum: int) -> None:
+    """Raise :class:`ConfigurationError` unless ``value`` is an ``int``
+    (not a ``bool``) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")

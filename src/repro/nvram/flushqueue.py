@@ -18,32 +18,46 @@ paper's techniques trade off:
 is a per-core constraint, and the emulated NVRAM behind it is DRAM with
 bandwidth to spare, so one thread's flushing does not delay another's.
 
-All times are absolute model cycles supplied by the caller's clock.
+All times are absolute model cycles supplied by the caller's clock,
+which must never run backwards — a thread's ``stats.cycles`` does not.
+
+*Why two integers carry the whole FIFO.*  A write-back completes at
+``max(last_completion, now) + service``.  Take any entry still pending
+at ``now`` other than the oldest one: had it been issued onto an idle
+channel, everything before it would have completed by its issue time,
+hence by ``now`` (the clock is monotone), and it would be the oldest.
+So it was issued onto a busy channel and completes exactly ``service``
+after its predecessor: the pending completion times are
+``last_completion - k * service`` for ``k = 0, 1, …`` as long as that
+exceeds ``now``.  The queue is therefore full at ``now`` iff
+``last_completion - (depth - 1) * service > now``, and that value is
+when the slot frees.  ``last_completion`` and the clock of the last
+issue are the whole state; ``tests/test_flushqueue.py`` keeps the
+explicit FIFO as the reference model.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Tuple
+from typing import Optional, Sequence, Tuple
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import require_int
 
 
 class FlushQueue:
-    """A depth-bounded FIFO over a serialised write-back channel."""
+    """A depth-bounded FIFO over a serialised write-back channel, held
+    as the channel's last completion time (see the module docstring)."""
 
-    __slots__ = ("depth", "service", "pending", "last_completion", "issued")
+    __slots__ = ("depth", "service", "last_completion", "issued", "_seen")
 
     def __init__(self, depth: int = 8, service: int = 250) -> None:
-        if depth < 1:
-            raise ConfigurationError("queue depth must be >= 1")
-        if service < 0:
-            raise ConfigurationError("service time must be non-negative")
+        require_int("FlushQueue depth", depth, 1)
+        require_int("FlushQueue service", service, 0)
         self.depth = depth
         self.service = service
-        self.pending: Deque[int] = deque()       # completion times, ascending
         self.last_completion = 0                 # channel serialisation point
         self.issued = 0
+        # Clock after the last issue; None once a drain emptied the queue.
+        self._seen: Optional[int] = None
 
     def issue(self, now: int) -> Tuple[int, int]:
         """Issue one write-back at cycle ``now``.
@@ -52,43 +66,65 @@ class FlushQueue:
         ``stall`` cycles for a slot.  The write-back completes in the
         background.
         """
-        # Completed write-backs are reaped inline, here and after a
-        # stall: this is the per-flush path of every technique.
-        pending = self.pending
-        while pending and pending[0] <= now:
-            pending.popleft()
+        service = self.service
+        done = self.last_completion
         stall = 0
-        if len(pending) >= self.depth:
-            # Wait until the oldest of the last `depth` entries completes.
-            free_at = pending[len(pending) - self.depth]
+        free_at = done - (self.depth - 1) * service
+        if free_at > now:
             stall = free_at - now
             now = free_at
-            while pending and pending[0] <= now:
-                pending.popleft()
-        done = self.last_completion
-        if done < now:
-            done = now
-        done += self.service
-        pending.append(done)
-        self.last_completion = done
+        self.last_completion = (done if done > now else now) + service
+        self._seen = now
         self.issued += 1
         return now, stall
+
+    def issue_train(self, now: int, gaps: Sequence[int]) -> Tuple[int, int]:
+        """Issue one write-back after each of ``gaps``, back to back.
+
+        ``gaps[k]`` is the cycles the CPU spends between the previous
+        issue returning (``now``, for the first) and issuing the next.
+        Returns ``(new_now, total_stall)`` — what the same number of
+        :meth:`issue` calls would, with the clock advanced by the gaps.
+        """
+        service = self.service
+        lead = (self.depth - 1) * service
+        done = self.last_completion
+        stalled = 0
+        for gap in gaps:
+            now += gap
+            free_at = done - lead
+            if free_at > now:
+                stalled += free_at - now
+                now = free_at
+            done = (done if done > now else now) + service
+        if gaps:
+            self.last_completion = done
+            self._seen = now
+            self.issued += len(gaps)
+        return now, stalled
 
     def drain(self, now: int) -> Tuple[int, int]:
         """Wait at cycle ``now`` until every issued write-back is durable.
 
         Returns ``(new_now, stall)``.
         """
-        stall = 0
-        if self.pending:
-            last = self.pending[-1]
-            if last > now:
-                stall = last - now
-                now = last
-            self.pending.clear()
-        return now, stall
+        self._seen = None
+        stall = self.last_completion - now
+        if stall > 0:
+            return now + stall, stall
+        return now, 0
 
     @property
     def outstanding(self) -> int:
-        """Entries not yet known to have completed (approximate)."""
-        return len(self.pending)
+        """Entries not complete at the clock of the last ``issue``.
+
+        Zero after a ``drain``.  Completions are counted against the
+        clock the queue last saw, not the caller's current one: an idle
+        stretch since the last issue does not lower the reading.
+        """
+        seen = self._seen
+        if seen is None:
+            return 0
+        # ceil((last_completion - seen) / service); the entry just
+        # issued counts even when it completes at once (service 0).
+        return -((seen - self.last_completion) // self.service) if self.service else 1

@@ -131,6 +131,19 @@ class HardwareCache:
         """
         self.stores += count
 
+    def write_through_stores(self, count: int) -> None:
+        """Count ``count`` stores to an absent line, each flushed at once.
+
+        With no other access in between they are exactly ``count`` rounds
+        of ``access(line, True)`` then ``clflush(line)``: a miss whose
+        fill cannot evict — the ``clflush`` that made the line absent
+        vacated a way of its set, and each round vacates it again — and a
+        write-back of the line just dirtied.  The set ends as it began.
+        """
+        self.stores += count
+        self.store_misses += count
+        self.flush_writebacks += count
+
     def store_value(self, line: int, addr: int, value: object) -> None:
         """Attach a value to a dirty line (value-tracking mode only)."""
         self.values.setdefault(line, {})[addr] = value
@@ -174,6 +187,10 @@ class HardwareCache:
     def is_dirty(self, line: int) -> bool:
         """True when ``line`` is cached and dirty."""
         return self.sets[line % self.num_sets].get(line, False)
+
+    def line_state(self, line: int) -> Optional[bool]:
+        """True when ``line`` is cached dirty, False clean, None absent."""
+        return self.sets[line % self.num_sets].get(line)
 
     def dirty_lines(self) -> List[int]:
         """All currently dirty lines (the data lost in a crash)."""

@@ -19,13 +19,14 @@ The technique object is duck-typed (see :mod:`repro.cache.policies`): the
 machine calls ``bind(port)``, ``on_store(line)``, ``on_fase_begin()``,
 ``on_fase_end()`` (outermost FASEs only) and ``finish()``, and reads the
 ``cost_per_store`` attribute for per-store bookkeeping cycles.  The
-batched loop also reads ``on_store_noop`` and ``absorb_repeats``, the
-two members that let it skip ``on_store`` calls.
+batched loop also reads ``on_store_noop``, ``absorb_repeats`` and
+``write_through``, the three members that let it skip ``on_store`` calls.
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -87,6 +88,22 @@ _FLUSH_SITE = {
     "victim": SITE_EVICT_FLUSH,
     "log": SITE_LOG_APPEND,
     "commit": SITE_COMMIT,
+}
+
+#: The ``ThreadStats`` counter each flush category lands in; any other
+#: category is a ``final`` flush.  Resize-forced evictions stay in the
+#: eviction counter (the RunResult schema is unchanged); the trace's
+#: cause code below is what distinguishes them.
+_FLUSH_COUNTER = {
+    "eviction": "eviction_flushes",
+    "resize_eviction": "eviction_flushes",
+    "fase_end": "fase_end_flushes",
+    "eager": "eager_flushes",
+    "log": "log_flushes",
+    "commit": "log_flushes",
+    "clean": "clean_flushes",
+    "bypass": "bypass_flushes",
+    "victim": "victim_flushes",
 }
 
 #: ``evict_flush`` trace-event cause codes (the event's ``cause`` arg).
@@ -315,7 +332,8 @@ class Machine:
         self._selected_size: dict = {}
         self._stores_seen = 0
         #: Persistent stores the batched loop took as part of a
-        #: line-touch run, i.e. without an ``on_store`` call of their own.
+        #: line-touch run — absorbed as hits, or written through as one
+        #: train of flushes — i.e. without an ``on_store`` call of their own.
         self.absorbed_stores = 0
         self._crash_plan: Optional[CrashPlan] = None
         self.crashed_state: Optional[CrashedState] = None
@@ -487,25 +505,8 @@ class Machine:
         stats.cycles += t.flush_issue
         stats.instructions += 1
         stats.flushes += 1
-        if category == "eviction" or category == "resize_eviction":
-            # Resize-forced evictions stay in the eviction counter (the
-            # RunResult schema is unchanged); the trace's cause code
-            # below is what distinguishes them.
-            stats.eviction_flushes += 1
-        elif category == "fase_end":
-            stats.fase_end_flushes += 1
-        elif category == "eager":
-            stats.eager_flushes += 1
-        elif category == "log" or category == "commit":
-            stats.log_flushes += 1
-        elif category == "clean":
-            stats.clean_flushes += 1
-        elif category == "bypass":
-            stats.bypass_flushes += 1
-        elif category == "victim":
-            stats.victim_flushes += 1
-        else:
-            stats.final_flushes += 1
+        counter = _FLUSH_COUNTER.get(category, "final_flushes")
+        setattr(stats, counter, getattr(stats, counter) + 1)
         if invalidate:
             dirty = self.hwcache.clflush(line)
         else:
@@ -626,10 +627,18 @@ class Machine:
         a pure hit; and no callback runs inside it, so the cycle
         additions commute (DESIGN.md §8).  A run is cut at the quantum
         edge, and executed store by store when an ``after_stores`` crash
-        point falls inside it, when ``on_store`` flushed the line, when
-        the technique declines or when values are tracked.
+        point falls inside it, when the technique declines or when
+        values are tracked.
+
+        *Write-through runs.*  When ``on_store`` flushed the line out of
+        L1 instead (ER always does), each repeat is a miss-fill into the
+        way that flush vacated, one more flush and one queue slot.  If
+        the technique names that flush (``write_through(line, n)``) and
+        nothing observes flushes one by one, the ``n`` repeats are one
+        :meth:`FlushQueue.issue_train` over the cycles between
+        consecutive flushes, plus bulk counters (DESIGN.md §8).
         :meth:`_process_event` never coalesces and stays the oracle;
-        ``absorbed_stores`` counts what this loop skipped.
+        ``absorbed_stores`` counts what this loop skipped, either way.
 
         The hot ``ThreadStats`` counters are accumulated in locals.
         ``stats.cycles`` is written back before every point that can
@@ -643,10 +652,13 @@ class Machine:
         techniques must keep it constant during a run, which every
         built-in technique does.
 
-        Quantum boundaries fall on the same event counts as the
-        per-event path, so the smallest-clock thread interleaving — and
-        with it every statistic, including the shared hardware cache's —
-        is bit-identical.  Enforced by tests/test_batch_equivalence.py.
+        Quantum boundaries between runnable threads fall on the same
+        event counts as the per-event path (``Machine.run`` passes a
+        larger ``budget`` only where no other thread can run and nothing
+        observes the edge), so the smallest-clock thread interleaving —
+        and with it every statistic, including the shared hardware
+        cache's — is bit-identical.  Enforced by
+        tests/test_batch_equivalence.py and test_machine_invariants.py.
         """
         config = self.config
         t = config.timing
@@ -665,7 +677,7 @@ class Machine:
         absorb = (
             None if track_values else getattr(technique, "absorb_repeats", None)
         )
-        is_dirty = hw.is_dirty
+        line_state = hw.line_state
         trace_lines = ctx.trace_lines
         trace_fids = ctx.trace_fids
         evict_writeback = self._evict_writeback
@@ -681,6 +693,21 @@ class Machine:
         thread_id = ctx.thread_id
         hit_cost = t.l1_hit
         miss_cost = t.l1_hit + t.l1_miss
+        # Write-through runs fold ``n`` flushes into one step, so they
+        # stand down when anything observes a flush on its own: tracked
+        # values, trace events, crash sites, in-flight records.
+        write_through = (
+            None
+            if track_values
+            or recording
+            or self._sites_active
+            or self._record_inflight
+            else getattr(technique, "write_through", None)
+        )
+        issue_train = ctx.flushq.issue_train
+        # Cycles from one flush of such a run to the next, ``WORK`` aside:
+        # the bookkeeping of the store just flushed, a miss-fill, the issue.
+        flush_gap = cost_per_store + miss_cost + t.flush_issue
         cpi = t.cpi
         nvram_base = NVRAM_BASE
         kind_store = EventKind.STORE
@@ -699,7 +726,7 @@ class Machine:
         persistent_loads = stats.persistent_loads
         fase_count = stats.fase_count
         stores_seen = self._stores_seen
-        absorbed = repeats = 0
+        absorbed = repeats = flushed = 0
         crashed = False
         try:
             while budget > 0:
@@ -807,26 +834,67 @@ class Machine:
                             if persistent and n:
                                 # ``on_store`` may have flushed the line
                                 # itself: ER always, SC when it shrinks.
-                                if (
-                                    absorb is None
-                                    or not is_dirty(first)
-                                    or (
-                                        plan_after is not None
-                                        and stores_seen + n >= plan_after
-                                    )
-                                    or not absorb(first, n)
+                                category = None
+                                if absorb is None or (
+                                    plan_after is not None
+                                    and stores_seen + n >= plan_after
                                 ):
+                                    taken = False
+                                elif (state := line_state(first)):
+                                    taken = absorb(first, n)
+                                else:
+                                    # Flushed and gone from L1 (a line
+                                    # ``clwb`` kept is clean, not absent).
+                                    if state is None and write_through is not None:
+                                        category = write_through(first, n)
+                                    taken = category is not None
+                                if not taken:
                                     resume = last + 1
                                     i += 1
                                     continue
                                 absorbed += n
                                 persistent_stores += n
                                 stores_seen += n
-                                cycles += n * cost_per_store
-                                instructions += n * cost_per_store
                                 if trace_lines is not None:
                                     trace_lines.extend([first] * n)
                                     trace_fids.extend([trace_fids[-1]] * n)
+                                if category is not None:
+                                    # A write-through run: per repeat the
+                                    # ``WORK`` before it, a miss-fill, one
+                                    # flush, one queue slot, bookkeeping.
+                                    before = run_cycles[i]
+                                    if run_stores[i + n] + n == run_stores[i]:
+                                        # The repeats come first, any
+                                        # ``WORK`` after them: the usual
+                                        # shape of a store burst.
+                                        gaps = [flush_gap] * n
+                                    else:
+                                        gaps = []
+                                        for j in range(i + 1, last + 1):
+                                            if kinds[j] == kind_store:
+                                                here = run_cycles[j]
+                                                gaps.append(flush_gap + before - here)
+                                                before = here
+                                    now, stall = issue_train(
+                                        cycles - cost_per_store, gaps
+                                    )
+                                    cycles = (
+                                        now + cost_per_store + before - run_cycles[last]
+                                    )
+                                    instructions += n * (2 + cost_per_store) + amount
+                                    flushed += n
+                                    stats.flushes += n
+                                    stats.stall_cycles += stall
+                                    counter = _FLUSH_COUNTER.get(
+                                        category, "final_flushes"
+                                    )
+                                    setattr(
+                                        stats, counter, getattr(stats, counter) + n
+                                    )
+                                    i = last + 1
+                                    continue
+                                cycles += n * cost_per_store
+                                instructions += n * cost_per_store
                             repeats += n
                             cycles += n * hit_cost + work_cycles
                             instructions += n + amount
@@ -896,6 +964,8 @@ class Machine:
             self.absorbed_stores += absorbed
             if repeats:
                 hw.repeat_stores(repeats)
+            if flushed:
+                hw.write_through_stores(flushed)
             if not crashed:
                 self._stores_seen = stores_seen
 
@@ -1211,15 +1281,29 @@ class Machine:
         quantum_hooks = [
             getattr(ctx.technique, "on_quantum", None) for ctx in contexts
         ]
+        # A quantum edge exists to let another thread run, and for what
+        # observes it below: the technique's hook, the metrics sampler,
+        # the recorder's window watermark.  With none of them it is inert
+        # (DESIGN.md §8), so the only runnable thread of an unobserved
+        # batched run takes the rest of its stream as one quantum.
+        lone_budget = (
+            sys.maxsize
+            if batch_streams is not None
+            and metrics is None
+            and not self.recorder.enabled
+            else SCHED_BATCH
+        )
         while heap:
             _, tid = heapq.heappop(heap)
             ctx = contexts[tid]
+            hook = quantum_hooks[tid]
             try:
-                alive = runner(ctx, SCHED_BATCH)
+                alive = runner(
+                    ctx, SCHED_BATCH if heap or hook is not None else lone_budget
+                )
             except PowerFailure:
                 # A site-triggered crash; crashed_state is populated.
                 break
-            hook = quantum_hooks[tid]
             if hook is not None and alive and self.crashed_state is None:
                 # Fires before the thread's clock is re-queued so the
                 # scheduler sees the cleaning cycles, and inside its own

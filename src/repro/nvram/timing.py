@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, require_int
 
 
 @dataclass(frozen=True)
@@ -80,11 +80,11 @@ class TimingModel:
     def __post_init__(self) -> None:
         if self.cpi <= 0:
             raise ConfigurationError("cpi must be positive")
+        # Cycle counts stay exact ints end to end: a fractional cost would
+        # silently turn every counter into a float.
         for name in ("l1_hit", "l1_miss", "flush_issue", "writeback_service"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be non-negative")
-        if self.flush_queue_depth < 1:
-            raise ConfigurationError("flush_queue_depth must be >= 1")
+            require_int(name, getattr(self, name), 0)
+        require_int("flush_queue_depth", self.flush_queue_depth, 1)
 
 
 #: The model used by the experiment harness unless overridden.

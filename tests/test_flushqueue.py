@@ -1,6 +1,10 @@
 """The asynchronous flush engine: overlap, back-pressure, drain stalls."""
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.nvram.flushqueue import FlushQueue
@@ -85,3 +89,117 @@ def test_issue_counter():
     q.issue(0)
     q.issue(0)
     assert q.issued == 2
+
+
+def test_fractional_and_bool_parameters_are_rejected():
+    """A fractional depth would index nothing any more: it would just
+    yield a wrong stall, so it is refused up front, by name."""
+    for kwargs, field in [
+        ({"depth": 2.5}, "depth"),
+        ({"depth": True}, "depth"),
+        ({"service": 10.5}, "service"),
+        ({"service": "10"}, "service"),
+        ({"depth": 2.5, "service": 10.5}, "depth"),
+    ]:
+        with pytest.raises(ConfigurationError, match=field):
+            FlushQueue(**kwargs)
+
+
+# -- the explicit FIFO, kept as the reference model -------------------------
+
+
+class DequeFlushQueue:
+    """``FlushQueue`` as it was written before it became arithmetic: the
+    completion time of every pending write-back, oldest first, reaped
+    lazily at each ``issue``."""
+
+    def __init__(self, depth, service):
+        self.depth = depth
+        self.service = service
+        self.pending = deque()
+        self.last_completion = 0
+        self.issued = 0
+
+    def issue(self, now):
+        pending = self.pending
+        while pending and pending[0] <= now:
+            pending.popleft()
+        stall = 0
+        if len(pending) >= self.depth:
+            free_at = pending[len(pending) - self.depth]
+            stall = free_at - now
+            now = free_at
+            while pending and pending[0] <= now:
+                pending.popleft()
+        done = max(self.last_completion, now) + self.service
+        pending.append(done)
+        self.last_completion = done
+        self.issued += 1
+        return now, stall
+
+    def drain(self, now):
+        stall = 0
+        if self.pending:
+            last = self.pending[-1]
+            if last > now:
+                stall = last - now
+                now = last
+            self.pending.clear()
+        return now, stall
+
+    @property
+    def outstanding(self):
+        return len(self.pending)
+
+
+def state(q):
+    return q.outstanding, q.issued, q.last_completion
+
+
+SERVICES = [0, 1, 3, 100, 1900]
+#: CPU cycles between two queue operations, on both sides of every
+#: service time above.
+GAPS = st.sampled_from([0, 1, 2, 3, 4, 50, 99, 100, 101, 800, 1899, 1900, 1901, 20000])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=9),
+    st.sampled_from(SERVICES),
+    st.lists(st.tuples(st.sampled_from(["issue", "issue", "issue", "drain"]), GAPS)),
+)
+def test_arithmetic_queue_equals_the_deque(depth, service, ops):
+    """On a clock that never runs backwards the two integers are the
+    whole FIFO: every return value and every public reading agree with
+    the explicit queue after every step."""
+    q, ref = FlushQueue(depth, service), DequeFlushQueue(depth, service)
+    now = 0
+    for op, gap in ops:
+        now += gap
+        got = getattr(q, op)(now)
+        assert got == getattr(ref, op)(now)
+        assert state(q) == state(ref)
+        now = got[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=9),
+    st.sampled_from(SERVICES),
+    st.lists(GAPS, max_size=6),
+    st.lists(GAPS, max_size=40),
+)
+def test_a_train_is_that_many_issues(depth, service, warmup, gaps):
+    """``issue_train`` over ``n`` gaps is ``n`` ``issue`` calls with the
+    clock advanced by each gap first, whatever the queue held before."""
+    q, ref = FlushQueue(depth, service), DequeFlushQueue(depth, service)
+    now = 0
+    for gap in warmup:
+        ref.issue(now + gap)
+        now, _ = q.issue(now + gap)
+    expected, stalled = now, 0
+    for gap in gaps:
+        expected, stall = ref.issue(expected + gap)
+        stalled += stall
+    assert q.issue_train(now, gaps) == (expected, stalled)
+    assert state(q) == state(ref)

@@ -20,6 +20,8 @@ from repro.common.events import (
 from repro.nvram.failure import CrashPlan
 from repro.nvram.machine import Machine, MachineConfig
 from repro.nvram.memory import NVRAM_BASE
+from repro.nvram.timing import TimingModel
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceRecorder
 from repro.workloads.base import Workload
 from repro.workloads.registry import get_workload
@@ -177,6 +179,13 @@ class BatchedListWorkload(ListWorkload):
 LINE_POOL = [NVRAM_BASE + i * 64 for i in range(4)] + [4096, 4160]
 
 
+#: ``WORK`` amounts inside runs.  An ER store costs 905 cycles besides
+#: (``l1_hit + l1_miss + flush_issue + cost_per_store``), so 995 ± 1 and
+#: 4095 ± 1 put consecutive flushes on both sides of one write-back
+#: service time (1900 and 5000 below): the edge of a saturated queue.
+RUN_WORK = [2, 72, 995, 4095]
+
+
 @st.composite
 def run_heavy_streams(draw):
     """Mostly runs of stores to one line — four in five pieces repeat the
@@ -189,6 +198,7 @@ def run_heavy_streams(draw):
                 st.sampled_from([None] * 4 + [0, 1, 2, 3, 4, 5]),
                 st.sampled_from([1, 2, 3, 7, 31, 62, 63, 64, 65, 66, 130]),
                 st.sampled_from([0, 0, 1, 3]),
+                st.sampled_from(RUN_WORK),
             ),
             min_size=1,
             max_size=10,
@@ -197,14 +207,14 @@ def run_heavy_streams(draw):
     events = []
     depth = 0
     base = LINE_POOL[0]
-    for op, line, length, work_every in pieces:
+    for op, line, length, work_every, work in pieces:
         if line is not None:
             base = LINE_POOL[line]
         if op == "run":
             for j in range(length):
                 events.append(Store(base + (j % 8) * 8, 8))
                 if work_every and j % work_every == 0:
-                    events.append(Work(1 + 70 * (j % 3)))
+                    events.append(Work(work - 1 + j % 3))
         elif op == "load":
             events.append(Load(base, 8))
         elif op == "wide":
@@ -254,6 +264,9 @@ def run_engine(streams, chunk, technique, burst, use_batches, **run_kwargs):
     """One run; returns ``(machine, everything observable about it)``."""
     config = run_kwargs.pop("config", MachineConfig())
     skip = run_kwargs.pop("skip", 0)
+    # Untraced is when write-through runs and inert quantum edges apply.
+    traced = run_kwargs.pop("traced", True)
+    metrics = run_kwargs.pop("metrics", None)
     inner = technique_factory(
         technique.split()[0], **RUN_TECHNIQUES[technique](burst, skip)
     )
@@ -271,8 +284,8 @@ def run_engine(streams, chunk, technique, burst, use_batches, **run_kwargs):
         made.append(instance)
         return instance
 
-    recorder = TraceRecorder()
-    machine = Machine(config, recorder=recorder)
+    recorder = run_kwargs.pop("recorder", TraceRecorder() if traced else None)
+    machine = Machine(config, recorder=recorder, metrics=metrics)
     result = machine.run(
         BatchedListWorkload(streams, chunk),
         factory,
@@ -292,7 +305,7 @@ def run_engine(streams, chunk, technique, burst, use_batches, **run_kwargs):
                hw.evict_writebacks, hw.flush_writebacks, hw.clean_flushes),
         "dirty": sorted(hw.dirty_lines()),
         "traces": [(t.lines.tolist(), t.fase_ids.tolist()) for t in result.traces],
-        "jsonl": recorder.to_jsonl(),
+        "jsonl": recorder.to_jsonl() if recorder is not None else None,
         "write_caches": [c.snapshot() for c in caches if c is not None],
         "atlas_tables": [(t.hits, t.misses, t.conflicts) for t in tables if t is not None],
     }
@@ -300,28 +313,42 @@ def run_engine(streams, chunk, technique, burst, use_batches, **run_kwargs):
     return machine, observed, on_store_calls[0], touches
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(
     st.lists(run_heavy_streams(), min_size=1, max_size=3),
     st.sampled_from([50, 64, 100, 4096]),
-    st.sampled_from(sorted(RUN_TECHNIQUES)),
+    # ER is the one technique whose runs are write-through: every third draw.
+    st.sampled_from(sorted(RUN_TECHNIQUES) + ["ER"] * 5),
     st.integers(min_value=2, max_value=90),
+    st.sampled_from([1, 2, 8]),
+    st.sampled_from([0, 100, 1900, 5000]),
 )
-def test_coalesced_runs_match_the_per_event_engine(streams, chunk, technique, burst):
+def test_coalesced_runs_match_the_per_event_engine(
+    streams, chunk, technique, burst, depth, service
+):
     """Everything a run leaves behind — counters the goldens carry and the
     ones they cannot see — is the same whether repeats were absorbed or
-    executed one by one."""
-    m_b, batched, calls_b, touches = run_engine(streams, chunk, technique, burst, True)
-    m_e, per_event, calls_e, _ = run_engine(streams, chunk, technique, burst, False)
-    assert batched == per_event
-    assert m_e.absorbed_stores == 0
-    if technique == "BEST":
-        assert calls_b == 0                 # on_store_noop: never called
-    else:
-        assert calls_e == touches
-        assert m_b.absorbed_stores + calls_b == touches
-    if technique in ("ER", "SC+nhit:2", "SC+cutoff:4"):
-        assert m_b.absorbed_stores == 0
+    executed one by one, traced (every flush observed, every quantum edge
+    kept) or not, on a flush queue that saturates or never fills."""
+    config = MachineConfig(
+        timing=TimingModel(flush_queue_depth=depth, writeback_service=service)
+    )
+    for traced in (True, False):
+        m_b, batched, calls_b, touches = run_engine(
+            streams, chunk, technique, burst, True, config=config, traced=traced
+        )
+        m_e, per_event, calls_e, _ = run_engine(
+            streams, chunk, technique, burst, False, config=config, traced=traced
+        )
+        assert batched == per_event
+        assert m_e.absorbed_stores == 0
+        if technique == "BEST":
+            assert calls_b == 0                 # on_store_noop: never called
+        else:
+            assert calls_e == touches
+            assert m_b.absorbed_stores + calls_b == touches
+        if technique in ("SC+nhit:2", "SC+cutoff:4") or (technique == "ER" and traced):
+            assert m_b.absorbed_stores == 0
 
 
 A, B, C, D = (NVRAM_BASE + i * 64 for i in range(4))
@@ -382,6 +409,75 @@ def test_long_runs_are_entered_once_per_quantum():
     stream = [Store(NVRAM_BASE + (j % 8) * 8, 8) for j in range(200)]
     machine, _obs, calls, touches = run_engine([stream], 4096, "LA", 2, True)
     assert (touches, calls, machine.absorbed_stores) == (200, 4, 196)
+    # Untraced, nothing observes the edges and no other thread waits at
+    # them: one quantum, one ``on_store`` — for ER too, whose 199 repeats
+    # are one train of flushes.
+    for technique in ("LA", "ER"):
+        machine, obs, calls, touches = run_engine(
+            [stream], 4096, technique, 2, True, traced=False
+        )
+        assert (touches, calls, machine.absorbed_stores) == (200, 1, 199)
+    assert obs["threads"][0]["eager_flushes"] == 200
+    # Two threads alternate at every edge while both can run — one call
+    # per quantum each; the longer one's last 208 stores, when it is
+    # alone, are one quantum.
+    other = [Store(NVRAM_BASE + 64 + (j % 8) * 8, 8) for j in range(400)]
+    machine, _obs, calls, touches = run_engine(
+        [stream, other], 4096, "LA", 2, True, traced=False
+    )
+    assert (touches, calls, machine.absorbed_stores) == (600, 4 + 4, 592)
+
+
+class QuantumCountingRecorder(TraceRecorder):
+    def __init__(self):
+        super().__init__()
+        self.quanta = []
+
+    def on_quantum(self, thread_id, now):
+        self.quanta.append((thread_id, now))
+
+
+def test_an_observed_quantum_edge_stays_where_it_is():
+    """A lone thread's quantum edge is inert only when nothing looks at
+    it.  A technique with ``on_quantum``, a metrics registry and a
+    recorder each keep all of them, 64 events apart: what they see is
+    what the per-event engine shows them."""
+    # FASEs of 42 events over five lines, computation between the stores:
+    # most edges fall inside a FASE with lines cached and the queue idle
+    # since the last drain, which is when the cleaning stage acts.
+    stream = []
+    for fase in range(10):
+        stream.append(FaseBegin())
+        for j in range(20):
+            stream += [Store(NVRAM_BASE + (fase + j) % 5 * 64, 8), Work(3000)]
+        stream.append(FaseEnd())
+    edges = -(-len(stream) // 64)
+
+    def both_engines(technique, **kwargs):
+        runs = [
+            run_engine([stream], 4096, technique, 60, use_batches, **kwargs)[1]
+            for use_batches in (True, False)
+        ]
+        assert runs[0] == runs[1]
+        return runs[0]
+
+    cleaned = both_engines("SC+clean:4", traced=False)
+    assert cleaned["threads"][0]["clean_flushes"] > 0
+
+    registries = [MetricsRegistry(interval=1), MetricsRegistry(interval=1)]
+    for use_batches, registry in zip((True, False), registries):
+        run_engine(
+            [stream], 4096, "AT", 60, use_batches, traced=False, metrics=registry
+        )
+    assert registries[0].to_dict() == registries[1].to_dict()
+    assert len(registries[0].series("flush_queue_depth/t0")[0]) == edges
+
+    recorders = [QuantumCountingRecorder(), QuantumCountingRecorder()]
+    for use_batches, recorder in zip((True, False), recorders):
+        run_engine([stream], 4096, "AT", 60, use_batches, recorder=recorder)
+    assert recorders[0].quanta == recorders[1].quanta
+    assert recorders[0].to_jsonl() == recorders[1].to_jsonl()
+    assert len(recorders[0].quanta) == edges
 
 
 RUN_WITH_WORK = (
@@ -391,26 +487,31 @@ RUN_WITH_WORK = (
 )
 
 
-@pytest.mark.parametrize("technique", ["LA", "AT", "SC-offline", "BEST"])
+@pytest.mark.parametrize("technique", ["LA", "AT", "SC-offline", "BEST", "ER"])
 @pytest.mark.parametrize("track_values", [False, True])
 def test_store_count_crash_inside_a_run(technique, track_values):
     """A power cut after every store of a run, one plan per position: the
     run is split at the crash point, so the image, the dirty lines and
-    every counter up to the cut match the per-event engine's."""
+    every counter up to the cut match the per-event engine's — untraced
+    too, where ER's run would otherwise be one train of flushes."""
     config = MachineConfig(track_values=track_values)
     for after in range(1, 16):
-        runs = [
-            run_engine(
-                [RUN_WITH_WORK], 4096, technique, 2, use_batches,
-                config=config, crash_plan=CrashPlan(after_stores=after),
-            )
-            for use_batches in (True, False)
-        ]
-        (m_b, batched, _, _), (_m, per_event, _, _) = runs
-        assert batched == per_event
-        assert m_b.crashed_state.at_store == after
-        if track_values:
-            assert m_b.absorbed_stores == 0
+        for traced in (True, False):
+            runs = [
+                run_engine(
+                    [RUN_WITH_WORK], 4096, technique, 2, use_batches, traced=traced,
+                    config=config, crash_plan=CrashPlan(after_stores=after),
+                )
+                for use_batches in (True, False)
+            ]
+            (m_b, batched, _, _), (_m, per_event, _, _) = runs
+            assert batched == per_event
+            assert m_b.crashed_state.at_store == after
+            if track_values:
+                assert m_b.absorbed_stores == 0
+    # The last plan cuts after the store that follows the run, so the
+    # run itself (11 repeats) was taken whole on the way there.
+    assert m_b.absorbed_stores == (0 if track_values else 11)
 
 
 @pytest.mark.parametrize("technique", ["AT", "SC", "SC-offline", "SC+victim:16"])

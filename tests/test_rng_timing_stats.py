@@ -51,6 +51,18 @@ def test_timing_validation():
         TimingModel(flush_queue_depth=0)
 
 
+@pytest.mark.parametrize(
+    "field", ["l1_hit", "l1_miss", "flush_issue", "writeback_service", "flush_queue_depth"]
+)
+@pytest.mark.parametrize("value", [2.5, 800.0, True, "8", None])
+def test_cycle_costs_must_be_ints(field, value):
+    """A fractional cost would turn every cycle count into a float, a
+    fractional depth into a wrong stall: refused at construction."""
+    with pytest.raises(ConfigurationError, match=field):
+        TimingModel(**{field: value})
+    assert TimingModel(cpi=1.5).cpi == 1.5      # cpi alone stays a float
+
+
 # -- stats -------------------------------------------------------------------
 
 
