@@ -38,12 +38,13 @@ the cache and flush models.  :class:`EventBatch` is the compact
 alternative — three parallel ``array`` columns (kind / addr-or-amount /
 size, ~17 bytes per event) that a workload fills by appending plain
 integers and the machine consumes with an indexed loop, no per-event
-allocation at all.  Workloads expose batches through
-``Workload.batch_streams`` *alongside* the per-object ``streams`` —
-natively, or recorded once from ``streams`` by ``BatchCachingWorkload``
-via :func:`batches_from_events`; both encodings describe the same event
-sequence, and the machine's two execution paths are required (and
-tested) to produce bit-identical statistics.
+allocation at all.  A workload spells its program in one encoding and
+the other is derived: ``Workload.streams`` of a native batch emitter is
+:func:`events_from_batches` over its batches, and a generator's batches
+are recorded once by ``BatchCachingWorkload`` via
+:func:`batches_from_events`.  Both encodings therefore describe the same
+event sequence by construction, and the machine's two execution paths
+are required (and tested) to produce bit-identical statistics.
 
 Line-touch runs
 ---------------

@@ -27,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.cache.adaptive import AdaptiveConfig
 from repro.cache.spec import TechniqueSpec, technique_factory
@@ -363,12 +363,6 @@ class Harness:
             workload=self.workload(name),
             recorder=recorder, metrics=metrics,
         )
-
-    def run_techniques(
-        self, name: str, techniques: List[str], threads: int = 1
-    ) -> Dict[str, RunResult]:
-        """Run several techniques on one workload."""
-        return {t: self.run(name, t, threads) for t in techniques}
 
     def run_grid(
         self, cells: Iterable[Cell], jobs: int = 1, progress=None

@@ -8,16 +8,18 @@ recording every injectable site plus the ground-truth FASE bookkeeping
 image at every target site on the way (a **sweep**).
 :class:`AtlasReplayDriver` is that executor.
 
-It is deliberately *not* ``Machine.run``: the stream path routes stores
-through the persistence technique only, while fault injection needs each
-in-FASE store to pass through :class:`~repro.atlas.runtime.AtlasRuntime`
-so old values are undo-logged first.  The driver therefore replays the
-workload's per-thread event streams through one runtime per thread over
-a shared value-tracking machine, interleaved with the same
-smallest-cycle-first, ``SCHED_BATCH``-quantum scheduling the machine
-uses — so a replay is bit-deterministic and every replay of one
-configuration visits the identical global site sequence, which is what
-makes a crash target's site index meaningful.
+What it shares with ``Machine.run`` is the scheduler, what it does not
+is the dispatch: the stream path routes stores through the persistence
+technique only, while fault injection needs each in-FASE store to pass
+through :class:`~repro.atlas.runtime.AtlasRuntime` so old values are
+undo-logged first.  The driver therefore owns one runtime per thread
+over a shared value-tracking machine and a ``step`` that pushes a
+thread's next events through its runtime, and hands the interleaving to
+``Machine.drive`` — the machine's own smallest-clock-first loop, with its
+quantum hooks, sampling and :class:`~repro.nvram.failure.PowerFailure`
+handling.  A replay is therefore bit-deterministic and every replay of
+one configuration visits the identical global site sequence, which is
+what makes a crash target's site index meaningful.
 
 Address plumbing: workload allocators hand out addresses from
 ``NVRAM_BASE`` up — the same space the Atlas region manager carves log
@@ -30,7 +32,6 @@ addresses.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -39,8 +40,8 @@ from repro.atlas.runtime import AtlasLayout, AtlasRuntime
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.events import EventKind
 from repro.common.geometry import CACHE_LINE_SIZE
-from repro.nvram.failure import CrashedState, PowerFailure
-from repro.nvram.machine import SCHED_BATCH, Machine, MachineConfig
+from repro.nvram.failure import CrashedState
+from repro.nvram.machine import Machine, MachineConfig
 from repro.nvram.memory import NVRAM_BASE
 from repro.nvram.timing import DEFAULT_TIMING, TimingModel
 
@@ -184,7 +185,7 @@ class AtlasReplayDriver:
         shift: int,
         golden: Optional[GoldenRun],
     ) -> None:
-        """Drive all threads to completion (or let PowerFailure escape).
+        """Drive all threads to completion, or to the last armed crash.
 
         With ``golden`` given, records FASE ground truth as it executes.
         """
@@ -196,15 +197,12 @@ class AtlasReplayDriver:
         kind_work = EventKind.WORK
         kind_begin = EventKind.FASE_BEGIN
         nvram_base = NVRAM_BASE
-        sampling = machine.metrics is not None
-        heap: List[Tuple[int, int]] = [(0, tid) for tid in range(self.num_threads)]
-        heapq.heapify(heap)
-        while heap:
-            _, tid = heapq.heappop(heap)
+
+        def step(tid: int, budget: int) -> bool:
             rt = runtimes[tid]
             stream = events[tid]
             pos = positions[tid]
-            end = min(pos + SCHED_BATCH, len(stream))
+            end = min(pos + budget, len(stream))
             while pos < end:
                 ev = stream[pos]
                 pos += 1
@@ -264,21 +262,9 @@ class AtlasReplayDriver:
                     else:
                         rt.fases.end()
             positions[tid] = pos
-            # Sessions have no Machine.run scheduler loop, so the replay
-            # fires the technique's quantum hook (background cleaning)
-            # at its own quantum boundaries — cleaning stages stay live
-            # under crash campaigns, and a PowerFailure from an armed
-            # clean flush escapes exactly like one from a store.
-            rt.session.on_quantum()
-            if sampling:
-                # Same for the metrics sampling boundary.
-                rt.session.sample_metrics()
-            if pos < len(stream):
-                heapq.heappush(heap, (rt.stats.cycles, tid))
-            else:
-                rt.finish()
-                if sampling:
-                    rt.session.record_final_metrics()
+            return pos < len(stream)
+
+        machine.drive([rt.session for rt in runtimes], step)
 
     # ------------------------------------------------------------------
 
@@ -335,10 +321,7 @@ class AtlasReplayDriver:
         if not targets:
             return layout
         machine.arm_crash_sweep(targets, fault_model, on_crash)
-        try:
-            self._replay(machine, runtimes, shift, golden=None)
-        except PowerFailure:
-            pass
+        self._replay(machine, runtimes, shift, golden=None)
         unfired = machine.next_crash_target
         if unfired is not None:
             raise SimulationError(

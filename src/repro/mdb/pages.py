@@ -95,27 +95,6 @@ class Page:
         for i, entry in enumerate(entries):
             self.write_slot(i, entry)
 
-    def write_diff(
-        self, kind: str, old: List[object], new: List[object]
-    ) -> None:
-        """Store only the slots that changed between two page images.
-
-        This is the in-place edit path: a slot insert shifts the tail
-        (the memmove a real B+-tree performs), an overwrite touches one
-        slot, a child-pointer patch touches one slot.  The header is
-        rewritten only when the key count changes.
-        """
-        if len(new) > self.capacity:
-            raise ConfigurationError(
-                f"{len(new)} entries exceed capacity {self.capacity}"
-            )
-        self.ops.work(2 + max(1, len(new) // 4))
-        if len(old) != len(new):
-            self.write_header(kind, len(new))
-        for i, entry in enumerate(new):
-            if i >= len(old) or old[i] != entry:
-                self.write_slot(i, entry)
-
 
 class PageAllocator:
     """Allocates pages from the backend (append-only, as in COW MDB)."""

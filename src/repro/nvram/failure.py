@@ -5,15 +5,15 @@ written back (flushed or evicted dirty) is durable in NVRAM; everything
 still dirty in the hardware cache is lost.  This is precisely the failure
 model that makes cache-line flushing necessary in the first place (§I).
 
-Beyond the legacy "crash after N persistent stores" trigger, a
-:class:`CrashPlan` can schedule the failure at an *injectable site* — a
-point where the durable state just changed or a persistence-critical
-operation just completed.  The machine numbers sites globally in
-execution order (see :data:`SITE_CLASSES`); the fault-injection campaign
-(:mod:`repro.faults`) enumerates them in a golden run and then replays
-once per fault model, capturing the crashed image at every target site
-on the way (``Machine.arm_crash_sweep``; a site plan is its one-target
-case).
+There is one trigger: a failure is scheduled at an *injectable site* —
+a point where the durable state just changed or a persistence-critical
+operation just completed; every retired persistent store is one, so
+"after the k-th store" is the k-th ``store`` site.  The machine numbers
+sites globally in execution order (see :data:`SITE_CLASSES`); the
+fault-injection campaign (:mod:`repro.faults`) enumerates them in a
+golden run and then replays once per fault model, capturing the crashed
+image at every target site on the way (``Machine.arm_crash_sweep``; a
+:class:`CrashPlan` is its one-target case).
 
 Fault models sharpen the failure beyond a clean power cut:
 
@@ -76,48 +76,35 @@ _ABSENT = object()
 
 
 class PowerFailure(ReproError):
-    """Raised when a site-scheduled crash fires on the session path.
+    """Raised when the last scheduled crash site fires.
 
     The machine snapshots the durable state *before* raising, so the
-    handler finds ``machine.crashed_state`` populated.  Stream-driven
-    runs (:meth:`~repro.nvram.machine.Machine.run`) catch this
-    internally and return a crashed :class:`~repro.nvram.stats.RunResult`
-    as they always have for store-count plans.
+    handler finds ``machine.crashed_state`` populated.  Code pushing
+    operations through a session sees it escape the operation that
+    completed the site; the machine's scheduler
+    (:meth:`~repro.nvram.machine.Machine.run`, ``Machine.drive``) takes
+    it as its one stop signal and returns.
     """
 
 
 @dataclass(frozen=True)
 class CrashPlan:
-    """Schedule a crash — after a store count or at an injectable site.
+    """Schedule a crash at one injectable site.
 
-    Exactly one trigger must be given:
-
-    ``after_stores``
-        Legacy trigger: the machine stops once this many persistent
-        stores (across all threads) have retired.
-    ``at_site``
-        Site trigger: crash immediately after the site with this global
-        index completes (see :data:`SITE_CLASSES`); the indexing matches
-        a site-recording golden run of the same configuration.
-
-    ``fault_model`` selects how the durable image is mutilated at the
-    crash (see the module docstring); ``fault_seed`` makes the mutation
-    deterministic.
+    The power fails immediately after the site with global index
+    ``at_site`` completes (see :data:`SITE_CLASSES`); the indexing
+    matches a site-recording run (``Machine.record_sites``) of the same
+    configuration.  ``fault_model`` selects how the durable image is
+    mutilated at the crash (see the module docstring); ``fault_seed``
+    makes the mutation deterministic.
     """
 
-    after_stores: Optional[int] = None
-    at_site: Optional[int] = None
+    at_site: int
     fault_model: str = FAULT_CLEAN
     fault_seed: int = 0
 
     def __post_init__(self) -> None:
-        if (self.after_stores is None) == (self.at_site is None):
-            raise ConfigurationError(
-                "CrashPlan needs exactly one of after_stores / at_site"
-            )
-        if self.after_stores is not None and self.after_stores < 0:
-            raise ConfigurationError("after_stores must be non-negative")
-        if self.at_site is not None and self.at_site < 0:
+        if self.at_site < 0:
             raise ConfigurationError("at_site must be non-negative")
         if self.fault_model not in FAULT_MODELS:
             raise ConfigurationError(

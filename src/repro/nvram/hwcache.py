@@ -184,10 +184,6 @@ class HardwareCache:
         """True when ``line`` is currently cached."""
         return line in self.sets[line % self.num_sets]
 
-    def is_dirty(self, line: int) -> bool:
-        """True when ``line`` is cached and dirty."""
-        return self.sets[line % self.num_sets].get(line, False)
-
     def line_state(self, line: int) -> Optional[bool]:
         """True when ``line`` is cached dirty, False clean, None absent."""
         return self.sets[line % self.num_sets].get(line)

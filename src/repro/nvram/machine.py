@@ -14,6 +14,9 @@
 Threads are interleaved deterministically by smallest-cycle-first
 scheduling: the thread whose clock is furthest behind runs the next batch
 of events.  Wall-clock time of a run is the largest per-thread clock.
+That scheduler is written once (``Machine._schedule``): ``run`` feeds it
+workload streams, ``drive`` lets a caller that dispatches operations
+itself — the Atlas crash replay — borrow it for its sessions.
 
 The technique object is duck-typed (see :mod:`repro.cache.policies`): the
 machine calls ``bind(port)``, ``on_store(line)``, ``on_fase_begin()``,
@@ -40,7 +43,16 @@ from typing import (
 )
 
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.common.events import Event, EventBatch, EventKind
+from repro.common.events import (
+    Event,
+    EventBatch,
+    EventKind,
+    FaseBegin,
+    FaseEnd,
+    Load,
+    Store,
+    Work,
+)
 from repro.common.geometry import lines_spanned
 from repro.locality.trace import WriteTrace
 from repro.nvram.failure import (
@@ -261,16 +273,13 @@ class _ThreadContext:
     )
 
     def __init__(
-        self,
-        thread_id: int,
-        stream: Iterator[Event],
-        technique: object,
-        record_trace: bool,
+        self, thread_id: int, technique: object, record_trace: bool
     ) -> None:
         self.thread_id = thread_id
-        self.stream = stream
         self.technique = technique
-        # Batched execution state (None when driven by a per-object stream).
+        # What ``Machine.run`` pulls from: a per-object stream or a batch
+        # stream.  A session has neither — its caller pushes operations.
+        self.stream: Iterator[Event] = iter(())
         self.batch_iter: Optional[Iterator[EventBatch]] = None
         self.batch: Optional[EventBatch] = None
         self.batch_pos = 0
@@ -335,11 +344,11 @@ class Machine:
         #: line-touch run — absorbed as hits, or written through as one
         #: train of flushes — i.e. without an ``on_store`` call of their own.
         self.absorbed_stores = 0
-        self._crash_plan: Optional[CrashPlan] = None
         self.crashed_state: Optional[CrashedState] = None
         # Crash-site machinery (repro.faults).  ``_sites_active`` gates
         # every site hook with one attribute load, so runs that neither
-        # enumerate sites nor carry an at_site plan pay nothing.
+        # enumerate sites nor arm a crash pay nothing — and it is what
+        # ``run`` routes on: such a run executes event by event.
         self._sites_active = False
         self._sites_seen = 0
         self._site_log: Optional[List[Tuple[int, str, int, int]]] = None
@@ -356,9 +365,16 @@ class Machine:
         self._record_inflight = False
         self._fault_inflight: List[Tuple[object, int, Dict[int, object]]] = []
 
-    def _new_flushq(self) -> FlushQueue:
+    def _new_context(
+        self, thread_id: int, technique: object, record_trace: bool
+    ) -> "_ThreadContext":
+        """A thread's execution state, its technique bound to its port."""
+        ctx = _ThreadContext(thread_id, technique, record_trace)
         t = self.config.timing
-        return FlushQueue(t.flush_queue_depth, t.writeback_service)
+        ctx.flushq = FlushQueue(t.flush_queue_depth, t.writeback_service)
+        ctx.port = FlushPort(self, ctx)
+        technique.bind(ctx.port)
+        return ctx
 
     # ------------------------------------------------------------------
     # Crash-site enumeration and scheduled failures (repro.faults)
@@ -371,7 +387,9 @@ class Machine:
         ``(index, site_class, thread_id, cycles)`` tuple.  Indices are
         global and in execution order; a deterministic replay of the same
         configuration visits the same sites with the same indices, which
-        is the contract ``CrashPlan(at_site=...)`` relies on.
+        is the contract ``CrashPlan(at_site=...)`` relies on — enumeration
+        and injection both run the per-event engine, whatever
+        ``use_batches`` a later :meth:`run` is given.
         """
         self._site_log = []
         self._sites_active = True
@@ -383,21 +401,18 @@ class Machine:
         return self._sites_seen
 
     def arm_crash_plan(self, plan: Optional[CrashPlan]) -> None:
-        """Schedule a crash for session-driven execution.
+        """Schedule the crash ``plan`` names; ``None`` disarms.
 
-        ``Machine.run`` arms its ``crash_plan`` argument through here;
-        imperative drivers (sessions / the Atlas runtime) call it
-        directly before pushing operations.  A site-triggered crash
-        raises :class:`~repro.nvram.failure.PowerFailure` out of the
+        The one-target case of :meth:`arm_crash_sweep`.  ``Machine.run``
+        arms its ``crash_plan`` argument through here; imperative
+        drivers (sessions / the Atlas runtime) call it directly before
+        pushing operations, and see
+        :class:`~repro.nvram.failure.PowerFailure` raised out of the
         operation that completed the site, with ``crashed_state``
-        already populated; it is the one-target case of
-        :meth:`arm_crash_sweep`.
+        already populated.
         """
-        self._crash_plan = plan
         if plan is None:
             self.arm_crash_sweep(())
-        elif plan.at_site is None:
-            self.arm_crash_sweep((), plan.fault_model)
         else:
             self.arm_crash_sweep(
                 [(plan.at_site, plan.fault_seed)], plan.fault_model
@@ -434,8 +449,8 @@ class Machine:
         self._fault_model = fault_model
         if targets:
             self._sites_active = True
-        if fault_model == FAULT_REORDERED_FLUSH:
-            self._record_inflight = True
+            if fault_model == FAULT_REORDERED_FLUSH:
+                self._record_inflight = True
 
     @property
     def next_crash_target(self) -> Optional[int]:
@@ -601,8 +616,6 @@ class Machine:
             if ev is None:
                 return False
             process(ctx, ev)
-            if self.crashed_state is not None:
-                return False
         return True
 
     def _run_batches(self, ctx: _ThreadContext, budget: int) -> bool:
@@ -612,8 +625,10 @@ class Machine:
         the event semantics of :meth:`_process_event` inlined, but with
         no per-event object allocation, no generator resumption, the
         per-quantum invariants (timing constants, cache, technique
-        callbacks, crash plan) hoisted into locals, and the single-line
-        store — the overwhelmingly common case — fully short-circuited.
+        callbacks) hoisted into locals, and the single-line store — the
+        overwhelmingly common case — fully short-circuited.  No crash
+        can fire in here: a run that enumerates sites or has one armed
+        executes on :meth:`_process_event` (see :meth:`run`).
 
         *Line-touch runs.*  Most stores repeat the previous store's
         line.  The first store of such a run executes as any other; the
@@ -626,9 +641,8 @@ class Machine:
         L1 (checked here) and the technique absorbed it, so a repeat is
         a pure hit; and no callback runs inside it, so the cycle
         additions commute (DESIGN.md §8).  A run is cut at the quantum
-        edge, and executed store by store when an ``after_stores`` crash
-        point falls inside it, when the technique declines or when
-        values are tracked.
+        edge, and executed store by store when the technique declines or
+        when values are tracked.
 
         *Write-through runs.*  When ``on_store`` flushed the line out of
         L1 instead (ER always does), each repeat is a miss-fill into the
@@ -653,7 +667,7 @@ class Machine:
         built-in technique does.
 
         Quantum boundaries between runnable threads fall on the same
-        event counts as the per-event path (``Machine.run`` passes a
+        event counts as the per-event path (:meth:`_schedule` passes a
         larger ``budget`` only where no other thread can run and nothing
         observes the edge), so the smallest-clock thread interleaving —
         and with it every statistic, including the shared hardware
@@ -681,10 +695,6 @@ class Machine:
         trace_lines = ctx.trace_lines
         trace_fids = ctx.trace_fids
         evict_writeback = self._evict_writeback
-        plan = self._crash_plan
-        # Only store-count plans reach the batched path; ``Machine.run``
-        # routes site-triggered plans to the per-event loop.
-        plan_after = plan.after_stores if plan is not None else None
         # Structured tracing: ``recording`` gates the (rare) FASE-boundary
         # sites below; with the null recorder the fast path adds only
         # this one hoisted attribute load per quantum.
@@ -695,13 +705,10 @@ class Machine:
         miss_cost = t.l1_hit + t.l1_miss
         # Write-through runs fold ``n`` flushes into one step, so they
         # stand down when anything observes a flush on its own: tracked
-        # values, trace events, crash sites, in-flight records.
+        # values, trace events.
         write_through = (
             None
-            if track_values
-            or recording
-            or self._sites_active
-            or self._record_inflight
+            if track_values or recording
             else getattr(technique, "write_through", None)
         )
         issue_train = ctx.flushq.issue_train
@@ -725,9 +732,7 @@ class Machine:
         persistent_stores = stats.persistent_stores
         persistent_loads = stats.persistent_loads
         fase_count = stats.fase_count
-        stores_seen = self._stores_seen
         absorbed = repeats = flushed = 0
-        crashed = False
         try:
             while budget > 0:
                 batch = ctx.batch
@@ -807,16 +812,6 @@ class Machine:
                             persistent_stores += 1
                             cycles += cost_per_store
                             instructions += cost_per_store
-                            stores_seen += 1
-                            if (
-                                plan_after is not None
-                                and stores_seen >= plan_after
-                            ):
-                                ctx.batch_pos = i + 1
-                                self._stores_seen = stores_seen
-                                crashed = True
-                                self._crash()
-                                return False
                         if i >= resume and (span := spans[i]):
                             # The rest of this line touch, cut at the
                             # quantum edge: ``n`` L1 and technique hits
@@ -835,10 +830,7 @@ class Machine:
                                 # ``on_store`` may have flushed the line
                                 # itself: ER always, SC when it shrinks.
                                 category = None
-                                if absorb is None or (
-                                    plan_after is not None
-                                    and stores_seen + n >= plan_after
-                                ):
+                                if absorb is None:
                                     taken = False
                                 elif (state := line_state(first)):
                                     taken = absorb(first, n)
@@ -854,7 +846,6 @@ class Machine:
                                     continue
                                 absorbed += n
                                 persistent_stores += n
-                                stores_seen += n
                                 if trace_lines is not None:
                                     trace_lines.extend([first] * n)
                                     trace_fids.extend([trace_fids[-1]] * n)
@@ -958,6 +949,7 @@ class Machine:
         finally:
             stats.cycles = cycles
             stats.instructions += instructions
+            self._stores_seen += persistent_stores - stats.persistent_stores
             stats.persistent_stores = persistent_stores
             stats.persistent_loads = persistent_loads
             stats.fase_count = fase_count
@@ -966,8 +958,6 @@ class Machine:
                 hw.repeat_stores(repeats)
             if flushed:
                 hw.write_through_stores(flushed)
-            if not crashed:
-                self._stores_seen = stores_seen
 
     def _process_event(self, ctx: _ThreadContext, ev: Event) -> None:
         """Execute one event on behalf of ``ctx`` (the simulator core)."""
@@ -1007,14 +997,6 @@ class Machine:
                 self._stores_seen += 1
                 if self._sites_active:
                     self._note_site(ctx, SITE_STORE)
-                plan = self._crash_plan
-                if (
-                    plan is not None
-                    and plan.after_stores is not None
-                    and self._stores_seen >= plan.after_stores
-                ):
-                    self._crash()
-                    return
         elif kind == EventKind.WORK:
             amount = ev.amount
             stats.cycles += int(amount * t.cpi)
@@ -1103,9 +1085,8 @@ class Machine:
 
         Final totals land as counters so one registry dump is
         self-describing without the matching RunResult in hand.  Called
-        by ``run`` for every thread, and by
-        :meth:`MachineSession.record_final_metrics` for session-driven
-        execution (e.g. crash-campaign replays).
+        by the scheduler for every thread, whether the run finished or
+        the power failed.
         """
         m = self.metrics
         s = ctx.stats
@@ -1120,7 +1101,7 @@ class Machine:
         self,
         site: Optional[int] = None,
         site_class: Optional[str] = None,
-        fault_seed: Optional[int] = None,
+        fault_seed: int = 0,
     ) -> None:
         """Capture what a power cut *now* leaves durable.
 
@@ -1130,9 +1111,6 @@ class Machine:
         image = self.memory.nvram_snapshot()
         dirty = self.hwcache.dirty_lines()
         model = self._fault_model
-        if fault_seed is None:
-            plan = self._crash_plan
-            fault_seed = plan.fault_seed if plan is not None else 0
         torn: List[int] = []
         dropped = 0
         if model == FAULT_TORN_LINE:
@@ -1169,11 +1147,9 @@ class Machine:
         boundaries) as they happen — this is how the Atlas runtime and
         the MDB store drive the machine.
         """
-        ctx = _ThreadContext(thread_id, iter(()), technique, record_trace)
-        ctx.flushq = self._new_flushq()
-        ctx.port = FlushPort(self, ctx)
-        technique.bind(ctx.port)
-        return MachineSession(self, ctx)
+        return MachineSession(
+            self, self._new_context(thread_id, technique, record_trace)
+        )
 
     def read_current(self, addr: int, default: object = None) -> object:
         """The value a load of ``addr`` would observe right now.
@@ -1220,126 +1196,48 @@ class Machine:
             Keyword-only.  ``record_traces`` collects the per-thread
             persistent-write traces (needed for offline MRC analysis and
             the figure pipelines).  ``crash_plan`` schedules a power
-            failure; afterwards ``self.crashed_state`` holds the durable
-            NVRAM image.  Site-triggered plans (``at_site``) force the
-            per-event path — site hooks live in the flush plumbing the
-            batched loop bypasses.  ``use_batches`` forces (``True``) or
-            forbids (``False``) the batched fast path; default ``None``
-            selects it automatically whenever the workload provides batch
-            streams and value tracking is off (batches carry no store
-            payloads).  Both paths produce bit-identical results.
+            failure at one site; afterwards ``self.crashed_state`` holds
+            the durable NVRAM image and the result reads ``crashed``.
+            ``use_batches`` forces (``True``) or forbids (``False``) the
+            batched fast path; default ``None`` selects it automatically
+            whenever the workload provides batch streams and value
+            tracking is off (batches carry no store payloads).  Both
+            paths produce bit-identical results.
+
+        Routing: a machine with crash sites active — :meth:`record_sites`
+        was called, or a target is armed — executes event by event
+        whatever ``use_batches`` says, because ``store`` sites exist only
+        there; so enumeration and injection always see one site sequence.
         """
         if num_threads < 1:
             raise ConfigurationError("num_threads must be >= 1")
         self.arm_crash_plan(crash_plan)
-        if crash_plan is not None and crash_plan.at_site is not None:
+        if self._sites_active:
             use_batches = False
-        batch_streams = None
-        if use_batches is None:
+        elif use_batches is None:
             use_batches = not self.config.track_values
+        streams = None
         if use_batches:
             getter = getattr(workload, "batch_streams", None)
             if getter is not None:
-                batch_streams = getter(num_threads, seed)
-        if batch_streams is not None:
-            if len(batch_streams) != num_threads:
-                raise SimulationError(
-                    f"workload produced {len(batch_streams)} batch streams "
-                    f"for {num_threads} threads"
-                )
-            runner = self._run_batches
-        else:
+                streams = getter(num_threads, seed)
+        batched = streams is not None
+        if not batched:
             streams = workload.streams(num_threads, seed)
-            if len(streams) != num_threads:
-                raise SimulationError(
-                    f"workload produced {len(streams)} streams for "
-                    f"{num_threads} threads"
-                )
-            runner = self._run_batch
+        if len(streams) != num_threads:
+            raise SimulationError(
+                f"workload produced {len(streams)} streams for "
+                f"{num_threads} threads"
+            )
         contexts = []
-        for tid in range(num_threads):
-            technique = technique_factory(tid)
-            if batch_streams is not None:
-                ctx = _ThreadContext(tid, iter(()), technique, record_traces)
-                ctx.batch_iter = iter(batch_streams[tid])
+        for tid, stream in enumerate(streams):
+            ctx = self._new_context(tid, technique_factory(tid), record_traces)
+            if batched:
+                ctx.batch_iter = iter(stream)
             else:
-                ctx = _ThreadContext(
-                    tid, iter(streams[tid]), technique, record_traces
-                )
-            ctx.flushq = self._new_flushq()
-            ctx.port = FlushPort(self, ctx)
-            technique.bind(ctx.port)
+                ctx.stream = iter(stream)
             contexts.append(ctx)
-
-        # Smallest-clock-first interleaving; ties broken by thread id.
-        heap: List[Tuple[int, int]] = [(0, ctx.thread_id) for ctx in contexts]
-        heapq.heapify(heap)
-        metrics = self.metrics
-        # Quantum-boundary technique hooks (background cleaning stages);
-        # resolved once so techniques without the hook cost one list
-        # index per quantum.
-        quantum_hooks = [
-            getattr(ctx.technique, "on_quantum", None) for ctx in contexts
-        ]
-        # A quantum edge exists to let another thread run, and for what
-        # observes it below: the technique's hook, the metrics sampler,
-        # the recorder's window watermark.  With none of them it is inert
-        # (DESIGN.md §8), so the only runnable thread of an unobserved
-        # batched run takes the rest of its stream as one quantum.
-        lone_budget = (
-            sys.maxsize
-            if batch_streams is not None
-            and metrics is None
-            and not self.recorder.enabled
-            else SCHED_BATCH
-        )
-        while heap:
-            _, tid = heapq.heappop(heap)
-            ctx = contexts[tid]
-            hook = quantum_hooks[tid]
-            try:
-                alive = runner(
-                    ctx, SCHED_BATCH if heap or hook is not None else lone_budget
-                )
-            except PowerFailure:
-                # A site-triggered crash; crashed_state is populated.
-                break
-            if hook is not None and alive and self.crashed_state is None:
-                # Fires before the thread's clock is re-queued so the
-                # scheduler sees the cleaning cycles, and inside its own
-                # crash guard: clean flushes are injectable sites.
-                try:
-                    hook()
-                except PowerFailure:
-                    break
-            if metrics is not None:
-                self._sample_metrics(ctx)
-            rec = self.recorder
-            if rec.enabled:
-                # Window-boundary hook: streaming recorders advance their
-                # cycle-window watermark here, once per quantum, on both
-                # the per-event and batched paths (``runner`` is whichever
-                # of the two this run uses).
-                rec.on_quantum(tid, ctx.stats.cycles)
-            if self.crashed_state is not None:
-                break
-            if alive:
-                heapq.heappush(heap, (ctx.stats.cycles, tid))
-            else:
-                if ctx.fase_depth != 0:
-                    raise SimulationError(
-                        f"thread {tid} stream ended inside a FASE "
-                        f"(depth={ctx.fase_depth})"
-                    )
-                try:
-                    ctx.technique.finish()
-                except PowerFailure:
-                    break
-                ctx.alive = False
-
-        if metrics is not None:
-            for ctx in contexts:
-                self._final_metrics(ctx)
+        self._schedule(contexts, self._run_batches if batched else self._run_batch)
 
         traces = None
         if record_traces:
@@ -1359,6 +1257,103 @@ class Machine:
             crashed=self.crashed_state is not None,
         )
 
+    def drive(
+        self,
+        sessions: Sequence["MachineSession"],
+        step: Callable[[int, int], bool],
+    ) -> None:
+        """Interleave session-driven threads under the machine's scheduler.
+
+        For code that must dispatch each operation itself (the Atlas
+        crash replay logs a store's old value before the store) yet wants
+        the interleaving, quantum hooks and sampling of :meth:`run`.
+        ``step(thread_id, budget)`` pushes up to ``budget`` operations
+        through that thread's session and returns whether any are left;
+        a thread that has none left is finished here, as by
+        :meth:`MachineSession.finish`.  Returns when every thread has
+        finished or the power failed (``crashed_state`` then says where).
+        """
+        self._schedule(
+            [session._ctx for session in sessions],
+            lambda ctx, budget: step(ctx.thread_id, budget),
+        )
+
+    def _schedule(
+        self,
+        contexts: Sequence[_ThreadContext],
+        runner: Callable[[_ThreadContext, int], bool],
+    ) -> None:
+        """Run ``contexts`` to completion, smallest clock first.
+
+        The thread whose clock is furthest behind (ties: lowest thread
+        id) gets the next quantum: ``runner(ctx, budget)`` executes up to
+        ``budget`` events and returns whether the thread has more.  While
+        it has, its technique's ``on_quantum`` hook (background cleaning
+        stages) fires — before the clock is re-queued, so the scheduler
+        sees the cleaning cycles; a thread's last quantum is followed by
+        ``finish()`` instead, which flushes what cleaning would have.
+        Every edge then feeds the metrics sampler and the recorder's
+        window watermark.  :class:`~repro.nvram.failure.PowerFailure` —
+        from an event, a clean flush or a final flush, all of which can
+        complete an armed site — is the one stop signal; final counters
+        are dumped for every thread either way.
+        """
+        metrics = self.metrics
+        rec = self.recorder
+        # A quantum edge exists to let another thread run, and for what
+        # observes it: the three hooks above.  With none of them it is
+        # inert (DESIGN.md §8), so the only runnable thread of an
+        # unobserved batched run takes the rest of its stream as one
+        # quantum.
+        lone_budget = (
+            sys.maxsize
+            if runner == self._run_batches and metrics is None and not rec.enabled
+            else SCHED_BATCH
+        )
+        # Entries carry the thread's context and its hook (resolved
+        # once); thread ids are unique, so comparison never reaches them.
+        heap = [
+            (
+                ctx.stats.cycles,
+                ctx.thread_id,
+                ctx,
+                getattr(ctx.technique, "on_quantum", None),
+            )
+            for ctx in contexts
+        ]
+        heapq.heapify(heap)
+        try:
+            while heap:
+                _, tid, ctx, hook = heapq.heappop(heap)
+                alive = runner(
+                    ctx, SCHED_BATCH if heap or hook is not None else lone_budget
+                )
+                if alive and hook is not None:
+                    hook()
+                if metrics is not None:
+                    self._sample_metrics(ctx)
+                if rec.enabled:
+                    rec.on_quantum(tid, ctx.stats.cycles)
+                if alive:
+                    heapq.heappush(heap, (ctx.stats.cycles, tid, ctx, hook))
+                else:
+                    self._finish(ctx)
+        except PowerFailure:
+            pass  # crashed_state holds the image; nothing runs after it
+        if metrics is not None:
+            for ctx in contexts:
+                self._final_metrics(ctx)
+
+    def _finish(self, ctx: _ThreadContext) -> None:
+        """End of a thread: the technique drains what it still buffers."""
+        if ctx.fase_depth != 0:
+            raise SimulationError(
+                f"thread {ctx.thread_id} ended inside a FASE "
+                f"(depth={ctx.fase_depth})"
+            )
+        ctx.technique.finish()
+        ctx.alive = False
+
 
 class MachineSession:
     """Imperative single-thread execution handle (see ``Machine.session``).
@@ -1369,19 +1364,16 @@ class MachineSession:
     drain its remaining buffered lines.
     """
 
-    __slots__ = ("machine", "_ctx", "_finished")
+    __slots__ = ("machine", "_ctx")
 
     def __init__(self, machine: Machine, ctx: _ThreadContext) -> None:
         self.machine = machine
         self._ctx = ctx
-        self._finished = False
 
     # -- operations ------------------------------------------------------
 
     def store(self, addr: int, size: int = 8, value: object = None) -> None:
         """Execute a store (persistent iff ``addr`` is in NVRAM)."""
-        from repro.common.events import Store
-
         self.machine._process_event(self._ctx, Store(addr, size, value))
 
     def store_unmanaged(self, addr: int, size: int = 8, value: object = None) -> None:
@@ -1408,27 +1400,19 @@ class MachineSession:
 
     def load(self, addr: int, size: int = 8) -> object:
         """Execute a load; return the currently visible value."""
-        from repro.common.events import Load
-
         self.machine._process_event(self._ctx, Load(addr, size))
         return self.machine.read_current(addr)
 
     def work(self, amount: int) -> None:
         """Execute ``amount`` instructions of computation."""
-        from repro.common.events import Work
-
         self.machine._process_event(self._ctx, Work(amount))
 
     def fase_begin(self) -> None:
         """Enter a failure-atomic section (may nest)."""
-        from repro.common.events import FaseBegin
-
         self.machine._process_event(self._ctx, FaseBegin())
 
     def fase_end(self) -> None:
         """Leave a failure-atomic section."""
-        from repro.common.events import FaseEnd
-
         self.machine._process_event(self._ctx, FaseEnd())
 
     # -- lifecycle ---------------------------------------------------------
@@ -1454,51 +1438,7 @@ class MachineSession:
             return None
         return WriteTrace(self._ctx.trace_lines, self._ctx.trace_fids)
 
-    # -- metrics -----------------------------------------------------------
-
-    def on_quantum(self) -> None:
-        """Fire the technique's quantum-boundary hook, if it has one.
-
-        Session-driven code has no scheduler, so drivers that want
-        background-cleaning stages to run (e.g. the crash-campaign
-        replay loop) call this at their own quantum boundaries.  A
-        :class:`~repro.nvram.failure.PowerFailure` from an armed clean
-        flush propagates to the caller, exactly as from ``store``.
-        """
-        hook = getattr(self._ctx.technique, "on_quantum", None)
-        if hook is not None:
-            hook()
-
-    def sample_metrics(self) -> None:
-        """Sample this thread's gauge series if its interval elapsed.
-
-        Session-driven code has no scheduler quantum, so drivers call
-        this at their own natural boundaries (e.g. between replayed
-        operations).  A no-op without a metrics registry.
-        """
-        if self.machine.metrics is not None:
-            self.machine._sample_metrics(self._ctx)
-        rec = self.machine.recorder
-        if rec.enabled:
-            rec.on_quantum(self._ctx.thread_id, self._ctx.stats.cycles)
-
-    def record_final_metrics(self) -> None:
-        """Dump this thread's run totals into the metrics registry.
-
-        The session twin of the end-of-run counter dump ``Machine.run``
-        performs; call once when the session's work is done.  A no-op
-        without a metrics registry.
-        """
-        if self.machine.metrics is not None:
-            self.machine._final_metrics(self._ctx)
-
     def finish(self) -> None:
         """Close the session: drain the technique's remaining lines."""
-        if self._finished:
-            return
-        if self._ctx.fase_depth != 0:
-            raise SimulationError(
-                f"session closed inside a FASE (depth={self._ctx.fase_depth})"
-            )
-        self._ctx.technique.finish()
-        self._finished = True
+        if self._ctx.alive:
+            self.machine._finish(self._ctx)

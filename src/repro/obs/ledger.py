@@ -21,10 +21,8 @@ Durability model (NVCache's append-only log, scaled to a JSONL file):
   fatal), and the next append **heals** the tail by prefixing a newline
   when the file does not end in one, so the log keeps growing past the
   scar.
-- A sidecar ``index.json`` (atomic temp-file + rename, the
-  :class:`~repro.experiments.cache.ResultCache` protocol) accelerates
-  summaries; it is advisory — when its recorded byte count disagrees
-  with the log, readers rescan and rewrite it.
+- The log is the only file and ``scan`` the only reader: there is no
+  derived state to go stale.
 
 Determinism contract: two appends of the same configuration produce
 records identical *modulo the environment fields* (timestamp, host,
@@ -50,7 +48,6 @@ import json
 import os
 import platform
 import socket
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union
@@ -66,9 +63,8 @@ LEDGER_OFF_VALUES = frozenset({"off", "none", "0", "disabled"})
 #: Default ledger root when the env var is unset.
 DEFAULT_LEDGER_DIR = ".ledger"
 
-#: The log and sidecar-index file names under the ledger root.
+#: The log's file name under the ledger root.
 LOG_NAME = "runs.jsonl"
-INDEX_NAME = "index.json"
 
 #: Fields that describe the *environment* of a run rather than the run
 #: itself: excluded from :meth:`RunRecord.stable_dict`, so re-running an
@@ -255,7 +251,6 @@ class RunLedger:
     def __init__(self, root: str) -> None:
         self.root = root
         self.path = os.path.join(root, LOG_NAME)
-        self.index_path = os.path.join(root, INDEX_NAME)
         #: Lines the last scan skipped as torn/corrupt (observability
         #: for the reader's tolerance, asserted by tests).
         self.skipped_lines = 0
@@ -291,10 +286,8 @@ class RunLedger:
         fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
         try:
             os.write(fd, payload)
-            size_after = os.fstat(fd).st_size
         finally:
             os.close(fd)
-        self._update_index(record, len(payload), size_after)
         return record
 
     def _tail_is_torn(self) -> bool:
@@ -367,105 +360,6 @@ class RunLedger:
         for record in self.records(kind=kind):
             groups.setdefault(record.spec_sha, []).append(record)
         return groups
-
-    # -- sidecar index --------------------------------------------------
-
-    def _update_index(
-        self, record: RunRecord, payload_len: int, size_after: int
-    ) -> None:
-        """Best-effort sidecar maintenance after one append.
-
-        The index is an accelerator, not a source of truth: it is
-        rewritten atomically (temp file + rename) and stamped with the
-        log's byte size, so a reader can tell a stale index (concurrent
-        appenders racing on the rewrite) from a fresh one and rescan.
-
-        The incremental ``+1`` is sound only when the base index was
-        fresh *as of the byte just before this append* (its stamped
-        size equals ``size_after - payload_len``); a base from any
-        other instant may have missed a concurrent writer's record, and
-        blindly incrementing it could stamp the final log size onto a
-        wrong count — a stale index the size check cannot catch.  When
-        the chain breaks, fall back to a full rescan rebuild instead.
-        Any failure here is swallowed — the log already holds the data.
-        """
-        try:
-            index = self._read_index()
-            if index is None:
-                index = {"schema": LEDGER_SCHEMA, "records": 0, "bytes": 0,
-                         "specs": {}}
-            if (
-                index.get("schema") != LEDGER_SCHEMA
-                or index.get("bytes") != size_after - payload_len
-            ):
-                self.index()
-                return
-            entry = index["specs"].setdefault(
-                record.spec_sha, {"kind": record.kind, "count": 0, "last_ts": 0.0}
-            )
-            entry["count"] += 1
-            entry["kind"] = record.kind
-            entry["last_ts"] = record.ts
-            index["records"] += 1
-            index["bytes"] = size_after
-            self._write_index(index)
-        except (OSError, TypeError, KeyError):
-            pass
-
-    def _read_index(self) -> Optional[Dict]:
-        try:
-            with open(self.index_path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            return None
-
-    def _write_index(self, index: Dict) -> None:
-        os.makedirs(self.root, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-", suffix=".json")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(index, fh, sort_keys=True)
-            os.replace(tmp, self.index_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def index(self) -> Dict:
-        """The sidecar index, rebuilt (and rewritten) when stale.
-
-        Freshness test: the index's recorded ``bytes`` must equal the
-        log's current size; concurrent appends that lost the index race
-        make it stale, and a rescan repairs it.
-        """
-        index = self._read_index()
-        try:
-            size = os.path.getsize(self.path)
-        except OSError:
-            size = 0
-        if index is not None and index.get("bytes") == size:
-            return index
-        records = self.scan()
-        index = {
-            "schema": LEDGER_SCHEMA,
-            "records": len(records),
-            "bytes": size,
-            "specs": {},
-        }
-        for record in records:
-            entry = index["specs"].setdefault(
-                record.spec_sha, {"kind": record.kind, "count": 0, "last_ts": 0.0}
-            )
-            entry["count"] += 1
-            entry["kind"] = record.kind
-            entry["last_ts"] = record.ts
-        try:
-            self._write_index(index)
-        except OSError:
-            pass
-        return index
 
 
 # ---------------------------------------------------------------------------

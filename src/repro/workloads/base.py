@@ -8,10 +8,8 @@ from repro.common.errors import ConfigurationError
 from repro.common.events import (
     Event,
     EventBatch,
-    FaseBegin,
-    FaseEnd,
-    Store,
     batches_from_events,
+    events_from_batches,
 )
 from repro.common.geometry import CACHE_LINE_SIZE, align_up
 from repro.nvram.memory import NVRAM_BASE
@@ -25,31 +23,42 @@ class Workload:
     workload instance must be reusable: each ``streams`` call starts a
     fresh logical execution.
 
-    A workload may additionally implement :meth:`batch_streams`,
-    emitting the *same* event sequence natively as compact
-    :class:`~repro.common.events.EventBatch` columns; the machine then
-    executes them on its allocation-free batch loop.  A workload without
-    a native emitter reaches the same loop through
-    :class:`BatchCachingWorkload`, which records ``streams`` into
-    batches once — wherever :meth:`schedule_independent` says a
-    recording is the execution every technique would have seen.  The two
-    encodings must stay equivalent — the batch path is an optimisation,
-    never a semantic fork.
+    The program is written once — one emitter; the other is derived.  A
+    workload implements either :meth:`streams` (per-object events: the
+    natural spelling of a generator that builds a data structure) or
+    :meth:`batch_streams` (compact
+    :class:`~repro.common.events.EventBatch` columns the machine
+    executes on its allocation-free batch loop: the cheaper first run).
+    ``streams`` of a batch emitter is the decoding of its batches;
+    batches of a ``streams`` emitter are recorded once by
+    :class:`BatchCachingWorkload` — wherever
+    :meth:`schedule_independent` says a recording is the execution every
+    technique would have seen.  Either way the two encodings are one
+    event sequence by construction.
     """
 
     name = "abstract"
 
     def streams(self, num_threads: int, seed: int) -> List[Iterator[Event]]:
-        """Return ``num_threads`` independent event iterators."""
-        raise NotImplementedError
+        """Return ``num_threads`` independent event iterators.
+
+        The default decodes :meth:`batch_streams`; a workload with no
+        batch emitter overrides this instead.
+        """
+        batch_streams = self.batch_streams(num_threads, seed)
+        if batch_streams is None:
+            raise NotImplementedError(
+                f"{type(self).__name__} defines neither streams nor batch_streams"
+            )
+        return [events_from_batches(batches) for batches in batch_streams]
 
     def batch_streams(
         self, num_threads: int, seed: int
     ) -> Optional[List[Iterator[EventBatch]]]:
         """Return per-thread :class:`EventBatch` iterators, or ``None``.
 
-        ``None`` (the default) means the workload has no native batch
-        emitter and the machine falls back to :meth:`streams`.
+        ``None`` (the default) means the workload emits per-object
+        events and the machine falls back to :meth:`streams`.
         """
         return None
 
@@ -210,14 +219,6 @@ class TraceWorkload(Workload):
     def supports_threads(self, num_threads: int) -> bool:
         return num_threads == len(self._traces)
 
-    def streams(self, num_threads: int, seed: int) -> List[Iterator[Event]]:
-        if num_threads != len(self._traces):
-            raise ConfigurationError(
-                f"trace workload has {len(self._traces)} threads, "
-                f"{num_threads} requested"
-            )
-        return [self._replay(trace) for trace in self._traces]
-
     def batch_streams(
         self, num_threads: int, seed: int
     ) -> List[Iterator[EventBatch]]:
@@ -239,26 +240,9 @@ class TraceWorkload(Workload):
         return 0
 
     @classmethod
-    def _replay(cls, trace) -> Iterator[Event]:
-        lines = trace.lines
-        fids = trace.fase_ids
-        shift = cls._trace_shift(lines)
-        current = None
-        for i in range(len(lines)):
-            fid = int(fids[i])
-            if fid != current:
-                if current is not None and current != -1:
-                    yield FaseEnd()
-                if fid != -1:
-                    yield FaseBegin()
-                current = fid
-            yield Store((int(lines[i]) + shift) * CACHE_LINE_SIZE, 8)
-        if current is not None and current != -1:
-            yield FaseEnd()
-
-    @classmethod
     def _replay_batches(cls, trace, chunk: int = 4096) -> Iterator[EventBatch]:
-        """Batched mirror of :meth:`_replay` (same event sequence)."""
+        """One trace as batches: a store per record, FASE marks where
+        the fase id changes."""
         lines = trace.lines.tolist()
         fids = trace.fase_ids.tolist()
         shift = cls._trace_shift(trace.lines)

@@ -48,14 +48,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.common.events import (
-    Event,
-    EventBatch,
-    FaseBegin,
-    FaseEnd,
-    Store,
-    Work,
-)
+from repro.common.events import EventBatch
 from repro.common.geometry import CACHE_LINE_SIZE
 from repro.common.rng import derive_seed, make_rng
 from repro.nvram.memory import NVRAM_BASE
@@ -203,14 +196,6 @@ class TilePatternWorkload(Workload):
         """Line id of element ``i`` of narrow tile ``tile`` (layout helper)."""
         return self._base_line + tile * self._tile_span + i * self._stride
 
-    def streams(self, num_threads: int, seed: int) -> List[Iterator[Event]]:
-        if num_threads < 1:
-            raise ConfigurationError("num_threads must be >= 1")
-        return [
-            self._stream(t, num_threads, derive_seed(seed, self.name, t))
-            for t in range(num_threads)
-        ]
-
     def batch_streams(
         self, num_threads: int, seed: int
     ) -> List[Iterator[EventBatch]]:
@@ -221,109 +206,14 @@ class TilePatternWorkload(Workload):
             for t in range(num_threads)
         ]
 
-    def _stream(self, tid: int, nthreads: int, seed: int) -> Iterator[Event]:
-        cfg = self.config
-        rng = make_rng(seed)
-        pass_dither = _Dither(cfg.passes)
-        burst_dither = _Dither(cfg.burst)
-        wide_unit_dither = _Dither(cfg.wide_units_per_fase)
-        wide_fase_dither = _Dither(cfg.wide_fase_every)
-        wide_pass_dither = _Dither(max(cfg.wide_passes, 1.0))
-        scatter_dither = _Dither(cfg.scatter_frac)
-        wide_counter = [0]
-        work = cfg.work_per_store
-        line_size = CACHE_LINE_SIZE
-        pool = cfg.scatter_pool_lines
-        scatter_base = self._scatter_base
-
-        def sweep(base_line: int, nlines: int, stride: int) -> Iterator[Event]:
-            for i in range(nlines):
-                b = max(1, burst_dither.next_count())
-                yield Work(work * b)
-                addr = (base_line + i * stride) * line_size
-                for j in range(b):
-                    yield Store(addr + (j % 8) * 8, 8)
-                if cfg.scatter_frac:
-                    for _ in range(scatter_dither.next_count() * b):
-                        pool_line = scatter_base + int(rng.integers(0, pool))
-                        yield Store(pool_line * line_size, 8)
-
-        # Each thread works on a private partition of the domain (the
-        # SPLASH2 strong-scaling decomposition): its tiles and wide
-        # regions are replicas at a per-thread offset.  The extra +tid
-        # lines rotate the hardware-cache set mapping so replicas spread
-        # across sets — which is what makes L1 capacity contention grow
-        # with the thread count (Table IV's rising miss ratios) without
-        # changing any per-thread flush arithmetic.
-        region_span = (
-            cfg.tiles_per_fase * self._tile_span
-            + self._num_wide_instances * cfg.wide_lines
-        )
-        thread_base = self._base_line + tid * (region_span + 1)
-        wide_base = thread_base + cfg.tiles_per_fase * self._tile_span
-
-        def wide_block() -> Iterator[Event]:
-            instance = wide_counter[0] % self._num_wide_instances
-            wide_counter[0] += 1
-            base = wide_base + instance * cfg.wide_lines
-            for _ in range(max(1, wide_pass_dither.next_count())):
-                yield from sweep(base, cfg.wide_lines, 1)
-
-        for fase in range(cfg.num_fases):
-            # The per-FASE unit list; rebuilt by every thread with the
-            # same dither sequence so the contiguous-block split is
-            # consistent across threads.
-            units: List[Tuple[int, int]] = []
-            for tile in range(cfg.tiles_per_fase):
-                units.extend(
-                    [(_NARROW, tile)] * max(1, pass_dither.next_count())
-                )
-            if cfg.wide_mode == WideMode.UNITS:
-                for _ in range(wide_unit_dither.next_count()):
-                    units.append((_WIDE, 0))
-            n_units = len(units)
-            if n_units >= nthreads:
-                lo = tid * n_units // nthreads
-                hi = (tid + 1) * n_units // nthreads
-                my_units = units[lo:hi]
-            elif fase % nthreads == tid:
-                my_units = units
-            else:
-                my_units = []
-            if my_units:
-                yield FaseBegin()
-                for kind, tile in my_units:
-                    if kind == _NARROW:
-                        yield from sweep(
-                            thread_base + tile * self._tile_span,
-                            cfg.tile_lines,
-                            self._stride,
-                        )
-                    else:
-                        yield from wide_block()
-                yield FaseEnd()
-            # Dedicated wide FASEs, dealt round-robin across threads.
-            if cfg.wide_mode == WideMode.FASES:
-                for _ in range(wide_fase_dither.next_count()):
-                    owner = wide_counter[0] % nthreads
-                    if owner == tid:
-                        yield FaseBegin()
-                        yield from wide_block()
-                        yield FaseEnd()
-                    else:
-                        wide_counter[0] += 1  # keep instance rotation in sync
-
     def _batches(
         self, tid: int, nthreads: int, seed: int, chunk: int = 4096
     ) -> Iterator[EventBatch]:
-        """Batched mirror of :meth:`_stream` — same events, same order.
+        """One thread's share of the pattern — the program's one spelling.
 
-        Every dither and RNG draw happens in the identical sequence, so
-        the emitted events match :meth:`_stream` one for one (asserted by
-        the equivalence tests); only the encoding differs.  Appending
-        integers to an :class:`EventBatch` here is what removes the
-        generator-resumption and ``Event``-allocation cost from the
-        simulator's hot loop.
+        Appending integers to an :class:`EventBatch` keeps generator
+        resumption and ``Event`` allocation out of the simulator's hot
+        loop; ``streams`` is the inherited decoding of these batches.
         """
         cfg = self.config
         rng = make_rng(seed)
@@ -353,6 +243,13 @@ class TilePatternWorkload(Workload):
                         pool_line = scatter_base + int(rng.integers(0, pool))
                         append_store(pool_line * line_size, 8)
 
+        # Each thread works on a private partition of the domain (the
+        # SPLASH2 strong-scaling decomposition): its tiles and wide
+        # regions are replicas at a per-thread offset.  The extra +tid
+        # lines rotate the hardware-cache set mapping so replicas spread
+        # across sets — which is what makes L1 capacity contention grow
+        # with the thread count (Table IV's rising miss ratios) without
+        # changing any per-thread flush arithmetic.
         region_span = (
             cfg.tiles_per_fase * self._tile_span
             + self._num_wide_instances * cfg.wide_lines
@@ -369,6 +266,9 @@ class TilePatternWorkload(Workload):
 
         batch = EventBatch()
         for fase in range(cfg.num_fases):
+            # The per-FASE unit list; rebuilt by every thread with the
+            # same dither sequence so the contiguous-block split is
+            # consistent across threads.
             units: List[Tuple[int, int]] = []
             for tile in range(cfg.tiles_per_fase):
                 units.extend(
@@ -399,6 +299,7 @@ class TilePatternWorkload(Workload):
                     else:
                         wide_block(batch)
                 batch.append_fase_end()
+            # Dedicated wide FASEs, dealt round-robin across threads.
             if cfg.wide_mode == WideMode.FASES:
                 for _ in range(wide_fase_dither.next_count()):
                     owner = wide_counter[0] % nthreads

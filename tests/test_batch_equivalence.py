@@ -35,13 +35,15 @@ from repro.experiments.harness import (
 from repro.nvram.failure import CrashPlan
 from repro.nvram.machine import Machine, MachineConfig
 from repro.nvram.memory import NVRAM_BASE
-from repro.workloads.base import BatchCachingWorkload, Workload
+from repro.workloads.base import BatchCachingWorkload, TraceWorkload, Workload
 from repro.workloads.hashtable import HashTableWorkload
 from repro.workloads.parray import PersistentArray
 from repro.workloads.registry import WORKLOAD_NAMES, get_workload
 
 SEED = 7
-NATIVE = ("water-spatial", "barnes")
+#: The workloads that spell their program as batches: the seven SPLASH2
+#: stand-ins, and a replayed trace.
+NATIVE = Harness.splash2_workloads() + ("trace",)
 TECHNIQUES = ("ER", "LA", "AT", "SC", "SC-offline", "BEST", "SC+victim:16")
 THREADS = (1, 4)
 #: Generators whose threads draw node addresses from one allocator: above
@@ -122,15 +124,25 @@ def test_batched_run_is_bit_identical(harness, name, technique, threads):
 
 @pytest.mark.parametrize("name", NATIVE)
 def test_native_batches_encode_the_stream(name):
-    """``batch_streams`` must emit exactly the events of ``streams``."""
-    workload = get_workload(name, scale=0.05)
-    for threads in THREADS:
+    """A program is spelled once: these workloads define ``batch_streams``
+    only, and their ``streams`` is the decoding of it."""
+    if name == "trace":
+        recorded = Machine(MachineConfig()).run(
+            get_workload("water-spatial", scale=0.02), technique_factory("BEST"),
+            num_threads=4, seed=SEED, record_traces=True,
+        )
+        workload, thread_counts = TraceWorkload(recorded.traces), (4,)
+    else:
+        workload, thread_counts = get_workload(name, scale=0.05), THREADS
+    assert type(workload).streams is Workload.streams
+    for threads in thread_counts:
         streams = workload.streams(threads, seed=7)
         batch_streams = workload.batch_streams(threads, seed=7)
+        assert len(streams) == len(batch_streams) == threads
         for stream, batches in zip(streams, batch_streams):
-            want = [repr(ev) for ev in stream]
-            got = [repr(ev) for ev in events_from_batches(batches)]
-            assert got == want
+            want = [repr(ev) for ev in events_from_batches(batches)]
+            got = [repr(ev) for ev in stream]
+            assert got == want and got
 
 
 def test_batch_caching_workload_replays_identically():
@@ -374,5 +386,21 @@ def test_value_tracking_and_site_plans_never_ask_for_batches():
     )
     assert result.crashed
     assert spy.batch_calls == 0
+    # Nor does a run that only enumerates sites, whatever ``use_batches``
+    # says: the indices a golden logs are the ones a plan will count, on
+    # a workload with native batches and on a recorded one.
+    for name in ("barnes", "linked-list"):
+        spy = BatchSpy(get_workload(name, scale=CONFIG.scale))
+        logs = []
+        for use_batches in (None, False, True):
+            enumerating = Machine(MachineConfig())
+            logs.append(enumerating.record_sites())
+            result = enumerating.run(
+                spy, technique_factory("AT"), seed=SEED, use_batches=use_batches
+            )
+        assert spy.batch_calls == 0
+        assert logs[0] == logs[1] == logs[2]
+        stores = sum(site_class == "store" for _, site_class, _, _ in logs[0])
+        assert stores == result.persistent_stores > 0
     Machine(MachineConfig()).run(spy, technique_factory("SC"), seed=SEED)
     assert spy.batch_calls == 1

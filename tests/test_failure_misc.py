@@ -9,9 +9,13 @@ from repro.nvram.failure import CrashedState, CrashPlan
 
 
 def test_crash_plan_validation():
-    CrashPlan(after_stores=0)
+    CrashPlan(at_site=0)
+    with pytest.raises(TypeError):
+        CrashPlan()                     # a site is the only trigger there is
     with pytest.raises(ConfigurationError):
-        CrashPlan(after_stores=-1)
+        CrashPlan(at_site=-1)
+    with pytest.raises(ConfigurationError):
+        CrashPlan(at_site=0, fault_model="cosmic_ray")
 
 
 def test_crashed_state_read():

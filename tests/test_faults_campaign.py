@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache.spec import technique_factory
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.events import FaseBegin, FaseEnd, Load, Store, Work
 from repro.faults import campaign
@@ -32,7 +33,9 @@ from repro.faults import (
     run_campaign,
 )
 from repro.nvram.failure import FAULT_MODELS, SITE_CLASSES
+from repro.nvram.machine import Machine, MachineConfig
 from repro.nvram.memory import NVRAM_BASE
+from repro.obs.metrics import MetricsRegistry
 from repro.workloads.base import Workload
 from repro.workloads.hashtable import HashTableWorkload
 from repro.workloads.linkedlist import LinkedListWorkload
@@ -469,6 +472,65 @@ def test_sweep_on_crash_exception_propagates():
     with pytest.raises(KeyError, match="oracle bug"):
         driver.crash_sweep([2, 5, 9], "clean", 0, on_crash)
     assert seen == [2, 5]
+
+
+def test_no_cleaning_pass_follows_a_threads_last_quantum():
+    """A thread's last quantum is followed by ``finish()``, not by the
+    ``on_quantum`` hook: what cleaning would flush, the final flush does.
+    One rule for stream runs and replays (the replay used to clean
+    first).  The stream is unprotected stores only, so the flush queue is
+    idle at its end — which is when a cleaning stage acts."""
+    events = [Store(PA + 64 * i, 8, i) for i in range(6)]
+    options = {"sc_fixed_size": 16}
+    factory = technique_factory("SC-offline+clean:4", **options)
+
+    def run(stream):
+        result = Machine(MachineConfig()).run(
+            ListWorkload(stream), factory, num_threads=1, seed=0
+        )
+        return result.threads[0]
+
+    def replay(stream):
+        driver = AtlasReplayDriver(
+            ListWorkload(stream), technique="SC-offline+clean:4",
+            technique_options=options,
+        )
+        return [cls for _, cls, _, _ in driver.golden().sites].count("evict_flush")
+
+    stats = run(events)
+    assert (stats.clean_flushes, stats.final_flushes) == (0, len(events))
+    assert replay(events) == 0
+    # The hook is live on both paths: the same stores one quantum earlier
+    # are cleaned (nothing can be evicted: 16 lines hold everything).
+    longer = events + [Work(1)] * 64
+    assert run(longer).clean_flushes == 4
+    assert replay(longer) == 4
+
+
+def test_a_sweeps_closing_failure_still_dumps_every_threads_counters():
+    """Final counters land for every thread whether the replay finished
+    or the power failed (the replay used to dump a thread's only when it
+    reached its stream's end)."""
+
+    def replayed(crash_site=None):
+        registry = MetricsRegistry()
+        driver = AtlasReplayDriver(
+            LinkedListWorkload(elements=16), technique="SC", num_threads=2,
+            metrics=registry,
+        )
+        if crash_site is None:
+            return registry, len(driver.golden().sites)
+        return registry, driver.crash_at(crash_site)[0]
+
+    whole, total = replayed()
+    cut, state = replayed(total // 2)
+    assert state.at_site == total // 2
+    assert set(cut.gauges) == set(whole.gauges) == {"cycles/t0", "cycles/t1"}
+    assert set(cut.counters) == set(whole.counters)
+    # Both threads had started and neither was done.
+    for tid in (0, 1):
+        key = f"persistent_stores/t{tid}"
+        assert 0 < cut.counters[key] < whole.counters[key]
 
 
 def test_sweep_rejects_unordered_sites():

@@ -21,15 +21,15 @@ def test_hit_after_fill():
     assert not hit and evicted is None
     hit, _ = c.access(5, is_write=True)
     assert hit
-    assert c.is_dirty(5)
+    assert c.line_state(5) is True
 
 
 def test_write_allocate_and_dirty_tracking():
     c = HardwareCache(64, 8)
     c.access(3, is_write=True)
-    assert c.contains(3) and c.is_dirty(3)
+    assert c.contains(3) and c.line_state(3) is True
     c.access(4, is_write=False)
-    assert not c.is_dirty(4)
+    assert c.line_state(4) is False
 
 
 def test_lru_eviction_within_set():
@@ -69,7 +69,7 @@ def test_clwb_keeps_line_valid():
     c.access(7, True)
     assert c.clwb(7) is True
     assert c.contains(7)
-    assert not c.is_dirty(7)
+    assert c.line_state(7) is False
     hit, _ = c.access(7, False)
     assert hit                          # no invalidation penalty
     assert c.clwb(7) is False           # now clean

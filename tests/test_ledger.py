@@ -2,8 +2,8 @@
 
 The durability model under test mirrors NVCache's append-only log at
 JSONL scale: one record per line via a single ``O_APPEND`` write, a
-torn-tolerant reader, tail healing on the next append, and an advisory
-sidecar index that rebuilds itself when stale.
+torn-tolerant reader, and tail healing on the next append.  The log is
+the only file; nothing is derived from it on disk.
 """
 
 import json
@@ -125,39 +125,6 @@ def test_scan_of_missing_log_is_empty(tmp_path):
     ledger = _ledger(tmp_path)
     assert ledger.scan() == []
     assert ledger.skipped_lines == 0
-
-
-# ---------------------------------------------------------------------------
-# Sidecar index
-# ---------------------------------------------------------------------------
-
-
-def test_index_tracks_appends_and_rebuilds_when_stale(tmp_path):
-    ledger = _ledger(tmp_path)
-    for i in range(2):
-        ledger.append(RunRecord(kind="run", spec={"i": i}))
-    index = ledger.index()
-    assert index["records"] == 2
-    assert index["bytes"] == os.path.getsize(ledger.path)
-    assert sum(e["count"] for e in index["specs"].values()) == 2
-    # A writer that bypasses the index (crashed before updating it)
-    # leaves it stale; the next read detects the size mismatch and
-    # rebuilds.
-    with open(ledger.path, "a", encoding="utf-8") as fh:
-        fh.write(
-            canonical_json(RunRecord(kind="run", spec={"i": 9}).to_dict()) + "\n"
-        )
-    rebuilt = ledger.index()
-    assert rebuilt["records"] == 3
-    assert rebuilt["bytes"] == os.path.getsize(ledger.path)
-
-
-def test_corrupt_index_is_rebuilt(tmp_path):
-    ledger = _ledger(tmp_path)
-    ledger.append(RunRecord(kind="run", spec={}))
-    with open(ledger.index_path, "w", encoding="utf-8") as fh:
-        fh.write("{not json")
-    assert ledger.index()["records"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +281,8 @@ def test_concurrent_appenders_never_tear_a_line(tmp_path):
     for writer in (0, 1):
         seq = [r.counters["i"] for r in records if r.spec["writer"] == writer]
         assert seq == list(range(rounds))
-    # The racy index converges once re-read after the dust settles.
-    assert ledger.index()["records"] == 2 * rounds
+    assert len(ledger.scan()) == 2 * rounds
+    assert os.listdir(root) == ["runs.jsonl"]   # the log is the only file
 
 
 def test_record_run_never_raises_on_readonly_root(tmp_path):

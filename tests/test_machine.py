@@ -1,13 +1,17 @@
 """The simulated machine: event execution, sessions, crash, scheduling."""
 
+import dataclasses
+
 import pytest
 
 from repro.cache.spec import technique_factory
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.common.events import FaseBegin, FaseEnd, Load, Store, Work
+from repro.common.events import EventKind, FaseBegin, FaseEnd, Load, Store, Work
 from repro.nvram.failure import CrashPlan, PowerFailure
 from repro.nvram.machine import Machine, MachineConfig
 from repro.nvram.memory import NVRAM_BASE
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import TraceRecorder
 from repro.workloads.base import Workload
 
 
@@ -31,6 +35,16 @@ def run(machine, *streams, technique="LA", threads=None, **kwargs):
 
 
 PA = NVRAM_BASE  # persistent base address
+
+
+def after_stores(k, events, technique):
+    """A plan crashing as the ``k``-th persistent store retires: the
+    ``k``-th ``store`` site of a site-recording run of the same events."""
+    golden = Machine(MachineConfig(track_values=True))
+    sites = golden.record_sites()
+    run(golden, events, technique=technique)
+    stores = [index for index, site_class, _, _ in sites if site_class == "store"]
+    return CrashPlan(at_site=stores[k - 1])
 
 
 def test_persistent_store_counted_and_flushed(machine):
@@ -131,7 +145,7 @@ def test_crash_plan_stops_execution():
     machine = Machine(MachineConfig(track_values=True))
     events = [FaseBegin()] + [Store(PA + i * 64, 8, value=i) for i in range(10)]
     events += [FaseEnd()]
-    res = run(machine, events, technique="ER", crash_plan=CrashPlan(after_stores=4))
+    res = run(machine, events, technique="ER", crash_plan=after_stores(4, events, "ER"))
     assert res.crashed
     assert machine.crashed_state is not None
     assert machine.crashed_state.at_store == 4
@@ -170,7 +184,7 @@ def test_crash_preserves_only_written_back_values():
     machine = Machine(MachineConfig(track_values=True))
     # BEST never flushes: nothing reaches NVRAM before the crash.
     events = [Store(PA + i * 64, 8, value=i) for i in range(5)]
-    run(machine, events, technique="BEST", crash_plan=CrashPlan(after_stores=5))
+    run(machine, events, technique="BEST", crash_plan=after_stores(5, events, "BEST"))
     state = machine.crashed_state
     assert state.nvram == {}
     assert len(state.lost_lines) == 5
@@ -179,7 +193,7 @@ def test_crash_preserves_only_written_back_values():
 def test_eager_survives_crash():
     machine = Machine(MachineConfig(track_values=True))
     events = [Store(PA + i * 64, 8, value=i) for i in range(5)]
-    run(machine, events, technique="ER", crash_plan=CrashPlan(after_stores=5))
+    run(machine, events, technique="ER", crash_plan=after_stores(5, events, "ER"))
     state = machine.crashed_state
     assert state.read(PA + 0) == 0
     assert state.read(PA + 4 * 64) == 4
@@ -243,3 +257,71 @@ def test_read_current_prefers_pending_value(value_machine):
     s = value_machine.session(technique_factory("ER")(0))
     s.store(PA, 8, value="first")    # ER flushes: durable immediately
     assert value_machine.read_current(PA) == "first"
+
+
+# ---------------------------------------------------------------------------
+# Sessions under the machine's scheduler
+# ---------------------------------------------------------------------------
+
+
+def test_drive_interleaves_sessions_as_run_interleaves_streams():
+    """``Machine.drive`` is ``Machine.run``'s scheduler with the caller
+    dispatching the events: same interleaving, quantum hooks (a cleaning
+    stage), metrics samples, recorder events and final counters."""
+    streams = [
+        [ev for i in range(90) for ev in (
+            FaseBegin(), Store(PA + (tid << 16) + (i % 11) * 64, 8), Work(40 + 300 * tid),
+            Store(PA + (tid << 16) + (i % 7) * 64, 8), Load(PA + (i % 5) * 64, 8),
+            FaseEnd(), Store(PA + (tid << 16) + (i % 3) * 64, 8),
+        )]
+        for tid in range(2)
+    ]
+    factory = technique_factory("SC-offline+clean:4", sc_fixed_size=8)
+
+    def observed(machine, stats):
+        hw = machine.hwcache
+        return (
+            [dataclasses.asdict(s) for s in stats],
+            (hw.loads, hw.stores, hw.load_misses, hw.store_misses,
+             hw.evict_writebacks, hw.flush_writebacks, hw.clean_flushes),
+            machine.recorder.to_jsonl(),
+            machine.metrics.to_dict(),
+        )
+
+    def fresh():
+        return Machine(
+            MachineConfig(), recorder=TraceRecorder(), metrics=MetricsRegistry(interval=500)
+        )
+
+    ran = fresh()
+    result = ran.run(
+        ListWorkload(*streams), factory, num_threads=2, seed=0, use_batches=False
+    )
+    assert result.threads[0].clean_flushes > 0
+
+    driven = fresh()
+    sessions = [driven.session(factory(tid), tid) for tid in range(2)]
+    pending = [iter(stream) for stream in streams]
+    push = {
+        EventKind.STORE: lambda s, ev: s.store(ev.addr, ev.size, ev.value),
+        EventKind.LOAD: lambda s, ev: s.load(ev.addr, ev.size),
+        EventKind.WORK: lambda s, ev: s.work(ev.amount),
+        EventKind.FASE_BEGIN: lambda s, ev: s.fase_begin(),
+        EventKind.FASE_END: lambda s, ev: s.fase_end(),
+    }
+
+    def step(tid, budget):
+        for _ in range(budget):
+            ev = next(pending[tid], None)
+            if ev is None:
+                return False
+            push[ev.kind](sessions[tid], ev)
+        return True
+
+    driven.drive(sessions, step)
+    assert observed(driven, [s.stats for s in sessions]) == observed(ran, result.threads)
+    # The scheduler finished both threads: closing them again is a no-op.
+    flushes = [s.stats.flushes for s in sessions]
+    for session in sessions:
+        session.finish()
+    assert [s.stats.flushes for s in sessions] == flushes

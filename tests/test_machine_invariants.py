@@ -490,28 +490,35 @@ RUN_WITH_WORK = (
 @pytest.mark.parametrize("technique", ["LA", "AT", "SC-offline", "BEST", "ER"])
 @pytest.mark.parametrize("track_values", [False, True])
 def test_store_count_crash_inside_a_run(technique, track_values):
-    """A power cut after every store of a run, one plan per position: the
-    run is split at the crash point, so the image, the dirty lines and
-    every counter up to the cut match the per-event engine's — untraced
-    too, where ER's run would otherwise be one train of flushes."""
+    """A power cut at every ``store`` site of a run with ``WORK`` in it,
+    one plan per position: an armed machine executes event by event, so
+    the captured state — image, lost lines, ``at_store`` — and every
+    counter up to the cut are the same whichever ``use_batches`` value
+    was passed, untraced too, and nothing is ever absorbed."""
     config = MachineConfig(track_values=track_values)
-    for after in range(1, 16):
+    golden = Machine(config)
+    sites = golden.record_sites()
+    golden.run(
+        BatchedListWorkload([RUN_WITH_WORK], 4096),
+        technique_factory(technique, **RUN_TECHNIQUES[technique](2, 0)),
+        seed=0,
+    )
+    stores = [index for index, site_class, _, _ in sites if site_class == "store"]
+    assert len(stores) == 15
+    for after, site in enumerate(stores, 1):
         for traced in (True, False):
             runs = [
                 run_engine(
                     [RUN_WITH_WORK], 4096, technique, 2, use_batches, traced=traced,
-                    config=config, crash_plan=CrashPlan(after_stores=after),
+                    config=config, crash_plan=CrashPlan(at_site=site),
                 )
-                for use_batches in (True, False)
+                for use_batches in (True, None, False)
             ]
-            (m_b, batched, _, _), (_m, per_event, _, _) = runs
-            assert batched == per_event
-            assert m_b.crashed_state.at_store == after
-            if track_values:
-                assert m_b.absorbed_stores == 0
-    # The last plan cuts after the store that follows the run, so the
-    # run itself (11 repeats) was taken whole on the way there.
-    assert m_b.absorbed_stores == (0 if track_values else 11)
+            (m_b, batched, _, _), (_m, auto, _, _), (_m, per_event, _, _) = runs
+            assert batched == auto == per_event
+            crashed, state = batched["crashed"]
+            assert crashed and state.at_store == after and state.at_site == site
+            assert m_b.absorbed_stores == 0
 
 
 @pytest.mark.parametrize("technique", ["AT", "SC", "SC-offline", "SC+victim:16"])
