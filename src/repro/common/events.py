@@ -46,6 +46,12 @@ are recorded once by ``BatchCachingWorkload`` via
 event sequence by construction, and the machine's two execution paths
 are required (and tested) to produce bit-identical statistics.
 
+Store payloads are not part of that layout.  An emitter whose stream
+also feeds crash replays (the ``mdb`` recorder) builds its batch with
+``keep_values``: a fourth column ``values``, a plain list holding each
+``STORE``'s payload (``None`` elsewhere) at one pointer — 8 bytes — per
+event.  The machine never reads it; :meth:`EventBatch.events` does.
+
 Line-touch runs
 ---------------
 Most persistent stores directly repeat the previous store's cache line
@@ -165,26 +171,28 @@ class EventBatch:
     ``sizes``
         Access size in bytes for ``STORE``/``LOAD``, 0 otherwise.
 
-    Batches carry no value payloads; crash/recovery runs that need
-    ``Store.value`` use the per-object encoding (the machine falls back
-    automatically when value tracking is on).
+    Batches carry no value payloads (``values`` is ``None``) unless
+    built with ``keep_values``: then ``values`` is a list of the same
+    length holding each ``STORE``'s payload, ``None`` for other events,
+    which :meth:`events` hands to ``Store.value`` for crash replays.
     """
 
-    __slots__ = ("kinds", "args", "sizes", "_runs")
+    __slots__ = ("kinds", "args", "sizes", "values", "_runs")
 
-    def __init__(self) -> None:
+    def __init__(self, keep_values: bool = False) -> None:
         self.kinds = array("b")
         self.args = array("q")
         self.sizes = array("q")
+        self.values: Optional[list] = [] if keep_values else None
         # (len, cpi, run columns) of the last line_runs() call: derived
         # data, rebuilt when the batch grew, dropped by copy and pickle.
         self._runs: Optional[tuple] = None
 
     def __getstate__(self) -> tuple:
-        return self.kinds, self.args, self.sizes
+        return self.kinds, self.args, self.sizes, self.values
 
     def __setstate__(self, state: tuple) -> None:
-        self.kinds, self.args, self.sizes = state
+        self.kinds, self.args, self.sizes, self.values = state
         self._runs = None
 
     def __len__(self) -> int:
@@ -195,38 +203,50 @@ class EventBatch:
 
     # -- building --------------------------------------------------------
 
-    def append_store(self, addr: int, size: int = 8) -> None:
+    def append_store(self, addr: int, size: int = 8, value: object = None) -> None:
         """Append a persistent-or-not store of ``size`` bytes at ``addr``."""
-        self.kinds.append(EventKind.STORE)
-        self.args.append(addr)
-        self.sizes.append(size)
+        self._append(EventKind.STORE, addr, size, value)
 
     def append_load(self, addr: int, size: int = 8) -> None:
         """Append a load of ``size`` bytes at ``addr``."""
-        self.kinds.append(EventKind.LOAD)
-        self.args.append(addr)
-        self.sizes.append(size)
+        self._append(EventKind.LOAD, addr, size)
 
     def append_work(self, amount: int) -> None:
         """Append ``amount`` instructions of computation."""
-        self.kinds.append(EventKind.WORK)
-        self.args.append(amount)
-        self.sizes.append(0)
+        self._append(EventKind.WORK, amount, 0)
 
     def append_fase_begin(self) -> None:
         """Append a failure-atomic-section entry."""
-        self.kinds.append(EventKind.FASE_BEGIN)
-        self.args.append(0)
-        self.sizes.append(0)
+        self._append(EventKind.FASE_BEGIN, 0, 0)
 
     def append_fase_end(self) -> None:
         """Append a failure-atomic-section exit."""
-        self.kinds.append(EventKind.FASE_END)
-        self.args.append(0)
-        self.sizes.append(0)
+        self._append(EventKind.FASE_END, 0, 0)
+
+    def _append(self, kind: int, arg: int, size: int, value: object = None) -> None:
+        self.kinds.append(kind)
+        self.args.append(arg)
+        self.sizes.append(size)
+        if self.values is not None:
+            self.values.append(value)
+
+    def extend_accesses(
+        self, kind: int, addrs: range, size: int, values: Optional[list] = None
+    ) -> None:
+        """Append a ``kind`` access of ``size`` bytes per address of
+        ``addrs`` (with the stores' payloads, if kept): a page image."""
+        n = len(addrs)
+        self.kinds.frombytes(bytes((kind,)) * n)
+        # array.extend(range) converts item by item: 4x this.
+        self.args.frombytes(
+            np.arange(addrs.start, addrs.stop, addrs.step, dtype=np.int64).tobytes()
+        )
+        self.sizes.extend(array("q", (size,)) * n)
+        if self.values is not None:
+            self.values.extend(values if values is not None else (None,) * n)
 
     def append_event(self, ev: Event) -> None:
-        """Append one per-object event (payload values are dropped)."""
+        """Append one per-object event (payloads only if kept)."""
         kind = ev.kind
         self.kinds.append(kind)
         if kind == EventKind.STORE or kind == EventKind.LOAD:
@@ -238,6 +258,8 @@ class EventBatch:
         else:
             self.args.append(0)
             self.sizes.append(0)
+        if self.values is not None:
+            self.values.append(ev.value if kind == EventKind.STORE else None)
 
     @classmethod
     def from_events(cls, events: Iterable[Event]) -> "EventBatch":
@@ -246,6 +268,29 @@ class EventBatch:
         for ev in events:
             batch.append_event(ev)
         return batch
+
+    def split(self, chunk: int) -> Iterator["EventBatch"]:
+        """This batch as payload-free batches of at most ``chunk`` events."""
+        for start in range(0, len(self.kinds), chunk):
+            part = EventBatch()
+            part.kinds = self.kinds[start:start + chunk]
+            part.args = self.args[start:start + chunk]
+            part.sizes = self.sizes[start:start + chunk]
+            yield part
+
+    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(kinds, args, sizes)`` as numpy views of the columns."""
+        return (
+            np.frombuffer(self.kinds, dtype=np.int8),
+            np.frombuffer(self.args, dtype=np.int64),
+            np.frombuffer(self.sizes, dtype=np.int64),
+        )
+
+    def count_stores(self, base: int) -> int:
+        """``STORE`` rows at or above ``base`` (``NVRAM_BASE``: the
+        persistent stores a machine counts running this batch)."""
+        kinds, args, _sizes = self.columns()
+        return int(np.count_nonzero((kinds == EventKind.STORE) & (args >= base)))
 
     # -- line-touch runs -------------------------------------------------
 
@@ -277,9 +322,7 @@ class EventBatch:
         cached = self._runs
         if cached is not None and cached[0] == n and cached[1] == cpi:
             return cached[2]
-        kinds = np.frombuffer(self.kinds, dtype=np.int8)
-        args = np.frombuffer(self.args, dtype=np.int64)
-        sizes = np.frombuffer(self.sizes, dtype=np.int64)
+        kinds, args, sizes = self.columns()
         line = args >> 6
         store = kinds == EventKind.STORE
         real = args >= 0
@@ -322,10 +365,11 @@ class EventBatch:
         kinds = self.kinds
         args = self.args
         sizes = self.sizes
+        values = self.values
         for i in range(len(kinds)):
             kind = kinds[i]
             if kind == EventKind.STORE:
-                yield Store(args[i], sizes[i])
+                yield Store(args[i], sizes[i], values[i] if values else None)
             elif kind == EventKind.LOAD:
                 yield Load(args[i], sizes[i])
             elif kind == EventKind.WORK:

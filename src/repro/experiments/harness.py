@@ -10,9 +10,12 @@ Technique plumbing the paper's §IV-A implies:
   paper's 64 M-write burst is to its full-scale runs (~20 %), so the
   pre-adaptation phase and the analysis overhead stay visible at any
   scale;
-- ``SC-offline`` needs the profiling pass: a BEST run with trace
-  recording, whole-trace MRC, knee selection — "the offline choice is
-  the best single cache size for the whole execution".
+- ``SC-offline`` needs the profiling pass: the program's persistent
+  write trace, whole-trace MRC, knee selection — "the offline choice is
+  the best single cache size for the whole execution".  The trace is a
+  pure function of the program's event columns
+  (:meth:`WriteTrace.from_batches`), so profiling simulates nothing;
+  :meth:`Harness.profile`, the BEST run, is the tests' oracle for it.
 
 Execution is factored so one grid cell is a *pure function* of
 ``(HarnessConfig, name, technique, threads, ProfileSummary)`` —
@@ -27,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cache.adaptive import AdaptiveConfig
 from repro.cache.spec import TechniqueSpec, technique_factory
@@ -37,6 +40,7 @@ from repro.locality.knee import SelectionPolicy, select_cache_size
 from repro.locality.mrc import MissRatioCurve, mrc_from_trace
 from repro.locality.trace import WriteTrace
 from repro.nvram.machine import Machine, MachineConfig
+from repro.nvram.memory import NVRAM_BASE
 from repro.nvram.stats import RunResult
 from repro.nvram.timing import DEFAULT_TIMING, TimingModel
 from repro.workloads.base import BatchCachingWorkload, Workload
@@ -78,13 +82,16 @@ class HarnessConfig:
 class ProfileSummary:
     """What SC/SC-offline need from the profiling pass, and nothing more.
 
-    The full profile run carries recorded traces (numpy arrays, large,
-    not worth shipping between processes or to disk); these two integers
-    are the only facts technique configuration actually consumes, so
-    they are what crosses process and cache boundaries.
+    Write traces are numpy arrays, large, not worth shipping between
+    processes or to disk (any process derives them from its own columns
+    on request); these two integers are the only facts technique
+    configuration actually consumes, so they are what crosses process
+    and cache boundaries.
     """
 
-    persistent_stores: int    # single-thread BEST run, total stores
+    #: Persistent ``STORE`` events of the single-thread program (one per
+    #: store even across two lines, as ``RunResult.persistent_stores``).
+    persistent_stores: int
     offline_size: int         # knee of the whole-trace MRC
 
 
@@ -220,6 +227,7 @@ class Harness:
         self._disk = ResultCache(cache_dir) if cache_dir else None
         self._runs: Dict[Cell, RunResult] = {}
         self._profiles: Dict[Tuple[str, int], RunResult] = {}
+        self._traces: Dict[Tuple[str, int], Tuple[List[WriteTrace], int]] = {}
         self._summaries: Dict[str, ProfileSummary] = {}
         self._workloads: Dict[str, Workload] = {}
 
@@ -234,7 +242,8 @@ class Harness:
         return wl
 
     def profile(self, name: str, threads: int = 1) -> RunResult:
-        """The trace-recording BEST run used for offline analysis.
+        """The trace-recording BEST run: the simulated oracle of
+        :meth:`trace`, and its source for a program without columns.
 
         Kept in memory only: recorded traces are large and the disk
         cache stores the distilled :class:`ProfileSummary` instead.
@@ -253,8 +262,32 @@ class Harness:
             self._profiles[key] = result
         return result
 
+    def _write_traces(self, name: str, threads: int) -> Tuple[List[WriteTrace], int]:
+        """Per-thread write traces and the persistent-store count of one
+        program, read off its event columns — or off the BEST run where
+        it has none (``queue``/``linked-list`` above one thread)."""
+        key = (name, threads)
+        facts = self._traces.get(key)
+        if facts is None:
+            streams = self.workload(name).batch_streams(threads, self.config.seed)
+            if streams is None:
+                run = self.profile(name, threads)
+                facts = run.traces, run.persistent_stores
+            else:
+                programs = [list(stream) for stream in streams]
+                facts = (
+                    [
+                        WriteTrace.from_batches(batches, tid, NVRAM_BASE)
+                        for tid, batches in enumerate(programs)
+                    ],
+                    sum(b.count_stores(NVRAM_BASE) for p in programs for b in p),
+                )
+            self._traces[key] = facts
+        return facts
+
     def profile_summary(self, name: str) -> ProfileSummary:
-        """The distilled profile facts driving SC/SC-offline sizing."""
+        """The distilled profile facts driving SC/SC-offline sizing: a
+        column pass plus the whole-trace MRC, no simulation."""
         summary = self._summaries.get(name)
         if summary is not None:
             return summary
@@ -266,11 +299,11 @@ class Harness:
                 summary = ProfileSummary(**data)
                 self._summaries[name] = summary
                 return summary
-        result = self.profile(name)
+        traces, persistent_stores = self._write_traces(name, 1)
         summary = ProfileSummary(
-            persistent_stores=result.persistent_stores,
+            persistent_stores=persistent_stores,
             offline_size=select_cache_size(
-                mrc_from_trace(result.traces[0]), self.config.selection
+                mrc_from_trace(traces[0]), self.config.selection
             ),
         )
         self._summaries[name] = summary
@@ -283,8 +316,9 @@ class Harness:
         self._summaries.update(summaries)
 
     def trace(self, name: str, thread: int = 0, threads: int = 1) -> WriteTrace:
-        """A recorded per-thread persistent-write trace."""
-        return self.profile(name, threads).traces[thread]
+        """One thread's persistent-write trace: what :meth:`profile`
+        would record, derived from the program's columns."""
+        return self._write_traces(name, threads)[0][thread]
 
     def offline_mrc(self, name: str) -> MissRatioCurve:
         """The whole-trace (offline) MRC of the single-thread run."""

@@ -17,10 +17,10 @@ results.  :class:`TaskPool` fans them over one
   immediately, and a group blocked on a summary is submitted the moment
   that summary's future lands.
 - **Everything crosses by pickle.**  Task arguments are small control
-  tuples; results are ``RunResult`` objects, and a summary task ships
-  its whole profiling run (recorded traces included) so the parent can
-  adopt it — trace-consuming artifacts (figure2/figure7) are free after
-  an ``--artifact all`` sweep.
+  tuples; results are ``RunResult`` objects and two-integer
+  ``ProfileSummary`` objects.  No write trace crosses: a trace is a
+  cheap pass over event columns, so trace-consuming artifacts
+  (figure2/figure7) derive theirs in the parent on request.
 - **A dead worker costs time, not results.**  A task whose worker died
   (``BrokenProcessPool``) is re-run by the parent against its own
   state; a task that *raised* surfaces as a :class:`SimulationError`
@@ -34,7 +34,7 @@ import time
 import warnings
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.cache.spec import TechniqueSpec
 from repro.common.errors import SimulationError
@@ -168,17 +168,9 @@ class TaskPool:
 # ---------------------------------------------------------------------------
 
 
-def _summary_task(
-    harness: Harness, name: str
-) -> Tuple[ProfileSummary, Optional[RunResult]]:
-    """One workload's profile summary, plus the profiling run behind it.
-
-    The run (recorded traces included) is ``None`` when the summary was
-    loaded from the disk cache rather than computed here; otherwise the
-    parent adopts it so later trace requests cost nothing.
-    """
-    summary = harness.profile_summary(name)
-    return summary, harness._profiles.get((name, 1))
+def _summary_task(harness: Harness, name: str) -> ProfileSummary:
+    """One workload's profile summary — the two integers, nothing else."""
+    return harness.profile_summary(name)
 
 
 def _cells_task(
@@ -210,9 +202,8 @@ def run_grid_parallel(
 
     Cells already in the harness's memory cache are served from it;
     everything computed by workers is folded back in, so the calling
-    harness ends up in the same state as after a sequential sweep —
-    including profiling runs: summaries *and* their recorded traces are
-    adopted from workers.
+    harness ends up with the runs and profile summaries of a sequential
+    sweep.
 
     ``progress``, if given, is called as ``progress(done, total, cell)``
     after every completed cell — the per-cell heartbeat long parallel
@@ -281,11 +272,8 @@ def run_grid_parallel(
         )
 
     def submit_summary(pool: TaskPool, name: str) -> None:
-        def fold_summary(payload: Tuple[ProfileSummary, Optional[RunResult]]) -> None:
-            summary, profile = payload
+        def fold_summary(summary: ProfileSummary) -> None:
             harness._summaries[name] = summary
-            if profile is not None:
-                harness._profiles.setdefault((name, 1), profile)
             for key in blocked.pop(name, ()):
                 submit_group(pool, key)
 

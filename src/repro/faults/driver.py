@@ -269,7 +269,23 @@ class AtlasReplayDriver:
     # ------------------------------------------------------------------
 
     def golden(self) -> GoldenRun:
-        """One crash-free replay recording sites and FASE ground truth."""
+        """One crash-free replay recording sites and FASE ground truth.
+
+        Refuses a stream whose persistent stores carry no payload: the
+        oracle reads ``None`` as "absent", so no campaign over it could fail.
+        """
+        payloads = [
+            ev.value
+            for stream in self._materialized_events()
+            for ev in stream
+            if ev.kind == EventKind.STORE and ev.addr >= NVRAM_BASE
+        ]
+        if payloads and all(value is None for value in payloads):
+            raise ConfigurationError(
+                f"workload {getattr(self.workload, 'name', self.workload)!r} "
+                f"stores no payloads ({len(payloads)} persistent stores, all "
+                "None): a crash campaign over it would check nothing"
+            )
         machine, runtimes, shift = self._build()
         sites = machine.record_sites()
         golden = GoldenRun(

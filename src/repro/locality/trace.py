@@ -18,7 +18,8 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.events import EventBatch, EventKind
 from repro.common.geometry import line_of
 
 
@@ -71,6 +72,39 @@ class WriteTrace:
             (int(f) for f in fase_ids), dtype=np.int64
         )
         return cls(lines, fids)
+
+    @classmethod
+    def from_batches(
+        cls, batches: Iterable[EventBatch], thread_id: int, nvram_base: int
+    ) -> "WriteTrace":
+        """The trace a machine records running one thread's ``batches``,
+        read off the columns: a row per cache line of every ``STORE`` at
+        or above ``nvram_base``, tagged with the machine's FASE uid
+        (``thread_id << 40`` + outermost ``FASE_BEGIN``s so far, -1
+        outside a FASE).  Malformed bracketing raises the machine's own
+        :class:`~repro.common.errors.SimulationError`.
+        """
+        # An empty batch first, so a thread with no batches has columns too.
+        views = [batch.columns() for batch in (EventBatch(), *batches)]
+        kinds, args, sizes = (np.concatenate(column) for column in zip(*views))
+        begin = kinds == EventKind.FASE_BEGIN
+        depth = np.cumsum(begin.astype(np.int64) - (kinds == EventKind.FASE_END))
+        if depth.min(initial=0) < 0:
+            raise SimulationError(f"thread {thread_id}: FaseEnd without FaseBegin")
+        if len(depth) and depth[-1] != 0:
+            raise SimulationError(
+                f"thread {thread_id} ended inside a FASE (depth={depth[-1]})"
+            )
+        uid = (thread_id << 40) - 1 + np.cumsum(begin & (depth == 1))
+        rows = np.flatnonzero((kinds == EventKind.STORE) & (args >= nvram_base))
+        first = args[rows] >> 6
+        # Lines each store touches, as ``lines_spanned`` counts them.
+        spans = np.maximum(((args[rows] + sizes[rows] - 1) >> 6) - first + 1, 0)
+        within = np.arange(spans.sum()) - np.repeat(np.cumsum(spans) - spans, spans)
+        return cls(
+            np.repeat(first, spans) + within,
+            np.repeat(np.where(depth[rows] > 0, uid[rows], -1), spans),
+        )
 
     @classmethod
     def from_string(cls, text: str) -> "WriteTrace":

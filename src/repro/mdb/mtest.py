@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from typing import Iterator, List
 
 from repro.common.errors import ConfigurationError
-from repro.common.events import Event
+from repro.common.events import BATCH_CHUNK, Event, EventBatch
 from repro.common.rng import derive_seed, make_rng
 from repro.mdb.kvstore import MdbStore
 from repro.mdb.ops import RecordingOps
@@ -34,18 +34,19 @@ class ChannelRecordingOps(RecordingOps):
     """A recording backend with one event channel per simulated thread.
 
     The store logic runs once, single-threaded; events land in the
-    channel selected at the time (writer transactions in channel 0,
-    reader traversals in their reader's channel).  The machine then
-    interleaves the channels by simulated time.
+    channel (a payload-keeping batch) selected at the time: writer
+    transactions in channel 0, reader traversals in their reader's.
+    The machine then interleaves the channels by simulated time.
     """
 
     def __init__(self, channels: int, load_sample: int = 4) -> None:
         super().__init__(load_sample=load_sample)
         if channels < 1:
             raise ConfigurationError("need at least one channel")
-        self.channels: List[List[Event]] = [[] for _ in range(channels)]
+        self.channels: List[EventBatch] = [self.events] + [
+            EventBatch(keep_values=True) for _ in range(channels - 1)
+        ]
         self._current = 0
-        self.events = self.channels[0]
 
     @contextmanager
     def on_channel(self, idx: int) -> Iterator[None]:
@@ -91,12 +92,21 @@ class MtestWorkload(Workload):
     def store_threads(self, num_threads: int) -> int:
         return 1   # MVCC: a single writer; readers never store
 
-    def schedule_independent(self, num_threads: int) -> bool:
-        # ``streams`` runs the whole store before returning; the machine
-        # only drains the finished per-thread channels.
-        return True
+    def batch_streams(self, num_threads: int, seed: int) -> List[Iterator[EventBatch]]:
+        """The program as the machine runs it: each channel's columns in
+        ``BATCH_CHUNK`` slices, payloads left behind."""
+        channels = self._record(num_threads, seed).channels
+        return [channel.split(BATCH_CHUNK) for channel in channels]
 
     def streams(self, num_threads: int, seed: int) -> List[Iterator[Event]]:
+        """The same recording decoded with every store's payload: what
+        a crash replay executes and its oracle judges."""
+        channels = self._record(num_threads, seed).channels
+        return [channel.events() for channel in channels]
+
+    def _record(self, num_threads: int, seed: int) -> ChannelRecordingOps:
+        """Run the whole store once, single-threaded, into per-thread
+        channels; the machine only drains the finished columns."""
         ops = ChannelRecordingOps(num_threads)
         rng = make_rng(derive_seed(seed, "mtest"))
         store = MdbStore(ops, page_size=self.page_size)
@@ -142,4 +152,4 @@ class MtestWorkload(Workload):
         if n_readers:
             reader_pass(n_batches)
 
-        return [iter(ch) for ch in ops.channels]
+        return ops

@@ -4,8 +4,9 @@ The B+-tree and transaction code are written once against
 :class:`PersistenceOps`; the backend decides what a store/load *does*:
 
 - :class:`RecordingOps` keeps a shadow memory and records the event
-  stream — this is how ``MtestWorkload`` produces the machine-runnable
-  streams the experiment harness consumes;
+  stream straight into :class:`~repro.common.events.EventBatch` columns
+  — this is how ``MtestWorkload`` produces the machine-runnable streams
+  the experiment harness consumes;
 - :class:`AtlasOps` executes against a live
   :class:`~repro.atlas.runtime.AtlasRuntime`, making the store genuinely
   durable and crash-recoverable (used by the recovery tests and the
@@ -18,7 +19,7 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, List
 
 from repro.common.errors import ConfigurationError
-from repro.common.events import Event, FaseBegin, FaseEnd, Load, Store, Work
+from repro.common.events import EventBatch, EventKind
 from repro.nvram.memory import NVRAM_BASE
 
 
@@ -37,6 +38,15 @@ class PersistenceOps:
         """Persistent load; returns the visible value."""
         raise NotImplementedError
 
+    def store_run(self, addr: int, values: List[object], size: int) -> None:
+        """Store ``values`` in consecutive ``size``-byte slots from ``addr``."""
+        for i, value in enumerate(values):
+            self.store(addr + i * size, value, size)
+
+    def load_run(self, addr: int, n: int, size: int) -> List[object]:
+        """Load ``n`` consecutive ``size``-byte slots from ``addr``."""
+        return [self.load(addr + i * size, size) for i in range(n)]
+
     def work(self, amount: int) -> None:
         """Computation between memory operations."""
         raise NotImplementedError
@@ -51,10 +61,16 @@ class PersistenceOps:
 class RecordingOps(PersistenceOps):
     """Shadow-memory backend that records the event stream.
 
+    ``events`` is the :class:`~repro.common.events.EventBatch` being
+    filled: an operation appends integers to its columns (a store's
+    payload to ``values``, for the crash replay) — no per-event object,
+    no second pass — and a page run is a handful of column extends.
+
     Loads are served from the shadow dict (and, optionally, recorded as
     events so the hardware-cache model sees read traffic).  Recording
     loads is configurable because read-heavy phases (MDB traversals)
-    otherwise dominate event volume without affecting flush counts.
+    otherwise dominate event volume without affecting flush counts:
+    one load in ``load_sample``, counted across the recording, is kept.
     """
 
     def __init__(
@@ -65,7 +81,7 @@ class RecordingOps(PersistenceOps):
     ) -> None:
         if load_sample < 1:
             raise ConfigurationError("load_sample must be >= 1")
-        self.events: List[Event] = []
+        self.events = EventBatch(keep_values=True)
         self.shadow: Dict[int, object] = {}
         self._next = base
         self.record_loads = record_loads
@@ -82,30 +98,42 @@ class RecordingOps(PersistenceOps):
 
     def store(self, addr: int, value: object, size: int = 8) -> None:
         self.shadow[addr] = value
-        self.events.append(Store(addr, size, value))
+        self.events.append_store(addr, size, value)
 
     def load(self, addr: int, size: int = 8) -> object:
         if self.record_loads:
             self._load_counter += 1
             if self._load_counter % self.load_sample == 0:
-                self.events.append(Load(addr, size))
+                self.events.append_load(addr, size)
         return self.shadow.get(addr)
 
+    def store_run(self, addr: int, values: List[object], size: int) -> None:
+        slots = range(addr, addr + len(values) * size, size)
+        self.shadow.update(zip(slots, values))
+        self.events.extend_accesses(EventKind.STORE, slots, size, values)
+
+    def load_run(self, addr: int, n: int, size: int) -> List[object]:
+        slots = range(addr, addr + n * size, size)
+        if self.record_loads:
+            # Slot i is load number counter + 1 + i; kept if that
+            # divides by load_sample, as per-slot ``load`` would.
+            first = -(self._load_counter + 1) % self.load_sample
+            self._load_counter += len(slots)
+            self.events.extend_accesses(
+                EventKind.LOAD, slots[first::self.load_sample], size
+            )
+        return list(map(self.shadow.get, slots))
+
     def work(self, amount: int) -> None:
-        self.events.append(Work(amount))
+        self.events.append_work(amount)
 
     @contextmanager
     def fase(self) -> Iterator[None]:
-        self.events.append(FaseBegin())
+        self.events.append_fase_begin()
         try:
             yield
         finally:
-            self.events.append(FaseEnd())
-
-    def take_events(self) -> List[Event]:
-        """Hand over the recorded stream (and reset the buffer)."""
-        events, self.events = self.events, []
-        return events
+            self.events.append_fase_end()
 
 
 class AtlasOps(PersistenceOps):

@@ -76,11 +76,13 @@ class Page:
         return self.ops.load(self.slot_addr(i), _SLOT_BYTES)
 
     def read_entries(self, nkeys: int) -> List[object]:
-        """Load the first ``nkeys`` entries."""
-        return [self.read_slot(i) for i in range(nkeys)]
+        """Load the first ``nkeys`` entries as one ``load_run``."""
+        if nkeys > self.capacity:
+            raise ConfigurationError(f"{nkeys} entries exceed capacity {self.capacity}")
+        return self.ops.load_run(self.slot_addr(0), nkeys, _SLOT_BYTES)
 
     def write_entries(self, kind: str, entries: List[object]) -> None:
-        """Store a full page image: header plus every entry.
+        """Store a full page image: header, then one ``store_run``.
 
         Charges computation proportional to the page image (the compares
         and copies a real page write performs) so that timing reflects
@@ -92,8 +94,7 @@ class Page:
             )
         self.ops.work(2 + 2 * len(entries))
         self.write_header(kind, len(entries))
-        for i, entry in enumerate(entries):
-            self.write_slot(i, entry)
+        self.ops.store_run(self.slot_addr(0), entries, _SLOT_BYTES)
 
 
 class PageAllocator:

@@ -71,8 +71,9 @@ class Workload:
         say) emit a sequence that depends on the technique being
         simulated; such a stream must be re-executed per run.  A single
         thread has no interleaving, hence the default; a workload whose
-        threads share nothing, or that computes every event before
-        returning its iterators, overrides this.
+        threads share nothing overrides this (one that computes every
+        event up front — ``mdb`` — is a native batch emitter and is
+        never asked).
         """
         return num_threads == 1
 

@@ -31,8 +31,7 @@ program calibration):
     whose average FASE is far smaller than their biggest ones).
 
 ``burst`` and ``passes`` may be fractional; deterministic dithering
-realises the averages.  A ``scatter_frac`` knob (random writes to a
-pool, default off) is kept for ablation studies.
+realises the averages.
 
 Multi-threading follows the strong-scaling model the paper describes
 (§IV-F): the per-FASE work — the list of (tile, pass) units — is split
@@ -47,10 +46,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
+import numpy as np
+
 from repro.common.errors import ConfigurationError
-from repro.common.events import EventBatch
+from repro.common.events import BATCH_CHUNK, EventBatch, EventKind
 from repro.common.geometry import CACHE_LINE_SIZE
-from repro.common.rng import derive_seed, make_rng
 from repro.nvram.memory import NVRAM_BASE
 from repro.workloads.base import Workload
 
@@ -98,8 +98,6 @@ class TilePatternConfig:
     wide_passes: float = 2.0    # sweeps of the wide region per wide unit/FASE
     wide_units_per_fase: float = 0.0   # UNITS mode: avg wide blocks per FASE
     wide_fase_every: float = 0.0       # FASES mode: wide FASEs per narrow FASE
-    scatter_frac: float = 0.0   # ablation knob: random-pool writes
-    scatter_pool_lines: int = 256
     alias_tiles: bool = True    # stride tile lines to alias the Atlas table
     work_per_store: int = 3     # computation instructions per store
 
@@ -118,10 +116,6 @@ class TilePatternConfig:
             raise ConfigurationError("wide_lines must be >= 1")
         if self.wide_units_per_fase < 0 or self.wide_fase_every < 0:
             raise ConfigurationError("wide-loop rates must be non-negative")
-        if not 0 <= self.scatter_frac < 1:
-            raise ConfigurationError("scatter_frac must be in [0, 1)")
-        if self.scatter_pool_lines < 1:
-            raise ConfigurationError("scatter_pool_lines must be >= 1")
 
     @property
     def working_set_lines(self) -> int:
@@ -142,7 +136,7 @@ class TilePatternConfig:
             wide = self.wide_units_per_fase * self.wide_unit_stores
         elif self.wide_mode == WideMode.FASES:
             wide = self.wide_fase_every * self.wide_unit_stores
-        return (narrow + wide) * (1.0 + self.scatter_frac)
+        return narrow + wide
 
     @property
     def approx_total_stores(self) -> int:
@@ -178,16 +172,12 @@ class TilePatternWorkload(Workload):
     def __init__(self, name: str, config: TilePatternConfig) -> None:
         self.name = name
         self.config = config
-        # Region layout (in lines): narrow tiles, wide regions, scatter pool.
+        # Region layout (in lines): narrow tiles, then wide regions.
         stride = ALIAS_STRIDE_LINES if config.alias_tiles else 1
         self._stride = stride
         self._tile_span = config.tile_lines * stride
         self._base_line = NVRAM_BASE // CACHE_LINE_SIZE
-        self._wide_base = self._base_line + config.tiles_per_fase * self._tile_span
         self._num_wide_instances = 8
-        self._scatter_base = (
-            self._wide_base + self._num_wide_instances * config.wide_lines
-        )
 
     def supports_threads(self, num_threads: int) -> bool:
         return num_threads >= 1
@@ -199,49 +189,53 @@ class TilePatternWorkload(Workload):
     def batch_streams(
         self, num_threads: int, seed: int
     ) -> List[Iterator[EventBatch]]:
+        """Per-thread batches; the pattern is deterministic (dithered,
+        not drawn), so ``seed`` does not enter it."""
         if num_threads < 1:
             raise ConfigurationError("num_threads must be >= 1")
-        return [
-            self._batches(t, num_threads, derive_seed(seed, self.name, t))
-            for t in range(num_threads)
-        ]
+        return [self._batches(t, num_threads) for t in range(num_threads)]
 
-    def _batches(
-        self, tid: int, nthreads: int, seed: int, chunk: int = 4096
-    ) -> Iterator[EventBatch]:
+    def _batches(self, tid: int, nthreads: int) -> Iterator[EventBatch]:
         """One thread's share of the pattern — the program's one spelling.
 
-        Appending integers to an :class:`EventBatch` keeps generator
-        resumption and ``Event`` allocation out of the simulator's hot
-        loop; ``streams`` is the inherited decoding of these batches.
+        The control flow (FASEs, units, sweeps, every dither draw in
+        program order — the float accumulators round, so they are not
+        vectorised) only notes per-*line* facts, three parallel lists
+        of groups: the head event's kind, the count of same-line stores
+        after it, the line's byte address.  A line visit is
+        ``WORK(work·b)`` then ``b`` stores walking the line's eight
+        words; a FASE mark is a head with no stores.  :func:`_layout`
+        turns the pending groups into columns with one numpy pass per
+        batch; ``streams`` is the inherited decoding of these batches.
         """
         cfg = self.config
-        rng = make_rng(seed)
         pass_dither = _Dither(cfg.passes)
         burst_dither = _Dither(cfg.burst)
         wide_unit_dither = _Dither(cfg.wide_units_per_fase)
         wide_fase_dither = _Dither(cfg.wide_fase_every)
         wide_pass_dither = _Dither(max(cfg.wide_passes, 1.0))
-        scatter_dither = _Dither(cfg.scatter_frac)
         wide_counter = [0]
-        work = cfg.work_per_store
         line_size = CACHE_LINE_SIZE
-        pool = cfg.scatter_pool_lines
-        scatter_base = self._scatter_base
+        heads: List[int] = []
+        counts: List[int] = []
+        lines: List[int] = []
+        pending = 0     # events the groups noted so far expand to
 
-        def sweep(out: EventBatch, base_line: int, nlines: int, stride: int) -> None:
-            append_work = out.append_work
-            append_store = out.append_store
-            for i in range(nlines):
-                b = max(1, burst_dither.next_count())
-                append_work(work * b)
-                addr = (base_line + i * stride) * line_size
-                for j in range(b):
-                    append_store(addr + (j % 8) * 8, 8)
-                if cfg.scatter_frac:
-                    for _ in range(scatter_dither.next_count() * b):
-                        pool_line = scatter_base + int(rng.integers(0, pool))
-                        append_store(pool_line * line_size, 8)
+        def sweep(base_line: int, nlines: int, stride: int) -> None:
+            nonlocal pending
+            bursts = [max(1, burst_dither.next_count()) for _ in range(nlines)]
+            heads.extend([EventKind.WORK] * nlines)
+            counts.extend(bursts)
+            first, step = base_line * line_size, stride * line_size
+            lines.extend(range(first, first + nlines * step, step))
+            pending += nlines + sum(bursts)
+
+        def mark(kind: int) -> None:
+            nonlocal pending
+            heads.append(kind)
+            counts.append(0)
+            lines.append(0)
+            pending += 1
 
         # Each thread works on a private partition of the domain (the
         # SPLASH2 strong-scaling decomposition): its tiles and wide
@@ -257,14 +251,13 @@ class TilePatternWorkload(Workload):
         thread_base = self._base_line + tid * (region_span + 1)
         wide_base = thread_base + cfg.tiles_per_fase * self._tile_span
 
-        def wide_block(out: EventBatch) -> None:
+        def wide_block() -> None:
             instance = wide_counter[0] % self._num_wide_instances
             wide_counter[0] += 1
             base = wide_base + instance * cfg.wide_lines
             for _ in range(max(1, wide_pass_dither.next_count())):
-                sweep(out, base, cfg.wide_lines, 1)
+                sweep(base, cfg.wide_lines, 1)
 
-        batch = EventBatch()
         for fase in range(cfg.num_fases):
             # The per-FASE unit list; rebuilt by every thread with the
             # same dither sequence so the contiguous-block split is
@@ -287,32 +280,55 @@ class TilePatternWorkload(Workload):
             else:
                 my_units = []
             if my_units:
-                batch.append_fase_begin()
+                mark(EventKind.FASE_BEGIN)
                 for kind, tile in my_units:
                     if kind == _NARROW:
                         sweep(
-                            batch,
                             thread_base + tile * self._tile_span,
                             cfg.tile_lines,
                             self._stride,
                         )
                     else:
-                        wide_block(batch)
-                batch.append_fase_end()
+                        wide_block()
+                mark(EventKind.FASE_END)
             # Dedicated wide FASEs, dealt round-robin across threads.
             if cfg.wide_mode == WideMode.FASES:
                 for _ in range(wide_fase_dither.next_count()):
                     owner = wide_counter[0] % nthreads
                     if owner == tid:
-                        batch.append_fase_begin()
-                        wide_block(batch)
-                        batch.append_fase_end()
+                        mark(EventKind.FASE_BEGIN)
+                        wide_block()
+                        mark(EventKind.FASE_END)
                     else:
                         wide_counter[0] += 1  # keep instance rotation in sync
             # FASE state carries across batches: yield between FASEs once
             # the chunk threshold is passed (batches may overshoot it).
-            if len(batch.kinds) >= chunk:
-                yield batch
-                batch = EventBatch()
-        if len(batch.kinds):
-            yield batch
+            if pending >= BATCH_CHUNK:
+                yield _layout(heads, counts, lines, cfg.work_per_store)
+                for column in (heads, counts, lines):
+                    column.clear()
+                pending = 0
+        if pending:
+            yield _layout(heads, counts, lines, cfg.work_per_store)
+
+
+def _layout(heads: List[int], counts: List[int], lines: List[int], work: int) -> EventBatch:
+    """Expand line groups into event columns: each head, then its
+    stores at words 0..7 of the line, round and round."""
+    stores = np.asarray(counts, dtype=np.int64)
+    ends = np.cumsum(stores + 1)
+    starts = ends - (stores + 1)
+    # j: position within the group (0 = head, 1.. = stores).
+    j = np.arange(ends[-1]) - np.repeat(starts, stores + 1)
+    args = np.repeat(np.asarray(lines, dtype=np.int64), stores + 1)
+    args += ((j - 1) & 7) * 8
+    args[starts] = work * stores          # WORK(work·b); 0 on a FASE mark
+    kinds = np.full(len(j), EventKind.STORE, dtype=np.int8)
+    kinds[starts] = heads
+    sizes = np.full(len(j), 8, dtype=np.int64)
+    sizes[starts] = 0
+    batch = EventBatch()
+    batch.kinds.frombytes(kinds.tobytes())
+    batch.args.frombytes(args.tobytes())
+    batch.sizes.frombytes(sizes.tobytes())
+    return batch

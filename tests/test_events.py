@@ -197,3 +197,63 @@ def test_run_table_is_not_copied_or_pickled():
         assert clone._runs is None
         assert [repr(ev) for ev in clone.events()] == [repr(ev) for ev in batch.events()]
         assert runs_of(clone) == want
+
+
+# -- the optional payload column ---------------------------------------------
+
+
+def payload_batch():
+    batch = EventBatch(keep_values=True)
+    batch.append_fase_begin()
+    batch.append_store(N0, 8, ("k", 1))
+    batch.append_event(Store(N0 + 8, 8, "v"))
+    batch.append_event(Load(N0, 8))
+    batch.append_work(3)
+    batch.extend_accesses(EventKind.STORE, range(N0 + 64, N0 + 96, 16), 16, ["a", "b"])
+    batch.extend_accesses(EventKind.LOAD, range(N0, N0 + 16, 8), 8)
+    batch.append_load(N0 + 8)
+    batch.append_fase_end()
+    return batch
+
+
+def test_payload_column_is_absent_by_default_and_as_long_as_the_rest_when_kept():
+    plain = EventBatch.from_events(payload_batch().events())
+    assert plain.values is None
+    assert all(ev.value is None for ev in plain.events() if ev.kind == EventKind.STORE)
+    kept = payload_batch()
+    assert kept.values == [
+        None, ("k", 1), "v", None, None, "a", "b", None, None, None, None
+    ]
+    assert [repr(ev) for ev in kept.events()] == [
+        "FaseBegin()",
+        f"Store(addr={N0:#x}, size=8, value=('k', 1))",
+        f"Store(addr={N0 + 8:#x}, size=8, value='v')",
+        f"Load(addr={N0:#x}, size=8)",
+        "Work(3)",
+        f"Store(addr={N0 + 64:#x}, size=16, value='a')",
+        f"Store(addr={N0 + 80:#x}, size=16, value='b')",
+        f"Load(addr={N0:#x}, size=8)",
+        f"Load(addr={N0 + 8:#x}, size=8)",
+        f"Load(addr={N0 + 8:#x}, size=8)",
+        "FaseEnd()",
+    ]
+    # The machine's view of a batch does not involve it.
+    assert runs_of(kept) == runs_of(plain)
+    assert kept.count_stores(N0) == plain.count_stores(N0) == 4
+    assert kept.count_stores(N0 + 64) == 2
+
+
+def test_payload_column_rides_copy_and_pickle_and_is_dropped_by_split():
+    batch = payload_batch()
+    batch.line_runs()
+    for clone in (copy.copy(batch), copy.deepcopy(batch), pickle.loads(pickle.dumps(batch))):
+        assert clone._runs is None
+        assert clone.values == batch.values
+        assert [repr(ev) for ev in clone.events()] == [repr(ev) for ev in batch.events()]
+    parts = list(batch.split(4))
+    assert [len(p) for p in parts] == [4, 4, 3]
+    assert all(p.values is None for p in parts)
+    assert [repr(ev) for p in parts for ev in p.events()] == [
+        repr(ev) for ev in EventBatch.from_events(batch.events()).events()
+    ]
+    assert list(EventBatch().split(4)) == []

@@ -36,10 +36,12 @@ from repro.nvram.failure import FAULT_MODELS, SITE_CLASSES
 from repro.nvram.machine import Machine, MachineConfig
 from repro.nvram.memory import NVRAM_BASE
 from repro.obs.metrics import MetricsRegistry
-from repro.workloads.base import Workload
+from repro.locality.trace import WriteTrace
+from repro.workloads.base import TraceWorkload, Workload
 from repro.workloads.hashtable import HashTableWorkload
 from repro.workloads.linkedlist import LinkedListWorkload
 from repro.workloads.msqueue import QueueWorkload
+from repro.workloads.registry import get_workload
 from tests.conftest import die_once_in_worker
 
 PA = NVRAM_BASE
@@ -645,6 +647,24 @@ def test_mdb_exhaustive_all_fault_models_zero_violations(threads):
     assert matrix.ok, matrix.violations[:3]
     assert matrix.injected == 3 * matrix.total_sites > 6000
     assert {cls for (cls, _model) in matrix.cells} == set(SITE_CLASSES)
+    # ... over a stream that has something to lose: the replay sees the
+    # store's payloads, every put's (key, value) among them.
+    workload = get_workload("mdb", scale=0.002)
+    golden = AtlasReplayDriver(
+        workload, technique="SC+victim:16", num_threads=threads
+    ).golden()
+    written = [v for f in golden.fases.values() for v in f.writes.values()]
+    assert None not in written
+    pairs = {v for v in written if isinstance(v[0], int) and v[1] == v[0] * 3 + 1}
+    assert len(pairs) >= workload.pairs
+
+
+def test_campaign_over_a_payload_free_stream_is_refused():
+    """The oracle reads a ``None`` payload as "absent", so a campaign
+    over stores that carry no values would pass whatever recovery did."""
+    trace = WriteTrace([0, 1, 0, 2], [0, 0, 1, 1])
+    with pytest.raises(ConfigurationError, match="'trace'.*no payloads"):
+        run_campaign(TraceWorkload([trace]), technique="SC", threads=1)
 
 
 def test_spec_validation():

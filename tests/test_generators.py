@@ -36,8 +36,6 @@ def test_config_validation():
         cfg(wide_mode="bogus")
     with pytest.raises(ConfigurationError):
         cfg(wide_mode=WideMode.UNITS, wide_passes=0.5)
-    with pytest.raises(ConfigurationError):
-        cfg(scatter_frac=1.0)
 
 
 def test_store_volume_matches_estimate():
@@ -134,13 +132,6 @@ def test_determinism():
     b = run(w, "LA", seed=5)
     assert a.flushes == b.flushes
     assert a.time == b.time
-
-
-def test_scatter_knob():
-    c = cfg(scatter_frac=0.2, scatter_pool_lines=128)
-    res = run(TilePatternWorkload("t", c), "LA")
-    base = run(TilePatternWorkload("t", cfg()), "LA")
-    assert res.persistent_stores > base.persistent_stores * 1.1
 
 
 def test_wide_fases_mode_emits_dedicated_fases():

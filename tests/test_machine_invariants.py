@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.cache.adaptive import AdaptiveConfig
 from repro.cache.spec import technique_factory
 from repro.cache.write_cache import WriteCombiningCache
+from repro.common.errors import SimulationError
 from repro.common.events import (
     FaseBegin,
     FaseEnd,
@@ -17,6 +18,7 @@ from repro.common.events import (
     Work,
     batches_from_events,
 )
+from repro.locality.trace import WriteTrace
 from repro.nvram.failure import CrashPlan
 from repro.nvram.machine import Machine, MachineConfig
 from repro.nvram.memory import NVRAM_BASE
@@ -554,3 +556,49 @@ def test_technique_counters_survive_coalescing_on_a_splash_stream(technique, thr
         if use_batches:
             assert machine.absorbed_stores > 0.7 * result.persistent_stores
     assert seen[True] == seen[False]
+
+
+# -- the write trace is a column pass ---------------------------------------
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.lists(st.one_of(run_heavy_streams(), event_streams()), min_size=1, max_size=3),
+    st.sampled_from([1, 50, 64, 4096]),
+)
+def test_trace_from_columns_is_the_trace_the_machine_records(streams, chunk):
+    """``WriteTrace.from_batches`` against the BEST run it replaces:
+    nested FASEs, stores spanning two lines, stores below ``NVRAM_BASE``,
+    loads, empty threads, batch edges anywhere."""
+    workload = BatchedListWorkload(streams, chunk)
+    result = Machine(MachineConfig()).run(
+        workload, technique_factory("BEST"), num_threads=len(streams), seed=0,
+        record_traces=True,
+    )
+    programs = [list(s) for s in workload.batch_streams(len(streams), 0)]
+    for tid, (batches, want) in enumerate(zip(programs, result.traces)):
+        got = WriteTrace.from_batches(batches, tid, NVRAM_BASE)
+        assert got.lines.tolist() == want.lines.tolist()
+        assert got.fase_ids.tolist() == want.fase_ids.tolist()
+    assert result.persistent_stores == sum(
+        b.count_stores(NVRAM_BASE) for batches in programs for b in batches
+    )
+
+
+@pytest.mark.parametrize(
+    "events",
+    [
+        [FaseBegin(), Store(NVRAM_BASE, 8), FaseEnd(), FaseEnd(), FaseBegin()],
+        [Store(NVRAM_BASE, 8), FaseBegin(), FaseBegin(), FaseEnd()],
+    ],
+    ids=["end-at-depth-0", "ends-inside-a-fase"],
+)
+def test_malformed_bracketing_is_the_same_typed_error_from_both(events):
+    workload = BatchedListWorkload([events], 2)
+    with pytest.raises(SimulationError) as simulated:
+        Machine(MachineConfig()).run(
+            workload, technique_factory("BEST"), num_threads=1, seed=0
+        )
+    with pytest.raises(SimulationError) as derived:
+        WriteTrace.from_batches(workload.batch_streams(1, 0)[0], 0, NVRAM_BASE)
+    assert str(derived.value) == str(simulated.value)

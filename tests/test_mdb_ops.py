@@ -1,11 +1,14 @@
 """The MDB persistence backends (recording and Atlas-backed)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.atlas import AtlasRuntime
 from repro.common.errors import ConfigurationError
 from repro.common.events import EventKind
-from repro.mdb.ops import AtlasOps, RecordingOps
+from repro.mdb.ops import AtlasOps, PersistenceOps, RecordingOps
+from repro.mdb.pages import Page, PageAllocator
 from repro.nvram.memory import NVRAM_BASE
 
 
@@ -32,7 +35,7 @@ def test_recording_ops_event_kinds():
         ops.store(a, 1)
         ops.load(a)
         ops.work(5)
-    kinds = [e.kind for e in ops.events]
+    kinds = list(ops.events.kinds)
     assert kinds == [
         EventKind.FASE_BEGIN,
         EventKind.STORE,
@@ -47,7 +50,7 @@ def test_recording_ops_load_sampling():
     a = ops.alloc(8)
     for _ in range(8):
         ops.load(a)
-    loads = [e for e in ops.events if e.kind == EventKind.LOAD]
+    loads = [e for e in ops.events.events() if e.kind == EventKind.LOAD]
     assert len(loads) == 2      # one in four recorded
 
 
@@ -56,15 +59,68 @@ def test_recording_ops_loads_can_be_disabled():
     a = ops.alloc(8)
     ops.store(a, 3)
     assert ops.load(a) == 3
-    assert all(e.kind != EventKind.LOAD for e in ops.events)
+    assert all(e.kind != EventKind.LOAD for e in ops.events.events())
 
 
-def test_recording_ops_take_events_resets():
-    ops = RecordingOps()
-    ops.work(1)
-    events = ops.take_events()
-    assert len(events) == 1
-    assert ops.events == []
+class PerSlotRecordingOps(RecordingOps):
+    """The recorder with the protocol's per-slot run defaults: the
+    reference the page-granular overrides must equal."""
+
+    store_run = PersistenceOps.store_run
+    load_run = PersistenceOps.load_run
+
+
+def _recorded(ops):
+    batch = ops.events
+    return (
+        list(batch.kinds), list(batch.args), list(batch.sizes), batch.values,
+        ops.shadow, ops._load_counter,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=11),
+    st.integers(min_value=1, max_value=5),
+    st.booleans(),
+    st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=4),
+)
+def test_page_runs_equal_per_slot_calls(start, load_sample, record_loads, sizes):
+    """``store_run``/``load_run`` leave the columns, payloads, shadow and
+    load-sampling phase the per-slot calls leave — for any phase the
+    counter is in when a page image arrives, any sampling period, any
+    image from empty to full."""
+    got, want = (
+        cls(record_loads=record_loads, load_sample=load_sample)
+        for cls in (RecordingOps, PerSlotRecordingOps)
+    )
+    loaded = []
+    for ops in (got, want):
+        alloc = PageAllocator(ops, 256)
+        assert alloc.capacity_per_page == 15
+        for _ in range(start):
+            ops.load(NVRAM_BASE)
+        pages = []
+        for n in sizes:
+            page = alloc.new_page()
+            page.write_entries(Page.LEAF, [(k, ("v", n, k)) for k in range(n)])
+            pages.append(page)
+        loaded.append(
+            [page.read_entries(page.read_header()[1]) for page in pages]
+            + [pages[0].read_entries(-1)]
+        )
+    assert loaded[0] == loaded[1]
+    assert _recorded(got) == _recorded(want)
+    assert len(got.events.values) == len(got.events)
+
+
+def test_page_runs_keep_the_capacity_checks():
+    page = PageAllocator(RecordingOps(), 256).new_page()
+    with pytest.raises(ConfigurationError):
+        page.write_entries(Page.LEAF, [0] * (page.capacity + 1))
+    with pytest.raises(ConfigurationError):
+        page.read_entries(page.capacity + 1)
+    assert len(page.read_entries(page.capacity)) == page.capacity
 
 
 def test_recording_ops_validation():

@@ -76,11 +76,11 @@ def test_put_get_delete_roundtrip():
 
 def test_write_txn_batches_in_one_fase():
     db, ops = make_store()
-    before = sum(1 for e in ops.events if e.kind == 3)   # FaseBegin
+    before = sum(1 for e in ops.events.events() if e.kind == 3)   # FaseBegin
     with db.write_txn() as txn:
         for i in range(20):
             txn.put(i, i)
-    after = sum(1 for e in ops.events if e.kind == 3)
+    after = sum(1 for e in ops.events.events() if e.kind == 3)
     assert after == before + 1
     assert db.count() == 20
 

@@ -56,23 +56,34 @@ def test_full_artifact_grid_parallel_equals_sequential():
     assert _dicts(parallel) == _dicts(sequential)
 
 
-def test_parallel_grid_adopts_profiles_from_workers():
-    """Profile runs done inside workers for SC summaries ride home with
-    the summary, so figure2/figure7-style trace analysis needs no new
-    simulation in the parent."""
+def test_parallel_grid_adopts_profiles_from_workers(monkeypatch):
+    """Workers ship the two-integer summary and nothing else; the trace
+    figure2/figure7-style analysis wants is a pass over the parent's own
+    columns — equal to the sequential harness's, and no simulation."""
     harness = Harness(CONFIG)
     cells = [("water-spatial", "SC", 1), ("water-spatial", "SC-offline", 1)]
     run_grid_parallel(harness, cells, jobs=2)
-    adopted = harness._profiles.get(("water-spatial", 1))
-    assert adopted is not None
-    assert adopted.traces is not None and len(adopted.traces) == 1
-    # profile() is now a pure cache hit (identical object, no rerun).
-    assert harness.profile("water-spatial") is adopted
-    # The adopted traces are usable: identical to a freshly profiled run.
+    sequential = Harness(CONFIG)
+    assert harness._summaries == {
+        "water-spatial": sequential.profile_summary("water-spatial")
+    }
+    assert harness._profiles == {} and harness._traces == {}
+
+    def no_machine(*args, **kwargs):
+        raise AssertionError("a trace request simulated")
+
+    monkeypatch.setattr("repro.experiments.harness.Machine", no_machine)
+    got, want = harness.trace("water-spatial"), sequential.trace("water-spatial")
+    assert got.lines.tolist() == want.lines.tolist()
+    assert got.fase_ids.tolist() == want.fase_ids.tolist()
+    assert (
+        harness.offline_mrc("water-spatial").miss_ratios.tolist()
+        == sequential.offline_mrc("water-spatial").miss_ratios.tolist()
+    )
+    # The oracle agrees with both.
+    monkeypatch.undo()
     fresh = Harness(CONFIG).profile("water-spatial")
-    assert [t.lines.tolist() for t in adopted.traces] == [
-        t.lines.tolist() for t in fresh.traces
-    ]
+    assert [t.lines.tolist() for t in fresh.traces] == [got.lines.tolist()]
 
 
 def test_parallel_results_land_in_harness_cache():
@@ -98,7 +109,7 @@ def _state(harness):
 
 @pytest.mark.parametrize("jobs", [2, 4])
 def test_parallel_sweep_leaves_the_sequential_harness_state(jobs):
-    """Runs, summaries and adopted profile traces: jobs=N == jobs=1, and
+    """Runs, summaries and (absent) profiling runs: jobs=N == jobs=1, and
     every worker is joined by the time run_grid returns."""
     sequential, fanned = Harness(CONFIG), Harness(CONFIG)
     want = sequential.run_grid(CELLS, jobs=1)
@@ -252,8 +263,8 @@ def test_disk_cache_profile_summary_round_trip(tmp_path):
     summary = Harness(CONFIG, cache_dir=cache_dir).profile_summary("barnes")
     reloaded = Harness(CONFIG, cache_dir=cache_dir)
     assert reloaded.profile_summary("barnes") == summary
-    # Served from disk: no profile run happened in the new harness.
-    assert reloaded._profiles == {}
+    # Served from disk: the new harness derived no trace, ran no profile.
+    assert reloaded._profiles == {} and reloaded._traces == {}
 
 
 def test_disk_cache_key_covers_the_whole_config(tmp_path):
