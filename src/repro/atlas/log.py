@@ -15,15 +15,16 @@ Recovery (see :mod:`repro.atlas.recovery`) undoes every logged entry of
 FASEs with no commit record, newest first.
 
 Log records live in their own persistent region at fixed 32-byte slots,
-so a post-crash scan can walk them in append order.  Record payloads are
-Python tuples (the simulated NVRAM stores objects per address); the
-structure — not the byte encoding — is what the reproduction needs.
+so a post-crash scan can walk them in append order.  The simulated NVRAM
+stores objects per address and a :class:`LogRecord` *is* a tuple, so the
+record is its own payload: what ``_append`` stores is what ``scan`` finds
+and nothing is encoded or decoded in between.  The structure — not the
+byte encoding — is what the reproduction needs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.atlas.region import PersistentRegion
 
@@ -34,30 +35,35 @@ LOG_SLOT_BYTES = 32
 #: Record kinds.
 KIND_UNDO = "undo"
 KIND_COMMIT = "commit"
+_KINDS = (KIND_UNDO, KIND_COMMIT)
 
 
-@dataclass(frozen=True)
-class LogRecord:
-    """One undo-log record as written to (simulated) NVRAM."""
+class LogRecord(NamedTuple):
+    """One undo-log record as written to (simulated) NVRAM.
+
+    A 4-tuple with names: equal to the plain tuple of its fields, and
+    stored in the slot as it is.
+    """
 
     kind: str              # KIND_UNDO or KIND_COMMIT
     fase_id: int
     addr: int = 0          # undo records only
     old_value: object = None
 
-    def as_payload(self) -> tuple:
-        """The tuple stored at the record's slot address."""
-        return (self.kind, self.fase_id, self.addr, self.old_value)
+    def as_payload(self) -> "LogRecord":
+        """What is stored at the record's slot address: the record."""
+        return self
 
     @staticmethod
     def from_payload(payload: object) -> Optional["LogRecord"]:
-        """Parse a slot payload back into a record (None if not one)."""
-        if (
-            isinstance(payload, tuple)
-            and len(payload) == 4
-            and payload[0] in (KIND_UNDO, KIND_COMMIT)
-        ):
-            return LogRecord(payload[0], payload[1], payload[2], payload[3])
+        """The record a slot holds, or None if it does not hold one.
+
+        A stored record comes back as it is; a plain 4-tuple of a known
+        kind (a hand-built image) is upgraded; anything else — a record
+        of an unknown kind included — is not a record.
+        """
+        if isinstance(payload, tuple) and len(payload) == 4 and payload[0] in _KINDS:
+            return payload if type(payload) is LogRecord else LogRecord(*payload)
         return None
 
 
@@ -115,13 +121,18 @@ class UndoLog:
     # -- post-crash scanning (class-level: no live log object exists) ----
 
     @staticmethod
-    def scan(nvram: dict, region_base: int, region_size: int) -> Iterator[LogRecord]:
-        """Walk the log records found in a post-crash NVRAM image."""
-        addr = region_base + 64  # first line of the region holds the root
-        end = region_base + region_size
-        while addr < end:
-            record = LogRecord.from_payload(nvram.get(addr))
-            if record is None:
-                break  # append-only: the first hole is the log's end
-            yield record
-            addr += LOG_SLOT_BYTES
+    def scan(nvram: dict, region_base: int, region_size: int) -> List[LogRecord]:
+        """The log records found in a post-crash NVRAM image, in append
+        order (the first line of the region holds the root)."""
+        get = nvram.get
+        records: List[LogRecord] = []
+        for addr in range(region_base + 64, region_base + region_size, LOG_SLOT_BYTES):
+            record = get(addr)
+            # A stored record is taken as it is (``from_payload``'s answer
+            # without the call); anything else is parsed.
+            if type(record) is not LogRecord or record[0] not in _KINDS:
+                record = LogRecord.from_payload(record)
+                if record is None:
+                    break  # append-only: the first hole is the log's end
+            records.append(record)
+        return records

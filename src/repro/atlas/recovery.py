@@ -15,12 +15,21 @@ Soundness argument (tested by crash-injection in the suite):
   is too* (log-before-data ordering), so every leaked value has its
   old value available to restore;
 - undoing newest-first replays nested/overwritten locations correctly.
+
+Recovery is two steps, so that whoever needs the log reads it once:
+:func:`scan_log` reads every region forward — the log is append-only and
+is the truth — before anything is rolled back, and :func:`rollback`
+applies that parse to a copy of the image.  :func:`recover` composes
+them; the fault-injection oracle checks its log-before-data invariant on
+the parse in between.  An undo record aimed at a log slot could change
+what was just read, so it is refused as a
+:class:`~repro.common.errors.RecoveryError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, List, Set, Tuple
 
 from repro.atlas.log import KIND_COMMIT, KIND_UNDO, LogRecord, UndoLog
 from repro.common.errors import RecoveryError
@@ -43,6 +52,67 @@ class RecoveryReport:
         return self.nvram.get(addr, default)
 
 
+#: A parsed log: ``(region, records in append order)`` per log region.
+ParsedLog = List[Tuple[object, List[LogRecord]]]
+
+
+def scan_log(image: Dict[int, object], layout) -> ParsedLog:
+    """Read every log region of ``image`` forward, once.
+
+    The one parse of a crashed image: :func:`rollback` and the oracle's
+    log-before-data check both read it, so neither rescans.
+    """
+    return [
+        (region, UndoLog.scan(image, region.base, region.size))
+        for region in layout.log_regions
+    ]
+
+
+def rollback(image: Dict[int, object], log: ParsedLog) -> RecoveryReport:
+    """Roll a copy of ``image`` back by an already-parsed ``log``.
+
+    Raises :class:`~repro.common.errors.RecoveryError` if the log is
+    malformed (which the write ordering should make impossible): a FASE
+    both committed and rolled back, or an uncommitted FASE's undo record
+    aimed at a log slot — the log was read before any rollback, so a
+    rollback must not rewrite it.
+    """
+    report = RecoveryReport(nvram=dict(image))
+    nvram = report.nvram
+    spans = [(region.base, region.base + region.size) for region, _records in log]
+    for _region, records in log:
+        report.log_records += len(records)
+        committed = {r.fase_id for r in records if r.kind == KIND_COMMIT}
+        report.committed_fases |= committed
+        # Undo newest-first so a location modified by several uncommitted
+        # FASEs (nested retries) ends at its oldest durable value.
+        undone = [
+            r
+            for r in reversed(records)
+            if r.kind == KIND_UNDO and r.fase_id not in committed
+        ]
+        for lo, hi in spans:
+            for r in undone:
+                if lo <= r.addr < hi:
+                    raise RecoveryError(
+                        f"undo record of FASE {r.fase_id} targets log slot {r.addr:#x}"
+                    )
+        for r in undone:
+            if r.old_value is None:
+                # The location did not exist before the FASE: remove it.
+                nvram.pop(r.addr, None)
+            else:
+                nvram[r.addr] = r.old_value
+        report.rolled_back_fases.update(r.fase_id for r in undone)
+        report.undone_stores += len(undone)
+    overlap = report.committed_fases & report.rolled_back_fases
+    if overlap:
+        raise RecoveryError(
+            f"FASEs both committed and rolled back: {sorted(overlap)[:5]}"
+        )
+    return report
+
+
 def recover(state: CrashedState, layout) -> RecoveryReport:
     """Recover a crashed machine's NVRAM image to a consistent state.
 
@@ -58,35 +128,7 @@ def recover(state: CrashedState, layout) -> RecoveryReport:
     Returns
     -------
     RecoveryReport
-        Rollback statistics plus the repaired image.  Raises
-        :class:`~repro.common.errors.RecoveryError` if the log itself is
-        malformed (which the write ordering should make impossible).
+        Rollback statistics plus the repaired image: :func:`rollback`
+        over :func:`scan_log`, whose :class:`RecoveryError` propagates.
     """
-    report = RecoveryReport(nvram=dict(state.nvram))
-    for region in layout.log_regions:
-        records: List[LogRecord] = list(
-            UndoLog.scan(report.nvram, region.base, region.size)
-        )
-        report.log_records += len(records)
-        committed = {r.fase_id for r in records if r.kind == KIND_COMMIT}
-        report.committed_fases |= committed
-        # Undo newest-first so a location modified by several uncommitted
-        # FASEs (nested retries) ends at its oldest durable value.
-        for record in reversed(records):
-            if record.kind != KIND_UNDO:
-                continue
-            if record.fase_id in committed:
-                continue
-            report.rolled_back_fases.add(record.fase_id)
-            if record.old_value is None:
-                # The location did not exist before the FASE: remove it.
-                report.nvram.pop(record.addr, None)
-            else:
-                report.nvram[record.addr] = record.old_value
-            report.undone_stores += 1
-    overlap = report.committed_fases & report.rolled_back_fases
-    if overlap:
-        raise RecoveryError(
-            f"FASEs both committed and rolled back: {sorted(overlap)[:5]}"
-        )
-    return report
+    return rollback(state.nvram, scan_log(state.nvram, layout))

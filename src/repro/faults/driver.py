@@ -66,6 +66,19 @@ class FaseRecord:
 
 
 @dataclass
+class _Cursor:
+    """The golden truth at one site; :meth:`GoldenRun._truth_at` moves it."""
+
+    records: List[FaseRecord]       # every FASE, in begin order
+    unwritten: Set[int]             # protected addrs no committed FASE wrote
+    site: int = -1                  # the last site asked for
+    begun: int = 0                  # records[:begun] began by ``site``
+    folded: int = 0                 # commit_order[:folded] are in ``expected``
+    expected: Dict[int, object] = field(default_factory=dict)
+    in_flight: Dict[int, FaseRecord] = field(default_factory=dict)
+
+
+@dataclass
 class GoldenRun:
     """Everything the oracle needs from one crash-free replay."""
 
@@ -78,6 +91,29 @@ class GoldenRun:
     unprotected: Set[int]
     final_nvram: Dict[int, object]
     layout: AtlasLayout
+    #: Sorted FASE-protected addresses — what the oracle judges.  Derived
+    #: by :meth:`seal` when the replay is over.
+    checked: Optional[List[int]] = None
+    #: The truth at the last site asked for (see :meth:`_truth_at`).
+    _cursor: Optional[_Cursor] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def seal(self) -> None:
+        """Derive what every site's verdict shares, and check the order
+        :meth:`_truth_at` walks in: FASEs begin in ``fases`` order and
+        commit in ``commit_order`` (so :meth:`committed_by` is a prefix)."""
+        begins = [record.begin_site for record in self.fases.values()]
+        commits = [self.fases[uid].commit_site for uid in self.commit_order]
+        if begins != sorted(begins) or commits != sorted(commits):
+            raise SimulationError("golden run: FASE begin/commit sites do not ascend")
+        protected: Set[int] = set()
+        for record in self.fases.values():
+            protected.update(record.writes)
+        self.checked = sorted(protected - self.unprotected)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_cursor": None}   # workers start their own
 
     def committed_by(self, site: int) -> List[int]:
         """Uids of FASEs whose commit record was durable by ``site``,
@@ -90,6 +126,39 @@ class GoldenRun:
 
     def site_class(self, site: int) -> str:
         return self.sites[site][1]
+
+    def _truth_at(
+        self, site: int
+    ) -> Tuple[Dict[int, object], Set[int], Dict[int, FaseRecord]]:
+        """What a crash at ``site`` must recover to, for the oracle only.
+
+        ``(expected, unwritten, in_flight)``: the committed overlay over
+        the protected addresses, the protected addresses no committed
+        FASE has written yet, and the FASEs begun and not committed, in
+        begin order.  All three are the cursor's own objects — read them,
+        do not keep them: the next call moves them forward by the FASEs
+        that began or committed since, or rebuilds from FASE 0 when
+        ``site`` lies behind the last one asked for.
+        """
+        cur = self._cursor
+        if cur is None or site < cur.site:
+            cur = self._cursor = _Cursor(list(self.fases.values()), set(self.checked))
+        cur.site = site
+        records, in_flight = cur.records, cur.in_flight
+        while cur.begun < len(records) and records[cur.begun].begin_site <= site:
+            in_flight[records[cur.begun].uid] = records[cur.begun]
+            cur.begun += 1
+        order, unprotected = self.commit_order, self.unprotected
+        while (
+            cur.folded < len(order)
+            and self.fases[order[cur.folded]].commit_site <= site
+        ):
+            for addr, value in in_flight.pop(order[cur.folded]).writes.items():
+                if addr not in unprotected:
+                    cur.expected[addr] = value
+                    cur.unwritten.discard(addr)
+            cur.folded += 1
+        return cur.expected, cur.unwritten, in_flight
 
 
 class AtlasReplayDriver:
@@ -298,6 +367,7 @@ class AtlasReplayDriver:
         )
         self._replay(machine, runtimes, shift, golden)
         golden.final_nvram = machine.memory.nvram_snapshot()
+        golden.seal()
         return golden
 
     def crash_sweep(

@@ -18,25 +18,48 @@ determines the recovered image exactly, up to unprotected data:
     otherwise recovery had nothing to roll back with, which is precisely
     the unsound state the write ordering exists to prevent.
 
-The first two are checked by overlaying the golden run's committed
-writes in commit order and comparing address-by-address; the third by
-scanning the crash image's undo logs directly.  ``recovery.py``'s module
-docstring carries the matching soundness argument; DESIGN.md §10 ties
-the two together.
+In the literature's terms the contract is *durable linearizability with
+explicit per-operation durability points* (FliT; "Durable Queues: The
+Second Amendment"): every persistent operation names the instant its
+effect must survive a failure.  Here that instant is a crash *site* — a
+``store`` site is a store's, a FASE's ``commit`` site is the durability
+point of everything the FASE wrote — and a crash at site *s* must
+recover to exactly the operations whose point is at or before *s*.
+
+One crashed image costs one forward pass over what is durable: the log
+regions are parsed once (:func:`~repro.atlas.recovery.scan_log`), the
+third invariant reads the in-flight FASEs' undo entries off that parse,
+and :func:`~repro.atlas.recovery.rollback` consumes the same parse.  The
+golden side is not rebuilt per site either:
+:class:`~repro.faults.driver.GoldenRun` advances it along the sweep and
+restarts it when a site lies behind the last one asked for, so
+:func:`check_crash` stays a function of ``(golden, site, state)``.  What
+is never trusted is the image: the log prefix the previous site showed
+is scanned again, because a fault model may have rewritten it.
+
+**Accept fast, explain slow.**  The first two invariants hold iff the
+overlay's items are a subset of the recovered image's and no unwritten
+protected address is in it — two C-level set operations.  Only an image
+that fails them enters the per-address loop that names each
+``missing_committed`` / ``leaked_uncommitted`` / ``wrong_value``.
 
 A stored ``None`` payload and an absent address are deliberately
 indistinguishable here — that is the repo-wide convention (the undo log
-encodes "did not exist before" as ``old_value None``), so the oracle
-normalizes both to ``None`` before comparing.
+encodes "did not exist before" as ``old_value None``), so the loop
+normalizes both to ``None`` before comparing.  The set operations cannot
+(a key holding ``None`` is still a key), so such an image fails the fast
+test and takes the slow road, which then finds nothing: slower, never
+wrong.  ``recovery.py``'s module docstring carries the matching
+soundness argument; DESIGN.md §10 ties the two together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
-from repro.atlas.log import KIND_UNDO, UndoLog
-from repro.atlas.recovery import RecoveryReport, recover
+from repro.atlas.log import KIND_UNDO
+from repro.atlas.recovery import rollback, scan_log
 from repro.common.errors import RecoveryError
 from repro.faults.driver import GoldenRun
 from repro.nvram.failure import CrashedState
@@ -86,18 +109,6 @@ def expected_image_at(golden: GoldenRun, site: int) -> Dict[int, object]:
     return expected
 
 
-def _scan_undo_entries(
-    image: Dict[int, object], layout
-) -> Set[Tuple[int, int]]:
-    """All ``(fase_id, addr)`` undo records durable in ``image``."""
-    entries: Set[Tuple[int, int]] = set()
-    for region in layout.log_regions:
-        for record in UndoLog.scan(image, region.base, region.size):
-            if record.kind == KIND_UNDO:
-                entries.add((record.fase_id, record.addr))
-    return entries
-
-
 def check_crash(
     golden: GoldenRun,
     site: int,
@@ -107,67 +118,69 @@ def check_crash(
     """Recover ``state`` and report every FASE-invariant violation.
 
     ``layout`` defaults to the golden run's (replays of one configuration
-    share the region layout by construction).
+    share the region layout by construction).  Sites may be asked for in
+    any order; ascending (a sweep) is the cheap one.
     """
     if layout is None:
         layout = golden.layout
-    site_class = golden.site_class(site)
-    fault_model = state.fault_model
+    image = state.nvram
     violations: List[OracleViolation] = []
+
+    def violation(kind: str, **what) -> None:
+        violations.append(
+            OracleViolation(
+                kind=kind,
+                site=site,
+                site_class=golden.site_class(site),
+                fault_model=state.fault_model,
+                **what,
+            )
+        )
+
+    expected, unwritten, in_flight = golden._truth_at(site)
+    log = scan_log(image, layout)
 
     # Invariant 3 first, on the untouched pre-recovery image: every
     # leaked in-flight value must have its undo record already durable.
-    expected = expected_image_at(golden, site)
-    committed = set(golden.committed_by(site))
-    undo_entries = _scan_undo_entries(state.nvram, layout)
-    for uid, record in golden.fases.items():
-        if uid in committed or record.begin_site > site:
-            continue  # committed, or not yet begun at the crash
+    undo_entries = {
+        (r.fase_id, r.addr)
+        for _region, records in (log if in_flight else ())
+        for r in records
+        if r.fase_id in in_flight and r.kind == KIND_UNDO
+    }
+    for uid, record in in_flight.items():
         for addr, values in record.all_values.items():
             if addr in golden.unprotected:
                 continue
-            leaked = state.nvram.get(addr)
+            leaked = image.get(addr)
             if leaked is None or leaked not in values:
                 continue
             if leaked == expected.get(addr):
                 continue  # indistinguishable from the committed value
             if (uid, addr) not in undo_entries:
-                violations.append(
-                    OracleViolation(
-                        kind=V_LOG_BEFORE_DATA,
-                        site=site,
-                        site_class=site_class,
-                        fault_model=fault_model,
-                        addr=addr,
-                        fase=uid,
-                        actual=leaked,
-                        detail="in-flight value durable without its undo record",
-                    )
+                violation(
+                    V_LOG_BEFORE_DATA,
+                    addr=addr,
+                    fase=uid,
+                    actual=leaked,
+                    detail="in-flight value durable without its undo record",
                 )
 
     try:
-        report: RecoveryReport = recover(state, layout)
+        recovered = rollback(image, log).nvram
     except RecoveryError as exc:
-        violations.append(
-            OracleViolation(
-                kind=V_RECOVERY_ERROR,
-                site=site,
-                site_class=site_class,
-                fault_model=fault_model,
-                detail=str(exc),
-            )
-        )
+        violation(V_RECOVERY_ERROR, detail=str(exc))
         return violations
 
-    # Invariants 1 + 2: compare every FASE-protected address against the
-    # committed overlay.  Unprotected addresses carry no guarantee.
-    checked: Set[int] = set()
-    for record in golden.fases.values():
-        checked.update(record.writes)
-    checked -= golden.unprotected
-    for addr in sorted(checked):
+    # Invariants 1 + 2, accepted at C speed: every committed value is
+    # there and nothing is where no committed FASE wrote.  Unprotected
+    # addresses carry no guarantee and are in neither collection.
+    if expected.items() <= recovered.items() and recovered.keys().isdisjoint(unwritten):
+        return violations
+    # Explained in Python: name each protected address that differs.
+    for addr in golden.checked:
         exp = expected.get(addr)
-        act = report.nvram.get(addr)
+        act = recovered.get(addr)
         if exp == act:
             continue
         if exp is not None and act is None:
@@ -176,15 +189,5 @@ def check_crash(
             kind = V_LEAKED_UNCOMMITTED
         else:
             kind = V_WRONG_VALUE
-        violations.append(
-            OracleViolation(
-                kind=kind,
-                site=site,
-                site_class=site_class,
-                fault_model=fault_model,
-                addr=addr,
-                expected=exp,
-                actual=act,
-            )
-        )
+        violation(kind, addr=addr, expected=exp, actual=act)
     return violations

@@ -190,10 +190,12 @@ class HardwareCache:
 
     def dirty_lines(self) -> List[int]:
         """All currently dirty lines (the data lost in a crash)."""
-        out: List[int] = []
-        for cache_set in self.sets:
-            out.extend(line for line, dirty in cache_set.items() if dirty)
-        return out
+        return [
+            line
+            for cache_set in self.sets
+            for line, dirty in cache_set.items()
+            if dirty
+        ]
 
     # ------------------------------------------------------------------
 

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.atlas.log import KIND_COMMIT, KIND_UNDO, LogRecord
-from repro.atlas.recovery import RecoveryReport, recover
-from repro.common.errors import ConfigurationError
+from repro.atlas.recovery import RecoveryReport, recover, rollback, scan_log
+from repro.common.errors import ConfigurationError, RecoveryError
 from repro.nvram.failure import CrashedState, CrashPlan
 
 
@@ -90,3 +90,46 @@ def test_recovery_report_defaults():
     report = RecoveryReport()
     assert report.read(1, "d") == "d"
     assert report.log_records == 0
+
+
+def test_recover_refuses_an_undo_record_aimed_at_the_log():
+    """The log is parsed once, before any rollback: an undo record that
+    would rewrite a log slot — in its own region or another thread's —
+    is a malformed log, not a store to replay."""
+    base, other = 0x1000_0000, 0x2000_0000
+    layout = FakeLayout([FakeRegion(base, 1 << 16), FakeRegion(other, 1 << 16)])
+    for target in (base + 64, base + (1 << 16) - 8, other + 64 + 32):
+        nvram = slotted([LogRecord(KIND_UNDO, 4, target, "clobber")], base)
+        nvram.update(slotted([LogRecord(KIND_UNDO, 9, 700, "old")], other))
+        before = dict(nvram)
+        state = CrashedState(nvram=nvram, lost_lines=[], at_store=0)
+        with pytest.raises(RecoveryError, match=f"FASE 4 targets log slot {target:#x}"):
+            recover(state, layout)
+        assert nvram == before              # the crashed image is never touched
+    # Committed, the same record is never replayed, so it is harmless ...
+    nvram = slotted(
+        [LogRecord(KIND_UNDO, 4, base + 64, "clobber"), LogRecord(KIND_COMMIT, 4)], base
+    )
+    state = CrashedState(nvram=nvram, lost_lines=[], at_store=0)
+    assert recover(state, layout).undone_stores == 0
+    # ... and one byte past the region is data like any other.
+    nvram = slotted([LogRecord(KIND_UNDO, 4, base + (1 << 16), "old")], base)
+    state = CrashedState(nvram=nvram, lost_lines=[], at_store=0)
+    assert recover(state, layout).read(base + (1 << 16)) == "old"
+
+
+def test_recover_is_rollback_over_scan_log():
+    base = 0x1000_0000
+    layout = FakeLayout([FakeRegion(base, 1 << 16)])
+    records = [LogRecord(KIND_UNDO, 2, 100, "old"), (KIND_UNDO, 2, 200, None)]
+    nvram = slotted(records[:1], base)
+    nvram[base + 64 + 32] = records[1]      # a plain tuple, as older images hold
+    nvram.update({100: "leaked", 200: "leaked"})
+    log = scan_log(nvram, layout)
+    assert [(region.base, recs) for region, recs in log] == [(base, records)]
+    report = rollback(nvram, log)
+    state = CrashedState(nvram=nvram, lost_lines=[], at_store=0)
+    assert report == recover(state, layout)
+    assert report.nvram[100] == "old" and 200 not in report.nvram
+    assert (report.log_records, report.undone_stores) == (2, 2)
+    assert nvram[100] == "leaked"           # rolled back on a copy

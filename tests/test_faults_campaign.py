@@ -692,3 +692,42 @@ def test_composed_spec_campaign_zero_violations():
     assert matrix.exhaustive
     assert matrix.ok, matrix.violations[:3]
     assert matrix.injected == matrix.total_sites > 0
+
+
+_FOUR_CLASSES = {"store", "log_append", "commit", "drain"}
+
+
+@pytest.mark.parametrize(
+    "technique, options, classes",
+    [
+        # Neither workload's FASEs outgrow cache + victim buffer, and no
+        # quantum edge finds the flush queue idle mid-FASE: no stage
+        # flush is a site here, as under plain SC.
+        ("SC+clean:2+victim:4", {}, _FOUR_CLASSES),
+        # A one-line cache over a one-line victim buffer: stage flushes
+        # (victim overflow, cleaning) are sites too — all five classes.
+        ("SC+clean:2+victim:1", {"sc_initial_size": 1}, set(SITE_CLASSES)),
+    ],
+    ids=["victim4", "one-line"],
+)
+@pytest.mark.parametrize(
+    "workload",
+    [QueueWorkload(operations=48), LinkedListWorkload(elements=32)],
+    ids=["queue", "linked-list"],
+)
+def test_two_thread_composed_spec_all_fault_models_zero_violations(
+    workload, technique, options, classes
+):
+    matrix = run_campaign(
+        workload,
+        technique=technique,
+        threads=2,
+        technique_options=options,
+        spec=FaultCampaignSpec(fault_models=FAULT_MODELS, max_sites=10**9),
+    )
+    assert (matrix.technique, matrix.threads) == (technique, 2)
+    assert matrix.exhaustive
+    assert matrix.ok, matrix.violations[:3]
+    assert matrix.injected == 3 * matrix.total_sites > 1000
+    # Every site class the run has, under every fault model.
+    assert set(matrix.cells) == {(c, m) for c in classes for m in FAULT_MODELS}

@@ -1,6 +1,10 @@
 """The undo log: ordering, durability, scanning."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.atlas.log import (
     KIND_COMMIT,
@@ -90,3 +94,80 @@ def test_log_flushes_counted_separately(setup):
     log.log_store(1, 100, "x")
     assert session.stats.log_flushes == 1
     assert session.stats.eviction_flushes == 0
+
+
+# ---------------------------------------------------------------------------
+# The record is its own payload: hostile slots, pickling, tuple equality
+# ---------------------------------------------------------------------------
+
+
+def reference_from_payload(payload):
+    """``from_payload`` as it was when records were decoded from plain
+    tuples — the answer every payload must still get."""
+    if (
+        isinstance(payload, tuple)
+        and len(payload) == 4
+        and payload[0] in (KIND_UNDO, KIND_COMMIT)
+    ):
+        return LogRecord(payload[0], payload[1], payload[2], payload[3])
+    return None
+
+
+class TaggedRecord(LogRecord):
+    """A subclass is not the stored type: it is parsed like any tuple."""
+
+
+_kinds = st.sampled_from([KIND_UNDO, KIND_COMMIT, "weird", "", None, 0, b"undo"])
+_atoms = st.one_of(st.none(), st.integers(-5, 5), st.text(max_size=3))
+_fields = st.tuples(_kinds, _atoms, _atoms, _atoms)
+hostile_payloads = st.one_of(
+    _atoms,
+    st.lists(_atoms, max_size=5),
+    st.lists(_atoms, max_size=6).map(tuple),                # any arity
+    st.tuples(_kinds, _atoms),                              # too short
+    _fields,                                                # plain 4-tuples
+    _fields.map(list),                                      # right shape, not a tuple
+    _fields.map(lambda f: LogRecord(*f)),                   # incl. unknown kinds
+    _fields.map(lambda f: TaggedRecord(*f)),
+    _fields.map(lambda f: tuple.__new__(LogRecord, f[:2])),  # forged arity
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hostile_payloads)
+def test_from_payload_answers_as_the_decoder_did(payload):
+    got = LogRecord.from_payload(payload)
+    want = reference_from_payload(payload)
+    assert got == want
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert type(got) is LogRecord
+        # Nothing is decoded: a stored record comes back as the object it is.
+        assert (got is payload) == (type(payload) is LogRecord)
+
+
+def test_record_of_unknown_kind_ends_the_log():
+    base, size = 0x1000_0000, 1 << 12
+    good = LogRecord(KIND_UNDO, 1, 100, "x")
+    nvram = {
+        base + 64: good,
+        base + 64 + LOG_SLOT_BYTES: LogRecord("weird", 1, 200, "y"),
+        base + 64 + 2 * LOG_SLOT_BYTES: LogRecord(KIND_COMMIT, 1),
+    }
+    assert LogRecord.from_payload(nvram[base + 64 + LOG_SLOT_BYTES]) is None
+    assert UndoLog.scan(nvram, base, size) == [good]
+    # A plain tuple in a slot (a hand-built image) is upgraded in place.
+    nvram[base + 64 + LOG_SLOT_BYTES] = (KIND_UNDO, 1, 200, "y")
+    records = UndoLog.scan(nvram, base, size)
+    assert records == [good, (KIND_UNDO, 1, 200, "y"), (KIND_COMMIT, 1, 0, None)]
+    assert all(type(r) is LogRecord for r in records)
+
+
+def test_record_pickles_and_equals_the_tuple_it_replaced():
+    for rec in (LogRecord(KIND_UNDO, 7, 1234, ("k", 3)), LogRecord(KIND_COMMIT, 7)):
+        again = pickle.loads(pickle.dumps(rec))
+        assert type(again) is LogRecord and again == rec
+        assert rec.as_payload() is rec
+        assert rec == (rec.kind, rec.fase_id, rec.addr, rec.old_value)
+        assert hash(rec) == hash(tuple(rec))
+    assert LogRecord(KIND_COMMIT, 7) == (KIND_COMMIT, 7, 0, None)   # the defaults
