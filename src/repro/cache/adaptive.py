@@ -60,7 +60,15 @@ class AdaptiveConfig:
 
 
 class AdaptiveController:
-    """Drives one thread's cache-size adaptation."""
+    """Drives one thread's cache-size adaptation.
+
+    A pinned quirk of the cost accounting: the technique charges
+    ``sample_cost`` for a write after which :attr:`sampling` reads true,
+    and the last write of a warm-up (or hibernation) leaves the burst
+    open.  A thread with ``initial_skip > 0`` therefore pays
+    ``burst_length + 1`` sample costs per burst, one with none pays
+    ``burst_length`` (tests/test_adaptive.py); every SC golden carries it.
+    """
 
     __slots__ = ("config", "sampler", "last_mrc", "last_size", "analyses", "port")
 
@@ -110,6 +118,26 @@ class AdaptiveController:
                     EV_KNEE_CANDIDATE, knee.size, int(knee.miss_ratio * 1_000_000)
                 )
         return size
+
+    def observe_repeats(self, line: int, fase_id: int, n: int) -> Optional[int]:
+        """Feed ``n`` repeats of the write just observed, in one step.
+
+        Only when all ``n`` fall strictly inside one phase: returns how
+        many of them the open burst recorded (each owes ``sample_cost``;
+        0 during warm-up or hibernation).  Returns ``None``, nothing fed,
+        when a phase edge lies among them — the last skipped write, the
+        one that opens the burst, the one that closes it — and they must
+        go through :meth:`observe` one at a time.
+        """
+        sampler = self.sampler
+        if n < sampler.skipping:
+            sampled = 0
+        elif 0 < sampler.recorded < sampler.burst_length - n:
+            sampled = n
+        else:
+            return None
+        sampler.record_many(line, fase_id, n)
+        return sampled
 
     def analysis_cost(self) -> int:
         """Cycles to charge for the analysis that just ran."""

@@ -261,7 +261,14 @@ class SoftwareCacheTechnique(PersistenceTechnique):
     def absorb_repeats(self, line: int, n: int) -> bool:
         controller = self.controller
         if controller is not None and not controller.sampler.done:
-            return False  # the sampler still counts or records every write
+            # The sampler still counts or records every write: it takes
+            # the repeats as one slice unless a phase edge lies in them.
+            port = self.port
+            sampled = controller.observe_repeats(line, port.current_fase_id, n)
+            if sampled is None:
+                return False
+            if sampled:
+                port.add_adaptation_cost(sampled * controller.config.sample_cost)
         # The line is the cache's newest entry — even when ``on_store``
         # resized it out first, which the machine sees as a line no
         # longer dirty in L1 — and a size published by another thread

@@ -37,8 +37,8 @@ generator frames and allocating ``Store`` instances than it spends in
 the cache and flush models.  :class:`EventBatch` is the compact
 alternative — three parallel ``array`` columns (kind / addr-or-amount /
 size, ~17 bytes per event) that a workload fills by appending plain
-integers and the machine consumes with an indexed loop, no per-event
-allocation at all.  A workload spells its program in one encoding and
+integers and the machine consumes through the visit table below, no
+per-event allocation at all.  A workload spells its program in one encoding and
 the other is derived: ``Workload.streams`` of a native batch emitter is
 :func:`events_from_batches` over its batches, and a generator's batches
 are recorded once by ``BatchCachingWorkload`` via
@@ -62,11 +62,34 @@ therefore gives the machine the *line-touch runs* of a batch — computed
 once per batch with numpy and kept with it, so every technique
 replaying the batch shares them — and the machine enters Python once
 per run instead of once per event.
+
+What the machine walks is the *visit table* (:meth:`EventBatch.visits`):
+one row per event it has to enter — the head of a run, or an event in
+none — saying what the event is and what follows it in its run, so the
+loop indexes no column to find out.  A row's :class:`VisitCode` is the
+event's kind, with the accesses split once per batch instead of once per
+technique per visit:
+
+``STORE`` / ``LOAD``
+    The common case — inside one cache line, in the persistence domain —
+    and the row's ``arg`` is that *line*.
+``ANY_STORE`` / ``ANY_LOAD``
+    Every other access: across a line boundary, or below the persistent
+    base (volatile).  The machine reads its address and size from the
+    event columns by the row's ``index``.
+``WORK`` / ``FASE_BEGIN`` / ``FASE_END``
+    As the event; ``arg`` is the ``WORK`` amount.
+
+The per-event suffix columns of ``line_runs`` stay: they are what makes
+cutting a run at a scheduler quantum edge, or entering one in its middle,
+O(1) (:meth:`EventBatch.visit_rows`).
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
@@ -80,6 +103,14 @@ class EventKind:
     WORK = 2
     FASE_BEGIN = 3
     FASE_END = 4
+
+
+class VisitCode(EventKind):
+    """What a row of the visit table asks of the machine: the event's
+    kind, except for an access outside the common case (module docstring)."""
+
+    ANY_STORE = 5
+    ANY_LOAD = 6
 
 
 class Store:
@@ -158,6 +189,21 @@ def _compact(column: np.ndarray) -> array:
     return array(dtype.char, column.astype(dtype).tobytes())
 
 
+def _run_row(i: int, code: int, arg: int, last: int, runs: Tuple[array, ...]) -> tuple:
+    """The visit-table row of store ``i`` with its run cut after event
+    ``last`` — where a quantum ends; a no-op where the run does."""
+    _spans, stores, work, cycles = runs
+    return (
+        i,
+        code,
+        arg,
+        last - i,
+        stores[i] - stores[last],
+        work[i] - work[last],
+        cycles[i] - cycles[last],
+    )
+
+
 class EventBatch:
     """A run of events as parallel integer columns (no per-event objects).
 
@@ -177,7 +223,7 @@ class EventBatch:
     which :meth:`events` hands to ``Store.value`` for crash replays.
     """
 
-    __slots__ = ("kinds", "args", "sizes", "values", "_runs")
+    __slots__ = ("kinds", "args", "sizes", "values", "_runs", "_visits")
 
     def __init__(self, keep_values: bool = False) -> None:
         self.kinds = array("b")
@@ -187,13 +233,15 @@ class EventBatch:
         # (len, cpi, run columns) of the last line_runs() call: derived
         # data, rebuilt when the batch grew, dropped by copy and pickle.
         self._runs: Optional[tuple] = None
+        # ((len, cpi, base), table) of the last visits() call, likewise.
+        self._visits: Optional[tuple] = None
 
     def __getstate__(self) -> tuple:
         return self.kinds, self.args, self.sizes, self.values
 
     def __setstate__(self, state: tuple) -> None:
         self.kinds, self.args, self.sizes, self.values = state
-        self._runs = None
+        self._runs = self._visits = None
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -357,6 +405,99 @@ class EventBatch:
         )
         self._runs = (n, cpi, runs)
         return runs
+
+    # -- the visit table -------------------------------------------------
+
+    def visits(self, cpi: float = 1.0, base: int = 0) -> Tuple[array, ...]:
+        """The events a machine enters, as seven row-aligned columns.
+
+        One row per head of a line-touch run and per event in no run
+        (``i`` such that ``span[i - 1] == 0``), in event order:
+
+        ``index``
+            The event's position in the batch.
+        ``code`` / ``arg``
+            Its :class:`VisitCode`, and the *line* of a ``STORE`` or
+            ``LOAD`` — single-line, at or above ``base`` — or the
+            ``args`` entry of any other event.
+        ``span`` / ``stores`` / ``work`` / ``cycles``
+            :meth:`line_runs` at ``index``: the rest of the event's run.
+
+        Kept with the batch exactly as the run columns are.
+        """
+        key = (len(self.kinds), cpi, base)
+        cached = self._visits
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        spans, stores, work, cycles = (
+            np.frombuffer(col, dtype=col.typecode) for col in self.line_runs(cpi)
+        )
+        kinds, args, sizes = self.columns()
+        entered = np.ones(len(kinds), dtype=bool)
+        entered[1:] = spans[:-1] == 0
+        heads = np.flatnonzero(entered)
+        code = kinds[heads]
+        arg = args[heads]
+        line = arg >> 6
+        access = (code == EventKind.STORE) | (code == EventKind.LOAD)
+        plain = access & (arg >= base) & (line == (arg + sizes[heads] - 1) >> 6)
+        # STORE -> ANY_STORE and LOAD -> ANY_LOAD are the same step up.
+        any_access = VisitCode.ANY_STORE - EventKind.STORE
+        table = (
+            _compact(heads),
+            array("b", np.where(access & ~plain, code + any_access, code).tobytes()),
+            array("q", np.where(plain, line, arg).tobytes()),
+            _compact(spans[heads]),
+            _compact(stores[heads]),
+            _compact(work[heads]),
+            _compact(cycles[heads]),
+        )
+        self._visits = (key, table)
+        return table
+
+    def visit_rows(
+        self, pos: int, end: int, cpi: float = 1.0, base: int = 0
+    ) -> Iterator[tuple]:
+        """The visits of events ``[pos, end)`` — one scheduler quantum,
+        never empty — as ``(index, code, arg, span, stores, work, cycles)``
+        rows.
+
+        The slice of :meth:`visits` between the two, made to fit: a run
+        the quantum's end cuts keeps only what lies before it, and a
+        quantum that opens inside a run enters it there — the ``WORK``
+        events before the run's next store one by one, then that store
+        as the head of what is left.
+        """
+        index, code, arg, span, stores, work, cycles = self.visits(cpi, base)
+        lo = bisect_left(index, pos)
+        hi = bisect_left(index, end, lo)
+        lead, tail = [], ()
+        if lo == len(index) or index[lo] != pos:
+            kinds, args = self.kinds, self.args
+            runs = self.line_runs(cpi)
+            stop = min(end, pos + runs[0][pos] + 1)
+            j = pos
+            while j < stop and kinds[j] == EventKind.WORK:
+                lead.append((j, EventKind.WORK, args[j], 0, 0, 0, 0))
+                j += 1
+            if j < stop:
+                addr = args[j]
+                head = (
+                    (EventKind.STORE, addr >> 6)
+                    if addr >= base
+                    else (VisitCode.ANY_STORE, addr)
+                )
+                lead.append(_run_row(j, *head, stop - 1, runs))
+        if hi > lo and index[hi - 1] + span[hi - 1] >= end:
+            hi -= 1
+            tail = (
+                _run_row(index[hi], code[hi], arg[hi], end - 1, self.line_runs(cpi)),
+            )
+        rows = zip(
+            index[lo:hi], code[lo:hi], arg[lo:hi], span[lo:hi],
+            stores[lo:hi], work[lo:hi], cycles[lo:hi],
+        )
+        return chain(lead, rows, tail) if lead or tail else rows
 
     # -- expanding -------------------------------------------------------
 

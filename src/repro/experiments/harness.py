@@ -94,6 +94,23 @@ class ProfileSummary:
     persistent_stores: int
     offline_size: int         # knee of the whole-trace MRC
 
+    @classmethod
+    def from_dict(cls, data: object) -> "ProfileSummary":
+        """Rebuild a summary from a ``ResultCache`` entry, which must be
+        exactly the two fields, each a non-negative ``int`` (not ``bool``)
+        — anything else would size SC-offline, or every SC burst, from
+        garbage, and raises :class:`ConfigurationError`."""
+        if (
+            not isinstance(data, dict)
+            or set(data) != {f.name for f in dataclasses.fields(cls)}
+            or any(type(v) is not int or v < 0 for v in data.values())
+        ):
+            raise ConfigurationError(
+                f"not a ProfileSummary payload (persistent_stores and "
+                f"offline_size, non-negative ints): {data!r}"
+            )
+        return cls(**data)
+
 
 def make_workload(config: HarnessConfig, name: str) -> Workload:
     """Build the (batch-caching) workload object for one Table III name."""
@@ -296,9 +313,15 @@ class Harness:
             disk_key = ResultCache.key(self.config, "profile_summary", name=name)
             data = self._disk.get(disk_key)
             if data is not None:
-                summary = ProfileSummary(**data)
-                self._summaries[name] = summary
-                return summary
+                try:
+                    summary = ProfileSummary.from_dict(data)
+                except ConfigurationError:
+                    # A corrupt entry is a miss: recompute, and the put
+                    # below overwrites it (as for stale run entries).
+                    pass
+                else:
+                    self._summaries[name] = summary
+                    return summary
         traces, persistent_stores = self._write_traces(name, 1)
         summary = ProfileSummary(
             persistent_stores=persistent_stores,

@@ -84,6 +84,11 @@ class BurstSampler:
         """True once the sampler has permanently shut down."""
         return self._done
 
+    @property
+    def skipping(self) -> int:
+        """Writes still to pass unrecorded before the next burst opens."""
+        return self._skip
+
     def record(self, line: int, fase_id: int) -> bool:
         """Feed one persistent write; return True when the burst just filled."""
         if self._done:
@@ -96,6 +101,21 @@ class BurstSampler:
         self._lines.append(line)
         self._fids.append(fase_id)
         return len(self._lines) >= self.burst_length
+
+    def record_many(self, line: int, fase_id: int, n: int) -> bool:
+        """``n`` × ``record(line, fase_id)`` in one step: True when one of
+        them filled the burst."""
+        if self._done:
+            return False
+        skipped = min(n, self._skip)
+        self._skip -= skipped
+        room = self.burst_length - len(self._lines)
+        taken = min(n - skipped, room)
+        if taken <= 0:
+            return False
+        self._lines.extend([line] * taken)
+        self._fids.extend([fase_id] * taken)
+        return taken == room
 
     def trace(self) -> WriteTrace:
         """The recorded burst as a :class:`WriteTrace`."""

@@ -51,6 +51,7 @@ from repro.common.events import (
     FaseEnd,
     Load,
     Store,
+    VisitCode,
     Work,
 )
 from repro.common.geometry import lines_spanned
@@ -102,21 +103,35 @@ _FLUSH_SITE = {
     "commit": SITE_COMMIT,
 }
 
-#: The ``ThreadStats`` counter each flush category lands in; any other
-#: category is a ``final`` flush.  Resize-forced evictions stay in the
-#: eviction counter (the RunResult schema is unchanged); the trace's
-#: cause code below is what distinguishes them.
-_FLUSH_COUNTER = {
-    "eviction": "eviction_flushes",
-    "resize_eviction": "eviction_flushes",
-    "fase_end": "fase_end_flushes",
-    "eager": "eager_flushes",
-    "log": "log_flushes",
-    "commit": "log_flushes",
-    "clean": "clean_flushes",
-    "bypass": "bypass_flushes",
-    "victim": "victim_flushes",
-}
+class _FlushCounters(dict):
+    """Flush category -> counter; a category not listed is a typed error
+    (it would otherwise pass for a ``final`` flush with no trace cause
+    and no crash-site class)."""
+
+    def __missing__(self, category: str) -> str:
+        raise SimulationError(
+            f"unknown flush category {category!r}; expected one of {sorted(self)}"
+        )
+
+
+#: The ``ThreadStats`` counter each flush category lands in.
+#: Resize-forced evictions stay in the eviction counter (the RunResult
+#: schema is unchanged); the trace's cause code below is what
+#: distinguishes them.
+_FLUSH_COUNTER = _FlushCounters(
+    {
+        "eviction": "eviction_flushes",
+        "resize_eviction": "eviction_flushes",
+        "fase_end": "fase_end_flushes",
+        "eager": "eager_flushes",
+        "log": "log_flushes",
+        "commit": "log_flushes",
+        "clean": "clean_flushes",
+        "bypass": "bypass_flushes",
+        "victim": "victim_flushes",
+        "final": "final_flushes",
+    }
+)
 
 #: ``evict_flush`` trace-event cause codes (the event's ``cause`` arg).
 #: 0/1 are the schema-2 ``resize_evict`` flag values, so traces of the
@@ -517,10 +532,10 @@ class Machine:
     ) -> None:
         t = self.config.timing
         stats = ctx.stats
+        counter = _FLUSH_COUNTER[category]
         stats.cycles += t.flush_issue
         stats.instructions += 1
         stats.flushes += 1
-        counter = _FLUSH_COUNTER.get(category, "final_flushes")
         setattr(stats, counter, getattr(stats, counter) + 1)
         if invalidate:
             dirty = self.hwcache.clflush(line)
@@ -622,27 +637,36 @@ class Machine:
         """Batched twin of :meth:`_run_batch`; returns False at stream end.
 
         Consumes up to ``budget`` events from ``ctx``'s batch stream with
-        the event semantics of :meth:`_process_event` inlined, but with
-        no per-event object allocation, no generator resumption, the
-        per-quantum invariants (timing constants, cache, technique
-        callbacks) hoisted into locals, and the single-line store — the
-        overwhelmingly common case — fully short-circuited.  No crash
-        can fire in here: a run that enumerates sites or has one armed
-        executes on :meth:`_process_event` (see :meth:`run`).
+        the event semantics of :meth:`_process_event`, entering Python
+        once per *line visit*, not once per event.  Each batch carries a
+        visit table (:meth:`EventBatch.visits`): one row per event that
+        has to be entered — the head of a line-touch run, or an event in
+        none — holding what the event is (a store or load inside one
+        persistent line comes with that line; the odd access has a code
+        of its own and is read from the event columns) and what follows
+        it in its run.  A quantum is the slice of that table between
+        ``batch_pos`` and the budget (:meth:`EventBatch.visit_rows`, which
+        also cuts the run the quantum's edge falls in and opens a quantum
+        that starts inside one); the loop walks its rows with the
+        per-quantum invariants hoisted into locals.  No crash can fire in
+        here: a run that enumerates sites or has one armed executes on
+        :meth:`_process_event` (see :meth:`run`).
 
         *Line-touch runs.*  Most stores repeat the previous store's
-        line.  The first store of such a run executes as any other; the
-        rest of it (:meth:`EventBatch.line_runs`: the same-line stores
-        and the ``WORK`` between them) is taken in one step — ``n`` L1
-        hits, ``n`` technique hits via ``absorb_repeats(line, n)``, the
-        summed computation, ``n`` trace records.  That is exact because
-        the run lies inside one thread's quantum and batch, so no other
-        thread touches the L1 set; ``on_store`` left the line dirty in
-        L1 (checked here) and the technique absorbed it, so a repeat is
-        a pure hit; and no callback runs inside it, so the cycle
-        additions commute (DESIGN.md §8).  A run is cut at the quantum
-        edge, and executed store by store when the technique declines or
-        when values are tracked.
+        line.  The head of such a run executes as any store; the row
+        says what is left — ``n`` same-line stores and the ``WORK``
+        between them — and that is taken in one step: ``n`` L1 hits,
+        ``n`` technique hits via ``absorb_repeats(line, n)``, the summed
+        computation, ``n`` trace records.  That is exact because the run
+        lies inside one thread's quantum and batch, so no other thread
+        touches the L1 set; ``on_store`` left the line dirty in L1
+        (checked here) and the technique absorbed it, so a repeat is a
+        pure hit; and nothing inside it reads the clock, so the cycle
+        additions commute (DESIGN.md §8) — including the sample costs a
+        sampling SC charges from ``absorb_repeats``, which is why
+        ``stats.cycles`` is handed over around that call too.  When the
+        technique declines, or values are tracked, the run's other
+        events execute one by one in an inner loop.
 
         *Write-through runs.*  When ``on_store`` flushed the line out of
         L1 instead (ER always does), each repeat is a miss-fill into the
@@ -717,10 +741,15 @@ class Machine:
         flush_gap = cost_per_store + miss_cost + t.flush_issue
         cpi = t.cpi
         nvram_base = NVRAM_BASE
-        kind_store = EventKind.STORE
-        kind_load = EventKind.LOAD
-        kind_work = EventKind.WORK
-        kind_fase_begin = EventKind.FASE_BEGIN
+        kind_store = VisitCode.STORE
+        kind_load = VisitCode.LOAD
+        kind_work = VisitCode.WORK
+        kind_fase_begin = VisitCode.FASE_BEGIN
+        kind_fase_end = VisitCode.FASE_END
+        any_store = VisitCode.ANY_STORE
+        any_load = VisitCode.ANY_LOAD
+        store_instructions = 1 + cost_per_store
+        repeat_cost = hit_cost + cost_per_store
         # Hoisted counters; flushed back to stats in the finally block,
         # with cycles re-synced around every technique/flush-engine call
         # (the flush queue timestamps from stats.cycles).  instructions
@@ -744,175 +773,143 @@ class Machine:
                         return False
                     ctx.batch = batch
                     pos = 0
-                # Indexed as they are: most events are absorbed unseen,
-                # so decoding to lists would cost more than it saves.
                 kinds = batch.kinds
                 args = batch.args
                 sizes = batch.sizes
-                spans, run_stores, run_work, run_cycles = batch.line_runs(cpi)
+                _, run_stores, _, run_cycles = batch.line_runs(cpi)
                 end = len(kinds)
                 if end - pos > budget:
                     end = pos + budget
                 budget -= end - pos
-                i = pos
-                resume = 0  # a declined run's events, before this, go one by one
-                while i < end:
-                    kind = kinds[i]
-                    if kind == kind_store:
-                        addr = args[i]
-                        persistent = addr >= nvram_base
-                        size = sizes[i]
-                        first = addr >> 6
-                        if first == (addr + size - 1) >> 6:
-                            # Single-line store: no span tuple, no loop.
-                            hit, evicted = access(first, True)
-                            cycles += hit_cost if hit else miss_cost
-                            if evicted is not None and evicted[1]:
+                for i, code, arg, span, n, amount, work_cycles in batch.visit_rows(
+                    pos, end, cpi, nvram_base
+                ):
+                    if code == kind_store:
+                        # Inside one line — ``arg`` — and persistent.
+                        hit, evicted = access(arg, True)
+                        cycles += hit_cost if hit else miss_cost
+                        if evicted is not None and evicted[1]:
+                            stats.cycles = cycles
+                            evict_writeback(ctx, evicted[0])
+                            cycles = stats.cycles
+                        if track_values:
+                            hw.store_value(arg, args[i], None)
+                        if not skip_on_store:
+                            stats.cycles = cycles
+                            on_store(arg)
+                            cycles = stats.cycles
+                        if trace_lines is not None:
+                            trace_lines.append(arg)
+                            trace_fids.append(
+                                ctx.fase_uid if ctx.fase_depth > 0 else -1
+                            )
+                        persistent_stores += 1
+                        cycles += cost_per_store
+                        instructions += store_instructions
+                        if not span:
+                            continue
+                        if n:
+                            # The ``n`` stores that repeat this one, taken
+                            # in one step if each is what ``absorb`` or
+                            # ``write_through`` vouches for.  ``on_store``
+                            # may have flushed the line itself (ER always,
+                            # SC when it shrinks): no repeat is a hit then.
+                            state = line_state(arg)
+                            if state and absorb is not None:
+                                # A sampling SC charges its samples here.
                                 stats.cycles = cycles
-                                evict_writeback(ctx, evicted[0])
+                                taken = absorb(arg, n)
                                 cycles = stats.cycles
-                            if persistent:
-                                if track_values:
-                                    hw.store_value(first, addr, None)
-                                if not skip_on_store:
-                                    stats.cycles = cycles
-                                    on_store(first)
-                                    cycles = stats.cycles
+                                if taken:
+                                    absorbed += n
+                                    repeats += n
+                                    persistent_stores += n
+                                    if trace_lines is not None:
+                                        trace_lines.extend([arg] * n)
+                                        trace_fids.extend([trace_fids[-1]] * n)
+                                    cycles += n * repeat_cost + work_cycles
+                                    instructions += n * store_instructions + amount
+                                    continue
+                            elif (
+                                # Flushed and gone from L1 (a line ``clwb``
+                                # kept is clean, not absent).
+                                state is None
+                                and write_through is not None
+                                and (category := write_through(arg, n)) is not None
+                            ):
+                                # A write-through run: per repeat the
+                                # ``WORK`` before it, a miss-fill, one
+                                # flush, one queue slot, bookkeeping.
+                                last = i + span
+                                before = run_cycles[i]
+                                if run_stores[i + n] + n == run_stores[i]:
+                                    # The repeats come first, any ``WORK``
+                                    # after them: the usual store burst.
+                                    gaps = [flush_gap] * n
+                                else:
+                                    gaps = []
+                                    for j in range(i + 1, last + 1):
+                                        if kinds[j] == kind_store:
+                                            here = run_cycles[j]
+                                            gaps.append(flush_gap + before - here)
+                                            before = here
+                                now, stall = issue_train(cycles - cost_per_store, gaps)
+                                cycles = now + cost_per_store + before - run_cycles[last]
+                                instructions += n * (2 + cost_per_store) + amount
+                                absorbed += n
+                                flushed += n
+                                persistent_stores += n
                                 if trace_lines is not None:
-                                    trace_lines.append(first)
-                                    trace_fids.append(
-                                        ctx.fase_uid
-                                        if ctx.fase_depth > 0
-                                        else -1
-                                    )
-                        else:
-                            for line in lines_spanned(addr, size):
-                                hit, evicted = access(line, True)
+                                    trace_lines.extend([arg] * n)
+                                    trace_fids.extend([trace_fids[-1]] * n)
+                                stats.flushes += n
+                                stats.stall_cycles += stall
+                                counter = _FLUSH_COUNTER[category]
+                                setattr(stats, counter, getattr(stats, counter) + n)
+                                continue
+                            # Declined: the run arrives store by store.
+                            for j in range(i + 1, i + span + 1):
+                                if kinds[j] == kind_work:
+                                    work = args[j]
+                                    cycles += int(work * cpi)
+                                    instructions += work
+                                    continue
+                                hit, evicted = access(arg, True)
                                 cycles += hit_cost if hit else miss_cost
                                 if evicted is not None and evicted[1]:
                                     stats.cycles = cycles
                                     evict_writeback(ctx, evicted[0])
                                     cycles = stats.cycles
-                                if persistent:
-                                    if track_values:
-                                        hw.store_value(line, addr, None)
-                                    if not skip_on_store:
-                                        stats.cycles = cycles
-                                        on_store(line)
-                                        cycles = stats.cycles
-                                    if trace_lines is not None:
-                                        trace_lines.append(line)
-                                        trace_fids.append(
-                                            ctx.fase_uid
-                                            if ctx.fase_depth > 0
-                                            else -1
-                                        )
-                        instructions += 1
-                        if persistent:
-                            persistent_stores += 1
-                            cycles += cost_per_store
-                            instructions += cost_per_store
-                        if i >= resume and (span := spans[i]):
-                            # The rest of this line touch, cut at the
-                            # quantum edge: ``n`` L1 and technique hits
-                            # plus computation, taken in one step.
-                            last = i + span
-                            if last < end:
-                                n = run_stores[i]
-                                amount = run_work[i]
-                                work_cycles = run_cycles[i]
-                            else:
-                                last = end - 1
-                                n = run_stores[i] - run_stores[last]
-                                amount = run_work[i] - run_work[last]
-                                work_cycles = run_cycles[i] - run_cycles[last]
-                            if persistent and n:
-                                # ``on_store`` may have flushed the line
-                                # itself: ER always, SC when it shrinks.
-                                category = None
-                                if absorb is None:
-                                    taken = False
-                                elif (state := line_state(first)):
-                                    taken = absorb(first, n)
-                                else:
-                                    # Flushed and gone from L1 (a line
-                                    # ``clwb`` kept is clean, not absent).
-                                    if state is None and write_through is not None:
-                                        category = write_through(first, n)
-                                    taken = category is not None
-                                if not taken:
-                                    resume = last + 1
-                                    i += 1
-                                    continue
-                                absorbed += n
-                                persistent_stores += n
+                                if track_values:
+                                    hw.store_value(arg, args[j], None)
+                                if not skip_on_store:
+                                    stats.cycles = cycles
+                                    on_store(arg)
+                                    cycles = stats.cycles
                                 if trace_lines is not None:
-                                    trace_lines.extend([first] * n)
-                                    trace_fids.extend([trace_fids[-1]] * n)
-                                if category is not None:
-                                    # A write-through run: per repeat the
-                                    # ``WORK`` before it, a miss-fill, one
-                                    # flush, one queue slot, bookkeeping.
-                                    before = run_cycles[i]
-                                    if run_stores[i + n] + n == run_stores[i]:
-                                        # The repeats come first, any
-                                        # ``WORK`` after them: the usual
-                                        # shape of a store burst.
-                                        gaps = [flush_gap] * n
-                                    else:
-                                        gaps = []
-                                        for j in range(i + 1, last + 1):
-                                            if kinds[j] == kind_store:
-                                                here = run_cycles[j]
-                                                gaps.append(flush_gap + before - here)
-                                                before = here
-                                    now, stall = issue_train(
-                                        cycles - cost_per_store, gaps
+                                    trace_lines.append(arg)
+                                    trace_fids.append(
+                                        ctx.fase_uid if ctx.fase_depth > 0 else -1
                                     )
-                                    cycles = (
-                                        now + cost_per_store + before - run_cycles[last]
-                                    )
-                                    instructions += n * (2 + cost_per_store) + amount
-                                    flushed += n
-                                    stats.flushes += n
-                                    stats.stall_cycles += stall
-                                    counter = _FLUSH_COUNTER.get(
-                                        category, "final_flushes"
-                                    )
-                                    setattr(
-                                        stats, counter, getattr(stats, counter) + n
-                                    )
-                                    i = last + 1
-                                    continue
-                                cycles += n * cost_per_store
-                                instructions += n * cost_per_store
-                            repeats += n
-                            cycles += n * hit_cost + work_cycles
-                            instructions += n + amount
-                            i = last
-                    elif kind == kind_work:
-                        amount = args[i]
-                        cycles += int(amount * cpi)
-                        instructions += amount
-                    elif kind == kind_load:
-                        addr = args[i]
-                        size = sizes[i]
-                        first = addr >> 6
-                        if first == (addr + size - 1) >> 6:
-                            lines = (first,)
-                        else:
-                            lines = lines_spanned(addr, size)
-                        for line in lines:
-                            hit, evicted = access(line, False)
-                            cycles += hit_cost if hit else miss_cost
-                            if evicted is not None and evicted[1]:
-                                stats.cycles = cycles
-                                evict_writeback(ctx, evicted[0])
-                                cycles = stats.cycles
+                                persistent_stores += 1
+                                cycles += cost_per_store
+                                instructions += store_instructions
+                            continue
+                    elif code == kind_work:
+                        cycles += int(arg * cpi)
+                        instructions += arg
+                        continue
+                    elif code == kind_load:
+                        hit, evicted = access(arg, False)
+                        cycles += hit_cost if hit else miss_cost
+                        if evicted is not None and evicted[1]:
+                            stats.cycles = cycles
+                            evict_writeback(ctx, evicted[0])
+                            cycles = stats.cycles
                         instructions += 1
-                        if addr >= nvram_base:
-                            persistent_loads += 1
-                    elif kind == kind_fase_begin:
+                        persistent_loads += 1
+                        continue
+                    elif code == kind_fase_begin:
                         ctx.fase_depth += 1
                         if ctx.fase_depth == 1:
                             ctx.fase_uid = ctx.next_fase_uid
@@ -924,7 +921,8 @@ class Machine:
                             stats.cycles = cycles
                             technique.on_fase_begin()
                             cycles = stats.cycles
-                    else:  # FASE_END
+                        continue
+                    elif code == kind_fase_end:
                         if ctx.fase_depth == 0:
                             raise SimulationError(
                                 f"thread {ctx.thread_id}: "
@@ -943,7 +941,57 @@ class Machine:
                                 recorder.record(
                                     EV_FASE_END, thread_id, cycles, ctx.fase_uid
                                 )
-                    i += 1
+                        continue
+                    elif code == any_store:
+                        # Across lines, or volatile: the general store.
+                        addr = args[i]
+                        persistent = addr >= nvram_base
+                        for line in lines_spanned(addr, sizes[i]):
+                            hit, evicted = access(line, True)
+                            cycles += hit_cost if hit else miss_cost
+                            if evicted is not None and evicted[1]:
+                                stats.cycles = cycles
+                                evict_writeback(ctx, evicted[0])
+                                cycles = stats.cycles
+                            if persistent:
+                                if track_values:
+                                    hw.store_value(line, addr, None)
+                                if not skip_on_store:
+                                    stats.cycles = cycles
+                                    on_store(line)
+                                    cycles = stats.cycles
+                                if trace_lines is not None:
+                                    trace_lines.append(line)
+                                    trace_fids.append(
+                                        ctx.fase_uid if ctx.fase_depth > 0 else -1
+                                    )
+                        instructions += 1
+                        if persistent:
+                            persistent_stores += 1
+                            cycles += cost_per_store
+                            instructions += cost_per_store
+                        if not span:  # only a volatile line touch has one
+                            continue
+                    elif code == any_load:
+                        addr = args[i]
+                        for line in lines_spanned(addr, sizes[i]):
+                            hit, evicted = access(line, False)
+                            cycles += hit_cost if hit else miss_cost
+                            if evicted is not None and evicted[1]:
+                                stats.cycles = cycles
+                                evict_writeback(ctx, evicted[0])
+                                cycles = stats.cycles
+                        instructions += 1
+                        if addr >= nvram_base:
+                            persistent_loads += 1
+                        continue
+                    else:
+                        raise SimulationError(f"unknown event kind {code}")
+                    # What is left of this line touch is ``n`` plain hits (a
+                    # volatile line's) and ``amount`` instructions of ``WORK``.
+                    repeats += n
+                    cycles += n * hit_cost + work_cycles
+                    instructions += n + amount
                 ctx.batch_pos = end
             return True
         finally:

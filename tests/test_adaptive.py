@@ -3,7 +3,11 @@
 import pytest
 
 from repro.cache.adaptive import AdaptiveConfig, AdaptiveController
+from repro.cache.spec import technique_factory
 from repro.common.errors import ConfigurationError
+from repro.nvram.machine import Machine, MachineConfig
+from repro.workloads.base import BatchCachingWorkload
+from repro.workloads.registry import get_workload
 
 
 def feed_pattern(controller, lines, fase=0):
@@ -63,3 +67,50 @@ def test_config_validation():
         AdaptiveConfig(sample_cost=-1)
     with pytest.raises(ConfigurationError):
         AdaptiveConfig(analysis_cost_per_write=-2)
+
+
+def test_repeats_are_fed_in_one_step_only_strictly_inside_a_phase():
+    """``observe_repeats`` takes a slice that crosses no phase edge and
+    says how many of it owe a sample; the last skipped write, the one
+    that opens the burst and the one that closes it go through
+    ``observe``."""
+    c = AdaptiveController(config=AdaptiveConfig(burst_length=6, initial_skip=4))
+    s = c.sampler
+    assert c.observe_repeats(7, 0, 3) == 0 and s.skipping == 1     # warm-up
+    assert c.observe_repeats(7, 0, 1) is None and s.skipping == 1  # its last write
+    assert c.observe(7, 0) is None and c.sampling
+    assert c.observe_repeats(7, 0, 2) is None and s.recorded == 0  # would open the burst
+    assert c.observe(7, 0) is None and s.recorded == 1
+    assert c.observe_repeats(7, 0, 4) == 4 and s.recorded == 5     # recording
+    assert c.observe_repeats(7, 0, 1) is None and s.recorded == 5  # would close it
+    assert c.observe(7, 0) is not None and s.done
+    assert c.observe_repeats(7, 0, 1) is None                      # the technique's gate, restated
+
+
+@pytest.mark.parametrize("use_batches", [False, True], ids=["per-event", "batched"])
+def test_a_warm_up_costs_one_sample_more(use_batches):
+    """Pinned, not fixed: the last skipped write already reads
+    ``sampling`` as true, so a thread with a warm-up is charged
+    ``sample_cost`` ``burst_length + 1`` times, one without
+    ``burst_length`` times — on both engines, and every SC golden carries
+    it (``adaptation_cycles`` would move by 2 per sampling thread)."""
+    workload = BatchCachingWorkload(get_workload("barnes", scale=0.02))
+    burst, charged = 400, {}
+    for skip in (0, burst):
+        config = AdaptiveConfig(burst_length=burst, initial_skip=skip)
+        machine = Machine(MachineConfig())
+        result = machine.run(
+            workload,
+            technique_factory("SC", adaptive_config=config),
+            num_threads=1,
+            seed=7,
+            use_batches=use_batches,
+        )
+        analysis = config.analysis_cost_per_write * burst
+        samples, rest = divmod(
+            result.threads[0].adaptation_cycles - analysis, config.sample_cost
+        )
+        assert rest == 0 and result.threads[0].selected_sizes
+        assert (machine.absorbed_stores > 0) == use_batches
+        charged[skip] = samples
+    assert charged == {0: burst, burst: burst + 1}

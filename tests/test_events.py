@@ -14,6 +14,7 @@ from repro.common.events import (
     FaseEnd,
     Load,
     Store,
+    VisitCode,
     Work,
     validate_stream,
 )
@@ -197,6 +198,174 @@ def test_run_table_is_not_copied_or_pickled():
         assert clone._runs is None
         assert [repr(ev) for ev in clone.events()] == [repr(ev) for ev in batch.events()]
         assert runs_of(clone) == want
+
+
+# -- the visit table ---------------------------------------------------------
+
+
+def visit_code(kind, addr, size, base):
+    """A row's code and ``arg``: the common access comes with its line."""
+    if kind in (EventKind.STORE, EventKind.LOAD):
+        if addr >= base and addr >> 6 == (addr + size - 1) >> 6:
+            return kind, addr >> 6
+        return (VisitCode.ANY_STORE if kind == EventKind.STORE else VisitCode.ANY_LOAD), addr
+    return kind, addr
+
+
+def reference_visits(batch, cpi=1.0, base=N0):
+    """``EventBatch.visits`` as a plain loop over ``reference_runs``: a row
+    for every event that does not continue the event before it."""
+    span, stores, work, cycles = reference_runs(batch, cpi)
+    rows = []
+    for i, (k, a, s) in enumerate(zip(batch.kinds, batch.args, batch.sizes)):
+        if i == 0 or span[i - 1] == 0:
+            rows.append(
+                (i, *visit_code(k, a, s, base), span[i], stores[i], work[i], cycles[i])
+            )
+    return rows
+
+
+def reference_rows(batch, pos, end, cpi=1.0, base=N0):
+    """``EventBatch.visit_rows`` as a plain walk over events ``[pos, end)``:
+    any single-line store heads what is left of its run before ``end``,
+    everything else is entered on its own."""
+    span, stores, work, cycles = reference_runs(batch, cpi)
+    kinds, args, sizes = batch.kinds, batch.args, batch.sizes
+    rows, j = [], pos
+    while j < end:
+        code = visit_code(kinds[j], args[j], sizes[j], base)
+        single = args[j] >= 0 and args[j] >> 6 == (args[j] + sizes[j] - 1) >> 6
+        if kinds[j] == EventKind.STORE and single:
+            last = min(j + span[j], end - 1)
+            rows.append(
+                (j, *code, last - j, stores[j] - stores[last],
+                 work[j] - work[last], cycles[j] - cycles[last])
+            )
+            j = last + 1
+        else:
+            rows.append((j, *code, 0, 0, 0, 0))
+            j += 1
+    return rows
+
+
+def visits_of(batch, cpi=1.0, base=N0):
+    return list(zip(*batch.visits(cpi, base)))
+
+
+def random_batch(rng):
+    """Stores and loads of every shape — single-line and across a line
+    boundary, persistent, volatile and at negative addresses — between
+    ``WORK`` of every size and FASE marks."""
+    events = []
+    for _ in range(rng.randrange(1, 150)):
+        roll = rng.random()
+        if roll < 0.6:
+            base = rng.choice((N0, N0, 4096, -4096)) + 64 * rng.randrange(3)
+            events.append(Store(base + rng.choice((0, 8, 56, 60)), 8))
+        elif roll < 0.8:
+            events.append(Work(rng.choice((1, 70, 300, 1 << 41, -3))))
+        elif roll < 0.9:
+            events.append(Load(rng.choice((N0, 4096, -64)) + rng.choice((0, 60)), 8))
+        else:
+            events.append(rng.choice((FaseBegin(), FaseEnd())))
+    return batch_of(*events)
+
+
+def test_visits_of_degenerate_batches():
+    assert EventBatch().visits(1.0, N0) == EventBatch().visits()
+    assert [list(col) for col in EventBatch().visits(1.0, N0)] == [[]] * 7
+    line = N0 >> 6
+    for lone, row in [
+        (Store(N0 + 8), (0, EventKind.STORE, line, 0, 0, 0, 0)),
+        (Load(N0 + 8), (0, EventKind.LOAD, line, 0, 0, 0, 0)),
+        (Work(5), (0, EventKind.WORK, 5, 0, 0, 0, 0)),
+        (Work(-3), (0, EventKind.WORK, -3, 0, 0, 0, 0)),
+        (FaseBegin(), (0, EventKind.FASE_BEGIN, 0, 0, 0, 0, 0)),
+        (FaseEnd(), (0, EventKind.FASE_END, 0, 0, 0, 0, 0)),
+        # Not the common case: read from the event columns by index.
+        (Store(N0 + 60, 8), (0, VisitCode.ANY_STORE, N0 + 60, 0, 0, 0, 0)),
+        (Store(4096), (0, VisitCode.ANY_STORE, 4096, 0, 0, 0, 0)),
+        (Store(-64), (0, VisitCode.ANY_STORE, -64, 0, 0, 0, 0)),
+        (Load(N0 + 60, 8), (0, VisitCode.ANY_LOAD, N0 + 60, 0, 0, 0, 0)),
+        (Load(4096), (0, VisitCode.ANY_LOAD, 4096, 0, 0, 0, 0)),
+    ]:
+        assert visits_of(batch_of(lone)) == [row] == reference_visits(batch_of(lone))
+    all_work = batch_of(Work(1), Work(2), Work(3))
+    assert [row[:3] for row in visits_of(all_work)] == [(0, 2, 1), (1, 2, 2), (2, 2, 3)]
+
+
+def test_a_run_is_one_row_and_the_base_decides_what_is_persistent():
+    batch = batch_of(
+        Store(N0), Store(N0 + 8), Work(7), Store(N0 + 56, 8),     # one run
+        Load(N0), Store(4096), Work(2), Store(4100),              # a volatile one
+    )
+    line = N0 >> 6
+    assert visits_of(batch) == reference_visits(batch) == [
+        (0, EventKind.STORE, line, 3, 2, 7, 7),
+        (4, EventKind.LOAD, line, 0, 0, 0, 0),
+        (5, VisitCode.ANY_STORE, 4096, 2, 1, 2, 2),
+    ]
+    # Keyed by ``base`` as by ``cpi``: at base 0 the volatile run is plain.
+    assert visits_of(batch, base=0)[2] == (5, EventKind.STORE, 64, 2, 1, 2, 2)
+    assert visits_of(batch, 1.5)[0] == (0, EventKind.STORE, line, 3, 2, 7, 10)
+    assert visits_of(batch) == reference_visits(batch)
+
+
+def test_visits_match_the_reference_on_random_streams():
+    rng = random.Random(11)
+    for _ in range(60):
+        batch = random_batch(rng)
+        for cpi, base in ((1.0, N0), (0.7, N0), (1.0, 0)):
+            assert visits_of(batch, cpi, base) == reference_visits(batch, cpi, base)
+            n = len(batch)
+            assert list(batch.visit_rows(0, n, cpi, base)) == reference_visits(
+                batch, cpi, base
+            )
+
+
+def test_any_quantum_enters_exactly_its_events():
+    """Wherever a quantum opens and ends — on a run's head, on a store or
+    a ``WORK`` inside it, on its last event — its rows are the reference
+    walk's, and they cover ``[pos, end)`` once."""
+    rng = random.Random(5)
+    for _ in range(40):
+        batch = random_batch(rng)
+        n = len(batch)
+        for _ in range(30):
+            pos = rng.randrange(n)
+            end = rng.randrange(pos + 1, n + 1)
+            rows = list(batch.visit_rows(pos, end, 1.0, N0))
+            assert rows == reference_rows(batch, pos, end)
+            assert sum(1 + row[3] for row in rows) == end - pos
+    # Directed: a quantum opening on the WORK inside a run enters that
+    # WORK (and the next) on its own, then the store after them as a head.
+    batch = batch_of(Store(N0), Store(N0 + 8), Work(5), Work(7), Store(N0 + 16), Work(3))
+    line = N0 >> 6
+    assert list(batch.visit_rows(2, 6, 1.0, N0)) == [
+        (2, EventKind.WORK, 5, 0, 0, 0, 0),
+        (3, EventKind.WORK, 7, 0, 0, 0, 0),
+        (4, EventKind.STORE, line, 1, 0, 3, 3),
+    ]
+    assert list(batch.visit_rows(0, 4, 1.0, N0)) == [(0, EventKind.STORE, line, 3, 1, 12, 12)]
+    assert list(batch.visit_rows(3, 4, 1.0, N0)) == [(3, EventKind.WORK, 7, 0, 0, 0, 0)]
+
+
+def test_visit_table_is_kept_like_the_run_table():
+    batch = batch_of(Store(N0), Store(N0 + 8), Work(2))
+    bare = len(pickle.dumps(batch))
+    want = visits_of(batch)
+    assert batch.visits(1.0, N0) is batch.visits(1.0, N0)       # kept with the batch
+    assert batch._visits is not None
+    assert len(pickle.dumps(batch)) == bare
+    for clone in (copy.copy(batch), copy.deepcopy(batch), pickle.loads(pickle.dumps(batch))):
+        assert clone._visits is None
+        assert visits_of(clone) == want
+    batch.append_load(N0)                                       # the columns may grow
+    batch.append_store(N0 + 64)
+    assert visits_of(batch) == reference_visits(batch) == want + [
+        (3, EventKind.LOAD, N0 >> 6, 0, 0, 0, 0),
+        (4, EventKind.STORE, (N0 >> 6) + 1, 0, 0, 0, 0),
+    ]
 
 
 # -- the optional payload column ---------------------------------------------

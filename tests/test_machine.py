@@ -13,6 +13,7 @@ from repro.nvram.memory import NVRAM_BASE
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceRecorder
 from repro.workloads.base import Workload
+from repro.workloads.registry import get_workload
 
 
 class ListWorkload(Workload):
@@ -70,6 +71,36 @@ def test_work_advances_clock_and_instructions(machine):
     res = run(machine, [Work(500)])
     assert res.instructions == 500
     assert res.time >= 500
+
+
+def test_an_unknown_flush_category_is_a_typed_error(machine):
+    """A misspelt category used to pass for a ``final`` flush — no trace
+    cause, no crash-site class.  Through a real ``FlushPort``, one flush
+    at a time and as a write-through train."""
+    from repro.cache.policies import EagerTechnique
+
+    class Misspelt(EagerTechnique):
+        def on_store(self, line):
+            self.port.flush_async(line, "evicton")
+
+    class MisspeltTrain(EagerTechnique):
+        def write_through(self, line, n):
+            return "eagre"
+
+    for technique, category in ((Misspelt, "evicton"), (MisspeltTrain, "eagre")):
+        with pytest.raises(SimulationError, match=f"unknown flush category '{category}'"):
+            Machine(MachineConfig()).run(
+                get_workload("water-spatial", scale=0.02),
+                lambda tid: technique(),
+                num_threads=1,
+                seed=7,
+            )
+    session = machine.session(technique_factory("LA")(0))
+    with pytest.raises(SimulationError, match="'fase-end'.*'eviction'.*'final'"):
+        session._ctx.port.flush_sync([PA >> 6], "fase-end")
+    for category in ("final", "clean", "bypass", "victim", "commit"):
+        session._ctx.port.flush_async(PA >> 6, category)
+    assert session.stats.final_flushes == 1 and session.stats.flushes == 5
 
 
 def test_load_touches_cache(machine):

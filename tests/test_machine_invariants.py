@@ -233,32 +233,32 @@ def run_heavy_streams(draw):
     return events
 
 
-def adaptive(burst, skip=0):
+def adaptive(burst, skip=0, hibernation=None):
     return {
-        "adaptive_config": AdaptiveConfig(burst_length=burst, initial_skip=skip)
+        "adaptive_config": AdaptiveConfig(
+            burst_length=burst, initial_skip=skip, hibernation=hibernation
+        )
     }
 
 
 #: Every way a technique answers ``absorb_repeats``: never (ER, and the
 #: filters that count or bypass each store), always (LA, AT, SC-offline,
-#: BEST), once its burst closed (SC and the stages that pass repeats
-#: through), and with a size published by another thread.
+#: BEST), unless a sampler phase edge lies in the run (SC and the stages
+#: that pass repeats through), and with a size published by another thread.
 RUN_TECHNIQUES = {
-    "ER": lambda burst, skip: {},
-    "LA": lambda burst, skip: {},
-    "AT": lambda burst, skip: {},
-    "BEST": lambda burst, skip: {},
+    "ER": lambda *sampling: {},
+    "LA": lambda *sampling: {},
+    "AT": lambda *sampling: {},
+    "BEST": lambda *sampling: {},
     "SC": adaptive,
-    "SC clwb": lambda burst, skip: dict(adaptive(burst, skip), use_clwb=True),
-    "SC-offline": lambda burst, skip: {"sc_fixed_size": 4},
+    "SC clwb": lambda *sampling: dict(adaptive(*sampling), use_clwb=True),
+    "SC-offline": lambda *sampling: {"sc_fixed_size": 4},
     "SC+victim:1": adaptive,
     "SC+victim:16": adaptive,
     "SC+nhit:2": adaptive,
     "SC+cutoff:4": adaptive,
     "SC+clean:4": adaptive,
-    "SC shared": lambda burst, skip: dict(
-        adaptive(burst, skip), shared_adaptation=True
-    ),
+    "SC shared": lambda *sampling: dict(adaptive(*sampling), shared_adaptation=True),
 }
 
 
@@ -266,11 +266,12 @@ def run_engine(streams, chunk, technique, burst, use_batches, **run_kwargs):
     """One run; returns ``(machine, everything observable about it)``."""
     config = run_kwargs.pop("config", MachineConfig())
     skip = run_kwargs.pop("skip", 0)
+    hibernation = run_kwargs.pop("hibernation", None)
     # Untraced is when write-through runs and inert quantum edges apply.
     traced = run_kwargs.pop("traced", True)
     metrics = run_kwargs.pop("metrics", None)
     inner = technique_factory(
-        technique.split()[0], **RUN_TECHNIQUES[technique](burst, skip)
+        technique.split()[0], **RUN_TECHNIQUES[technique](burst, skip, hibernation)
     )
     made, on_store_calls = [], [0]
 
@@ -317,30 +318,37 @@ def run_engine(streams, chunk, technique, burst, use_batches, **run_kwargs):
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(
-    st.lists(run_heavy_streams(), min_size=1, max_size=3),
-    st.sampled_from([50, 64, 100, 4096]),
+    st.lists(run_heavy_streams(), min_size=1, max_size=4),
+    st.sampled_from([1, 50, 64, 100, 4096]),
     # ER is the one technique whose runs are write-through: every third draw.
     st.sampled_from(sorted(RUN_TECHNIQUES) + ["ER"] * 5),
     st.integers(min_value=2, max_value=90),
     st.sampled_from([1, 2, 8]),
     st.sampled_from([0, 100, 1900, 5000]),
+    # The sampler's other two phases: a warm-up before the burst, and a
+    # hibernation after which it opens again.
+    st.sampled_from([0, 0, 1, 5, 40]),
+    st.sampled_from([None, None, 0, 3, 30]),
 )
 def test_coalesced_runs_match_the_per_event_engine(
-    streams, chunk, technique, burst, depth, service
+    streams, chunk, technique, burst, depth, service, skip, hibernation
 ):
     """Everything a run leaves behind — counters the goldens carry and the
     ones they cannot see — is the same whether repeats were absorbed or
     executed one by one, traced (every flush observed, every quantum edge
-    kept) or not, on a flush queue that saturates or never fills."""
+    kept) or not, on a flush queue that saturates or never fills, with the
+    sampler warming up, recording, hibernating or done."""
     config = MachineConfig(
         timing=TimingModel(flush_queue_depth=depth, writeback_service=service)
     )
     for traced in (True, False):
         m_b, batched, calls_b, touches = run_engine(
-            streams, chunk, technique, burst, True, config=config, traced=traced
+            streams, chunk, technique, burst, True, config=config, traced=traced,
+            skip=skip, hibernation=hibernation,
         )
         m_e, per_event, calls_e, _ = run_engine(
-            streams, chunk, technique, burst, False, config=config, traced=traced
+            streams, chunk, technique, burst, False, config=config, traced=traced,
+            skip=skip, hibernation=hibernation,
         )
         assert batched == per_event
         assert m_e.absorbed_stores == 0
@@ -390,7 +398,13 @@ def test_a_resize_that_evicts_the_stored_line_splits_its_run(
     """``on_store(A)`` shrinks the cache and so flushes (or parks) A
     itself before re-inserting it: the first repeat is then no pure hit —
     an L1 miss, a re-dirtied line, a victim rescue — and must execute.
-    A's run goes store by store; the run on B after it is absorbed."""
+    A's run goes store by store; the run on B after it is absorbed (2).
+
+    A sampling SC takes runs too since the visit-table loop: the burst's
+    five stores to D are one ``on_store`` (it opens the burst) and four
+    repeats recorded as one slice, short of the sixth write that closes
+    it — 4 + 2.  Under shared adaptation the six stores to D *are* the
+    whole burst, so their run holds its closing write and is declined."""
     evicted = []
     resize = WriteCombiningCache.resize
     monkeypatch.setattr(
@@ -402,7 +416,82 @@ def test_a_resize_that_evicts_the_stored_line_splits_its_run(
     _m, per_event, _, _ = run_engine(streams, 4096, technique, 6, False, skip=skip)
     assert any(A >> 6 in lines for lines in evicted)    # scenario reached
     assert batched == per_event
-    assert m_b.absorbed_stores == 2
+    assert m_b.absorbed_stores == (2 if technique == "SC shared" else 6)
+
+
+#: Runs of seven stores over three lines, computation inside them: store
+#: ``k`` of a thread belongs to run ``k // 7``.
+SEVENS = [
+    ev
+    for run in range(12)
+    for j in range(7)
+    for ev in (Store(NVRAM_BASE + run % 3 * 64 + j * 8, 8), Work(3 + j))
+]
+
+
+@pytest.mark.parametrize("chunk", [1, 50, 64, 4096])
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize(
+    "skip, burst, hibernation",
+    [
+        (10, 9, None),    # warm-up ends at store 10, the burst closes at 19
+        (0, 10, None),    # the first store opens the burst; closes at 10
+        (3, 16, 17),      # closes at 19, re-opens at 36, closes at 52, ...
+        (10, 15, 0),      # re-opens on the store after the one that closed it
+        (14, 14, 7),      # every edge is a run's last store or its head
+    ],
+)
+@pytest.mark.parametrize("technique", ["SC", "SC+victim:16"])
+def test_a_run_straddles_every_sampler_phase_edge(
+    technique, skip, burst, hibernation, threads, chunk
+):
+    """Warm-up → recording, recording → closed and hibernation → re-opened
+    each fall inside a seven-store run (in the last case, on its ends):
+    a run with an edge in it arrives store by store, every other one is
+    taken as a slice, and the burst opens, closes and resizes at the
+    cycle the per-event engine says."""
+    streams = [SEVENS] * threads
+    for traced in (True, False):
+        m_b, batched, calls_b, touches = run_engine(
+            streams, chunk, technique, burst, True,
+            skip=skip, hibernation=hibernation, traced=traced,
+        )
+        _m, per_event, _, _ = run_engine(
+            streams, chunk, technique, burst, False,
+            skip=skip, hibernation=hibernation, traced=traced,
+        )
+        assert batched == per_event
+        assert all(t["selected_sizes"] for t in batched["threads"])
+        assert m_b.absorbed_stores + calls_b == touches == 84 * threads
+        if chunk > 1:
+            # Runs are absorbed in every phase; what is not is each run's
+            # head, the rest of a run cut by a batch or quantum edge, and
+            # the five runs at most with a phase edge in them.
+            assert m_b.absorbed_stores > 0.3 * touches
+
+
+def test_a_quantum_that_opens_on_work_inside_a_run():
+    """Thread 0's first quantum ends on the second store of a run whose
+    next two events are ``WORK``: the second quantum must execute both
+    before it takes the store after them as the head of the rest.  (Skip
+    to that store and 12 instructions, 12 cycles go missing.)"""
+    straddling = [Work(1)] * 62 + [
+        Store(A, 8), Store(A + 8, 8), Work(5), Work(7),
+        Store(A + 16, 8), Store(A + 24, 8), Work(3), Store(A + 32, 8),
+    ]
+    other = [Store(B + (j % 8) * 8, 8) for j in range(200)]
+    for technique in ("LA", "AT", "SC", "SC-offline", "BEST", "ER"):
+        for traced in (True, False):
+            m_b, batched, calls_b, touches = run_engine(
+                [straddling, other], 4096, technique, 3, True, traced=traced
+            )
+            _m, per_event, _, _ = run_engine(
+                [straddling, other], 4096, technique, 3, False, traced=traced
+            )
+            assert batched == per_event
+            assert batched["threads"][0]["instructions"] >= 62 + 5 + 7 + 3 + 5
+            if technique != "ER" or not traced:
+                assert m_b.absorbed_stores >= 3  # thread 0's, either side of the edge
 
 
 def test_long_runs_are_entered_once_per_quantum():

@@ -6,7 +6,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.experiments.cache import ResultCache
-from repro.experiments.harness import Harness, HarnessConfig
+from repro.experiments.harness import Harness, HarnessConfig, ProfileSummary
 from repro.nvram.stats import RunResult, ThreadStats
 
 
@@ -92,6 +92,36 @@ def test_stale_disk_cache_entry_is_recomputed(tmp_path):
     assert result.persistent_stores > 0
     # The recomputed (current-schema) entry replaced the stale one.
     assert RunResult.from_dict(harness._disk.get(key)).to_dict() == result.to_dict()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"persistent_stores": 1},
+        [1200, 8],
+        # Accepted before ``from_dict``: SC-offline sized at -3, every SC
+        # burst from a string.
+        {"persistent_stores": "x", "offline_size": -3},
+        {"persistent_stores": True, "offline_size": 8},
+        {"persistent_stores": 1200, "offline_size": 8, "knee": 8},
+    ],
+    ids=["field-missing", "json-list", "wrong-types", "bool-count", "extra-field"],
+)
+def test_wrong_shape_profile_summary_entry_is_recomputed(tmp_path, payload):
+    """A ``profile_summary`` cache entry of the wrong shape is a miss:
+    never a bare ``TypeError``, never a summary built from it."""
+    with pytest.raises(ConfigurationError, match="ProfileSummary"):
+        ProfileSummary.from_dict(payload)
+    config = HarnessConfig(scale=0.02, seed=7)
+    harness = Harness(config, cache_dir=str(tmp_path))
+    key = ResultCache.key(config, "profile_summary", name="queue")
+    harness._disk.put(key, payload)
+    summary = harness.profile_summary("queue")
+    assert summary == Harness(config).profile_summary("queue")
+    assert summary.persistent_stores > 0 and summary.offline_size > 0
+    # The recomputed entry replaced the corrupt one and reads back.
+    assert harness._disk.get(key) == dataclasses.asdict(summary)
+    assert Harness(config, cache_dir=str(tmp_path)).profile_summary("queue") == summary
 
 
 def test_zero_store_and_zero_access_aggregates():
