@@ -26,6 +26,8 @@ from repro.locality.sampling import sampled_mrc
 
 #: Programs shown in Fig. 7's MRC-accuracy panels.
 FIG7_PROGRAMS = ("barnes", "fmm", "water-nsquared", "water-spatial")
+#: Cache sizes on Fig. 7's x axis.
+FIG7_SIZES = (1, 2, 3, 4, 6, 8, 10, 12, 16, 20, 24, 28, 32, 40, 50)
 
 #: Paper §IV-G: the cache sizes the knee rule selected per program.
 PAPER_SELECTED_SIZES = {
@@ -176,14 +178,16 @@ def figure7(
     """Fig. 7: actual vs full-trace (offline) vs sampled (online) MRC.
 
     'Actual' is the exact miss ratio of a FASE-drained write-combining
-    LRU cache, from classical stack distances (Mattson) — provably equal
-    to per-size simulation; 'full-trace' is the paper's linear-time
-    theory over the whole trace; 'sampled' is the same theory over one
-    online burst.  The claim under test: sampling preserves the
-    inflection points that drive size selection.
+    LRU cache, from classical stack distances (Mattson) — equal to the
+    miss to per-size simulation on traces whose writes are all inside
+    FASEs, or outside one only before the first and to lines it does
+    not write (as every program's here are); 'full-trace' is the
+    paper's linear-time theory over the whole trace; 'sampled' is the
+    same theory over one online burst.  The claim under test: sampling
+    preserves the inflection points that drive size selection.
     """
     art = Artifact("figure7", "Figure 7: MRC prediction accuracy")
-    sizes = [1, 2, 3, 4, 6, 8, 10, 12, 16, 20, 24, 28, 32, 40, 50]
+    sizes = list(FIG7_SIZES)
     rows = []
     for name in programs:
         trace = harness.trace(name)

@@ -27,16 +27,21 @@ def rename_for_fases(trace: WriteTrace) -> WriteTrace:
     they are never drained by a FASE end, so reuses among them remain
     combinable and they keep a single renamed id per line.
 
-    The renaming is dense and deterministic: renamed ids are
-    ``fase_code * m + line_code`` with both codes dense from
-    :func:`numpy.unique`, so two runs over the same trace agree.
+    The renaming is arithmetic: ``(fase - fase_min) * span + (line -
+    line_min)`` with ``span`` the width of the line range — injective,
+    deterministic and ordered like ``(fase, line)``, not dense (the reuse
+    intervals only compare ids).  Only when that product would leave 62
+    bits — two threads' FASE uids (``thread_id << 40``) over a line span
+    of 2**30 — are both columns first replaced by their ``np.unique`` ranks.
     """
-    lines = trace.lines
-    fids = trace.fase_ids
+    lines, fids = trace.lines, trace.fase_ids
     if len(lines) == 0:
         return WriteTrace(lines.copy(), fids.copy())
-    _, line_code = np.unique(lines, return_inverse=True)
-    _, fase_code = np.unique(fids, return_inverse=True)
-    m = int(line_code.max()) + 1
-    renamed = fase_code.astype(np.int64) * m + line_code.astype(np.int64)
-    return WriteTrace(renamed, fids.copy())
+
+    def width(column: np.ndarray) -> int:
+        return int(column.max()) - int(column.min()) + 1
+
+    if width(fids) * width(lines) >= 2**62:
+        lines, fids = (np.unique(c, return_inverse=True)[1] for c in (lines, fids))
+    renamed = (fids - fids.min()) * width(lines) + (lines - lines.min())
+    return WriteTrace(renamed, trace.fase_ids.copy())

@@ -96,9 +96,11 @@ def lru_write_cache_misses(
 
     A *miss* is a write whose line is not in the cache (the line is then
     inserted, evicting the LRU line if full) — each miss corresponds to
-    one eventual flush.  With ``honor_fases``, the cache is drained at
-    every FASE boundary, exactly like the runtime's software cache; writes
-    outside any FASE share one never-drained region.
+    one eventual flush.  With ``honor_fases``, the cache is drained on
+    leaving a FASE, exactly like the runtime's software cache.  It is keyed
+    by line alone and a drain empties it: these are ``exact_mrc``'s misses
+    only while every write is inside a FASE, or outside one only before the
+    first and to lines it does not write (``stack_distance``'s docstring).
     """
     if size < 1:
         raise ConfigurationError("cache size must be >= 1")

@@ -23,6 +23,22 @@ from repro.common.events import EventBatch, EventKind
 from repro.common.geometry import line_of
 
 
+def _count_distinct(values: np.ndarray) -> int:
+    """``len(set(values))`` by the cheapest counting pass that applies:
+    the changes of non-decreasing values (a machine trace's FASE uids),
+    a boolean mask over a span of under ~8 slots per entry (line ids of
+    one heap), and ``np.unique``'s sort for anything else."""
+    n = len(values)
+    if np.all(values[1:] >= values[:-1]):
+        return min(n, 1) + int(np.count_nonzero(values[1:] != values[:-1]))
+    low, high = int(values.min()), int(values.max())
+    if high - low >= 8 * n:
+        return len(np.unique(values))
+    seen = np.zeros(high - low + 1, dtype=bool)
+    seen[values - low] = True
+    return int(np.count_nonzero(seen))
+
+
 class WriteTrace:
     """A sequence of persistent writes, one cache line id per access.
 
@@ -142,13 +158,12 @@ class WriteTrace:
     @property
     def m(self) -> int:
         """The number of distinct lines written."""
-        return int(len(np.unique(self.lines)))
+        return _count_distinct(self.lines)
 
     @property
     def num_fases(self) -> int:
         """The number of distinct FASE instances in the trace."""
-        inside = self.fase_ids[self.fase_ids >= 0]
-        return int(len(np.unique(inside))) if len(inside) else 0
+        return _count_distinct(self.fase_ids[self.fase_ids >= 0])
 
     def __len__(self) -> int:
         return self.n
@@ -172,20 +187,12 @@ class WriteTrace:
         line (Def. 1).  A trace with ``n`` writes and ``m`` distinct lines
         has exactly ``n - m`` reuse intervals.
         """
-        ids = self.dense_ids()
-        n = len(ids)
-        if n == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        # Stable sort by id keeps program order within each id, so
-        # consecutive entries with equal ids are consecutive accesses.
-        order = np.argsort(ids, kind="stable")
-        sorted_ids = ids[order]
-        times = order + 1  # 1-based logical times
-        same = sorted_ids[1:] == sorted_ids[:-1]
-        starts = times[:-1][same]
-        ends = times[1:][same]
-        return starts.astype(np.int64), ends.astype(np.int64)
+        # Stably sorted, equal neighbours are consecutive accesses; that
+        # is all that is asked of the ids, so they are sorted as they are.
+        order = np.argsort(self.lines, kind="stable")
+        sorted_ids = self.lines[order]
+        same = np.flatnonzero(sorted_ids[1:] == sorted_ids[:-1])
+        return order[same] + 1, order[same + 1] + 1  # 1-based logical times
 
     def first_last_times(self) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(first, last)`` access time (1-based) per distinct line."""

@@ -22,7 +22,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.geometry import line_of
 from repro.locality.knee import SelectionPolicy, find_knees, select_cache_size
 from repro.locality.mrc import mrc_from_trace
-from repro.locality.stack_distance import average_stack_distance, exact_mrc
+from repro.locality.stack_distance import mean_distance, mrc_from_distances, stack_distances
 from repro.locality.trace import WriteTrace
 
 
@@ -90,7 +90,8 @@ def analyze(
         raise ConfigurationError("cannot analyse an empty trace")
     policy = policy or SelectionPolicy()
     mrc = mrc_from_trace(trace, honor_fases=honor_fases)
-    exact = exact_mrc(trace, honor_fases=honor_fases)
+    distances = stack_distances(trace, honor_fases=honor_fases)
+    exact = mrc_from_distances(distances)
     selected = select_cache_size(mrc, policy)
     return {
         "n": trace.n,
@@ -101,9 +102,7 @@ def analyze(
         "miss_ratio_at_selected": mrc.miss_ratio(selected),
         "exact_miss_ratio_at_selected": exact.miss_ratio(selected),
         "miss_ratio_at_default": mrc.miss_ratio(policy.default_size),
-        "mean_stack_distance": average_stack_distance(
-            trace, honor_fases=honor_fases
-        ),
+        "mean_stack_distance": mean_distance(distances),
     }
 
 

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 from typing import Iterator, List
 
+import numpy as np
+
 from repro.common.errors import ConfigurationError
-from repro.common.events import Event, FaseBegin, FaseEnd, Store, Work
+from repro.common.events import BATCH_CHUNK, EventBatch, EventKind
 from repro.common.geometry import CACHE_LINE_SIZE
 from repro.workloads.base import BumpAllocator, Workload
 
@@ -62,24 +64,46 @@ class PersistentArray(Workload):
             return (span + CACHE_LINE_SIZE - 1) // CACHE_LINE_SIZE
         return (span + CACHE_LINE_SIZE - 1) // CACHE_LINE_SIZE + 1
 
-    def streams(self, num_threads: int, seed: int) -> List[Iterator[Event]]:
+    def batch_streams(
+        self, num_threads: int, seed: int
+    ) -> List[Iterator[EventBatch]]:
         if num_threads != 1:
             raise ConfigurationError("persistent-array is a sequential benchmark")
-        return [self._stream()]
+        return [self._batches()]
 
-    def _stream(self) -> Iterator[Event]:
+    def _batches(self) -> Iterator[EventBatch]:
+        """The program as columns — its one spelling; ``streams`` is the
+        inherited decoding.  The inner loop is laid out once and tiled,
+        and the run is handed out in ``BATCH_CHUNK``-row slices: where a
+        recording of the per-event program cut it, so line runs end
+        where they did.
+        """
         alloc = BumpAllocator()
         base = alloc.alloc(self.inner * INT_SIZE + CACHE_LINE_SIZE, line_aligned=True)
         if not self.aligned:
             base += CACHE_LINE_SIZE // 2  # straddle one extra line
         flag = alloc.alloc(INT_SIZE, line_aligned=True)
-        work = self.work_per_store
-        inner = self.inner
-        yield FaseBegin()
-        for _ in range(self.outer):
-            for i in range(inner):
-                if work:
-                    yield Work(work)
-                yield Store(base + i * INT_SIZE, INT_SIZE)
-        yield Store(flag, INT_SIZE, value=1)  # completion flag: the +1 store
-        yield FaseEnd()
+        inner, work = self.inner, self.work_per_store
+        kinds = np.full(inner, EventKind.STORE, dtype=np.int8)
+        args = base + INT_SIZE * np.arange(inner, dtype=np.int64)
+        sizes = np.full(inner, INT_SIZE, dtype=np.int64)
+        if work:    # one iteration is (WORK, STORE)
+            kinds = np.column_stack((np.full_like(kinds, EventKind.WORK), kinds))
+            args = np.column_stack((np.full_like(args, work), args))
+            sizes = np.column_stack((np.zeros_like(sizes), sizes))
+        program = EventBatch()
+        program.append_fase_begin()
+        for column, loop in (
+            (program.kinds, kinds), (program.args, args), (program.sizes, sizes)
+        ):
+            column.frombytes(np.tile(loop.ravel(), self.outer).tobytes())
+        program.append_store(flag, INT_SIZE)
+        program.append_fase_end()
+        flag_row = len(program) - 2     # the completion flag: the +1 store
+        for index, part in enumerate(program.split(BATCH_CHUNK)):
+            row = flag_row - index * BATCH_CHUNK
+            if 0 <= row < len(part):
+                # Its payload, for the decoding a crash replay executes.
+                part.values = [None] * len(part)
+                part.values[row] = 1
+            yield part

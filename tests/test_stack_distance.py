@@ -94,3 +94,28 @@ def test_cold_misses_never_hit():
     t = WriteTrace(list(range(50)))       # all distinct
     mrc = exact_mrc(t, honor_fases=False)
     assert mrc.miss_ratio(100) == 1.0
+
+
+@pytest.mark.parametrize(
+    "lines,renaming,simulation",
+    [
+        # The FASE's write to line 1 misses under renaming (the outside
+        # region has addresses of its own) and hits in the simulated
+        # cache (keyed by line); the FASE's drain then takes the outside
+        # copy with it, which renaming keeps.
+        ([1, 1, 1], [3, 2, 2], [2, 2, 2]),
+        ([1, 2, 1], [3, 2, 2], [3, 3, 3]),
+    ],
+)
+def test_the_two_references_part_when_outside_writes_interleave(
+    lines, renaming, simulation
+):
+    """``exact_mrc`` (renaming) and ``lru_mrc`` (drain on exit) are two
+    models, equal only while no write outside a FASE follows one: these
+    are the smallest traces on which they differ (misses at sizes 1-3).
+    No registered program emits such a trace; neither model is wrong
+    about one that does, they answer different questions."""
+    trace = WriteTrace(lines, [-1, 5, -1])
+    sizes = [1, 2, 3]
+    assert np.rint(exact_mrc(trace).miss_ratios_at(sizes) * 3).tolist() == renaming
+    assert np.rint(lru_mrc(trace, sizes) * 3).tolist() == simulation

@@ -17,6 +17,8 @@ from hashlib import sha1
 
 import pytest
 
+from repro.common.events import EventKind
+from repro.workloads.parray import PersistentArray
 from repro.workloads.registry import get_workload
 
 #: (program, threads) -> (digest, [len(batch) per batch] per thread) at
@@ -86,6 +88,27 @@ MDB = {
     (4, 11): "e37f0cf9315ce20bcff6046d31199a986e5f78a5",
     (4, 7): "78b0d210f7272cbe035a2fdd632ac8e12381a626",
 }
+#: ``PersistentArray`` kwargs -> (digest, batch lengths), one thread,
+#: taken from the per-event generator through ``batches_from_events``
+#: (ISSUE 24) before the native emitter replaced it.
+PARRAY = {
+    (("outer", 125),): (             # get_workload(scale=0.05)
+        "3527cf9f3ed1f41c34bf7c8cfd3ad1088eadc3d6",
+        [4096] * 24 + [1699],
+    ),
+    (("outer", 50),): (              # get_workload(scale=0.02)
+        "5dd13974f607bc683fe6e867adee965d443dc9dc",
+        [4096] * 9 + [3139],
+    ),
+    (("aligned", True), ("outer", 3), ("work_per_store", 0)): (
+        "cb0ec3cc8ac662b6852b6545dba02cc8da530332",
+        [1203],
+    ),
+    (("inner", 7), ("outer", 5)): (
+        "5f59924d91d25df912b4ada4327e0ae13d06f308",
+        [73],
+    ),
+}
 
 
 def digest(per_thread):
@@ -118,3 +141,19 @@ def test_mdb_columns_are_pinned(threads, seed):
     assert [sum(1 for _ in s) for s in decoded] == [
         sum(len(b) for b in batches) for batches in per_thread
     ]
+
+
+@pytest.mark.parametrize("kwargs", sorted(PARRAY))
+def test_persistent_array_columns_and_batch_boundaries_are_pinned(kwargs):
+    workload = PersistentArray(**dict(kwargs))
+    (batches,) = [list(s) for s in workload.batch_streams(1, 7)]
+    want_digest, want_boundaries = PARRAY[kwargs]
+    assert [len(b) for b in batches] == want_boundaries
+    assert digest([batches]) == want_digest
+    # ``streams`` decodes the same columns; the completion flag, the
+    # program's one payload, comes through for the crash replay.
+    (events,) = [list(s) for s in workload.streams(1, 7)]
+    assert len(events) == sum(want_boundaries)
+    stores = [ev for ev in events if ev.kind == EventKind.STORE]
+    assert len(stores) == workload.total_stores
+    assert [ev.value for ev in stores[-2:]] == [None, 1]
