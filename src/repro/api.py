@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Tuple, Union
 
 from repro.cache.spec import TechniqueSpec, list_techniques
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, require_positive
 from repro.experiments.harness import Harness, HarnessConfig
 from repro.faults.campaign import CrashMatrix, FaultCampaignSpec, run_campaign
 from repro.locality.knee import SelectionPolicy
@@ -90,8 +90,7 @@ class RunSpec:
         )
         if self.threads < 1:
             raise ConfigurationError("threads must be >= 1")
-        if self.scale <= 0:
-            raise ConfigurationError("scale must be positive")
+        require_positive("scale", self.scale)
 
     def harness_config(self) -> HarnessConfig:
         """The harness configuration this spec induces."""

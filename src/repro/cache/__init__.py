@@ -1,9 +1,8 @@
 """The software write-combining cache and the six persistence techniques.
 
-- :mod:`repro.cache.lru` — the O(1) hash-map + doubly-linked-list LRU
-  structure the paper specifies (§III-C, "The Cache").
 - :mod:`repro.cache.write_cache` — the resizable write-combining cache of
-  cache-line addresses.
+  cache-line addresses, over the O(1) hash-map + doubly-linked-list LRU
+  the paper specifies (§III-C, "The Cache"): an ``OrderedDict``.
 - :mod:`repro.cache.table` — Atlas's fixed-size direct-mapped table
   (§II-A), the state of the art the paper improves on.
 - :mod:`repro.cache.adaptive` — the online controller: bursty sampling →
@@ -16,7 +15,6 @@
   promotion, sequential cutoff, background cleaning, victim cache).
 """
 
-from repro.cache.lru import LruCache
 from repro.cache.write_cache import WriteCombiningCache
 from repro.cache.table import AtlasTable
 from repro.cache.adaptive import AdaptiveController, AdaptiveConfig
@@ -39,7 +37,6 @@ from repro.cache.spec import (
 from repro.cache.stages import StagedTechnique
 
 __all__ = [
-    "LruCache",
     "WriteCombiningCache",
     "AtlasTable",
     "AdaptiveController",

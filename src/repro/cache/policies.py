@@ -13,11 +13,14 @@ BEST      no flushes at all — not a correct technique, but the upper
 
 A technique instance is strictly per-thread (the machine builds one per
 thread through a factory).  The machine drives it through ``bind``,
-``on_store`` (or, for the repeats of a line-touch run,
-``absorb_repeats`` when the line stayed dirty in L1 and
-``write_through`` when it was flushed out of it),
-``on_fase_begin``/``on_fase_end`` (outermost only) and ``finish``, and
-charges ``cost_per_store`` cycles of bookkeeping per persistent store.
+``on_store`` (or, for the repeats of a line-touch run that left the line
+dirty in L1, ``absorb_repeats``), ``on_fase_begin``/``on_fase_end``
+(outermost only) and ``finish``, and charges ``cost_per_store`` cycles
+of bookkeeping per persistent store.  Two attributes let it skip
+``on_store`` altogether: ``on_store_noop`` (the call does nothing) and
+``write_through`` (the call is one flush of the stored line, of that
+category); a subclass that overrides ``on_store`` without restating
+them gets the defaults back, so neither outlives the method it vouches for.
 The per-store costs are read off the paper's Table IV instruction counts
 (per store: AT ~16-19, SC ~24 on top of the program's own ~62):
 BEST < ER < LA < AT < SC, with SC running ~8% more instructions than AT.
@@ -44,6 +47,20 @@ class PersistenceTechnique:
     #: per persistent store.  Only set True when ``on_store`` neither
     #: reads nor writes any state.
     on_store_noop = False
+    #: A flush category declares that ``on_store(line)`` is exactly one
+    #: ``port.flush_async(line, category)`` and nothing else — no state,
+    #: no other port call — so the machine may issue that flush itself,
+    #: one train per line-touch run.  ``None``: ``on_store`` is called.
+    write_through: Optional[str] = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # Both declarations vouch for one ``on_store``: a subclass that
+        # brings its own without restating them is called store by store.
+        if "on_store" in vars(cls):
+            for name, default in (("on_store_noop", False), ("write_through", None)):
+                if name not in vars(cls):
+                    setattr(cls, name, default)
 
     def __init__(self) -> None:
         self.port = None
@@ -70,21 +87,6 @@ class PersistenceTechnique:
         """
         return False
 
-    def write_through(self, line: int, n: int) -> Optional[str]:
-        """Name the flush that answers each of the ``n`` stores repeating
-        ``on_store(line)``.
-
-        Called in place of ``absorb_repeats`` when that ``on_store`` left
-        ``line`` absent from L1 (flushed and invalidated).  Return a flush
-        category and the machine takes the ``n`` stores as one train of
-        write-backs, skipping their ``on_store`` calls; return None — the
-        default — and the run arrives store by store.  A category is only
-        legal when each of those calls would be exactly one
-        ``port.flush_async(line, category)`` and nothing else: no state,
-        no other port call.
-        """
-        return None
-
     def on_fase_begin(self) -> None:
         """An outermost FASE began."""
 
@@ -105,12 +107,10 @@ class EagerTechnique(PersistenceTechnique):
 
     name = "ER"
     cost_per_store = 4
+    write_through = "eager"
 
     def on_store(self, line: int) -> None:
         self.port.flush_async(line, "eager")
-
-    def write_through(self, line: int, n: int) -> Optional[str]:
-        return "eager"
 
 
 class LazyTechnique(PersistenceTechnique):

@@ -8,23 +8,29 @@ write to an absent line inserts it; if the cache is over capacity the
 least-recently-written line is evicted, and the caller must flush it to
 NVRAM (Fig. 1's execution model).
 
+The lines live in an ``OrderedDict``, which *is* the structure §III-C
+specifies — "a hash map and a doubly linked list … All cache operations
+have O(1) time complexity" — written in C: a hit is ``move_to_end``, an
+eviction ``popitem(last=False)``, a drain ``list()`` then ``clear()``.
+Iteration order is least to most recently written.
+
 Capacity can change at run time (the adaptive controller resizes it when
 a new MRC arrives); shrinking evicts LRU lines, which the caller flushes.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, List, Optional
 
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.cache.lru import LruCache
 
 
 class WriteCombiningCache:
     """A fully associative, LRU, resizable cache of dirty-line addresses."""
 
     __slots__ = (
-        "_lru",
+        "_lines",
         "capacity",
         "hits",
         "misses",
@@ -38,7 +44,7 @@ class WriteCombiningCache:
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ConfigurationError("capacity must be >= 1")
-        self._lru = LruCache()
+        self._lines: OrderedDict[int, None] = OrderedDict()
         self.capacity = capacity
         self.hits = 0
         self.misses = 0
@@ -49,10 +55,10 @@ class WriteCombiningCache:
         self.cleans = 0
 
     def __len__(self) -> int:
-        return len(self._lru)
+        return len(self._lines)
 
     def __contains__(self, line: int) -> bool:
-        return line in self._lru
+        return line in self._lines
 
     def access(self, line: int) -> Optional[int]:
         """Record a write to ``line``; return an evicted line to flush.
@@ -61,35 +67,16 @@ class WriteCombiningCache:
         line and, if the cache exceeded capacity, returns the evicted LRU
         line — the caller must issue its flush.
         """
-        # This is the software cache's per-store path — the simulator
-        # calls it for every persistent store under SC/SC-offline — so
-        # LruCache.touch is inlined here (same pointer swaps; kept in
-        # sync with lru.py, guarded by both files' invariant tests).
-        lru = self._lru
-        node = lru._map.get(line)
-        if node is not None:
-            tail = lru._tail
-            if node is not tail:
-                prev = node.prev
-                nxt = node.next
-                if prev is not None:
-                    prev.next = nxt
-                else:
-                    lru._head = nxt
-                nxt.prev = prev
-                node.prev = tail
-                node.next = None
-                tail.next = node
-                lru._tail = node
+        lines = self._lines
+        if line in lines:
+            lines.move_to_end(line)
             self.hits += 1
             return None
         self.misses += 1
-        # The lookup above already proved absence — insert without
-        # re-checking membership (one hash lookup per miss on the hot path).
-        lru.insert_absent(line)
-        if len(lru) > self.capacity:
+        lines[line] = None
+        if len(lines) > self.capacity:
             self.evictions += 1
-            return lru.evict_lru()
+            return lines.popitem(last=False)[0]
         return None
 
     def drain(self) -> List[int]:
@@ -99,10 +86,13 @@ class WriteCombiningCache:
         a drain: back-to-back FASEs with no intervening stores would
         otherwise inflate the ``drains`` statistic without any flush work.
         """
-        if not len(self._lru):
+        lines = self._lines
+        if not lines:
             return []
         self.drains += 1
-        return self._lru.clear()
+        drained = list(lines)
+        lines.clear()
+        return drained
 
     def clean_lru(self) -> Optional[int]:
         """Pop the least-recently-written line for a background clean.
@@ -115,18 +105,17 @@ class WriteCombiningCache:
         forced by a miss, so the eviction/miss accounting identity must
         not see them.
         """
-        if not len(self._lru):
+        if not self._lines:
             return None
         self.cleans += 1
-        return self._lru.evict_lru()
+        return self._lines.popitem(last=False)[0]
 
     def resize(self, capacity: int) -> List[int]:
         """Change capacity; return lines evicted by a shrink (LRU first)."""
         if capacity < 1:
             raise ConfigurationError("capacity must be >= 1")
-        evicted: List[int] = []
-        while len(self._lru) > capacity:
-            evicted.append(self._lru.evict_lru())
+        lines = self._lines
+        evicted = [lines.popitem(last=False)[0] for _ in range(len(lines) - capacity)]
         self.evictions += len(evicted)
         self.resize_evictions += len(evicted)
         self.resizes += 1

@@ -1,5 +1,8 @@
 """Exception hierarchy for the reproduction library."""
 
+import math
+import numbers
+
 
 class ReproError(Exception):
     """Base class for all errors raised by :mod:`repro`."""
@@ -29,3 +32,12 @@ def require_int(name: str, value: object, minimum: int) -> None:
         raise ConfigurationError(f"{name} must be an int, got {value!r}")
     if value < minimum:
         raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
+
+
+def require_positive(name: str, value: object) -> None:
+    """Raise :class:`ConfigurationError` unless ``value`` is a finite real
+    number (``int`` or ``float``, not a ``bool``) greater than zero."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    if not (0 < value < math.inf):
+        raise ConfigurationError(f"{name} must be finite and > 0, got {value}")

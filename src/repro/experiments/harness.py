@@ -34,7 +34,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cache.adaptive import AdaptiveConfig
 from repro.cache.spec import TechniqueSpec, technique_factory
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, require_int, require_positive
 from repro.experiments.cache import ResultCache
 from repro.locality.knee import SelectionPolicy, select_cache_size
 from repro.locality.mrc import MissRatioCurve, mrc_from_trace
@@ -68,6 +68,20 @@ class HarnessConfig:
     l1_capacity_lines: int = 512
     l1_ways: int = 8
     selection: SelectionPolicy = SelectionPolicy()
+
+    def __post_init__(self) -> None:
+        require_positive("scale", self.scale)
+        require_int("seed", self.seed, 0)
+        require_int("l1_capacity_lines", self.l1_capacity_lines, 1)
+        require_int("l1_ways", self.l1_ways, 1)
+        if not isinstance(self.timing, TimingModel):
+            raise ConfigurationError(
+                f"timing must be a TimingModel, got {self.timing!r}"
+            )
+        if not isinstance(self.selection, SelectionPolicy):
+            raise ConfigurationError(
+                f"selection must be a SelectionPolicy, got {self.selection!r}"
+            )
 
     def machine_config(self) -> MachineConfig:
         """The machine configuration used for every run."""

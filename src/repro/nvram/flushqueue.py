@@ -34,6 +34,11 @@ exceeds ``now``.  The queue is therefore full at ``now`` iff
 when the slot frees.  ``last_completion`` and the clock of the last
 issue are the whole state; ``tests/test_flushqueue.py`` keeps the
 explicit FIFO as the reference model.
+
+A run of issues the caller can describe up front is one call:
+:meth:`FlushQueue.issue_train` walks a list of gaps with ``issue``'s
+own three lines, and :meth:`FlushQueue.issue_every` answers equal gaps
+in closed form.
 """
 
 from __future__ import annotations
@@ -102,6 +107,37 @@ class FlushQueue:
             self._seen = now
             self.issued += len(gaps)
         return now, stalled
+
+    def issue_every(self, now: int, gap: int, n: int) -> Tuple[int, int]:
+        """:meth:`issue_train` over ``n`` equal gaps, in closed form.
+
+        With ``s = service``, ``lead = (depth - 1) * s`` and ``done`` the
+        last completion, a gap ``gap >= s`` never stalls (each issue
+        finds the channel at most ``lead + s`` ahead of a clock that has
+        since moved ``gap``), so the clock ends at ``now + n * gap`` and
+        the channel at ``max(done + n * s, that + s)``.  A shorter gap
+        keeps the channel busy from ``D = max(done, now + gap)`` on: it
+        completes ``D + n * s``, and the clock ends where the last slot
+        frees, ``D + (n - 1) * s - lead``, unless the gaps alone take it
+        further.  Both rest on the clock never running backwards.
+        """
+        if n <= 0:
+            return now, 0
+        service = self.service
+        done = self.last_completion
+        free = now + n * gap
+        if gap >= service:
+            end = free
+            done = max(done + n * service, end + service)
+        else:
+            start = max(done, now + gap)
+            done = start + n * service
+            # The last slot frees at start + (n - 1) * s - lead.
+            end = max(free, start + (n - self.depth) * service)
+        self.last_completion = done
+        self._seen = end
+        self.issued += n
+        return end, end - free
 
     def drain(self, now: int) -> Tuple[int, int]:
         """Wait at cycle ``now`` until every issued write-back is durable.

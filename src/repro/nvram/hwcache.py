@@ -12,7 +12,7 @@ propagated to NVRAM" (§I).  It provides:
   miss" (§II-A), the indirect flush cost the software cache reduces.
 - ``clwb(line)`` — write back without invalidating (modelled for the
   ablation study; the paper notes Atlas avoids it for visibility
-  reasons).
+  reasons).  ``flush_lines`` applies either to a whole FASE commit.
 - value tracking per dirty line, so write-backs carry real data into
   simulated NVRAM for crash/recovery tests.
 
@@ -25,7 +25,7 @@ Table IV's rising L1 miss ratios.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 
@@ -179,6 +179,21 @@ class HardwareCache:
             return True
         self.clean_flushes += 1
         return False
+
+    def flush_lines(self, lines: Iterable[int], invalidate: bool = True) -> List[bool]:
+        """:meth:`clflush` (or, ``invalidate=False``, :meth:`clwb`) each
+        of ``lines`` in order; return which of them were written back."""
+        if not invalidate:
+            clwb = self.clwb
+            return [clwb(line) for line in lines]
+        sets = self.sets
+        num_sets = self.num_sets
+        # clflush's rule, one pop per line: absent or clean is a clean flush.
+        dirty = [sets[line % num_sets].pop(line, False) for line in lines]
+        written = dirty.count(True)
+        self.flush_writebacks += written
+        self.clean_flushes += len(dirty) - written
+        return dirty
 
     def contains(self, line: int) -> bool:
         """True when ``line`` is currently cached."""

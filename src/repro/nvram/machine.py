@@ -22,8 +22,10 @@ The technique object is duck-typed (see :mod:`repro.cache.policies`): the
 machine calls ``bind(port)``, ``on_store(line)``, ``on_fase_begin()``,
 ``on_fase_end()`` (outermost FASEs only) and ``finish()``, and reads the
 ``cost_per_store`` attribute for per-store bookkeeping cycles.  The
-batched loop also reads ``on_store_noop``, ``absorb_repeats`` and
-``write_through``, the three members that let it skip ``on_store`` calls.
+batched loop also reads the ``on_store_noop`` and ``write_through``
+attributes and calls ``absorb_repeats``: the three members that let it
+skip ``on_store`` calls.  A technique's ``flush_sync`` is one call here,
+a FASE commit one flush train.
 """
 
 from __future__ import annotations
@@ -156,6 +158,8 @@ class MachineConfig:
     track_values: bool = False        # needed for crash/recovery tests
 
     def __post_init__(self) -> None:
+        if self.l1_ways < 1:
+            raise ConfigurationError(f"l1_ways must be >= 1, got {self.l1_ways}")
         if self.l1_capacity_lines < self.l1_ways:
             raise ConfigurationError("cache must hold at least one set")
 
@@ -194,11 +198,7 @@ class FlushPort:
         invalidate: bool = True,
     ) -> None:
         """Flush ``lines`` and stall until all write-backs are durable."""
-        machine = self._machine
-        ctx = self._ctx
-        for line in lines:
-            machine._do_flush(ctx, line, category, invalidate)
-        machine._do_drain(ctx, category)
+        self._machine._flush_sync(self._ctx, lines, category, invalidate)
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -600,6 +600,59 @@ class Machine:
         if self._sites_active:
             self._note_site(ctx, SITE_DRAIN)
 
+    def _flush_sync(
+        self,
+        ctx: _ThreadContext,
+        lines: Iterable[int],
+        category: str,
+        invalidate: bool,
+    ) -> None:
+        """Flush ``lines`` and drain: a commit is one flush train.
+
+        Each line costs what :meth:`_do_flush` charges — ``flush_issue``
+        cycles, one instruction, one count — and the written-back ones
+        take their queue slots as one :meth:`FlushQueue.issue_train`
+        whose gaps are the issue cycles since the previous write-back;
+        the clean flushes after the last one add theirs, then the queue
+        drains.  Where a single flush is observed — tracked values (each
+        carries its payload), trace events (each may be an
+        ``evict_flush`` or a ``stall``), or a crash site per flush of
+        this category — the lines go through :meth:`_do_flush` one at a
+        time instead.  (In-flight write-back records need tracked
+        values, so the train has none to retire.)
+        """
+        counter = _FLUSH_COUNTER[category]
+        if (
+            self.config.track_values
+            or self.recorder.enabled
+            or (self._sites_active and category in _FLUSH_SITE)
+        ):
+            for line in lines:
+                self._do_flush(ctx, line, category, invalidate)
+            self._do_drain(ctx, category)
+            return
+        issue_cost = self.config.timing.flush_issue
+        written = self.hwcache.flush_lines(lines, invalidate)
+        gaps = []
+        gap = 0
+        for dirty in written:
+            gap += issue_cost
+            if dirty:
+                gaps.append(gap)
+                gap = 0
+        stats = ctx.stats
+        flushq = ctx.flushq
+        now, stall = flushq.issue_train(stats.cycles, gaps)
+        now, wait = flushq.drain(now + gap)
+        stats.cycles = now
+        stats.stall_cycles += stall + wait
+        count = len(written)
+        stats.instructions += count
+        stats.flushes += count
+        setattr(stats, counter, getattr(stats, counter) + count)
+        if self._sites_active:
+            self._note_site(ctx, SITE_DRAIN)
+
     def _evict_writeback(self, ctx: _ThreadContext, line: int) -> None:
         # A dirty line displaced by a fill: the hardware writes it back in
         # the background (no CPU issue cost, but channel occupancy).
@@ -664,19 +717,25 @@ class Machine:
         pure hit; and nothing inside it reads the clock, so the cycle
         additions commute (DESIGN.md §8) — including the sample costs a
         sampling SC charges from ``absorb_repeats``, which is why
-        ``stats.cycles`` is handed over around that call too.  When the
+        ``stats.cycles`` is handed over around that call too.  Whether
+        ``on_store`` left the line dirty needs no lookup when it flushed
+        nothing: inside it the line's L1 state changes only through a
+        port flush, and each one counts in ``stats.flushes``.  When the
         technique declines, or values are tracked, the run's other
         events execute one by one in an inner loop.
 
-        *Write-through runs.*  When ``on_store`` flushed the line out of
-        L1 instead (ER always does), each repeat is a miss-fill into the
-        way that flush vacated, one more flush and one queue slot.  If
-        the technique names that flush (``write_through(line, n)``) and
-        nothing observes flushes one by one, the ``n`` repeats are one
-        :meth:`FlushQueue.issue_train` over the cycles between
-        consecutive flushes, plus bulk counters (DESIGN.md §8).
-        :meth:`_process_event` never coalesces and stays the oracle;
-        ``absorbed_stores`` counts what this loop skipped, either way.
+        *Write-through runs.*  A technique whose every persistent store
+        is one ``flush_async(line, category)`` says so (``write_through
+        = category``; ER's is ``"eager"``), and while nothing observes
+        flushes one by one its stores never enter ``on_store``: the head
+        store's access, the ``clflush`` of the line it dirtied, and per
+        repeat a miss-fill into the way that flush vacated, one more
+        flush and one queue slot — one train of ``n + 1`` write-backs
+        over the cycles between consecutive flushes
+        (:meth:`FlushQueue.issue_every` when those are all equal), plus
+        bulk counters (DESIGN.md §8).  :meth:`_process_event` never
+        coalesces and stays the oracle; ``absorbed_stores`` counts the
+        ``on_store`` calls this loop skipped, either way.
 
         The hot ``ThreadStats`` counters are accumulated in locals.
         ``stats.cycles`` is written back before every point that can
@@ -727,18 +786,26 @@ class Machine:
         thread_id = ctx.thread_id
         hit_cost = t.l1_hit
         miss_cost = t.l1_hit + t.l1_miss
-        # Write-through runs fold ``n`` flushes into one step, so they
+        # Write-through runs fold a run's flushes into one step, so they
         # stand down when anything observes a flush on its own: tracked
-        # values, trace events.
+        # values, trace events.  The category is checked here, once.
         write_through = (
             None
             if track_values or recording
             else getattr(technique, "write_through", None)
         )
-        issue_train = ctx.flushq.issue_train
+        through_counter = (
+            None if write_through is None else _FLUSH_COUNTER[write_through]
+        )
+        clflush = hw.clflush
+        flushq = ctx.flushq
+        issue = flushq.issue
+        issue_train = flushq.issue_train
+        issue_every = flushq.issue_every
+        flush_issue = t.flush_issue
         # Cycles from one flush of such a run to the next, ``WORK`` aside:
         # the bookkeeping of the store just flushed, a miss-fill, the issue.
-        flush_gap = cost_per_store + miss_cost + t.flush_issue
+        flush_gap = cost_per_store + miss_cost + flush_issue
         cpi = t.cpi
         nvram_base = NVRAM_BASE
         kind_store = VisitCode.STORE
@@ -761,7 +828,7 @@ class Machine:
         persistent_stores = stats.persistent_stores
         persistent_loads = stats.persistent_loads
         fase_count = stats.fase_count
-        absorbed = repeats = flushed = 0
+        absorbed = repeats = flushed = through = 0
         try:
             while budget > 0:
                 batch = ctx.batch
@@ -792,8 +859,48 @@ class Machine:
                             stats.cycles = cycles
                             evict_writeback(ctx, evicted[0])
                             cycles = stats.cycles
+                        if write_through is not None:
+                            # A write-through run: the head's flush pops
+                            # the line it just dirtied; per repeat the
+                            # ``WORK`` before it, a miss-fill, one flush,
+                            # one queue slot, bookkeeping.
+                            clflush(arg)
+                            if run_stores[i + n] + n == run_stores[i]:
+                                # The repeats come first, any ``WORK``
+                                # after them: the usual store burst.
+                                now, stall = issue(cycles + flush_issue)
+                                if n:
+                                    now, more = issue_every(now, flush_gap, n)
+                                    stall += more
+                                cycles = now + cost_per_store + work_cycles
+                            else:
+                                before = run_cycles[i]
+                                gaps = [flush_issue]
+                                for j in range(i + 1, i + span + 1):
+                                    if kinds[j] == kind_store:
+                                        here = run_cycles[j]
+                                        gaps.append(flush_gap + before - here)
+                                        before = here
+                                now, stall = issue_train(cycles, gaps)
+                                cycles = (
+                                    now + cost_per_store + before - run_cycles[i + span]
+                                )
+                            stats.stall_cycles += stall
+                            n += 1
+                            instructions += n * (2 + cost_per_store) + amount
+                            persistent_stores += n
+                            absorbed += n
+                            through += n
+                            flushed += n - 1
+                            if trace_lines is not None:
+                                trace_lines.extend([arg] * n)
+                                trace_fids.extend(
+                                    [ctx.fase_uid if ctx.fase_depth > 0 else -1] * n
+                                )
+                            continue
                         if track_values:
                             hw.store_value(arg, args[i], None)
+                        flushes = stats.flushes
                         if not skip_on_store:
                             stats.cycles = cycles
                             on_store(arg)
@@ -810,12 +917,14 @@ class Machine:
                             continue
                         if n:
                             # The ``n`` stores that repeat this one, taken
-                            # in one step if each is what ``absorb`` or
-                            # ``write_through`` vouches for.  ``on_store``
-                            # may have flushed the line itself (ER always,
-                            # SC when it shrinks): no repeat is a hit then.
-                            state = line_state(arg)
-                            if state and absorb is not None:
+                            # in one step if ``absorb`` vouches for each —
+                            # and only if ``on_store`` left the line dirty
+                            # (SC may flush it when it shrinks; a filter
+                            # may bypass it): a flushed line's repeat is
+                            # a miss.  No flush, no change.
+                            if absorb is not None and (
+                                stats.flushes == flushes or line_state(arg)
+                            ):
                                 # A sampling SC charges its samples here.
                                 stats.cycles = cycles
                                 taken = absorb(arg, n)
@@ -830,43 +939,6 @@ class Machine:
                                     cycles += n * repeat_cost + work_cycles
                                     instructions += n * store_instructions + amount
                                     continue
-                            elif (
-                                # Flushed and gone from L1 (a line ``clwb``
-                                # kept is clean, not absent).
-                                state is None
-                                and write_through is not None
-                                and (category := write_through(arg, n)) is not None
-                            ):
-                                # A write-through run: per repeat the
-                                # ``WORK`` before it, a miss-fill, one
-                                # flush, one queue slot, bookkeeping.
-                                last = i + span
-                                before = run_cycles[i]
-                                if run_stores[i + n] + n == run_stores[i]:
-                                    # The repeats come first, any ``WORK``
-                                    # after them: the usual store burst.
-                                    gaps = [flush_gap] * n
-                                else:
-                                    gaps = []
-                                    for j in range(i + 1, last + 1):
-                                        if kinds[j] == kind_store:
-                                            here = run_cycles[j]
-                                            gaps.append(flush_gap + before - here)
-                                            before = here
-                                now, stall = issue_train(cycles - cost_per_store, gaps)
-                                cycles = now + cost_per_store + before - run_cycles[last]
-                                instructions += n * (2 + cost_per_store) + amount
-                                absorbed += n
-                                flushed += n
-                                persistent_stores += n
-                                if trace_lines is not None:
-                                    trace_lines.extend([arg] * n)
-                                    trace_fids.extend([trace_fids[-1]] * n)
-                                stats.flushes += n
-                                stats.stall_cycles += stall
-                                counter = _FLUSH_COUNTER[category]
-                                setattr(stats, counter, getattr(stats, counter) + n)
-                                continue
                             # Declined: the run arrives store by store.
                             for j in range(i + 1, i + span + 1):
                                 if kinds[j] == kind_work:
@@ -1004,7 +1076,10 @@ class Machine:
             self.absorbed_stores += absorbed
             if repeats:
                 hw.repeat_stores(repeats)
-            if flushed:
+            if through:
+                stats.flushes += through
+                counter = through_counter
+                setattr(stats, counter, getattr(stats, counter) + through)
                 hw.write_through_stores(flushed)
 
     def _process_event(self, ctx: _ThreadContext, ev: Event) -> None:

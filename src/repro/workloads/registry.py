@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, require_positive
 from repro.workloads.base import Workload
 from repro.workloads.hashtable import HashTableWorkload
 from repro.workloads.linkedlist import LinkedListWorkload
@@ -34,8 +34,7 @@ def get_workload(name: str, scale: float = 1.0) -> Workload:
     ``scale`` shrinks (or grows) the default problem size; tests use small
     scales, the benchmark harness uses 1.0.
     """
-    if scale <= 0:
-        raise ConfigurationError("scale must be positive")
+    require_positive("scale", scale)
     if name == "persistent-array":
         outer = max(4, round(2500 * scale))
         return PersistentArray(outer=outer)

@@ -37,6 +37,37 @@ def test_runspec_validation():
         api.run(api.RunSpec(workload="no-such-workload"))
 
 
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), "0.1", True, 0, -0.5])
+def test_a_hostile_scale_is_a_typed_error_naming_it(scale):
+    """``nan`` used to escape as a ValueError, ``inf`` as an
+    OverflowError and ``"0.1"`` as a TypeError, from all three entries."""
+    for build in (
+        lambda: get_workload("barnes", scale=scale),
+        lambda: api.RunSpec(workload="barnes", scale=scale),
+        lambda: HarnessConfig(scale=scale),
+    ):
+        with pytest.raises(ConfigurationError, match="scale"):
+            build()
+
+
+def test_hostile_machine_fields_are_typed_errors_naming_them():
+    """``MachineConfig(l1_ways=0)`` used to construct and fail later
+    inside ``HardwareCache``; ``HarnessConfig`` checked nothing."""
+    from repro.nvram.machine import MachineConfig
+
+    with pytest.raises(ConfigurationError, match="l1_ways"):
+        MachineConfig(l1_ways=0)
+    for kwargs, field in [
+        ({"l1_ways": 0}, "l1_ways"),
+        ({"l1_capacity_lines": 2.5}, "l1_capacity_lines"),
+        ({"seed": "7"}, "seed"),
+        ({"timing": None}, "timing"),
+        ({"selection": "knee"}, "selection"),
+    ]:
+        with pytest.raises(ConfigurationError, match=field):
+            HarnessConfig(**kwargs)
+
+
 def test_run_is_bit_identical_to_hand_wired_machine():
     """api.run vs the raw Machine + technique_factory spelling, LA technique
     (no profile-derived kwargs, so the legacy path is fully explicit)."""

@@ -203,3 +203,33 @@ def test_a_train_is_that_many_issues(depth, service, warmup, gaps):
         stalled += stall
     assert q.issue_train(now, gaps) == (expected, stalled)
     assert state(q) == state(ref)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=9),
+    st.sampled_from(SERVICES),
+    st.lists(st.tuples(st.sampled_from(["issue", "issue", "drain"]), GAPS), max_size=8),
+    GAPS,
+    st.integers(min_value=0, max_value=40),
+)
+def test_equal_gaps_in_closed_form(depth, service, history, gap, n):
+    """``issue_every(now, g, n)`` is ``issue_train(now, [g] * n)`` and
+    ``n`` issues of the deque, for gaps on both sides of the service
+    time, whatever earlier issues and drains left — on a clock that never
+    runs backwards, the queue's contract."""
+    closed, train = FlushQueue(depth, service), FlushQueue(depth, service)
+    ref = DequeFlushQueue(depth, service)
+    now = 0
+    for op, step in history:
+        now += step
+        getattr(closed, op)(now)
+        getattr(train, op)(now)
+        now = getattr(ref, op)(now)[0]
+    expected, stalled = now, 0
+    for _ in range(n):
+        expected, stall = ref.issue(expected + gap)
+        stalled += stall
+    assert closed.issue_every(now, gap, n) == (expected, stalled)
+    assert train.issue_train(now, [gap] * n) == (expected, stalled)
+    assert state(closed) == state(train) == state(ref)

@@ -1,128 +1,87 @@
-"""The O(1) hash-map + doubly-linked-list LRU structure (§III-C)."""
+"""The software cache's LRU order (§III-C's hash map + doubly linked
+list, which ``WriteCombiningCache`` holds as an ``OrderedDict``)."""
 
-import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.cache.lru import LruCache
-from repro.common.errors import ConfigurationError
+from repro.cache.write_cache import WriteCombiningCache
 
 
 def test_insert_and_membership():
-    c = LruCache()
-    c.insert(1)
-    c.insert(2)
+    c = WriteCombiningCache(4)
+    c.access(1)
+    c.access(2)
     assert 1 in c and 2 in c and 3 not in c
     assert len(c) == 2
 
 
-def test_duplicate_insert_rejected():
-    c = LruCache()
-    c.insert(1)
-    with pytest.raises(ConfigurationError):
-        c.insert(1)
-
-
-def test_insert_absent_skips_membership_check():
-    """The hot-path variant behaves like insert for genuinely new keys."""
-    c = LruCache()
-    c.insert_absent(1)
-    c.insert_absent(2)
-    assert list(c) == [1, 2]
-    c.check_invariants()
-
-
 def test_eviction_order_is_lru():
-    c = LruCache()
+    c = WriteCombiningCache(3)
     for k in (1, 2, 3):
-        c.insert(k)
-    assert c.evict_lru() == 1
-    assert c.evict_lru() == 2
-    assert c.evict_lru() == 3
+        c.access(k)
+    assert [c.clean_lru() for _ in range(4)] == [1, 2, 3, None]
 
 
 def test_touch_moves_to_mru():
-    c = LruCache()
+    c = WriteCombiningCache(3)
     for k in (1, 2, 3):
-        c.insert(k)
-    assert c.touch(1)
-    assert c.evict_lru() == 2
-    assert list(c) == [3, 1]
-
-
-def test_touch_missing_returns_false():
-    c = LruCache()
-    assert not c.touch(9)
-
-
-def test_evict_empty_raises():
-    with pytest.raises(ConfigurationError):
-        LruCache().evict_lru()
-
-
-def test_remove():
-    c = LruCache()
-    for k in (1, 2, 3):
-        c.insert(k)
-    assert c.remove(2)
-    assert not c.remove(2)
-    assert list(c) == [1, 3]
-    c.check_invariants()
+        c.access(k)
+    assert c.access(1) is None          # a hit: combined, now most recent
+    assert c.access(4) == 2
+    assert c.drain() == [3, 1, 4]
 
 
 def test_clear_returns_lru_order():
-    c = LruCache()
+    c = WriteCombiningCache(8)
     for k in (5, 6, 7):
-        c.insert(k)
-    c.touch(5)
-    assert c.clear() == [6, 7, 5]
+        c.access(k)
+    c.access(5)
+    assert c.drain() == [6, 7, 5]
     assert len(c) == 0
-    assert c.peek_lru() is None
-
-
-def test_peek_lru():
-    c = LruCache()
-    c.insert(4)
-    c.insert(9)
-    assert c.peek_lru() == 4
+    assert c.clean_lru() is None
 
 
 class LruModel(RuleBasedStateMachine):
-    """Stateful comparison against a plain list model."""
+    """Every line the cache hands back — evicted on a miss, drained,
+    evicted by a shrink, cleaned — against a plain-list LRU model, in
+    order, with ``snapshot()``'s identities holding after every step."""
 
     def __init__(self):
         super().__init__()
-        self.cache = LruCache()
+        self.cache = WriteCombiningCache(4)
         self.model = []  # LRU .. MRU
 
-    @rule(key=st.integers(min_value=0, max_value=20))
-    def insert_or_touch(self, key):
-        if key in self.model:
-            assert self.cache.touch(key)
-            self.model.remove(key)
-            self.model.append(key)
-        else:
-            self.cache.insert(key)
-            self.model.append(key)
+    @rule(line=st.integers(min_value=0, max_value=12))
+    def access(self, line):
+        expected = None
+        if line in self.model:
+            self.model.remove(line)
+        elif len(self.model) == self.cache.capacity:
+            expected = self.model.pop(0)
+        self.model.append(line)
+        assert self.cache.access(line) == expected
 
     @rule()
-    def evict(self):
-        if self.model:
-            assert self.cache.evict_lru() == self.model.pop(0)
+    def drain(self):
+        assert self.cache.drain() == self.model
+        self.model = []
 
-    @rule(key=st.integers(min_value=0, max_value=20))
-    def remove(self, key):
-        present = key in self.model
-        assert self.cache.remove(key) == present
-        if present:
-            self.model.remove(key)
+    @rule(capacity=st.integers(min_value=1, max_value=6))
+    def resize(self, capacity):
+        cut = max(0, len(self.model) - capacity)
+        assert self.cache.resize(capacity) == self.model[:cut]
+        self.model = self.model[cut:]
+
+    @rule()
+    def clean_lru(self):
+        assert self.cache.clean_lru() == (self.model.pop(0) if self.model else None)
 
     @invariant()
     def agrees_with_model(self):
-        assert list(self.cache) == self.model
         assert len(self.cache) == len(self.model)
-        self.cache.check_invariants()
+        assert all(line in self.cache for line in self.model)
+        self.cache.snapshot()
 
 
 TestLruStateful = LruModel.TestCase

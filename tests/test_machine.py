@@ -76,7 +76,9 @@ def test_work_advances_clock_and_instructions(machine):
 def test_an_unknown_flush_category_is_a_typed_error(machine):
     """A misspelt category used to pass for a ``final`` flush — no trace
     cause, no crash-site class.  Through a real ``FlushPort``, one flush
-    at a time and as a write-through train."""
+    at a time and as a write-through train.  ``Misspelt`` inherits ER's
+    ``write_through`` declaration but not the ``on_store`` it vouches
+    for, so the batched loop must call its own."""
     from repro.cache.policies import EagerTechnique
 
     class Misspelt(EagerTechnique):
@@ -84,9 +86,9 @@ def test_an_unknown_flush_category_is_a_typed_error(machine):
             self.port.flush_async(line, "evicton")
 
     class MisspeltTrain(EagerTechnique):
-        def write_through(self, line, n):
-            return "eagre"
+        write_through = "eagre"
 
+    assert Misspelt.write_through is None and EagerTechnique.write_through == "eager"
     for technique, category in ((Misspelt, "evicton"), (MisspeltTrain, "eagre")):
         with pytest.raises(SimulationError, match=f"unknown flush category '{category}'"):
             Machine(MachineConfig()).run(

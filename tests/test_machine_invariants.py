@@ -254,6 +254,7 @@ RUN_TECHNIQUES = {
     "SC clwb": lambda *sampling: dict(adaptive(*sampling), use_clwb=True),
     "SC-offline": lambda *sampling: {"sc_fixed_size": 4},
     "SC+victim:1": adaptive,
+    "SC+victim:2": adaptive,
     "SC+victim:16": adaptive,
     "SC+nhit:2": adaptive,
     "SC+cutoff:4": adaptive,
@@ -359,6 +360,75 @@ def test_coalesced_runs_match_the_per_event_engine(
             assert m_b.absorbed_stores + calls_b == touches
         if technique in ("SC+nhit:2", "SC+cutoff:4") or (technique == "ER" and traced):
             assert m_b.absorbed_stores == 0
+
+
+@st.composite
+def commit_heavy_streams(draw):
+    """Many short FASEs — one to four single-line stores each over ten
+    lines, some repeated, computation between — with loads and idle
+    stretches between the FASEs: most flushes are a commit's."""
+    fases = draw(
+        st.lists(
+            st.tuples(
+                st.lists(
+                    st.tuples(st.integers(0, 9), st.sampled_from([0, 0, 5, 995])),
+                    min_size=1,
+                    max_size=4,
+                ),
+                st.sampled_from([0, 0, 1, 40, 4000]),
+                st.sampled_from([None, None, 0, 3, 12]),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    events = []
+    for stores, idle, load in fases:
+        events.append(FaseBegin())
+        for j, (line, work) in enumerate(stores):
+            events.append(Store(NVRAM_BASE + line * 64 + (j % 8) * 8, 8))
+            if work:
+                events.append(Work(work))
+        events.append(FaseEnd())
+        if idle:
+            events.append(Work(idle))
+        if load is not None:
+            events.append(Load(NVRAM_BASE + load * 64, 8))
+    return events
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.lists(commit_heavy_streams(), min_size=1, max_size=3),
+    st.sampled_from(["LA", "AT", "SC", "SC-offline", "SC+victim:2", "SC clwb", "ER"]),
+    st.sampled_from([1, 2, 8]),
+    st.sampled_from([0, 100, 1900]),
+    # A small L1 writes lines back before their commit: clean flushes,
+    # after the commit's last write-back too when a set holds one line.
+    st.sampled_from([(512, 8), (8, 2), (4, 1)]),
+)
+def test_a_commit_is_one_flush_train(streams, technique, depth, service, l1):
+    """A FASE commit is one flush train and ER's stores never reach
+    ``on_store``: batched equals ``_process_event`` down to the L1
+    counters, and the untraced run equals the traced one, whose commits
+    flush line by line — the train's own oracle."""
+    config = MachineConfig(
+        timing=TimingModel(flush_queue_depth=depth, writeback_service=service),
+        l1_capacity_lines=l1[0],
+        l1_ways=l1[1],
+    )
+    observed = {}
+    for traced in (True, False):
+        for use_batches in (True, False):
+            machine, seen, calls, touches = run_engine(
+                streams, 4096, technique, 20, use_batches, config=config, traced=traced
+            )
+            observed[traced, use_batches] = dict(seen, jsonl=None)
+            if technique == "ER" and use_batches and not traced:
+                assert calls == 0
+                assert machine.absorbed_stores == touches
+    assert observed[True, True] == observed[True, False]
+    assert observed[False, True] == observed[False, False] == observed[True, True]
 
 
 A, B, C, D = (NVRAM_BASE + i * 64 for i in range(4))
@@ -501,13 +571,13 @@ def test_long_runs_are_entered_once_per_quantum():
     machine, _obs, calls, touches = run_engine([stream], 4096, "LA", 2, True)
     assert (touches, calls, machine.absorbed_stores) == (200, 4, 196)
     # Untraced, nothing observes the edges and no other thread waits at
-    # them: one quantum, one ``on_store`` — for ER too, whose 199 repeats
-    # are one train of flushes.
-    for technique in ("LA", "ER"):
+    # them: one quantum, one ``on_store`` — and none for ER, whose 200
+    # stores are one train of flushes.
+    for technique, once in (("LA", 1), ("ER", 0)):
         machine, obs, calls, touches = run_engine(
             [stream], 4096, technique, 2, True, traced=False
         )
-        assert (touches, calls, machine.absorbed_stores) == (200, 1, 199)
+        assert (touches, calls, machine.absorbed_stores) == (200, once, 200 - once)
     assert obs["threads"][0]["eager_flushes"] == 200
     # Two threads alternate at every edge while both can run — one call
     # per quantum each; the longer one's last 208 stores, when it is

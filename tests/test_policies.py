@@ -137,6 +137,34 @@ def test_best_never_flushes():
     assert port.async_calls == [] and port.sync_calls == []
 
 
+def test_store_skip_declarations_do_not_outlive_their_on_store():
+    """``on_store_noop`` and ``write_through`` let the machine skip
+    ``on_store``; a subclass with its own ``on_store`` is called again
+    unless it restates them."""
+
+    class CountingBest(BestTechnique):
+        def on_store(self, line):
+            pass
+
+    class CountingEager(EagerTechnique):
+        def on_store(self, line):
+            pass
+
+    class RestatedEager(EagerTechnique):
+        write_through = "eager"
+
+        def on_store(self, line):
+            self.port.flush_async(line, "eager")
+
+    class PlainEager(EagerTechnique):
+        cost_per_store = 5
+
+    assert (CountingBest.on_store_noop, CountingBest.write_through) == (False, None)
+    assert (CountingEager.on_store_noop, CountingEager.write_through) == (False, None)
+    assert RestatedEager.write_through == PlainEager.write_through == "eager"
+    assert BestTechnique.on_store_noop and EagerTechnique.write_through == "eager"
+
+
 def test_factory_known_names():
     for name in TECHNIQUES:
         kwargs = {"sc_fixed_size": 8} if name == "SC-offline" else {}
