@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, require_int
 from repro.locality.knee import SelectionPolicy, find_knees
 from repro.locality.mrc import MissRatioCurve
 from repro.locality.sampling import DEFAULT_BURST_LENGTH, BurstSampler
@@ -55,6 +55,7 @@ class AdaptiveConfig:
     analysis_cost_per_write: int = 3
 
     def __post_init__(self) -> None:
+        require_int("burst_length", self.burst_length, 2)
         if self.sample_cost < 0 or self.analysis_cost_per_write < 0:
             raise ConfigurationError("adaptation costs must be non-negative")
 

@@ -12,15 +12,20 @@ BEST      no flushes at all — not a correct technique, but the upper
 ========  =============================================================
 
 A technique instance is strictly per-thread (the machine builds one per
-thread through a factory).  The machine drives it through ``bind``,
-``on_store`` (or, for the repeats of a line-touch run that left the line
-dirty in L1, ``absorb_repeats``), ``on_fase_begin``/``on_fase_end``
-(outermost only) and ``finish``, and charges ``cost_per_store`` cycles
-of bookkeeping per persistent store.  Two attributes let it skip
-``on_store`` altogether: ``on_store_noop`` (the call does nothing) and
-``write_through`` (the call is one flush of the stored line, of that
-category); a subclass that overrides ``on_store`` without restating
-them gets the defaults back, so neither outlives the method it vouches for.
+thread through a factory).  LA, AT and SC are the paper's one model
+(§II-A, §II-B/Fig. 1): a store ``insert``s its line and may get back one
+line to flush, and the FASE end flushes what ``drain`` returns — with
+``clflush``, or ``clwb`` where ``invalidate`` is False.  The base class
+writes the machine's hooks ``on_store``, ``on_fase_begin``,
+``on_fase_end`` and ``finish`` in terms of those two, and ``buffered``
+lets the machine call ``insert``/``drain`` and flush itself.  It also
+calls ``absorb_repeats`` for the repeats of a line-touch run and charges
+``cost_per_store`` cycles per persistent store; ``on_store_noop`` (the
+call does nothing) and ``write_through`` (the call is one flush of the
+stored line, of that category) let it skip ``on_store``.  A subclass
+that defines a hook without restating the declarations vouching for it
+gets their defaults back, so none outlives its hooks (ER and the staged
+technique are driven through theirs).
 The per-store costs are read off the paper's Table IV instruction counts
 (per store: AT ~16-19, SC ~24 on top of the program's own ~62):
 BEST < ER < LA < AT < SC, with SC running ~8% more instructions than AT.
@@ -28,7 +33,7 @@ BEST < ER < LA < AT < SC, with SC running ~8% more instructions than AT.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Collection, Dict, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.cache.adaptive import AdaptiveConfig, AdaptiveController
@@ -37,7 +42,7 @@ from repro.cache.write_cache import WriteCombiningCache
 
 
 class PersistenceTechnique:
-    """Base class: the machine-facing protocol with no-op defaults."""
+    """Base class: the paper's buffer model, with an empty buffer."""
 
     name = "abstract"
     #: Bookkeeping cycles charged per persistent store.
@@ -52,15 +57,25 @@ class PersistenceTechnique:
     #: no other port call — so the machine may issue that flush itself,
     #: one train per line-touch run.  ``None``: ``on_store`` is called.
     write_through: Optional[str] = None
+    #: Vouches that the four hooks are the base class's: ``on_store`` is
+    #: ``insert`` plus an ``eviction`` flush of what it returns, ``on_fase_begin``
+    #: nothing, ``on_fase_end``/``finish`` a flush of what ``drain`` returns.
+    buffered = True
+    #: ``clflush`` (True) or ``clwb`` (False) for the model's flushes.
+    invalidate = True
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        # Both declarations vouch for one ``on_store``: a subclass that
-        # brings its own without restating them is called store by store.
-        if "on_store" in vars(cls):
+        # Each declaration vouches for hooks: a subclass that brings its
+        # own without restating it is driven through them.
+        own = vars(cls)
+        if "on_store" in own:
             for name, default in (("on_store_noop", False), ("write_through", None)):
-                if name not in vars(cls):
+                if name not in own:
                     setattr(cls, name, default)
+        hooks = {"on_store", "on_fase_begin", "on_fase_end", "finish"}
+        if "buffered" not in own and not hooks.isdisjoint(own):
+            cls.buffered = False
 
     def __init__(self) -> None:
         self.port = None
@@ -69,8 +84,19 @@ class PersistenceTechnique:
         """Attach the machine's per-thread flush port."""
         self.port = port
 
+    def insert(self, line: int) -> Optional[int]:
+        """Buffer ``line``; return a line it evicted, to be flushed."""
+        return None
+
+    def drain(self) -> Collection[int]:
+        """Empty the buffer; return its lines, to be flushed."""
+        return ()
+
     def on_store(self, line: int) -> None:
         """A persistent store touched ``line``."""
+        evicted = self.insert(line)
+        if evicted is not None:
+            self.port.flush_async(evicted, "eviction", invalidate=self.invalidate)
 
     def absorb_repeats(self, line: int, n: int) -> bool:
         """Take the ``n`` stores that repeat ``on_store(line)`` in one step.
@@ -92,9 +118,15 @@ class PersistenceTechnique:
 
     def on_fase_end(self) -> None:
         """An outermost FASE ended — persistence point."""
+        lines = self.drain()
+        if lines:
+            self.port.flush_sync(lines, "fase_end", invalidate=self.invalidate)
 
     def finish(self) -> None:
         """The thread's stream ended; make remaining data durable."""
+        lines = self.drain()
+        if lines:
+            self.port.flush_sync(lines, "final", invalidate=self.invalidate)
 
 
 class EagerTechnique(PersistenceTechnique):
@@ -128,21 +160,15 @@ class LazyTechnique(PersistenceTechnique):
         super().__init__()
         self._pending: Dict[int, None] = {}
 
-    def on_store(self, line: int) -> None:
+    def insert(self, line: int) -> None:
         self._pending[line] = None
+
+    def drain(self) -> Dict[int, None]:
+        lines, self._pending = self._pending, {}
+        return lines
 
     def absorb_repeats(self, line: int, n: int) -> bool:
         return True  # the line is already pending
-
-    def on_fase_end(self) -> None:
-        if self._pending:
-            self.port.flush_sync(self._pending.keys(), "fase_end")
-            self._pending.clear()
-
-    def finish(self) -> None:
-        if self._pending:
-            self.port.flush_sync(self._pending.keys(), "final")
-            self._pending.clear()
 
 
 class AtlasTechnique(PersistenceTechnique):
@@ -154,25 +180,12 @@ class AtlasTechnique(PersistenceTechnique):
     def __init__(self, table_size: int = ATLAS_TABLE_SIZE) -> None:
         super().__init__()
         self.table = AtlasTable(table_size)
-
-    def on_store(self, line: int) -> None:
-        evicted = self.table.access(line)
-        if evicted is not None:
-            self.port.flush_async(evicted, "eviction")
+        self.insert = self.table.access
+        self.drain = self.table.drain
 
     def absorb_repeats(self, line: int, n: int) -> bool:
         self.table.hits += n  # the line now owns its slot
         return True
-
-    def on_fase_end(self) -> None:
-        lines = self.table.drain()
-        if lines:
-            self.port.flush_sync(lines, "fase_end")
-
-    def finish(self) -> None:
-        lines = self.table.drain()
-        if lines:
-            self.port.flush_sync(lines, "final")
 
 
 class SoftwareCacheTechnique(PersistenceTechnique):
@@ -199,24 +212,15 @@ class SoftwareCacheTechnique(PersistenceTechnique):
         super().__init__()
         self.cache = WriteCombiningCache(initial_size)
         self.controller = controller
-        self.use_clwb = use_clwb
+        self.invalidate = not use_clwb
         self.shared_size = shared_size
         if name is not None:
             self.name = name
+        self.drain = self.cache.drain
         if controller is None and shared_size is None:
-            # Fixed-size operation (SC-offline): shadow on_store with a
-            # closure that skips the adaptation checks and the self.cache
-            # lookup on every store (the port resolves late: it is only
-            # needed on the rare eviction, and bind() comes later).
-            cache_access = self.cache.access
-            invalidate = not use_clwb
-
-            def _fixed_on_store(line: int) -> None:
-                evicted = cache_access(line)
-                if evicted is not None:
-                    self.port.flush_async(evicted, "eviction", invalidate=invalidate)
-
-            self.on_store = _fixed_on_store
+            # Fixed-size operation (SC-offline): nothing adapts, so a
+            # store is the cache's own access.
+            self.insert = self.cache.access
 
     def bind(self, port) -> None:
         super().bind(port)
@@ -233,9 +237,9 @@ class SoftwareCacheTechnique(PersistenceTechnique):
             # resize rather than to capacity pressure; the machine still
             # counts them as eviction flushes (same site class, same
             # RunResult totals).
-            port.flush_async(evicted, "resize_eviction", invalidate=not self.use_clwb)
+            port.flush_async(evicted, "resize_eviction", invalidate=self.invalidate)
 
-    def on_store(self, line: int) -> None:
+    def insert(self, line: int) -> Optional[int]:
         port = self.port
         controller = self.controller
         if controller is not None and not controller.sampler.done:  # fast gate
@@ -254,9 +258,7 @@ class SoftwareCacheTechnique(PersistenceTechnique):
             published = self.shared_size.current
             if published is not None and published != self.cache.capacity:
                 self._resize(published)
-        evicted = self.cache.access(line)
-        if evicted is not None:
-            port.flush_async(evicted, "eviction", invalidate=not self.use_clwb)
+        return self.cache.access(line)
 
     def absorb_repeats(self, line: int, n: int) -> bool:
         controller = self.controller
@@ -269,22 +271,12 @@ class SoftwareCacheTechnique(PersistenceTechnique):
                 return False
             if sampled:
                 port.add_adaptation_cost(sampled * controller.config.sample_cost)
-        # The line is the cache's newest entry — even when ``on_store``
+        # The line is the cache's newest entry — even when ``insert``
         # resized it out first, which the machine sees as a line no
         # longer dirty in L1 — and a size published by another thread
         # cannot arrive inside this thread's quantum.
         self.cache.hits += n
         return True
-
-    def on_fase_end(self) -> None:
-        lines = self.cache.drain()
-        if lines:
-            self.port.flush_sync(lines, "fase_end", invalidate=not self.use_clwb)
-
-    def finish(self) -> None:
-        lines = self.cache.drain()
-        if lines:
-            self.port.flush_sync(lines, "final", invalidate=not self.use_clwb)
 
 
 class SharedSizeState:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import require_int
 
 #: Atlas's table size ("The software solution is pioneered in Atlas as a
 #: 8-entry table", §V).
@@ -29,8 +29,7 @@ class AtlasTable:
     __slots__ = ("size", "slots", "hits", "misses", "conflicts")
 
     def __init__(self, size: int = ATLAS_TABLE_SIZE) -> None:
-        if size < 1:
-            raise ConfigurationError("table size must be >= 1")
+        require_int("table_size", size, 1)
         self.size = size
         self.slots: List[Optional[int]] = [None] * size
         self.hits = 0

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, Optional
 
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.errors import SimulationError, require_int
 
 
 class WriteCombiningCache:
@@ -42,8 +42,7 @@ class WriteCombiningCache:
     )
 
     def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ConfigurationError("capacity must be >= 1")
+        require_int("capacity", capacity, 1)
         self._lines: OrderedDict[int, None] = OrderedDict()
         self.capacity = capacity
         self.hits = 0
@@ -112,8 +111,7 @@ class WriteCombiningCache:
 
     def resize(self, capacity: int) -> List[int]:
         """Change capacity; return lines evicted by a shrink (LRU first)."""
-        if capacity < 1:
-            raise ConfigurationError("capacity must be >= 1")
+        require_int("capacity", capacity, 1)
         lines = self._lines
         evicted = [lines.popitem(last=False)[0] for _ in range(len(lines) - capacity)]
         self.evictions += len(evicted)

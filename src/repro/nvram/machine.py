@@ -23,9 +23,9 @@ machine calls ``bind(port)``, ``on_store(line)``, ``on_fase_begin()``,
 ``on_fase_end()`` (outermost FASEs only) and ``finish()``, and reads the
 ``cost_per_store`` attribute for per-store bookkeeping cycles.  The
 batched loop also reads the ``on_store_noop`` and ``write_through``
-attributes and calls ``absorb_repeats``: the three members that let it
-skip ``on_store`` calls.  A technique's ``flush_sync`` is one call here,
-a FASE commit one flush train.
+attributes and calls ``absorb_repeats``, which let it skip ``on_store``,
+and drives a ``buffered`` technique through ``insert``/``drain``, issuing
+its flushes itself.  A FASE commit is one flush train.
 """
 
 from __future__ import annotations
@@ -550,20 +550,9 @@ class Machine:
             now, stall = ctx.flushq.issue(stats.cycles)
             stats.cycles = now
             stats.stall_cycles += stall
-        rec = self.recorder
-        if rec.enabled:
+        if self.recorder.enabled:
             cause = _EVICT_TRACE_CAUSE.get(category)
-            if cause is not None:
-                rec.record(
-                    EV_EVICT_FLUSH,
-                    ctx.thread_id,
-                    stats.cycles,
-                    line,
-                    int(dirty),
-                    cause,
-                )
-            if stall:
-                rec.record(EV_STALL, ctx.thread_id, stats.cycles, stall, 0)
+            self._record_flush(ctx.thread_id, stats.cycles, line, dirty, cause, stall)
         # An explicit flush of ``line`` forces any earlier write-back of
         # the same line to have completed (same-line ordering), so it is
         # no longer droppable by a reordered_flush crash.
@@ -575,6 +564,14 @@ class Machine:
             site = _FLUSH_SITE.get(category)
             if site is not None:
                 self._note_site(ctx, site)
+
+    def _record_flush(self, tid, now, line, dirty, cause, stall) -> None:
+        """Trace a flush: its ``evict_flush`` (given a ``cause``) and ``stall``."""
+        rec = self.recorder
+        if cause is not None:
+            rec.record(EV_EVICT_FLUSH, tid, now, line, int(dirty), cause)
+        if stall:
+            rec.record(EV_STALL, tid, now, stall, 0)
 
     def _do_drain(self, ctx: _ThreadContext, category: str = "final") -> None:
         stats = ctx.stats
@@ -724,18 +721,21 @@ class Machine:
         technique declines, or values are tracked, the run's other
         events execute one by one in an inner loop.
 
-        *Write-through runs.*  A technique whose every persistent store
-        is one ``flush_async(line, category)`` says so (``write_through
-        = category``; ER's is ``"eager"``), and while nothing observes
-        flushes one by one its stores never enter ``on_store``: the head
-        store's access, the ``clflush`` of the line it dirtied, and per
-        repeat a miss-fill into the way that flush vacated, one more
-        flush and one queue slot — one train of ``n + 1`` write-backs
-        over the cycles between consecutive flushes
-        (:meth:`FlushQueue.issue_every` when those are all equal), plus
-        bulk counters (DESIGN.md §8).  :meth:`_process_event` never
-        coalesces and stays the oracle; ``absorbed_stores`` counts the
-        ``on_store`` calls this loop skipped, either way.
+        *Flushes issued here* (DESIGN.md §8).  A technique whose every
+        store is one ``flush_async(line, category)`` says so
+        (``write_through``; ER's is ``"eager"``), and while nothing
+        observes flushes one by one its runs never enter ``on_store``:
+        the head's access and ``clflush``, per repeat a miss-fill into the
+        way that vacated, one more flush and queue slot — one train of
+        ``n + 1`` write-backs (:meth:`FlushQueue.issue_every` when the
+        gaps are equal) and bulk counters.  A ``buffered`` technique's
+        head store is its ``insert``, whose victim — never the head line,
+        so the ``stats.flushes`` test holds — is flushed here as
+        :meth:`_do_flush` would, records included (with tracked values,
+        ``on_store`` and the port do it); a commit hands ``drain()`` to
+        :meth:`_flush_sync`.  :meth:`_process_event` never coalesces and
+        stays the oracle; ``absorbed_stores`` counts the stores that
+        never entered the technique.
 
         The hot ``ThreadStats`` counters are accumulated in locals.
         ``stats.cycles`` is written back before every point that can
@@ -798,6 +798,12 @@ class Machine:
             None if write_through is None else _FLUSH_COUNTER[write_through]
         )
         clflush = hw.clflush
+        # The buffer model: evictions are issued here unless a payload is observed.
+        drain = technique.drain if getattr(technique, "buffered", False) else None
+        inline = drain is not None and not (track_values or self._record_inflight)
+        insert = technique.insert if inline and not skip_on_store else None
+        invalidate = getattr(technique, "invalidate", True)
+        evict_line = clflush if invalidate else hw.clwb
         flushq = ctx.flushq
         issue = flushq.issue
         issue_train = flushq.issue_train
@@ -828,7 +834,7 @@ class Machine:
         persistent_stores = stats.persistent_stores
         persistent_loads = stats.persistent_loads
         fase_count = stats.fase_count
-        absorbed = repeats = flushed = through = 0
+        absorbed = repeats = flushed = through = evictions = 0
         try:
             while budget > 0:
                 batch = ctx.batch
@@ -901,7 +907,25 @@ class Machine:
                         if track_values:
                             hw.store_value(arg, args[i], None)
                         flushes = stats.flushes
-                        if not skip_on_store:
+                        if insert is not None:
+                            # A sampling SC charges samples and resizes in here.
+                            stats.cycles = cycles
+                            victim = insert(arg)
+                            cycles = stats.cycles
+                            if victim is not None:
+                                # Its eviction flush, as ``_do_flush`` issues it.
+                                cycles += flush_issue
+                                evictions += 1
+                                stall = 0
+                                dirty = evict_line(victim)
+                                if dirty:
+                                    cycles, stall = issue(cycles)
+                                    stats.stall_cycles += stall
+                                if recording:
+                                    self._record_flush(
+                                        thread_id, cycles, victim, dirty, 0, stall
+                                    )
+                        elif not skip_on_store:
                             stats.cycles = cycles
                             on_store(arg)
                             cycles = stats.cycles
@@ -990,9 +1014,10 @@ class Machine:
                                 recorder.record(
                                     EV_FASE_BEGIN, thread_id, cycles, ctx.fase_uid
                                 )
-                            stats.cycles = cycles
-                            technique.on_fase_begin()
-                            cycles = stats.cycles
+                            if drain is None:
+                                stats.cycles = cycles
+                                technique.on_fase_begin()
+                                cycles = stats.cycles
                         continue
                     elif code == kind_fase_end:
                         if ctx.fase_depth == 0:
@@ -1004,7 +1029,10 @@ class Machine:
                         if ctx.fase_depth == 0:
                             ctx.commit_fase_uid = ctx.fase_uid
                             stats.cycles = cycles
-                            technique.on_fase_end()
+                            if drain is None:
+                                technique.on_fase_end()
+                            elif lines := drain():
+                                self._flush_sync(ctx, lines, "fase_end", invalidate)
                             cycles = stats.cycles
                             fase_count += 1
                             if recording:
@@ -1068,12 +1096,14 @@ class Machine:
             return True
         finally:
             stats.cycles = cycles
-            stats.instructions += instructions
+            stats.instructions += instructions + evictions
             self._stores_seen += persistent_stores - stats.persistent_stores
             stats.persistent_stores = persistent_stores
             stats.persistent_loads = persistent_loads
             stats.fase_count = fase_count
             self.absorbed_stores += absorbed
+            stats.flushes += evictions
+            stats.eviction_flushes += evictions
             if repeats:
                 hw.repeat_stores(repeats)
             if through:

@@ -68,6 +68,24 @@ def test_hostile_machine_fields_are_typed_errors_naming_them():
             HarnessConfig(**kwargs)
 
 
+def test_hostile_technique_params_are_typed_errors_naming_them():
+    """``sc_fixed_size=2.5`` used to run as capacity 2 and ``True`` as a
+    capacity of ``True``; ``AtlasTable(2.0)`` escaped as a TypeError; a
+    fractional burst ran to a result."""
+    from repro.cache.adaptive import AdaptiveConfig
+    from repro.cache.spec import technique_factory
+    from repro.cache.table import AtlasTable
+
+    for build, field in [
+        (lambda: technique_factory("SC-offline", sc_fixed_size=2.5)(0), "capacity"),
+        (lambda: technique_factory("SC-offline", sc_fixed_size=True)(0), "capacity"),
+        (lambda: AtlasTable(2.0), "table_size"),
+        (lambda: AdaptiveConfig(burst_length=2.5), "burst_length"),
+    ]:
+        with pytest.raises(ConfigurationError, match=field):
+            build()
+
+
 def test_run_is_bit_identical_to_hand_wired_machine():
     """api.run vs the raw Machine + technique_factory spelling, LA technique
     (no profile-derived kwargs, so the legacy path is fully explicit)."""

@@ -274,17 +274,20 @@ def run_engine(streams, chunk, technique, burst, use_batches, **run_kwargs):
     inner = technique_factory(
         technique.split()[0], **RUN_TECHNIQUES[technique](burst, skip, hibernation)
     )
-    made, on_store_calls = [], [0]
+    made, entered = [], [0]
 
     def factory(tid):
+        # A store enters a buffered technique at ``insert`` (the batched
+        # loop calls it, and so does ``on_store``), any other at ``on_store``.
         instance = inner(tid)
-        on_store = instance.on_store
+        hook = "insert" if instance.buffered else "on_store"
+        call = getattr(instance, hook)
 
         def counted(line):
-            on_store_calls[0] += 1
-            on_store(line)
+            entered[0] += 1
+            return call(line)
 
-        instance.on_store = counted
+        setattr(instance, hook, counted)
         made.append(instance)
         return instance
 
@@ -314,7 +317,7 @@ def run_engine(streams, chunk, technique, burst, use_batches, **run_kwargs):
         "atlas_tables": [(t.hits, t.misses, t.conflicts) for t in tables if t is not None],
     }
     touches = sum(t.n for t in result.traces)
-    return machine, observed, on_store_calls[0], touches
+    return machine, observed, entered[0], touches
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -429,6 +432,104 @@ def test_a_commit_is_one_flush_train(streams, technique, depth, service, l1):
                 assert machine.absorbed_stores == touches
     assert observed[True, True] == observed[True, False]
     assert observed[False, True] == observed[False, False] == observed[True, True]
+
+
+@st.composite
+def eviction_heavy_streams(draw):
+    """Short runs over 24 persistent lines — more than AT's eight slots
+    and SC's eight (SC-offline's four) entries — in and between FASEs,
+    with computation and loads: most head stores evict."""
+    pieces = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 23),
+                st.sampled_from([1, 1, 2, 5]),
+                st.sampled_from([0, 0, 3, 995]),
+                st.sampled_from([None, None, None, "load", "begin", "end"]),
+            ),
+            min_size=1,
+            max_size=80,
+        )
+    )
+    events = []
+    depth = 0
+    for line, length, work, extra in pieces:
+        base = NVRAM_BASE + line * 64
+        events += [Store(base + (j % 8) * 8, 8) for j in range(length)]
+        if work:
+            events.append(Work(work))
+        if extra == "load":
+            events.append(Load(base, 8))
+        elif extra == "begin":
+            events.append(FaseBegin())
+            depth += 1
+        elif extra == "end" and depth:
+            events.append(FaseEnd())
+            depth -= 1
+    events.extend(FaseEnd() for _ in range(depth))
+    return events
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    st.lists(eviction_heavy_streams(), min_size=1, max_size=3),
+    st.sampled_from(["AT", "SC", "SC-offline", "SC clwb", "SC+victim:2"]),
+    st.sampled_from([7, 64, 4096]),
+    st.sampled_from([1, 2, 8]),
+    st.sampled_from([0, 100, 1900]),
+    st.sampled_from([(512, 8), (8, 2)]),
+)
+def test_an_eviction_flush_is_issued_inline_as_the_port_issues_it(
+    streams, technique, chunk, depth, service, l1
+):
+    """The batched loop flushes what a buffered technique's ``insert``
+    evicts on its own locals: batched equals ``_process_event`` down to
+    the L1 counters, traced (the JSONL byte for byte) and untraced, and
+    the untraced run equals the traced one."""
+    config = MachineConfig(
+        timing=TimingModel(flush_queue_depth=depth, writeback_service=service),
+        l1_capacity_lines=l1[0],
+        l1_ways=l1[1],
+    )
+    observed = {}
+    for traced in (True, False):
+        for use_batches in (True, False):
+            observed[traced, use_batches] = run_engine(
+                streams, chunk, technique, 20, use_batches, config=config, traced=traced
+            )[1]
+    assert observed[True, True] == observed[True, False]
+    untraced = dict(observed[False, True], jsonl=None)
+    assert untraced == dict(observed[False, False], jsonl=None)
+    assert untraced == dict(observed[True, True], jsonl=None)
+
+
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("technique", ["AT", "SC-offline", "SC clwb"])
+def test_a_batched_eviction_never_reaches_the_port(technique, traced, monkeypatch):
+    """A count, not a timing: every eviction of a store that heads its
+    visit is the loop's own, and the per-event engine's go through
+    ``flush_async`` one by one."""
+    from repro.nvram.machine import FlushPort
+
+    port_evictions = [0]
+    flush_async = FlushPort.flush_async
+
+    def spy(self, line, category="eviction", invalidate=True):
+        port_evictions[0] += category == "eviction"
+        flush_async(self, line, category, invalidate)
+
+    monkeypatch.setattr(FlushPort, "flush_async", spy)
+    stream = [FaseBegin()] + [
+        Store(NVRAM_BASE + (k * 7 % 24) * 64 + j * 8, 8)
+        for k in range(300)
+        for j in range(k % 3 + 1)
+    ] + [FaseEnd()]
+    for use_batches in (True, False):
+        port_evictions[0] = 0
+        seen = run_engine([stream], 4096, technique, 20, use_batches, traced=traced)[1]
+        evictions = seen["threads"][0]["eviction_flushes"]
+        assert evictions > 200
+        assert port_evictions[0] == (0 if use_batches else evictions)
 
 
 A, B, C, D = (NVRAM_BASE + i * 64 for i in range(4))
@@ -566,12 +667,12 @@ def test_a_quantum_that_opens_on_work_inside_a_run():
 
 def test_long_runs_are_entered_once_per_quantum():
     """The point of the exercise, as a count: 200 stores to one line cost
-    LA one ``on_store`` per 64-event quantum, not 200."""
+    LA one ``insert`` per 64-event quantum, not 200."""
     stream = [Store(NVRAM_BASE + (j % 8) * 8, 8) for j in range(200)]
     machine, _obs, calls, touches = run_engine([stream], 4096, "LA", 2, True)
     assert (touches, calls, machine.absorbed_stores) == (200, 4, 196)
     # Untraced, nothing observes the edges and no other thread waits at
-    # them: one quantum, one ``on_store`` — and none for ER, whose 200
+    # them: one quantum, one ``insert`` — and no ``on_store`` for ER, whose 200
     # stores are one train of flushes.
     for technique, once in (("LA", 1), ("ER", 0)):
         machine, obs, calls, touches = run_engine(

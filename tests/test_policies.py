@@ -165,6 +165,92 @@ def test_store_skip_declarations_do_not_outlive_their_on_store():
     assert BestTechnique.on_store_noop and EagerTechnique.write_through == "eager"
 
 
+@pytest.mark.parametrize("hook", ["on_store", "on_fase_begin", "on_fase_end", "finish"])
+def test_the_buffer_declaration_does_not_outlive_its_hooks(hook):
+    """``buffered`` lets the machine call ``insert``/``drain`` in place of
+    the four hooks; a subclass that brings any of them is driven through
+    its hooks unless it restates the declaration."""
+    own = type("OwnHook", (SoftwareCacheTechnique,), {hook: lambda self, *a: None})
+    restated = type(
+        "Restated", (AtlasTechnique,), {hook: lambda self, *a: None, "buffered": True}
+    )
+    assert not own.buffered and restated.buffered
+
+    class Resized(SoftwareCacheTechnique):
+        def insert(self, line):
+            return super().insert(line)
+
+        def drain(self):
+            return super().drain()
+
+    assert Resized.buffered and LazyTechnique.buffered and BestTechnique.buffered
+    assert not EagerTechnique.buffered
+
+
+def test_buffered_hooks_are_insert_and_drain():
+    """``on_store``/``on_fase_end``/``finish`` as the machine sees them
+    through the port: evictions and drains both read ``invalidate``."""
+    calls = []
+
+    class InvalidatePort(FakePort):
+        def flush_async(self, line, category="eviction", invalidate=True):
+            calls.append((line, category, invalidate))
+
+        def flush_sync(self, lines, category="fase_end", invalidate=True):
+            calls.append((tuple(lines), category, invalidate))
+
+    t = SoftwareCacheTechnique(initial_size=1, name="SC-offline", use_clwb=True)
+    t.bind(InvalidatePort())
+    assert t.insert == t.cache.access and not t.invalidate
+    for line in (1, 2):
+        t.on_store(line)
+    t.on_fase_end()
+    t.on_store(3)
+    t.finish()
+    assert calls == [
+        (1, "eviction", False), ((2,), "fase_end", False), ((3,), "final", False)
+    ]
+
+
+def test_the_batched_loop_calls_the_instance_insert():
+    """SC-offline's ``insert`` is its cache's bound ``access``; whatever an
+    instance holds under ``insert`` is what a store enters."""
+    from repro.common.events import FaseBegin, FaseEnd, Store, batches_from_events
+    from repro.nvram.machine import Machine, MachineConfig
+    from repro.nvram.memory import NVRAM_BASE
+    from repro.workloads.base import Workload
+
+    lines = [0, 1, 2, 0, 3, 3, 1]
+    events = [FaseBegin(), *(Store(NVRAM_BASE + 64 * k, 8) for k in lines), FaseEnd()]
+
+    class Stores(Workload):
+        name = "stores"
+
+        def streams(self, num_threads, seed):
+            return [iter(events)]
+
+        def batch_streams(self, num_threads, seed):
+            return [batches_from_events(iter(events), 64)]
+
+    def factory(tid):
+        t = technique_factory("SC-offline", sc_fixed_size=2)(tid)
+        access = t.insert
+
+        def insert(line):
+            entered.append(line - (NVRAM_BASE >> 6))
+            return access(line)
+
+        t.insert = insert
+        return t
+
+    for use_batches, want in ((False, lines), (True, [0, 1, 2, 0, 3, 1])):
+        entered = []
+        machine = Machine(MachineConfig())
+        result = machine.run(Stores(), factory, use_batches=use_batches)
+        assert entered == want      # batched: the repeat of 3 is absorbed
+        assert result.threads[0].eviction_flushes == 4
+
+
 def test_factory_known_names():
     for name in TECHNIQUES:
         kwargs = {"sc_fixed_size": 8} if name == "SC-offline" else {}

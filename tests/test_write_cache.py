@@ -80,6 +80,8 @@ def test_validation():
     c = WriteCombiningCache(2)
     with pytest.raises(ConfigurationError):
         c.resize(0)
+    with pytest.raises(ConfigurationError, match="capacity must be an int"):
+        c.resize(2.0)
 
 
 def test_hit_ratio():
