@@ -63,7 +63,7 @@ class RunSpec:
     ``RunSpec(workload="mdb")`` reproduces what the CLI would run.
 
     ``technique`` accepts a base name (``"SC"``), a composed spec string
-    (``"SC+nhit:2+clean+victim:16"``) or a
+    (``"SC+victim:16"``) or a
     :class:`~repro.cache.spec.TechniqueSpec`; it is normalized to the
     canonical spec string through the one parser
     (:meth:`TechniqueSpec.parse`), which is also where a bad spec fails,
@@ -84,7 +84,7 @@ class RunSpec:
     def __post_init__(self) -> None:
         # One parser for every entry point: accept a spec string or a
         # TechniqueSpec and store the canonical spec string, so equal
-        # configurations hash equal ("SC+clean" == "SC+clean:4").
+        # configurations hash equal ("SC+victim" == "SC+victim:16").
         object.__setattr__(
             self, "technique", str(TechniqueSpec.parse(self.technique))
         )

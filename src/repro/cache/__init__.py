@@ -11,8 +11,8 @@
   SC, SC-offline and BEST.
 - :mod:`repro.cache.spec` — the declarative ``BASE+stage:param`` spec
   grammar and the one technique factory every entry point uses.
-- :mod:`repro.cache.stages` — the composable policy stages (nhit
-  promotion, sequential cutoff, background cleaning, victim cache).
+- :mod:`repro.cache.stages` — the composable policy stage (a victim
+  cache behind SC).
 """
 
 from repro.cache.write_cache import WriteCombiningCache

@@ -1,12 +1,12 @@
 """Declarative technique specs: the ``BASE+stage:param`` grammar.
 
-The paper evaluates six monolithic techniques, but real NVRAM cache
-stacks compose orthogonal policies — background cleaning, promotion
-filters, sequential cutoff, victim caching (Open-CAS ALRU/ACP, "Writes
-Hurt" admission, NVCache write-bypass).  :class:`TechniqueSpec` is the
-one parser every entry point (harness, CLI, ``repro.api``, fault
-campaigns) routes through: a frozen, serializable value
-describing a base technique plus an ordered stack of policy stages.
+The paper evaluates six monolithic techniques; a spec may stack a
+policy stage on top of one.  :class:`TechniqueSpec` is the one parser
+every entry point (harness, CLI, ``repro.api``, fault campaigns) routes
+through: a frozen, serializable value describing a base technique plus
+an ordered stack of policy stages.  The one stage is ``victim`` (a
+victim cache behind SC); ``nhit``, ``cutoff`` and ``clean`` were
+removed, and naming one is an error that says so.
 
 Grammar (see DESIGN.md §14)::
 
@@ -14,14 +14,13 @@ Grammar (see DESIGN.md §14)::
     base   := "ER" | "LA" | "AT" | "SC" | "SC-offline" | "BEST"
     stage  := name (":" int)?          # int >= 0; omitted -> default
 
-Examples: ``SC``, ``SC+clean``, ``SC+nhit:2+clean+victim:16``.
+Examples: ``SC``, ``SC+victim``, ``SC-offline+victim:4``.
 
 ``parse``/``format`` round-trip exactly (property-tested with
 hypothesis); ``to_dict``/``from_dict`` give the deterministic form used
 for :class:`~repro.experiments.cache.ResultCache` sha256 keys.
-Degenerate stage parameters
-(``victim:0``, ``clean:0``, ``nhit:0``/``nhit:1``, ``cutoff:0``) are
-dropped at factory time, so e.g. ``SC+victim:0`` builds the *same* bare
+A degenerate stage parameter (``victim:0``) is dropped at factory time,
+so ``SC+victim:0`` builds the *same* bare
 :class:`~repro.cache.policies.SoftwareCacheTechnique` as plain ``SC``
 and produces bit-identical results.
 """
@@ -29,9 +28,9 @@ and produces bit-identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, require_int
 from repro.cache.adaptive import AdaptiveConfig
 from repro.cache.table import ATLAS_TABLE_SIZE
 from repro.cache.policies import TECHNIQUES, PersistenceTechnique, _base_factory
@@ -47,8 +46,8 @@ class StageInfo:
     #: the factory drops such stages so degenerate specs build the bare
     #: base technique (bit-identical results to the un-staged spec).
     noop_below: int
-    #: Base techniques the stage composes with (``None`` = any base).
-    bases: Optional[Tuple[str, ...]]
+    #: Base techniques the stage composes with.
+    bases: Tuple[str, ...]
     param_doc: str
     doc: str
 
@@ -57,42 +56,6 @@ class StageInfo:
 STAGES: Dict[str, StageInfo] = {
     info.name: info
     for info in (
-        StageInfo(
-            name="nhit",
-            default=2,
-            noop_below=2,
-            bases=None,
-            param_doc="touches required before a line is admitted",
-            doc=(
-                "promotion filter: hand a line to the base technique only "
-                "after it has been stored N times; colder lines bypass "
-                "straight to flush_async"
-            ),
-        ),
-        StageInfo(
-            name="cutoff",
-            default=8,
-            noop_below=1,
-            bases=None,
-            param_doc="consecutive-line run length that triggers bypass",
-            doc=(
-                "sequential cutoff: detect streaming store runs of "
-                "consecutive lines and bypass the base technique straight "
-                "to flush_async"
-            ),
-        ),
-        StageInfo(
-            name="clean",
-            default=4,
-            noop_below=1,
-            bases=("SC", "SC-offline"),
-            param_doc="LRU-tail lines flushed per idle scheduler quantum",
-            doc=(
-                "background cleaning (ALRU/ACP-style): when the flush "
-                "queue is idle at a scheduler quantum boundary, flush up "
-                "to N LRU-tail lines out of the software cache"
-            ),
-        ),
         StageInfo(
             name="victim",
             default=16,
@@ -109,15 +72,31 @@ STAGES: Dict[str, StageInfo] = {
 }
 
 
+#: Stages that composed here once and were deleted: by the policy zoo's
+#: own numbers none was worth its code over plain SC (DESIGN.md §14).
+REMOVED_STAGES = ("nhit", "cutoff", "clean")
+
+
+def _stage_info(name: str, text: str) -> StageInfo:
+    """The registry entry of stage ``name`` in spec ``text``."""
+    info = STAGES.get(name)
+    if info is not None:
+        return info
+    if name in REMOVED_STAGES:
+        raise ConfigurationError(
+            f"policy stage {name!r} in technique spec {text!r} was removed "
+            f"(DESIGN.md §14); the stages are {tuple(STAGES)}"
+        )
+    raise ConfigurationError(
+        f"unknown policy stage {name!r} in technique spec {text!r}; "
+        f"expected one of {tuple(STAGES)}"
+    )
+
+
 def _parse_stage_token(token: str, text: str) -> Tuple[str, int]:
     """Decode one ``name`` / ``name:int`` stage token of spec ``text``."""
     name, sep, param_text = token.partition(":")
-    info = STAGES.get(name)
-    if info is None:
-        raise ConfigurationError(
-            f"unknown policy stage {name!r} in technique spec {text!r}; "
-            f"expected one of {tuple(STAGES)}"
-        )
+    info = _stage_info(name, text)
     if not sep:
         return name, info.default
     try:
@@ -150,29 +129,19 @@ class TechniqueSpec:
             raise ConfigurationError(
                 f"unknown technique {self.base!r}; expected one of {TECHNIQUES}"
             )
-        stages = tuple((str(n), int(p)) for n, p in self.stages)
+        stages = tuple((str(n), p) for n, p in self.stages)
         object.__setattr__(self, "stages", stages)
+        text = self._format(self.base, stages)
         seen = set()
         for name, param in stages:
-            info = STAGES.get(name)
-            if info is None:
-                raise ConfigurationError(
-                    f"unknown policy stage {name!r} in technique spec "
-                    f"{self._format(self.base, stages)!r}; expected one of "
-                    f"{tuple(STAGES)}"
-                )
+            info = _stage_info(name, text)
             if name in seen:
                 raise ConfigurationError(
-                    f"duplicate policy stage {name!r} in technique spec "
-                    f"{self._format(self.base, stages)!r}"
+                    f"duplicate policy stage {name!r} in technique spec {text!r}"
                 )
             seen.add(name)
-            if param < 0:
-                raise ConfigurationError(
-                    f"stage {name!r} parameter must be >= 0 "
-                    f"({info.param_doc}), got {param}"
-                )
-            if info.bases is not None and self.base not in info.bases:
+            require_int(f"stage {name!r} parameter ({info.param_doc})", param, 0)
+            if self.base not in info.bases:
                 raise ConfigurationError(
                     f"stage {name!r} requires a base technique in "
                     f"{info.bases}, not {self.base!r}"
@@ -263,13 +232,13 @@ def list_techniques() -> Dict:
             info.name: {
                 "default": info.default,
                 "noop_below": info.noop_below,
-                "bases": list(info.bases) if info.bases is not None else list(TECHNIQUES),
+                "bases": list(info.bases),
                 "param": info.param_doc,
                 "doc": info.doc,
             }
             for info in STAGES.values()
         },
-        "grammar": "BASE(+stage(:int)?)*  e.g. SC+nhit:2+clean+victim:16",
+        "grammar": "BASE(+stage(:int)?)*  e.g. SC+victim:16",
     }
 
 
@@ -287,7 +256,7 @@ def technique_factory(
 
     Accepts a spec string or :class:`TechniqueSpec`; the keyword
     context configures the *base* technique.  Specs whose stages are
-    all no-ops (``SC+victim:0``, zero-budget ``clean``) return the bare
+    all no-ops (``SC+victim:0``) return the bare
     base factory, so their results are bit-identical to the un-staged
     spec.
     """
@@ -309,8 +278,6 @@ def technique_factory(
     name = str(parsed)
 
     def factory(tid: int) -> PersistenceTechnique:
-        return StagedTechnique(
-            base_factory(tid), name=name, stages=active, use_clwb=use_clwb
-        )
+        return StagedTechnique(base_factory(tid), name=name, stages=active)
 
     return factory

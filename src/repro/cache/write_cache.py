@@ -38,7 +38,6 @@ class WriteCombiningCache:
         "resize_evictions",
         "resizes",
         "drains",
-        "cleans",
     )
 
     def __init__(self, capacity: int) -> None:
@@ -51,7 +50,6 @@ class WriteCombiningCache:
         self.resize_evictions = 0
         self.resizes = 0
         self.drains = 0
-        self.cleans = 0
 
     def __len__(self) -> int:
         return len(self._lines)
@@ -92,22 +90,6 @@ class WriteCombiningCache:
         drained = list(lines)
         lines.clear()
         return drained
-
-    def clean_lru(self) -> Optional[int]:
-        """Pop the least-recently-written line for a background clean.
-
-        Background cleaning (the ``clean`` policy stage) retires
-        LRU-tail lines early, during idle write-back bandwidth — the
-        very lines a later capacity eviction or FASE-end drain would
-        have to flush anyway.  Returns ``None`` when the cache is empty.
-        Cleans are counted separately from evictions: they are not
-        forced by a miss, so the eviction/miss accounting identity must
-        not see them.
-        """
-        if not self._lines:
-            return None
-        self.cleans += 1
-        return self._lines.popitem(last=False)[0]
 
     def resize(self, capacity: int) -> List[int]:
         """Change capacity; return lines evicted by a shrink (LRU first)."""
@@ -151,7 +133,6 @@ class WriteCombiningCache:
             "resize_evictions": self.resize_evictions,
             "resizes": self.resizes,
             "drains": self.drains,
-            "cleans": self.cleans,
         }
         if any(v < 0 for v in snap.values()):
             raise SimulationError(

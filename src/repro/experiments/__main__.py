@@ -480,8 +480,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--technique",
         default="SC",
         help="technique spec: a base (ER, LA, AT, SC, SC-offline, BEST) "
-        "optionally composed with policy stages, e.g. "
-        "SC+nhit:2+clean:4+victim:16 (default SC)",
+        "optionally composed with the victim stage, e.g. "
+        "SC+victim:16 (default SC)",
     )
     tracing.add_argument(
         "--threads", type=int, default=1, help="simulated threads (default 1)"
@@ -557,7 +557,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default="SC",
         metavar="A,B",
         help="comma-separated technique specs, composed stages allowed, "
-        "e.g. SC,SC+clean:4 (default SC)",
+        "e.g. SC,SC+victim:4 (default SC)",
     )
     crash.add_argument(
         "--fault-models",

@@ -379,8 +379,8 @@ class Harness:
         """Execute (or fetch) one workload × technique × threads run.
 
         ``technique`` may be any spec string (``"SC"``,
-        ``"SC+clean+victim:16"``, ...); it is canonicalized through the
-        one parser, so e.g. ``"SC+clean"`` and ``"SC+clean:4"`` share a
+        ``"SC-offline+victim:4"``, ...); it is canonicalized through the
+        one parser, so e.g. ``"SC+victim"`` and ``"SC+victim:16"`` share a
         cache entry — and a bad spec fails here with the same error as
         every other entry point.
         """

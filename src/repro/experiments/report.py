@@ -56,12 +56,10 @@ _NOTES = {
     "adaptation": "Expected shape: the online history converges after "
                   "one or two selections, and the final size lands on "
                   "(or within a couple of lines of) the offline knee.",
-    "policyzoo": "Expected shape: every composed policy stays within a "
-                 "few percent of plain SC on time; nhit/cutoff shift "
-                 "flushes into the bypass column without raising the "
-                 "total ratio much; clean keeps totals flat while "
-                 "moving evictions to idle quanta; victim absorbs "
-                 "re-referenced evictions.",
+    "policyzoo": "Expected shape: the victim stage wins where evicted "
+                 "lines are stored again (mdb's B+tree) and pays its "
+                 "second drain and per-store bookkeeping where they are "
+                 "not (queue, hash).",
     "figure2": "Expected shape: sharp drop at the knee near 23; flat "
                "beyond.",
     "figure4": "Expected shape: BEST > SC-offline >= SC > AT > ER = 1 "

@@ -41,18 +41,10 @@ PAPER_TABLE2_SPEEDUPS = {
 #: and linked-list and queue, which are already optimal").
 AVERAGE_EXCLUDED = ("persistent-array", "linked-list", "queue")
 
-#: The policy-zoo head-to-head grid: each composable stage alone at its
-#: default parameter, the full stack, and both SC baselines.  Specs are
-#: canonical :class:`~repro.cache.spec.TechniqueSpec` strings.
-POLICY_ZOO_SPECS = (
-    "SC",
-    "SC+nhit:2",
-    "SC+cutoff:8",
-    "SC+clean:4",
-    "SC+victim:16",
-    "SC+nhit:2+clean:4+victim:16",
-    "SC-offline",
-)
+#: The policy-zoo head-to-head grid: the victim stage at its default
+#: parameter and both SC baselines.  Specs are canonical
+#: :class:`~repro.cache.spec.TechniqueSpec` strings.
+POLICY_ZOO_SPECS = ("SC", "SC+victim:16", "SC-offline")
 
 #: Workloads the zoo runs on: one FASE-dense queue, one hash-scatter,
 #: and the paper's main mixed benchmark.
@@ -277,13 +269,11 @@ def table4(
 
 
 def policyzoo(harness: Harness) -> Artifact:
-    """Policy zoo: composed write-cache policy stages head to head.
+    """Policy zoo: the victim stage head to head with both SC baselines.
 
     Runs every spec in :data:`POLICY_ZOO_SPECS` on each zoo workload and
     reports time, speedup over plain SC (same workload), flush ratio,
-    and the per-stage flush provenance (clean / bypass / victim
-    counters) — the table the paper's §V would have shown had ALRU-style
-    cleaning and admission filters been part of the evaluation.
+    and the victim stage's overflow flushes.
     """
     rows = []
     for name in POLICY_ZOO_WORKLOADS:
@@ -297,14 +287,12 @@ def policyzoo(harness: Harness) -> Artifact:
                     "time_cycles": r.time,
                     "speedup_vs_sc": round(speedup(base, r), 3),
                     "flush_ratio": r.flush_ratio,
-                    "clean_flushes": sum(t.clean_flushes for t in r.threads),
-                    "bypass_flushes": sum(t.bypass_flushes for t in r.threads),
                     "victim_flushes": sum(t.victim_flushes for t in r.threads),
                 }
             )
     text = format_table(
         ["workload", "spec", "time (Mcycles)", "vs SC", "flush ratio",
-         "clean", "bypass", "victim"],
+         "victim"],
         [
             [
                 r["workload"],
@@ -312,8 +300,6 @@ def policyzoo(harness: Harness) -> Artifact:
                 f"{r['time_cycles'] / 1e6:.2f}",
                 f"{r['speedup_vs_sc']}x",
                 f"{r['flush_ratio']:.5f}",
-                r["clean_flushes"],
-                r["bypass_flushes"],
                 r["victim_flushes"],
             ]
             for r in rows

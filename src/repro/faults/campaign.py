@@ -296,7 +296,7 @@ def run_campaign(
     """
     spec = spec or FaultCampaignSpec()
     # One parser for every entry point: reject bad specs up front and
-    # canonicalize (``SC+clean`` == ``SC+clean:4``) so the campaign
+    # canonicalize (``SC+victim`` == ``SC+victim:16``) so the campaign
     # cache key and the reported matrix agree on the spec's spelling.
     from repro.cache.spec import TechniqueSpec
 

@@ -99,7 +99,6 @@ SCHED_BATCH = 64
 _FLUSH_SITE = {
     "eviction": SITE_EVICT_FLUSH,
     "resize_eviction": SITE_EVICT_FLUSH,
-    "clean": SITE_EVICT_FLUSH,
     "victim": SITE_EVICT_FLUSH,
     "log": SITE_LOG_APPEND,
     "commit": SITE_COMMIT,
@@ -128,8 +127,6 @@ _FLUSH_COUNTER = _FlushCounters(
         "eager": "eager_flushes",
         "log": "log_flushes",
         "commit": "log_flushes",
-        "clean": "clean_flushes",
-        "bypass": "bypass_flushes",
         "victim": "victim_flushes",
         "final": "final_flushes",
     }
@@ -137,13 +134,12 @@ _FLUSH_COUNTER = _FlushCounters(
 
 #: ``evict_flush`` trace-event cause codes (the event's ``cause`` arg).
 #: 0/1 are the schema-2 ``resize_evict`` flag values, so traces of the
-#: base techniques are byte-identical across the rename; 2..4 only
-#: appear when the corresponding policy stage is composed in.
+#: base techniques are byte-identical across the rename; 4 only appears
+#: when the victim stage is composed in (2 and 3 belonged to removed
+#: stages and are never written).
 _EVICT_TRACE_CAUSE = {
     "eviction": 0,
     "resize_eviction": 1,
-    "clean": 2,
-    "bypass": 3,
     "victim": 4,
 }
 
@@ -253,16 +249,6 @@ class FlushPort:
     def thread_id(self) -> int:
         """Id of the thread this port belongs to."""
         return self._ctx.thread_id
-
-    @property
-    def outstanding(self) -> int:
-        """Write-backs still in flight in this thread's flush queue.
-
-        Zero means the flush engine is idle — the signal the background
-        cleaning stage uses to spend write-back bandwidth the program
-        is not using.
-        """
-        return self._ctx.flushq.outstanding
 
 
 class _ThreadContext:
@@ -1419,7 +1405,7 @@ class Machine:
 
         For code that must dispatch each operation itself (the Atlas
         crash replay logs a store's old value before the store) yet wants
-        the interleaving, quantum hooks and sampling of :meth:`run`.
+        the interleaving and sampling of :meth:`run`.
         ``step(thread_id, budget)`` pushes up to ``budget`` operations
         through that thread's session and returns whether any are left;
         a thread that has none left is finished here, as by
@@ -1440,21 +1426,18 @@ class Machine:
 
         The thread whose clock is furthest behind (ties: lowest thread
         id) gets the next quantum: ``runner(ctx, budget)`` executes up to
-        ``budget`` events and returns whether the thread has more.  While
-        it has, its technique's ``on_quantum`` hook (background cleaning
-        stages) fires — before the clock is re-queued, so the scheduler
-        sees the cleaning cycles; a thread's last quantum is followed by
-        ``finish()`` instead, which flushes what cleaning would have.
-        Every edge then feeds the metrics sampler and the recorder's
-        window watermark.  :class:`~repro.nvram.failure.PowerFailure` —
-        from an event, a clean flush or a final flush, all of which can
-        complete an armed site — is the one stop signal; final counters
-        are dumped for every thread either way.
+        ``budget`` events and returns whether the thread has more.  A
+        thread's last quantum is followed by ``finish()``.  Every edge
+        feeds the metrics sampler and the recorder's window watermark.
+        :class:`~repro.nvram.failure.PowerFailure` — from an event or a
+        final flush, either of which can complete an armed site — is the
+        one stop signal; final counters are dumped for every thread
+        either way.
         """
         metrics = self.metrics
         rec = self.recorder
         # A quantum edge exists to let another thread run, and for what
-        # observes it: the three hooks above.  With none of them it is
+        # observes it: the sampler and the recorder.  With neither it is
         # inert (DESIGN.md §8), so the only runnable thread of an
         # unobserved batched run takes the rest of its stream as one
         # quantum.
@@ -1463,32 +1446,19 @@ class Machine:
             if runner == self._run_batches and metrics is None and not rec.enabled
             else SCHED_BATCH
         )
-        # Entries carry the thread's context and its hook (resolved
-        # once); thread ids are unique, so comparison never reaches them.
-        heap = [
-            (
-                ctx.stats.cycles,
-                ctx.thread_id,
-                ctx,
-                getattr(ctx.technique, "on_quantum", None),
-            )
-            for ctx in contexts
-        ]
+        # Thread ids are unique, so comparison never reaches the context.
+        heap = [(ctx.stats.cycles, ctx.thread_id, ctx) for ctx in contexts]
         heapq.heapify(heap)
         try:
             while heap:
-                _, tid, ctx, hook = heapq.heappop(heap)
-                alive = runner(
-                    ctx, SCHED_BATCH if heap or hook is not None else lone_budget
-                )
-                if alive and hook is not None:
-                    hook()
+                _, tid, ctx = heapq.heappop(heap)
+                alive = runner(ctx, SCHED_BATCH if heap else lone_budget)
                 if metrics is not None:
                     self._sample_metrics(ctx)
                 if rec.enabled:
                     rec.on_quantum(tid, ctx.stats.cycles)
                 if alive:
-                    heapq.heappush(heap, (ctx.stats.cycles, tid, ctx, hook))
+                    heapq.heappush(heap, (ctx.stats.cycles, tid, ctx))
                 else:
                     self._finish(ctx)
         except PowerFailure:

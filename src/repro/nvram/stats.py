@@ -30,8 +30,8 @@ class ThreadStats:
     eager_flushes: int = 0           # issued immediately per store (ER)
     log_flushes: int = 0             # undo-log entries made durable
     final_flushes: int = 0           # issued at end of program
-    clean_flushes: int = 0           # background cleaning (clean stage)
-    bypass_flushes: int = 0          # filter bypass (nhit/cutoff stages)
+    clean_flushes: int = 0           # always 0: the clean stage was removed
+    bypass_flushes: int = 0          # always 0: nhit/cutoff were removed
     victim_flushes: int = 0          # victim-cache overflow (victim stage)
     stall_cycles: int = 0            # cycles blocked on the flush engine
     fase_count: int = 0              # outermost FASEs completed

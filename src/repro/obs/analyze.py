@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.common.errors import ConfigurationError
 from repro.obs.trace import (
     EV_BURST_START,
     EV_DRAIN,
@@ -128,9 +129,7 @@ class FlushProvenance:
 
     capacity_evictions: int = 0
     resize_evictions: int = 0
-    #: Policy-stage flushes (schema-3 cause codes; zero on base runs).
-    clean_flushes: int = 0
-    bypass_flushes: int = 0
+    #: Victim-stage overflow flushes (cause 4; zero on base runs).
     victim_flushes: int = 0
     dirty_evict_flushes: int = 0
     fase_drains: int = 0
@@ -157,14 +156,9 @@ class FlushProvenance:
     @property
     def attributed_flushes(self) -> int:
         """Every cause-attributed software-cache flush: evictions plus
-        the policy-stage categories (clean / bypass / victim).  Equal to
-        :attr:`evict_flushes` on base-technique traces."""
-        return (
-            self.evict_flushes
-            + self.clean_flushes
-            + self.bypass_flushes
-            + self.victim_flushes
-        )
+        victim-stage overflows.  Equal to :attr:`evict_flushes` on
+        base-technique traces."""
+        return self.evict_flushes + self.victim_flushes
 
     @property
     def distinct_lines(self) -> int:
@@ -184,8 +178,6 @@ class FlushProvenance:
             "capacity_evictions": self.capacity_evictions,
             "resize_evictions": self.resize_evictions,
             "evict_flushes": self.evict_flushes,
-            "clean_flushes": self.clean_flushes,
-            "bypass_flushes": self.bypass_flushes,
             "victim_flushes": self.victim_flushes,
             "dirty_evict_flushes": self.dirty_evict_flushes,
             "distinct_lines": self.distinct_lines,
@@ -408,8 +400,6 @@ class ProfileFold:
                 per_thread[tid] = {
                     "capacity": 0,
                     "resize": 0,
-                    "clean": 0,
-                    "bypass": 0,
                     "victim": 0,
                     "fase_drains": 0,
                     "drain_stall": 0,
@@ -433,15 +423,14 @@ class ProfileFold:
                 elif cause == 1:
                     prov.resize_evictions += 1
                     per_thread[tid]["resize"] += 1
-                elif cause == 2:
-                    prov.clean_flushes += 1
-                    per_thread[tid]["clean"] += 1
-                elif cause == 3:
-                    prov.bypass_flushes += 1
-                    per_thread[tid]["bypass"] += 1
-                else:
+                elif cause == 4:
                     prov.victim_flushes += 1
                     per_thread[tid]["victim"] += 1
+                else:
+                    raise ConfigurationError(
+                        f"evict_flush with unknown cause {cause!r} "
+                        f"(tid {tid}, ts {times[i]}); expected 0, 1 or 4"
+                    )
             elif kind == EV_STALL:
                 if b_col[i]:
                     prov.writeback_stall_cycles += a_col[i]
@@ -687,16 +676,6 @@ def reconcile(profile: TraceProfile, result: object) -> List[str]:
         sum(t.eviction_flushes for t in threads),
     )
     check(
-        "clean flushes",
-        profile.provenance.clean_flushes,
-        sum(t.clean_flushes for t in threads),
-    )
-    check(
-        "bypass flushes",
-        profile.provenance.bypass_flushes,
-        sum(t.bypass_flushes for t in threads),
-    )
-    check(
         "victim flushes",
         profile.provenance.victim_flushes,
         sum(t.victim_flushes for t in threads),
@@ -797,8 +776,6 @@ def diff_profiles(
         ("evict_flushes", pa.evict_flushes, pb.evict_flushes),
         ("capacity_evictions", pa.capacity_evictions, pb.capacity_evictions),
         ("resize_evictions", pa.resize_evictions, pb.resize_evictions),
-        ("clean_flushes", pa.clean_flushes, pb.clean_flushes),
-        ("bypass_flushes", pa.bypass_flushes, pb.bypass_flushes),
         ("victim_flushes", pa.victim_flushes, pb.victim_flushes),
         ("distinct_lines", pa.distinct_lines, pb.distinct_lines),
         ("write_amplification", pa.write_amplification, pb.write_amplification),

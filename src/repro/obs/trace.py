@@ -15,9 +15,9 @@ Event taxonomy (see DESIGN.md §9, §11):
 ``evict_flush`` the software cache flushed a line off its own accord
                 (``a`` = line, ``b`` = 1 if the hardware line was
                 dirty, ``c`` = cause: 0 capacity eviction, 1 resize
-                eviction, 2 background clean, 3 filter bypass, 4
-                victim-cache overflow — causes 2..4 are schema 3,
-                written only by composed policy stages)
+                eviction, 4 victim-cache overflow — schema 3, written
+                only by the victim stage; 2 and 3 are retired, and any
+                other cause is an error)
 ``drain``       a synchronous flush-queue drain (``a`` = stall cycles,
                 ``b`` = entries outstanding before the drain, ``c`` =
                 the committing FASE's uid for a FASE-boundary drain,

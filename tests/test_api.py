@@ -150,8 +150,8 @@ def test_top_level_lazy_exports():
 
 
 def test_runspec_canonicalizes_spec_strings():
-    spec = api.RunSpec(workload="queue", technique="SC+clean", scale=0.05)
-    assert spec.technique == "SC+clean:4"
+    spec = api.RunSpec(workload="queue", technique="SC+victim", scale=0.05)
+    assert spec.technique == "SC+victim:16"
     spec = api.RunSpec(
         workload="queue",
         technique=TechniqueSpec.parse("SC+victim:8"),

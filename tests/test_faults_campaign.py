@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.spec import technique_factory
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.events import FaseBegin, FaseEnd, Load, Store, Work
 from repro.faults import campaign
@@ -33,7 +32,6 @@ from repro.faults import (
     run_campaign,
 )
 from repro.nvram.failure import FAULT_MODELS, SITE_CLASSES
-from repro.nvram.machine import Machine, MachineConfig
 from repro.nvram.memory import NVRAM_BASE
 from repro.obs.metrics import MetricsRegistry
 from repro.locality.trace import WriteTrace
@@ -476,39 +474,6 @@ def test_sweep_on_crash_exception_propagates():
     assert seen == [2, 5]
 
 
-def test_no_cleaning_pass_follows_a_threads_last_quantum():
-    """A thread's last quantum is followed by ``finish()``, not by the
-    ``on_quantum`` hook: what cleaning would flush, the final flush does.
-    One rule for stream runs and replays (the replay used to clean
-    first).  The stream is unprotected stores only, so the flush queue is
-    idle at its end — which is when a cleaning stage acts."""
-    events = [Store(PA + 64 * i, 8, i) for i in range(6)]
-    options = {"sc_fixed_size": 16}
-    factory = technique_factory("SC-offline+clean:4", **options)
-
-    def run(stream):
-        result = Machine(MachineConfig()).run(
-            ListWorkload(stream), factory, num_threads=1, seed=0
-        )
-        return result.threads[0]
-
-    def replay(stream):
-        driver = AtlasReplayDriver(
-            ListWorkload(stream), technique="SC-offline+clean:4",
-            technique_options=options,
-        )
-        return [cls for _, cls, _, _ in driver.golden().sites].count("evict_flush")
-
-    stats = run(events)
-    assert (stats.clean_flushes, stats.final_flushes) == (0, len(events))
-    assert replay(events) == 0
-    # The hook is live on both paths: the same stores one quantum earlier
-    # are cleaned (nothing can be evicted: 16 lines hold everything).
-    longer = events + [Work(1)] * 64
-    assert run(longer).clean_flushes == 4
-    assert replay(longer) == 4
-
-
 def test_a_sweeps_closing_failure_still_dumps_every_threads_counters():
     """Final counters land for every thread whether the replay finished
     or the power failed (the replay used to dump a thread's only when it
@@ -558,12 +523,12 @@ def _layout_facts(layout):
     "workload, technique, threads, options",
     [
         (LinkedListWorkload(elements=12), "SC", 2, {}),
-        (HashTableWorkload(elements=12), "SC+clean:2+victim:4", 1, {}),
+        (HashTableWorkload(elements=12), "SC+victim:4", 1, {}),
         (QueueWorkload(operations=12), "AT", 2, {}),
-        # A 2-line software cache: eviction and cleaning flushes are sites too.
+        # A 2-line software cache: victim overflow flushes are sites too.
         (
             LinkedListWorkload(elements=12),
-            "SC-offline+clean:2+victim:4",
+            "SC-offline+victim:4",
             1,
             {"sc_fixed_size": 2},
         ),
@@ -680,15 +645,15 @@ def test_spec_validation():
 
 
 def test_composed_spec_campaign_zero_violations():
-    """Background cleaning stays crash-safe: clean flushes are
+    """The victim stage stays crash-safe: its overflow flushes are
     injectable sites, and recovery still restores every FASE."""
     matrix = exhaustive_campaign(
         LinkedListWorkload(elements=12),
-        technique="SC-offline+clean:2+victim:4",
+        technique="SC-offline+victim:4",
         threads=1,
         technique_options={"sc_fixed_size": 2},
     )
-    assert matrix.technique == "SC-offline+clean:2+victim:4"
+    assert matrix.technique == "SC-offline+victim:4"
     assert matrix.exhaustive
     assert matrix.ok, matrix.violations[:3]
     assert matrix.injected == matrix.total_sites > 0
@@ -700,13 +665,12 @@ _FOUR_CLASSES = {"store", "log_append", "commit", "drain"}
 @pytest.mark.parametrize(
     "technique, options, classes",
     [
-        # Neither workload's FASEs outgrow cache + victim buffer, and no
-        # quantum edge finds the flush queue idle mid-FASE: no stage
-        # flush is a site here, as under plain SC.
-        ("SC+clean:2+victim:4", {}, _FOUR_CLASSES),
-        # A one-line cache over a one-line victim buffer: stage flushes
-        # (victim overflow, cleaning) are sites too — all five classes.
-        ("SC+clean:2+victim:1", {"sc_initial_size": 1}, set(SITE_CLASSES)),
+        # Neither workload's FASEs outgrow cache + victim buffer: no
+        # stage flush is a site here, as under plain SC.
+        ("SC+victim:4", {}, _FOUR_CLASSES),
+        # A one-line cache over a one-line victim buffer: victim overflow
+        # flushes are sites too — all five classes.
+        ("SC+victim:1", {"sc_initial_size": 1}, set(SITE_CLASSES)),
     ],
     ids=["victim4", "one-line"],
 )

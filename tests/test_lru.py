@@ -20,7 +20,7 @@ def test_eviction_order_is_lru():
     c = WriteCombiningCache(3)
     for k in (1, 2, 3):
         c.access(k)
-    assert [c.clean_lru() for _ in range(4)] == [1, 2, 3, None]
+    assert [c.access(k) for k in (4, 5, 6)] == [1, 2, 3]
 
 
 def test_touch_moves_to_mru():
@@ -39,12 +39,12 @@ def test_clear_returns_lru_order():
     c.access(5)
     assert c.drain() == [6, 7, 5]
     assert len(c) == 0
-    assert c.clean_lru() is None
+    assert c.drain() == []
 
 
 class LruModel(RuleBasedStateMachine):
     """Every line the cache hands back — evicted on a miss, drained,
-    evicted by a shrink, cleaned — against a plain-list LRU model, in
+    evicted by a shrink — against a plain-list LRU model, in
     order, with ``snapshot()``'s identities holding after every step."""
 
     def __init__(self):
@@ -72,10 +72,6 @@ class LruModel(RuleBasedStateMachine):
         cut = max(0, len(self.model) - capacity)
         assert self.cache.resize(capacity) == self.model[:cut]
         self.model = self.model[cut:]
-
-    @rule()
-    def clean_lru(self):
-        assert self.cache.clean_lru() == (self.model.pop(0) if self.model else None)
 
     @invariant()
     def agrees_with_model(self):

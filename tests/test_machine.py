@@ -100,9 +100,13 @@ def test_an_unknown_flush_category_is_a_typed_error(machine):
     session = machine.session(technique_factory("LA")(0))
     with pytest.raises(SimulationError, match="'fase-end'.*'eviction'.*'final'"):
         session._ctx.port.flush_sync([PA >> 6], "fase-end")
-    for category in ("final", "clean", "bypass", "victim", "commit"):
+    for category in ("final", "victim", "commit"):
         session._ctx.port.flush_async(PA >> 6, category)
-    assert session.stats.final_flushes == 1 and session.stats.flushes == 5
+    assert session.stats.final_flushes == 1 and session.stats.flushes == 3
+    # The removed stages' categories are unknown like any misspelling.
+    for category in ("clean", "bypass"):
+        with pytest.raises(SimulationError, match=f"unknown flush category '{category}'"):
+            session._ctx.port.flush_async(PA >> 6, category)
 
 
 def test_load_touches_cache(machine):
@@ -299,8 +303,8 @@ def test_read_current_prefers_pending_value(value_machine):
 
 def test_drive_interleaves_sessions_as_run_interleaves_streams():
     """``Machine.drive`` is ``Machine.run``'s scheduler with the caller
-    dispatching the events: same interleaving, quantum hooks (a cleaning
-    stage), metrics samples, recorder events and final counters."""
+    dispatching the events: same interleaving (a staged technique),
+    metrics samples, recorder events and final counters."""
     streams = [
         [ev for i in range(90) for ev in (
             FaseBegin(), Store(PA + (tid << 16) + (i % 11) * 64, 8), Work(40 + 300 * tid),
@@ -309,7 +313,7 @@ def test_drive_interleaves_sessions_as_run_interleaves_streams():
         )]
         for tid in range(2)
     ]
-    factory = technique_factory("SC-offline+clean:4", sc_fixed_size=8)
+    factory = technique_factory("SC-offline+victim:1", sc_fixed_size=1)
 
     def observed(machine, stats):
         hw = machine.hwcache
@@ -330,7 +334,7 @@ def test_drive_interleaves_sessions_as_run_interleaves_streams():
     result = ran.run(
         ListWorkload(*streams), factory, num_threads=2, seed=0, use_batches=False
     )
-    assert result.threads[0].clean_flushes > 0
+    assert result.threads[0].victim_flushes > 0
 
     driven = fresh()
     sessions = [driven.session(factory(tid), tid) for tid in range(2)]

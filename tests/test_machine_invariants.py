@@ -241,10 +241,10 @@ def adaptive(burst, skip=0, hibernation=None):
     }
 
 
-#: Every way a technique answers ``absorb_repeats``: never (ER, and the
-#: filters that count or bypass each store), always (LA, AT, SC-offline,
-#: BEST), unless a sampler phase edge lies in the run (SC and the stages
-#: that pass repeats through), and with a size published by another thread.
+#: Every way a technique answers ``absorb_repeats``: never (ER), always
+#: (LA, AT, SC-offline, BEST), unless a sampler phase edge lies in the run
+#: (SC and the victim stage, which passes repeats through), and with a
+#: size published by another thread.
 RUN_TECHNIQUES = {
     "ER": lambda *sampling: {},
     "LA": lambda *sampling: {},
@@ -256,9 +256,6 @@ RUN_TECHNIQUES = {
     "SC+victim:1": adaptive,
     "SC+victim:2": adaptive,
     "SC+victim:16": adaptive,
-    "SC+nhit:2": adaptive,
-    "SC+cutoff:4": adaptive,
-    "SC+clean:4": adaptive,
     "SC shared": lambda *sampling: dict(adaptive(*sampling), shared_adaptation=True),
 }
 
@@ -361,7 +358,7 @@ def test_coalesced_runs_match_the_per_event_engine(
         else:
             assert calls_e == touches
             assert m_b.absorbed_stores + calls_b == touches
-        if technique in ("SC+nhit:2", "SC+cutoff:4") or (technique == "ER" and traced):
+        if technique == "ER" and traced:
             assert m_b.absorbed_stores == 0
 
 
@@ -701,12 +698,11 @@ class QuantumCountingRecorder(TraceRecorder):
 
 def test_an_observed_quantum_edge_stays_where_it_is():
     """A lone thread's quantum edge is inert only when nothing looks at
-    it.  A technique with ``on_quantum``, a metrics registry and a
-    recorder each keep all of them, 64 events apart: what they see is
-    what the per-event engine shows them."""
+    it.  A metrics registry and a recorder each keep all of them, 64
+    events apart: what they see is what the per-event engine shows them.
+    No technique looks, so an unobserved staged run is one quantum."""
     # FASEs of 42 events over five lines, computation between the stores:
-    # most edges fall inside a FASE with lines cached and the queue idle
-    # since the last drain, which is when the cleaning stage acts.
+    # most edges fall inside a FASE with lines cached.
     stream = []
     for fase in range(10):
         stream.append(FaseBegin())
@@ -723,8 +719,20 @@ def test_an_observed_quantum_edge_stays_where_it_is():
         assert runs[0] == runs[1]
         return runs[0]
 
-    cleaned = both_engines("SC+clean:4", traced=False)
-    assert cleaned["threads"][0]["clean_flushes"] > 0
+    both_engines("SC+victim:16", traced=False)
+    machine = Machine(MachineConfig())
+    runner, budgets = machine._run_batches, []
+
+    def counted(ctx, budget):
+        budgets.append(budget)
+        return runner(ctx, budget)
+
+    machine._run_batches = counted
+    machine.run(
+        BatchedListWorkload([stream], 4096), technique_factory("SC+victim:16"),
+        num_threads=1, seed=0, use_batches=True,
+    )
+    assert len(budgets) == 1
 
     registries = [MetricsRegistry(interval=1), MetricsRegistry(interval=1)]
     for use_batches, registry in zip((True, False), registries):

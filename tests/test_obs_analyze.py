@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.obs.analyze import (
     AnalyzerConfig,
     DiffTolerances,
@@ -74,8 +75,6 @@ def test_flush_provenance_arithmetic():
     assert p.per_thread[0] == {
         "capacity": 4,
         "resize": 0,
-        "clean": 0,
-        "bypass": 0,
         "victim": 0,
         "fase_drains": 1,
         "drain_stall": 25,
@@ -83,12 +82,42 @@ def test_flush_provenance_arithmetic():
     assert p.per_thread[1] == {
         "capacity": 0,
         "resize": 1,
-        "clean": 0,
-        "bypass": 0,
         "victim": 0,
         "fase_drains": 0,
         "drain_stall": 0,
     }
+
+
+#: A schema-3 trace whose two ``evict_flush`` causes no technique writes.
+UNKNOWN_CAUSES = (
+    '{"kind":"trace_meta","schema":3}\n'
+    '{"kind":"evict_flush","tid":0,"ts":5,"line":3,"dirty":0,"cause":7}\n'
+    '{"kind":"evict_flush","tid":1,"ts":9,"line":4,"dirty":1,"cause":-2}\n'
+)
+
+
+def test_unknown_evict_cause_is_an_error_not_a_victim_flush():
+    with pytest.raises(ConfigurationError, match=r"unknown cause 7 \(tid 0, ts 5\)"):
+        analyze(parse_jsonl(UNKNOWN_CAUSES))
+    # The retired stage causes 2 and 3 are unknown too.
+    for cause in (2, 3):
+        rec = TraceRecorder()
+        rec.record(EV_EVICT_FLUSH, 1, 9, 4, 1, cause)
+        with pytest.raises(ConfigurationError, match=f"unknown cause {cause} "):
+            analyze(rec)
+
+
+def test_cli_rejects_unknown_evict_cause(tmp_path, capsys):
+    """``profile`` and ``monitor --follow`` run the same fold: both exit
+    non-zero on a spilled trace carrying an unknown cause."""
+    from repro.experiments.__main__ import main
+
+    path = tmp_path / "hostile.jsonl"
+    path.write_text(UNKNOWN_CAUSES)
+    assert main(["monitor", "--follow", str(path), "--once"]) == 2
+    assert "unknown cause 7 (tid 0, ts 5)" in capsys.readouterr().err
+    assert main(["profile", "--trace", str(path)]) == 2
+    assert "unknown cause 7" in capsys.readouterr().err
 
 
 def test_top_lines_ranking_is_deterministic():

@@ -13,34 +13,17 @@ from repro.cache.spec import (
 )
 from repro.common.errors import ConfigurationError
 
-#: Bases every stage composes with (clean/victim are SC-only).
-SC_BASES = ("SC", "SC-offline")
-
-
-def stage_strategy(bases):
-    """Strategy over (name, param) pairs valid for one of ``bases``."""
-    names = [
-        n for n, info in STAGES.items()
-        if info.bases is None or set(bases) & set(info.bases)
-    ]
-    return st.sampled_from(names).flatmap(
-        lambda n: st.tuples(
-            st.just(n), st.integers(min_value=0, max_value=64)
-        )
-    )
-
-
 def spec_strategy():
     """Strategy over valid TechniqueSpec values."""
 
     def build(base):
-        allowed = [
-            n for n, info in STAGES.items()
-            if info.bases is None or base in info.bases
-        ]
-        return st.lists(
-            st.sampled_from(allowed), unique=True, max_size=len(allowed)
-        ).flatmap(
+        allowed = [n for n, info in STAGES.items() if base in info.bases]
+        names = (
+            st.lists(st.sampled_from(allowed), unique=True, max_size=len(allowed))
+            if allowed
+            else st.just([])
+        )
+        return names.flatmap(
             lambda names: st.tuples(
                 *[
                     st.tuples(st.just(n), st.integers(0, 64))
@@ -81,15 +64,15 @@ def test_canonical_form_is_stable(spec):
 
 
 def test_default_parameters_become_explicit():
-    assert str(TechniqueSpec.parse("SC+clean")) == "SC+clean:4"
-    assert str(TechniqueSpec.parse("SC+nhit+victim")) == "SC+nhit:2+victim:16"
+    assert str(TechniqueSpec.parse("SC+victim")) == "SC+victim:16"
+    assert str(TechniqueSpec.parse("SC-offline+victim")) == "SC-offline+victim:16"
 
 
 def test_passthrough_and_stage_param():
-    spec = TechniqueSpec.parse("SC+nhit:3")
+    spec = TechniqueSpec.parse("SC+victim:3")
     assert TechniqueSpec.parse(spec) is spec
-    assert spec.stage_param("nhit") == 3
-    assert spec.stage_param("victim") is None
+    assert spec.stage_param("victim") == 3
+    assert TechniqueSpec.parse("SC").stage_param("victim") is None
 
 
 def test_unknown_base_is_rejected():
@@ -103,8 +86,8 @@ def test_unknown_stage_is_named():
 
 
 def test_duplicate_stage_is_rejected():
-    with pytest.raises(ConfigurationError, match="duplicate policy stage 'nhit'"):
-        TechniqueSpec.parse("SC+nhit:2+nhit:3")
+    with pytest.raises(ConfigurationError, match="duplicate policy stage 'victim'"):
+        TechniqueSpec.parse("SC+victim:2+victim:3")
 
 
 def test_non_integer_parameter_is_named():
@@ -117,9 +100,19 @@ def test_negative_parameter_is_rejected():
         TechniqueSpec(base="SC", stages=(("victim", -1),))
 
 
+@pytest.mark.parametrize("param", [2.5, True, "16", 2.9])
+def test_non_int_parameter_is_rejected_not_truncated(param):
+    """A dict form (cache keys, worker transport) or a direct
+    construction never rounds a parameter into a different spec."""
+    with pytest.raises(ConfigurationError, match="must be an int"):
+        TechniqueSpec.from_dict({"base": "SC", "stages": [["victim", param]]})
+    with pytest.raises(ConfigurationError, match="must be an int"):
+        TechniqueSpec("SC", (("victim", param),))
+
+
 def test_base_incompatible_stage_is_rejected():
     with pytest.raises(ConfigurationError, match="requires a base technique"):
-        TechniqueSpec.parse("ER+clean")
+        TechniqueSpec.parse("ER+victim")
     with pytest.raises(ConfigurationError, match="requires a base technique"):
         TechniqueSpec.parse("AT+victim:8")
 
@@ -130,15 +123,14 @@ def test_from_dict_rejects_bad_keyset():
 
 
 def test_effective_stages_drop_noops():
-    spec = TechniqueSpec.parse("SC+nhit:1+cutoff:0+clean:0+victim:0")
-    assert spec.effective_stages() == ()
-    spec = TechniqueSpec.parse("SC+nhit:2+victim:0")
-    assert spec.effective_stages() == (("nhit", 2),)
+    assert TechniqueSpec.parse("SC+victim:0").effective_stages() == ()
+    spec = TechniqueSpec.parse("SC+victim:2")
+    assert spec.effective_stages() == (("victim", 2),)
 
 
 def test_degenerate_spec_builds_bare_base_technique():
     """SC+victim:0 must build the *same* class as plain SC."""
-    t = technique_factory("SC+victim:0+clean:0")(0)
+    t = technique_factory("SC+victim:0")(0)
     assert type(t) is SoftwareCacheTechnique
     assert type(t) is type(technique_factory("SC")(0))
 
@@ -146,7 +138,7 @@ def test_degenerate_spec_builds_bare_base_technique():
 def test_list_techniques_catalogue():
     cat = list_techniques()
     assert cat["bases"] == list(TECHNIQUES)
-    assert set(cat["stages"]) == set(STAGES)
+    assert list(cat["stages"]) == list(STAGES) == ["victim"]
     for name, entry in cat["stages"].items():
         assert entry["default"] == STAGES[name].default
         assert entry["noop_below"] == STAGES[name].noop_below

@@ -1,11 +1,14 @@
-"""Composable policy stages: unit behaviour and end-to-end equivalence."""
+"""The victim stage: unit behaviour and end-to-end equivalence."""
 
 import pytest
 
+from repro import api
 from repro.cache.policies import SoftwareCacheTechnique
-from repro.cache.spec import TechniqueSpec, technique_factory
+from repro.cache.spec import REMOVED_STAGES, TechniqueSpec, technique_factory
 from repro.cache.stages import StagedTechnique
+from repro.common.errors import ConfigurationError
 from repro.experiments.harness import Harness, HarnessConfig
+from repro.faults.campaign import run_campaign
 
 
 class FakePort:
@@ -14,7 +17,6 @@ class FakePort:
     def __init__(self):
         self.async_calls = []     # (line, category)
         self.sync_calls = []      # (lines tuple, category)
-        self.outstanding = 0
         self.current_fase_id = 0
         self.thread_id = 0
 
@@ -45,33 +47,6 @@ def staged(spec, sc_fixed_size=4):
 
 
 # -- unit behaviour ------------------------------------------------------
-
-
-def test_nhit_bypasses_cold_lines_and_admits_hot_ones():
-    t, port = staged("SC+nhit:2")
-    t.on_store(7)                     # first touch: bypass
-    assert port.async_calls == [(7, "bypass")]
-    t.on_store(7)                     # second touch: admitted
-    assert port.async_calls == [(7, "bypass")]
-    assert 7 in t.inner.cache
-
-
-def test_cutoff_bypasses_streaming_runs():
-    t, port = staged("SC+cutoff:3", sc_fixed_size=16)
-    for line in (10, 11, 12, 13):
-        t.on_store(line)
-    # The run reaches length 3 at line 12: 12 and 13 bypass.
-    assert port.async_calls == [(12, "bypass"), (13, "bypass")]
-    t.on_store(50)                    # run broken: admitted again
-    assert 50 in t.inner.cache
-
-
-def test_cutoff_run_breaks_on_non_consecutive_line():
-    t, port = staged("SC+cutoff:2", sc_fixed_size=16)
-    t.on_store(1)
-    t.on_store(3)                     # not consecutive: run restarts
-    t.on_store(4)                     # run of 2 -> bypass
-    assert port.async_calls == [(4, "bypass")]
 
 
 def test_victim_catches_evictions_and_rescues_restores():
@@ -105,43 +80,10 @@ def test_victim_drains_at_fase_end_and_finish():
     assert port.sync_calls[-1] == ((3,), "final")
 
 
-def test_clean_flushes_lru_tail_when_idle():
-    t, port = staged("SC+clean:2", sc_fixed_size=8)
-    for line in (1, 2, 3):
-        t.on_store(line)
-    t.on_quantum()
-    assert port.async_calls == [(1, "clean"), (2, "clean")]
-    assert len(t.inner.cache) == 1
-
-
-def test_clean_respects_busy_flush_queue():
-    t, port = staged("SC+clean:2", sc_fixed_size=8)
-    t.on_store(1)
-    port.outstanding = 3
-    t.on_quantum()
-    assert port.async_calls == []
-
-
 def test_cost_per_store_adds_stage_bookkeeping():
     bare = technique_factory("SC")(0)
-    t, _ = staged("SC+nhit:2+cutoff:8+victim:4")
-    assert t.cost_per_store == bare.cost_per_store + 3 + 2 + 3
-
-
-# -- stacking-order invariance ------------------------------------------
-
-
-def test_filter_stacking_order_is_invariant():
-    """nhit∘cutoff ≡ cutoff∘nhit: filters all observe every store."""
-    trace = [1, 2, 3, 4, 5, 9, 9, 9, 20, 21, 22, 23, 9, 2, 3]
-    a, port_a = staged("SC+nhit:2+cutoff:3", sc_fixed_size=8)
-    b, port_b = staged("SC+cutoff:3+nhit:2", sc_fixed_size=8)
-    for t, port in ((a, port_a), (b, port_b)):
-        for line in trace:
-            t.on_store(line)
-        t.finish()
-    assert port_a.async_calls == port_b.async_calls
-    assert port_a.sync_calls == port_b.sync_calls
+    t, _ = staged("SC+victim:4")
+    assert t.cost_per_store == bare.cost_per_store + 3
 
 
 # -- end-to-end equivalence (degenerate specs ≡ plain SC) ---------------
@@ -152,10 +94,7 @@ def harness():
     return Harness(HarnessConfig(scale=0.05, seed=0))
 
 
-@pytest.mark.parametrize(
-    "degenerate",
-    ["SC+victim:0", "SC+clean:0", "SC+nhit:1+cutoff:0+clean:0+victim:0"],
-)
+@pytest.mark.parametrize("degenerate", ["SC+victim:0"])
 def test_degenerate_specs_bit_identical_to_sc(harness, degenerate):
     base = harness.run("queue", "SC")
     staged_result = harness.run("queue", degenerate)
@@ -168,22 +107,20 @@ def test_degenerate_specs_bit_identical_to_sc(harness, degenerate):
 
 
 def test_composed_run_attributes_stage_flushes(harness):
-    r = harness.run("hash", "SC+nhit:2+clean:4+victim:16")
-    assert sum(t.bypass_flushes for t in r.threads) > 0
-    assert sum(t.clean_flushes for t in r.threads) > 0
-    # Flush accounting identity: categories sum to the total.
+    r = harness.run("hash", "SC+victim:16")
+    assert sum(t.victim_flushes for t in r.threads) > 0
+    # Flush accounting identity: categories sum to the total; the
+    # removed stages' counters stay in the schema, always zero.
+    assert sum(t.clean_flushes + t.bypass_flushes for t in r.threads) == 0
     for t in r.threads:
         assert t.flushes == (
             t.eviction_flushes + t.fase_end_flushes + t.eager_flushes
-            + t.log_flushes + t.final_flushes + t.clean_flushes
-            + t.bypass_flushes + t.victim_flushes
+            + t.log_flushes + t.final_flushes + t.victim_flushes
         )
 
 
 def test_staged_runs_from_every_base_entry_point(harness):
     """The same composed spec works via harness, api and factory."""
-    from repro import api
-
     spec = "SC+victim:8"
     r1 = harness.run("queue", spec)
     r2 = api.run(
@@ -193,3 +130,44 @@ def test_staged_runs_from_every_base_entry_point(harness):
     t = technique_factory(TechniqueSpec.parse(spec))(0)
     assert isinstance(t, StagedTechnique)
     assert isinstance(t.inner, SoftwareCacheTechnique)
+
+
+# -- the removed stages are named at every entry point -------------------
+
+
+def _cli_exit(argv, capsys):
+    from repro.experiments.__main__ import main
+
+    assert main(argv) == 2
+    raise ConfigurationError(capsys.readouterr().err)
+
+
+#: Entry point -> how it takes the stage ``name`` (raises on a bad spec).
+_ENTRY_POINTS = {
+    "parse": lambda name, capsys: TechniqueSpec.parse(f"SC+{name}:2"),
+    "from_dict": lambda name, capsys: TechniqueSpec.from_dict(
+        {"base": "SC", "stages": [[name, 2]]}
+    ),
+    "RunSpec": lambda name, capsys: api.RunSpec(
+        workload="queue", technique=f"SC+{name}:2"
+    ),
+    "cli_technique": lambda name, capsys: _cli_exit(
+        ["run", "--technique", f"SC+{name}:2"], capsys
+    ),
+    "cli_techniques": lambda name, capsys: _cli_exit(
+        ["crashmatrix", "--techniques", f"SC,SC+{name}:2"], capsys
+    ),
+    "run_campaign": lambda name, capsys: run_campaign(
+        "queue", technique=f"SC+{name}:2"
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("name", REMOVED_STAGES)
+def test_removed_stage_is_named_at_every_entry_point(name, entry, capsys):
+    with pytest.raises(ConfigurationError) as info:
+        _ENTRY_POINTS[entry](name, capsys)
+    message = str(info.value)
+    assert f"policy stage {name!r}" in message and "was removed" in message
+    assert "unknown policy stage" not in message

@@ -6,8 +6,11 @@ flush count is the miss count of its buffer over the thread's write
 trace, with no machine in the loop: an LRU of the fixed size for
 SC-offline (``reference.lru_write_cache_misses``), the same at unbounded
 size for LA, an 8-slot direct-mapped table for AT.  ER flushes every
-write, BEST none.  Both engines are held to it, on every registered
-program at one thread.
+write, BEST none.  SC-offline at size ``c`` behind a ``victim:V`` stage
+is, by flush count, an LRU of ``c + V``: the cache keeps the ``c`` most
+recent lines, the victim buffer the next ``V``, a rescue swaps the two
+ends, and only the line both let go is flushed.  Both engines are held
+to it, on every registered program at one thread.
 """
 
 import pytest
@@ -20,6 +23,8 @@ from repro.workloads.base import BatchCachingWorkload, Workload
 from repro.workloads.registry import WORKLOAD_NAMES, get_workload
 
 SC_SIZES = (1, 2, 8, 50)
+#: (cache size ``c``, victim entries ``V``) for the staged SC-offline.
+VICTIM_SIZES = ((1, 1), (1, 16), (8, 1), (8, 16))
 
 
 class Recorded(Workload):
@@ -75,6 +80,10 @@ def test_flushes_are_the_buffer_misses_of_the_trace(name, seed):
                 **{
                     size: lru_write_cache_misses(trace, size) for size in SC_SIZES
                 },
+                **{
+                    (c, v): lru_write_cache_misses(trace, c + v)
+                    for c, v in VICTIM_SIZES
+                },
             }
         engine = {
             technique: flushes(workload, technique, use_batches)[0]
@@ -83,6 +92,10 @@ def test_flushes_are_the_buffer_misses_of_the_trace(name, seed):
         for size in SC_SIZES:
             engine[size] = flushes(
                 workload, "SC-offline", use_batches, sc_fixed_size=size
+            )[0]
+        for c, v in VICTIM_SIZES:
+            engine[c, v] = flushes(
+                workload, f"SC-offline+victim:{v}", use_batches, sc_fixed_size=c
             )[0]
         assert best == 0
         assert engine == predicted, (name, seed, use_batches)

@@ -136,7 +136,6 @@ def test_snapshot_counters_and_invariants():
         "resize_evictions": 1,
         "resizes": 1,
         "drains": 0,
-        "cleans": 0,
     }
     assert c.accesses == c.hits + c.misses
 
