@@ -12,14 +12,17 @@ propagated to NVRAM" (§I).  It provides:
   miss" (§II-A), the indirect flush cost the software cache reduces.
 - ``clwb(line)`` — write back without invalidating (modelled for the
   ablation study; the paper notes Atlas avoids it for visibility
-  reasons).  ``flush_lines`` applies either to a whole FASE commit.
+  reasons).  ``flush_lines`` applies either to a whole untraced commit
+  made through the flush port.
 - value tracking per dirty line, so write-backs carry real data into
   simulated NVRAM for crash/recovery tests.
 
 Sets use ``OrderedDict`` for O(1) LRU: lookup, move-to-end on touch,
 pop-first on eviction.  When several simulated threads share the cache,
 capacity contention between them arises naturally — the effect behind
-Table IV's rising L1 miss ratios.
+Table IV's rising L1 miss ratios.  The machine's batched loop spells the
+same rules on ``sets`` itself for its single-line touches, eviction
+``clflush``es and ``clflush`` FASE commits.
 """
 
 from __future__ import annotations
@@ -121,28 +124,6 @@ class HardwareCache:
             evicted = (victim, dirty)
         cache_set[line] = is_write
         return False, evicted
-
-    def repeat_stores(self, count: int) -> None:
-        """Count ``count`` further stores to the line just stored to.
-
-        With no other access in between they are exactly ``count``
-        ``access(line, True)`` hits: the line is already dirty and most
-        recently used in its set, so only the counter moves.
-        """
-        self.stores += count
-
-    def write_through_stores(self, count: int) -> None:
-        """Count ``count`` stores to an absent line, each flushed at once.
-
-        With no other access in between they are exactly ``count`` rounds
-        of ``access(line, True)`` then ``clflush(line)``: a miss whose
-        fill cannot evict — the ``clflush`` that made the line absent
-        vacated a way of its set, and each round vacates it again — and a
-        write-back of the line just dirtied.  The set ends as it began.
-        """
-        self.stores += count
-        self.store_misses += count
-        self.flush_writebacks += count
 
     def store_value(self, line: int, addr: int, value: object) -> None:
         """Attach a value to a dirty line (value-tracking mode only)."""

@@ -697,8 +697,9 @@ class Machine:
         lies inside one thread's quantum and batch, so no other thread
         touches the L1 set; ``on_store`` left the line dirty in L1
         (checked here) and the technique absorbed it, so a repeat is a
-        pure hit; and nothing inside it reads the clock, so the cycle
-        additions commute (DESIGN.md §8) — including the sample costs a
+        pure hit on its set's dirty MRU line, only a count; and nothing
+        inside it reads the clock, so the cycle additions commute
+        (DESIGN.md §8) — including the sample costs a
         sampling SC charges from ``absorb_repeats``, which is why
         ``stats.cycles`` is handed over around that call too.  Whether
         ``on_store`` left the line dirty needs no lookup when it flushed
@@ -711,17 +712,26 @@ class Machine:
         store is one ``flush_async(line, category)`` says so
         (``write_through``; ER's is ``"eager"``), and while nothing
         observes flushes one by one its runs never enter ``on_store``:
-        the head's access and ``clflush``, per repeat a miss-fill into the
-        way that vacated, one more flush and queue slot — one train of
-        ``n + 1`` write-backs (:meth:`FlushQueue.issue_every` when the
-        gaps are equal) and bulk counters.  A ``buffered`` technique's
-        head store is its ``insert``, whose victim — never the head line,
-        so the ``stats.flushes`` test holds — is flushed here as
-        :meth:`_do_flush` would, records included (with tracked values,
-        ``on_store`` and the port do it); a commit hands ``drain()`` to
-        :meth:`_flush_sync`.  :meth:`_process_event` never coalesces and
-        stays the oracle; ``absorbed_stores`` counts the stores that
-        never entered the technique.
+        the head's access and ``clflush``, then per repeat a miss whose
+        fill cannot evict (the flush vacated a way of its set) and one
+        write-back — one train of ``n + 1`` (:meth:`FlushQueue.issue_every`
+        when the gaps are equal), bulk counters, the set as it began.  A
+        ``buffered`` technique's head store is its ``insert``, whose
+        victim — never the head line, so the ``stats.flushes`` test
+        holds — is flushed here as :meth:`_do_flush` would, records
+        included (with tracked values, ``on_store`` and the port do it);
+        a commit is :meth:`_flush_sync`'s train over ``drain()``, run
+        here unless traced or ``clwb``, where it is handed over.
+        :meth:`_process_event` never coalesces and stays the oracle;
+        ``absorbed_stores`` counts the stores that never entered the
+        technique.
+
+        *The L1 traffic is the loop's too*: a ``STORE``/``LOAD`` row's
+        touch, those ``clflush``es and that train apply
+        :class:`HardwareCache`'s rules to its ``sets`` in place and count
+        into locals merged at quantum exit (nothing in a quantum reads
+        the L1 counters); ``ANY_*`` rows, declined runs, ``clwb`` and
+        port flushes call the cache.
 
         The hot ``ThreadStats`` counters are accumulated in locals.
         ``stats.cycles`` is written back before every point that can
@@ -748,6 +758,9 @@ class Machine:
         stats = ctx.stats
         hw = self.hwcache
         access = hw.access
+        sets = hw.sets
+        num_sets = hw.num_sets
+        ways = hw.ways
         technique = ctx.technique
         on_store = technique.on_store
         # A technique that declares its on_store a no-op (BEST) saves
@@ -760,7 +773,6 @@ class Machine:
         absorb = (
             None if track_values else getattr(technique, "absorb_repeats", None)
         )
-        line_state = hw.line_state
         trace_lines = ctx.trace_lines
         trace_fids = ctx.trace_fids
         evict_writeback = self._evict_writeback
@@ -783,13 +795,14 @@ class Machine:
         through_counter = (
             None if write_through is None else _FLUSH_COUNTER[write_through]
         )
-        clflush = hw.clflush
-        # The buffer model: evictions are issued here unless a payload is observed.
+        # The buffer model: evictions are issued here unless a payload is
+        # observed; commits too, unless traced or ``clwb``.
         drain = technique.drain if getattr(technique, "buffered", False) else None
         inline = drain is not None and not (track_values or self._record_inflight)
         insert = technique.insert if inline and not skip_on_store else None
         invalidate = getattr(technique, "invalidate", True)
-        evict_line = clflush if invalidate else hw.clwb
+        clwb = hw.clwb
+        train_commit = inline and invalidate and not recording
         flushq = ctx.flushq
         issue = flushq.issue
         issue_train = flushq.issue_train
@@ -820,7 +833,8 @@ class Machine:
         persistent_stores = stats.persistent_stores
         persistent_loads = stats.persistent_loads
         fase_count = stats.fase_count
-        absorbed = repeats = flushed = through = evictions = 0
+        absorbed = through = evictions = written = cleaned = 0
+        l1_loads = l1_stores = load_misses = store_misses = evict_writebacks = 0
         try:
             while budget > 0:
                 batch = ctx.batch
@@ -845,18 +859,28 @@ class Machine:
                 ):
                     if code == kind_store:
                         # Inside one line — ``arg`` — and persistent.
-                        hit, evicted = access(arg, True)
-                        cycles += hit_cost if hit else miss_cost
-                        if evicted is not None and evicted[1]:
-                            stats.cycles = cycles
-                            evict_writeback(ctx, evicted[0])
-                            cycles = stats.cycles
+                        l1_stores += 1
+                        lines_set = sets[arg % num_sets]
+                        if arg in lines_set:
+                            lines_set.move_to_end(arg)
+                            cycles += hit_cost
+                        else:
+                            store_misses += 1
+                            cycles += miss_cost
+                            if len(lines_set) >= ways and (
+                                old := lines_set.popitem(False)
+                            )[1]:
+                                evict_writebacks += 1
+                                stats.cycles = cycles
+                                evict_writeback(ctx, old[0])
+                                cycles = stats.cycles
+                        lines_set[arg] = True
                         if write_through is not None:
                             # A write-through run: the head's flush pops
                             # the line it just dirtied; per repeat the
                             # ``WORK`` before it, a miss-fill, one flush,
                             # one queue slot, bookkeeping.
-                            clflush(arg)
+                            del lines_set[arg]
                             if run_stores[i + n] + n == run_stores[i]:
                                 # The repeats come first, any ``WORK``
                                 # after them: the usual store burst.
@@ -878,12 +902,14 @@ class Machine:
                                     now + cost_per_store + before - run_cycles[i + span]
                                 )
                             stats.stall_cycles += stall
+                            l1_stores += n
+                            store_misses += n
                             n += 1
+                            written += n
                             instructions += n * (2 + cost_per_store) + amount
                             persistent_stores += n
                             absorbed += n
                             through += n
-                            flushed += n - 1
                             if trace_lines is not None:
                                 trace_lines.extend([arg] * n)
                                 trace_fids.extend(
@@ -903,7 +929,12 @@ class Machine:
                                 cycles += flush_issue
                                 evictions += 1
                                 stall = 0
-                                dirty = evict_line(victim)
+                                if invalidate:
+                                    dirty = sets[victim % num_sets].pop(victim, False)
+                                    written += dirty
+                                    cleaned += not dirty
+                                else:  # counted by the cache
+                                    dirty = clwb(victim)
                                 if dirty:
                                     cycles, stall = issue(cycles)
                                     stats.stall_cycles += stall
@@ -933,7 +964,7 @@ class Machine:
                             # may bypass it): a flushed line's repeat is
                             # a miss.  No flush, no change.
                             if absorb is not None and (
-                                stats.flushes == flushes or line_state(arg)
+                                stats.flushes == flushes or lines_set.get(arg)
                             ):
                                 # A sampling SC charges its samples here.
                                 stats.cycles = cycles
@@ -941,7 +972,7 @@ class Machine:
                                 cycles = stats.cycles
                                 if taken:
                                     absorbed += n
-                                    repeats += n
+                                    l1_stores += n
                                     persistent_stores += n
                                     if trace_lines is not None:
                                         trace_lines.extend([arg] * n)
@@ -982,12 +1013,22 @@ class Machine:
                         instructions += arg
                         continue
                     elif code == kind_load:
-                        hit, evicted = access(arg, False)
-                        cycles += hit_cost if hit else miss_cost
-                        if evicted is not None and evicted[1]:
-                            stats.cycles = cycles
-                            evict_writeback(ctx, evicted[0])
-                            cycles = stats.cycles
+                        l1_loads += 1
+                        lines_set = sets[arg % num_sets]
+                        if arg in lines_set:
+                            lines_set.move_to_end(arg)
+                            cycles += hit_cost
+                        else:
+                            load_misses += 1
+                            cycles += miss_cost
+                            if len(lines_set) >= ways and (
+                                old := lines_set.popitem(False)
+                            )[1]:
+                                evict_writebacks += 1
+                                stats.cycles = cycles
+                                evict_writeback(ctx, old[0])
+                                cycles = stats.cycles
+                            lines_set[arg] = False
                         instructions += 1
                         persistent_loads += 1
                         continue
@@ -1017,7 +1058,25 @@ class Machine:
                             stats.cycles = cycles
                             if drain is None:
                                 technique.on_fase_end()
-                            elif lines := drain():
+                            elif (lines := drain()) and train_commit:
+                                # ``_flush_sync``'s train, one pop a line.
+                                gaps = []
+                                gap = 0
+                                for line in lines:
+                                    gap += flush_issue
+                                    if sets[line % num_sets].pop(line, False):
+                                        gaps.append(gap)
+                                        gap = 0
+                                now, stall = issue_train(stats.cycles, gaps)
+                                stats.cycles, wait = flushq.drain(now + gap)
+                                stats.stall_cycles += stall + wait
+                                count = len(lines)
+                                written += len(gaps)
+                                cleaned += count - len(gaps)
+                                instructions += count
+                                stats.flushes += count
+                                stats.fase_end_flushes += count
+                            elif lines:
                                 self._flush_sync(ctx, lines, "fase_end", invalidate)
                             cycles = stats.cycles
                             fase_count += 1
@@ -1075,7 +1134,7 @@ class Machine:
                         raise SimulationError(f"unknown event kind {code}")
                     # What is left of this line touch is ``n`` plain hits (a
                     # volatile line's) and ``amount`` instructions of ``WORK``.
-                    repeats += n
+                    l1_stores += n
                     cycles += n * hit_cost + work_cycles
                     instructions += n + amount
                 ctx.batch_pos = end
@@ -1090,13 +1149,17 @@ class Machine:
             self.absorbed_stores += absorbed
             stats.flushes += evictions
             stats.eviction_flushes += evictions
-            if repeats:
-                hw.repeat_stores(repeats)
             if through:
                 stats.flushes += through
                 counter = through_counter
                 setattr(stats, counter, getattr(stats, counter) + through)
-                hw.write_through_stores(flushed)
+            hw.loads += l1_loads
+            hw.stores += l1_stores
+            hw.load_misses += load_misses
+            hw.store_misses += store_misses
+            hw.evict_writebacks += evict_writebacks
+            hw.flush_writebacks += written
+            hw.clean_flushes += cleaned
 
     def _process_event(self, ctx: _ThreadContext, ev: Event) -> None:
         """Execute one event on behalf of ``ctx`` (the simulator core)."""

@@ -5,7 +5,8 @@ fork: whatever ``batch_streams`` serves — a native emitter's columns or
 ``BatchCachingWorkload``'s one-time recording of a generator — a batched
 run must produce exactly the statistics of the same run with
 ``use_batches=False``: every per-thread counter, every flush category,
-the shared hardware-cache counters, and the recorded traces.
+the shared hardware cache's counters and final image, and the recorded
+traces.
 """
 
 import copy
@@ -68,9 +69,11 @@ def _grid():
             if workload.supports_threads(threads):
                 for technique in TECHNIQUES:
                     yield pytest.param(
-                        name, technique, threads,
+                        name, technique, threads, False,
                         id=f"{threads}-{technique}-{name}",
                     )
+        # A ``clwb`` commit, which the batched loop hands to the port.
+        yield pytest.param(name, "SC", 1, True, id=f"1-SC-clwb-{name}")
 
 
 def _full_stats(result):
@@ -96,8 +99,13 @@ def _run(workload, technique, threads, use_batches, **factory_kwargs):
     return machine, result
 
 
-@pytest.mark.parametrize("name,technique,threads", _grid())
-def test_batched_run_is_bit_identical(harness, name, technique, threads):
+def _l1_image(machine):
+    """Each set's ``(line, dirty)`` ways, least recently used first."""
+    return [list(ways.items()) for ways in machine.hwcache.sets]
+
+
+@pytest.mark.parametrize("name,technique,threads,use_clwb", _grid())
+def test_batched_run_is_bit_identical(harness, name, technique, threads, use_clwb):
     """Every registry workload, as the harness builds it: the automatic
     path (recorded or native batches) against the forced per-event one."""
     workload = harness.workload(name)
@@ -106,15 +114,18 @@ def test_batched_run_is_bit_identical(harness, name, technique, threads):
     kwargs = sc_factory_kwargs(
         CONFIG, workload, technique, threads, harness.profile_summary(name)
     )
+    if use_clwb:
+        kwargs["use_clwb"] = True
     m_ev, r_ev = _run(workload, technique, threads, False, **kwargs)
     m_b, r_b = _run(workload, technique, threads, None, **kwargs)
 
     assert _full_stats(r_b) == _full_stats(r_ev)
     # The shared hardware cache's full counter set, not just the two
-    # aggregates RunResult carries.
+    # aggregates RunResult carries, and what it holds at the end.
     for attr in ("loads", "stores", "load_misses", "store_misses",
-                 "evict_writebacks"):
+                 "evict_writebacks", "flush_writebacks", "clean_flushes"):
         assert getattr(m_b.hwcache, attr) == getattr(m_ev.hwcache, attr), attr
+    assert _l1_image(m_b) == _l1_image(m_ev)
     # Recorded traces: same lines, same FASE ids, per thread.
     assert len(r_b.traces) == len(r_ev.traces)
     for got, want in zip(r_b.traces, r_ev.traces):

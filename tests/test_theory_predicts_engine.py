@@ -10,13 +10,18 @@ write, BEST none.  SC-offline at size ``c`` behind a ``victim:V`` stage
 is, by flush count, an LRU of ``c + V``: the cache keeps the ``c`` most
 recent lines, the victim buffer the next ``V``, a rescue swaps the two
 ends, and only the line both let go is flushed.  Both engines are held
-to it, on every registered program at one thread.
+to it, on every registered program at one thread; the batched engine
+also per thread at four, on the programs whose streams do not depend on
+the schedule, where the quanta of the threads interleave.
 """
+
+from functools import cached_property
 
 import pytest
 
 from repro.cache.spec import technique_factory
 from repro.common.events import events_from_batches
+from repro.experiments.harness import Harness
 from repro.locality.reference import lru_write_cache_misses
 from repro.nvram.machine import Machine, MachineConfig
 from repro.workloads.base import BatchCachingWorkload, Workload
@@ -25,22 +30,30 @@ from repro.workloads.registry import WORKLOAD_NAMES, get_workload
 SC_SIZES = (1, 2, 8, 50)
 #: (cache size ``c``, victim entries ``V``) for the staged SC-offline.
 VICTIM_SIZES = ((1, 1), (1, 16), (8, 1), (8, 16))
+#: The programs a four-thread recording exists for (``mdb``: one writer,
+#: three readers with empty traces).
+SCHEDULE_INDEPENDENT = Harness.splash2_workloads() + ("mdb",)
 
 
 class Recorded(Workload):
-    """One thread of a program, recorded once, replayed to either engine."""
+    """A program's threads, recorded once, replayed to either engine."""
 
-    def __init__(self, name, seed):
+    def __init__(self, name, seed, threads=1):
         self.name = name
         program = BatchCachingWorkload(get_workload(name, scale=0.02))
-        self.batches = list(program.batch_streams(1, seed)[0])
-        self.events = list(events_from_batches(self.batches))
+        streams = program.batch_streams(threads, seed)
+        assert streams is not None, (name, threads)
+        self.batches = [list(stream) for stream in streams]
+
+    @cached_property
+    def events(self):
+        return [list(events_from_batches(batches)) for batches in self.batches]
 
     def streams(self, num_threads, seed):
-        return [iter(self.events)]
+        return [iter(events) for events in self.events]
 
     def batch_streams(self, num_threads, seed):
-        return [iter(self.batches)]
+        return [iter(batches) for batches in self.batches]
 
 
 def atlas_table_misses(trace, size=8):
@@ -57,12 +70,15 @@ def atlas_table_misses(trace, size=8):
     return misses
 
 
-def flushes(workload, technique, use_batches, **kwargs):
+def flushes(workload, technique, use_batches, threads=1, **kwargs):
     result = Machine(MachineConfig()).run(
         workload, technique_factory(technique, **kwargs), seed=0,
-        use_batches=use_batches, record_traces=technique == "BEST",
+        num_threads=threads, use_batches=use_batches,
+        record_traces=technique == "BEST",
     )
-    return result.flushes, result.traces
+    if threads == 1:
+        return result.flushes, result.traces
+    return [t.flushes for t in result.threads], result.traces
 
 
 @pytest.mark.parametrize("seed", [7, 11])
@@ -99,3 +115,31 @@ def test_flushes_are_the_buffer_misses_of_the_trace(name, seed):
             )[0]
         assert best == 0
         assert engine == predicted, (name, seed, use_batches)
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize("name", SCHEDULE_INDEPENDENT)
+def test_flushes_per_thread_at_four_threads(name, seed):
+    """Each thread's buffer sees only its own trace, whatever the other
+    threads do to the shared L1 between its quanta."""
+    workload = Recorded(name, seed, threads=4)
+    best, traces = flushes(workload, "BEST", True, threads=4)
+    predicted = {
+        "BEST": [0] * 4,
+        "ER": [trace.n for trace in traces],
+        "LA": [lru_write_cache_misses(trace, trace.n + 1) for trace in traces],
+        "AT": [atlas_table_misses(trace) for trace in traces],
+        **{
+            size: [lru_write_cache_misses(trace, size) for trace in traces]
+            for size in SC_SIZES
+        },
+    }
+    engine = {"BEST": best}
+    for technique in ("ER", "LA", "AT"):
+        engine[technique] = flushes(workload, technique, True, threads=4)[0]
+    for size in SC_SIZES:
+        engine[size] = flushes(
+            workload, "SC-offline", True, threads=4, sc_fixed_size=size
+        )[0]
+    assert sum(trace.n for trace in traces) > 0
+    assert engine == predicted, (name, seed)
