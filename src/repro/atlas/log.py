@@ -24,7 +24,8 @@ byte encoding — is what the reproduction needs.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional
+from itertools import takewhile
+from typing import Iterable, List, NamedTuple, Optional
 
 from repro.atlas.region import PersistentRegion
 
@@ -121,18 +122,27 @@ class UndoLog:
     # -- post-crash scanning (class-level: no live log object exists) ----
 
     @staticmethod
-    def scan(nvram: dict, region_base: int, region_size: int) -> List[LogRecord]:
-        """The log records found in a post-crash NVRAM image, in append
-        order (the first line of the region holds the root)."""
-        get = nvram.get
-        records: List[LogRecord] = []
-        for addr in range(region_base + 64, region_base + region_size, LOG_SLOT_BYTES):
-            record = get(addr)
+    def slots(nvram: dict, region_base: int, region_size: int) -> List[object]:
+        """The payloads of a region's slots (after the root's line) up to
+        the first empty one — no record is falsy — read at C speed."""
+        addrs = range(region_base + 64, region_base + region_size, LOG_SLOT_BYTES)
+        return list(takewhile(bool, map(nvram.get, addrs)))
+
+    @staticmethod
+    def parse(payloads: Iterable[object], records: List[LogRecord]) -> List[LogRecord]:
+        """Append the records ``payloads`` hold to ``records``, up to the
+        first payload that is not one; returns ``records``."""
+        for record in payloads:
             # A stored record is taken as it is (``from_payload``'s answer
             # without the call); anything else is parsed.
             if type(record) is not LogRecord or record[0] not in _KINDS:
                 record = LogRecord.from_payload(record)
                 if record is None:
-                    break  # append-only: the first hole is the log's end
+                    break  # append-only: a non-record is the log's end
             records.append(record)
         return records
+
+    @staticmethod
+    def scan(nvram: dict, region_base: int, region_size: int) -> List[LogRecord]:
+        """The log records found in a post-crash NVRAM image, in append order."""
+        return UndoLog.parse(UndoLog.slots(nvram, region_base, region_size), [])

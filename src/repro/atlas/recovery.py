@@ -21,7 +21,8 @@ Recovery is two steps, so that whoever needs the log reads it once:
 is the truth — before anything is rolled back, and :func:`rollback`
 applies that parse to a copy of the image.  :func:`recover` composes
 them; the fault-injection oracle checks its log-before-data invariant on
-the parse in between.  An undo record aimed at a log slot could change
+the parse in between and keeps it for the next image's :func:`scan_log`
+to extend.  An undo record aimed at a log slot could change
 what was just read, so it is refused as a
 :class:`~repro.common.errors.RecoveryError`.
 """
@@ -29,9 +30,11 @@ what was just read, so it is refused as a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from itertools import chain
+from operator import is_
+from typing import Dict, List, Set
 
-from repro.atlas.log import KIND_COMMIT, KIND_UNDO, LogRecord, UndoLog
+from repro.atlas.log import KIND_COMMIT, LogRecord, UndoLog
 from repro.common.errors import RecoveryError
 from repro.nvram.failure import CrashedState
 
@@ -52,20 +55,63 @@ class RecoveryReport:
         return self.nvram.get(addr, default)
 
 
-#: A parsed log: ``(region, records in append order)`` per log region.
-ParsedLog = List[Tuple[object, List[LogRecord]]]
+class RegionLog:
+    """One log region's records in append order, folded as they are
+    appended into the FASEs it commits and each FASE's undo records, so
+    a longer log with the same prefix extends the fold, not redoes it."""
+
+    __slots__ = ("region", "records", "committed", "undo", "open")
+
+    def __init__(self, region: object) -> None:
+        self.region = region
+        self.records: List[LogRecord] = []
+        self.committed: Set[int] = set()
+        self.undo: Dict[int, List[int]] = {}  # FASE -> its undo records' positions
+        self.open: Set[int] = set()  # FASEs with undo records and no commit here
+
+    def extend(self, payloads: List[object]) -> None:
+        """Parse the payloads of the slots after ``records`` and fold them in."""
+        start = len(self.records)
+        for i, r in enumerate(UndoLog.parse(payloads, self.records)[start:], start):
+            if r.kind == KIND_COMMIT:
+                self.committed.add(r.fase_id)
+                self.open.discard(r.fase_id)
+            else:
+                self.undo.setdefault(r.fase_id, []).append(i)
+                if r.fase_id not in self.committed:
+                    self.open.add(r.fase_id)
+
+    def undone(self) -> List[LogRecord]:
+        """The undo records of the FASEs not committed here, newest first."""
+        positions = sorted(chain.from_iterable(map(self.undo.__getitem__, self.open)))
+        return list(map(self.records.__getitem__, reversed(positions)))
 
 
-def scan_log(image: Dict[int, object], layout) -> ParsedLog:
+#: A parsed log: one :class:`RegionLog` per log region.
+ParsedLog = List[RegionLog]
+
+
+def scan_log(image: Dict[int, object], layout, previous: ParsedLog = ()) -> ParsedLog:
     """Read every log region of ``image`` forward, once.
 
     The one parse of a crashed image: :func:`rollback` and the oracle's
-    log-before-data check both read it, so neither rescans.
+    log-before-data check both read it, so neither rescans.  Every slot
+    is read; given ``previous`` — an earlier image's parse, which this
+    call takes over — a region whose slots begin with the very record
+    objects parsed there (an identity test at C speed) parses only the
+    slots after them, and any other region is parsed from its start.
     """
-    return [
-        (region, UndoLog.scan(image, region.base, region.size))
-        for region in layout.log_regions
-    ]
+    earlier = {(part.region.base, part.region.size): part for part in previous}
+    log = []
+    for region in layout.log_regions:
+        payloads = UndoLog.slots(image, region.base, region.size)
+        part = earlier.get((region.base, region.size)) or RegionLog(region)
+        kept = part.records
+        if len(payloads) < len(kept) or not all(map(is_, kept, payloads)):
+            part = RegionLog(region)
+        part.extend(payloads[len(part.records):])
+        log.append(part)
+    return log
 
 
 def rollback(image: Dict[int, object], log: ParsedLog) -> RecoveryReport:
@@ -79,18 +125,13 @@ def rollback(image: Dict[int, object], log: ParsedLog) -> RecoveryReport:
     """
     report = RecoveryReport(nvram=dict(image))
     nvram = report.nvram
-    spans = [(region.base, region.base + region.size) for region, _records in log]
-    for _region, records in log:
-        report.log_records += len(records)
-        committed = {r.fase_id for r in records if r.kind == KIND_COMMIT}
-        report.committed_fases |= committed
+    spans = [(part.region.base, part.region.base + part.region.size) for part in log]
+    for part in log:
+        report.log_records += len(part.records)
+        report.committed_fases |= part.committed
         # Undo newest-first so a location modified by several uncommitted
         # FASEs (nested retries) ends at its oldest durable value.
-        undone = [
-            r
-            for r in reversed(records)
-            if r.kind == KIND_UNDO and r.fase_id not in committed
-        ]
+        undone = part.undone()
         for lo, hi in spans:
             for r in undone:
                 if lo <= r.addr < hi:
@@ -103,7 +144,7 @@ def rollback(image: Dict[int, object], log: ParsedLog) -> RecoveryReport:
                 nvram.pop(r.addr, None)
             else:
                 nvram[r.addr] = r.old_value
-        report.rolled_back_fases.update(r.fase_id for r in undone)
+        report.rolled_back_fases |= part.open
         report.undone_stores += len(undone)
     overlap = report.committed_fases & report.rolled_back_fases
     if overlap:

@@ -745,7 +745,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     if args.artifact == "crashmatrix":
-        rc = _run_crashmatrix(args)
+        try:
+            rc = _run_crashmatrix(args)
+        except ConfigurationError as exc:
+            # No, repeated or unknown fault models; a payload-free stream.
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"\n[{time.time() - start:.1f}s]", file=sys.stderr)
         return rc
     harness = Harness(

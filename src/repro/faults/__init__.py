@@ -4,8 +4,8 @@ The package answers one question systematically: *does FASE atomicity
 survive a power failure at every point the implementation could crash?*
 
 - :mod:`repro.faults.driver` — Atlas-semantics replay of a workload,
-  crashable at any enumerated site (golden run + one sweep per fault
-  model capturing every target site's crashed image);
+  crashable at any enumerated site (golden run + one sweep capturing
+  every target site's crashed image under every fault model);
 - :mod:`repro.faults.enumerator` — exhaustive or seeded-strided
   selection of injection targets;
 - :mod:`repro.faults.oracle` — judges each recovered image against the

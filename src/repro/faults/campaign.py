@@ -3,16 +3,16 @@
 One campaign = one ``(workload, technique, threads)`` configuration.  A
 golden replay enumerates the injectable sites and records FASE ground
 truth; the :class:`~repro.faults.enumerator.CrashPointEnumerator` picks
-the injection targets; one forward replay per fault model (a *sweep*)
-then captures the crashed image at every target on the way, and each is
-recovered and judged by the oracle while the replay waits.  Results fold
-into a :class:`CrashMatrix` — the (crash-site-class × fault-model →
+the injection targets; one forward replay (a *sweep*) then captures the
+crashed image of every fault model at every target on the way, and each
+is recovered and judged by the oracle while the replay waits.  Results
+fold into a :class:`CrashMatrix` — the (crash-site-class × fault-model →
 verified/violated) table the ``crashmatrix`` CLI artifact emits.
 
 Sweeps are independent pure functions of the configuration, so strided
-chunks of the targets fan out over the same
+chunks of the target sites fan out over the same
 :class:`~repro.experiments.parallel.TaskPool` as experiment grid cells
-(``--jobs``), one chunk per worker.  A finished
+(``--jobs``), one chunk — one sweep, every model — per worker.  A finished
 campaign memoizes whole into the PR-1 on-disk
 :class:`~repro.experiments.cache.ResultCache` when the workload is
 registry-named (anonymous workload objects have no stable fingerprint,
@@ -22,7 +22,6 @@ so they always recompute).
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -51,6 +50,11 @@ class FaultCampaignSpec:
     jobs: int = 1
 
     def __post_init__(self) -> None:
+        if not self.fault_models:
+            raise ConfigurationError("no fault models: a campaign would inject nothing")
+        repeated = sorted({m for m in self.fault_models if self.fault_models.count(m) > 1})
+        if repeated:
+            raise ConfigurationError(f"fault models {repeated} are listed more than once")
         unknown = set(self.fault_models) - set(FAULT_MODELS)
         if unknown:
             raise ConfigurationError(
@@ -205,27 +209,27 @@ def _crash_info(golden: GoldenRun, site: int, model: str, violated: bool) -> dic
     }
 
 
-def _sweep_jobs(
+def _sweep(
     driver: AtlasReplayDriver,
     golden: GoldenRun,
-    jobs: Sequence[Tuple[int, str]],
+    chunk: Tuple[Sequence[int], Tuple[str, ...]],
     fault_seed: int,
     report: Callable[[int, str, List[dict]], None],
 ) -> None:
-    """Inject ``jobs`` with one :meth:`crash_sweep` per fault model.
+    """Inject every fault model at every site of ``chunk`` — ``(sites
+    ascending, fault models)`` — with one :meth:`crash_sweep`.
 
-    ``jobs`` are ``(site, fault_model)`` pairs, model-major with sites
-    ascending within a model.  ``report(site, model, violations)`` runs
-    inside the sweep, right after the oracle judged that crash, so no
-    crashed image outlives its verdict; violations arrive as dicts.
+    ``report(site, model, violations)`` runs inside the sweep, site by
+    site and model by model, right after the oracle judged that crash,
+    so no crashed image outlives its verdict; violations arrive as dicts.
     """
-    for model, group in itertools.groupby(jobs, key=lambda job: job[1]):
+    sites, models = chunk
 
-        def on_crash(state, model=model):
-            verdict = check_crash(golden, state.at_site, state)
-            report(state.at_site, model, [v.to_dict() for v in verdict])
+    def on_crash(state):
+        verdict = check_crash(golden, state.at_site, state)
+        report(state.at_site, state.fault_model, [v.to_dict() for v in verdict])
 
-        driver.crash_sweep([site for site, _ in group], model, fault_seed, on_crash)
+    driver.crash_sweep(sites, models, fault_seed, on_crash)
 
 
 def _build_crash_state(
@@ -242,16 +246,13 @@ def _build_crash_state(
 
 def _crash_chunk_task(
     state: Tuple[AtlasReplayDriver, GoldenRun],
-    chunk: List[Tuple[int, str]],
+    chunk: Tuple[Sequence[int], Tuple[str, ...]],
     fault_seed: int,
 ) -> List[Tuple[int, str, List[dict]]]:
-    """Inject one chunk: one sweep per fault model in it."""
+    """Inject one chunk of sites under every fault model: one sweep."""
     driver, golden = state
     out: List[Tuple[int, str, List[dict]]] = []
-    _sweep_jobs(
-        driver, golden, chunk, fault_seed,
-        lambda site, model, violations: out.append((site, model, violations)),
-    )
+    _sweep(driver, golden, chunk, fault_seed, lambda *reply: out.append(reply))
     return out
 
 
@@ -284,13 +285,14 @@ def run_campaign(
     :class:`~repro.workloads.base.Workload` instance.  A workload that
     cannot partition over ``threads`` runs single-threaded instead —
     the hash benchmark, for one, is single-threaded by construction.
-    ``progress(done, total)`` is called after every injected crash; a
+    ``progress(done, total)`` is called after every injected crash, in
+    each sweep site-major (at each site, every model in spec order); a
     callback declaring a third parameter also receives a per-crash info
     dict (``site``/``model``/``site_class``/``violated``).
 
     ``recorder``/``metrics`` attach the observability layer to the
-    replays this process performs (the golden run, plus one sweep per
-    fault model when ``spec.jobs == 1``; worker processes never ship their
+    replays this process performs (the golden run, plus the one sweep
+    when ``spec.jobs == 1``; worker processes never ship their
     observability home).  A campaign served whole from the on-disk
     cache performs no replays at all, so both stay empty then.
     """
@@ -365,10 +367,9 @@ def run_campaign(
         sample_seed=spec.sample_seed,
         site_classes=spec.site_classes,
     )
-    targets = enumerator.select()
-    # Model-major, sites ascending: the order sweeps need and the
-    # order results fold in.
-    jobs = [(site[0], model) for model in spec.fault_models for site in targets]
+    sites = [site[0] for site in enumerator.select()]
+    models = tuple(spec.fault_models)
+    total = len(sites) * len(models)
 
     matrix = CrashMatrix(
         workload=name,
@@ -393,25 +394,21 @@ def run_campaign(
     else:
         notify = None
 
-    done = 0
+    replies: List[Tuple[int, str, List[dict]]] = []
 
     def landed(site: int, model: str, violations: List[dict]) -> None:
-        nonlocal done
-        done += 1
+        replies.append((site, model, violations))
         if notify is not None:
-            notify(done, len(jobs), _crash_info(golden, site, model, bool(violations)))
+            notify(len(replies), total, _crash_info(golden, site, model, bool(violations)))
 
-    if spec.jobs > 1 and len(jobs) > 1:
+    if spec.jobs > 1 and len(sites) > 1:
         from repro.experiments.parallel import TaskPool
 
-        # Every chunk pays one full forward replay per fault model in
-        # it, so one chunk per worker; striding balances them.
-        chunks = [c for c in (jobs[i :: spec.jobs] for i in range(spec.jobs)) if c]
-        collected: List[Tuple[int, str, List[dict]]] = []
+        # A chunk of sites (every model) is one replay: one per worker, strided.
+        chunks = [(sites[i :: spec.jobs], models) for i in range(min(spec.jobs, len(sites)))]
 
-        def fold_chunk(replies: List[Tuple[int, str, List[dict]]]) -> None:
-            for reply in replies:
-                collected.append(reply)
+        def fold_chunk(chunk_replies: List[Tuple[int, str, List[dict]]]) -> None:
+            for reply in chunk_replies:
                 landed(*reply)
 
         with TaskPool(
@@ -422,27 +419,20 @@ def run_campaign(
         ) as pool:
             for i, chunk in enumerate(chunks):
                 pool.submit(
-                    f"crash chunk {i} of {name} ({len(chunk)} injections)",
+                    f"crash chunk {i} of {name} ({len(chunk[0]) * len(models)} injections)",
                     fold_chunk,
                     _crash_chunk_task,
                     chunk,
                     spec.fault_seed,
                 )
             pool.drain()
-        # Fold in the sequential path's order (model-major as the spec
-        # lists them, sites ascending), whatever order chunks finished in.
-        rank = {model: i for i, model in enumerate(spec.fault_models)}
-        for site, model, violations in sorted(
-            collected, key=lambda r: (rank[r[1]], r[0])
-        ):
-            matrix.record(golden.site_class(site), model, violations)
     else:
-
-        def report(site: int, model: str, violations: List[dict]) -> None:
-            matrix.record(golden.site_class(site), model, violations)
-            landed(site, model, violations)
-
-        _sweep_jobs(driver, golden, jobs, spec.fault_seed, report)
+        _sweep(driver, golden, (sites, models), spec.fault_seed, landed)
+    # Fold model-major as the spec lists them, sites ascending — whatever
+    # order the sweep or the chunks delivered in.
+    rank = {model: i for i, model in enumerate(models)}
+    for site, model, violations in sorted(replies, key=lambda r: (rank[r[1]], r[0])):
+        matrix.record(golden.site_class(site), model, violations)
 
     if cache is not None and cache_key is not None:
         cache.put(cache_key, matrix.to_dict())

@@ -4,8 +4,8 @@ The fault-injection campaign needs to execute a workload *with full Atlas
 semantics* — undo logging, data-drain-before-commit ordering, per-thread
 software caches — and to do so twice over: once crash-free while
 recording every injectable site plus the ground-truth FASE bookkeeping
-(the **golden run**), then once per fault model, capturing the crashed
-image at every target site on the way (a **sweep**).
+(the **golden run**), then once more, capturing the crashed image of
+every fault model at every target site on the way (a **sweep**).
 :class:`AtlasReplayDriver` is that executor.
 
 What it shares with ``Machine.run`` is the scheduler, what it does not
@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.atlas.recovery import ParsedLog
 from repro.atlas.region import RegionManager
 from repro.atlas.runtime import AtlasLayout, AtlasRuntime
 from repro.common.errors import ConfigurationError, SimulationError
@@ -76,6 +77,7 @@ class _Cursor:
     folded: int = 0                 # commit_order[:folded] are in ``expected``
     expected: Dict[int, object] = field(default_factory=dict)
     in_flight: Dict[int, FaseRecord] = field(default_factory=dict)
+    log: ParsedLog = field(default_factory=list)  # the last image's, for the oracle
 
 
 @dataclass
@@ -127,18 +129,17 @@ class GoldenRun:
     def site_class(self, site: int) -> str:
         return self.sites[site][1]
 
-    def _truth_at(
-        self, site: int
-    ) -> Tuple[Dict[int, object], Set[int], Dict[int, FaseRecord]]:
+    def _truth_at(self, site: int) -> _Cursor:
         """What a crash at ``site`` must recover to, for the oracle only.
 
-        ``(expected, unwritten, in_flight)``: the committed overlay over
-        the protected addresses, the protected addresses no committed
-        FASE has written yet, and the FASEs begun and not committed, in
-        begin order.  All three are the cursor's own objects — read them,
-        do not keep them: the next call moves them forward by the FASEs
-        that began or committed since, or rebuilds from FASE 0 when
-        ``site`` lies behind the last one asked for.
+        The cursor, moved to ``site``: ``expected`` is the committed
+        overlay over the protected addresses, ``unwritten`` the
+        protected addresses no committed FASE has written yet, and
+        ``in_flight`` the FASEs begun and not committed, in begin order.
+        All are the cursor's own objects — read them, do not keep them:
+        the next call moves them forward by the FASEs that began or
+        committed since, or rebuilds from FASE 0 (and drops ``log``)
+        when ``site`` lies behind the last one asked for.
         """
         cur = self._cursor
         if cur is None or site < cur.site:
@@ -158,7 +159,7 @@ class GoldenRun:
                     cur.expected[addr] = value
                     cur.unwritten.discard(addr)
             cur.folded += 1
-        return cur.expected, cur.unwritten, in_flight
+        return cur
 
 
 class AtlasReplayDriver:
@@ -373,18 +374,19 @@ class AtlasReplayDriver:
     def crash_sweep(
         self,
         sites: Sequence[int],
-        fault_model: str,
+        fault_models: Tuple[str, ...],
         fault_seed: int,
         on_crash: Callable[[CrashedState], None],
     ) -> AtlasLayout:
         """One forward replay crashing at every site of ``sites``.
 
         ``sites`` must ascend.  As each one completes, ``on_crash``
-        receives the (fault-mutated) durable image a power cut there
-        leaves — the fault model seeded ``fault_seed + site`` — and the
-        replay continues to the next; the power fails for good after the
-        last.  Every state equals what :meth:`crash_at` returns for that
-        site, at the cost of one replay rather than one per site, and
+        receives, once per fault model in ``fault_models`` order, the
+        (fault-mutated) durable image a power cut there leaves — each
+        model seeded ``fault_seed + site`` — and the replay continues to
+        the next; the power fails for good after the last.  Every state
+        equals what :meth:`crash_at` returns for that site and model, at
+        the cost of one replay rather than one per site and model, and
         only the image being judged is alive at any time.  An exception
         from ``on_crash`` aborts the sweep and propagates.  Returns the
         layout recovery needs; raises
@@ -392,13 +394,13 @@ class AtlasReplayDriver:
         site that never fired (index out of this configuration's range).
         """
         return self._sweep(
-            [(site, fault_seed + site) for site in sites], fault_model, on_crash
+            [(site, fault_seed + site) for site in sites], fault_models, on_crash
         )
 
     def _sweep(
         self,
         targets: List[Tuple[int, int]],
-        fault_model: str,
+        fault_models: Tuple[str, ...],
         on_crash: Callable[[CrashedState], None],
     ) -> AtlasLayout:
         """:meth:`crash_sweep` over explicit ``(site, fault_seed)`` targets."""
@@ -406,9 +408,10 @@ class AtlasReplayDriver:
         layout = runtimes[0].layout()
         if not targets:
             return layout
-        machine.arm_crash_sweep(targets, fault_model, on_crash)
+        machine.arm_crash_sweep(targets, fault_models, on_crash)
         self._replay(machine, runtimes, shift, golden=None)
         unfired = machine.next_crash_target
+        machine.arm_crash_sweep(())  # let go of on_crash's state with the replay
         if unfired is not None:
             raise SimulationError(
                 f"crash site {unfired} never fired (run has fewer sites)"
@@ -423,12 +426,12 @@ class AtlasReplayDriver:
     ) -> Tuple[CrashedState, AtlasLayout]:
         """Replay until site ``site`` completes, then fail the power.
 
-        The one-target :meth:`crash_sweep`, with ``fault_seed`` used as
-        given.  Returns the (fault-mutated) durable image and the layout
-        recovery needs.  Raises
+        The one-target, one-model :meth:`crash_sweep`, with
+        ``fault_seed`` used as given.  Returns the (fault-mutated)
+        durable image and the layout recovery needs.  Raises
         :class:`~repro.common.errors.SimulationError` if the site never
         fires (index out of this configuration's range).
         """
         captured: List[CrashedState] = []
-        layout = self._sweep([(site, fault_seed)], fault_model, captured.append)
+        layout = self._sweep([(site, fault_seed)], (fault_model,), captured.append)
         return captured[0], layout

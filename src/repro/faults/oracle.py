@@ -33,9 +33,11 @@ and :func:`~repro.atlas.recovery.rollback` consumes the same parse.  The
 golden side is not rebuilt per site either:
 :class:`~repro.faults.driver.GoldenRun` advances it along the sweep and
 restarts it when a site lies behind the last one asked for, so
-:func:`check_crash` stays a function of ``(golden, site, state)``.  What
-is never trusted is the image: the log prefix the previous site showed
-is scanned again, because a fault model may have rewritten it.
+:func:`check_crash` stays a function of ``(golden, site, state)``.  Nor
+is the log: the cursor keeps the last image's parse for ``scan_log`` to
+extend.  What is never trusted is the image: every log slot is read
+again, and the parse is kept only where each slot still holds the very
+record parsed from it, because a fault model may have rewritten it.
 
 **Accept fast, explain slow.**  The first two invariants hold iff the
 overlay's items are a subset of the recovered image's and no unwritten
@@ -58,7 +60,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.atlas.log import KIND_UNDO
 from repro.atlas.recovery import rollback, scan_log
 from repro.common.errors import RecoveryError
 from repro.faults.driver import GoldenRun
@@ -137,16 +138,17 @@ def check_crash(
             )
         )
 
-    expected, unwritten, in_flight = golden._truth_at(site)
-    log = scan_log(image, layout)
+    truth = golden._truth_at(site)
+    expected, unwritten, in_flight = truth.expected, truth.unwritten, truth.in_flight
+    log = truth.log = scan_log(image, layout, truth.log)
 
     # Invariant 3 first, on the untouched pre-recovery image: every
     # leaked in-flight value must have its undo record already durable.
     undo_entries = {
-        (r.fase_id, r.addr)
-        for _region, records in (log if in_flight else ())
-        for r in records
-        if r.fase_id in in_flight and r.kind == KIND_UNDO
+        (uid, part.records[i].addr)
+        for part in log
+        for uid in in_flight
+        for i in part.undo.get(uid, ())
     }
     for uid, record in in_flight.items():
         for addr, values in record.all_values.items():

@@ -11,9 +11,10 @@ operation just completed; every retired persistent store is one, so
 "after the k-th store" is the k-th ``store`` site.  The machine numbers
 sites globally in execution order (see :data:`SITE_CLASSES`); the
 fault-injection campaign (:mod:`repro.faults`) enumerates them in a
-golden run and then replays once per fault model, capturing the crashed
-image at every target site on the way (``Machine.arm_crash_sweep``; a
-:class:`CrashPlan` is its one-target case).
+golden run and then replays once, capturing the crashed image of every
+fault model at every target site on the way
+(``Machine.arm_crash_sweep``; a :class:`CrashPlan` is its one-target,
+one-model case).
 
 Fault models sharpen the failure beyond a clean power cut:
 

@@ -61,6 +61,7 @@ from repro.locality.trace import WriteTrace
 from repro.nvram.failure import (
     _ABSENT,
     FAULT_CLEAN,
+    FAULT_MODELS,
     FAULT_REORDERED_FLUSH,
     FAULT_TORN_LINE,
     SITE_COMMIT,
@@ -359,10 +360,10 @@ class Machine:
         self._crash_targets: Sequence[Tuple[int, int]] = ()
         self._target_cursor = 0
         self._next_target = -1
-        self._fault_model = FAULT_CLEAN
+        self._fault_models: Tuple[str, ...] = (FAULT_CLEAN,)
         self._on_crash: Optional[Callable[[CrashedState], None]] = None
         # In-flight hardware eviction write-backs, recorded only when a
-        # reordered_flush plan is armed: (ctx, line, {addr: old durable}).
+        # reordered_flush crash is armed: (ctx, line, {addr: old durable}).
         self._record_inflight = False
         self._fault_inflight: List[Tuple[object, int, Dict[int, object]]] = []
 
@@ -416,27 +417,32 @@ class Machine:
             self.arm_crash_sweep(())
         else:
             self.arm_crash_sweep(
-                [(plan.at_site, plan.fault_seed)], plan.fault_model
+                [(plan.at_site, plan.fault_seed)], (plan.fault_model,)
             )
 
     def arm_crash_sweep(
         self,
         targets: Sequence[Tuple[int, int]],
-        fault_model: str = FAULT_CLEAN,
+        fault_models: Tuple[str, ...] = (FAULT_CLEAN,),
         on_crash: Optional[Callable[[CrashedState], None]] = None,
     ) -> None:
         """Schedule a crash at every ``(site, fault_seed)`` target.
 
         ``targets`` must ascend by site index.  As each target site
         completes, the machine captures the crashed image a power cut
-        there would leave (``fault_model`` applied with that target's
-        seed), stores it in ``crashed_state`` and hands it to
-        ``on_crash``; execution then *continues* — capturing mutates
-        only a copy of the durable image, never the machine — and
+        there would leave once per fault model, in ``fault_models``
+        order and each with that target's seed, storing each in
+        ``crashed_state`` and handing it to ``on_crash``; execution then
+        *continues* — capturing mutates only a copy of the durable
+        image, never the machine — and
         :class:`~repro.nvram.failure.PowerFailure` is raised only after
         the last target.  One forward run therefore yields exactly the
-        states that one run per target would.
+        states that one run per target and model would.
         """
+        if isinstance(fault_models, str) or not set(fault_models) <= set(FAULT_MODELS):
+            raise ConfigurationError(
+                f"fault models must be a tuple from {FAULT_MODELS}, got {fault_models!r}"
+            )
         targets = list(targets)
         for (site, _), (later, _) in zip(targets, targets[1:]):
             if later <= site:
@@ -447,11 +453,10 @@ class Machine:
         self._target_cursor = 0
         self._next_target = targets[0][0] if targets else -1
         self._on_crash = on_crash
-        self._fault_model = fault_model
+        self._fault_models = tuple(fault_models)
         if targets:
             self._sites_active = True
-            if fault_model == FAULT_REORDERED_FLUSH:
-                self._record_inflight = True
+            self._record_inflight = FAULT_REORDERED_FLUSH in self._fault_models
 
     @property
     def next_crash_target(self) -> Optional[int]:
@@ -468,13 +473,12 @@ class Machine:
         if idx == self._next_target:
             targets = self._crash_targets
             cursor = self._target_cursor
-            self._crash(idx, site_class, targets[cursor][1])
+            fault_seed = targets[cursor][1]
             cursor += 1
             last = cursor == len(targets)
             self._target_cursor = cursor
             self._next_target = -1 if last else targets[cursor][0]
-            if self._on_crash is not None:
-                self._on_crash(self.crashed_state)
+            self._crash(idx, site_class, fault_seed)
             if last:
                 raise PowerFailure(
                     f"scheduled power failure at site {idx} ({site_class})"
@@ -1305,32 +1309,35 @@ class Machine:
         site_class: Optional[str] = None,
         fault_seed: int = 0,
     ) -> None:
-        """Capture what a power cut *now* leaves durable.
+        """Capture what a power cut *now* leaves durable under each armed
+        fault model in turn, into ``crashed_state`` and to ``on_crash``.
 
-        Non-destructive: the fault model mutates only the snapshot, so a
-        sweep can capture at one site and keep executing to the next.
+        Non-destructive: each fault model mutates only its own snapshot,
+        so a sweep can capture at one site and keep executing to the next.
         """
-        image = self.memory.nvram_snapshot()
         dirty = self.hwcache.dirty_lines()
-        model = self._fault_model
-        torn: List[int] = []
-        dropped = 0
-        if model == FAULT_TORN_LINE:
-            torn = apply_torn_lines(image, dirty, self.hwcache.values, fault_seed)
-        elif model == FAULT_REORDERED_FLUSH:
-            dropped = apply_reordered_flushes(
-                image, self._fault_inflight, fault_seed
+        for model in self._fault_models:
+            image = self.memory.nvram_snapshot()
+            torn: List[int] = []
+            dropped = 0
+            if model == FAULT_TORN_LINE:
+                torn = apply_torn_lines(image, dirty, self.hwcache.values, fault_seed)
+            elif model == FAULT_REORDERED_FLUSH:
+                dropped = apply_reordered_flushes(
+                    image, self._fault_inflight, fault_seed
+                )
+            self.crashed_state = CrashedState(
+                nvram=image,
+                lost_lines=dirty,
+                at_store=self._stores_seen,
+                at_site=site,
+                site_class=site_class,
+                fault_model=model,
+                torn_lines=torn,
+                dropped_writebacks=dropped,
             )
-        self.crashed_state = CrashedState(
-            nvram=image,
-            lost_lines=dirty,
-            at_store=self._stores_seen,
-            at_site=site,
-            site_class=site_class,
-            fault_model=model,
-            torn_lines=torn,
-            dropped_writebacks=dropped,
-        )
+            if self._on_crash is not None:
+                self._on_crash(self.crashed_state)
 
     # ------------------------------------------------------------------
     # Imperative per-thread driver (used by the Atlas runtime)

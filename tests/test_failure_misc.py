@@ -77,6 +77,30 @@ def test_recover_rolls_back_newest_first():
     assert report.undone_stores == 2
 
 
+def test_rollback_is_newest_first_across_the_fase_groups():
+    """The parse groups undo records by FASE, but rollback still replays
+    them newest-first in log order: interleaved uncommitted FASEs end at
+    the oldest value (FASE 5 iterates after FASE 2 in a set), and an undo
+    record after its FASE's commit record stays committed."""
+    base = 0x1000_0000
+    records = [
+        LogRecord(KIND_UNDO, 5, 100, "oldest"),
+        LogRecord(KIND_UNDO, 3, 300, "before-commit"),
+        LogRecord(KIND_COMMIT, 3),
+        LogRecord(KIND_UNDO, 2, 100, "newer"),
+        LogRecord(KIND_UNDO, 5, 200, "five-old"),
+        LogRecord(KIND_UNDO, 3, 300, "after-commit"),
+    ]
+    nvram = slotted(records, base)
+    nvram.update({100: "leaked", 200: "leaked", 300: "committed"})
+    state = CrashedState(nvram=nvram, lost_lines=[], at_store=0)
+    report = recover(state, FakeLayout([FakeRegion(base, 1 << 16)]))
+    assert report.nvram[100] == "oldest" and report.nvram[200] == "five-old"
+    assert report.nvram[300] == "committed"
+    assert (report.committed_fases, report.rolled_back_fases) == ({3}, {2, 5})
+    assert report.undone_stores == 3
+
+
 def test_recover_none_old_value_removes_location():
     base = 0x1000_0000
     nvram = slotted([LogRecord(KIND_UNDO, 3, 500, None)], base)
@@ -126,7 +150,7 @@ def test_recover_is_rollback_over_scan_log():
     nvram[base + 64 + 32] = records[1]      # a plain tuple, as older images hold
     nvram.update({100: "leaked", 200: "leaked"})
     log = scan_log(nvram, layout)
-    assert [(region.base, recs) for region, recs in log] == [(base, records)]
+    assert [(part.region.base, part.records) for part in log] == [(base, records)]
     report = rollback(nvram, log)
     state = CrashedState(nvram=nvram, lost_lines=[], at_store=0)
     assert report == recover(state, layout)

@@ -327,8 +327,9 @@ def test_parallel_campaign_on_registry_workload_matches_sequential(
 
 
 def test_parallel_campaign_is_one_chunk_per_worker(monkeypatch):
-    """Each chunk pays a full forward replay per fault model in it, so a
-    jobs=2, 3-model campaign is 2 x 3 sweeps — and still the same matrix."""
+    """One sweep captures every fault model, so a sequential 3-model
+    campaign replays once and a jobs=2 one once per chunk — 2 sweeps —
+    and both write the same matrix."""
     sweeps = multiprocessing.get_context("fork").Value("i", 0)
     real = AtlasReplayDriver.crash_sweep
 
@@ -341,12 +342,12 @@ def test_parallel_campaign_is_one_chunk_per_worker(monkeypatch):
     workload = LinkedListWorkload(elements=12)
     spec = FaultCampaignSpec(fault_models=_THREE_MODELS, max_sites=40)
     seq = run_campaign(workload, technique="SC", spec=spec)
-    assert sweeps.value == 3
+    assert sweeps.value == 1
     sweeps.value = 0
     par = run_campaign(
         workload, technique="SC", spec=dataclasses.replace(spec, jobs=2)
     )
-    assert sweeps.value == 6
+    assert sweeps.value == 2
     assert par.to_dict() == seq.to_dict()
 
 
@@ -451,7 +452,7 @@ def test_sweep_unreachable_site_names_first_unfired():
     seen = []
     with pytest.raises(SimulationError, match=f"crash site {total + 3} never fired"):
         driver.crash_sweep(
-            [0, total - 1, total + 3, total + 9], "clean", 0, seen.append
+            [0, total - 1, total + 3, total + 9], ("clean",), 0, seen.append
         )
     # The reachable targets were still delivered before the run ended.
     assert [state.at_site for state in seen] == [0, total - 1]
@@ -470,7 +471,7 @@ def test_sweep_on_crash_exception_propagates():
             raise KeyError("oracle bug")
 
     with pytest.raises(KeyError, match="oracle bug"):
-        driver.crash_sweep([2, 5, 9], "clean", 0, on_crash)
+        driver.crash_sweep([2, 5, 9], ("clean",), 0, on_crash)
     assert seen == [2, 5]
 
 
@@ -503,7 +504,7 @@ def test_a_sweeps_closing_failure_still_dumps_every_threads_counters():
 def test_sweep_rejects_unordered_sites():
     driver = AtlasReplayDriver(LinkedListWorkload(elements=12), technique="SC")
     with pytest.raises(ConfigurationError, match="ascend"):
-        driver.crash_sweep([4, 4], "clean", 0, lambda state: None)
+        driver.crash_sweep([4, 4], ("clean",), 0, lambda state: None)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +552,7 @@ def test_sweep_states_equal_crash_at_for_every_site(
     fault_seed = 3
     for model in FAULT_MODELS:
         swept = []
-        sweep_layout = driver.crash_sweep(sites, model, fault_seed, swept.append)
+        sweep_layout = driver.crash_sweep(sites, (model,), fault_seed, swept.append)
         assert [state.at_site for state in swept] == list(sites)
         for site, state in zip(sites, swept):
             single, layout = driver.crash_at(
@@ -562,6 +563,42 @@ def test_sweep_states_equal_crash_at_for_every_site(
                 model,
             )
             assert _layout_facts(layout) == _layout_facts(sweep_layout)
+
+
+@pytest.mark.parametrize(
+    "workload, technique, threads",
+    [
+        (LinkedListWorkload(elements=8), "SC", 2),
+        (HashTableWorkload(elements=8), "SC", 1),
+        (LinkedListWorkload(elements=8), "SC+victim:4", 2),
+    ],
+    ids=["linked-list@2", "hash", "linked-list@2-victim"],
+)
+def test_one_sweep_captures_every_model_as_crash_at_does(workload, technique, threads):
+    """At each site a multi-model sweep takes one image per model in
+    spec order, each seeded as ``crash_at`` seeds it, with in-flight
+    write-backs recorded for all of them — and every state equals
+    ``crash_at``'s for that site and model.  The 2-line direct-mapped L1
+    gives ``reordered_flush`` and ``torn_line`` work to do."""
+    driver = AtlasReplayDriver(
+        workload, technique=technique, num_threads=threads,
+        l1_capacity_lines=2, l1_ways=1,
+    )
+    sites = range(len(driver.golden().sites))
+    swept = []
+    driver.crash_sweep(sites, _THREE_MODELS, 3, swept.append)
+    assert [(s.at_site, s.fault_model) for s in swept] == [
+        (site, model) for site in sites for model in _THREE_MODELS
+    ]
+    for state in swept:
+        single, _layout = driver.crash_at(
+            state.at_site, fault_model=state.fault_model, fault_seed=3 + state.at_site
+        )
+        assert dataclasses.asdict(state) == dataclasses.asdict(single), (
+            state.at_site, state.fault_model,
+        )
+    assert any(s.dropped_writebacks for s in swept)
+    assert any(s.torn_lines for s in swept)
 
 
 def test_campaign_progress_streams_in_sweep_order():
@@ -579,10 +616,11 @@ def test_campaign_progress_streams_in_sweep_order():
     total = 2 * matrix.total_sites
     assert [d for d, _t, _m, _s in seen] == list(range(1, total + 1))
     assert {t for _d, t, _m, _s in seen} == {total}
-    # Model-major in the spec's order, sites ascending within a model.
+    # Site-major as the one sweep captures them: sites ascending, every
+    # model at a site in the spec's order.
     every_site = list(range(matrix.total_sites))
     assert [(m, s) for _d, _t, m, s in seen] == [
-        (model, site) for model in spec.fault_models for site in every_site
+        (model, site) for site in every_site for model in spec.fault_models
     ]
     # The two-argument spelling keeps working.
     counts = []
@@ -637,6 +675,26 @@ def test_spec_validation():
         FaultCampaignSpec(fault_models=("bogus",))
     with pytest.raises(ConfigurationError):
         FaultCampaignSpec(jobs=0)
+
+
+def test_spec_without_fault_models_is_refused():
+    """No model means no injection: a matrix of 0 crashes reading ok."""
+    with pytest.raises(ConfigurationError, match="no fault models"):
+        FaultCampaignSpec(fault_models=())
+
+
+def test_spec_with_a_repeated_fault_model_is_refused():
+    """One sweep takes each model once per site; a repeat is named up
+    front, not left to fail deep in the machine."""
+    with pytest.raises(ConfigurationError, match=r"\['clean'\] are listed more than once"):
+        FaultCampaignSpec(fault_models=("clean", "torn_line", "clean"))
+
+
+def test_sweep_refuses_a_bare_model_name():
+    """A string is not a tuple of models (it would sweep one per letter)."""
+    driver = AtlasReplayDriver(LinkedListWorkload(elements=12), technique="SC")
+    with pytest.raises(ConfigurationError, match="must be a tuple"):
+        driver.crash_sweep([1], "clean", 0, lambda state: None)
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,7 @@ def swept_states(driver, golden, model):
     """The crashed image at every site, as a campaign's sweep sees them
     (``fault_seed`` 0, so each site's fault is seeded with its index)."""
     states = []
-    driver.crash_sweep(range(len(golden.sites)), model, 0, states.append)
+    driver.crash_sweep(range(len(golden.sites)), (model,), 0, states.append)
     return states
 
 
@@ -319,6 +319,62 @@ def test_mutilated_images_get_the_reference_verdict(case):
         V_LOG_BEFORE_DATA,
         V_RECOVERY_ERROR,
     }
+
+
+# ---------------------------------------------------------------------------
+# The incremental parse: a prefix is kept only if every slot still holds it
+# ---------------------------------------------------------------------------
+
+
+def early_slot_injuries(state, golden):
+    """Copies of ``state`` whose first log region lost, in its second
+    slot, its record (a hole), its record's identity (an equal, distinct
+    tuple) or its record (a payload that is no record) — each a prefix
+    the previous image's parse must not be trusted for."""
+    slots = log_slots(state.nvram, golden.layout)[:2]
+    if len(slots) < 2:
+        return []
+    addr, record = slots[1]
+    injured = []
+    for payload in (None, LogRecord(*record), "not a record"):
+        image = dict(state.nvram)
+        if payload is None:
+            del image[addr]
+        else:
+            image[addr] = payload
+        injured.append(dataclasses.replace(state, nvram=image))
+    return injured
+
+
+@pytest.mark.parametrize("commit_before_drain", [False, True], ids=["sound", "broken"])
+def test_incremental_oracle_equals_the_reference_inside_one_sweep(commit_before_drain):
+    """Judged as a campaign judges them — inside one multi-model sweep,
+    site by site, every model at a site — then with an early log slot
+    injured between two sound images, then at sites behind the last:
+    every verdict equals the stateless reference's."""
+    driver = make_driver("linked-list@2", commit_before_drain=commit_before_drain)
+    golden = driver.golden()
+    states, got = [], []
+
+    def on_crash(state):
+        states.append(state)
+        got.append(check_crash(golden, state.at_site, state))
+
+    driver.crash_sweep(range(len(golden.sites)), FAULT_MODELS, 0, on_crash)
+    reference = reference_verdicts(golden, states)
+    assert got == reference
+    assert any(reference) == commit_before_drain
+    injured = 0
+    for state, want in zip(states, reference):
+        for hurt in early_slot_injuries(state, golden):
+            injured += 1
+            assert check_crash(golden, hurt.at_site, hurt) == reference_check_crash(
+                golden, hurt.at_site, hurt
+            )
+            assert check_crash(golden, state.at_site, state) == want
+    assert injured > 100
+    for state, want in list(zip(states, reference))[::-17]:
+        assert check_crash(golden, state.at_site, state) == want
 
 
 # ---------------------------------------------------------------------------

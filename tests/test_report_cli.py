@@ -145,10 +145,21 @@ def test_cli_crashmatrix_observability(tmp_path, capsys):
         ]
     )
     assert rc == 0
-    # The golden run plus one crash sweep per fault model (not one
-    # replay per site) recorded into one trace.
+    # The golden run plus the one crash sweep that captures every fault
+    # model (not one replay per site or model) recorded into one trace.
     text = trace.read_text()
     assert '"kind":"trace_meta"' in text.splitlines()[0].replace(" ", "")
     doc = json.loads(metrics.read_text())
     assert doc["counters"]                  # final totals were dumped
     assert any(name.startswith("flush_queue_depth/") for name in doc["series"])
+
+
+@pytest.mark.parametrize(
+    "models, named",
+    [(",", "no fault models"), ("clean,clean", "listed more than once")],
+    ids=["none", "repeated"],
+)
+def test_cli_crashmatrix_refuses_a_campaign_that_checks_nothing(models, named, capsys):
+    rc = main(["crashmatrix", "--workloads", "linked-list", "--fault-models", models])
+    assert rc == 2
+    assert named in capsys.readouterr().err
