@@ -82,7 +82,9 @@ technique per visit:
 
 The per-event suffix columns of ``line_runs`` stay: they are what makes
 cutting a run at a scheduler quantum edge, or entering one in its middle,
-O(1) (:meth:`EventBatch.visit_rows`).
+O(1) (:meth:`EventBatch.visit_rows`).  A live generator's quantum (a
+workload with no batch stream) gets its rows without numpy:
+``Machine._run_live`` codes each event by the rules above, span 0 apiece.
 """
 
 from __future__ import annotations

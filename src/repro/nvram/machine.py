@@ -15,8 +15,10 @@ Threads are interleaved deterministically by smallest-cycle-first
 scheduling: the thread whose clock is furthest behind runs the next batch
 of events.  Wall-clock time of a run is the largest per-thread clock.
 That scheduler is written once (``Machine._schedule``): ``run`` feeds it
-workload streams, ``drive`` lets a caller that dispatches operations
-itself — the Atlas crash replay — borrow it for its sessions.
+workload streams — batches, or live generators a quantum at a time, on
+one batched loop; event by event only for value tracking, crash sites
+and the tests' reference — and ``drive`` lets a caller that dispatches
+operations itself — the Atlas crash replay — borrow it for its sessions.
 
 The technique object is duck-typed (see :mod:`repro.cache.policies`): the
 machine calls ``bind(port)``, ``on_store(line)``, ``on_fase_begin()``,
@@ -33,12 +35,14 @@ from __future__ import annotations
 import heapq
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from typing import (
     Callable,
     Dict,
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -300,6 +304,27 @@ class _ThreadContext:
         self.trace_lines: Optional[List[int]] = [] if record_trace else None
         self.trace_fids: Optional[List[int]] = [] if record_trace else None
         self.alive = True
+
+
+def _not_an_event(ctx: _ThreadContext, element: object) -> SimulationError:
+    what = f"stream element {element!r} is not an event"
+    return SimulationError(f"thread {ctx.thread_id}: {what}")
+
+
+class _LiveQuantum(NamedTuple):
+    """A live quantum as the :class:`EventBatch` surface ``_run_batches``
+    reads: one visit row per event, so every line-touch run is empty."""
+
+    kinds: List[int]
+    args: List[int]
+    sizes: List[int]
+    rows: List[tuple]
+
+    def line_runs(self, cpi: float) -> Tuple[bytes, ...]:
+        return (bytes(len(self.kinds)),) * 4
+
+    def visit_rows(self, pos: int, end: int, cpi: float, base: int) -> list:
+        return self.rows[pos:end]
 
 
 class Machine:
@@ -663,34 +688,76 @@ class Machine:
     # ------------------------------------------------------------------
 
     def _run_batch(self, ctx: _ThreadContext, budget: int) -> bool:
-        """Run up to ``budget`` events of ``ctx``; return False at stream end."""
-        stream = ctx.stream
+        """Run up to ``budget`` events of ``ctx`` one by one (the reference
+        engine); return False at stream end."""
         process = self._process_event
-        for _ in range(budget):
-            ev = next(stream, None)
-            if ev is None:
-                return False
-            process(ctx, ev)
-        return True
+        count = 0
+        for ev in islice(ctx.stream, budget):
+            try:
+                process(ctx, ev)
+            except AttributeError:
+                if hasattr(ev, "kind"):
+                    raise
+                raise _not_an_event(ctx, ev) from None
+            count += 1
+        return count == budget
+
+    def _run_live(self, ctx: _ThreadContext, budget: int) -> bool:
+        """Run up to ``budget`` events of ``ctx``'s live event stream on
+        :meth:`_run_batches`; return False at stream end.
+
+        Pulled just before it runs and never an event more, a quantum
+        holds what generators sharing an allocator hand out one event at
+        a time; each event is coded as :meth:`EventBatch.visits` codes it,
+        in a row of span 0 (DESIGN.md §8, *Live quanta*)."""
+        events = list(islice(ctx.stream, budget))
+        if not events:
+            return False
+        kinds, args, sizes, rows = ctx.batch = _LiveQuantum([], [], [], [])
+        base = NVRAM_BASE
+        try:
+            for i, ev in enumerate(events):
+                kind = ev.kind
+                if kind == 0 or kind == 1:  # STORE, LOAD
+                    arg, size = ev.addr, ev.size
+                    line = arg >> 6
+                    if arg >= base and line == (arg + size - 1) >> 6:
+                        rows.append((i, kind, line, 0, 0, 0, 0))
+                    else:  # ANY_STORE, ANY_LOAD
+                        rows.append((i, kind + 5, arg, 0, 0, 0, 0))
+                elif kind == 2 or kind == 3 or kind == 4:  # WORK, FASE marks
+                    arg = ev.amount if kind == 2 else 0
+                    size = 0
+                    rows.append((i, kind, arg, 0, 0, 0, 0))
+                else:
+                    raise _not_an_event(ctx, ev)
+                kinds.append(kind)
+                args.append(arg)
+                sizes.append(size)
+        except AttributeError:
+            raise _not_an_event(ctx, ev) from None
+        ctx.batch_pos = 0
+        self._run_batches(ctx, len(events))
+        return len(events) == budget
 
     def _run_batches(self, ctx: _ThreadContext, budget: int) -> bool:
-        """Batched twin of :meth:`_run_batch`; returns False at stream end.
+        """The batched loop; returns False at stream end.
 
-        Consumes up to ``budget`` events from ``ctx``'s batch stream with
-        the event semantics of :meth:`_process_event`, entering Python
-        once per *line visit*, not once per event.  Each batch carries a
-        visit table (:meth:`EventBatch.visits`): one row per event that
-        has to be entered — the head of a line-touch run, or an event in
-        none — holding what the event is (a store or load inside one
-        persistent line comes with that line; the odd access has a code
-        of its own and is read from the event columns) and what follows
-        it in its run.  A quantum is the slice of that table between
-        ``batch_pos`` and the budget (:meth:`EventBatch.visit_rows`, which
-        also cuts the run the quantum's edge falls in and opens a quantum
-        that starts inside one); the loop walks its rows with the
-        per-quantum invariants hoisted into locals.  No crash can fire in
-        here: a run that enumerates sites or has one armed executes on
-        :meth:`_process_event` (see :meth:`run`).
+        Consumes up to ``budget`` events of ``ctx``'s batch stream (or
+        :meth:`_run_live`'s quantum) with :meth:`_process_event`'s event
+        semantics, entering Python once per *line visit*, not once per
+        event.  Each batch carries a visit table (:meth:`EventBatch.visits`):
+        one row per event that has to be entered — the head of a
+        line-touch run, or an event in none — holding what the event is (a
+        store or load inside one persistent line comes with that line; the
+        odd access has a code of its own and is read from the event
+        columns) and what follows it in its run.  A quantum is the slice
+        of that table between ``batch_pos`` and the budget
+        (:meth:`EventBatch.visit_rows`, which also cuts the run the
+        quantum's edge falls in and opens a quantum that starts inside
+        one); the loop walks its rows with the per-quantum invariants
+        hoisted into locals.  No crash can fire in here: a run that
+        enumerates sites or has one armed executes on :meth:`_process_event`.
 
         *Line-touch runs.*  Most stores repeat the previous store's
         line.  The head of such a run executes as any store; the row
@@ -1246,8 +1313,8 @@ class Machine:
                     rec.record(
                         EV_FASE_END, ctx.thread_id, stats.cycles, ctx.fase_uid
                     )
-        else:  # pragma: no cover - the event kinds above are exhaustive
-            raise SimulationError(f"unknown event kind {kind}")
+        else:
+            raise _not_an_event(ctx, ev)
 
     def _sample_metrics(self, ctx: _ThreadContext) -> None:
         """Record one thread's gauge levels if its interval elapsed.
@@ -1396,8 +1463,8 @@ class Machine:
             Object with ``streams(num_threads, seed) -> list of event
             iterators`` and a ``name`` attribute.  Workloads may also
             offer ``batch_streams(num_threads, seed)`` yielding
-            :class:`~repro.common.events.EventBatch` runs; the machine
-            then uses the allocation-free batch loop.
+            :class:`~repro.common.events.EventBatch` runs, which the
+            batched loop then executes instead of the live streams.
         technique_factory:
             Called once per thread id; returns a fresh technique instance
             (software caches are per-thread).
@@ -1407,26 +1474,25 @@ class Machine:
             the figure pipelines).  ``crash_plan`` schedules a power
             failure at one site; afterwards ``self.crashed_state`` holds
             the durable NVRAM image and the result reads ``crashed``.
-            ``use_batches`` forces (``True``) or forbids (``False``) the
-            batched fast path; default ``None`` selects it automatically
-            whenever the workload provides batch streams and value
-            tracking is off (batches carry no store payloads).  Both
-            paths produce bit-identical results.
+            ``use_batches=False`` selects the per-event reference engine;
+            either engine gives bit-identical results.
 
-        Routing: a machine with crash sites active — :meth:`record_sites`
-        was called, or a target is armed — executes event by event
-        whatever ``use_batches`` says, because ``store`` sites exist only
-        there; so enumeration and injection always see one site sequence.
+        Routing: a run executes event by event only under
+        ``use_batches=False``, value tracking (the batched loop reads no
+        store payloads) or crash sites active — :meth:`record_sites` was
+        called, or a target is armed — because ``store`` sites exist
+        only there, so enumeration and injection always see one site
+        sequence.  Any other run takes the batched loop, over batch
+        streams or live ones a quantum at a time (:meth:`_run_live`).
         """
         if num_threads < 1:
             raise ConfigurationError("num_threads must be >= 1")
         self.arm_crash_plan(crash_plan)
-        if self._sites_active:
-            use_batches = False
-        elif use_batches is None:
-            use_batches = not self.config.track_values
+        per_event = (
+            use_batches is False or self.config.track_values or self._sites_active
+        )
         streams = None
-        if use_batches:
+        if not per_event:
             getter = getattr(workload, "batch_streams", None)
             if getter is not None:
                 streams = getter(num_threads, seed)
@@ -1446,7 +1512,8 @@ class Machine:
             else:
                 ctx.stream = iter(stream)
             contexts.append(ctx)
-        self._schedule(contexts, self._run_batches if batched else self._run_batch)
+        runner = self._run_batch if per_event else self._run_live
+        self._schedule(contexts, self._run_batches if batched else runner)
 
         traces = None
         if record_traces:
@@ -1509,8 +1576,8 @@ class Machine:
         # A quantum edge exists to let another thread run, and for what
         # observes it: the sampler and the recorder.  With neither it is
         # inert (DESIGN.md §8), so the only runnable thread of an
-        # unobserved batched run takes the rest of its stream as one
-        # quantum.
+        # unobserved run over batch streams takes the rest of its stream
+        # as one quantum (a live stream keeps pulling quanta).
         lone_budget = (
             sys.maxsize
             if runner == self._run_batches and metrics is None and not rec.enabled

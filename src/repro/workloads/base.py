@@ -69,7 +69,7 @@ class Workload:
         Generators are resumed smallest-clock-first, so streams that
         share mutable state (one allocator handing out node addresses,
         say) emit a sequence that depends on the technique being
-        simulated; such a stream must be re-executed per run.  A single
+        simulated; each run re-executes it, a live quantum at a time.  A single
         thread has no interleaving, hence the default; a workload whose
         threads share nothing overrides this (one that computes every
         event up front — ``mdb`` — is a native batch emitter and is
@@ -110,7 +110,7 @@ class BatchCachingWorkload(Workload):
     :meth:`Workload.schedule_independent` holds, because a recording
     fixes one interleaving: where streams share mutable state (``queue``
     and ``linked-list`` above one thread) ``batch_streams`` stays
-    ``None`` and the machine re-executes the generators per event.  An
+    ``None`` and each run re-executes the generators a quantum at a time.  An
     error raised by the wrapped workload propagates unchanged and
     memoizes nothing.
 

@@ -1,0 +1,195 @@
+"""Live generators on the batched loop: one quantum at a time.
+
+A workload with no batch stream — ``queue`` and ``linked-list`` above one
+thread, whose generators share an allocator, or any bare generator
+workload — runs each thread's next quantum as visit rows of span 0
+(``Machine._run_live``).  Everything it leaves behind must be what the
+per-event reference (``use_batches=False``) leaves: every counter, the
+L1 image, the recorded write traces, the trace JSONL and the metrics.
+"""
+
+from unittest import mock
+
+import pytest
+
+from repro.cache.adaptive import AdaptiveConfig
+from repro.cache.spec import technique_factory
+from repro.common.errors import SimulationError
+from repro.common.events import FaseBegin, FaseEnd, Load, Store, Work
+from repro.nvram.machine import SCHED_BATCH, Machine, MachineConfig
+from repro.nvram.memory import NVRAM_BASE
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import TraceRecorder
+from repro.workloads.base import BatchCachingWorkload, Workload
+from repro.workloads.registry import get_workload
+
+SEED = 7
+#: (spec, factory keywords): every base technique, the victim stage, and
+#: a ``clwb`` SC, with a burst short enough for SC to select a size.
+TECHNIQUES = {
+    "ER": {},
+    "LA": {},
+    "AT": {},
+    "SC": {"adaptive_config": AdaptiveConfig(burst_length=300)},
+    "SC-offline": {"sc_fixed_size": 8},
+    "BEST": {},
+    "SC+victim:4": {"adaptive_config": AdaptiveConfig(burst_length=300)},
+    "SC clwb": {"adaptive_config": AdaptiveConfig(burst_length=300), "use_clwb": True},
+}
+WORKLOADS = {
+    "queue": lambda: BatchCachingWorkload(get_workload("queue", scale=0.005)),
+    "linked-list": lambda: BatchCachingWorkload(get_workload("linked-list", scale=0.02)),
+}
+
+
+class ListWorkload(Workload):
+    """A bare generator workload: ``streams`` only, one list per thread."""
+
+    name = "list"
+
+    def __init__(self, *streams):
+        self._streams = [list(s) for s in streams]
+
+    def supports_threads(self, num_threads):
+        return num_threads == len(self._streams)
+
+    def streams(self, num_threads, seed):
+        return [(ev for ev in s) for s in self._streams]
+
+
+def every_row_code():
+    """Each visit-row code: single-line persistent stores and loads, and
+    the odd ones — across two lines, volatile — with nested FASEs."""
+    events = []
+    for k in range(150):
+        line = NVRAM_BASE + 64 * (k % 11)
+        events += [FaseBegin(), Work(k % 7 + 1), Store(line + 8 * (k % 8), 8)]
+        if k % 3 == 0:
+            events += [FaseBegin(), Store(line + 60, 8), FaseEnd()]
+        if k % 5 == 0:
+            events += [Store(4096 + 64 * (k % 3), 8), Load(4096, 8)]
+        if k % 4 == 0:
+            events += [Load(line, 8), Load(line + 62, 4)]
+        events += [Store(line, 8), FaseEnd(), Work(900)]
+    return events
+
+
+def observe(workload, spec, threads, use_batches, traced):
+    """Everything a run leaves behind, as one comparable structure."""
+    recorder = TraceRecorder() if traced else None
+    metrics = MetricsRegistry(interval=2000) if traced else None
+    machine = Machine(MachineConfig(), recorder=recorder, metrics=metrics)
+    result = machine.run(
+        workload,
+        technique_factory(spec.split()[0], **TECHNIQUES[spec]),
+        num_threads=threads,
+        seed=SEED,
+        record_traces=True,
+        use_batches=use_batches,
+    )
+    hw = machine.hwcache
+    return {
+        "result": result.to_dict(),
+        "l1":(hw.loads, hw.stores, hw.load_misses, hw.store_misses,
+               hw.evict_writebacks, hw.flush_writebacks, hw.clean_flushes),
+        "l1_image": [list(ways.items()) for ways in hw.sets],
+        "traces": [(t.lines.tolist(), t.fase_ids.tolist()) for t in result.traces],
+        "jsonl": recorder.to_jsonl() if traced else None,
+        "metrics": metrics.to_dict() if traced else None,
+    }
+
+
+def assert_live_is_the_reference(workload, spec, threads):
+    for traced in (False, True):
+        with mock.patch.object(
+            Machine, "_process_event", autospec=True, side_effect=Machine._process_event
+        ) as spy:
+            live = observe(workload, spec, threads, None, traced)
+        assert spy.call_count == 0, (spec, threads, traced)
+        reference = observe(workload, spec, threads, False, traced)
+        assert live == reference, (spec, threads, traced)
+
+
+@pytest.mark.parametrize("spec", sorted(TECHNIQUES))
+@pytest.mark.parametrize("threads", [2, 3, 4])
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_shared_allocator_quanta_match_the_reference(name, threads, spec):
+    workload = WORKLOADS[name]()
+    assert workload.batch_streams(threads, SEED) is None
+    assert_live_is_the_reference(workload, spec, threads)
+
+
+@pytest.mark.parametrize("spec", sorted(TECHNIQUES))
+def test_a_bare_generator_workload_matches_the_reference(spec):
+    assert_live_is_the_reference(ListWorkload(every_row_code()), spec, 1)
+
+
+class QuantumLog(TraceRecorder):
+    def __init__(self):
+        super().__init__()
+        self.quanta = []
+
+    def on_quantum(self, thread_id, now):
+        self.quanta.append((thread_id, now))
+
+
+def test_a_stream_of_whole_quanta_ends_on_the_reference_edge():
+    """Exactly two quanta: the third, empty one only finds the end, at
+    the edge the reference shows the recorder."""
+    events = [FaseBegin()] + [Store(NVRAM_BASE + 64 * (k % 3), 8) for k in range(126)]
+    events.append(FaseEnd())
+    assert len(events) == 2 * SCHED_BATCH
+    runs = []
+    for use_batches in (None, False):
+        recorder = QuantumLog()
+        result = Machine(MachineConfig(), recorder=recorder).run(
+            ListWorkload(events), technique_factory("AT"), use_batches=use_batches
+        )
+        runs.append((recorder.quanta, result.to_dict(), recorder.to_jsonl()))
+    assert runs[0] == runs[1]
+    assert len(runs[0][0]) == 3
+
+
+@pytest.mark.parametrize(
+    "events,message",
+    [
+        ([FaseBegin()] * SCHED_BATCH, "thread 0 ended inside a FASE"),
+        ([FaseBegin(), FaseBegin(), Store(NVRAM_BASE, 8), FaseEnd(), Work(5)],
+         "thread 0 ended inside a FASE"),
+        ([Store(NVRAM_BASE, 8), FaseEnd(), FaseBegin()], "FaseEnd without FaseBegin"),
+    ],
+    ids=["a-whole-quantum-inside-a-fase", "ends-inside-a-fase", "end-without-begin"],
+)
+def test_malformed_bracketing_raises_the_reference_error(events, message):
+    errors = []
+    for use_batches in (None, False):
+        with pytest.raises(SimulationError, match=message) as raised:
+            Machine(MachineConfig()).run(
+                ListWorkload(events), technique_factory("SC"), use_batches=use_batches
+            )
+        errors.append(str(raised.value))
+    assert errors[0] == errors[1]
+
+
+class Tagged:
+    """An object with an event's ``kind`` attribute but no such kind."""
+
+    kind = 9
+
+    def __repr__(self):
+        return "Tagged(kind=9)"
+
+
+@pytest.mark.parametrize("use_batches", [None, False], ids=["live", "per-event"])
+@pytest.mark.parametrize(
+    "element,shown", [(None, "None"), (17, "17"), (Tagged(), "Tagged(kind=9)")],
+    ids=["none", "int", "kind-9"],
+)
+def test_a_stream_element_that_is_not_an_event_is_a_typed_error(element, shown, use_batches):
+    good = [FaseBegin(), Store(NVRAM_BASE, 8), FaseEnd()] * 30
+    workload = ListWorkload(good, good[:40] + [element] + good[40:])
+    with pytest.raises(SimulationError) as raised:
+        Machine(MachineConfig()).run(
+            workload, technique_factory("AT"), num_threads=2, use_batches=use_batches
+        )
+    assert str(raised.value) == f"thread 1: stream element {shown} is not an event"
