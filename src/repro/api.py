@@ -222,7 +222,7 @@ def campaign(
     (:class:`FaultSpec`); ``commit_before_drain`` is the deliberate
     ordering violation used as the oracle's negative control.
     ``recorder``/``metrics`` attach the observability layer to the
-    in-process replays (see :func:`repro.faults.run_campaign`).
+    campaign's one replay (see :func:`repro.faults.run_campaign`).
     Returns the :class:`~repro.faults.campaign.CrashMatrix` of verdicts.
     """
     return run_campaign(

@@ -31,9 +31,10 @@ injected crash violated FASE atomicity — so CI can gate on it::
     python -m repro.experiments crashmatrix --workloads linked-list \\
         --fault-models clean,torn_line --max-sites 128 --out matrix.json
 
-Crash replays are profilable too: ``--trace``/``--metrics`` attach the
-observability layer to the in-process replays (a campaign served whole
-from ``--cache-dir`` performs none, leaving both empty).
+Crash campaigns are profilable too: ``--trace``/``--metrics`` attach the
+observability layer to each campaign's one replay, the golden run (a
+campaign served whole from ``--cache-dir`` performs none, leaving both
+empty).
 
 The ``profile`` pseudo-artifact analyzes a recorded JSONL trace offline
 (flush provenance, FASE latency, controller diagnostics — DESIGN.md

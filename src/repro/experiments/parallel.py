@@ -8,8 +8,8 @@ results.  :class:`TaskPool` fans them over one
 ``concurrent.futures.ProcessPoolExecutor``:
 
 - **State built once per worker.**  The executor's ``initializer``
-  builds the worker's state (a ``Harness`` for grids, a replay driver
-  for campaigns) a single time; every task the worker later pulls runs
+  builds the worker's state (a ``Harness`` for grids, its copy of the
+  golden run for campaigns) a single time; every task the worker later pulls runs
   against it, so a workload's recorded batch columns amortize over
   *every* group that worker pulls, not just one.
 - **No phase barrier.**  Profile-summary tasks are submitted first and
@@ -78,7 +78,7 @@ class TaskPool:
     Tasks are module-level functions ``fn(state, *args)``.  In a worker,
     ``state`` is what ``build_state(*state_args)`` returned when that
     worker started; ``parent_state`` is the parent's own equivalent (the
-    calling harness, the campaign's driver), used when the parent has to
+    calling harness, the campaign's golden run), used when the parent has to
     finish tasks itself.  Results are handed to each task's ``on_done``
     callback in the parent, in completion order; a callback may submit
     further tasks.

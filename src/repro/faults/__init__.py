@@ -3,9 +3,9 @@
 The package answers one question systematically: *does FASE atomicity
 survive a power failure at every point the implementation could crash?*
 
-- :mod:`repro.faults.driver` — Atlas-semantics replay of a workload,
-  crashable at any enumerated site (golden run + one sweep capturing
-  every target site's crashed image under every fault model);
+- :mod:`repro.faults.driver` — Atlas-semantics replay of a workload
+  (the golden run), whose crash journal yields the crashed image at any
+  enumerated site under every fault model without replaying again;
 - :mod:`repro.faults.enumerator` — exhaustive or seeded-strided
   selection of injection targets;
 - :mod:`repro.faults.oracle` — judges each recovered image against the

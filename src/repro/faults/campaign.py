@@ -1,18 +1,20 @@
 """Fault-injection campaigns: sites × fault models → verified/violated.
 
-One campaign = one ``(workload, technique, threads)`` configuration.  A
-golden replay enumerates the injectable sites and records FASE ground
-truth; the :class:`~repro.faults.enumerator.CrashPointEnumerator` picks
-the injection targets; one forward replay (a *sweep*) then captures the
-crashed image of every fault model at every target on the way, and each
-is recovered and judged by the oracle while the replay waits.  Results
-fold into a :class:`CrashMatrix` — the (crash-site-class × fault-model →
+One campaign = one ``(workload, technique, threads)`` configuration and
+one replay.  The golden replay enumerates the injectable sites, records
+FASE ground truth and journals every change to the durable state; the
+:class:`~repro.faults.enumerator.CrashPointEnumerator` picks the
+injection targets; a *sweep* then walks the journal, cutting the crashed
+image of every fault model at every target, and each is recovered and
+judged by the oracle before the walk moves on.  Results fold into a
+:class:`CrashMatrix` — the (crash-site-class × fault-model →
 verified/violated) table the ``crashmatrix`` CLI artifact emits.
 
-Sweeps are independent pure functions of the configuration, so strided
-chunks of the target sites fan out over the same
+Sweeps are pure functions of the golden run, so strided chunks of the
+target sites fan out over the same
 :class:`~repro.experiments.parallel.TaskPool` as experiment grid cells
-(``--jobs``), one chunk — one sweep, every model — per worker.  A finished
+(``--jobs``), one chunk — one walk, every model — per worker; a worker
+takes the golden run and nothing else, and replays nothing.  A finished
 campaign memoizes whole into the PR-1 on-disk
 :class:`~repro.experiments.cache.ResultCache` when the workload is
 registry-named (anonymous workload objects have no stable fingerprint,
@@ -21,12 +23,13 @@ so they always recompute).
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, require_int
 from repro.experiments.cache import ResultCache
 from repro.faults.driver import AtlasReplayDriver, GoldenRun
 from repro.faults.enumerator import CrashPointEnumerator
@@ -61,8 +64,13 @@ class FaultCampaignSpec:
                 f"unknown fault models {sorted(unknown)}; "
                 f"expected among {FAULT_MODELS}"
             )
-        if self.jobs < 1:
-            raise ConfigurationError("jobs must be >= 1")
+        classes = self.site_classes
+        if classes is not None and (not classes or len(set(classes)) < len(classes)):
+            raise ConfigurationError(
+                f"site classes {classes!r}: give distinct classes, or None for all"
+            )
+        require_int("max_sites", self.max_sites, 1)
+        require_int("jobs", self.jobs, 1)
 
 
 @dataclass(frozen=True)
@@ -210,16 +218,15 @@ def _crash_info(golden: GoldenRun, site: int, model: str, violated: bool) -> dic
 
 
 def _sweep(
-    driver: AtlasReplayDriver,
     golden: GoldenRun,
     chunk: Tuple[Sequence[int], Tuple[str, ...]],
     fault_seed: int,
     report: Callable[[int, str, List[dict]], None],
 ) -> None:
     """Inject every fault model at every site of ``chunk`` — ``(sites
-    ascending, fault models)`` — with one :meth:`crash_sweep`.
+    ascending, fault models)`` — with one walk of ``golden``'s journal.
 
-    ``report(site, model, violations)`` runs inside the sweep, site by
+    ``report(site, model, violations)`` runs inside the walk, site by
     site and model by model, right after the oracle judged that crash,
     so no crashed image outlives its verdict; violations arrive as dicts.
     """
@@ -229,30 +236,17 @@ def _sweep(
         verdict = check_crash(golden, state.at_site, state)
         report(state.at_site, state.fault_model, [v.to_dict() for v in verdict])
 
-    driver.crash_sweep(sites, models, fault_seed, on_crash)
-
-
-def _build_crash_state(
-    workload: object, driver_kwargs: dict, golden: GoldenRun
-) -> Tuple[AtlasReplayDriver, GoldenRun]:
-    """A pool worker's state: its own replay driver, the parent's golden run.
-
-    Building the driver re-materializes the workload's event streams, so
-    it happens once per worker, not per chunk; the golden run ships from
-    the parent, so workers never repeat the crash-free replay.
-    """
-    return AtlasReplayDriver(workload, **driver_kwargs), golden
+    golden.cut([(site, fault_seed + site) for site in sites], models, on_crash)
 
 
 def _crash_chunk_task(
-    state: Tuple[AtlasReplayDriver, GoldenRun],
+    golden: GoldenRun,
     chunk: Tuple[Sequence[int], Tuple[str, ...]],
     fault_seed: int,
 ) -> List[Tuple[int, str, List[dict]]]:
-    """Inject one chunk of sites under every fault model: one sweep."""
-    driver, golden = state
+    """Inject one chunk of sites under every fault model: one walk."""
     out: List[Tuple[int, str, List[dict]]] = []
-    _sweep(driver, golden, chunk, fault_seed, lambda *reply: out.append(reply))
+    _sweep(golden, chunk, fault_seed, lambda *reply: out.append(reply))
     return out
 
 
@@ -290,11 +284,10 @@ def run_campaign(
     callback declaring a third parameter also receives a per-crash info
     dict (``site``/``model``/``site_class``/``violated``).
 
-    ``recorder``/``metrics`` attach the observability layer to the
-    replays this process performs (the golden run, plus the one sweep
-    when ``spec.jobs == 1``; worker processes never ship their
-    observability home).  A campaign served whole from the on-disk
-    cache performs no replays at all, so both stay empty then.
+    ``recorder``/``metrics`` attach the observability layer to the one
+    replay a campaign performs, the golden run (the sweeps execute
+    nothing).  A campaign served whole from the on-disk cache performs no
+    replay at all, so both stay empty then.
     """
     spec = spec or FaultCampaignSpec()
     # One parser for every entry point: reject bad specs up front and
@@ -347,7 +340,8 @@ def run_campaign(
                 )
                 return matrix
 
-    driver_kwargs = dict(
+    golden = AtlasReplayDriver(
+        workload,
         technique=technique,
         num_threads=threads,
         seed=seed,
@@ -356,11 +350,9 @@ def run_campaign(
         l1_ways=l1_ways,
         technique_options=technique_options,
         commit_before_drain=commit_before_drain,
-    )
-    driver = AtlasReplayDriver(
-        workload, recorder=recorder, metrics=metrics, **driver_kwargs
-    )
-    golden = driver.golden()
+        recorder=recorder,
+        metrics=metrics,
+    ).golden()
     enumerator = CrashPointEnumerator(
         golden.sites,
         max_sites=spec.max_sites,
@@ -404,19 +396,15 @@ def run_campaign(
     if spec.jobs > 1 and len(sites) > 1:
         from repro.experiments.parallel import TaskPool
 
-        # A chunk of sites (every model) is one replay: one per worker, strided.
+        # A chunk of sites (every model) is one walk: one per worker, strided.
         chunks = [(sites[i :: spec.jobs], models) for i in range(min(spec.jobs, len(sites)))]
 
         def fold_chunk(chunk_replies: List[Tuple[int, str, List[dict]]]) -> None:
             for reply in chunk_replies:
                 landed(*reply)
 
-        with TaskPool(
-            len(chunks),
-            _build_crash_state,
-            (workload, driver_kwargs, golden),
-            (driver, golden),
-        ) as pool:
+        # Each worker's own copy of the golden run, without the cursor.
+        with TaskPool(len(chunks), copy.copy, (golden,), golden) as pool:
             for i, chunk in enumerate(chunks):
                 pool.submit(
                     f"crash chunk {i} of {name} ({len(chunk[0]) * len(models)} injections)",
@@ -427,9 +415,9 @@ def run_campaign(
                 )
             pool.drain()
     else:
-        _sweep(driver, golden, (sites, models), spec.fault_seed, landed)
+        _sweep(golden, (sites, models), spec.fault_seed, landed)
     # Fold model-major as the spec lists them, sites ascending — whatever
-    # order the sweep or the chunks delivered in.
+    # order the walk or the chunks delivered in.
     rank = {model: i for i, model in enumerate(models)}
     for site, model, violations in sorted(replies, key=lambda r: (rank[r[1]], r[0])):
         matrix.record(golden.site_class(site), model, violations)

@@ -2,11 +2,13 @@
 
 The fault-injection campaign needs to execute a workload *with full Atlas
 semantics* — undo logging, data-drain-before-commit ordering, per-thread
-software caches — and to do so twice over: once crash-free while
-recording every injectable site plus the ground-truth FASE bookkeeping
-(the **golden run**), then once more, capturing the crashed image of
-every fault model at every target site on the way (a **sweep**).
-:class:`AtlasReplayDriver` is that executor.
+software caches — once, crash-free, recording every injectable site, the
+ground-truth FASE bookkeeping and a
+:class:`~repro.nvram.failure.CrashJournal` of every change to what a
+crash capture reads (the **golden run**).  The crashed image of any
+fault model at any site is then cut from that journal (a **sweep**)
+without executing anything again.  :class:`AtlasReplayDriver` is that
+executor.
 
 What it shares with ``Machine.run`` is the scheduler, what it does not
 is the dispatch: the stream path routes stores through the persistence
@@ -38,10 +40,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.atlas.recovery import ParsedLog
 from repro.atlas.region import RegionManager
 from repro.atlas.runtime import AtlasLayout, AtlasRuntime
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.errors import ConfigurationError, SimulationError, require_int
 from repro.common.events import EventKind
 from repro.common.geometry import CACHE_LINE_SIZE
-from repro.nvram.failure import CrashedState
+from repro.nvram.failure import FAULT_MODELS, CrashedState, CrashJournal
 from repro.nvram.machine import Machine, MachineConfig
 from repro.nvram.memory import NVRAM_BASE
 from repro.nvram.timing import DEFAULT_TIMING, TimingModel
@@ -82,10 +84,12 @@ class _Cursor:
 
 @dataclass
 class GoldenRun:
-    """Everything the oracle needs from one crash-free replay."""
+    """Everything the oracle needs from one crash-free replay, and the
+    journal every crashed state is cut from."""
 
-    #: Injectable sites: (index, site_class, thread_id, cycles).
-    sites: List[Tuple[int, str, int, int]]
+    #: Injectable sites: (index, site_class, thread_id, cycles, journal
+    #: length, stores seen).
+    sites: List[tuple]
     fases: Dict[int, FaseRecord]
     commit_order: List[int]         # FASE uids in commit completion order
     #: Persistent (shifted) addresses ever stored *outside* any FASE —
@@ -96,6 +100,7 @@ class GoldenRun:
     #: Sorted FASE-protected addresses — what the oracle judges.  Derived
     #: by :meth:`seal` when the replay is over.
     checked: Optional[List[int]] = None
+    journal: Optional[CrashJournal] = field(default=None, repr=False, compare=False)
     #: The truth at the last site asked for (see :meth:`_truth_at`).
     _cursor: Optional[_Cursor] = field(
         default=None, init=False, repr=False, compare=False
@@ -128,6 +133,37 @@ class GoldenRun:
 
     def site_class(self, site: int) -> str:
         return self.sites[site][1]
+
+    def cut(
+        self,
+        targets: Sequence[Tuple[int, int]],
+        fault_models: Tuple[str, ...],
+        on_crash: Callable[[CrashedState], None],
+    ) -> None:
+        """Hand ``on_crash`` the crashed state at each ``(site, fault
+        seed)`` of ``targets`` (ascending) under each fault model in
+        turn, walking :attr:`journal` forward once.  Bad targets or models
+        are a :class:`ConfigurationError` before anything is delivered; a
+        site past the run's last is a :class:`SimulationError` naming it.
+        """
+        models = fault_models
+        if isinstance(models, str) or not models or not set(models) <= set(FAULT_MODELS):
+            raise ConfigurationError(
+                f"fault models must be a tuple of one or more of {FAULT_MODELS}, got {models!r}"
+            )
+        sites = [site for site, _seed in targets]
+        for before, site in zip([-1] + sites, sites):
+            require_int("crash site", site, 0)
+            if site <= before:
+                raise ConfigurationError(
+                    f"crash targets must ascend; site {site} follows {before}"
+                )
+        fired = [(self.sites[s], seed) for s, seed in targets if s < len(self.sites)]
+        self.journal.cut(fired, tuple(fault_models), on_crash)
+        if len(fired) < len(sites):
+            raise SimulationError(
+                f"crash site {sites[len(fired)]} never fired (run has fewer sites)"
+            )
 
     def _truth_at(self, site: int) -> _Cursor:
         """What a crash at ``site`` must recover to, for the oracle only.
@@ -200,6 +236,7 @@ class AtlasReplayDriver:
         self.recorder = recorder
         self.metrics = metrics
         self._events: Optional[List[List[object]]] = None
+        self._golden: Optional[GoldenRun] = None
 
     # ------------------------------------------------------------------
 
@@ -220,7 +257,7 @@ class AtlasReplayDriver:
         """A fresh machine + per-thread runtimes + the data-address shift.
 
         Every replay rebuilds from scratch so state never leaks between
-        sweeps; construction is deterministic, so the region layout
+        replays; construction is deterministic, so the region layout
         — and with it the shift — is identical across replays.
         """
         machine = Machine(
@@ -255,7 +292,7 @@ class AtlasReplayDriver:
         shift: int,
         golden: Optional[GoldenRun],
     ) -> None:
-        """Drive all threads to completion, or to the last armed crash.
+        """Drive all threads to completion, or to an armed crash.
 
         With ``golden`` given, records FASE ground truth as it executes.
         """
@@ -339,7 +376,9 @@ class AtlasReplayDriver:
     # ------------------------------------------------------------------
 
     def golden(self) -> GoldenRun:
-        """One crash-free replay recording sites and FASE ground truth.
+        """One crash-free replay recording sites, FASE ground truth and
+        the crash journal; :meth:`crash_sweep` and :meth:`crash_at` cut
+        from the last one.
 
         Refuses a stream whose persistent stores carry no payload: the
         oracle reads ``None`` as "absent", so no campaign over it could fail.
@@ -357,18 +396,20 @@ class AtlasReplayDriver:
                 "None): a crash campaign over it would check nothing"
             )
         machine, runtimes, shift = self._build()
-        sites = machine.record_sites()
+        journal = CrashJournal(self.timing.flush_queue_depth)
         golden = GoldenRun(
-            sites=sites,
+            sites=machine.record_sites(journal),
             fases={},
             commit_order=[],
             unprotected=set(),
             final_nvram={},
             layout=runtimes[0].layout(),
+            journal=journal,
         )
         self._replay(machine, runtimes, shift, golden)
         golden.final_nvram = machine.memory.nvram_snapshot()
         golden.seal()
+        self._golden = golden
         return golden
 
     def crash_sweep(
@@ -378,45 +419,19 @@ class AtlasReplayDriver:
         fault_seed: int,
         on_crash: Callable[[CrashedState], None],
     ) -> AtlasLayout:
-        """One forward replay crashing at every site of ``sites``.
-
-        ``sites`` must ascend.  As each one completes, ``on_crash``
-        receives, once per fault model in ``fault_models`` order, the
-        (fault-mutated) durable image a power cut there leaves — each
-        model seeded ``fault_seed + site`` — and the replay continues to
-        the next; the power fails for good after the last.  Every state
-        equals what :meth:`crash_at` returns for that site and model, at
-        the cost of one replay rather than one per site and model, and
-        only the image being judged is alive at any time.  An exception
-        from ``on_crash`` aborts the sweep and propagates.  Returns the
-        layout recovery needs; raises
-        :class:`~repro.common.errors.SimulationError` naming the first
-        site that never fired (index out of this configuration's range).
+        """Crash at every site of ``sites`` (ascending), cut from the
+        last :meth:`golden` run's journal (one is run first if there is
+        none): ``on_crash`` receives, once per model in ``fault_models``
+        order, the durable image a power cut there leaves — seeded
+        ``fault_seed + site`` — exactly as a replay armed with that
+        :class:`~repro.nvram.failure.CrashPlan` captures it.  Only the
+        image being judged is alive at any time; an exception from
+        ``on_crash`` propagates.  Returns the layout recovery needs;
+        raises as :meth:`GoldenRun.cut` does.
         """
-        return self._sweep(
-            [(site, fault_seed + site) for site in sites], fault_models, on_crash
-        )
-
-    def _sweep(
-        self,
-        targets: List[Tuple[int, int]],
-        fault_models: Tuple[str, ...],
-        on_crash: Callable[[CrashedState], None],
-    ) -> AtlasLayout:
-        """:meth:`crash_sweep` over explicit ``(site, fault_seed)`` targets."""
-        machine, runtimes, shift = self._build()
-        layout = runtimes[0].layout()
-        if not targets:
-            return layout
-        machine.arm_crash_sweep(targets, fault_models, on_crash)
-        self._replay(machine, runtimes, shift, golden=None)
-        unfired = machine.next_crash_target
-        machine.arm_crash_sweep(())  # let go of on_crash's state with the replay
-        if unfired is not None:
-            raise SimulationError(
-                f"crash site {unfired} never fired (run has fewer sites)"
-            )
-        return layout
+        golden = self._golden or self.golden()
+        golden.cut([(site, fault_seed + site) for site in sites], fault_models, on_crash)
+        return golden.layout
 
     def crash_at(
         self,
@@ -424,14 +439,13 @@ class AtlasReplayDriver:
         fault_model: str = "clean",
         fault_seed: int = 0,
     ) -> Tuple[CrashedState, AtlasLayout]:
-        """Replay until site ``site`` completes, then fail the power.
+        """The crashed state at site ``site`` under ``fault_model``.
 
         The one-target, one-model :meth:`crash_sweep`, with
         ``fault_seed`` used as given.  Returns the (fault-mutated)
-        durable image and the layout recovery needs.  Raises
-        :class:`~repro.common.errors.SimulationError` if the site never
-        fires (index out of this configuration's range).
+        durable image and the layout recovery needs.
         """
+        golden = self._golden or self.golden()
         captured: List[CrashedState] = []
-        layout = self._sweep([(site, fault_seed)], (fault_model,), captured.append)
-        return captured[0], layout
+        golden.cut([(site, fault_seed)], (fault_model,), captured.append)
+        return captured[0], golden.layout

@@ -11,10 +11,10 @@ operation just completed; every retired persistent store is one, so
 "after the k-th store" is the k-th ``store`` site.  The machine numbers
 sites globally in execution order (see :data:`SITE_CLASSES`); the
 fault-injection campaign (:mod:`repro.faults`) enumerates them in a
-golden run and then replays once, capturing the crashed image of every
-fault model at every target site on the way
-(``Machine.arm_crash_sweep``; a :class:`CrashPlan` is its one-target,
-one-model case).
+golden run that also keeps a :class:`CrashJournal`, and cuts the crashed
+image of every fault model at every target site from that journal
+without running anything again; a :class:`CrashPlan` crashes one live
+run at one site, under one model.
 
 Fault models sharpen the failure beyond a clean power cut:
 
@@ -42,8 +42,9 @@ the (possibly fault-mutated) NVRAM image and nothing else.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.common.errors import ConfigurationError, ReproError
 
@@ -118,9 +119,9 @@ class CrashPlan:
 class CrashedState:
     """What survives the failure: the durable NVRAM image.
 
-    ``lost_lines`` lists cache lines that were dirty in the hardware cache
-    at the crash — useful in tests to confirm that data was genuinely at
-    risk (i.e. the crash was not trivially recoverable).  ``at_site``,
+    ``lost_lines`` lists, sorted, the cache lines that were dirty in the
+    hardware cache at the crash — useful in tests to confirm that data was
+    genuinely at risk (i.e. the crash was not trivially recoverable).  ``at_site``,
     ``fault_model``, ``torn_lines`` and ``dropped_writebacks`` record how
     the failure was injected, for campaign reporting.
     """
@@ -140,61 +141,181 @@ class CrashedState:
 
 
 # ---------------------------------------------------------------------------
-# Fault-model application (called by Machine._crash at the crash instant)
+# What a power cut leaves: captured live (``Machine._crash``) or cut from
+# a golden run's journal (:meth:`CrashJournal.cut`), by the same rules
 # ---------------------------------------------------------------------------
 
 
-def apply_torn_lines(
-    image: Dict[int, object],
-    dirty_lines: Iterable[int],
-    pending_values: Dict[int, Dict[int, object]],
-    seed: int,
-) -> List[int]:
-    """Tear a seeded selection of dirty lines into ``image``.
+class InFlight:
+    """Hardware eviction write-backs a ``reordered_flush`` crash may drop:
+    ``(thread, line, {addr: old durable value})`` in issue order, the old
+    values read from ``durable`` — the image write-backs land in — just
+    before one lands (:data:`_ABSENT` where nothing was durable).
 
-    For each torn line a strict, non-empty subset of its pending
-    ``{addr: value}`` payload becomes durable.  Lines with fewer than two
-    pending values cannot tear (8-byte stores are atomic).  Returns the
-    lines torn, for :class:`CrashedState` bookkeeping.
+    A thread keeps at most ``depth`` (its flush queue's: older ones have
+    completed), an explicit flush of a line retires that line's
+    (same-line ordering), and a drain retires all of its thread's.
     """
-    rng = random.Random(seed)
+
+    __slots__ = ("records", "depth", "durable")
+
+    def __init__(self, depth: int, durable: Dict[int, object]) -> None:
+        self.records: List[Tuple[int, int, Dict[int, object]]] = []
+        self.depth = depth
+        self.durable = durable
+
+    def evicted(self, tid: int, line: int, values: Dict[int, object]) -> None:
+        get, records = self.durable.get, self.records
+        records.append((tid, line, {addr: get(addr, _ABSENT) for addr in values}))
+        mine = [i for i, record in enumerate(records) if record[0] == tid]
+        if len(mine) > self.depth:
+            del records[mine[0]]
+
+    def flushed(self, line: int) -> None:
+        if self.records:
+            self.records = [r for r in self.records if r[1] != line]
+
+    def drained(self, tid: int) -> None:
+        if self.records:
+            self.records = [r for r in self.records if r[0] != tid]
+
+
+def crash_state(
+    nvram: Dict[int, object],
+    lost_lines: List[int],
+    pending: Dict[int, Dict[int, object]],
+    inflight: Optional[InFlight],
+    model: str,
+    seed: int,
+    at_store: int,
+    at_site: Optional[int],
+    site_class: Optional[str],
+) -> CrashedState:
+    """What a power cut at ``at_site`` leaves under fault ``model``,
+    seeded with ``seed``: a copy of the durable ``nvram`` the model has
+    mutated.  ``lost_lines`` are the dirty lines, sorted, and ``pending``
+    their ``{line: {addr: value}}``; ``torn_line`` makes a strict,
+    non-empty subset of a seeded selection of their values durable (a
+    line with fewer than two cannot tear: 8-byte stores are atomic), and
+    ``reordered_flush`` drops a seeded suffix of the ``inflight``
+    write-backs (a dropped one implies every later one from its FIFO
+    queue dropped too)."""
+    image = dict(nvram)
     torn: List[int] = []
-    for line in sorted(dirty_lines):
-        values = pending_values.get(line)
-        if not values or len(values) < 2:
-            continue
-        if rng.random() < 0.5:
-            continue
-        addrs = sorted(values)
-        keep = rng.randrange(1, len(addrs))
-        for addr in addrs[:keep]:
-            image[addr] = values[addr]
-        torn.append(line)
-    return torn
+    dropped = 0
+    if model == FAULT_TORN_LINE:
+        rng = random.Random(seed)
+        for line in lost_lines:
+            values = pending.get(line)
+            if not values or len(values) < 2 or rng.random() < 0.5:
+                continue
+            addrs = sorted(values)
+            for addr in addrs[: rng.randrange(1, len(addrs))]:
+                image[addr] = values[addr]
+            torn.append(line)
+    elif model == FAULT_REORDERED_FLUSH and inflight is not None and inflight.records:
+        records = inflight.records
+        dropped = random.Random(seed).randrange(0, len(records) + 1)
+        for _tid, _line, olds in reversed(records[len(records) - dropped :]):
+            for addr, old in olds.items():
+                if old is _ABSENT:
+                    image.pop(addr, None)
+                else:
+                    image[addr] = old
+    return CrashedState(
+        image, lost_lines, at_store, at_site, site_class, model, torn, dropped
+    )
 
 
-def apply_reordered_flushes(
-    image: Dict[int, object],
-    inflight: List[Tuple[object, int, Dict[int, object]]],
-    seed: int,
-) -> int:
-    """Drop a seeded suffix of in-flight eviction write-backs.
+#: Journal entry kinds, the low three bits of a code.  The bits above hold
+#: the thread, or for a store how many lines past its address's it falls.
+_J_STORE, _J_DIRTY, _J_FLUSH, _J_EVICT, _J_DRAIN = range(5)
 
-    ``inflight`` holds ``(ctx, line, {addr: old_durable_value})`` records
-    in issue order, where old values use :data:`_ABSENT` for addresses
-    that had never been durable.  Dropping newest-first keeps the result
-    consistent with a per-thread FIFO write-back queue: a dropped
-    write-back implies every later one from the same queue also dropped.
-    Returns how many write-backs were dropped.
+
+class CrashJournal:
+    """Every change a run makes to what a crash capture reads — durable
+    memory, the hardware cache's pending values and dirty lines, the
+    in-flight write-backs — so that the crashed state at any site is cut
+    by walking it (:meth:`cut`) rather than by replaying the run.
+
+    A value-tracking machine records into the journal handed to
+    ``Machine.record_sites``, whose site log notes its length at every
+    site.  One entry per change, in columns: ``codes``, ``args`` (an
+    address or a line) and, per store, a reference to its value in
+    ``payloads`` — nothing is copied.  The entries are a persistent
+    store's pending value, which dirties its line; a dirty bit set with no
+    value (a volatile store's line); a write-back of a line, an explicit
+    flush or a hardware eviction, with its thread; and a thread's drain.
     """
-    if not inflight:
-        return 0
-    rng = random.Random(seed)
-    drop = rng.randrange(0, len(inflight) + 1)
-    for _ctx, _line, olds in reversed(inflight[len(inflight) - drop:]):
-        for addr, old in olds.items():
-            if old is _ABSENT:
-                image.pop(addr, None)
-            else:
-                image[addr] = old
-    return drop
+
+    __slots__ = ("codes", "args", "payloads", "depth")
+
+    def __init__(self, depth: int) -> None:
+        self.codes = array("I")
+        self.args = array("q")
+        self.payloads: List[object] = []
+        self.depth = depth  # the flush queues', which bounds what is in flight
+
+    def _add(self, code: int, arg: int) -> None:
+        self.codes.append(code)
+        self.args.append(arg)
+
+    def stored(self, line: int, addr: int, value: object) -> None:
+        self._add(_J_STORE | (line - (addr >> 6)) << 3, addr)
+        self.payloads.append(value)
+
+    def dirtied(self, line: int) -> None:
+        self._add(_J_DIRTY, line)
+
+    def written_back(self, tid: int, line: int, evicted: bool) -> None:
+        self._add((_J_EVICT if evicted else _J_FLUSH) | tid << 3, line)
+
+    def drained(self, tid: int) -> None:
+        self._add(_J_DRAIN | tid << 3, 0)
+
+    def cut(
+        self,
+        targets: Iterable[Tuple[tuple, int]],
+        fault_models: Tuple[str, ...],
+        on_crash: Callable[[CrashedState], None],
+    ) -> None:
+        """Walk to each of ``targets`` — ``(site-log entry, fault seed)``,
+        ascending — and hand ``on_crash`` the state a power cut there
+        leaves under each of ``fault_models`` in turn, as the machine
+        captures it live; only the image being judged is a copy."""
+        image: Dict[int, object] = {}
+        pending: Dict[int, Dict[int, object]] = {}
+        dirty: Set[int] = set()
+        inflight = None
+        if FAULT_REORDERED_FLUSH in fault_models:
+            inflight = InFlight(self.depth, image)
+        codes, args, payloads = self.codes, self.args, iter(self.payloads)
+        pos = 0
+        for (site, site_class, _tid, _cycles, end, at_store), seed in targets:
+            for code, arg in zip(codes[pos:end], args[pos:end]):
+                kind = code & 7
+                if kind == _J_STORE:
+                    line = (arg >> 6) + (code >> 3)
+                    pending.setdefault(line, {})[arg] = next(payloads)
+                    dirty.add(line)
+                elif kind == _J_DIRTY:
+                    dirty.add(arg)
+                elif kind == _J_DRAIN:
+                    if inflight is not None:
+                        inflight.drained(code >> 3)
+                else:
+                    dirty.discard(arg)
+                    values = pending.pop(arg, None)
+                    if inflight is not None:
+                        if kind == _J_FLUSH:
+                            inflight.flushed(arg)
+                        elif values:
+                            inflight.evicted(code >> 3, arg, values)
+                    if values:
+                        image.update(values)
+            pos = end
+            lost = sorted(dirty)
+            for model in fault_models:
+                on_crash(crash_state(
+                    image, lost, pending, inflight, model, seed, at_store, site, site_class
+                ))

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import (
     Callable,
-    Dict,
     Iterable,
     Iterator,
     List,
@@ -63,21 +62,19 @@ from repro.common.events import (
 from repro.common.geometry import lines_spanned
 from repro.locality.trace import WriteTrace
 from repro.nvram.failure import (
-    _ABSENT,
     FAULT_CLEAN,
-    FAULT_MODELS,
     FAULT_REORDERED_FLUSH,
-    FAULT_TORN_LINE,
     SITE_COMMIT,
     SITE_DRAIN,
     SITE_EVICT_FLUSH,
     SITE_LOG_APPEND,
     SITE_STORE,
     CrashedState,
+    CrashJournal,
     CrashPlan,
+    InFlight,
     PowerFailure,
-    apply_reordered_flushes,
-    apply_torn_lines,
+    crash_state,
 )
 from repro.nvram.flushqueue import FlushQueue
 from repro.nvram.hwcache import HardwareCache
@@ -378,19 +375,15 @@ class Machine:
         # ``run`` routes on: such a run executes event by event.
         self._sites_active = False
         self._sites_seen = 0
-        self._site_log: Optional[List[Tuple[int, str, int, int]]] = None
-        # Scheduled site crashes: ascending ``(site, fault_seed)`` targets
-        # and a cursor.  ``_next_target`` caches the cursor's site index
-        # (-1: none left) so ``_note_site`` tests one int per site.
-        self._crash_targets: Sequence[Tuple[int, int]] = ()
-        self._target_cursor = 0
+        self._site_log: Optional[List[tuple]] = None
+        self._journal: Optional[CrashJournal] = None
+        # The armed crash; ``_next_target`` is its site (-1: none), so
+        # ``_note_site`` tests one int per site.
+        self._crash_plan: Optional[CrashPlan] = None
         self._next_target = -1
-        self._fault_models: Tuple[str, ...] = (FAULT_CLEAN,)
-        self._on_crash: Optional[Callable[[CrashedState], None]] = None
-        # In-flight hardware eviction write-backs, recorded only when a
-        # reordered_flush crash is armed: (ctx, line, {addr: old durable}).
-        self._record_inflight = False
-        self._fault_inflight: List[Tuple[object, int, Dict[int, object]]] = []
+        # In-flight eviction write-backs, kept only for an armed
+        # reordered_flush crash.
+        self._inflight: Optional[InFlight] = None
 
     def _new_context(
         self, thread_id: int, technique: object, record_trace: bool
@@ -407,19 +400,23 @@ class Machine:
     # Crash-site enumeration and scheduled failures (repro.faults)
     # ------------------------------------------------------------------
 
-    def record_sites(self) -> List[Tuple[int, str, int, int]]:
+    def record_sites(self, journal: Optional[CrashJournal] = None) -> List[tuple]:
         """Enable crash-site enumeration; returns the live site log.
 
-        Each completed injectable site appends one
-        ``(index, site_class, thread_id, cycles)`` tuple.  Indices are
-        global and in execution order; a deterministic replay of the same
-        configuration visits the same sites with the same indices, which
-        is the contract ``CrashPlan(at_site=...)`` relies on — enumeration
-        and injection both run the per-event engine, whatever
-        ``use_batches`` a later :meth:`run` is given.
+        Each completed injectable site appends one ``(index, site_class,
+        thread_id, cycles, journal_length, stores_seen)`` tuple.  Indices
+        are global and in execution order; a deterministic replay of the
+        same configuration visits the same sites with the same indices,
+        which is the contract ``CrashPlan(at_site=...)`` relies on —
+        enumeration and injection both run the per-event engine, whatever
+        ``use_batches`` a later :meth:`run` is given.  A value-tracking
+        machine also records into ``journal`` every change a crash
+        capture reads (its length is 0 without one), so any site's
+        crashed state can be cut from it afterwards.
         """
         self._site_log = []
         self._sites_active = True
+        self._journal = journal
         return self._site_log
 
     @property
@@ -430,63 +427,21 @@ class Machine:
     def arm_crash_plan(self, plan: Optional[CrashPlan]) -> None:
         """Schedule the crash ``plan`` names; ``None`` disarms.
 
-        The one-target case of :meth:`arm_crash_sweep`.  ``Machine.run``
-        arms its ``crash_plan`` argument through here; imperative
-        drivers (sessions / the Atlas runtime) call it directly before
-        pushing operations, and see
+        ``Machine.run`` arms its ``crash_plan`` argument through here;
+        imperative drivers (sessions / the Atlas runtime) call it
+        directly before pushing operations, and see
         :class:`~repro.nvram.failure.PowerFailure` raised out of the
         operation that completed the site, with ``crashed_state``
         already populated.
         """
-        if plan is None:
-            self.arm_crash_sweep(())
-        else:
-            self.arm_crash_sweep(
-                [(plan.at_site, plan.fault_seed)], (plan.fault_model,)
-            )
-
-    def arm_crash_sweep(
-        self,
-        targets: Sequence[Tuple[int, int]],
-        fault_models: Tuple[str, ...] = (FAULT_CLEAN,),
-        on_crash: Optional[Callable[[CrashedState], None]] = None,
-    ) -> None:
-        """Schedule a crash at every ``(site, fault_seed)`` target.
-
-        ``targets`` must ascend by site index.  As each target site
-        completes, the machine captures the crashed image a power cut
-        there would leave once per fault model, in ``fault_models``
-        order and each with that target's seed, storing each in
-        ``crashed_state`` and handing it to ``on_crash``; execution then
-        *continues* — capturing mutates only a copy of the durable
-        image, never the machine — and
-        :class:`~repro.nvram.failure.PowerFailure` is raised only after
-        the last target.  One forward run therefore yields exactly the
-        states that one run per target and model would.
-        """
-        if isinstance(fault_models, str) or not set(fault_models) <= set(FAULT_MODELS):
-            raise ConfigurationError(
-                f"fault models must be a tuple from {FAULT_MODELS}, got {fault_models!r}"
-            )
-        targets = list(targets)
-        for (site, _), (later, _) in zip(targets, targets[1:]):
-            if later <= site:
-                raise ConfigurationError(
-                    f"crash targets must ascend; site {later} follows {site}"
-                )
-        self._crash_targets = targets
-        self._target_cursor = 0
-        self._next_target = targets[0][0] if targets else -1
-        self._on_crash = on_crash
-        self._fault_models = tuple(fault_models)
-        if targets:
+        self._crash_plan = plan
+        self._next_target = -1 if plan is None else plan.at_site
+        self._inflight = None
+        if plan is not None:
             self._sites_active = True
-            self._record_inflight = FAULT_REORDERED_FLUSH in self._fault_models
-
-    @property
-    def next_crash_target(self) -> Optional[int]:
-        """Site index of the first armed target that has not fired yet."""
-        return self._next_target if self._next_target >= 0 else None
+            if plan.fault_model == FAULT_REORDERED_FLUSH:
+                depth = self.config.timing.flush_queue_depth
+                self._inflight = InFlight(depth, self.memory.nvram)
 
     def _note_site(self, ctx: "_ThreadContext", site_class: str) -> None:
         """One injectable site just completed; crash here if scheduled."""
@@ -494,45 +449,15 @@ class Machine:
         self._sites_seen = idx + 1
         log = self._site_log
         if log is not None:
-            log.append((idx, site_class, ctx.thread_id, ctx.stats.cycles))
+            journal = self._journal
+            size = 0 if journal is None else len(journal.codes)
+            log.append(
+                (idx, site_class, ctx.thread_id, ctx.stats.cycles, size, self._stores_seen)
+            )
         if idx == self._next_target:
-            targets = self._crash_targets
-            cursor = self._target_cursor
-            fault_seed = targets[cursor][1]
-            cursor += 1
-            last = cursor == len(targets)
-            self._target_cursor = cursor
-            self._next_target = -1 if last else targets[cursor][0]
-            self._crash(idx, site_class, fault_seed)
-            if last:
-                raise PowerFailure(
-                    f"scheduled power failure at site {idx} ({site_class})"
-                )
-
-    def _note_evict_inflight(
-        self, ctx: "_ThreadContext", line: int, values: Dict[int, object]
-    ) -> None:
-        """Record a hardware eviction write-back as droppable in-flight.
-
-        Captures the *previous* durable values (before ``write_back``),
-        so a reordered_flush crash can revert a suffix.  Per-thread
-        records are capped at the flush-queue depth: anything older has
-        necessarily left the queue and completed.
-        """
-        read = self.memory.read
-        olds = {addr: read(addr, _ABSENT) for addr in values}
-        inflight = self._fault_inflight
-        inflight.append((ctx, line, olds))
-        depth = self.config.timing.flush_queue_depth
-        count = 0
-        for rec in inflight:
-            if rec[0] is ctx:
-                count += 1
-        if count > depth:
-            for i, rec in enumerate(inflight):
-                if rec[0] is ctx:
-                    del inflight[i]
-                    break
+            plan = self._crash_plan
+            self._crash(idx, site_class, plan.fault_model, plan.fault_seed)
+            raise PowerFailure(f"scheduled power failure at site {idx} ({site_class})")
 
     # ------------------------------------------------------------------
     # Internal flush plumbing
@@ -558,6 +483,8 @@ class Machine:
             dirty = self.hwcache.clwb(line)
         if self.config.track_values:
             values = self.hwcache.take_values(line)
+            if self._journal is not None:
+                self._journal.written_back(ctx.thread_id, line, False)
             if values:
                 self.memory.write_back(values.items())
         stall = 0
@@ -568,13 +495,8 @@ class Machine:
         if self.recorder.enabled:
             cause = _EVICT_TRACE_CAUSE.get(category)
             self._record_flush(ctx.thread_id, stats.cycles, line, dirty, cause, stall)
-        # An explicit flush of ``line`` forces any earlier write-back of
-        # the same line to have completed (same-line ordering), so it is
-        # no longer droppable by a reordered_flush crash.
-        if self._record_inflight and self._fault_inflight:
-            self._fault_inflight = [
-                r for r in self._fault_inflight if r[1] != line
-            ]
+        if self._inflight is not None:
+            self._inflight.flushed(line)
         if self._sites_active:
             site = _FLUSH_SITE.get(category)
             if site is not None:
@@ -603,12 +525,10 @@ class Machine:
             rec.record(
                 EV_DRAIN, ctx.thread_id, stats.cycles, stall, outstanding, fase_id
             )
-        # The queue is empty: every write-back this thread had in flight
-        # is durable, so none of its records remain droppable.
-        if self._record_inflight and self._fault_inflight:
-            self._fault_inflight = [
-                r for r in self._fault_inflight if r[0] is not ctx
-            ]
+        if self._inflight is not None:
+            self._inflight.drained(ctx.thread_id)
+        if self._journal is not None:
+            self._journal.drained(ctx.thread_id)
         if self._sites_active:
             self._note_site(ctx, SITE_DRAIN)
 
@@ -670,9 +590,11 @@ class Machine:
         # the background (no CPU issue cost, but channel occupancy).
         if self.config.track_values:
             values = self.hwcache.take_values(line)
+            if self._journal is not None:
+                self._journal.written_back(ctx.thread_id, line, True)
             if values:
-                if self._record_inflight:
-                    self._note_evict_inflight(ctx, line, values)
+                if self._inflight is not None:
+                    self._inflight.evicted(ctx.thread_id, line, values)
                 self.memory.write_back(values.items())
         stats = ctx.stats
         now, stall = ctx.flushq.issue(stats.cycles)
@@ -869,7 +791,7 @@ class Machine:
         # The buffer model: evictions are issued here unless a payload is
         # observed; commits too, unless traced or ``clwb``.
         drain = technique.drain if getattr(technique, "buffered", False) else None
-        inline = drain is not None and not (track_values or self._record_inflight)
+        inline = drain is not None and not track_values
         insert = technique.insert if inline and not skip_on_store else None
         invalidate = getattr(technique, "invalidate", True)
         clwb = hw.clwb
@@ -1252,9 +1174,9 @@ class Machine:
                 stats.cycles += t.l1_hit if hit else t.l1_hit + t.l1_miss
                 if evicted is not None and evicted[1]:
                     self._evict_writeback(ctx, evicted[0])
+                if track_values:
+                    self._store_value(line, addr, ev.value)
                 if persistent:
-                    if track_values:
-                        hw.store_value(line, addr, ev.value)
                     technique.on_store(line)
                     if ctx.trace_lines is not None:
                         ctx.trace_lines.append(line)
@@ -1370,41 +1292,30 @@ class Machine:
         m.inc(f"fase_count/{key}", s.fase_count)
         m.set_gauge(f"cycles/{key}", s.cycles)
 
+    def _store_value(self, line: int, addr: int, value: object) -> None:
+        """Track a store to ``line`` (a volatile ``addr`` only dirties it)."""
+        journal = self._journal
+        if addr >= NVRAM_BASE:
+            self.hwcache.store_value(line, addr, value)
+            if journal is not None:
+                journal.stored(line, addr, value)
+        elif journal is not None:
+            journal.dirtied(line)
+
     def _crash(
         self,
         site: Optional[int] = None,
         site_class: Optional[str] = None,
+        model: str = FAULT_CLEAN,
         fault_seed: int = 0,
     ) -> None:
-        """Capture what a power cut *now* leaves durable under each armed
-        fault model in turn, into ``crashed_state`` and to ``on_crash``.
-
-        Non-destructive: each fault model mutates only its own snapshot,
-        so a sweep can capture at one site and keep executing to the next.
-        """
-        dirty = self.hwcache.dirty_lines()
-        for model in self._fault_models:
-            image = self.memory.nvram_snapshot()
-            torn: List[int] = []
-            dropped = 0
-            if model == FAULT_TORN_LINE:
-                torn = apply_torn_lines(image, dirty, self.hwcache.values, fault_seed)
-            elif model == FAULT_REORDERED_FLUSH:
-                dropped = apply_reordered_flushes(
-                    image, self._fault_inflight, fault_seed
-                )
-            self.crashed_state = CrashedState(
-                nvram=image,
-                lost_lines=dirty,
-                at_store=self._stores_seen,
-                at_site=site,
-                site_class=site_class,
-                fault_model=model,
-                torn_lines=torn,
-                dropped_writebacks=dropped,
-            )
-            if self._on_crash is not None:
-                self._on_crash(self.crashed_state)
+        """Capture into ``crashed_state`` what a power cut *now* leaves
+        under fault ``model``; the machine itself is left as it was."""
+        hw = self.hwcache
+        self.crashed_state = crash_state(
+            self.memory.nvram, sorted(hw.dirty_lines()), hw.values, self._inflight,
+            model, fault_seed, self._stores_seen, site, site_class,
+        )
 
     # ------------------------------------------------------------------
     # Imperative per-thread driver (used by the Atlas runtime)
@@ -1654,8 +1565,8 @@ class MachineSession:
             stats.cycles += t.l1_hit if hit else t.l1_hit + t.l1_miss
             if evicted is not None and evicted[1]:
                 machine._evict_writeback(ctx, evicted[0])
-            if machine.config.track_values and addr >= NVRAM_BASE:
-                hw.store_value(line, addr, value)
+            if machine.config.track_values:
+                machine._store_value(line, addr, value)
         stats.instructions += 1
 
     def load(self, addr: int, size: int = 8) -> object:

@@ -414,7 +414,7 @@ def test_value_tracking_and_site_plans_never_ask_for_batches():
             )
         assert spy.batch_calls == 0
         assert logs[0] == logs[1] == logs[2]
-        stores = sum(site_class == "store" for _, site_class, _, _ in logs[0])
+        stores = sum(site_class == "store" for _, site_class, *_ in logs[0])
         assert stores == result.persistent_stores > 0
     Machine(MachineConfig()).run(spy, technique_factory("SC"), seed=SEED)
     assert spy.batch_calls == 1

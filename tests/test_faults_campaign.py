@@ -31,7 +31,8 @@ from repro.faults import (
     expected_image_at,
     run_campaign,
 )
-from repro.nvram.failure import FAULT_MODELS, SITE_CLASSES
+from repro.faults.driver import GoldenRun
+from repro.nvram.failure import FAULT_MODELS, SITE_CLASSES, CrashPlan
 from repro.nvram.memory import NVRAM_BASE
 from repro.obs.metrics import MetricsRegistry
 from repro.locality.trace import WriteTrace
@@ -327,27 +328,32 @@ def test_parallel_campaign_on_registry_workload_matches_sequential(
 
 
 def test_parallel_campaign_is_one_chunk_per_worker(monkeypatch):
-    """One sweep captures every fault model, so a sequential 3-model
-    campaign replays once and a jobs=2 one once per chunk — 2 sweeps —
-    and both write the same matrix."""
-    sweeps = multiprocessing.get_context("fork").Value("i", 0)
-    real = AtlasReplayDriver.crash_sweep
+    """One walk of the golden run's journal captures every fault model,
+    so a sequential 3-model campaign walks once and a jobs=2 one once per
+    chunk — 2 walks — both after the one replay, and both write the same
+    matrix."""
+    counts = multiprocessing.get_context("fork").Array("i", 2)
+    real_replay, real_cut = AtlasReplayDriver._replay, GoldenRun.cut
 
-    def counting(self, *args, **kwargs):
-        with sweeps.get_lock():
-            sweeps.value += 1
-        return real(self, *args, **kwargs)
+    def counting(slot, real):
+        def spy(self, *args, **kwargs):
+            with counts.get_lock():
+                counts[slot] += 1
+            return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(AtlasReplayDriver, "crash_sweep", counting)
+        return spy
+
+    monkeypatch.setattr(AtlasReplayDriver, "_replay", counting(0, real_replay))
+    monkeypatch.setattr(GoldenRun, "cut", counting(1, real_cut))
     workload = LinkedListWorkload(elements=12)
     spec = FaultCampaignSpec(fault_models=_THREE_MODELS, max_sites=40)
     seq = run_campaign(workload, technique="SC", spec=spec)
-    assert sweeps.value == 1
-    sweeps.value = 0
+    assert counts[:] == [1, 1]
+    counts[:] = [0, 0]
     par = run_campaign(
         workload, technique="SC", spec=dataclasses.replace(spec, jobs=2)
     )
-    assert sweeps.value == 2
+    assert counts[:] == [1, 2]
     assert par.to_dict() == seq.to_dict()
 
 
@@ -446,6 +452,32 @@ def test_crash_at_unreachable_site_errors():
         driver.crash_at(len(golden.sites) + 10)
 
 
+def test_crash_at_a_negative_site_is_refused():
+    """-1 used to be an IndexError out of the site log."""
+    driver = AtlasReplayDriver(ListWorkload([FaseBegin(), Store(PA, 8, 1), FaseEnd()]))
+    with pytest.raises(ConfigurationError, match="crash site must be >= 0, got -1"):
+        driver.crash_at(-1)
+
+
+def test_sweep_to_a_negative_site_is_refused():
+    """-1 was the machine's "no target left" sentinel, so a sweep to it
+    delivered nothing and passed."""
+    driver = AtlasReplayDriver(LinkedListWorkload(elements=12), technique="SC")
+    seen = []
+    with pytest.raises(ConfigurationError, match="crash site must be >= 0, got -1"):
+        driver.crash_sweep([-1], ("clean",), 0, seen.append)
+    assert seen == []
+
+
+def test_sweep_without_fault_models_is_refused():
+    """No model used to mean a sweep that delivered no state at all."""
+    driver = AtlasReplayDriver(LinkedListWorkload(elements=12), technique="SC")
+    seen = []
+    with pytest.raises(ConfigurationError, match=r"one or more of .*, got \(\)"):
+        driver.crash_sweep([1], (), 0, seen.append)
+    assert seen == []
+
+
 def test_sweep_unreachable_site_names_first_unfired():
     driver = AtlasReplayDriver(ListWorkload([FaseBegin(), Store(PA, 8, 1), FaseEnd()]))
     total = len(driver.golden().sites)
@@ -488,7 +520,7 @@ def test_a_sweeps_closing_failure_still_dumps_every_threads_counters():
         )
         if crash_site is None:
             return registry, len(driver.golden().sites)
-        return registry, driver.crash_at(crash_site)[0]
+        return registry, replayed_state(driver, crash_site)
 
     whole, total = replayed()
     cut, state = replayed(total // 2)
@@ -510,6 +542,16 @@ def test_sweep_rejects_unordered_sites():
 # ---------------------------------------------------------------------------
 # Single-pass sweeps: exactly the states one replay per site produces
 # ---------------------------------------------------------------------------
+
+
+def replayed_state(driver, site, fault_model="clean", fault_seed=0):
+    """The reference every journal cut is held to: one fresh replay armed
+    with a ``CrashPlan`` at ``site``, stopped by the power failure there
+    (``None`` if the site never fires)."""
+    machine, runtimes, shift = driver._build()
+    machine.arm_crash_plan(CrashPlan(site, fault_model, fault_seed))
+    driver._replay(machine, runtimes, shift, None)
+    return machine.crashed_state
 
 
 def _layout_facts(layout):
@@ -539,8 +581,9 @@ def _layout_facts(layout):
 def test_sweep_states_equal_crash_at_for_every_site(
     workload, technique, threads, options, l1
 ):
-    """The 2-line direct-mapped L1 variant forces dirty hardware
-    evictions, so ``reordered_flush`` has write-backs to drop."""
+    """A one-model sweep and ``crash_at`` both equal the reference replay
+    at every site.  The 2-line direct-mapped L1 variant forces dirty
+    hardware evictions, so ``reordered_flush`` has write-backs to drop."""
     driver = AtlasReplayDriver(
         workload,
         technique=technique,
@@ -555,13 +598,11 @@ def test_sweep_states_equal_crash_at_for_every_site(
         sweep_layout = driver.crash_sweep(sites, (model,), fault_seed, swept.append)
         assert [state.at_site for state in swept] == list(sites)
         for site, state in zip(sites, swept):
+            want = replayed_state(driver, site, model, fault_seed + site)
             single, layout = driver.crash_at(
                 site, fault_model=model, fault_seed=fault_seed + site
             )
-            assert dataclasses.asdict(state) == dataclasses.asdict(single), (
-                site,
-                model,
-            )
+            assert state == single == want, (site, model)
             assert _layout_facts(layout) == _layout_facts(sweep_layout)
 
 
@@ -576,10 +617,10 @@ def test_sweep_states_equal_crash_at_for_every_site(
 )
 def test_one_sweep_captures_every_model_as_crash_at_does(workload, technique, threads):
     """At each site a multi-model sweep takes one image per model in
-    spec order, each seeded as ``crash_at`` seeds it, with in-flight
-    write-backs recorded for all of them — and every state equals
-    ``crash_at``'s for that site and model.  The 2-line direct-mapped L1
-    gives ``reordered_flush`` and ``torn_line`` work to do."""
+    spec order, each seeded as the reference replay is, with in-flight
+    write-backs recorded for all of them — and every state equals that
+    replay's for its site and model.  The 2-line direct-mapped L1 gives
+    ``reordered_flush`` and ``torn_line`` work to do."""
     driver = AtlasReplayDriver(
         workload, technique=technique, num_threads=threads,
         l1_capacity_lines=2, l1_ways=1,
@@ -591,14 +632,71 @@ def test_one_sweep_captures_every_model_as_crash_at_does(workload, technique, th
         (site, model) for site in sites for model in _THREE_MODELS
     ]
     for state in swept:
-        single, _layout = driver.crash_at(
-            state.at_site, fault_model=state.fault_model, fault_seed=3 + state.at_site
+        want = replayed_state(
+            driver, state.at_site, state.fault_model, 3 + state.at_site
         )
-        assert dataclasses.asdict(state) == dataclasses.asdict(single), (
-            state.at_site, state.fault_model,
-        )
+        assert state == want, (state.at_site, state.fault_model)
     assert any(s.dropped_writebacks for s in swept)
     assert any(s.torn_lines for s in swept)
+
+
+#: More dirty evictions inside one FASE than a flush queue holds.
+_LONG_FASE = [FaseBegin()] + [Store(PA + 64 * i, 8, i) for i in range(12)] + [FaseEnd()]
+#: Volatile lines dirty in the L1, and a store spanning two lines.
+_VOLATILE_AND_SPANNING = [
+    FaseBegin(), Store(PA, 8, "a"), Store(64, 8), Store(PA + 60, 8, "b"), FaseEnd(),
+    Store(128, 8), FaseBegin(), Store(PA + 64, 8, "c"), Load(PA + 128, 8), FaseEnd(),
+]
+
+
+@pytest.mark.parametrize(
+    "workload, kwargs",
+    [
+        (LinkedListWorkload(elements=6), dict(technique="SC", num_threads=2)),
+        (LinkedListWorkload(elements=6), dict(technique="SC", num_threads=3)),
+        (HashTableWorkload(elements=5), dict(technique="SC")),
+        (QueueWorkload(operations=6), dict(technique="AT", num_threads=2)),
+        (LinkedListWorkload(elements=6), dict(technique="SC+victim:4", num_threads=2)),
+        (
+            LinkedListWorkload(elements=6),
+            dict(technique="SC", technique_options={"use_clwb": True}),
+        ),
+        (
+            LinkedListWorkload(elements=6),
+            dict(technique="SC", num_threads=2, commit_before_drain=True),
+        ),
+        (
+            LinkedListWorkload(elements=6),
+            dict(
+                technique="SC-offline", num_threads=2, technique_options={"sc_fixed_size": 1},
+                l1_capacity_lines=2, l1_ways=1,
+            ),
+        ),
+        (ListWorkload(_LONG_FASE), dict(technique="SC", l1_capacity_lines=2, l1_ways=1)),
+        (ListWorkload(_VOLATILE_AND_SPANNING), dict(technique="SC")),
+    ],
+    ids=[
+        "linked-list@2", "linked-list@3", "hash", "queue-AT@2", "SC+victim:4",
+        "clwb", "commit-before-drain", "2-line-L1", "long-FASE", "volatile-and-spanning",
+    ],
+)
+def test_a_journal_cut_equals_a_replay(workload, kwargs):
+    """Every field of every state a three-model sweep cuts from the
+    journal equals the reference replay's, at every site: threads
+    interleaving, ``clwb`` leaving lines cached clean, the broken write
+    ordering, a one-line software cache evicting lines the L1 already
+    wrote back, a thread with more write-backs in flight than its queue
+    holds, and volatile lines dirty beside a store spanning two lines."""
+    driver = AtlasReplayDriver(workload, **kwargs)
+    sites = range(len(driver.golden().sites))
+    swept = []
+    driver.crash_sweep(sites, FAULT_MODELS, 5, swept.append)
+    assert [(s.at_site, s.fault_model) for s in swept] == [
+        (site, model) for site in sites for model in FAULT_MODELS
+    ]
+    for state in swept:
+        want = replayed_state(driver, state.at_site, state.fault_model, 5 + state.at_site)
+        assert state == want, (state.at_site, state.fault_model)
 
 
 def test_campaign_progress_streams_in_sweep_order():
@@ -675,6 +773,24 @@ def test_spec_validation():
         FaultCampaignSpec(fault_models=("bogus",))
     with pytest.raises(ConfigurationError):
         FaultCampaignSpec(jobs=0)
+
+
+def test_spec_with_no_site_class_is_refused():
+    """An empty filter read as no filter: every site got injected, under
+    a second cache key for the same campaign."""
+    with pytest.raises(ConfigurationError, match=r"site classes \(\)"):
+        FaultCampaignSpec(site_classes=())
+
+
+def test_spec_with_a_repeated_site_class_is_refused():
+    with pytest.raises(ConfigurationError, match=r"site classes \('commit', 'commit'\)"):
+        FaultCampaignSpec(site_classes=("commit", "commit"))
+
+
+def test_spec_with_a_fractional_max_sites_is_refused():
+    """2.5 used to run, injecting 8 sites."""
+    with pytest.raises(ConfigurationError, match="max_sites must be an int, got 2.5"):
+        FaultCampaignSpec(max_sites=2.5)
 
 
 def test_spec_without_fault_models_is_refused():

@@ -7,7 +7,7 @@ import pytest
 from repro.cache.spec import technique_factory
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.events import EventKind, FaseBegin, FaseEnd, Load, Store, Work
-from repro.nvram.failure import CrashPlan, PowerFailure
+from repro.nvram.failure import CrashJournal, CrashPlan, PowerFailure
 from repro.nvram.machine import Machine, MachineConfig
 from repro.nvram.memory import NVRAM_BASE
 from repro.obs.metrics import MetricsRegistry
@@ -44,7 +44,7 @@ def after_stores(k, events, technique):
     golden = Machine(MachineConfig(track_values=True))
     sites = golden.record_sites()
     run(golden, events, technique=technique)
-    stores = [index for index, site_class, _, _ in sites if site_class == "store"]
+    stores = [index for index, site_class, *_ in sites if site_class == "store"]
     return CrashPlan(at_site=stores[k - 1])
 
 
@@ -199,22 +199,29 @@ def test_site_crash_plan_stops_run_at_that_site():
     assert machine.crashed_state.at_site == 5
 
 
-def test_crash_sweep_leaves_last_captured_state():
-    """Execution continues past every target but the last, and callers
-    that read ``machine.crashed_state`` after the failure see the final
-    target's image, whatever was captured on the way."""
-    machine = Machine(MachineConfig(track_values=True))
-    captured = []
-    machine.arm_crash_sweep([(1, 0), (3, 0), (5, 0)], on_crash=captured.append)
-    session = machine.session(technique_factory("ER")(0))
-    with pytest.raises(PowerFailure):
+def test_a_journal_cut_is_what_a_plan_captures_live():
+    """A value-tracking machine recording sites into a journal can give
+    the crashed state at any of them afterwards: the state a machine
+    armed with a plan at that site captures as it stops there."""
+
+    def store_ten(machine):
+        session = machine.session(technique_factory("ER")(0))
         for i in range(10):
             session.store(PA + i * 64, 8, i)
-    assert session.stats.persistent_stores == 6
-    assert [state.at_site for state in captured] == [1, 3, 5]
-    assert [len(state.nvram) for state in captured] == [2, 4, 6]
-    assert machine.crashed_state is captured[-1]
-    assert machine.crashed_state.nvram == {PA + i * 64: i for i in range(6)}
+
+    golden = Machine(MachineConfig(track_values=True))
+    journal = CrashJournal(golden.config.timing.flush_queue_depth)
+    sites = golden.record_sites(journal)
+    store_ten(golden)
+    cut = []
+    journal.cut([(sites[site], 0) for site in (1, 3, 5)], ("clean",), cut.append)
+    assert [len(state.nvram) for state in cut] == [2, 4, 6]
+    for site, state in zip((1, 3, 5), cut):
+        live = Machine(MachineConfig(track_values=True))
+        live.arm_crash_plan(CrashPlan(at_site=site))
+        with pytest.raises(PowerFailure):
+            store_ten(live)
+        assert state == live.crashed_state
 
 
 def test_crash_preserves_only_written_back_values():

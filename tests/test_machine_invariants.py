@@ -773,7 +773,7 @@ def test_store_count_crash_inside_a_run(technique, track_values):
         technique_factory(technique, **RUN_TECHNIQUES[technique](2, 0)),
         seed=0,
     )
-    stores = [index for index, site_class, _, _ in sites if site_class == "store"]
+    stores = [index for index, site_class, *_ in sites if site_class == "store"]
     assert len(stores) == 15
     for after, site in enumerate(stores, 1):
         for traced in (True, False):

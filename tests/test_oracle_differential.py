@@ -10,7 +10,8 @@ Slow, stateless, obviously the three invariants — so it is the spec.
 Every verdict list must equal its own, element for element, whatever
 order sites are visited in, on sound runs, on a run with the write
 ordering broken, and on images mutilated beyond what any fault model
-does.
+does.  The images judged are the sweep's journal cuts, as a campaign
+judges them; every k-th is held to a fresh replay's first.
 """
 
 import dataclasses
@@ -44,7 +45,7 @@ from repro.workloads.hashtable import HashTableWorkload
 from repro.workloads.linkedlist import LinkedListWorkload
 from repro.workloads.msqueue import QueueWorkload
 from repro.workloads.registry import get_workload
-from tests.test_faults_campaign import ListWorkload
+from tests.test_faults_campaign import ListWorkload, replayed_state
 
 
 def reference_check_crash(golden, site, state, layout=None):
@@ -143,6 +144,11 @@ CASES = {
 }
 
 
+#: Every k-th swept state is held to the reference replay (one replay per
+#: site and model is quadratic in the sites; mdb@2 has over 2,000).
+REPLAY_STRIDE = {"mdb@2": 128}
+
+
 def make_driver(case, **kwargs):
     workload, technique, threads, _stride = CASES[case]
     return AtlasReplayDriver(
@@ -150,12 +156,20 @@ def make_driver(case, **kwargs):
     )
 
 
-def swept_states(driver, golden, model):
-    """The crashed image at every site, as a campaign's sweep sees them
-    (``fault_seed`` 0, so each site's fault is seeded with its index)."""
+def swept_states(case, driver, golden, model):
+    """The crashed image at every site, as a campaign's sweep cuts them
+    (``fault_seed`` 0, so each site's fault is seeded with its index),
+    every k-th of them checked against the reference replay's."""
     states = []
     driver.crash_sweep(range(len(golden.sites)), (model,), 0, states.append)
+    assert_replayed(case, driver, states)
     return states
+
+
+def assert_replayed(case, driver, states):
+    for state in states[:: REPLAY_STRIDE.get(case, 4)]:
+        site, model = state.at_site, state.fault_model
+        assert state == replayed_state(driver, site, model, site), (case, site, model)
 
 
 def reference_verdicts(golden, states):
@@ -203,7 +217,7 @@ def test_every_verdict_equals_the_reference(case):
     golden = driver.golden()
     reference = {}
     for model in FAULT_MODELS:
-        states = swept_states(driver, golden, model)
+        states = swept_states(case, driver, golden, model)
         reference[model] = reference_verdicts(golden, states)
         assert_same_verdicts_in_every_order(golden, states, reference[model])
     workload, technique, threads, _stride = CASES[case]
@@ -228,7 +242,7 @@ def test_broken_ordering_is_named_exactly_as_the_reference_names_it(case):
     golden = driver.golden()
     reference = {}
     for model in FAULT_MODELS:
-        states = swept_states(driver, golden, model)
+        states = swept_states(case, driver, golden, model)
         reference[model] = reference_verdicts(golden, states)
         named = [v for verdict in reference[model] for v in verdict]
         assert V_MISSING_COMMITTED in {v.kind for v in named}
@@ -302,7 +316,7 @@ def test_mutilated_images_get_the_reference_verdict(case):
     for model in FAULT_MODELS:
         states = [
             mutilate(state, golden, rng)
-            for state in swept_states(driver, golden, model)[::stride]
+            for state in swept_states(case, driver, golden, model)[::stride]
         ]
         sites = [state.at_site for state in states]
         reference = reference_verdicts(golden, states)
@@ -361,6 +375,7 @@ def test_incremental_oracle_equals_the_reference_inside_one_sweep(commit_before_
         got.append(check_crash(golden, state.at_site, state))
 
     driver.crash_sweep(range(len(golden.sites)), FAULT_MODELS, 0, on_crash)
+    assert_replayed("linked-list@2", driver, states)
     reference = reference_verdicts(golden, states)
     assert got == reference
     assert any(reference) == commit_before_drain

@@ -2,11 +2,13 @@
 
 
 import json
+import multiprocessing
 
 import pytest
 
 from repro.experiments.report import GENERATORS, generate
 from repro.experiments.__main__ import main
+from repro.faults import AtlasReplayDriver
 
 
 def test_generators_cover_every_artifact():
@@ -145,8 +147,8 @@ def test_cli_crashmatrix_observability(tmp_path, capsys):
         ]
     )
     assert rc == 0
-    # The golden run plus the one crash sweep that captures every fault
-    # model (not one replay per site or model) recorded into one trace.
+    # The golden run, the one replay a campaign makes, recorded into
+    # the trace (its sweep is cut from the journal and executes nothing).
     text = trace.read_text()
     assert '"kind":"trace_meta"' in text.splitlines()[0].replace(" ", "")
     doc = json.loads(metrics.read_text())
@@ -163,3 +165,39 @@ def test_cli_crashmatrix_refuses_a_campaign_that_checks_nothing(models, named, c
     rc = main(["crashmatrix", "--workloads", "linked-list", "--fault-models", models])
     assert rc == 2
     assert named in capsys.readouterr().err
+
+
+def test_cli_crashmatrix_replays_once_per_campaign_at_any_job_count(
+    tmp_path, monkeypatch, capsys
+):
+    """A campaign is one replay, its golden run, at any ``--jobs``: the
+    workers walk its journal and replay nothing.  The three-model matrix
+    is the same bytes at both job counts, and a repeated model is refused
+    before anything runs."""
+    replays = multiprocessing.get_context("fork").Value("i", 0)
+    real = AtlasReplayDriver._replay
+
+    def counting(self, *args, **kwargs):
+        with replays.get_lock():
+            replays.value += 1
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(AtlasReplayDriver, "_replay", counting)
+    smoke = [
+        "crashmatrix", "--workloads", "linked-list,hash",
+        "--techniques", "SC,SC+victim:4", "--threads", "2",
+        "--fault-models", "clean,torn_line,reordered_flush",
+        "--scale", "0.005", "--max-sites", "100000",
+    ]
+    matrices = []
+    for jobs in (1, 2):
+        replays.value = 0
+        out = tmp_path / f"crashmatrix-j{jobs}.json"
+        assert main(smoke + ["--jobs", str(jobs), "--out", str(out)]) == 0
+        assert replays.value == 2 * 2, (jobs, replays.value)
+        matrices.append(out.read_bytes())
+    assert matrices[0] == matrices[1]
+    replays.value = 0
+    bad = smoke[: smoke.index("--fault-models") + 1] + ["clean,clean"]
+    assert main(bad) == 2
+    assert replays.value == 0
