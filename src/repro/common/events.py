@@ -39,12 +39,22 @@ alternative — three parallel ``array`` columns (kind / addr-or-amount /
 size, ~17 bytes per event) that a workload fills by appending plain
 integers and the machine consumes through the visit table below, no
 per-event allocation at all.  A workload spells its program in one encoding and
-the other is derived: ``Workload.streams`` of a native batch emitter is
-:func:`events_from_batches` over its batches, and a generator's batches
-are recorded once by ``BatchCachingWorkload`` via
-:func:`batches_from_events`.  Both encodings therefore describe the same
+the others are derived: ``Workload.streams`` of a native batch emitter is
+:func:`events_from_batches` over its batches, a program whose threads
+share an allocator hands out *steps* (below), and a bare generator's
+batches are recorded once by ``BatchCachingWorkload`` via
+:func:`batches_from_events`.  Every encoding therefore describes the same
 event sequence by construction, and the machine's two execution paths
 are required (and tested) to produce bit-identical statistics.
+
+A :data:`Step` is the events between two allocations as plain column
+tuples ``(kinds, args, sizes, values)``, values being each ``STORE``'s
+payload.  Taking the next step performs the allocations before its first
+event and nothing else touches shared state, so a machine that pulls
+steps as it runs sees what a per-event generator would hand it.  They
+pack into batches (:func:`batches_from_steps`) where one execution
+serves every technique, decode into payload-carrying events
+(:func:`events_from_steps`) for crash replays, and feed live quanta.
 
 Store payloads are not part of that layout.  An emitter whose stream
 also feeds crash replays (the ``mdb`` recorder) builds its batch with
@@ -82,9 +92,10 @@ technique per visit:
 
 The per-event suffix columns of ``line_runs`` stay: they are what makes
 cutting a run at a scheduler quantum edge, or entering one in its middle,
-O(1) (:meth:`EventBatch.visit_rows`).  A live generator's quantum (a
-workload with no batch stream) gets its rows without numpy:
-``Machine._run_live`` codes each event by the rules above, span 0 apiece.
+O(1) (:meth:`EventBatch.visit_rows`).  A live quantum (a workload with no
+batch stream: steps pulled as the thread runs, or a bare generator's
+events) gets its rows without numpy: ``Machine._run_live`` codes each
+event of its columns by the rules above, span 0 apiece.
 """
 
 from __future__ import annotations
@@ -92,9 +103,11 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from itertools import chain
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+from repro.common.errors import ConfigurationError
 
 
 class EventKind:
@@ -284,8 +297,13 @@ class EventBatch:
         self, kind: int, addrs: range, size: int, values: Optional[list] = None
     ) -> None:
         """Append a ``kind`` access of ``size`` bytes per address of
-        ``addrs`` (with the stores' payloads, if kept): a page image."""
+        ``addrs`` (with the stores' payloads, if kept): a page image.
+        ``values``, if given, holds one payload per address."""
         n = len(addrs)
+        if values is not None and len(values) != n:
+            raise ConfigurationError(
+                f"{len(values)} values for {n} addresses: one payload per access"
+            )
         self.kinds.frombytes(bytes((kind,)) * n)
         # array.extend(range) converts item by item: 4x this.
         self.args.frombytes(
@@ -505,28 +523,61 @@ class EventBatch:
 
     def events(self) -> Iterator[Event]:
         """Expand back into per-object events (the reference decoding)."""
-        kinds = self.kinds
-        args = self.args
-        sizes = self.sizes
-        values = self.values
-        for i in range(len(kinds)):
-            kind = kinds[i]
-            if kind == EventKind.STORE:
-                yield Store(args[i], sizes[i], values[i] if values else None)
-            elif kind == EventKind.LOAD:
-                yield Load(args[i], sizes[i])
-            elif kind == EventKind.WORK:
-                yield Work(args[i])
-            elif kind == EventKind.FASE_BEGIN:
-                yield FaseBegin()
-            else:
-                yield FaseEnd()
+        values = [None] * len(self.kinds) if self.values is None else self.values
+        return events_from_steps([(self.kinds, self.args, self.sizes, values)])
 
 
 BatchStream = Iterator[EventBatch]
 
-#: Default events per batch when converting a per-object stream.
+#: The events between two allocations of a step-emitting program, as
+#: plain column tuples ``(kinds, args, sizes, values)``: ``values`` holds
+#: each ``STORE``'s payload, ``None`` elsewhere (module docstring).
+Step = Tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[object]]
+StepStream = Iterator[Step]
+
+#: Default events per batch when packing a stream into batches.
 BATCH_CHUNK = 4096
+
+
+def batches_from_steps(steps: StepStream, chunk: int = BATCH_CHUNK) -> BatchStream:
+    """Pack a step stream into payload-free batches of ``chunk`` events
+    (the last one shorter), filled one chunk at a time: the batches
+    :func:`batches_from_events` makes of the same events."""
+    kinds, args, sizes = [], [], []
+    for step in steps:
+        kinds += step[0]
+        args += step[1]
+        sizes += step[2]
+        while len(kinds) >= chunk:
+            batch = EventBatch()
+            batch.kinds = array("b", bytes(kinds[:chunk]))
+            batch.args = array("q", args[:chunk])
+            batch.sizes = array("q", sizes[:chunk])
+            del kinds[:chunk], args[:chunk], sizes[:chunk]
+            yield batch
+    if kinds:
+        batch = EventBatch()
+        batch.kinds, batch.args, batch.sizes = (
+            array("b", bytes(kinds)), array("q", args), array("q", sizes)
+        )
+        yield batch
+
+
+def events_from_steps(steps: Iterable[Step]) -> EventStream:
+    """Decode steps into per-object events, payloads included."""
+    store, load, work, begin, end = Store, Load, Work, FaseBegin, FaseEnd
+    for kinds, args, sizes, values in steps:
+        for kind, arg, size, value in zip(kinds, args, sizes, values):
+            if kind == 0:
+                yield store(arg, size, value)
+            elif kind == 1:
+                yield load(arg, size)
+            elif kind == 2:
+                yield work(arg)
+            elif kind == 3:
+                yield begin()
+            else:
+                yield end()
 
 
 def batches_from_events(
@@ -534,11 +585,10 @@ def batches_from_events(
 ) -> BatchStream:
     """Chunk a per-object event stream into :class:`EventBatch` runs.
 
-    The recording path for workloads without a native batch emitter:
-    ``BatchCachingWorkload`` drains each generator stream through here
-    once and every technique replays the columns.  Store payloads are
-    dropped, and the source stream's per-event cost is still paid that
-    one time, so a native emitter remains the cheaper first run.
+    The recording path for a workload that defines only ``streams()``
+    (a bare generator; every registered program emits batches or steps):
+    ``BatchCachingWorkload`` drains each stream through here once and
+    every technique replays the columns.  Store payloads are dropped.
     """
     batch = EventBatch()
     append = batch.append_event

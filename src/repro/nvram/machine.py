@@ -280,8 +280,8 @@ class _ThreadContext:
     ) -> None:
         self.thread_id = thread_id
         self.technique = technique
-        # What ``Machine.run`` pulls from: a per-object stream or a batch
-        # stream.  A session has neither — its caller pushes operations.
+        # What ``Machine.run`` pulls from: a per-object stream, or batches
+        # or steps.  A session has neither — its caller pushes operations.
         self.stream: Iterator[Event] = iter(())
         self.batch_iter: Optional[Iterator[EventBatch]] = None
         self.batch: Optional[EventBatch] = None
@@ -308,9 +308,12 @@ def _not_an_event(ctx: _ThreadContext, element: object) -> SimulationError:
     return SimulationError(f"thread {ctx.thread_id}: {what}")
 
 
+def _none(num_threads: int, seed: int) -> None:
+    """What a workload offers in an encoding it does not emit."""
+
+
 class _LiveQuantum(NamedTuple):
-    """A live quantum as the :class:`EventBatch` surface ``_run_batches``
-    reads: one visit row per event, so every line-touch run is empty."""
+    """A live quantum as the batch surface ``_run_batches`` reads: span-0 rows."""
 
     kinds: List[int]
     args: List[int]
@@ -625,42 +628,42 @@ class Machine:
         return count == budget
 
     def _run_live(self, ctx: _ThreadContext, budget: int) -> bool:
-        """Run up to ``budget`` events of ``ctx``'s live event stream on
-        :meth:`_run_batches`; return False at stream end.
-
-        Pulled just before it runs and never an event more, a quantum
-        holds what generators sharing an allocator hand out one event at
-        a time; each event is coded as :meth:`EventBatch.visits` codes it,
-        in a row of span 0 (DESIGN.md §8, *Live quanta*)."""
-        events = list(islice(ctx.stream, budget))
-        if not events:
+        """Run up to ``budget`` events of ``ctx``'s live stream on
+        :meth:`_run_batches`; False at stream end.  Pulled just before it
+        runs, a quantum is steps up to ``budget`` events (the rest waits
+        in ``ctx.batch``) or ``budget`` per-object events, one span-0 row
+        each as :meth:`EventBatch.visits` codes it (DESIGN.md §8)."""
+        last, pos = ctx.batch, ctx.batch_pos
+        kinds, args, sizes = (c[pos:] for c in last[:3]) if last else ([], [], [])
+        steps = ctx.batch_iter
+        if steps is not None:
+            while len(kinds) < budget and (step := next(steps, None)) is not None:
+                kinds += step[0]
+                args += step[1]
+                sizes += step[2]
+        else:
+            try:
+                for ev in islice(ctx.stream, budget):
+                    if (kind := ev.kind) not in (0, 1, 2, 3, 4):
+                        raise _not_an_event(ctx, ev)
+                    args.append(ev.addr if kind < 2 else ev.amount if kind == 2 else 0)
+                    sizes.append(ev.size if kind < 2 else 0)
+                    kinds.append(kind)
+            except AttributeError:
+                raise _not_an_event(ctx, ev) from None
+        if not kinds:
             return False
-        kinds, args, sizes, rows = ctx.batch = _LiveQuantum([], [], [], [])
         base = NVRAM_BASE
-        try:
-            for i, ev in enumerate(events):
-                kind = ev.kind
-                if kind == 0 or kind == 1:  # STORE, LOAD
-                    arg, size = ev.addr, ev.size
-                    line = arg >> 6
-                    if arg >= base and line == (arg + size - 1) >> 6:
-                        rows.append((i, kind, line, 0, 0, 0, 0))
-                    else:  # ANY_STORE, ANY_LOAD
-                        rows.append((i, kind + 5, arg, 0, 0, 0, 0))
-                elif kind == 2 or kind == 3 or kind == 4:  # WORK, FASE marks
-                    arg = ev.amount if kind == 2 else 0
-                    size = 0
-                    rows.append((i, kind, arg, 0, 0, 0, 0))
-                else:
-                    raise _not_an_event(ctx, ev)
-                kinds.append(kind)
-                args.append(arg)
-                sizes.append(size)
-        except AttributeError:
-            raise _not_an_event(ctx, ev) from None
-        ctx.batch_pos = 0
-        self._run_batches(ctx, len(events))
-        return len(events) == budget
+        rows = [
+            (i, kind, arg, 0, 0, 0, 0) if kind > 1
+            else (i, kind, arg >> 6, 0, 0, 0, 0)  # inside one persistent line
+            if arg >= base and arg >> 6 == (arg + size - 1) >> 6
+            else (i, kind + 5, arg, 0, 0, 0, 0)  # ANY_STORE, ANY_LOAD
+            for i, kind, arg, size in zip(range(len(kinds)), kinds, args, sizes)
+        ]
+        ctx.batch, ctx.batch_pos = _LiveQuantum(kinds, args, sizes, rows), 0
+        self._run_batches(ctx, min(len(kinds), budget))
+        return len(kinds) >= budget
 
     def _run_batches(self, ctx: _ThreadContext, budget: int) -> bool:
         """The batched loop; returns False at stream end.
@@ -1372,10 +1375,9 @@ class Machine:
         ----------
         workload:
             Object with ``streams(num_threads, seed) -> list of event
-            iterators`` and a ``name`` attribute.  Workloads may also
-            offer ``batch_streams(num_threads, seed)`` yielding
-            :class:`~repro.common.events.EventBatch` runs, which the
-            batched loop then executes instead of the live streams.
+            iterators`` and a ``name``; the batched loop runs its
+            ``batch_streams`` or else its ``steps`` instead, where it
+            offers them (:class:`~repro.workloads.base.Workload`).
         technique_factory:
             Called once per thread id; returns a fresh technique instance
             (software caches are per-thread).
@@ -1388,13 +1390,12 @@ class Machine:
             ``use_batches=False`` selects the per-event reference engine;
             either engine gives bit-identical results.
 
-        Routing: a run executes event by event only under
-        ``use_batches=False``, value tracking (the batched loop reads no
-        store payloads) or crash sites active — :meth:`record_sites` was
-        called, or a target is armed — because ``store`` sites exist
-        only there, so enumeration and injection always see one site
-        sequence.  Any other run takes the batched loop, over batch
-        streams or live ones a quantum at a time (:meth:`_run_live`).
+        Routing: a run goes event by event only under ``use_batches=False``,
+        value tracking (the batched loop reads no payloads) or crash sites
+        active (:meth:`record_sites` called, or a target armed: ``store``
+        sites exist only there, so enumeration and injection see one site
+        sequence).  Any other run takes the batched loop, over batches or
+        a live stream's quanta (:meth:`_run_live`).
         """
         if num_threads < 1:
             raise ConfigurationError("num_threads must be >= 1")
@@ -1402,23 +1403,22 @@ class Machine:
         per_event = (
             use_batches is False or self.config.track_values or self._sites_active
         )
-        streams = None
+        streams = steps = None
         if not per_event:
-            getter = getattr(workload, "batch_streams", None)
-            if getter is not None:
-                streams = getter(num_threads, seed)
+            streams = getattr(workload, "batch_streams", _none)(num_threads, seed)
+            if streams is None:
+                steps = getattr(workload, "steps", _none)(num_threads, seed)
         batched = streams is not None
         if not batched:
-            streams = workload.streams(num_threads, seed)
+            streams = workload.streams(num_threads, seed) if steps is None else steps
         if len(streams) != num_threads:
             raise SimulationError(
-                f"workload produced {len(streams)} streams for "
-                f"{num_threads} threads"
+                f"workload produced {len(streams)} streams for {num_threads} threads"
             )
         contexts = []
         for tid, stream in enumerate(streams):
             ctx = self._new_context(tid, technique_factory(tid), record_traces)
-            if batched:
+            if batched or steps is not None:
                 ctx.batch_iter = iter(stream)
             else:
                 ctx.stream = iter(stream)

@@ -8,8 +8,11 @@ from repro.common.errors import ConfigurationError
 from repro.common.events import (
     Event,
     EventBatch,
+    Step,
     batches_from_events,
+    batches_from_steps,
     events_from_batches,
+    events_from_steps,
 )
 from repro.common.geometry import CACHE_LINE_SIZE, align_up
 from repro.nvram.memory import NVRAM_BASE
@@ -23,18 +26,30 @@ class Workload:
     workload instance must be reusable: each ``streams`` call starts a
     fresh logical execution.
 
-    The program is written once — one emitter; the other is derived.  A
-    workload implements either :meth:`streams` (per-object events: the
-    natural spelling of a generator that builds a data structure) or
-    :meth:`batch_streams` (compact
-    :class:`~repro.common.events.EventBatch` columns the machine
-    executes on its allocation-free batch loop: the cheaper first run).
-    ``streams`` of a batch emitter is the decoding of its batches;
-    batches of a ``streams`` emitter are recorded once by
-    :class:`BatchCachingWorkload` — wherever
-    :meth:`schedule_independent` says a recording is the execution every
-    technique would have seen.  Either way the two encodings are one
-    event sequence by construction.
+    The program is written once — one emitter; the others are derived.
+    A workload implements one of:
+
+    :meth:`batch_streams`
+        Compact :class:`~repro.common.events.EventBatch` columns, for a
+        program whose threads share nothing the machine's schedule can
+        change (the SPLASH2 stand-ins, ``mdb``, ``persistent-array``).
+    :meth:`steps`
+        Column tuples of the events between two allocations
+        (:data:`~repro.common.events.Step`), for a program whose threads
+        draw from one allocator (``queue``, ``linked-list``, ``hash``):
+        taking a step performs the allocations before its first event,
+        so a machine pulling steps lazily sees the allocator's calls in
+        the order the per-event engine does.  ``batch_streams`` packs
+        them where :meth:`schedule_independent` holds, and
+        ``Machine._run_live`` pulls them a quantum at a time elsewhere.
+    :meth:`streams`
+        Per-object events: a bare generator.  Its batches are recorded
+        once by :class:`BatchCachingWorkload` where
+        :meth:`schedule_independent` says a recording is the execution
+        every technique would have seen.
+
+    ``streams`` of a batch or step emitter is their decoding, payloads
+    included.  Every encoding is one event sequence by construction.
     """
 
     name = "abstract"
@@ -42,9 +57,12 @@ class Workload:
     def streams(self, num_threads: int, seed: int) -> List[Iterator[Event]]:
         """Return ``num_threads`` independent event iterators.
 
-        The default decodes :meth:`batch_streams`; a workload with no
-        batch emitter overrides this instead.
+        The default decodes :meth:`steps`, or else :meth:`batch_streams`;
+        a workload with neither overrides this instead.
         """
+        steps = self.steps(num_threads, seed)
+        if steps is not None:
+            return [events_from_steps(thread_steps) for thread_steps in steps]
         batch_streams = self.batch_streams(num_threads, seed)
         if batch_streams is None:
             raise NotImplementedError(
@@ -52,15 +70,24 @@ class Workload:
             )
         return [events_from_batches(batches) for batches in batch_streams]
 
+    def steps(self, num_threads: int, seed: int) -> Optional[List[Iterator[Step]]]:
+        """Return per-thread :data:`~repro.common.events.Step` iterators,
+        or ``None`` (the default: the workload emits no steps)."""
+        return None
+
     def batch_streams(
         self, num_threads: int, seed: int
     ) -> Optional[List[Iterator[EventBatch]]]:
         """Return per-thread :class:`EventBatch` iterators, or ``None``.
 
-        ``None`` (the default) means the workload emits per-object
-        events and the machine falls back to :meth:`streams`.
+        The default packs :meth:`steps` into ``BATCH_CHUNK`` batches
+        where :meth:`schedule_independent` holds; ``None`` means the
+        machine runs the workload live.
         """
-        return None
+        steps = self.steps(num_threads, seed)
+        if steps is None or not self.schedule_independent(num_threads):
+            return None
+        return [batches_from_steps(thread_steps) for thread_steps in steps]
 
     def schedule_independent(self, num_threads: int) -> bool:
         """Whether ``streams(num_threads, seed)`` yields the same events
@@ -104,18 +131,19 @@ class BatchCachingWorkload(Workload):
     most ``max_entries`` ``(threads, seed)`` materializations (FIFO) so
     thread-sweep grids do not accumulate unbounded batch data.
 
-    The batches come from the wrapped workload's native emitter when it
-    has one.  Otherwise ``streams`` is recorded through
-    :func:`~repro.common.events.batches_from_events` — but only where
-    :meth:`Workload.schedule_independent` holds, because a recording
-    fixes one interleaving: where streams share mutable state (``queue``
-    and ``linked-list`` above one thread) ``batch_streams`` stays
-    ``None`` and each run re-executes the generators a quantum at a time.  An
-    error raised by the wrapped workload propagates unchanged and
-    memoizes nothing.
+    The batches come from the wrapped workload's ``batch_streams``: a
+    batch emitter's, or a step emitter's packed steps.  A workload with
+    only ``streams`` is recorded through
+    :func:`~repro.common.events.batches_from_events`.  Steps and streams
+    are recorded only where :meth:`Workload.schedule_independent` holds,
+    because a recording fixes one interleaving: where streams share
+    mutable state (``queue`` and ``linked-list`` above one thread)
+    ``batch_streams`` stays ``None`` and each run re-executes the program
+    a quantum at a time.  An error raised by the wrapped workload
+    propagates unchanged and memoizes nothing.
 
-    Everything else — ``streams``, ``store_threads``, workload-specific
-    attributes — delegates to the wrapped workload.
+    Everything else — ``streams``, ``steps``, ``store_threads``,
+    workload-specific attributes — delegates to the wrapped workload.
     """
 
     def __init__(self, inner: Workload, max_entries: int = 4) -> None:
@@ -139,6 +167,9 @@ class BatchCachingWorkload(Workload):
 
     def streams(self, num_threads: int, seed: int) -> List[Iterator[Event]]:
         return self._inner.streams(num_threads, seed)
+
+    def steps(self, num_threads: int, seed: int) -> Optional[List[Iterator[Step]]]:
+        return self._inner.steps(num_threads, seed)
 
     def supports_threads(self, num_threads: int) -> bool:
         return self._inner.supports_threads(num_threads)

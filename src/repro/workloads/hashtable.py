@@ -16,10 +16,10 @@ cache captures (keeping SC between the two).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.common.errors import ConfigurationError
-from repro.common.events import Event, FaseBegin, FaseEnd, Load, Store, Work
+from repro.common.errors import ConfigurationError, require_int
+from repro.common.events import Step
 from repro.common.rng import derive_seed, make_rng
 from repro.workloads.base import BumpAllocator, Workload
 
@@ -33,6 +33,19 @@ _HASH_OFF = 24
 _PTR_SIZE = 8
 _INITIAL_BUCKETS = 64
 _MAX_LOAD = 0.75
+_HASH_MULT = 2654435761
+
+#: Insert: ``WORK`` 250, a load of the bucket, the entry's key, value,
+#: next and hash, the bucket pointer, the element count.
+_INSERT_KINDS = (3, 2, 1, 0, 0, 0, 0, 0, 0, 4)
+_INSERT_SIZES = (0, 0, _PTR_SIZE, 8, 8, 8, 8, _PTR_SIZE, 8, 0)
+#: Update: ``WORK`` 70, loads of the bucket and the entry's key, the value.
+_UPDATE_KINDS = (3, 2, 1, 1, 0, 4)
+_UPDATE_SIZES = (0, 0, _PTR_SIZE, 8, 8, 0)
+#: Delete: ``WORK`` 250, a load of the bucket, the unlinking pointer (the
+#: bucket's or the predecessor's next), the element count.
+_DELETE_KINDS = (3, 2, 1, 0, 0, 4)
+_DELETE_SIZES = (0, 0, _PTR_SIZE, 8, 8, 0)
 
 
 class HashTableWorkload(Workload):
@@ -46,38 +59,25 @@ class HashTableWorkload(Workload):
         updates: Optional[int] = None,
         deletes: Optional[int] = None,
     ) -> None:
+        require_int("elements", elements, 0)
         self.elements = elements
         self.updates = updates if updates is not None else elements // 2
         self.deletes = deletes if deletes is not None else elements // 4
+        require_int("updates", self.updates, 0)
+        require_int("deletes", self.deletes, 0)
 
     @property
     def total_fases(self) -> int:
         """Operations (paper's hash row: ~7K FASEs for 4000 elements)."""
         return self.elements + self.updates + self.deletes
 
-    def streams(self, num_threads: int, seed: int) -> List[Iterator[Event]]:
+    def steps(self, num_threads: int, seed: int) -> List[Iterator[Step]]:
         if num_threads != 1:
             raise ConfigurationError("the hash benchmark is single-threaded")
-        return [self._stream(derive_seed(seed, self.name))]
+        return [self._steps(derive_seed(seed, self.name))]
 
-    def _bucket_addr(self, key: int) -> int:
-        # Multiplicative hash, as the C original uses; bucket pointers are
-        # 8 bytes each, eight per cache line.
-        idx = (key * 2654435761) % self._num_buckets
-        return self._buckets_base + idx * _PTR_SIZE
-
-    def _stream(self, seed: int) -> Iterator[Event]:
-        rng = make_rng(seed)
-        alloc = BumpAllocator()
-        self._num_buckets = _INITIAL_BUCKETS
-        self._buckets_base = alloc.alloc(self._num_buckets * _PTR_SIZE, True)
-        count_addr = alloc.alloc_lines(1)
-        chains: Dict[int, List[Tuple[int, int]]] = {}   # bucket addr -> [(key, entry)]
-        entry_of: Dict[int, int] = {}
-        live_keys: List[int] = []
-        inserted = 0
-
-        # Interleave operations: updates and deletes trail the inserts.
+    def _ops(self) -> List[Tuple[str, int]]:
+        """The operation sequence: updates and deletes trail the inserts."""
         ops: List[Tuple[str, int]] = []
         u = d = 0
         for i in range(self.elements):
@@ -90,25 +90,44 @@ class HashTableWorkload(Workload):
                 d += 1
         ops.extend(("update", j) for j in range(u, self.updates))
         ops.extend(("delete", j) for j in range(d, self.deletes))
+        return ops
 
-        for op, _arg in ops:
+    def _steps(self, seed: int) -> Iterator[Step]:
+        """The program, one step per operation.  The bucket array lives
+        in this stream alone: two streams of one instance share nothing."""
+        rng = make_rng(seed)
+        alloc = BumpAllocator()
+        num_buckets = _INITIAL_BUCKETS
+        buckets_base = alloc.alloc(num_buckets * _PTR_SIZE, True)
+        count_addr = alloc.alloc_lines(1)
+        chains: Dict[int, List[Tuple[int, int]]] = {}   # bucket addr -> [(key, entry)]
+        entry_of: Dict[int, int] = {}
+        live_keys: List[int] = []
+        inserted = 0
+
+        def bucket_addr(key: int) -> int:
+            # Multiplicative hash, as the C original uses; bucket pointers
+            # are 8 bytes each, eight per cache line.
+            return buckets_base + (key * _HASH_MULT) % num_buckets * _PTR_SIZE
+
+        for op, _arg in self._ops():
             if op == "insert":
                 key = int(rng.integers(0, 1 << 30))
                 # Rehash outside the insert FASE when the load is high.
-                if inserted + 1 > _MAX_LOAD * self._num_buckets:
-                    yield from self._rehash(alloc, chains)
+                if inserted + 1 > _MAX_LOAD * num_buckets:
+                    num_buckets *= 2
+                    buckets_base = alloc.alloc(num_buckets * _PTR_SIZE, True)
+                    yield _rehash(chains, bucket_addr, buckets_base, num_buckets)
                 entry = alloc.alloc_lines(1)
-                bucket = self._bucket_addr(key)
-                yield FaseBegin()
-                yield Work(250)
-                yield Load(bucket, _PTR_SIZE)
-                yield Store(entry + _KEY_OFF, 8, value=key)
-                yield Store(entry + _VALUE_OFF, 8, value=key ^ 0xFF)
-                yield Store(entry + _NEXT_OFF, 8, value=None)
-                yield Store(entry + _HASH_OFF, 8, value=key * 2654435761 % (1 << 32))
-                yield Store(bucket, _PTR_SIZE, value=entry)
-                yield Store(count_addr, 8, value=inserted + 1)
-                yield FaseEnd()
+                bucket = bucket_addr(key)
+                yield (
+                    _INSERT_KINDS,
+                    (0, 250, bucket, entry + _KEY_OFF, entry + _VALUE_OFF,
+                     entry + _NEXT_OFF, entry + _HASH_OFF, bucket, count_addr, 0),
+                    _INSERT_SIZES,
+                    (None, None, None, key, key ^ 0xFF, None,
+                     key * _HASH_MULT % (1 << 32), entry, inserted + 1, None),
+                )
                 chains.setdefault(bucket, []).insert(0, (key, entry))
                 entry_of[key] = entry
                 live_keys.append(key)
@@ -116,49 +135,50 @@ class HashTableWorkload(Workload):
             elif op == "update" and live_keys:
                 key = live_keys[int(rng.integers(0, len(live_keys)))]
                 entry = entry_of[key]
-                yield FaseBegin()
-                yield Work(70)
-                yield Load(self._bucket_addr(key), _PTR_SIZE)
-                yield Load(entry + _KEY_OFF, 8)
-                yield Store(entry + _VALUE_OFF, 8, value=key ^ 0xAB)
-                yield FaseEnd()
+                yield (
+                    _UPDATE_KINDS,
+                    (0, 70, bucket_addr(key), entry + _KEY_OFF, entry + _VALUE_OFF, 0),
+                    _UPDATE_SIZES,
+                    (None, None, None, None, key ^ 0xAB, None),
+                )
             elif op == "delete" and live_keys:
                 pick = int(rng.integers(0, len(live_keys)))
                 key = live_keys.pop(pick)
                 entry = entry_of.pop(key)
-                bucket = self._bucket_addr(key)
+                bucket = bucket_addr(key)
                 chain = chains.get(bucket, [])
                 pos = next(i for i, (k, _) in enumerate(chain) if k == key)
-                yield FaseBegin()
-                yield Work(250)
-                yield Load(bucket, _PTR_SIZE)
-                if pos == 0:
-                    yield Store(bucket, _PTR_SIZE, value=None)
-                else:
-                    pred_entry = chain[pos - 1][1]
-                    yield Store(pred_entry + _NEXT_OFF, 8, value=None)
-                yield Store(count_addr, 8, value=inserted)
-                yield FaseEnd()
+                unlink = bucket if pos == 0 else chain[pos - 1][1] + _NEXT_OFF
+                yield (
+                    _DELETE_KINDS,
+                    (0, 250, bucket, unlink, count_addr, 0),
+                    _DELETE_SIZES,
+                    (None, None, None, None, inserted, None),
+                )
                 chain.pop(pos)
                 inserted -= 1
 
-    def _rehash(
-        self, alloc: BumpAllocator, chains: Dict[int, List[Tuple[int, int]]]
-    ) -> Iterator[Event]:
-        """Double the bucket array and relink every entry (one big FASE)."""
-        old_entries = [pair for chain in chains.values() for pair in chain]
-        self._num_buckets *= 2
-        self._buckets_base = alloc.alloc(self._num_buckets * _PTR_SIZE, True)
-        chains.clear()
-        yield FaseBegin()
-        yield Work(4 * self._num_buckets)
-        # Zero the new bucket array (sequential lines)...
-        for i in range(0, self._num_buckets, 8):
-            yield Store(self._buckets_base + i * _PTR_SIZE, _PTR_SIZE)
-        # ...then relink entries in hash order (scattered bucket lines).
-        for key, entry in old_entries:
-            bucket = self._bucket_addr(key)
-            yield Store(entry + _NEXT_OFF, 8)
-            yield Store(bucket, _PTR_SIZE, value=entry)
-            chains.setdefault(bucket, []).insert(0, (key, entry))
-        yield FaseEnd()
+
+def _rehash(
+    chains: Dict[int, List[Tuple[int, int]]],
+    bucket_addr: Callable[[int], int],
+    base: int,
+    num_buckets: int,
+) -> Step:
+    """Relink every entry of ``chains`` into the doubled bucket array at
+    ``base`` as one big FASE: zero the array (sequential lines), then
+    relink the entries in hash order (scattered bucket lines)."""
+    entries = [pair for chain in chains.values() for pair in chain]
+    chains.clear()
+    zeroed = range(base, base + num_buckets * _PTR_SIZE, 8 * _PTR_SIZE)
+    stores = len(zeroed) + 2 * len(entries)     # every one a pointer
+    args = [0, 4 * num_buckets, *zeroed]
+    values = [None] * len(args)
+    for key, entry in entries:
+        bucket = bucket_addr(key)
+        args += (entry + _NEXT_OFF, bucket)
+        values += (None, entry)
+        chains.setdefault(bucket, []).insert(0, (key, entry))
+    args.append(0)
+    values.append(None)
+    return [3, 2] + [0] * stores + [4], args, [0, 0] + [_PTR_SIZE] * stores + [0], values

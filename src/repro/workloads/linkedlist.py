@@ -24,7 +24,8 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from typing import Iterator, List
 
-from repro.common.events import Event, FaseBegin, FaseEnd, Load, Store, Work
+from repro.common.errors import require_int
+from repro.common.events import Step
 from repro.workloads.base import BumpAllocator, Workload
 
 DEFAULT_ELEMENTS = 10_000
@@ -32,6 +33,22 @@ DEFAULT_ELEMENTS = 10_000
 _KEY_OFF = 0
 _VALUE_OFF = 8
 _NEXT_OFF = 16
+
+#: An insert's kinds and sizes, by (new head?, first insert?): the FASE
+#: opens with the search (``WORK``) and the node's key and value; a new
+#: head then stores node.next and the head pointer, any other insert
+#: loads the predecessor's next and stores node.next and pred.next; every
+#: insert but the first stores the element count.
+_INSERT_KINDS = {
+    (True, True): (3, 2, 0, 0, 0, 0, 4),
+    (True, False): (3, 2, 0, 0, 0, 0, 0, 4),
+    (False, True): (3, 2, 0, 0, 1, 0, 0, 4),
+    (False, False): (3, 2, 0, 0, 1, 0, 0, 0, 4),
+}
+_INSERT_SIZES = {
+    shape: tuple(8 if kind < 2 else 0 for kind in kinds)
+    for shape, kinds in _INSERT_KINDS.items()
+}
 
 
 def _bit_reverse(value: int, bits: int) -> int:
@@ -57,6 +74,7 @@ class LinkedListWorkload(Workload):
     name = "linked-list"
 
     def __init__(self, elements: int = DEFAULT_ELEMENTS) -> None:
+        require_int("elements", elements, 0)
         self.elements = elements
 
     @property
@@ -67,44 +85,42 @@ class LinkedListWorkload(Workload):
     def supports_threads(self, num_threads: int) -> bool:
         return num_threads >= 1
 
-    def streams(self, num_threads: int, seed: int) -> List[Iterator[Event]]:
+    def steps(self, num_threads: int, seed: int) -> List[Iterator[Step]]:
+        require_int("num_threads", num_threads, 1)
         alloc = BumpAllocator()
         # One count line and one head-pointer line per thread, then nodes.
-        return [
-            self._stream(t, num_threads, alloc)
-            for t in range(num_threads)
-        ]
+        return [self._steps(t, num_threads, alloc) for t in range(num_threads)]
 
-    def _stream(
-        self, tid: int, nthreads: int, alloc: BumpAllocator
-    ) -> Iterator[Event]:
+    def _steps(self, tid: int, nthreads: int, alloc: BumpAllocator) -> Iterator[Step]:
+        """One thread's inserts, one step each, after the ``alloc_lines``
+        of its node; the first pull allocates the head and count lines,
+        even for a thread with no keys."""
         head_addr = alloc.alloc_lines(1)
         count_addr = alloc.alloc_lines(1)
         keys = [k for k in perfect_shuffle_order(self.elements) if k % nthreads == tid]
         sorted_keys: List[int] = []
         node_of = {}
-        first = True
         for key in keys:
             node = alloc.alloc_lines(1)
             idx = bisect_left(sorted_keys, key)
-            yield FaseBegin()
             # Search cost: one predecessor load plus traversal work.
-            yield Work(180 + idx // 4)
-            yield Store(node + _KEY_OFF, 8, value=key)
-            yield Store(node + _VALUE_OFF, 8, value=key * 2)
+            args = [0, 180 + idx // 4, node + _KEY_OFF, node + _VALUE_OFF]
+            values = [None, None, key, key * 2]
             if idx == 0:
                 # New head: next := old head, head := node.
-                yield Store(node + _NEXT_OFF, 8, value=None)
-                yield Store(head_addr, 8, value=node)
+                args += (node + _NEXT_OFF, head_addr)
+                values += (None, node)
             else:
-                pred = node_of[sorted_keys[idx - 1]]
-                yield Load(pred + _NEXT_OFF, 8)
-                yield Store(node + _NEXT_OFF, 8, value=None)
-                yield Store(pred + _NEXT_OFF, 8, value=node)
-            if first:
-                first = False  # paper's store count is 5N - 1
-            else:
-                yield Store(count_addr, 8, value=len(sorted_keys) + 1)
-            yield FaseEnd()
+                pred_next = node_of[sorted_keys[idx - 1]] + _NEXT_OFF
+                args += (pred_next, node + _NEXT_OFF, pred_next)
+                values += (None, None, node)
+            first = not sorted_keys     # paper's store count is 5N - 1
+            if not first:
+                args.append(count_addr)
+                values.append(len(sorted_keys) + 1)
+            args.append(0)
+            values.append(None)
+            shape = (idx == 0, first)
+            yield _INSERT_KINDS[shape], args, _INSERT_SIZES[shape], values
             insort(sorted_keys, key)
             node_of[key] = node

@@ -24,16 +24,26 @@ chooses the smallest size among the optimal ones).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterator, List
 
-from repro.common.events import Event, FaseBegin, FaseEnd, Load, Store, Work
+from repro.common.errors import require_int
+from repro.common.events import Step
 from repro.workloads.base import BumpAllocator, Workload
 
 DEFAULT_OPERATIONS = 100_000
 
 _VALUE_OFF = 0
 _NEXT_OFF = 8
+
+#: The setup FASE: dummy.next, head and tail pointers.
+_SETUP_KINDS = (3, 0, 0, 0, 4)
+_SETUP_SIZES = (0, 8, 8, 8, 0)
+#: One enqueue/dequeue pair.  Enqueue: lock, pointer math and
+#: instrumentation (``WORK`` 170), node.value, node.next, pred.next, tail
+#: pointer.  Dequeue: ``WORK`` 60, a load of the front node's successor,
+#: the head pointer.
+_PAIR_KINDS = (3, 2, 0, 0, 0, 0, 4, 3, 2, 1, 0, 4)
+_PAIR_SIZES = (0, 0, 8, 8, 8, 8, 0, 0, 0, 8, 8, 0)
 
 
 class QueueWorkload(Workload):
@@ -43,48 +53,44 @@ class QueueWorkload(Workload):
 
     def __init__(self, operations: int = DEFAULT_OPERATIONS) -> None:
         # `operations` counts enqueue+dequeue pairs per thread group.
+        require_int("operations", operations, 0)
         self.operations = operations
 
     def supports_threads(self, num_threads: int) -> bool:
         return num_threads >= 1
 
-    def streams(self, num_threads: int, seed: int) -> List[Iterator[Event]]:
+    def steps(self, num_threads: int, seed: int) -> List[Iterator[Step]]:
+        require_int("num_threads", num_threads, 1)
         alloc = BumpAllocator()
         per_thread = [self.operations // num_threads] * num_threads
         per_thread[0] += self.operations - sum(per_thread)
-        return [
-            self._stream(per_thread[t], alloc) for t in range(num_threads)
-        ]
+        return [self._steps(per_thread[t], alloc) for t in range(num_threads)]
 
-    def _stream(self, pairs: int, alloc: BumpAllocator) -> Iterator[Event]:
+    @staticmethod
+    def _steps(pairs: int, alloc: BumpAllocator) -> Iterator[Step]:
+        """One thread's program: the setup FASE, then one step per pair,
+        each after the ``alloc(16)`` of its node."""
         head_addr = alloc.alloc_lines(1)
         tail_addr = alloc.alloc_lines(1)
         dummy = alloc.alloc(16, line_aligned=True)
-        nodes = deque([dummy])
-        tail_node = dummy
-        # Initialise the queue (one setup FASE: dummy node + anchors).
-        yield FaseBegin()
-        yield Store(dummy + _NEXT_OFF, 8, value=None)
-        yield Store(head_addr, 8, value=dummy)
-        yield Store(tail_addr, 8, value=dummy)
-        yield FaseEnd()
+        yield (
+            _SETUP_KINDS,
+            (0, dummy + _NEXT_OFF, head_addr, tail_addr, 0),
+            _SETUP_SIZES,
+            (None, None, dummy, dummy, None),
+        )
+        # Each pair enqueues behind the tail and dequeues the front, so
+        # the front is always the previous tail and its successor the
+        # node just enqueued.
+        tail_next = dummy + _NEXT_OFF
         for i in range(pairs):
-            # -- enqueue ------------------------------------------------
             node = alloc.alloc(16)
-            yield FaseBegin()
-            yield Work(170)                     # lock, pointer math, instrumentation
-            yield Store(node + _VALUE_OFF, 8, value=i)
-            yield Store(node + _NEXT_OFF, 8, value=None)
-            yield Store(tail_node + _NEXT_OFF, 8, value=node)
-            yield Store(tail_addr, 8, value=node)
-            yield FaseEnd()
-            nodes.append(node)
-            tail_node = node
-            # -- dequeue ------------------------------------------------
-            yield FaseBegin()
-            yield Work(60)
-            front = nodes[0]
-            yield Load(front + _NEXT_OFF, 8)    # read successor
-            yield Store(head_addr, 8, value=nodes[1] if len(nodes) > 1 else None)
-            yield FaseEnd()
-            nodes.popleft()
+            yield (
+                _PAIR_KINDS,
+                (0, 170, node + _VALUE_OFF, node + _NEXT_OFF, tail_next, tail_addr,
+                 0, 0, 60, tail_next, head_addr, 0),
+                _PAIR_SIZES,
+                (None, None, i, None, node, node,
+                 None, None, None, None, node, None),
+            )
+            tail_next = node + _NEXT_OFF

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.common.errors import SimulationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.events import (
     EventBatch,
     EventKind,
@@ -16,6 +16,9 @@ from repro.common.events import (
     Store,
     VisitCode,
     Work,
+    batches_from_events,
+    batches_from_steps,
+    events_from_steps,
     validate_stream,
 )
 
@@ -426,3 +429,60 @@ def test_payload_column_rides_copy_and_pickle_and_is_dropped_by_split():
         repr(ev) for ev in EventBatch.from_events(batch.events()).events()
     ]
     assert list(EventBatch().split(4)) == []
+
+
+@pytest.mark.parametrize("values", [[1, 2], list(range(9))], ids=["short", "long"])
+def test_a_payload_list_of_another_length_is_refused_before_any_column_grows(values):
+    batch = EventBatch(keep_values=True)
+    batch.append_store(N0)
+    with pytest.raises(ConfigurationError, match=f"{len(values)} values for 8 addresses"):
+        batch.extend_accesses(EventKind.STORE, range(N0, N0 + 64, 8), 8, values)
+    assert [len(c) for c in (batch.kinds, batch.args, batch.sizes, batch.values)] == [1] * 4
+
+
+# -- steps: the column tuples a shared-allocator program hands out -----------
+
+
+def random_steps(rng, n):
+    """Steps of 0 to 40 events — some longer than the chunk below."""
+    steps = []
+    for _ in range(n):
+        events = [
+            rng.choice((
+                Store(N0 + rng.randrange(4096), rng.choice((4, 8)), rng.randrange(9)),
+                Load(N0 + rng.randrange(4096), 8),
+                Work(rng.randrange(1, 300)),
+                FaseBegin(),
+                FaseEnd(),
+            ))
+            for _ in range(rng.randrange(41))
+        ]
+        steps.append((
+            tuple(ev.kind for ev in events),
+            tuple(getattr(ev, "addr", getattr(ev, "amount", 0)) for ev in events),
+            tuple(getattr(ev, "size", 0) for ev in events),
+            tuple(getattr(ev, "value", None) for ev in events),
+        ))
+    return steps
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_steps_pack_and_decode_as_their_events_do(seed):
+    steps = random_steps(random.Random(seed), 60)
+    events = list(events_from_steps(iter(steps)))
+    assert len(events) == sum(len(step[0]) for step in steps)
+    want = list(batches_from_events(iter(events), 32))
+    got = list(batches_from_steps(iter(steps), 32))
+    assert [len(b) for b in got] == [len(b) for b in want]
+    assert all(b.values is None for b in got)
+    assert [(b.kinds, b.args, b.sizes) for b in got] == [
+        (b.kinds, b.args, b.sizes) for b in want
+    ]
+    assert [
+        (ev.kind, ev.value) for ev in events if ev.kind == EventKind.STORE
+    ] == [
+        (kind, value)
+        for step in steps
+        for kind, value in zip(step[0], step[3])
+        if kind == EventKind.STORE
+    ]

@@ -8,6 +8,7 @@ per-event reference (``use_batches=False``) leaves: every counter, the
 L1 image, the recorded write traces, the trace JSONL and the metrics.
 """
 
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -15,11 +16,14 @@ import pytest
 from repro.cache.adaptive import AdaptiveConfig
 from repro.cache.spec import technique_factory
 from repro.common.errors import SimulationError
+from repro.common import events
 from repro.common.events import FaseBegin, FaseEnd, Load, Store, Work
+from repro.experiments.harness import Harness, HarnessConfig
 from repro.nvram.machine import SCHED_BATCH, Machine, MachineConfig
 from repro.nvram.memory import NVRAM_BASE
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceRecorder
+from repro.workloads import base
 from repro.workloads.base import BatchCachingWorkload, Workload
 from repro.workloads.registry import get_workload
 
@@ -193,3 +197,41 @@ def test_a_stream_element_that_is_not_an_event_is_a_typed_error(element, shown, 
             workload, technique_factory("AT"), num_threads=2, use_batches=use_batches
         )
     assert str(raised.value) == f"thread 1: stream element {shown} is not an event"
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Count every per-object event built, and every call recording a
+    per-object stream."""
+    counts = Counter()
+    for cls in (Store, Load, Work, FaseBegin, FaseEnd):
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            counts[type(self).__name__] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    for module in (events, base):
+        record = module.batches_from_events
+
+        def recording(*args, _record=record, **kwargs):
+            counts["batches_from_events"] += 1
+            return _record(*args, **kwargs)
+
+        monkeypatch.setattr(module, "batches_from_events", recording)
+    return counts
+
+
+def test_the_constructions_spy_sees_decodings_and_recordings(constructions):
+    list(get_workload("queue", scale=0.005).streams(1, SEED)[0])
+    assert all(constructions[cls.__name__] for cls in (Store, Load, Work, FaseBegin, FaseEnd))
+    BatchCachingWorkload(ListWorkload(())).batch_streams(1, SEED)
+    assert constructions["batches_from_events"] == 1
+
+
+def test_step_programs_record_and_run_live_without_event_objects(constructions):
+    harness = Harness(HarnessConfig(scale=0.02, seed=SEED))
+    assert harness.trace("queue").n > 0
+    for name, spec in (("queue", "SC"), ("linked-list", "AT")):
+        assert harness.workload(name).batch_streams(4, SEED) is None
+        assert harness.run(name, spec, 4).persistent_stores > 0
+    assert constructions == Counter()

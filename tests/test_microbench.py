@@ -126,3 +126,48 @@ def test_hash_rehash_emits_big_fases():
     res = run(w, "LA")
     biggest_drain = max(t.fase_end_flushes for t in res.threads)
     assert biggest_drain > 0
+
+
+def test_two_hash_streams_of_one_instance_share_nothing():
+    """The bucket array belongs to a stream: consumed interleaved, two
+    streams of one instance are each what it is alone."""
+    w = HashTableWorkload(200)
+    alone = [[repr(ev) for ev in w.streams(1, seed)[0]] for seed in (7, 11)]
+    a, b = w.streams(1, 7)[0], w.streams(1, 11)[0]
+    interleaved = [[], []]
+    for pair in zip(a, b):
+        for log, ev in zip(interleaved, pair):
+            log.append(repr(ev))
+    interleaved[0] += map(repr, a)
+    interleaved[1] += map(repr, b)
+    assert interleaved == alone
+
+
+# ---------------------------------------------------------------------------
+# hostile sizes and thread counts
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build,shown",
+    [
+        (lambda: QueueWorkload(2.5), "2.5"),
+        (lambda: QueueWorkload(-4), "-4"),
+        (lambda: QueueWorkload(10).streams(0, 0), "0"),
+        (lambda: QueueWorkload(10).streams(-1, 0), "-1"),
+        (lambda: LinkedListWorkload(-3), "-3"),
+        (lambda: LinkedListWorkload(2.5), "2.5"),
+        (lambda: LinkedListWorkload(10).streams(0, 0), "0"),
+        (lambda: HashTableWorkload(10, updates=-2), "-2"),
+    ],
+    ids=[
+        "queue-float", "queue-negative", "queue-zero-threads",
+        "queue-negative-threads", "list-negative", "list-float",
+        "list-zero-threads", "hash-negative-updates",
+    ],
+)
+def test_hostile_sizes_and_thread_counts_are_typed_errors(build, shown):
+    from repro.common.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError, match=f"got {shown}$"):
+        build()

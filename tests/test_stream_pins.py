@@ -10,14 +10,20 @@ replaced: sha1 over each thread's ``kinds``, ``args`` and ``sizes``
 columns, batches concatenated, so they do not depend on where a stream
 is cut.  The stand-ins' batch boundaries are pinned beside them (line
 runs end at a batch edge; the machine is exact either way, but
-``absorbed_stores`` is not).
+``absorbed_stores`` is not).  The step emitters (``queue``,
+``linked-list``, ``hash``) are pinned the same way, with their payloads
+and, where threads share an allocator, the events each thread consumed
+under three techniques.
 """
 
 from hashlib import sha1
 
 import pytest
 
-from repro.common.events import EventKind
+from repro.cache.spec import technique_factory
+from repro.common.events import EventKind, events_from_steps
+from repro.nvram.machine import Machine, MachineConfig
+from repro.workloads.base import BatchCachingWorkload, Workload
 from repro.workloads.parray import PersistentArray
 from repro.workloads.registry import get_workload
 
@@ -111,6 +117,86 @@ PARRAY = {
 }
 
 
+#: (program, scale, seed) -> (column digest, batch lengths, ``streams()``
+#: digest) at one thread, taken from the per-event generators (recorded
+#: through ``batches_from_events``) before the step emitters replaced
+#: them.  ``queue`` and ``linked-list`` draw nothing from the seed.
+MICRO = {
+    ("queue", 0.02, 7): (
+        "9b895bff8362ee087791b7a339ac2fb5fbaf9db8",
+        [4096] * 5 + [3525],
+        "fe963b4436af7588b162ea784e29c09dd25d6bb1",
+    ),
+    ("queue", 0.02, 11): (
+        "9b895bff8362ee087791b7a339ac2fb5fbaf9db8",
+        [4096] * 5 + [3525],
+        "fe963b4436af7588b162ea784e29c09dd25d6bb1",
+    ),
+    ("queue", 0.1, 7): (
+        "12cb9ff10b919a3746e13246317cc1575b334c82",
+        [4096] * 29 + [1221],
+        "1aaec67bfc880db50b5e90b3c546fb70fc649c99",
+    ),
+    ("queue", 0.1, 11): (
+        "12cb9ff10b919a3746e13246317cc1575b334c82",
+        [4096] * 29 + [1221],
+        "1aaec67bfc880db50b5e90b3c546fb70fc649c99",
+    ),
+    ("linked-list", 0.02, 7): (
+        "b60d606d5e8695185e33c73c46df5bced6402ca8",
+        [1798],
+        "e89b912e263005601c9de8b5f85adc831a837da8",
+    ),
+    ("linked-list", 0.02, 11): (
+        "b60d606d5e8695185e33c73c46df5bced6402ca8",
+        [1798],
+        "e89b912e263005601c9de8b5f85adc831a837da8",
+    ),
+    ("linked-list", 0.1, 7): (
+        "b3dd5b3588480d2e3358c3005b1af929f135b0f4",
+        [4096, 4096, 806],
+        "5ab6a5d64c548b0ae5188bf7856b28de127fe234",
+    ),
+    ("linked-list", 0.1, 11): (
+        "b3dd5b3588480d2e3358c3005b1af929f135b0f4",
+        [4096, 4096, 806],
+        "5ab6a5d64c548b0ae5188bf7856b28de127fe234",
+    ),
+    ("hash", 0.02, 7): (
+        "1ebe4150158a2aa291e99e185c607d7d75935d00",
+        [1275],
+        "04c061c54c111c420db9289f745dc0427a57f3ee",
+    ),
+    ("hash", 0.02, 11): (
+        "37a3909173bde56f5c4ae2576cf5aaf3e1784fed",
+        [1275],
+        "853e7273e23ce9e56badecb735dca7b5bd8daf4c",
+    ),
+    ("hash", 0.1, 7): (
+        "79bf3fd8b8bb80c202f50371f1f34e5458ae4c81",
+        [4096, 2497],
+        "4c2d29916363986a8c79998d3ff82ee53ed6a1f8",
+    ),
+    ("hash", 0.1, 11): (
+        "4695c0cb2c5b36a7fc40f49b6ffb90b656c2064c",
+        [4096, 2497],
+        "ea3e7ca55ff42f0cb8a4ff96cf505229f22e3044",
+    ),
+}
+#: (program, technique) -> digest of the events each of four threads
+#: consumed at scale 0.05, seed 7 (``event_digest``), from the per-event
+#: generators.  The shared allocator makes them depend on the technique's
+#: timing (DESIGN.md §8, *The schedule-independence rule*).
+SHARED_ALLOCATOR = {
+    ("queue", "AT"): "925fa0933f7873a7d548063e604389602de995b6",
+    ("queue", "SC"): "a07ee9bb8a8fa487e233cabdcfc97b8ee4c22ee0",
+    ("queue", "ER"): "9fc3d048645883a9c2470310726aa9937461d271",
+    ("linked-list", "AT"): "e0c9fea6663b0d7e5a0352e30ae5cfe4f99141aa",
+    ("linked-list", "SC"): "a17d5d56813e99538aeda68d101f7823641992af",
+    ("linked-list", "ER"): "a17d5d56813e99538aeda68d101f7823641992af",
+}
+
+
 def digest(per_thread):
     h = sha1()
     for batches in per_thread:
@@ -118,6 +204,61 @@ def digest(per_thread):
             for batch in batches:
                 h.update(getattr(batch, column).tobytes())
     return h.hexdigest()
+
+
+def event_digest(per_thread):
+    """sha1 over each thread's events as ``repr`` lines, payloads included."""
+    h = sha1()
+    for events in per_thread:
+        h.update("\n".join(map(repr, events)).encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name,scale,seed", sorted(MICRO))
+def test_step_emitters_record_the_generators_columns(name, scale, seed):
+    want_digest, want_boundaries, want_events = MICRO[(name, scale, seed)]
+    workload = get_workload(name, scale=scale)
+    for source in (workload, BatchCachingWorkload(workload)):
+        per_thread = [list(s) for s in source.batch_streams(1, seed)]
+        assert [[len(b) for b in batches] for batches in per_thread] == [want_boundaries]
+        assert digest(per_thread) == want_digest
+        assert all(b.values is None for batches in per_thread for b in batches)
+    assert event_digest([list(s) for s in workload.streams(1, seed)]) == want_events
+
+
+class StepTap(Workload):
+    """Record the steps each thread's program handed the machine."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.name = inner.name
+        self.taken = []
+
+    def supports_threads(self, num_threads):
+        return self._inner.supports_threads(num_threads)
+
+    def steps(self, num_threads, seed):
+        self.taken = [[] for _ in range(num_threads)]
+        return [
+            self._tap(steps, log)
+            for steps, log in zip(self._inner.steps(num_threads, seed), self.taken)
+        ]
+
+    @staticmethod
+    def _tap(steps, log):
+        for step in steps:
+            log.append(step)
+            yield step
+
+
+@pytest.mark.parametrize("name,technique", sorted(SHARED_ALLOCATOR))
+def test_live_steps_hand_out_the_generators_events(name, technique):
+    tap = StepTap(get_workload(name, scale=0.05))
+    assert tap.batch_streams(4, 7) is None
+    Machine(MachineConfig()).run(tap, technique_factory(technique), num_threads=4, seed=7)
+    consumed = [list(events_from_steps(steps)) for steps in tap.taken]
+    assert event_digest(consumed) == SHARED_ALLOCATOR[(name, technique)]
 
 
 @pytest.mark.parametrize("seed", [7, 11])
