@@ -7,20 +7,16 @@ right one on this substrate.
 
 import pytest
 
-from repro.cache.adaptive import AdaptiveConfig
 from repro.cache.spec import technique_factory
 from repro.locality.knee import SelectionPolicy, find_knees, select_cache_size
 from repro.locality.mrc import mrc_from_trace
 from repro.locality.sampling import sampled_mrc
 from repro.nvram.machine import Machine, MachineConfig
-from repro.workloads.splash2 import make_splash2
-
-BUDGET = 60_000
 
 
 def run(workload, technique, **kw):
     machine = Machine(MachineConfig())
-    return machine.run(workload, technique_factory(technique, **kw), 1, seed=1)
+    return machine.run(workload, technique_factory(technique, **kw), num_threads=1, seed=1)
 
 
 @pytest.fixture(scope="module")
@@ -73,18 +69,6 @@ def test_ablation_max_size_bound(harness, once):
     )
 
 
-@pytest.mark.parametrize("table_size", [4, 8, 16, 64])
-def test_ablation_atlas_table_size(table_size, once):
-    """AT's table size barely helps: the direct mapping, not the
-    capacity, is its binding constraint on strided/aliased writes."""
-    w = make_splash2("water-spatial", store_budget=BUDGET)
-    res = once(run, w, "AT", table_size=table_size)
-    print(f"\nAT table size {table_size}: ratio {res.flush_ratio:.5f}")
-    # Even an 8x bigger table cannot reach the software cache's level.
-    sc = run(w, "SC-offline", sc_fixed_size=24)
-    assert res.flush_ratio > sc.flush_ratio * 5
-
-
 def test_ablation_burst_length(harness, once):
     """Sampling burst: too short mis-selects, long enough converges.
 
@@ -123,70 +107,6 @@ def test_ablation_fase_renaming(harness, once):
     # can ever deliver; the corrected curve tracks the measurement.
     assert without.miss_ratio(8) < actual / 2
     assert with_fix.miss_ratio(8) == pytest.approx(actual, abs=0.1)
-
-
-def test_ablation_online_default_size(harness, once):
-    """Starting size: the paper's default 8 vs starting at the cap.
-
-    Starting at 50 wastes drain stalls before adaptation; starting at 8
-    wastes eviction flushes on big-knee programs.  Either way adaptation
-    converges to the same place - the default only prices the warm-up.
-    """
-    w = harness.workload("water-spatial")
-    n = harness.profile("water-spatial").persistent_stores
-    cfg = AdaptiveConfig(burst_length=max(512, n // 10))
-    small = once(run, w, "SC", sc_initial_size=8, adaptive_config=cfg)
-    big = run(w, "SC", sc_initial_size=50, adaptive_config=cfg)
-    print(f"\nstart@8: ratio {small.flush_ratio:.5f}, "
-          f"start@50: ratio {big.flush_ratio:.5f}, "
-          f"selected {small.selected_sizes[0]} / {big.selected_sizes[0]}")
-    assert small.selected_sizes[0] == big.selected_sizes[0]
-    assert big.flush_ratio <= small.flush_ratio
-
-
-def test_ablation_clwb_vs_clflush(harness, once):
-    """§II-A's trade-off quantified: clwb avoids the invalidation-refill
-    cost clflush pays, at identical flush counts.
-
-    (Atlas still chooses clflush for multi-thread visibility; this shows
-    what that choice costs on the simulator.)
-    """
-    w = harness.workload("water-spatial")
-    size = harness.offline_size("water-spatial")
-    clflush = once(run, w, "SC-offline", sc_fixed_size=size)
-    clwb = run(w, "SC-offline", sc_fixed_size=size, use_clwb=True)
-    print(f"\nclflush: misses {clflush.l1_misses}, time {clflush.time / 1e6:.2f}M; "
-          f"clwb: misses {clwb.l1_misses}, time {clwb.time / 1e6:.2f}M")
-    assert clwb.flushes == clflush.flushes
-    assert clwb.l1_misses <= clflush.l1_misses
-    assert clwb.time <= clflush.time
-
-
-def test_ablation_shared_group_adaptation(harness, once):
-    """§III-C's future work: one MRC per thread group.
-
-    With homogeneous threads, the grouped controller reaches the same
-    flush ratio while paying the sampling/analysis cost once instead of
-    per thread.
-    """
-    from repro.cache.adaptive import AdaptiveConfig
-
-    w = harness.workload("water-spatial")
-    n = harness.profile("water-spatial").persistent_stores
-    cfg = AdaptiveConfig(burst_length=max(768, n // 80))
-    private = once(run_threads, w, "SC", 8, adaptive_config=cfg)
-    shared = run_threads(w, "SC", 8, adaptive_config=cfg, shared_adaptation=True)
-    private_cost = sum(t.adaptation_cycles for t in private.threads)
-    shared_cost = sum(t.adaptation_cycles for t in shared.threads)
-    print(f"\nprivate: ratio {private.flush_ratio:.5f}, adapt {private_cost}; "
-          f"shared: ratio {shared.flush_ratio:.5f}, adapt {shared_cost}")
-    assert shared.flush_ratio < private.flush_ratio * 1.6
-    assert shared_cost < private_cost
-
-
-def run_threads(workload, technique, threads, **kw):
-    machine = Machine(MachineConfig())
-    return machine.run(workload, technique_factory(technique, **kw), threads, seed=1)
 
 
 def test_ablation_mrc_method_spectrum(harness, once):

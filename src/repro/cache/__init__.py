@@ -20,7 +20,6 @@ from repro.cache.table import AtlasTable
 from repro.cache.adaptive import AdaptiveController, AdaptiveConfig
 from repro.cache.policies import (
     PersistenceTechnique,
-    SharedSizeState,
     EagerTechnique,
     LazyTechnique,
     AtlasTechnique,
@@ -42,7 +41,6 @@ __all__ = [
     "AdaptiveController",
     "AdaptiveConfig",
     "PersistenceTechnique",
-    "SharedSizeState",
     "EagerTechnique",
     "LazyTechnique",
     "AtlasTechnique",

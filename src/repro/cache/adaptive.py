@@ -34,8 +34,6 @@ class AdaptiveConfig:
     burst_length:
         Writes recorded per burst (the paper uses 64 M on full-scale
         workloads; the default here matches our scaled-down traces).
-    hibernation:
-        Writes skipped between bursts; ``None`` = adapt once (paper).
     initial_skip:
         Warm-up writes skipped before the burst opens.
     selection:
@@ -48,7 +46,6 @@ class AdaptiveConfig:
     """
 
     burst_length: int = DEFAULT_BURST_LENGTH
-    hibernation: Optional[int] = None
     initial_skip: int = 0
     selection: SelectionPolicy = SelectionPolicy()
     sample_cost: int = 2
@@ -65,7 +62,7 @@ class AdaptiveController:
 
     A pinned quirk of the cost accounting: the technique charges
     ``sample_cost`` for a write after which :attr:`sampling` reads true,
-    and the last write of a warm-up (or hibernation) leaves the burst
+    and the last write of a warm-up leaves the burst
     open.  A thread with ``initial_skip > 0`` therefore pays
     ``burst_length + 1`` sample costs per burst, one with none pays
     ``burst_length`` (tests/test_adaptive.py); every SC golden carries it.
@@ -75,11 +72,7 @@ class AdaptiveController:
 
     def __init__(self, *, config: Optional[AdaptiveConfig] = None) -> None:
         self.config = config or AdaptiveConfig()
-        self.sampler = BurstSampler(
-            self.config.burst_length,
-            self.config.hibernation,
-            self.config.initial_skip,
-        )
+        self.sampler = BurstSampler(self.config.burst_length, self.config.initial_skip)
         self.last_mrc: Optional[MissRatioCurve] = None
         self.last_size: Optional[int] = None
         self.analyses = 0
@@ -96,7 +89,7 @@ class AdaptiveController:
         """Feed one persistent write; return a new size when one is chosen.
 
         Returns ``None`` on the (vastly common) path where the burst is
-        still filling or the sampler is hibernating.
+        still filling or the sampler is skipping its warm-up.
         """
         sampler = self.sampler
         port = self.port
@@ -125,7 +118,7 @@ class AdaptiveController:
 
         Only when all ``n`` fall strictly inside one phase: returns how
         many of them the open burst recorded (each owes ``sample_cost``;
-        0 during warm-up or hibernation).  Returns ``None``, nothing fed,
+        0 during warm-up).  Returns ``None``, nothing fed,
         when a phase edge lies among them — the last skipped write, the
         one that opens the burst, the one that closes it — and they must
         go through :meth:`observe` one at a time.

@@ -14,8 +14,8 @@ BEST      no flushes at all — not a correct technique, but the upper
 A technique instance is strictly per-thread (the machine builds one per
 thread through a factory).  LA, AT and SC are the paper's one model
 (§II-A, §II-B/Fig. 1): a store ``insert``s its line and may get back one
-line to flush, and the FASE end flushes what ``drain`` returns — with
-``clflush``, or ``clwb`` where ``invalidate`` is False.  The base class
+line to flush, and the FASE end flushes what ``drain`` returns, every
+flush a ``clflush``.  The base class
 writes the machine's hooks ``on_store``, ``on_fase_begin``,
 ``on_fase_end`` and ``finish`` in terms of those two, and ``buffered``
 lets the machine call ``insert``/``drain`` and flush itself.  It also
@@ -61,8 +61,6 @@ class PersistenceTechnique:
     #: ``insert`` plus an ``eviction`` flush of what it returns, ``on_fase_begin``
     #: nothing, ``on_fase_end``/``finish`` a flush of what ``drain`` returns.
     buffered = True
-    #: ``clflush`` (True) or ``clwb`` (False) for the model's flushes.
-    invalidate = True
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -96,7 +94,7 @@ class PersistenceTechnique:
         """A persistent store touched ``line``."""
         evicted = self.insert(line)
         if evicted is not None:
-            self.port.flush_async(evicted, "eviction", invalidate=self.invalidate)
+            self.port.flush_async(evicted, "eviction")
 
     def absorb_repeats(self, line: int, n: int) -> bool:
         """Take the ``n`` stores that repeat ``on_store(line)`` in one step.
@@ -120,13 +118,13 @@ class PersistenceTechnique:
         """An outermost FASE ended — persistence point."""
         lines = self.drain()
         if lines:
-            self.port.flush_sync(lines, "fase_end", invalidate=self.invalidate)
+            self.port.flush_sync(lines, "fase_end")
 
     def finish(self) -> None:
         """The thread's stream ended; make remaining data durable."""
         lines = self.drain()
         if lines:
-            self.port.flush_sync(lines, "final", invalidate=self.invalidate)
+            self.port.flush_sync(lines, "final")
 
 
 class EagerTechnique(PersistenceTechnique):
@@ -177,9 +175,9 @@ class AtlasTechnique(PersistenceTechnique):
     name = "AT"
     cost_per_store = 16
 
-    def __init__(self, table_size: int = ATLAS_TABLE_SIZE) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.table = AtlasTable(table_size)
+        self.table = AtlasTable(ATLAS_TABLE_SIZE)
         self.insert = self.table.access
         self.drain = self.table.drain
 
@@ -206,18 +204,14 @@ class SoftwareCacheTechnique(PersistenceTechnique):
         initial_size: int = 8,
         controller: Optional[AdaptiveController] = None,
         name: Optional[str] = None,
-        use_clwb: bool = False,
-        shared_size: Optional["SharedSizeState"] = None,
     ) -> None:
         super().__init__()
         self.cache = WriteCombiningCache(initial_size)
         self.controller = controller
-        self.invalidate = not use_clwb
-        self.shared_size = shared_size
         if name is not None:
             self.name = name
         self.drain = self.cache.drain
-        if controller is None and shared_size is None:
+        if controller is None:
             # Fixed-size operation (SC-offline): nothing adapts, so a
             # store is the cache's own access.
             self.insert = self.cache.access
@@ -237,27 +231,19 @@ class SoftwareCacheTechnique(PersistenceTechnique):
             # resize rather than to capacity pressure; the machine still
             # counts them as eviction flushes (same site class, same
             # RunResult totals).
-            port.flush_async(evicted, "resize_eviction", invalidate=self.invalidate)
+            port.flush_async(evicted, "resize_eviction")
 
     def insert(self, line: int) -> Optional[int]:
-        port = self.port
+        # Only an adapting SC gets here; a fixed one's is ``cache.access``.
         controller = self.controller
-        if controller is not None and not controller.sampler.done:  # fast gate
+        if not controller.sampler.done:  # fast gate
+            port = self.port
             new_size = controller.observe(line, port.current_fase_id)
             if controller.sampling or new_size is not None:
                 port.add_adaptation_cost(controller.config.sample_cost)
             if new_size is not None:
                 port.add_adaptation_cost(controller.analysis_cost())
                 self._resize(new_size)
-                if self.shared_size is not None:
-                    self.shared_size.publish(new_size)
-        elif self.shared_size is not None:
-            # The paper's future-work extension: threads with similar
-            # write locality share one MRC analysis.  A non-sampling
-            # thread adopts the published group decision.
-            published = self.shared_size.current
-            if published is not None and published != self.cache.capacity:
-                self._resize(published)
         return self.cache.access(line)
 
     def absorb_repeats(self, line: int, n: int) -> bool:
@@ -273,25 +259,9 @@ class SoftwareCacheTechnique(PersistenceTechnique):
                 port.add_adaptation_cost(sampled * controller.config.sample_cost)
         # The line is the cache's newest entry — even when ``insert``
         # resized it out first, which the machine sees as a line no
-        # longer dirty in L1 — and a size published by another thread
-        # cannot arrive inside this thread's quantum.
+        # longer dirty in L1.
         self.cache.hits += n
         return True
-
-
-class SharedSizeState:
-    """Group cache-size decision shared across threads (§III-C's
-    future work: "group threads with similar write locality and
-    calculate one MRC for each group")."""
-
-    __slots__ = ("current",)
-
-    def __init__(self) -> None:
-        self.current: Optional[int] = None
-
-    def publish(self, size: int) -> None:
-        """Make ``size`` the group's decision."""
-        self.current = size
 
 
 class BestTechnique(PersistenceTechnique):
@@ -318,12 +288,8 @@ TECHNIQUES = ("ER", "LA", "AT", "SC", "SC-offline", "BEST")
 def _base_factory(
     technique: str,
     *,
-    table_size: int = ATLAS_TABLE_SIZE,
-    sc_initial_size: int = 8,
     sc_fixed_size: Optional[int] = None,
     adaptive_config: Optional[AdaptiveConfig] = None,
-    use_clwb: bool = False,
-    shared_adaptation: bool = False,
 ) -> Callable[[int], PersistenceTechnique]:
     """Build a per-thread factory for one *base* technique.
 
@@ -335,47 +301,24 @@ def _base_factory(
     ----------
     technique:
         One of :data:`TECHNIQUES`.
-    table_size:
-        AT table size (ablation hook; the paper/Atlas use 8).
-    sc_initial_size:
-        SC's size before adaptation (the paper's default is 8).
     sc_fixed_size:
         For ``SC-offline``: the profiled best size.
     adaptive_config:
         For ``SC``: sampling/selection parameters.
-    use_clwb:
-        For ``SC``/``SC-offline``: flush with ``clwb`` (write back, keep
-        the line valid) instead of ``clflush`` — the §II-A alternative.
-    shared_adaptation:
-        For ``SC``: one thread samples and decides for the whole group
-        (the paper's future-work thread-grouping extension).
     """
     if technique == "ER":
         return lambda tid: EagerTechnique()
     if technique == "LA":
         return lambda tid: LazyTechnique()
     if technique == "AT":
-        return lambda tid: AtlasTechnique(table_size)
+        return lambda tid: AtlasTechnique()
     if technique == "SC":
         cfg = adaptive_config or AdaptiveConfig()
-        if shared_adaptation:
-            # One sampling thread (thread 0) decides for the group.
-            state = SharedSizeState()
-            return lambda tid: SoftwareCacheTechnique(
-                sc_initial_size,
-                AdaptiveController(config=cfg) if tid == 0 else None,
-                use_clwb=use_clwb,
-                shared_size=state,
-            )
-        return lambda tid: SoftwareCacheTechnique(
-            sc_initial_size, AdaptiveController(config=cfg), use_clwb=use_clwb
-        )
+        return lambda tid: SoftwareCacheTechnique(controller=AdaptiveController(config=cfg))
     if technique == "SC-offline":
         if sc_fixed_size is None:
             raise ConfigurationError("SC-offline requires sc_fixed_size")
-        return lambda tid: SoftwareCacheTechnique(
-            sc_fixed_size, None, name="SC-offline", use_clwb=use_clwb
-        )
+        return lambda tid: SoftwareCacheTechnique(sc_fixed_size, name="SC-offline")
     if technique == "BEST":
         return lambda tid: BestTechnique()
     raise ConfigurationError(

@@ -32,7 +32,6 @@ from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.common.errors import ConfigurationError, require_int
 from repro.cache.adaptive import AdaptiveConfig
-from repro.cache.table import ATLAS_TABLE_SIZE
 from repro.cache.policies import TECHNIQUES, PersistenceTechnique, _base_factory
 
 
@@ -242,33 +241,45 @@ def list_techniques() -> Dict:
     }
 
 
+#: The technique options: the *base* technique's keyword context.
+TECHNIQUE_OPTIONS = ("sc_fixed_size", "adaptive_config")
+
+#: Options that set an ablation once and were deleted with it: the paper
+#: measures one value of each (DESIGN.md §6).
+REMOVED_OPTIONS = (
+    "table_size", "sc_initial_size", "use_clwb", "shared_adaptation", "hibernation"
+)
+
+
 def technique_factory(
     spec: Union[str, TechniqueSpec],
     *,
-    table_size: int = ATLAS_TABLE_SIZE,
-    sc_initial_size: int = 8,
     sc_fixed_size: Optional[int] = None,
     adaptive_config: Optional[AdaptiveConfig] = None,
-    use_clwb: bool = False,
-    shared_adaptation: bool = False,
+    **others,
 ) -> Callable[[int], PersistenceTechnique]:
     """Build a per-thread technique factory from a spec (the one path).
 
     Accepts a spec string or :class:`TechniqueSpec`; the keyword
-    context configures the *base* technique.  Specs whose stages are
-    all no-ops (``SC+victim:0``) return the bare
+    context (:data:`TECHNIQUE_OPTIONS`) configures the *base* technique,
+    and any other keyword is a
+    :class:`~repro.common.errors.ConfigurationError` naming it.  Specs
+    whose stages are all no-ops (``SC+victim:0``) return the bare
     base factory, so their results are bit-identical to the un-staged
     spec.
     """
+    for name in others:
+        if name in REMOVED_OPTIONS:
+            raise ConfigurationError(
+                f"technique option {name!r} was removed (DESIGN.md §6); "
+                f"the options are {TECHNIQUE_OPTIONS}"
+            )
+        raise ConfigurationError(
+            f"unknown technique option {name!r}; expected one of {TECHNIQUE_OPTIONS}"
+        )
     parsed = TechniqueSpec.parse(spec)
     base_factory = _base_factory(
-        parsed.base,
-        table_size=table_size,
-        sc_initial_size=sc_initial_size,
-        sc_fixed_size=sc_fixed_size,
-        adaptive_config=adaptive_config,
-        use_clwb=use_clwb,
-        shared_adaptation=shared_adaptation,
+        parsed.base, sc_fixed_size=sc_fixed_size, adaptive_config=adaptive_config
     )
     active = parsed.effective_stages()
     if not active:

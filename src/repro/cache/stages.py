@@ -34,13 +34,11 @@ class _VictimPort:
         self._port = port
         self._stage = stage
 
-    def flush_async(
-        self, line: int, category: str = "eviction", invalidate: bool = True
-    ) -> None:
+    def flush_async(self, line: int, category: str = "eviction") -> None:
         if category == "eviction" or category == "resize_eviction":
-            self._stage._victim_insert(line, invalidate)
+            self._stage._victim_insert(line)
         else:
-            self._port.flush_async(line, category, invalidate)
+            self._port.flush_async(line, category)
 
     def __getattr__(self, name):
         return getattr(self._port, name)
@@ -109,7 +107,7 @@ class StagedTechnique(PersistenceTechnique):
 
     # -- victim cache ----------------------------------------------------
 
-    def _victim_insert(self, line: int, invalidate: bool) -> None:
+    def _victim_insert(self, line: int) -> None:
         victim = self._victim
         if line in victim:
             del victim[line]  # refresh recency
@@ -117,14 +115,14 @@ class StagedTechnique(PersistenceTechnique):
         if len(victim) > self.victim_capacity:
             oldest = next(iter(victim))
             del victim[oldest]
-            self.port.flush_async(oldest, "victim", invalidate=invalidate)
+            self.port.flush_async(oldest, "victim")
 
     def _drain_victim(self, category: str) -> None:
         victim = self._victim
         if victim:
             lines = list(victim)
             victim.clear()
-            self.port.flush_sync(lines, category, invalidate=self.inner.invalidate)
+            self.port.flush_sync(lines, category)
 
     def __repr__(self) -> str:
         return f"StagedTechnique({self.name!r})"

@@ -292,10 +292,12 @@ def run_campaign(
     spec = spec or FaultCampaignSpec()
     # One parser for every entry point: reject bad specs up front and
     # canonicalize (``SC+victim`` == ``SC+victim:16``) so the campaign
-    # cache key and the reported matrix agree on the spec's spelling.
-    from repro.cache.spec import TechniqueSpec
+    # cache key and the reported matrix agree on the spec's spelling.  The
+    # options too, before a cached matrix could answer for them.
+    from repro.cache.spec import TechniqueSpec, technique_factory
 
     technique = str(TechniqueSpec.parse(technique))
+    technique_factory(technique, **(technique_options or {}))
     if isinstance(workload, str):
         from repro.workloads.registry import get_workload
 

@@ -5,8 +5,9 @@ hibernation periods.  At a burst, we monitor the sequence of persistent
 writes.  At the end of a burst period, we calculate MRC and then adjust
 the cache capacity."  The paper uses one burst of 64 M writes and an
 infinite hibernation ("we found it is sufficient to analyze MRC just
-once"); both are configurable here — the default burst is scaled down in
-proportion to the scaled-down workloads.
+once"), and so does this sampler: it closes for good after its one
+analysis.  The burst length is configurable — the default is scaled down
+in proportion to the scaled-down workloads.
 
 :class:`BurstSampler` is the per-thread recorder embedded in the SC
 technique; :func:`sampled_mrc` is the offline convenience used by the
@@ -15,7 +16,7 @@ Fig. 7 accuracy study (sampled vs. full-trace vs. actual MRC).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -38,32 +39,23 @@ class BurstSampler:
     Parameters
     ----------
     burst_length:
-        Number of writes per burst.
-    hibernation:
-        Writes to skip between bursts; ``None`` (the paper's choice) means
-        the sampler never re-opens after the first burst.
+        Number of writes in the burst.
     initial_skip:
-        Writes to skip before the first burst opens — a warm-up window,
+        Writes to skip before the burst opens — a warm-up window,
         so programs whose write locality is still forming at start-up
         (growing data structures) are sampled in their steady phase.
     """
 
-    __slots__ = ("burst_length", "hibernation", "_lines", "_fids", "_skip", "_done")
+    __slots__ = ("burst_length", "_lines", "_fids", "_skip", "_done")
 
     def __init__(
-        self,
-        burst_length: int = DEFAULT_BURST_LENGTH,
-        hibernation: Optional[int] = None,
-        initial_skip: int = 0,
+        self, burst_length: int = DEFAULT_BURST_LENGTH, initial_skip: int = 0
     ) -> None:
         if burst_length < 2:
             raise ConfigurationError("burst_length must be >= 2")
-        if hibernation is not None and hibernation < 0:
-            raise ConfigurationError("hibernation must be non-negative")
         if initial_skip < 0:
             raise ConfigurationError("initial_skip must be non-negative")
         self.burst_length = burst_length
-        self.hibernation = hibernation
         self._lines: List[int] = []
         self._fids: List[int] = []
         self._skip = initial_skip
@@ -86,7 +78,7 @@ class BurstSampler:
 
     @property
     def skipping(self) -> int:
-        """Writes still to pass unrecorded before the next burst opens."""
+        """Writes still to pass unrecorded before the burst opens."""
         return self._skip
 
     def record(self, line: int, fase_id: int) -> bool:
@@ -125,14 +117,11 @@ class BurstSampler:
         )
 
     def analyze(self) -> MissRatioCurve:
-        """Close the burst: compute the MRC and enter hibernation."""
+        """Close the burst: compute the MRC and shut the sampler down."""
         mrc = mrc_from_trace(self.trace())
         self._lines.clear()
         self._fids.clear()
-        if self.hibernation is None:
-            self._done = True      # the paper's infinite hibernation
-        else:
-            self._skip = self.hibernation
+        self._done = True      # the paper's infinite hibernation
         return mrc
 
     @property

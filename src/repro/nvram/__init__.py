@@ -10,7 +10,7 @@ that measures the same architectural quantities directly:
   crash/recovery testing.
 - :mod:`repro.nvram.hwcache` — a set-associative write-back hardware
   cache with ``clflush`` (write back + invalidate, what Atlas uses) and
-  ``clwb`` (write back, keep) operations and hit/miss/write-back counters.
+  hit/miss/write-back counters.
 - :mod:`repro.nvram.flushqueue` — the asynchronous flush engine: a
   bounded queue over a serialised memory channel.  Flushes issued during
   computation overlap with it; a drain (end of FASE) stalls the CPU until

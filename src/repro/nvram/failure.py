@@ -31,7 +31,7 @@ Fault models sharpen the failure beyond a clean power cut:
     Hardware-initiated eviction write-backs still in the flush queue at
     the crash did not all complete: a seeded suffix of the in-flight
     write-backs is dropped (reverted to the previous durable values).
-    Explicit ``clflush``/``clwb`` flushes and drained queues are not
+    Explicit ``clflush`` flushes and drained queues are not
     affected — a drain is the technique's ordering point, and dropping
     past it would fault *every* implementation, correct or not.
 

@@ -8,12 +8,10 @@ propagated to NVRAM" (§I).  It provides:
 - ``access(line, is_write)`` — a load or store at cache-line granularity
   with LRU replacement within the set; write-allocate, write-back.
 - ``clflush(line)`` — write back if dirty and *invalidate*, the operation
-  Atlas uses; the invalidation is why "the next access will be a cache
-  miss" (§II-A), the indirect flush cost the software cache reduces.
-- ``clwb(line)`` — write back without invalidating (modelled for the
-  ablation study; the paper notes Atlas avoids it for visibility
-  reasons).  ``flush_lines`` applies either to a whole untraced commit
-  made through the flush port.
+  Atlas uses and the only flush modelled; the invalidation is why "the
+  next access will be a cache miss" (§II-A), the indirect flush cost the
+  software cache reduces.  ``flush_lines`` applies it to a whole untraced
+  commit made through the flush port.
 - value tracking per dirty line, so write-backs carry real data into
   simulated NVRAM for crash/recovery tests.
 
@@ -148,25 +146,9 @@ class HardwareCache:
         self.clean_flushes += 1
         return False
 
-    def clwb(self, line: int) -> bool:
-        """Write back without invalidating; return True on write-back."""
-        cache_set = self.sets[line % self.num_sets]
-        if line not in cache_set:
-            self.clean_flushes += 1
-            return False
-        if cache_set[line]:
-            cache_set[line] = False
-            self.flush_writebacks += 1
-            return True
-        self.clean_flushes += 1
-        return False
-
-    def flush_lines(self, lines: Iterable[int], invalidate: bool = True) -> List[bool]:
-        """:meth:`clflush` (or, ``invalidate=False``, :meth:`clwb`) each
-        of ``lines`` in order; return which of them were written back."""
-        if not invalidate:
-            clwb = self.clwb
-            return [clwb(line) for line in lines]
+    def flush_lines(self, lines: Iterable[int]) -> List[bool]:
+        """:meth:`clflush` each of ``lines`` in order; return which of
+        them were written back."""
         sets = self.sets
         num_sets = self.num_sets
         # clflush's rule, one pop per line: absent or clean is a clean flush.

@@ -177,26 +177,13 @@ class FlushPort:
 
     # -- flushing ------------------------------------------------------
 
-    def flush_async(
-        self, line: int, category: str = "eviction", invalidate: bool = True
-    ) -> None:
-        """Issue one flush; the write-back overlaps with execution.
+    def flush_async(self, line: int, category: str = "eviction") -> None:
+        """Issue one ``clflush``; the write-back overlaps with execution."""
+        self._machine._do_flush(self._ctx, line, category)
 
-        ``invalidate=True`` models ``clflush`` (what Atlas uses);
-        ``invalidate=False`` models ``clwb``, which writes back but keeps
-        the line valid — cheaper on the next access, at the coherence
-        caveat §II-A notes.
-        """
-        self._machine._do_flush(self._ctx, line, category, invalidate)
-
-    def flush_sync(
-        self,
-        lines: Iterable[int],
-        category: str = "fase_end",
-        invalidate: bool = True,
-    ) -> None:
+    def flush_sync(self, lines: Iterable[int], category: str = "fase_end") -> None:
         """Flush ``lines`` and stall until all write-backs are durable."""
-        self._machine._flush_sync(self._ctx, lines, category, invalidate)
+        self._machine._flush_sync(self._ctx, lines, category)
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -466,13 +453,7 @@ class Machine:
     # Internal flush plumbing
     # ------------------------------------------------------------------
 
-    def _do_flush(
-        self,
-        ctx: _ThreadContext,
-        line: int,
-        category: str,
-        invalidate: bool = True,
-    ) -> None:
+    def _do_flush(self, ctx: _ThreadContext, line: int, category: str) -> None:
         t = self.config.timing
         stats = ctx.stats
         counter = _FLUSH_COUNTER[category]
@@ -480,10 +461,7 @@ class Machine:
         stats.instructions += 1
         stats.flushes += 1
         setattr(stats, counter, getattr(stats, counter) + 1)
-        if invalidate:
-            dirty = self.hwcache.clflush(line)
-        else:
-            dirty = self.hwcache.clwb(line)
+        dirty = self.hwcache.clflush(line)
         if self.config.track_values:
             values = self.hwcache.take_values(line)
             if self._journal is not None:
@@ -536,11 +514,7 @@ class Machine:
             self._note_site(ctx, SITE_DRAIN)
 
     def _flush_sync(
-        self,
-        ctx: _ThreadContext,
-        lines: Iterable[int],
-        category: str,
-        invalidate: bool,
+        self, ctx: _ThreadContext, lines: Iterable[int], category: str
     ) -> None:
         """Flush ``lines`` and drain: a commit is one flush train.
 
@@ -563,11 +537,11 @@ class Machine:
             or (self._sites_active and category in _FLUSH_SITE)
         ):
             for line in lines:
-                self._do_flush(ctx, line, category, invalidate)
+                self._do_flush(ctx, line, category)
             self._do_drain(ctx, category)
             return
         issue_cost = self.config.timing.flush_issue
-        written = self.hwcache.flush_lines(lines, invalidate)
+        written = self.hwcache.flush_lines(lines)
         gaps = []
         gap = 0
         for dirty in written:
@@ -681,8 +655,9 @@ class Machine:
         (:meth:`EventBatch.visit_rows`, which also cuts the run the
         quantum's edge falls in and opens a quantum that starts inside
         one); the loop walks its rows with the per-quantum invariants
-        hoisted into locals.  No crash can fire in here: a run that
-        enumerates sites or has one armed executes on :meth:`_process_event`.
+        hoisted into locals.  No crash can fire in here and no value is
+        tracked: a run that tracks values, enumerates sites or has one
+        armed executes on :meth:`_process_event`.
 
         *Line-touch runs.*  Most stores repeat the previous store's
         line.  The head of such a run executes as any store; the row
@@ -701,12 +676,12 @@ class Machine:
         ``on_store`` left the line dirty needs no lookup when it flushed
         nothing: inside it the line's L1 state changes only through a
         port flush, and each one counts in ``stats.flushes``.  When the
-        technique declines, or values are tracked, the run's other
-        events execute one by one in an inner loop.
+        technique declines, the run's other events execute one by one in
+        an inner loop.
 
         *Flushes issued here* (DESIGN.md §8).  A technique whose every
         store is one ``flush_async(line, category)`` says so
-        (``write_through``; ER's is ``"eager"``), and while nothing
+        (``write_through``; ER's is ``"eager"``), and while no trace
         observes flushes one by one its runs never enter ``on_store``:
         the head's access and ``clflush``, then per repeat a miss whose
         fill cannot evict (the flush vacated a way of its set) and one
@@ -715,9 +690,8 @@ class Machine:
         ``buffered`` technique's head store is its ``insert``, whose
         victim — never the head line, so the ``stats.flushes`` test
         holds — is flushed here as :meth:`_do_flush` would, records
-        included (with tracked values, ``on_store`` and the port do it);
-        a commit is :meth:`_flush_sync`'s train over ``drain()``, run
-        here unless traced or ``clwb``, where it is handed over.
+        included; a commit is :meth:`_flush_sync`'s train over
+        ``drain()``, run here unless traced, where it is handed over.
         :meth:`_process_event` never coalesces and stays the oracle;
         ``absorbed_stores`` counts the stores that never entered the
         technique.
@@ -726,8 +700,8 @@ class Machine:
         touch, those ``clflush``es and that train apply
         :class:`HardwareCache`'s rules to its ``sets`` in place and count
         into locals merged at quantum exit (nothing in a quantum reads
-        the L1 counters); ``ANY_*`` rows, declined runs, ``clwb`` and
-        port flushes call the cache.
+        the L1 counters); ``ANY_*`` rows, declined runs and port flushes
+        call the cache.
 
         The hot ``ThreadStats`` counters are accumulated in locals.
         ``stats.cycles`` is written back before every point that can
@@ -749,8 +723,7 @@ class Machine:
         cache's — is bit-identical.  Enforced by
         tests/test_batch_equivalence.py and test_machine_invariants.py.
         """
-        config = self.config
-        t = config.timing
+        t = self.config.timing
         stats = ctx.stats
         hw = self.hwcache
         access = hw.access
@@ -763,12 +736,7 @@ class Machine:
         # the call and the stats hand-off around it on every store.
         skip_on_store = getattr(technique, "on_store_noop", False)
         cost_per_store = technique.cost_per_store
-        track_values = config.track_values
-        # Value tracking keeps every persistent store's own payload, so
-        # there it is as if the technique could not absorb repeats.
-        absorb = (
-            None if track_values else getattr(technique, "absorb_repeats", None)
-        )
+        absorb = getattr(technique, "absorb_repeats", None)
         trace_lines = ctx.trace_lines
         trace_fids = ctx.trace_fids
         evict_writeback = self._evict_writeback
@@ -781,24 +749,18 @@ class Machine:
         hit_cost = t.l1_hit
         miss_cost = t.l1_hit + t.l1_miss
         # Write-through runs fold a run's flushes into one step, so they
-        # stand down when anything observes a flush on its own: tracked
-        # values, trace events.  The category is checked here, once.
+        # stand down when a trace observes each flush.  The category is
+        # checked here, once.
         write_through = (
-            None
-            if track_values or recording
-            else getattr(technique, "write_through", None)
+            None if recording else getattr(technique, "write_through", None)
         )
         through_counter = (
             None if write_through is None else _FLUSH_COUNTER[write_through]
         )
-        # The buffer model: evictions are issued here unless a payload is
-        # observed; commits too, unless traced or ``clwb``.
+        # The buffer model: evictions are issued here; commits too, unless
+        # traced.
         drain = technique.drain if getattr(technique, "buffered", False) else None
-        inline = drain is not None and not track_values
-        insert = technique.insert if inline and not skip_on_store else None
-        invalidate = getattr(technique, "invalidate", True)
-        clwb = hw.clwb
-        train_commit = inline and invalidate and not recording
+        insert = technique.insert if drain is not None and not skip_on_store else None
         flushq = ctx.flushq
         issue = flushq.issue
         issue_train = flushq.issue_train
@@ -912,8 +874,6 @@ class Machine:
                                     [ctx.fase_uid if ctx.fase_depth > 0 else -1] * n
                                 )
                             continue
-                        if track_values:
-                            hw.store_value(arg, args[i], None)
                         flushes = stats.flushes
                         if insert is not None:
                             # A sampling SC charges samples and resizes in here.
@@ -925,12 +885,9 @@ class Machine:
                                 cycles += flush_issue
                                 evictions += 1
                                 stall = 0
-                                if invalidate:
-                                    dirty = sets[victim % num_sets].pop(victim, False)
-                                    written += dirty
-                                    cleaned += not dirty
-                                else:  # counted by the cache
-                                    dirty = clwb(victim)
+                                dirty = sets[victim % num_sets].pop(victim, False)
+                                written += dirty
+                                cleaned += not dirty
                                 if dirty:
                                     cycles, stall = issue(cycles)
                                     stats.stall_cycles += stall
@@ -989,8 +946,6 @@ class Machine:
                                     stats.cycles = cycles
                                     evict_writeback(ctx, evicted[0])
                                     cycles = stats.cycles
-                                if track_values:
-                                    hw.store_value(arg, args[j], None)
                                 if not skip_on_store:
                                     stats.cycles = cycles
                                     on_store(arg)
@@ -1054,7 +1009,7 @@ class Machine:
                             stats.cycles = cycles
                             if drain is None:
                                 technique.on_fase_end()
-                            elif (lines := drain()) and train_commit:
+                            elif (lines := drain()) and not recording:
                                 # ``_flush_sync``'s train, one pop a line.
                                 gaps = []
                                 gap = 0
@@ -1073,7 +1028,7 @@ class Machine:
                                 stats.flushes += count
                                 stats.fase_end_flushes += count
                             elif lines:
-                                self._flush_sync(ctx, lines, "fase_end", invalidate)
+                                self._flush_sync(ctx, lines, "fase_end")
                             cycles = stats.cycles
                             fase_count += 1
                             if recording:
@@ -1095,8 +1050,6 @@ class Machine:
                                 evict_writeback(ctx, evicted[0])
                                 cycles = stats.cycles
                             if persistent:
-                                if track_values:
-                                    hw.store_value(line, addr, None)
                                 if not skip_on_store:
                                     stats.cycles = cycles
                                     on_store(line)

@@ -244,8 +244,8 @@ class AdaptationProfile:
     analyses: int = 0
     knee_candidates: int = 0
     selections: int = 0
-    #: Selections made without a preceding MRC on the thread — a thread
-    #: adopting a group-published size (the shared-size extension).
+    #: Selections made without a preceding MRC on the thread (no built-in
+    #: technique makes one).
     adoptions: int = 0
     fallbacks: int = 0
     analysis_cost_cycles: int = 0

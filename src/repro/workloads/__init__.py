@@ -23,7 +23,7 @@ store.  Here:
 The MDB workload lives in :mod:`repro.mdb`.
 """
 
-from repro.workloads.base import Workload, BumpAllocator, TraceWorkload, ComposedWorkload
+from repro.workloads.base import Workload, BumpAllocator, TraceWorkload
 from repro.workloads.parray import PersistentArray
 from repro.workloads.linkedlist import LinkedListWorkload
 from repro.workloads.msqueue import QueueWorkload
@@ -36,7 +36,6 @@ __all__ = [
     "Workload",
     "BumpAllocator",
     "TraceWorkload",
-    "ComposedWorkload",
     "PersistentArray",
     "LinkedListWorkload",
     "QueueWorkload",

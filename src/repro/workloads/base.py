@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.common.events import (
@@ -299,49 +299,3 @@ class TraceWorkload(Workload):
         if len(batch.kinds):
             yield batch
 
-
-class ComposedWorkload(Workload):
-    """Run several workloads back to back on the same threads.
-
-    Useful for phase-change studies: a program whose write locality
-    shifts mid-run (e.g. a small-tile phase followed by a wide-sweep
-    phase) exercises periodic re-adaptation, which one-shot sampling
-    cannot follow.
-    """
-
-    def __init__(self, parts: Sequence[Workload], name: str = "composed") -> None:
-        if not parts:
-            raise ConfigurationError("ComposedWorkload needs at least one part")
-        self.parts = list(parts)
-        self.name = name
-
-    def supports_threads(self, num_threads: int) -> bool:
-        return all(p.supports_threads(num_threads) for p in self.parts)
-
-    def store_threads(self, num_threads: int) -> int:
-        return max(p.store_threads(num_threads) for p in self.parts)
-
-    def streams(self, num_threads: int, seed: int) -> List[Iterator[Event]]:
-        per_part = [p.streams(num_threads, seed) for p in self.parts]
-
-        def chain(tid: int) -> Iterator[Event]:
-            for part_streams in per_part:
-                yield from part_streams[tid]
-
-        return [chain(t) for t in range(num_threads)]
-
-    def batch_streams(
-        self, num_threads: int, seed: int
-    ) -> Optional[List[Iterator[EventBatch]]]:
-        """Chain the parts' batch streams; ``None`` unless every part
-        has a native emitter (mixing encodings would silently change the
-        machine's execution path mid-run)."""
-        per_part = [p.batch_streams(num_threads, seed) for p in self.parts]
-        if any(streams is None for streams in per_part):
-            return None
-
-        def chain(tid: int) -> Iterator[EventBatch]:
-            for part_streams in per_part:
-                yield from part_streams[tid]
-
-        return [chain(t) for t in range(num_threads)]

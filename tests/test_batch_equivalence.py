@@ -9,9 +9,11 @@ the shared hardware cache's counters and final image, and the recorded
 traces.
 """
 
+import contextlib
 import copy
 import dataclasses
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from repro.experiments.harness import (
     sc_factory_kwargs,
 )
 from repro.nvram.failure import CrashPlan
+from repro.nvram.hwcache import HardwareCache
 from repro.nvram.machine import Machine, MachineConfig
 from repro.nvram.memory import NVRAM_BASE
 from repro.workloads.base import BatchCachingWorkload, TraceWorkload, Workload
@@ -69,11 +72,8 @@ def _grid():
             if workload.supports_threads(threads):
                 for technique in TECHNIQUES:
                     yield pytest.param(
-                        name, technique, threads, False,
-                        id=f"{threads}-{technique}-{name}",
+                        name, technique, threads, id=f"{threads}-{technique}-{name}"
                     )
-        # A ``clwb`` commit, which the batched loop hands to the port.
-        yield pytest.param(name, "SC", 1, True, id=f"1-SC-clwb-{name}")
 
 
 def _full_stats(result):
@@ -104,8 +104,8 @@ def _l1_image(machine):
     return [list(ways.items()) for ways in machine.hwcache.sets]
 
 
-@pytest.mark.parametrize("name,technique,threads,use_clwb", _grid())
-def test_batched_run_is_bit_identical(harness, name, technique, threads, use_clwb):
+@pytest.mark.parametrize("name,technique,threads", _grid())
+def test_batched_run_is_bit_identical(harness, name, technique, threads):
     """Every registry workload, as the harness builds it: the automatic
     path (recorded or native batches) against the forced per-event one."""
     workload = harness.workload(name)
@@ -114,8 +114,6 @@ def test_batched_run_is_bit_identical(harness, name, technique, threads, use_clw
     kwargs = sc_factory_kwargs(
         CONFIG, workload, technique, threads, harness.profile_summary(name)
     )
-    if use_clwb:
-        kwargs["use_clwb"] = True
     m_ev, r_ev = _run(workload, technique, threads, False, **kwargs)
     m_b, r_b = _run(workload, technique, threads, None, **kwargs)
 
@@ -154,6 +152,52 @@ def test_native_batches_encode_the_stream(name):
             want = [repr(ev) for ev in events_from_batches(batches)]
             got = [repr(ev) for ev in stream]
             assert got == want and got
+
+
+def _both_engines(workload, technique, threads, spied=()):
+    """The run batched and per event: equal down to the L1 image, with
+    repeats absorbed on the batched side; returns each side's calls of
+    the ``spied`` :class:`HardwareCache` methods."""
+    seen, calls = {}, {}
+    for use_batches in (True, False):
+        with contextlib.ExitStack() as stack:
+            spies = {
+                name: stack.enter_context(mock.patch.object(
+                    HardwareCache, name, autospec=True,
+                    side_effect=getattr(HardwareCache, name),
+                ))
+                for name in spied
+            }
+            machine, result = _run(workload, technique, threads, use_batches)
+        calls[use_batches] = {name: spy.call_count for name, spy in spies.items()}
+        hw = machine.hwcache
+        seen[use_batches] = _full_stats(result), _l1_image(machine), (
+            hw.loads, hw.stores, hw.load_misses, hw.store_misses,
+            hw.evict_writebacks, hw.flush_writebacks, hw.clean_flushes,
+        )
+        assert (machine.absorbed_stores > 0) == use_batches
+    assert seen[True] == seen[False]
+    return calls
+
+
+def test_the_batched_loop_owns_write_throughs_and_the_l1():
+    """Counts, not timings.  Untraced ER on barnes at scale 0.1 — 20 k
+    stores a thread, longer than the hypothesis examples reach, on a
+    saturated flush queue — at one thread (the whole stream one quantum)
+    and eight (edges kept while more than one thread can run).  Then an
+    untraced AT run, evicting (ocean) and commit-heavy (queue): the
+    batched loop touches L1, flushes evictions and runs commit trains on
+    its own locals, so it calls no :class:`HardwareCache` method at all,
+    where the per-event engine calls each."""
+    for threads in (1, 8):
+        _both_engines(get_workload("barnes", scale=0.1), "ER", threads)
+    queue = BatchCachingWorkload(get_workload("queue", scale=0.05))
+    for workload in (get_workload("ocean", scale=0.1), queue):
+        calls = _both_engines(
+            workload, "AT", 1, spied=("access", "clflush", "flush_lines")
+        )
+        assert all(calls[False].values()), (workload.name, calls)
+        assert not any(calls[True].values()), (workload.name, calls)
 
 
 def test_batch_caching_workload_replays_identically():
@@ -381,6 +425,9 @@ def test_mdb_reader_threads_are_recorded_bit_identically():
 
 
 class BatchSpy(BatchCachingWorkload):
+    """Counts the asks for a batched encoding: batches, or a step
+    emitter's steps (what a live quantum pulls)."""
+
     def __init__(self, inner):
         super().__init__(inner)
         self.batch_calls = 0
@@ -388,6 +435,10 @@ class BatchSpy(BatchCachingWorkload):
     def batch_streams(self, num_threads, seed):
         self.batch_calls += 1
         return super().batch_streams(num_threads, seed)
+
+    def steps(self, num_threads, seed):
+        self.batch_calls += 1
+        return super().steps(num_threads, seed)
 
 
 def test_value_tracking_and_site_plans_never_ask_for_batches():

@@ -659,10 +659,6 @@ _VOLATILE_AND_SPANNING = [
         (LinkedListWorkload(elements=6), dict(technique="SC+victim:4", num_threads=2)),
         (
             LinkedListWorkload(elements=6),
-            dict(technique="SC", technique_options={"use_clwb": True}),
-        ),
-        (
-            LinkedListWorkload(elements=6),
             dict(technique="SC", num_threads=2, commit_before_drain=True),
         ),
         (
@@ -677,13 +673,13 @@ _VOLATILE_AND_SPANNING = [
     ],
     ids=[
         "linked-list@2", "linked-list@3", "hash", "queue-AT@2", "SC+victim:4",
-        "clwb", "commit-before-drain", "2-line-L1", "long-FASE", "volatile-and-spanning",
+        "commit-before-drain", "2-line-L1", "long-FASE", "volatile-and-spanning",
     ],
 )
 def test_a_journal_cut_equals_a_replay(workload, kwargs):
     """Every field of every state a three-model sweep cuts from the
     journal equals the reference replay's, at every site: threads
-    interleaving, ``clwb`` leaving lines cached clean, the broken write
+    interleaving, the broken write
     ordering, a one-line software cache evicting lines the L1 already
     wrote back, a thread with more write-backs in flight than its queue
     holds, and volatile lines dirty beside a store spanning two lines."""
@@ -844,7 +840,7 @@ _FOUR_CLASSES = {"store", "log_append", "commit", "drain"}
         ("SC+victim:4", {}, _FOUR_CLASSES),
         # A one-line cache over a one-line victim buffer: victim overflow
         # flushes are sites too — all five classes.
-        ("SC+victim:1", {"sc_initial_size": 1}, set(SITE_CLASSES)),
+        ("SC-offline+victim:1", {"sc_fixed_size": 1}, set(SITE_CLASSES)),
     ],
     ids=["victim4", "one-line"],
 )

@@ -1,4 +1,4 @@
-"""The set-associative write-back hardware cache with clflush/clwb."""
+"""The set-associative write-back hardware cache with clflush."""
 
 import pytest
 from hypothesis import given, settings
@@ -62,17 +62,6 @@ def test_clflush_clean_or_absent():
     c.access(9, False)
     assert c.clflush(9) is False
     assert c.clean_flushes == 2
-
-
-def test_clwb_keeps_line_valid():
-    c = HardwareCache(64, 8)
-    c.access(7, True)
-    assert c.clwb(7) is True
-    assert c.contains(7)
-    assert c.line_state(7) is False
-    hit, _ = c.access(7, False)
-    assert hit                          # no invalidation penalty
-    assert c.clwb(7) is False           # now clean
 
 
 def test_sets_are_independent():

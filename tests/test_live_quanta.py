@@ -28,8 +28,8 @@ from repro.workloads.base import BatchCachingWorkload, Workload
 from repro.workloads.registry import get_workload
 
 SEED = 7
-#: (spec, factory keywords): every base technique, the victim stage, and
-#: a ``clwb`` SC, with a burst short enough for SC to select a size.
+#: (spec, factory keywords): every base technique and the victim stage,
+#: with a burst short enough for SC to select a size.
 TECHNIQUES = {
     "ER": {},
     "LA": {},
@@ -38,7 +38,6 @@ TECHNIQUES = {
     "SC-offline": {"sc_fixed_size": 8},
     "BEST": {},
     "SC+victim:4": {"adaptive_config": AdaptiveConfig(burst_length=300)},
-    "SC clwb": {"adaptive_config": AdaptiveConfig(burst_length=300), "use_clwb": True},
 }
 WORKLOADS = {
     "queue": lambda: BatchCachingWorkload(get_workload("queue", scale=0.005)),
@@ -85,7 +84,7 @@ def observe(workload, spec, threads, use_batches, traced):
     machine = Machine(MachineConfig(), recorder=recorder, metrics=metrics)
     result = machine.run(
         workload,
-        technique_factory(spec.split()[0], **TECHNIQUES[spec]),
+        technique_factory(spec, **TECHNIQUES[spec]),
         num_threads=threads,
         seed=SEED,
         record_traces=True,

@@ -236,8 +236,8 @@ def test_unmatched_selection_and_fallback():
 
 
 def test_adoption_is_not_an_unmatched_selection():
-    """A thread adopting a group-published size never ran its own MRC;
-    that is the shared-size extension working as designed, not an error."""
+    """A selection with no MRC before it on its thread is counted as an
+    adoption (a size decided elsewhere), not as an error."""
     rec = TraceRecorder()
     rec.record(EV_SIZE_SELECTED, 1, 50, 16)
     profile = analyze(rec)

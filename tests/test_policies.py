@@ -12,6 +12,7 @@ from repro.cache.policies import (
     SoftwareCacheTechnique,
 )
 from repro.cache.spec import technique_factory
+from repro.cache.table import AtlasTable
 from repro.common.errors import ConfigurationError
 
 
@@ -27,10 +28,10 @@ class FakePort:
         self.current_fase_id = 0
         self.thread_id = 0
 
-    def flush_async(self, line, category="eviction", invalidate=True):
+    def flush_async(self, line, category="eviction"):
         self.async_calls.append((line, category))
 
-    def flush_sync(self, lines, category="fase_end", invalidate=True):
+    def flush_sync(self, lines, category="fase_end"):
         self.sync_calls.append((tuple(lines), category))
 
     def add_overhead(self, cycles, instructions=0):
@@ -84,13 +85,17 @@ def test_lazy_finish_flushes_leftovers():
 
 
 def test_atlas_conflict_and_drain():
-    t = AtlasTechnique(table_size=4)
+    table = AtlasTable(4)
+    assert table.access(1) is None
+    assert table.access(5) == 1     # 5 % 4 == 1: conflict
+    assert table.drain() == [5]
+    t = AtlasTechnique()            # Atlas's eight entries
     port = bind(t)
     t.on_store(1)
-    t.on_store(5)       # 5 % 4 == 1: conflict
+    t.on_store(9)       # 9 % 8 == 1: conflict
     assert port.async_calls == [(1, "eviction")]
     t.on_fase_end()
-    assert port.sync_calls == [((5,), "fase_end")]
+    assert port.sync_calls == [((9,), "fase_end")]
 
 
 def test_software_cache_eviction_and_drain():
@@ -189,27 +194,18 @@ def test_the_buffer_declaration_does_not_outlive_its_hooks(hook):
 
 def test_buffered_hooks_are_insert_and_drain():
     """``on_store``/``on_fase_end``/``finish`` as the machine sees them
-    through the port: evictions and drains both read ``invalidate``."""
-    calls = []
-
-    class InvalidatePort(FakePort):
-        def flush_async(self, line, category="eviction", invalidate=True):
-            calls.append((line, category, invalidate))
-
-        def flush_sync(self, lines, category="fase_end", invalidate=True):
-            calls.append((tuple(lines), category, invalidate))
-
-    t = SoftwareCacheTechnique(initial_size=1, name="SC-offline", use_clwb=True)
-    t.bind(InvalidatePort())
-    assert t.insert == t.cache.access and not t.invalidate
+    through the port: ``insert``'s victim is an eviction flush, ``drain``
+    a commit or final train."""
+    t = SoftwareCacheTechnique(initial_size=1, name="SC-offline")
+    port = bind(t)
+    assert t.insert == t.cache.access
     for line in (1, 2):
         t.on_store(line)
     t.on_fase_end()
     t.on_store(3)
     t.finish()
-    assert calls == [
-        (1, "eviction", False), ((2,), "fase_end", False), ((3,), "final", False)
-    ]
+    assert port.async_calls == [(1, "eviction")]
+    assert port.sync_calls == [((2,), "fase_end"), ((3,), "final")]
 
 
 def test_the_batched_loop_calls_the_instance_insert():

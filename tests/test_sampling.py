@@ -45,20 +45,6 @@ def test_analyze_enters_infinite_hibernation_by_default():
     assert s.recorded == 0
 
 
-def test_finite_hibernation_reopens():
-    s = BurstSampler(burst_length=2, hibernation=3)
-    feed(s, [1, 2])
-    s.analyze()
-    assert not s.done
-    # Three writes skipped, then recording resumes.
-    assert not s.record(3, 0)
-    assert not s.record(4, 0)
-    assert not s.record(5, 0)
-    assert not s.record(6, 0)
-    assert s.recorded == 1
-    assert s.record(7, 0) is True
-
-
 def test_sampler_keeps_fase_ids():
     s = BurstSampler(burst_length=4)
     s.record(1, 0)
@@ -92,7 +78,7 @@ def test_validation():
     with pytest.raises(ConfigurationError):
         BurstSampler(burst_length=1)
     with pytest.raises(ConfigurationError):
-        BurstSampler(burst_length=8, hibernation=-1)
+        BurstSampler(burst_length=8, initial_skip=-1)
 
 
 def test_sampled_preserves_knee_position():
@@ -124,7 +110,6 @@ def observables(sampler):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     st.integers(min_value=2, max_value=12),
-    st.sampled_from([None, 0, 1, 5]),
     st.integers(min_value=0, max_value=9),
     st.lists(
         st.tuples(
@@ -135,12 +120,12 @@ def observables(sampler):
         max_size=12,
     ),
 )
-def test_record_many_is_n_records(burst, hibernation, skip, writes):
+def test_record_many_is_n_records(burst, skip, writes):
     """``record_many(line, fid, n)`` against ``n × record(line, fid)`` on
     everything a sampler shows, through warm-up, a burst that fills inside
-    the slice, the writes dropped after it, analysis and re-opening."""
-    bulk = BurstSampler(burst, hibernation, skip)
-    single = BurstSampler(burst, hibernation, skip)
+    the slice, the writes dropped after it, analysis and shut-down."""
+    bulk = BurstSampler(burst, skip)
+    single = BurstSampler(burst, skip)
     for line, fid, n in writes:
         filled = [single.record(line, fid) for _ in range(n)]
         assert bulk.record_many(line, fid, n) == any(filled)

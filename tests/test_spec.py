@@ -5,13 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.policies import TECHNIQUES, SoftwareCacheTechnique
+from repro.atlas.runtime import AtlasRuntime
 from repro.cache.spec import (
+    REMOVED_OPTIONS,
     STAGES,
     TechniqueSpec,
     list_techniques,
     technique_factory,
 )
 from repro.common.errors import ConfigurationError
+from repro.faults.campaign import run_campaign
 
 def spec_strategy():
     """Strategy over valid TechniqueSpec values."""
@@ -144,3 +147,26 @@ def test_list_techniques_catalogue():
         assert entry["noop_below"] == STAGES[name].noop_below
         assert set(entry) == {"default", "noop_below", "bases", "param", "doc"}
     assert "grammar" in cat
+
+
+#: Entry point -> how it takes technique options (raises on a bad one).
+_OPTION_ENTRY_POINTS = {
+    "technique_factory": lambda options: technique_factory("SC", **options),
+    "run_campaign": lambda options: run_campaign(
+        "queue", technique="SC", technique_options=options
+    ),
+    "AtlasRuntime": lambda options: AtlasRuntime("SC", **options),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_OPTION_ENTRY_POINTS))
+@pytest.mark.parametrize("name", REMOVED_OPTIONS + ("bogus",))
+def test_a_removed_or_unknown_option_is_named_at_every_entry_point(name, entry):
+    """A removed option says so; any other unknown one is named with the
+    valid ones — never a bare ``TypeError`` from inside the factory."""
+    with pytest.raises(ConfigurationError) as info:
+        _OPTION_ENTRY_POINTS[entry]({name: 1})
+    message = str(info.value)
+    assert f"technique option {name!r}" in message
+    assert ("was removed (DESIGN.md §6)" in message) == (name != "bogus")
+    assert "('sc_fixed_size', 'adaptive_config')" in message

@@ -20,10 +20,10 @@ class FakePort:
         self.current_fase_id = 0
         self.thread_id = 0
 
-    def flush_async(self, line, category="eviction", invalidate=True):
+    def flush_async(self, line, category="eviction"):
         self.async_calls.append((line, category))
 
-    def flush_sync(self, lines, category="fase_end", invalidate=True):
+    def flush_sync(self, lines, category="fase_end"):
         self.sync_calls.append((tuple(lines), category))
 
     def add_overhead(self, cycles, instructions=0):
