@@ -176,22 +176,26 @@ def traced_run(
 ) -> Tuple[RunResult, object, object]:
     """Execute one spec with the observability layer attached.
 
-    Returns ``(result, recorder, metrics)`` as
-    :func:`repro.obs.runner.traced_run` does; the run is bit-identical
-    to :func:`run` for the same spec.  ``ledger_artifacts`` maps
-    artifact names to the paths the caller is about to write (trace,
-    metrics, report), so the ledger record links to them.
+    Returns ``(result, recorder, metrics)``: a fresh
+    :class:`~repro.obs.trace.TraceRecorder` and, when
+    ``metrics_interval`` (model cycles between samples) is given, a
+    :class:`~repro.obs.metrics.MetricsRegistry` (else ``None``), both
+    passed to :meth:`Harness.execute`.  They only observe, so the run is
+    bit-identical to :func:`run` for the same spec.  ``ledger_artifacts``
+    maps artifact names to the paths the caller is about to write
+    (trace, metrics, report), so the ledger record links to them.
     """
-    from repro.obs.runner import traced_run as _traced
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.trace import TraceRecorder
 
     harness = _resolve_harness(spec, harness, cache_dir)
     started = time.monotonic()
-    result, recorder, metrics = _traced(
-        harness,
-        spec.workload,
-        spec.technique,
-        threads=spec.threads,
-        metrics_interval=metrics_interval,
+    recorder = TraceRecorder()
+    metrics = (
+        MetricsRegistry(metrics_interval) if metrics_interval is not None else None
+    )
+    result = harness.execute(
+        spec.workload, spec.technique, spec.threads, recorder=recorder, metrics=metrics
     )
     from repro.obs.ledger import counters_from_result, record_run
 

@@ -1,74 +1,7 @@
-"""Command-line entry point: regenerate any table or figure, or trace a run.
+"""Command-line entry point: ``python -m repro.experiments <command>``.
 
-Examples::
-
-    python -m repro.experiments table3
-    python -m repro.experiments figure5 --scale 0.3
-    python -m repro.experiments all --write EXPERIMENTS.md
-    python -m repro.experiments all --jobs 4        # parallel sweep
-    python -m repro.experiments run --workload mdb --technique SC \\
-        --threads 8 --trace mdb-sc.chrome.json --metrics mdb-sc.metrics.json
-
-``--jobs N`` pre-computes the artifact's run grid on N worker processes
-(results are bit-identical to the sequential sweep) with a per-cell
-heartbeat on stderr; ``--cache-dir`` persists completed runs as JSON so
-repeat invocations skip simulation.
-
-The ``run`` pseudo-artifact executes one ``(workload, technique,
-threads)`` cell with the observability layer attached: ``--trace PATH``
-writes the structured event trace (a ``.jsonl`` suffix selects JSON
-lines, anything else the Chrome ``trace_event`` format — load it in
-Perfetto or ``chrome://tracing``; repeatable for both), and
-``--metrics PATH`` dumps the sampled metrics registry
-(``--metrics-interval`` model cycles between samples).
-
-The ``crashmatrix`` pseudo-artifact runs fault-injection campaigns
-(:mod:`repro.faults`) over every ``workload × technique × fault-model``
-combination requested, prints the markdown verdict matrix, optionally
-writes the JSON matrix with ``--out``, and exits non-zero if any
-injected crash violated FASE atomicity — so CI can gate on it::
-
-    python -m repro.experiments crashmatrix --workloads linked-list \\
-        --fault-models clean,torn_line --max-sites 128 --out matrix.json
-
-Crash campaigns are profilable too: ``--trace``/``--metrics`` attach the
-observability layer to each campaign's one replay, the golden run (a
-campaign served whole from ``--cache-dir`` performs none, leaving both
-empty).
-
-The ``profile`` pseudo-artifact analyzes a recorded JSONL trace offline
-(flush provenance, FASE latency, controller diagnostics — DESIGN.md
-§11), prints the markdown profile (``--top-k`` sizes the hottest-lines
-table), and optionally writes ``--json`` / ``--html`` reports;
-``tracediff`` aligns two traces and reports their deltas under
-``--tolerance``::
-
-    python -m repro.experiments profile --trace run.jsonl --html report.html
-    python -m repro.experiments tracediff --trace a.jsonl --trace b.jsonl
-
-The ``monitor`` pseudo-artifact watches work live (DESIGN.md §12):
-by default it runs an artifact's grid (``--grid``) under a refreshing
-terminal dashboard fed by per-cell metric snapshots, with declarative
-alert rules (``--rule``, see the grammar in ``repro.obs.live``) writing
-a deterministic JSONL alert log; ``--follow PATH`` instead tails a
-JSONL trace file as it is written, folding it into a streaming profile
-window by window.  ``--once --json`` is the headless/CI form::
-
-    python -m repro.experiments monitor --grid table1 --scale 0.05 --jobs 2 \\
-        --once --json --alert-log alerts.jsonl
-    python -m repro.experiments monitor --follow run.jsonl --once
-
-The ``history`` pseudo-artifact queries the run ledger — the append-only
-provenance store every entry point records into (DESIGN.md §15) —
-longitudinally: per-spec ``trend`` timelines with EWMA fits and
-changepoints, a ``regress`` gate against the fitted trend (non-zero exit
-on a flagged timeline, the CI hook), last-two ``compare`` deltas, and
-``flaky`` campaign tracking::
-
-    python -m repro.experiments history --query regress --metric time \\
-        --kind run --threshold 15
-    python -m repro.experiments history --query trend --kind grid \\
-        --metric time --json trend.json --html trend.html
+Every command is a subparser that owns its flags; ``<command> --help``
+describes the command and lists them.
 """
 
 from __future__ import annotations
@@ -86,7 +19,7 @@ from repro.obs.analyze import FAIL_ON_CHOICES
 
 
 def _heartbeat(done: int, total: int, cell) -> None:
-    """The per-cell progress line parallel sweeps print to stderr."""
+    """The per-cell progress line a grid prints to stderr."""
     name, technique, threads = cell
     print(f"[{done}/{total}] {name}/{technique}/{threads}", file=sys.stderr)
 
@@ -102,10 +35,42 @@ def _write_traces(recorder, paths: Optional[List[str]]) -> None:
         print(f"wrote {path}", file=sys.stderr)
 
 
-def _run_traced(harness: Harness, args: argparse.Namespace) -> int:
-    """The ``run`` pseudo-artifact: one cell with tracing/metrics on."""
+def _harness(args: argparse.Namespace) -> Harness:
+    """The harness the ``--scale/--seed/--cache-dir`` flags configure."""
+    return Harness(
+        HarnessConfig(scale=args.scale, seed=args.seed), cache_dir=args.cache_dir
+    )
+
+
+def _run_artifact(args: argparse.Namespace) -> int:
+    """A table or figure command, or ``all``: its run grid, then the render."""
+    from repro.experiments.parallel import grid_for
+
+    start = time.time()
+    harness = _harness(args)
+    harness.run_grid(grid_for(harness, args.command), jobs=args.jobs, progress=_heartbeat)
+    svg_dir = getattr(args, "svg", None)
+    if args.command == "all":
+        print(generate(harness, write_path=args.write, svg_dir=svg_dir, started=start))
+    else:
+        art = GENERATORS[args.command](harness)
+        print(art.title)
+        print()
+        print(art.text)
+        if svg_dir:
+            from repro.experiments.plots import write_artifact_svgs
+
+            for path in write_artifact_svgs(art, svg_dir):
+                print(f"wrote {path}", file=sys.stderr)
+    print(f"\n[{time.time() - start:.1f}s]", file=sys.stderr)
+    return 0
+
+
+def _run_traced(args: argparse.Namespace) -> int:
+    """The ``run`` command: one cell with tracing/metrics on."""
     from repro import api
 
+    start = time.time()
     ledger_artifacts = {}
     for path in args.trace or []:
         ledger_artifacts.setdefault("trace", path)
@@ -119,7 +84,7 @@ def _run_traced(harness: Harness, args: argparse.Namespace) -> int:
             scale=args.scale,
             seed=args.seed,
         ),
-        harness=harness,
+        cache_dir=args.cache_dir,
         metrics_interval=args.metrics_interval if args.metrics else None,
         ledger_artifacts=ledger_artifacts or None,
     )
@@ -136,6 +101,7 @@ def _run_traced(harness: Harness, args: argparse.Namespace) -> int:
     if args.metrics:
         metrics.write_json(args.metrics)
         print(f"wrote {args.metrics}", file=sys.stderr)
+    print(f"\n[{time.time() - start:.1f}s]", file=sys.stderr)
     return 0
 
 
@@ -152,7 +118,7 @@ def _write_report(path: str, text: str) -> None:
 
 
 def _run_profile(args: argparse.Namespace) -> int:
-    """The ``profile`` pseudo-artifact: offline trace analytics."""
+    """The ``profile`` command: offline trace analytics."""
     import json
 
     from repro.obs import analyze, read_jsonl
@@ -211,7 +177,7 @@ def _run_profile(args: argparse.Namespace) -> int:
 
 
 def _run_tracediff(args: argparse.Namespace) -> int:
-    """The ``tracediff`` pseudo-artifact: cross-run profile deltas."""
+    """The ``tracediff`` command: cross-run profile deltas."""
     import json
 
     from repro.obs import DiffTolerances, analyze, diff_profiles, read_jsonl
@@ -243,13 +209,16 @@ def _run_tracediff(args: argparse.Namespace) -> int:
 
 
 def _run_crashmatrix(args: argparse.Namespace) -> int:
-    """The ``crashmatrix`` pseudo-artifact: fault-injection campaigns."""
+    """The ``crashmatrix`` command: fault-injection campaigns."""
     import json
 
     from repro import api
 
+    start = time.time()
     workloads = [w for w in args.workloads.split(",") if w]
     techniques = [t for t in args.techniques.split(",") if t]
+    # Every spec parses before the first campaign runs.
+    canonical = [str(TechniqueSpec.parse(t)) for t in techniques]
     models = tuple(m for m in args.fault_models.split(",") if m)
     faults = api.FaultSpec(
         fault_models=models,
@@ -322,7 +291,7 @@ def _run_crashmatrix(args: argparse.Namespace) -> int:
         {
             "artifact": "crashmatrix",
             "workloads": workloads,
-            "techniques": [str(TechniqueSpec.parse(t)) for t in techniques],
+            "techniques": canonical,
             "fault_models": list(models),
             "max_sites": args.max_sites,
             "sample_seed": args.sample_seed,
@@ -338,13 +307,14 @@ def _run_crashmatrix(args: argparse.Namespace) -> int:
             f"FAILED: {violated} violation(s) across {total} injected crashes",
             file=sys.stderr,
         )
-        return 1
-    print(f"OK: {total} injected crashes, zero violations", file=sys.stderr)
-    return 0
+    else:
+        print(f"OK: {total} injected crashes, zero violations", file=sys.stderr)
+    print(f"\n[{time.time() - start:.1f}s]", file=sys.stderr)
+    return 1 if violated else 0
 
 
 def _run_history(args: argparse.Namespace) -> int:
-    """The ``history`` pseudo-artifact: longitudinal ledger queries.
+    """The ``history`` command: longitudinal ledger queries.
 
     Exit codes: 0 clean, 1 when the query flagged something (a
     regression finding, a changepoint, a drifted compare, a flaky
@@ -415,380 +385,274 @@ def _run_history(args: argparse.Namespace) -> int:
     return 0 if doc.get("ok", True) else 1
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point (see module docstring); returns an exit code."""
+
+
+def _run_monitor(args: argparse.Namespace) -> int:
+    """The ``monitor`` command (:mod:`repro.experiments.monitor`)."""
+    from repro.experiments.monitor import run_monitor
+
+    return run_monitor(args, lambda: _harness(args))
+
+
+def _parent(*flags) -> argparse.ArgumentParser:
+    """A parent parser holding flags several commands share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for names, kwargs in flags:
+        parent.add_argument(*names, **kwargs)
+    return parent
+
+
+_HARNESS = _parent(
+    (["--scale"], dict(type=float, default=1.0,
+                       help="workload problem-size multiplier (default 1.0)")),
+    (["--seed"], dict(type=int, default=0, help="base RNG seed")),
+    (["--cache-dir"], dict(default=None, metavar="DIR",
+                           help="persist run results as JSON under DIR (e.g. .cache)")),
+)
+_JOBS = _parent(
+    (["--jobs"], dict(type=int, default=1, metavar="N",
+                      help="worker processes for the run grid (default 1 = in-process)")),
+)
+_SVG = _parent(
+    (["--svg"], dict(default=None, metavar="DIR",
+                     help="also render the figure's chart(s) as SVG into DIR")),
+)
+#: What a command that simulates records: ``run`` and ``crashmatrix``.
+_OBSERVE = _parent(
+    (["--threads"], dict(type=int, default=1, help="simulated threads (default 1)")),
+    (["--trace"], dict(action="append", metavar="PATH",
+                       help="write the structured trace; '.jsonl' suffix selects JSON "
+                       "lines, anything else Chrome trace_event (Perfetto); repeatable")),
+    (["--metrics"], dict(default=None, metavar="PATH",
+                         help="dump the sampled metrics registry as JSON")),
+    (["--metrics-interval"], dict(type=int, default=10_000, metavar="N",
+                                  help="model cycles between metric samples (default 10000)")),
+)
+_JSON = _parent(
+    (["--json"], dict(dest="json_out", nargs="?", const="-", default=None, metavar="PATH",
+                      help="write the result as deterministic JSON; bare --json "
+                      "(or PATH '-') means stdout")),
+)
+_HTML = _parent(
+    (["--html"], dict(default=None, metavar="PATH",
+                      help="write the self-contained HTML report")),
+)
+_FAIL_ON = _parent(
+    (["--fail-on"], dict(choices=FAIL_ON_CHOICES, default="error",
+                         help="exit non-zero on a diagnosis or alert at or above "
+                         "this severity (default error)")),
+)
+
+_GRID_TEXT = """\
+--jobs N computes the run grid on N worker processes (the output is
+bit-identical at any N); every cell prints a heartbeat on stderr and the
+grid appends one record to the run ledger.  --cache-dir persists
+completed runs as JSON so repeat invocations skip simulation."""
+
+
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
-        description="Regenerate the paper's tables and figures on the simulator.",
+        description="Regenerate the paper's tables and figures on the simulator; "
+        "trace, profile, crash-test and watch runs; query the run ledger.",
     )
-    parser.add_argument(
-        "artifact",
-        choices=sorted(GENERATORS)
-        + [
-            "all",
-            "crashmatrix",
-            "history",
-            "monitor",
-            "profile",
-            "run",
-            "tracediff",
-        ],
-        help="which table/figure to regenerate, 'run' for one traced "
-        "cell, 'crashmatrix' for fault-injection campaigns, 'profile' "
-        "to analyze a recorded trace, 'tracediff' to compare two, "
-        "'monitor' to watch a grid or trace live, or 'history' to "
-        "query the run ledger's longitudinal record",
-    )
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=1.0,
-        help="workload problem-size multiplier (default 1.0)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the run grid (default 1 = in-process)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="persist run results as JSON under DIR (e.g. .cache)",
-    )
-    parser.add_argument(
-        "--write",
-        nargs="?",
-        const="EXPERIMENTS.md",
-        default=None,
-        metavar="PATH",
-        help="with 'all': also write the EXPERIMENTS.md report",
-    )
-    parser.add_argument(
-        "--svg",
-        default=None,
-        metavar="DIR",
-        help="also render the figure's chart(s) as SVG into DIR",
-    )
-    tracing = parser.add_argument_group("'run' (traced single cell)")
-    tracing.add_argument(
-        "--workload", default="mdb", help="workload name (default mdb)"
-    )
-    tracing.add_argument(
-        "--technique",
-        default="SC",
-        help="technique spec: a base (ER, LA, AT, SC, SC-offline, BEST) "
-        "optionally composed with the victim stage, e.g. "
-        "SC+victim:16 (default SC)",
-    )
-    tracing.add_argument(
-        "--threads", type=int, default=1, help="simulated threads (default 1)"
-    )
-    tracing.add_argument(
-        "--trace",
-        action="append",
-        metavar="PATH",
-        help="write the structured trace; '.jsonl' suffix selects JSON "
-        "lines, anything else Chrome trace_event (Perfetto); repeatable",
-    )
-    tracing.add_argument(
-        "--metrics",
-        default=None,
-        metavar="PATH",
-        help="'run'/'crashmatrix': dump the sampled metrics registry as "
-        "JSON; 'profile': read such a dump and chart it in the report",
-    )
-    tracing.add_argument(
-        "--metrics-interval",
-        type=int,
-        default=10_000,
-        metavar="N",
-        help="model cycles between metric samples (default 10000)",
-    )
-    analytics = parser.add_argument_group("'profile' / 'tracediff' (analytics)")
-    analytics.add_argument(
-        "--json",
-        dest="json_out",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="PATH",
-        help="write the profile/diff/monitor summary as deterministic "
-        "JSON; bare --json (or PATH '-') means stdout",
-    )
-    analytics.add_argument(
-        "--top-k",
-        type=int,
-        default=10,
-        metavar="K",
-        help="'profile': hottest-flushed-lines table length (default 10)",
-    )
-    analytics.add_argument(
-        "--html",
-        default=None,
-        metavar="PATH",
-        help="write the self-contained HTML report",
-    )
-    analytics.add_argument(
-        "--fail-on",
-        choices=FAIL_ON_CHOICES,
-        default="error",
-        help="'profile'/'monitor': exit non-zero on a diagnosis or alert "
-        "at or above this severity (default error)",
-    )
-    analytics.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.5,
-        metavar="PCT",
-        help="'tracediff': allowed relative drift in percent (default 0.5)",
-    )
-    crash = parser.add_argument_group("'crashmatrix' (fault injection)")
-    crash.add_argument(
-        "--workloads",
-        default="linked-list,hash",
-        metavar="A,B",
-        help="comma-separated workload names (default linked-list,hash)",
-    )
-    crash.add_argument(
-        "--techniques",
-        default="SC",
-        metavar="A,B",
-        help="comma-separated technique specs, composed stages allowed, "
-        "e.g. SC,SC+victim:4 (default SC)",
-    )
-    crash.add_argument(
-        "--fault-models",
-        default="clean",
-        metavar="A,B",
-        help="comma-separated fault models: clean, torn_line, "
-        "reordered_flush (default clean)",
-    )
-    crash.add_argument(
-        "--max-sites",
-        type=int,
-        default=256,
-        metavar="N",
-        help="sample above N injectable sites per campaign (default 256)",
-    )
-    crash.add_argument(
-        "--sample-seed",
-        type=int,
-        default=0,
-        metavar="N",
-        help="seed for the strided site sampler (default 0)",
-    )
-    crash.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write the crash matrix (or list of matrices) as JSON",
-    )
-    ledger = parser.add_argument_group("'history' (run-ledger queries)")
-    ledger.add_argument(
-        "--query",
-        choices=["trend", "compare", "regress", "flaky"],
-        default="trend",
-        help="which longitudinal question to answer (default trend)",
-    )
-    ledger.add_argument(
-        "--ledger",
-        default=None,
-        metavar="DIR",
-        help="ledger root (default: $REPRO_LEDGER, else .ledger)",
-    )
-    ledger.add_argument(
-        "--metric",
-        default="time",
-        metavar="NAME",
-        help="dotted metric path for trend/regress; bare names resolve "
-        "under counters first (default time)",
-    )
-    ledger.add_argument(
-        "--kind",
-        default=None,
-        metavar="KIND",
-        help="restrict to one record kind (run, traced_run, grid, "
-        "campaign, ...)",
-    )
-    ledger.add_argument(
-        "--spec",
-        default=None,
-        metavar="FILTER",
-        help="restrict to timelines matching a spec-sha prefix, label "
-        "substring, or spec-JSON substring",
-    )
-    ledger.add_argument(
-        "--threshold",
-        type=float,
-        default=10.0,
-        metavar="PCT",
-        help="regress/trend: deviation (changepoint shift) percent that "
-        "flags a timeline (default 10)",
-    )
-    ledger.add_argument(
-        "--direction",
-        choices=["auto", "up", "down"],
-        default="auto",
-        help="regress: which way the metric regresses (default auto: "
-        "inferred from the metric name)",
-    )
-    ledger.add_argument(
-        "--limit",
-        type=int,
-        default=None,
-        metavar="N",
-        help="use only the newest N records of each timeline",
-    )
-    ledger.add_argument(
-        "--md",
-        default=None,
-        metavar="PATH",
-        help="write the query result as a markdown report",
-    )
-    mon = parser.add_argument_group("'monitor' (live telemetry)")
-    mon.add_argument(
-        "--grid",
-        default="table1",
-        metavar="ARTIFACT",
-        help="grid mode: which artifact's run grid to execute and watch "
-        "(default table1)",
-    )
-    mon.add_argument(
-        "--follow",
-        default=None,
-        metavar="PATH",
-        help="follow mode: tail a JSONL trace file being written "
-        "instead of running a grid",
-    )
-    mon.add_argument(
-        "--once",
-        action="store_true",
-        help="headless: process what is available, render once, exit",
-    )
-    mon.add_argument(
-        "--refresh",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="seconds between dashboard redraws (default 1.0)",
-    )
-    mon.add_argument(
-        "--rule",
-        action="append",
-        metavar="RULE",
-        help="alert rule 'name: metric > value [@severity]' (also "
-        "rate(metric) / sustained(metric, N)); repeatable; a name "
-        "matching a default rule overrides it",
-    )
-    mon.add_argument(
-        "--alert-log",
-        default=None,
-        metavar="PATH",
-        help="append fired alerts to PATH as deterministic JSONL",
-    )
-    mon.add_argument(
-        "--window",
-        type=int,
-        default=100_000,
-        metavar="CYCLES",
-        help="follow mode: streaming-profile window length in model "
-        "cycles (default 100000)",
-    )
-    mon.add_argument(
-        "--max-idle",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="follow mode: stop after this long with no new trace bytes "
-        "(default: follow until interrupted)",
-    )
-    args = parser.parse_args(argv)
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    # Validate technique specs and the worker count up front, before any
-    # simulation starts, so a typo in a composed spec fails in
-    # milliseconds with the parser's precise message (naming the bad
-    # stage or parameter) rather than deep inside a worker process.
+    def command(name, handler, parents, help, description):
+        # No abbreviations: ``--technique`` must not pass for ``--techniques``.
+        sub = commands.add_parser(
+            name, parents=parents, help=help, description=description,
+            formatter_class=argparse.RawDescriptionHelpFormatter, allow_abbrev=False,
+        )
+        sub.set_defaults(handler=handler)
+        return sub
+
+    for name, generator in GENERATORS.items():
+        title = generator.__doc__.split("\n")[0]
+        svg = [_SVG] if name.startswith("figure") else []
+        command(name, _run_artifact, [_HARNESS, _JOBS] + svg, title,
+                f"Regenerate {title}\n\n{_GRID_TEXT}")
+    every = command(
+        "all", _run_artifact, [_HARNESS, _JOBS, _SVG], "every table and figure",
+        f"Regenerate every table and figure, one grid for all.\n\n{_GRID_TEXT}\n\n"
+        "    python -m repro.experiments all --write EXPERIMENTS.md --jobs 4",
+    )
+    every.add_argument("--write", nargs="?", const="EXPERIMENTS.md", default=None,
+                       metavar="PATH", help="also write the EXPERIMENTS.md report")
+
+    run = command(
+        "run", _run_traced, [_HARNESS, _OBSERVE], "one traced cell",
+        """\
+Execute one (workload, technique, threads) cell with the observability
+layer attached.  --trace PATH writes the structured event trace (a .jsonl
+suffix selects JSON lines, anything else the Chrome trace_event format:
+load it in Perfetto or chrome://tracing; repeatable for both), and
+--metrics PATH dumps the sampled metrics registry (--metrics-interval
+model cycles between samples).
+
+    python -m repro.experiments run --workload mdb --technique SC \\
+        --threads 8 --trace mdb-sc.chrome.json --metrics mdb-sc.metrics.json""",
+    )
+    run.add_argument("--workload", default="mdb", help="workload name (default mdb)")
+    run.add_argument(
+        "--technique", default="SC",
+        help="technique spec: a base (ER, LA, AT, SC, SC-offline, BEST) "
+        "optionally composed with the victim stage, e.g. SC+victim:16 (default SC)",
+    )
+
+    crash = command(
+        "crashmatrix", _run_crashmatrix, [_HARNESS, _JOBS, _OBSERVE],
+        "fault-injection campaigns",
+        """\
+Run fault-injection campaigns (repro.faults) over every workload x
+technique x fault-model combination requested, print the markdown verdict
+matrix, optionally write the JSON matrix with --out, and exit non-zero if
+any injected crash violated FASE atomicity, so CI can gate on it.
+--trace/--metrics attach the observability layer to each campaign's one
+replay, the golden run (a campaign served whole from --cache-dir performs
+none, leaving both empty).
+
+    python -m repro.experiments crashmatrix --workloads linked-list \\
+        --fault-models clean,torn_line --max-sites 128 --out matrix.json""",
+    )
+    crash.add_argument("--workloads", default="linked-list,hash", metavar="A,B",
+                       help="comma-separated workload names (default linked-list,hash)")
+    crash.add_argument("--techniques", default="SC", metavar="A,B",
+                       help="comma-separated technique specs, composed stages "
+                       "allowed, e.g. SC,SC+victim:4 (default SC)")
+    crash.add_argument("--fault-models", default="clean", metavar="A,B",
+                       help="comma-separated fault models: clean, torn_line, "
+                       "reordered_flush (default clean)")
+    crash.add_argument("--max-sites", type=int, default=256, metavar="N",
+                       help="sample above N injectable sites per campaign (default 256)")
+    crash.add_argument("--sample-seed", type=int, default=0, metavar="N",
+                       help="seed for the strided site sampler (default 0)")
+    crash.add_argument("--out", default=None, metavar="PATH",
+                       help="write the crash matrix (or list of matrices) as JSON")
+
+    profile = command(
+        "profile", _run_profile, [_JSON, _HTML, _FAIL_ON], "analyze a recorded trace",
+        """\
+Analyze a recorded JSONL trace offline (flush provenance, FASE latency,
+controller diagnostics: DESIGN.md section 11), print the markdown profile
+(--top-k sizes the hottest-lines table), and optionally write --json /
+--html reports.
+
+    python -m repro.experiments profile --trace run.jsonl --html report.html""",
+    )
+    profile.add_argument("--trace", action="append", metavar="PATH",
+                         help="the JSONL trace to analyze (exactly one)")
+    profile.add_argument("--metrics", default=None, metavar="PATH",
+                         help="read a 'run --metrics' dump and chart it in the report")
+    profile.add_argument("--top-k", type=int, default=10, metavar="K",
+                         help="hottest-flushed-lines table length (default 10)")
+
+    diff = command(
+        "tracediff", _run_tracediff, [_JSON, _HTML], "compare two traces",
+        """\
+Align two recorded JSONL traces and report their profile deltas under
+--tolerance; exit 1 when they differ, 2 when they are incomparable.
+
+    python -m repro.experiments tracediff --trace a.jsonl --trace b.jsonl""",
+    )
+    diff.add_argument("--trace", action="append", metavar="PATH",
+                      help="a JSONL trace to compare (exactly two)")
+    diff.add_argument("--tolerance", type=float, default=0.5, metavar="PCT",
+                      help="allowed relative drift in percent (default 0.5)")
+
+    mon = command(
+        "monitor", _run_monitor, [_HARNESS, _JOBS, _JSON, _FAIL_ON],
+        "watch a grid or a trace live",
+        """\
+Watch work live (DESIGN.md section 12).  By default run an artifact's
+grid (--grid) under a refreshing terminal dashboard fed by per-cell metric
+snapshots, with declarative alert rules (--rule, see the grammar in
+repro.obs.live) writing a deterministic JSONL alert log.  --follow PATH
+instead tails a JSONL trace file as it is written, folding it into a
+streaming profile window by window.  --once --json is the headless/CI
+form.
+
+    python -m repro.experiments monitor --grid table1 --scale 0.05 --jobs 2 \\
+        --once --json --alert-log alerts.jsonl
+    python -m repro.experiments monitor --follow run.jsonl --once""",
+    )
+    mon.add_argument("--grid", default="table1", metavar="ARTIFACT",
+                     help="grid mode: which artifact's run grid to execute and "
+                     "watch (default table1)")
+    mon.add_argument("--follow", default=None, metavar="PATH",
+                     help="follow mode: tail a JSONL trace file being written "
+                     "instead of running a grid")
+    mon.add_argument("--once", action="store_true",
+                     help="headless: process what is available, render once, exit")
+    mon.add_argument("--refresh", type=float, default=1.0, metavar="SECONDS",
+                     help="seconds between dashboard redraws (default 1.0)")
+    mon.add_argument("--rule", action="append", metavar="RULE",
+                     help="alert rule 'name: metric > value [@severity]' (also "
+                     "rate(metric) / sustained(metric, N)); repeatable; a name "
+                     "matching a default rule overrides it")
+    mon.add_argument("--alert-log", default=None, metavar="PATH",
+                     help="append fired alerts to PATH as deterministic JSONL")
+    mon.add_argument("--window", type=int, default=100_000, metavar="CYCLES",
+                     help="follow mode: streaming-profile window length in model "
+                     "cycles (default 100000)")
+    mon.add_argument("--max-idle", type=float, default=None, metavar="SECONDS",
+                     help="follow mode: stop after this long with no new trace "
+                     "bytes (default: follow until interrupted)")
+
+    hist = command(
+        "history", _run_history, [_JSON, _HTML], "query the run ledger",
+        """\
+Query the run ledger, the append-only provenance store every entry point
+records into (DESIGN.md section 15), longitudinally: per-spec trend
+timelines with EWMA fits and changepoints, a regress gate against the
+fitted trend (the CI hook), last-two compare deltas, and flaky campaign
+tracking.  Exit 0 clean, 1 when the query flagged something, 2 when
+there is nothing to query.
+
+    python -m repro.experiments history --query regress --metric time \\
+        --kind run --threshold 15
+    python -m repro.experiments history --query trend --kind grid \\
+        --metric time --json trend.json --html trend.html""",
+    )
+    hist.add_argument("--query", choices=["trend", "compare", "regress", "flaky"],
+                      default="trend",
+                      help="which longitudinal question to answer (default trend)")
+    hist.add_argument("--ledger", default=None, metavar="DIR",
+                      help="ledger root (default: $REPRO_LEDGER, else .ledger)")
+    hist.add_argument("--metric", default="time", metavar="NAME",
+                      help="dotted metric path for trend/regress; bare names "
+                      "resolve under counters first (default time)")
+    hist.add_argument("--kind", default=None, metavar="KIND",
+                      help="restrict to one record kind (run, traced_run, grid, "
+                      "campaign, ...)")
+    hist.add_argument("--spec", default=None, metavar="FILTER",
+                      help="restrict to timelines matching a spec-sha prefix, "
+                      "label substring, or spec-JSON substring")
+    hist.add_argument("--threshold", type=float, default=10.0, metavar="PCT",
+                      help="regress/trend: deviation (changepoint shift) percent "
+                      "that flags a timeline (default 10)")
+    hist.add_argument("--direction", choices=["auto", "up", "down"], default="auto",
+                      help="regress: which way the metric regresses (default "
+                      "auto: inferred from the metric name)")
+    hist.add_argument("--limit", type=int, default=None, metavar="N",
+                      help="use only the newest N records of each timeline")
+    hist.add_argument("--md", default=None, metavar="PATH",
+                      help="write the query result as a markdown report")
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """CLI entry point; returns an exit code."""
+    args = _parser().parse_args(argv)
     try:
-        if args.jobs < 1:
+        if "jobs" in args and args.jobs < 1:
             raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
-        TechniqueSpec.parse(args.technique)
-        for entry in args.techniques.split(","):
-            if entry:
-                TechniqueSpec.parse(entry)
+        return args.handler(args)
     except ConfigurationError as exc:
+        # A bad spec, worker count or fault-model list, or a trace this
+        # build cannot read: the message names it, with no traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    start = time.time()
-    if args.artifact == "monitor":
-        from repro.experiments.monitor import run_monitor
-
-        return run_monitor(
-            args,
-            lambda: Harness(
-                HarnessConfig(scale=args.scale, seed=args.seed),
-                cache_dir=args.cache_dir,
-            ),
-        )
-    if args.artifact == "history":
-        return _run_history(args)
-    if args.artifact in ("profile", "tracediff"):
-        offline = _run_profile if args.artifact == "profile" else _run_tracediff
-        try:
-            return offline(args)
-        except ConfigurationError as exc:
-            # A trace this build cannot read (other schema, headerless,
-            # malformed line): the decoder's message names the line.
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if args.artifact == "crashmatrix":
-        try:
-            rc = _run_crashmatrix(args)
-        except ConfigurationError as exc:
-            # No, repeated or unknown fault models; a payload-free stream.
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"\n[{time.time() - start:.1f}s]", file=sys.stderr)
-        return rc
-    harness = Harness(
-        HarnessConfig(scale=args.scale, seed=args.seed),
-        cache_dir=args.cache_dir,
-    )
-    if args.artifact == "run":
-        rc = _run_traced(harness, args)
-        print(f"\n[{time.time() - start:.1f}s]", file=sys.stderr)
-        return rc
-    if args.jobs > 1:
-        from repro.experiments.parallel import grid_for
-
-        cells = grid_for(harness, args.artifact)
-        if cells:
-            grid_start = time.time()
-            harness.run_grid(cells, jobs=args.jobs, progress=_heartbeat)
-            print(
-                f"[grid: {len(cells)} cells on {args.jobs} workers in "
-                f"{time.time() - grid_start:.1f}s]",
-                file=sys.stderr,
-            )
-    if args.artifact == "all":
-        body = generate(harness, write_path=args.write, svg_dir=args.svg)
-        print(body)
-    else:
-        art = GENERATORS[args.artifact](harness)
-        print(art.title)
-        print()
-        print(art.text)
-        if args.svg and args.artifact.startswith("figure"):
-            from repro.experiments.plots import write_artifact_svgs
-
-            for path in write_artifact_svgs(art, args.svg):
-                print(f"wrote {path}", file=sys.stderr)
-    print(f"\n[{time.time() - start:.1f}s]", file=sys.stderr)
-    return 0
 
 
 if __name__ == "__main__":

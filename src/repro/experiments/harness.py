@@ -206,39 +206,6 @@ def execute_cell(
     )
 
 
-def record_grid(
-    harness: "Harness",
-    results: Dict[Cell, RunResult],
-    *,
-    jobs: int,
-    wall_s: float,
-) -> None:
-    """Append one ``grid`` ledger record for a completed batch.
-
-    The spec is the harness configuration plus the (sorted) cell list —
-    everything the grid's outcome depends on — so re-running the same
-    grid extends one timeline.  ``jobs`` is environment-flavoured
-    scheduling detail (it cannot change results) and goes under
-    ``extra``.  Shared by the sequential path and ``run_grid_parallel``;
-    best-effort like every ledger write.
-    """
-    if not results:
-        return
-    from repro.obs.ledger import grid_cells_payload, record_run
-
-    rows, totals = grid_cells_payload(results)
-    record_run(
-        "grid",
-        {
-            "config": dataclasses.asdict(harness.config),
-            "cells": [list(cell) for cell in sorted(results)],
-        },
-        totals,
-        wall_s=wall_s,
-        extra={"cells": rows, "jobs": jobs},
-    )
-
-
 class Harness:
     """Cached experiment runner (see module docstring).
 
@@ -438,40 +405,59 @@ class Harness:
     def run_grid(
         self, cells: Iterable[Cell], jobs: int = 1, progress=None
     ) -> Dict[Cell, RunResult]:
-        """Execute a batch of cells, optionally across worker processes.
+        """Execute a batch of cells, optionally across worker processes,
+        and append one ``grid`` ledger record for it.
 
-        With ``jobs > 1`` the cells fan out over a process pool (see
+        Each cell's technique is canonicalized through the one parser
+        first (a bad spec raises before anything runs), so spellings of
+        one cell run once and land under :meth:`run`'s key.  With
+        ``jobs > 1`` the distinct cells fan out over a process pool (see
         ``repro.experiments.parallel``); results are identical to the
         sequential path because every cell is a pure function of the
         configuration.  Either way, completed cells land in this
         harness's in-memory cache, so artifact generators that re-request
-        them afterwards get hits.
+        them afterwards get hits.  The returned dict is keyed by the
+        cells as given.
 
         ``progress(done, total, cell)``, if given, is invoked after each
-        completed cell on both the sequential and parallel paths.  A
-        callback declaring a fourth parameter additionally receives the
-        cell's metric snapshot
-        (:func:`repro.obs.live.snapshot_from_result`) — the richer hook
-        the live monitor attaches to.
+        completed canonical cell on both paths.  The ``grid`` record is
+        best-effort like every ledger write.
         """
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-        cells = list(dict.fromkeys(cells))
-        if jobs > 1 and len(cells) > 1:
+        canonical = {
+            cell: (cell[0], str(TechniqueSpec.parse(cell[1])), cell[2])
+            for cell in cells
+        }
+        unique = list(dict.fromkeys(canonical.values()))
+        started = time.monotonic()
+        if jobs > 1 and len(unique) > 1:
             from repro.experiments.parallel import run_grid_parallel
 
-            return run_grid_parallel(self, cells, jobs, progress=progress)
-        from repro.obs.live import resolve_grid_progress
+            results = run_grid_parallel(self, unique, jobs, progress=progress)
+        else:
+            results = {}
+            for cell in unique:
+                results[cell] = self.run(*cell)
+                if progress is not None:
+                    progress(len(results), len(unique), cell)
+        if results:
+            # The spec is the configuration plus the sorted cells, all the
+            # outcome depends on; ``jobs`` cannot change it, so it is extra.
+            from repro.obs.ledger import grid_cells_payload, record_run
 
-        notify = resolve_grid_progress(progress)
-        started = time.monotonic()
-        results: Dict[Cell, RunResult] = {}
-        for cell in cells:
-            results[cell] = self.run(*cell)
-            if notify is not None:
-                notify(len(results), len(cells), cell, results[cell])
-        record_grid(self, results, jobs=1, wall_s=time.monotonic() - started)
-        return results
+            rows, totals = grid_cells_payload(results)
+            record_run(
+                "grid",
+                {
+                    "config": dataclasses.asdict(self.config),
+                    "cells": [list(cell) for cell in sorted(results)],
+                },
+                totals,
+                wall_s=time.monotonic() - started,
+                extra={"cells": rows, "jobs": jobs},
+            )
+        return {cell: results[key] for cell, key in canonical.items()}
 
     # ------------------------------------------------------------------
 

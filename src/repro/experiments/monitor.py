@@ -2,13 +2,14 @@
 
 Two modes, one pipeline (DESIGN.md §12):
 
-- **grid mode** (default) attaches to a harness grid via the rich
-  progress hook — each finished cell's metric snapshot
-  (:func:`repro.obs.live.snapshot_from_result`) flows into the
-  :class:`~repro.obs.live.AlertEngine` and onto a periodically
-  refreshing terminal dashboard, including cells computed by ``--jobs``
-  worker processes (snapshots are derived parent-side from the shipped
-  results, so nothing extra crosses the process boundary);
+- **grid mode** (default) runs a harness grid with a progress
+  callback that turns each finished cell into a metric snapshot
+  (:func:`repro.obs.live.snapshot_from_result` of the cell's memoized
+  result) for the :class:`~repro.obs.live.AlertEngine` and a
+  periodically refreshing terminal dashboard, including cells computed
+  by ``--jobs`` worker processes (snapshots are derived parent-side
+  from the shipped results, so nothing extra crosses the process
+  boundary);
 - **follow mode** (``--follow PATH``) tails a schema-3 JSONL trace file
   as it is being written — e.g. a :class:`~repro.obs.live.StreamingRecorder`
   spill from another process — recording every event into a
@@ -38,6 +39,7 @@ from repro.obs.live import (
     StreamingProfile,
     default_rules,
     parse_rule,
+    snapshot_from_result,
 )
 from repro.obs.trace import TRACE_SCHEMA_VERSION, decode_trace_line
 
@@ -144,8 +146,9 @@ def monitor_grid(
                 )
         board.draw(lines, force=force)
 
-    def on_cell(done: int, total: int, cell, snapshot: Dict) -> None:
-        snapshot = dict(snapshot)
+    def on_cell(done: int, total: int, cell) -> None:
+        # The cell has just landed in the harness's memo: a hit, no run.
+        snapshot = snapshot_from_result(cell, harness.run(*cell))
         snapshot["index"] = done - 1
         snapshots.append(snapshot)
         engine.observe_window(snapshot, source=snapshot["cell"])

@@ -30,7 +30,6 @@ results.  :class:`TaskPool` fans them over one
 from __future__ import annotations
 
 import multiprocessing as mp
-import time
 import warnings
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -38,7 +37,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.cache.spec import TechniqueSpec
 from repro.common.errors import SimulationError
-from repro.experiments.harness import Cell, Harness, ProfileSummary, record_grid
+from repro.experiments.harness import Cell, Harness, ProfileSummary
 from repro.nvram.stats import RunResult
 
 #: Base techniques whose cells require a profiling pass first.
@@ -198,7 +197,9 @@ def run_grid_parallel(
     jobs: int,
     progress=None,
 ) -> Dict[Cell, RunResult]:
-    """Fan ``cells`` over up to ``jobs`` worker processes.
+    """Fan ``cells`` over up to ``jobs`` worker processes:
+    :meth:`Harness.run_grid`'s pool path, for distinct cells already in
+    canonical spelling.
 
     Cells already in the harness's memory cache are served from it;
     everything computed by workers is folded back in, so the calling
@@ -208,21 +209,13 @@ def run_grid_parallel(
     ``progress``, if given, is called as ``progress(done, total, cell)``
     after every completed cell — the per-cell heartbeat long parallel
     sweeps print so a stalled worker is visible before the pool joins.
-    A four-parameter callback additionally receives the cell's metric
-    snapshot (:func:`repro.obs.live.snapshot_from_result`), computed
-    parent-side from the worker's shipped result — no extra IPC.
     """
-    from repro.obs.live import resolve_grid_progress
-
-    notify = resolve_grid_progress(progress)
-    started = time.monotonic()
-    cells = list(dict.fromkeys(cells))
     results: Dict[Cell, RunResult] = {}
 
     def landed(cell: Cell, result: RunResult) -> None:
         results[cell] = result
-        if notify is not None:
-            notify(len(results), len(cells), cell, result)
+        if progress is not None:
+            progress(len(results), len(cells), cell)
 
     pending: List[Cell] = []
     for cell in cells:
@@ -296,9 +289,7 @@ def run_grid_parallel(
             pool.drain()
 
     # Request order, whatever order the workers finished in.
-    results = {cell: results[cell] for cell in cells}
-    record_grid(harness, results, jobs=jobs, wall_s=time.monotonic() - started)
-    return results
+    return {cell: results[cell] for cell in cells}
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +300,11 @@ def run_grid_parallel(
 def grid_for(harness: Harness, artifact: str) -> List[Cell]:
     """The cells one artifact generator will request, in request order.
 
-    Mirrors the loops in ``tables.py`` / ``figures.py`` so a parallel
-    sweep can pre-warm the harness before the (sequential) generator
-    renders.  Artifacts that only do MRC analysis (figure2, figure7)
-    need profile traces, not runs, and contribute no cells.
+    Mirrors the loops in ``tables.py`` / ``figures.py``: an artifact
+    command computes exactly these through :meth:`Harness.run_grid`, at
+    any ``--jobs``, before the generator renders from the memo.
+    Artifacts that only do MRC analysis (figure2, figure7) need profile
+    traces, not runs, and contribute no cells.
     """
     splash2 = list(harness.splash2_workloads())
     everything = list(harness.all_workloads())

@@ -115,11 +115,16 @@ def generate(
     artifacts: Optional[Sequence[str]] = None,
     write_path: Optional[str] = None,
     svg_dir: Optional[str] = None,
+    started: Optional[float] = None,
 ) -> str:
-    """Produce (and optionally write) the EXPERIMENTS.md content."""
+    """Produce (and optionally write) the EXPERIMENTS.md content.
+
+    The "generated in" clock runs from ``started`` (a ``time.time()``;
+    default now), so a caller that computed the grid first counts it.
+    """
     harness = harness or Harness(HarnessConfig())
     names = list(artifacts or GENERATORS)
-    start = time.time()
+    start = time.time() if started is None else started
     blocks: List[str] = []
     for name in names:
         art = GENERATORS[name](harness)

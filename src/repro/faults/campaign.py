@@ -207,16 +207,6 @@ class CrashMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _crash_info(golden: GoldenRun, site: int, model: str, violated: bool) -> dict:
-    """The per-crash progress record (the monitor feed)."""
-    return {
-        "site": site,
-        "model": model,
-        "site_class": golden.site_class(site),
-        "violated": violated,
-    }
-
-
 def _sweep(
     golden: GoldenRun,
     chunk: Tuple[Sequence[int], Tuple[str, ...]],
@@ -280,9 +270,7 @@ def run_campaign(
     cannot partition over ``threads`` runs single-threaded instead —
     the hash benchmark, for one, is single-threaded by construction.
     ``progress(done, total)`` is called after every injected crash, in
-    each sweep site-major (at each site, every model in spec order); a
-    callback declaring a third parameter also receives a per-crash info
-    dict (``site``/``model``/``site_class``/``violated``).
+    each sweep site-major (at each site, every model in spec order).
 
     ``recorder``/``metrics`` attach the observability layer to the one
     replay a campaign performs, the golden run (the sweeps execute
@@ -375,25 +363,12 @@ def run_campaign(
         fault_models=tuple(spec.fault_models),
     )
 
-    if progress is not None:
-        from repro.obs.live import progress_arity
-
-        # Legacy callbacks take (done, total); richer ones declare a
-        # third parameter and also get {site, model, site_class,
-        # violated} per injected crash — the live monitor's feed.
-        if progress_arity(progress) >= 3:
-            notify = progress
-        else:
-            notify = lambda done, total, info: progress(done, total)
-    else:
-        notify = None
-
     replies: List[Tuple[int, str, List[dict]]] = []
 
     def landed(site: int, model: str, violations: List[dict]) -> None:
         replies.append((site, model, violations))
-        if notify is not None:
-            notify(len(replies), total, _crash_info(golden, site, model, bool(violations)))
+        if progress is not None:
+            progress(len(replies), total)
 
     if spec.jobs > 1 and len(sites) > 1:
         from repro.experiments.parallel import TaskPool

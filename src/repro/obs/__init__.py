@@ -11,8 +11,6 @@
   as text / markdown / self-contained HTML (import it explicitly: it
   pulls in the experiment harness's SVG renderer, which the simulator
   must not depend on, so this package does not).
-- :mod:`repro.obs.runner` — ``traced_run``: one harness cell executed
-  with a live recorder/registry (the ``repro.experiments run`` CLI).
 - :mod:`repro.obs.live` — the streaming pipeline: bounded
   :class:`~repro.obs.live.StreamingRecorder` with incremental JSONL
   spill, window-folding :class:`~repro.obs.live.StreamingProfile`, and

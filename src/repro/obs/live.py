@@ -682,43 +682,18 @@ class AlertEngine:
 
 
 # ---------------------------------------------------------------------------
-# rich progress plumbing (shared by harness, parallel grids and campaigns)
+# grid cells as snapshots (the monitor's grid feed)
 # ---------------------------------------------------------------------------
-
-
-def progress_arity(progress: Callable) -> int:
-    """How many positional arguments a progress callback accepts.
-
-    The grid runners historically call ``progress(done, total, cell)``
-    and the fault campaigns ``progress(done, total)``; the live monitor
-    wants a richer payload.  Callers use this to stay compatible with
-    both: callbacks keep their old arity, richer callbacks opt in by
-    declaring one more parameter.  Unintrospectable callables (C
-    builtins) are treated as legacy-arity (-1 = unknown).
-    """
-    import inspect
-
-    try:
-        sig = inspect.signature(progress)
-    except (TypeError, ValueError):
-        return -1
-    n = 0
-    for p in sig.parameters.values():
-        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD):
-            n += 1
-        elif p.kind == p.VAR_POSITIONAL:
-            return 99
-    return n
 
 
 def snapshot_from_result(cell: object, result: object) -> Dict:
     """Distill one finished grid cell into a flat metric snapshot dict.
 
-    The per-cell payload the richer progress hook carries out of worker
-    processes: everything the dashboard and the alert rules need,
-    computed parent-side from the (already shipped) ``RunResult`` — no
-    extra IPC.  Keys deliberately overlap :class:`WindowSnapshot`'s
-    where the semantics match, so one rule grammar covers both feeds.
+    What the grid monitor feeds its alert rules per finished cell:
+    everything the dashboard and the rules need, computed parent-side
+    from the (already shipped) ``RunResult`` — no extra IPC.  Keys
+    deliberately overlap :class:`WindowSnapshot`'s where the semantics
+    match, so one rule grammar covers both feeds.
 
     ``cell`` is the harness's ``(workload, technique, threads)`` tuple
     (anything else is stringified into the ``cell`` key).
@@ -751,22 +726,3 @@ def snapshot_from_result(cell: object, result: object) -> Dict:
         "selections": selections,
         "selected_sizes": [list(t.selected_sizes) for t in threads],
     }
-
-
-def resolve_grid_progress(progress: Optional[Callable]) -> Optional[Callable]:
-    """Normalize a grid progress callback to ``fn(done, total, cell, result)``.
-
-    Legacy three-argument callbacks keep their ``(done, total, cell)``
-    contract; callbacks declaring a fourth parameter additionally
-    receive the finished cell's :func:`snapshot_from_result` — how the
-    live monitor gets per-cell metrics out of a grid without changing
-    any existing caller.
-    """
-    if progress is None:
-        return None
-    arity = progress_arity(progress)
-    if arity >= 4 or arity == 99:
-        return lambda done, total, cell, result: progress(
-            done, total, cell, snapshot_from_result(cell, result)
-        )
-    return lambda done, total, cell, result: progress(done, total, cell)

@@ -5,6 +5,7 @@ import pytest
 from repro.cache.adaptive import AdaptiveConfig, AdaptiveController
 from repro.cache.spec import technique_factory
 from repro.common.errors import ConfigurationError
+from repro.experiments.harness import Harness, HarnessConfig, sc_factory_kwargs
 from repro.nvram.machine import Machine, MachineConfig
 from repro.workloads.base import BatchCachingWorkload
 from repro.workloads.registry import get_workload
@@ -114,3 +115,21 @@ def test_a_warm_up_costs_one_sample_more(use_batches):
         assert (machine.absorbed_stores > 0) == use_batches
         charged[skip] = samples
     assert charged == {0: burst, burst: burst + 1}
+
+
+def test_a_sampling_sc_takes_its_runs():
+    """A count, not a timing: SC absorbs line-touch runs while its sampler
+    is open too.  Declining them for the skip and record phases (2 x burst
+    writes per thread) read 17,909 and 14,362 here and cost ~1.2x on the
+    report grids; SC-offline reads 20,359 and 20,017."""
+    harness = Harness(HarnessConfig(scale=0.1, seed=7))
+    for name, threads, absorbed in (("barnes", 1, 20337), ("water-spatial", 8, 19914)):
+        workload = harness.workload(name)
+        kwargs = sc_factory_kwargs(
+            harness.config, workload, "SC", threads, harness.profile_summary(name)
+        )
+        machine = Machine(harness.config.machine_config())
+        machine.run(
+            workload, technique_factory("SC", **kwargs), num_threads=threads, seed=7
+        )
+        assert machine.absorbed_stores == absorbed, name

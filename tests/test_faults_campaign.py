@@ -695,36 +695,34 @@ def test_a_journal_cut_equals_a_replay(workload, kwargs):
         assert state == want, (state.at_site, state.fault_model)
 
 
-def test_campaign_progress_streams_in_sweep_order():
+def test_campaign_progress_streams_in_sweep_order(monkeypatch):
     workload = LinkedListWorkload(elements=12)
     spec = FaultCampaignSpec(
         fault_models=("torn_line", "clean"), max_sites=100_000
     )
-    seen = []
+    judged, seen = [], []
+    real = campaign.check_crash
+
+    def judging(golden, site, state):
+        judged.append((state.fault_model, site))
+        return real(golden, site, state)
+
+    monkeypatch.setattr(campaign, "check_crash", judging)
     matrix = run_campaign(
         workload,
         technique="SC",
         spec=spec,
-        progress=lambda d, t, info: seen.append((d, t, info["model"], info["site"])),
+        progress=lambda done, total: seen.append((done, total, len(judged))),
     )
     total = 2 * matrix.total_sites
-    assert [d for d, _t, _m, _s in seen] == list(range(1, total + 1))
-    assert {t for _d, t, _m, _s in seen} == {total}
+    # One call per judged crash, right after its verdict.
+    assert seen == [(d, total, d) for d in range(1, total + 1)]
     # Site-major as the one sweep captures them: sites ascending, every
     # model at a site in the spec's order.
     every_site = list(range(matrix.total_sites))
-    assert [(m, s) for _d, _t, m, s in seen] == [
+    assert judged == [
         (model, site) for site in every_site for model in spec.fault_models
     ]
-    # The two-argument spelling keeps working.
-    counts = []
-    run_campaign(
-        workload,
-        technique="SC",
-        spec=spec,
-        progress=lambda done, total: counts.append((done, total)),
-    )
-    assert counts == [(d, total) for d in range(1, total + 1)]
 
 
 @pytest.mark.parametrize("threads", [1, 2])

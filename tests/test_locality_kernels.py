@@ -146,3 +146,46 @@ def test_renaming_stays_injective_past_62_bits():
     pairs = renamed_ids(trace)
     assert len(set(zip(pairs, renamed.lines.tolist()))) == len(set(pairs))
     assert renamed.m == len(set(pairs))
+
+
+# ---------------------------------------------------------------------------
+# On program traces: one sort, and the simulation to the miss
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def program_traces():
+    from repro.experiments.harness import Harness, HarnessConfig
+
+    harness = Harness(HarnessConfig(scale=0.1, seed=7))
+    return {name: harness.trace(name) for name in ("barnes", "fmm", "mdb")}
+
+
+def test_the_linear_time_mrc_sorts_once(program_traces):
+    """A count, not a timing: ``mrc_from_trace`` used to pay four
+    O(n log n) passes (``np.unique`` x3 and a stable argsort).  Renaming
+    is arithmetic now, and the reuse intervals sort the raw ids once."""
+    from unittest import mock
+
+    from repro.locality.mrc import mrc_from_trace
+
+    spies = {name: mock.Mock(wraps=getattr(np, name))
+             for name in ("unique", "argsort", "sort", "lexsort")}
+    with mock.patch.multiple(np, **spies):
+        mrc_from_trace(program_traces["barnes"])
+    calls = {name: spy.call_count for name, spy in spies.items()}
+    assert calls == {"unique": 0, "argsort": 1, "sort": 0, "lexsort": 0}
+
+
+@pytest.mark.parametrize("name", ["barnes", "fmm", "mdb"])
+def test_exact_mrc_counts_the_lru_simulations_misses(name, program_traces):
+    """The two "actual MRC" references, column kernel and per-size LRU
+    simulation, agree to the miss (their floats differ in the last ulp:
+    1 - hits/n against misses/n)."""
+    from repro.experiments.figures import FIG7_SIZES
+    from repro.locality.reference import lru_mrc
+
+    trace = program_traces[name]
+    exact = exact_mrc(trace).miss_ratios_at(FIG7_SIZES)
+    simulated = lru_mrc(trace, FIG7_SIZES)
+    assert np.array_equal(np.rint(exact * trace.n), np.rint(simulated * trace.n))

@@ -6,10 +6,12 @@ profiles must reconcile — counter for counter — with the RunResult the
 same run produced.
 """
 
+import functools
 import json
 
 import pytest
 
+from repro import api
 from repro.common.errors import ConfigurationError
 from repro.obs.analyze import (
     AnalyzerConfig,
@@ -20,7 +22,6 @@ from repro.obs.analyze import (
     max_severity,
     reconcile,
 )
-from repro.obs.runner import traced_run
 from repro.obs.trace import (
     EV_BURST_START,
     EV_DRAIN,
@@ -34,6 +35,9 @@ from repro.obs.trace import (
     TraceRecorder,
     parse_jsonl,
 )
+
+#: A spec in ``tiny_harness``'s configuration.
+_tiny = functools.partial(api.RunSpec, scale=0.02, seed=7)
 
 # ---------------------------------------------------------------------------
 # Synthetic traces
@@ -261,7 +265,7 @@ def test_diagnoses_sorted_most_severe_first():
 
 def test_profile_reconciles_with_run_result(tiny_harness):
     for cell in (("queue", "SC", 2), ("queue", "LA", 1), ("mdb", "SC", 1)):
-        result, recorder, _ = traced_run(tiny_harness, cell[0], cell[1], threads=cell[2])
+        result, recorder, _ = api.traced_run(_tiny(*cell), harness=tiny_harness)
         profile = analyze(recorder)
         assert reconcile(profile, result) == [], cell
 
@@ -270,7 +274,7 @@ def test_seed_workloads_raise_no_oscillation(tiny_harness):
     """Seed threads adapt at most once, so the acceptance baseline is
     oscillation-free (the thresholds are calibrated against this)."""
     for workload in ("queue", "linked-list"):
-        _, recorder, _ = traced_run(tiny_harness, workload, "SC", threads=2)
+        _, recorder, _ = api.traced_run(_tiny(workload, "SC", 2), harness=tiny_harness)
         profile = analyze(recorder)
         assert all(d.code != "knee_oscillation" for d in profile.diagnoses), workload
         assert all(d.code != "resize_storm" for d in profile.diagnoses), workload
@@ -280,7 +284,7 @@ def test_seed_workloads_raise_no_oscillation(tiny_harness):
 def test_profile_is_byte_deterministic(tiny_harness):
     docs = []
     for _ in range(2):
-        _, recorder, _ = traced_run(tiny_harness, "queue", "SC", threads=2)
+        _, recorder, _ = api.traced_run(_tiny("queue", "SC", 2), harness=tiny_harness)
         docs.append(analyze(recorder).to_json())
     assert docs[0] == docs[1]
     json.loads(docs[0])  # valid JSON with trailing newline
@@ -290,7 +294,7 @@ def test_profile_is_byte_deterministic(tiny_harness):
 def test_profile_survives_jsonl_round_trip(tiny_harness):
     """Analyzing a parsed-back trace gives the identical profile —
     the on-disk document loses nothing the analyzer uses."""
-    _, recorder, _ = traced_run(tiny_harness, "queue", "SC", threads=2)
+    _, recorder, _ = api.traced_run(_tiny("queue", "SC", 2), harness=tiny_harness)
     direct = analyze(recorder).to_json()
     parsed = analyze(parse_jsonl(recorder.to_jsonl())).to_json()
     assert direct == parsed
@@ -302,8 +306,8 @@ def test_profile_survives_jsonl_round_trip(tiny_harness):
 
 
 def test_diff_identical_profiles_is_ok(tiny_harness):
-    _, r1, _ = traced_run(tiny_harness, "queue", "SC", threads=2)
-    _, r2, _ = traced_run(tiny_harness, "queue", "SC", threads=2)
+    _, r1, _ = api.traced_run(_tiny("queue", "SC", 2), harness=tiny_harness)
+    _, r2, _ = api.traced_run(_tiny("queue", "SC", 2), harness=tiny_harness)
     diff = diff_profiles(analyze(r1), analyze(r2))
     assert diff["verdict"] == "ok"
     assert all(e["ok"] for e in diff["entries"])
@@ -311,16 +315,16 @@ def test_diff_identical_profiles_is_ok(tiny_harness):
 
 
 def test_diff_flags_changed_runs(tiny_harness):
-    _, r1, _ = traced_run(tiny_harness, "queue", "SC", threads=2)
-    _, r2, _ = traced_run(tiny_harness, "queue", "LA", threads=2)
+    _, r1, _ = api.traced_run(_tiny("queue", "SC", 2), harness=tiny_harness)
+    _, r2, _ = api.traced_run(_tiny("queue", "LA", 2), harness=tiny_harness)
     diff = diff_profiles(analyze(r1), analyze(r2))
     assert diff["verdict"] == "different"
     assert any(not e["ok"] for e in diff["entries"])
 
 
 def test_diff_incomparable_thread_sets(tiny_harness):
-    _, r1, _ = traced_run(tiny_harness, "queue", "SC", threads=2)
-    _, r2, _ = traced_run(tiny_harness, "queue", "SC", threads=1)
+    _, r1, _ = api.traced_run(_tiny("queue", "SC", 2), harness=tiny_harness)
+    _, r2, _ = api.traced_run(_tiny("queue", "SC", 1), harness=tiny_harness)
     diff = diff_profiles(analyze(r1), analyze(r2))
     assert diff["verdict"] == "incomparable"
     assert diff["entries"] == []

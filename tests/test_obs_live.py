@@ -26,8 +26,6 @@ from repro.obs.live import (
     StreamingRecorder,
     default_rules,
     parse_rule,
-    progress_arity,
-    resolve_grid_progress,
     snapshot_from_result,
 )
 from repro.obs.trace import (
@@ -411,32 +409,8 @@ def test_default_rules_stay_silent_on_a_seed_run():
 
 
 # ---------------------------------------------------------------------------
-# rich progress plumbing
+# grid cells as snapshots
 # ---------------------------------------------------------------------------
-
-
-def test_progress_arity():
-    assert progress_arity(lambda d, t: None) == 2
-    assert progress_arity(lambda d, t, c: None) == 3
-    assert progress_arity(lambda d, t, c, s: None) == 4
-    assert progress_arity(lambda *a: None) == 99
-    assert progress_arity(len) in (-1, 1)    # builtins may be opaque
-
-
-def test_resolve_grid_progress_dispatches_by_arity():
-    legacy, rich = [], []
-    three = resolve_grid_progress(lambda d, t, c: legacy.append((d, t, c)))
-    four = resolve_grid_progress(lambda d, t, c, s: rich.append(s))
-
-    class _Result:
-        threads = ()
-        time = 0
-
-    three(1, 2, ("w", "SC", 1), _Result())
-    four(1, 2, ("w", "SC", 1), _Result())
-    assert legacy == [(1, 2, ("w", "SC", 1))]
-    assert rich[0]["cell"] == "w/SC/t1"
-    assert resolve_grid_progress(None) is None
 
 
 def test_snapshot_from_result_on_a_real_cell(tiny_harness):
@@ -453,52 +427,33 @@ def test_snapshot_from_result_on_a_real_cell(tiny_harness):
     )
 
 
+def _grid_snapshots(harness, jobs):
+    """The per-cell snapshots ``monitor --grid table1`` feeds its rules."""
+    from repro.experiments.monitor import monitor_grid
+
+    with AlertEngine([]) as engine:
+        summary = monitor_grid(harness, "table1", jobs=jobs, engine=engine, once=True)
+    return summary["snapshots"]
+
+
 def test_run_grid_feeds_rich_progress(tiny_harness):
-    cells = [("queue", "SC", 1), ("queue", "BEST", 1)]
-    rich = []
-    tiny_harness.run_grid(
-        cells, progress=lambda d, t, c, s: rich.append((d, t, c, s["cell"]))
-    )
-    assert rich == [
-        (1, 2, ("queue", "SC", 1), "queue/SC/t1"),
-        (2, 2, ("queue", "BEST", 1), "queue/BEST/t1"),
+    """The three-argument grid callback is enough for the monitor: each
+    cell's snapshot comes from the harness's memo, in grid order."""
+    from repro.experiments.parallel import grid_for
+
+    snapshots = _grid_snapshots(tiny_harness, jobs=1)
+    cells = grid_for(tiny_harness, "table1")
+    assert snapshots == [
+        dict(snapshot_from_result(cell, tiny_harness.run(*cell)), index=i)
+        for i, cell in enumerate(cells)
     ]
-    legacy = []
-    tiny_harness.run_grid(cells, progress=lambda d, t, c: legacy.append(c))
-    assert legacy == cells
 
 
-def test_parallel_grid_feeds_rich_progress():
-    from repro.experiments.harness import Harness, HarnessConfig
+def test_parallel_grid_feeds_rich_progress(tiny_harness):
+    """Cells computed by workers give the monitor the same snapshots."""
+    from repro.experiments.harness import Harness
 
-    harness = Harness(HarnessConfig(scale=0.02, seed=7))
-    cells = [("queue", "SC", 1), ("queue", "BEST", 1)]
-    rich = []
-    harness.run_grid(
-        cells, jobs=2, progress=lambda d, t, c, s: rich.append(s["cell"])
-    )
-    assert sorted(rich) == ["queue/BEST/t1", "queue/SC/t1"]
-
-
-def test_campaign_feeds_rich_progress():
-    from repro.faults.campaign import FaultCampaignSpec, run_campaign
-
-    infos = []
-    run_campaign(
-        "linked-list",
-        technique="SC",
-        scale=0.02,
-        spec=FaultCampaignSpec(max_sites=4),
-        progress=lambda d, t, info: infos.append(info),
-    )
-    assert len(infos) >= 4                  # sites x crash models
-    assert {"site", "model", "site_class", "violated"} <= set(infos[0])
-    legacy = []
-    run_campaign(
-        "linked-list",
-        technique="SC",
-        scale=0.02,
-        spec=FaultCampaignSpec(max_sites=4),
-        progress=lambda d, t: legacy.append(d),
-    )
-    assert legacy == list(range(1, len(infos) + 1))
+    by_cell = lambda snaps: {s["cell"]: {**s, "index": None} for s in snaps}
+    parallel = _grid_snapshots(Harness(tiny_harness.config), jobs=2)
+    assert sorted(s["index"] for s in parallel) == list(range(len(parallel)))
+    assert by_cell(parallel) == by_cell(_grid_snapshots(tiny_harness, jobs=1))

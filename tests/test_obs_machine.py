@@ -6,11 +6,12 @@ per-event and batched execution paths emit the same events, and repeated
 traced runs of one configuration export byte-identical documents.
 """
 
+import functools
 import json
 
+from repro import api
 from repro.cache.spec import technique_factory
 from repro.nvram.machine import Machine, MachineConfig
-from repro.obs.runner import traced_run
 from repro.obs.trace import (
     EV_DRAIN,
     EV_EVICT_FLUSH,
@@ -22,6 +23,9 @@ from repro.obs.trace import (
 )
 from repro.workloads.registry import get_workload
 
+#: A spec in ``tiny_harness``'s configuration.
+_tiny = functools.partial(api.RunSpec, scale=0.02, seed=7)
+
 CELL = ("queue", "SC", 2)
 
 
@@ -32,9 +36,7 @@ def test_untraced_machine_holds_the_null_recorder():
 
 
 def test_size_selected_events_match_run_result(tiny_harness):
-    result, recorder, _ = traced_run(
-        tiny_harness, CELL[0], CELL[1], threads=CELL[2]
-    )
+    result, recorder, _ = api.traced_run(_tiny(*CELL), harness=tiny_harness)
     got = {}
     for e in recorder.events_of(EV_SIZE_SELECTED):
         got.setdefault(e.thread_id, []).append(e.a)
@@ -44,16 +46,14 @@ def test_size_selected_events_match_run_result(tiny_harness):
 
 
 def test_tracing_does_not_perturb_the_run(tiny_harness):
-    traced, recorder, _ = traced_run(
-        tiny_harness, CELL[0], CELL[1], threads=CELL[2]
-    )
+    traced, recorder, _ = api.traced_run(_tiny(*CELL), harness=tiny_harness)
     plain = tiny_harness.run(*CELL)
     assert traced.to_dict() == plain.to_dict()
     assert len(recorder) > 0
 
 
 def test_fase_spans_are_balanced(tiny_harness):
-    result, recorder, _ = traced_run(tiny_harness, "queue", "LA")
+    result, recorder, _ = api.traced_run(_tiny("queue", "LA"), harness=tiny_harness)
     begins = recorder.events_of(EV_FASE_BEGIN)
     ends = recorder.events_of(EV_FASE_END)
     assert len(begins) == len(ends) == result.fase_count
@@ -65,7 +65,9 @@ def test_fase_spans_are_balanced(tiny_harness):
 
 def test_trace_exports_are_deterministic(tiny_harness):
     runs = [
-        traced_run(tiny_harness, "queue", "SC", threads=2, metrics_interval=5000)
+        api.traced_run(
+            _tiny("queue", "SC", 2), harness=tiny_harness, metrics_interval=5000
+        )
         for _ in range(2)
     ]
     (_, rec1, met1), (_, rec2, met2) = runs
@@ -99,7 +101,7 @@ def test_per_event_and_batched_traces_are_identical():
 def test_drain_events_carry_fase_ids(tiny_harness):
     """FASE-boundary drains are attributed to the committing FASE; the
     final drain is marked unattributed (-1)."""
-    result, recorder, _ = traced_run(tiny_harness, "queue", "LA")
+    result, recorder, _ = api.traced_run(_tiny("queue", "LA"), harness=tiny_harness)
     drains = recorder.events_of(EV_DRAIN)
     assert drains, "LA drains at every FASE end"
     fase_uids = {e.a for e in recorder.events_of(EV_FASE_END)}
@@ -154,8 +156,8 @@ def test_resize_eviction_carries_the_resize_flag():
 
 
 def test_metrics_sampling_through_a_run(tiny_harness):
-    result, _, metrics = traced_run(
-        tiny_harness, "queue", "SC", threads=2, metrics_interval=2000
+    result, _, metrics = api.traced_run(
+        _tiny("queue", "SC", 2), harness=tiny_harness, metrics_interval=2000
     )
     names = metrics.series_names()
     for tid in range(2):

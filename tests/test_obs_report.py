@@ -1,5 +1,8 @@
 """Rendered trace reports: shape, self-containment, byte determinism."""
 
+import functools
+
+from repro import api
 from repro.obs import analyze, diff_profiles
 from repro.obs.report import (
     render_diff_html,
@@ -8,13 +11,15 @@ from repro.obs.report import (
     render_markdown,
     write_text,
 )
-from repro.obs.runner import traced_run
 from repro.obs.trace import EV_FASE_BEGIN, TraceRecorder
+
+#: A spec in ``tiny_harness``'s configuration.
+_tiny = functools.partial(api.RunSpec, scale=0.02, seed=7)
 
 
 def _profile(tiny_harness):
-    _, recorder, metrics = traced_run(
-        tiny_harness, "queue", "SC", threads=2, metrics_interval=5000
+    _, recorder, metrics = api.traced_run(
+        _tiny("queue", "SC", 2), harness=tiny_harness, metrics_interval=5000
     )
     return analyze(recorder), metrics
 
@@ -60,7 +65,7 @@ def test_html_clean_run_gets_the_green_badge(tiny_harness):
 def test_html_report_is_byte_deterministic(tiny_harness):
     docs = []
     for _ in range(2):
-        _, recorder, _ = traced_run(tiny_harness, "queue", "SC", threads=2)
+        _, recorder, _ = api.traced_run(_tiny("queue", "SC", 2), harness=tiny_harness)
         docs.append(render_html(analyze(recorder)))
     assert docs[0] == docs[1]
 
@@ -81,8 +86,8 @@ def test_reports_render_for_an_error_profile():
 
 
 def test_diff_renderers(tiny_harness):
-    _, r1, _ = traced_run(tiny_harness, "queue", "SC", threads=2)
-    _, r2, _ = traced_run(tiny_harness, "queue", "LA", threads=2)
+    _, r1, _ = api.traced_run(_tiny("queue", "SC", 2), harness=tiny_harness)
+    _, r2, _ = api.traced_run(_tiny("queue", "LA", 2), harness=tiny_harness)
     diff = diff_profiles(analyze(r1), analyze(r2))
     text = render_diff_text(diff, "sc", "la")
     assert "verdict: different" in text

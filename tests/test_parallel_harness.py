@@ -14,7 +14,9 @@ import warnings
 
 import pytest
 
+from repro.cache.spec import TechniqueSpec
 from repro.common.errors import ConfigurationError, SimulationError
+from repro.experiments import harness as harness_module
 from repro.experiments import parallel
 from repro.experiments.cache import ResultCache
 from repro.experiments.harness import (
@@ -25,6 +27,7 @@ from repro.experiments.harness import (
     sc_factory_kwargs,
 )
 from repro.experiments.parallel import grid_for, run_grid_parallel
+from repro.experiments.report import GENERATORS
 from tests.conftest import die_once_in_worker
 
 CONFIG = HarnessConfig(scale=0.02, seed=7)
@@ -359,19 +362,66 @@ def test_run_result_serialization_drops_traces():
 # ---------------------------------------------------------------------------
 
 
-def test_grid_for_matches_artifact_loops():
-    harness = Harness(CONFIG)
-    table1 = grid_for(harness, "table1")
-    assert ("barnes", "ER", 1) in table1 and ("barnes", "BEST", 1) in table1
-    assert len(table1) == 14
-    table2 = grid_for(harness, "table2")
-    assert table2 == [
-        ("mdb", t, 8) for t in ("ER", "AT", "SC", "SC-offline", "BEST")
-    ]
-    assert len(grid_for(harness, "table3")) == 12 * 5
-    assert grid_for(harness, "figure2") == []
-    everything = grid_for(harness, "all")
-    assert set(grid_for(harness, "figure5")) <= set(everything)
-    assert len(everything) == len(set(everything))
+def test_grid_for_matches_artifact_loops(monkeypatch):
+    """``grid_for`` decides what a command's grid runs at any ``--jobs``:
+    each generator asks :meth:`Harness.run` for exactly its cells, in its
+    order (an extra cell costs time; a missing one would run later,
+    outside the grid), and ``all`` is their union in generator order."""
+    harness = Harness(HarnessConfig(scale=0.005, seed=7))
+    canned = harness.run("barnes", "SC")
+    asked = []
+
+    def spy(self, name, technique, threads=1):
+        asked.append((name, str(TechniqueSpec.parse(technique)), threads))
+        return canned
+
+    monkeypatch.setattr(Harness, "run", spy)
+    every, sizes = [], {}
+    for artifact, generator in GENERATORS.items():
+        asked.clear()
+        generator(harness)
+        cells = list(dict.fromkeys(asked))
+        assert grid_for(harness, artifact) == cells, artifact
+        every += cells
+        sizes[artifact] = len(cells)
+    assert sizes == {
+        "table1": 14, "table2": 5, "table3": 60, "table4": 18,
+        "adaptation": 12, "policyzoo": 9, "figure2": 0, "figure4": 60,
+        "figure5": 126, "figure6": 84, "figure7": 0, "figure8": 32,
+    }
+    assert grid_for(harness, "all") == list(dict.fromkeys(every))
     with pytest.raises(KeyError):
         grid_for(harness, "figure9")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_grid_simulates_each_canonical_cell_once(jobs, monkeypatch, tmp_path):
+    """Spellings of one cell are one cell: simulated once (in whichever
+    process), memoized under :meth:`Harness.run`'s key, and returned
+    under every spelling the caller used.  A bad spec fails before any
+    pool starts."""
+    log = tmp_path / "executed"
+    real = harness_module.execute_cell
+
+    def counting(config, name, technique, threads, *args, **kwargs):
+        with open(log, "a") as fh:          # one O_APPEND line per simulation
+            fh.write(f"{name}/{technique}/{threads}\n")
+        return real(config, name, technique, threads, *args, **kwargs)
+
+    monkeypatch.setattr(harness_module, "execute_cell", counting)
+    harness = Harness(CONFIG)
+    cells = [("queue", "SC+victim", 1), ("queue", "SC+victim:16", 1), ("queue", "BEST", 1)]
+    results = harness.run_grid(cells, jobs=jobs)
+    assert list(results) == cells
+    assert results[cells[0]] is results[cells[1]]
+    harness.run("queue", "SC+victim")
+    harness.run("queue", "SC+victim:16")
+    assert sorted(log.read_text().split()) == ["queue/BEST/1", "queue/SC+victim:16/1"]
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool started")
+
+    monkeypatch.setattr(parallel, "TaskPool", no_pool)
+    with pytest.raises(ConfigurationError, match="nope"):
+        Harness(CONFIG).run_grid(cells + [("queue", "SC+nope:2", 1)], jobs=jobs)
+    assert len(log.read_text().split()) == 2

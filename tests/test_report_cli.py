@@ -201,3 +201,62 @@ def test_cli_crashmatrix_replays_once_per_campaign_at_any_job_count(
     bad = smoke[: smoke.index("--fault-models") + 1] + ["clean,clean"]
     assert main(bad) == 2
     assert replays.value == 0
+
+
+def test_cli_artifact_records_one_grid_at_any_job_count(monkeypatch, tmp_path, capsys):
+    """Every artifact command computes its grid through ``run_grid``, so
+    ``--jobs 1`` leaves the same ``grid`` ledger record ``--jobs 2`` does."""
+    from repro.obs.ledger import RunLedger
+
+    stable = {}
+    for jobs in (1, 2):
+        root = str(tmp_path / f"j{jobs}")
+        monkeypatch.setenv("REPRO_LEDGER", root)
+        assert main(["table1", "--scale", "0.02", "--seed", "7", "--jobs", str(jobs)]) == 0
+        (record,) = RunLedger(root).records(kind="grid")
+        stable[jobs] = record.stable_dict()
+        assert stable[jobs]["extra"].pop("jobs") == jobs
+    assert stable[1] == stable[2]
+
+
+_HARNESS = {"--scale", "--seed", "--cache-dir"}
+_GRID = _HARNESS | {"--jobs"}
+_OBSERVE = {"--threads", "--trace", "--metrics", "--metrics-interval"}
+#: Command -> the flags it reads, and so takes.
+_FLAGS = {
+    **{name: _GRID | ({"--svg"} if name.startswith("figure") else set())
+       for name in GENERATORS},
+    "all": _GRID | {"--svg", "--write"},
+    "run": _HARNESS | _OBSERVE | {"--workload", "--technique"},
+    "crashmatrix": _GRID | _OBSERVE | {
+        "--workloads", "--techniques", "--fault-models", "--max-sites",
+        "--sample-seed", "--out",
+    },
+    "profile": {"--trace", "--metrics", "--top-k", "--json", "--html", "--fail-on"},
+    "tracediff": {"--trace", "--tolerance", "--json", "--html"},
+    "monitor": _GRID | {
+        "--json", "--fail-on", "--grid", "--follow", "--once", "--refresh",
+        "--rule", "--alert-log", "--window", "--max-idle",
+    },
+    "history": {
+        "--json", "--html", "--query", "--ledger", "--metric", "--kind",
+        "--spec", "--threshold", "--direction", "--limit", "--md",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+def test_each_command_takes_only_its_own_flags(command, capsys):
+    import re
+
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    options = capsys.readouterr().out.split("options:", 1)[1]
+    listed = set(re.findall(r"^\s+(?:-h, )?(--[a-z][\w-]*)", options, re.M))
+    assert listed == _FLAGS[command] | {"--help"}
+    for flag in sorted(set().union(*_FLAGS.values()) - _FLAGS[command]):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, flag, "1"])
+        assert exit_.value.code == 2, flag
+        assert flag in capsys.readouterr().err
