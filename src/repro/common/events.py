@@ -107,7 +107,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SimulationError
 
 
 class EventKind:
@@ -539,15 +539,30 @@ StepStream = Iterator[Step]
 BATCH_CHUNK = 4096
 
 
-def batches_from_steps(steps: StepStream, chunk: int = BATCH_CHUNK) -> BatchStream:
-    """Pack a step stream into payload-free batches of ``chunk`` events
-    (the last one shorter), filled one chunk at a time: the batches
-    :func:`batches_from_events` makes of the same events."""
+def ragged_step(tid: int, index: int, step: Step) -> SimulationError:
+    """The error for step ``index`` of thread ``tid`` whose four columns
+    differ in length: every step consumer checks each step, so a
+    malformed one never runs as fewer events than it lists."""
+    lengths = "/".join(str(len(column)) for column in step)
+    return SimulationError(
+        f"thread {tid}: step {index} has columns of lengths {lengths} "
+        "(kinds/args/sizes/values); every column needs one entry per event"
+    )
+
+
+def batches_from_steps(
+    steps: StepStream, chunk: int = BATCH_CHUNK, tid: int = 0
+) -> BatchStream:
+    """Pack thread ``tid``'s step stream into payload-free batches of
+    ``chunk`` events (the last one shorter), filled one chunk at a time:
+    the batches :func:`batches_from_events` makes of the same events."""
     kinds, args, sizes = [], [], []
-    for step in steps:
-        kinds += step[0]
-        args += step[1]
-        sizes += step[2]
+    for index, (step_kinds, step_args, step_sizes, values) in enumerate(steps):
+        if not len(step_kinds) == len(step_args) == len(step_sizes) == len(values):
+            raise ragged_step(tid, index, (step_kinds, step_args, step_sizes, values))
+        kinds += step_kinds
+        args += step_args
+        sizes += step_sizes
         while len(kinds) >= chunk:
             batch = EventBatch()
             batch.kinds = array("b", bytes(kinds[:chunk]))
@@ -563,10 +578,13 @@ def batches_from_steps(steps: StepStream, chunk: int = BATCH_CHUNK) -> BatchStre
         yield batch
 
 
-def events_from_steps(steps: Iterable[Step]) -> EventStream:
-    """Decode steps into per-object events, payloads included."""
+def events_from_steps(steps: Iterable[Step], tid: int = 0) -> EventStream:
+    """Decode thread ``tid``'s steps into per-object events, payloads
+    included."""
     store, load, work, begin, end = Store, Load, Work, FaseBegin, FaseEnd
-    for kinds, args, sizes, values in steps:
+    for index, (kinds, args, sizes, values) in enumerate(steps):
+        if not len(kinds) == len(args) == len(sizes) == len(values):
+            raise ragged_step(tid, index, (kinds, args, sizes, values))
         for kind, arg, size, value in zip(kinds, args, sizes, values):
             if kind == 0:
                 yield store(arg, size, value)
@@ -618,8 +636,6 @@ def validate_stream(events: EventStream) -> Iterator[Event]:
     ``FaseEnd`` or on a stream ending inside a FASE.  Useful for testing
     hand-written workloads; the machine itself performs the same checks.
     """
-    from repro.common.errors import SimulationError
-
     depth = 0
     for ev in events:
         k = ev.kind

@@ -34,17 +34,20 @@ class ChannelRecordingOps(RecordingOps):
     """A recording backend with one event channel per simulated thread.
 
     The store logic runs once, single-threaded; events land in the
-    channel (a payload-keeping batch) selected at the time: writer
-    transactions in channel 0, reader traversals in their reader's.
-    The machine then interleaves the channels by simulated time.
+    channel (a batch, keeping payloads under ``keep_values``) selected
+    at the time: writer transactions in channel 0, reader traversals in
+    their reader's.  The machine then interleaves the channels by
+    simulated time.
     """
 
-    def __init__(self, channels: int, load_sample: int = 4) -> None:
-        super().__init__(load_sample=load_sample)
+    def __init__(
+        self, channels: int, load_sample: int = 4, keep_values: bool = True
+    ) -> None:
+        super().__init__(load_sample=load_sample, keep_values=keep_values)
         if channels < 1:
             raise ConfigurationError("need at least one channel")
         self.channels: List[EventBatch] = [self.events] + [
-            EventBatch(keep_values=True) for _ in range(channels - 1)
+            EventBatch(keep_values=keep_values) for _ in range(channels - 1)
         ]
         self._current = 0
 
@@ -94,20 +97,22 @@ class MtestWorkload(Workload):
 
     def batch_streams(self, num_threads: int, seed: int) -> List[Iterator[EventBatch]]:
         """The program as the machine runs it: each channel's columns in
-        ``BATCH_CHUNK`` slices, payloads left behind."""
-        channels = self._record(num_threads, seed).channels
+        ``BATCH_CHUNK`` slices, recorded without payloads."""
+        channels = self._record(num_threads, seed, keep_values=False).channels
         return [channel.split(BATCH_CHUNK) for channel in channels]
 
     def streams(self, num_threads: int, seed: int) -> List[Iterator[Event]]:
         """The same recording decoded with every store's payload: what
         a crash replay executes and its oracle judges."""
-        channels = self._record(num_threads, seed).channels
+        channels = self._record(num_threads, seed, keep_values=True).channels
         return [channel.events() for channel in channels]
 
-    def _record(self, num_threads: int, seed: int) -> ChannelRecordingOps:
+    def _record(
+        self, num_threads: int, seed: int, keep_values: bool
+    ) -> ChannelRecordingOps:
         """Run the whole store once, single-threaded, into per-thread
         channels; the machine only drains the finished columns."""
-        ops = ChannelRecordingOps(num_threads)
+        ops = ChannelRecordingOps(num_threads, keep_values=keep_values)
         rng = make_rng(derive_seed(seed, "mtest"))
         store = MdbStore(ops, page_size=self.page_size)
 

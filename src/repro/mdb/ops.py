@@ -22,6 +22,8 @@ from repro.common.errors import ConfigurationError
 from repro.common.events import EventBatch, EventKind
 from repro.nvram.memory import NVRAM_BASE
 
+_STORE, _LOAD, _WORK = EventKind.STORE, EventKind.LOAD, EventKind.WORK
+
 
 class PersistenceOps:
     """Backend protocol: allocation, data access, FASE bracketing."""
@@ -63,8 +65,9 @@ class RecordingOps(PersistenceOps):
 
     ``events`` is the :class:`~repro.common.events.EventBatch` being
     filled: an operation appends integers to its columns (a store's
-    payload to ``values``, for the crash replay) — no per-event object,
-    no second pass — and a page run is a handful of column extends.
+    payload to ``values`` under ``keep_values``, for the crash replay)
+    — no per-event object, no second pass — and a page run is a handful
+    of column extends.
 
     Loads are served from the shadow dict (and, optionally, recorded as
     events so the hardware-cache model sees read traffic).  Recording
@@ -78,10 +81,11 @@ class RecordingOps(PersistenceOps):
         base: int = NVRAM_BASE,
         record_loads: bool = True,
         load_sample: int = 4,
+        keep_values: bool = True,
     ) -> None:
         if load_sample < 1:
             raise ConfigurationError("load_sample must be >= 1")
-        self.events = EventBatch(keep_values=True)
+        self.events = EventBatch(keep_values=keep_values)
         self.shadow: Dict[int, object] = {}
         self._next = base
         self.record_loads = record_loads
@@ -98,14 +102,28 @@ class RecordingOps(PersistenceOps):
 
     def store(self, addr: int, value: object, size: int = 8) -> None:
         self.shadow[addr] = value
-        self.events.append_store(addr, size, value)
+        events = self.events
+        events.kinds.append(_STORE)
+        events.args.append(addr)
+        events.sizes.append(size)
+        if events.values is not None:
+            events.values.append(value)
 
     def load(self, addr: int, size: int = 8) -> object:
         if self.record_loads:
             self._load_counter += 1
             if self._load_counter % self.load_sample == 0:
-                self.events.append_load(addr, size)
+                self._note(_LOAD, addr, size)
         return self.shadow.get(addr)
+
+    def _note(self, kind: int, arg: int, size: int) -> None:
+        """Append one event that carries no payload."""
+        events = self.events
+        events.kinds.append(kind)
+        events.args.append(arg)
+        events.sizes.append(size)
+        if events.values is not None:
+            events.values.append(None)
 
     def store_run(self, addr: int, values: List[object], size: int) -> None:
         slots = range(addr, addr + len(values) * size, size)
@@ -125,15 +143,15 @@ class RecordingOps(PersistenceOps):
         return list(map(self.shadow.get, slots))
 
     def work(self, amount: int) -> None:
-        self.events.append_work(amount)
+        self._note(_WORK, amount, 0)
 
     @contextmanager
     def fase(self) -> Iterator[None]:
-        self.events.append_fase_begin()
+        self._note(EventKind.FASE_BEGIN, 0, 0)
         try:
             yield
         finally:
-            self.events.append_fase_end()
+            self._note(EventKind.FASE_END, 0, 0)
 
 
 class AtlasOps(PersistenceOps):

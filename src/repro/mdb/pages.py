@@ -2,8 +2,8 @@
 
 MDB organises the B+-tree in pages; the copy-on-write policy operates at
 page granularity ("writers use copy-on-write policy", §IV-B).  A page
-here is a line-aligned block with a one-slot header and fixed 16-byte
-entry slots; the slot layout means a page copy is a run of consecutive
+here is a line-aligned block of fixed 16-byte slots, the first one the
+header; the slot layout means a page copy is a run of consecutive
 same-line stores — the spatial write locality that makes Atlas's table
 effective on MDB (its flush ratio of 0.30 reflects roughly three
 combined stores per line) and that the software cache improves on by
@@ -22,7 +22,6 @@ from repro.mdb.ops import PersistenceOps
 #: exercise multi-level copy-on-write at laptop problem sizes.
 DEFAULT_PAGE_SIZE = 512
 
-_HEADER_BYTES = 16
 _SLOT_BYTES = 16
 
 
@@ -42,17 +41,17 @@ class Page:
     def __init__(self, ops: PersistenceOps, addr: int, page_size: int) -> None:
         self.ops = ops
         self.addr = addr
-        self.capacity = (page_size - _HEADER_BYTES) // _SLOT_BYTES
+        self.capacity = page_size // _SLOT_BYTES - 1
 
     # -- header -----------------------------------------------------------
 
     def write_header(self, kind: str, nkeys: int) -> None:
         """Store ``(kind, nkeys)`` in the header slot."""
-        self.ops.store(self.addr, (kind, nkeys), _HEADER_BYTES)
+        self.ops.store(self.addr, (kind, nkeys), _SLOT_BYTES)
 
     def read_header(self) -> Tuple[str, int]:
         """Load ``(kind, nkeys)``; a fresh page reads as ``("?", 0)``."""
-        header = self.ops.load(self.addr, _HEADER_BYTES)
+        header = self.ops.load(self.addr, _SLOT_BYTES)
         if header is None:
             return ("?", 0)
         return header
@@ -61,7 +60,7 @@ class Page:
 
     def slot_addr(self, i: int) -> int:
         """Byte address of entry slot ``i``."""
-        return self.addr + _HEADER_BYTES + i * _SLOT_BYTES
+        return self.addr + (i + 1) * _SLOT_BYTES
 
     def write_slot(self, i: int, entry: object) -> None:
         """Store ``entry`` in slot ``i``."""
@@ -82,7 +81,8 @@ class Page:
         return self.ops.load_run(self.slot_addr(0), nkeys, _SLOT_BYTES)
 
     def write_entries(self, kind: str, entries: List[object]) -> None:
-        """Store a full page image: header, then one ``store_run``.
+        """Store a full page image as one ``store_run``: the header
+        slot, then the entries.
 
         Charges computation proportional to the page image (the compares
         and copies a real page write performs) so that timing reflects
@@ -93,8 +93,7 @@ class Page:
                 f"{len(entries)} entries exceed capacity {self.capacity}"
             )
         self.ops.work(2 + 2 * len(entries))
-        self.write_header(kind, len(entries))
-        self.ops.store_run(self.slot_addr(0), entries, _SLOT_BYTES)
+        self.ops.store_run(self.addr, [(kind, len(entries)), *entries], _SLOT_BYTES)
 
 
 class PageAllocator:
@@ -103,7 +102,7 @@ class PageAllocator:
     __slots__ = ("ops", "page_size", "allocated")
 
     def __init__(self, ops: PersistenceOps, page_size: int = DEFAULT_PAGE_SIZE) -> None:
-        if page_size < _HEADER_BYTES + 2 * _SLOT_BYTES:
+        if page_size < 3 * _SLOT_BYTES:
             raise ConfigurationError(f"page size too small: {page_size}")
         self.ops = ops
         self.page_size = page_size
@@ -122,4 +121,4 @@ class PageAllocator:
     @property
     def capacity_per_page(self) -> int:
         """Entry slots per page."""
-        return (self.page_size - _HEADER_BYTES) // _SLOT_BYTES
+        return self.page_size // _SLOT_BYTES - 1

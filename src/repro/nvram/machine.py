@@ -58,6 +58,7 @@ from repro.common.events import (
     Store,
     VisitCode,
     Work,
+    ragged_step,
 )
 from repro.common.geometry import lines_spanned
 from repro.locality.trace import WriteTrace
@@ -268,9 +269,10 @@ class _ThreadContext:
         self.thread_id = thread_id
         self.technique = technique
         # What ``Machine.run`` pulls from: a per-object stream, or batches
-        # or steps.  A session has neither — its caller pushes operations.
+        # or enumerated steps.  A session has neither — its caller pushes
+        # operations.
         self.stream: Iterator[Event] = iter(())
-        self.batch_iter: Optional[Iterator[EventBatch]] = None
+        self.batch_iter: Optional[Iterator] = None
         self.batch: Optional[EventBatch] = None
         self.batch_pos = 0
         self.flushq: Optional[FlushQueue] = None
@@ -606,15 +608,19 @@ class Machine:
         :meth:`_run_batches`; False at stream end.  Pulled just before it
         runs, a quantum is steps up to ``budget`` events (the rest waits
         in ``ctx.batch``) or ``budget`` per-object events, one span-0 row
-        each as :meth:`EventBatch.visits` codes it (DESIGN.md §8)."""
+        each as :meth:`EventBatch.visits` codes it (DESIGN.md §8).  A step
+        whose columns differ in length is a ``SimulationError``."""
         last, pos = ctx.batch, ctx.batch_pos
         kinds, args, sizes = (c[pos:] for c in last[:3]) if last else ([], [], [])
-        steps = ctx.batch_iter
+        steps = ctx.batch_iter      # enumerate(steps): (index, step) pairs
         if steps is not None:
-            while len(kinds) < budget and (step := next(steps, None)) is not None:
-                kinds += step[0]
-                args += step[1]
-                sizes += step[2]
+            while len(kinds) < budget and (taken := next(steps, None)) is not None:
+                index, (step_kinds, step_args, step_sizes, values) = taken
+                if not len(step_kinds) == len(step_args) == len(step_sizes) == len(values):
+                    raise ragged_step(ctx.thread_id, index, taken[1])
+                kinds += step_kinds
+                args += step_args
+                sizes += step_sizes
         else:
             try:
                 for ev in islice(ctx.stream, budget):
@@ -1371,8 +1377,10 @@ class Machine:
         contexts = []
         for tid, stream in enumerate(streams):
             ctx = self._new_context(tid, technique_factory(tid), record_traces)
-            if batched or steps is not None:
+            if batched:
                 ctx.batch_iter = iter(stream)
+            elif steps is not None:
+                ctx.batch_iter = enumerate(stream)
             else:
                 ctx.stream = iter(stream)
             contexts.append(ctx)

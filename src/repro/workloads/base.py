@@ -62,7 +62,7 @@ class Workload:
         """
         steps = self.steps(num_threads, seed)
         if steps is not None:
-            return [events_from_steps(thread_steps) for thread_steps in steps]
+            return [events_from_steps(thread, tid=tid) for tid, thread in enumerate(steps)]
         batch_streams = self.batch_streams(num_threads, seed)
         if batch_streams is None:
             raise NotImplementedError(
@@ -87,7 +87,9 @@ class Workload:
         steps = self.steps(num_threads, seed)
         if steps is None or not self.schedule_independent(num_threads):
             return None
-        return [batches_from_steps(thread_steps) for thread_steps in steps]
+        return [
+            batches_from_steps(thread, tid=tid) for tid, thread in enumerate(steps)
+        ]
 
     def schedule_independent(self, num_threads: int) -> bool:
         """Whether ``streams(num_threads, seed)`` yields the same events

@@ -48,7 +48,7 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, require_int
 from repro.common.events import BATCH_CHUNK, EventBatch, EventKind
 from repro.common.geometry import CACHE_LINE_SIZE
 from repro.nvram.memory import NVRAM_BASE
@@ -102,18 +102,15 @@ class TilePatternConfig:
     work_per_store: int = 3     # computation instructions per store
 
     def __post_init__(self) -> None:
-        if self.tile_lines < 1:
-            raise ConfigurationError("tile_lines must be >= 1")
+        for name in ("tile_lines", "tiles_per_fase", "num_fases", "wide_lines"):
+            require_int(name, getattr(self, name), 1)
+        require_int("work_per_store", self.work_per_store, 0)
         if self.burst < 1 or self.passes < 1:
             raise ConfigurationError("burst and passes must be >= 1")
-        if self.tiles_per_fase < 1 or self.num_fases < 1:
-            raise ConfigurationError("tiles_per_fase and num_fases must be >= 1")
         if self.wide_mode not in (WideMode.NONE, WideMode.UNITS, WideMode.FASES):
             raise ConfigurationError(f"unknown wide_mode {self.wide_mode!r}")
         if self.wide_mode != WideMode.NONE and self.wide_passes < 1:
             raise ConfigurationError("wide_passes must be >= 1 when wide loops are on")
-        if self.wide_lines < 1:
-            raise ConfigurationError("wide_lines must be >= 1")
         if self.wide_units_per_fase < 0 or self.wide_fase_every < 0:
             raise ConfigurationError("wide-loop rates must be non-negative")
 
@@ -149,21 +146,16 @@ class _Dither:
 
     __slots__ = ("rate", "acc")
 
-    def __init__(self, rate: float, start: float = 0.5) -> None:
+    def __init__(self, rate: float) -> None:
         # Starting at the half-step unbiases runs with only a few draws.
         self.rate = rate
-        self.acc = start
+        self.acc = 0.5
 
     def next_count(self) -> int:
         self.acc += self.rate
         n = int(self.acc)
         self.acc -= n
         return n
-
-
-# Unit kinds in the per-FASE work list.
-_NARROW = 0
-_WIDE = 1
 
 
 class TilePatternWorkload(Workload):
@@ -193,49 +185,49 @@ class TilePatternWorkload(Workload):
         not drawn), so ``seed`` does not enter it."""
         if num_threads < 1:
             raise ConfigurationError("num_threads must be >= 1")
-        return [self._batches(t, num_threads) for t in range(num_threads)]
+        plan = self._plan()
+        return [self._batches(t, num_threads, plan) for t in range(num_threads)]
 
-    def _batches(self, tid: int, nthreads: int) -> Iterator[EventBatch]:
-        """One thread's share of the pattern — the program's one spelling.
-
-        The control flow (FASEs, units, sweeps, every dither draw in
-        program order — the float accumulators round, so they are not
-        vectorised) only notes per-*line* facts, three parallel lists
-        of groups: the head event's kind, the count of same-line stores
-        after it, the line's byte address.  A line visit is
-        ``WORK(work·b)`` then ``b`` stores walking the line's eight
-        words; a FASE mark is a head with no stores.  :func:`_layout`
-        turns the pending groups into columns with one numpy pass per
-        batch; ``streams`` is the inherited decoding of these batches.
-        """
+    def _plan(self) -> Tuple[np.ndarray, List[int]]:
+        """The per-FASE work every thread splits: each tile's sweep count
+        (a ``num_fases × tiles_per_fase`` array) and the wide units
+        (``UNITS``) or dedicated wide FASEs (``FASES``) after each FASE."""
         cfg = self.config
         pass_dither = _Dither(cfg.passes)
-        burst_dither = _Dither(cfg.burst)
-        wide_unit_dither = _Dither(cfg.wide_units_per_fase)
-        wide_fase_dither = _Dither(cfg.wide_fase_every)
+        draws = [max(1, pass_dither.next_count())
+                 for _ in range(cfg.num_fases * cfg.tiles_per_fase)]
+        passes = np.array(draws, dtype=np.int64).reshape(cfg.num_fases, -1)
+        units_mode = cfg.wide_mode == WideMode.UNITS
+        wide_dither = _Dither(cfg.wide_units_per_fase if units_mode else cfg.wide_fase_every)
+        return passes, [wide_dither.next_count() for _ in range(cfg.num_fases)]
+
+    def _batches(
+        self, tid: int, nthreads: int, plan: Tuple[np.ndarray, List[int]]
+    ) -> Iterator[EventBatch]:
+        """One thread's share of the pattern — the program's one spelling.
+
+        The shared :meth:`_plan` fixes each FASE's units (tile sweeps,
+        then wide blocks); the thread lays out the byte addresses of its
+        contiguous block of them in program order with numpy, then draws
+        one burst per line in one loop on its own accumulator.  That loop
+        is ``_Dither.next_count``'s float arithmetic in the same order
+        (``acc += rate`` rounds, so it is not vectorised): the columns
+        are the per-line dithered pattern's, bit for bit.  The control
+        flow notes three parallel lists of groups: the head event's kind,
+        the count of same-line stores after it, the line's byte address.
+        A line visit is ``WORK(work·b)`` then ``b`` stores walking the
+        line's eight words; a FASE mark is a head with no stores.
+        :func:`_layout` turns the pending groups into columns with one
+        numpy pass per batch; ``streams`` is the inherited decoding.
+        """
+        cfg = self.config
+        passes, wide_counts = plan
+        units_mode = cfg.wide_mode == WideMode.UNITS
+        burst, acc = cfg.burst, 0.5     # the burst dither, inline
         wide_pass_dither = _Dither(max(cfg.wide_passes, 1.0))
-        wide_counter = [0]
-        line_size = CACHE_LINE_SIZE
-        heads: List[int] = []
-        counts: List[int] = []
-        lines: List[int] = []
+        wide_seen = 0
+        heads, counts, lines = [], [], []   # List[int] each
         pending = 0     # events the groups noted so far expand to
-
-        def sweep(base_line: int, nlines: int, stride: int) -> None:
-            nonlocal pending
-            bursts = [max(1, burst_dither.next_count()) for _ in range(nlines)]
-            heads.extend([EventKind.WORK] * nlines)
-            counts.extend(bursts)
-            first, step = base_line * line_size, stride * line_size
-            lines.extend(range(first, first + nlines * step, step))
-            pending += nlines + sum(bursts)
-
-        def mark(kind: int) -> None:
-            nonlocal pending
-            heads.append(kind)
-            counts.append(0)
-            lines.append(0)
-            pending += 1
 
         # Each thread works on a private partition of the domain (the
         # SPLASH2 strong-scaling decomposition): its tiles and wide
@@ -250,57 +242,63 @@ class TilePatternWorkload(Workload):
         )
         thread_base = self._base_line + tid * (region_span + 1)
         wide_base = thread_base + cfg.tiles_per_fase * self._tile_span
+        # Row i: narrow tile i's (wide instance i's) line addresses, swept in order.
+        tile_ids = np.arange(cfg.tiles_per_fase)
+        tile_rows = CACHE_LINE_SIZE * (
+            thread_base + tile_ids[:, None] * self._tile_span
+            + np.arange(cfg.tile_lines) * self._stride
+        )
+        wide_rows = (CACHE_LINE_SIZE * (
+            wide_base + np.arange(self._num_wide_instances)[:, None] * cfg.wide_lines
+            + np.arange(cfg.wide_lines)
+        )).tolist()
 
-        def wide_block() -> None:
-            instance = wide_counter[0] % self._num_wide_instances
-            wide_counter[0] += 1
-            base = wide_base + instance * cfg.wide_lines
-            for _ in range(max(1, wide_pass_dither.next_count())):
-                sweep(base, cfg.wide_lines, 1)
+        def wide_block() -> List[int]:
+            nonlocal wide_seen
+            instance = wide_seen % self._num_wide_instances
+            wide_seen += 1
+            return wide_rows[instance] * max(1, wide_pass_dither.next_count())
 
-        for fase in range(cfg.num_fases):
-            # The per-FASE unit list; rebuilt by every thread with the
-            # same dither sequence so the contiguous-block split is
-            # consistent across threads.
-            units: List[Tuple[int, int]] = []
-            for tile in range(cfg.tiles_per_fase):
-                units.extend(
-                    [(_NARROW, tile)] * max(1, pass_dither.next_count())
-                )
-            if cfg.wide_mode == WideMode.UNITS:
-                for _ in range(wide_unit_dither.next_count()):
-                    units.append((_WIDE, 0))
-            n_units = len(units)
+        for fase, (fase_passes, n_wide) in enumerate(zip(passes, wide_counts)):
+            # The per-FASE unit list, tile sweeps then wide blocks, split
+            # into contiguous blocks — or dealt whole, round-robin, when
+            # it has fewer units than threads.
+            n_narrow = int(fase_passes.sum())
+            n_units = n_narrow + n_wide if units_mode else n_narrow
             if n_units >= nthreads:
                 lo = tid * n_units // nthreads
                 hi = (tid + 1) * n_units // nthreads
-                my_units = units[lo:hi]
             elif fase % nthreads == tid:
-                my_units = units
+                lo, hi = 0, n_units
             else:
-                my_units = []
-            if my_units:
-                mark(EventKind.FASE_BEGIN)
-                for kind, tile in my_units:
-                    if kind == _NARROW:
-                        sweep(
-                            thread_base + tile * self._tile_span,
-                            cfg.tile_lines,
-                            self._stride,
-                        )
-                    else:
-                        wide_block()
-                mark(EventKind.FASE_END)
+                lo = hi = 0
+            blocks: List[List[int]] = []    # this thread's FASEs' line addresses
+            if lo < hi:
+                sweeps = np.repeat(tile_ids, fase_passes)[lo:hi]
+                block = tile_rows[sweeps].ravel().tolist()
+                for _ in range(max(lo, n_narrow), hi):
+                    block += wide_block()
+                blocks.append(block)
             # Dedicated wide FASEs, dealt round-robin across threads.
             if cfg.wide_mode == WideMode.FASES:
-                for _ in range(wide_fase_dither.next_count()):
-                    owner = wide_counter[0] % nthreads
-                    if owner == tid:
-                        mark(EventKind.FASE_BEGIN)
-                        wide_block()
-                        mark(EventKind.FASE_END)
+                for _ in range(n_wide):
+                    if wide_seen % nthreads == tid:
+                        blocks.append(wide_block())
                     else:
-                        wide_counter[0] += 1  # keep instance rotation in sync
+                        wide_seen += 1  # keep instance rotation in sync
+            for block in blocks:
+                heads += [EventKind.FASE_BEGIN, *[EventKind.WORK] * len(block)]
+                heads.append(EventKind.FASE_END)
+                lines += [0, *block, 0]
+                counts.append(0)
+                first, append = len(counts), counts.append
+                for _ in block:
+                    acc += burst
+                    n = int(acc)
+                    acc -= n
+                    append(n if n > 1 else 1)
+                pending += len(block) + 2 + sum(counts[first:])
+                counts.append(0)
             # FASE state carries across batches: yield between FASEs once
             # the chunk threshold is passed (batches may overshoot it).
             if pending >= BATCH_CHUNK:

@@ -38,6 +38,24 @@ def test_config_validation():
         cfg(wide_mode=WideMode.UNITS, wide_passes=0.5)
 
 
+@pytest.mark.parametrize(
+    "field,value,shown",
+    [
+        ("work_per_store", -50, "work_per_store must be >= 0, got -50"),
+        ("tile_lines", 2.5, "tile_lines must be an int, got 2.5"),
+        ("num_fases", 2.5, "num_fases must be an int, got 2.5"),
+        ("tiles_per_fase", 1.5, "tiles_per_fase must be an int, got 1.5"),
+        ("wide_lines", 0, "wide_lines must be >= 1, got 0"),
+        ("work_per_store", True, "work_per_store must be an int, got True"),
+    ],
+)
+def test_counts_are_ints_checked_at_construction(field, value, shown):
+    """Caught in ``__post_init__``: not as a negative instruction count,
+    nor as a ``TypeError`` from ``range`` once the stream is drawn."""
+    with pytest.raises(ConfigurationError, match=f"^{shown}$"):
+        cfg(**{field: value})
+
+
 def test_store_volume_matches_estimate():
     c = cfg()
     w = TilePatternWorkload("t", c)

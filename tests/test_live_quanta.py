@@ -198,6 +198,55 @@ def test_a_stream_element_that_is_not_an_event_is_a_typed_error(element, shown, 
     assert str(raised.value) == f"thread 1: stream element {shown} is not an event"
 
 
+class StepWorkload(Workload):
+    """A step emitter: ``steps`` only, one list of steps per thread."""
+
+    name = "steps"
+
+    def __init__(self, *per_thread):
+        self._steps = per_thread
+
+    def supports_threads(self, num_threads):
+        return num_threads == len(self._steps)
+
+    def steps(self, num_threads, seed):
+        return [iter(steps) for steps in self._steps]
+
+
+def fase_step(stores):
+    return (
+        [3, *[0] * stores, 4],
+        [0, *[NVRAM_BASE + 8 * k for k in range(stores)], 0],
+        [0, *[8] * stores, 0],
+        [None, *range(stores), None],
+    )
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("use_batches", [None, False], ids=["batched", "per-event"])
+@pytest.mark.parametrize(
+    "short,shown", [((1, 2, 3), "5/4/4/4"), ((3,), "5/5/5/4")], ids=["args", "values"]
+)
+def test_a_step_whose_columns_differ_in_length_is_a_typed_error(
+    short, shown, use_batches, threads
+):
+    """Checked step by step: the next step is short where this one is
+    long, so the stream's totals balance, and zipping the columns would
+    silently drop the fifth event."""
+    ragged, balance = fase_step(3), fase_step(3)
+    for column in range(4):
+        (ragged if column in short else balance)[column].pop()
+    good = [fase_step(3)] * 40
+    workload = StepWorkload(*[good] * (threads - 1), good[:7] + [ragged, balance] + good)
+    want = f"thread {threads - 1}: step 7 has columns of lengths {shown} "
+    with pytest.raises(SimulationError, match=want):
+        Machine(MachineConfig()).run(
+            workload, technique_factory("AT"), num_threads=threads, use_batches=use_batches
+        )
+    with pytest.raises(SimulationError, match=want):
+        [list(s) for s in workload.streams(threads, SEED)]
+
+
 @pytest.fixture
 def constructions(monkeypatch):
     """Count every per-object event built, and every call recording a

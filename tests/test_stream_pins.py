@@ -16,14 +16,16 @@ and, where threads share an allocator, the events each thread consumed
 under three techniques.
 """
 
+from collections import Counter
 from hashlib import sha1
 
 import pytest
 
 from repro.cache.spec import technique_factory
-from repro.common.events import EventKind, events_from_steps
+from repro.common.events import EventBatch, EventKind, events_from_steps
 from repro.nvram.machine import Machine, MachineConfig
 from repro.workloads.base import BatchCachingWorkload, Workload
+from repro.workloads.generators import _Dither
 from repro.workloads.parray import PersistentArray
 from repro.workloads.registry import get_workload
 
@@ -87,12 +89,94 @@ STANDINS = {
         [[2770], [2770], [3115], [2770], [2770], [3115], [2770], [3371]],
     ),
 }
+#: (program, scale, threads) -> (digest, sha1 of the ``repr`` of the
+#: per-thread batch lengths), pinned at 135e5f4, before the stand-ins
+#: drew one FASE plan for all threads: how threads split each FASE at 2
+#: and 32 threads, and the scale-1.0 traces ``locality_offline`` reads.
+STANDINS_WIDE = {
+    ("barnes", 0.1, 2): (
+        "1a6b2b880db9174c7e47fe8f47518c1cf4b768dd",
+        "2d05afa8685ef5ec45f4623e96237b9ecfefcdfc",
+    ),
+    ("barnes", 0.1, 32): (
+        "2e8f7167fa23f575b237ad3af51ccf48931a0246",
+        "20768f2dac55c1bac4c37dab65ee9b035ce23a18",
+    ),
+    ("fmm", 0.1, 2): (
+        "f247d81d91be23b63d7b8fbe3f45a6a2bc8b3cb8",
+        "54229f81d8f45d2ad1dc574eb7135dbdbae8e74d",
+    ),
+    ("fmm", 0.1, 32): (
+        "d8abb089a6129bbd4f2a67fe67b80dee6a54e79d",
+        "730c1312e9cca5f5ef856dbfd2b1076800d50965",
+    ),
+    ("ocean", 0.1, 2): (
+        "19bd3fbcb378faccf3697bb090d66e7a42d3ff42",
+        "1410ad32c3af4d4f78cb36ce580d5ff10e55297a",
+    ),
+    ("ocean", 0.1, 32): (
+        "624c7922b4fb8da90bb20d477d26edc098513521",
+        "fa875a48f21d8f9ddb92b325d381c810f5bd9f07",
+    ),
+    ("raytrace", 0.1, 2): (
+        "9f54a8f59ba3d6c74cdc8110ac1a9258e879e6ea",
+        "b8af8b30636ee1ec61a8b2468fda004a9fe4e1f4",
+    ),
+    ("raytrace", 0.1, 32): (
+        "163fe339dae468e2faa0b891a2e138989c55efc1",
+        "94ddbe29bdf2f72f1665887775a8f4054a0122e4",
+    ),
+    ("volrend", 0.1, 2): (
+        "74d220eac28bf8e71ae698946b9768841bf70cbc",
+        "0901c4a90a03997868096504c8cde54cefa16fd8",
+    ),
+    ("volrend", 0.1, 32): (
+        "0cba7ff2004ccba9adde3aaa6313a51a55350b4b",
+        "17a1b928bd56f7c1aeae8c3f9f61e99e4884bfd2",
+    ),
+    ("water-nsquared", 0.1, 2): (
+        "d1644d31de71869d4db6f11d8a60c5e24837020c",
+        "07918d486deecee10ad238753c9ceb8fb6e1ffcf",
+    ),
+    ("water-nsquared", 0.1, 32): (
+        "4f402896d1a710b4c375e4286e18c53ec617771b",
+        "f0e1081301b49d98c8d353aad4cd984c308190d9",
+    ),
+    ("water-spatial", 0.1, 2): (
+        "519b9eabf7748aed5a69fa1e687f972a603f8600",
+        "0f0c2235277236544f00c2d34edb7f5977576616",
+    ),
+    ("water-spatial", 0.1, 32): (
+        "da6e36b1f7ce1b9cb693bdf1db50f98d8ed79da5",
+        "66b4d53d22e606992fc3b4504e532dc6ccb922df",
+    ),
+    ("barnes", 1.0, 1): (
+        "f1f3a3ef1581a98dee83fab2479214ef603c97f8",
+        "bfcc33447d6b0df871dc1d13e5318e3a8e31bde9",
+    ),
+    ("ocean", 1.0, 1): (
+        "1edda74f25516d0294c6a1290c3764ee79870185",
+        "81ec0fcdb60d9a5962d67867581ae6f0b21c7878",
+    ),
+    ("water-spatial", 1.0, 1): (
+        "939b23c881b7979b98152b088f81ccfb140d2186",
+        "5c152a853d7be2b497d26b92974865ab1059a19a",
+    ),
+}
 #: (threads, seed) -> digest at scale 0.03.
 MDB = {
     (1, 11): "e8bceb94ed0ecdc66857733a9b383e6b47e71eb7",
     (1, 7): "5523bf0b322447ae2ffff61284725445e8a9f464",
     (4, 11): "e37f0cf9315ce20bcff6046d31199a986e5f78a5",
     (4, 7): "78b0d210f7272cbe035a2fdd632ac8e12381a626",
+}
+#: (threads, seed) -> ``event_digest`` of ``streams()`` at scale 0.03,
+#: payloads included (what a crash replay executes), pinned at 135e5f4.
+MDB_EVENTS = {
+    (1, 7): "8a614a5546b5be7bc01252af2acdbe80559b953b",
+    (1, 11): "16e0f16148cf7f856b5c7165f9cc738399c3a364",
+    (4, 7): "425dd3d4ba3c70db2afc9b5d620f1f94e7c43932",
+    (4, 11): "d329e3ff762fe0b2d8bc9c73d794aba47f61630b",
 }
 #: ``PersistentArray`` kwargs -> (digest, batch lengths), one thread,
 #: taken from the per-event generator through ``batches_from_events``
@@ -271,6 +355,34 @@ def test_standin_columns_and_batch_boundaries_are_pinned(name, threads, seed):
     assert digest(per_thread) == want_digest
 
 
+@pytest.mark.parametrize("name,scale,threads", sorted(STANDINS_WIDE))
+def test_standin_thread_splits_and_full_scale_traces_are_pinned(name, scale, threads):
+    per_thread = [list(s) for s in get_workload(name, scale=scale).batch_streams(threads, 7)]
+    lengths = [[len(b) for b in batches] for batches in per_thread]
+    assert (digest(per_thread), sha1(repr(lengths).encode()).hexdigest()) == (
+        STANDINS_WIDE[(name, scale, threads)]
+    )
+
+
+def test_standins_draw_one_fase_plan_and_no_dither_call_per_line(monkeypatch):
+    """The pass and wide dithers are drawn once per ``batch_streams`` call
+    and shared by every thread; bursts are drawn inline, not by call."""
+    calls = Counter()
+    next_count = _Dither.next_count
+
+    def counting(self):
+        calls[threads] += 1
+        return next_count(self)
+
+    monkeypatch.setattr(_Dither, "next_count", counting)
+    for threads in (1, 32):
+        per_thread = [list(s) for s in get_workload("ocean", scale=1.0).batch_streams(threads, 7)]
+    line_visits = sum(
+        b.kinds.count(EventKind.WORK) for batches in per_thread for b in batches
+    )
+    assert calls[32] == calls[1] < line_visits // 10
+
+
 @pytest.mark.parametrize("threads,seed", sorted(MDB))
 def test_mdb_columns_are_pinned(threads, seed):
     workload = get_workload("mdb", scale=0.03)
@@ -278,10 +390,31 @@ def test_mdb_columns_are_pinned(threads, seed):
     assert digest(per_thread) == MDB[(threads, seed)]
     assert all(b.values is None for batches in per_thread for b in batches)
     # ``streams`` decodes the same recording, payloads included.
-    decoded = workload.streams(threads, seed)
-    assert [sum(1 for _ in s) for s in decoded] == [
+    decoded = [list(s) for s in workload.streams(threads, seed)]
+    assert [len(s) for s in decoded] == [
         sum(len(b) for b in batches) for batches in per_thread
     ]
+    assert event_digest(decoded) == MDB_EVENTS[(threads, seed)]
+
+
+def test_mdb_batch_streams_record_no_payloads(monkeypatch):
+    """The machine never reads payloads, so the batch path builds no
+    ``values`` list; ``streams()`` keeps them for the crash replay."""
+    kept = []
+    init = EventBatch.__init__
+
+    def spying(self, keep_values=False):
+        kept.append(keep_values)
+        init(self, keep_values)
+
+    monkeypatch.setattr(EventBatch, "__init__", spying)
+    workload = get_workload("mdb", scale=0.03)
+    for batches in workload.batch_streams(4, 7):
+        list(batches)
+    assert kept and not any(kept)
+    kept.clear()
+    workload.streams(4, 7)
+    assert kept == [True] * 4
 
 
 @pytest.mark.parametrize("kwargs", sorted(PARRAY))
