@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.common.errors import ConfigurationError, require_int
+from repro.common.errors import require_int
 from repro.locality.knee import SelectionPolicy, find_knees
 from repro.locality.mrc import MissRatioCurve
 from repro.locality.sampling import DEFAULT_BURST_LENGTH, BurstSampler
@@ -53,19 +53,30 @@ class AdaptiveConfig:
 
     def __post_init__(self) -> None:
         require_int("burst_length", self.burst_length, 2)
-        if self.sample_cost < 0 or self.analysis_cost_per_write < 0:
-            raise ConfigurationError("adaptation costs must be non-negative")
+        for name in ("initial_skip", "sample_cost", "analysis_cost_per_write"):
+            require_int(name, getattr(self, name), 0)
 
 
 class AdaptiveController:
     """Drives one thread's cache-size adaptation.
 
+    Its sampler has three phases: a warm-up of ``initial_skip`` writes it
+    only counts, the burst it records, and — once :meth:`observe` has
+    analysed the burst and chosen a size — done for good (the paper's
+    infinite hibernation).  The SC technique takes a write strictly inside
+    the warm-up or the burst on the sampler's public state itself (a
+    count; an append and ``sample_cost``).  Each phase edge — the last
+    skipped write, the burst's first, its last — goes through
+    :meth:`observe`, and the last one settles the technique: from then on
+    its stores never reach the controller.
+
     A pinned quirk of the cost accounting: the technique charges
-    ``sample_cost`` for a write after which :attr:`sampling` reads true,
-    and the last write of a warm-up leaves the burst
-    open.  A thread with ``initial_skip > 0`` therefore pays
-    ``burst_length + 1`` sample costs per burst, one with none pays
-    ``burst_length`` (tests/test_adaptive.py); every SC golden carries it.
+    ``sample_cost`` for a write after which the sampler is neither
+    skipping nor done, and for the one that closes the burst, so the last
+    write of a warm-up pays one too.  A thread with ``initial_skip > 0``
+    therefore pays ``burst_length + 1`` sample costs per burst, one with
+    none pays ``burst_length`` (tests/test_adaptive.py); every SC golden
+    carries it.
     """
 
     __slots__ = ("config", "sampler", "last_mrc", "last_size", "analyses", "port")
@@ -112,26 +123,6 @@ class AdaptiveController:
                     EV_KNEE_CANDIDATE, knee.size, int(knee.miss_ratio * 1_000_000)
                 )
         return size
-
-    def observe_repeats(self, line: int, fase_id: int, n: int) -> Optional[int]:
-        """Feed ``n`` repeats of the write just observed, in one step.
-
-        Only when all ``n`` fall strictly inside one phase: returns how
-        many of them the open burst recorded (each owes ``sample_cost``;
-        0 during warm-up).  Returns ``None``, nothing fed,
-        when a phase edge lies among them — the last skipped write, the
-        one that opens the burst, the one that closes it — and they must
-        go through :meth:`observe` one at a time.
-        """
-        sampler = self.sampler
-        if n < sampler.skipping:
-            sampled = 0
-        elif 0 < sampler.recorded < sampler.burst_length - n:
-            sampled = n
-        else:
-            return None
-        sampler.record_many(line, fase_id, n)
-        return sampled
 
     def analysis_cost(self) -> int:
         """Cycles to charge for the analysis that just ran."""

@@ -25,7 +25,11 @@ call does nothing) and ``write_through`` (the call is one flush of the
 stored line, of that category) let it skip ``on_store``.  A subclass
 that defines a hook without restating the declarations vouching for it
 gets their defaults back, so none outlives its hooks (ER and the staged
-technique are driven through theirs).
+technique are driven through theirs).  SC-offline's ``insert`` is its
+cache's ``access``; an adaptive SC's counts its warm-up, records its
+burst and, on the burst's last write, resizes and *settles* into the
+same ``access`` — ``settling`` tells the machine to re-read ``insert``
+until then.
 The per-store costs are read off the paper's Table IV instruction counts
 (per store: AT ~16-19, SC ~24 on top of the program's own ~62):
 BEST < ER < LA < AT < SC, with SC running ~8% more instructions than AT.
@@ -57,6 +61,10 @@ class PersistenceTechnique:
     #: no other port call — so the machine may issue that flush itself,
     #: one train per line-touch run.  ``None``: ``on_store`` is called.
     write_through: Optional[str] = None
+    #: True while ``insert`` may rebind itself — an adapting SC, until its
+    #: burst closes: the machine's batched loop then re-reads ``insert``
+    #: (and this flag) before each call instead of once per quantum.
+    settling = False
     #: Vouches that the four hooks are the base class's: ``on_store`` is
     #: ``insert`` plus an ``eviction`` flush of what it returns, ``on_fase_begin``
     #: nothing, ``on_fase_end``/``finish`` a flush of what ``drain`` returns.
@@ -211,10 +219,13 @@ class SoftwareCacheTechnique(PersistenceTechnique):
         if name is not None:
             self.name = name
         self.drain = self.cache.drain
+        self.settling = controller is not None
         if controller is None:
             # Fixed-size operation (SC-offline): nothing adapts, so a
             # store is the cache's own access.
             self.insert = self.cache.access
+        else:
+            self.sampler = controller.sampler
 
     def bind(self, port) -> None:
         super().bind(port)
@@ -234,29 +245,50 @@ class SoftwareCacheTechnique(PersistenceTechnique):
             port.flush_async(evicted, "resize_eviction")
 
     def insert(self, line: int) -> Optional[int]:
-        # Only an adapting SC gets here; a fixed one's is ``cache.access``.
-        controller = self.controller
-        if not controller.sampler.done:  # fast gate
+        # An adapting SC's store until its burst closes.  Strictly inside
+        # the warm-up it is counted, strictly inside the burst recorded and
+        # charged a sample; an edge — the last skipped write, the burst's
+        # first or its last — goes through the controller.  The last one
+        # resizes the cache and settles it: from then on ``insert`` is the
+        # cache's own ``access``, as for SC-offline.
+        sampler = self.sampler
+        lines = sampler.lines
+        if sampler.skipping > 1:
+            sampler.skipping -= 1
+        elif 0 < len(lines) < sampler.burst_length - 1:
+            port = self.port
+            lines.append(line)
+            sampler.fids.append(port.current_fase_id)
+            port.add_adaptation_cost(self.controller.config.sample_cost)
+        elif self.settling:
+            controller = self.controller
             port = self.port
             new_size = controller.observe(line, port.current_fase_id)
-            if controller.sampling or new_size is not None:
-                port.add_adaptation_cost(controller.config.sample_cost)
             if new_size is not None:
-                port.add_adaptation_cost(controller.analysis_cost())
+                port.add_adaptation_cost(
+                    controller.config.sample_cost + controller.analysis_cost()
+                )
                 self._resize(new_size)
+                self.insert = self.cache.access
+                self.settling = False
+            elif not sampler.skipping:
+                port.add_adaptation_cost(controller.config.sample_cost)
         return self.cache.access(line)
 
     def absorb_repeats(self, line: int, n: int) -> bool:
-        controller = self.controller
-        if controller is not None and not controller.sampler.done:
-            # The sampler still counts or records every write: it takes
-            # the repeats as one slice unless a phase edge lies in them.
-            port = self.port
-            sampled = controller.observe_repeats(line, port.current_fase_id, n)
-            if sampled is None:
+        if self.settling:
+            # Repeats inside one phase are one slice, counted or recorded;
+            # with a phase edge among them they arrive store by store.
+            sampler = self.sampler
+            if n < sampler.skipping:
+                sampler.skipping -= n
+            elif 0 < len(sampler.lines) < sampler.burst_length - n:
+                port = self.port
+                sampler.lines.extend([line] * n)
+                sampler.fids.extend([port.current_fase_id] * n)
+                port.add_adaptation_cost(n * self.controller.config.sample_cost)
+            else:
                 return False
-            if sampled:
-                port.add_adaptation_cost(sampled * controller.config.sample_cost)
         # The line is the cache's newest entry — even when ``insert``
         # resized it out first, which the machine sees as a line no
         # longer dirty in L1.

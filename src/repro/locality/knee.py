@@ -10,12 +10,13 @@ MRC has no obvious inflection points, the maximal size is chosen.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, require_int
 from repro.locality.mrc import MissRatioCurve
 
 
@@ -54,14 +55,13 @@ class SelectionPolicy:
     min_drop_fraction: float = 0.06
 
     def __post_init__(self) -> None:
-        if self.default_size < 1:
-            raise ConfigurationError("default_size must be >= 1")
-        if self.max_size < self.default_size:
-            raise ConfigurationError("max_size must be >= default_size")
-        if self.top_candidates < 1:
-            raise ConfigurationError("top_candidates must be >= 1")
-        if self.min_drop < 0:
-            raise ConfigurationError("min_drop must be non-negative")
+        require_int("default_size", self.default_size, 1)
+        require_int("max_size", self.max_size, self.default_size)
+        require_int("top_candidates", self.top_candidates, 1)
+        if not 0 <= self.min_drop < math.inf:
+            raise ConfigurationError(
+                f"min_drop must be finite and >= 0, got {self.min_drop}"
+            )
         if not 0 <= self.min_drop_fraction <= 1:
             raise ConfigurationError("min_drop_fraction must be in [0, 1]")
 

@@ -35,6 +35,10 @@ class BurstSampler:
 
     The sampler is deliberately cheap on the hot path: recording is two
     list appends; all analysis cost is paid once, when the burst closes.
+    Its phase state is public — ``skipping``, ``lines``/``fids``,
+    ``done`` — so an owner may take writes strictly inside a phase
+    without a call, as the SC technique does; :meth:`record` is the
+    general step, edges included.
 
     Parameters
     ----------
@@ -46,7 +50,7 @@ class BurstSampler:
         (growing data structures) are sampled in their steady phase.
     """
 
-    __slots__ = ("burst_length", "_lines", "_fids", "_skip", "_done")
+    __slots__ = ("burst_length", "lines", "fids", "skipping", "done")
 
     def __init__(
         self, burst_length: int = DEFAULT_BURST_LENGTH, initial_skip: int = 0
@@ -56,78 +60,56 @@ class BurstSampler:
         if initial_skip < 0:
             raise ConfigurationError("initial_skip must be non-negative")
         self.burst_length = burst_length
-        self._lines: List[int] = []
-        self._fids: List[int] = []
-        self._skip = initial_skip
-        self._done = False
+        #: The open burst's writes and their FASE ids.
+        self.lines: List[int] = []
+        self.fids: List[int] = []
+        #: Writes still to pass unrecorded before the burst opens.
+        self.skipping = initial_skip
+        #: True once the sampler has permanently shut down.
+        self.done = False
 
     @property
     def burst_complete(self) -> bool:
         """True once a full burst has been recorded and awaits analysis."""
-        return len(self._lines) >= self.burst_length
+        return len(self.lines) >= self.burst_length
 
     @property
     def recording(self) -> bool:
         """True while the sampler is accepting writes."""
-        return not self._done and self._skip == 0 and not self.burst_complete
-
-    @property
-    def done(self) -> bool:
-        """True once the sampler has permanently shut down."""
-        return self._done
-
-    @property
-    def skipping(self) -> int:
-        """Writes still to pass unrecorded before the burst opens."""
-        return self._skip
+        return not self.done and self.skipping == 0 and not self.burst_complete
 
     def record(self, line: int, fase_id: int) -> bool:
         """Feed one persistent write; return True when the burst just filled."""
-        if self._done:
+        if self.done:
             return False
-        if self._skip > 0:
-            self._skip -= 1
+        if self.skipping > 0:
+            self.skipping -= 1
             return False
-        if len(self._lines) >= self.burst_length:
+        if len(self.lines) >= self.burst_length:
             return False
-        self._lines.append(line)
-        self._fids.append(fase_id)
-        return len(self._lines) >= self.burst_length
-
-    def record_many(self, line: int, fase_id: int, n: int) -> bool:
-        """``n`` × ``record(line, fase_id)`` in one step: True when one of
-        them filled the burst."""
-        if self._done:
-            return False
-        skipped = min(n, self._skip)
-        self._skip -= skipped
-        room = self.burst_length - len(self._lines)
-        taken = min(n - skipped, room)
-        if taken <= 0:
-            return False
-        self._lines.extend([line] * taken)
-        self._fids.extend([fase_id] * taken)
-        return taken == room
+        self.lines.append(line)
+        self.fids.append(fase_id)
+        return len(self.lines) >= self.burst_length
 
     def trace(self) -> WriteTrace:
         """The recorded burst as a :class:`WriteTrace`."""
         return WriteTrace(
-            np.asarray(self._lines, dtype=np.int64),
-            np.asarray(self._fids, dtype=np.int64),
+            np.asarray(self.lines, dtype=np.int64),
+            np.asarray(self.fids, dtype=np.int64),
         )
 
     def analyze(self) -> MissRatioCurve:
         """Close the burst: compute the MRC and shut the sampler down."""
         mrc = mrc_from_trace(self.trace())
-        self._lines.clear()
-        self._fids.clear()
-        self._done = True      # the paper's infinite hibernation
+        self.lines.clear()
+        self.fids.clear()
+        self.done = True      # the paper's infinite hibernation
         return mrc
 
     @property
     def recorded(self) -> int:
         """Number of writes currently recorded in the open burst."""
-        return len(self._lines)
+        return len(self.lines)
 
 
 def sampled_mrc(

@@ -767,6 +767,7 @@ class Machine:
         # traced.
         drain = technique.drain if getattr(technique, "buffered", False) else None
         insert = technique.insert if drain is not None and not skip_on_store else None
+        settling = getattr(technique, "settling", False)
         flushq = ctx.flushq
         issue = flushq.issue
         issue_train = flushq.issue_train
@@ -882,7 +883,11 @@ class Machine:
                             continue
                         flushes = stats.flushes
                         if insert is not None:
-                            # A sampling SC charges samples and resizes in here.
+                            # A sampling SC charges samples and resizes in
+                            # here, and rebinds ``insert`` when it settles.
+                            if settling:
+                                insert = technique.insert
+                                settling = technique.settling
                             stats.cycles = cycles
                             victim = insert(arg)
                             cycles = stats.cycles

@@ -89,6 +89,25 @@ def test_policy_validation():
         SelectionPolicy(min_drop_fraction=1.5)
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("default_size", 8.5),
+        ("max_size", 52.5),
+        ("top_candidates", 2.5),
+        ("min_drop", float("nan")),
+        ("min_drop", float("inf")),
+    ],
+)
+def test_a_selection_parameter_is_checked_at_the_policy(field, bad):
+    """Sizes and the candidate count are ints, ``min_drop`` a finite
+    non-negative number: a bad one is a ConfigurationError naming it when
+    the policy is built, never a numpy ``IndexError`` at the first
+    analysis or a silently knee-less curve."""
+    with pytest.raises(ConfigurationError, match=field):
+        SelectionPolicy(**{field: bad})
+
+
 def test_paper_default_policy_values():
     """§III-C: default size 8, maximum size 50."""
     assert DEFAULT_POLICY.default_size == 8

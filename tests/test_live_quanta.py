@@ -122,6 +122,37 @@ def test_shared_allocator_quanta_match_the_reference(name, threads, spec):
     assert_live_is_the_reference(workload, spec, threads)
 
 
+def test_sampler_edges_on_repeated_stores_match_the_reference():
+    """SC on live ``queue`` quanta at two threads, its warm-up ending and
+    its burst opening and closing on stores that repeat the previous
+    store's line in the same FASE: the traced run is the reference's
+    byte for byte."""
+    workload = get_workload("queue", scale=0.02)
+    trace = Machine().run(
+        workload, technique_factory("BEST"), num_threads=2, seed=SEED, record_traces=True
+    ).traces[0]
+    writes = list(zip(trace.lines.tolist(), trace.fase_ids.tolist()))
+    repeats = [i for i in range(1, len(writes)) if writes[i] == writes[i - 1]]
+    skip = next(i for i in repeats if i > 100 and i - 1 in repeats)
+    close = next(i for i in repeats if i > skip + 200)
+    config = AdaptiveConfig(burst_length=close - skip + 1, initial_skip=skip)
+    jsonl = {}
+    for use_batches in (None, False):
+        recorder = TraceRecorder()
+        result = Machine(recorder=recorder).run(
+            workload,
+            technique_factory("SC", adaptive_config=config),
+            num_threads=2,
+            seed=SEED,
+            record_traces=True,
+            use_batches=use_batches,
+        )
+        assert result.traces[0].lines.tolist() == trace.lines.tolist()
+        assert result.threads[0].selected_sizes
+        jsonl[use_batches] = recorder.to_jsonl()
+    assert jsonl[None] == jsonl[False]
+
+
 @pytest.mark.parametrize("spec", sorted(TECHNIQUES))
 def test_a_bare_generator_workload_matches_the_reference(spec):
     assert_live_is_the_reference(ListWorkload(every_row_code()), spec, 1)

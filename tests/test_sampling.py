@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.locality.mrc import mrc_from_trace
@@ -90,47 +88,3 @@ def test_sampled_preserves_knee_position():
     full = select_cache_size(mrc_from_trace(t, honor_fases=False))
     samp = select_cache_size(sampled_mrc(t, burst_length=len(lines) // 4))
     assert abs(full - samp) <= 1
-
-
-# -- record_many: a run's repeats as one slice --------------------------------
-
-def observables(sampler):
-    trace = sampler.trace()
-    return (
-        sampler.recorded,
-        sampler.burst_complete,
-        sampler.recording,
-        sampler.done,
-        sampler.skipping,
-        trace.lines.tolist(),
-        trace.fase_ids.tolist(),
-    )
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    st.integers(min_value=2, max_value=12),
-    st.integers(min_value=0, max_value=9),
-    st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=3),      # line
-            st.integers(min_value=-1, max_value=2),     # FASE id
-            st.integers(min_value=0, max_value=15),     # repeats
-        ),
-        max_size=12,
-    ),
-)
-def test_record_many_is_n_records(burst, skip, writes):
-    """``record_many(line, fid, n)`` against ``n × record(line, fid)`` on
-    everything a sampler shows, through warm-up, a burst that fills inside
-    the slice, the writes dropped after it, analysis and shut-down."""
-    bulk = BurstSampler(burst, skip)
-    single = BurstSampler(burst, skip)
-    for line, fid, n in writes:
-        filled = [single.record(line, fid) for _ in range(n)]
-        assert bulk.record_many(line, fid, n) == any(filled)
-        assert observables(bulk) == observables(single)
-        if single.burst_complete:
-            a, b = bulk.analyze(), single.analyze()
-            assert (a.n, a.miss_ratios.tolist()) == (b.n, b.miss_ratios.tolist())
-            assert observables(bulk) == observables(single)
