@@ -63,7 +63,7 @@ class PersistenceTechnique:
     write_through: Optional[str] = None
     #: True while ``insert`` may rebind itself — an adapting SC, until its
     #: burst closes: the machine's batched loop then re-reads ``insert``
-    #: (and this flag) before each call instead of once per quantum.
+    #: (and this flag) before each call instead of once per thread.
     settling = False
     #: Vouches that the four hooks are the base class's: ``on_store`` is
     #: ``insert`` plus an ``eviction`` flush of what it returns, ``on_fase_begin``

@@ -90,12 +90,18 @@ technique per visit:
 ``WORK`` / ``FASE_BEGIN`` / ``FASE_END``
     As the event; ``arg`` is the ``WORK`` amount.
 
-The per-event suffix columns of ``line_runs`` stay: they are what makes
-cutting a run at a scheduler quantum edge, or entering one in its middle,
-O(1) (:meth:`EventBatch.visit_rows`).  A live quantum (a workload with no
-batch stream: steps pulled as the thread runs, or a bare generator's
-events) gets its rows without numpy: ``Machine._run_live`` codes each
-event of its columns by the rules above, span 0 apiece.
+A thread that shares the machine with others stops every
+``SCHED_BATCH`` events it runs, and a run must not straddle such a
+quantum edge.  ``line_runs`` and ``visits`` therefore also take a
+``phase`` and ``period``: the table cut at the thread's edges in this
+batch, whose rows between two edges are exactly that quantum's, kept
+with the batch like the uncut one.  The per-event suffix columns make
+any other cut O(1) too — :meth:`EventBatch.visit_rows` enters events
+``[pos, end)`` wherever they open and end, for the rest of a batch that
+a thread takes alone.  A live quantum (a workload with no batch stream:
+steps pulled as the thread runs, or a bare generator's events) gets its
+rows without numpy: the machine codes each event of its columns by the
+rules above, span 0 apiece.
 """
 
 from __future__ import annotations
@@ -245,11 +251,10 @@ class EventBatch:
         self.args = array("q")
         self.sizes = array("q")
         self.values: Optional[list] = [] if keep_values else None
-        # (len, cpi, run columns) of the last line_runs() call: derived
-        # data, rebuilt when the batch grew, dropped by copy and pickle.
-        self._runs: Optional[tuple] = None
-        # ((len, cpi, base), table) of the last visits() call, likewise.
-        self._visits: Optional[tuple] = None
+        # line_runs() and visits() results by their arguments and the
+        # batch length: derived data, dropped by copy and pickle.
+        self._runs: Optional[dict] = None
+        self._visits: Optional[dict] = None
 
     def __getstate__(self) -> tuple:
         return self.kinds, self.args, self.sizes, self.values
@@ -362,14 +367,19 @@ class EventBatch:
 
     # -- line-touch runs -------------------------------------------------
 
-    def line_runs(self, cpi: float = 1.0) -> Tuple[array, array, array, array]:
+    def line_runs(
+        self, cpi: float = 1.0, phase: int = 0, period: int = 0
+    ) -> Tuple[array, array, array, array]:
         """The batch's line-touch runs as four per-event columns.
 
         A *run* starts at a single-line ``STORE`` and extends over every
         directly following event that is a single-line ``STORE`` to the
         same cache line or a ``WORK``.  Any other event — a ``LOAD``, a
         FASE mark, a store to another line or one spanning two lines —
-        ends it, and so does the batch.  For event ``i``:
+        ends it, and so does the batch.  Given a ``period``, so does every
+        *edge*: an event ``p > 0`` with ``p ≡ phase (mod period)`` starts
+        afresh, as if a non-run event came before it (a scheduler quantum
+        edge; module docstring).  For event ``i``:
 
         ``span[i]``
             Events after ``i`` in its run (0: ``i`` ends a run or is in
@@ -382,14 +392,17 @@ class EventBatch:
             stated on ``repro.nvram.timing.TimingModel.cpi``).
 
         Every column is a suffix *within* the run, so the part of a run
-        from ``i`` up to an arbitrary cut at ``j`` — a scheduler quantum
-        edge — is ``col[i] - col[j]``.  Computed once per batch length
-        and ``cpi`` and kept with the batch; never pickled or copied.
+        from ``i`` up to an arbitrary cut at ``j`` is ``col[i] - col[j]``.
+        Computed once per batch length, ``cpi``, ``phase`` and ``period``
+        and kept with the batch; never pickled or copied.
         """
         n = len(self.kinds)
+        key = (n, cpi, phase, period)
         cached = self._runs
-        if cached is not None and cached[0] == n and cached[1] == cpi:
-            return cached[2]
+        if cached is None:
+            cached = self._runs = {}
+        elif key in cached:
+            return cached[key]
         kinds, args, sizes = self.columns()
         line = args >> 6
         store = kinds == EventKind.STORE
@@ -403,10 +416,15 @@ class EventBatch:
         # and ``amount * cpi`` rounds as it does for a Python int.
         work = (kinds == EventKind.WORK) & real & (args < _MAX_RUN_WORK)
         index = np.arange(n)
-        # prev[i]: ``touch`` of the nearest non-WORK event before ``i``.
-        anchor = np.maximum.accumulate(np.where(work, 0, index))
+        edges = slice(phase or period, None, period) if period else slice(0)
+        anchors = ~work
+        anchors[edges] = True
+        # prev[i]: ``touch`` of the nearest non-WORK event or edge before
+        # ``i``; -1 at an edge.
+        anchor = np.maximum.accumulate(np.where(anchors, index, 0))
         prev = np.full(n, -1, dtype=np.int64)
         prev[1:] = touch[anchor[:-1]]
+        prev[edges] = -1
         head = (prev == -1) | (np.where(work, prev, touch) != prev)
         # last[i]: the final event of the run (or lone event) holding i.
         last = (np.append(np.flatnonzero(head)[1:], n) - 1)[np.cumsum(head) - 1]
@@ -423,12 +441,14 @@ class EventBatch:
             run_work,
             run_work if cpi == 1.0 else suffix((amount * cpi).astype(np.int64)),
         )
-        self._runs = (n, cpi, runs)
+        cached[key] = runs
         return runs
 
     # -- the visit table -------------------------------------------------
 
-    def visits(self, cpi: float = 1.0, base: int = 0) -> Tuple[array, ...]:
+    def visits(
+        self, cpi: float = 1.0, base: int = 0, phase: int = 0, period: int = 0
+    ) -> Tuple[array, ...]:
         """The events a machine enters, as seven row-aligned columns.
 
         One row per head of a line-touch run and per event in no run
@@ -443,18 +463,25 @@ class EventBatch:
         ``span`` / ``stores`` / ``work`` / ``cycles``
             :meth:`line_runs` at ``index``: the rest of the event's run.
 
-        Kept with the batch exactly as the run columns are.
+        With a ``period``, the runs are those cut at every edge ``phase``
+        (mod ``period``), so the rows of events ``[pos, end)`` between two
+        edges are the table's rows with ``pos <= index < end`` — exactly
+        :meth:`visit_rows` of those events on the uncut table.  Kept with
+        the batch exactly as the run columns are.
         """
-        key = (len(self.kinds), cpi, base)
+        key = (len(self.kinds), cpi, base, phase, period)
         cached = self._visits
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        spans, stores, work, cycles = (
-            np.frombuffer(col, dtype=col.typecode) for col in self.line_runs(cpi)
-        )
+        if cached is None:
+            cached = self._visits = {}
+        elif key in cached:
+            return cached[key]
+        runs = [
+            np.frombuffer(col, dtype=col.typecode)
+            for col in self.line_runs(cpi, phase, period)
+        ]
         kinds, args, sizes = self.columns()
         entered = np.ones(len(kinds), dtype=bool)
-        entered[1:] = spans[:-1] == 0
+        entered[1:] = runs[0][:-1] == 0
         heads = np.flatnonzero(entered)
         code = kinds[heads]
         arg = args[heads]
@@ -467,12 +494,10 @@ class EventBatch:
             _compact(heads),
             array("b", np.where(access & ~plain, code + any_access, code).tobytes()),
             array("q", np.where(plain, line, arg).tobytes()),
-            _compact(spans[heads]),
-            _compact(stores[heads]),
-            _compact(work[heads]),
-            _compact(cycles[heads]),
+            # A run's suffixes peak at its head, a row: each keeps its type.
+            *(array(col.dtype.char, col[heads].tobytes()) for col in runs),
         )
-        self._visits = (key, table)
+        cached[key] = table
         return table
 
     def visit_rows(

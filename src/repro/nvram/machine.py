@@ -34,23 +34,23 @@ from __future__ import annotations
 
 import heapq
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
 from typing import (
     Callable,
+    Generator,
     Iterable,
     Iterator,
     List,
     NamedTuple,
     Optional,
     Sequence,
-    Tuple,
 )
 
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.errors import ConfigurationError, SimulationError, require_int
 from repro.common.events import (
     Event,
-    EventBatch,
     EventKind,
     FaseBegin,
     FaseEnd,
@@ -157,10 +157,13 @@ class MachineConfig:
     track_values: bool = False        # needed for crash/recovery tests
 
     def __post_init__(self) -> None:
-        if self.l1_ways < 1:
-            raise ConfigurationError(f"l1_ways must be >= 1, got {self.l1_ways}")
-        if self.l1_capacity_lines < self.l1_ways:
-            raise ConfigurationError("cache must hold at least one set")
+        require_int("l1_ways", self.l1_ways, 1)
+        require_int("l1_capacity_lines", self.l1_capacity_lines, self.l1_ways)
+        if self.l1_capacity_lines % self.l1_ways:
+            raise ConfigurationError(
+                f"l1_capacity_lines {self.l1_capacity_lines} is not a multiple "
+                f"of l1_ways {self.l1_ways}"
+            )
 
 
 class FlushPort:
@@ -259,8 +262,7 @@ class _ThreadContext:
         "trace_fids",
         "alive",
         "batch_iter",
-        "batch",
-        "batch_pos",
+        "loop",
     )
 
     def __init__(
@@ -269,12 +271,11 @@ class _ThreadContext:
         self.thread_id = thread_id
         self.technique = technique
         # What ``Machine.run`` pulls from: a per-object stream, or batches
-        # or enumerated steps.  A session has neither — its caller pushes
-        # operations.
+        # or live quanta for ``loop``, the thread's batched loop while it
+        # runs.  A session has neither — its caller pushes operations.
         self.stream: Iterator[Event] = iter(())
         self.batch_iter: Optional[Iterator] = None
-        self.batch: Optional[EventBatch] = None
-        self.batch_pos = 0
+        self.loop: Optional[Generator[bool, int, None]] = None
         self.flushq: Optional[FlushQueue] = None
         self.stats = ThreadStats(thread_id=thread_id)
         self.port: Optional[FlushPort] = None
@@ -302,18 +303,57 @@ def _none(num_threads: int, seed: int) -> None:
 
 
 class _LiveQuantum(NamedTuple):
-    """A live quantum as the batch surface ``_run_batches`` reads: span-0 rows."""
+    """A live quantum as the batch surface the batched loop reads: its
+    columns and one span-0 visit row per event."""
 
     kinds: List[int]
     args: List[int]
     sizes: List[int]
     rows: List[tuple]
 
-    def line_runs(self, cpi: float) -> Tuple[bytes, ...]:
-        return (bytes(len(self.kinds)),) * 4
 
-    def visit_rows(self, pos: int, end: int, cpi: float, base: int) -> list:
-        return self.rows[pos:end]
+def _live_quanta(
+    ctx: _ThreadContext, steps: Optional[Iterator]
+) -> Iterator[_LiveQuantum]:
+    """``ctx``'s live stream as quanta of ``SCHED_BATCH`` events, each
+    pulled only when the batched loop reaches it: whole ``steps``
+    (enumerated) until it holds one, the rest kept for the next, or else
+    per-object events of ``ctx.stream``.  Each event is one span-0 row,
+    coded as :meth:`EventBatch.visits` codes it (DESIGN.md §8).  A step
+    whose columns differ in length is a ``SimulationError``."""
+    kinds, args, sizes = [], [], []
+    base = NVRAM_BASE
+    while True:
+        if steps is not None:
+            while len(kinds) < SCHED_BATCH and (taken := next(steps, None)) is not None:
+                index, (step_kinds, step_args, step_sizes, values) = taken
+                if not len(step_kinds) == len(step_args) == len(step_sizes) == len(values):
+                    raise ragged_step(ctx.thread_id, index, taken[1])
+                kinds += step_kinds
+                args += step_args
+                sizes += step_sizes
+        else:
+            try:
+                for ev in islice(ctx.stream, SCHED_BATCH):
+                    if (kind := ev.kind) not in (0, 1, 2, 3, 4):
+                        raise _not_an_event(ctx, ev)
+                    args.append(ev.addr if kind < 2 else ev.amount if kind == 2 else 0)
+                    sizes.append(ev.size if kind < 2 else 0)
+                    kinds.append(kind)
+            except AttributeError:
+                raise _not_an_event(ctx, ev) from None
+        if not kinds:
+            return
+        quantum = kinds[:SCHED_BATCH], args[:SCHED_BATCH], sizes[:SCHED_BATCH]
+        del kinds[:SCHED_BATCH], args[:SCHED_BATCH], sizes[:SCHED_BATCH]
+        rows = [
+            (i, kind, arg, 0, 0, 0, 0) if kind > 1
+            else (i, kind, arg >> 6, 0, 0, 0, 0)  # inside one persistent line
+            if arg >= base and arg >> 6 == (arg + size - 1) >> 6
+            else (i, kind + 5, arg, 0, 0, 0, 0)  # ANY_STORE, ANY_LOAD
+            for i, kind, arg, size in zip(range(len(quantum[0])), *quantum)
+        ]
+        yield _LiveQuantum(*quantum, rows)
 
 
 class Machine:
@@ -603,131 +643,62 @@ class Machine:
             count += 1
         return count == budget
 
-    def _run_live(self, ctx: _ThreadContext, budget: int) -> bool:
-        """Run up to ``budget`` events of ``ctx``'s live stream on
-        :meth:`_run_batches`; False at stream end.  Pulled just before it
-        runs, a quantum is steps up to ``budget`` events (the rest waits
-        in ``ctx.batch``) or ``budget`` per-object events, one span-0 row
-        each as :meth:`EventBatch.visits` codes it (DESIGN.md §8).  A step
-        whose columns differ in length is a ``SimulationError``."""
-        last, pos = ctx.batch, ctx.batch_pos
-        kinds, args, sizes = (c[pos:] for c in last[:3]) if last else ([], [], [])
-        steps = ctx.batch_iter      # enumerate(steps): (index, step) pairs
-        if steps is not None:
-            while len(kinds) < budget and (taken := next(steps, None)) is not None:
-                index, (step_kinds, step_args, step_sizes, values) = taken
-                if not len(step_kinds) == len(step_args) == len(step_sizes) == len(values):
-                    raise ragged_step(ctx.thread_id, index, taken[1])
-                kinds += step_kinds
-                args += step_args
-                sizes += step_sizes
-        else:
-            try:
-                for ev in islice(ctx.stream, budget):
-                    if (kind := ev.kind) not in (0, 1, 2, 3, 4):
-                        raise _not_an_event(ctx, ev)
-                    args.append(ev.addr if kind < 2 else ev.amount if kind == 2 else 0)
-                    sizes.append(ev.size if kind < 2 else 0)
-                    kinds.append(kind)
-            except AttributeError:
-                raise _not_an_event(ctx, ev) from None
-        if not kinds:
-            return False
-        base = NVRAM_BASE
-        rows = [
-            (i, kind, arg, 0, 0, 0, 0) if kind > 1
-            else (i, kind, arg >> 6, 0, 0, 0, 0)  # inside one persistent line
-            if arg >= base and arg >> 6 == (arg + size - 1) >> 6
-            else (i, kind + 5, arg, 0, 0, 0, 0)  # ANY_STORE, ANY_LOAD
-            for i, kind, arg, size in zip(range(len(kinds)), kinds, args, sizes)
-        ]
-        ctx.batch, ctx.batch_pos = _LiveQuantum(kinds, args, sizes, rows), 0
-        self._run_batches(ctx, min(len(kinds), budget))
-        return len(kinds) >= budget
-
     def _run_batches(self, ctx: _ThreadContext, budget: int) -> bool:
-        """The batched loop; returns False at stream end.
+        """Run up to ``budget`` events of ``ctx``'s batches or live quanta
+        on its resident loop (:meth:`_batch_loop`, created at the thread's
+        first quantum); False at stream end."""
+        loop = ctx.loop
+        if loop is None:
+            loop = ctx.loop = self._batch_loop(ctx)
+            next(loop)
+        return loop.send(budget)
 
-        Consumes up to ``budget`` events of ``ctx``'s batch stream (or
-        :meth:`_run_live`'s quantum) with :meth:`_process_event`'s event
-        semantics, entering Python once per *line visit*, not once per
-        event.  Each batch carries a visit table (:meth:`EventBatch.visits`):
-        one row per event that has to be entered — the head of a
-        line-touch run, or an event in none — holding what the event is (a
-        store or load inside one persistent line comes with that line; the
-        odd access has a code of its own and is read from the event
-        columns) and what follows it in its run.  A quantum is the slice
-        of that table between ``batch_pos`` and the budget
-        (:meth:`EventBatch.visit_rows`, which also cuts the run the
-        quantum's edge falls in and opens a quantum that starts inside
-        one); the loop walks its rows with the per-quantum invariants
-        hoisted into locals.  No crash can fire in here and no value is
-        tracked: a run that tracks values, enumerates sites or has one
-        armed executes on :meth:`_process_event`.
+    def _batch_loop(self, ctx: _ThreadContext) -> Generator[bool, int, None]:
+        """``ctx``'s batched loop: one per thread, resumed by
+        :meth:`_run_batches` with each quantum's budget; yields whether the
+        thread has more.
 
-        *Line-touch runs.*  Most stores repeat the previous store's
-        line.  The head of such a run executes as any store; the row
-        says what is left — ``n`` same-line stores and the ``WORK``
-        between them — and that is taken in one step: ``n`` L1 hits,
-        ``n`` technique hits via ``absorb_repeats(line, n)``, the summed
-        computation, ``n`` trace records.  That is exact because the run
-        lies inside one thread's quantum and batch, so no other thread
-        touches the L1 set; ``on_store`` left the line dirty in L1
-        (checked here) and the technique absorbed it, so a repeat is a
-        pure hit on its set's dirty MRU line, only a count; and nothing
-        inside it reads the clock, so the cycle additions commute
-        (DESIGN.md §8) — including the sample costs a
-        sampling SC charges from ``absorb_repeats``, which is why
-        ``stats.cycles`` is handed over around that call too.  Whether
-        ``on_store`` left the line dirty needs no lookup when it flushed
-        nothing: inside it the line's L1 state changes only through a
-        port flush, and each one counts in ``stats.flushes``.  When the
-        technique declines, the run's other events execute one by one in
-        an inner loop.
+        It runs ``ctx``'s batches (or :func:`_live_quanta`) with
+        :meth:`_process_event`'s event semantics, entering Python once per
+        row of a visit table (:meth:`EventBatch.visits`): the head of a
+        line-touch run, or an event in none.  What does not change within
+        a run lives as long as the thread: the locals hoisted below, and
+        per batch its columns, its row iterator and a row cursor.  A batch
+        pulled while other threads can run takes the table cut at this
+        thread's quantum edges (its phase: ``-pulled % SCHED_BATCH``), so a
+        quantum's rows are the next ``islice`` of it.  A thread running
+        alone takes whole uncut tables, and the rest of the batch it became
+        alone in through :meth:`EventBatch.visit_rows` (DESIGN.md §8).  No
+        crash fires and no value is tracked in here: such runs execute on
+        :meth:`_process_event`.
 
-        *Flushes issued here* (DESIGN.md §8).  A technique whose every
-        store is one ``flush_async(line, category)`` says so
-        (``write_through``; ER's is ``"eager"``), and while no trace
-        observes flushes one by one its runs never enter ``on_store``:
-        the head's access and ``clflush``, then per repeat a miss whose
-        fill cannot evict (the flush vacated a way of its set) and one
-        write-back — one train of ``n + 1`` (:meth:`FlushQueue.issue_every`
-        when the gaps are equal), bulk counters, the set as it began.  A
-        ``buffered`` technique's head store is its ``insert``, whose
-        victim — never the head line, so the ``stats.flushes`` test
-        holds — is flushed here as :meth:`_do_flush` would, records
-        included; a commit is :meth:`_flush_sync`'s train over
-        ``drain()``, run here unless traced, where it is handed over.
-        :meth:`_process_event` never coalesces and stays the oracle;
-        ``absorbed_stores`` counts the stores that never entered the
-        technique.
+        *Runs.*  A run's head executes as any store; the rest — ``n``
+        same-line stores and the ``WORK`` between them — is one step: ``n``
+        L1 hits, ``absorb_repeats(line, n)``, the summed cycles, ``n`` trace
+        records.  That is exact because the run lies inside one quantum (no
+        other thread touches the set), the head left its line dirty in L1
+        (no flush since ``on_store``, or the set says so), and nothing in
+        the run reads the clock.  A declined run arrives store by store.
 
-        *The L1 traffic is the loop's too*: a ``STORE``/``LOAD`` row's
-        touch, those ``clflush``es and that train apply
-        :class:`HardwareCache`'s rules to its ``sets`` in place and count
-        into locals merged at quantum exit (nothing in a quantum reads
-        the L1 counters); ``ANY_*`` rows, declined runs and port flushes
-        call the cache.
+        *Flushes issued here.*  A ``write_through`` technique's run (ER,
+        untraced) is the head's ``clflush`` and one train of ``n`` more
+        (:meth:`FlushQueue.issue_every` when the gaps are equal), with no
+        ``on_store``.  A ``buffered`` technique's head store is its
+        ``insert``, whose victim is flushed here, records included; an
+        untraced commit is :meth:`_flush_sync`'s train over ``drain()``.  A
+        ``STORE``/``LOAD`` row touches its L1 set in place; ``ANY_*`` rows,
+        declined runs and port flushes call :class:`HardwareCache`.
 
-        The hot ``ThreadStats`` counters are accumulated in locals.
-        ``stats.cycles`` is written back before every point that can
-        observe it (technique callbacks and dirty-eviction write-backs,
-        which funnel into the flush queue via ``stats.cycles``; quantum
-        exit, which the scheduler reads) and re-read after.
-        ``instructions`` is kept as a local delta merged in at quantum
-        exit: callbacks only ever increment ``stats.instructions``,
-        never read it, so no per-call hand-off is needed.
-        ``technique.cost_per_store`` is read once per quantum —
-        techniques must keep it constant during a run, which every
-        built-in technique does.
+        *Counters.*  The hot ``ThreadStats`` and L1 counters are locals,
+        merged at every quantum's end, where the scheduler, the sampler and
+        the recorder read them; ``stats.cycles`` is handed over around
+        every call that reads or charges it.  ``cost_per_store`` and the
+        technique's declarations are read once per thread (constant during
+        a run); ``insert`` is re-read while the technique is ``settling``.
 
-        Quantum boundaries between runnable threads fall on the same
-        event counts as the per-event path (:meth:`_schedule` passes a
-        larger ``budget`` only where no other thread can run and nothing
-        observes the edge), so the smallest-clock thread interleaving —
-        and with it every statistic, including the shared hardware
-        cache's — is bit-identical.  Enforced by
-        tests/test_batch_equivalence.py and test_machine_invariants.py.
+        Quanta between runnable threads end on the per-event engine's event
+        counts, so the interleaving and every statistic are bit-identical
+        (tests/test_batch_equivalence.py, test_machine_invariants.py).
         """
         t = self.config.timing
         stats = ctx.stats
@@ -748,7 +719,7 @@ class Machine:
         evict_writeback = self._evict_writeback
         # Structured tracing: ``recording`` gates the (rare) FASE-boundary
         # sites below; with the null recorder the fast path adds only
-        # this one hoisted attribute load per quantum.
+        # this one hoisted attribute load.
         recorder = self.recorder
         recording = recorder.enabled
         thread_id = ctx.thread_id
@@ -787,339 +758,361 @@ class Machine:
         any_load = VisitCode.ANY_LOAD
         store_instructions = 1 + cost_per_store
         repeat_cost = hit_cost + cost_per_store
-        # Hoisted counters; flushed back to stats in the finally block,
-        # with cycles re-synced around every technique/flush-engine call
-        # (the flush queue timestamps from stats.cycles).  instructions
-        # is a local *delta* added back at the end: every callback only
-        # ever increments stats.instructions, none reads it, so the two
-        # accumulators merge exactly and no per-call sync is needed.
-        cycles = stats.cycles
-        instructions = 0
-        persistent_stores = stats.persistent_stores
-        persistent_loads = stats.persistent_loads
-        fase_count = stats.fase_count
-        absorbed = through = evictions = written = cleaned = 0
-        l1_loads = l1_stores = load_misses = store_misses = evict_writebacks = 0
-        try:
-            while budget > 0:
-                batch = ctx.batch
-                pos = ctx.batch_pos
-                if batch is None or pos >= len(batch.kinds):
-                    batch = next(ctx.batch_iter, None)
-                    if batch is None:
-                        ctx.batch = None
-                        return False
-                    ctx.batch = batch
-                    pos = 0
-                kinds = batch.kinds
-                args = batch.args
-                sizes = batch.sizes
-                _, run_stores, _, run_cycles = batch.line_runs(cpi)
-                end = len(kinds)
-                if end - pos > budget:
-                    end = pos + budget
-                budget -= end - pos
-                for i, code, arg, span, n, amount, work_cycles in batch.visit_rows(
-                    pos, end, cpi, nvram_base
-                ):
-                    if code == kind_store:
-                        # Inside one line — ``arg`` — and persistent.
-                        l1_stores += 1
-                        lines_set = sets[arg % num_sets]
-                        if arg in lines_set:
-                            lines_set.move_to_end(arg)
-                            cycles += hit_cost
+        batches = ctx.batch_iter
+        batch_len = pos = row = pulled = cut = 0
+        budget = yield
+        while True:
+            # Counters: absolute ones re-read, deltas from zero; merged back
+            # in the finally block, with cycles re-synced around every
+            # technique/flush-engine call (the flush queue timestamps from
+            # stats.cycles).  instructions is a delta: every callback only
+            # ever increments stats.instructions, none reads it.
+            cycles = stats.cycles
+            instructions = 0
+            persistent_stores = stats.persistent_stores
+            persistent_loads = stats.persistent_loads
+            fase_count = stats.fase_count
+            absorbed = through = evictions = written = cleaned = 0
+            l1_loads = l1_stores = load_misses = store_misses = evict_writebacks = 0
+            alive = True
+            try:
+                while budget > 0:
+                    if pos >= batch_len:
+                        batch = next(batches, None)
+                        if batch is None:
+                            alive = False
+                            break
+                        kinds = batch.kinds
+                        args = batch.args
+                        sizes = batch.sizes
+                        batch_len = len(kinds)
+                        pos = row = 0
+                        if type(batch) is _LiveQuantum:     # span-0 rows
+                            run_stores = run_cycles = bytes(batch_len)
+                            index, rows = range(batch_len), iter(batch.rows)
                         else:
-                            store_misses += 1
-                            cycles += miss_cost
-                            if len(lines_set) >= ways and (
-                                old := lines_set.popitem(False)
-                            )[1]:
-                                evict_writebacks += 1
-                                stats.cycles = cycles
-                                evict_writeback(ctx, old[0])
-                                cycles = stats.cycles
-                        lines_set[arg] = True
-                        if write_through is not None:
-                            # A write-through run: the head's flush pops
-                            # the line it just dirtied; per repeat the
-                            # ``WORK`` before it, a miss-fill, one flush,
-                            # one queue slot, bookkeeping.
-                            del lines_set[arg]
-                            if run_stores[i + n] + n == run_stores[i]:
-                                # The repeats come first, any ``WORK``
-                                # after them: the usual store burst.
-                                now, stall = issue(cycles + flush_issue)
-                                if n:
-                                    now, more = issue_every(now, flush_gap, n)
-                                    stall += more
-                                cycles = now + cost_per_store + work_cycles
-                            else:
-                                before = run_cycles[i]
-                                gaps = [flush_issue]
-                                for j in range(i + 1, i + span + 1):
-                                    if kinds[j] == kind_store:
-                                        here = run_cycles[j]
-                                        gaps.append(flush_gap + before - here)
-                                        before = here
-                                now, stall = issue_train(cycles, gaps)
-                                cycles = (
-                                    now + cost_per_store + before - run_cycles[i + span]
-                                )
-                            stats.stall_cycles += stall
-                            l1_stores += n
-                            store_misses += n
-                            n += 1
-                            written += n
-                            instructions += n * (2 + cost_per_store) + amount
-                            persistent_stores += n
-                            absorbed += n
-                            through += n
-                            if trace_lines is not None:
-                                trace_lines.extend([arg] * n)
-                                trace_fids.extend(
-                                    [ctx.fase_uid if ctx.fase_depth > 0 else -1] * n
-                                )
-                            continue
-                        flushes = stats.flushes
-                        if insert is not None:
-                            # A sampling SC charges samples and resizes in
-                            # here, and rebinds ``insert`` when it settles.
-                            if settling:
-                                insert = technique.insert
-                                settling = technique.settling
-                            stats.cycles = cycles
-                            victim = insert(arg)
-                            cycles = stats.cycles
-                            if victim is not None:
-                                # Its eviction flush, as ``_do_flush`` issues it.
-                                cycles += flush_issue
-                                evictions += 1
-                                stall = 0
-                                dirty = sets[victim % num_sets].pop(victim, False)
-                                written += dirty
-                                cleaned += not dirty
-                                if dirty:
-                                    cycles, stall = issue(cycles)
-                                    stats.stall_cycles += stall
-                                if recording:
-                                    self._record_flush(
-                                        thread_id, cycles, victim, dirty, 0, stall
-                                    )
-                        elif not skip_on_store:
-                            stats.cycles = cycles
-                            on_store(arg)
-                            cycles = stats.cycles
-                        if trace_lines is not None:
-                            trace_lines.append(arg)
-                            trace_fids.append(
-                                ctx.fase_uid if ctx.fase_depth > 0 else -1
+                            cut = SCHED_BATCH if budget <= SCHED_BATCH else 0
+                            phase = -pulled % SCHED_BATCH if cut else 0
+                            _, run_stores, _, run_cycles = batch.line_runs(
+                                cpi, phase, cut
                             )
-                        persistent_stores += 1
-                        cycles += cost_per_store
-                        instructions += store_instructions
-                        if not span:
-                            continue
-                        if n:
-                            # The ``n`` stores that repeat this one, taken
-                            # in one step if ``absorb`` vouches for each —
-                            # and only if ``on_store`` left the line dirty
-                            # (SC may flush it when it shrinks; a filter
-                            # may bypass it): a flushed line's repeat is
-                            # a miss.  No flush, no change.
-                            if absorb is not None and (
-                                stats.flushes == flushes or lines_set.get(arg)
-                            ):
-                                # A sampling SC charges its samples here.
+                            table = batch.visits(cpi, nvram_base, phase, cut)
+                            index, rows = table[0], zip(*table)
+                        pulled += batch_len
+                    end = batch_len
+                    if end - pos > budget:
+                        end = pos + budget
+                    if cut and budget > SCHED_BATCH:
+                        # Alone from here on: the rest of this batch, uncut.
+                        cut = 0
+                        _, run_stores, _, run_cycles = batch.line_runs(cpi)
+                        quantum = batch.visit_rows(pos, end, cpi, nvram_base)
+                    elif end == batch_len:
+                        quantum = rows
+                    else:
+                        entered = bisect_left(index, end, row)
+                        quantum = islice(rows, entered - row)
+                        row = entered
+                    budget -= end - pos
+                    for i, code, arg, span, n, amount, work_cycles in quantum:
+                        if code == kind_store:
+                            # Inside one line — ``arg`` — and persistent.
+                            l1_stores += 1
+                            lines_set = sets[arg % num_sets]
+                            if arg in lines_set:
+                                lines_set.move_to_end(arg)
+                                cycles += hit_cost
+                            else:
+                                store_misses += 1
+                                cycles += miss_cost
+                                if len(lines_set) >= ways and (
+                                    old := lines_set.popitem(False)
+                                )[1]:
+                                    evict_writebacks += 1
+                                    stats.cycles = cycles
+                                    evict_writeback(ctx, old[0])
+                                    cycles = stats.cycles
+                            lines_set[arg] = True
+                            if write_through is not None:
+                                # A write-through run: the head's flush pops
+                                # the line it just dirtied; per repeat the
+                                # ``WORK`` before it, a miss-fill, one flush,
+                                # one queue slot, bookkeeping.
+                                del lines_set[arg]
+                                if run_stores[i + n] + n == run_stores[i]:
+                                    # The repeats come first, any ``WORK``
+                                    # after them: the usual store burst.
+                                    now, stall = issue(cycles + flush_issue)
+                                    if n:
+                                        now, more = issue_every(now, flush_gap, n)
+                                        stall += more
+                                    cycles = now + cost_per_store + work_cycles
+                                else:
+                                    before = run_cycles[i]
+                                    gaps = [flush_issue]
+                                    for j in range(i + 1, i + span + 1):
+                                        if kinds[j] == kind_store:
+                                            here = run_cycles[j]
+                                            gaps.append(flush_gap + before - here)
+                                            before = here
+                                    now, stall = issue_train(cycles, gaps)
+                                    cycles = (
+                                        now + cost_per_store + before - run_cycles[i + span]
+                                    )
+                                stats.stall_cycles += stall
+                                l1_stores += n
+                                store_misses += n
+                                n += 1
+                                written += n
+                                instructions += n * (2 + cost_per_store) + amount
+                                persistent_stores += n
+                                absorbed += n
+                                through += n
+                                if trace_lines is not None:
+                                    trace_lines.extend([arg] * n)
+                                    trace_fids.extend(
+                                        [ctx.fase_uid if ctx.fase_depth > 0 else -1] * n
+                                    )
+                                continue
+                            flushes = stats.flushes
+                            if insert is not None:
+                                # A sampling SC charges samples and resizes in
+                                # here, and rebinds ``insert`` when it settles.
+                                if settling:
+                                    insert = technique.insert
+                                    settling = technique.settling
                                 stats.cycles = cycles
-                                taken = absorb(arg, n)
+                                victim = insert(arg)
                                 cycles = stats.cycles
-                                if taken:
-                                    absorbed += n
-                                    l1_stores += n
-                                    persistent_stores += n
+                                if victim is not None:
+                                    # Its eviction flush, as ``_do_flush`` issues it.
+                                    cycles += flush_issue
+                                    evictions += 1
+                                    stall = 0
+                                    dirty = sets[victim % num_sets].pop(victim, False)
+                                    written += dirty
+                                    cleaned += not dirty
+                                    if dirty:
+                                        cycles, stall = issue(cycles)
+                                        stats.stall_cycles += stall
+                                    if recording:
+                                        self._record_flush(
+                                            thread_id, cycles, victim, dirty, 0, stall
+                                        )
+                            elif not skip_on_store:
+                                stats.cycles = cycles
+                                on_store(arg)
+                                cycles = stats.cycles
+                            if trace_lines is not None:
+                                trace_lines.append(arg)
+                                trace_fids.append(
+                                    ctx.fase_uid if ctx.fase_depth > 0 else -1
+                                )
+                            persistent_stores += 1
+                            cycles += cost_per_store
+                            instructions += store_instructions
+                            if not span:
+                                continue
+                            if n:
+                                # The ``n`` stores that repeat this one, taken
+                                # in one step if ``absorb`` vouches for each —
+                                # and only if ``on_store`` left the line dirty
+                                # (SC may flush it when it shrinks; a filter
+                                # may bypass it): a flushed line's repeat is
+                                # a miss.  No flush, no change.
+                                if absorb is not None and (
+                                    stats.flushes == flushes or lines_set.get(arg)
+                                ):
+                                    # A sampling SC charges its samples here.
+                                    stats.cycles = cycles
+                                    taken = absorb(arg, n)
+                                    cycles = stats.cycles
+                                    if taken:
+                                        absorbed += n
+                                        l1_stores += n
+                                        persistent_stores += n
+                                        if trace_lines is not None:
+                                            trace_lines.extend([arg] * n)
+                                            trace_fids.extend([trace_fids[-1]] * n)
+                                        cycles += n * repeat_cost + work_cycles
+                                        instructions += n * store_instructions + amount
+                                        continue
+                                # Declined: the run arrives store by store.
+                                for j in range(i + 1, i + span + 1):
+                                    if kinds[j] == kind_work:
+                                        work = args[j]
+                                        cycles += int(work * cpi)
+                                        instructions += work
+                                        continue
+                                    hit, evicted = access(arg, True)
+                                    cycles += hit_cost if hit else miss_cost
+                                    if evicted is not None and evicted[1]:
+                                        stats.cycles = cycles
+                                        evict_writeback(ctx, evicted[0])
+                                        cycles = stats.cycles
+                                    if not skip_on_store:
+                                        stats.cycles = cycles
+                                        on_store(arg)
+                                        cycles = stats.cycles
                                     if trace_lines is not None:
-                                        trace_lines.extend([arg] * n)
-                                        trace_fids.extend([trace_fids[-1]] * n)
-                                    cycles += n * repeat_cost + work_cycles
-                                    instructions += n * store_instructions + amount
-                                    continue
-                            # Declined: the run arrives store by store.
-                            for j in range(i + 1, i + span + 1):
-                                if kinds[j] == kind_work:
-                                    work = args[j]
-                                    cycles += int(work * cpi)
-                                    instructions += work
-                                    continue
-                                hit, evicted = access(arg, True)
+                                        trace_lines.append(arg)
+                                        trace_fids.append(
+                                            ctx.fase_uid if ctx.fase_depth > 0 else -1
+                                        )
+                                    persistent_stores += 1
+                                    cycles += cost_per_store
+                                    instructions += store_instructions
+                                continue
+                        elif code == kind_work:
+                            cycles += int(arg * cpi)
+                            instructions += arg
+                            continue
+                        elif code == kind_load:
+                            l1_loads += 1
+                            lines_set = sets[arg % num_sets]
+                            if arg in lines_set:
+                                lines_set.move_to_end(arg)
+                                cycles += hit_cost
+                            else:
+                                load_misses += 1
+                                cycles += miss_cost
+                                if len(lines_set) >= ways and (
+                                    old := lines_set.popitem(False)
+                                )[1]:
+                                    evict_writebacks += 1
+                                    stats.cycles = cycles
+                                    evict_writeback(ctx, old[0])
+                                    cycles = stats.cycles
+                                lines_set[arg] = False
+                            instructions += 1
+                            persistent_loads += 1
+                            continue
+                        elif code == kind_fase_begin:
+                            ctx.fase_depth += 1
+                            if ctx.fase_depth == 1:
+                                ctx.fase_uid = ctx.next_fase_uid
+                                ctx.next_fase_uid += 1
+                                if recording:
+                                    recorder.record(
+                                        EV_FASE_BEGIN, thread_id, cycles, ctx.fase_uid
+                                    )
+                                if drain is None:
+                                    stats.cycles = cycles
+                                    technique.on_fase_begin()
+                                    cycles = stats.cycles
+                            continue
+                        elif code == kind_fase_end:
+                            if ctx.fase_depth == 0:
+                                raise SimulationError(
+                                    f"thread {ctx.thread_id}: "
+                                    "FaseEnd without FaseBegin"
+                                )
+                            ctx.fase_depth -= 1
+                            if ctx.fase_depth == 0:
+                                ctx.commit_fase_uid = ctx.fase_uid
+                                stats.cycles = cycles
+                                if drain is None:
+                                    technique.on_fase_end()
+                                elif (lines := drain()) and not recording:
+                                    # ``_flush_sync``'s train, one pop a line.
+                                    gaps = []
+                                    gap = 0
+                                    for line in lines:
+                                        gap += flush_issue
+                                        if sets[line % num_sets].pop(line, False):
+                                            gaps.append(gap)
+                                            gap = 0
+                                    now, stall = issue_train(stats.cycles, gaps)
+                                    stats.cycles, wait = flushq.drain(now + gap)
+                                    stats.stall_cycles += stall + wait
+                                    count = len(lines)
+                                    written += len(gaps)
+                                    cleaned += count - len(gaps)
+                                    instructions += count
+                                    stats.flushes += count
+                                    stats.fase_end_flushes += count
+                                elif lines:
+                                    self._flush_sync(ctx, lines, "fase_end")
+                                cycles = stats.cycles
+                                fase_count += 1
+                                if recording:
+                                    # After the drain, so the B/E span covers
+                                    # the commit stall (same in both paths).
+                                    recorder.record(
+                                        EV_FASE_END, thread_id, cycles, ctx.fase_uid
+                                    )
+                            continue
+                        elif code == any_store:
+                            # Across lines, or volatile: the general store.
+                            addr = args[i]
+                            persistent = addr >= nvram_base
+                            for line in lines_spanned(addr, sizes[i]):
+                                hit, evicted = access(line, True)
                                 cycles += hit_cost if hit else miss_cost
                                 if evicted is not None and evicted[1]:
                                     stats.cycles = cycles
                                     evict_writeback(ctx, evicted[0])
                                     cycles = stats.cycles
-                                if not skip_on_store:
-                                    stats.cycles = cycles
-                                    on_store(arg)
-                                    cycles = stats.cycles
-                                if trace_lines is not None:
-                                    trace_lines.append(arg)
-                                    trace_fids.append(
-                                        ctx.fase_uid if ctx.fase_depth > 0 else -1
-                                    )
+                                if persistent:
+                                    if not skip_on_store:
+                                        stats.cycles = cycles
+                                        on_store(line)
+                                        cycles = stats.cycles
+                                    if trace_lines is not None:
+                                        trace_lines.append(line)
+                                        trace_fids.append(
+                                            ctx.fase_uid if ctx.fase_depth > 0 else -1
+                                        )
+                            instructions += 1
+                            if persistent:
                                 persistent_stores += 1
                                 cycles += cost_per_store
-                                instructions += store_instructions
-                            continue
-                    elif code == kind_work:
-                        cycles += int(arg * cpi)
-                        instructions += arg
-                        continue
-                    elif code == kind_load:
-                        l1_loads += 1
-                        lines_set = sets[arg % num_sets]
-                        if arg in lines_set:
-                            lines_set.move_to_end(arg)
-                            cycles += hit_cost
-                        else:
-                            load_misses += 1
-                            cycles += miss_cost
-                            if len(lines_set) >= ways and (
-                                old := lines_set.popitem(False)
-                            )[1]:
-                                evict_writebacks += 1
-                                stats.cycles = cycles
-                                evict_writeback(ctx, old[0])
-                                cycles = stats.cycles
-                            lines_set[arg] = False
-                        instructions += 1
-                        persistent_loads += 1
-                        continue
-                    elif code == kind_fase_begin:
-                        ctx.fase_depth += 1
-                        if ctx.fase_depth == 1:
-                            ctx.fase_uid = ctx.next_fase_uid
-                            ctx.next_fase_uid += 1
-                            if recording:
-                                recorder.record(
-                                    EV_FASE_BEGIN, thread_id, cycles, ctx.fase_uid
-                                )
-                            if drain is None:
-                                stats.cycles = cycles
-                                technique.on_fase_begin()
-                                cycles = stats.cycles
-                        continue
-                    elif code == kind_fase_end:
-                        if ctx.fase_depth == 0:
-                            raise SimulationError(
-                                f"thread {ctx.thread_id}: "
-                                "FaseEnd without FaseBegin"
-                            )
-                        ctx.fase_depth -= 1
-                        if ctx.fase_depth == 0:
-                            ctx.commit_fase_uid = ctx.fase_uid
-                            stats.cycles = cycles
-                            if drain is None:
-                                technique.on_fase_end()
-                            elif (lines := drain()) and not recording:
-                                # ``_flush_sync``'s train, one pop a line.
-                                gaps = []
-                                gap = 0
-                                for line in lines:
-                                    gap += flush_issue
-                                    if sets[line % num_sets].pop(line, False):
-                                        gaps.append(gap)
-                                        gap = 0
-                                now, stall = issue_train(stats.cycles, gaps)
-                                stats.cycles, wait = flushq.drain(now + gap)
-                                stats.stall_cycles += stall + wait
-                                count = len(lines)
-                                written += len(gaps)
-                                cleaned += count - len(gaps)
-                                instructions += count
-                                stats.flushes += count
-                                stats.fase_end_flushes += count
-                            elif lines:
-                                self._flush_sync(ctx, lines, "fase_end")
-                            cycles = stats.cycles
-                            fase_count += 1
-                            if recording:
-                                # After the drain, so the B/E span covers
-                                # the commit stall (same in both paths).
-                                recorder.record(
-                                    EV_FASE_END, thread_id, cycles, ctx.fase_uid
-                                )
-                        continue
-                    elif code == any_store:
-                        # Across lines, or volatile: the general store.
-                        addr = args[i]
-                        persistent = addr >= nvram_base
-                        for line in lines_spanned(addr, sizes[i]):
-                            hit, evicted = access(line, True)
-                            cycles += hit_cost if hit else miss_cost
-                            if evicted is not None and evicted[1]:
-                                stats.cycles = cycles
-                                evict_writeback(ctx, evicted[0])
-                                cycles = stats.cycles
-                            if persistent:
-                                if not skip_on_store:
+                                instructions += cost_per_store
+                            if not span:  # only a volatile line touch has one
+                                continue
+                        elif code == any_load:
+                            addr = args[i]
+                            for line in lines_spanned(addr, sizes[i]):
+                                hit, evicted = access(line, False)
+                                cycles += hit_cost if hit else miss_cost
+                                if evicted is not None and evicted[1]:
                                     stats.cycles = cycles
-                                    on_store(line)
+                                    evict_writeback(ctx, evicted[0])
                                     cycles = stats.cycles
-                                if trace_lines is not None:
-                                    trace_lines.append(line)
-                                    trace_fids.append(
-                                        ctx.fase_uid if ctx.fase_depth > 0 else -1
-                                    )
-                        instructions += 1
-                        if persistent:
-                            persistent_stores += 1
-                            cycles += cost_per_store
-                            instructions += cost_per_store
-                        if not span:  # only a volatile line touch has one
+                            instructions += 1
+                            if addr >= nvram_base:
+                                persistent_loads += 1
                             continue
-                    elif code == any_load:
-                        addr = args[i]
-                        for line in lines_spanned(addr, sizes[i]):
-                            hit, evicted = access(line, False)
-                            cycles += hit_cost if hit else miss_cost
-                            if evicted is not None and evicted[1]:
-                                stats.cycles = cycles
-                                evict_writeback(ctx, evicted[0])
-                                cycles = stats.cycles
-                        instructions += 1
-                        if addr >= nvram_base:
-                            persistent_loads += 1
-                        continue
-                    else:
-                        raise SimulationError(f"unknown event kind {code}")
-                    # What is left of this line touch is ``n`` plain hits (a
-                    # volatile line's) and ``amount`` instructions of ``WORK``.
-                    l1_stores += n
-                    cycles += n * hit_cost + work_cycles
-                    instructions += n + amount
-                ctx.batch_pos = end
-            return True
-        finally:
-            stats.cycles = cycles
-            stats.instructions += instructions + evictions
-            self._stores_seen += persistent_stores - stats.persistent_stores
-            stats.persistent_stores = persistent_stores
-            stats.persistent_loads = persistent_loads
-            stats.fase_count = fase_count
-            self.absorbed_stores += absorbed
-            stats.flushes += evictions
-            stats.eviction_flushes += evictions
-            if through:
-                stats.flushes += through
-                counter = through_counter
-                setattr(stats, counter, getattr(stats, counter) + through)
-            hw.loads += l1_loads
-            hw.stores += l1_stores
-            hw.load_misses += load_misses
-            hw.store_misses += store_misses
-            hw.evict_writebacks += evict_writebacks
-            hw.flush_writebacks += written
-            hw.clean_flushes += cleaned
+                        else:
+                            raise SimulationError(f"unknown event kind {code}")
+                        # What is left of this line touch is ``n`` plain hits (a
+                        # volatile line's) and ``amount`` instructions of ``WORK``.
+                        l1_stores += n
+                        cycles += n * hit_cost + work_cycles
+                        instructions += n + amount
+                    pos = end
+            finally:
+                stats.cycles = cycles
+                stats.instructions += instructions + evictions
+                self._stores_seen += persistent_stores - stats.persistent_stores
+                stats.persistent_stores = persistent_stores
+                stats.persistent_loads = persistent_loads
+                stats.fase_count = fase_count
+                self.absorbed_stores += absorbed
+                stats.flushes += evictions
+                stats.eviction_flushes += evictions
+                if through:
+                    stats.flushes += through
+                    counter = through_counter
+                    setattr(stats, counter, getattr(stats, counter) + through)
+                hw.loads += l1_loads
+                hw.stores += l1_stores
+                hw.load_misses += load_misses
+                hw.store_misses += store_misses
+                hw.evict_writebacks += evict_writebacks
+                hw.flush_writebacks += written
+                hw.clean_flushes += cleaned
+            budget = yield alive
 
     def _process_event(self, ctx: _ThreadContext, ev: Event) -> None:
         """Execute one event on behalf of ``ctx`` (the simulator core)."""
@@ -1359,7 +1352,7 @@ class Machine:
         active (:meth:`record_sites` called, or a target armed: ``store``
         sites exist only there, so enumeration and injection see one site
         sequence).  Any other run takes the batched loop, over batches or
-        a live stream's quanta (:meth:`_run_live`).
+        a live stream's quanta (:func:`_live_quanta`).
         """
         if num_threads < 1:
             raise ConfigurationError("num_threads must be >= 1")
@@ -1385,12 +1378,15 @@ class Machine:
             if batched:
                 ctx.batch_iter = iter(stream)
             elif steps is not None:
-                ctx.batch_iter = enumerate(stream)
+                ctx.batch_iter = _live_quanta(ctx, enumerate(stream))
             else:
                 ctx.stream = iter(stream)
+                if not per_event:
+                    ctx.batch_iter = _live_quanta(ctx, None)
             contexts.append(ctx)
-        runner = self._run_batch if per_event else self._run_live
-        self._schedule(contexts, self._run_batches if batched else runner)
+        self._schedule(contexts, self._run_batch if per_event else self._run_batches)
+        for ctx in contexts:    # ports let go: no cycle keeps the machine alive
+            ctx.port._ctx = None
 
         traces = None
         if record_traces:
@@ -1453,8 +1449,8 @@ class Machine:
         # A quantum edge exists to let another thread run, and for what
         # observes it: the sampler and the recorder.  With neither it is
         # inert (DESIGN.md §8), so the only runnable thread of an
-        # unobserved run over batch streams takes the rest of its stream
-        # as one quantum (a live stream keeps pulling quanta).
+        # unobserved batched run takes the rest of its stream as one
+        # quantum.
         lone_budget = (
             sys.maxsize
             if runner == self._run_batches and metrics is None and not rec.enabled
@@ -1465,15 +1461,16 @@ class Machine:
         heapq.heapify(heap)
         try:
             while heap:
-                _, tid, ctx = heapq.heappop(heap)
-                alive = runner(ctx, SCHED_BATCH if heap else lone_budget)
+                _, tid, ctx = heap[0]
+                alive = runner(ctx, SCHED_BATCH if len(heap) > 1 else lone_budget)
                 if metrics is not None:
                     self._sample_metrics(ctx)
                 if rec.enabled:
                     rec.on_quantum(tid, ctx.stats.cycles)
                 if alive:
-                    heapq.heappush(heap, (ctx.stats.cycles, tid, ctx))
+                    heapq.heapreplace(heap, (ctx.stats.cycles, tid, ctx))
                 else:
+                    heapq.heappop(heap)
                     self._finish(ctx)
         except PowerFailure:
             pass  # crashed_state holds the image; nothing runs after it
@@ -1482,7 +1479,9 @@ class Machine:
                 self._final_metrics(ctx)
 
     def _finish(self, ctx: _ThreadContext) -> None:
-        """End of a thread: the technique drains what it still buffers."""
+        """End of a thread: the technique drains what it still buffers.
+        Its batched loop goes, and with it the loop's reference to ``ctx``."""
+        ctx.loop = None
         if ctx.fase_depth != 0:
             raise SimulationError(
                 f"thread {ctx.thread_id} ended inside a FASE "

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.errors import ConfigurationError, require_int
+from repro.common.errors import require_int, require_positive
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,7 @@ class TimingModel:
     flush_queue_depth: int = 8
 
     def __post_init__(self) -> None:
-        if self.cpi <= 0:
-            raise ConfigurationError("cpi must be positive")
+        require_positive("cpi", self.cpi)
         # Cycle counts stay exact ints end to end: a fractional cost would
         # silently turn every counter into a float.
         for name in ("l1_hit", "l1_miss", "flush_issue", "writeback_service"):

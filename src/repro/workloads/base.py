@@ -41,7 +41,7 @@ class Workload:
         so a machine pulling steps lazily sees the allocator's calls in
         the order the per-event engine does.  ``batch_streams`` packs
         them where :meth:`schedule_independent` holds, and
-        ``Machine._run_live`` pulls them a quantum at a time elsewhere.
+        the machine pulls them a quantum at a time elsewhere.
     :meth:`streams`
         Per-object events: a bare generator.  Its batches are recorded
         once by :class:`BatchCachingWorkload` where

@@ -21,6 +21,7 @@ import pytest
 from repro.cache.spec import technique_factory
 from repro.common.errors import ConfigurationError
 from repro.common.events import (
+    EventBatch,
     FaseBegin,
     FaseEnd,
     Store,
@@ -39,6 +40,8 @@ from repro.nvram.failure import CrashPlan
 from repro.nvram.hwcache import HardwareCache
 from repro.nvram.machine import Machine, MachineConfig
 from repro.nvram.memory import NVRAM_BASE
+from repro.obs.live import StreamingRecorder
+from repro.obs.trace import TraceRecorder
 from repro.workloads.base import BatchCachingWorkload, TraceWorkload, Workload
 from repro.workloads.hashtable import HashTableWorkload
 from repro.workloads.parray import PersistentArray
@@ -198,6 +201,112 @@ def test_the_batched_loop_owns_write_throughs_and_the_l1():
         )
         assert all(calls[False].values()), (workload.name, calls)
         assert not any(calls[True].values()), (workload.name, calls)
+
+
+class RecordedBatches:
+    """One recording of ``workload`` at ``threads``, served to every run
+    as a harness serves it to each technique."""
+
+    name = "recorded"
+
+    def __init__(self, workload, threads):
+        self.batches = [list(s) for s in workload.batch_streams(threads, SEED)]
+
+    def batch_streams(self, num_threads, seed):
+        return [iter(s) for s in self.batches]
+
+
+def test_a_thread_enters_its_batched_loop_once(monkeypatch):
+    """Counts, not timings: ocean at 8 threads, recorded once and run
+    under AT, SC and BEST, untraced and traced.  Each thread's loop runs
+    its prologue once however many quanta it takes; a quantum is a slice
+    of a table cut at the thread's edges, so ``EventBatch.visit_rows``
+    serves only the rest of the batch a thread becomes alone in (once at
+    most, and never when a recorder keeps every edge); and each table is
+    built once across the cells."""
+    recorded = RecordedBatches(get_workload("ocean", scale=0.05), 8)
+    loops, remainders, tables = [], [], {}
+    batch_loop, visit_rows, visits = (
+        Machine._batch_loop, EventBatch.visit_rows, EventBatch.visits
+    )
+
+    def counted_loop(self, ctx):
+        assert ctx.thread_id not in loops, ("a second prologue", ctx.thread_id)
+        loops.append(ctx.thread_id)
+        return batch_loop(self, ctx)
+
+    def counted_rows(self, *args):
+        remainders.append(args)
+        return visit_rows(self, *args)
+
+    def kept(self, *args):
+        table = visits(self, *args)
+        key = (id(self),) + args + (1.0, 0, 0, 0)[len(args):]
+        assert tables.setdefault(key, table) is table, ("built twice", key)
+        return table
+
+    monkeypatch.setattr(Machine, "_batch_loop", counted_loop)
+    monkeypatch.setattr(EventBatch, "visit_rows", counted_rows)
+    monkeypatch.setattr(EventBatch, "visits", kept)
+    lone = 0
+    for technique in ("AT", "SC", "BEST"):
+        for recorder in (None, TraceRecorder()):
+            loops.clear()
+            remainders.clear()
+            machine = Machine(recorder=recorder)
+            runner, quanta = machine._run_batches, []
+
+            def counted(ctx, budget, runner=runner, quanta=quanta):
+                quanta.append(budget)
+                return runner(ctx, budget)
+
+            machine._run_batches = counted
+            machine.run(recorded, technique_factory(technique), num_threads=8, seed=SEED)
+            assert sorted(loops) == list(range(8)), (technique, loops)
+            assert len(quanta) > 10 * 8, (technique, len(quanta))
+            assert len(remainders) <= (1 if recorder is None else 0), remainders
+            lone += len(remainders)
+    assert lone                 # the lone remainder's path ran
+    assert {key[4] for key in tables} == {0, 64}
+
+
+@pytest.mark.parametrize(
+    "name,technique,threads", [("ocean", "AT", 1), ("water-spatial", "SC", 8)]
+)
+def test_traced_runs_write_the_per_event_engines_bytes(name, technique, threads):
+    """A recorder sees every flush, stall and FASE span, and keeps every
+    quantum edge — a lone thread's too — 64 events apart: the batched
+    loop's trace is the per-event engine's, byte for byte.  At 8 threads
+    this is the cut-table path."""
+    workload = get_workload(name, scale=0.1)
+    traces = []
+    for use_batches in (True, False):
+        recorder = TraceRecorder()
+        Machine(recorder=recorder).run(
+            workload, technique_factory(technique), num_threads=threads,
+            seed=SEED, use_batches=use_batches,
+        )
+        traces.append(recorder.to_jsonl())
+    assert traces[0] == traces[1] and traces[0]
+
+
+def test_a_streamed_live_cell_writes_the_per_event_engines_bytes(tmp_path):
+    """The traced ``queue`` SC@2 smoke cell — live quanta, streamed to
+    disk — spills the same bytes when forced onto the per-event engine."""
+    config = HarnessConfig(scale=0.2, seed=SEED)
+    summary = Harness(config).profile_summary("queue")
+    run = Machine.run
+    spills = []
+    for use_batches in (None, False):
+        path = tmp_path / f"queue-{use_batches}.jsonl"
+
+        def forced(self, *args, use_batches=use_batches, **kwargs):
+            return run(self, *args, **kwargs, use_batches=use_batches)
+
+        with mock.patch.object(Machine, "run", forced), StreamingRecorder(str(path)) as rec:
+            execute_cell(config, "queue", "SC", 2, summary, recorder=rec)
+        spills.append(path.read_bytes())
+    assert spills[0] == spills[1] and spills[0]
 
 
 def test_batch_caching_workload_replays_identically():

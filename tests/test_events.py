@@ -76,18 +76,22 @@ def test_validate_stream_nesting_ok():
 N0 = 1 << 40          # a line-aligned address in the persistence domain
 
 
-def reference_runs(batch, cpi=1.0):
+def reference_runs(batch, cpi=1.0, phase=0, period=0):
     """``EventBatch.line_runs`` as plain loops: mark the events that
-    continue the previous event's run, then sum suffixes backwards."""
+    continue the previous event's run — none at an edge, and a ``WORK`` on
+    one lets no ``WORK`` after it continue — then sum suffixes backwards."""
     kinds, args, sizes = batch.kinds, batch.args, batch.sizes
     n = len(kinds)
     cont, line = [], None
-    for k, a, s in zip(kinds, args, sizes):
+    for i, (k, a, s) in enumerate(zip(kinds, args, sizes)):
+        edge = period and i and i % period == phase
         if k == EventKind.WORK and 0 <= a < 1 << 40:
-            cont.append(line is not None)
+            cont.append(line is not None and not edge)
+            if edge:
+                line = None
             continue
         single = k == EventKind.STORE and a >= 0 and a >> 6 == (a + s - 1) >> 6
-        cont.append(single and line == a >> 6)
+        cont.append(single and line == a >> 6 and not edge)
         line = a >> 6 if single else None
     cols = [[0] * n for _ in range(4)]
     for i in range(n - 2, -1, -1):
@@ -369,6 +373,114 @@ def test_visit_table_is_kept_like_the_run_table():
         (3, EventKind.LOAD, N0 >> 6, 0, 0, 0, 0),
         (4, EventKind.STORE, (N0 >> 6) + 1, 0, 0, 0, 0),
     ]
+
+
+# -- tables cut at a thread's quantum edges -----------------------------------
+
+
+def edges_of(n, phase, period=64):
+    """``0``, every edge ``p`` in ``(0, n)`` with ``p % period == phase``, ``n``."""
+    return [0] + [p for p in range(1, n) if p % period == phase] + [n]
+
+
+def cut_rows(batch, pos, end, phase, period=64, cpi=1.0, base=N0):
+    """The rows of the table cut at ``phase`` with ``pos <= index < end``."""
+    rows = zip(*batch.visits(cpi, base, phase, period))
+    return [row for row in rows if pos <= row[0] < end]
+
+
+def longer_batch(rng, n):
+    """Runs long enough to cross several edges: bursts of stores to a few
+    lines, some volatile, with ``WORK`` between and the odd FASE mark."""
+    events = []
+    while len(events) < n:
+        base = rng.choice((N0, N0, 4096)) + 64 * rng.randrange(4)
+        for _ in range(rng.randrange(1, 90)):
+            events.append(Store(base + rng.choice((0, 8, 56, 60)), 8))
+            if rng.random() < 0.4:
+                events.append(Work(rng.choice((3, 70))))
+        if rng.random() < 0.3:
+            events.append(rng.choice((FaseBegin(), FaseEnd(), Load(N0))))
+    return batch_of(*events[:n])
+
+
+def test_a_cut_table_holds_each_quantum_between_its_edges():
+    """For every phase, the rows of a quantum between two of its edges are
+    the reference walk's over that quantum — the uncut table's
+    ``visit_rows`` — and the cut run columns are the reference's."""
+    rng = random.Random(13)
+    batches = [random_batch(rng) for _ in range(12)]
+    batches += [longer_batch(rng, n) for n in (300, 700)]
+    for batch in batches:
+        n = len(batch)
+        for phase in range(64):
+            edges = edges_of(n, phase)
+            for pos, end in zip(edges, edges[1:]):
+                rows = cut_rows(batch, pos, end, phase)
+                assert rows == reference_rows(batch, pos, end), (phase, pos, end)
+                assert rows == list(batch.visit_rows(pos, end, 1.0, N0))
+        for phase in (0, 5, 63):
+            for cpi in (1.0, 0.7):
+                assert [list(col) for col in batch.line_runs(cpi, phase, 64)] == (
+                    reference_runs(batch, cpi, phase, 64)
+                )
+
+
+def test_an_edge_cuts_every_kind_of_row():
+    """Directed: an edge on a ``WORK`` inside a run enters the ``WORK``s
+    one by one and then the store as a new head; one on a volatile run or
+    a line-straddling store or a FASE mark starts its row there."""
+    line = N0 >> 6
+    at_work = batch_of(Store(N0), Store(N0 + 8), Work(5), Work(7), Store(N0 + 16), Work(3))
+    assert cut_rows(at_work, 0, 6, 2, 2) == [
+        (0, EventKind.STORE, line, 1, 1, 0, 0),
+        (2, EventKind.WORK, 5, 0, 0, 0, 0),
+        (3, EventKind.WORK, 7, 0, 0, 0, 0),
+        (4, EventKind.STORE, line, 1, 0, 3, 3),
+    ]
+    volatile = batch_of(Store(4096), Work(2), Store(4100), Store(4104), Work(1))
+    assert cut_rows(volatile, 0, 5, 2, 2) == [
+        (0, VisitCode.ANY_STORE, 4096, 1, 0, 2, 2),
+        (2, VisitCode.ANY_STORE, 4100, 1, 1, 0, 0),
+        (4, EventKind.WORK, 1, 0, 0, 0, 0),
+    ]
+    straddle = batch_of(Store(N0), Store(N0 + 60, 8), Store(N0 + 64), Work(4))
+    assert cut_rows(straddle, 0, 4, 1, 64) == [
+        (0, EventKind.STORE, line, 0, 0, 0, 0),
+        (1, VisitCode.ANY_STORE, N0 + 60, 0, 0, 0, 0),
+        (2, EventKind.STORE, line + 1, 1, 0, 4, 4),
+    ]
+    fase = batch_of(FaseBegin(), Store(N0), Work(2), FaseEnd(), Store(N0))
+    assert cut_rows(fase, 0, 5, 3, 64) == [
+        (0, EventKind.FASE_BEGIN, 0, 0, 0, 0, 0),
+        (1, EventKind.STORE, line, 1, 0, 2, 2),
+        (3, EventKind.FASE_END, 0, 0, 0, 0, 0),
+        (4, EventKind.STORE, line, 0, 0, 0, 0),
+    ]
+    for batch in (at_work, volatile, straddle, fase):
+        n = len(batch)
+        for phase, period in ((0, 2), (1, 2), (1, 3), (3, 64)):
+            edges = edges_of(n, phase, period)
+            for pos, end in zip(edges, edges[1:]):
+                assert cut_rows(batch, pos, end, phase, period) == (
+                    reference_rows(batch, pos, end)
+                )
+
+
+def test_each_phase_table_is_kept_with_the_batch_and_never_pickled():
+    batch = longer_batch(random.Random(2), 200)
+    bare = len(pickle.dumps(batch))
+    tables = {phase: batch.visits(1.0, N0, phase, 64) for phase in (0, 7, 63)}
+    uncut = batch.visits(1.0, N0)
+    for phase, table in tables.items():
+        assert batch.visits(1.0, N0, phase, 64) is table
+        assert batch.line_runs(1.0, phase, 64) is batch.line_runs(1.0, phase, 64)
+    assert batch.visits(1.0, N0) is uncut
+    assert tables[7] != uncut
+    assert len(pickle.dumps(batch)) == bare
+    for clone in (copy.copy(batch), copy.deepcopy(batch), pickle.loads(pickle.dumps(batch))):
+        assert clone._runs is None and clone._visits is None
+        assert clone.visits(1.0, N0, 7, 64) == tables[7]
 
 
 # -- the optional payload column ---------------------------------------------

@@ -3,7 +3,7 @@
 A workload with no batch stream — ``queue`` and ``linked-list`` above one
 thread, whose generators share an allocator, or any bare generator
 workload — runs each thread's next quantum as visit rows of span 0
-(``Machine._run_live``).  Everything it leaves behind must be what the
+(``repro.nvram.machine._live_quanta``).  Everything it leaves behind must be what the
 per-event reference (``use_batches=False``) leaves: every counter, the
 L1 image, the recorded write traces, the trace JSONL and the metrics.
 """

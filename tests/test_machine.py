@@ -38,6 +38,25 @@ def run(machine, *streams, technique="LA", threads=None, **kwargs):
 PA = NVRAM_BASE  # persistent base address
 
 
+@pytest.mark.parametrize(
+    "geometry, message",
+    [
+        ({"l1_capacity_lines": 512.0}, "l1_capacity_lines must be an int"),
+        ({"l1_capacity_lines": "512"}, "l1_capacity_lines must be an int"),
+        ({"l1_ways": True}, "l1_ways must be an int"),
+        ({"l1_ways": 0}, "l1_ways must be >= 1"),
+        ({"l1_capacity_lines": 4}, "l1_capacity_lines must be >= 8"),
+        ({"l1_capacity_lines": 100}, "100 is not a multiple of l1_ways 8"),
+    ],
+)
+def test_l1_geometry_is_a_typed_error_at_construction(geometry, message):
+    """A float capacity used to pass and fail in ``Machine()`` with a bare
+    ``TypeError``, a string to raise one from the comparison, and a
+    capacity off the ways' multiple to wait for ``HardwareCache``."""
+    with pytest.raises(ConfigurationError, match=message):
+        MachineConfig(**geometry)
+
+
 def after_stores(k, events, technique):
     """A plan crashing as the ``k``-th persistent store retires: the
     ``k``-th ``store`` site of a site-recording run of the same events."""

@@ -63,6 +63,16 @@ def test_cycle_costs_must_be_ints(field, value):
     assert TimingModel(cpi=1.5).cpi == 1.5      # cpi alone stays a float
 
 
+@pytest.mark.parametrize(
+    "cpi", [float("nan"), float("inf"), float("-inf"), 0, -1, True, "1.0"]
+)
+def test_cpi_is_a_finite_positive_real(cpi):
+    """``nan`` and ``inf`` used to construct and then fail inside the
+    engine (``int(nan)``, an ``OverflowError``), and ``True`` ran as 1.0."""
+    with pytest.raises(ConfigurationError, match="cpi"):
+        TimingModel(cpi=cpi)
+
+
 # -- stats -------------------------------------------------------------------
 
 
