@@ -145,7 +145,7 @@ class AtlasRuntime:
         finally:
             if self.fases.depth == 1:
                 # Order: data drain happens inside fase_end (the
-                # technique's on_fase_end), then the commit record.
+                # technique's commit), then the commit record.
                 self.fases.end()
                 self.log.commit(fase_id)
             else:

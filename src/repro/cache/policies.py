@@ -12,24 +12,22 @@ BEST      no flushes at all — not a correct technique, but the upper
 ========  =============================================================
 
 A technique instance is strictly per-thread (the machine builds one per
-thread through a factory).  LA, AT and SC are the paper's one model
-(§II-A, §II-B/Fig. 1): a store ``insert``s its line and may get back one
-line to flush, and the FASE end flushes what ``drain`` returns, every
-flush a ``clflush``.  The base class
-writes the machine's hooks ``on_store``, ``on_fase_begin``,
-``on_fase_end`` and ``finish`` in terms of those two, and ``buffered``
-lets the machine call ``insert``/``drain`` and flush itself.  It also
-calls ``absorb_repeats`` for the repeats of a line-touch run and charges
-``cost_per_store`` cycles per persistent store; ``on_store_noop`` (the
-call does nothing) and ``write_through`` (the call is one flush of the
-stored line, of that category) let it skip ``on_store``.  A subclass
-that defines a hook without restating the declarations vouching for it
-gets their defaults back, so none outlives its hooks (ER and the staged
-technique are driven through theirs).  SC-offline's ``insert`` is its
-cache's ``access``; an adaptive SC's counts its warm-up, records its
-burst and, on the burst's last write, resizes and *settles* into the
+thread through a factory).  Every technique is the paper's one model
+(§II-A, §II-B/Fig. 1), a buffer: a store ``insert``s its line and may get
+back one line to flush, of the class's ``flush_category``, and a commit
+flushes what ``drain`` returns, ``levels`` times, every flush a
+``clflush``.  ER and LA are the buffer's two ends — ER's ``insert`` hands
+back the line it was given (``"eager"``), LA's keeps every line — and
+BEST an empty buffer that never flushes (category ``None``: its
+``insert`` is never called).  Besides those two the machine calls only
+``absorb_repeats``, for the repeats of a line-touch run, and charges
+``cost_per_store`` cycles per persistent store.  SC-offline's ``insert``
+is its cache's ``access``; an adaptive SC's counts its warm-up, records
+its burst and, on the burst's last write, resizes and *settles* into the
 same ``access`` — ``settling`` tells the machine to re-read ``insert``
-until then.
+until then.  ``on_store``, ``on_fase_begin``, ``on_fase_end`` and
+``finish`` are those calls spelled as port flushes, for a caller that
+drives a technique without a machine.
 The per-store costs are read off the paper's Table IV instruction counts
 (per store: AT ~16-19, SC ~24 on top of the program's own ~62):
 BEST < ER < LA < AT < SC, with SC running ~8% more instructions than AT.
@@ -51,37 +49,19 @@ class PersistenceTechnique:
     name = "abstract"
     #: Bookkeeping cycles charged per persistent store.
     cost_per_store = 0
-    #: Declares ``on_store`` a guaranteed no-op, letting the machine's
-    #: batched loop skip the call (and the stats hand-off around it)
-    #: per persistent store.  Only set True when ``on_store`` neither
-    #: reads nor writes any state.
-    on_store_noop = False
-    #: A flush category declares that ``on_store(line)`` is exactly one
-    #: ``port.flush_async(line, category)`` and nothing else — no state,
-    #: no other port call — so the machine may issue that flush itself,
-    #: one train per line-touch run.  ``None``: ``on_store`` is called.
-    write_through: Optional[str] = None
+    #: The category of the flush of a line ``insert`` returns; ``None``
+    #: for a buffer that never returns one, whose ``insert`` the machine
+    #: then never calls.  ``"eager"`` vouches that ``insert`` returns the
+    #: line it was given and keeps no state, so the machine may flush a
+    #: run of such stores as one train without calling it.
+    flush_category: Optional[str] = "eviction"
+    #: How many ``drain`` calls a commit makes, each non-empty result one
+    #: flush train.
+    levels = 1
     #: True while ``insert`` may rebind itself — an adapting SC, until its
     #: burst closes: the machine's batched loop then re-reads ``insert``
     #: (and this flag) before each call instead of once per thread.
     settling = False
-    #: Vouches that the four hooks are the base class's: ``on_store`` is
-    #: ``insert`` plus an ``eviction`` flush of what it returns, ``on_fase_begin``
-    #: nothing, ``on_fase_end``/``finish`` a flush of what ``drain`` returns.
-    buffered = True
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        # Each declaration vouches for hooks: a subclass that brings its
-        # own without restating it is driven through them.
-        own = vars(cls)
-        if "on_store" in own:
-            for name, default in (("on_store_noop", False), ("write_through", None)):
-                if name not in own:
-                    setattr(cls, name, default)
-        hooks = {"on_store", "on_fase_begin", "on_fase_end", "finish"}
-        if "buffered" not in own and not hooks.isdisjoint(own):
-            cls.buffered = False
 
     def __init__(self) -> None:
         self.port = None
@@ -102,20 +82,19 @@ class PersistenceTechnique:
         """A persistent store touched ``line``."""
         evicted = self.insert(line)
         if evicted is not None:
-            self.port.flush_async(evicted, "eviction")
+            self.port.flush_async(evicted, self.flush_category)
 
     def absorb_repeats(self, line: int, n: int) -> bool:
-        """Take the ``n`` stores that repeat ``on_store(line)`` in one step.
+        """Take the ``n`` stores that repeat ``insert(line)`` in one step.
 
-        Called right after ``on_store(line)`` when the thread's next
-        ``n`` stores hit the same line with nothing but computation
-        between them, and only if that ``on_store`` left ``line`` dirty
-        in L1 (the machine checks; a flushed line's repeat is a miss).
-        Return True after accounting all ``n`` as the hits they are,
-        and the machine skips their ``on_store`` calls; return False —
-        the default — and the run arrives store by store.  True is only
-        legal when a repeat is a pure hit: no flush, no port call, no
-        state but a counter.
+        Called right after ``insert(line)`` when the thread's next ``n``
+        stores hit the same line with nothing but computation between
+        them, and only if that store left ``line`` dirty in L1 (the
+        machine checks; a flushed line's repeat is a miss).  Return True
+        after accounting all ``n`` as the hits they are, and the machine
+        skips their ``insert`` calls; return False — the default — and
+        the run arrives store by store.  True is only legal when a repeat
+        is a pure hit: no flush, no port call, no state but a counter.
         """
         return False
 
@@ -124,15 +103,17 @@ class PersistenceTechnique:
 
     def on_fase_end(self) -> None:
         """An outermost FASE ended — persistence point."""
-        lines = self.drain()
-        if lines:
-            self.port.flush_sync(lines, "fase_end")
+        self._commit("fase_end")
 
     def finish(self) -> None:
         """The thread's stream ended; make remaining data durable."""
-        lines = self.drain()
-        if lines:
-            self.port.flush_sync(lines, "final")
+        self._commit("final")
+
+    def _commit(self, category: str) -> None:
+        for _ in range(self.levels):
+            lines = self.drain()
+            if lines:
+                self.port.flush_sync(lines, category)
 
 
 class EagerTechnique(PersistenceTechnique):
@@ -145,10 +126,10 @@ class EagerTechnique(PersistenceTechnique):
 
     name = "ER"
     cost_per_store = 4
-    write_through = "eager"
+    flush_category = "eager"
 
-    def on_store(self, line: int) -> None:
-        self.port.flush_async(line, "eager")
+    def insert(self, line: int) -> int:
+        return line
 
 
 class LazyTechnique(PersistenceTechnique):
@@ -306,7 +287,7 @@ class BestTechnique(PersistenceTechnique):
 
     name = "BEST"
     cost_per_store = 0
-    on_store_noop = True
+    flush_category = None
 
     def absorb_repeats(self, line: int, n: int) -> bool:
         return True

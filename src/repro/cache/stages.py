@@ -10,22 +10,27 @@ stage of the grammar in :mod:`repro.cache.spec` (see DESIGN.md §14):
     the base cache (no flush at all), overflow flushes the oldest entry
     (category ``victim``).  By flush count the pair is one LRU of
     ``c + V`` lines; it differs from SC at that size only in timing.
+
+The staged technique is a buffer like any other
+(:mod:`repro.cache.policies`), of two levels: ``insert`` returns the
+oldest victim a store displaces, and a commit drains the base cache,
+then the victims — one flush train each.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Collection, Dict, Optional, Tuple
 
 from repro.cache.policies import PersistenceTechnique
 
 
 class _VictimPort:
-    """Flush port wrapper that diverts the base technique's evictions.
+    """Flush port wrapper that parks the base technique's resize evictions.
 
-    Eviction flushes (categories ``eviction`` / ``resize_eviction``)
-    park the line in the stage's victim cache instead of flushing;
-    everything else — drains, logging, bookkeeping, context — delegates
-    untouched to the real :class:`~repro.nvram.machine.FlushPort`.
+    A ``resize_eviction`` flush parks the line in the stage's victim
+    cache instead of flushing it, and flushes the victim it displaces;
+    everything else — logging, bookkeeping, context — delegates untouched
+    to the real :class:`~repro.nvram.machine.FlushPort`.
     """
 
     __slots__ = ("_port", "_stage")
@@ -35,8 +40,10 @@ class _VictimPort:
         self._stage = stage
 
     def flush_async(self, line: int, category: str = "eviction") -> None:
-        if category == "eviction" or category == "resize_eviction":
-            self._stage._victim_insert(line)
+        if category == "resize_eviction":
+            oldest = self._stage._park(line)
+            if oldest is not None:
+                self._port.flush_async(oldest, "victim")
         else:
             self._port.flush_async(line, category)
 
@@ -51,6 +58,9 @@ class StagedTechnique(PersistenceTechnique):
     zero effective stages (degenerate specs return the bare base
     instead, keeping their results bit-identical to the plain base).
     """
+
+    flush_category = "victim"
+    levels = 2
 
     def __init__(
         self,
@@ -73,19 +83,27 @@ class StagedTechnique(PersistenceTechnique):
         occupancy off ``technique.cache``, so staged runs keep their gauges."""
         return self.inner.cache
 
-    # -- protocol --------------------------------------------------------
+    # -- the buffer ------------------------------------------------------
 
     def bind(self, port) -> None:
         super().bind(port)
         self.inner.bind(_VictimPort(port, self))
 
-    def on_store(self, line: int) -> None:
+    def insert(self, line: int) -> Optional[int]:
         victim = self._victim
         if line in victim:
             # The line earned a second life: back into the base cache,
             # no flush issued at all for the original eviction.
             del victim[line]
-        self.inner.on_store(line)
+        evicted = self.inner.insert(line)
+        return None if evicted is None else self._park(evicted)
+
+    def drain(self) -> Collection[int]:
+        # The base level first; once it is empty, the victims.
+        lines = self.inner.drain()
+        if not lines:
+            lines, self._victim = self._victim, {}
+        return lines
 
     def absorb_repeats(self, line: int, n: int) -> bool:
         # A repeat is the base technique's own — unless the base's
@@ -94,20 +112,8 @@ class StagedTechnique(PersistenceTechnique):
             return False
         return self.inner.absorb_repeats(line, n)
 
-    def on_fase_begin(self) -> None:
-        self.inner.on_fase_begin()
-
-    def on_fase_end(self) -> None:
-        self.inner.on_fase_end()
-        self._drain_victim("fase_end")
-
-    def finish(self) -> None:
-        self.inner.finish()
-        self._drain_victim("final")
-
-    # -- victim cache ----------------------------------------------------
-
-    def _victim_insert(self, line: int) -> None:
+    def _park(self, line: int) -> Optional[int]:
+        """Park an evicted ``line``; return the oldest victim it displaces."""
         victim = self._victim
         if line in victim:
             del victim[line]  # refresh recency
@@ -115,14 +121,8 @@ class StagedTechnique(PersistenceTechnique):
         if len(victim) > self.victim_capacity:
             oldest = next(iter(victim))
             del victim[oldest]
-            self.port.flush_async(oldest, "victim")
-
-    def _drain_victim(self, category: str) -> None:
-        victim = self._victim
-        if victim:
-            lines = list(victim)
-            victim.clear()
-            self.port.flush_sync(lines, category)
+            return oldest
+        return None
 
     def __repr__(self) -> str:
         return f"StagedTechnique({self.name!r})"

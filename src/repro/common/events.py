@@ -95,20 +95,16 @@ A thread that shares the machine with others stops every
 quantum edge.  ``line_runs`` and ``visits`` therefore also take a
 ``phase`` and ``period``: the table cut at the thread's edges in this
 batch, whose rows between two edges are exactly that quantum's, kept
-with the batch like the uncut one.  The per-event suffix columns make
-any other cut O(1) too — :meth:`EventBatch.visit_rows` enters events
-``[pos, end)`` wherever they open and end, for the rest of a batch that
-a thread takes alone.  A live quantum (a workload with no batch stream:
-steps pulled as the thread runs, or a bare generator's events) gets its
-rows without numpy: the machine codes each event of its columns by the
-rules above, span 0 apiece.
+with the batch like the uncut one; the rest of a batch that a thread
+comes to take alone is the rest of that cut table.  A live quantum (a
+workload with no batch stream: steps pulled as the thread runs, or a
+bare generator's events) gets its rows without numpy: the machine codes
+each event of its columns by the rules above, span 0 apiece.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
-from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -208,21 +204,6 @@ def _compact(column: np.ndarray) -> array:
     """A non-negative column as the narrowest unsigned ``array``."""
     dtype = np.min_scalar_type(int(column.max(initial=0)))
     return array(dtype.char, column.astype(dtype).tobytes())
-
-
-def _run_row(i: int, code: int, arg: int, last: int, runs: Tuple[array, ...]) -> tuple:
-    """The visit-table row of store ``i`` with its run cut after event
-    ``last`` — where a quantum ends; a no-op where the run does."""
-    _spans, stores, work, cycles = runs
-    return (
-        i,
-        code,
-        arg,
-        last - i,
-        stores[i] - stores[last],
-        work[i] - work[last],
-        cycles[i] - cycles[last],
-    )
 
 
 class EventBatch:
@@ -465,9 +446,9 @@ class EventBatch:
 
         With a ``period``, the runs are those cut at every edge ``phase``
         (mod ``period``), so the rows of events ``[pos, end)`` between two
-        edges are the table's rows with ``pos <= index < end`` — exactly
-        :meth:`visit_rows` of those events on the uncut table.  Kept with
-        the batch exactly as the run columns are.
+        edges are the table's rows with ``pos <= index < end``: the runs
+        of those events as if no event came before or after them.  Kept
+        with the batch exactly as the run columns are.
         """
         key = (len(self.kinds), cpi, base, phase, period)
         cached = self._visits
@@ -499,50 +480,6 @@ class EventBatch:
         )
         cached[key] = table
         return table
-
-    def visit_rows(
-        self, pos: int, end: int, cpi: float = 1.0, base: int = 0
-    ) -> Iterator[tuple]:
-        """The visits of events ``[pos, end)`` — one scheduler quantum,
-        never empty — as ``(index, code, arg, span, stores, work, cycles)``
-        rows.
-
-        The slice of :meth:`visits` between the two, made to fit: a run
-        the quantum's end cuts keeps only what lies before it, and a
-        quantum that opens inside a run enters it there — the ``WORK``
-        events before the run's next store one by one, then that store
-        as the head of what is left.
-        """
-        index, code, arg, span, stores, work, cycles = self.visits(cpi, base)
-        lo = bisect_left(index, pos)
-        hi = bisect_left(index, end, lo)
-        lead, tail = [], ()
-        if lo == len(index) or index[lo] != pos:
-            kinds, args = self.kinds, self.args
-            runs = self.line_runs(cpi)
-            stop = min(end, pos + runs[0][pos] + 1)
-            j = pos
-            while j < stop and kinds[j] == EventKind.WORK:
-                lead.append((j, EventKind.WORK, args[j], 0, 0, 0, 0))
-                j += 1
-            if j < stop:
-                addr = args[j]
-                head = (
-                    (EventKind.STORE, addr >> 6)
-                    if addr >= base
-                    else (VisitCode.ANY_STORE, addr)
-                )
-                lead.append(_run_row(j, *head, stop - 1, runs))
-        if hi > lo and index[hi - 1] + span[hi - 1] >= end:
-            hi -= 1
-            tail = (
-                _run_row(index[hi], code[hi], arg[hi], end - 1, self.line_runs(cpi)),
-            )
-        rows = zip(
-            index[lo:hi], code[lo:hi], arg[lo:hi], span[lo:hi],
-            stores[lo:hi], work[lo:hi], cycles[lo:hi],
-        )
-        return chain(lead, rows, tail) if lead or tail else rows
 
     # -- expanding -------------------------------------------------------
 

@@ -20,14 +20,14 @@ one batched loop; event by event only for value tracking, crash sites
 and the tests' reference — and ``drive`` lets a caller that dispatches
 operations itself — the Atlas crash replay — borrow it for its sessions.
 
-The technique object is duck-typed (see :mod:`repro.cache.policies`): the
-machine calls ``bind(port)``, ``on_store(line)``, ``on_fase_begin()``,
-``on_fase_end()`` (outermost FASEs only) and ``finish()``, and reads the
-``cost_per_store`` attribute for per-store bookkeeping cycles.  The
-batched loop also reads the ``on_store_noop`` and ``write_through``
-attributes and calls ``absorb_repeats``, which let it skip ``on_store``,
-and drives a ``buffered`` technique through ``insert``/``drain``, issuing
-its flushes itself.  A FASE commit is one flush train.
+The technique is a buffer (see :mod:`repro.cache.policies`): the machine
+calls ``bind(port)``, then ``insert(line)`` per persistent store —
+flushing a returned line in the technique's ``flush_category`` — and
+``absorb_repeats`` for a line-touch run's repeats, and at an outermost
+FASE's end and the thread's end flushes what ``drain()`` returns,
+``levels`` times, each result one flush train.  It charges
+``cost_per_store`` cycles per persistent store and re-reads ``insert``
+while ``settling`` is set.
 """
 
 from __future__ import annotations
@@ -282,9 +282,9 @@ class _ThreadContext:
         self.fase_depth = 0
         self.fase_uid = -1
         # Uid of the FASE currently committing: set just before the
-        # technique's on_fase_end() runs (the drain it triggers happens
-        # at depth 0, after fase_uid stops being "current"), cleared
-        # implicitly by the next FASE.  -1 outside any commit.
+        # technique's buffer drains (its flushes happen at depth 0, after
+        # fase_uid stops being "current"), cleared implicitly by the next
+        # FASE.  -1 outside any commit.
         self.commit_fase_uid = -1
         # FASE uids unique across threads: thread_id in the high bits.
         self.next_fase_uid = thread_id << 40
@@ -398,7 +398,7 @@ class Machine:
         self._stores_seen = 0
         #: Persistent stores the batched loop took as part of a
         #: line-touch run — absorbed as hits, or written through as one
-        #: train of flushes — i.e. without an ``on_store`` call of their own.
+        #: train of flushes — i.e. without an ``insert`` call of their own.
         self.absorbed_stores = 0
         self.crashed_state: Optional[CrashedState] = None
         # Crash-site machinery (repro.faults).  ``_sites_active`` gates
@@ -604,6 +604,14 @@ class Machine:
         if self._sites_active:
             self._note_site(ctx, SITE_DRAIN)
 
+    def _commit(self, ctx: _ThreadContext, category: str) -> None:
+        """Flush what ``ctx``'s technique drains: one train per level."""
+        technique = ctx.technique
+        for _ in range(technique.levels):
+            lines = technique.drain()
+            if lines:
+                self._flush_sync(ctx, lines, category)
+
     def _evict_writeback(self, ctx: _ThreadContext, line: int) -> None:
         # A dirty line displaced by a fill: the hardware writes it back in
         # the background (no CPU issue cost, but channel occupancy).
@@ -666,10 +674,10 @@ class Machine:
         per batch its columns, its row iterator and a row cursor.  A batch
         pulled while other threads can run takes the table cut at this
         thread's quantum edges (its phase: ``-pulled % SCHED_BATCH``), so a
-        quantum's rows are the next ``islice`` of it.  A thread running
-        alone takes whole uncut tables, and the rest of the batch it became
-        alone in through :meth:`EventBatch.visit_rows` (DESIGN.md §8).  No
-        crash fires and no value is tracked in here: such runs execute on
+        quantum's rows are the next ``islice`` of it; the rest of the batch
+        a thread becomes alone in is the rest of that table.  A thread
+        running alone takes whole uncut tables (DESIGN.md §8).  No crash
+        fires and no value is tracked in here: such runs execute on
         :meth:`_process_event`.
 
         *Runs.*  A run's head executes as any store; the rest — ``n``
@@ -677,24 +685,26 @@ class Machine:
         L1 hits, ``absorb_repeats(line, n)``, the summed cycles, ``n`` trace
         records.  That is exact because the run lies inside one quantum (no
         other thread touches the set), the head left its line dirty in L1
-        (no flush since ``on_store``, or the set says so), and nothing in
-        the run reads the clock.  A declined run arrives store by store.
+        (the set says so), and nothing in the run reads the clock.  A
+        declined run arrives store by store.
 
-        *Flushes issued here.*  A ``write_through`` technique's run (ER,
-        untraced) is the head's ``clflush`` and one train of ``n`` more
+        *Flushes issued here.*  A store is the technique's ``insert``, and
+        the line it returns is flushed in its ``flush_category``: a head
+        store's on the loop's locals, records included, any other's by
+        :meth:`_do_flush`.  An ``eager`` run, untraced, is the head's
+        ``clflush`` and one train of ``n`` more
         (:meth:`FlushQueue.issue_every` when the gaps are equal), with no
-        ``on_store``.  A ``buffered`` technique's head store is its
-        ``insert``, whose victim is flushed here, records included; an
-        untraced commit is :meth:`_flush_sync`'s train over ``drain()``.  A
-        ``STORE``/``LOAD`` row touches its L1 set in place; ``ANY_*`` rows,
-        declined runs and port flushes call :class:`HardwareCache`.
+        ``insert``.  An untraced commit is :meth:`_flush_sync`'s train over
+        each of ``levels`` ``drain()`` results.  A ``STORE``/``LOAD`` row
+        touches its L1 set in place; ``ANY_*`` rows, declined runs and port
+        flushes call :class:`HardwareCache`.
 
         *Counters.*  The hot ``ThreadStats`` and L1 counters are locals,
         merged at every quantum's end, where the scheduler, the sampler and
         the recorder read them; ``stats.cycles`` is handed over around
-        every call that reads or charges it.  ``cost_per_store`` and the
-        technique's declarations are read once per thread (constant during
-        a run); ``insert`` is re-read while the technique is ``settling``.
+        every call that reads or charges it.  ``cost_per_store``, the flush
+        category and ``levels`` are read once per thread (constant during a
+        run); ``insert`` is re-read while the technique is ``settling``.
 
         Quanta between runnable threads end on the per-event engine's event
         counts, so the interleaving and every statistic are bit-identical
@@ -708,12 +718,8 @@ class Machine:
         num_sets = hw.num_sets
         ways = hw.ways
         technique = ctx.technique
-        on_store = technique.on_store
-        # A technique that declares its on_store a no-op (BEST) saves
-        # the call and the stats hand-off around it on every store.
-        skip_on_store = getattr(technique, "on_store_noop", False)
         cost_per_store = technique.cost_per_store
-        absorb = getattr(technique, "absorb_repeats", None)
+        absorb = technique.absorb_repeats
         trace_lines = ctx.trace_lines
         trace_fids = ctx.trace_fids
         evict_writeback = self._evict_writeback
@@ -725,20 +731,20 @@ class Machine:
         thread_id = ctx.thread_id
         hit_cost = t.l1_hit
         miss_cost = t.l1_hit + t.l1_miss
-        # Write-through runs fold a run's flushes into one step, so they
-        # stand down when a trace observes each flush.  The category is
-        # checked here, once.
-        write_through = (
-            None if recording else getattr(technique, "write_through", None)
-        )
-        through_counter = (
-            None if write_through is None else _FLUSH_COUNTER[write_through]
-        )
-        # The buffer model: evictions are issued here; commits too, unless
+        # The buffer: what ``insert`` returns is flushed here, in the one
+        # category, checked here once; a buffer that never returns a line
+        # (BEST) is not called.  Commits are flushed here too, unless
         # traced.
-        drain = technique.drain if getattr(technique, "buffered", False) else None
-        insert = technique.insert if drain is not None and not skip_on_store else None
-        settling = getattr(technique, "settling", False)
+        category = technique.flush_category
+        insert = None if category is None else technique.insert
+        counter = None if category is None else _FLUSH_COUNTER[category]
+        cause = _EVICT_TRACE_CAUSE.get(category)
+        # Write-through runs fold a run's flushes into one step, so they
+        # stand down when a trace observes each flush.
+        write_through = category == "eager" and not recording
+        drains = (technique.drain,) * technique.levels
+        settling = technique.settling
+        do_flush = self._do_flush
         flushq = ctx.flushq
         issue = flushq.issue
         issue_train = flushq.issue_train
@@ -759,7 +765,7 @@ class Machine:
         store_instructions = 1 + cost_per_store
         repeat_cost = hit_cost + cost_per_store
         batches = ctx.batch_iter
-        batch_len = pos = row = pulled = cut = 0
+        batch_len = pos = row = pulled = 0
         budget = yield
         while True:
             # Counters: absolute ones re-read, deltas from zero; merged back
@@ -772,7 +778,7 @@ class Machine:
             persistent_stores = stats.persistent_stores
             persistent_loads = stats.persistent_loads
             fase_count = stats.fase_count
-            absorbed = through = evictions = written = cleaned = 0
+            absorbed = flushed = written = cleaned = 0
             l1_loads = l1_stores = load_misses = store_misses = evict_writebacks = 0
             alive = True
             try:
@@ -802,12 +808,7 @@ class Machine:
                     end = batch_len
                     if end - pos > budget:
                         end = pos + budget
-                    if cut and budget > SCHED_BATCH:
-                        # Alone from here on: the rest of this batch, uncut.
-                        cut = 0
-                        _, run_stores, _, run_cycles = batch.line_runs(cpi)
-                        quantum = batch.visit_rows(pos, end, cpi, nvram_base)
-                    elif end == batch_len:
+                    if end == batch_len:
                         quantum = rows
                     else:
                         entered = bisect_left(index, end, row)
@@ -833,7 +834,7 @@ class Machine:
                                     evict_writeback(ctx, old[0])
                                     cycles = stats.cycles
                             lines_set[arg] = True
-                            if write_through is not None:
+                            if write_through:
                                 # A write-through run: the head's flush pops
                                 # the line it just dirtied; per repeat the
                                 # ``WORK`` before it, a miss-fill, one flush,
@@ -864,17 +865,16 @@ class Machine:
                                 store_misses += n
                                 n += 1
                                 written += n
-                                instructions += n * (2 + cost_per_store) + amount
+                                flushed += n
+                                instructions += n * store_instructions + amount
                                 persistent_stores += n
                                 absorbed += n
-                                through += n
                                 if trace_lines is not None:
                                     trace_lines.extend([arg] * n)
                                     trace_fids.extend(
                                         [ctx.fase_uid if ctx.fase_depth > 0 else -1] * n
                                     )
                                 continue
-                            flushes = stats.flushes
                             if insert is not None:
                                 # A sampling SC charges samples and resizes in
                                 # here, and rebinds ``insert`` when it settles.
@@ -885,9 +885,9 @@ class Machine:
                                 victim = insert(arg)
                                 cycles = stats.cycles
                                 if victim is not None:
-                                    # Its eviction flush, as ``_do_flush`` issues it.
+                                    # Its flush, as ``_do_flush`` issues it.
                                     cycles += flush_issue
-                                    evictions += 1
+                                    flushed += 1
                                     stall = 0
                                     dirty = sets[victim % num_sets].pop(victim, False)
                                     written += dirty
@@ -897,12 +897,8 @@ class Machine:
                                         stats.stall_cycles += stall
                                     if recording:
                                         self._record_flush(
-                                            thread_id, cycles, victim, dirty, 0, stall
+                                            thread_id, cycles, victim, dirty, cause, stall
                                         )
-                            elif not skip_on_store:
-                                stats.cycles = cycles
-                                on_store(arg)
-                                cycles = stats.cycles
                             if trace_lines is not None:
                                 trace_lines.append(arg)
                                 trace_fids.append(
@@ -916,13 +912,12 @@ class Machine:
                             if n:
                                 # The ``n`` stores that repeat this one, taken
                                 # in one step if ``absorb`` vouches for each —
-                                # and only if ``on_store`` left the line dirty
-                                # (SC may flush it when it shrinks; a filter
-                                # may bypass it): a flushed line's repeat is
-                                # a miss.  No flush, no change.
-                                if absorb is not None and (
-                                    stats.flushes == flushes or lines_set.get(arg)
-                                ):
+                                # and only if the head left the line in L1,
+                                # dirty (SC may flush it when it shrinks,
+                                # traced ER flushes it; a flush pops it and
+                                # nothing since refills it): a flushed line's
+                                # repeat is a miss.  No flush, no change.
+                                if arg in lines_set:
                                     # A sampling SC charges its samples here.
                                     stats.cycles = cycles
                                     taken = absorb(arg, n)
@@ -950,9 +945,11 @@ class Machine:
                                         stats.cycles = cycles
                                         evict_writeback(ctx, evicted[0])
                                         cycles = stats.cycles
-                                    if not skip_on_store:
+                                    if insert is not None:
                                         stats.cycles = cycles
-                                        on_store(arg)
+                                        victim = technique.insert(arg)
+                                        if victim is not None:
+                                            do_flush(ctx, victim, category)
                                         cycles = stats.cycles
                                     if trace_lines is not None:
                                         trace_lines.append(arg)
@@ -996,10 +993,6 @@ class Machine:
                                     recorder.record(
                                         EV_FASE_BEGIN, thread_id, cycles, ctx.fase_uid
                                     )
-                                if drain is None:
-                                    stats.cycles = cycles
-                                    technique.on_fase_begin()
-                                    cycles = stats.cycles
                             continue
                         elif code == kind_fase_end:
                             if ctx.fase_depth == 0:
@@ -1011,28 +1004,30 @@ class Machine:
                             if ctx.fase_depth == 0:
                                 ctx.commit_fase_uid = ctx.fase_uid
                                 stats.cycles = cycles
-                                if drain is None:
-                                    technique.on_fase_end()
-                                elif (lines := drain()) and not recording:
-                                    # ``_flush_sync``'s train, one pop a line.
-                                    gaps = []
-                                    gap = 0
-                                    for line in lines:
-                                        gap += flush_issue
-                                        if sets[line % num_sets].pop(line, False):
-                                            gaps.append(gap)
-                                            gap = 0
-                                    now, stall = issue_train(stats.cycles, gaps)
-                                    stats.cycles, wait = flushq.drain(now + gap)
-                                    stats.stall_cycles += stall + wait
-                                    count = len(lines)
-                                    written += len(gaps)
-                                    cleaned += count - len(gaps)
-                                    instructions += count
-                                    stats.flushes += count
-                                    stats.fase_end_flushes += count
-                                elif lines:
-                                    self._flush_sync(ctx, lines, "fase_end")
+                                if recording:
+                                    self._commit(ctx, "fase_end")
+                                else:
+                                    for drain in drains:
+                                        lines = drain()
+                                        if not lines:
+                                            continue
+                                        # ``_flush_sync``'s train, one pop a line.
+                                        gaps = []
+                                        gap = 0
+                                        for line in lines:
+                                            gap += flush_issue
+                                            if sets[line % num_sets].pop(line, False):
+                                                gaps.append(gap)
+                                                gap = 0
+                                        now, stall = issue_train(stats.cycles, gaps)
+                                        stats.cycles, wait = flushq.drain(now + gap)
+                                        stats.stall_cycles += stall + wait
+                                        count = len(lines)
+                                        written += len(gaps)
+                                        cleaned += count - len(gaps)
+                                        instructions += count
+                                        stats.flushes += count
+                                        stats.fase_end_flushes += count
                                 cycles = stats.cycles
                                 fase_count += 1
                                 if recording:
@@ -1054,9 +1049,11 @@ class Machine:
                                     evict_writeback(ctx, evicted[0])
                                     cycles = stats.cycles
                                 if persistent:
-                                    if not skip_on_store:
+                                    if insert is not None:
                                         stats.cycles = cycles
-                                        on_store(line)
+                                        victim = technique.insert(line)
+                                        if victim is not None:
+                                            do_flush(ctx, victim, category)
                                         cycles = stats.cycles
                                     if trace_lines is not None:
                                         trace_lines.append(line)
@@ -1093,18 +1090,15 @@ class Machine:
                     pos = end
             finally:
                 stats.cycles = cycles
-                stats.instructions += instructions + evictions
+                stats.instructions += instructions + flushed
                 self._stores_seen += persistent_stores - stats.persistent_stores
                 stats.persistent_stores = persistent_stores
                 stats.persistent_loads = persistent_loads
                 stats.fase_count = fase_count
                 self.absorbed_stores += absorbed
-                stats.flushes += evictions
-                stats.eviction_flushes += evictions
-                if through:
-                    stats.flushes += through
-                    counter = through_counter
-                    setattr(stats, counter, getattr(stats, counter) + through)
+                if flushed:
+                    stats.flushes += flushed
+                    setattr(stats, counter, getattr(stats, counter) + flushed)
                 hw.loads += l1_loads
                 hw.stores += l1_stores
                 hw.load_misses += load_misses
@@ -1137,7 +1131,9 @@ class Machine:
                 if track_values:
                     self._store_value(line, addr, ev.value)
                 if persistent:
-                    technique.on_store(line)
+                    evicted = technique.insert(line)
+                    if evicted is not None:
+                        self._do_flush(ctx, evicted, technique.flush_category)
                     if ctx.trace_lines is not None:
                         ctx.trace_lines.append(line)
                         ctx.trace_fids.append(
@@ -1179,7 +1175,6 @@ class Machine:
                     rec.record(
                         EV_FASE_BEGIN, ctx.thread_id, stats.cycles, ctx.fase_uid
                     )
-                technique.on_fase_begin()
         elif kind == EventKind.FASE_END:
             if ctx.fase_depth == 0:
                 raise SimulationError(
@@ -1188,7 +1183,7 @@ class Machine:
             ctx.fase_depth -= 1
             if ctx.fase_depth == 0:
                 ctx.commit_fase_uid = ctx.fase_uid
-                technique.on_fase_end()
+                self._commit(ctx, "fase_end")
                 stats.fase_count += 1
                 rec = self.recorder
                 if rec.enabled:
@@ -1354,8 +1349,7 @@ class Machine:
         sequence).  Any other run takes the batched loop, over batches or
         a live stream's quanta (:func:`_live_quanta`).
         """
-        if num_threads < 1:
-            raise ConfigurationError("num_threads must be >= 1")
+        require_int("num_threads", num_threads, 1)
         self.arm_crash_plan(crash_plan)
         per_event = (
             use_batches is False or self.config.track_values or self._sites_active
@@ -1487,7 +1481,7 @@ class Machine:
                 f"thread {ctx.thread_id} ended inside a FASE "
                 f"(depth={ctx.fase_depth})"
             )
-        ctx.technique.finish()
+        self._commit(ctx, "final")
         ctx.alive = False
 
 

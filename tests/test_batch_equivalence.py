@@ -220,24 +220,17 @@ def test_a_thread_enters_its_batched_loop_once(monkeypatch):
     """Counts, not timings: ocean at 8 threads, recorded once and run
     under AT, SC and BEST, untraced and traced.  Each thread's loop runs
     its prologue once however many quanta it takes; a quantum is a slice
-    of a table cut at the thread's edges, so ``EventBatch.visit_rows``
-    serves only the rest of the batch a thread becomes alone in (once at
-    most, and never when a recorder keeps every edge); and each table is
-    built once across the cells."""
+    of a table cut at the thread's edges, the rest of the batch a thread
+    becomes alone in included; and each table is built once across the
+    cells."""
     recorded = RecordedBatches(get_workload("ocean", scale=0.05), 8)
-    loops, remainders, tables = [], [], {}
-    batch_loop, visit_rows, visits = (
-        Machine._batch_loop, EventBatch.visit_rows, EventBatch.visits
-    )
+    loops, tables = [], {}
+    batch_loop, visits = Machine._batch_loop, EventBatch.visits
 
     def counted_loop(self, ctx):
         assert ctx.thread_id not in loops, ("a second prologue", ctx.thread_id)
         loops.append(ctx.thread_id)
         return batch_loop(self, ctx)
-
-    def counted_rows(self, *args):
-        remainders.append(args)
-        return visit_rows(self, *args)
 
     def kept(self, *args):
         table = visits(self, *args)
@@ -246,13 +239,10 @@ def test_a_thread_enters_its_batched_loop_once(monkeypatch):
         return table
 
     monkeypatch.setattr(Machine, "_batch_loop", counted_loop)
-    monkeypatch.setattr(EventBatch, "visit_rows", counted_rows)
     monkeypatch.setattr(EventBatch, "visits", kept)
-    lone = 0
     for technique in ("AT", "SC", "BEST"):
         for recorder in (None, TraceRecorder()):
             loops.clear()
-            remainders.clear()
             machine = Machine(recorder=recorder)
             runner, quanta = machine._run_batches, []
 
@@ -264,20 +254,26 @@ def test_a_thread_enters_its_batched_loop_once(monkeypatch):
             machine.run(recorded, technique_factory(technique), num_threads=8, seed=SEED)
             assert sorted(loops) == list(range(8)), (technique, loops)
             assert len(quanta) > 10 * 8, (technique, len(quanta))
-            assert len(remainders) <= (1 if recorder is None else 0), remainders
-            lone += len(remainders)
-    assert lone                 # the lone remainder's path ran
     assert {key[4] for key in tables} == {0, 64}
 
 
 @pytest.mark.parametrize(
-    "name,technique,threads", [("ocean", "AT", 1), ("water-spatial", "SC", 8)]
+    "name,technique,threads",
+    [
+        ("ocean", "AT", 1),
+        ("water-spatial", "SC", 8),
+        ("water-spatial", "ER", 8),
+        ("ocean", "ER", 1),
+        ("hash", "SC+victim:16", 1),
+    ],
 )
 def test_traced_runs_write_the_per_event_engines_bytes(name, technique, threads):
     """A recorder sees every flush, stall and FASE span, and keeps every
     quantum edge — a lone thread's too — 64 events apart: the batched
     loop's trace is the per-event engine's, byte for byte.  At 8 threads
-    this is the cut-table path."""
+    this is the cut-table path.  Traced ER flushes the line its
+    ``insert`` hands back inline, and the victim stage its displaced
+    victim (cause 4)."""
     workload = get_workload(name, scale=0.1)
     traces = []
     for use_batches in (True, False):

@@ -233,8 +233,8 @@ def reference_visits(batch, cpi=1.0, base=N0):
 
 
 def reference_rows(batch, pos, end, cpi=1.0, base=N0):
-    """``EventBatch.visit_rows`` as a plain walk over events ``[pos, end)``:
-    any single-line store heads what is left of its run before ``end``,
+    """The visits of events ``[pos, end)`` as a plain walk over them: any
+    single-line store heads what is left of its run before ``end``,
     everything else is entered on its own."""
     span, stores, work, cycles = reference_runs(batch, cpi)
     kinds, args, sizes = batch.kinds, batch.args, batch.sizes
@@ -325,15 +325,23 @@ def test_visits_match_the_reference_on_random_streams():
         for cpi, base in ((1.0, N0), (0.7, N0), (1.0, 0)):
             assert visits_of(batch, cpi, base) == reference_visits(batch, cpi, base)
             n = len(batch)
-            assert list(batch.visit_rows(0, n, cpi, base)) == reference_visits(
+            assert reference_rows(batch, 0, n, cpi, base) == reference_visits(
                 batch, cpi, base
             )
 
 
+def quantum_rows(batch, pos, end):
+    """The rows of ``[pos, end)`` in the table cut at both its ends: the
+    period is the quantum's length and ``pos`` an edge of that phase."""
+    period = end - pos
+    return cut_rows(batch, pos, end, pos % period, period)
+
+
 def test_any_quantum_enters_exactly_its_events():
     """Wherever a quantum opens and ends — on a run's head, on a store or
-    a ``WORK`` inside it, on its last event — its rows are the reference
-    walk's, and they cover ``[pos, end)`` once."""
+    a ``WORK`` inside it, on its last event — the table cut at its ends
+    holds the reference walk's rows for it, and they cover ``[pos, end)``
+    once."""
     rng = random.Random(5)
     for _ in range(40):
         batch = random_batch(rng)
@@ -341,20 +349,20 @@ def test_any_quantum_enters_exactly_its_events():
         for _ in range(30):
             pos = rng.randrange(n)
             end = rng.randrange(pos + 1, n + 1)
-            rows = list(batch.visit_rows(pos, end, 1.0, N0))
+            rows = quantum_rows(batch, pos, end)
             assert rows == reference_rows(batch, pos, end)
             assert sum(1 + row[3] for row in rows) == end - pos
     # Directed: a quantum opening on the WORK inside a run enters that
     # WORK (and the next) on its own, then the store after them as a head.
     batch = batch_of(Store(N0), Store(N0 + 8), Work(5), Work(7), Store(N0 + 16), Work(3))
     line = N0 >> 6
-    assert list(batch.visit_rows(2, 6, 1.0, N0)) == [
+    assert quantum_rows(batch, 2, 6) == [
         (2, EventKind.WORK, 5, 0, 0, 0, 0),
         (3, EventKind.WORK, 7, 0, 0, 0, 0),
         (4, EventKind.STORE, line, 1, 0, 3, 3),
     ]
-    assert list(batch.visit_rows(0, 4, 1.0, N0)) == [(0, EventKind.STORE, line, 3, 1, 12, 12)]
-    assert list(batch.visit_rows(3, 4, 1.0, N0)) == [(3, EventKind.WORK, 7, 0, 0, 0, 0)]
+    assert quantum_rows(batch, 0, 4) == [(0, EventKind.STORE, line, 3, 1, 12, 12)]
+    assert quantum_rows(batch, 3, 4) == [(3, EventKind.WORK, 7, 0, 0, 0, 0)]
 
 
 def test_visit_table_is_kept_like_the_run_table():
@@ -406,8 +414,8 @@ def longer_batch(rng, n):
 
 def test_a_cut_table_holds_each_quantum_between_its_edges():
     """For every phase, the rows of a quantum between two of its edges are
-    the reference walk's over that quantum — the uncut table's
-    ``visit_rows`` — and the cut run columns are the reference's."""
+    the reference walk's over that quantum, and the cut run columns are
+    the reference's."""
     rng = random.Random(13)
     batches = [random_batch(rng) for _ in range(12)]
     batches += [longer_batch(rng, n) for n in (300, 700)]
@@ -418,7 +426,6 @@ def test_a_cut_table_holds_each_quantum_between_its_edges():
             for pos, end in zip(edges, edges[1:]):
                 rows = cut_rows(batch, pos, end, phase)
                 assert rows == reference_rows(batch, pos, end), (phase, pos, end)
-                assert rows == list(batch.visit_rows(pos, end, 1.0, N0))
         for phase in (0, 5, 63):
             for cpi in (1.0, 0.7):
                 assert [list(col) for col in batch.line_runs(cpi, phase, 64)] == (

@@ -94,28 +94,35 @@ def test_work_advances_clock_and_instructions(machine):
 
 def test_an_unknown_flush_category_is_a_typed_error(machine):
     """A misspelt category used to pass for a ``final`` flush — no trace
-    cause, no crash-site class.  Through a real ``FlushPort``, one flush
-    at a time and as a write-through train.  ``Misspelt`` inherits ER's
-    ``write_through`` declaration but not the ``on_store`` it vouches
-    for, so the batched loop must call its own."""
-    from repro.cache.policies import EagerTechnique
+    cause, no crash-site class.  A technique's ``flush_category`` is
+    checked before the batched loop runs any event, and at its first
+    flush on the per-event engine; a port flush's at the call."""
+    from repro.cache.policies import AtlasTechnique, EagerTechnique
 
-    class Misspelt(EagerTechnique):
-        def on_store(self, line):
-            self.port.flush_async(line, "evicton")
+    class MisspeltEager(EagerTechnique):
+        flush_category = "eagre"
 
-    class MisspeltTrain(EagerTechnique):
-        write_through = "eagre"
+    class MisspeltEviction(AtlasTechnique):
+        flush_category = "evicton"
 
-    assert Misspelt.write_through is None and EagerTechnique.write_through == "eager"
-    for technique, category in ((Misspelt, "evicton"), (MisspeltTrain, "eagre")):
-        with pytest.raises(SimulationError, match=f"unknown flush category '{category}'"):
-            Machine(MachineConfig()).run(
-                get_workload("water-spatial", scale=0.02),
-                lambda tid: technique(),
-                num_threads=1,
-                seed=7,
-            )
+    for technique in (MisspeltEager, MisspeltEviction):
+        category = technique.flush_category
+        for use_batches in (True, False):
+            made = []
+
+            def factory(tid):
+                made.append(technique())
+                return made[-1]
+
+            with pytest.raises(SimulationError, match=f"unknown flush category '{category}'"):
+                Machine(MachineConfig()).run(
+                    get_workload("water-spatial", scale=0.02),
+                    factory,
+                    num_threads=1,
+                    seed=7,
+                    use_batches=use_batches,
+                )
+            assert (made[0].port._ctx.stats.cycles == 0) == use_batches
     session = machine.session(technique_factory("LA")(0))
     with pytest.raises(SimulationError, match="'fase-end'.*'eviction'.*'final'"):
         session._ctx.port.flush_sync([PA >> 6], "fase-end")
@@ -183,6 +190,15 @@ def test_thread_count_validation(machine):
     w = ListWorkload([Work(1)])
     with pytest.raises(ConfigurationError):
         machine.run(w, technique_factory("LA"), num_threads=0, seed=0)
+
+
+@pytest.mark.parametrize("num_threads", [True, 2.0, "2", None])
+def test_a_thread_count_that_is_no_int_is_a_typed_error(machine, num_threads):
+    """A bool used to run (and land in ``RunResult.num_threads``); a float,
+    a string or ``None`` raised a bare ``TypeError``."""
+    w = ListWorkload([Work(1)])
+    with pytest.raises(ConfigurationError, match="num_threads must be an int"):
+        machine.run(w, technique_factory("LA"), num_threads=num_threads, seed=0)
 
 
 def test_trace_recording(machine):

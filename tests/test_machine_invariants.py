@@ -264,23 +264,21 @@ def run_engine(streams, chunk, technique, burst, use_batches, **run_kwargs):
     made, entered = [], [0]
 
     def factory(tid):
-        # A store enters a buffered technique at ``insert`` (the batched
-        # loop calls it, and so does ``on_store``), any other at
-        # ``on_store``; an SC's at its cache's ``access``, since an adaptive
-        # SC's ``insert`` becomes that ``access`` when its burst closes —
+        # A store enters a technique at ``insert`` (both engines call it);
+        # an SC's at its cache's ``access``, since an adaptive SC's
+        # ``insert`` becomes that ``access`` when its burst closes —
         # dropping any wrapper over it (counted below, on the class).
         instance = inner(tid)
         made.append(instance)
         if getattr(instance, "cache", None) is not None:
             return instance
-        hook = "insert" if instance.buffered else "on_store"
-        call = getattr(instance, hook)
+        call = instance.insert
 
         def counted(line):
             entered[0] += 1
             return call(line)
 
-        setattr(instance, hook, counted)
+        instance.insert = counted
         return instance
 
     def counted_access(cache, line):
@@ -356,7 +354,7 @@ def test_coalesced_runs_match_the_per_event_engine(
         assert batched == per_event
         assert m_e.absorbed_stores == 0
         if technique == "BEST":
-            assert calls_b == 0                 # on_store_noop: never called
+            assert calls_b == 0                 # no flush category: never called
         else:
             assert calls_e == touches
             assert m_b.absorbed_stores + calls_b == touches
@@ -410,8 +408,8 @@ def commit_heavy_streams(draw):
     st.sampled_from([(512, 8), (8, 2), (4, 1)]),
 )
 def test_a_commit_is_one_flush_train(streams, technique, depth, service, l1):
-    """A FASE commit is one flush train and ER's stores never reach
-    ``on_store``: batched equals ``_process_event`` down to the L1
+    """A FASE commit is one flush train and untraced ER's stores never
+    reach ``insert``: batched equals ``_process_event`` down to the L1
     counters, and the untraced run equals the traced one, whose commits
     flush line by line — the train's own oracle."""
     config = MachineConfig(
@@ -481,7 +479,7 @@ def eviction_heavy_streams(draw):
 def test_an_eviction_flush_is_issued_inline_as_the_port_issues_it(
     streams, technique, chunk, depth, service, l1
 ):
-    """The batched loop flushes what a buffered technique's ``insert``
+    """The batched loop flushes what a technique's ``insert``
     evicts on its own locals: batched equals ``_process_event`` down to
     the L1 counters, traced (the JSONL byte for byte) and untraced, and
     the untraced run equals the traced one."""
@@ -506,18 +504,17 @@ def test_an_eviction_flush_is_issued_inline_as_the_port_issues_it(
 @pytest.mark.parametrize("technique", ["AT", "SC-offline"])
 def test_a_batched_eviction_never_reaches_the_port(technique, traced, monkeypatch):
     """A count, not a timing: every eviction of a store that heads its
-    visit is the loop's own, and the per-event engine's go through
-    ``flush_async`` one by one."""
-    from repro.nvram.machine import FlushPort
-
+    visit is the loop's own — it reaches neither the port nor
+    ``Machine._do_flush``, which every port flush goes through — and the
+    per-event engine's go through ``_do_flush`` one by one."""
     port_evictions = [0]
-    flush_async = FlushPort.flush_async
+    do_flush = Machine._do_flush
 
-    def spy(self, line, category="eviction"):
+    def spy(self, ctx, line, category):
         port_evictions[0] += category == "eviction"
-        flush_async(self, line, category)
+        do_flush(self, ctx, line, category)
 
-    monkeypatch.setattr(FlushPort, "flush_async", spy)
+    monkeypatch.setattr(Machine, "_do_flush", spy)
     stream = [FaseBegin()] + [
         Store(NVRAM_BASE + (k * 7 % 24) * 64 + j * 8, 8)
         for k in range(300)
@@ -554,13 +551,13 @@ SHRINK_ONTO_OWN_LINE = (
 def test_a_resize_that_evicts_the_stored_line_splits_its_run(
     technique, streams, skip, monkeypatch
 ):
-    """``on_store(A)`` shrinks the cache and so flushes (or parks) A
+    """``insert(A)`` shrinks the cache and so flushes (or parks) A
     itself before re-inserting it: the first repeat is then no pure hit —
     an L1 miss, a re-dirtied line, a victim rescue — and must execute.
     A's run goes store by store; the run on B after it is absorbed (2).
 
     A sampling SC takes runs too since the visit-table loop: the burst's
-    five stores to D are one ``on_store`` (it opens the burst) and four
+    five stores to D are one ``insert`` (it opens the burst) and four
     repeats recorded as one slice, short of the sixth write that closes
     it — 4 + 2."""
     evicted = []
@@ -661,7 +658,7 @@ def test_long_runs_are_entered_once_per_quantum():
     machine, _obs, calls, touches = run_engine([stream], 4096, "LA", 2, True)
     assert (touches, calls, machine.absorbed_stores) == (200, 4, 196)
     # Untraced, nothing observes the edges and no other thread waits at
-    # them: one quantum, one ``insert`` — and no ``on_store`` for ER, whose 200
+    # them: one quantum, one ``insert`` — and none for ER, whose 200
     # stores are one train of flushes.
     for technique, once in (("LA", 1), ("ER", 0)):
         machine, obs, calls, touches = run_engine(
@@ -671,12 +668,13 @@ def test_long_runs_are_entered_once_per_quantum():
     assert obs["threads"][0]["eager_flushes"] == 200
     # Two threads alternate at every edge while both can run — one call
     # per quantum each; the longer one's last 208 stores, when it is
-    # alone, are one quantum.
+    # alone, are one quantum over the table already cut at its edges —
+    # one call per 64 of them.
     other = [Store(NVRAM_BASE + 64 + (j % 8) * 8, 8) for j in range(400)]
     machine, _obs, calls, touches = run_engine(
         [stream, other], 4096, "LA", 2, True, traced=False
     )
-    assert (touches, calls, machine.absorbed_stores) == (600, 4 + 4, 592)
+    assert (touches, calls, machine.absorbed_stores) == (600, 4 + 3 + 4, 589)
 
 
 class QuantumCountingRecorder(TraceRecorder):

@@ -9,9 +9,11 @@ from repro.cache.policies import (
     BestTechnique,
     EagerTechnique,
     LazyTechnique,
+    PersistenceTechnique,
     SoftwareCacheTechnique,
 )
 from repro.cache.spec import technique_factory
+from repro.cache.stages import StagedTechnique
 from repro.cache.table import AtlasTable
 from repro.common.errors import ConfigurationError
 
@@ -56,6 +58,7 @@ def bind(technique):
 def test_eager_flushes_every_store():
     t = EagerTechnique()
     port = bind(t)
+    assert t.insert(7) == 7 and t.drain() == ()     # the line goes straight back
     for line in (1, 1, 2):
         t.on_store(line)
     assert port.async_calls == [(1, "eager"), (1, "eager"), (2, "eager")]
@@ -142,60 +145,31 @@ def test_best_never_flushes():
     assert port.async_calls == [] and port.sync_calls == []
 
 
-def test_store_skip_declarations_do_not_outlive_their_on_store():
-    """``on_store_noop`` and ``write_through`` let the machine skip
-    ``on_store``; a subclass with its own ``on_store`` is called again
-    unless it restates them."""
-
-    class CountingBest(BestTechnique):
-        def on_store(self, line):
-            pass
-
-    class CountingEager(EagerTechnique):
-        def on_store(self, line):
-            pass
-
-    class RestatedEager(EagerTechnique):
-        write_through = "eager"
-
-        def on_store(self, line):
-            self.port.flush_async(line, "eager")
-
-    class PlainEager(EagerTechnique):
-        cost_per_store = 5
-
-    assert (CountingBest.on_store_noop, CountingBest.write_through) == (False, None)
-    assert (CountingEager.on_store_noop, CountingEager.write_through) == (False, None)
-    assert RestatedEager.write_through == PlainEager.write_through == "eager"
-    assert BestTechnique.on_store_noop and EagerTechnique.write_through == "eager"
+#: What each technique's buffer says: the category of a line ``insert``
+#: returns, and how many ``drain`` calls a commit makes.
+BUFFERS = {
+    EagerTechnique: ("eager", 1),
+    LazyTechnique: ("eviction", 1),
+    AtlasTechnique: ("eviction", 1),
+    SoftwareCacheTechnique: ("eviction", 1),
+    BestTechnique: (None, 1),
+    StagedTechnique: ("victim", 2),
+}
 
 
 @pytest.mark.parametrize("hook", ["on_store", "on_fase_begin", "on_fase_end", "finish"])
-def test_the_buffer_declaration_does_not_outlive_its_hooks(hook):
-    """``buffered`` lets the machine call ``insert``/``drain`` in place of
-    the four hooks; a subclass that brings any of them is driven through
-    its hooks unless it restates the declaration."""
-    own = type("OwnHook", (SoftwareCacheTechnique,), {hook: lambda self, *a: None})
-    restated = type(
-        "Restated", (AtlasTechnique,), {hook: lambda self, *a: None, "buffered": True}
-    )
-    assert not own.buffered and restated.buffered
-
-    class Resized(SoftwareCacheTechnique):
-        def insert(self, line):
-            return super().insert(line)
-
-        def drain(self):
-            return super().drain()
-
-    assert Resized.buffered and LazyTechnique.buffered and BestTechnique.buffered
-    assert not EagerTechnique.buffered
+def test_every_technique_is_driven_through_its_buffer(hook):
+    """No technique brings its own ``hook``: each is ``insert`` + ``drain``
+    + one flush category, and the base class spells the hooks from them."""
+    for cls, (category, levels) in BUFFERS.items():
+        assert getattr(cls, hook) is getattr(PersistenceTechnique, hook), cls
+        assert (cls.flush_category, cls.levels) == (category, levels), cls
 
 
 def test_buffered_hooks_are_insert_and_drain():
-    """``on_store``/``on_fase_end``/``finish`` as the machine sees them
-    through the port: ``insert``'s victim is an eviction flush, ``drain``
-    a commit or final train."""
+    """``on_store``/``on_fase_end``/``finish`` as a caller with a port
+    sees them: ``insert``'s victim is an eviction flush, ``drain`` a
+    commit or final train."""
     t = SoftwareCacheTechnique(initial_size=1, name="SC-offline")
     port = bind(t)
     assert t.insert == t.cache.access

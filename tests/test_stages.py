@@ -80,6 +80,58 @@ def test_victim_drains_at_fase_end_and_finish():
     assert port.sync_calls[-1] == ((3,), "final")
 
 
+def test_insert_returns_the_victim_it_displaces():
+    """The stage is a buffer: ``insert`` parks what the base evicts and
+    hands back the oldest victim that overflows, for the machine to flush
+    (category ``victim``); it flushes nothing itself."""
+    t, port = staged("SC-offline+victim:1", sc_fixed_size=1)
+    assert (t.flush_category, t.levels) == ("victim", 2)
+    assert t.insert(1) is None
+    assert t.insert(2) is None        # 1 parks
+    assert t.insert(3) == 1           # 2 parks, displacing 1
+    assert list(t._victim) == [2]
+    assert port.async_calls == [] and port.sync_calls == []
+
+
+def test_a_restore_rescues_its_line():
+    t, port = staged("SC-offline+victim:2", sc_fixed_size=1)
+    t.insert(1)
+    t.insert(2)                       # 1 parks
+    assert t.insert(1) is None        # 1 back in the base, 2 parks
+    assert list(t._victim) == [2] and 1 in t.inner.cache
+    assert port.async_calls == []
+
+
+def test_a_resize_eviction_parks():
+    """The base's resize evicts through its port: the stage parks those
+    lines too, and flushes the victim one displaces."""
+    t, port = staged("SC-offline+victim:1", sc_fixed_size=4)
+    for line in (1, 2, 3):
+        t.insert(line)
+    t.inner._resize(1)                # evicts 1 then 2: 1 parks, 2 displaces it
+    assert list(t._victim) == [2] and 3 in t.inner.cache and len(t.inner.cache) == 1
+    assert port.async_calls == [(1, "victim")]
+
+
+@pytest.mark.parametrize("category", ["fase_end", "final"])
+def test_a_commit_drains_the_base_then_the_victims(category):
+    """Two levels, one flush train each: the base cache, then the victims
+    — and the victims alone when the base level is empty."""
+    t, port = staged("SC-offline+victim:4", sc_fixed_size=2)
+    commit = t.on_fase_end if category == "fase_end" else t.finish
+    for line in (1, 2, 3):            # 1 parks; 2 and 3 stay in the base
+        t.insert(line)
+    commit()
+    assert port.sync_calls == [((2, 3), category), ((1,), category)]
+    assert not t.drain() and not t.drain()
+    for line in (4, 5, 6):            # 4 parks
+        t.insert(line)
+    assert list(t.drain()) == [5, 6]  # the base level, drained by hand
+    port.sync_calls.clear()
+    commit()
+    assert port.sync_calls == [((4,), category)]
+
+
 def test_cost_per_store_adds_stage_bookkeeping():
     bare = technique_factory("SC")(0)
     t, _ = staged("SC+victim:4")
