@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Callable, Collection, Dict, Optional
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, require_int
 from repro.cache.adaptive import AdaptiveConfig, AdaptiveController
 from repro.cache.table import ATLAS_TABLE_SIZE, AtlasTable
 from repro.cache.write_cache import WriteCombiningCache
@@ -331,6 +331,7 @@ def _base_factory(
     if technique == "SC-offline":
         if sc_fixed_size is None:
             raise ConfigurationError("SC-offline requires sc_fixed_size")
+        require_int("sc_fixed_size", sc_fixed_size, 1)
         return lambda tid: SoftwareCacheTechnique(sc_fixed_size, name="SC-offline")
     if technique == "BEST":
         return lambda tid: BestTechnique()

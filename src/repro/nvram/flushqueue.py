@@ -35,10 +35,10 @@ when the slot frees.  ``last_completion`` and the clock of the last
 issue are the whole state; ``tests/test_flushqueue.py`` keeps the
 explicit FIFO as the reference model.
 
-A run of issues the caller can describe up front is one call:
-:meth:`FlushQueue.issue_train` walks a list of gaps with ``issue``'s
-own three lines, and :meth:`FlushQueue.issue_every` answers equal gaps
-in closed form.
+A run of issues the caller can describe up front — a commit, an ER
+run — is one call: :meth:`FlushQueue.issue_train` walks a list of gaps
+with ``issue``'s own three lines (and can list each stall for a trace),
+and :meth:`FlushQueue.issue_every` answers equal gaps in closed form.
 """
 
 from __future__ import annotations
@@ -83,13 +83,17 @@ class FlushQueue:
         self.issued += 1
         return now, stall
 
-    def issue_train(self, now: int, gaps: Sequence[int]) -> Tuple[int, int]:
+    def issue_train(
+        self, now: int, gaps: Sequence[int], stalls: Optional[list] = None
+    ) -> Tuple[int, int]:
         """Issue one write-back after each of ``gaps``, back to back.
 
         ``gaps[k]`` is the cycles the CPU spends between the previous
         issue returning (``now``, for the first) and issuing the next.
         Returns ``(new_now, total_stall)`` — what the same number of
         :meth:`issue` calls would, with the clock advanced by the gaps.
+        Given a ``stalls`` list, each issue that stalled appends the
+        ``(now, stall)`` its :meth:`issue` call would have returned.
         """
         service = self.service
         lead = (self.depth - 1) * service
@@ -100,6 +104,8 @@ class FlushQueue:
             free_at = done - lead
             if free_at > now:
                 stalled += free_at - now
+                if stalls is not None:
+                    stalls.append((free_at, free_at - now))
                 now = free_at
             done = (done if done > now else now) + service
         if gaps:

@@ -10,23 +10,22 @@ propagated to NVRAM" (§I).  It provides:
 - ``clflush(line)`` — write back if dirty and *invalidate*, the operation
   Atlas uses and the only flush modelled; the invalidation is why "the
   next access will be a cache miss" (§II-A), the indirect flush cost the
-  software cache reduces.  ``flush_lines`` applies it to a whole untraced
-  commit made through the flush port.
+  software cache reduces.
 - value tracking per dirty line, so write-backs carry real data into
   simulated NVRAM for crash/recovery tests.
 
 Sets use ``OrderedDict`` for O(1) LRU: lookup, move-to-end on touch,
 pop-first on eviction.  When several simulated threads share the cache,
 capacity contention between them arises naturally — the effect behind
-Table IV's rising L1 miss ratios.  The machine's batched loop spells the
-same rules on ``sets`` itself for its single-line touches, eviction
-``clflush``es and ``clflush`` FASE commits.
+Table IV's rising L1 miss ratios.  The machine spells the same rules on
+``sets`` itself for its commit trains, and its batched loop for its
+single-line touches and eviction ``clflush``es.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 
@@ -145,18 +144,6 @@ class HardwareCache:
             return True
         self.clean_flushes += 1
         return False
-
-    def flush_lines(self, lines: Iterable[int]) -> List[bool]:
-        """:meth:`clflush` each of ``lines`` in order; return which of
-        them were written back."""
-        sets = self.sets
-        num_sets = self.num_sets
-        # clflush's rule, one pop per line: absent or clean is a clean flush.
-        dirty = [sets[line % num_sets].pop(line, False) for line in lines]
-        written = dirty.count(True)
-        self.flush_writebacks += written
-        self.clean_flushes += len(dirty) - written
-        return dirty
 
     def contains(self, line: int) -> bool:
         """True when ``line`` is currently cached."""

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import (
     Callable,
+    Collection,
     Generator,
-    Iterable,
     Iterator,
     List,
     NamedTuple,
@@ -185,18 +185,11 @@ class FlushPort:
         """Issue one ``clflush``; the write-back overlaps with execution."""
         self._machine._do_flush(self._ctx, line, category)
 
-    def flush_sync(self, lines: Iterable[int], category: str = "fase_end") -> None:
+    def flush_sync(self, lines: Collection[int], category: str = "fase_end") -> None:
         """Flush ``lines`` and stall until all write-backs are durable."""
         self._machine._flush_sync(self._ctx, lines, category)
 
     # -- bookkeeping -----------------------------------------------------
-
-    def add_overhead(self, cycles: int, instructions: int = 0) -> None:
-        """Charge technique bookkeeping (e.g. MRC analysis) to the thread."""
-        stats = self._ctx.stats
-        stats.cycles += cycles
-        stats.instructions += instructions
-        stats.technique_overhead_cycles += cycles
 
     def add_adaptation_cost(self, cycles: int) -> None:
         """Charge online adaptation (sampling analysis, size selection)."""
@@ -541,13 +534,7 @@ class Machine:
         stats.cycles = now
         stats.stall_cycles += stall
         if rec.enabled:
-            # A FASE-boundary drain is attributed to the committing FASE
-            # (commit_fase_uid: fase_depth is already 0 here); uid 0 is a
-            # valid FASE, so "no FASE" is explicitly -1.
-            fase_id = ctx.commit_fase_uid if category == "fase_end" else -1
-            rec.record(
-                EV_DRAIN, ctx.thread_id, stats.cycles, stall, outstanding, fase_id
-            )
+            self._record_drain(ctx, category, stall, outstanding)
         if self._inflight is not None:
             self._inflight.drained(ctx.thread_id)
         if self._journal is not None:
@@ -555,52 +542,80 @@ class Machine:
         if self._sites_active:
             self._note_site(ctx, SITE_DRAIN)
 
-    def _flush_sync(
-        self, ctx: _ThreadContext, lines: Iterable[int], category: str
-    ) -> None:
-        """Flush ``lines`` and drain: a commit is one flush train.
+    def _record_drain(self, ctx, category, stall, outstanding) -> None:
+        # A FASE-boundary drain is attributed to the committing FASE
+        # (commit_fase_uid: fase_depth is already 0 here); uid 0 is a
+        # valid FASE, so "no FASE" is explicitly -1.
+        fase_id = ctx.commit_fase_uid if category == "fase_end" else -1
+        self.recorder.record(
+            EV_DRAIN, ctx.thread_id, ctx.stats.cycles, stall, outstanding, fase_id
+        )
 
-        Each line costs what :meth:`_do_flush` charges — ``flush_issue``
-        cycles, one instruction, one count — and the written-back ones
-        take their queue slots as one :meth:`FlushQueue.issue_train`
-        whose gaps are the issue cycles since the previous write-back;
-        the clean flushes after the last one add theirs, then the queue
-        drains.  Where a single flush is observed — tracked values (each
-        carries its payload), trace events (each may be an
-        ``evict_flush`` or a ``stall``), or a crash site per flush of
-        this category — the lines go through :meth:`_do_flush` one at a
-        time instead.  (In-flight write-back records need tracked
-        values, so the train has none to retire.)
-        """
-        counter = _FLUSH_COUNTER[category]
-        if (
-            self.config.track_values
-            or self.recorder.enabled
-            or (self._sites_active and category in _FLUSH_SITE)
-        ):
-            for line in lines:
-                self._do_flush(ctx, line, category)
-            self._do_drain(ctx, category)
-            return
+    def _record_stalls(self, tid: int, stalls: list) -> None:
+        # A train's stalled slots, traced as _record_flush traces each.
+        for now, stall in stalls:
+            self.recorder.record(EV_STALL, tid, now, stall, 0)
+        stalls.clear()
+
+    def _train(self, ctx: _ThreadContext, lines: Collection[int], category: str) -> int:
+        """Flush ``lines`` and drain as one flush train; return how many
+        were written back (the caller counts the flushes).  Each line is a
+        pop of its L1 set and ``flush_issue`` cycles; the written-back ones
+        take one :meth:`FlushQueue.issue_train`, gapped by the issue cycles
+        since the previous one.  Traced, it writes the per-line path's
+        ``stall`` per stalled slot (a commit has no ``evict_flush`` cause)
+        and its ``drain``."""
+        sets = self.hwcache.sets
+        num_sets = self.hwcache.num_sets
         issue_cost = self.config.timing.flush_issue
-        written = self.hwcache.flush_lines(lines)
         gaps = []
         gap = 0
-        for dirty in written:
+        for line in lines:
             gap += issue_cost
-            if dirty:
+            if sets[line % num_sets].pop(line, False):
                 gaps.append(gap)
                 gap = 0
         stats = ctx.stats
         flushq = ctx.flushq
-        now, stall = flushq.issue_train(stats.cycles, gaps)
-        now, wait = flushq.drain(now + gap)
-        stats.cycles = now
+        stalls = [] if self.recorder.enabled else None
+        now, stall = flushq.issue_train(stats.cycles, gaps, stalls)
+        if stalls is not None:
+            self._record_stalls(ctx.thread_id, stalls)
+            outstanding = flushq.outstanding
+        stats.cycles, wait = flushq.drain(now + gap)
         stats.stall_cycles += stall + wait
-        count = len(written)
+        if stalls is not None:
+            self._record_drain(ctx, category, wait, outstanding)
+        return len(gaps)
+
+    def _flush_sync(
+        self, ctx: _ThreadContext, lines: Collection[int], category: str
+    ) -> None:
+        """Flush ``lines`` in ``category`` and drain: :meth:`_train`, or
+        :meth:`_do_flush` per line and :meth:`_do_drain` — the train's
+        oracle — where a single flush is observed: tracked values, or a
+        crash site per flush of this category.  A category with an
+        ``evict_flush`` cause is an error: a train would drop those records.
+        """
+        counter = _FLUSH_COUNTER[category]
+        if category in _EVICT_TRACE_CAUSE:
+            raise SimulationError(
+                f"flush category {category!r} is flushed one line at a time "
+                "(flush_async), never as a commit train"
+            )
+        if self.config.track_values or (self._sites_active and category in _FLUSH_SITE):
+            for line in lines:
+                self._do_flush(ctx, line, category)
+            self._do_drain(ctx, category)
+            return
+        written = self._train(ctx, lines, category)
+        count = len(lines)
+        stats = ctx.stats
         stats.instructions += count
         stats.flushes += count
         setattr(stats, counter, getattr(stats, counter) + count)
+        self.hwcache.flush_writebacks += written
+        self.hwcache.clean_flushes += count - written
         if self._sites_active:
             self._note_site(ctx, SITE_DRAIN)
 
@@ -691,11 +706,11 @@ class Machine:
         *Flushes issued here.*  A store is the technique's ``insert``, and
         the line it returns is flushed in its ``flush_category``: a head
         store's on the loop's locals, records included, any other's by
-        :meth:`_do_flush`.  An ``eager`` run, untraced, is the head's
-        ``clflush`` and one train of ``n`` more
-        (:meth:`FlushQueue.issue_every` when the gaps are equal), with no
-        ``insert``.  An untraced commit is :meth:`_flush_sync`'s train over
-        each of ``levels`` ``drain()`` results.  A ``STORE``/``LOAD`` row
+        :meth:`_do_flush`.  An ``eager`` run, traced or not, is the head's
+        ``clflush`` and one train of ``n`` more (untraced with equal gaps,
+        :meth:`FlushQueue.issue_every`), with no ``insert``.  A commit is
+        :meth:`_train` over each of ``levels`` ``drain()`` results.  A
+        ``STORE``/``LOAD`` row
         touches its L1 set in place; ``ANY_*`` rows, declined runs and port
         flushes call :class:`HardwareCache`.
 
@@ -723,9 +738,8 @@ class Machine:
         trace_lines = ctx.trace_lines
         trace_fids = ctx.trace_fids
         evict_writeback = self._evict_writeback
-        # Structured tracing: ``recording`` gates the (rare) FASE-boundary
-        # sites below; with the null recorder the fast path adds only
-        # this one hoisted attribute load.
+        # Structured tracing: ``recording`` gates the trace records below;
+        # it never changes which path a store or a commit takes.
         recorder = self.recorder
         recording = recorder.enabled
         thread_id = ctx.thread_id
@@ -733,18 +747,19 @@ class Machine:
         miss_cost = t.l1_hit + t.l1_miss
         # The buffer: what ``insert`` returns is flushed here, in the one
         # category, checked here once; a buffer that never returns a line
-        # (BEST) is not called.  Commits are flushed here too, unless
-        # traced.
+        # (BEST) is not called.
         category = technique.flush_category
         insert = None if category is None else technique.insert
         counter = None if category is None else _FLUSH_COUNTER[category]
         cause = _EVICT_TRACE_CAUSE.get(category)
-        # Write-through runs fold a run's flushes into one step, so they
-        # stand down when a trace observes each flush.
-        write_through = category == "eager" and not recording
+        # A write-through run folds its flushes into one train; traced, it
+        # lists each stalled slot for the trace.
+        write_through = category == "eager"
+        stalls = [] if recording else None
         drains = (technique.drain,) * technique.levels
         settling = technique.settling
         do_flush = self._do_flush
+        train = self._train
         flushq = ctx.flushq
         issue = flushq.issue
         issue_train = flushq.issue_train
@@ -840,9 +855,10 @@ class Machine:
                                 # ``WORK`` before it, a miss-fill, one flush,
                                 # one queue slot, bookkeeping.
                                 del lines_set[arg]
-                                if run_stores[i + n] + n == run_stores[i]:
+                                if stalls is None and run_stores[i + n] + n == run_stores[i]:
                                     # The repeats come first, any ``WORK``
-                                    # after them: the usual store burst.
+                                    # after them: the usual store burst, in
+                                    # closed form unless each stall is traced.
                                     now, stall = issue(cycles + flush_issue)
                                     if n:
                                         now, more = issue_every(now, flush_gap, n)
@@ -856,11 +872,13 @@ class Machine:
                                             here = run_cycles[j]
                                             gaps.append(flush_gap + before - here)
                                             before = here
-                                    now, stall = issue_train(cycles, gaps)
+                                    now, stall = issue_train(cycles, gaps, stalls)
                                     cycles = (
                                         now + cost_per_store + before - run_cycles[i + span]
                                     )
                                 stats.stall_cycles += stall
+                                if stalls:
+                                    self._record_stalls(thread_id, stalls)
                                 l1_stores += n
                                 store_misses += n
                                 n += 1
@@ -913,10 +931,10 @@ class Machine:
                                 # The ``n`` stores that repeat this one, taken
                                 # in one step if ``absorb`` vouches for each —
                                 # and only if the head left the line in L1,
-                                # dirty (SC may flush it when it shrinks,
-                                # traced ER flushes it; a flush pops it and
-                                # nothing since refills it): a flushed line's
-                                # repeat is a miss.  No flush, no change.
+                                # dirty (SC may flush it when it shrinks; a
+                                # flush pops it and nothing since refills it):
+                                # a flushed line's repeat is a miss.  No
+                                # flush, no change.
                                 if arg in lines_set:
                                     # A sampling SC charges its samples here.
                                     stats.cycles = cycles
@@ -1004,27 +1022,13 @@ class Machine:
                             if ctx.fase_depth == 0:
                                 ctx.commit_fase_uid = ctx.fase_uid
                                 stats.cycles = cycles
-                                if recording:
-                                    self._commit(ctx, "fase_end")
-                                else:
-                                    for drain in drains:
-                                        lines = drain()
-                                        if not lines:
-                                            continue
-                                        # ``_flush_sync``'s train, one pop a line.
-                                        gaps = []
-                                        gap = 0
-                                        for line in lines:
-                                            gap += flush_issue
-                                            if sets[line % num_sets].pop(line, False):
-                                                gaps.append(gap)
-                                                gap = 0
-                                        now, stall = issue_train(stats.cycles, gaps)
-                                        stats.cycles, wait = flushq.drain(now + gap)
-                                        stats.stall_cycles += stall + wait
+                                for drain in drains:
+                                    lines = drain()
+                                    if lines:
+                                        dirty = train(ctx, lines, "fase_end")
                                         count = len(lines)
-                                        written += len(gaps)
-                                        cleaned += count - len(gaps)
+                                        written += dirty
+                                        cleaned += count - dirty
                                         instructions += count
                                         stats.flushes += count
                                         stats.fase_end_flushes += count

@@ -35,7 +35,7 @@ class ThreadStats:
     victim_flushes: int = 0          # victim-cache overflow (victim stage)
     stall_cycles: int = 0            # cycles blocked on the flush engine
     fase_count: int = 0              # outermost FASEs completed
-    technique_overhead_cycles: int = 0
+    technique_overhead_cycles: int = 0  # always 0: no port charges bookkeeping
     adaptation_cycles: int = 0       # MRC analysis + size selection cost
     selected_sizes: List[int] = field(default_factory=list)
 

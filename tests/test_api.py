@@ -77,13 +77,23 @@ def test_hostile_technique_params_are_typed_errors_naming_them():
     from repro.cache.table import AtlasTable
 
     for build, field in [
-        (lambda: technique_factory("SC-offline", sc_fixed_size=2.5)(0), "capacity"),
-        (lambda: technique_factory("SC-offline", sc_fixed_size=True)(0), "capacity"),
+        (lambda: technique_factory("SC-offline", sc_fixed_size=2.5)(0), "sc_fixed_size"),
+        (lambda: technique_factory("SC-offline", sc_fixed_size=True)(0), "sc_fixed_size"),
         (lambda: AtlasTable(2.0), "table_size"),
         (lambda: AdaptiveConfig(burst_length=2.5), "burst_length"),
     ]:
         with pytest.raises(ConfigurationError, match=field):
             build()
+
+
+@pytest.mark.parametrize("size", [0, -3, True, 2.5])
+def test_an_sc_offline_size_is_checked_when_the_factory_is_built(size):
+    """Not at the first technique built — in a parallel grid, inside a
+    worker — but where the size is given."""
+    from repro.cache.spec import technique_factory
+
+    with pytest.raises(ConfigurationError, match="sc_fixed_size"):
+        technique_factory("SC-offline", sc_fixed_size=size)
 
 
 def test_run_is_bit_identical_to_hand_wired_machine():

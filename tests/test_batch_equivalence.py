@@ -18,6 +18,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from repro.cache.policies import EagerTechnique
 from repro.cache.spec import technique_factory
 from repro.common.errors import ConfigurationError
 from repro.common.events import (
@@ -89,8 +90,8 @@ def _full_stats(result):
     }
 
 
-def _run(workload, technique, threads, use_batches, **factory_kwargs):
-    machine = Machine(MachineConfig())
+def _run(workload, technique, threads, use_batches, recorder=None, **factory_kwargs):
+    machine = Machine(MachineConfig(), recorder=recorder)
     result = machine.run(
         workload,
         technique_factory(technique, **factory_kwargs),
@@ -187,18 +188,25 @@ def test_the_batched_loop_owns_write_throughs_and_the_l1():
     """Counts, not timings.  Untraced ER on barnes at scale 0.1 — 20 k
     stores a thread, longer than the hypothesis examples reach, on a
     saturated flush queue — at one thread (the whole stream one quantum)
-    and eight (edges kept while more than one thread can run).  Then an
-    untraced AT run, evicting (ocean) and commit-heavy (queue): the
-    batched loop touches L1, flushes evictions and runs commit trains on
-    its own locals, so it calls no :class:`HardwareCache` method at all,
-    where the per-event engine calls each."""
+    and eight (edges kept while more than one thread can run); traced at
+    eight, every store is still a write-through train's, with no
+    ``insert`` call.  Then an untraced AT run, evicting (ocean) and
+    commit-heavy (queue): the batched loop touches L1, flushes evictions
+    and runs commit trains on its own locals, so it calls no
+    :class:`HardwareCache` method at all, where the per-event engine
+    calls each."""
+    barnes = get_workload("barnes", scale=0.1)
     for threads in (1, 8):
-        _both_engines(get_workload("barnes", scale=0.1), "ER", threads)
+        _both_engines(barnes, "ER", threads)
+    with mock.patch.object(
+        EagerTechnique, "insert", autospec=True, side_effect=EagerTechnique.insert
+    ) as insert:
+        machine, result = _run(barnes, "ER", 8, True, recorder=TraceRecorder())
+    assert insert.call_count == 0
+    assert machine.absorbed_stores == sum(t.n for t in result.traces) > 0
     queue = BatchCachingWorkload(get_workload("queue", scale=0.05))
     for workload in (get_workload("ocean", scale=0.1), queue):
-        calls = _both_engines(
-            workload, "AT", 1, spied=("access", "clflush", "flush_lines")
-        )
+        calls = _both_engines(workload, "AT", 1, spied=("access", "clflush"))
         assert all(calls[False].values()), (workload.name, calls)
         assert not any(calls[True].values()), (workload.name, calls)
 
@@ -270,20 +278,24 @@ def test_a_thread_enters_its_batched_loop_once(monkeypatch):
 def test_traced_runs_write_the_per_event_engines_bytes(name, technique, threads):
     """A recorder sees every flush, stall and FASE span, and keeps every
     quantum edge — a lone thread's too — 64 events apart: the batched
-    loop's trace is the per-event engine's, byte for byte.  At 8 threads
-    this is the cut-table path.  Traced ER flushes the line its
-    ``insert`` hands back inline, and the victim stage its displaced
-    victim (cause 4)."""
+    loop's trace is the per-event engine's, byte for byte, and both are
+    a value-tracking run's, whose flushes go line by line.  At 8 threads
+    this is the cut-table path.  Traced ER runs its write-through trains,
+    and the victim stage flushes its displaced victim (cause 4)."""
     workload = get_workload(name, scale=0.1)
     traces = []
-    for use_batches in (True, False):
+    for use_batches, config in (
+        (True, MachineConfig()),
+        (False, MachineConfig()),
+        (None, MachineConfig(track_values=True)),
+    ):
         recorder = TraceRecorder()
-        Machine(recorder=recorder).run(
+        Machine(config, recorder=recorder).run(
             workload, technique_factory(technique), num_threads=threads,
             seed=SEED, use_batches=use_batches,
         )
         traces.append(recorder.to_jsonl())
-    assert traces[0] == traces[1] and traces[0]
+    assert traces[0] == traces[1] == traces[2] and traces[0]
 
 
 def test_a_streamed_live_cell_writes_the_per_event_engines_bytes(tmp_path):

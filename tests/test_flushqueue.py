@@ -191,17 +191,21 @@ def test_arithmetic_queue_equals_the_deque(depth, service, ops):
 )
 def test_a_train_is_that_many_issues(depth, service, warmup, gaps):
     """``issue_train`` over ``n`` gaps is ``n`` ``issue`` calls with the
-    clock advanced by each gap first, whatever the queue held before."""
+    clock advanced by each gap first, whatever the queue held before; the
+    stalls it lists are those calls' stalled ``(now, stall)`` returns."""
     q, ref = FlushQueue(depth, service), DequeFlushQueue(depth, service)
     now = 0
     for gap in warmup:
         ref.issue(now + gap)
         now, _ = q.issue(now + gap)
-    expected, stalled = now, 0
+    expected, stalled, issues = now, 0, []
     for gap in gaps:
         expected, stall = ref.issue(expected + gap)
         stalled += stall
-    assert q.issue_train(now, gaps) == (expected, stalled)
+        issues.append((expected, stall))
+    stalls = []
+    assert q.issue_train(now, gaps, stalls) == (expected, stalled)
+    assert stalls == [issue for issue in issues if issue[1]]
     assert state(q) == state(ref)
 
 

@@ -135,6 +135,21 @@ def test_an_unknown_flush_category_is_a_typed_error(machine):
             session._ctx.port.flush_async(PA >> 6, category)
 
 
+@pytest.mark.parametrize("category", ["eviction", "resize_eviction", "victim"])
+@pytest.mark.parametrize("track_values", [False, True])
+def test_a_flush_with_a_trace_cause_is_never_a_commit_train(category, track_values):
+    """A commit is one train, whose only records are ``stall`` and
+    ``drain``: a category traced as ``evict_flush`` would lose its cause
+    there, so ``flush_sync`` refuses it before flushing anything, on
+    either commit path."""
+    machine = Machine(MachineConfig(track_values=track_values), recorder=TraceRecorder())
+    session = machine.session(technique_factory("LA")(0))
+    session.store(PA, 8)
+    with pytest.raises(SimulationError, match=f"'{category}' is flushed one line at a time"):
+        session._ctx.port.flush_sync([PA >> 6], category)
+    assert session.stats.flushes == 0 and machine.hwcache.contains(PA >> 6)
+
+
 def test_load_touches_cache(machine):
     res = run(machine, [Load(PA, 8), Load(PA, 8)])
     assert res.threads[0].persistent_loads == 2

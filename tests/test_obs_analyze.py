@@ -264,10 +264,18 @@ def test_diagnoses_sorted_most_severe_first():
 
 
 def test_profile_reconciles_with_run_result(tiny_harness):
-    for cell in (("queue", "SC", 2), ("queue", "LA", 1), ("mdb", "SC", 1)):
+    """Among the cells, ER's write-through trains and AT's commit trains
+    on a saturated queue: the trace's stall records are the run's stall
+    cycles."""
+    cells = (
+        ("queue", "SC", 2), ("queue", "LA", 1), ("mdb", "SC", 1),
+        ("barnes", "ER", 1), ("ocean", "AT", 1),
+    )
+    for cell in cells:
         result, recorder, _ = api.traced_run(_tiny(*cell), harness=tiny_harness)
         profile = analyze(recorder)
         assert reconcile(profile, result) == [], cell
+        assert profile.provenance.issue_stall_cycles > 0 or cell[1] not in ("ER", "AT")
 
 
 def test_seed_workloads_raise_no_oscillation(tiny_harness):

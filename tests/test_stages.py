@@ -26,9 +26,6 @@ class FakePort:
     def flush_sync(self, lines, category="fase_end"):
         self.sync_calls.append((tuple(lines), category))
 
-    def add_overhead(self, cycles, instructions=0):
-        pass
-
     def add_adaptation_cost(self, cycles):
         pass
 
