@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Tuple, Union
 
 from repro.cache.spec import TechniqueSpec, list_techniques
-from repro.common.errors import ConfigurationError, require_positive
+from repro.common.errors import ConfigurationError
 from repro.experiments.harness import Harness, HarnessConfig
 from repro.faults.campaign import CrashMatrix, FaultCampaignSpec, run_campaign
 from repro.locality.knee import SelectionPolicy
@@ -90,7 +90,7 @@ class RunSpec:
         )
         if self.threads < 1:
             raise ConfigurationError("threads must be >= 1")
-        require_positive("scale", self.scale)
+        self.harness_config()  # scale, seed and the L1 geometry, checked there
 
     def harness_config(self) -> HarnessConfig:
         """The harness configuration this spec induces."""

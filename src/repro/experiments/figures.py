@@ -11,6 +11,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from repro.experiments.claims import FIG7_PROGRAMS, PAPER
 from repro.experiments.harness import Harness
 from repro.experiments.metrics import (
     arithmetic_mean,
@@ -24,22 +25,8 @@ from repro.locality.mrc import mrc_from_trace
 from repro.locality.stack_distance import exact_mrc
 from repro.locality.sampling import sampled_mrc
 
-#: Programs shown in Fig. 7's MRC-accuracy panels.
-FIG7_PROGRAMS = ("barnes", "fmm", "water-nsquared", "water-spatial")
 #: Cache sizes on Fig. 7's x axis.
 FIG7_SIZES = (1, 2, 3, 4, 6, 8, 10, 12, 16, 20, 24, 28, 32, 40, 50)
-
-#: Paper §IV-G: the cache sizes the knee rule selected per program.
-PAPER_SELECTED_SIZES = {
-    "barnes": 15,
-    "fmm": 10,
-    "ocean": 2,
-    "raytrace": 8,
-    "volrend": 3,
-    "water-nsquared": 28,
-    "water-spatial": 23,
-    "mdb": 20,
-}
 
 
 def figure2(harness: Harness, max_size: int = 50) -> Artifact:
@@ -51,10 +38,11 @@ def figure2(harness: Harness, max_size: int = 50) -> Artifact:
     knees = find_knees(mrc, harness.config.selection)
     art = Artifact("figure2", "Figure 2: MRC of water-spatial")
     art.series["miss_ratio"] = {"x": sizes, "y": [float(v) for v in ratios]}
+    published = PAPER["figure2", "water-spatial", "selected_size"]
     art.rows = [
         {
+            "benchmark": "water-spatial",
             "selected_size": selected,
-            "paper_selected_size": PAPER_SELECTED_SIZES["water-spatial"],
             "knees": [k.size for k in knees],
         }
     ]
@@ -64,7 +52,7 @@ def figure2(harness: Harness, max_size: int = 50) -> Artifact:
             ["size", "miss ratio"],
             [[s, f"{float(ratios[s - 1]):.5f}"] for s in shown],
         )
-        + f"\nselected size = {selected} (paper: 23); "
+        + f"\nselected size = {selected} (paper: {published}); "
         f"candidate knees = {[k.size for k in knees]}"
     )
     return art
@@ -209,7 +197,6 @@ def figure7(
                 "selected_sampled": select_cache_size(
                     sampled, harness.config.selection
                 ),
-                "paper_selected": PAPER_SELECTED_SIZES.get(name),
             }
         )
     art.rows = rows
@@ -232,7 +219,7 @@ def figure7(
             ["benchmark", "size(full)", "size(sampled)", "paper"],
             [
                 [r["benchmark"], r["selected_full"], r["selected_sampled"],
-                 r["paper_selected"]]
+                 PAPER.get(("figure7", r["benchmark"], "selected_sampled"))]
                 for r in rows
             ],
         )
@@ -249,7 +236,6 @@ def figure8(
     The paper measures "the difference of the running time between using
     the preset size and finding the size online": here, SC (online)
     versus SC-offline (preset best size), as a percentage of SC's time.
-    The paper's average is 6.78%.
     """
     art = Artifact("figure8", "Figure 8: online selection overhead")
     workloads = list(harness.splash2_workloads()) + ["mdb"]
@@ -272,7 +258,8 @@ def figure8(
         "y": [r["overhead_pct"] for r in rows],
     }
     art.text = format_table(
-        ["benchmark", "threads", "overhead %  (paper avg 6.78%)"],
+        ["benchmark", "threads",
+         f"overhead %  (paper avg {PAPER['figure8', 'average/-', 'overhead_pct']}%)"],
         [[r["benchmark"], r["threads"], f"{r['overhead_pct']}%"] for r in rows],
     )
     return art

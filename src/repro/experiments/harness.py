@@ -72,12 +72,11 @@ class HarnessConfig:
     def __post_init__(self) -> None:
         require_positive("scale", self.scale)
         require_int("seed", self.seed, 0)
-        require_int("l1_capacity_lines", self.l1_capacity_lines, 1)
-        require_int("l1_ways", self.l1_ways, 1)
         if not isinstance(self.timing, TimingModel):
             raise ConfigurationError(
                 f"timing must be a TimingModel, got {self.timing!r}"
             )
+        self.machine_config()  # MachineConfig's rule for the L1 geometry
         if not isinstance(self.selection, SelectionPolicy):
             raise ConfigurationError(
                 f"selection must be a SelectionPolicy, got {self.selection!r}"

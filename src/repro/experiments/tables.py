@@ -3,8 +3,9 @@
 Each ``tableN`` function runs what it needs through a :class:`Harness`
 and returns an :class:`Artifact`: structured rows (used by the test
 suite and EXPERIMENTS.md) plus a rendered text block.  Where the paper
-publishes numbers, they ride along in ``paper_*`` columns so the shape
-comparison is visible in place.
+publishes numbers, the text prints them beside the measured ones, read
+from :data:`~repro.experiments.claims.PAPER`, so the shape comparison is
+visible in place.
 """
 
 from __future__ import annotations
@@ -12,28 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.experiments.claims import PAPER
 from repro.experiments.harness import Harness
 from repro.experiments.metrics import arithmetic_mean, format_table, speedup
-from repro.workloads.splash2 import SPLASH2_PROFILES
 
-#: Table III's published flush ratios for the non-SPLASH2 workloads.
+#: Table III's published flush ratios, by program.
 PAPER_TABLE3 = {
-    "linked-list": dict(la=0.60001, at=0.60001, sc=0.60001),
-    "persistent-array": dict(la=0.00003, at=0.06250, sc=0.00003),
-    "queue": dict(la=0.62500, at=0.62500, sc=0.62500),
-    "hash": dict(la=0.50092, at=0.62128, sc=0.59531),
-    "mdb": dict(la=0.05163, at=0.30140, sc=0.11289),
-}
-for _name, _p in SPLASH2_PROFILES.items():
-    PAPER_TABLE3[_name] = dict(la=_p.paper_la, at=_p.paper_at, sc=_p.paper_sc)
-
-#: Table II's published speedups over ER (Mtest on MDB, 8 threads).
-PAPER_TABLE2_SPEEDUPS = {
-    "ER": 1.0,
-    "AT": 2.94,
-    "SC": 5.07,
-    "SC-offline": 5.60,
-    "BEST": 6.94,
+    row: {column: PAPER["table3", row, column] for column in ("la", "at", "sc")}
+    for artifact, row, _ in PAPER if artifact == "table3" and row != "average"
 }
 
 #: Workloads excluded from the AT/SC and SC/LA averages, as in the
@@ -85,7 +72,7 @@ def table1(harness: Harness) -> Artifact:
     """Table I: the cost of eager persistence on SPLASH2.
 
     Slowdown of flush-per-store (ER) relative to no persistence (BEST),
-    single-threaded.  The paper's average is 22x.
+    single-threaded.
     """
     rows = []
     for name in harness.splash2_workloads():
@@ -95,19 +82,18 @@ def table1(harness: Harness) -> Artifact:
             {
                 "program": name,
                 "slowdown": round(er.time / best.time, 1),
-                "paper_slowdown": SPLASH2_PROFILES[name].eager_slowdown,
             }
         )
     rows.append(
         {
             "program": "average",
             "slowdown": round(arithmetic_mean(r["slowdown"] for r in rows), 1),
-            "paper_slowdown": 22.0,
         }
     )
     text = format_table(
         ["program", "slowdown", "paper"],
-        [[r["program"], f"{r['slowdown']}x", f"{r['paper_slowdown']}x"] for r in rows],
+        [[n := r["program"], f"{r['slowdown']}x", f"{PAPER['table1', n, 'slowdown']}x"]
+         for r in rows],
     )
     return Artifact("table1", "Table I: cost of eager data persistence", rows, text=text)
 
@@ -124,7 +110,6 @@ def table2(harness: Harness, threads: int = 8) -> Artifact:
                 "method": t,
                 "time_cycles": results[t].time,
                 "speedup": round(speedup(er, results[t]), 2),
-                "paper_speedup": PAPER_TABLE2_SPEEDUPS[t],
                 "adapted_sizes": _adapted_sizes(results[t]),
             }
         )
@@ -135,7 +120,7 @@ def table2(harness: Harness, threads: int = 8) -> Artifact:
                 r["method"],
                 f"{r['time_cycles'] / 1e6:.2f}",
                 f"{r['speedup']}x",
-                f"{r['paper_speedup']}x",
+                f"{PAPER['table2', r['method'], 'speedup']}x",
                 _sizes_text(r["adapted_sizes"]),
             ]
             for r in rows
@@ -159,7 +144,6 @@ def table3(harness: Harness) -> Artifact:
         at = harness.run(name, "AT")
         sc = harness.run(name, "SC-offline")
         sco = harness.run(name, "SC")
-        paper = PAPER_TABLE3[name]
         at_over_sc = at.flush_ratio / sc.flush_ratio if sc.flush_ratio else float("inf")
         sc_over_la = sc.flush_ratio / la.flush_ratio if la.flush_ratio else float("inf")
         rows.append(
@@ -174,9 +158,6 @@ def table3(harness: Harness) -> Artifact:
                 "sc_online": sco.flush_ratio,
                 "at_over_sc": at_over_sc,
                 "sc_over_la": sc_over_la,
-                "paper_la": paper["la"],
-                "paper_at": paper["at"],
-                "paper_sc": paper["sc"],
             }
         )
     included = [r for r in rows if r["benchmark"] not in AVERAGE_EXCLUDED]
@@ -191,9 +172,6 @@ def table3(harness: Harness) -> Artifact:
         "sc_online": arithmetic_mean(r["sc_online"] for r in rows),
         "at_over_sc": arithmetic_mean(r["at_over_sc"] for r in included),
         "sc_over_la": arithmetic_mean(r["sc_over_la"] for r in included),
-        "paper_la": 0.16256,
-        "paper_at": 0.25066,
-        "paper_sc": 0.18268,
     }
     rows.append(avg)
     text = format_table(
@@ -205,9 +183,8 @@ def table3(harness: Harness) -> Artifact:
                 r["fases"],
                 r["stores"],
                 f"{r['er']:.5f}",
-                f"{r['la']:.5f} ({r['paper_la']:.5f})",
-                f"{r['at']:.5f} ({r['paper_at']:.5f})",
-                f"{r['sc']:.5f} ({r['paper_sc']:.5f})",
+                *(f"{r[c]:.5f} ({PAPER['table3', r['benchmark'], c]:.5f})"
+                  for c in ("la", "at", "sc")),
                 f"{r['at_over_sc']:.2f}x",
                 f"{r['sc_over_la']:.2f}x",
             ]

@@ -50,10 +50,8 @@ format, loadable in Perfetto / ``chrome://tracing`` with one track per
 simulated thread (model cycles are mapped to microseconds).
 
 When tracing is off the machine holds the module-level
-:data:`NULL_RECORDER`, whose ``enabled`` flag gates every recording site
-— the batched fast path stays allocation-free (enforced by
-``benchmarks/test_obs_overhead.py``; measured by perfbench's
-``obs.trace.overhead_ratio``).
+:data:`NULL_RECORDER`, whose ``enabled`` flag gates every recording site;
+``tests/test_obs_overhead.py`` bounds what tracing costs.
 """
 
 from __future__ import annotations

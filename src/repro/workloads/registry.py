@@ -32,7 +32,7 @@ def get_workload(name: str, scale: float = 1.0) -> Workload:
     """Build a workload by its Table III name.
 
     ``scale`` shrinks (or grows) the default problem size; tests use small
-    scales, the benchmark harness uses 1.0.
+    scales, EXPERIMENTS.md uses 1.0.
     """
     require_positive("scale", scale)
     if name == "persistent-array":

@@ -6,6 +6,7 @@ results.
 """
 
 import dataclasses
+import functools
 
 import pytest
 
@@ -35,6 +36,17 @@ def test_runspec_validation():
         api.RunSpec(workload="linked-list", scale=0)
     with pytest.raises(ConfigurationError):
         api.run(api.RunSpec(workload="no-such-workload"))
+
+
+@pytest.mark.parametrize(
+    "build", [HarnessConfig, functools.partial(api.RunSpec, workload="queue")]
+)
+@pytest.mark.parametrize("capacity", [12, 4])
+def test_an_l1_geometry_the_machine_rejects_is_rejected_up_front(build, capacity):
+    # Not only when the first Machine is built, which at --jobs > 1 is in
+    # a worker, whose error reaches the parent as a SimulationError.
+    with pytest.raises(ConfigurationError, match="l1_capacity_lines"):
+        build(l1_capacity_lines=capacity, l1_ways=8)
 
 
 @pytest.mark.parametrize("scale", [float("nan"), float("inf"), "0.1", True, 0, -0.5])
