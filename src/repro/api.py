@@ -15,8 +15,10 @@ hand-wiring ``Machine`` + ``technique_factory`` + ``AdaptiveController``::
 bit-identical to the legacy hand-wired path (enforced by an equivalence
 test) and participates in the same profiling, memoization and on-disk
 result cache.  ``campaign`` drives :func:`repro.faults.run_campaign`
-with the spec's machine knobs, so runs and their crash campaigns always
-agree on configuration.
+with the spec's machine knobs, SC-offline's profiled size and SC's
+selection policy, so a run and its crash campaign agree on those; SC's
+sampling burst stays the controller default in a campaign, where a run
+scales it to the workload.
 
 The facade is re-exported lazily from the top-level package
 (``from repro import RunSpec, run``) without importing the experiment
@@ -29,6 +31,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Tuple, Union
 
+from repro.cache.adaptive import AdaptiveConfig
 from repro.cache.spec import TechniqueSpec, list_techniques
 from repro.common.errors import ConfigurationError
 from repro.experiments.harness import Harness, HarnessConfig
@@ -229,6 +232,14 @@ def campaign(
     campaign's one replay (see :func:`repro.faults.run_campaign`).
     Returns the :class:`~repro.faults.campaign.CrashMatrix` of verdicts.
     """
+    base = TechniqueSpec.parse(spec.technique).base
+    options: Dict[str, object] = {}
+    if base == "SC-offline":
+        options["sc_fixed_size"] = harness_for(spec, cache_dir).offline_size(
+            spec.workload
+        )
+    elif base == "SC":
+        options["adaptive_config"] = AdaptiveConfig(selection=spec.selection)
     return run_campaign(
         spec.workload,
         technique=spec.technique,
@@ -239,6 +250,7 @@ def campaign(
         timing=spec.timing,
         l1_capacity_lines=spec.l1_capacity_lines,
         l1_ways=spec.l1_ways,
+        technique_options=options,
         commit_before_drain=commit_before_drain,
         cache_dir=cache_dir,
         recorder=recorder,

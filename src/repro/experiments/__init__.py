@@ -5,7 +5,6 @@
   selection) and per-instance result caching.
 - :mod:`repro.experiments.tables` — Tables I, II, III and IV.
 - :mod:`repro.experiments.figures` — Figures 2, 4, 5, 6, 7 and 8.
-- :mod:`repro.experiments.metrics` — means, speedups, formatting.
 - :mod:`repro.experiments.report` — EXPERIMENTS.md, judging ``claims``.
 - ``python -m repro.experiments <artifact>`` — command-line entry point.
 """

@@ -101,8 +101,15 @@ def _run_traced(args: argparse.Namespace) -> int:
     if args.metrics:
         metrics.write_json(args.metrics)
         print(f"wrote {args.metrics}", file=sys.stderr)
+    # The trace must count what the run counted: any mismatch is a bug
+    # in the recorder, the analyzer or the machine.
+    from repro.obs.analyze import analyze, reconcile
+
+    problems = reconcile(analyze(recorder), result)
+    for problem in problems:
+        print(f"reconcile: {problem}", file=sys.stderr)
     print(f"\n[{time.time() - start:.1f}s]", file=sys.stderr)
-    return 0
+    return 1 if problems else 0
 
 
 def _write_report(path: str, text: str) -> None:
@@ -174,38 +181,6 @@ def _run_profile(args: argparse.Namespace) -> int:
         artifacts=artifacts,
     )
     return severity_gate(max_severity(profile.diagnoses), args.fail_on)
-
-
-def _run_tracediff(args: argparse.Namespace) -> int:
-    """The ``tracediff`` command: cross-run profile deltas."""
-    import json
-
-    from repro.obs import DiffTolerances, analyze, diff_profiles, read_jsonl
-    from repro.obs import report as obs_report
-
-    if not args.trace or len(args.trace) != 2:
-        print("tracediff needs exactly two --trace PATH arguments",
-              file=sys.stderr)
-        return 2
-    path_a, path_b = args.trace
-    diff = diff_profiles(
-        analyze(read_jsonl(path_a)),
-        analyze(read_jsonl(path_b)),
-        DiffTolerances(ratio_pct=args.tolerance),
-    )
-    print(
-        obs_report.render_diff_text(diff, label_a=path_a, label_b=path_b),
-        file=sys.stderr if args.json_out == "-" else sys.stdout,
-    )
-    if args.json_out:
-        _write_report(args.json_out, json.dumps(diff, sort_keys=True, indent=1) + "\n")
-    if args.html:
-        _write_report(
-            args.html, obs_report.render_diff_html(diff, label_a=path_a, label_b=path_b)
-        )
-    if diff["verdict"] == "incomparable":
-        return 2
-    return 0 if diff["verdict"] == "ok" else 1
 
 
 def _run_crashmatrix(args: argparse.Namespace) -> int:
@@ -385,13 +360,11 @@ def _run_history(args: argparse.Namespace) -> int:
     return 0 if doc.get("ok", True) else 1
 
 
-
-
 def _run_monitor(args: argparse.Namespace) -> int:
     """The ``monitor`` command (:mod:`repro.experiments.monitor`)."""
     from repro.experiments.monitor import run_monitor
 
-    return run_monitor(args, lambda: _harness(args))
+    return run_monitor(args)
 
 
 def _parent(*flags) -> argparse.ArgumentParser:
@@ -488,7 +461,8 @@ layer attached.  --trace PATH writes the structured event trace (a .jsonl
 suffix selects JSON lines, anything else the Chrome trace_event format:
 load it in Perfetto or chrome://tracing; repeatable for both), and
 --metrics PATH dumps the sampled metrics registry (--metrics-interval
-model cycles between samples).
+model cycles between samples).  The trace is reconciled against the run's
+counters: any mismatch is printed and exits 1.
 
     python -m repro.experiments run --workload mdb --technique SC \\
         --threads 8 --trace mdb-sc.chrome.json --metrics mdb-sc.metrics.json""",
@@ -547,57 +521,31 @@ controller diagnostics: DESIGN.md section 11), print the markdown profile
     profile.add_argument("--top-k", type=int, default=10, metavar="K",
                          help="hottest-flushed-lines table length (default 10)")
 
-    diff = command(
-        "tracediff", _run_tracediff, [_JSON, _HTML], "compare two traces",
-        """\
-Align two recorded JSONL traces and report their profile deltas under
---tolerance; exit 1 when they differ, 2 when they are incomparable.
-
-    python -m repro.experiments tracediff --trace a.jsonl --trace b.jsonl""",
-    )
-    diff.add_argument("--trace", action="append", metavar="PATH",
-                      help="a JSONL trace to compare (exactly two)")
-    diff.add_argument("--tolerance", type=float, default=0.5, metavar="PCT",
-                      help="allowed relative drift in percent (default 0.5)")
-
     mon = command(
-        "monitor", _run_monitor, [_HARNESS, _JOBS, _JSON, _FAIL_ON],
-        "watch a grid or a trace live",
+        "monitor", _run_monitor, [_JSON, _FAIL_ON], "watch a trace live",
         """\
-Watch work live (DESIGN.md section 12).  By default run an artifact's
-grid (--grid) under a refreshing terminal dashboard fed by per-cell metric
-snapshots, with declarative alert rules (--rule, see the grammar in
-repro.obs.live) writing a deterministic JSONL alert log.  --follow PATH
-instead tails a JSONL trace file as it is written, folding it into a
-streaming profile window by window.  --once --json is the headless/CI
-form.
+Watch a run live (DESIGN.md section 12): --follow PATH tails a JSONL trace
+file as it is written, folding it into a streaming profile window by
+window under a refreshing terminal dashboard, with the stock alert rules
+writing a deterministic JSONL alert log.  --once --json is the
+headless/CI form.
 
-    python -m repro.experiments monitor --grid table1 --scale 0.05 --jobs 2 \\
-        --once --json --alert-log alerts.jsonl
     python -m repro.experiments monitor --follow run.jsonl --once""",
     )
-    mon.add_argument("--grid", default="table1", metavar="ARTIFACT",
-                     help="grid mode: which artifact's run grid to execute and "
-                     "watch (default table1)")
     mon.add_argument("--follow", default=None, metavar="PATH",
-                     help="follow mode: tail a JSONL trace file being written "
-                     "instead of running a grid")
+                     help="the JSONL trace file to tail while it is written")
     mon.add_argument("--once", action="store_true",
                      help="headless: process what is available, render once, exit")
     mon.add_argument("--refresh", type=float, default=1.0, metavar="SECONDS",
                      help="seconds between dashboard redraws (default 1.0)")
-    mon.add_argument("--rule", action="append", metavar="RULE",
-                     help="alert rule 'name: metric > value [@severity]' (also "
-                     "rate(metric) / sustained(metric, N)); repeatable; a name "
-                     "matching a default rule overrides it")
     mon.add_argument("--alert-log", default=None, metavar="PATH",
                      help="append fired alerts to PATH as deterministic JSONL")
     mon.add_argument("--window", type=int, default=100_000, metavar="CYCLES",
-                     help="follow mode: streaming-profile window length in model "
-                     "cycles (default 100000)")
+                     help="streaming-profile window length in model cycles "
+                     "(default 100000)")
     mon.add_argument("--max-idle", type=float, default=None, metavar="SECONDS",
-                     help="follow mode: stop after this long with no new trace "
-                     "bytes (default: follow until interrupted)")
+                     help="stop after this long with no new trace bytes "
+                     "(default: follow until interrupted)")
 
     hist = command(
         "history", _run_history, [_JSON, _HTML], "query the run ledger",

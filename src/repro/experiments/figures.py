@@ -11,15 +11,10 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from repro.common.document import format_table
 from repro.experiments.claims import FIG7_PROGRAMS, PAPER
 from repro.experiments.harness import Harness
-from repro.experiments.metrics import (
-    arithmetic_mean,
-    ascii_series,
-    format_table,
-    speedup,
-)
-from repro.experiments.tables import Artifact
+from repro.experiments.tables import Artifact, arithmetic_mean
 from repro.locality.knee import find_knees, select_cache_size
 from repro.locality.mrc import mrc_from_trace
 from repro.locality.stack_distance import exact_mrc
@@ -27,6 +22,14 @@ from repro.locality.sampling import sampled_mrc
 
 #: Cache sizes on Fig. 7's x axis.
 FIG7_SIZES = (1, 2, 3, 4, 6, 8, 10, 12, 16, 20, 24, 28, 32, 40, 50)
+
+
+def ascii_series(
+    series: Dict[str, Sequence[float]], xs: Sequence[object], title: str
+) -> str:
+    """A title line, then a table of each series' value at every x."""
+    rows = [[x] + [f"{series[k][i]:.4g}" for k in series] for i, x in enumerate(xs)]
+    return title + "\n" + format_table(["x", *series], rows)
 
 
 def figure2(harness: Harness, max_size: int = 50) -> Artifact:
@@ -68,7 +71,7 @@ def figure4(harness: Harness) -> Artifact:
         er = harness.run(name, "ER", threads)
         row: Dict[str, object] = {"benchmark": name}
         for t in techniques:
-            row[t] = round(speedup(er, harness.run(name, t, threads)), 2)
+            row[t] = round(harness.run(name, t, threads).speedup_over(er), 2)
         rows.append(row)
     avg = {"benchmark": "average"}
     for t in techniques:
@@ -104,8 +107,8 @@ def figure5(
                 {
                     "benchmark": name,
                     "threads": n,
-                    "sc_over_at": round(speedup(at, sc), 3),
-                    "sco_over_at": round(speedup(at, sco), 3),
+                    "sc_over_at": round(sc.speedup_over(at), 3),
+                    "sco_over_at": round(sco.speedup_over(at), 3),
                 }
             )
     art.rows = rows

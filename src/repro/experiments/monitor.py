@@ -1,20 +1,11 @@
-"""The ``monitor`` CLI artifact: watch a grid or a trace live.
+"""The ``monitor`` CLI artifact: watch a trace live (DESIGN.md §12).
 
-Two modes, one pipeline (DESIGN.md §12):
-
-- **grid mode** (default) runs a harness grid with a progress
-  callback that turns each finished cell into a metric snapshot
-  (:func:`repro.obs.live.snapshot_from_result` of the cell's memoized
-  result) for the :class:`~repro.obs.live.AlertEngine` and a
-  periodically refreshing terminal dashboard, including cells computed
-  by ``--jobs`` worker processes (snapshots are derived parent-side
-  from the shipped results, so nothing extra crosses the process
-  boundary);
-- **follow mode** (``--follow PATH``) tails a schema-3 JSONL trace file
-  as it is being written — e.g. a :class:`~repro.obs.live.StreamingRecorder`
-  spill from another process — recording every event into a
-  :class:`~repro.obs.live.StreamingProfile` whose closed cycle-windows
-  drive the same alert rules and dashboard.
+``monitor --follow PATH`` tails a schema-3 JSONL trace file as it is
+being written — e.g. a :class:`~repro.obs.live.StreamingRecorder` spill
+from another process — recording every event into a
+:class:`~repro.obs.live.StreamingProfile` whose closed cycle-windows
+drive the stock alert rules (:func:`~repro.obs.live.default_rules`) and
+a periodically refreshing terminal dashboard.
 
 ``--once`` runs headless: process everything available, render one
 final dashboard (or ``--json`` the machine-readable summary) and exit —
@@ -32,36 +23,14 @@ from typing import Dict, IO, List, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.obs.analyze import SEVERITIES, severity_gate
-from repro.obs.live import (
-    DEFAULT_WINDOW_CYCLES,
-    AlertEngine,
-    AlertRule,
-    StreamingProfile,
-    default_rules,
-    parse_rule,
-    snapshot_from_result,
-)
+from repro.obs.live import DEFAULT_WINDOW_CYCLES, AlertEngine, StreamingProfile
 from repro.obs.trace import TRACE_SCHEMA_VERSION, decode_trace_line
 
-#: How many recent rows (cells or windows) the dashboard shows.
+#: How many recent windows the dashboard shows.
 DASHBOARD_ROWS = 10
 
-#: Seconds between file polls in follow mode.
+#: Seconds between file polls.
 FOLLOW_POLL_SECONDS = 0.2
-
-
-def build_rules(rule_strings: Optional[List[str]]) -> List[AlertRule]:
-    """The effective rule set: defaults, overridden by name.
-
-    Each ``--rule`` string is parsed with the grammar in
-    :func:`repro.obs.live.parse_rule`; a parsed rule whose name matches
-    a default replaces it, anything else is added.
-    """
-    rules = {r.name: r for r in default_rules()}
-    for text in rule_strings or []:
-        rule = parse_rule(text)
-        rules[rule.name] = rule
-    return list(rules.values())
 
 
 def _alert_lines(engine: AlertEngine) -> List[str]:
@@ -76,7 +45,7 @@ def _alert_lines(engine: AlertEngine) -> List[str]:
 
 
 class _Dashboard:
-    """Rate-limited terminal renderer shared by both modes."""
+    """Rate-limited terminal renderer."""
 
     def __init__(self, stream: IO[str], refresh: float, live: bool) -> None:
         self.stream = stream
@@ -94,84 +63,6 @@ class _Dashboard:
             out.write("\x1b[2J\x1b[H")
         out.write("\n".join(lines) + "\n")
         out.flush()
-
-
-# ---------------------------------------------------------------------------
-# grid mode
-# ---------------------------------------------------------------------------
-
-
-def monitor_grid(
-    harness: object,
-    artifact: str,
-    *,
-    jobs: int = 1,
-    engine: AlertEngine,
-    refresh: float = 1.0,
-    once: bool = False,
-    stream: Optional[IO[str]] = None,
-) -> Dict:
-    """Run one artifact's grid under live monitoring; return the summary."""
-    from repro.experiments.parallel import grid_for
-
-    cells = grid_for(harness, artifact)
-    if not cells:
-        raise ConfigurationError(
-            f"artifact {artifact!r} has no precomputable run grid to monitor"
-        )
-    stream = stream if stream is not None else sys.stderr
-    board = _Dashboard(stream, refresh, live=not once)
-    snapshots: List[Dict] = []
-    started = time.monotonic()
-
-    def render(force: bool = False) -> None:
-        lines = [
-            f"repro live monitor — grid {artifact} "
-            f"({len(snapshots)}/{len(cells)} cells, jobs={jobs}, "
-            f"{time.monotonic() - started:.1f}s)",
-        ]
-        lines.extend(_alert_lines(engine))
-        if snapshots:
-            lines.append("")
-            lines.append(
-                f"{'cell':32} {'cycles':>12} {'stall%':>7} "
-                f"{'flush':>7} {'sel':>4} {'fases':>6}"
-            )
-            for s in snapshots[-DASHBOARD_ROWS:]:
-                lines.append(
-                    f"{s['cell']:32} {s['cycles']:>12} "
-                    f"{100.0 * s['stall_share']:>6.2f}% "
-                    f"{s['flush_ratio']:>7.4f} {s['selections']:>4} "
-                    f"{s['fases']:>6}"
-                )
-        board.draw(lines, force=force)
-
-    def on_cell(done: int, total: int, cell) -> None:
-        # The cell has just landed in the harness's memo: a hit, no run.
-        snapshot = snapshot_from_result(cell, harness.run(*cell))
-        snapshot["index"] = done - 1
-        snapshots.append(snapshot)
-        engine.observe_window(snapshot, source=snapshot["cell"])
-        if not once:
-            render()
-
-    harness.run_grid(cells, jobs=jobs, progress=on_cell)
-    if not once:
-        render(force=True)
-    return {
-        "mode": "grid",
-        "artifact": artifact,
-        "cells_total": len(cells),
-        "cells_done": len(snapshots),
-        "snapshots": snapshots,
-        "alerts": [a.to_dict() for a in engine.alerts],
-        "max_severity": engine.max_severity(),
-    }
-
-
-# ---------------------------------------------------------------------------
-# follow mode
-# ---------------------------------------------------------------------------
 
 
 class TraceTailer:
@@ -362,37 +253,21 @@ def monitor_follow(
 # ---------------------------------------------------------------------------
 
 
-def run_monitor(args, harness_factory) -> int:
-    """Drive the ``monitor`` artifact from parsed CLI args.
-
-    ``harness_factory`` defers harness construction to grid mode, so
-    ``--follow`` never builds workloads it will not run.
-    """
-    try:
-        rules = build_rules(args.rule)
-    except ConfigurationError as exc:
-        print(f"monitor: {exc}", file=sys.stderr)
+def run_monitor(args) -> int:
+    """Drive the ``monitor`` artifact from parsed CLI args."""
+    if not args.follow:
+        print("monitor needs --follow PATH (a JSONL trace)", file=sys.stderr)
         return 2
-    with AlertEngine(rules, log_path=args.alert_log) as engine:
+    with AlertEngine(log_path=args.alert_log) as engine:
         try:
-            if args.follow:
-                summary = monitor_follow(
-                    args.follow,
-                    engine=engine,
-                    window_cycles=args.window,
-                    refresh=args.refresh,
-                    once=args.once,
-                    max_idle_seconds=args.max_idle,
-                )
-            else:
-                summary = monitor_grid(
-                    harness_factory(),
-                    args.grid,
-                    jobs=args.jobs,
-                    engine=engine,
-                    refresh=args.refresh,
-                    once=args.once,
-                )
+            summary = monitor_follow(
+                args.follow,
+                engine=engine,
+                window_cycles=args.window,
+                refresh=args.refresh,
+                once=args.once,
+                max_idle_seconds=args.max_idle,
+            )
         except (ConfigurationError, OSError) as exc:
             print(f"monitor: {exc}", file=sys.stderr)
             return 2
@@ -407,16 +282,10 @@ def run_monitor(args, harness_factory) -> int:
         elif args.once:
             for line in _alert_lines(engine):
                 print(line)
-            if summary["mode"] == "grid":
-                print(
-                    f"monitored {summary['cells_done']}/"
-                    f"{summary['cells_total']} cells of {summary['artifact']}"
-                )
-            else:
-                print(
-                    f"followed {summary['path']}: {summary['events']} events, "
-                    f"{summary['windows_closed']} windows"
-                )
+            print(
+                f"followed {summary['path']}: {summary['events']} events, "
+                f"{summary['windows_closed']} windows"
+            )
         if args.alert_log:
             print(f"alert log: {args.alert_log}", file=sys.stderr)
         return severity_gate(engine.max_severity(), args.fail_on)

@@ -11,11 +11,14 @@ visible in place.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
+import numpy as np
+
+from repro.common.document import format_table
+from repro.common.errors import ConfigurationError
 from repro.experiments.claims import PAPER
 from repro.experiments.harness import Harness
-from repro.experiments.metrics import arithmetic_mean, format_table, speedup
 
 #: Table III's published flush ratios, by program.
 PAPER_TABLE3 = {
@@ -50,6 +53,14 @@ class Artifact:
 
     def __str__(self) -> str:
         return f"{self.title}\n\n{self.text}"
+
+
+def arithmetic_mean(values: Iterable[float]) -> float:
+    """Plain average (what the paper's 'average' rows use)."""
+    values = list(values)
+    if not values:
+        raise ConfigurationError("mean of no values")
+    return float(np.mean(values))
 
 
 def _adapted_sizes(result) -> List[int]:
@@ -109,7 +120,7 @@ def table2(harness: Harness, threads: int = 8) -> Artifact:
             {
                 "method": t,
                 "time_cycles": results[t].time,
-                "speedup": round(speedup(er, results[t]), 2),
+                "speedup": round(results[t].speedup_over(er), 2),
                 "adapted_sizes": _adapted_sizes(results[t]),
             }
         )
@@ -262,7 +273,7 @@ def policyzoo(harness: Harness) -> Artifact:
                     "workload": name,
                     "spec": spec,
                     "time_cycles": r.time,
-                    "speedup_vs_sc": round(speedup(base, r), 3),
+                    "speedup_vs_sc": round(r.speedup_over(base), 3),
                     "flush_ratio": r.flush_ratio,
                     "victim_flushes": sum(t.victim_flushes for t in r.threads),
                 }

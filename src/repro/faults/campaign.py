@@ -80,6 +80,8 @@ class _CampaignConfig:
     workload: str
     scale: float
     technique: str
+    #: The technique factory's keywords (SC-offline's size, SC's config).
+    technique_options: Dict[str, object]
     threads: int
     seed: int
     timing: TimingModel
@@ -301,6 +303,7 @@ def run_campaign(
         workload=name if isinstance(name, str) else str(name),
         scale=scale,
         technique=technique,
+        technique_options=dict(sorted((technique_options or {}).items())),
         threads=threads,
         seed=seed,
         timing=timing,

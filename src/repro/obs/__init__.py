@@ -5,17 +5,17 @@
 - :mod:`repro.obs.metrics` — counters, gauges and interval-sampled time
   series (cache occupancy, flush-queue depth, rolling flush ratio).
 - :mod:`repro.obs.analyze` — offline trace analytics: flush provenance,
-  FASE latency profiles, adaptive-controller diagnostics, cross-run
-  diffs (DESIGN.md §11).
-- :mod:`repro.obs.report` — those profiles, diffs and history queries
-  as text / markdown / self-contained HTML (import it explicitly: it
+  FASE latency profiles, adaptive-controller diagnostics, and the
+  reconciliation of a trace against its run's counters (DESIGN.md §11).
+- :mod:`repro.obs.report` — those profiles and history queries as
+  text / markdown / self-contained HTML (import it explicitly: it
   pulls in the experiment harness's SVG renderer, which the simulator
   must not depend on, so this package does not).
 - :mod:`repro.obs.live` — the streaming pipeline: bounded
   :class:`~repro.obs.live.StreamingRecorder` with incremental JSONL
   spill, window-folding :class:`~repro.obs.live.StreamingProfile`, and
-  the rule-driven :class:`~repro.obs.live.AlertEngine` behind the
-  ``monitor`` CLI artifact (DESIGN.md §12).
+  the :class:`~repro.obs.live.AlertEngine` behind ``monitor --follow``
+  (DESIGN.md §12).
 - :mod:`repro.obs.ledger` — the append-only run registry: every entry
   point records a crash-safe JSONL provenance line (spec sha, env,
   counters, artifacts) into ``.ledger/`` (DESIGN.md §15).
@@ -31,10 +31,8 @@ simulator loop on its allocation-free fast path (DESIGN.md §9).
 from repro.obs.analyze import (
     AnalyzerConfig,
     Diagnosis,
-    DiffTolerances,
     TraceProfile,
     analyze,
-    diff_profiles,
     max_severity,
     reconcile,
 )
@@ -47,8 +45,6 @@ from repro.obs.live import (
     StreamingRecorder,
     WindowSnapshot,
     default_rules,
-    parse_rule,
-    snapshot_from_result,
 )
 from repro.obs.history import (
     RegressionFinding,
@@ -96,7 +92,6 @@ __all__ = [
     "DEFAULT_INTERVAL",
     "DEFAULT_WINDOW_CYCLES",
     "Diagnosis",
-    "DiffTolerances",
     "EVENT_KINDS",
     "EV_BURST_START",
     "EV_DRAIN",
@@ -126,7 +121,6 @@ __all__ = [
     "default_ledger_path",
     "default_rules",
     "detect_changepoint",
-    "diff_profiles",
     "ewma",
     "max_severity",
     "nearest_rank",
@@ -134,8 +128,6 @@ __all__ = [
     "resolve_ledger",
     "spec_fingerprint",
     "parse_jsonl",
-    "parse_rule",
     "read_jsonl",
     "reconcile",
-    "snapshot_from_result",
 ]

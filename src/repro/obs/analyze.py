@@ -22,9 +22,8 @@ parallel event arrays once — no per-event objects — into a
 
 :func:`reconcile` cross-checks a profile against the matching
 :class:`~repro.nvram.stats.RunResult` — the provenance totals are exact
-counters, not estimates, so any mismatch is a bug.  :func:`diff_profiles`
-aligns two profiles and reports deltas under configurable tolerances
-as a verdict plus notes.
+counters, not estimates, so any mismatch is a bug; the ``run`` command
+exits 1 on one.
 
 Everything here is a pure function of the trace, so profiles — and the
 reports rendered from them — are byte-deterministic across repeated
@@ -703,119 +702,3 @@ def reconcile(profile: TraceProfile, result: object) -> List[str]:
                 f"{traj}, RunResult says {list(t.selected_sizes)}"
             )
     return problems
-
-
-@dataclass(frozen=True)
-class DiffTolerances:
-    """How much two profiles may differ and still be "the same run".
-
-    ``ratio_pct`` bounds relative drift of counts and latencies (0.5 =
-    half a percent); ``share_abs`` bounds absolute drift of the stall
-    share (a fraction in [0, 1]).  Exact-match metrics (event counts,
-    selected-size trajectories) ignore both.
-    """
-
-    ratio_pct: float = 0.5
-    share_abs: float = 0.01
-
-
-def _diff_entry(metric: str, va: float, vb: float, tol_pct: float) -> Dict:
-    if va == vb:
-        ratio = 1.0
-    elif va == 0:
-        ratio = float("inf")
-    else:
-        ratio = vb / va
-    ok = va == vb or (ratio != float("inf") and abs(ratio - 1.0) * 100.0 <= tol_pct)
-    return {
-        "metric": metric,
-        "a": va,
-        "b": vb,
-        "delta": vb - va,
-        "ratio": round(ratio, 6) if ratio != float("inf") else None,
-        "ok": ok,
-    }
-
-
-def diff_profiles(
-    a: TraceProfile,
-    b: TraceProfile,
-    tolerances: Optional[DiffTolerances] = None,
-) -> Dict:
-    """Align two profiles and report their deltas.
-
-    Returns ``{"verdict", "entries", "notes"}``: verdict ``"ok"`` when
-    every compared metric is within tolerance, ``"different"``
-    otherwise, ``"incomparable"`` when the runs cannot be meaningfully
-    aligned (different thread sets).  Notes call out structural
-    differences (schema versions, diverging trajectories) that
-    tolerances do not cover.
-    """
-    tol = tolerances or DiffTolerances()
-    notes: List[str] = []
-    if a.threads != b.threads:
-        return {
-            "verdict": "incomparable",
-            "entries": [],
-            "notes": [
-                f"thread sets differ: {a.threads} vs {b.threads} — "
-                f"not the same experiment"
-            ],
-        }
-    if a.schema != b.schema:
-        notes.append(
-            f"trace schemas differ ({a.schema} vs {b.schema}); "
-            f"schema-2-only provenance is empty on the older side"
-        )
-
-    entries: List[Dict] = []
-    pa, pb = a.provenance, b.provenance
-    fa, fb = a.fase, b.fase
-    for metric, va, vb in (
-        ("events", a.events, b.events),
-        ("evict_flushes", pa.evict_flushes, pb.evict_flushes),
-        ("capacity_evictions", pa.capacity_evictions, pb.capacity_evictions),
-        ("resize_evictions", pa.resize_evictions, pb.resize_evictions),
-        ("victim_flushes", pa.victim_flushes, pb.victim_flushes),
-        ("distinct_lines", pa.distinct_lines, pb.distinct_lines),
-        ("write_amplification", pa.write_amplification, pb.write_amplification),
-        ("fase_drains", pa.fase_drains, pb.fase_drains),
-        ("fase_count", fa.count, fb.count),
-        ("fase_p50", fa.p50, fb.p50),
-        ("fase_p95", fa.p95, fb.p95),
-        ("fase_p99", fa.p99, fb.p99),
-        ("fase_max", fa.max, fb.max),
-        ("selections", a.adaptation.selections, b.adaptation.selections),
-    ):
-        entries.append(_diff_entry(metric, va, vb, tol.ratio_pct))
-    share_entry = {
-        "metric": "stall_share",
-        "a": round(fa.stall_share, 6),
-        "b": round(fb.stall_share, 6),
-        "delta": round(fb.stall_share - fa.stall_share, 6),
-        "ratio": None,
-        "ok": abs(fb.stall_share - fa.stall_share) <= tol.share_abs,
-    }
-    entries.append(share_entry)
-
-    ta, tb = a.adaptation.trajectories, b.adaptation.trajectories
-    traj_a = {tid: [s for _, s in pts] for tid, pts in ta.items()}
-    traj_b = {tid: [s for _, s in pts] for tid, pts in tb.items()}
-    if traj_a != traj_b:
-        notes.append(
-            "selected-size trajectories differ: "
-            + "; ".join(
-                f"t{tid}: {traj_a.get(tid, [])} vs {traj_b.get(tid, [])}"
-                for tid in sorted(set(traj_a) | set(traj_b))
-                if traj_a.get(tid, []) != traj_b.get(tid, [])
-            )
-        )
-
-    ok = all(e["ok"] for e in entries) and not any(
-        n.startswith("selected-size") for n in notes
-    )
-    return {
-        "verdict": "ok" if ok else "different",
-        "entries": entries,
-        "notes": notes,
-    }

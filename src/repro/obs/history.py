@@ -1,8 +1,7 @@
 """Longitudinal queries over the run ledger: trend, compare, regress, flaky.
 
-Where ``tracediff`` diffs exactly two traces, this module reads the
-whole :class:`~repro.obs.ledger.RunLedger` and answers trajectory
-questions:
+This module reads the whole :class:`~repro.obs.ledger.RunLedger` and
+answers trajectory questions:
 
 ``trend``
     Per-spec timelines of one metric — every record of a spec in append

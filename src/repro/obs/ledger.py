@@ -8,8 +8,8 @@ a durable, queryable history of *everything that was ever run*: the
 canonical spec (and its SHA-256), the result counters, the host
 environment, wall time and the artifact paths the run produced.  The
 ``history`` CLI (:mod:`repro.obs.history`) gates against a fitted trend
-over many records and answers longitudinal questions a pairwise tool
-(``tracediff``) cannot.
+over many records and answers longitudinal questions that no pair of
+runs can.
 
 Durability model (NVCache's append-only log, scaled to a JSONL file):
 

@@ -17,21 +17,20 @@ things to do with a closed window, and alerting over the result.
   :class:`~repro.obs.analyze.ProfileFold` the offline ``analyze()``
   runs, so ``finalize()`` equals the offline profile *by construction*,
   and emits a :class:`WindowSnapshot` per window.
-- :class:`AlertEngine` evaluates declarative :class:`AlertRule`\\ s —
-  threshold, rate-of-change, sustained-window — over those snapshots
-  (and over analyzer diagnoses), emitting typed, severity-ranked
-  :class:`Alert` records to a deterministic JSONL log.
+- :class:`AlertEngine` evaluates :class:`AlertRule`\\ s — threshold,
+  rate-of-change, sustained-window; :func:`default_rules` by default —
+  over those snapshots (and over analyzer diagnoses), emitting typed,
+  severity-ranked :class:`Alert` records to a deterministic JSONL log.
 
 The import direction rule of :mod:`repro.obs` holds: nothing here
-imports :mod:`repro.experiments` (the ``monitor`` CLI lives on the
-experiments side and imports us).
+imports :mod:`repro.experiments` (the ``monitor --follow`` CLI lives on
+the experiments side and imports us).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 from collections import Counter, deque
 from dataclasses import asdict, dataclass
 from typing import Callable, Deque, Dict, IO, Iterable, List, Optional, Union
@@ -343,24 +342,6 @@ _OPS = {
     "<=": lambda x, y: x <= y,
 }
 
-#: Grammar (one rule per string)::
-#:
-#:     name: metric OP value [@severity]
-#:     name: rate(metric) OP value [@severity]
-#:     name: sustained(metric, N) OP value [@severity]
-#:
-#: ``OP`` is one of ``>`` ``<`` ``>=`` ``<=``; severity defaults to
-#: ``warning``.  ``metric`` is a key of the observed snapshot dict
-#: (:meth:`WindowSnapshot.to_dict` keys, or whatever dict the monitor
-#: feeds); rules over metrics absent from a snapshot simply do not fire.
-_RULE_RE = re.compile(
-    r"^\s*(?P<name>[A-Za-z_][\w-]*)\s*:\s*"
-    r"(?:(?P<fn>rate|sustained)\s*\(\s*(?P<fmetric>[\w.]+)\s*"
-    r"(?:,\s*(?P<window>\d+)\s*)?\)|(?P<metric>[\w.]+))\s*"
-    r"(?P<op>>=|<=|>|<)\s*(?P<value>-?\d+(?:\.\d+)?)\s*"
-    r"(?:@(?P<severity>\w+))?\s*$"
-)
-
 
 @dataclass(frozen=True)
 class AlertRule:
@@ -405,31 +386,6 @@ class AlertRule:
             lhs = self.metric
         return f"{lhs} {self.op} {self.value:g}"
 
-    def describe(self) -> str:
-        return f"{self.name}: {self.condition()} @{self.severity}"
-
-
-def parse_rule(text: str) -> AlertRule:
-    """Parse one rule from the string grammar (see :data:`_RULE_RE`)."""
-    m = _RULE_RE.match(text)
-    if m is None:
-        raise ConfigurationError(
-            f"unparseable alert rule {text!r}; expected "
-            f"'name: metric > value [@severity]', "
-            f"'name: rate(metric) > value [@severity]' or "
-            f"'name: sustained(metric, N) > value [@severity]'"
-        )
-    fn = m.group("fn")
-    return AlertRule(
-        name=m.group("name"),
-        metric=m.group("fmetric") if fn else m.group("metric"),
-        kind=fn or "threshold",
-        op=m.group("op"),
-        value=float(m.group("value")),
-        window=int(m.group("window") or 1),
-        severity=m.group("severity") or "warning",
-    )
-
 
 @dataclass(frozen=True)
 class Alert:
@@ -464,7 +420,7 @@ def default_rules() -> List[AlertRule]:
     Calibrated (like :class:`~repro.obs.analyze.AnalyzerConfig`) so the
     seed workloads run clean — each seed thread adapts at most once, and
     seed stall shares sit far below the SLO — which is what lets CI
-    assert "zero error alerts" on the smoke grid.
+    assert "zero error alerts" on the follow-mode smoke.
     """
     return [
         # Flush-rate spike: this window evicted 3x the previous one.
@@ -487,8 +443,7 @@ def default_rules() -> List[AlertRule]:
         ),
         # Stall-share SLO: commit drains eat >75% of FASE cycles for
         # three consecutive windows.  Seed maxima sit well below (the
-        # worst windowed share is queue/SC at ~0.65, the worst grid
-        # cell an ER run at ~0.49).
+        # worst windowed share is queue/SC at ~0.65).
         AlertRule(
             name="stall_share_slo",
             metric="stall_share",
@@ -556,20 +511,17 @@ class AlertEngine:
         self._streak: Dict[str, int] = {r.name: 0 for r in self.rules}
         self._active: Dict[str, bool] = {r.name: False for r in self.rules}
         self._last_value: Dict[str, Optional[float]] = {r.name: None for r in self.rules}
-        self.windows_observed = 0
 
     # -- observation -----------------------------------------------------
 
-    def observe_window(self, snapshot: object, source: str = "") -> List[Alert]:
-        """Evaluate every rule against one snapshot; return new alerts.
+    def observe_window(self, snapshot: WindowSnapshot, source: str = "") -> List[Alert]:
+        """Evaluate every rule against one closed window; return new alerts.
 
-        ``snapshot`` is a :class:`WindowSnapshot` or any dict with an
-        optional ``index`` key; rules over metrics the snapshot lacks
-        are skipped (their streak and edge state freeze).
+        Rules over metrics the snapshot lacks are skipped (their streak
+        and edge state freeze).
         """
-        doc = snapshot.to_dict() if hasattr(snapshot, "to_dict") else dict(snapshot)
-        index = int(doc.get("index", self.windows_observed))
-        self.windows_observed += 1
+        doc = snapshot.to_dict()
+        index = snapshot.index
         fired: List[Alert] = []
         for rule in self.rules:
             if rule.metric not in doc:
@@ -679,50 +631,3 @@ class AlertEngine:
             f"AlertEngine(rules={len(self.rules)}, alerts={len(self.alerts)}, "
             f"max={self.max_severity()!r})"
         )
-
-
-# ---------------------------------------------------------------------------
-# grid cells as snapshots (the monitor's grid feed)
-# ---------------------------------------------------------------------------
-
-
-def snapshot_from_result(cell: object, result: object) -> Dict:
-    """Distill one finished grid cell into a flat metric snapshot dict.
-
-    What the grid monitor feeds its alert rules per finished cell:
-    everything the dashboard and the rules need, computed parent-side
-    from the (already shipped) ``RunResult`` — no extra IPC.  Keys
-    deliberately overlap :class:`WindowSnapshot`'s where the semantics
-    match, so one rule grammar covers both feeds.
-
-    ``cell`` is the harness's ``(workload, technique, threads)`` tuple
-    (anything else is stringified into the ``cell`` key).
-    """
-    if isinstance(cell, tuple) and len(cell) == 3:
-        workload, technique, _ = cell
-        cell_name = f"{cell[0]}/{cell[1]}/t{cell[2]}"
-    else:
-        workload, technique = "", ""
-        cell_name = str(cell)
-    threads = getattr(result, "threads", ())
-    total_cycles = max((t.cycles for t in threads), default=0)
-    # Share is stall cycles over *aggregate* thread cycles, so it stays
-    # a fraction for multi-thread cells too.
-    cycle_sum = sum(t.cycles for t in threads)
-    stall = sum(t.stall_cycles for t in threads)
-    selections = sum(len(t.selected_sizes) for t in threads)
-    return {
-        "cell": cell_name,
-        "workload": workload,
-        "technique": technique,
-        "threads": len(threads),
-        "cycles": total_cycles,
-        "time": getattr(result, "time", total_cycles),
-        "stall_cycles": stall,
-        "stall_share": (stall / cycle_sum) if cycle_sum else 0.0,
-        "flush_ratio": getattr(result, "flush_ratio", 0.0),
-        "l1_miss_ratio": getattr(result, "l1_miss_ratio", 0.0),
-        "fases": getattr(result, "fase_count", 0),
-        "selections": selections,
-        "selected_sizes": [list(t.selected_sizes) for t in threads],
-    }

@@ -1,14 +1,14 @@
-"""The obs reports: trace profile, cross-run diff, run history.
+"""The obs reports: trace profile and run history.
 
 Each report is built **once**, as a :mod:`repro.common.document` block
-list, by :func:`profile_blocks`, :func:`diff_blocks` or
-:func:`history_blocks`; the public ``render_*`` names are one-line
-compositions of a builder and one of the three emitters (text, markdown,
-self-contained HTML).  Charts are inline SVG from the figure pipeline's
-dependency-free renderer (:mod:`repro.experiments.plots`); rendering is
-a pure function of the profile / diff / query result, so two runs of one
-configuration produce byte-identical reports.  CI uploads the HTML as a
-workflow artifact next to the raw trace.
+list, by :func:`profile_blocks` or :func:`history_blocks`; the public
+``render_*`` names are one-line compositions of a builder and one of the
+three emitters (text, markdown, self-contained HTML).  Charts are inline
+SVG from the figure pipeline's dependency-free renderer
+(:mod:`repro.experiments.plots`); rendering is a pure function of the
+profile / query result, so two runs of one configuration produce
+byte-identical reports.  CI uploads the HTML as a workflow artifact next
+to the raw trace.
 
 Import direction: this module pulls from ``repro.experiments``, so
 ``repro.obs.__init__`` does not import it — importing the obs package
@@ -156,35 +156,6 @@ def profile_blocks(
     metrics_figures = _metrics_figures(metrics_doc) if metrics_doc is not None else []
     if metrics_figures:
         blocks += [("h2", "Metrics series"), *metrics_figures]
-    return blocks
-
-
-# ---------------------------------------------------------------------------
-# Cross-run diff (the ``tracediff`` artifact)
-# ---------------------------------------------------------------------------
-
-
-def diff_blocks(diff: Dict, label_a: str = "A", label_b: str = "B") -> List[Block]:
-    """A :func:`repro.obs.analyze.diff_profiles` result."""
-    blocks: List[Block] = [
-        ("h1", f"Trace diff: {label_a} vs {label_b}"),
-        ("badge", diff["verdict"], None if diff["verdict"] == "ok" else "error"),
-    ]
-    if diff["entries"]:
-        rows = [
-            [
-                e["metric"],
-                e["a"],
-                e["b"],
-                e["delta"],
-                "-" if e["ratio"] is None else f"{e['ratio']:.4f}",
-                "ok" if e["ok"] else "DIFFERENT",
-            ]
-            for e in diff["entries"]
-        ]
-        headers = ["metric", label_a, label_b, "delta", "ratio", "status"]
-        blocks.append(("table", headers, rows))
-    blocks += [("p", f"note: {note}") for note in diff["notes"]]
     return blocks
 
 
@@ -348,14 +319,6 @@ def render_html(
     metrics_doc: Optional[Dict] = None,
 ) -> str:
     return emit_html(profile_blocks(profile, title, metrics_doc))
-
-
-def render_diff_text(diff: Dict, label_a: str = "A", label_b: str = "B") -> str:
-    return emit_text(diff_blocks(diff, label_a, label_b))
-
-
-def render_diff_html(diff: Dict, label_a: str = "A", label_b: str = "B") -> str:
-    return emit_html(diff_blocks(diff, label_a, label_b))
 
 
 def render_history_text(doc: Dict) -> str:

@@ -14,6 +14,8 @@ from repro import api
 from repro.cache.spec import TechniqueSpec, technique_factory
 from repro.common.errors import ConfigurationError
 from repro.experiments.harness import Harness, HarnessConfig
+from repro.faults.campaign import run_campaign
+from repro.locality.knee import SelectionPolicy
 from repro.nvram.machine import Machine
 from repro.workloads.registry import get_workload
 
@@ -158,6 +160,37 @@ def test_campaign_facade_smoke():
         spec, api.FaultSpec(max_sites=24), commit_before_drain=True
     )
     assert not broken.ok
+
+
+def test_a_campaign_sizes_sc_offline_as_a_run_does():
+    spec = api.RunSpec(workload="hash", technique="SC-offline", scale=0.01)
+    faults = api.FaultSpec(max_sites=4)
+    size = api.harness_for(spec).offline_size("hash")
+    expected = run_campaign(
+        "hash", technique="SC-offline", scale=0.01, spec=faults,
+        technique_options={"sc_fixed_size": size},
+    )
+    assert api.campaign(spec, faults).to_dict() == expected.to_dict()
+
+
+def test_a_campaign_hands_sc_the_specs_selection_policy(monkeypatch):
+    from repro.atlas import runtime
+
+    built = []
+
+    def spying_factory(technique, **options):
+        factory = technique_factory(technique, **options)
+        return lambda tid: built.append(factory(tid)) or built[-1]
+
+    monkeypatch.setattr(runtime, "technique_factory", spying_factory)
+    selection = SelectionPolicy(default_size=4, max_size=12)
+    spec = api.RunSpec(
+        workload="linked-list", technique="SC", threads=2, scale=0.01,
+        selection=selection,
+    )
+    api.campaign(spec, api.FaultSpec(max_sites=2))
+    assert len(built) == 2
+    assert all(t.controller.config.selection == selection for t in built)
 
 
 def test_top_level_lazy_exports():

@@ -432,6 +432,21 @@ def test_campaign_result_caches(tmp_path):
     assert not calls  # served from the cache: no crashes re-injected
 
 
+def test_the_campaign_cache_keys_on_technique_options(tmp_path):
+    """A campaign at one SC-offline size must not answer for another."""
+    kwargs = dict(
+        technique="SC-offline",
+        scale=0.01,
+        spec=FaultCampaignSpec(max_sites=4),
+    )
+    size = lambda n: {"technique_options": {"sc_fixed_size": n}}
+    cache = {"cache_dir": str(tmp_path)}
+    run_campaign("hash", **size(1), **cache, **kwargs)
+    cached = run_campaign("hash", **size(64), **cache, **kwargs)
+    fresh = run_campaign("hash", **size(64), **kwargs)
+    assert cached.to_dict() == fresh.to_dict()
+
+
 def test_matrix_roundtrip_and_markdown():
     matrix = exhaustive_campaign(
         LinkedListWorkload(elements=12), technique="SC", threads=1

@@ -1,4 +1,4 @@
-"""The offline trace analyzer: provenance, latency, diagnostics, diffs.
+"""The offline trace analyzer: provenance, latency, diagnostics.
 
 Two kinds of evidence: synthetic traces with hand-computable answers
 (the fold's arithmetic is checked exactly), and real traced runs whose
@@ -15,10 +15,8 @@ from repro import api
 from repro.common.errors import ConfigurationError
 from repro.obs.analyze import (
     AnalyzerConfig,
-    DiffTolerances,
     Diagnosis,
     analyze,
-    diff_profiles,
     max_severity,
     reconcile,
 )
@@ -306,49 +304,6 @@ def test_profile_survives_jsonl_round_trip(tiny_harness):
     direct = analyze(recorder).to_json()
     parsed = analyze(parse_jsonl(recorder.to_jsonl())).to_json()
     assert direct == parsed
-
-
-# ---------------------------------------------------------------------------
-# Cross-run diffs
-# ---------------------------------------------------------------------------
-
-
-def test_diff_identical_profiles_is_ok(tiny_harness):
-    _, r1, _ = api.traced_run(_tiny("queue", "SC", 2), harness=tiny_harness)
-    _, r2, _ = api.traced_run(_tiny("queue", "SC", 2), harness=tiny_harness)
-    diff = diff_profiles(analyze(r1), analyze(r2))
-    assert diff["verdict"] == "ok"
-    assert all(e["ok"] for e in diff["entries"])
-    assert diff["notes"] == []
-
-
-def test_diff_flags_changed_runs(tiny_harness):
-    _, r1, _ = api.traced_run(_tiny("queue", "SC", 2), harness=tiny_harness)
-    _, r2, _ = api.traced_run(_tiny("queue", "LA", 2), harness=tiny_harness)
-    diff = diff_profiles(analyze(r1), analyze(r2))
-    assert diff["verdict"] == "different"
-    assert any(not e["ok"] for e in diff["entries"])
-
-
-def test_diff_incomparable_thread_sets(tiny_harness):
-    _, r1, _ = api.traced_run(_tiny("queue", "SC", 2), harness=tiny_harness)
-    _, r2, _ = api.traced_run(_tiny("queue", "SC", 1), harness=tiny_harness)
-    diff = diff_profiles(analyze(r1), analyze(r2))
-    assert diff["verdict"] == "incomparable"
-    assert diff["entries"] == []
-
-
-def test_diff_tolerance_is_configurable():
-    rec_a, rec_b = TraceRecorder(), TraceRecorder()
-    for _ in range(1000):
-        rec_a.record(EV_EVICT_FLUSH, 0, 0, 1, 1, 0)
-    for _ in range(1004):                    # 0.4% more flushes
-        rec_b.record(EV_EVICT_FLUSH, 0, 0, 1, 1, 0)
-    a, b = analyze(rec_a), analyze(rec_b)
-    assert diff_profiles(a, b, DiffTolerances(ratio_pct=0.5))["verdict"] == "ok"
-    assert (
-        diff_profiles(a, b, DiffTolerances(ratio_pct=0.1))["verdict"] == "different"
-    )
 
 
 def test_diagnosis_to_dict_and_max_severity():

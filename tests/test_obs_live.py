@@ -24,9 +24,8 @@ from repro.obs.live import (
     AlertRule,
     StreamingProfile,
     StreamingRecorder,
+    WindowSnapshot,
     default_rules,
-    parse_rule,
-    snapshot_from_result,
 )
 from repro.obs.trace import (
     EV_EVICT_FLUSH,
@@ -280,29 +279,6 @@ def test_finalize_equals_analyze_for_any_window(window_cycles, events):
 # ---------------------------------------------------------------------------
 
 
-def test_parse_rule_grammar():
-    r = parse_rule("spike: rate(evict_flushes) > 3 @error")
-    assert (r.kind, r.metric, r.op, r.value, r.severity) == (
-        "rate", "evict_flushes", ">", 3.0, "error",
-    )
-    r = parse_rule("slo: sustained(stall_share, 4) >= 0.5")
-    assert (r.kind, r.window, r.severity) == ("sustained", 4, "warning")
-    r = parse_rule("floor: events < -2 @info")
-    assert (r.kind, r.value, r.severity) == ("threshold", -2.0, "info")
-    assert "rate(evict_flushes) > 3" in parse_rule(
-        "spike: rate(evict_flushes) > 3"
-    ).condition()
-
-
-@pytest.mark.parametrize(
-    "text",
-    ["no-colon > 3", "x: metric >> 3", "x: metric > 3 @loud", "x: f(m) > 1"],
-)
-def test_parse_rule_rejects_bad_grammar(text):
-    with pytest.raises(ConfigurationError):
-        parse_rule(text)
-
-
 def test_rule_validation():
     with pytest.raises(ConfigurationError):
         AlertRule(name="x", metric="m", kind="median")
@@ -318,14 +294,16 @@ def test_rule_validation():
 
 
 def _windows(engine, values, metric="evict_flushes"):
+    fields = {name: 0 for name in WindowSnapshot.__dataclass_fields__}
     fired = []
     for i, v in enumerate(values):
-        fired.extend(engine.observe_window({"index": i, metric: v}))
+        snapshot = WindowSnapshot(**{**fields, "index": i, metric: v})
+        fired.extend(engine.observe_window(snapshot))
     return fired
 
 
 def test_threshold_alert_is_edge_triggered():
-    engine = AlertEngine([parse_rule("hot: evict_flushes > 10")])
+    engine = AlertEngine([AlertRule("hot", "evict_flushes", value=10)])
     fired = _windows(engine, [5, 20, 30, 5, 40])
     # Two rising edges (20 and 40); the sustained 30 does not re-fire.
     assert [a.window_index for a in fired] == [1, 4]
@@ -334,36 +312,40 @@ def test_threshold_alert_is_edge_triggered():
 
 
 def test_rate_rule_needs_a_usable_previous_window():
-    engine = AlertEngine([parse_rule("spike: rate(evict_flushes) > 3")])
+    engine = AlertEngine([AlertRule("spike", "evict_flushes", "rate", value=3)])
     fired = _windows(engine, [0, 100, 100, 500])
     # Window 1 has prev=0 (skipped); 100->500 is the only 3x jump.
     assert [a.window_index for a in fired] == [3]
     assert fired[0].value == 5.0
+    assert fired[0].message.startswith("rate(evict_flushes) > 3 — ")
 
 
 def test_sustained_rule_requires_consecutive_breaches():
     engine = AlertEngine(
-        [parse_rule("slo: sustained(stall_share, 3) > 0.5 @error")]
+        [AlertRule("slo", "stall_share", "sustained", value=0.5, window=3,
+                   severity="error")]
     )
     fired = _windows(engine, [0.9, 0.9, 0.2, 0.9, 0.9, 0.9], metric="stall_share")
     assert [a.window_index for a in fired] == [5]  # streak reset at window 2
     assert fired[0].severity == "error"
+    assert fired[0].message.startswith("sustained(stall_share, 3) > 0.5 — ")
 
 
 def test_rules_over_absent_metrics_are_skipped():
-    engine = AlertEngine([parse_rule("hot: no_such_metric > 0")])
+    engine = AlertEngine([AlertRule("hot", "no_such_metric")])
     assert _windows(engine, [1, 2, 3]) == []
 
 
 def test_duplicate_rule_names_are_rejected():
     with pytest.raises(ConfigurationError):
-        AlertEngine([parse_rule("x: a > 1"), parse_rule("x: b > 2")])
+        AlertEngine([AlertRule("x", "a"), AlertRule("x", "b")])
 
 
 def test_alert_log_is_deterministic_jsonl(tmp_path):
     log = tmp_path / "alerts.jsonl"
     engine = AlertEngine(
-        [parse_rule("hot: evict_flushes > 10 @error")], log_path=str(log)
+        [AlertRule("hot", "evict_flushes", value=10, severity="error")],
+        log_path=str(log),
     )
     _windows(engine, [5, 20, 5, 30])
     engine.close()
@@ -379,7 +361,7 @@ def test_alert_log_is_deterministic_jsonl(tmp_path):
 def test_diagnosis_forwarding_and_severity_ranking():
     from repro.obs.analyze import Diagnosis
 
-    engine = AlertEngine([parse_rule("hot: evict_flushes > 10 @info")])
+    engine = AlertEngine([AlertRule("hot", "evict_flushes", value=10, severity="info")])
     _windows(engine, [20])
     fired = engine.observe_diagnoses(
         [
@@ -409,51 +391,31 @@ def test_default_rules_stay_silent_on_a_seed_run():
 
 
 # ---------------------------------------------------------------------------
-# grid cells as snapshots
+# the grid's progress feed
 # ---------------------------------------------------------------------------
 
 
-def test_snapshot_from_result_on_a_real_cell(tiny_harness):
-    cell = ("queue", "SC", 2)
-    result = tiny_harness.run(*cell)
-    snap = snapshot_from_result(cell, result)
-    assert snap["cell"] == "queue/SC/t2"
-    assert snap["workload"] == "queue"
-    assert snap["threads"] == 2
-    assert snap["cycles"] > 0
-    assert 0.0 <= snap["stall_share"] < 1.0
-    assert snap["selections"] == sum(
-        len(t.selected_sizes) for t in result.threads
-    )
-
-
-def _grid_snapshots(harness, jobs):
-    """The per-cell snapshots ``monitor --grid table1`` feeds its rules."""
-    from repro.experiments.monitor import monitor_grid
-
-    with AlertEngine([]) as engine:
-        summary = monitor_grid(harness, "table1", jobs=jobs, engine=engine, once=True)
-    return summary["snapshots"]
-
-
 def test_run_grid_feeds_rich_progress(tiny_harness):
-    """The three-argument grid callback is enough for the monitor: each
-    cell's snapshot comes from the harness's memo, in grid order."""
+    """``progress(done, total, cell)`` fires once per cell, in grid order:
+    the heartbeat every artifact command prints."""
     from repro.experiments.parallel import grid_for
 
-    snapshots = _grid_snapshots(tiny_harness, jobs=1)
     cells = grid_for(tiny_harness, "table1")
-    assert snapshots == [
-        dict(snapshot_from_result(cell, tiny_harness.run(*cell)), index=i)
-        for i, cell in enumerate(cells)
-    ]
+    seen = []
+    tiny_harness.run_grid(cells, progress=lambda *args: seen.append(args))
+    assert seen == [(i + 1, len(cells), cell) for i, cell in enumerate(cells)]
 
 
 def test_parallel_grid_feeds_rich_progress(tiny_harness):
-    """Cells computed by workers give the monitor the same snapshots."""
+    """Cells computed by workers report too: every cell once, counting up."""
     from repro.experiments.harness import Harness
+    from repro.experiments.parallel import grid_for
 
-    by_cell = lambda snaps: {s["cell"]: {**s, "index": None} for s in snaps}
-    parallel = _grid_snapshots(Harness(tiny_harness.config), jobs=2)
-    assert sorted(s["index"] for s in parallel) == list(range(len(parallel)))
-    assert by_cell(parallel) == by_cell(_grid_snapshots(tiny_harness, jobs=1))
+    cells = grid_for(tiny_harness, "table1")
+    seen = []
+    Harness(tiny_harness.config).run_grid(
+        cells, jobs=2, progress=lambda *args: seen.append(args)
+    )
+    assert [done for done, _, _ in seen] == list(range(1, len(cells) + 1))
+    assert {total for _, total, _ in seen} == {len(cells)}
+    assert sorted(cell for _, _, cell in seen) == sorted(cells)

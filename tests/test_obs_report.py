@@ -3,10 +3,8 @@
 import functools
 
 from repro import api
-from repro.obs import analyze, diff_profiles
+from repro.obs import analyze
 from repro.obs.report import (
-    render_diff_html,
-    render_diff_text,
     render_html,
     render_markdown,
     write_text,
@@ -83,18 +81,6 @@ def test_reports_render_for_an_error_profile():
     doc = render_html(profile)
     assert "unbalanced_fase" in doc
     assert ">error<" in doc
-
-
-def test_diff_renderers(tiny_harness):
-    _, r1, _ = api.traced_run(_tiny("queue", "SC", 2), harness=tiny_harness)
-    _, r2, _ = api.traced_run(_tiny("queue", "LA", 2), harness=tiny_harness)
-    diff = diff_profiles(analyze(r1), analyze(r2))
-    text = render_diff_text(diff, "sc", "la")
-    assert "verdict: different" in text
-    assert "DIFFERENT" in text
-    doc = render_diff_html(diff, "sc", "la")
-    assert doc.startswith("<!DOCTYPE html>")
-    assert "Trace diff: sc vs la" in doc
 
 
 def test_write_text_round_trips(tmp_path):

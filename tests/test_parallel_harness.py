@@ -141,7 +141,7 @@ def test_jobs_must_be_positive():
             Harness(CONFIG).run_grid(CELLS, jobs=jobs)
 
 
-@pytest.mark.parametrize("artifact", ["table1", "crashmatrix", "monitor"])
+@pytest.mark.parametrize("artifact", ["table1", "crashmatrix"])
 def test_cli_rejects_nonpositive_jobs_before_simulating(artifact, capsys):
     from repro.experiments.__main__ import main
 

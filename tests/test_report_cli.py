@@ -99,7 +99,7 @@ def test_cli_profile_requires_exactly_one_trace(tmp_path, capsys):
 
 
 def test_cli_offline_readers_reject_an_unreadable_trace(tmp_path, capsys):
-    """profile/tracediff report the decoder's typed error, exit 2."""
+    """profile reports the decoder's typed error, exit 2."""
     good = _traced_cell(tmp_path, "a")
     old = tmp_path / "schema2.jsonl"
     old.write_text(
@@ -108,8 +108,6 @@ def test_cli_offline_readers_reject_an_unreadable_trace(tmp_path, capsys):
     capsys.readouterr()
     assert main(["profile", "--trace", str(old)]) == 2
     assert "trace line 1: unsupported trace schema 2" in capsys.readouterr().err
-    assert main(["tracediff", "--trace", str(good), "--trace", str(old)]) == 2
-    assert "unsupported trace schema 2" in capsys.readouterr().err
     # Valid JSON that is not a well-formed event gets the same treatment.
     hostile = tmp_path / "hostile.jsonl"
     for line, complaint in (
@@ -123,18 +121,27 @@ def test_cli_offline_readers_reject_an_unreadable_trace(tmp_path, capsys):
         assert complaint in err and "Traceback" not in err
 
 
-def test_cli_tracediff_artifact(tmp_path, capsys):
-    a = _traced_cell(tmp_path, "a")
-    b = _traced_cell(tmp_path, "b")          # identical configuration
-    c = _traced_cell(tmp_path, "c", technique="LA")
-    assert main(["tracediff", "--trace", str(a), "--trace", str(b)]) == 0
-    rc = main(
-        ["tracediff", "--trace", str(a), "--trace", str(c),
-         "--json", str(tmp_path / "d.json")]
-    )
-    assert rc == 1
-    assert json.loads((tmp_path / "d.json").read_text())["verdict"] == "different"
-    assert main(["tracediff", "--trace", str(a)]) == 2
+def test_cli_run_exits_1_when_its_trace_misses_a_flush(monkeypatch, tmp_path, capsys):
+    """``run`` reconciles the trace against the run's counters."""
+    from repro.obs import trace
+
+    class DroppingRecorder(trace.TraceRecorder):
+        """Loses the run's first eviction flush."""
+
+        dropped = False
+
+        def record(self, kind, *args):
+            if kind == trace.EV_EVICT_FLUSH and not self.dropped:
+                self.dropped = True
+                return
+            super().record(kind, *args)
+
+    argv = ["run", "--workload", "hash", "--scale", "0.02", "--seed", "7"]
+    assert main(argv) == 0
+    monkeypatch.setattr(trace, "TraceRecorder", DroppingRecorder)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert "reconcile: eviction flushes: trace says" in capsys.readouterr().err
 
 
 def test_cli_crashmatrix_observability(tmp_path, capsys):
@@ -233,10 +240,9 @@ _FLAGS = {
         "--sample-seed", "--out",
     },
     "profile": {"--trace", "--metrics", "--top-k", "--json", "--html", "--fail-on"},
-    "tracediff": {"--trace", "--tolerance", "--json", "--html"},
-    "monitor": _GRID | {
-        "--json", "--fail-on", "--grid", "--follow", "--once", "--refresh",
-        "--rule", "--alert-log", "--window", "--max-idle",
+    "monitor": {
+        "--json", "--fail-on", "--follow", "--once", "--refresh",
+        "--alert-log", "--window", "--max-idle",
     },
     "history": {
         "--json", "--html", "--query", "--ledger", "--metric", "--kind",
