@@ -360,13 +360,6 @@ def _run_history(args: argparse.Namespace) -> int:
     return 0 if doc.get("ok", True) else 1
 
 
-def _run_monitor(args: argparse.Namespace) -> int:
-    """The ``monitor`` command (:mod:`repro.experiments.monitor`)."""
-    from repro.experiments.monitor import run_monitor
-
-    return run_monitor(args)
-
-
 def _parent(*flags) -> argparse.ArgumentParser:
     """A parent parser holding flags several commands share."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -412,8 +405,8 @@ _HTML = _parent(
 )
 _FAIL_ON = _parent(
     (["--fail-on"], dict(choices=FAIL_ON_CHOICES, default="error",
-                         help="exit non-zero on a diagnosis or alert at or above "
-                         "this severity (default error)")),
+                         help="exit non-zero on a diagnosis at or above this "
+                         "severity (default error)")),
 )
 
 _GRID_TEXT = """\
@@ -427,7 +420,7 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Regenerate the paper's tables and figures on the simulator; "
-        "trace, profile, crash-test and watch runs; query the run ledger.",
+        "trace, profile and crash-test runs; query the run ledger.",
     )
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
@@ -520,32 +513,6 @@ controller diagnostics: DESIGN.md section 11), print the markdown profile
                          help="read a 'run --metrics' dump and chart it in the report")
     profile.add_argument("--top-k", type=int, default=10, metavar="K",
                          help="hottest-flushed-lines table length (default 10)")
-
-    mon = command(
-        "monitor", _run_monitor, [_JSON, _FAIL_ON], "watch a trace live",
-        """\
-Watch a run live (DESIGN.md section 12): --follow PATH tails a JSONL trace
-file as it is written, folding it into a streaming profile window by
-window under a refreshing terminal dashboard, with the stock alert rules
-writing a deterministic JSONL alert log.  --once --json is the
-headless/CI form.
-
-    python -m repro.experiments monitor --follow run.jsonl --once""",
-    )
-    mon.add_argument("--follow", default=None, metavar="PATH",
-                     help="the JSONL trace file to tail while it is written")
-    mon.add_argument("--once", action="store_true",
-                     help="headless: process what is available, render once, exit")
-    mon.add_argument("--refresh", type=float, default=1.0, metavar="SECONDS",
-                     help="seconds between dashboard redraws (default 1.0)")
-    mon.add_argument("--alert-log", default=None, metavar="PATH",
-                     help="append fired alerts to PATH as deterministic JSONL")
-    mon.add_argument("--window", type=int, default=100_000, metavar="CYCLES",
-                     help="streaming-profile window length in model cycles "
-                     "(default 100000)")
-    mon.add_argument("--max-idle", type=float, default=None, metavar="SECONDS",
-                     help="stop after this long with no new trace bytes "
-                     "(default: follow until interrupted)")
 
     hist = command(
         "history", _run_history, [_JSON, _HTML], "query the run ledger",

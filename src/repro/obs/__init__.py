@@ -11,10 +11,9 @@
   text / markdown / self-contained HTML (import it explicitly: it
   pulls in the experiment harness's SVG renderer, which the simulator
   must not depend on, so this package does not).
-- :mod:`repro.obs.live` — the streaming pipeline: bounded
-  :class:`~repro.obs.live.StreamingRecorder` with incremental JSONL
-  spill, window-folding :class:`~repro.obs.live.StreamingProfile`, and
-  the :class:`~repro.obs.live.AlertEngine` behind ``monitor --follow``
+- :mod:`repro.obs.live` — the bounded trace spill:
+  :class:`~repro.obs.live.StreamingRecorder` appends each closed cycle
+  window to a JSONL file, byte-identical to the offline export
   (DESIGN.md §12).
 - :mod:`repro.obs.ledger` — the append-only run registry: every entry
   point records a crash-safe JSONL provenance line (spec sha, env,
@@ -36,16 +35,7 @@ from repro.obs.analyze import (
     max_severity,
     reconcile,
 )
-from repro.obs.live import (
-    DEFAULT_WINDOW_CYCLES,
-    Alert,
-    AlertEngine,
-    AlertRule,
-    StreamingProfile,
-    StreamingRecorder,
-    WindowSnapshot,
-    default_rules,
-)
+from repro.obs.live import DEFAULT_WINDOW_CYCLES, StreamingRecorder
 from repro.obs.history import (
     RegressionFinding,
     TrendLine,
@@ -85,9 +75,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "ARG_NAMES",
-    "Alert",
-    "AlertEngine",
-    "AlertRule",
     "AnalyzerConfig",
     "DEFAULT_INTERVAL",
     "DEFAULT_WINDOW_CYCLES",
@@ -110,16 +97,13 @@ __all__ = [
     "TrendLine",
     "NULL_RECORDER",
     "NullRecorder",
-    "StreamingProfile",
     "StreamingRecorder",
     "TRACE_SCHEMA_VERSION",
     "TraceEvent",
     "TraceProfile",
     "TraceRecorder",
-    "WindowSnapshot",
     "analyze",
     "default_ledger_path",
-    "default_rules",
     "detect_changepoint",
     "ewma",
     "max_severity",

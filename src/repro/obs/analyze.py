@@ -100,8 +100,8 @@ class Diagnosis:
 
 
 def max_severity(findings: Iterable[object]) -> Optional[str]:
-    """The most severe level among ``findings`` — diagnoses, alerts,
-    anything with a ``severity`` — or ``None`` for a clean bill."""
+    """The most severe level among ``findings`` — anything with a
+    ``severity`` — or ``None`` for a clean bill."""
     return max(
         (f.severity for f in findings), key=_SEVERITY_RANK.__getitem__, default=None
     )
@@ -112,7 +112,7 @@ FAIL_ON_CHOICES = SEVERITIES[::-1] + ("never",)
 
 
 def severity_gate(worst: Optional[str], fail_on: str) -> int:
-    """Exit code under a ``--fail-on`` policy (``profile`` and ``monitor``).
+    """Exit code under ``profile``'s ``--fail-on`` policy.
 
     1 when ``worst`` — a :func:`max_severity` result, ``None`` = clean —
     is at or above ``fail_on``; ``"never"`` always passes.
@@ -335,19 +335,12 @@ class _ThreadFold:
 
 
 class ProfileFold:
-    """Incremental accumulator behind :func:`analyze`.
+    """The accumulator behind :func:`analyze`.
 
-    Feed the trace's parallel columns in any number of chunks (whole
-    trace at once for the offline path, one cycle-window at a time for
-    :class:`repro.obs.live.StreamingProfile`), then :meth:`finalize`.
-    Because chunked feeding walks the exact same per-event fold as the
-    one-shot path, a stream split at arbitrary boundaries finalizes to
-    the identical profile — the equivalence the live layer's tests pin.
-
-    The cumulative counters (``prov``, ``fase``, ``adapt``, ``counts``,
-    ``events``) are readable mid-stream; :meth:`finalize` only adds the
-    order-independent post-processing (percentiles, top-K ranking,
-    diagnosis generation) and is idempotent.
+    :meth:`feed_columns` folds the trace's parallel columns event by
+    event into the cumulative counters (``prov``, ``fase``, ``adapt``,
+    ``counts``, ``events``); :meth:`finalize` adds the order-independent
+    post-processing (percentiles, top-K ranking, diagnosis generation).
     """
 
     __slots__ = (
@@ -493,11 +486,7 @@ class ProfileFold:
                     adapt.adoptions += 1
 
     def finalize(self) -> TraceProfile:
-        """Post-process the accumulated state into a :class:`TraceProfile`.
-
-        Safe to call more than once (and to keep feeding afterwards):
-        every derived field is recomputed from scratch here.
-        """
+        """Post-process the accumulated state into a :class:`TraceProfile`."""
         cfg = self.cfg
         prov = self.prov
         fase = self.fase

@@ -182,10 +182,9 @@ class RunRecord:
     outcome depends on) and ``spec_sha`` its SHA-256: records sharing a
     fingerprint form one timeline.  ``counters`` hold the deterministic
     result numbers; ``profile`` an optional trace-profile digest;
-    ``alerts`` an optional alert/violation summary; ``extra`` any other
-    deterministic payload.  The :data:`ENV_FIELDS` describe the
-    recording environment and are the only fields allowed to differ
-    between re-runs of one spec.
+    ``extra`` any other deterministic payload.  The :data:`ENV_FIELDS`
+    describe the recording environment and are the only fields allowed
+    to differ between re-runs of one spec.
     """
 
     kind: str
@@ -193,7 +192,6 @@ class RunRecord:
     spec_sha: str = ""
     counters: Dict = field(default_factory=dict)
     profile: Dict = field(default_factory=dict)
-    alerts: Dict = field(default_factory=dict)
     extra: Dict = field(default_factory=dict)
     schema: int = LEDGER_SCHEMA
     # -- environment (excluded from the stable form) --------------------
@@ -401,7 +399,6 @@ def record_run(
     *,
     wall_s: float = 0.0,
     profile: Optional[Dict] = None,
-    alerts: Optional[Dict] = None,
     artifacts: Optional[Dict[str, str]] = None,
     extra: Optional[Dict] = None,
     ledger: Union[None, str, RunLedger] = None,
@@ -422,7 +419,6 @@ def record_run(
         spec=spec,
         counters=counters,
         profile=profile or {},
-        alerts=alerts or {},
         extra=extra or {},
         wall_s=round(wall_s, 6),
         artifacts=dict(artifacts or {}),

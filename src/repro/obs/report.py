@@ -291,9 +291,13 @@ def history_blocks(doc: Dict, title: Optional[str] = "Run history") -> List[Bloc
 
     ``doc`` is the JSON-shaped result, tagged with ``doc["query"]`` by
     the CLI.  An unknown query degrades to its JSON — the renderer never
-    blocks a new query kind.
+    blocks a new query kind.  Ledger lines the scan could not read
+    (``doc["skipped_lines"]``) are named first: the answer left them out.
     """
     blocks: List[Block] = [("h1", title)] if title else []
+    skipped = doc.get("skipped_lines", 0)
+    if skipped:
+        blocks.append(("p", f"warning: {skipped} unreadable ledger line(s) skipped."))
     build = _HISTORY_QUERIES.get(doc.get("query", "trend"))
     if build is not None:
         blocks += build(doc)

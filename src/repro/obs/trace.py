@@ -38,10 +38,9 @@ Event taxonomy (see DESIGN.md §9, §11):
 ==============  ========================================================
 
 Schema 3 is the only schema read back: :func:`decode_trace_line` — the
-one per-line decoder behind :func:`parse_jsonl` and ``monitor --follow``
-— rejects a ``trace_meta`` header carrying any other version, and an
-event that precedes the header, with a :class:`ConfigurationError`
-naming the line.
+per-line decoder behind :func:`parse_jsonl` — rejects a ``trace_meta``
+header carrying any other version, and an event that precedes the
+header, with a :class:`ConfigurationError` naming the line.
 
 Exports: JSON-lines (a ``trace_meta`` header line carrying the schema
 version, then one event per line, sorted keys — byte-identical across
@@ -186,7 +185,7 @@ def encode_columns(
     """Encode parallel event columns as newline-terminated JSONL lines.
 
     The single source of the byte format: the offline export
-    (:meth:`TraceRecorder.iter_jsonl`) and the live
+    (:meth:`TraceRecorder.iter_jsonl`) and the
     :class:`repro.obs.live.StreamingRecorder` spill both call this on
     slices of the same column store, which is what makes the incremental
     spill byte-identical to a post-hoc export.  Known kinds use their
@@ -253,12 +252,13 @@ class TraceRecorder:
         self._c.append(c)
 
     def on_quantum(self, thread_id: int, now: int) -> None:
-        """Scheduler window-boundary hook; the plain recorder ignores it.
+        """Scheduler quantum edge; the plain recorder ignores it.
 
         The machine calls this once per scheduler quantum (both the
-        per-event and batched paths).  Streaming recorders use it to
-        close cycle windows and spill; the buffering recorder has
-        nothing to do.
+        per-event and batched paths).  The
+        :class:`~repro.obs.live.StreamingRecorder` uses it to close
+        cycle windows and spill; the buffering recorder has nothing to
+        do.
         """
 
     def clear(self) -> None:
@@ -387,7 +387,7 @@ class TraceRecorder:
 def decode_trace_line(
     line: str, header_seen: bool
 ) -> Optional[Tuple[str, int, int, int, int, int]]:
-    """Decode one non-blank JSONL trace line; the one decoder for every reader.
+    """Decode one non-blank JSONL trace line.
 
     Returns ``None`` for the ``trace_meta`` header and ``(kind, tid, ts,
     a, b, c)`` for an event.  Malformed JSON, a line that is not a JSON

@@ -1,6 +1,7 @@
 """Longitudinal ledger queries: trend, regress, compare, flaky, CLI."""
 
 import json
+import os
 
 import pytest
 
@@ -279,3 +280,44 @@ def test_cli_flaky_query(tmp_path, capsys):
         )
     assert main(["history", "--ledger", root, "--query", "flaky"]) == 1
     assert "outcomes" in capsys.readouterr().out.lower()
+
+
+def test_cli_history_warns_about_skipped_ledger_lines(tmp_path, capsys):
+    """A torn ledger line is named in every human form, not only in the
+    JSON: the answer below it was computed without that line."""
+    root = _cli_ledger(tmp_path, [100.0, 100.0])
+    args = ["history", "--ledger", root, "--query", "compare"]
+    assert main(args) == 0
+    assert "warning" not in capsys.readouterr().out
+    with open(RunLedger(root).path, "ab") as fh:
+        fh.write(b'{"kind": "run", "torn\n')
+    md_p, html_p, json_p = (str(tmp_path / n) for n in ("h.md", "h.html", "h.json"))
+    assert main(args + ["--md", md_p, "--html", html_p, "--json", json_p]) == 0
+    warning = "warning: 1 unreadable ledger line(s) skipped."
+    out = capsys.readouterr().out
+    assert warning in out and "Last two records are identical." in out
+    assert warning in open(md_p).read()
+    assert warning in open(html_p).read()
+    assert json.loads(open(json_p).read())["skipped_lines"] == 1
+
+
+def test_a_record_with_the_retired_alerts_field_still_reads(tmp_path, capsys):
+    """Ledgers written while records carried an ``alerts`` field load,
+    and compare equal to a fresh record of the same spec."""
+    from repro.obs.ledger import canonical_json
+
+    root = str(tmp_path / "led")
+    ledger = RunLedger(root)
+    spec = {"workload": "queue", "technique": "ER"}
+    old = RunRecord(kind="run", spec=spec, counters={"time": 100.0}, ts=1.0)
+    os.makedirs(root)
+    with open(ledger.path, "w") as fh:
+        fh.write(canonical_json(dict(old.to_dict(), alerts={})) + "\n")
+    (loaded,) = ledger.records()
+    assert ledger.skipped_lines == 0 and loaded.counters == {"time": 100.0}
+    ledger.append(RunRecord(kind="run", spec=spec, counters={"time": 100.0}, ts=2.0))
+    json_p = str(tmp_path / "c.json")
+    assert main(["history", "--ledger", root, "--query", "compare", "--json", json_p]) == 0
+    (row,) = json.loads(open(json_p).read())["rows"]
+    assert row["identical"] is True
+    assert "identical" in capsys.readouterr().out

@@ -425,3 +425,29 @@ def test_run_grid_simulates_each_canonical_cell_once(jobs, monkeypatch, tmp_path
     with pytest.raises(ConfigurationError, match="nope"):
         Harness(CONFIG).run_grid(cells + [("queue", "SC+nope:2", 1)], jobs=jobs)
     assert len(log.read_text().split()) == 2
+
+
+def test_run_grid_feeds_rich_progress(tiny_harness):
+    """``progress(done, total, cell)`` fires once per cell, in grid order:
+    the heartbeat every artifact command prints."""
+    from repro.experiments.parallel import grid_for
+
+    cells = grid_for(tiny_harness, "table1")
+    seen = []
+    tiny_harness.run_grid(cells, progress=lambda *args: seen.append(args))
+    assert seen == [(i + 1, len(cells), cell) for i, cell in enumerate(cells)]
+
+
+def test_parallel_grid_feeds_rich_progress(tiny_harness):
+    """Cells computed by workers report too: every cell once, counting up."""
+    from repro.experiments.harness import Harness
+    from repro.experiments.parallel import grid_for
+
+    cells = grid_for(tiny_harness, "table1")
+    seen = []
+    Harness(tiny_harness.config).run_grid(
+        cells, jobs=2, progress=lambda *args: seen.append(args)
+    )
+    assert [done for done, _, _ in seen] == list(range(1, len(cells) + 1))
+    assert {total for _, total, _ in seen} == {len(cells)}
+    assert sorted(cell for _, _, cell in seen) == sorted(cells)
