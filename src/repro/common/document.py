@@ -8,16 +8,14 @@ A block is a tuple, its kind first:
 ``("badge", label, severity)``         the one-word verdict; severity
                                        (``None`` = good) colors it
 ``("table", headers, rows)``           rows of ``str()``-able cells
-``("ul", items)``                      bullet list
 ``("figure", svg)``                    inline-SVG chart — needs a
                                        graphical medium, so only the
                                        HTML emitter draws it
-``("code", text)``                     preformatted text
 =====================================  ================================
 
 :func:`emit_text`, :func:`emit_markdown` and :func:`emit_html` render any
 block list, so what a report says is spelled once (by whoever builds the
-list — :mod:`repro.obs.report`) and cannot drift between formats.  Every
+list — :mod:`repro.obs.render`) and cannot drift between formats.  Every
 emitter is a pure function of its blocks — no timestamps, no environment
 — and the HTML form is one self-contained file: no script, no external
 asset.  The table formatters are public on their own: the experiment
@@ -109,8 +107,6 @@ _TEXT: Formatters = {
     "p": str,
     "badge": lambda label, severity: f"verdict: {label}",
     "table": format_table,
-    "ul": lambda items: "\n".join(f"- {item}" for item in items),
-    "code": str,
 }
 
 _MARKDOWN: Formatters = {
@@ -119,7 +115,6 @@ _MARKDOWN: Formatters = {
     "h2": lambda text: f"## {text}",
     "badge": lambda label, severity: f"**verdict: {label}**",
     "table": markdown_table,
-    "code": lambda text: f"```\n{text}\n```",
 }
 
 _HTML: Formatters = {
@@ -131,11 +126,7 @@ _HTML: Formatters = {
         f'{_BADGE_COLOR[severity]}">{_esc(label)}</span></p>'
     ),
     "table": html_table,
-    "ul": lambda items: (
-        "<ul>" + "".join(f"<li>{_esc(item)}</li>" for item in items) + "</ul>"
-    ),
     "figure": lambda svg: f"<figure>{svg}</figure>",
-    "code": lambda text: f"<pre>{_esc(text)}</pre>",
 }
 
 

@@ -62,6 +62,10 @@ def _run_artifact(args: argparse.Namespace) -> int:
 
             for path in write_artifact_svgs(art, svg_dir):
                 print(f"wrote {path}", file=sys.stderr)
+    corrupt = harness.take_corrupt_entries()
+    if corrupt:
+        print(f"cache: recomputed {corrupt} corrupt entr{'y' if corrupt == 1 else 'ies'} "
+              f"under {args.cache_dir}", file=sys.stderr)
     print(f"\n[{time.time() - start:.1f}s]", file=sys.stderr)
     return 0
 
@@ -118,7 +122,7 @@ def _write_report(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
         return
-    from repro.obs.report import write_text
+    from repro.obs.render import write_text
 
     write_text(path, text)
     print(f"wrote {path}", file=sys.stderr)
@@ -128,8 +132,7 @@ def _run_profile(args: argparse.Namespace) -> int:
     """The ``profile`` command: offline trace analytics."""
     import json
 
-    from repro.obs import analyze, read_jsonl
-    from repro.obs import report as obs_report
+    from repro.obs import analyze, read_jsonl, render
 
     from repro.obs.analyze import AnalyzerConfig, max_severity, severity_gate
 
@@ -150,7 +153,7 @@ def _run_profile(args: argparse.Namespace) -> int:
     # the human-readable report moves to stderr to keep stdout parseable.
     report_stream = sys.stderr if args.json_out == "-" else sys.stdout
     print(
-        obs_report.render_markdown(profile, title=f"Trace profile: {path}"),
+        render.render_markdown(profile, title=f"Trace profile: {path}"),
         file=report_stream,
     )
     if args.json_out:
@@ -158,14 +161,13 @@ def _run_profile(args: argparse.Namespace) -> int:
     if args.html:
         _write_report(
             args.html,
-            obs_report.render_html(
+            render.render_html(
                 profile, title=f"Trace profile: {path}", metrics_doc=metrics_doc
             ),
         )
 
     # Register the analysis in the run ledger, keyed by the trace it
-    # read: `history regress` joins a flagged run to this record through
-    # the shared trace path, pointing straight at the profile reports.
+    # read, with the paths of the reports it wrote.
     from repro.obs.ledger import record_run
 
     artifacts = {"trace": path}
@@ -250,8 +252,7 @@ def _run_crashmatrix(args: argparse.Namespace) -> int:
     total = sum(m.injected for m in matrices)
 
     # One ledger record for the whole invocation, linking the files it
-    # wrote (the per-campaign records land via run_campaign): the
-    # artifact-level summary `history` joins regressions against.
+    # wrote (the per-campaign records land via run_campaign).
     from repro.obs.ledger import record_run
 
     artifacts = {}
@@ -289,16 +290,16 @@ def _run_crashmatrix(args: argparse.Namespace) -> int:
 
 
 def _run_history(args: argparse.Namespace) -> int:
-    """The ``history`` command: longitudinal ledger queries.
+    """The ``history`` command: the last two records of every timeline.
 
-    Exit codes: 0 clean, 1 when the query flagged something (a
-    regression finding, a changepoint, a drifted compare, a flaky
-    campaign), 2 when there is nothing to query.
+    Exit codes: 0 when every timeline's last two records carry identical
+    counters, 1 when any differ, 2 when there is no ledger to query.
     """
     import json
+    import os
 
-    from repro.obs import history as hist
-    from repro.obs import report as obs_report
+    from repro.obs import render
+    from repro.obs.history import compare
     from repro.obs.ledger import RunLedger, default_ledger_path
 
     root = args.ledger or default_ledger_path()
@@ -310,54 +311,21 @@ def _run_history(args: argparse.Namespace) -> int:
         )
         return 2
     ledger = RunLedger(root)
+    if not os.path.isfile(ledger.path):
+        print(f"history: no ledger at {ledger.path}", file=sys.stderr)
+        return 2
 
-    if args.query == "trend":
-        lines = hist.trend(
-            ledger,
-            args.metric,
-            kind=args.kind,
-            spec_filter=args.spec,
-            limit=args.limit,
-            min_shift_pct=args.threshold,
-        )
-        doc = {
-            "query": "trend",
-            "metric": args.metric,
-            "lines": [line.to_dict() for line in lines],
-            "ok": not any(line.changepoint for line in lines),
-        }
-    elif args.query == "regress":
-        doc = hist.regress(
-            ledger,
-            args.metric,
-            kind=args.kind,
-            spec_filter=args.spec,
-            threshold_pct=args.threshold,
-            direction=args.direction,
-            limit=args.limit,
-        )
-        doc["query"] = "regress"
-    elif args.query == "compare":
-        doc = hist.compare(ledger, kind=args.kind, spec_filter=args.spec)
-        doc["query"] = "compare"
-    else:
-        doc = hist.flaky(
-            ledger, kind=args.kind or "campaign", spec_filter=args.spec
-        )
-        doc["query"] = "flaky"
+    doc = compare(ledger, kind=args.kind, spec_filter=args.spec)
     if ledger.skipped_lines:
         doc["skipped_lines"] = ledger.skipped_lines
 
     report_stream = sys.stderr if args.json_out == "-" else sys.stdout
-    print(obs_report.render_history_text(doc), file=report_stream, end="")
-    title = f"Run history: {args.query}"
+    print(render.render_history_text(doc), file=report_stream, end="")
     if args.json_out:
         _write_report(args.json_out, json.dumps(doc, sort_keys=True, indent=1) + "\n")
     if args.md:
-        _write_report(args.md, obs_report.render_history_markdown(doc, title=title))
-    if args.html:
-        _write_report(args.html, obs_report.render_history_html(doc, title=title))
-    return 0 if doc.get("ok", True) else 1
+        _write_report(args.md, render.render_history_markdown(doc))
+    return 0 if doc["ok"] else 1
 
 
 def _parent(*flags) -> argparse.ArgumentParser:
@@ -398,10 +366,6 @@ _JSON = _parent(
     (["--json"], dict(dest="json_out", nargs="?", const="-", default=None, metavar="PATH",
                       help="write the result as deterministic JSON; bare --json "
                       "(or PATH '-') means stdout")),
-)
-_HTML = _parent(
-    (["--html"], dict(default=None, metavar="PATH",
-                      help="write the self-contained HTML report")),
 )
 _FAIL_ON = _parent(
     (["--fail-on"], dict(choices=FAIL_ON_CHOICES, default="error",
@@ -498,7 +462,7 @@ none, leaving both empty).
                        help="write the crash matrix (or list of matrices) as JSON")
 
     profile = command(
-        "profile", _run_profile, [_JSON, _HTML, _FAIL_ON], "analyze a recorded trace",
+        "profile", _run_profile, [_JSON, _FAIL_ON], "analyze a recorded trace",
         """\
 Analyze a recorded JSONL trace offline (flush provenance, FASE latency,
 controller diagnostics: DESIGN.md section 11), print the markdown profile
@@ -509,50 +473,36 @@ controller diagnostics: DESIGN.md section 11), print the markdown profile
     )
     profile.add_argument("--trace", action="append", metavar="PATH",
                          help="the JSONL trace to analyze (exactly one)")
+    profile.add_argument("--html", default=None, metavar="PATH",
+                         help="write the self-contained HTML report")
     profile.add_argument("--metrics", default=None, metavar="PATH",
                          help="read a 'run --metrics' dump and chart it in the report")
     profile.add_argument("--top-k", type=int, default=10, metavar="K",
                          help="hottest-flushed-lines table length (default 10)")
 
     hist = command(
-        "history", _run_history, [_JSON, _HTML], "query the run ledger",
+        "history", _run_history, [_JSON], "compare the last two runs of every spec",
         """\
-Query the run ledger, the append-only provenance store every entry point
-records into (DESIGN.md section 15), longitudinally: per-spec trend
-timelines with EWMA fits and changepoints, a regress gate against the
-fitted trend (the CI hook), last-two compare deltas, and flaky campaign
-tracking.  Exit 0 clean, 1 when the query flagged something, 2 when
-there is nothing to query.
+Compare the last two records of every spec timeline in the run ledger,
+the append-only provenance store every entry point records into
+(DESIGN.md section 15).  Their whole counters are compared: a counter
+that appeared, vanished or changed, of any type, flags the timeline.
+Exit 0 when every timeline's last two records are identical, 1 when any
+differ, 2 when there is no ledger to query.
 
-    python -m repro.experiments history --query regress --metric time \\
-        --kind run --threshold 15
-    python -m repro.experiments history --query trend --kind grid \\
-        --metric time --json trend.json --html trend.html""",
+    python -m repro.experiments history --kind traced_run \\
+        --json compare.json --md compare.md""",
     )
-    hist.add_argument("--query", choices=["trend", "compare", "regress", "flaky"],
-                      default="trend",
-                      help="which longitudinal question to answer (default trend)")
     hist.add_argument("--ledger", default=None, metavar="DIR",
                       help="ledger root (default: $REPRO_LEDGER, else .ledger)")
-    hist.add_argument("--metric", default="time", metavar="NAME",
-                      help="dotted metric path for trend/regress; bare names "
-                      "resolve under counters first (default time)")
     hist.add_argument("--kind", default=None, metavar="KIND",
                       help="restrict to one record kind (run, traced_run, grid, "
                       "campaign, ...)")
     hist.add_argument("--spec", default=None, metavar="FILTER",
                       help="restrict to timelines matching a spec-sha prefix, "
                       "label substring, or spec-JSON substring")
-    hist.add_argument("--threshold", type=float, default=10.0, metavar="PCT",
-                      help="regress/trend: deviation (changepoint shift) percent "
-                      "that flags a timeline (default 10)")
-    hist.add_argument("--direction", choices=["auto", "up", "down"], default="auto",
-                      help="regress: which way the metric regresses (default "
-                      "auto: inferred from the metric name)")
-    hist.add_argument("--limit", type=int, default=None, metavar="N",
-                      help="use only the newest N records of each timeline")
     hist.add_argument("--md", default=None, metavar="PATH",
-                      help="write the query result as a markdown report")
+                      help="write the answer as a markdown report")
     return parser
 
 

@@ -23,7 +23,9 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
+
+from repro.common.errors import ConfigurationError
 
 #: Bump whenever serialized content or key derivation changes shape.
 #: 2: ThreadStats gained the policy-stage flush counters
@@ -55,6 +57,8 @@ class ResultCache:
 
     def __init__(self, cache_dir: str) -> None:
         self.cache_dir = cache_dir
+        #: Entries :meth:`get` found corrupt and so reported as misses.
+        self.corrupt = 0
 
     # -- keys -----------------------------------------------------------
 
@@ -78,16 +82,23 @@ class ResultCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.cache_dir, f"{key}.json")
 
-    def get(self, key: str) -> Optional[Dict]:
-        """The stored dict for ``key``, or ``None`` on miss/corruption."""
+    def get(self, key: str, decode: Optional[Callable] = None):
+        """The stored dict for ``key`` — passed through ``decode`` when
+        given — or ``None`` on a miss.
+
+        A missing file is a plain miss.  A torn or unreadable file, or an
+        entry ``decode`` rejects with a :class:`ConfigurationError`, is a
+        miss too, counted in :attr:`corrupt`: the caller recomputes and
+        overwrites it, and the grid commands report the count.
+        """
         try:
             with open(self._path(key), "r", encoding="utf-8") as fh:
-                return json.load(fh)
+                data = json.load(fh)
+            return data if decode is None else decode(data)
         except FileNotFoundError:
             return None
-        except (OSError, json.JSONDecodeError):
-            # A torn or unreadable entry is a miss, not an error: the
-            # caller recomputes and overwrites it.
+        except (OSError, ValueError, ConfigurationError):
+            self.corrupt += 1
             return None
 
     def put(self, key: str, value: Dict) -> None:

@@ -291,17 +291,10 @@ class Harness:
         disk_key = None
         if self._disk is not None:
             disk_key = ResultCache.key(self.config, "profile_summary", name=name)
-            data = self._disk.get(disk_key)
-            if data is not None:
-                try:
-                    summary = ProfileSummary.from_dict(data)
-                except ConfigurationError:
-                    # A corrupt entry is a miss: recompute, and the put
-                    # below overwrites it (as for stale run entries).
-                    pass
-                else:
-                    self._summaries[name] = summary
-                    return summary
+            summary = self._disk.get(disk_key, ProfileSummary.from_dict)
+            if summary is not None:
+                self._summaries[name] = summary
+                return summary
         traces, persistent_stores = self._write_traces(name, 1)
         summary = ProfileSummary(
             persistent_stores=persistent_stores,
@@ -313,6 +306,19 @@ class Harness:
         if self._disk is not None:
             self._disk.put(disk_key, dataclasses.asdict(summary))
         return summary
+
+    def take_corrupt_entries(self) -> int:
+        """How many corrupt disk-cache entries this harness recomputed
+        since the last call (a torn file, or one its decoder rejected).
+
+        Taking resets the count, so a pool task hands its worker's count
+        to the parent with its result, and a task the parent runs itself
+        hands back what it took.
+        """
+        if self._disk is None:
+            return 0
+        taken, self._disk.corrupt = self._disk.corrupt, 0
+        return taken
 
     def preload_summaries(self, summaries: Dict[str, ProfileSummary]) -> None:
         """Adopt summaries computed elsewhere (parallel phase 1)."""
@@ -361,17 +367,10 @@ class Harness:
             disk_key = ResultCache.key(
                 self.config, "run", name=name, technique=technique, threads=threads
             )
-            data = self._disk.get(disk_key)
-            if data is not None:
-                try:
-                    result = RunResult.from_dict(data)
-                except ConfigurationError:
-                    # Stale entry from another schema version: treat as
-                    # a miss and recompute (the put below overwrites it).
-                    result = None
-                if result is not None:
-                    self._runs[key] = result
-                    return result
+            result = self._disk.get(disk_key, RunResult.from_dict)
+            if result is not None:
+                self._runs[key] = result
+                return result
         result = self.execute(name, technique, threads)
         self._runs[key] = result
         if self._disk is not None:

@@ -18,7 +18,8 @@ results.  :class:`TaskPool` fans them over one
   that summary's future lands.
 - **Everything crosses by pickle.**  Task arguments are small control
   tuples; results are ``RunResult`` objects and two-integer
-  ``ProfileSummary`` objects.  No write trace crosses: a trace is a
+  ``ProfileSummary`` objects, each with the count of corrupt cache
+  entries the task recomputed.  No write trace crosses: a trace is a
   cheap pass over event columns, so trace-consuming artifacts
   (figure2/figure7) derive theirs in the parent on request.
 - **A dead worker costs time, not results.**  A task whose worker died
@@ -167,15 +168,17 @@ class TaskPool:
 # ---------------------------------------------------------------------------
 
 
-def _summary_task(harness: Harness, name: str) -> ProfileSummary:
-    """One workload's profile summary — the two integers, nothing else."""
-    return harness.profile_summary(name)
+def _summary_task(harness: Harness, name: str) -> Tuple[ProfileSummary, int]:
+    """One workload's profile summary — the two integers — and the
+    corrupt cache entries the task recomputed."""
+    return harness.profile_summary(name), harness.take_corrupt_entries()
 
 
 def _cells_task(
     harness: Harness, summaries: Dict[str, ProfileSummary], cells: List[Cell]
-) -> List[Tuple[Cell, RunResult]]:
-    """One ``(workload, threads)`` group of cells.
+) -> Tuple[List[Tuple[Cell, RunResult]], int]:
+    """One ``(workload, threads)`` group of cells, and the corrupt cache
+    entries the task recomputed.
 
     The group shares one event stream, so the harness materializes the
     batch columns once and replays them for every technique — and,
@@ -183,7 +186,8 @@ def _cells_task(
     group of the same workload too.
     """
     harness.preload_summaries(summaries)
-    return [(cell, harness.run(*cell)) for cell in cells]
+    pairs = [(cell, harness.run(*cell)) for cell in cells]
+    return pairs, harness.take_corrupt_entries()
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +253,14 @@ def run_grid_parallel(
     }
     blocked: Dict[str, List[Tuple[str, int]]] = {}
 
-    def fold_cells(payload: List[Tuple[Cell, RunResult]]) -> None:
-        for cell, result in payload:
+    def fold_corrupt(count: int) -> None:
+        if count:
+            harness._disk.corrupt += count
+
+    def fold_cells(payload: Tuple[List[Tuple[Cell, RunResult]], int]) -> None:
+        pairs, corrupt = payload
+        fold_corrupt(corrupt)
+        for cell, result in pairs:
             harness._runs[cell] = result
             landed(cell, result)
 
@@ -265,7 +275,9 @@ def run_grid_parallel(
         )
 
     def submit_summary(pool: TaskPool, name: str) -> None:
-        def fold_summary(summary: ProfileSummary) -> None:
+        def fold_summary(payload: Tuple[ProfileSummary, int]) -> None:
+            summary, corrupt = payload
+            fold_corrupt(corrupt)
             harness._summaries[name] = summary
             for key in blocked.pop(name, ()):
                 submit_group(pool, key)

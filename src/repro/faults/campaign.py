@@ -321,17 +321,11 @@ def run_campaign(
     if cache_dir is not None and isinstance(name, str):
         cache = ResultCache(cache_dir)
         cache_key = ResultCache.key(config, "crashmatrix")
-        data = cache.get(cache_key)
-        if data is not None:
-            try:
-                matrix = CrashMatrix.from_dict(data)
-            except ConfigurationError:
-                pass  # stale schema: recompute and overwrite
-            else:
-                _record_campaign(
-                    config, matrix, time.monotonic() - started, cached=True
-                )
-                return matrix
+        # A stale or torn entry is a miss: recompute and overwrite.
+        matrix = cache.get(cache_key, CrashMatrix.from_dict)
+        if matrix is not None:
+            _record_campaign(config, matrix, time.monotonic() - started, cached=True)
+            return matrix
 
     golden = AtlasReplayDriver(
         workload,
@@ -418,10 +412,10 @@ def _record_campaign(
     """One ``campaign`` ledger record per :func:`run_campaign` call.
 
     The spec is the campaign's cache-key fingerprint (everything the
-    verdicts depend on), so ``history flaky`` can detect a spec whose
-    recorded outcomes disagree across sessions.  A cache-served matrix
-    records too — it is still a run that happened — flagged in
-    ``extra`` so overhead analysis can tell replays from lookups.
+    verdicts depend on), so ``history`` flags a spec whose last two
+    recorded outcomes disagree.  A cache-served matrix records too — it
+    is still a run that happened — flagged in ``extra`` so overhead
+    analysis can tell replays from lookups.
     """
     from repro.obs.ledger import record_run
 

@@ -7,10 +7,11 @@
 - :mod:`repro.obs.analyze` — offline trace analytics: flush provenance,
   FASE latency profiles, adaptive-controller diagnostics, and the
   reconciliation of a trace against its run's counters (DESIGN.md §11).
-- :mod:`repro.obs.report` — those profiles and history queries as
-  text / markdown / self-contained HTML (import it explicitly: it
-  pulls in the experiment harness's SVG renderer, which the simulator
-  must not depend on, so this package does not).
+- :mod:`repro.obs.render` — those profiles as markdown and
+  self-contained HTML, and the history answer as text and markdown
+  (import it explicitly: it pulls in the experiment harness's SVG
+  renderer, which the simulator must not depend on, so this package
+  does not).
 - :mod:`repro.obs.live` — the bounded trace spill:
   :class:`~repro.obs.live.StreamingRecorder` appends each closed cycle
   window to a JSONL file, byte-identical to the offline export
@@ -18,9 +19,9 @@
 - :mod:`repro.obs.ledger` — the append-only run registry: every entry
   point records a crash-safe JSONL provenance line (spec sha, env,
   counters, artifacts) into ``.ledger/`` (DESIGN.md §15).
-- :mod:`repro.obs.history` — longitudinal queries over the ledger:
-  per-spec timelines, EWMA trend fitting, changepoint detection and
-  regression gating behind the ``history`` CLI artifact.
+- :mod:`repro.obs.history` — the ledger's one query behind the
+  ``history`` CLI artifact: whether each spec timeline's last two
+  records carry identical counters.
 
 Tracing is strictly opt-in: machines default to the shared
 :data:`~repro.obs.trace.NULL_RECORDER`, which keeps the batched
@@ -36,12 +37,6 @@ from repro.obs.analyze import (
     reconcile,
 )
 from repro.obs.live import DEFAULT_WINDOW_CYCLES, StreamingRecorder
-from repro.obs.history import (
-    RegressionFinding,
-    TrendLine,
-    detect_changepoint,
-    ewma,
-)
 from repro.obs.ledger import (
     LEDGER_ENV,
     RunLedger,
@@ -91,10 +86,8 @@ __all__ = [
     "EV_STALL",
     "LEDGER_ENV",
     "MetricsRegistry",
-    "RegressionFinding",
     "RunLedger",
     "RunRecord",
-    "TrendLine",
     "NULL_RECORDER",
     "NullRecorder",
     "StreamingRecorder",
@@ -104,8 +97,6 @@ __all__ = [
     "TraceRecorder",
     "analyze",
     "default_ledger_path",
-    "detect_changepoint",
-    "ewma",
     "max_severity",
     "nearest_rank",
     "record_run",

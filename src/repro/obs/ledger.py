@@ -7,9 +7,8 @@ artifacts — appends one :class:`RunRecord` here, so the repository keeps
 a durable, queryable history of *everything that was ever run*: the
 canonical spec (and its SHA-256), the result counters, the host
 environment, wall time and the artifact paths the run produced.  The
-``history`` CLI (:mod:`repro.obs.history`) gates against a fitted trend
-over many records and answers longitudinal questions that no pair of
-runs can.
+``history`` CLI (:mod:`repro.obs.history`) compares the last two
+records of every spec timeline, counter for counter.
 
 Durability model (NVCache's append-only log, scaled to a JSONL file):
 
@@ -50,7 +49,7 @@ import platform
 import socket
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 #: Record shape version (bump on breaking field changes; readers skip
 #: records from other schemas rather than misread them).
@@ -465,33 +464,3 @@ def grid_cells_payload(results: Dict) -> Tuple[List, Dict]:
         totals["time"] += int(result.time)
         totals["fase_count"] += int(result.fase_count)
     return rows, totals
-
-
-def related_artifacts(
-    records: Iterable[RunRecord], target: RunRecord
-) -> List[Dict]:
-    """Records linked to ``target`` through a shared artifact path.
-
-    A ``profile`` record that analyzed the trace a ``traced_run`` wrote
-    shares that path in its ``artifacts`` values — the join that lets
-    ``history regress`` point from a flagged record to its trace
-    profile or crash matrix.
-    """
-    mine = set(target.artifacts.values())
-    if not mine:
-        return []
-    out = []
-    for record in records:
-        if record.run_id == target.run_id:
-            continue
-        shared = sorted(mine & set(record.artifacts.values()))
-        if shared:
-            out.append(
-                {
-                    "kind": record.kind,
-                    "run_id": record.run_id,
-                    "shared": shared,
-                    "artifacts": dict(record.artifacts),
-                }
-            )
-    return out

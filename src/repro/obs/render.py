@@ -17,7 +17,6 @@ Import direction: this module pulls from ``repro.experiments``, so
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional
 
 from repro.common.document import Block, emit_html, emit_markdown, emit_text
@@ -160,150 +159,34 @@ def profile_blocks(
 
 
 # ---------------------------------------------------------------------------
-# Run history (the ``history`` artifact): each query spelled once
+# Run history (the ``history`` artifact)
 # ---------------------------------------------------------------------------
 
 
-def _trend_blocks(doc: Dict) -> List[Block]:
-    lines = doc.get("lines", [])
-    metric = doc.get("metric")
-    blocks: List[Block] = [("p", f"Metric {metric} — {len(lines)} timeline(s).")]
-    rows = []
-    for line in lines:
-        values = line["values"]
-        cp = line.get("changepoint")
-        rows.append(
-            [
-                line["label"],
-                line["spec_sha"][:12],
-                len(values),
-                f"{values[0]:g}",
-                f"{values[-1]:g}",
-                f"{line['ewma'][-1]:g}",
-                f"@{cp['index']} ({cp['shift_pct']:+.1f}%)" if cp else "-",
-            ]
-        )
-    if rows:
-        headers = ["timeline", "spec", "n", "first", "last", "ewma", "changepoint"]
-        blocks.append(("table", headers, rows))
-    # One chart, all timelines overlaid, x = record index.
-    series = {
-        line["label"]: (list(range(len(line["values"]))), line["values"])
-        for line in lines
-        if line["values"]
-    }
-    if series:
-        svg = svg_line_chart(
-            series, f"{metric} per record", xlabel="record #", ylabel=str(metric)
-        )
-        blocks.append(("figure", svg))
-    return blocks
-
-
-def _regress_blocks(doc: Dict) -> List[Block]:
-    findings = doc.get("findings", [])
-    blocks: List[Block] = [
-        ("p", f"Metric {doc.get('metric')} ({doc.get('direction')} is worse), "
-              f"threshold {doc.get('threshold_pct')}% vs the EWMA-fitted trend "
-              f"— {doc.get('timelines_checked', 0)} timeline(s) checked, "
-              f"{len(findings)} flagged."),
-    ]
-    if findings:
-        rows = [
-            [
-                f["label"],
-                f["spec_sha"][:12],
-                f["points"],
-                f"{f['fitted']:g}",
-                f"{f['latest']:g}",
-                f"{f['deviation_pct']:+.1f}%",
-                f["direction"],
-            ]
-            for f in findings
-        ]
-        headers = [
-            "timeline", "spec", "n", "fitted", "latest", "deviation", "direction",
-        ]
-        blocks.append(("table", headers, rows))
-    else:
-        blocks.append(("p", "No timeline broke from its fitted trend."))
-    notes = [
-        f"{f['label']} links to {link['kind']} artifacts: {link['artifacts']}"
-        for f in findings
-        for link in f.get("linked", [])
-    ]
-    notes += [
-        f"{skip['label']}: skipped ({skip['reason']})"
-        for skip in doc.get("skipped", [])
-    ]
-    if notes:
-        blocks.append(("ul", notes))
-    return blocks
-
-
-def _compare_blocks(doc: Dict) -> List[Block]:
-    rows = doc.get("rows", [])
-    blocks: List[Block] = [("p", f"{len(rows)} timeline(s) with >= 2 records.")]
-    for row in rows:
-        blocks.append(("h2", f"{row['label']} ({row['spec_sha'][:12]})"))
-        if row["identical"]:
-            blocks.append(("p", "Last two records are identical."))
-        else:
-            deltas = [
-                [k, d["prev"], d["last"], d.get("ratio", "-")]
-                for k, d in sorted(row["deltas"].items())
-            ]
-            blocks.append(("table", ["counter", "prev", "last", "ratio"], deltas))
-    return blocks
-
-
-def _flaky_blocks(doc: Dict) -> List[Block]:
-    rows = doc.get("rows", [])
-    kind = doc.get("kind")
-    blocks: List[Block] = [
-        ("p", f"Kind {kind}: {len(rows)} unstable timeline(s)."
-         if rows
-         else f"No flaky {kind} timelines — every spec's records agree."),
-    ]
-    for row in rows:
-        outcomes = [
-            [o["count"], json.dumps(o["counters"], sort_keys=True)]
-            for o in row["outcomes"]
-        ]
-        blocks += [
-            ("h2", f"{row['label']} ({row['spec_sha'][:12]}): {len(outcomes)} "
-                   f"distinct outcomes over {row['records']} records"),
-            ("table", ["count", "counters"], outcomes),
-        ]
-    return blocks
-
-
-_HISTORY_QUERIES = {
-    "trend": _trend_blocks,
-    "regress": _regress_blocks,
-    "compare": _compare_blocks,
-    "flaky": _flaky_blocks,
-}
-
-
 def history_blocks(doc: Dict, title: Optional[str] = "Run history") -> List[Block]:
-    """One :mod:`repro.obs.history` query result.
+    """The :func:`repro.obs.history.compare` result, one section per timeline.
 
-    ``doc`` is the JSON-shaped result, tagged with ``doc["query"]`` by
-    the CLI.  An unknown query degrades to its JSON — the renderer never
-    blocks a new query kind.  Ledger lines the scan could not read
-    (``doc["skipped_lines"]``) are named first: the answer left them out.
+    Ledger lines the scan could not read (``doc["skipped_lines"]``) are
+    named first: the answer left them out.
     """
     blocks: List[Block] = [("h1", title)] if title else []
     skipped = doc.get("skipped_lines", 0)
     if skipped:
         blocks.append(("p", f"warning: {skipped} unreadable ledger line(s) skipped."))
-    build = _HISTORY_QUERIES.get(doc.get("query", "trend"))
-    if build is not None:
-        blocks += build(doc)
-    else:
-        blocks.append(("code", json.dumps(doc, sort_keys=True, indent=1)))
-    ok = doc.get("ok", True)
+    rows = doc["rows"]
+    blocks.append(("p", f"{len(rows)} timeline(s) with >= 2 records."))
+    for row in rows:
+        blocks.append(("h2", f"{row['label']} ({row['spec_sha'][:12]})"))
+        if row["identical"]:
+            blocks.append(("p", "Last two records are identical."))
+        else:
+            absent = "(absent)"
+            deltas = [
+                [k, d.get("prev", absent), d.get("last", absent), d.get("ratio", "-")]
+                for k, d in sorted(row["deltas"].items())
+            ]
+            blocks.append(("table", ["counter", "prev", "last", "ratio"], deltas))
+    ok = doc["ok"]
     blocks.append(("badge", "OK" if ok else "FLAGGED", None if ok else "error"))
     return blocks
 
@@ -331,10 +214,6 @@ def render_history_text(doc: Dict) -> str:
 
 def render_history_markdown(doc: Dict, title: str = "Run history") -> str:
     return emit_markdown(history_blocks(doc, title))
-
-
-def render_history_html(doc: Dict, title: str = "Run history") -> str:
-    return emit_html(history_blocks(doc, title))
 
 
 def write_text(path: str, text: str) -> None:

@@ -5,7 +5,7 @@ import html
 import pytest
 
 from repro.common.document import emit_html, emit_markdown, emit_text
-from repro.obs.report import history_blocks
+from repro.obs.render import history_blocks
 
 BLOCKS = [
     ("h1", "Report <1>"),
@@ -13,9 +13,7 @@ BLOCKS = [
     ("badge", "FLAGGED", "error"),
     ("h2", "Section"),
     ("table", ["name", "value <v>"], [["alpha", 1], ["be|ta", 2.5], ["<gamma>", "x&y"]]),
-    ("ul", ["first", "second <2>"]),
     ("figure", '<svg xmlns="http://www.w3.org/2000/svg"><title>chart</title></svg>'),
-    ("code", '{"k": 1}'),
 ]
 
 
@@ -46,7 +44,6 @@ def test_one_block_list_through_all_three_emitters():
     assert text.startswith("Report <1>\n==========\n")
     assert md.startswith("# Report <1>\n") and "## Section" in md
     assert "verdict: FLAGGED" in text and "**verdict: FLAGGED**" in md
-    assert "- second <2>" in text and "- second <2>" in md
     # Only a graphical medium draws figures.
     assert "<svg" not in text and "<svg" not in md and "<figure><svg" in doc
     # HTML: titled by the h1, everything escaped, nothing fetched or run.
@@ -64,50 +61,18 @@ def test_unknown_block_kind_is_an_error_not_a_silent_skip():
 
 
 HISTORY_DOCS = {
-    "trend": {
-        "metric": "time",
-        "ok": False,
-        "lines": [
-            {
-                "label": "run/queue/ER", "spec_sha": "ab" * 20,
-                "values": [100.0, 120.0], "ewma": [100.0, 106.0],
-                "changepoint": {"index": 1, "shift_pct": 20.0},
-            }
-        ],
-    },
-    "regress": {
-        "metric": "time", "direction": "up", "threshold_pct": 10.0,
-        "timelines_checked": 1, "ok": False,
-        "findings": [
-            {
-                "label": "run/queue/ER", "spec_sha": "cd" * 20, "points": 5,
-                "fitted": 100.0, "latest": 120.0, "deviation_pct": 20.0,
-                "direction": "up",
-                "linked": [{"kind": "profile", "artifacts": {"trace": "t.jsonl"}}],
-            }
-        ],
-        "skipped": [{"label": "run/hash", "reason": "need >= 2 points"}],
-    },
     "compare": {
         "ok": False,
+        "skipped_lines": 1,
         "rows": [
             {"label": "run/a", "spec_sha": "ef" * 20, "identical": True, "deltas": {}},
             {
                 "label": "run/b", "spec_sha": "01" * 20, "identical": False,
-                "deltas": {"time": {"prev": 50.0, "last": 60.0, "ratio": 1.2}},
+                "deltas": {
+                    "time": {"prev": 50.0, "last": 60.0, "ratio": 1.2},
+                    "verdict": {"prev": "ok"},
+                },
             },
-        ],
-    },
-    "flaky": {
-        "kind": "campaign", "ok": False,
-        "rows": [
-            {
-                "label": "campaign/queue", "spec_sha": "23" * 20, "records": 3,
-                "outcomes": [
-                    {"count": 2, "counters": {"violated": 0}},
-                    {"count": 1, "counters": {"violated": 1}},
-                ],
-            }
         ],
     },
 }
@@ -115,13 +80,11 @@ HISTORY_DOCS = {
 
 @pytest.mark.parametrize("query", sorted(HISTORY_DOCS))
 def test_each_history_query_says_the_same_in_every_format(query):
-    doc = dict(HISTORY_DOCS[query], query=query)
-    text, md, page = _assert_carried_by_every_emitter(history_blocks(doc, "History"))
+    text, md, page = _assert_carried_by_every_emitter(
+        history_blocks(HISTORY_DOCS[query], "History")
+    )
     assert "verdict: FLAGGED" in text and "FLAGGED" in md and ">FLAGGED<" in page
-    assert ("<svg" in page) == (query == "trend")
-
-
-def test_unknown_history_query_degrades_to_its_json():
-    blocks = history_blocks({"query": "novel", "answer": 42}, title=None)
-    assert [kind for kind, *_ in blocks] == ["code", "badge"]
-    assert '"answer": 42' in emit_text(blocks)
+    for out in (text, md, page):
+        assert "warning: 1 unreadable ledger line(s) skipped." in out
+        assert "(absent)" in out
+    assert "<svg" not in page

@@ -1,4 +1,4 @@
-"""Longitudinal ledger queries: trend, regress, compare, flaky, CLI."""
+"""The ledger's one query: the last two records of each timeline, compared whole."""
 
 import json
 import os
@@ -6,17 +6,7 @@ import os
 import pytest
 
 from repro.experiments.__main__ import main
-from repro.obs.history import (
-    compare,
-    detect_changepoint,
-    ewma,
-    flaky,
-    metric_direction,
-    metric_value,
-    regress,
-    spec_label,
-    trend,
-)
+from repro.obs.history import compare, spec_label
 from repro.obs.ledger import RunLedger, RunRecord
 
 
@@ -39,119 +29,18 @@ def _seed(ledger, times, *, kind="run", spec=None, counters_key="time", **extra)
     return out
 
 
-# ---------------------------------------------------------------------------
-# Fits
-# ---------------------------------------------------------------------------
-
-
-def test_ewma_seeds_on_first_point_and_tracks():
-    assert ewma([10.0]) == [10.0]
-    out = ewma([10.0, 20.0], alpha=0.5)
-    assert out == [10.0, 15.0]
-    with pytest.raises(ValueError):
-        ewma([1.0], alpha=0.0)
-    assert ewma([]) == []
-
-
-def test_metric_direction_heuristics():
-    for metric in ("time", "wall_s", "stall_cycles", "flush_ratio",
-                   "ledger_overhead", "l1_miss_ratio", "counters.time"):
-        assert metric_direction(metric) == "up", metric
-    for metric in ("batched_eps_geomean", "analyzer_eps", "speedup"):
-        assert metric_direction(metric) == "down", metric
-
-
-def test_metric_value_resolves_paths():
-    record = RunRecord(kind="run", spec={}, counters={"time": 7},
-                       extra={"trace_events": 3})
-    assert metric_value(record, "time") == 7.0
-    assert metric_value(record, "counters.time") == 7.0
-    assert metric_value(record, "extra.trace_events") == 3.0
-    assert metric_value(record, "wall_s") == 0.0
-    assert metric_value(record, "counters.nope") is None
-    assert metric_value(record, "kind") is None  # strings are not metrics
-
-
-def test_changepoint_finds_a_step_not_noise():
-    step = [100.0, 101.0, 99.0, 100.0, 130.0, 131.0, 129.0, 130.0]
-    cp = detect_changepoint(step)
-    assert cp is not None and cp["index"] == 4
-    assert cp["shift_pct"] == pytest.approx(30.0, abs=1.0)
-    assert detect_changepoint([100.0, 101.0, 99.0]) is None  # too short
-    assert detect_changepoint([100.0, 101.0, 99.0, 100.0, 101.0]) is None
+def _pair(tmp_path, prev, last, kind="campaign"):
+    """A ledger holding one timeline of two records with these counters."""
+    ledger = RunLedger(str(tmp_path / "led"))
+    for ts, counters in ((1.0, prev), (2.0, last)):
+        ledger.append(RunRecord(kind=kind, spec={"workload": "queue"},
+                                counters=counters, ts=ts))
+    return ledger
 
 
 # ---------------------------------------------------------------------------
-# Queries
+# The query
 # ---------------------------------------------------------------------------
-
-
-def test_trend_groups_by_spec_and_fits(tmp_path):
-    ledger = RunLedger(str(tmp_path))
-    _seed(ledger, [100.0, 102.0, 98.0])
-    _seed(ledger, [50.0, 51.0], spec={"workload": "hash", "technique": "SC"})
-    lines = trend(ledger, "time")
-    assert len(lines) == 2
-    by_label = {line.label: line for line in lines}
-    assert "run/queue/ER" in by_label and "run/hash/SC" in by_label
-    line = by_label["run/queue/ER"]
-    assert line.values == [100.0, 102.0, 98.0]
-    assert line.ewma == ewma(line.values)
-    assert line.changepoint is None
-    # Filters narrow to one timeline.
-    assert len(trend(ledger, "time", spec_filter="hash")) == 1
-    assert trend(ledger, "time", limit=1)[0].values in ([98.0], [51.0])
-
-
-def test_regress_flags_a_20pct_slowdown(tmp_path):
-    ledger = RunLedger(str(tmp_path))
-    records = _seed(ledger, [100.0, 101.0, 99.0, 100.0, 120.0])
-    doc = regress(ledger, "time")
-    assert doc["ok"] is False and doc["direction"] == "up"
-    (finding,) = doc["findings"]
-    assert finding["latest"] == 120.0
-    assert finding["run_id"] == records[-1].run_id
-    # Fitted from the points *before* the latest: ~100, so ~+20%.
-    assert finding["deviation_pct"] == pytest.approx(20.0, abs=2.0)
-    # A within-noise latest point does not flag.
-    calm = RunLedger(str(tmp_path / "calm"))
-    _seed(calm, [100.0, 101.0, 99.0, 100.0, 102.0])
-    assert regress(calm, "time")["ok"] is True
-
-
-def test_regress_direction_for_throughput_metrics(tmp_path):
-    ledger = RunLedger(str(tmp_path))
-    _seed(ledger, [1000.0, 1010.0, 790.0], counters_key="eps")
-    doc = regress(ledger, "eps")
-    assert doc["direction"] == "down" and doc["ok"] is False
-    # The same drop viewed as "up regresses" passes.
-    assert regress(ledger, "eps", direction="up")["ok"] is True
-    with pytest.raises(ValueError):
-        regress(ledger, "eps", direction="sideways")
-
-
-def test_regress_skips_short_timelines(tmp_path):
-    ledger = RunLedger(str(tmp_path))
-    _seed(ledger, [100.0])
-    doc = regress(ledger, "time")
-    assert doc["ok"] is True and doc["timelines_checked"] == 0
-    assert doc["skipped"][0]["points"] == 1
-
-
-def test_regress_links_artifact_records(tmp_path):
-    ledger = RunLedger(str(tmp_path))
-    _seed(ledger, [100.0, 100.0])
-    ledger.append(
-        RunRecord(kind="run", spec={"workload": "queue", "technique": "ER"},
-                  counters={"time": 130.0}, ts=3.0,
-                  artifacts={"trace": str(tmp_path / "t.jsonl")})
-    )
-    ledger.append(
-        RunRecord(kind="profile", spec={"artifact": "profile"},
-                  artifacts={"trace": str(tmp_path / "t.jsonl")})
-    )
-    (finding,) = regress(ledger, "time")["findings"]
-    assert [l["kind"] for l in finding["linked"]] == ["profile"]
 
 
 def test_compare_reports_last_two_deltas(tmp_path):
@@ -166,7 +55,37 @@ def test_compare_reports_last_two_deltas(tmp_path):
     assert drifted["deltas"]["time"] == {"prev": 50.0, "last": 60.0, "ratio": 1.2}
 
 
-def test_flaky_spots_disagreeing_outcomes(tmp_path):
+def test_compare_flags_a_vanished_counter(tmp_path):
+    (row,) = compare(_pair(tmp_path, {"time": 5, "flushes": 2}, {"time": 5}))["rows"]
+    assert row["identical"] is False
+    assert row["deltas"] == {"flushes": {"prev": 2}}
+
+
+def test_compare_flags_a_changed_string_counter(tmp_path):
+    """A verdict that turned, with the counter it replaced gone and a
+    new one added: every key of either side is compared."""
+    cells = {"clean": "FAIL"}
+    doc = compare(_pair(tmp_path, {"violated": 0, "verdict": "ok"},
+                        {"verdict": "FAIL", "cells": cells}))
+    assert doc["ok"] is False
+    (row,) = doc["rows"]
+    assert row["deltas"] == {
+        "cells": {"last": cells},
+        "verdict": {"prev": "ok", "last": "FAIL"},
+        "violated": {"prev": 0},
+    }
+
+
+def test_compare_flags_a_changed_bool_counter(tmp_path):
+    (row,) = compare(_pair(tmp_path, {"ok": True}, {"ok": False}))["rows"]
+    assert row["deltas"] == {"ok": {"prev": True, "last": False}}
+    # A bool is not the number it equals in Python: the JSON type changed.
+    (row,) = compare(_pair(tmp_path / "typed", {"crashed": False}, {"crashed": 0}))["rows"]
+    assert row["deltas"] == {"crashed": {"prev": False, "last": 0}}
+    assert compare(_pair(tmp_path / "same", {"ok": True}, {"ok": True}))["ok"] is True
+
+
+def test_compare_spots_disagreeing_outcomes(tmp_path):
     ledger = RunLedger(str(tmp_path))
     spec = {"workload": "queue", "fault_models": ["clean"]}
     for violated in (0, 0, 1):
@@ -174,14 +93,23 @@ def test_flaky_spots_disagreeing_outcomes(tmp_path):
             RunRecord(kind="campaign", spec=spec,
                       counters={"injected": 8, "violated": violated})
         )
-    doc = flaky(ledger)
+    doc = compare(ledger, kind="campaign")
     assert doc["ok"] is False
     (row,) = doc["rows"]
-    assert row["records"] == 3 and len(row["outcomes"]) == 2
-    # A stable timeline is clean.
-    stable = RunLedger(str(tmp_path / "stable"))
-    _seed(stable, [1.0, 1.0], kind="campaign", counters_key="violated")
-    assert flaky(stable)["ok"] is True
+    assert row["records"] == 3 and row["deltas"] == {
+        "violated": {"prev": 0, "last": 1}
+    }
+    # Only the last two records are asked about: an outcome that came
+    # back is no longer a difference.
+    ledger.append(RunRecord(kind="campaign", spec=spec,
+                            counters={"injected": 8, "violated": 1}))
+    assert compare(ledger)["ok"] is True
+
+
+def test_compare_skips_short_timelines(tmp_path):
+    ledger = RunLedger(str(tmp_path))
+    _seed(ledger, [100.0])
+    assert compare(ledger) == {"rows": [], "ok": True}
 
 
 def test_spec_label_falls_back_to_fingerprint(tmp_path):
@@ -202,50 +130,72 @@ def _cli_ledger(tmp_path, times):
     return root
 
 
+def test_cli_flags_a_one_cycle_time_change(tmp_path, capsys):
+    root = _cli_ledger(tmp_path, [1000, 1001])
+    assert main(["history", "--ledger", root]) == 1
+    out = capsys.readouterr().out
+    assert "FLAGGED" in out and "run/queue/ER" in out and "1.001" in out
+
+
 def test_cli_regress_exits_nonzero_on_regression(tmp_path, capsys):
     root = _cli_ledger(tmp_path, [100.0, 101.0, 99.0, 100.0, 120.0])
-    rc = main(["history", "--ledger", root, "--query", "regress"])
+    rc = main(["history", "--ledger", root])
     assert rc == 1
     out = capsys.readouterr().out
     assert "FLAGGED" in out and "run/queue/ER" in out
 
 
 def test_cli_regress_exits_zero_when_clean(tmp_path, capsys):
-    root = _cli_ledger(tmp_path, [100.0, 101.0, 99.0])
-    assert main(["history", "--ledger", root, "--query", "regress"]) == 0
+    root = _cli_ledger(tmp_path, [100.0, 101.0, 101.0])
+    assert main(["history", "--ledger", root]) == 0
     assert "OK" in capsys.readouterr().out
 
 
-def test_cli_trend_writes_every_format(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "flag", ["--query", "--metric", "--threshold", "--direction", "--limit", "--html"]
+)
+def test_cli_history_rejects_the_removed_flags(tmp_path, flag, capsys):
+    root = _cli_ledger(tmp_path, [100.0, 100.0])
+    with pytest.raises(SystemExit) as exit_:
+        main(["history", "--ledger", root, flag, "1"])
+    assert exit_.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_cli_writes_every_format(tmp_path, capsys):
     root = _cli_ledger(tmp_path, [100.0, 101.0])
-    json_p, md_p, html_p = (str(tmp_path / n) for n in ("h.json", "h.md", "h.html"))
-    rc = main(["history", "--ledger", root, "--query", "trend",
-               "--json", json_p, "--md", md_p, "--html", html_p])
-    assert rc == 0
-    doc = json.loads(open(json_p).read())
-    assert doc["query"] == "trend" and doc["lines"][0]["values"] == [100.0, 101.0]
+    json_p, md_p = str(tmp_path / "h.json"), str(tmp_path / "h.md")
+    rc = main(["history", "--ledger", root, "--json", json_p, "--md", md_p])
+    assert rc == 1
+    (row,) = json.loads(open(json_p).read())["rows"]
+    assert row["deltas"]["time"] == {"prev": 100.0, "last": 101.0, "ratio": 1.01}
     md = open(md_p).read()
-    assert md.startswith("# Run history: trend") and "run/queue/ER" in md
-    html = open(html_p).read()
-    assert html.startswith("<!DOCTYPE html>") and "svg" in html
+    assert md.startswith("# Run history") and "run/queue/ER" in md
+    assert "| time | 100.0 | 101.0 | 1.01 |" in md
+    assert "run/queue/ER" in capsys.readouterr().out
 
 
 def test_cli_json_to_stdout_moves_tables_to_stderr(tmp_path, capsys):
     root = _cli_ledger(tmp_path, [100.0, 101.0])
-    rc = main(["history", "--ledger", root, "--query", "trend", "--json", "-"])
-    assert rc == 0
+    rc = main(["history", "--ledger", root, "--json", "-"])
+    assert rc == 1
     captured = capsys.readouterr()
-    assert json.loads(captured.out)["query"] == "trend"
-    assert "timeline" in captured.err
+    assert json.loads(captured.out)["ok"] is False
+    assert "counter" in captured.err
 
 
 def test_cli_disabled_ledger_is_exit_2(monkeypatch, capsys):
     monkeypatch.setenv("REPRO_LEDGER", "off")
-    assert main(["history", "--query", "trend"]) == 2
+    assert main(["history"]) == 2
     assert "disabled" in capsys.readouterr().err
 
 
-def test_cli_trend_renders_preexisting_bench_records(tmp_path, capsys):
+def test_cli_missing_ledger_is_exit_2(tmp_path, capsys):
+    assert main(["history", "--ledger", str(tmp_path / "nowhere")]) == 2
+    assert "no ledger" in capsys.readouterr().err
+
+
+def test_cli_reads_preexisting_bench_records(tmp_path, capsys):
     """Ledgers seeded by the retired BENCH importer stay queryable: a
     ``kind="bench"`` record is an ordinary record with flat counters."""
     root = str(tmp_path / "led")
@@ -262,15 +212,15 @@ def test_cli_trend_renders_preexisting_bench_records(tmp_path, capsys):
                 ts=float(i + 1),
             )
         )
-    rc = main(["history", "--ledger", root, "--query", "trend",
-               "--kind", "bench", "--metric", "analyzer_eps"])
-    assert rc == 0
+    rc = main(["history", "--ledger", root, "--kind", "bench"])
+    assert rc == 1
     out = capsys.readouterr().out
     assert "9001" in out and "bench/" in out
+    assert "batched_eps_geomean" not in out
     assert len(RunLedger(root).records(kind="bench")) == 2
 
 
-def test_cli_flaky_query(tmp_path, capsys):
+def test_cli_flags_a_changed_campaign_outcome(tmp_path, capsys):
     root = str(tmp_path / "led")
     ledger = RunLedger(root)
     for violated in (0, 1):
@@ -278,26 +228,26 @@ def test_cli_flaky_query(tmp_path, capsys):
             RunRecord(kind="campaign", spec={"workload": "queue"},
                       counters={"violated": violated})
         )
-    assert main(["history", "--ledger", root, "--query", "flaky"]) == 1
-    assert "outcomes" in capsys.readouterr().out.lower()
+    assert main(["history", "--ledger", root, "--kind", "campaign"]) == 1
+    out = capsys.readouterr().out
+    assert "campaign/queue" in out and "violated" in out
 
 
 def test_cli_history_warns_about_skipped_ledger_lines(tmp_path, capsys):
-    """A torn ledger line is named in every human form, not only in the
-    JSON: the answer below it was computed without that line."""
+    """A torn ledger line is named in every form, not only in the JSON:
+    the answer below it was computed without that line."""
     root = _cli_ledger(tmp_path, [100.0, 100.0])
-    args = ["history", "--ledger", root, "--query", "compare"]
+    args = ["history", "--ledger", root]
     assert main(args) == 0
     assert "warning" not in capsys.readouterr().out
     with open(RunLedger(root).path, "ab") as fh:
         fh.write(b'{"kind": "run", "torn\n')
-    md_p, html_p, json_p = (str(tmp_path / n) for n in ("h.md", "h.html", "h.json"))
-    assert main(args + ["--md", md_p, "--html", html_p, "--json", json_p]) == 0
+    md_p, json_p = str(tmp_path / "h.md"), str(tmp_path / "h.json")
+    assert main(args + ["--md", md_p, "--json", json_p]) == 0
     warning = "warning: 1 unreadable ledger line(s) skipped."
     out = capsys.readouterr().out
     assert warning in out and "Last two records are identical." in out
     assert warning in open(md_p).read()
-    assert warning in open(html_p).read()
     assert json.loads(open(json_p).read())["skipped_lines"] == 1
 
 
@@ -317,7 +267,7 @@ def test_a_record_with_the_retired_alerts_field_still_reads(tmp_path, capsys):
     assert ledger.skipped_lines == 0 and loaded.counters == {"time": 100.0}
     ledger.append(RunRecord(kind="run", spec=spec, counters={"time": 100.0}, ts=2.0))
     json_p = str(tmp_path / "c.json")
-    assert main(["history", "--ledger", root, "--query", "compare", "--json", json_p]) == 0
+    assert main(["history", "--ledger", root, "--json", json_p]) == 0
     (row,) = json.loads(open(json_p).read())["rows"]
     assert row["identical"] is True
     assert "identical" in capsys.readouterr().out

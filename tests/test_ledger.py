@@ -23,7 +23,6 @@ from repro.obs.ledger import (
     git_sha,
     grid_cells_payload,
     record_run,
-    related_artifacts,
     resolve_ledger,
     spec_fingerprint,
 )
@@ -198,25 +197,6 @@ def test_grid_cells_payload_aggregates(tiny_harness):
     assert [r["technique"] for r in rows] == ["ER", "SC"]
     assert totals["cells"] == 2
     assert totals["time"] == sum(int(r.time) for r in results.values())
-
-
-def test_related_artifacts_joins_on_shared_paths(tmp_path):
-    ledger = _ledger(tmp_path)
-    traced = ledger.append(
-        RunRecord(kind="traced_run", spec={"w": "queue"},
-                  artifacts={"trace": "t.jsonl"})
-    )
-    profile = ledger.append(
-        RunRecord(kind="profile", spec={"artifact": "profile"},
-                  artifacts={"trace": "t.jsonl", "profile_json": "p.json"})
-    )
-    other = ledger.append(
-        RunRecord(kind="profile", spec={}, artifacts={"trace": "other.jsonl"})
-    )
-    linked = related_artifacts(ledger.scan(), traced)
-    assert [l["run_id"] for l in linked] == [profile.run_id]
-    assert linked[0]["shared"] == ["t.jsonl"]
-    assert related_artifacts(ledger.scan(), other) == []
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import functools
 
 from repro import api
 from repro.obs import analyze
-from repro.obs.report import (
+from repro.obs.render import (
     render_html,
     render_markdown,
     write_text,

@@ -337,9 +337,15 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
     key = "0" * 64
     cache.put(key, {"x": 1})
     assert cache.get(key) == {"x": 1}
+    assert cache.get("1" * 64) is None and cache.corrupt == 0   # missing: silent
     with open(os.path.join(str(tmp_path), f"{key}.json"), "w") as fh:
         fh.write("{not json")
     assert cache.get(key) is None
+    assert cache.corrupt == 1
+    with open(os.path.join(str(tmp_path), f"{key}.json"), "wb") as fh:
+        fh.write(b"\xff\xfe not utf-8")
+    assert cache.get(key) is None
+    assert cache.corrupt == 2
 
 
 def test_run_result_serialization_drops_traces():

@@ -88,6 +88,7 @@ def test_stale_disk_cache_entry_is_recomputed(tmp_path):
     del stale["crashed"]                       # an "older schema" payload
     harness._disk.put(key, stale)
     result = harness.run(*cell)
+    assert harness.take_corrupt_entries() == 1
     assert result.technique == "ER"
     assert result.persistent_stores > 0
     # The recomputed (current-schema) entry replaced the stale one.
@@ -117,6 +118,7 @@ def test_wrong_shape_profile_summary_entry_is_recomputed(tmp_path, payload):
     key = ResultCache.key(config, "profile_summary", name="queue")
     harness._disk.put(key, payload)
     summary = harness.profile_summary("queue")
+    assert harness.take_corrupt_entries() == 1
     assert summary == Harness(config).profile_summary("queue")
     assert summary.persistent_stores > 0 and summary.offline_size > 0
     # The recomputed entry replaced the corrupt one and reads back.
