@@ -35,10 +35,22 @@ when the slot frees.  ``last_completion`` and the clock of the last
 issue are the whole state; ``tests/test_flushqueue.py`` keeps the
 explicit FIFO as the reference model.
 
-A run of issues the caller can describe up front — a commit, an ER
-run — is one call: :meth:`FlushQueue.issue_train` walks a list of gaps
-with ``issue``'s own three lines (and can list each stall for a trace),
-and :meth:`FlushQueue.issue_every` answers equal gaps in closed form.
+A run of issues the caller can describe up front is one call:
+:meth:`FlushQueue.issue_train` walks a list of gaps with ``issue``'s own
+three lines (and can list each stall for a trace), and
+:meth:`FlushQueue.issue_every` answers equal gaps in closed form.
+
+``Machine._batch_loop`` keeps inline copies of ``issue``'s lines, on
+``service`` and ``lead = (depth - 1) * service`` hoisted per thread,
+writing ``last_completion``, ``_seen`` and ``issued`` back after each:
+a head store's returned line (a victim, or ER's own store), and each
+``drain()`` level of a FASE commit, ``issue_train`` and ``drain`` in one
+loop.  Each copy must equal this class: the per-event engine issues
+the same flushes through ``issue`` and ``issue_train``, and
+``tests/test_machine_invariants.py::test_a_commit_is_one_flush_train``
+compares the two engines and the per-line value-tracking run down to
+every thread's final ``(last_completion, issued, outstanding)``, while
+``tests/test_flushqueue.py`` holds this class to the explicit FIFO.
 """
 
 from __future__ import annotations

@@ -705,11 +705,12 @@ class Machine:
 
         *Flushes issued here.*  A store is the technique's ``insert``, and
         the line it returns is flushed in its ``flush_category``: a head
-        store's on the loop's locals, records included, any other's by
-        :meth:`_do_flush`.  An ``eager`` run, traced or not, is the head's
-        ``clflush`` and one train of ``n`` more (untraced with equal gaps,
-        :meth:`FlushQueue.issue_every`), with no ``insert``.  A commit is
-        :meth:`_train` over each of ``levels`` ``drain()`` results.  A
+        store's here, records included, any other's by :meth:`_do_flush`.
+        An ``eager`` run is that flush of its head and ``n`` more in one
+        :meth:`FlushQueue.issue_every` (equal gaps, untraced) or
+        ``issue_train``, with no ``insert``.  A commit is :meth:`_train`'s
+        work per ``drain()`` level, records included.  The head's and the
+        commit's issues run ``FlushQueue.issue``'s lines here.  A
         ``STORE``/``LOAD`` row
         touches its L1 set in place; ``ANY_*`` rows, declined runs and port
         flushes call :class:`HardwareCache`.
@@ -759,9 +760,11 @@ class Machine:
         drains = (technique.drain,) * technique.levels
         settling = technique.settling
         do_flush = self._do_flush
-        train = self._train
+        # Each inline issue reads and writes back ``flushq``'s integers:
+        # port flushes and ``evict_writeback`` issue on the object too.
         flushq = ctx.flushq
-        issue = flushq.issue
+        service = flushq.service
+        lead = (flushq.depth - 1) * service
         issue_train = flushq.issue_train
         issue_every = flushq.issue_every
         flush_issue = t.flush_issue
@@ -793,7 +796,7 @@ class Machine:
             persistent_stores = stats.persistent_stores
             persistent_loads = stats.persistent_loads
             fase_count = stats.fase_count
-            absorbed = flushed = written = cleaned = 0
+            absorbed = flushed = written = cleaned = committed = 0
             l1_loads = l1_stores = load_misses = store_misses = evict_writebacks = 0
             alive = True
             try:
@@ -849,59 +852,20 @@ class Machine:
                                     evict_writeback(ctx, old[0])
                                     cycles = stats.cycles
                             lines_set[arg] = True
-                            if write_through:
-                                # A write-through run: the head's flush pops
-                                # the line it just dirtied; per repeat the
-                                # ``WORK`` before it, a miss-fill, one flush,
-                                # one queue slot, bookkeeping.
-                                del lines_set[arg]
-                                if stalls is None and run_stores[i + n] + n == run_stores[i]:
-                                    # The repeats come first, any ``WORK``
-                                    # after them: the usual store burst, in
-                                    # closed form unless each stall is traced.
-                                    now, stall = issue(cycles + flush_issue)
-                                    if n:
-                                        now, more = issue_every(now, flush_gap, n)
-                                        stall += more
-                                    cycles = now + cost_per_store + work_cycles
-                                else:
-                                    before = run_cycles[i]
-                                    gaps = [flush_issue]
-                                    for j in range(i + 1, i + span + 1):
-                                        if kinds[j] == kind_store:
-                                            here = run_cycles[j]
-                                            gaps.append(flush_gap + before - here)
-                                            before = here
-                                    now, stall = issue_train(cycles, gaps, stalls)
-                                    cycles = (
-                                        now + cost_per_store + before - run_cycles[i + span]
-                                    )
-                                stats.stall_cycles += stall
-                                if stalls:
-                                    self._record_stalls(thread_id, stalls)
-                                l1_stores += n
-                                store_misses += n
-                                n += 1
-                                written += n
-                                flushed += n
-                                instructions += n * store_instructions + amount
-                                persistent_stores += n
-                                absorbed += n
-                                if trace_lines is not None:
-                                    trace_lines.extend([arg] * n)
-                                    trace_fids.extend(
-                                        [ctx.fase_uid if ctx.fase_depth > 0 else -1] * n
-                                    )
-                                continue
                             if insert is not None:
-                                # A sampling SC charges samples and resizes in
-                                # here, and rebinds ``insert`` when it settles.
-                                if settling:
-                                    insert = technique.insert
-                                    settling = technique.settling
-                                stats.cycles = cycles
-                                victim = insert(arg)
-                                cycles = stats.cycles
+                                if write_through:
+                                    # ER flushes what it stores, unasked.
+                                    victim = arg
+                                else:
+                                    # A sampling SC charges samples and resizes
+                                    # in here, and rebinds ``insert`` when it
+                                    # settles.
+                                    if settling:
+                                        insert = technique.insert
+                                        settling = technique.settling
+                                    stats.cycles = cycles
+                                    victim = insert(arg)
+                                    cycles = stats.cycles
                                 if victim is not None:
                                     # Its flush, as ``_do_flush`` issues it.
                                     cycles += flush_issue
@@ -911,8 +875,17 @@ class Machine:
                                     written += dirty
                                     cleaned += not dirty
                                     if dirty:
-                                        cycles, stall = issue(cycles)
-                                        stats.stall_cycles += stall
+                                        done = flushq.last_completion
+                                        free_at = done - lead
+                                        if free_at > cycles:
+                                            stall = free_at - cycles
+                                            stats.stall_cycles += stall
+                                            cycles = free_at
+                                        elif cycles > done:
+                                            done = cycles
+                                        flushq.last_completion = done + service
+                                        flushq._seen = cycles
+                                        flushq.issued += 1
                                     if recording:
                                         self._record_flush(
                                             thread_id, cycles, victim, dirty, cause, stall
@@ -925,6 +898,45 @@ class Machine:
                             persistent_stores += 1
                             cycles += cost_per_store
                             instructions += store_instructions
+                            if write_through:
+                                # A write-through run: per repeat the ``WORK``
+                                # before it, a miss-fill, one flush, one queue
+                                # slot, bookkeeping, gapped from the head's
+                                # issue; no ``insert``.
+                                absorbed += n + 1
+                                instructions += n * store_instructions + amount
+                                if not n:
+                                    cycles += work_cycles
+                                    continue
+                                cycles -= cost_per_store    # the head's issue
+                                if stalls is None and run_stores[i + n] + n == run_stores[i]:
+                                    # The repeats come first, any ``WORK``
+                                    # after them: the usual store burst, in
+                                    # closed form unless each stall is traced.
+                                    cycles, stall = issue_every(cycles, flush_gap, n)
+                                    cycles += cost_per_store + work_cycles
+                                else:
+                                    before = run_cycles[i]
+                                    gaps = []
+                                    for j in range(i + 1, i + span + 1):
+                                        if kinds[j] == kind_store:
+                                            here = run_cycles[j]
+                                            gaps.append(flush_gap + before - here)
+                                            before = here
+                                    cycles, stall = issue_train(cycles, gaps, stalls)
+                                    cycles += cost_per_store + before - run_cycles[i + span]
+                                    if stalls:
+                                        self._record_stalls(thread_id, stalls)
+                                stats.stall_cycles += stall
+                                l1_stores += n
+                                store_misses += n
+                                written += n
+                                flushed += n
+                                persistent_stores += n
+                                if trace_lines is not None:
+                                    trace_lines.extend([arg] * n)
+                                    trace_fids.extend([trace_fids[-1]] * n)
+                                continue
                             if not span:
                                 continue
                             if n:
@@ -1021,18 +1033,43 @@ class Machine:
                             ctx.fase_depth -= 1
                             if ctx.fase_depth == 0:
                                 ctx.commit_fase_uid = ctx.fase_uid
-                                stats.cycles = cycles
                                 for drain in drains:
                                     lines = drain()
-                                    if lines:
-                                        dirty = train(ctx, lines, "fase_end")
-                                        count = len(lines)
-                                        written += dirty
-                                        cleaned += count - dirty
-                                        instructions += count
-                                        stats.flushes += count
-                                        stats.fase_end_flushes += count
-                                cycles = stats.cycles
+                                    if not lines:
+                                        continue
+                                    # ``_train`` on locals: per line a pop and
+                                    # the issue cycles, per write-back ``issue``.
+                                    done = flushq.last_completion
+                                    stall = dirty = 0
+                                    for line in lines:
+                                        cycles += flush_issue
+                                        if sets[line % num_sets].pop(line, False):
+                                            dirty += 1
+                                            free_at = done - lead
+                                            if free_at > cycles:
+                                                stall += free_at - cycles
+                                                if recording:
+                                                    stalls.append((free_at, free_at - cycles))
+                                                cycles = free_at
+                                            done = (done if done > cycles else cycles) + service
+                                            seen = cycles
+                                    if dirty:
+                                        flushq.last_completion = done
+                                        flushq._seen = seen
+                                        flushq.issued += dirty
+                                    wait = done - cycles if done > cycles else 0
+                                    cycles += wait
+                                    stats.stall_cycles += stall + wait
+                                    if recording:
+                                        self._record_stalls(thread_id, stalls)
+                                        stats.cycles = cycles
+                                        self._record_drain(
+                                            ctx, "fase_end", wait, flushq.outstanding
+                                        )
+                                    flushq._seen = None
+                                    written += dirty
+                                    cleaned += len(lines) - dirty
+                                    committed += len(lines)
                                 fase_count += 1
                                 if recording:
                                     # After the drain, so the B/E span covers
@@ -1094,7 +1131,7 @@ class Machine:
                     pos = end
             finally:
                 stats.cycles = cycles
-                stats.instructions += instructions + flushed
+                stats.instructions += instructions + flushed + committed
                 self._stores_seen += persistent_stores - stats.persistent_stores
                 stats.persistent_stores = persistent_stores
                 stats.persistent_loads = persistent_loads
@@ -1103,6 +1140,9 @@ class Machine:
                 if flushed:
                     stats.flushes += flushed
                     setattr(stats, counter, getattr(stats, counter) + flushed)
+                if committed:
+                    stats.flushes += committed
+                    stats.fase_end_flushes += committed
                 hw.loads += l1_loads
                 hw.stores += l1_stores
                 hw.load_misses += load_misses

@@ -47,6 +47,7 @@ import json
 import os
 import platform
 import socket
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
@@ -91,6 +92,8 @@ def host_info() -> Dict[str, object]:
 
 
 _HOST_INFO: Optional[Dict[str, object]] = None
+#: Ledger paths this process has reported as unwritable (``record_run``).
+_UNWRITABLE: set = set()
 
 
 def git_sha(start: Optional[str] = None) -> Optional[str]:
@@ -408,7 +411,8 @@ def record_run(
     ledger (env default unless overridden), builds the record, appends.
     Returns the appended record (environment fields filled) or ``None``
     when recording is disabled or the ledger is unwritable — a run must
-    never fail because its provenance could not be written.
+    never fail because its provenance could not be written, but the first
+    failed append per ledger path says so on stderr, once per process.
     """
     led = resolve_ledger(ledger)
     if led is None:
@@ -424,7 +428,10 @@ def record_run(
     )
     try:
         return led.append(record)
-    except OSError:
+    except OSError as err:
+        if led.path not in _UNWRITABLE:
+            _UNWRITABLE.add(led.path)
+            print(f"ledger: not recording to {led.path}: {err}", file=sys.stderr)
         return None
 
 

@@ -155,6 +155,16 @@ def test_record_run_is_best_effort(monkeypatch, tmp_path):
     assert record is not None and record.counters == {"time": 2}
 
 
+def test_an_unwritable_ledger_says_so_once(tmp_path, capsys):
+    blocked = tmp_path / "file"
+    blocked.write_text("not a directory")
+    for _ in range(2):
+        assert record_run("run", {}, {}, ledger=str(blocked)) is None
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"ledger: not recording to {blocked}")
+
+
 def test_git_sha_resolves_this_repo():
     sha = git_sha(os.path.dirname(os.path.abspath(__file__)))
     assert sha is None or (len(sha) == 40 and int(sha, 16) >= 0)

@@ -20,6 +20,7 @@ from repro.common.events import (
 )
 from repro.locality.trace import WriteTrace
 from repro.nvram.failure import CrashPlan
+from repro.nvram.flushqueue import FlushQueue
 from repro.nvram.machine import Machine, MachineConfig
 from repro.nvram.memory import NVRAM_BASE
 from repro.nvram.timing import TimingModel
@@ -287,6 +288,14 @@ def run_engine(streams, chunk, technique, burst, use_batches, **run_kwargs):
 
     recorder = run_kwargs.pop("recorder", TraceRecorder() if traced else None)
     machine = Machine(config, recorder=recorder, metrics=metrics)
+    queues, new_context = [], machine._new_context
+
+    def queued_context(*args):
+        ctx = new_context(*args)
+        queues.append(ctx.flushq)
+        return ctx
+
+    machine._new_context = queued_context
     access = WriteCombiningCache.access
     WriteCombiningCache.access = counted_access
     try:
@@ -314,6 +323,9 @@ def run_engine(streams, chunk, technique, burst, use_batches, **run_kwargs):
         "jsonl": recorder.to_jsonl() if recorder is not None else None,
         "write_caches": [c.snapshot() for c in caches if c is not None],
         "atlas_tables": [(t.hits, t.misses, t.conflicts) for t in tables if t is not None],
+        # The loop writes its inline issues back to each thread's queue:
+        # a forgotten count or a stale ``_seen`` shows here.
+        "flush_queues": [(q.last_completion, q.issued, q.outstanding) for q in queues],
     }
     touches = sum(t.n for t in result.traces)
     return machine, observed, entered[0], touches
@@ -417,8 +429,9 @@ def commit_heavy_streams(draw):
 def test_a_commit_is_one_flush_train(streams, technique, depth, service, l1):
     """A FASE commit is one flush train, traced or not, and ER's stores
     never reach ``insert``: batched equals ``_process_event`` down to the
-    L1 counters and the trace bytes, and both equal a value-tracking run,
-    whose commits flush line by line — the train's own oracle."""
+    L1 counters, the trace bytes and each thread's final flush queue, and
+    both equal a value-tracking run, whose commits flush line by line —
+    the train's own oracle."""
     config = MachineConfig(
         timing=TimingModel(flush_queue_depth=depth, writeback_service=service),
         l1_capacity_lines=l1[0],
@@ -534,6 +547,41 @@ def test_a_batched_eviction_never_reaches_the_port(technique, traced, monkeypatc
         evictions = seen["threads"][0]["eviction_flushes"]
         assert evictions > 200
         assert port_evictions[0] == (0 if use_batches else evictions)
+
+
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("technique", ["AT", "SC-offline", "LA", "ER"])
+def test_the_batched_loop_issues_its_flushes_inline(technique, traced, monkeypatch):
+    """A count, not a timing: the batched loop issues every commit, victim
+    and ER head flush on its own locals — no ``Machine._train`` and no
+    ``FlushQueue`` method — while the per-event engine reaches ``_train``
+    once per non-empty commit.  Each store stays in one line and the 24
+    lines fit the L1, so no write-back eviction issues either."""
+    calls = dict.fromkeys(["_train", "issue", "issue_train", "drain"], 0)
+    for owner, name in [(Machine, "_train"), (FlushQueue, "issue"),
+                        (FlushQueue, "issue_train"), (FlushQueue, "drain")]:
+        def counted(*args, _call=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _call(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    fases = 60
+    stream = []
+    for f in range(fases):
+        stream += [FaseBegin()] + [
+            Store(NVRAM_BASE + (f + 5 * k) % 24 * 64 + k % 8 * 8, 8) for k in range(f % 12 + 1)
+        ] + [FaseEnd()]
+    for use_batches in (True, False):
+        calls.update(dict.fromkeys(calls, 0))
+        seen = run_engine([stream], 4096, technique, 20, use_batches, traced=traced)[1]
+        flushes = seen["threads"][0]
+        assert (flushes["eviction_flushes"] > 0) == (technique in ("AT", "SC-offline"))
+        assert (flushes["eager_flushes"] > 0) == (technique == "ER")
+        assert seen["l1"][4] == 0   # no write-back eviction
+        if use_batches:
+            assert calls == dict.fromkeys(calls, 0)
+        else:
+            assert calls["_train"] == (0 if technique == "ER" else fases)
 
 
 A, B, C, D = (NVRAM_BASE + i * 64 for i in range(4))
