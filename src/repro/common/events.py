@@ -104,6 +104,7 @@ each event of its columns by the rules above, span 0 apiece.
 
 from __future__ import annotations
 
+import struct
 from array import array
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
@@ -278,26 +279,6 @@ class EventBatch:
         self.sizes.append(size)
         if self.values is not None:
             self.values.append(value)
-
-    def extend_accesses(
-        self, kind: int, addrs: range, size: int, values: Optional[list] = None
-    ) -> None:
-        """Append a ``kind`` access of ``size`` bytes per address of
-        ``addrs`` (with the stores' payloads, if kept): a page image.
-        ``values``, if given, holds one payload per address."""
-        n = len(addrs)
-        if values is not None and len(values) != n:
-            raise ConfigurationError(
-                f"{len(values)} values for {n} addresses: one payload per access"
-            )
-        self.kinds.frombytes(bytes((kind,)) * n)
-        # array.extend(range) converts item by item: 4x this.
-        self.args.frombytes(
-            np.arange(addrs.start, addrs.stop, addrs.step, dtype=np.int64).tobytes()
-        )
-        self.sizes.extend(array("q", (size,)) * n)
-        if self.values is not None:
-            self.values.extend(values if values is not None else (None,) * n)
 
     def append_event(self, ev: Event) -> None:
         """Append one per-object event (payloads only if kept)."""
@@ -499,6 +480,66 @@ StepStream = Iterator[Step]
 
 #: Default events per batch when packing a stream into batches.
 BATCH_CHUNK = 4096
+
+#: A run's five integers, ``(kind, first, stride, count, size)``, as bytes.
+_RUN = struct.Struct("=5q").pack
+
+
+class RunRecorder:
+    """An :class:`EventBatch` recorded as *runs*: ``count`` events of one
+    ``kind`` and ``size`` whose args are ``first``, ``first + stride``,
+    ... (a page image, a sampled page read; a lone event is a run of
+    one).  A run is five integers in a buffer (its payloads, under
+    ``keep_values``, go straight to ``values``); one numpy pass per
+    ``BATCH_CHUNK`` events expands the buffer into the columns.
+    """
+
+    __slots__ = ("_batch", "_values", "_runs", "_pending")
+
+    def __init__(self, keep_values: bool = False) -> None:
+        self._batch = EventBatch(keep_values=keep_values)
+        self._values = self._batch.values
+        self._runs = bytearray()
+        self._pending = 0
+
+    def add(
+        self, kind: int, first: int, stride: int, count: int, size: int,
+        values: Optional[Sequence[object]] = None,
+    ) -> None:
+        """Append a run; ``values``, if given, holds one payload per event."""
+        if values is not None and len(values) != count:
+            raise ConfigurationError(
+                f"{len(values)} values for {count} addresses: one payload per access"
+            )
+        if not count:
+            return
+        self._runs += _RUN(kind, first, stride, count, size)
+        if self._values is not None:
+            self._values.extend((None,) * count if values is None else values)
+        self._pending += count
+        if self._pending >= BATCH_CHUNK:
+            self._expand()
+
+    def _expand(self) -> None:
+        kind, first, stride, count, size = np.frombuffer(
+            self._runs, dtype=np.int64).reshape(-1, 5).T
+        batch = self._batch
+        batch.kinds.frombytes(np.repeat(kind.astype(np.int8), count).view(np.uint8))
+        batch.sizes.frombytes(np.repeat(size, count).view(np.uint8))
+        # Each arg is the one before plus its stride; a run's first steps
+        # from the last of the run before.  One array, summed in place.
+        args = np.repeat(stride, count)
+        args[0] = first[0]
+        args[np.cumsum(count[:-1])] = first[1:] - (first + (count - 1) * stride)[:-1]
+        batch.args.frombytes(np.cumsum(args, out=args).view(np.uint8))
+        self._runs = bytearray()
+        self._pending = 0
+
+    def batch(self) -> EventBatch:
+        """The recording so far: the batch every later run extends."""
+        if self._runs:
+            self._expand()
+        return self._batch
 
 
 def ragged_step(tid: int, index: int, step: Step) -> SimulationError:

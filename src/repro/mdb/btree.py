@@ -21,7 +21,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.mdb.ops import PersistenceOps
-from repro.mdb.pages import Page, PageAllocator
+from repro.mdb.pages import SLOT_BYTES, Page, PageAllocator
 
 
 class CowContext:
@@ -59,9 +59,8 @@ class BPlusTree:
     # ------------------------------------------------------------------
 
     def _read_page(self, addr: int) -> Tuple[str, List[object]]:
-        page = self.alloc.page_at(addr)
-        kind, nkeys = page.read_header()
-        return kind, page.read_entries(nkeys)
+        (kind, _nkeys), entries = self.ops.load_page(addr, SLOT_BYTES)
+        return kind, entries
 
     def get(self, root: int, key: int) -> Optional[object]:
         """Look ``key`` up under the given root snapshot."""

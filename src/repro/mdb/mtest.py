@@ -19,22 +19,24 @@ generate load traffic (hardware-cache contention) but no flushes —
 
 from __future__ import annotations
 
+import numbers
 from contextlib import contextmanager
 from typing import Iterator, List
 
-from repro.common.errors import ConfigurationError
-from repro.common.events import BATCH_CHUNK, Event, EventBatch
+from repro.common.errors import ConfigurationError, require_int
+from repro.common.events import BATCH_CHUNK, Event, EventBatch, RunRecorder
 from repro.common.rng import derive_seed, make_rng
 from repro.mdb.kvstore import MdbStore
 from repro.mdb.ops import RecordingOps
+from repro.mdb.pages import SLOT_BYTES
 from repro.workloads.base import Workload
 
 
 class ChannelRecordingOps(RecordingOps):
     """A recording backend with one event channel per simulated thread.
 
-    The store logic runs once, single-threaded; events land in the
-    channel (a batch, keeping payloads under ``keep_values``) selected
+    The store logic runs once, single-threaded; runs land in the
+    channel's recorder (keeping payloads under ``keep_values``) selected
     at the time: writer transactions in channel 0, reader traversals in
     their reader's.  The machine then interleaves the channels by
     simulated time.
@@ -46,22 +48,24 @@ class ChannelRecordingOps(RecordingOps):
         super().__init__(load_sample=load_sample, keep_values=keep_values)
         if channels < 1:
             raise ConfigurationError("need at least one channel")
-        self.channels: List[EventBatch] = [self.events] + [
-            EventBatch(keep_values=keep_values) for _ in range(channels - 1)
+        self.recordings: List[RunRecorder] = [self.recording] + [
+            RunRecorder(keep_values=keep_values) for _ in range(channels - 1)
         ]
-        self._current = 0
+
+    @property
+    def channels(self) -> List[EventBatch]:
+        """Each channel's recording as one batch."""
+        return [recording.batch() for recording in self.recordings]
 
     @contextmanager
     def on_channel(self, idx: int) -> Iterator[None]:
         """Route events to channel ``idx`` for the duration."""
-        prev = self._current
-        self._current = idx
-        self.events = self.channels[idx]
+        prev = self.recording
+        self.recording = self.recordings[idx]
         try:
             yield
         finally:
-            self._current = prev
-            self.events = self.channels[prev]
+            self.recording = prev
 
 
 class MtestWorkload(Workload):
@@ -77,12 +81,16 @@ class MtestWorkload(Workload):
         traversals: int = 6,
         page_size: int = 512,
     ) -> None:
-        if pairs < 1:
-            raise ConfigurationError("pairs must be >= 1")
-        if batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
-        if not 0 <= delete_fraction <= 1:
-            raise ConfigurationError("delete_fraction must be in [0, 1]")
+        require_int("pairs", pairs, 1)
+        require_int("batch_size", batch_size, 1)
+        require_int("traversals", traversals, 0)
+        require_int("page_size", page_size, 3 * SLOT_BYTES)
+        if isinstance(delete_fraction, bool) or not (
+            isinstance(delete_fraction, numbers.Real) and 0 <= delete_fraction <= 1
+        ):
+            raise ConfigurationError(
+                f"delete_fraction must be a number in [0, 1], got {delete_fraction!r}"
+            )
         self.pairs = pairs
         self.batch_size = batch_size
         self.delete_fraction = delete_fraction
@@ -98,14 +106,14 @@ class MtestWorkload(Workload):
     def batch_streams(self, num_threads: int, seed: int) -> List[Iterator[EventBatch]]:
         """The program as the machine runs it: each channel's columns in
         ``BATCH_CHUNK`` slices, recorded without payloads."""
-        channels = self._record(num_threads, seed, keep_values=False).channels
-        return [channel.split(BATCH_CHUNK) for channel in channels]
+        recordings = self._record(num_threads, seed, keep_values=False).recordings
+        return [recording.batch().split(BATCH_CHUNK) for recording in recordings]
 
     def streams(self, num_threads: int, seed: int) -> List[Iterator[Event]]:
         """The same recording decoded with every store's payload: what
         a crash replay executes and its oracle judges."""
-        channels = self._record(num_threads, seed, keep_values=True).channels
-        return [channel.events() for channel in channels]
+        recordings = self._record(num_threads, seed, keep_values=True).recordings
+        return [recording.batch().events() for recording in recordings]
 
     def _record(
         self, num_threads: int, seed: int, keep_values: bool

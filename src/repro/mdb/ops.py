@@ -4,7 +4,7 @@ The B+-tree and transaction code are written once against
 :class:`PersistenceOps`; the backend decides what a store/load *does*:
 
 - :class:`RecordingOps` keeps a shadow memory and records the event
-  stream straight into :class:`~repro.common.events.EventBatch` columns
+  stream as runs into :class:`~repro.common.events.EventBatch` columns
   — this is how ``MtestWorkload`` produces the machine-runnable streams
   the experiment harness consumes;
 - :class:`AtlasOps` executes against a live
@@ -16,13 +16,16 @@ The B+-tree and transaction code are written once against
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.common.events import EventBatch, EventKind
+from repro.common.events import EventBatch, EventKind, RunRecorder
 from repro.nvram.memory import NVRAM_BASE
 
 _STORE, _LOAD, _WORK = EventKind.STORE, EventKind.LOAD, EventKind.WORK
+
+#: The header a page reads as before anything was written to it.
+FRESH_HEADER = ("?", 0)
 
 
 class PersistenceOps:
@@ -49,6 +52,15 @@ class PersistenceOps:
         """Load ``n`` consecutive ``size``-byte slots from ``addr``."""
         return [self.load(addr + i * size, size) for i in range(n)]
 
+    def load_page(self, addr: int, slot_bytes: int) -> Tuple[object, List[object]]:
+        """Load a page's header slot at ``addr`` — ``(kind, nkeys)``, a
+        fresh page reading as :data:`FRESH_HEADER` — then the ``nkeys``
+        entry slots after it; return ``(header, entries)``."""
+        header = self.load(addr, slot_bytes)
+        if header is None:
+            header = FRESH_HEADER
+        return header, self.load_run(addr + slot_bytes, header[1], slot_bytes)
+
     def work(self, amount: int) -> None:
         """Computation between memory operations."""
         raise NotImplementedError
@@ -61,16 +73,17 @@ class PersistenceOps:
 
 
 class RecordingOps(PersistenceOps):
-    """Shadow-memory backend that records the event stream.
+    """Shadow-memory backend that records the event stream as runs.
 
-    ``events`` is the :class:`~repro.common.events.EventBatch` being
-    filled: an operation appends integers to its columns (a store's
-    payload to ``values`` under ``keep_values``, for the crash replay)
-    — no per-event object, no second pass — and a page run is a handful
-    of column extends.
+    ``recording`` is a :class:`~repro.common.events.RunRecorder`: a
+    page image is one ``STORE`` run (its payloads kept under
+    ``keep_values``, for the crash replay), a page read — header and
+    entries — one sampled ``LOAD`` run, anything else a run of one;
+    ``events`` is the batch the runs expand into.
 
-    Loads are served from the shadow dict (and, optionally, recorded as
-    events so the hardware-cache model sees read traffic).  Recording
+    Loads are served from the shadow dict — a page read again before
+    any store, from the earlier read — and, optionally, recorded as
+    events so the hardware-cache model sees read traffic.  Recording
     loads is configurable because read-heavy phases (MDB traversals)
     otherwise dominate event volume without affecting flush counts:
     one load in ``load_sample``, counted across the recording, is kept.
@@ -85,12 +98,18 @@ class RecordingOps(PersistenceOps):
     ) -> None:
         if load_sample < 1:
             raise ConfigurationError("load_sample must be >= 1")
-        self.events = EventBatch(keep_values=keep_values)
+        self.recording = RunRecorder(keep_values=keep_values)
         self.shadow: Dict[int, object] = {}
         self._next = base
         self.record_loads = record_loads
         self.load_sample = load_sample
         self._load_counter = 0
+        self._pages: Dict[int, Tuple[object, List[object]]] = {}
+
+    @property
+    def events(self) -> EventBatch:
+        """The recording so far as one batch."""
+        return self.recording.batch()
 
     def alloc(self, nbytes: int) -> int:
         if nbytes <= 0:
@@ -102,56 +121,58 @@ class RecordingOps(PersistenceOps):
 
     def store(self, addr: int, value: object, size: int = 8) -> None:
         self.shadow[addr] = value
-        events = self.events
-        events.kinds.append(_STORE)
-        events.args.append(addr)
-        events.sizes.append(size)
-        if events.values is not None:
-            events.values.append(value)
+        self._pages.clear()
+        self.recording.add(_STORE, addr, size, 1, size, (value,))
 
     def load(self, addr: int, size: int = 8) -> object:
         if self.record_loads:
-            self._load_counter += 1
-            if self._load_counter % self.load_sample == 0:
-                self._note(_LOAD, addr, size)
+            self._sample_loads(addr, 1, size)
         return self.shadow.get(addr)
 
-    def _note(self, kind: int, arg: int, size: int) -> None:
-        """Append one event that carries no payload."""
-        events = self.events
-        events.kinds.append(kind)
-        events.args.append(arg)
-        events.sizes.append(size)
-        if events.values is not None:
-            events.values.append(None)
+    def _sample_loads(self, addr: int, n: int, size: int) -> None:
+        """Count ``n`` slot loads from ``addr``; record as one run those
+        whose number (slot i is counter + 1 + i) divides by ``load_sample``."""
+        sample = self.load_sample
+        first = -(self._load_counter + 1) % sample
+        self._load_counter += n
+        if first < n:
+            self.recording.add(
+                _LOAD, addr + first * size, sample * size,
+                (n - 1 - first) // sample + 1, size,
+            )
 
     def store_run(self, addr: int, values: List[object], size: int) -> None:
-        slots = range(addr, addr + len(values) * size, size)
-        self.shadow.update(zip(slots, values))
-        self.events.extend_accesses(EventKind.STORE, slots, size, values)
+        self.shadow.update(zip(range(addr, addr + len(values) * size, size), values))
+        self._pages.clear()
+        self.recording.add(_STORE, addr, size, len(values), size, values)
 
-    def load_run(self, addr: int, n: int, size: int) -> List[object]:
-        slots = range(addr, addr + n * size, size)
-        if self.record_loads:
-            # Slot i is load number counter + 1 + i; kept if that
-            # divides by load_sample, as per-slot ``load`` would.
-            first = -(self._load_counter + 1) % self.load_sample
-            self._load_counter += len(slots)
-            self.events.extend_accesses(
-                EventKind.LOAD, slots[first::self.load_sample], size
+    def load_page(self, addr: int, slot_bytes: int) -> Tuple[object, List[object]]:
+        # The header slot and the entries are consecutive slots: one run.
+        # A page (one slot size) read since the last store reads the same.
+        page = self._pages.get(addr)
+        if page is None:
+            header = self.shadow.get(addr)
+            if header is None:
+                header = FRESH_HEADER
+            end = addr + (header[1] + 1) * slot_bytes
+            page = self._pages[addr] = header, list(
+                map(self.shadow.get, range(addr + slot_bytes, end, slot_bytes))
             )
-        return list(map(self.shadow.get, slots))
+        header, entries = page
+        if self.record_loads:
+            self._sample_loads(addr, len(entries) + 1, slot_bytes)
+        return header, entries[:]
 
     def work(self, amount: int) -> None:
-        self._note(_WORK, amount, 0)
+        self.recording.add(_WORK, amount, 0, 1, 0)
 
     @contextmanager
     def fase(self) -> Iterator[None]:
-        self._note(EventKind.FASE_BEGIN, 0, 0)
+        self.recording.add(EventKind.FASE_BEGIN, 0, 0, 1, 0)
         try:
             yield
         finally:
-            self._note(EventKind.FASE_END, 0, 0)
+            self.recording.add(EventKind.FASE_END, 0, 0, 1, 0)
 
 
 class AtlasOps(PersistenceOps):

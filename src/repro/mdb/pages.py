@@ -12,7 +12,7 @@ also combining *across* the pages a transaction revisits.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.common.errors import ConfigurationError
 from repro.mdb.ops import PersistenceOps
@@ -22,7 +22,8 @@ from repro.mdb.ops import PersistenceOps
 #: exercise multi-level copy-on-write at laptop problem sizes.
 DEFAULT_PAGE_SIZE = 512
 
-_SLOT_BYTES = 16
+#: Bytes per page slot (the header and each entry).
+SLOT_BYTES = 16
 
 
 class Page:
@@ -41,44 +42,34 @@ class Page:
     def __init__(self, ops: PersistenceOps, addr: int, page_size: int) -> None:
         self.ops = ops
         self.addr = addr
-        self.capacity = page_size // _SLOT_BYTES - 1
+        self.capacity = page_size // SLOT_BYTES - 1
 
     # -- header -----------------------------------------------------------
 
     def write_header(self, kind: str, nkeys: int) -> None:
-        """Store ``(kind, nkeys)`` in the header slot."""
-        self.ops.store(self.addr, (kind, nkeys), _SLOT_BYTES)
-
-    def read_header(self) -> Tuple[str, int]:
-        """Load ``(kind, nkeys)``; a fresh page reads as ``("?", 0)``."""
-        header = self.ops.load(self.addr, _SLOT_BYTES)
-        if header is None:
-            return ("?", 0)
-        return header
+        """Store ``(kind, nkeys)`` in the header slot (never more than
+        the page holds: a page read trusts it)."""
+        if not 0 <= nkeys <= self.capacity:
+            raise ConfigurationError(f"{nkeys} entries: a page holds 0..{self.capacity}")
+        self.ops.store(self.addr, (kind, nkeys), SLOT_BYTES)
 
     # -- slots --------------------------------------------------------------
 
     def slot_addr(self, i: int) -> int:
         """Byte address of entry slot ``i``."""
-        return self.addr + (i + 1) * _SLOT_BYTES
+        return self.addr + (i + 1) * SLOT_BYTES
 
     def write_slot(self, i: int, entry: object) -> None:
         """Store ``entry`` in slot ``i``."""
         if not 0 <= i < self.capacity:
             raise ConfigurationError(f"slot {i} out of range 0..{self.capacity - 1}")
-        self.ops.store(self.slot_addr(i), entry, _SLOT_BYTES)
+        self.ops.store(self.slot_addr(i), entry, SLOT_BYTES)
 
     def read_slot(self, i: int) -> object:
         """Load slot ``i``."""
         if not 0 <= i < self.capacity:
             raise ConfigurationError(f"slot {i} out of range 0..{self.capacity - 1}")
-        return self.ops.load(self.slot_addr(i), _SLOT_BYTES)
-
-    def read_entries(self, nkeys: int) -> List[object]:
-        """Load the first ``nkeys`` entries as one ``load_run``."""
-        if nkeys > self.capacity:
-            raise ConfigurationError(f"{nkeys} entries exceed capacity {self.capacity}")
-        return self.ops.load_run(self.slot_addr(0), nkeys, _SLOT_BYTES)
+        return self.ops.load(self.slot_addr(i), SLOT_BYTES)
 
     def write_entries(self, kind: str, entries: List[object]) -> None:
         """Store a full page image as one ``store_run``: the header
@@ -93,7 +84,7 @@ class Page:
                 f"{len(entries)} entries exceed capacity {self.capacity}"
             )
         self.ops.work(2 + 2 * len(entries))
-        self.ops.store_run(self.addr, [(kind, len(entries)), *entries], _SLOT_BYTES)
+        self.ops.store_run(self.addr, [(kind, len(entries)), *entries], SLOT_BYTES)
 
 
 class PageAllocator:
@@ -102,7 +93,7 @@ class PageAllocator:
     __slots__ = ("ops", "page_size", "allocated")
 
     def __init__(self, ops: PersistenceOps, page_size: int = DEFAULT_PAGE_SIZE) -> None:
-        if page_size < 3 * _SLOT_BYTES:
+        if page_size < 3 * SLOT_BYTES:
             raise ConfigurationError(f"page size too small: {page_size}")
         self.ops = ops
         self.page_size = page_size
@@ -121,4 +112,4 @@ class PageAllocator:
     @property
     def capacity_per_page(self) -> int:
         """Entry slots per page."""
-        return self.page_size // _SLOT_BYTES - 1
+        return self.page_size // SLOT_BYTES - 1

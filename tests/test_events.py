@@ -10,6 +10,7 @@ from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.events import (
     EventBatch,
     EventKind,
+    RunRecorder,
     FaseBegin,
     FaseEnd,
     Load,
@@ -500,8 +501,10 @@ def payload_batch():
     batch.append_event(Store(N0 + 8, 8, "v"))
     batch.append_event(Load(N0, 8))
     batch.append_work(3)
-    batch.extend_accesses(EventKind.STORE, range(N0 + 64, N0 + 96, 16), 16, ["a", "b"])
-    batch.extend_accesses(EventKind.LOAD, range(N0, N0 + 16, 8), 8)
+    batch.append_store(N0 + 64, 16, "a")
+    batch.append_store(N0 + 80, 16, "b")
+    batch.append_load(N0, 8)
+    batch.append_load(N0 + 8, 8)
     batch.append_load(N0 + 8)
     batch.append_fase_end()
     return batch
@@ -552,11 +555,38 @@ def test_payload_column_rides_copy_and_pickle_and_is_dropped_by_split():
 
 @pytest.mark.parametrize("values", [[1, 2], list(range(9))], ids=["short", "long"])
 def test_a_payload_list_of_another_length_is_refused_before_any_column_grows(values):
-    batch = EventBatch(keep_values=True)
-    batch.append_store(N0)
+    recorder = RunRecorder(keep_values=True)
+    recorder.add(EventKind.STORE, N0, 8, 1, 8, ["x"])
     with pytest.raises(ConfigurationError, match=f"{len(values)} values for 8 addresses"):
-        batch.extend_accesses(EventKind.STORE, range(N0, N0 + 64, 8), 8, values)
+        recorder.add(EventKind.STORE, N0, 8, 8, 8, values)
+    batch = recorder.batch()
     assert [len(c) for c in (batch.kinds, batch.args, batch.sizes, batch.values)] == [1] * 4
+
+
+# -- runs: a recording expanded into columns ---------------------------------
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_recorded_runs_are_the_events_appended_one_by_one(seed):
+    """Runs of every length, the buffer expanded whenever it fills and
+    whenever the batch is read, give the columns and payloads of the
+    same events appended one at a time."""
+    rng = random.Random(seed)
+    recorder, want = RunRecorder(keep_values=True), EventBatch(keep_values=True)
+    for _ in range(rng.randrange(0, 80)):
+        kind = rng.choice((EventKind.STORE, EventKind.LOAD, EventKind.WORK, EventKind.FASE_BEGIN))
+        first, count = rng.randrange(N0, N0 + 4096), rng.choice((0, 1, 1, 2, 7, 40, 2500))
+        stride, size = rng.choice((0, 8, 16, 64)), rng.choice((0, 8, 16))
+        values = [(first, i) for i in range(count)] if kind == EventKind.STORE else None
+        recorder.add(kind, first, stride, count, size, values)
+        for i in range(count):
+            want._append(kind, first + i * stride, size, values[i] if values else None)
+        if rng.random() < 0.1:
+            assert len(recorder.batch()) == len(want)
+    got = recorder.batch()
+    assert (got.kinds, got.args, got.sizes, got.values) == (
+        want.kinds, want.args, want.sizes, want.values
+    )
 
 
 # -- steps: the column tuples a shared-allocator program hands out -----------

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from repro.atlas import AtlasRuntime
 from repro.common.errors import ConfigurationError
 from repro.common.events import EventKind
+from repro.mdb import mtest
+from repro.mdb.mtest import ChannelRecordingOps, MtestWorkload
 from repro.mdb.ops import AtlasOps, PersistenceOps, RecordingOps
-from repro.mdb.pages import Page, PageAllocator
+from repro.mdb.pages import SLOT_BYTES, Page, PageAllocator
 from repro.nvram.memory import NVRAM_BASE
 
 
@@ -63,11 +65,13 @@ def test_recording_ops_loads_can_be_disabled():
 
 
 class PerSlotRecordingOps(RecordingOps):
-    """The recorder with the protocol's per-slot run defaults: the
-    reference the page-granular overrides must equal."""
+    """The recorder with the protocol's per-slot defaults — every slot a
+    ``store`` or ``load`` of its own: the reference the page-granular
+    runs must equal."""
 
     store_run = PersistenceOps.store_run
     load_run = PersistenceOps.load_run
+    load_page = PersistenceOps.load_page
 
 
 def _recorded(ops):
@@ -86,10 +90,10 @@ def _recorded(ops):
     st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=4),
 )
 def test_page_runs_equal_per_slot_calls(start, load_sample, record_loads, sizes):
-    """``store_run``/``load_run`` leave the columns, payloads, shadow and
-    load-sampling phase the per-slot calls leave — for any phase the
-    counter is in when a page image arrives, any sampling period, any
-    image from empty to full."""
+    """``store_run``/``load_page`` leave the columns, payloads, shadow
+    and load-sampling phase the per-slot calls leave — for any phase
+    the counter is in when a page image arrives, any sampling period,
+    any image from empty to full, a fresh page."""
     got, want = (
         cls(record_loads=record_loads, load_sample=load_sample)
         for cls in (RecordingOps, PerSlotRecordingOps)
@@ -105,22 +109,60 @@ def test_page_runs_equal_per_slot_calls(start, load_sample, record_loads, sizes)
             page = alloc.new_page()
             page.write_entries(Page.LEAF, [(k, ("v", n, k)) for k in range(n)])
             pages.append(page)
+        fresh = alloc.new_page()
         loaded.append(
-            [page.read_entries(page.read_header()[1]) for page in pages]
-            + [pages[0].read_entries(-1)]
+            [ops.load_run(page.slot_addr(0), n, SLOT_BYTES) for page, n in zip(pages, sizes)]
+            + [ops.load_run(pages[0].slot_addr(0), -1, SLOT_BYTES)]
+            + [ops.load_page(page.addr, SLOT_BYTES) for page in pages + [fresh]]
         )
+        assert loaded[-1][-1] == (("?", 0), [])
     assert loaded[0] == loaded[1]
     assert _recorded(got) == _recorded(want)
     assert len(got.events.values) == len(got.events)
 
 
 def test_page_runs_keep_the_capacity_checks():
-    page = PageAllocator(RecordingOps(), 256).new_page()
-    with pytest.raises(ConfigurationError):
-        page.write_entries(Page.LEAF, [0] * (page.capacity + 1))
-    with pytest.raises(ConfigurationError):
-        page.read_entries(page.capacity + 1)
-    assert len(page.read_entries(page.capacity)) == page.capacity
+    """An over-capacity image or header is refused before anything is
+    recorded, so a header ``load_page`` trusts never overstates."""
+    ops = RecordingOps(load_sample=1)
+    page = PageAllocator(ops, 256).new_page()
+    over = page.capacity + 1
+    for refused in (
+        lambda: page.write_entries(Page.LEAF, [0] * over),
+        lambda: page.write_header(Page.LEAF, over),
+        lambda: page.write_header(Page.LEAF, -1),
+    ):
+        with pytest.raises(ConfigurationError, match="entries"):
+            refused()
+        assert len(ops.events) == 0 and not ops.shadow
+    page.write_entries(Page.LEAF, list(range(page.capacity)))
+    assert ops.load_page(page.addr, SLOT_BYTES)[1] == list(range(page.capacity))
+
+
+class PerSlotChannelOps(PerSlotRecordingOps, ChannelRecordingOps):
+    """Per-thread channels, every slot recorded on its own."""
+
+
+@pytest.mark.parametrize("page_size", [256, 1024])
+@pytest.mark.parametrize("threads", [1, 3])
+def test_mtest_runs_equal_the_per_slot_recording(monkeypatch, page_size, threads):
+    """The whole program, at the page sizes the report runs besides the
+    pinned 512: the run recorder's channels, batch boundaries, decoded
+    payloads, shadow and sampling phase equal per-slot recording's."""
+    workload = MtestWorkload(pairs=500, page_size=page_size, traversals=3)
+    got = []
+    for cls in (ChannelRecordingOps, PerSlotChannelOps):
+        monkeypatch.setattr(mtest, "ChannelRecordingOps", cls)
+        ops = workload._record(threads, 5, keep_values=True)
+        got.append((
+            [(b.kinds, b.args, b.sizes, b.values) for b in ops.channels],
+            [[(b.kinds, b.args, b.sizes) for b in s]
+             for s in workload.batch_streams(threads, 5)],
+            [[repr(ev) for ev in s] for s in workload.streams(threads, 5)],
+            ops.shadow, ops._load_counter,
+        ))
+    assert got[0] == got[1]
+    assert len(got[0][1][0]) > 1    # the writer's channel spans batches
 
 
 def test_recording_ops_validation():

@@ -9,7 +9,7 @@ from repro.common.errors import ConfigurationError, SimulationError
 from repro.mdb.kvstore import MdbStore
 from repro.mdb.mtest import MtestWorkload
 from repro.mdb.ops import RecordingOps
-from repro.mdb.pages import Page, PageAllocator
+from repro.mdb.pages import SLOT_BYTES, Page, PageAllocator
 from repro.nvram.machine import Machine, MachineConfig
 
 
@@ -30,8 +30,7 @@ def test_page_header_and_slots():
     page.write_header(Page.LEAF, 2)
     page.write_slot(0, (1, "a"))
     page.write_slot(1, (2, "b"))
-    assert page.read_header() == (Page.LEAF, 2)
-    assert page.read_entries(2) == [(1, "a"), (2, "b")]
+    assert ops.load_page(page.addr, SLOT_BYTES) == ((Page.LEAF, 2), [(1, "a"), (2, "b")])
 
 
 def test_page_slot_bounds():
@@ -54,7 +53,7 @@ def test_allocator_validation():
 def test_fresh_page_reads_as_unknown():
     ops = RecordingOps(record_loads=False)
     page = PageAllocator(ops, 256).new_page()
-    assert page.read_header() == ("?", 0)
+    assert ops.load_page(page.addr, SLOT_BYTES) == (("?", 0), [])
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +195,22 @@ def test_mtest_validation():
         MtestWorkload(pairs=10, batch_size=0)
     with pytest.raises(ConfigurationError):
         MtestWorkload(pairs=10, delete_fraction=1.5)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("pairs", 40.5), ("pairs", True), ("pairs", 0),
+    ("batch_size", 2.5), ("batch_size", 0),
+    ("traversals", -2), ("traversals", 1.0),
+    ("page_size", 500.0), ("page_size", 47),
+    ("delete_fraction", -0.1), ("delete_fraction", float("nan")),
+    ("delete_fraction", "0.5"), ("delete_fraction", True),
+])
+def test_an_mtest_count_it_cannot_run_is_refused_at_construction(name, value):
+    """Refused when the workload is built — a count that would die deep
+    in the recording (numpy, ``range``) or record silently never gets
+    that far — with the parameter named."""
+    with pytest.raises(ConfigurationError, match=f"{name} must be"):
+        MtestWorkload(**{name: value})
 
 
 def test_mtest_deterministic():
