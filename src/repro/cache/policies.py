@@ -58,9 +58,15 @@ class PersistenceTechnique:
     #: How many ``drain`` calls a commit makes, each non-empty result one
     #: flush train.
     levels = 1
-    #: True while ``insert`` may rebind itself — an adapting SC, until its
-    #: burst closes: the machine's batched loop then re-reads ``insert``
-    #: (and this flag) before each call instead of once per thread.
+    #: True while ``insert`` may rebind itself, call the port or charge
+    #: cycles, or ``absorb_repeats`` may decline a run — an adapting SC
+    #: until its burst closes, the victim stage always: the machine's
+    #: batched loop then re-reads ``insert`` (and this flag) and hands it
+    #: the thread's clock before each call, and asks ``absorb_repeats``
+    #: run by run.  False promises the opposite: ``insert`` calls no port
+    #: method and reads no clock, and ``absorb_repeats`` answers every run
+    #: alike, keeping only a count whatever the line — so once it has
+    #: taken one run, the loop sums a quantum's repeats into one call.
     settling = False
 
     def __init__(self) -> None:

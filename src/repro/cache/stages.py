@@ -61,6 +61,10 @@ class StagedTechnique(PersistenceTechnique):
 
     flush_category = "victim"
     levels = 2
+    #: Never settled, whatever the base: ``insert`` flushes resize
+    #: evictions through :class:`_VictimPort`, the base may still charge
+    #: samples, and ``absorb_repeats`` declines a parked line.
+    settling = True
 
     def __init__(
         self,

@@ -431,6 +431,20 @@ class EventBatch:
         of those events as if no event came before or after them.  Kept
         with the batch exactly as the run columns are.
         """
+        return self._visit_table(cpi, base, phase, period)[0]
+
+    def tallies(
+        self, cpi: float = 1.0, base: int = 0, phase: int = 0, period: int = 0
+    ) -> Tuple[array, array]:
+        """Prefix counts over the rows of :meth:`visits` (same arguments),
+        one entry more than rows: ``stores[k]`` and ``loads[k]`` are the
+        ``STORE`` and ``LOAD`` events of the rows before row ``k`` — a
+        ``STORE``/``ANY_STORE`` row's ``1 + stores``, a ``LOAD``/``ANY_LOAD``
+        row's one — so rows ``[a, b)`` hold ``stores[b] - stores[a]``.
+        Kept beside the visit table, under its key."""
+        return self._visit_table(cpi, base, phase, period)[1]
+
+    def _visit_table(self, cpi, base, phase, period) -> tuple:
         key = (len(self.kinds), cpi, base, phase, period)
         cached = self._visits
         if cached is None:
@@ -459,8 +473,12 @@ class EventBatch:
             # A run's suffixes peak at its head, a row: each keeps its type.
             *(array(col.dtype.char, col[heads].tobytes()) for col in runs),
         )
-        cached[key] = table
-        return table
+        stores = np.where(code == EventKind.STORE, 1 + runs[1][heads].astype(np.int64), 0)
+        prefix = np.zeros((2, len(heads) + 1), dtype=np.int64)
+        np.cumsum(stores, out=prefix[0, 1:])
+        np.cumsum(code == EventKind.LOAD, out=prefix[1, 1:])
+        cached[key] = table, (_compact(prefix[0]), _compact(prefix[1]))
+        return cached[key]
 
     # -- expanding -------------------------------------------------------
 

@@ -26,8 +26,8 @@ flushing a returned line in the technique's ``flush_category`` — and
 ``absorb_repeats`` for a line-touch run's repeats, and at an outermost
 FASE's end and the thread's end flushes what ``drain()`` returns,
 ``levels`` times, each result one flush train.  It charges
-``cost_per_store`` cycles per persistent store and re-reads ``insert``
-while ``settling`` is set.
+``cost_per_store`` cycles per persistent store and re-reads ``insert``,
+handing it the clock, while ``settling`` is set.
 """
 
 from __future__ import annotations
@@ -717,10 +717,15 @@ class Machine:
 
         *Counters.*  The hot ``ThreadStats`` and L1 counters are locals,
         merged at every quantum's end, where the scheduler, the sampler and
-        the recorder read them; ``stats.cycles`` is handed over around
-        every call that reads or charges it.  ``cost_per_store``, the flush
-        category and ``levels`` are read once per thread (constant during a
-        run); ``insert`` is re-read while the technique is ``settling``.
+        the recorder read them.  A slice of rows counts its stores and
+        loads (and their instructions) once, off :meth:`EventBatch.tallies`
+        or a live quantum's kinds; ``ANY_*`` rows, declined runs and
+        volatile accesses correct that on their own branches.
+        ``stats.cycles`` is handed over around every call that reads or
+        charges it — ``insert`` only while the technique is ``settling``,
+        which also has it re-read; a settled technique's repeats, once it
+        takes a run, go to one ``absorb_repeats`` per quantum.
+        ``cost_per_store``, the flush category and ``levels`` are read once.
 
         Quanta between runnable threads end on the per-event engine's event
         counts, so the interleaving and every statistic are bit-identical
@@ -782,20 +787,21 @@ class Machine:
         any_load = VisitCode.ANY_LOAD
         store_instructions = 1 + cost_per_store
         repeat_cost = hit_cost + cost_per_store
+        # A settled technique that took one run takes every run: the rest
+        # of a quantum's repeats go to one ``absorb`` at its end.
+        takes = False
         batches = ctx.batch_iter
         batch_len = pos = row = pulled = 0
         budget = yield
         while True:
             # Counters: absolute ones re-read, deltas from zero; merged back
-            # in the finally block, with cycles re-synced around every
-            # technique/flush-engine call (the flush queue timestamps from
-            # stats.cycles).  instructions is a delta: every callback only
-            # ever increments stats.instructions, none reads it.
+            # in the finally block, with cycles re-synced around every call
+            # that reads or charges it (the flush queue timestamps from
+            # stats.cycles).  Callbacks only increment, never read, the rest.
             cycles = stats.cycles
-            instructions = 0
-            persistent_stores = stats.persistent_stores
-            persistent_loads = stats.persistent_loads
             fase_count = stats.fase_count
+            instructions = stalled = stores = loads = repeats = 0
+            persistent_stores = persistent_loads = 0
             absorbed = flushed = written = cleaned = committed = 0
             l1_loads = l1_stores = load_misses = store_misses = evict_writebacks = 0
             alive = True
@@ -811,9 +817,11 @@ class Machine:
                         sizes = batch.sizes
                         batch_len = len(kinds)
                         pos = row = 0
-                        if type(batch) is _LiveQuantum:     # span-0 rows
+                        if type(batch) is _LiveQuantum:     # span-0 rows, run whole
                             run_stores = run_cycles = bytes(batch_len)
                             index, rows = range(batch_len), iter(batch.rows)
+                            store_tally = 0, kinds.count(kind_store)
+                            load_tally = 0, kinds.count(kind_load)
                         else:
                             cut = SCHED_BATCH if budget <= SCHED_BATCH else 0
                             phase = -pulled % SCHED_BATCH if cut else 0
@@ -822,21 +830,26 @@ class Machine:
                             )
                             table = batch.visits(cpi, nvram_base, phase, cut)
                             index, rows = table[0], zip(*table)
+                            store_tally, load_tally = batch.tallies(
+                                cpi, nvram_base, phase, cut
+                            )
                         pulled += batch_len
                     end = batch_len
                     if end - pos > budget:
                         end = pos + budget
                     if end == batch_len:
                         quantum = rows
+                        entered = -1    # the table's end
                     else:
                         entered = bisect_left(index, end, row)
                         quantum = islice(rows, entered - row)
-                        row = entered
+                    stores += store_tally[entered] - store_tally[row]
+                    loads += load_tally[entered] - load_tally[row]
+                    row = entered
                     budget -= end - pos
                     for i, code, arg, span, n, amount, work_cycles in quantum:
                         if code == kind_store:
                             # Inside one line — ``arg`` — and persistent.
-                            l1_stores += 1
                             lines_set = sets[arg % num_sets]
                             if arg in lines_set:
                                 lines_set.move_to_end(arg)
@@ -856,16 +869,17 @@ class Machine:
                                 if write_through:
                                     # ER flushes what it stores, unasked.
                                     victim = arg
-                                else:
+                                elif settling:
                                     # A sampling SC charges samples and resizes
                                     # in here, and rebinds ``insert`` when it
-                                    # settles.
-                                    if settling:
-                                        insert = technique.insert
-                                        settling = technique.settling
+                                    # settles; a settled one reads no clock.
+                                    insert = technique.insert
+                                    settling = technique.settling
                                     stats.cycles = cycles
                                     victim = insert(arg)
                                     cycles = stats.cycles
+                                else:
+                                    victim = insert(arg)
                                 if victim is not None:
                                     # Its flush, as ``_do_flush`` issues it.
                                     cycles += flush_issue
@@ -879,7 +893,7 @@ class Machine:
                                         free_at = done - lead
                                         if free_at > cycles:
                                             stall = free_at - cycles
-                                            stats.stall_cycles += stall
+                                            stalled += stall
                                             cycles = free_at
                                         elif cycles > done:
                                             done = cycles
@@ -895,16 +909,14 @@ class Machine:
                                 trace_fids.append(
                                     ctx.fase_uid if ctx.fase_depth > 0 else -1
                                 )
-                            persistent_stores += 1
                             cycles += cost_per_store
-                            instructions += store_instructions
                             if write_through:
                                 # A write-through run: per repeat the ``WORK``
                                 # before it, a miss-fill, one flush, one queue
                                 # slot, bookkeeping, gapped from the head's
                                 # issue; no ``insert``.
                                 absorbed += n + 1
-                                instructions += n * store_instructions + amount
+                                instructions += amount
                                 if not n:
                                     cycles += work_cycles
                                     continue
@@ -927,12 +939,10 @@ class Machine:
                                     cycles += cost_per_store + before - run_cycles[i + span]
                                     if stalls:
                                         self._record_stalls(thread_id, stalls)
-                                stats.stall_cycles += stall
-                                l1_stores += n
+                                stalled += stall
                                 store_misses += n
                                 written += n
                                 flushed += n
-                                persistent_stores += n
                                 if trace_lines is not None:
                                     trace_lines.extend([arg] * n)
                                     trace_fids.extend([trace_fids[-1]] * n)
@@ -948,21 +958,26 @@ class Machine:
                                 # a flushed line's repeat is a miss.  No
                                 # flush, no change.
                                 if arg in lines_set:
-                                    # A sampling SC charges its samples here.
-                                    stats.cycles = cycles
-                                    taken = absorb(arg, n)
-                                    cycles = stats.cycles
-                                    if taken:
+                                    if takes:
+                                        repeats += n
+                                        repeat_line = arg
+                                    else:
+                                        # A sampling SC charges its samples here.
+                                        stats.cycles = cycles
+                                        taken = absorb(arg, n)
+                                        cycles = stats.cycles
+                                        takes = taken and not settling
+                                    if takes or taken:
                                         absorbed += n
-                                        l1_stores += n
-                                        persistent_stores += n
                                         if trace_lines is not None:
                                             trace_lines.extend([arg] * n)
                                             trace_fids.extend([trace_fids[-1]] * n)
                                         cycles += n * repeat_cost + work_cycles
-                                        instructions += n * store_instructions + amount
+                                        instructions += amount
                                         continue
-                                # Declined: the run arrives store by store.
+                                # Declined: the run arrives store by store, its
+                                # L1 touches counted by ``access``.
+                                l1_stores -= n
                                 for j in range(i + 1, i + span + 1):
                                     if kinds[j] == kind_work:
                                         work = args[j]
@@ -986,16 +1001,13 @@ class Machine:
                                         trace_fids.append(
                                             ctx.fase_uid if ctx.fase_depth > 0 else -1
                                         )
-                                    persistent_stores += 1
                                     cycles += cost_per_store
-                                    instructions += store_instructions
                                 continue
                         elif code == kind_work:
                             cycles += int(arg * cpi)
                             instructions += arg
                             continue
                         elif code == kind_load:
-                            l1_loads += 1
                             lines_set = sets[arg % num_sets]
                             if arg in lines_set:
                                 lines_set.move_to_end(arg)
@@ -1011,8 +1023,6 @@ class Machine:
                                     evict_writeback(ctx, old[0])
                                     cycles = stats.cycles
                                 lines_set[arg] = False
-                            instructions += 1
-                            persistent_loads += 1
                             continue
                         elif code == kind_fase_begin:
                             ctx.fase_depth += 1
@@ -1059,7 +1069,7 @@ class Machine:
                                         flushq.issued += dirty
                                     wait = done - cycles if done > cycles else 0
                                     cycles += wait
-                                    stats.stall_cycles += stall + wait
+                                    stalled += stall + wait
                                     if recording:
                                         self._record_stalls(thread_id, stalls)
                                         stats.cycles = cycles
@@ -1101,11 +1111,13 @@ class Machine:
                                         trace_fids.append(
                                             ctx.fase_uid if ctx.fase_depth > 0 else -1
                                         )
-                            instructions += 1
+                            l1_stores -= 1          # ``access`` counted it
                             if persistent:
-                                persistent_stores += 1
                                 cycles += cost_per_store
-                                instructions += cost_per_store
+                            else:
+                                # Tallied as ``1 + n`` persistent stores.
+                                persistent_stores -= 1 + n
+                                instructions -= (1 + n) * cost_per_store
                             if not span:  # only a volatile line touch has one
                                 continue
                         elif code == any_load:
@@ -1117,24 +1129,28 @@ class Machine:
                                     stats.cycles = cycles
                                     evict_writeback(ctx, evicted[0])
                                     cycles = stats.cycles
-                            instructions += 1
-                            if addr >= nvram_base:
-                                persistent_loads += 1
+                            l1_loads -= 1           # ``access`` counted it
+                            if addr < nvram_base:
+                                persistent_loads -= 1
                             continue
                         else:
                             raise SimulationError(f"unknown event kind {code}")
                         # What is left of this line touch is ``n`` plain hits (a
                         # volatile line's) and ``amount`` instructions of ``WORK``.
-                        l1_stores += n
                         cycles += n * hit_cost + work_cycles
-                        instructions += n + amount
+                        instructions += amount
                     pos = end
             finally:
                 stats.cycles = cycles
+                if repeats:
+                    absorb(repeat_line, repeats)
                 stats.instructions += instructions + flushed + committed
-                self._stores_seen += persistent_stores - stats.persistent_stores
-                stats.persistent_stores = persistent_stores
-                stats.persistent_loads = persistent_loads
+                stats.instructions += stores * store_instructions + loads
+                stats.stall_cycles += stalled
+                persistent_stores += stores
+                self._stores_seen += persistent_stores
+                stats.persistent_stores += persistent_stores
+                stats.persistent_loads += persistent_loads + loads
                 stats.fase_count = fase_count
                 self.absorbed_stores += absorbed
                 if flushed:
@@ -1143,8 +1159,8 @@ class Machine:
                 if committed:
                     stats.flushes += committed
                     stats.fase_end_flushes += committed
-                hw.loads += l1_loads
-                hw.stores += l1_stores
+                hw.loads += l1_loads + loads
+                hw.stores += l1_stores + stores
                 hw.load_misses += load_misses
                 hw.store_misses += store_misses
                 hw.evict_writebacks += evict_writebacks

@@ -14,6 +14,7 @@ table is fully built before the header that points at it is published.
 
 from __future__ import annotations
 
+import zlib
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.atlas.runtime import AtlasRuntime
@@ -27,8 +28,22 @@ _MAX_LOAD_NUM, _MAX_LOAD_DEN = 2, 3
 TOMBSTONE = "__repro_tombstone__"
 
 
+def _key_hash(key: object) -> int:
+    """``hash(key)``, except that ``str`` and ``bytes`` keys — whose built-in
+    hash is salted per process — and the tuples built from them hash the
+    same in every process, so a dict's slot layout never depends on
+    ``PYTHONHASHSEED``.  An int keeps its value."""
+    if isinstance(key, str):
+        key = key.encode("utf-8", "surrogatepass")
+    if isinstance(key, bytes):
+        return zlib.crc32(key)
+    if isinstance(key, tuple):
+        return hash(tuple(map(_key_hash, key)))
+    return hash(key)
+
+
 def _hash(key: object, capacity: int) -> int:
-    return (hash(key) * 2654435761) % capacity
+    return (_key_hash(key) * 2654435761) % capacity
 
 
 class PersistentDict:

@@ -13,18 +13,21 @@ import contextlib
 import copy
 import dataclasses
 import pickle
+import random
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.cache.policies import EagerTechnique
+from repro.cache.adaptive import AdaptiveConfig
+from repro.cache.policies import EagerTechnique, SoftwareCacheTechnique
 from repro.cache.spec import technique_factory
 from repro.common.errors import ConfigurationError
 from repro.common.events import (
     EventBatch,
     FaseBegin,
     FaseEnd,
+    Load,
     Store,
     Work,
     batches_from_events,
@@ -209,6 +212,100 @@ def test_the_batched_loop_owns_write_throughs_and_the_l1():
         calls = _both_engines(workload, "AT", 1, spied=("access", "clflush"))
         assert all(calls[False].values()), (workload.name, calls)
         assert not any(calls[True].values()), (workload.name, calls)
+
+
+def _tally_stream(rng, length):
+    """A thread's events with every row whose ``STORE``/``LOAD`` events
+    differ from the tallies' count: persistent runs with ``WORK`` inside,
+    volatile line-touch runs, stores across two lines, persistent and
+    DRAM loads, ``Work(1 << 40)`` and ``Work(-3)``, FASE marks."""
+    events, depth = [], 0
+    while len(events) < length:
+        roll = rng.random()
+        if roll < 0.5:
+            line = rng.choice((NVRAM_BASE, NVRAM_BASE, 4096)) + 64 * rng.randrange(12)
+            for _ in range(rng.randrange(1, 40)):
+                events.append(Store(line + 8 * rng.randrange(8), 8))
+                if rng.random() < 0.3:
+                    events.append(Work(rng.choice((2, 9))))
+        elif roll < 0.6:
+            events.append(Store(NVRAM_BASE + 64 * rng.randrange(12) + 60, 8))
+        elif roll < 0.75:
+            base = rng.choice((NVRAM_BASE, 4096))
+            events.append(Load(base + 64 * rng.randrange(12) + rng.choice((0, 60)), 8))
+        elif roll < 0.85:
+            events.append(Work(rng.choice((1 << 40, -3, 5))))
+        elif depth and rng.random() < 0.5:
+            events.append(FaseEnd())
+            depth -= 1
+        else:
+            events.append(FaseBegin())
+            depth += 1
+    return events + [FaseEnd()] * depth
+
+
+class _Listed:
+    """Fixed per-thread event lists, as batches or, ``live``, as a bare
+    generator's streams (its quanta pulled as the threads run)."""
+
+    name = "listed"
+
+    def __init__(self, streams, live):
+        self.lists, self.live = streams, live
+
+    def streams(self, num_threads, seed):
+        return [iter(events) for events in self.lists]
+
+    def batch_streams(self, num_threads, seed):
+        if self.live:
+            return None
+        return [batches_from_events(iter(events), 256) for events in self.lists]
+
+
+@pytest.mark.parametrize("live", [False, True], ids=["batches", "live"])
+@pytest.mark.parametrize("threads", [1, 3])
+def test_tallied_counters_match_the_per_event_engine(live, threads, monkeypatch):
+    """The batched loop counts a slice of rows' ``STORE``/``LOAD`` events
+    from the table's tallies (a live quantum's from its kinds) and
+    corrects the rows that differ; every ``ThreadStats`` field and every
+    L1 counter equals the per-event engine's.  One thread runs uncut
+    tables, three cut ones; SC's sampler edges fall inside runs, which
+    it declines."""
+    rng = random.Random(threads)
+    workload = _Listed([_tally_stream(rng, 2500) for _ in range(threads)], live)
+    declined = []
+    absorb = SoftwareCacheTechnique.absorb_repeats
+
+    def spied(self, line, n):
+        taken = absorb(self, line, n)
+        declined.append(not taken)
+        return taken
+
+    monkeypatch.setattr(SoftwareCacheTechnique, "absorb_repeats", spied)
+    kwargs = {
+        "SC": {"adaptive_config": AdaptiveConfig(burst_length=40, initial_skip=25)},
+        "SC-offline": {"sc_fixed_size": 4},
+    }
+    for technique in TECHNIQUES:
+        seen = {}
+        for use_batches in (False, True):
+            declined.clear()
+            machine = Machine(MachineConfig())
+            result = machine.run(
+                workload, technique_factory(technique, **kwargs.get(technique, {})),
+                num_threads=threads, use_batches=use_batches,
+            )
+            hw = machine.hwcache
+            seen[use_batches] = (
+                [dataclasses.asdict(t) for t in result.threads],
+                [getattr(hw, attr) for attr in ("loads", "stores", "load_misses",
+                 "store_misses", "evict_writebacks", "flush_writebacks", "clean_flushes")],
+                _l1_image(machine),
+            )
+        assert seen[True] == seen[False], technique
+        if not live:    # a live quantum's rows are span 0
+            assert machine.absorbed_stores > 0, technique
+            assert any(declined) or technique != "SC", "no run declined"
 
 
 class RecordedBatches:

@@ -491,6 +491,27 @@ def test_each_phase_table_is_kept_with_the_batch_and_never_pickled():
         assert clone.visits(1.0, N0, 7, 64) == tables[7]
 
 
+def test_tallies_count_each_rows_stores_and_loads():
+    """``tallies`` are prefix sums over the visit rows, cut or not: a
+    ``STORE`` or ``ANY_STORE`` row holds ``1 + stores`` store events, a
+    ``LOAD`` or ``ANY_LOAD`` row one load; they add up to the batch's."""
+    rng = random.Random(5)
+    for batch in [random_batch(rng) for _ in range(10)] + [longer_batch(rng, 300)]:
+        kinds = list(batch.kinds)
+        for phase, period in ((0, 0), (0, 64), (7, 64)):
+            stores, loads = batch.tallies(1.0, N0, phase, period)
+            assert batch.tallies(1.0, N0, phase, period)[0] is stores   # kept
+            want = [(0, 0)]
+            for row in zip(*batch.visits(1.0, N0, phase, period)):
+                kind = kinds[row[0]]
+                want.append((
+                    want[-1][0] + (1 + row[4] if kind == EventKind.STORE else 0),
+                    want[-1][1] + (kind == EventKind.LOAD),
+                ))
+            assert list(zip(stores, loads)) == want
+            assert want[-1] == (kinds.count(EventKind.STORE), kinds.count(EventKind.LOAD))
+
+
 # -- the optional payload column ---------------------------------------------
 
 

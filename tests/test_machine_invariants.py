@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.cache.adaptive import AdaptiveConfig
 from repro.cache.spec import technique_factory
+from repro.cache.stages import StagedTechnique
 from repro.cache.write_cache import WriteCombiningCache
 from repro.common.errors import SimulationError
 from repro.common.events import (
@@ -628,6 +629,75 @@ def test_a_resize_that_evicts_the_stored_line_splits_its_run(
     assert any(A >> 6 in lines for lines in evicted)    # scenario reached
     assert batched == per_event
     assert m_b.absorbed_stores == 6
+
+
+@pytest.mark.parametrize("technique", ["AT", "LA", "SC-offline", "BEST", "SC"])
+def test_a_settled_technique_takes_a_quantums_repeats_in_one_call(technique, monkeypatch):
+    """A settled technique's ``insert`` reads no clock and its
+    ``absorb_repeats`` takes every run on a count alone: once a thread's
+    technique has taken a run while settled, the batched loop sums each
+    quantum's repeats into one call at the quantum's end — an SC's from
+    the quantum after its burst closes.  So in the quanta that start
+    settled, at most one call each, bar the first taken run's quantum
+    (that run's own call and the sum's); results as the per-event engine's."""
+    cls = type(technique_factory(technique, **RUN_TECHNIQUES[technique](9, 10))(0))
+    calls, quanta = [], []
+    absorb, run_batches = cls.absorb_repeats, Machine._run_batches
+
+    def counted(self, line, n):
+        calls.append(n)
+        return absorb(self, line, n)
+
+    def quantum(self, ctx, budget):
+        before, settled = len(calls), not ctx.technique.settling
+        try:
+            return run_batches(self, ctx, budget)
+        finally:
+            quanta.append((ctx.thread_id, settled, len(calls) - before))
+
+    monkeypatch.setattr(cls, "absorb_repeats", counted)
+    monkeypatch.setattr(Machine, "_run_batches", quantum)
+    _m, batched, _, _ = run_engine([SEVENS] * 2, 4096, technique, 9, True, skip=10)
+    _m, per_event, _, _ = run_engine([SEVENS] * 2, 4096, technique, 9, False, skip=10)
+    assert batched == per_event
+    for tid in (0, 1):
+        settled = [count for i, after, count in quanta if i == tid and after]
+        first = next(k for k, count in enumerate(settled) if count)
+        assert settled[first] <= 2 and max(settled[first + 1:]) == 1, settled
+    assert max(calls) > 6       # a quantum's runs of seven, summed
+
+
+def test_a_parked_lines_repeat_is_declined_and_rescued(monkeypatch):
+    """The victim stage is never settled: the resize at its burst's end
+    parks A, the store it closes on, and A's repeat is declined — it
+    arrives by ``insert``, which rescues A from the victim buffer."""
+    absorb, insert = StagedTechnique.absorb_repeats, StagedTechnique.insert
+    declined, rescued = [], []
+
+    def spied_absorb(self, line, n):
+        taken = absorb(self, line, n)
+        if not taken:
+            declined.append(line)
+        return taken
+
+    def spied_insert(self, line):
+        if line in self._victim:
+            rescued.append(line)
+        return insert(self, line)
+
+    monkeypatch.setattr(StagedTechnique, "absorb_repeats", spied_absorb)
+    monkeypatch.setattr(StagedTechnique, "insert", spied_insert)
+    assert technique_factory("SC+victim:16", **adaptive(6, 3))(0).settling
+    seen = {}
+    for use_batches in (True, False):
+        declined.clear()
+        rescued.clear()
+        seen[use_batches] = run_engine(
+            [SHRINK_ONTO_OWN_LINE], 4096, "SC+victim:16", 6, use_batches, skip=3
+        )[1], list(rescued), list(declined)
+    assert seen[True][2] == [A >> 6]            # the per-event engine asks none
+    assert seen[True][:2] == seen[False][:2]
+    assert seen[True][1] == [A >> 6, B >> 6]    # B parked too, rescued by its head
 
 
 #: Runs of seven stores over three lines, computation inside them: store

@@ -1,5 +1,10 @@
 """Persistent containers: functional behaviour + crash consistency."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -136,6 +141,40 @@ def test_dict_matches_model(ops):
     state = rt.crash()
     report = recover(state, rt.layout())
     assert PersistentDict.read_back(report.read, d.header) == model
+
+
+#: Builds a dict of ``str``, ``bytes``, tuple and int keys (through two
+#: rehashes) and prints each key's slot address and the run's flushes.
+_LAYOUT_SCRIPT = """
+from repro.atlas import AtlasRuntime
+from repro.pstructs import PersistentDict
+rt = AtlasRuntime(technique="SC")
+d = PersistentDict(rt)
+keys = [f"user-{i}" for i in range(12)] + [b"blob", ("user", 3), ("a", (b"b", 7)), 5, -1]
+for i, key in enumerate(keys):
+    d.put(key, i)
+d.delete("user-4")
+_count, capacity, table = d._header()
+slots = {repr(rt.load(table + 8 * i)[0]): table + 8 * i for i in range(capacity)
+         if rt.load(table + 8 * i) not in (None, "__repro_tombstone__")}
+print(sorted(slots.items()), rt.stats.flushes, rt.stats.persistent_stores)
+"""
+
+
+def test_dict_layout_is_the_same_in_every_process():
+    """``str`` and ``bytes`` hashes are salted per process; a dict keyed by
+    them (or by tuples of them) lays its slots out the same under any
+    ``PYTHONHASHSEED``, and so flushes the same lines."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", _LAYOUT_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.add(run.stdout)
+    assert len(outputs) == 1, outputs
 
 
 # ---------------------------------------------------------------------------
