@@ -18,8 +18,6 @@ This package implements:
   (§III-B, "Adaptation to FASE Semantics").
 - :mod:`repro.locality.sampling` — bursty sampling for online MRC analysis
   (§III-C, "MRC Analysis").
-- :mod:`repro.locality.liveness` — all-window average liveness, the
-  mathematical sibling of timescale reuse the paper connects to.
 - :mod:`repro.locality.stack_distance` — classical Mattson stack
   distance (the "access locality" of §III-A): the exact LRU MRC the
   linear-time timescale curve approximates.
@@ -40,12 +38,7 @@ from repro.locality.mrc import MissRatioCurve, mrc_from_reuse, mrc_from_trace
 from repro.locality.knee import Knee, find_knees, select_cache_size, SelectionPolicy
 from repro.locality.fase_transform import rename_for_fases
 from repro.locality.sampling import BurstSampler, sampled_mrc
-from repro.locality.liveness import average_liveness
-from repro.locality.stack_distance import (
-    stack_distances,
-    exact_mrc,
-    average_stack_distance,
-)
+from repro.locality.stack_distance import stack_distances, exact_mrc
 from repro.locality.shards import shards_mrc, shards_filter
 
 __all__ = [
@@ -65,10 +58,8 @@ __all__ = [
     "rename_for_fases",
     "BurstSampler",
     "sampled_mrc",
-    "average_liveness",
     "stack_distances",
     "exact_mrc",
-    "average_stack_distance",
     "shards_mrc",
     "shards_filter",
 ]

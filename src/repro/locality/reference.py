@@ -65,28 +65,6 @@ def footprint_curve_brute(trace: WriteTrace) -> np.ndarray:
     return out
 
 
-def liveness_brute(
-    starts: Sequence[int], ends: Sequence[int], n: int, k: int
-) -> float:
-    """Average live objects per window of length ``k``, by enumeration."""
-    if not 1 <= k <= n:
-        raise ConfigurationError(f"window length must be in 1..{n}: {k}")
-    total = 0
-    for w in range(1, n - k + 2):
-        lo, hi = w, w + k - 1
-        total += sum(1 for s, e in zip(starts, ends) if s <= hi and e >= lo)
-    return total / (n - k + 1)
-
-
-def enclosing_windows_brute(s: int, e: int, n: int, k: int) -> int:
-    """Number of length-``k`` windows enclosing interval ``[s, e]``."""
-    count = 0
-    for w in range(1, n - k + 2):
-        if w <= s and e <= w + k - 1:
-            count += 1
-    return count
-
-
 def lru_write_cache_misses(
     trace: WriteTrace,
     size: int,

@@ -129,7 +129,3 @@ def mean_distance(distances: np.ndarray) -> float:
     finite = distances[distances != COLD]
     return float(np.mean(finite)) if len(finite) else float("inf")
 
-
-def average_stack_distance(trace: WriteTrace, honor_fases: bool = True) -> float:
-    """Mean finite stack distance (a scalar locality summary)."""
-    return mean_distance(stack_distances(trace, honor_fases))

@@ -38,18 +38,19 @@ explicit FIFO as the reference model.
 A run of issues the caller can describe up front is one call:
 :meth:`FlushQueue.issue_train` walks a list of gaps with ``issue``'s own
 three lines (and can list each stall for a trace), and
-:meth:`FlushQueue.issue_every` answers equal gaps in closed form.
+:meth:`FlushQueue.issue_every` answers equal gaps in closed form; only
+ER's write-through runs in ``Machine._batch_loop`` take them.
 
-``Machine._batch_loop`` keeps inline copies of ``issue``'s lines, on
-``service`` and ``lead = (depth - 1) * service`` hoisted per thread,
-writing ``last_completion``, ``_seen`` and ``issued`` back after each:
-a head store's returned line (a victim, or ER's own store), and each
-``drain()`` level of a FASE commit, ``issue_train`` and ``drain`` in one
-loop.  Each copy must equal this class: the per-event engine issues
-the same flushes through ``issue`` and ``issue_train``, and
+That loop also keeps inline copies of ``issue``'s lines, on ``service``
+and ``lead = (depth - 1) * service`` hoisted per thread, writing
+``last_completion``, ``_seen`` and ``issued`` back after each: a head
+store's returned line (a victim, or ER's own store), and each
+written-back line of a FASE commit, drained in the same loop.  Each copy
+must equal this class: the per-event engine issues every flush through
+``issue`` and drains each commit with ``drain``, and
 ``tests/test_machine_invariants.py::test_a_commit_is_one_flush_train``
-compares the two engines and the per-line value-tracking run down to
-every thread's final ``(last_completion, issued, outstanding)``, while
+compares the two engines and the value-tracking run down to every
+thread's final ``(last_completion, issued, outstanding)``, while
 ``tests/test_flushqueue.py`` holds this class to the explicit FIFO.
 """
 

@@ -17,9 +17,9 @@ propagated to NVRAM" (§I).  It provides:
 Sets use ``OrderedDict`` for O(1) LRU: lookup, move-to-end on touch,
 pop-first on eviction.  When several simulated threads share the cache,
 capacity contention between them arises naturally — the effect behind
-Table IV's rising L1 miss ratios.  The machine spells the same rules on
-``sets`` itself for its commit trains, and its batched loop for its
-single-line touches and eviction ``clflush``es.
+Table IV's rising L1 miss ratios.  The machine's batched loop spells the
+same rules on ``sets`` itself for its single-line touches, its flushes
+and its commits; every other access is one ``access`` call.
 """
 
 from __future__ import annotations

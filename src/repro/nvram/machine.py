@@ -25,9 +25,13 @@ calls ``bind(port)``, then ``insert(line)`` per persistent store —
 flushing a returned line in the technique's ``flush_category`` — and
 ``absorb_repeats`` for a line-touch run's repeats, and at an outermost
 FASE's end and the thread's end flushes what ``drain()`` returns,
-``levels`` times, each result one flush train.  It charges
-``cost_per_store`` cycles per persistent store and re-reads ``insert``,
-handing it the clock, while ``settling`` is set.
+``levels`` times, one ``clflush`` per line and one drain per result.  It
+charges ``cost_per_store`` cycles per persistent store and re-reads
+``insert``, handing it the clock, while ``settling`` is set.
+
+Each cache line is touched on one of two paths: inline by the batched
+loop's hot rows, or by ``Machine._store_lines`` / ``_load_lines`` — the
+per-event engine, sessions, and the loop's cold rows.
 """
 
 from __future__ import annotations
@@ -557,70 +561,17 @@ class Machine:
             self.recorder.record(EV_STALL, tid, now, stall, 0)
         stalls.clear()
 
-    def _train(self, ctx: _ThreadContext, lines: Collection[int], category: str) -> int:
-        """Flush ``lines`` and drain as one flush train; return how many
-        were written back (the caller counts the flushes).  Each line is a
-        pop of its L1 set and ``flush_issue`` cycles; the written-back ones
-        take one :meth:`FlushQueue.issue_train`, gapped by the issue cycles
-        since the previous one.  Traced, it writes the per-line path's
-        ``stall`` per stalled slot (a commit has no ``evict_flush`` cause)
-        and its ``drain``."""
-        sets = self.hwcache.sets
-        num_sets = self.hwcache.num_sets
-        issue_cost = self.config.timing.flush_issue
-        gaps = []
-        gap = 0
-        for line in lines:
-            gap += issue_cost
-            if sets[line % num_sets].pop(line, False):
-                gaps.append(gap)
-                gap = 0
-        stats = ctx.stats
-        flushq = ctx.flushq
-        stalls = [] if self.recorder.enabled else None
-        now, stall = flushq.issue_train(stats.cycles, gaps, stalls)
-        if stalls is not None:
-            self._record_stalls(ctx.thread_id, stalls)
-            outstanding = flushq.outstanding
-        stats.cycles, wait = flushq.drain(now + gap)
-        stats.stall_cycles += stall + wait
-        if stalls is not None:
-            self._record_drain(ctx, category, wait, outstanding)
-        return len(gaps)
-
     def _flush_sync(
         self, ctx: _ThreadContext, lines: Collection[int], category: str
     ) -> None:
-        """Flush ``lines`` in ``category`` and drain: :meth:`_train`, or
-        :meth:`_do_flush` per line and :meth:`_do_drain` — the train's
-        oracle — where a single flush is observed: tracked values, or a
-        crash site per flush of this category.  A category with an
-        ``evict_flush`` cause is an error: a train would drop those records.
-        """
-        counter = _FLUSH_COUNTER[category]
-        if category in _EVICT_TRACE_CAUSE:
-            raise SimulationError(
-                f"flush category {category!r} is flushed one line at a time "
-                "(flush_async), never as a commit train"
-            )
-        if self.config.track_values or (self._sites_active and category in _FLUSH_SITE):
-            for line in lines:
-                self._do_flush(ctx, line, category)
-            self._do_drain(ctx, category)
-            return
-        written = self._train(ctx, lines, category)
-        count = len(lines)
-        stats = ctx.stats
-        stats.instructions += count
-        stats.flushes += count
-        setattr(stats, counter, getattr(stats, counter) + count)
-        self.hwcache.flush_writebacks += written
-        self.hwcache.clean_flushes += count - written
-        if self._sites_active:
-            self._note_site(ctx, SITE_DRAIN)
+        """Flush ``lines`` in ``category`` and drain: :meth:`_do_flush`
+        per line, then :meth:`_do_drain`."""
+        for line in lines:
+            self._do_flush(ctx, line, category)
+        self._do_drain(ctx, category)
 
     def _commit(self, ctx: _ThreadContext, category: str) -> None:
-        """Flush what ``ctx``'s technique drains: one train per level."""
+        """Flush what ``ctx``'s technique drains, level by level."""
         technique = ctx.technique
         for _ in range(technique.levels):
             lines = technique.drain()
@@ -646,6 +597,57 @@ class Machine:
             rec = self.recorder
             if rec.enabled:
                 rec.record(EV_STALL, ctx.thread_id, stats.cycles, stall, 1)
+
+    # ------------------------------------------------------------------
+    # The per-line path: every access the batched loop does not touch inline
+    # ------------------------------------------------------------------
+
+    def _store_lines(
+        self, ctx: _ThreadContext, addr: int, size: int, value=None, managed=True
+    ) -> None:
+        """Store ``size`` bytes at ``addr``, line by line: the L1 write, the
+        write-back of a dirty line it displaces and the tracked value; for
+        a managed persistent store also the technique's ``insert`` (never
+        called without a flush category), the flush of the line it
+        returns, and the write trace.  An access inside one line — a
+        zero-byte one too — touches that line, any other the lines it
+        spans."""
+        t = self.config.timing
+        stats = ctx.stats
+        first = addr >> 6
+        lines = (first,) if first == (addr + size - 1) >> 6 else lines_spanned(addr, size)
+        technique = ctx.technique
+        persistent = managed and addr >= NVRAM_BASE
+        category = technique.flush_category
+        for line in lines:
+            hit, evicted = self.hwcache.access(line, True)
+            stats.cycles += t.l1_hit if hit else t.l1_hit + t.l1_miss
+            if evicted is not None and evicted[1]:
+                self._evict_writeback(ctx, evicted[0])
+            if self.config.track_values:
+                self._store_value(line, addr, value)
+            if persistent:
+                if category is not None:
+                    victim = technique.insert(line)
+                    if victim is not None:
+                        self._do_flush(ctx, victim, category)
+                if ctx.trace_lines is not None:
+                    ctx.trace_lines.append(line)
+                    ctx.trace_fids.append(ctx.fase_uid if ctx.fase_depth > 0 else -1)
+
+    def _load_lines(self, ctx: _ThreadContext, addr: int, size: int) -> None:
+        """Load ``size`` bytes at ``addr``, line by line, on
+        :meth:`_store_lines`'s line rule: the L1 read and the write-back
+        of a dirty line it displaces."""
+        t = self.config.timing
+        stats = ctx.stats
+        first = addr >> 6
+        lines = (first,) if first == (addr + size - 1) >> 6 else lines_spanned(addr, size)
+        for line in lines:
+            hit, evicted = self.hwcache.access(line, False)
+            stats.cycles += t.l1_hit if hit else t.l1_hit + t.l1_miss
+            if evicted is not None and evicted[1]:
+                self._evict_writeback(ctx, evicted[0])
 
     # ------------------------------------------------------------------
     # Event execution
@@ -703,17 +705,17 @@ class Machine:
         (the set says so), and nothing in the run reads the clock.  A
         declined run arrives store by store.
 
-        *Flushes issued here.*  A store is the technique's ``insert``, and
-        the line it returns is flushed in its ``flush_category``: a head
-        store's here, records included, any other's by :meth:`_do_flush`.
-        An ``eager`` run is that flush of its head and ``n`` more in one
-        :meth:`FlushQueue.issue_every` (equal gaps, untraced) or
-        ``issue_train``, with no ``insert``.  A commit is :meth:`_train`'s
-        work per ``drain()`` level, records included.  The head's and the
-        commit's issues run ``FlushQueue.issue``'s lines here.  A
-        ``STORE``/``LOAD`` row
-        touches its L1 set in place; ``ANY_*`` rows, declined runs and port
-        flushes call :class:`HardwareCache`.
+        *Inline and per line.*  A ``STORE``/``LOAD`` row touches its L1 set
+        in place; a ``STORE`` row's ``insert`` returns a line that is
+        flushed here in the technique's ``flush_category``, records
+        included.  An ``eager`` run is that flush of its head and ``n``
+        more in one :meth:`FlushQueue.issue_every` (equal gaps, untraced)
+        or ``issue_train``, with no ``insert``.  A commit is, per
+        ``drain()`` level, :meth:`_flush_sync`'s flushes and drain on
+        locals.  The head's and the commit's issues run
+        ``FlushQueue.issue``'s lines here.  ``ANY_*`` rows and a declined
+        run's stores take the per-line path, :meth:`_store_lines` /
+        :meth:`_load_lines`.
 
         *Counters.*  The hot ``ThreadStats`` and L1 counters are locals,
         merged at every quantum's end, where the scheduler, the sampler and
@@ -734,7 +736,6 @@ class Machine:
         t = self.config.timing
         stats = ctx.stats
         hw = self.hwcache
-        access = hw.access
         sets = hw.sets
         num_sets = hw.num_sets
         ways = hw.ways
@@ -764,7 +765,6 @@ class Machine:
         stalls = [] if recording else None
         drains = (technique.drain,) * technique.levels
         settling = technique.settling
-        do_flush = self._do_flush
         # Each inline issue reads and writes back ``flushq``'s integers:
         # port flushes and ``evict_writeback`` issue on the object too.
         flushq = ctx.flushq
@@ -978,30 +978,16 @@ class Machine:
                                 # Declined: the run arrives store by store, its
                                 # L1 touches counted by ``access``.
                                 l1_stores -= n
+                                stats.cycles = cycles
                                 for j in range(i + 1, i + span + 1):
                                     if kinds[j] == kind_work:
                                         work = args[j]
-                                        cycles += int(work * cpi)
+                                        stats.cycles += int(work * cpi)
                                         instructions += work
                                         continue
-                                    hit, evicted = access(arg, True)
-                                    cycles += hit_cost if hit else miss_cost
-                                    if evicted is not None and evicted[1]:
-                                        stats.cycles = cycles
-                                        evict_writeback(ctx, evicted[0])
-                                        cycles = stats.cycles
-                                    if insert is not None:
-                                        stats.cycles = cycles
-                                        victim = technique.insert(arg)
-                                        if victim is not None:
-                                            do_flush(ctx, victim, category)
-                                        cycles = stats.cycles
-                                    if trace_lines is not None:
-                                        trace_lines.append(arg)
-                                        trace_fids.append(
-                                            ctx.fase_uid if ctx.fase_depth > 0 else -1
-                                        )
-                                    cycles += cost_per_store
+                                    self._store_lines(ctx, args[j], sizes[j])
+                                    stats.cycles += cost_per_store
+                                cycles = stats.cycles
                                 continue
                         elif code == kind_work:
                             cycles += int(arg * cpi)
@@ -1047,8 +1033,8 @@ class Machine:
                                     lines = drain()
                                     if not lines:
                                         continue
-                                    # ``_train`` on locals: per line a pop and
-                                    # the issue cycles, per write-back ``issue``.
+                                    # ``_flush_sync`` on locals: per line a pop
+                                    # and the issue cycles, per write-back ``issue``.
                                     done = flushq.last_completion
                                     stall = dirty = 0
                                     for line in lines:
@@ -1091,28 +1077,11 @@ class Machine:
                         elif code == any_store:
                             # Across lines, or volatile: the general store.
                             addr = args[i]
-                            persistent = addr >= nvram_base
-                            for line in lines_spanned(addr, sizes[i]):
-                                hit, evicted = access(line, True)
-                                cycles += hit_cost if hit else miss_cost
-                                if evicted is not None and evicted[1]:
-                                    stats.cycles = cycles
-                                    evict_writeback(ctx, evicted[0])
-                                    cycles = stats.cycles
-                                if persistent:
-                                    if insert is not None:
-                                        stats.cycles = cycles
-                                        victim = technique.insert(line)
-                                        if victim is not None:
-                                            do_flush(ctx, victim, category)
-                                        cycles = stats.cycles
-                                    if trace_lines is not None:
-                                        trace_lines.append(line)
-                                        trace_fids.append(
-                                            ctx.fase_uid if ctx.fase_depth > 0 else -1
-                                        )
+                            stats.cycles = cycles
+                            self._store_lines(ctx, addr, sizes[i])
+                            cycles = stats.cycles
                             l1_stores -= 1          # ``access`` counted it
-                            if persistent:
+                            if addr >= nvram_base:
                                 cycles += cost_per_store
                             else:
                                 # Tallied as ``1 + n`` persistent stores.
@@ -1122,13 +1091,9 @@ class Machine:
                                 continue
                         elif code == any_load:
                             addr = args[i]
-                            for line in lines_spanned(addr, sizes[i]):
-                                hit, evicted = access(line, False)
-                                cycles += hit_cost if hit else miss_cost
-                                if evicted is not None and evicted[1]:
-                                    stats.cycles = cycles
-                                    evict_writeback(ctx, evicted[0])
-                                    cycles = stats.cycles
+                            stats.cycles = cycles
+                            self._load_lines(ctx, addr, sizes[i])
+                            cycles = stats.cycles
                             l1_loads -= 1           # ``access`` counted it
                             if addr < nvram_base:
                                 persistent_loads -= 1
@@ -1170,38 +1135,14 @@ class Machine:
 
     def _process_event(self, ctx: _ThreadContext, ev: Event) -> None:
         """Execute one event on behalf of ``ctx`` (the simulator core)."""
-        t = self.config.timing
         stats = ctx.stats
-        hw = self.hwcache
-        technique = ctx.technique
-        track_values = self.config.track_values
         kind = ev.kind
         if kind == EventKind.STORE:
             addr = ev.addr
-            persistent = addr >= NVRAM_BASE
-            # Fast path: the overwhelmingly common single-line access.
-            first = addr >> 6
-            last = (addr + ev.size - 1) >> 6
-            lines = (first,) if first == last else lines_spanned(addr, ev.size)
-            for line in lines:
-                hit, evicted = hw.access(line, True)
-                stats.cycles += t.l1_hit if hit else t.l1_hit + t.l1_miss
-                if evicted is not None and evicted[1]:
-                    self._evict_writeback(ctx, evicted[0])
-                if track_values:
-                    self._store_value(line, addr, ev.value)
-                if persistent:
-                    evicted = technique.insert(line)
-                    if evicted is not None:
-                        self._do_flush(ctx, evicted, technique.flush_category)
-                    if ctx.trace_lines is not None:
-                        ctx.trace_lines.append(line)
-                        ctx.trace_fids.append(
-                            ctx.fase_uid if ctx.fase_depth > 0 else -1
-                        )
+            self._store_lines(ctx, addr, ev.size, ev.value)
             stats.instructions += 1
-            if persistent:
-                cost_per_store = technique.cost_per_store
+            if addr >= NVRAM_BASE:
+                cost_per_store = ctx.technique.cost_per_store
                 stats.persistent_stores += 1
                 stats.cycles += cost_per_store
                 stats.instructions += cost_per_store
@@ -1210,18 +1151,11 @@ class Machine:
                     self._note_site(ctx, SITE_STORE)
         elif kind == EventKind.WORK:
             amount = ev.amount
-            stats.cycles += int(amount * t.cpi)
+            stats.cycles += int(amount * self.config.timing.cpi)
             stats.instructions += amount
         elif kind == EventKind.LOAD:
             addr = ev.addr
-            first = addr >> 6
-            last = (addr + ev.size - 1) >> 6
-            lines = (first,) if first == last else lines_spanned(addr, ev.size)
-            for line in lines:
-                hit, evicted = hw.access(line, False)
-                stats.cycles += t.l1_hit if hit else t.l1_hit + t.l1_miss
-                if evicted is not None and evicted[1]:
-                    self._evict_writeback(ctx, evicted[0])
+            self._load_lines(ctx, addr, ev.size)
             stats.instructions += 1
             if addr >= NVRAM_BASE:
                 stats.persistent_loads += 1
@@ -1574,19 +1508,8 @@ class MachineSession:
         it would re-flush already-durable log entries at every drain.
         Still pays full hardware-cache timing and value tracking.
         """
-        machine = self.machine
-        ctx = self._ctx
-        t = machine.config.timing
-        stats = ctx.stats
-        hw = machine.hwcache
-        for line in lines_spanned(addr, size):
-            hit, evicted = hw.access(line, True)
-            stats.cycles += t.l1_hit if hit else t.l1_hit + t.l1_miss
-            if evicted is not None and evicted[1]:
-                machine._evict_writeback(ctx, evicted[0])
-            if machine.config.track_values:
-                machine._store_value(line, addr, value)
-        stats.instructions += 1
+        self.machine._store_lines(self._ctx, addr, size, value, managed=False)
+        self._ctx.stats.instructions += 1
 
     def load(self, addr: int, size: int = 8) -> object:
         """Execute a load; return the currently visible value."""

@@ -218,8 +218,14 @@ def _tally_stream(rng, length):
     """A thread's events with every row whose ``STORE``/``LOAD`` events
     differ from the tallies' count: persistent runs with ``WORK`` inside,
     volatile line-touch runs, stores across two lines, persistent and
-    DRAM loads, ``Work(1 << 40)`` and ``Work(-3)``, FASE marks."""
-    events, depth = [], 0
+    DRAM loads, ``Work(1 << 40)`` and ``Work(-3)``, FASE marks — after
+    zero-byte accesses, which touch their address's line unless it is a
+    line's first byte."""
+    events = [
+        Load(100, 0), Store(100, 0), Store(104, 8), Store(NVRAM_BASE, 0),
+        Store(NVRAM_BASE + 8, 0), Store(NVRAM_BASE + 16, 8), Load(NVRAM_BASE + 72, 0),
+    ]
+    depth = 0
     while len(events) < length:
         roll = rng.random()
         if roll < 0.5:

@@ -10,6 +10,7 @@ from repro.common.events import EventKind, FaseBegin, FaseEnd, Load, Store, Work
 from repro.nvram.failure import CrashJournal, CrashPlan, PowerFailure
 from repro.nvram.machine import Machine, MachineConfig
 from repro.nvram.memory import NVRAM_BASE
+from repro.nvram.timing import TimingModel
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceRecorder
 from repro.workloads.base import Workload
@@ -135,19 +136,65 @@ def test_an_unknown_flush_category_is_a_typed_error(machine):
             session._ctx.port.flush_async(PA >> 6, category)
 
 
-@pytest.mark.parametrize("category", ["eviction", "resize_eviction", "victim"])
+@pytest.mark.parametrize(
+    "category",
+    ["eviction", "resize_eviction", "victim", "fase_end", "eager", "log", "commit", "final"],
+)
 @pytest.mark.parametrize("track_values", [False, True])
 def test_a_flush_with_a_trace_cause_is_never_a_commit_train(category, track_values):
-    """A commit is one train, whose only records are ``stall`` and
-    ``drain``: a category traced as ``evict_flush`` would lose its cause
-    there, so ``flush_sync`` refuses it before flushing anything, on
-    either commit path."""
-    machine = Machine(MachineConfig(track_values=track_values), recorder=TraceRecorder())
-    session = machine.session(technique_factory("LA")(0))
-    session.store(PA, 8)
-    with pytest.raises(SimulationError, match=f"'{category}' is flushed one line at a time"):
-        session._ctx.port.flush_sync([PA >> 6], category)
-    assert session.stats.flushes == 0 and machine.hwcache.contains(PA >> 6)
+    """No ``flush_sync`` is a train: ``flush_sync(lines, c)`` is
+    ``flush_async(line, c)`` per line, then a drain, so a category traced
+    as ``evict_flush`` keeps each line's record.  Traced, on a queue that
+    saturates, over dirty, clean and absent lines, both leave the same
+    records, counters, L1, NVRAM image and flush-queue state, in every
+    category."""
+    config = MachineConfig(
+        timing=TimingModel(flush_queue_depth=2), track_values=track_values
+    )
+    lines = [(PA >> 6) + k for k in range(14)] + [(PA >> 6) + 99]
+    seen = []
+    for sync in (True, False):
+        machine = Machine(config, recorder=TraceRecorder())
+        session = machine.session(technique_factory("LA")(0))
+        for k in range(12):
+            session.store(PA + 64 * k, 8, value=k)
+        for k in (12, 13):
+            session.load(PA + 64 * k)
+        port = session._ctx.port
+        if sync:
+            port.flush_sync(lines, category)
+        else:
+            for line in lines:
+                port.flush_async(line, category)
+            machine._do_drain(session._ctx, category)
+        hw, flushq = machine.hwcache, session._ctx.flushq
+        seen.append((
+            machine.recorder.to_jsonl(),
+            dataclasses.asdict(session.stats),
+            (hw.loads, hw.stores, hw.flush_writebacks, hw.clean_flushes, hw.dirty_lines()),
+            dict(machine.memory.nvram),
+            (flushq.last_completion, flushq.issued, flushq.outstanding),
+        ))
+    assert seen[0] == seen[1]
+    assert seen[0][1]["flushes"] == len(lines) and seen[0][1]["stall_cycles"] > 0
+    causes = seen[0][0].count('"evict_flush"')
+    assert causes == (len(lines) if category in ("eviction", "resize_eviction", "victim") else 0)
+
+
+def test_a_zero_byte_store_touches_its_line_managed_or_not():
+    """A session's unmanaged store takes the managed one's line rule: a
+    zero-byte store touches its address's line, unless the address is a
+    line's first byte."""
+    seen = []
+    for managed in (True, False):
+        machine = Machine()
+        session = machine.session(technique_factory("BEST")(0))
+        store = session.store if managed else session.store_unmanaged
+        store(PA + 8, 0)
+        store(PA + 128, 0)
+        hw = machine.hwcache
+        seen.append((hw.stores, session.stats.cycles, hw.dirty_lines()))
+    assert seen[0] == seen[1] == (1, 101, [PA >> 6])
 
 
 def test_load_touches_cache(machine):

@@ -554,18 +554,17 @@ def test_a_batched_eviction_never_reaches_the_port(technique, traced, monkeypatc
 @pytest.mark.parametrize("technique", ["AT", "SC-offline", "LA", "ER"])
 def test_the_batched_loop_issues_its_flushes_inline(technique, traced, monkeypatch):
     """A count, not a timing: the batched loop issues every commit, victim
-    and ER head flush on its own locals — no ``Machine._train`` and no
-    ``FlushQueue`` method — while the per-event engine reaches ``_train``
-    once per non-empty commit.  Each store stays in one line and the 24
-    lines fit the L1, so no write-back eviction issues either."""
-    calls = dict.fromkeys(["_train", "issue", "issue_train", "drain"], 0)
-    for owner, name in [(Machine, "_train"), (FlushQueue, "issue"),
-                        (FlushQueue, "issue_train"), (FlushQueue, "drain")]:
-        def counted(*args, _call=getattr(owner, name), _name=name):
+    and ER head flush on its own locals — no ``FlushQueue`` method — while
+    the per-event engine issues each written-back flush through ``issue``
+    and drains once per non-empty commit.  Each store stays in one line
+    and the 24 lines fit the L1, so no write-back eviction issues either."""
+    calls = dict.fromkeys(["issue", "issue_train", "drain"], 0)
+    for name in calls:
+        def counted(*args, _call=getattr(FlushQueue, name), _name=name):
             calls[_name] += 1
             return _call(*args)
 
-        monkeypatch.setattr(owner, name, counted)
+        monkeypatch.setattr(FlushQueue, name, counted)
     fases = 60
     stream = []
     for f in range(fases):
@@ -582,7 +581,11 @@ def test_the_batched_loop_issues_its_flushes_inline(technique, traced, monkeypat
         if use_batches:
             assert calls == dict.fromkeys(calls, 0)
         else:
-            assert calls["_train"] == (0 if technique == "ER" else fases)
+            assert calls == {
+                "issue": seen["l1"][5],     # one per written-back flush
+                "issue_train": 0,
+                "drain": 0 if technique == "ER" else fases,
+            }
 
 
 A, B, C, D = (NVRAM_BASE + i * 64 for i in range(4))

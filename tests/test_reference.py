@@ -6,7 +6,6 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.locality.reference import (
-    enclosing_windows_brute,
     footprint_brute,
     lru_mrc,
     lru_write_cache_misses,
@@ -28,14 +27,6 @@ def test_reuse_brute_hand_example():
 def test_footprint_brute_hand_example():
     t = WriteTrace.from_string("abb")
     assert footprint_brute(t, 2) == 1.5
-
-
-def test_enclosing_windows_brute():
-    # Interval [2,3] in a 3-long trace: only the k=2 window at 2 and the
-    # whole trace enclose it.
-    assert enclosing_windows_brute(2, 3, 3, 2) == 1
-    assert enclosing_windows_brute(2, 3, 3, 3) == 1
-    assert enclosing_windows_brute(2, 3, 3, 1) == 0
 
 
 def test_lru_misses_basic():

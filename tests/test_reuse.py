@@ -7,11 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
-from repro.locality.reference import (
-    enclosing_windows_brute,
-    reuse_brute,
-    reuse_curve_brute,
-)
+from repro.locality.reference import reuse_brute, reuse_curve_brute
 from repro.locality.reuse import reuse_counts, reuse_curve, reuse_curve_from_trace
 from repro.locality.trace import WriteTrace
 
@@ -75,7 +71,8 @@ def test_single_interval_window_count(n, s, d):
         return
     total = reuse_counts(np.asarray([s]), np.asarray([e]), n)
     for k in range(1, n + 1):
-        assert total[k] == enclosing_windows_brute(s, e, n, k)
+        # Windows [w, w + k - 1] that enclose [s, e], one by one.
+        assert total[k] == sum(w <= s and e <= w + k - 1 for w in range(1, n - k + 2))
 
 
 def test_reuse_counts_validation():

@@ -11,9 +11,9 @@ from repro.locality.mrc import mrc_from_trace
 from repro.locality.reference import lru_mrc
 from repro.locality.stack_distance import (
     COLD,
-    average_stack_distance,
     distance_histogram,
     exact_mrc,
+    mean_distance,
     stack_distances,
 )
 from repro.locality.trace import WriteTrace
@@ -81,8 +81,8 @@ def test_histogram_and_average():
     d = stack_distances(t, honor_fases=False)
     hist = distance_histogram(d)
     assert hist[1] == 2                   # two distance-1 reuses
-    assert average_stack_distance(t, honor_fases=False) == pytest.approx(1.0)
-    assert average_stack_distance(WriteTrace([1, 2, 3])) == float("inf")
+    assert mean_distance(d) == pytest.approx(1.0)
+    assert mean_distance(stack_distances(WriteTrace([1, 2, 3]))) == float("inf")
 
 
 def test_empty_trace_rejected():
