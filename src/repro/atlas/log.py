@@ -122,10 +122,12 @@ class UndoLog:
     # -- post-crash scanning (class-level: no live log object exists) ----
 
     @staticmethod
-    def slots(nvram: dict, region_base: int, region_size: int) -> List[object]:
-        """The payloads of a region's slots (after the root's line) up to
-        the first empty one — no record is falsy — read at C speed."""
-        addrs = range(region_base + 64, region_base + region_size, LOG_SLOT_BYTES)
+    def slots(nvram: dict, region_base: int, region_size: int, start: int = 0) -> List[object]:
+        """The payloads of a region's slots (after the root's line) from
+        slot ``start`` up to the first empty one — no record is falsy —
+        read at C speed."""
+        first = region_base + 64 + start * LOG_SLOT_BYTES
+        addrs = range(first, region_base + region_size, LOG_SLOT_BYTES)
         return list(takewhile(bool, map(nvram.get, addrs)))
 
     @staticmethod

@@ -19,24 +19,22 @@ Soundness argument (tested by crash-injection in the suite):
 Recovery is two steps, so that whoever needs the log reads it once:
 :func:`scan_log` reads every region forward — the log is append-only and
 is the truth — before anything is rolled back, and :func:`rollback`
-applies that parse to a copy of the image.  :func:`recover` composes
-them; the fault-injection oracle checks its log-before-data invariant on
-the parse in between and keeps it for the next image's :func:`scan_log`
-to extend.  An undo record aimed at a log slot could change
-what was just read, so it is refused as a
-:class:`~repro.common.errors.RecoveryError`.
+applies that parse's :func:`undo_records` to a copy of the image.
+:func:`recover` composes them; the fault-injection oracle checks its
+log-before-data invariant on the parse in between.  An undo record
+aimed at a log slot could change what was just read, so it is refused
+as a :class:`~repro.common.errors.RecoveryError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import is_
 from typing import Dict, List, Set
 
 from repro.atlas.log import KIND_COMMIT, LogRecord, UndoLog
 from repro.common.errors import RecoveryError
-from repro.nvram.failure import CrashedState
+from repro.nvram.failure import ABSENT, CrashedState, overlaid
 
 
 @dataclass
@@ -91,85 +89,77 @@ class RegionLog:
 ParsedLog = List[RegionLog]
 
 
-def scan_log(image: Dict[int, object], layout, previous: ParsedLog = ()) -> ParsedLog:
-    """Read every log region of ``image`` forward, once.
-
-    The one parse of a crashed image: :func:`rollback` and the oracle's
-    log-before-data check both read it, so neither rescans.  Every slot
-    is read; given ``previous`` — an earlier image's parse, which this
-    call takes over — a region whose slots begin with the very record
-    objects parsed there (an identity test at C speed) parses only the
-    slots after them, and any other region is parsed from its start.
-    """
-    earlier = {(part.region.base, part.region.size): part for part in previous}
-    log = []
-    for region in layout.log_regions:
-        payloads = UndoLog.slots(image, region.base, region.size)
-        part = earlier.get((region.base, region.size)) or RegionLog(region)
-        kept = part.records
-        if len(payloads) < len(kept) or not all(map(is_, kept, payloads)):
-            part = RegionLog(region)
-        part.extend(payloads[len(part.records):])
-        log.append(part)
-    return log
+def read_region(image: Dict[int, object], region) -> RegionLog:
+    """Parse one log region of ``image`` forward, from its first slot."""
+    part = RegionLog(region)
+    part.extend(UndoLog.slots(image, region.base, region.size))
+    return part
 
 
-def rollback(image: Dict[int, object], log: ParsedLog) -> RecoveryReport:
-    """Roll a copy of ``image`` back by an already-parsed ``log``.
+def scan_log(image: Dict[int, object], layout) -> ParsedLog:
+    """Read every log region of ``image`` forward, once: the one parse
+    of a whole image, which :func:`rollback` and the oracle's
+    log-before-data check share.  (A crash sweep keeps its parse from
+    image to image instead, and reads only what landed:
+    :class:`~repro.faults.oracle.SweepJudge`.)"""
+    return [read_region(image, region) for region in layout.log_regions]
+
+
+def undo_records(log: ParsedLog) -> List[LogRecord]:
+    """The undo records rolling back by ``log`` applies, in order: per
+    region, its open FASEs' newest first, so a location modified by
+    several uncommitted FASEs (nested retries) ends at its oldest
+    durable value.
 
     Raises :class:`~repro.common.errors.RecoveryError` if the log is
-    malformed (which the write ordering should make impossible): a FASE
-    both committed and rolled back, or an uncommitted FASE's undo record
-    aimed at a log slot — the log was read before any rollback, so a
-    rollback must not rewrite it.
+    malformed (which the write ordering should make impossible): an
+    uncommitted FASE's undo record aimed at a log slot — the log was
+    read before any rollback, so a rollback must not rewrite it — or a
+    FASE both committed and rolled back.
     """
-    report = RecoveryReport(nvram=dict(image))
-    nvram = report.nvram
     spans = [(part.region.base, part.region.base + part.region.size) for part in log]
+    undone: List[LogRecord] = []
     for part in log:
-        report.log_records += len(part.records)
-        report.committed_fases |= part.committed
-        # Undo newest-first so a location modified by several uncommitted
-        # FASEs (nested retries) ends at its oldest durable value.
-        undone = part.undone()
+        records = part.undone()
         for lo, hi in spans:
-            for r in undone:
+            for r in records:
                 if lo <= r.addr < hi:
                     raise RecoveryError(
                         f"undo record of FASE {r.fase_id} targets log slot {r.addr:#x}"
                     )
-        for r in undone:
-            if r.old_value is None:
-                # The location did not exist before the FASE: remove it.
-                nvram.pop(r.addr, None)
-            else:
-                nvram[r.addr] = r.old_value
-        report.rolled_back_fases |= part.open
-        report.undone_stores += len(undone)
-    overlap = report.committed_fases & report.rolled_back_fases
+        undone += records
+    overlap = {uid for part in log for other in log for uid in part.open & other.committed}
     if overlap:
         raise RecoveryError(
             f"FASEs both committed and rolled back: {sorted(overlap)[:5]}"
         )
+    return undone
+
+
+def undo_overlay(undone: List[LogRecord]) -> Dict[int, object]:
+    """``undone`` applied in order as one overlay: each address's last
+    old value, :data:`~repro.nvram.failure.ABSENT` where the location did
+    not exist before the FASE."""
+    return {r.addr: ABSENT if r.old_value is None else r.old_value for r in undone}
+
+
+def rollback(image: Dict[int, object], log: ParsedLog) -> RecoveryReport:
+    """Roll a copy of ``image`` back by an already-parsed ``log``: the
+    :func:`undo_records`, whose :class:`RecoveryError` propagates."""
+    undone = undo_records(log)
+    report = RecoveryReport(
+        nvram=overlaid(image, undo_overlay(undone)), undone_stores=len(undone)
+    )
+    for part in log:
+        report.log_records += len(part.records)
+        report.committed_fases |= part.committed
+        report.rolled_back_fases |= part.open
     return report
 
 
 def recover(state: CrashedState, layout) -> RecoveryReport:
-    """Recover a crashed machine's NVRAM image to a consistent state.
-
-    Parameters
-    ----------
-    state:
-        The durable image a crash left behind
-        (:class:`~repro.nvram.failure.CrashedState`).
-    layout:
-        An :class:`~repro.atlas.runtime.AtlasLayout` (or anything with a
-        ``log_regions`` list of objects carrying ``base`` and ``size``).
-
-    Returns
-    -------
-    RecoveryReport
-        Rollback statistics plus the repaired image: :func:`rollback`
-        over :func:`scan_log`, whose :class:`RecoveryError` propagates.
-    """
+    """Recover a crashed machine's NVRAM image to a consistent state:
+    :func:`rollback` over :func:`scan_log`, whose :class:`RecoveryError`
+    propagates.  ``layout`` is an :class:`~repro.atlas.runtime.AtlasLayout`
+    (or anything with ``log_regions`` carrying ``base`` and ``size``)."""
     return rollback(state.nvram, scan_log(state.nvram, layout))

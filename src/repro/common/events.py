@@ -111,6 +111,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.geometry import negative_size
 
 
 class EventKind:
@@ -138,6 +139,8 @@ class Store:
     kind = EventKind.STORE
 
     def __init__(self, addr: int, size: int = 8, value: object = None) -> None:
+        if size < 0:
+            raise negative_size(size)
         self.addr = addr
         self.size = size
         self.value = value
@@ -153,6 +156,8 @@ class Load:
     kind = EventKind.LOAD
 
     def __init__(self, addr: int, size: int = 8) -> None:
+        if size < 0:
+            raise negative_size(size)
         self.addr = addr
         self.size = size
 
@@ -456,6 +461,8 @@ class EventBatch:
             for col in self.line_runs(cpi, phase, period)
         ]
         kinds, args, sizes = self.columns()
+        if len(sizes) and sizes.min() < 0:
+            raise negative_size(int(sizes.min()))
         entered = np.ones(len(kinds), dtype=bool)
         entered[1:] = runs[0][:-1] == 0
         heads = np.flatnonzero(entered)

@@ -39,13 +39,19 @@ def line_base(addr: int) -> int:
     return addr & ~_LINE_MASK
 
 
+def negative_size(size: int) -> ConfigurationError:
+    """The one refusal of an access of ``size`` < 0 bytes, wherever an
+    access is made or decoded."""
+    return ConfigurationError(f"negative access size: {size}")
+
+
 def lines_spanned(addr: int, nbytes: int) -> range:
     """Return the range of line numbers touched by ``nbytes`` at ``addr``.
 
     A zero-length access touches no lines.
     """
     if nbytes < 0:
-        raise ConfigurationError(f"negative access size: {nbytes}")
+        raise negative_size(nbytes)
     if nbytes == 0:
         return range(0)
     first = line_of(addr)

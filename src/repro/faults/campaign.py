@@ -25,15 +25,16 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.errors import ConfigurationError, require_int
+from repro.common.errors import ConfigurationError, SimulationError, require_int
 from repro.experiments.cache import ResultCache
 from repro.faults.driver import AtlasReplayDriver, GoldenRun
 from repro.faults.enumerator import CrashPointEnumerator
-from repro.faults.oracle import check_crash
+from repro.faults.oracle import SweepJudge
 from repro.nvram.failure import FAULT_CLEAN, FAULT_MODELS, SITE_CLASSES
 from repro.nvram.timing import DEFAULT_TIMING, TimingModel
 
@@ -219,16 +220,19 @@ def _sweep(
     ascending, fault models)`` — with one walk of ``golden``'s journal.
 
     ``report(site, model, violations)`` runs inside the walk, site by
-    site and model by model, right after the oracle judged that crash,
-    so no crashed image outlives its verdict; violations arrive as dicts.
+    site and model by model, right after the oracle judged that crash;
+    violations arrive as dicts.  No image is copied unless it fails.
     """
     sites, models = chunk
-
-    def on_crash(state):
-        verdict = check_crash(golden, state.at_site, state)
-        report(state.at_site, state.fault_model, [v.to_dict() for v in verdict])
-
-    golden.cut([(site, fault_seed + site) for site in sites], models, on_crash)
+    judge = None
+    targets = [(site, fault_seed + site) for site in sites]
+    for entry, image, landed, _lost, faults in golden.walk(targets, models):
+        site = entry[0]
+        if judge is None:
+            judge = SweepJudge(golden, image)
+        judge.advance(site, landed)
+        for model, overlay, _torn, _dropped in faults:
+            report(site, model, [v.to_dict() for v in judge(site, model, overlay)])
 
 
 def _crash_chunk_task(
@@ -373,16 +377,26 @@ def run_campaign(
         # A chunk of sites (every model) is one walk: one per worker, strided.
         chunks = [(sites[i :: spec.jobs], models) for i in range(min(spec.jobs, len(sites)))]
 
-        def fold_chunk(chunk_replies: List[Tuple[int, str, List[dict]]]) -> None:
-            for reply in chunk_replies:
+        def fold_chunk(label: str, chunk: tuple, replies: object) -> None:
+            # Exactly one (site, model, [dict, ...]) per site and model given.
+            owed = {(site, model) for site in chunk[0] for model in models}
+            shaped = isinstance(replies, list) and all(
+                type(r) is tuple and len(r) == 3 and isinstance(r[0], int) and isinstance(r[1], str)
+                and type(r[2]) is list and all(type(v) is dict for v in r[2])
+                for r in replies
+            )
+            if not (shaped and len(replies) == len(owed) and {r[:2] for r in replies} == owed):
+                raise SimulationError(f"{label}: the worker's replies are not one per injection")
+            for reply in replies:
                 landed(*reply)
 
         # Each worker's own copy of the golden run, without the cursor.
         with TaskPool(len(chunks), copy.copy, (golden,), golden) as pool:
             for i, chunk in enumerate(chunks):
+                label = f"crash chunk {i} of {name} ({len(chunk[0]) * len(models)} injections)"
                 pool.submit(
-                    f"crash chunk {i} of {name} ({len(chunk[0]) * len(models)} injections)",
-                    fold_chunk,
+                    label,
+                    functools.partial(fold_chunk, label, chunk),
                     _crash_chunk_task,
                     chunk,
                     spec.fault_seed,

@@ -35,15 +35,14 @@ addresses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.atlas.recovery import ParsedLog
 from repro.atlas.region import RegionManager
 from repro.atlas.runtime import AtlasLayout, AtlasRuntime
 from repro.common.errors import ConfigurationError, SimulationError, require_int
 from repro.common.events import EventKind
 from repro.common.geometry import CACHE_LINE_SIZE
-from repro.nvram.failure import FAULT_MODELS, CrashedState, CrashJournal
+from repro.nvram.failure import FAULT_MODELS, CrashedState, CrashJournal, crashed_states
 from repro.nvram.machine import Machine, MachineConfig
 from repro.nvram.memory import NVRAM_BASE
 from repro.nvram.timing import DEFAULT_TIMING, TimingModel
@@ -79,7 +78,6 @@ class _Cursor:
     folded: int = 0                 # commit_order[:folded] are in ``expected``
     expected: Dict[int, object] = field(default_factory=dict)
     in_flight: Dict[int, FaseRecord] = field(default_factory=dict)
-    log: ParsedLog = field(default_factory=list)  # the last image's, for the oracle
 
 
 @dataclass
@@ -134,18 +132,13 @@ class GoldenRun:
     def site_class(self, site: int) -> str:
         return self.sites[site][1]
 
-    def cut(
-        self,
-        targets: Sequence[Tuple[int, int]],
-        fault_models: Tuple[str, ...],
-        on_crash: Callable[[CrashedState], None],
-    ) -> None:
-        """Hand ``on_crash`` the crashed state at each ``(site, fault
-        seed)`` of ``targets`` (ascending) under each fault model in
-        turn, walking :attr:`journal` forward once.  Bad targets or models
-        are a :class:`ConfigurationError` before anything is delivered; a
-        site past the run's last is a :class:`SimulationError` naming it.
-        """
+    def walk(
+        self, targets: Sequence[Tuple[int, int]], fault_models: Tuple[str, ...]
+    ) -> Iterator[tuple]:
+        """:meth:`CrashJournal.walk <repro.nvram.failure.CrashJournal.walk>`
+        to each ``(site, fault seed)`` of ``targets`` (ascending).  Bad
+        targets or models are a :class:`ConfigurationError` before anything
+        is yielded; a site past the run's last, a :class:`SimulationError`."""
         models = fault_models
         if isinstance(models, str) or not models or not set(models) <= set(FAULT_MODELS):
             raise ConfigurationError(
@@ -159,7 +152,7 @@ class GoldenRun:
                     f"crash targets must ascend; site {site} follows {before}"
                 )
         fired = [(self.sites[s], seed) for s, seed in targets if s < len(self.sites)]
-        self.journal.cut(fired, tuple(fault_models), on_crash)
+        yield from self.journal.walk(fired, tuple(fault_models))
         if len(fired) < len(sites):
             raise SimulationError(
                 f"crash site {sites[len(fired)]} never fired (run has fewer sites)"
@@ -168,18 +161,26 @@ class GoldenRun:
     def _truth_at(self, site: int) -> _Cursor:
         """What a crash at ``site`` must recover to, for the oracle only.
 
-        The cursor, moved to ``site``: ``expected`` is the committed
-        overlay over the protected addresses, ``unwritten`` the
-        protected addresses no committed FASE has written yet, and
-        ``in_flight`` the FASEs begun and not committed, in begin order.
-        All are the cursor's own objects — read them, do not keep them:
-        the next call moves them forward by the FASEs that began or
-        committed since, or rebuilds from FASE 0 (and drops ``log``)
-        when ``site`` lies behind the last one asked for.
+        The cursor, moved to ``site`` by :meth:`_advance`, or rebuilt
+        from FASE 0 when ``site`` lies behind the last one asked for.
+        Its objects are its own — read them, do not keep them.
         """
         cur = self._cursor
         if cur is None or site < cur.site:
-            cur = self._cursor = _Cursor(list(self.fases.values()), set(self.checked))
+            cur = self._cursor = self._new_cursor()
+        self._advance(cur, site)
+        return cur
+
+    def _new_cursor(self) -> _Cursor:
+        """The truth before site 0: nothing begun, nothing committed."""
+        return _Cursor(list(self.fases.values()), set(self.checked))
+
+    def _advance(self, cur: _Cursor, site: int) -> None:
+        """Move ``cur`` forward to ``site``: ``expected`` is the committed
+        overlay over the protected addresses, ``unwritten`` the protected
+        addresses no committed FASE has written yet, and ``in_flight``
+        the FASEs begun and not committed, in begin order; the FASEs
+        committed since are ``commit_order[old folded:folded]``."""
         cur.site = site
         records, in_flight = cur.records, cur.in_flight
         while cur.begun < len(records) and records[cur.begun].begin_site <= site:
@@ -195,7 +196,6 @@ class GoldenRun:
                     cur.expected[addr] = value
                     cur.unwritten.discard(addr)
             cur.folded += 1
-        return cur
 
 
 class AtlasReplayDriver:
@@ -427,10 +427,12 @@ class AtlasReplayDriver:
         :class:`~repro.nvram.failure.CrashPlan` captures it.  Only the
         image being judged is alive at any time; an exception from
         ``on_crash`` propagates.  Returns the layout recovery needs;
-        raises as :meth:`GoldenRun.cut` does.
+        raises as :meth:`GoldenRun.walk` does.
         """
         golden = self._golden or self.golden()
-        golden.cut([(site, fault_seed + site) for site in sites], fault_models, on_crash)
+        targets = [(site, fault_seed + site) for site in sites]
+        for state in crashed_states(golden.walk(targets, fault_models)):
+            on_crash(state)
         return golden.layout
 
     def crash_at(
@@ -446,6 +448,5 @@ class AtlasReplayDriver:
         durable image and the layout recovery needs.
         """
         golden = self._golden or self.golden()
-        captured: List[CrashedState] = []
-        golden.cut([(site, fault_seed)], (fault_model,), captured.append)
-        return captured[0], golden.layout
+        walk = golden.walk([(site, fault_seed)], (fault_model,))
+        return next(crashed_states(walk)), golden.layout

@@ -64,7 +64,7 @@ from repro.common.events import (
     Work,
     ragged_step,
 )
-from repro.common.geometry import lines_spanned
+from repro.common.geometry import lines_spanned, negative_size
 from repro.locality.trace import WriteTrace
 from repro.nvram.failure import (
     FAULT_CLEAN,
@@ -79,7 +79,8 @@ from repro.nvram.failure import (
     CrashPlan,
     InFlight,
     PowerFailure,
-    crash_state,
+    crash_overlay,
+    overlaid,
 )
 from repro.nvram.flushqueue import FlushQueue
 from repro.nvram.hwcache import HardwareCache
@@ -342,6 +343,8 @@ def _live_quanta(
         if not kinds:
             return
         quantum = kinds[:SCHED_BATCH], args[:SCHED_BATCH], sizes[:SCHED_BATCH]
+        if min(quantum[2]) < 0:
+            raise negative_size(min(quantum[2]))
         del kinds[:SCHED_BATCH], args[:SCHED_BATCH], sizes[:SCHED_BATCH]
         rows = [
             (i, kind, arg, 0, 0, 0, 0) if kind > 1
@@ -615,7 +618,8 @@ class Machine:
         t = self.config.timing
         stats = ctx.stats
         first = addr >> 6
-        lines = (first,) if first == (addr + size - 1) >> 6 else lines_spanned(addr, size)
+        one = first == (addr + size - 1) >> 6 and size >= 0
+        lines = (first,) if one else lines_spanned(addr, size)
         technique = ctx.technique
         persistent = managed and addr >= NVRAM_BASE
         category = technique.flush_category
@@ -642,7 +646,8 @@ class Machine:
         t = self.config.timing
         stats = ctx.stats
         first = addr >> 6
-        lines = (first,) if first == (addr + size - 1) >> 6 else lines_spanned(addr, size)
+        one = first == (addr + size - 1) >> 6 and size >= 0
+        lines = (first,) if one else lines_spanned(addr, size)
         for line in lines:
             hit, evicted = self.hwcache.access(line, False)
             stats.cycles += t.l1_hit if hit else t.l1_hit + t.l1_miss
@@ -1260,10 +1265,13 @@ class Machine:
     ) -> None:
         """Capture into ``crashed_state`` what a power cut *now* leaves
         under fault ``model``; the machine itself is left as it was."""
-        hw = self.hwcache
-        self.crashed_state = crash_state(
-            self.memory.nvram, sorted(hw.dirty_lines()), hw.values, self._inflight,
-            model, fault_seed, self._stores_seen, site, site_class,
+        nvram, lost = self.memory.nvram, sorted(self.hwcache.dirty_lines())
+        overlay, torn, dropped = crash_overlay(
+            nvram, lost, self.hwcache.values, self._inflight, model, fault_seed
+        )
+        self.crashed_state = CrashedState(
+            overlaid(nvram, overlay), lost, self._stores_seen, site, site_class, model, torn,
+            dropped,
         )
 
     # ------------------------------------------------------------------

@@ -333,7 +333,7 @@ def test_parallel_campaign_is_one_chunk_per_worker(monkeypatch):
     chunk — 2 walks — both after the one replay, and both write the same
     matrix."""
     counts = multiprocessing.get_context("fork").Array("i", 2)
-    real_replay, real_cut = AtlasReplayDriver._replay, GoldenRun.cut
+    real_replay, real_walk = AtlasReplayDriver._replay, GoldenRun.walk
 
     def counting(slot, real):
         def spy(self, *args, **kwargs):
@@ -344,7 +344,7 @@ def test_parallel_campaign_is_one_chunk_per_worker(monkeypatch):
         return spy
 
     monkeypatch.setattr(AtlasReplayDriver, "_replay", counting(0, real_replay))
-    monkeypatch.setattr(GoldenRun, "cut", counting(1, real_cut))
+    monkeypatch.setattr(GoldenRun, "walk", counting(1, real_walk))
     workload = LinkedListWorkload(elements=12)
     spec = FaultCampaignSpec(fault_models=_THREE_MODELS, max_sites=40)
     seq = run_campaign(workload, technique="SC", spec=spec)
@@ -413,6 +413,49 @@ def test_campaign_worker_exception_names_the_chunk(monkeypatch):
         )
     assert isinstance(info.value.__cause__, ValueError)
     assert "_chunk_task_raising" in str(info.value.__cause__.__cause__)
+    assert multiprocessing.active_children() == []
+
+
+def _chunk_task_garbling(how, state, chunk, fault_seed):
+    replies = _REAL_CHUNK_TASK(state, chunk, fault_seed)
+    site, model, violations = replies[-1]
+    if how == "unknown model":
+        replies[-1] = (site, "melted", violations)
+    elif how == "foreign site":
+        replies[-1] = (site + 1, model, violations)
+    elif how == "missing":
+        replies.pop()
+    elif how == "repeated":
+        replies.append(replies[0])
+    elif how == "not dicts":
+        replies[-1] = (site, model, ["missing_committed"])
+    elif how == "not a triple":
+        replies[-1] = (site, model)
+    else:
+        replies = None
+    return replies
+
+
+@pytest.mark.parametrize(
+    "how",
+    [
+        "unknown model", "foreign site", "missing", "repeated", "not dicts",
+        "not a triple", "not a list",
+    ],
+)
+def test_a_chunk_that_replies_garbage_is_named(monkeypatch, how):
+    """A chunk must reply exactly once per site and model it was given,
+    each verdict a list of dicts; anything else stops the campaign with
+    an error naming the chunk, never a matrix folded from it."""
+    monkeypatch.setattr(
+        campaign, "_crash_chunk_task", functools.partial(_chunk_task_garbling, how)
+    )
+    with pytest.raises(SimulationError, match=r"^crash chunk \d of linked-list \(\d+ injections\): "):
+        run_campaign(
+            LinkedListWorkload(elements=12),
+            technique="SC",
+            spec=FaultCampaignSpec(fault_models=_THREE_MODELS, max_sites=40, jobs=2),
+        )
     assert multiprocessing.active_children() == []
 
 
@@ -716,13 +759,13 @@ def test_campaign_progress_streams_in_sweep_order(monkeypatch):
         fault_models=("torn_line", "clean"), max_sites=100_000
     )
     judged, seen = [], []
-    real = campaign.check_crash
+    real = campaign.SweepJudge.__call__
 
-    def judging(golden, site, state):
-        judged.append((state.fault_model, site))
-        return real(golden, site, state)
+    def judging(judge, site, model, overlay):
+        judged.append((model, site))
+        return real(judge, site, model, overlay)
 
-    monkeypatch.setattr(campaign, "check_crash", judging)
+    monkeypatch.setattr(campaign.SweepJudge, "__call__", judging)
     matrix = run_campaign(
         workload,
         technique="SC",

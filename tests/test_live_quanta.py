@@ -15,7 +15,7 @@ import pytest
 
 from repro.cache.adaptive import AdaptiveConfig
 from repro.cache.spec import technique_factory
-from repro.common.errors import SimulationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.common import events
 from repro.common.events import FaseBegin, FaseEnd, Load, Store, Work
 from repro.experiments.harness import Harness, HarnessConfig
@@ -276,6 +276,32 @@ def test_a_step_whose_columns_differ_in_length_is_a_typed_error(
         )
     with pytest.raises(SimulationError, match=want):
         [list(s) for s in workload.streams(threads, SEED)]
+
+
+@pytest.mark.parametrize("offset", [0, 8], ids=["aligned", "unaligned"])
+@pytest.mark.parametrize("kind", [0, 1], ids=["store", "load"])
+def test_a_negative_access_size_is_refused_everywhere(kind, offset):
+    """One refusal, whether the access fits the one-line test or not:
+    at the constructor, on both engines (a lone thread runs recorded
+    batches, two run live steps) and through a session."""
+    addr = NVRAM_BASE + offset
+    refused = pytest.raises(ConfigurationError, match=r"^negative access size: -1$")
+    with refused:
+        (Store if kind == 0 else Load)(addr, -1)
+    step = ([3, kind, 4], [0, addr, 0], [0, -1, 0], [None, 5 if kind == 0 else None, None])
+    for threads, use_batches in ((1, None), (2, None), (1, False), (2, False)):
+        workload = StepWorkload(*[[fase_step(3), step]] * threads)
+        with refused:
+            Machine(MachineConfig()).run(
+                workload, technique_factory("AT"), num_threads=threads,
+                use_batches=use_batches,
+            )
+    session = Machine(MachineConfig()).session(technique_factory("LA")(0))
+    with refused:
+        (session.store if kind == 0 else session.load)(addr, -1)
+    if kind == 0:
+        with refused:
+            session.store_unmanaged(addr, -1)
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ import pytest
 from repro.cache.spec import technique_factory
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.events import EventKind, FaseBegin, FaseEnd, Load, Store, Work
-from repro.nvram.failure import CrashJournal, CrashPlan, PowerFailure
+from repro.nvram.failure import CrashJournal, CrashPlan, PowerFailure, crashed_states
 from repro.nvram.machine import Machine, MachineConfig
 from repro.nvram.memory import NVRAM_BASE
 from repro.nvram.timing import TimingModel
@@ -310,8 +310,7 @@ def test_a_journal_cut_is_what_a_plan_captures_live():
     journal = CrashJournal(golden.config.timing.flush_queue_depth)
     sites = golden.record_sites(journal)
     store_ten(golden)
-    cut = []
-    journal.cut([(sites[site], 0) for site in (1, 3, 5)], ("clean",), cut.append)
+    cut = list(crashed_states(journal.walk([(sites[site], 0) for site in (1, 3, 5)], ("clean",))))
     assert [len(state.nvram) for state in cut] == [2, 4, 6]
     for site, state in zip((1, 3, 5), cut):
         live = Machine(MachineConfig(track_values=True))

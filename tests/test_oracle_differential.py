@@ -10,8 +10,10 @@ Slow, stateless, obviously the three invariants — so it is the spec.
 Every verdict list must equal its own, element for element, whatever
 order sites are visited in, on sound runs, on a run with the write
 ordering broken, and on images mutilated beyond what any fault model
-does.  The images judged are the sweep's journal cuts, as a campaign
-judges them; every k-th is held to a fresh replay's first.
+does.  The images judged are the sweep's journal cuts; every k-th is
+held to a fresh replay's first.  A campaign's own judge, ``SweepJudge``,
+reads each image as the walk's clean image plus its fault's overlay:
+its verdicts are held to both, and the log slots it reads are counted.
 """
 
 import dataclasses
@@ -32,6 +34,7 @@ from repro.faults import (
     run_campaign,
 )
 from repro.faults.oracle import (
+    SweepJudge,
     V_LEAKED_UNCOMMITTED,
     V_LOG_BEFORE_DATA,
     V_MISSING_COMMITTED,
@@ -39,6 +42,8 @@ from repro.faults.oracle import (
     V_WRONG_VALUE,
     OracleViolation,
 )
+from repro.faults import campaign
+from repro.nvram import failure
 from repro.nvram.failure import FAULT_MODELS
 from repro.nvram.memory import NVRAM_BASE
 from repro.workloads.hashtable import HashTableWorkload
@@ -360,12 +365,35 @@ def early_slot_injuries(state, golden):
     return injured
 
 
+def judged_by_the_sweep(golden, models=FAULT_MODELS):
+    """What a campaign's sweep judge reports over every site, in walk
+    order: ``(site, model, violation dicts)``, each fault seeded with its
+    site as :meth:`AtlasReplayDriver.crash_sweep` seeds it at 0."""
+    replies = []
+    campaign._sweep(golden, (range(len(golden.sites)), models), 0, lambda *r: replies.append(r))
+    return replies
+
+
+def as_replies(states, verdicts):
+    return [
+        (state.at_site, state.fault_model, [v.to_dict() for v in verdict])
+        for state, verdict in zip(states, verdicts)
+    ]
+
+
+def model_major(replies, models=FAULT_MODELS):
+    """A matrix's violation list from walk-order replies."""
+    return [v for model in models for _site, m, found in replies if m == model for v in found]
+
+
 @pytest.mark.parametrize("commit_before_drain", [False, True], ids=["sound", "broken"])
 def test_incremental_oracle_equals_the_reference_inside_one_sweep(commit_before_drain):
     """Judged as a campaign judges them — inside one multi-model sweep,
     site by site, every model at a site — then with an early log slot
     injured between two sound images, then at sites behind the last:
-    every verdict equals the stateless reference's."""
+    every verdict equals the stateless reference's, and so does the
+    sweep judge's, which reads each image as the walk's clean image plus
+    its fault's overlay, in one process or two."""
     driver = make_driver("linked-list@2", commit_before_drain=commit_before_drain)
     golden = driver.golden()
     states, got = [], []
@@ -379,6 +407,18 @@ def test_incremental_oracle_equals_the_reference_inside_one_sweep(commit_before_
     reference = reference_verdicts(golden, states)
     assert got == reference
     assert any(reference) == commit_before_drain
+    swept = judged_by_the_sweep(golden)
+    assert swept == as_replies(states, reference)
+    workload, technique, threads, _stride = CASES["linked-list@2"]
+    for jobs in (1, 2):
+        matrix = run_campaign(
+            workload(),
+            technique=technique,
+            threads=threads,
+            commit_before_drain=commit_before_drain,
+            spec=FaultCampaignSpec(fault_models=FAULT_MODELS, max_sites=10**9, jobs=jobs),
+        )
+        assert matrix.violations == model_major(swept)
     injured = 0
     for state, want in zip(states, reference):
         for hurt in early_slot_injuries(state, golden):
@@ -390,6 +430,209 @@ def test_incremental_oracle_equals_the_reference_inside_one_sweep(commit_before_
     assert injured > 100
     for state, want in list(zip(states, reference))[::-17]:
         assert check_crash(golden, state.at_site, state) == want
+
+
+def declaring_injuries(golden, touched_log):
+    """A ``crash_overlay`` that, at every other image, also inflicts one
+    of :func:`mutilate`'s injuries and declares every address it changed
+    as touched — so the sweep judge sees it in the overlay, as it would
+    a fault model's; ``touched_log`` collects those that hit a log region."""
+    real = failure.crash_overlay
+    spans = [(r.base, r.base + r.size) for r in golden.layout.log_regions]
+
+    def crash_overlay(nvram, lost_lines, pending, inflight, model, seed):
+        overlay, torn, dropped = real(nvram, lost_lines, pending, inflight, model, seed)
+        rng = random.Random(seed * len(FAULT_MODELS) + FAULT_MODELS.index(model))
+        if rng.random() < 0.5:
+            return overlay, torn, dropped
+        image = failure.overlaid(nvram, overlay)
+        hurt = mutilate(failure.CrashedState(image, [], 0), golden, rng).nvram
+        overlay = dict(overlay)
+        for addr in image.keys() | hurt.keys():
+            if hurt.get(addr, failure.ABSENT) is not image.get(addr, failure.ABSENT):
+                overlay[addr] = hurt.get(addr, failure.ABSENT)
+                if any(lo <= addr < hi for lo, hi in spans):
+                    touched_log.append(addr)
+        return overlay, torn, dropped
+
+    return crash_overlay
+
+
+@pytest.mark.parametrize("case", ["linked-list@2", "hash"])
+def test_declared_injuries_get_the_reference_verdict_from_the_sweep_judge(case, monkeypatch):
+    """Injuries no fault model inflicts, declared in the overlay: values
+    garbled, stored as None or gone, the log's tail lost, a record of no
+    kind or in a plain tuple, an undo record aimed at the log.  The sweep
+    judge names every one as ``check_crash`` and the reference do."""
+    driver = make_driver(case)
+    golden = driver.golden()
+    touched_log = []
+    monkeypatch.setattr(failure, "crash_overlay", declaring_injuries(golden, touched_log))
+    states = []
+    driver.crash_sweep(range(len(golden.sites)), FAULT_MODELS, 0, states.append)
+    reference = reference_verdicts(golden, states)
+    assert [check_crash(golden, s.at_site, s) for s in states] == reference
+    assert judged_by_the_sweep(golden) == as_replies(states, reference)
+    assert touched_log
+    assert {v.kind for verdict in reference for v in verdict} == {
+        V_MISSING_COMMITTED,
+        V_LEAKED_UNCOMMITTED,
+        V_WRONG_VALUE,
+        V_LOG_BEFORE_DATA,
+        V_RECOVERY_ERROR,
+    }
+    assert not all(reference)
+
+
+@pytest.mark.parametrize("commit_before_drain", [False, True], ids=["sound", "broken"])
+def test_a_slot_landing_under_the_clean_parse_is_read_again(commit_before_drain):
+    """The sweep judge trusts its parse of a region only while nothing
+    lands on a slot it already parsed: an early slot that lands again —
+    as a hole, an equal but distinct record, or no record — makes it
+    parse that region from its first slot; a record landing past the
+    parse is read as it lands — one aimed at the log, one rolling back a
+    wrong value, a committed FASE's — and each verdict is the
+    reference's."""
+    driver = make_driver("linked-list@2", commit_before_drain=commit_before_drain)
+    golden = driver.golden()
+    injured, kinds = 0, set()
+    for site in range(0, len(golden.sites), 3):
+        state = driver.crash_at(site)[0]
+        slots = log_slots(state.nvram, golden.layout)
+        aimed, end = [], slots[-1][0] + LOG_SLOT_BYTES if slots else None
+        unlogged = [a for a in golden.checked if a not in {r.addr for _slot, r in slots}]
+        if slots and slots[-1][1].kind == KIND_UNDO:
+            fase = slots[-1][1].fase_id     # open: its commit record is not there yet
+            # Aimed at the log, and rolling a protected address back wrong.
+            for addr, old in [(slots[0][0], "clobber")] + [(a, "garbage") for a in unlogged[:1]]:
+                image = {**state.nvram, end: LogRecord(KIND_UNDO, fase, addr, old)}
+                aimed.append(dataclasses.replace(state, nvram=image))
+        expected = expected_image_at(golden, site)
+        done = [r.fase_id for _slot, r in slots if r.kind != KIND_UNDO]
+        rolled = {r.addr for _slot, r in slots if r.fase_id not in done}
+        stray = [a for a in expected if a not in rolled and expected[a] is not None]
+        if done and stray:  # a committed FASE's undo record, over a garbled value
+            record = LogRecord(KIND_UNDO, done[0], stray[0], expected[stray[0]])
+            image = {**state.nvram, end: record, stray[0]: "garbage"}
+            aimed.append(dataclasses.replace(state, nvram=image))
+        for hurt in early_slot_injuries(state, golden) + aimed:
+            image = dict(state.nvram)
+            judge = SweepJudge(golden, image)
+            judge.advance(site, set(image))
+            assert judge(site, state.fault_model, {}) == check_crash(golden, site, state)
+            landed = {a for a in image.keys() | hurt.nvram.keys() if image.get(a) is not hurt.nvram.get(a)}
+            image.clear()
+            image.update(hurt.nvram)
+            judge.advance(site, landed)
+            want = reference_check_crash(golden, site, hurt)
+            assert judge(site, hurt.fault_model, {}) == want
+            kinds.update(v.kind for v in want)
+            injured += 1
+    assert injured > 100 and V_RECOVERY_ERROR in kinds
+
+
+def test_a_leak_rolled_back_by_another_fases_record_still_breaks_invariant_3():
+    """Two FASEs in flight write X and only the first has logged it: a
+    leak of the second's value at X is rolled back by the first's undo
+    record, so invariants 1 and 2 hold, yet it is durable without its
+    own undo record.  The sweep judge names it as the reference does —
+    declared in an overlay, landed in the clean image, or already there
+    when the second FASE begins."""
+    first = [FaseBegin(), Store(PA, 8, "a0"), *[Store(PA + 64 * k, 8, k) for k in range(1, 400)]]
+    second = [FaseBegin(), *[Store(PA + 64 * k, 8, -k) for k in range(200, 350)], Store(PA, 8, "b1")]
+    driver = AtlasReplayDriver(
+        ListWorkload(first + [FaseEnd()], second + [FaseEnd()]), technique="SC", num_threads=2
+    )
+    golden = driver.golden()
+    f0, f1 = sorted(golden.fases.values(), key=lambda record: record.thread_id)
+    x = next(addr for addr, value in f0.writes.items() if value == "a0")
+
+    def logged(state, uid):
+        return any(
+            r.kind == KIND_UNDO and (r.fase_id, r.addr) == (uid, x)
+            for _slot, r in log_slots(state.nvram, golden.layout)
+        )
+
+    def shared(site):
+        """The clean image at ``site``, if only ``f0`` has logged X there."""
+        state = driver.crash_at(site)[0]
+        if logged(state, f0.uid) and not logged(state, f1.uid):
+            return state
+        return None
+
+    before = [site for site in range(f1.begin_site) if shared(site)]
+    during = [site for site in range(f1.begin_site, f1.commit_site) if shared(site)]
+    assert before and during
+    site, early = during[0], before[-1]
+    state = shared(site)
+    leaked = dataclasses.replace(state, nvram={**state.nvram, x: "b1"})
+    want = reference_check_crash(golden, site, leaked)
+    assert [v.kind for v in want] == [V_LOG_BEFORE_DATA]
+    assert check_crash(golden, site, leaked) == want
+
+    judge = SweepJudge(golden, dict(state.nvram))
+    judge.advance(site, set(state.nvram))
+    assert judge(site, "clean", {}) == []
+    assert judge(site, "clean", {x: "b1"}) == want
+
+    judge = SweepJudge(golden, dict(leaked.nvram))
+    judge.advance(site, set(leaked.nvram))
+    assert judge(site, "clean", {}) == want
+    assert judge(site, "clean", {x + (1 << 20): failure.ABSENT}) == want  # elsewhere
+
+    image = {**shared(early).nvram, x: "b1"}
+    judge = SweepJudge(golden, image)
+    judge.advance(early, set(image))
+    assert judge(early, "clean", {}) == reference_check_crash(
+        golden, early, dataclasses.replace(leaked, nvram=dict(image))
+    )
+    landed = {a for a in leaked.nvram if image.get(a) is not leaked.nvram[a]}
+    assert x not in landed
+    image.update(leaked.nvram)
+    judge.advance(site, landed)
+    assert judge(site, "clean", {}) == want
+
+    # Once the second FASE has logged X too, its leak has its record —
+    # until that record is no record any more, and the region is parsed
+    # again.
+    late = next(
+        site for site in range(site, f1.commit_site) if logged(driver.crash_at(site)[0], f1.uid)
+    )
+    assert late < f0.commit_site
+    image = {**driver.crash_at(late)[0].nvram, x: "b1"}
+    judge = SweepJudge(golden, image)
+    judge.advance(late, set(image))
+    state = dataclasses.replace(leaked, nvram=dict(image))
+    assert judge(late, "clean", {}) == reference_check_crash(golden, late, state)
+    slot = next(a for a, r in log_slots(image, golden.layout) if (r.fase_id, r.addr) == (f1.uid, x))
+    image[slot] = "not a record"
+    judge.advance(late, {slot})
+    want = reference_check_crash(golden, late, dataclasses.replace(state, nvram=dict(image)))
+    assert [v.kind for v in want] == [V_LOG_BEFORE_DATA]
+    assert judge(late, "clean", {}) == want
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_the_sweep_judge_reads_each_log_slot_about_once(case, monkeypatch):
+    """Every log slot the sweep judge reads goes through
+    ``UndoLog.slots``: over an exhaustive three-model sweep that is each
+    slot once, plus one empty slot per region something landed in per
+    site — not the whole log per site."""
+    driver = make_driver(case)
+    golden = driver.golden()
+    regions = golden.layout.log_regions
+    slots = sum(len(UndoLog.scan(golden.final_nvram, r.base, r.size)) for r in regions)
+    real = UndoLog.slots
+    read = []
+
+    def counting(*args):
+        payloads = real(*args)
+        read.append(len(payloads) + 1)  # and the empty slot that ends them
+        return payloads
+
+    monkeypatch.setattr(UndoLog, "slots", staticmethod(counting))
+    assert all(found == [] for _site, _model, found in judged_by_the_sweep(golden))
+    assert slots <= sum(read) <= slots + len(golden.sites) * len(regions)
 
 
 # ---------------------------------------------------------------------------
