@@ -187,8 +187,7 @@ class AtlasRuntime:
         Everything dirty in the hardware cache is lost; flushed data and
         log entries survive.  The runtime is unusable afterwards.
         """
-        self.machine._crash()
-        return self.machine.crashed_state
+        return self.machine.power_cut()
 
     def finish(self) -> None:
         """Orderly shutdown: drain remaining buffered lines."""

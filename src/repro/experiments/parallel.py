@@ -24,12 +24,13 @@ results.  :class:`TaskPool` fans them over one
   (figure2/figure7) derive theirs in the parent on request.
 - **A dead worker costs time, not results.**  A task whose worker died
   (``BrokenProcessPool``) is re-run by the parent against its own
-  state; a task that *raised* surfaces as a :class:`SimulationError`
-  naming it, with the worker's traceback in the ``__cause__`` chain.
+  state; a task that *raised*, or replied out of shape, surfaces as a
+  :class:`SimulationError` naming it (a raise chains the worker's traceback).
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing as mp
 import warnings
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -257,8 +258,16 @@ def run_grid_parallel(
         if count:
             harness._disk.corrupt += count
 
-    def fold_cells(payload: Tuple[List[Tuple[Cell, RunResult]], int]) -> None:
-        pairs, corrupt = payload
+    def fold_cells(label: str, group: List[Cell], payload: object) -> None:
+        # Exactly one (cell, RunResult) per cell sent, in order, and a count.
+        pairs, corrupt = payload if type(payload) is tuple and len(payload) == 2 else (None, None)
+        if not (
+            type(pairs) is list
+            and [p[0] if type(p) is tuple and len(p) == 2 else None for p in pairs] == group
+            and all(isinstance(p[1], RunResult) for p in pairs)
+            and type(corrupt) is int and corrupt >= 0
+        ):
+            raise SimulationError(f"{label}: the worker's reply is not one RunResult per cell")
         fold_corrupt(corrupt)
         for cell, result in pairs:
             harness._runs[cell] = result
@@ -266,9 +275,10 @@ def run_grid_parallel(
 
     def submit_group(pool: TaskPool, key: Tuple[str, int]) -> None:
         name, threads = key
+        label = f"cell group {name}/t{threads}"
         pool.submit(
-            f"cell group {name}/t{threads}",
-            fold_cells,
+            label,
+            functools.partial(fold_cells, label, groups[key]),
             _cells_task,
             {name: harness._summaries[name]} if wants_summary[key] else {},
             groups[key],

@@ -18,10 +18,9 @@ undo-logged first.  The driver therefore owns one runtime per thread
 over a shared value-tracking machine and a ``step`` that pushes a
 thread's next events through its runtime, and hands the interleaving to
 ``Machine.drive`` — the machine's own smallest-clock-first loop, with its
-quantum hooks, sampling and :class:`~repro.nvram.failure.PowerFailure`
-handling.  A replay is therefore bit-deterministic and every replay of
-one configuration visits the identical global site sequence, which is
-what makes a crash target's site index meaningful.
+quantum hooks and sampling.  A replay is therefore bit-deterministic and
+visits the same global site sequence as any other of its configuration,
+which is what makes a crash target's site index meaningful.
 
 Address plumbing: workload allocators hand out addresses from
 ``NVRAM_BASE`` up — the same space the Atlas region manager carves log
@@ -72,10 +71,10 @@ class _Cursor:
     """The golden truth at one site; :meth:`GoldenRun._truth_at` moves it."""
 
     records: List[FaseRecord]       # every FASE, in begin order
-    unwritten: Set[int]             # protected addrs no committed FASE wrote
+    nones: Set[int]                 # protected addrs that must read None
     site: int = -1                  # the last site asked for
     begun: int = 0                  # records[:begun] began by ``site``
-    folded: int = 0                 # commit_order[:folded] are in ``expected``
+    folded: int = 0                 # commit_order[:folded] are folded in
     expected: Dict[int, object] = field(default_factory=dict)
     in_flight: Dict[int, FaseRecord] = field(default_factory=dict)
 
@@ -176,11 +175,12 @@ class GoldenRun:
         return _Cursor(list(self.fases.values()), set(self.checked))
 
     def _advance(self, cur: _Cursor, site: int) -> None:
-        """Move ``cur`` forward to ``site``: ``expected`` is the committed
-        overlay over the protected addresses, ``unwritten`` the protected
-        addresses no committed FASE has written yet, and ``in_flight``
-        the FASEs begun and not committed, in begin order; the FASEs
-        committed since are ``commit_order[old folded:folded]``."""
+        """Move ``cur`` forward to ``site``: the committed overlay over the
+        protected addresses is ``expected`` where it holds a value and
+        ``nones`` where it reads ``None`` (no committed FASE wrote there,
+        or the last one stored ``None``), and ``in_flight`` the FASEs
+        begun and not committed, in begin order; the FASEs committed
+        since are ``commit_order[old folded:folded]``."""
         cur.site = site
         records, in_flight = cur.records, cur.in_flight
         while cur.begun < len(records) and records[cur.begun].begin_site <= site:
@@ -192,9 +192,14 @@ class GoldenRun:
             and self.fases[order[cur.folded]].commit_site <= site
         ):
             for addr, value in in_flight.pop(order[cur.folded]).writes.items():
-                if addr not in unprotected:
+                if addr in unprotected:
+                    continue
+                if value is None:
+                    cur.expected.pop(addr, None)
+                    cur.nones.add(addr)
+                else:
                     cur.expected[addr] = value
-                    cur.unwritten.discard(addr)
+                    cur.nones.discard(addr)
             cur.folded += 1
 
 
@@ -290,12 +295,10 @@ class AtlasReplayDriver:
         machine: Machine,
         runtimes: List[AtlasRuntime],
         shift: int,
-        golden: Optional[GoldenRun],
+        golden: GoldenRun,
     ) -> None:
-        """Drive all threads to completion, or to an armed crash.
-
-        With ``golden`` given, records FASE ground truth as it executes.
-        """
+        """Drive all threads to completion, recording FASE ground truth
+        into ``golden`` as it executes."""
         events = self._materialized_events()
         positions = [0] * self.num_threads
         open_fases: List[Optional[FaseRecord]] = [None] * self.num_threads
@@ -319,15 +322,12 @@ class AtlasReplayDriver:
                     if addr >= nvram_base:
                         addr += shift
                         rt.store(addr, ev.size, ev.value)
-                        if golden is not None:
-                            record = open_fases[tid]
-                            if record is not None:
-                                record.writes[addr] = ev.value
-                                record.all_values.setdefault(addr, set()).add(
-                                    ev.value
-                                )
-                            else:
-                                golden.unprotected.add(addr)
+                        record = open_fases[tid]
+                        if record is not None:
+                            record.writes[addr] = ev.value
+                            record.all_values.setdefault(addr, set()).add(ev.value)
+                        else:
+                            golden.unprotected.add(addr)
                     else:
                         rt.session.store(addr, ev.size, ev.value)
                 elif kind == kind_work:
@@ -339,14 +339,13 @@ class AtlasReplayDriver:
                     rt.fases.begin()
                     if rt.fases.depth == 1:
                         rt.log.on_fase_begin()
-                        if golden is not None:
-                            record = FaseRecord(
-                                uid=rt.fases.current_id,
-                                thread_id=tid,
-                                begin_site=machine.sites_seen,
-                            )
-                            golden.fases[record.uid] = record
-                            open_fases[tid] = record
+                        record = FaseRecord(
+                            uid=rt.fases.current_id,
+                            thread_id=tid,
+                            begin_site=machine.sites_seen,
+                        )
+                        golden.fases[record.uid] = record
+                        open_fases[tid] = record
                 else:  # FASE_END
                     if rt.fases.depth == 1:
                         uid = rt.fases.current_id
@@ -362,10 +361,9 @@ class AtlasReplayDriver:
                             rt.fases.end()
                             rt.log.commit(uid)
                             commit_site = machine.sites_seen - 1
-                        if golden is not None:
-                            golden.fases[uid].commit_site = commit_site
-                            golden.commit_order.append(uid)
-                            open_fases[tid] = None
+                        golden.fases[uid].commit_site = commit_site
+                        golden.commit_order.append(uid)
+                        open_fases[tid] = None
                     else:
                         rt.fases.end()
             positions[tid] = pos
@@ -422,12 +420,10 @@ class AtlasReplayDriver:
         """Crash at every site of ``sites`` (ascending), cut from the
         last :meth:`golden` run's journal (one is run first if there is
         none): ``on_crash`` receives, once per model in ``fault_models``
-        order, the durable image a power cut there leaves — seeded
-        ``fault_seed + site`` — exactly as a replay armed with that
-        :class:`~repro.nvram.failure.CrashPlan` captures it.  Only the
-        image being judged is alive at any time; an exception from
-        ``on_crash`` propagates.  Returns the layout recovery needs;
-        raises as :meth:`GoldenRun.walk` does.
+        order, the durable image a power cut there leaves, seeded
+        ``fault_seed + site``.  Only the image being judged is alive at
+        any time; an exception from ``on_crash`` propagates.  Returns the
+        layout recovery needs; raises as :meth:`GoldenRun.walk` does.
         """
         golden = self._golden or self.golden()
         targets = [(site, fault_seed + site) for site in sites]

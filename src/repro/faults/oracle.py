@@ -38,20 +38,17 @@ whole, its log read by :func:`~repro.atlas.recovery.scan_log`.
 
 **Accept fast, explain slow.**  A walk's image passes when its overlay
 overrides every protected address the clean image fails at and fails
-none itself; a whole image, when the committed overlay's items are a
-subset of the recovered image's and no unwritten protected address is
-in it — two C-level set operations.  Only an image that fails is read
-whole, by the per-address loop that names each violation.
+none itself; a whole image, when the committed values are a subset of
+the recovered image's items and no protected address that must read
+``None`` holds a value — two C-level set operations.  Only an image
+that fails is read whole, by the per-address loop that names each
+violation.
 
 A stored ``None`` payload and an absent address are deliberately
-indistinguishable here — that is the repo-wide convention (the undo log
-encodes "did not exist before" as ``old_value None``), so the loop
-normalizes both to ``None`` before comparing, and so does the sweep's
-fast test.  The whole-image test cannot (a key holding ``None`` is
-still a key), so such an image fails it and takes the slow road, which
-then finds nothing: slower, never wrong.  ``recovery.py``'s module
-docstring carries the matching soundness argument; DESIGN.md §10 ties
-the two together.
+indistinguishable — the repo-wide convention (the undo log encodes "did
+not exist before" as ``old_value None``) — to the loop and to both fast
+tests alike.  ``recovery.py``'s module docstring carries the matching
+soundness argument; DESIGN.md §10 ties the two together.
 """
 
 from __future__ import annotations
@@ -153,9 +150,9 @@ class SweepJudge:
         committed = [golden.fases[uid].writes for uid in golden.commit_order[folded : truth.folded]]
         fresh, reparsed = self._read(landed)
         changed = set(landed).union(*committed)
-        expected, unwritten = truth.expected, truth.unwritten
+        expected, nones = truth.expected, truth.nones
         for addr in changed:
-            if addr in expected or addr in unwritten:  # protected: _ok, inline
+            if addr in expected or addr in nones:  # protected: _ok, inline
                 ok = image.get(addr) == expected.get(addr)
                 (self.bad.discard if ok else self.bad.add)(addr)
         # Invariant 3 at the pairs whose value, truth, log or FASE changed.
@@ -213,7 +210,7 @@ class SweepJudge:
         """Whether ``values`` (``None`` where absent) set a protected
         address wrong, read as the per-address loop reads it."""
         expected = self.truth.expected
-        return any(values[a] is not None for a in values.keys() & self.truth.unwritten) or any(
+        return any(values[a] is not None for a in values.keys() & self.truth.nones) or any(
             values[a] != expected[a] for a in values.keys() & expected.keys()
         )
 
@@ -289,7 +286,7 @@ def _judge(
             )
         )
 
-    expected, unwritten, in_flight = truth.expected, truth.unwritten, truth.in_flight
+    expected, nones, in_flight = truth.expected, truth.nones, truth.in_flight
 
     # Invariant 3 first, on the untouched pre-recovery image: every
     # leaked in-flight value must have its undo record already durable.
@@ -319,9 +316,11 @@ def _judge(
     recovered = overlaid(image, undo_overlay(undone))
 
     # Invariants 1 + 2, accepted at C speed: every committed value is
-    # there and nothing is where no committed FASE wrote.  Unprotected
+    # there and no value is where the truth reads None.  Unprotected
     # addresses carry no guarantee and are in neither collection.
-    if expected.items() <= recovered.items() and recovered.keys().isdisjoint(unwritten):
+    if expected.items() <= recovered.items() and all(
+        recovered[addr] is None for addr in recovered.keys() & nones
+    ):
         return violations
     # Explained in Python: name each protected address that differs.
     for addr in golden.checked:

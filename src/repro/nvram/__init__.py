@@ -30,7 +30,7 @@ from repro.nvram.hwcache import HardwareCache
 from repro.nvram.flushqueue import FlushQueue
 from repro.nvram.machine import Machine, MachineConfig, FlushPort
 from repro.nvram.stats import ThreadStats, RunResult
-from repro.nvram.failure import CrashPlan, CrashedState
+from repro.nvram.failure import CrashedState
 
 __all__ = [
     "TimingModel",
@@ -43,6 +43,5 @@ __all__ = [
     "FlushPort",
     "ThreadStats",
     "RunResult",
-    "CrashPlan",
     "CrashedState",
 ]

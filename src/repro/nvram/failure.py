@@ -1,20 +1,18 @@
-"""Crash injection: plans, sites, fault models, and what survives.
+"""Crash injection: sites, fault models, and what survives.
 
 A simulated power failure stops execution instantly: whatever has been
 written back (flushed or evicted dirty) is durable in NVRAM; everything
 still dirty in the hardware cache is lost.  This is precisely the failure
 model that makes cache-line flushing necessary in the first place (§I).
 
-There is one trigger: a failure is scheduled at an *injectable site* —
-a point where the durable state just changed or a persistence-critical
-operation just completed; every retired persistent store is one, so
-"after the k-th store" is the k-th ``store`` site.  The machine numbers
-sites globally in execution order (see :data:`SITE_CLASSES`); the
-fault-injection campaign (:mod:`repro.faults`) enumerates them in a
-golden run that also keeps a :class:`CrashJournal`, and cuts the crashed
-image of every fault model at every target site from that journal
-without running anything again; a :class:`CrashPlan` crashes one live
-run at one site, under one model.
+A failure happens at an *injectable site* — a point where the durable
+state just changed or a persistence-critical operation just completed;
+every retired persistent store is one, so "after the k-th store" is the
+k-th ``store`` site.  The machine numbers sites globally in execution
+order (see :data:`SITE_CLASSES`); the fault-injection campaign
+(:mod:`repro.faults`) enumerates them in a golden run that also keeps a
+:class:`CrashJournal`, and cuts the crashed image of every fault model
+at every target site from that journal without running anything again.
 
 Fault models sharpen the failure beyond a clean power cut:
 
@@ -46,7 +44,6 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.common.errors import ConfigurationError, ReproError
 
 #: Classes of injectable crash sites, in the vocabulary the campaign
 #: matrix reports.  A site fires when the named operation *completes*;
@@ -65,7 +62,7 @@ SITE_CLASSES = (
     SITE_DRAIN,
 )
 
-#: Fault models a :class:`CrashPlan` can apply at the crash instant.
+#: Fault models: what a crash does beyond losing the dirty lines.
 FAULT_CLEAN = "clean"
 FAULT_TORN_LINE = "torn_line"
 FAULT_REORDERED_FLUSH = "reordered_flush"
@@ -76,44 +73,6 @@ FAULT_MODELS = (FAULT_CLEAN, FAULT_TORN_LINE, FAULT_REORDERED_FLUSH)
 #: ``None`` value: in pre-write-back bookkeeping, and in an overlay,
 #: where it removes the address from the image beneath.
 ABSENT = object()
-
-
-class PowerFailure(ReproError):
-    """Raised when the last scheduled crash site fires.
-
-    The machine snapshots the durable state *before* raising, so the
-    handler finds ``machine.crashed_state`` populated.  Code pushing
-    operations through a session sees it escape the operation that
-    completed the site; the machine's scheduler
-    (:meth:`~repro.nvram.machine.Machine.run`, ``Machine.drive``) takes
-    it as its one stop signal and returns.
-    """
-
-
-@dataclass(frozen=True)
-class CrashPlan:
-    """Schedule a crash at one injectable site.
-
-    The power fails immediately after the site with global index
-    ``at_site`` completes (see :data:`SITE_CLASSES`); the indexing
-    matches a site-recording run (``Machine.record_sites``) of the same
-    configuration.  ``fault_model`` selects how the durable image is
-    mutilated at the crash (see the module docstring); ``fault_seed``
-    makes the mutation deterministic.
-    """
-
-    at_site: int
-    fault_model: str = FAULT_CLEAN
-    fault_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.at_site < 0:
-            raise ConfigurationError("at_site must be non-negative")
-        if self.fault_model not in FAULT_MODELS:
-            raise ConfigurationError(
-                f"unknown fault model {self.fault_model!r}; "
-                f"expected one of {FAULT_MODELS}"
-            )
 
 
 @dataclass
@@ -142,8 +101,8 @@ class CrashedState:
 
 
 # ---------------------------------------------------------------------------
-# What a power cut leaves: captured live (``Machine._crash``) or cut from
-# a golden run's journal (:meth:`CrashJournal.walk`), by the same rules
+# What a power cut leaves, cut from a golden run's journal
+# (:meth:`CrashJournal.walk`)
 # ---------------------------------------------------------------------------
 
 

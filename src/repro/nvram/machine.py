@@ -67,8 +67,6 @@ from repro.common.events import (
 from repro.common.geometry import lines_spanned, negative_size
 from repro.locality.trace import WriteTrace
 from repro.nvram.failure import (
-    FAULT_CLEAN,
-    FAULT_REORDERED_FLUSH,
     SITE_COMMIT,
     SITE_DRAIN,
     SITE_EVICT_FLUSH,
@@ -76,11 +74,6 @@ from repro.nvram.failure import (
     SITE_STORE,
     CrashedState,
     CrashJournal,
-    CrashPlan,
-    InFlight,
-    PowerFailure,
-    crash_overlay,
-    overlaid,
 )
 from repro.nvram.flushqueue import FlushQueue
 from repro.nvram.hwcache import HardwareCache
@@ -400,22 +393,14 @@ class Machine:
         #: line-touch run — absorbed as hits, or written through as one
         #: train of flushes — i.e. without an ``insert`` call of their own.
         self.absorbed_stores = 0
-        self.crashed_state: Optional[CrashedState] = None
-        # Crash-site machinery (repro.faults).  ``_sites_active`` gates
-        # every site hook with one attribute load, so runs that neither
-        # enumerate sites nor arm a crash pay nothing — and it is what
-        # ``run`` routes on: such a run executes event by event.
+        # Crash-site enumeration (repro.faults).  ``_sites_active`` gates
+        # every site hook with one attribute load, so a run that does not
+        # enumerate sites pays nothing — and it is what ``run`` routes
+        # on: a run that does executes event by event.
         self._sites_active = False
         self._sites_seen = 0
         self._site_log: Optional[List[tuple]] = None
         self._journal: Optional[CrashJournal] = None
-        # The armed crash; ``_next_target`` is its site (-1: none), so
-        # ``_note_site`` tests one int per site.
-        self._crash_plan: Optional[CrashPlan] = None
-        self._next_target = -1
-        # In-flight eviction write-backs, kept only for an armed
-        # reordered_flush crash.
-        self._inflight: Optional[InFlight] = None
 
     def _new_context(
         self, thread_id: int, technique: object, record_trace: bool
@@ -429,7 +414,7 @@ class Machine:
         return ctx
 
     # ------------------------------------------------------------------
-    # Crash-site enumeration and scheduled failures (repro.faults)
+    # Crash-site enumeration (repro.faults)
     # ------------------------------------------------------------------
 
     def record_sites(self, journal: Optional[CrashJournal] = None) -> List[tuple]:
@@ -437,14 +422,12 @@ class Machine:
 
         Each completed injectable site appends one ``(index, site_class,
         thread_id, cycles, journal_length, stores_seen)`` tuple.  Indices
-        are global and in execution order; a deterministic replay of the
-        same configuration visits the same sites with the same indices,
-        which is the contract ``CrashPlan(at_site=...)`` relies on —
-        enumeration and injection both run the per-event engine, whatever
-        ``use_batches`` a later :meth:`run` is given.  A value-tracking
-        machine also records into ``journal`` every change a crash
-        capture reads (its length is 0 without one), so any site's
-        crashed state can be cut from it afterwards.
+        are global and in execution order, and the same on every replay
+        of one configuration: enumeration runs the per-event engine,
+        whatever ``use_batches`` a later :meth:`run` is given.  A
+        value-tracking machine also records into ``journal`` every change
+        a crash capture reads (its length is 0 without one), so any
+        site's crashed state is cut from it afterwards.
         """
         self._site_log = []
         self._sites_active = True
@@ -456,27 +439,8 @@ class Machine:
         """How many injectable sites have completed so far."""
         return self._sites_seen
 
-    def arm_crash_plan(self, plan: Optional[CrashPlan]) -> None:
-        """Schedule the crash ``plan`` names; ``None`` disarms.
-
-        ``Machine.run`` arms its ``crash_plan`` argument through here;
-        imperative drivers (sessions / the Atlas runtime) call it
-        directly before pushing operations, and see
-        :class:`~repro.nvram.failure.PowerFailure` raised out of the
-        operation that completed the site, with ``crashed_state``
-        already populated.
-        """
-        self._crash_plan = plan
-        self._next_target = -1 if plan is None else plan.at_site
-        self._inflight = None
-        if plan is not None:
-            self._sites_active = True
-            if plan.fault_model == FAULT_REORDERED_FLUSH:
-                depth = self.config.timing.flush_queue_depth
-                self._inflight = InFlight(depth, self.memory.nvram)
-
     def _note_site(self, ctx: "_ThreadContext", site_class: str) -> None:
-        """One injectable site just completed; crash here if scheduled."""
+        """One injectable site just completed: log it."""
         idx = self._sites_seen
         self._sites_seen = idx + 1
         log = self._site_log
@@ -486,10 +450,6 @@ class Machine:
             log.append(
                 (idx, site_class, ctx.thread_id, ctx.stats.cycles, size, self._stores_seen)
             )
-        if idx == self._next_target:
-            plan = self._crash_plan
-            self._crash(idx, site_class, plan.fault_model, plan.fault_seed)
-            raise PowerFailure(f"scheduled power failure at site {idx} ({site_class})")
 
     # ------------------------------------------------------------------
     # Internal flush plumbing
@@ -518,8 +478,6 @@ class Machine:
         if self.recorder.enabled:
             cause = _EVICT_TRACE_CAUSE.get(category)
             self._record_flush(ctx.thread_id, stats.cycles, line, dirty, cause, stall)
-        if self._inflight is not None:
-            self._inflight.flushed(line)
         if self._sites_active:
             site = _FLUSH_SITE.get(category)
             if site is not None:
@@ -542,8 +500,6 @@ class Machine:
         stats.stall_cycles += stall
         if rec.enabled:
             self._record_drain(ctx, category, stall, outstanding)
-        if self._inflight is not None:
-            self._inflight.drained(ctx.thread_id)
         if self._journal is not None:
             self._journal.drained(ctx.thread_id)
         if self._sites_active:
@@ -589,8 +545,6 @@ class Machine:
             if self._journal is not None:
                 self._journal.written_back(ctx.thread_id, line, True)
             if values:
-                if self._inflight is not None:
-                    self._inflight.evicted(ctx.thread_id, line, values)
                 self.memory.write_back(values.items())
         stats = ctx.stats
         now, stall = ctx.flushq.issue(stats.cycles)
@@ -698,8 +652,8 @@ class Machine:
         thread's quantum edges (its phase: ``-pulled % SCHED_BATCH``), so a
         quantum's rows are the next ``islice`` of it; the rest of the batch
         a thread becomes alone in is the rest of that table.  A thread
-        running alone takes whole uncut tables (DESIGN.md §8).  No crash
-        fires and no value is tracked in here: such runs execute on
+        running alone takes whole uncut tables (DESIGN.md §8).  No site is
+        logged and no value is tracked in here: such runs execute on
         :meth:`_process_event`.
 
         *Runs.*  A run's head executes as any store; the rest — ``n``
@@ -1256,23 +1210,11 @@ class Machine:
         elif journal is not None:
             journal.dirtied(line)
 
-    def _crash(
-        self,
-        site: Optional[int] = None,
-        site_class: Optional[str] = None,
-        model: str = FAULT_CLEAN,
-        fault_seed: int = 0,
-    ) -> None:
-        """Capture into ``crashed_state`` what a power cut *now* leaves
-        under fault ``model``; the machine itself is left as it was."""
-        nvram, lost = self.memory.nvram, sorted(self.hwcache.dirty_lines())
-        overlay, torn, dropped = crash_overlay(
-            nvram, lost, self.hwcache.values, self._inflight, model, fault_seed
-        )
-        self.crashed_state = CrashedState(
-            overlaid(nvram, overlay), lost, self._stores_seen, site, site_class, model, torn,
-            dropped,
-        )
+    def power_cut(self) -> CrashedState:
+        """What a clean power cut *now* leaves: the durable image, copied,
+        and the dirty lines lost.  The machine itself is left as it was."""
+        lost = sorted(self.hwcache.dirty_lines())
+        return CrashedState(dict(self.memory.nvram), lost, self._stores_seen)
 
     # ------------------------------------------------------------------
     # Imperative per-thread driver (used by the Atlas runtime)
@@ -1320,7 +1262,6 @@ class Machine:
         num_threads: int = 1,
         seed: int = 0,
         record_traces: bool = False,
-        crash_plan: Optional[CrashPlan] = None,
         use_batches: Optional[bool] = None,
     ) -> RunResult:
         """Execute ``workload`` and return the collected statistics.
@@ -1335,24 +1276,20 @@ class Machine:
         technique_factory:
             Called once per thread id; returns a fresh technique instance
             (software caches are per-thread).
-        num_threads, seed, record_traces, crash_plan, use_batches:
+        num_threads, seed, record_traces, use_batches:
             Keyword-only.  ``record_traces`` collects the per-thread
             persistent-write traces (needed for offline MRC analysis and
-            the figure pipelines).  ``crash_plan`` schedules a power
-            failure at one site; afterwards ``self.crashed_state`` holds
-            the durable NVRAM image and the result reads ``crashed``.
-            ``use_batches=False`` selects the per-event reference engine;
-            either engine gives bit-identical results.
+            the figure pipelines).  ``use_batches=False`` selects the
+            per-event reference engine; either engine gives bit-identical
+            results.
 
         Routing: a run goes event by event only under ``use_batches=False``,
         value tracking (the batched loop reads no payloads) or crash sites
-        active (:meth:`record_sites` called, or a target armed: ``store``
-        sites exist only there, so enumeration and injection see one site
-        sequence).  Any other run takes the batched loop, over batches or
-        a live stream's quanta (:func:`_live_quanta`).
+        active (:meth:`record_sites` called: ``store`` sites exist only
+        there).  Any other run takes the batched loop, over batches or a
+        live stream's quanta (:func:`_live_quanta`).
         """
         require_int("num_threads", num_threads, 1)
-        self.arm_crash_plan(crash_plan)
         per_event = (
             use_batches is False or self.config.track_values or self._sites_active
         )
@@ -1399,7 +1336,6 @@ class Machine:
             l1_accesses=self.hwcache.accesses,
             l1_misses=self.hwcache.misses,
             traces=traces,
-            crashed=self.crashed_state is not None,
         )
 
     def drive(
@@ -1410,13 +1346,13 @@ class Machine:
         """Interleave session-driven threads under the machine's scheduler.
 
         For code that must dispatch each operation itself (the Atlas
-        crash replay logs a store's old value before the store) yet wants
+        golden replay logs a store's old value before the store) yet wants
         the interleaving and sampling of :meth:`run`.
         ``step(thread_id, budget)`` pushes up to ``budget`` operations
         through that thread's session and returns whether any are left;
         a thread that has none left is finished here, as by
         :meth:`MachineSession.finish`.  Returns when every thread has
-        finished or the power failed (``crashed_state`` then says where).
+        finished.
         """
         self._schedule(
             [session._ctx for session in sessions],
@@ -1434,11 +1370,8 @@ class Machine:
         id) gets the next quantum: ``runner(ctx, budget)`` executes up to
         ``budget`` events and returns whether the thread has more.  A
         thread's last quantum is followed by ``finish()``.  Every edge
-        feeds the metrics sampler and the recorder's window watermark.
-        :class:`~repro.nvram.failure.PowerFailure` — from an event or a
-        final flush, either of which can complete an armed site — is the
-        one stop signal; final counters are dumped for every thread
-        either way.
+        feeds the metrics sampler and the recorder's window watermark;
+        final counters are dumped for every thread at the end.
         """
         metrics = self.metrics
         rec = self.recorder
@@ -1455,21 +1388,18 @@ class Machine:
         # Thread ids are unique, so comparison never reaches the context.
         heap = [(ctx.stats.cycles, ctx.thread_id, ctx) for ctx in contexts]
         heapq.heapify(heap)
-        try:
-            while heap:
-                _, tid, ctx = heap[0]
-                alive = runner(ctx, SCHED_BATCH if len(heap) > 1 else lone_budget)
-                if metrics is not None:
-                    self._sample_metrics(ctx)
-                if rec.enabled:
-                    rec.on_quantum(tid, ctx.stats.cycles)
-                if alive:
-                    heapq.heapreplace(heap, (ctx.stats.cycles, tid, ctx))
-                else:
-                    heapq.heappop(heap)
-                    self._finish(ctx)
-        except PowerFailure:
-            pass  # crashed_state holds the image; nothing runs after it
+        while heap:
+            _, tid, ctx = heap[0]
+            alive = runner(ctx, SCHED_BATCH if len(heap) > 1 else lone_budget)
+            if metrics is not None:
+                self._sample_metrics(ctx)
+            if rec.enabled:
+                rec.on_quantum(tid, ctx.stats.cycles)
+            if alive:
+                heapq.heapreplace(heap, (ctx.stats.cycles, tid, ctx))
+            else:
+                heapq.heappop(heap)
+                self._finish(ctx)
         if metrics is not None:
             for ctx in contexts:
                 self._final_metrics(ctx)

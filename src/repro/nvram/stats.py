@@ -58,6 +58,8 @@ class RunResult:
     l1_accesses: int
     l1_misses: int
     traces: Optional[List[WriteTrace]] = None
+    #: Always False from ``Machine.run``; kept in the schema that stored
+    #: results and the benchmark's goldens read.
     crashed: bool = False
 
     # ---- aggregates ---------------------------------------------------

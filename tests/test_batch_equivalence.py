@@ -40,7 +40,6 @@ from repro.experiments.harness import (
     execute_cell,
     sc_factory_kwargs,
 )
-from repro.nvram.failure import CrashPlan
 from repro.nvram.hwcache import HardwareCache
 from repro.nvram.machine import Machine, MachineConfig
 from repro.nvram.memory import NVRAM_BASE
@@ -50,6 +49,7 @@ from repro.workloads.base import BatchCachingWorkload, TraceWorkload, Workload
 from repro.workloads.hashtable import HashTableWorkload
 from repro.workloads.parray import PersistentArray
 from repro.workloads.registry import WORKLOAD_NAMES, get_workload
+from tests.crash_reference import CrashPlan, LiveCrashMachine
 
 SEED = 7
 #: The workloads that spell their program as batches: the seven SPLASH2
@@ -665,7 +665,7 @@ def test_value_tracking_and_site_plans_never_ask_for_batches():
     spy = BatchSpy(get_workload("linked-list", scale=CONFIG.scale))
     tracking = Machine(MachineConfig(track_values=True))
     tracking.run(spy, technique_factory("SC"), seed=SEED)
-    sited = Machine(MachineConfig())
+    sited = LiveCrashMachine(MachineConfig())
     result = sited.run(
         spy, technique_factory("SC"), seed=SEED, crash_plan=CrashPlan(at_site=3)
     )

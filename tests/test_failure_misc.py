@@ -5,7 +5,16 @@ import pytest
 from repro.atlas.log import KIND_COMMIT, KIND_UNDO, LogRecord
 from repro.atlas.recovery import RecoveryReport, recover, rollback, scan_log
 from repro.common.errors import ConfigurationError, RecoveryError
-from repro.nvram.failure import CrashedState, CrashPlan
+from repro.nvram.failure import (
+    ABSENT,
+    FAULT_CLEAN,
+    FAULT_REORDERED_FLUSH,
+    FAULT_TORN_LINE,
+    CrashedState,
+    InFlight,
+    crash_overlay,
+)
+from tests.crash_reference import CrashPlan
 
 
 def test_crash_plan_validation():
@@ -22,6 +31,55 @@ def test_crashed_state_read():
     state = CrashedState(nvram={100: "x"}, lost_lines=[5], at_store=7)
     assert state.read(100) == "x"
     assert state.read(200, "dflt") == "dflt"
+
+
+def test_in_flight_keeps_what_a_fifo_queue_of_its_depth_can_still_drop():
+    """Hand-worked: a thread keeps its last ``depth`` write-backs, each
+    with the durable values just before it landed (``ABSENT`` where
+    none); a flush retires its line's, a drain its thread's only."""
+    durable = {1: "a"}
+    inflight = InFlight(2, durable)
+    inflight.evicted(0, 10, {1: "b", 2: "c"})
+    durable.update({1: "b", 2: "c"})
+    inflight.evicted(1, 11, {3: "d"})
+    inflight.evicted(0, 12, {4: "e"})
+    inflight.evicted(0, 13, {1: "f"})
+    assert inflight.records == [(1, 11, {3: ABSENT}), (0, 12, {4: ABSENT}), (0, 13, {1: "b"})]
+    inflight.flushed(12)
+    assert inflight.records == [(1, 11, {3: ABSENT}), (0, 13, {1: "b"})]
+    inflight.drained(0)
+    assert inflight.records == [(1, 11, {3: ABSENT})]
+
+
+def test_crash_overlay_tears_strict_subsets_and_drops_a_suffix():
+    """Independent of the walk and of any replay: a torn line leaks a
+    non-empty, strict subset of its pending values (a one-value line
+    never tears); a reordered crash drops a suffix of the in-flight
+    write-backs, the oldest dropped one's old values winning; a clean
+    crash changes nothing."""
+    pending = {line: {line * 64 + 8 * i: (line, i) for i in range(line % 4 + 1)} for line in range(40)}
+    lost = sorted(pending)
+    overlay, torn, dropped = crash_overlay({}, lost, pending, None, FAULT_TORN_LINE, 7)
+    assert torn and dropped == 0
+    for line in lost:
+        leaked = {a: v for a, v in overlay.items() if a >> 6 == line}
+        if line in torn:
+            assert leaked and leaked.items() < pending[line].items()
+        else:
+            assert not leaked
+    assert all(len(pending[line]) > 1 for line in torn)
+    inflight = InFlight(8, {})
+    inflight.records = [(0, 1, {64: "v0"}), (0, 2, {128: ABSENT}), (0, 1, {64: "v1"})]
+    seen = set()
+    for seed in range(40):
+        overlay, torn, dropped = crash_overlay({}, [], {}, inflight, FAULT_REORDERED_FLUSH, seed)
+        want = {}
+        for _tid, _line, olds in inflight.records[3 - dropped :]:
+            want = {**olds, **want}
+        assert torn == [] and overlay == want
+        seen.add(dropped)
+    assert seen == {0, 1, 2, 3}
+    assert crash_overlay({}, lost, pending, inflight, FAULT_CLEAN, 7) == ({}, [], 0)
 
 
 class FakeRegion:

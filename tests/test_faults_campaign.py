@@ -32,7 +32,7 @@ from repro.faults import (
     run_campaign,
 )
 from repro.faults.driver import GoldenRun
-from repro.nvram.failure import FAULT_MODELS, SITE_CLASSES, CrashPlan
+from repro.nvram.failure import FAULT_MODELS, SITE_CLASSES
 from repro.nvram.memory import NVRAM_BASE
 from repro.obs.metrics import MetricsRegistry
 from repro.locality.trace import WriteTrace
@@ -42,6 +42,7 @@ from repro.workloads.linkedlist import LinkedListWorkload
 from repro.workloads.msqueue import QueueWorkload
 from repro.workloads.registry import get_workload
 from tests.conftest import die_once_in_worker
+from tests.crash_reference import replayed_state
 
 PA = NVRAM_BASE
 
@@ -549,7 +550,7 @@ def test_sweep_unreachable_site_names_first_unfired():
 
 
 def test_sweep_on_crash_exception_propagates():
-    """The driver swallows PowerFailure only — a failing callback (an
+    """The sweep swallows nothing — a failing callback (an
     oracle bug, a broken progress sink) must surface as itself, at the
     site that raised it."""
     driver = AtlasReplayDriver(LinkedListWorkload(elements=12), technique="SC")
@@ -600,16 +601,6 @@ def test_sweep_rejects_unordered_sites():
 # ---------------------------------------------------------------------------
 # Single-pass sweeps: exactly the states one replay per site produces
 # ---------------------------------------------------------------------------
-
-
-def replayed_state(driver, site, fault_model="clean", fault_seed=0):
-    """The reference every journal cut is held to: one fresh replay armed
-    with a ``CrashPlan`` at ``site``, stopped by the power failure there
-    (``None`` if the site never fires)."""
-    machine, runtimes, shift = driver._build()
-    machine.arm_crash_plan(CrashPlan(site, fault_model, fault_seed))
-    driver._replay(machine, runtimes, shift, None)
-    return machine.crashed_state
 
 
 def _layout_facts(layout):

@@ -7,7 +7,7 @@ import pytest
 from repro.cache.spec import technique_factory
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.events import EventKind, FaseBegin, FaseEnd, Load, Store, Work
-from repro.nvram.failure import CrashJournal, CrashPlan, PowerFailure, crashed_states
+from repro.nvram.failure import CrashJournal, crashed_states
 from repro.nvram.machine import Machine, MachineConfig
 from repro.nvram.memory import NVRAM_BASE
 from repro.nvram.timing import TimingModel
@@ -15,6 +15,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceRecorder
 from repro.workloads.base import Workload
 from repro.workloads.registry import get_workload
+from tests.crash_reference import CrashPlan, LiveCrashMachine, PowerFailure
 
 
 class ListWorkload(Workload):
@@ -276,7 +277,7 @@ def test_trace_recording(machine):
 
 
 def test_crash_plan_stops_execution():
-    machine = Machine(MachineConfig(track_values=True))
+    machine = LiveCrashMachine(MachineConfig(track_values=True))
     events = [FaseBegin()] + [Store(PA + i * 64, 8, value=i) for i in range(10)]
     events += [FaseEnd()]
     res = run(machine, events, technique="ER", crash_plan=after_stores(4, events, "ER"))
@@ -289,7 +290,7 @@ def test_crash_plan_stops_execution():
 def test_site_crash_plan_stops_run_at_that_site():
     events = [FaseBegin()] + [Store(PA + i * 64, 8, value=i) for i in range(10)]
     events += [FaseEnd()]
-    machine = Machine(MachineConfig(track_values=True))
+    machine = LiveCrashMachine(MachineConfig(track_values=True))
     res = run(machine, events, technique="ER", crash_plan=CrashPlan(at_site=5))
     assert res.crashed
     assert res.persistent_stores == 6   # ER's only sites are its stores
@@ -313,7 +314,7 @@ def test_a_journal_cut_is_what_a_plan_captures_live():
     cut = list(crashed_states(journal.walk([(sites[site], 0) for site in (1, 3, 5)], ("clean",))))
     assert [len(state.nvram) for state in cut] == [2, 4, 6]
     for site, state in zip((1, 3, 5), cut):
-        live = Machine(MachineConfig(track_values=True))
+        live = LiveCrashMachine(MachineConfig(track_values=True))
         live.arm_crash_plan(CrashPlan(at_site=site))
         with pytest.raises(PowerFailure):
             store_ten(live)
@@ -321,7 +322,7 @@ def test_a_journal_cut_is_what_a_plan_captures_live():
 
 
 def test_crash_preserves_only_written_back_values():
-    machine = Machine(MachineConfig(track_values=True))
+    machine = LiveCrashMachine(MachineConfig(track_values=True))
     # BEST never flushes: nothing reaches NVRAM before the crash.
     events = [Store(PA + i * 64, 8, value=i) for i in range(5)]
     run(machine, events, technique="BEST", crash_plan=after_stores(5, events, "BEST"))
@@ -331,7 +332,7 @@ def test_crash_preserves_only_written_back_values():
 
 
 def test_eager_survives_crash():
-    machine = Machine(MachineConfig(track_values=True))
+    machine = LiveCrashMachine(MachineConfig(track_values=True))
     events = [Store(PA + i * 64, 8, value=i) for i in range(5)]
     run(machine, events, technique="ER", crash_plan=after_stores(5, events, "ER"))
     state = machine.crashed_state

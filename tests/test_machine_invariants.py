@@ -20,7 +20,6 @@ from repro.common.events import (
     batches_from_events,
 )
 from repro.locality.trace import WriteTrace
-from repro.nvram.failure import CrashPlan
 from repro.nvram.flushqueue import FlushQueue
 from repro.nvram.machine import Machine, MachineConfig
 from repro.nvram.memory import NVRAM_BASE
@@ -29,6 +28,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceRecorder
 from repro.workloads.base import Workload
 from repro.workloads.registry import get_workload
+from tests.crash_reference import CrashPlan, LiveCrashMachine
 
 
 class ListWorkload(Workload):
@@ -288,7 +288,8 @@ def run_engine(streams, chunk, technique, burst, use_batches, **run_kwargs):
         return access(cache, line)
 
     recorder = run_kwargs.pop("recorder", TraceRecorder() if traced else None)
-    machine = Machine(config, recorder=recorder, metrics=metrics)
+    live = "crash_plan" in run_kwargs
+    machine = (LiveCrashMachine if live else Machine)(config, recorder=recorder, metrics=metrics)
     queues, new_context = [], machine._new_context
 
     def queued_context(*args):
@@ -316,7 +317,7 @@ def run_engine(streams, chunk, technique, burst, use_batches, **run_kwargs):
     tables = [getattr(t, "table", None) for t in made]
     observed = {
         "threads": [dataclasses.asdict(t) for t in result.threads],
-        "crashed": (result.crashed, machine.crashed_state),
+        "crashed": (result.crashed, machine.crashed_state if live else None),
         "l1": (hw.loads, hw.stores, hw.load_misses, hw.store_misses,
                hw.evict_writebacks, hw.flush_writebacks, hw.clean_flushes),
         "dirty": sorted(hw.dirty_lines()),

@@ -223,6 +223,50 @@ def test_worker_exception_names_the_cell_group(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+_REAL_CELLS_TASK = parallel._cells_task
+
+
+def _cells_task_garbling(how, harness, summaries, cells):
+    pairs, corrupt = _REAL_CELLS_TASK(harness, summaries, cells)
+    cell, result = pairs[-1]
+    if how == "foreign cell":
+        pairs[-1] = ((cell[0], "AT", cell[2]), result)
+    elif how == "missing":
+        pairs.pop()
+    elif how == "repeated":
+        pairs.append(pairs[0])
+    elif how == "not a result":
+        pairs[-1] = (cell, result.to_dict())
+    elif how == "not a pair":
+        pairs[-1] = (cell,)
+    elif how == "negative count":
+        corrupt = -1
+    elif how == "count not an int":
+        corrupt = True
+    else:
+        return pairs
+    return pairs, corrupt
+
+
+@pytest.mark.parametrize(
+    "how",
+    [
+        "foreign cell", "missing", "repeated", "not a result", "not a pair",
+        "negative count", "count not an int", "not a tuple",
+    ],
+)
+def test_a_cell_group_that_replies_garbage_is_named(monkeypatch, how):
+    """A cell group must reply exactly one ``(cell, RunResult)`` per cell
+    it was sent, and a non-negative count; anything else stops the grid
+    with an error naming the group, never a result folded from it."""
+    monkeypatch.setattr(
+        parallel, "_cells_task", functools.partial(_cells_task_garbling, how)
+    )
+    with pytest.raises(SimulationError, match=r"^cell group \S+/t1: the worker's reply"):
+        Harness(CONFIG).run_grid(CELLS, jobs=2)
+    assert multiprocessing.active_children() == []
+
+
 def test_execute_cell_is_pure_and_matches_harness():
     harness = Harness(CONFIG)
     want = harness.run("water-spatial", "SC-offline", 1)
