@@ -38,7 +38,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "kernel.txt")
         fabricate_trace(path)
-        print(f"trace written to {path}\n")
+        print(f"trace written to a temp file, {os.path.basename(path)}\n")
 
         trace = load_text_trace(path)
         summary = analyze(trace)

@@ -14,9 +14,9 @@ an int instead of ``isinstance``.
 Events
 ------
 ``Store(addr, size, value)``
-    A store to *persistent* memory.  ``value`` is an optional payload used
-    by the crash/recovery machinery; pure trace-driven workloads leave it
-    ``None``.
+    A store to *persistent* memory.  ``value`` is the payload a session
+    store writes (the Atlas runtime, the persistent structures); a
+    decoded workload stream leaves it ``None``.
 ``Load(addr, size)``
     A load from persistent memory.  Loads never trigger flush bookkeeping
     (the software cache is write-combining and "does not consider data
@@ -48,19 +48,18 @@ event sequence by construction, and the machine's two execution paths
 are required (and tested) to produce bit-identical statistics.
 
 A :data:`Step` is the events between two allocations as plain column
-tuples ``(kinds, args, sizes, values)``, values being each ``STORE``'s
-payload.  Taking the next step performs the allocations before its first
-event and nothing else touches shared state, so a machine that pulls
-steps as it runs sees what a per-event generator would hand it.  They
-pack into batches (:func:`batches_from_steps`) where one execution
-serves every technique, decode into payload-carrying events
-(:func:`events_from_steps`) for crash replays, and feed live quanta.
+tuples ``(kinds, args, sizes)``.  Taking the next step performs the
+allocations before its first event and nothing else touches shared
+state, so a machine that pulls steps as it runs sees what a per-event
+generator would hand it.  They pack into batches
+(:func:`batches_from_steps`) where one execution serves every technique,
+decode into events (:func:`events_from_steps`) for crash replays, and
+feed live quanta.
 
-Store payloads are not part of that layout.  An emitter whose stream
-also feeds crash replays (the ``mdb`` recorder) builds its batch with
-``keep_values``: a fourth column ``values``, a plain list holding each
-``STORE``'s payload (``None`` elsewhere) at one pointer — 8 bytes — per
-event.  The machine never reads it; :meth:`EventBatch.events` does.
+No encoding carries store payloads: a decoded ``Store`` has ``value``
+``None``.  A crash replay stores its own token per store (the fault
+driver), and ``Store.value`` is read only where a program stores real
+values through a session (the Atlas runtime, the persistent structures).
 
 Line-touch runs
 ---------------
@@ -110,7 +109,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.errors import SimulationError
 from repro.common.geometry import negative_size
 
 
@@ -224,30 +223,24 @@ class EventBatch:
         instruction count for ``WORK``, 0 for FASE boundaries.
     ``sizes``
         Access size in bytes for ``STORE``/``LOAD``, 0 otherwise.
-
-    Batches carry no value payloads (``values`` is ``None``) unless
-    built with ``keep_values``: then ``values`` is a list of the same
-    length holding each ``STORE``'s payload, ``None`` for other events,
-    which :meth:`events` hands to ``Store.value`` for crash replays.
     """
 
-    __slots__ = ("kinds", "args", "sizes", "values", "_runs", "_visits")
+    __slots__ = ("kinds", "args", "sizes", "_runs", "_visits")
 
-    def __init__(self, keep_values: bool = False) -> None:
+    def __init__(self) -> None:
         self.kinds = array("b")
         self.args = array("q")
         self.sizes = array("q")
-        self.values: Optional[list] = [] if keep_values else None
         # line_runs() and visits() results by their arguments and the
         # batch length: derived data, dropped by copy and pickle.
         self._runs: Optional[dict] = None
         self._visits: Optional[dict] = None
 
     def __getstate__(self) -> tuple:
-        return self.kinds, self.args, self.sizes, self.values
+        return self.kinds, self.args, self.sizes
 
     def __setstate__(self, state: tuple) -> None:
-        self.kinds, self.args, self.sizes, self.values = state
+        self.kinds, self.args, self.sizes = state
         self._runs = self._visits = None
 
     def __len__(self) -> int:
@@ -258,9 +251,9 @@ class EventBatch:
 
     # -- building --------------------------------------------------------
 
-    def append_store(self, addr: int, size: int = 8, value: object = None) -> None:
+    def append_store(self, addr: int, size: int = 8) -> None:
         """Append a persistent-or-not store of ``size`` bytes at ``addr``."""
-        self._append(EventKind.STORE, addr, size, value)
+        self._append(EventKind.STORE, addr, size)
 
     def append_load(self, addr: int, size: int = 8) -> None:
         """Append a load of ``size`` bytes at ``addr``."""
@@ -278,15 +271,13 @@ class EventBatch:
         """Append a failure-atomic-section exit."""
         self._append(EventKind.FASE_END, 0, 0)
 
-    def _append(self, kind: int, arg: int, size: int, value: object = None) -> None:
+    def _append(self, kind: int, arg: int, size: int) -> None:
         self.kinds.append(kind)
         self.args.append(arg)
         self.sizes.append(size)
-        if self.values is not None:
-            self.values.append(value)
 
     def append_event(self, ev: Event) -> None:
-        """Append one per-object event (payloads only if kept)."""
+        """Append one per-object event (a store's payload is dropped)."""
         kind = ev.kind
         self.kinds.append(kind)
         if kind == EventKind.STORE or kind == EventKind.LOAD:
@@ -298,19 +289,17 @@ class EventBatch:
         else:
             self.args.append(0)
             self.sizes.append(0)
-        if self.values is not None:
-            self.values.append(ev.value if kind == EventKind.STORE else None)
 
     @classmethod
     def from_events(cls, events: Iterable[Event]) -> "EventBatch":
-        """Pack an event sequence into one batch (values are dropped)."""
+        """Pack an event sequence into one batch (payloads are dropped)."""
         batch = cls()
         for ev in events:
             batch.append_event(ev)
         return batch
 
     def split(self, chunk: int) -> Iterator["EventBatch"]:
-        """This batch as payload-free batches of at most ``chunk`` events."""
+        """This batch as batches of at most ``chunk`` events."""
         for start in range(0, len(self.kinds), chunk):
             part = EventBatch()
             part.kinds = self.kinds[start:start + chunk]
@@ -491,16 +480,14 @@ class EventBatch:
 
     def events(self) -> Iterator[Event]:
         """Expand back into per-object events (the reference decoding)."""
-        values = [None] * len(self.kinds) if self.values is None else self.values
-        return events_from_steps([(self.kinds, self.args, self.sizes, values)])
+        return events_from_steps([(self.kinds, self.args, self.sizes)])
 
 
 BatchStream = Iterator[EventBatch]
 
 #: The events between two allocations of a step-emitting program, as
-#: plain column tuples ``(kinds, args, sizes, values)``: ``values`` holds
-#: each ``STORE``'s payload, ``None`` elsewhere (module docstring).
-Step = Tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[object]]
+#: plain column tuples ``(kinds, args, sizes)`` (module docstring).
+Step = Tuple[Sequence[int], Sequence[int], Sequence[int]]
 StepStream = Iterator[Step]
 
 #: Default events per batch when packing a stream into batches.
@@ -514,33 +501,22 @@ class RunRecorder:
     """An :class:`EventBatch` recorded as *runs*: ``count`` events of one
     ``kind`` and ``size`` whose args are ``first``, ``first + stride``,
     ... (a page image, a sampled page read; a lone event is a run of
-    one).  A run is five integers in a buffer (its payloads, under
-    ``keep_values``, go straight to ``values``); one numpy pass per
+    one).  A run is five integers in a buffer; one numpy pass per
     ``BATCH_CHUNK`` events expands the buffer into the columns.
     """
 
-    __slots__ = ("_batch", "_values", "_runs", "_pending")
+    __slots__ = ("_batch", "_runs", "_pending")
 
-    def __init__(self, keep_values: bool = False) -> None:
-        self._batch = EventBatch(keep_values=keep_values)
-        self._values = self._batch.values
+    def __init__(self) -> None:
+        self._batch = EventBatch()
         self._runs = bytearray()
         self._pending = 0
 
-    def add(
-        self, kind: int, first: int, stride: int, count: int, size: int,
-        values: Optional[Sequence[object]] = None,
-    ) -> None:
-        """Append a run; ``values``, if given, holds one payload per event."""
-        if values is not None and len(values) != count:
-            raise ConfigurationError(
-                f"{len(values)} values for {count} addresses: one payload per access"
-            )
+    def add(self, kind: int, first: int, stride: int, count: int, size: int) -> None:
+        """Append a run."""
         if not count:
             return
         self._runs += _RUN(kind, first, stride, count, size)
-        if self._values is not None:
-            self._values.extend((None,) * count if values is None else values)
         self._pending += count
         if self._pending >= BATCH_CHUNK:
             self._expand()
@@ -568,26 +544,26 @@ class RunRecorder:
 
 
 def ragged_step(tid: int, index: int, step: Step) -> SimulationError:
-    """The error for step ``index`` of thread ``tid`` whose four columns
+    """The error for step ``index`` of thread ``tid`` whose three columns
     differ in length: every step consumer checks each step, so a
     malformed one never runs as fewer events than it lists."""
     lengths = "/".join(str(len(column)) for column in step)
     return SimulationError(
         f"thread {tid}: step {index} has columns of lengths {lengths} "
-        "(kinds/args/sizes/values); every column needs one entry per event"
+        "(kinds/args/sizes); every column needs one entry per event"
     )
 
 
 def batches_from_steps(
     steps: StepStream, chunk: int = BATCH_CHUNK, tid: int = 0
 ) -> BatchStream:
-    """Pack thread ``tid``'s step stream into payload-free batches of
-    ``chunk`` events (the last one shorter), filled one chunk at a time:
-    the batches :func:`batches_from_events` makes of the same events."""
+    """Pack thread ``tid``'s step stream into batches of ``chunk`` events
+    (the last one shorter), filled one chunk at a time: the batches
+    :func:`batches_from_events` makes of the same events."""
     kinds, args, sizes = [], [], []
-    for index, (step_kinds, step_args, step_sizes, values) in enumerate(steps):
-        if not len(step_kinds) == len(step_args) == len(step_sizes) == len(values):
-            raise ragged_step(tid, index, (step_kinds, step_args, step_sizes, values))
+    for index, (step_kinds, step_args, step_sizes) in enumerate(steps):
+        if not len(step_kinds) == len(step_args) == len(step_sizes):
+            raise ragged_step(tid, index, (step_kinds, step_args, step_sizes))
         kinds += step_kinds
         args += step_args
         sizes += step_sizes
@@ -607,15 +583,14 @@ def batches_from_steps(
 
 
 def events_from_steps(steps: Iterable[Step], tid: int = 0) -> EventStream:
-    """Decode thread ``tid``'s steps into per-object events, payloads
-    included."""
+    """Decode thread ``tid``'s steps into per-object events."""
     store, load, work, begin, end = Store, Load, Work, FaseBegin, FaseEnd
-    for index, (kinds, args, sizes, values) in enumerate(steps):
-        if not len(kinds) == len(args) == len(sizes) == len(values):
-            raise ragged_step(tid, index, (kinds, args, sizes, values))
-        for kind, arg, size, value in zip(kinds, args, sizes, values):
+    for index, (kinds, args, sizes) in enumerate(steps):
+        if not len(kinds) == len(args) == len(sizes):
+            raise ragged_step(tid, index, (kinds, args, sizes))
+        for kind, arg, size in zip(kinds, args, sizes):
             if kind == 0:
-                yield store(arg, size, value)
+                yield store(arg, size)
             elif kind == 1:
                 yield load(arg, size)
             elif kind == 2:
@@ -634,7 +609,7 @@ def batches_from_events(
     The recording path for a workload that defines only ``streams()``
     (a bare generator; every registered program emits batches or steps):
     ``BatchCachingWorkload`` drains each stream through here once and
-    every technique replays the columns.  Store payloads are dropped.
+    every technique replays the columns.
     """
     batch = EventBatch()
     append = batch.append_event

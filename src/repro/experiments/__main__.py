@@ -134,7 +134,7 @@ def _run_profile(args: argparse.Namespace) -> int:
 
     from repro.obs import analyze, read_jsonl, render
 
-    from repro.obs.analyze import AnalyzerConfig, max_severity, severity_gate
+    from repro.obs.analyze import max_severity, severity_gate
 
     if not args.trace or len(args.trace) != 1:
         print("profile needs exactly one --trace PATH (a .jsonl trace)",
@@ -144,7 +144,7 @@ def _run_profile(args: argparse.Namespace) -> int:
         print("--top-k must be >= 1", file=sys.stderr)
         return 2
     path = args.trace[0]
-    profile = analyze(read_jsonl(path), AnalyzerConfig(top_k=args.top_k))
+    profile = analyze(read_jsonl(path), args.top_k)
     metrics_doc = None
     if args.metrics:
         with open(args.metrics, "r", encoding="utf-8") as fh:

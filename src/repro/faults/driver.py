@@ -29,6 +29,14 @@ the per-thread log regions and shifts every persistent workload address
 into it (a constant, line-aligned offset), so data and log never
 collide.  All golden bookkeeping and oracle checks speak shifted
 addresses.
+
+What a store writes is the replay's, not the workload's: store ``i`` of
+thread ``t``'s stream writes the token ``(t << 40) | i``, and the golden
+truth records that token.  Tokens are distinct and never ``None``, so
+every persistent store is one the oracle can tell apart from what its
+address held before (a workload payload could be ``None``, repeat the
+value already there, or be absent from a stream that records none), and
+a program's payloads are never read.
 """
 
 from __future__ import annotations
@@ -60,9 +68,9 @@ class FaseRecord:
     thread_id: int
     begin_site: int                 # sites completed before the FASE began
     commit_site: Optional[int] = None   # site index of the commit flush
-    #: Last value written per (shifted) address inside the FASE.
+    #: Last token written per (shifted) address inside the FASE.
     writes: Dict[int, object] = field(default_factory=dict)
-    #: Every value written per address (torn crashes can leak any of them).
+    #: Every token written per address (torn crashes can leak any of them).
     all_values: Dict[int, Set[object]] = field(default_factory=dict)
 
 
@@ -176,11 +184,10 @@ class GoldenRun:
 
     def _advance(self, cur: _Cursor, site: int) -> None:
         """Move ``cur`` forward to ``site``: the committed overlay over the
-        protected addresses is ``expected`` where it holds a value and
-        ``nones`` where it reads ``None`` (no committed FASE wrote there,
-        or the last one stored ``None``), and ``in_flight`` the FASEs
-        begun and not committed, in begin order; the FASEs committed
-        since are ``commit_order[old folded:folded]``."""
+        protected addresses is ``expected`` where a committed FASE wrote
+        (a token, never ``None``) and ``nones`` where none did, and
+        ``in_flight`` the FASEs begun and not committed, in begin order;
+        the FASEs committed since are ``commit_order[old folded:folded]``."""
         cur.site = site
         records, in_flight = cur.records, cur.in_flight
         while cur.begun < len(records) and records[cur.begun].begin_site <= site:
@@ -192,12 +199,7 @@ class GoldenRun:
             and self.fases[order[cur.folded]].commit_site <= site
         ):
             for addr, value in in_flight.pop(order[cur.folded]).writes.items():
-                if addr in unprotected:
-                    continue
-                if value is None:
-                    cur.expected.pop(addr, None)
-                    cur.nones.add(addr)
-                else:
+                if addr not in unprotected:
                     cur.expected[addr] = value
                     cur.nones.discard(addr)
             cur.folded += 1
@@ -297,8 +299,9 @@ class AtlasReplayDriver:
         shift: int,
         golden: GoldenRun,
     ) -> None:
-        """Drive all threads to completion, recording FASE ground truth
-        into ``golden`` as it executes."""
+        """Drive all threads to completion, each store writing its token
+        (module docstring), recording FASE ground truth into ``golden``
+        as it executes."""
         events = self._materialized_events()
         positions = [0] * self.num_threads
         open_fases: List[Optional[FaseRecord]] = [None] * self.num_threads
@@ -311,25 +314,25 @@ class AtlasReplayDriver:
         def step(tid: int, budget: int) -> bool:
             rt = runtimes[tid]
             stream = events[tid]
-            pos = positions[tid]
-            end = min(pos + budget, len(stream))
-            while pos < end:
-                ev = stream[pos]
-                pos += 1
+            end = min(positions[tid] + budget, len(stream))
+            thread_bits = tid << 40
+            for index in range(positions[tid], end):
+                ev = stream[index]
                 kind = ev.kind
                 if kind == kind_store:
                     addr = ev.addr
+                    token = thread_bits | index
                     if addr >= nvram_base:
                         addr += shift
-                        rt.store(addr, ev.size, ev.value)
+                        rt.store(addr, ev.size, token)
                         record = open_fases[tid]
                         if record is not None:
-                            record.writes[addr] = ev.value
-                            record.all_values.setdefault(addr, set()).add(ev.value)
+                            record.writes[addr] = token
+                            record.all_values.setdefault(addr, set()).add(token)
                         else:
                             golden.unprotected.add(addr)
                     else:
-                        rt.session.store(addr, ev.size, ev.value)
+                        rt.session.store(addr, ev.size, token)
                 elif kind == kind_work:
                     rt.work(ev.amount)
                 elif kind == kind_load:
@@ -366,33 +369,18 @@ class AtlasReplayDriver:
                         open_fases[tid] = None
                     else:
                         rt.fases.end()
-            positions[tid] = pos
-            return pos < len(stream)
+            positions[tid] = end
+            return end < len(stream)
 
         machine.drive([rt.session for rt in runtimes], step)
 
     # ------------------------------------------------------------------
 
     def golden(self) -> GoldenRun:
-        """One crash-free replay recording sites, FASE ground truth and
-        the crash journal; :meth:`crash_sweep` and :meth:`crash_at` cut
-        from the last one.
-
-        Refuses a stream whose persistent stores carry no payload: the
-        oracle reads ``None`` as "absent", so no campaign over it could fail.
-        """
-        payloads = [
-            ev.value
-            for stream in self._materialized_events()
-            for ev in stream
-            if ev.kind == EventKind.STORE and ev.addr >= NVRAM_BASE
-        ]
-        if payloads and all(value is None for value in payloads):
-            raise ConfigurationError(
-                f"workload {getattr(self.workload, 'name', self.workload)!r} "
-                f"stores no payloads ({len(payloads)} persistent stores, all "
-                "None): a crash campaign over it would check nothing"
-            )
+        """One crash-free replay recording sites, FASE ground truth (in
+        tokens, module docstring) and the crash journal; :meth:`crash_sweep`
+        and :meth:`crash_at` cut from the last one.  Any stream is judged:
+        its payloads, if it has any, are not read."""
         machine, runtimes, shift = self._build()
         journal = CrashJournal(self.timing.flush_queue_depth)
         golden = GoldenRun(

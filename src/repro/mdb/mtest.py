@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from typing import Iterator, List
 
 from repro.common.errors import ConfigurationError, require_int
-from repro.common.events import BATCH_CHUNK, Event, EventBatch, RunRecorder
+from repro.common.events import BATCH_CHUNK, EventBatch, RunRecorder
 from repro.common.rng import derive_seed, make_rng
 from repro.mdb.kvstore import MdbStore
 from repro.mdb.ops import RecordingOps
@@ -36,20 +36,17 @@ class ChannelRecordingOps(RecordingOps):
     """A recording backend with one event channel per simulated thread.
 
     The store logic runs once, single-threaded; runs land in the
-    channel's recorder (keeping payloads under ``keep_values``) selected
-    at the time: writer transactions in channel 0, reader traversals in
-    their reader's.  The machine then interleaves the channels by
-    simulated time.
+    channel's recorder selected at the time: writer transactions in
+    channel 0, reader traversals in their reader's.  The machine then
+    interleaves the channels by simulated time.
     """
 
-    def __init__(
-        self, channels: int, load_sample: int = 4, keep_values: bool = True
-    ) -> None:
-        super().__init__(load_sample=load_sample, keep_values=keep_values)
+    def __init__(self, channels: int, load_sample: int = 4) -> None:
+        super().__init__(load_sample=load_sample)
         if channels < 1:
             raise ConfigurationError("need at least one channel")
         self.recordings: List[RunRecorder] = [self.recording] + [
-            RunRecorder(keep_values=keep_values) for _ in range(channels - 1)
+            RunRecorder() for _ in range(channels - 1)
         ]
 
     @property
@@ -105,22 +102,14 @@ class MtestWorkload(Workload):
 
     def batch_streams(self, num_threads: int, seed: int) -> List[Iterator[EventBatch]]:
         """The program as the machine runs it: each channel's columns in
-        ``BATCH_CHUNK`` slices, recorded without payloads."""
-        recordings = self._record(num_threads, seed, keep_values=False).recordings
+        ``BATCH_CHUNK`` slices (``streams`` is the inherited decoding)."""
+        recordings = self._record(num_threads, seed).recordings
         return [recording.batch().split(BATCH_CHUNK) for recording in recordings]
 
-    def streams(self, num_threads: int, seed: int) -> List[Iterator[Event]]:
-        """The same recording decoded with every store's payload: what
-        a crash replay executes and its oracle judges."""
-        recordings = self._record(num_threads, seed, keep_values=True).recordings
-        return [recording.batch().events() for recording in recordings]
-
-    def _record(
-        self, num_threads: int, seed: int, keep_values: bool
-    ) -> ChannelRecordingOps:
+    def _record(self, num_threads: int, seed: int) -> ChannelRecordingOps:
         """Run the whole store once, single-threaded, into per-thread
         channels; the machine only drains the finished columns."""
-        ops = ChannelRecordingOps(num_threads, keep_values=keep_values)
+        ops = ChannelRecordingOps(num_threads)
         rng = make_rng(derive_seed(seed, "mtest"))
         store = MdbStore(ops, page_size=self.page_size)
 

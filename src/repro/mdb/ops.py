@@ -76,10 +76,9 @@ class RecordingOps(PersistenceOps):
     """Shadow-memory backend that records the event stream as runs.
 
     ``recording`` is a :class:`~repro.common.events.RunRecorder`: a
-    page image is one ``STORE`` run (its payloads kept under
-    ``keep_values``, for the crash replay), a page read — header and
-    entries — one sampled ``LOAD`` run, anything else a run of one;
-    ``events`` is the batch the runs expand into.
+    page image is one ``STORE`` run, a page read — header and entries —
+    one sampled ``LOAD`` run, anything else a run of one; ``events`` is
+    the batch the runs expand into.  Values live in the shadow only.
 
     Loads are served from the shadow dict — a page read again before
     any store, from the earlier read — and, optionally, recorded as
@@ -94,11 +93,10 @@ class RecordingOps(PersistenceOps):
         base: int = NVRAM_BASE,
         record_loads: bool = True,
         load_sample: int = 4,
-        keep_values: bool = True,
     ) -> None:
         if load_sample < 1:
             raise ConfigurationError("load_sample must be >= 1")
-        self.recording = RunRecorder(keep_values=keep_values)
+        self.recording = RunRecorder()
         self.shadow: Dict[int, object] = {}
         self._next = base
         self.record_loads = record_loads
@@ -122,7 +120,7 @@ class RecordingOps(PersistenceOps):
     def store(self, addr: int, value: object, size: int = 8) -> None:
         self.shadow[addr] = value
         self._pages.clear()
-        self.recording.add(_STORE, addr, size, 1, size, (value,))
+        self.recording.add(_STORE, addr, size, 1, size)
 
     def load(self, addr: int, size: int = 8) -> object:
         if self.record_loads:
@@ -144,7 +142,7 @@ class RecordingOps(PersistenceOps):
     def store_run(self, addr: int, values: List[object], size: int) -> None:
         self.shadow.update(zip(range(addr, addr + len(values) * size, size), values))
         self._pages.clear()
-        self.recording.add(_STORE, addr, size, len(values), size, values)
+        self.recording.add(_STORE, addr, size, len(values), size)
 
     def load_page(self, addr: int, slot_bytes: int) -> Tuple[object, List[object]]:
         # The header slot and the entries are consecutive slots: one run.

@@ -317,8 +317,8 @@ def _live_quanta(
     while True:
         if steps is not None:
             while len(kinds) < SCHED_BATCH and (taken := next(steps, None)) is not None:
-                index, (step_kinds, step_args, step_sizes, values) = taken
-                if not len(step_kinds) == len(step_args) == len(step_sizes) == len(values):
+                index, (step_kinds, step_args, step_sizes) = taken
+                if not len(step_kinds) == len(step_args) == len(step_sizes):
                     raise ragged_step(ctx.thread_id, index, taken[1])
                 kinds += step_kinds
                 args += step_args

@@ -29,7 +29,6 @@ simulator loop on its allocation-free fast path (DESIGN.md §9).
 """
 
 from repro.obs.analyze import (
-    AnalyzerConfig,
     Diagnosis,
     TraceProfile,
     analyze,
@@ -70,7 +69,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "ARG_NAMES",
-    "AnalyzerConfig",
     "DEFAULT_INTERVAL",
     "DEFAULT_WINDOW_CYCLES",
     "Diagnosis",

@@ -17,8 +17,10 @@ parallel event arrays once — no per-event objects — into a
 - **adaptive-controller diagnostics** — the
   ``burst_start``/``mrc_computed``/``knee_candidate``/``size_selected``
   narrative replayed per thread, emitting typed :class:`Diagnosis`
-  records (knee oscillation, resize storms, selections matching no knee
-  candidate, knee fallbacks, unbalanced FASEs).
+  records (selections matching no knee candidate, knee fallbacks,
+  unbalanced FASEs).  A thread selects a size at most once (its
+  sampler hibernates after its one resize), so a size sequence has
+  nothing more to diagnose.
 
 :func:`reconcile` cross-checks a profile against the matching
 :class:`~repro.nvram.stats.RunResult` — the provenance totals are exact
@@ -54,29 +56,6 @@ from repro.obs.trace import (
 SEVERITIES = ("info", "warning", "error")
 
 _SEVERITY_RANK = {s: i for i, s in enumerate(SEVERITIES)}
-
-
-@dataclass(frozen=True)
-class AnalyzerConfig:
-    """Thresholds for the controller diagnostics.
-
-    The defaults are deliberate round numbers tuned to the seed
-    workloads: each seed thread adapts at most once (its sampler
-    hibernates), so none of them can trip an oscillation or storm —
-    the acceptance baseline the thresholds are calibrated against.
-    """
-
-    #: Hottest-lines ranking length.
-    top_k: int = 10
-    #: A flip-flop is ``sizes[i] == sizes[i-2] != sizes[i-1]``; this many
-    #: flips on one thread is a warning, :attr:`oscillation_error_flips`
-    #: an error.
-    oscillation_warning_flips: int = 2
-    oscillation_error_flips: int = 4
-    #: This many selections inside :attr:`storm_window_cycles` model
-    #: cycles on one thread is a resize storm (warning).
-    storm_count: int = 8
-    storm_window_cycles: int = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -243,9 +222,6 @@ class AdaptationProfile:
     analyses: int = 0
     knee_candidates: int = 0
     selections: int = 0
-    #: Selections made without a preceding MRC on the thread (no built-in
-    #: technique makes one).
-    adoptions: int = 0
     fallbacks: int = 0
     analysis_cost_cycles: int = 0
     #: thread id -> [(cycle, size), ...] in selection order.
@@ -257,7 +233,6 @@ class AdaptationProfile:
             "analyses": self.analyses,
             "knee_candidates": self.knee_candidates,
             "selections": self.selections,
-            "adoptions": self.adoptions,
             "fallbacks": self.fallbacks,
             "analysis_cost_cycles": self.analysis_cost_cycles,
             "trajectories": {
@@ -316,7 +291,6 @@ class _ThreadFold:
         "sel_times",
         "unmatched",
         "fallbacks",
-        "adoptions",
         "unbalanced_ends",
     )
 
@@ -330,7 +304,6 @@ class _ThreadFold:
         self.sel_times: List[int] = []
         self.unmatched: List[Tuple[int, int]] = []
         self.fallbacks = 0
-        self.adoptions = 0
         self.unbalanced_ends = 0
 
 
@@ -344,7 +317,7 @@ class ProfileFold:
     """
 
     __slots__ = (
-        "cfg",
+        "top_k",
         "prov",
         "fase",
         "adapt",
@@ -354,8 +327,8 @@ class ProfileFold:
         "_folds",
     )
 
-    def __init__(self, config: Optional[AnalyzerConfig] = None) -> None:
-        self.cfg = config or AnalyzerConfig()
+    def __init__(self, top_k: int) -> None:
+        self.top_k = top_k
         self.prov = FlushProvenance()
         self.fase = FaseLatencyProfile()
         self.adapt = AdaptationProfile()
@@ -481,13 +454,9 @@ class ProfileFold:
                     elif size not in f.cand:
                         f.unmatched.append((times[i], size))
                     f.awaiting_selection = False
-                else:
-                    f.adoptions += 1
-                    adapt.adoptions += 1
 
     def finalize(self) -> TraceProfile:
         """Post-process the accumulated state into a :class:`TraceProfile`."""
-        cfg = self.cfg
         prov = self.prov
         fase = self.fase
         adapt = self.adapt
@@ -503,7 +472,7 @@ class ProfileFold:
         # Top-K hottest flushed lines: count desc, line asc for ties.
         prov.top_lines = sorted(
             prov.line_flushes.items(), key=lambda kv: (-kv[1], kv[0])
-        )[: cfg.top_k]
+        )[: self.top_k]
 
         diagnoses: List[Diagnosis] = []
         for tid in sorted(folds):
@@ -568,49 +537,6 @@ class ProfileFold:
                         data={"count": f.fallbacks},
                     )
                 )
-            # Knee oscillation: A -> B -> A flip-flops in the size sequence.
-            flips = 0
-            sizes = f.sizes
-            for i in range(2, len(sizes)):
-                if sizes[i] == sizes[i - 2] != sizes[i - 1]:
-                    flips += 1
-            if flips >= cfg.oscillation_warning_flips:
-                sev = "error" if flips >= cfg.oscillation_error_flips else "warning"
-                diagnoses.append(
-                    Diagnosis(
-                        code="knee_oscillation",
-                        severity=sev,
-                        thread_id=tid,
-                        message=(
-                            f"thread {tid}: selected size flip-flopped {flips} "
-                            f"time(s) over {len(sizes)} selections"
-                        ),
-                        data={"flips": flips, "selections": len(sizes)},
-                    )
-                )
-            # Resize storm: storm_count selections inside one cycle window.
-            st = f.sel_times
-            k = cfg.storm_count
-            for i in range(len(st) - k + 1):
-                if st[i + k - 1] - st[i] <= cfg.storm_window_cycles:
-                    diagnoses.append(
-                        Diagnosis(
-                            code="resize_storm",
-                            severity="warning",
-                            thread_id=tid,
-                            message=(
-                                f"thread {tid}: {k} resizes within "
-                                f"{st[i + k - 1] - st[i]} cycles (window "
-                                f"{cfg.storm_window_cycles})"
-                            ),
-                            data={
-                                "count": k,
-                                "span_cycles": st[i + k - 1] - st[i],
-                                "start_cycle": st[i],
-                            },
-                        )
-                    )
-                    break
 
         diagnoses.sort(
             key=lambda d: (-_SEVERITY_RANK[d.severity], d.code, d.thread_id)
@@ -627,16 +553,15 @@ class ProfileFold:
         )
 
 
-def analyze(
-    trace: TraceRecorder, config: Optional[AnalyzerConfig] = None
-) -> TraceProfile:
-    """Fold a trace into a :class:`TraceProfile` in one pass.
+def analyze(trace: TraceRecorder, top_k: int = 10) -> TraceProfile:
+    """Fold a trace into a :class:`TraceProfile` in one pass, ranking
+    the ``top_k`` hottest flushed lines.
 
     Walks the recorder's parallel arrays directly (no per-event tuple
     per event); cost is linear in the trace and independent of the
     model's size.
     """
-    fold = ProfileFold(config)
+    fold = ProfileFold(top_k)
     fold.feed_columns(*trace.columns())
     return fold.finalize()
 

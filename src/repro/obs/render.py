@@ -140,7 +140,6 @@ def profile_blocks(
             ["MRC analyses", a.analyses],
             ["knee candidates", a.knee_candidates],
             ["size selections", a.selections],
-            ["group-size adoptions", a.adoptions],
             ["no-knee fallbacks", a.fallbacks],
             ["analysis cost cycles", a.analysis_cost_cycles],
         ]),

@@ -48,8 +48,8 @@ class Workload:
         :meth:`schedule_independent` says a recording is the execution
         every technique would have seen.
 
-    ``streams`` of a batch or step emitter is their decoding, payloads
-    included.  Every encoding is one event sequence by construction.
+    ``streams`` of a batch or step emitter is their decoding.  Every
+    encoding is one event sequence by construction.
     """
 
     name = "abstract"

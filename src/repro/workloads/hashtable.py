@@ -125,8 +125,6 @@ class HashTableWorkload(Workload):
                     (0, 250, bucket, entry + _KEY_OFF, entry + _VALUE_OFF,
                      entry + _NEXT_OFF, entry + _HASH_OFF, bucket, count_addr, 0),
                     _INSERT_SIZES,
-                    (None, None, None, key, key ^ 0xFF, None,
-                     key * _HASH_MULT % (1 << 32), entry, inserted + 1, None),
                 )
                 chains.setdefault(bucket, []).insert(0, (key, entry))
                 entry_of[key] = entry
@@ -139,7 +137,6 @@ class HashTableWorkload(Workload):
                     _UPDATE_KINDS,
                     (0, 70, bucket_addr(key), entry + _KEY_OFF, entry + _VALUE_OFF, 0),
                     _UPDATE_SIZES,
-                    (None, None, None, None, key ^ 0xAB, None),
                 )
             elif op == "delete" and live_keys:
                 pick = int(rng.integers(0, len(live_keys)))
@@ -149,12 +146,7 @@ class HashTableWorkload(Workload):
                 chain = chains.get(bucket, [])
                 pos = next(i for i, (k, _) in enumerate(chain) if k == key)
                 unlink = bucket if pos == 0 else chain[pos - 1][1] + _NEXT_OFF
-                yield (
-                    _DELETE_KINDS,
-                    (0, 250, bucket, unlink, count_addr, 0),
-                    _DELETE_SIZES,
-                    (None, None, None, None, inserted, None),
-                )
+                yield _DELETE_KINDS, (0, 250, bucket, unlink, count_addr, 0), _DELETE_SIZES
                 chain.pop(pos)
                 inserted -= 1
 
@@ -173,12 +165,9 @@ def _rehash(
     zeroed = range(base, base + num_buckets * _PTR_SIZE, 8 * _PTR_SIZE)
     stores = len(zeroed) + 2 * len(entries)     # every one a pointer
     args = [0, 4 * num_buckets, *zeroed]
-    values = [None] * len(args)
     for key, entry in entries:
         bucket = bucket_addr(key)
         args += (entry + _NEXT_OFF, bucket)
-        values += (None, entry)
         chains.setdefault(bucket, []).insert(0, (key, entry))
     args.append(0)
-    values.append(None)
-    return [3, 2] + [0] * stores + [4], args, [0, 0] + [_PTR_SIZE] * stores + [0], values
+    return [3, 2] + [0] * stores + [4], args, [0, 0] + [_PTR_SIZE] * stores + [0]

@@ -105,22 +105,17 @@ class LinkedListWorkload(Workload):
             idx = bisect_left(sorted_keys, key)
             # Search cost: one predecessor load plus traversal work.
             args = [0, 180 + idx // 4, node + _KEY_OFF, node + _VALUE_OFF]
-            values = [None, None, key, key * 2]
             if idx == 0:
                 # New head: next := old head, head := node.
                 args += (node + _NEXT_OFF, head_addr)
-                values += (None, node)
             else:
                 pred_next = node_of[sorted_keys[idx - 1]] + _NEXT_OFF
                 args += (pred_next, node + _NEXT_OFF, pred_next)
-                values += (None, None, node)
             first = not sorted_keys     # paper's store count is 5N - 1
             if not first:
                 args.append(count_addr)
-                values.append(len(sorted_keys) + 1)
             args.append(0)
-            values.append(None)
             shape = (idx == 0, first)
-            yield _INSERT_KINDS[shape], args, _INSERT_SIZES[shape], values
+            yield _INSERT_KINDS[shape], args, _INSERT_SIZES[shape]
             insort(sorted_keys, key)
             node_of[key] = node

@@ -77,20 +77,17 @@ class QueueWorkload(Workload):
             _SETUP_KINDS,
             (0, dummy + _NEXT_OFF, head_addr, tail_addr, 0),
             _SETUP_SIZES,
-            (None, None, dummy, dummy, None),
         )
         # Each pair enqueues behind the tail and dequeues the front, so
         # the front is always the previous tail and its successor the
         # node just enqueued.
         tail_next = dummy + _NEXT_OFF
-        for i in range(pairs):
+        for _ in range(pairs):
             node = alloc.alloc(16)
             yield (
                 _PAIR_KINDS,
                 (0, 170, node + _VALUE_OFF, node + _NEXT_OFF, tail_next, tail_addr,
                  0, 0, 60, tail_next, head_addr, 0),
                 _PAIR_SIZES,
-                (None, None, i, None, node, node,
-                 None, None, None, None, node, None),
             )
             tail_next = node + _NEXT_OFF

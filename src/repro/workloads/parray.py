@@ -97,13 +97,6 @@ class PersistentArray(Workload):
             (program.kinds, kinds), (program.args, args), (program.sizes, sizes)
         ):
             column.frombytes(np.tile(loop.ravel(), self.outer).tobytes())
-        program.append_store(flag, INT_SIZE)
+        program.append_store(flag, INT_SIZE)     # the completion flag: the +1 store
         program.append_fase_end()
-        flag_row = len(program) - 2     # the completion flag: the +1 store
-        for index, part in enumerate(program.split(BATCH_CHUNK)):
-            row = flag_row - index * BATCH_CHUNK
-            if 0 <= row < len(part):
-                # Its payload, for the decoding a crash replay executes.
-                part.values = [None] * len(part)
-                part.values[row] = 1
-            yield part
+        yield from program.split(BATCH_CHUNK)

@@ -22,6 +22,12 @@ from repro.locality.trace import WriteTrace
 from repro.nvram.machine import Machine, MachineConfig
 
 
+def token(thread: int, index: int) -> int:
+    """What a crash replay's store ``index`` of thread ``thread``'s
+    stream writes, and its golden truth records."""
+    return (thread << 40) | index
+
+
 def die_once_in_worker(flag: str) -> None:
     """SIGKILL the calling pool worker — the first one to get here only.
 

@@ -40,6 +40,11 @@ _RULES = (
     "tests/test_failure_misc.py::test_in_flight_keeps_what_a_fifo_queue_of_its_depth_can_still_drop",
     "tests/test_failure_misc.py::test_crash_overlay_tears_strict_subsets_and_drops_a_suffix",
 )
+#: What a crash replay's stores write and its golden truth records.
+_TOKENS = (
+    "tests/test_faults_campaign.py::test_every_in_fase_store_writes_its_own_token",
+    "tests/test_faults_campaign.py::test_expected_image_overlays_in_commit_order",
+)
 #: The whole-image judge: the stateless reference oracle's verdicts, and
 #: no per-address loop on a sound run's images.
 _JUDGE = (
@@ -151,19 +156,27 @@ MUTANTS = (
         _JUDGE, "a stored None where the truth reads None is sent down the loop",
     ),
     Mutant(
-        "truth-committed-none-expected", _DRIVER,
-        "if value is None:\n                    cur.expected.pop(addr, None)",
-        "if False:\n                    cur.expected.pop(addr, None)",
-        _JUDGE, "a committed None must be present as a key: the loop runs on sound images",
-    ),
-    Mutant(
-        "truth-none-keeps-older-value", _DRIVER,
-        "cur.expected.pop(addr, None)", "pass",
-        _JUDGE, "a committed None over an older committed value still expects that value",
-    ),
-    Mutant(
         "truth-value-stays-none", _DRIVER,
         "cur.nones.discard(addr)", "pass",
         _JUDGE, "an address a committed FASE set must still read None",
+    ),
+    # -- The replay's store tokens --------------------------------------------
+    Mutant(
+        "token-none", _DRIVER,
+        "token = thread_bits | index", "token = None",
+        _TOKENS, "every store writes None, which the oracle reads as absent",
+    ),
+    Mutant(
+        "token-without-thread-bits", _DRIVER,
+        "thread_bits = tid << 40", "thread_bits = 0",
+        _TOKENS, "threads storing at the same index write the same token",
+    ),
+    Mutant(
+        "truth-records-payload", _DRIVER,
+        "record.writes[addr] = token\n"
+        "                            record.all_values.setdefault(addr, set()).add(token)",
+        "record.writes[addr] = ev.value\n"
+        "                            record.all_values.setdefault(addr, set()).add(ev.value)",
+        _TOKENS, "the golden truth records the workload's payload, not what was stored",
     ),
 )

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.errors import SimulationError
 from repro.common.events import (
     EventBatch,
     EventKind,
@@ -512,102 +512,27 @@ def test_tallies_count_each_rows_stores_and_loads():
             assert want[-1] == (kinds.count(EventKind.STORE), kinds.count(EventKind.LOAD))
 
 
-# -- the optional payload column ---------------------------------------------
-
-
-def payload_batch():
-    batch = EventBatch(keep_values=True)
-    batch.append_fase_begin()
-    batch.append_store(N0, 8, ("k", 1))
-    batch.append_event(Store(N0 + 8, 8, "v"))
-    batch.append_event(Load(N0, 8))
-    batch.append_work(3)
-    batch.append_store(N0 + 64, 16, "a")
-    batch.append_store(N0 + 80, 16, "b")
-    batch.append_load(N0, 8)
-    batch.append_load(N0 + 8, 8)
-    batch.append_load(N0 + 8)
-    batch.append_fase_end()
-    return batch
-
-
-def test_payload_column_is_absent_by_default_and_as_long_as_the_rest_when_kept():
-    plain = EventBatch.from_events(payload_batch().events())
-    assert plain.values is None
-    assert all(ev.value is None for ev in plain.events() if ev.kind == EventKind.STORE)
-    kept = payload_batch()
-    assert kept.values == [
-        None, ("k", 1), "v", None, None, "a", "b", None, None, None, None
-    ]
-    assert [repr(ev) for ev in kept.events()] == [
-        "FaseBegin()",
-        f"Store(addr={N0:#x}, size=8, value=('k', 1))",
-        f"Store(addr={N0 + 8:#x}, size=8, value='v')",
-        f"Load(addr={N0:#x}, size=8)",
-        "Work(3)",
-        f"Store(addr={N0 + 64:#x}, size=16, value='a')",
-        f"Store(addr={N0 + 80:#x}, size=16, value='b')",
-        f"Load(addr={N0:#x}, size=8)",
-        f"Load(addr={N0 + 8:#x}, size=8)",
-        f"Load(addr={N0 + 8:#x}, size=8)",
-        "FaseEnd()",
-    ]
-    # The machine's view of a batch does not involve it.
-    assert runs_of(kept) == runs_of(plain)
-    assert kept.count_stores(N0) == plain.count_stores(N0) == 4
-    assert kept.count_stores(N0 + 64) == 2
-
-
-def test_payload_column_rides_copy_and_pickle_and_is_dropped_by_split():
-    batch = payload_batch()
-    batch.line_runs()
-    for clone in (copy.copy(batch), copy.deepcopy(batch), pickle.loads(pickle.dumps(batch))):
-        assert clone._runs is None
-        assert clone.values == batch.values
-        assert [repr(ev) for ev in clone.events()] == [repr(ev) for ev in batch.events()]
-    parts = list(batch.split(4))
-    assert [len(p) for p in parts] == [4, 4, 3]
-    assert all(p.values is None for p in parts)
-    assert [repr(ev) for p in parts for ev in p.events()] == [
-        repr(ev) for ev in EventBatch.from_events(batch.events()).events()
-    ]
-    assert list(EventBatch().split(4)) == []
-
-
-@pytest.mark.parametrize("values", [[1, 2], list(range(9))], ids=["short", "long"])
-def test_a_payload_list_of_another_length_is_refused_before_any_column_grows(values):
-    recorder = RunRecorder(keep_values=True)
-    recorder.add(EventKind.STORE, N0, 8, 1, 8, ["x"])
-    with pytest.raises(ConfigurationError, match=f"{len(values)} values for 8 addresses"):
-        recorder.add(EventKind.STORE, N0, 8, 8, 8, values)
-    batch = recorder.batch()
-    assert [len(c) for c in (batch.kinds, batch.args, batch.sizes, batch.values)] == [1] * 4
-
-
 # -- runs: a recording expanded into columns ---------------------------------
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_recorded_runs_are_the_events_appended_one_by_one(seed):
     """Runs of every length, the buffer expanded whenever it fills and
-    whenever the batch is read, give the columns and payloads of the
-    same events appended one at a time."""
+    whenever the batch is read, give the columns of the same events
+    appended one at a time."""
     rng = random.Random(seed)
-    recorder, want = RunRecorder(keep_values=True), EventBatch(keep_values=True)
+    recorder, want = RunRecorder(), EventBatch()
     for _ in range(rng.randrange(0, 80)):
         kind = rng.choice((EventKind.STORE, EventKind.LOAD, EventKind.WORK, EventKind.FASE_BEGIN))
         first, count = rng.randrange(N0, N0 + 4096), rng.choice((0, 1, 1, 2, 7, 40, 2500))
         stride, size = rng.choice((0, 8, 16, 64)), rng.choice((0, 8, 16))
-        values = [(first, i) for i in range(count)] if kind == EventKind.STORE else None
-        recorder.add(kind, first, stride, count, size, values)
+        recorder.add(kind, first, stride, count, size)
         for i in range(count):
-            want._append(kind, first + i * stride, size, values[i] if values else None)
+            want._append(kind, first + i * stride, size)
         if rng.random() < 0.1:
             assert len(recorder.batch()) == len(want)
     got = recorder.batch()
-    assert (got.kinds, got.args, got.sizes, got.values) == (
-        want.kinds, want.args, want.sizes, want.values
-    )
+    assert (got.kinds, got.args, got.sizes) == (want.kinds, want.args, want.sizes)
 
 
 # -- steps: the column tuples a shared-allocator program hands out -----------
@@ -619,7 +544,7 @@ def random_steps(rng, n):
     for _ in range(n):
         events = [
             rng.choice((
-                Store(N0 + rng.randrange(4096), rng.choice((4, 8)), rng.randrange(9)),
+                Store(N0 + rng.randrange(4096), rng.choice((4, 8))),
                 Load(N0 + rng.randrange(4096), 8),
                 Work(rng.randrange(1, 300)),
                 FaseBegin(),
@@ -631,7 +556,6 @@ def random_steps(rng, n):
             tuple(ev.kind for ev in events),
             tuple(getattr(ev, "addr", getattr(ev, "amount", 0)) for ev in events),
             tuple(getattr(ev, "size", 0) for ev in events),
-            tuple(getattr(ev, "value", None) for ev in events),
         ))
     return steps
 
@@ -644,15 +568,9 @@ def test_steps_pack_and_decode_as_their_events_do(seed):
     want = list(batches_from_events(iter(events), 32))
     got = list(batches_from_steps(iter(steps), 32))
     assert [len(b) for b in got] == [len(b) for b in want]
-    assert all(b.values is None for b in got)
     assert [(b.kinds, b.args, b.sizes) for b in got] == [
         (b.kinds, b.args, b.sizes) for b in want
     ]
-    assert [
-        (ev.kind, ev.value) for ev in events if ev.kind == EventKind.STORE
-    ] == [
-        (kind, value)
-        for step in steps
-        for kind, value in zip(step[0], step[3])
-        if kind == EventKind.STORE
+    assert [repr(ev) for ev in events] == [
+        repr(ev) for b in got for ev in b.events()
     ]

@@ -40,8 +40,8 @@ from repro.workloads.base import TraceWorkload, Workload
 from repro.workloads.hashtable import HashTableWorkload
 from repro.workloads.linkedlist import LinkedListWorkload
 from repro.workloads.msqueue import QueueWorkload
-from repro.workloads.registry import get_workload
-from tests.conftest import die_once_in_worker
+from repro.workloads.registry import WORKLOAD_NAMES, get_workload
+from tests.conftest import die_once_in_worker, token
 from tests.crash_reference import replayed_state
 
 PA = NVRAM_BASE
@@ -206,8 +206,8 @@ def test_every_crash_point_recovers_to_golden(events, model):
 
 def test_expected_image_overlays_in_commit_order():
     events = [
-        FaseBegin(), Store(PA, 8, "a"), FaseEnd(),
-        FaseBegin(), Store(PA, 8, "b"), FaseEnd(),
+        FaseBegin(), Store(PA, 8), FaseEnd(),
+        FaseBegin(), Store(PA, 8), FaseEnd(),
     ]
     driver = AtlasReplayDriver(ListWorkload(events), technique="SC")
     golden = driver.golden()
@@ -215,8 +215,37 @@ def test_expected_image_overlays_in_commit_order():
     at_first = expected_image_at(golden, golden.fases[first].commit_site)
     at_second = expected_image_at(golden, golden.fases[second].commit_site)
     addr = next(iter(golden.fases[first].writes))
-    assert at_first[addr] == "a"
-    assert at_second[addr] == "b"
+    assert at_first[addr] == token(0, 1)
+    assert at_second[addr] == token(0, 4)
+
+
+def test_every_in_fase_store_writes_its_own_token():
+    """Store ``i`` of thread ``t`` writes ``(t << 40) | i`` and the golden
+    truth records it: per FASE, each address's last token and all of
+    them.  Two threads running one program store at the same indices,
+    so only the thread bits keep their tokens apart."""
+    driver = AtlasReplayDriver(LinkedListWorkload(elements=16), technique="SC", num_threads=2)
+    golden = driver.golden()
+    shift = driver._build()[2]
+    for tid, stream in enumerate(driver._materialized_events()):
+        records = iter([f for f in golden.fases.values() if f.thread_id == tid])
+        depth = 0
+        for index, ev in enumerate(stream):
+            if ev.kind == FaseBegin.kind:
+                depth += 1
+                if depth == 1:
+                    record, last, every = next(records), {}, {}
+            elif ev.kind == FaseEnd.kind:
+                depth -= 1
+                if depth == 0:
+                    assert (record.writes, record.all_values) == (last, every)
+            elif ev.kind == Store.kind and depth:
+                last[ev.addr + shift] = token(tid, index)
+                every.setdefault(ev.addr + shift, set()).add(token(tid, index))
+        assert next(records, None) is None
+    tokens = [t for f in golden.fases.values() for ts in f.all_values.values() for t in ts]
+    assert len(golden.fases) == 16
+    assert None not in tokens and len(set(tokens)) == len(tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -791,24 +820,41 @@ def test_mdb_exhaustive_all_fault_models_zero_violations(threads):
     assert matrix.ok, matrix.violations[:3]
     assert matrix.injected == 3 * matrix.total_sites > 6000
     assert {cls for (cls, _model) in matrix.cells} == set(SITE_CLASSES)
-    # ... over a stream that has something to lose: the replay sees the
-    # store's payloads, every put's (key, value) among them.
+    # ... over a stream that has something to lose: every in-FASE write
+    # is a distinct token, never None, of a store of the writer's stream.
     workload = get_workload("mdb", scale=0.002)
-    golden = AtlasReplayDriver(
-        workload, technique="SC+victim:16", num_threads=threads
-    ).golden()
-    written = [v for f in golden.fases.values() for v in f.writes.values()]
+    driver = AtlasReplayDriver(workload, technique="SC+victim:16", num_threads=threads)
+    golden = driver.golden()
+    writer = driver._materialized_events()[0]
+    written = [t for f in golden.fases.values() for ts in f.all_values.values() for t in ts]
     assert None not in written
-    pairs = {v for v in written if isinstance(v[0], int) and v[1] == v[0] * 3 + 1}
-    assert len(pairs) >= workload.pairs
+    assert len(set(written)) == len(written) >= workload.pairs
+    assert all(writer[t].kind == Store.kind for t in written)
 
 
-def test_campaign_over_a_payload_free_stream_is_refused():
-    """The oracle reads a ``None`` payload as "absent", so a campaign
-    over stores that carry no values would pass whatever recovery did."""
-    trace = WriteTrace([0, 1, 0, 2], [0, 0, 1, 1])
-    with pytest.raises(ConfigurationError, match="'trace'.*no payloads"):
-        run_campaign(TraceWorkload([trace]), technique="SC", threads=1)
+def test_a_campaign_over_a_payload_free_stream_is_judged():
+    """A stream with no store payloads — a write trace, a SPLASH2
+    stand-in — is judged on the replay's tokens: zero violations under
+    the Atlas ordering, and the broken ordering is caught."""
+    spec = FaultCampaignSpec(fault_models=FAULT_MODELS, max_sites=10**9)
+    trace = TraceWorkload([WriteTrace([0, 1, 0, 2], [0, 0, 1, 1])])
+    for workload, threads in ((trace, 1), (get_workload("barnes", scale=0.01), 2)):
+        matrix = run_campaign(workload, technique="SC", threads=threads, spec=spec)
+        assert matrix.exhaustive and matrix.ok, (workload.name, matrix.violations[:3])
+        assert matrix.injected == 3 * matrix.total_sites > 0
+        broken = run_campaign(
+            workload, technique="SC", threads=threads, spec=spec, commit_before_drain=True
+        )
+        assert not broken.ok, workload.name
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_every_registered_program_is_judged(name):
+    """No program is refused: each, at two threads where it partitions,
+    survives a crash at every site."""
+    matrix = exhaustive_campaign(name, technique="SC", threads=2, scale=0.005)
+    assert matrix.exhaustive and matrix.total_sites > 100
+    assert matrix.ok, matrix.violations[:3]
 
 
 def test_spec_validation():

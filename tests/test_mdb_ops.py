@@ -77,7 +77,7 @@ class PerSlotRecordingOps(RecordingOps):
 def _recorded(ops):
     batch = ops.events
     return (
-        list(batch.kinds), list(batch.args), list(batch.sizes), batch.values,
+        list(batch.kinds), list(batch.args), list(batch.sizes),
         ops.shadow, ops._load_counter,
     )
 
@@ -90,8 +90,8 @@ def _recorded(ops):
     st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=4),
 )
 def test_page_runs_equal_per_slot_calls(start, load_sample, record_loads, sizes):
-    """``store_run``/``load_page`` leave the columns, payloads, shadow
-    and load-sampling phase the per-slot calls leave — for any phase
+    """``store_run``/``load_page`` leave the columns, shadow and
+    load-sampling phase the per-slot calls leave — for any phase
     the counter is in when a page image arrives, any sampling period,
     any image from empty to full, a fresh page."""
     got, want = (
@@ -118,7 +118,6 @@ def test_page_runs_equal_per_slot_calls(start, load_sample, record_loads, sizes)
         assert loaded[-1][-1] == (("?", 0), [])
     assert loaded[0] == loaded[1]
     assert _recorded(got) == _recorded(want)
-    assert len(got.events.values) == len(got.events)
 
 
 def test_page_runs_keep_the_capacity_checks():
@@ -148,14 +147,14 @@ class PerSlotChannelOps(PerSlotRecordingOps, ChannelRecordingOps):
 def test_mtest_runs_equal_the_per_slot_recording(monkeypatch, page_size, threads):
     """The whole program, at the page sizes the report runs besides the
     pinned 512: the run recorder's channels, batch boundaries, decoded
-    payloads, shadow and sampling phase equal per-slot recording's."""
+    events, shadow and sampling phase equal per-slot recording's."""
     workload = MtestWorkload(pairs=500, page_size=page_size, traversals=3)
     got = []
     for cls in (ChannelRecordingOps, PerSlotChannelOps):
         monkeypatch.setattr(mtest, "ChannelRecordingOps", cls)
-        ops = workload._record(threads, 5, keep_values=True)
+        ops = workload._record(threads, 5)
         got.append((
-            [(b.kinds, b.args, b.sizes, b.values) for b in ops.channels],
+            [(b.kinds, b.args, b.sizes) for b in ops.channels],
             [[(b.kinds, b.args, b.sizes) for b in s]
              for s in workload.batch_streams(threads, 5)],
             [[repr(ev) for ev in s] for s in workload.streams(threads, 5)],

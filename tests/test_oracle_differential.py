@@ -51,6 +51,7 @@ from repro.workloads.hashtable import HashTableWorkload
 from repro.workloads.linkedlist import LinkedListWorkload
 from repro.workloads.msqueue import QueueWorkload
 from repro.workloads.registry import get_workload
+from tests.conftest import token
 from tests.crash_reference import replayed_state
 from tests.test_faults_campaign import ListWorkload
 
@@ -540,14 +541,16 @@ def test_a_leak_rolled_back_by_another_fases_record_still_breaks_invariant_3():
     own undo record.  The sweep judge names it as the reference does —
     declared in an overlay, landed in the clean image, or already there
     when the second FASE begins."""
-    first = [FaseBegin(), Store(PA, 8, "a0"), *[Store(PA + 64 * k, 8, k) for k in range(1, 400)]]
-    second = [FaseBegin(), *[Store(PA + 64 * k, 8, -k) for k in range(200, 350)], Store(PA, 8, "b1")]
+    first = [FaseBegin(), Store(PA, 8), *[Store(PA + 64 * k, 8) for k in range(1, 400)]]
+    second = [FaseBegin(), *[Store(PA + 64 * k, 8) for k in range(200, 350)], Store(PA, 8)]
+    a0, b1 = token(0, 1), token(1, 151)     # what each FASE writes at X
     driver = AtlasReplayDriver(
         ListWorkload(first + [FaseEnd()], second + [FaseEnd()]), technique="SC", num_threads=2
     )
     golden = driver.golden()
     f0, f1 = sorted(golden.fases.values(), key=lambda record: record.thread_id)
-    x = next(addr for addr, value in f0.writes.items() if value == "a0")
+    x = next(addr for addr, value in f0.writes.items() if value == a0)
+    assert f1.writes[x] == b1
 
     def logged(state, uid):
         return any(
@@ -567,7 +570,7 @@ def test_a_leak_rolled_back_by_another_fases_record_still_breaks_invariant_3():
     assert before and during
     site, early = during[0], before[-1]
     state = shared(site)
-    leaked = dataclasses.replace(state, nvram={**state.nvram, x: "b1"})
+    leaked = dataclasses.replace(state, nvram={**state.nvram, x: b1})
     want = reference_check_crash(golden, site, leaked)
     assert [v.kind for v in want] == [V_LOG_BEFORE_DATA]
     assert check_crash(golden, site, leaked) == want
@@ -575,14 +578,14 @@ def test_a_leak_rolled_back_by_another_fases_record_still_breaks_invariant_3():
     judge = SweepJudge(golden, dict(state.nvram))
     judge.advance(site, set(state.nvram))
     assert judge(site, "clean", {}) == []
-    assert judge(site, "clean", {x: "b1"}) == want
+    assert judge(site, "clean", {x: b1}) == want
 
     judge = SweepJudge(golden, dict(leaked.nvram))
     judge.advance(site, set(leaked.nvram))
     assert judge(site, "clean", {}) == want
     assert judge(site, "clean", {x + (1 << 20): failure.ABSENT}) == want  # elsewhere
 
-    image = {**shared(early).nvram, x: "b1"}
+    image = {**shared(early).nvram, x: b1}
     judge = SweepJudge(golden, image)
     judge.advance(early, set(image))
     assert judge(early, "clean", {}) == reference_check_crash(
@@ -601,7 +604,7 @@ def test_a_leak_rolled_back_by_another_fases_record_still_breaks_invariant_3():
         site for site in range(site, f1.commit_site) if logged(driver.crash_at(site)[0], f1.uid)
     )
     assert late < f0.commit_site
-    image = {**driver.crash_at(late)[0].nvram, x: "b1"}
+    image = {**driver.crash_at(late)[0].nvram, x: b1}
     judge = SweepJudge(golden, image)
     judge.advance(late, set(image))
     state = dataclasses.replace(leaked, nvram=dict(image))
@@ -707,9 +710,10 @@ def test_a_stored_none_takes_the_fast_accept_and_names_nothing():
 )
 def test_a_committed_none_takes_the_fast_accept(name, threads, scale):
     """Every clean image of a sound run is accepted without the
-    per-address loop, where a committed ``None`` payload sits absent
-    after rollback too (the key-subset accept sent 70, 1,500, 285 and 0
-    of these sites down the loop)."""
+    per-address loop.  A replay's stores write tokens, so no FASE
+    commits ``None`` any more; when they wrote the workloads' payloads,
+    a committed ``None`` sat absent after rollback, and the key-subset
+    accept sent 70, 1,500, 285 and 0 of these sites down the loop."""
     driver = AtlasReplayDriver(get_workload(name, scale=scale), num_threads=threads)
     golden = driver.golden()
     golden.checked = _LoopCount(golden.checked)

@@ -11,9 +11,14 @@ columns, batches concatenated, so they do not depend on where a stream
 is cut.  The stand-ins' batch boundaries are pinned beside them (line
 runs end at a batch edge; the machine is exact either way, but
 ``absorbed_stores`` is not).  The step emitters (``queue``,
-``linked-list``, ``hash``) are pinned the same way, with their payloads
-and, where threads share an allocator, the events each thread consumed
-under three techniques.
+``linked-list``, ``hash``) are pinned the same way, with their decoded
+events and, where threads share an allocator, the events each thread
+consumed under three techniques.
+
+The event digests (``MICRO``'s third entries, ``SHARED_ALLOCATOR``,
+``MDB_EVENTS``) were re-pinned at 1de62df when store payloads left every
+encoding: that commit's events with every ``Store.value`` set to
+``None``.
 """
 
 from collections import Counter
@@ -23,6 +28,7 @@ import pytest
 
 from repro.cache.spec import technique_factory
 from repro.common.events import EventBatch, EventKind, events_from_steps
+from repro.mdb.mtest import MtestWorkload
 from repro.nvram.machine import Machine, MachineConfig
 from repro.workloads.base import BatchCachingWorkload, Workload
 from repro.workloads.generators import _Dither
@@ -170,13 +176,13 @@ MDB = {
     (4, 11): "e37f0cf9315ce20bcff6046d31199a986e5f78a5",
     (4, 7): "78b0d210f7272cbe035a2fdd632ac8e12381a626",
 }
-#: (threads, seed) -> ``event_digest`` of ``streams()`` at scale 0.03,
-#: payloads included (what a crash replay executes), pinned at 135e5f4.
+#: (threads, seed) -> ``event_digest`` of ``streams()`` at scale 0.03
+#: (what a crash replay executes), pinned at 135e5f4.
 MDB_EVENTS = {
-    (1, 7): "8a614a5546b5be7bc01252af2acdbe80559b953b",
-    (1, 11): "16e0f16148cf7f856b5c7165f9cc738399c3a364",
-    (4, 7): "425dd3d4ba3c70db2afc9b5d620f1f94e7c43932",
-    (4, 11): "d329e3ff762fe0b2d8bc9c73d794aba47f61630b",
+    (1, 7): "9744b189166f0e98053afd84008ca197eaa1f70f",
+    (1, 11): "d3b831a68dcf5cee0d46b6ed2d72667e8d9b7990",
+    (4, 7): "9701362fad12d0b7b56998c81e434646732cd01e",
+    (4, 11): "d45e19b02ad471068c8ed9cf9aefc59220de5859",
 }
 #: ``PersistentArray`` kwargs -> (digest, batch lengths), one thread,
 #: taken from the per-event generator through ``batches_from_events``
@@ -209,62 +215,62 @@ MICRO = {
     ("queue", 0.02, 7): (
         "9b895bff8362ee087791b7a339ac2fb5fbaf9db8",
         [4096] * 5 + [3525],
-        "fe963b4436af7588b162ea784e29c09dd25d6bb1",
+        "46efa8b731a1c68bfbf60fa5096698d0ad9b434b",
     ),
     ("queue", 0.02, 11): (
         "9b895bff8362ee087791b7a339ac2fb5fbaf9db8",
         [4096] * 5 + [3525],
-        "fe963b4436af7588b162ea784e29c09dd25d6bb1",
+        "46efa8b731a1c68bfbf60fa5096698d0ad9b434b",
     ),
     ("queue", 0.1, 7): (
         "12cb9ff10b919a3746e13246317cc1575b334c82",
         [4096] * 29 + [1221],
-        "1aaec67bfc880db50b5e90b3c546fb70fc649c99",
+        "167ee82dce4565bf3475373eab11330223148bdf",
     ),
     ("queue", 0.1, 11): (
         "12cb9ff10b919a3746e13246317cc1575b334c82",
         [4096] * 29 + [1221],
-        "1aaec67bfc880db50b5e90b3c546fb70fc649c99",
+        "167ee82dce4565bf3475373eab11330223148bdf",
     ),
     ("linked-list", 0.02, 7): (
         "b60d606d5e8695185e33c73c46df5bced6402ca8",
         [1798],
-        "e89b912e263005601c9de8b5f85adc831a837da8",
+        "e1dec94e6b954f5577b00df734f4b17b82e66b8a",
     ),
     ("linked-list", 0.02, 11): (
         "b60d606d5e8695185e33c73c46df5bced6402ca8",
         [1798],
-        "e89b912e263005601c9de8b5f85adc831a837da8",
+        "e1dec94e6b954f5577b00df734f4b17b82e66b8a",
     ),
     ("linked-list", 0.1, 7): (
         "b3dd5b3588480d2e3358c3005b1af929f135b0f4",
         [4096, 4096, 806],
-        "5ab6a5d64c548b0ae5188bf7856b28de127fe234",
+        "7083528ef9e42e9e67d9ea2732faeb11e3a29f7c",
     ),
     ("linked-list", 0.1, 11): (
         "b3dd5b3588480d2e3358c3005b1af929f135b0f4",
         [4096, 4096, 806],
-        "5ab6a5d64c548b0ae5188bf7856b28de127fe234",
+        "7083528ef9e42e9e67d9ea2732faeb11e3a29f7c",
     ),
     ("hash", 0.02, 7): (
         "1ebe4150158a2aa291e99e185c607d7d75935d00",
         [1275],
-        "04c061c54c111c420db9289f745dc0427a57f3ee",
+        "b31c258491214465d0250a73a54fdb15cc5eb1e8",
     ),
     ("hash", 0.02, 11): (
         "37a3909173bde56f5c4ae2576cf5aaf3e1784fed",
         [1275],
-        "853e7273e23ce9e56badecb735dca7b5bd8daf4c",
+        "5816da5b7f9b91a00ab817f0fdd79348189624d2",
     ),
     ("hash", 0.1, 7): (
         "79bf3fd8b8bb80c202f50371f1f34e5458ae4c81",
         [4096, 2497],
-        "4c2d29916363986a8c79998d3ff82ee53ed6a1f8",
+        "e772714135adcf4b342c57a98c5757792dfb7969",
     ),
     ("hash", 0.1, 11): (
         "4695c0cb2c5b36a7fc40f49b6ffb90b656c2064c",
         [4096, 2497],
-        "ea3e7ca55ff42f0cb8a4ff96cf505229f22e3044",
+        "ce89f4c9bcd9747256e6d6612d7a1e246fe985f1",
     ),
 }
 #: (program, technique) -> digest of the events each of four threads
@@ -272,12 +278,12 @@ MICRO = {
 #: generators.  The shared allocator makes them depend on the technique's
 #: timing (DESIGN.md §8, *The schedule-independence rule*).
 SHARED_ALLOCATOR = {
-    ("queue", "AT"): "925fa0933f7873a7d548063e604389602de995b6",
-    ("queue", "SC"): "a07ee9bb8a8fa487e233cabdcfc97b8ee4c22ee0",
-    ("queue", "ER"): "9fc3d048645883a9c2470310726aa9937461d271",
-    ("linked-list", "AT"): "e0c9fea6663b0d7e5a0352e30ae5cfe4f99141aa",
-    ("linked-list", "SC"): "a17d5d56813e99538aeda68d101f7823641992af",
-    ("linked-list", "ER"): "a17d5d56813e99538aeda68d101f7823641992af",
+    ("queue", "AT"): "24adc3eded67495814cb5690aff3a87991d0a61b",
+    ("queue", "SC"): "93c5b665de5c06339b2bcd7154bb304988fd4b37",
+    ("queue", "ER"): "194b8a96b853950b6d64b23e9246fc9b3e558bc1",
+    ("linked-list", "AT"): "4a765fc8d7b7337e96f1285750479ba0283611ce",
+    ("linked-list", "SC"): "add36e5d2d8145c737205ee94dd607d84799e21a",
+    ("linked-list", "ER"): "add36e5d2d8145c737205ee94dd607d84799e21a",
 }
 
 
@@ -291,7 +297,7 @@ def digest(per_thread):
 
 
 def event_digest(per_thread):
-    """sha1 over each thread's events as ``repr`` lines, payloads included."""
+    """sha1 over each thread's events as ``repr`` lines."""
     h = sha1()
     for events in per_thread:
         h.update("\n".join(map(repr, events)).encode())
@@ -307,7 +313,6 @@ def test_step_emitters_record_the_generators_columns(name, scale, seed):
         per_thread = [list(s) for s in source.batch_streams(1, seed)]
         assert [[len(b) for b in batches] for batches in per_thread] == [want_boundaries]
         assert digest(per_thread) == want_digest
-        assert all(b.values is None for batches in per_thread for b in batches)
     assert event_digest([list(s) for s in workload.streams(1, seed)]) == want_events
 
 
@@ -388,8 +393,7 @@ def test_mdb_columns_are_pinned(threads, seed):
     workload = get_workload("mdb", scale=0.03)
     per_thread = [list(s) for s in workload.batch_streams(threads, seed)]
     assert digest(per_thread) == MDB[(threads, seed)]
-    assert all(b.values is None for batches in per_thread for b in batches)
-    # ``streams`` decodes the same recording, payloads included.
+    # ``streams`` decodes the same recording.
     decoded = [list(s) for s in workload.streams(threads, seed)]
     assert [len(s) for s in decoded] == [
         sum(len(b) for b in batches) for batches in per_thread
@@ -398,23 +402,25 @@ def test_mdb_columns_are_pinned(threads, seed):
 
 
 def test_mdb_batch_streams_record_no_payloads(monkeypatch):
-    """The machine never reads payloads, so the batch path builds no
-    ``values`` list; ``streams()`` keeps them for the crash replay."""
-    kept = []
-    init = EventBatch.__init__
+    """A batch has no payload column, and ``streams()`` is the decoding
+    of the one recording ``batch_streams`` makes: the store runs once
+    per call, whichever encoding is asked for."""
+    assert "values" not in EventBatch.__slots__
+    records = []
+    record = MtestWorkload._record
 
-    def spying(self, keep_values=False):
-        kept.append(keep_values)
-        init(self, keep_values)
+    def counting(self, num_threads, seed):
+        records.append((num_threads, seed))
+        return record(self, num_threads, seed)
 
-    monkeypatch.setattr(EventBatch, "__init__", spying)
+    monkeypatch.setattr(MtestWorkload, "_record", counting)
     workload = get_workload("mdb", scale=0.03)
     for batches in workload.batch_streams(4, 7):
         list(batches)
-    assert kept and not any(kept)
-    kept.clear()
-    workload.streams(4, 7)
-    assert kept == [True] * 4
+    assert records == [(4, 7)]
+    for events in workload.streams(4, 7):
+        list(events)
+    assert records == [(4, 7)] * 2
 
 
 @pytest.mark.parametrize("kwargs", sorted(PARRAY))
@@ -424,10 +430,10 @@ def test_persistent_array_columns_and_batch_boundaries_are_pinned(kwargs):
     want_digest, want_boundaries = PARRAY[kwargs]
     assert [len(b) for b in batches] == want_boundaries
     assert digest([batches]) == want_digest
-    # ``streams`` decodes the same columns; the completion flag, the
-    # program's one payload, comes through for the crash replay.
+    # ``streams`` decodes the same columns, the completion flag among
+    # them; no store carries a payload.
     (events,) = [list(s) for s in workload.streams(1, 7)]
     assert len(events) == sum(want_boundaries)
     stores = [ev for ev in events if ev.kind == EventKind.STORE]
     assert len(stores) == workload.total_stores
-    assert [ev.value for ev in stores[-2:]] == [None, 1]
+    assert all(ev.value is None for ev in stores)
