@@ -37,8 +37,7 @@ def main() -> None:
     print(f"  log     : {len(log)} entries")
 
     # Power failure in the middle of one more operation.
-    rt.fases.begin()
-    rt.log.on_fase_begin()
+    rt.fase_begin()
     rt.store(rt.alloc(8), value="half-finished mutation")
     state = rt.crash()
     print(f"\ncrash! ({len(state.lost_lines)} dirty lines lost)")

@@ -10,11 +10,11 @@ durability.  This package reproduces that runtime on the simulator:
 - :mod:`repro.atlas.log` — the undo log: old values are logged (and the
   log entry made durable) before the first in-FASE modification of a
   location; a commit record seals the FASE after its data is flushed.
-- :mod:`repro.atlas.fase` — FASE bracketing, nesting and the lock-based
-  entry points Atlas instruments.
+- :mod:`repro.atlas.fase` — :class:`FaseLock`, the lock-based entry
+  point Atlas instruments.
 - :mod:`repro.atlas.runtime` — :class:`AtlasRuntime`, the user-facing
   object tying a machine session, a technique, the log and regions
-  together.
+  together; its ``fase_begin``/``fase_end`` is the one FASE bracket.
 - :mod:`repro.atlas.recovery` — post-crash recovery: roll back
   uncommitted FASEs from the undo log and hand back a consistent heap.
 
@@ -26,7 +26,7 @@ machine at arbitrary store counts and asserts recovery round-trips.
 
 from repro.atlas.region import PersistentRegion, RegionManager
 from repro.atlas.log import UndoLog, LogRecord
-from repro.atlas.fase import FaseManager, FaseLock
+from repro.atlas.fase import FaseLock
 from repro.atlas.runtime import AtlasRuntime
 from repro.atlas.recovery import recover, RecoveryReport
 
@@ -35,7 +35,6 @@ __all__ = [
     "RegionManager",
     "UndoLog",
     "LogRecord",
-    "FaseManager",
     "FaseLock",
     "AtlasRuntime",
     "recover",

@@ -1,4 +1,4 @@
-"""FASE bracketing: nesting, ids, and the lock-based entry points.
+"""The lock-based FASE entry point.
 
 Atlas derives FASEs from critical sections: "the programming model
 requires that all the codes that violate a program invariant be grouped
@@ -7,64 +7,16 @@ lock acquire/release (§III-C, "Compiler Support").  A FASE "is more
 general than transactions because of nesting" (§V): persistence is only
 guaranteed when the *outermost* section closes.
 
-:class:`FaseManager` tracks the nesting and drives the machine session;
 :class:`FaseLock` is the lock-shaped front end — acquiring enters a FASE,
-releasing leaves it — so ported lock-based code reads naturally.
+releasing leaves it — so ported lock-based code reads naturally.  Both go
+through the runtime's one bracket (``AtlasRuntime.fase_begin`` /
+``fase_end``), so a lock-entered FASE is logged and committed exactly as
+a ``with rt.fase():`` one.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator
-
 from repro.common.errors import SimulationError
-from repro.nvram.machine import MachineSession
-
-
-class FaseManager:
-    """Tracks FASE nesting for one runtime thread."""
-
-    __slots__ = ("session", "completed")
-
-    def __init__(self, session: MachineSession) -> None:
-        self.session = session
-        self.completed = 0
-
-    @property
-    def depth(self) -> int:
-        """Current nesting depth (0 = outside any FASE)."""
-        return self.session.fase_depth
-
-    @property
-    def in_fase(self) -> bool:
-        """True inside a FASE at any depth."""
-        return self.session.fase_depth > 0
-
-    @property
-    def current_id(self) -> int:
-        """Unique id of the current outermost FASE (-1 outside)."""
-        return self.session.current_fase_id
-
-    def begin(self) -> None:
-        """Enter a (possibly nested) failure-atomic section."""
-        self.session.fase_begin()
-
-    def end(self) -> None:
-        """Leave the innermost open section."""
-        if self.session.fase_depth == 0:
-            raise SimulationError("FASE end without a matching begin")
-        self.session.fase_end()
-        if self.session.fase_depth == 0:
-            self.completed += 1
-
-    @contextmanager
-    def fase(self) -> Iterator[None]:
-        """``with fases.fase(): ...`` — bracketed section."""
-        self.begin()
-        try:
-            yield
-        finally:
-            self.end()
 
 
 class FaseLock:
@@ -72,29 +24,29 @@ class FaseLock:
 
     The simulation is cooperative (one OS thread drives all simulated
     threads), so no real mutual exclusion is needed; the lock checks
-    usage discipline and brackets the FASE.  Locks may nest — Atlas
-    builds its FASEs from the program's full outermost critical
-    sections.
+    usage discipline and brackets the FASE through its runtime.  Locks
+    may nest — Atlas builds its FASEs from the program's full outermost
+    critical sections.
     """
 
-    __slots__ = ("name", "manager", "_held")
+    __slots__ = ("name", "runtime", "_held")
 
-    def __init__(self, name: str, manager: FaseManager) -> None:
+    def __init__(self, name: str, runtime) -> None:
         self.name = name
-        self.manager = manager
+        self.runtime = runtime
         self._held = 0
 
     def acquire(self) -> None:
         """Take the lock, entering a failure-atomic section."""
         self._held += 1
-        self.manager.begin()
+        self.runtime.fase_begin()
 
     def release(self) -> None:
         """Release the lock, leaving the section."""
         if self._held == 0:
             raise SimulationError(f"lock {self.name!r} released but not held")
         self._held -= 1
-        self.manager.end()
+        self.runtime.fase_end()
 
     @property
     def held(self) -> bool:

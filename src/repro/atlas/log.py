@@ -83,7 +83,7 @@ class UndoLog:
     def __init__(self, region: PersistentRegion, session) -> None:
         self.region = region
         self.session = session
-        self._logged: set = set()      # addrs logged in the current FASE
+        self._logged: set = set()      # addrs logged in the current FASE (commit clears)
         self.appended = 0
         self.commits = 0
 
@@ -96,10 +96,6 @@ class UndoLog:
         port = self.session._ctx.port
         port.flush_async(slot >> 6, category=category)
         self.appended += 1
-
-    def on_fase_begin(self) -> None:
-        """Reset the logged-address set for a fresh outermost FASE."""
-        self._logged.clear()
 
     def log_store(self, fase_id: int, addr: int, old_value: object) -> None:
         """Log the old value before the first in-FASE store to ``addr``."""

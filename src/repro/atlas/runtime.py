@@ -18,10 +18,15 @@ durable before the new value can reach NVRAM), data flushes are managed
 by the chosen technique (ER/LA/AT/SC/SC-offline — the object of the
 paper), and the FASE end orders *data drain before commit record*.
 
+:meth:`AtlasRuntime.fase_begin` / :meth:`AtlasRuntime.fase_end` is the one
+FASE bracket: ``fase()`` and the locks ``lock()`` hands out (Atlas derives
+its FASEs from critical sections) enter and leave through it, and so does
+the crash replay's driver.
+
 Multi-threaded programs create one runtime per simulated thread over a
-shared :class:`~repro.nvram.machine.Machine` via :meth:`AtlasRuntime.for_machine`
-(software caches, logs and FASEs are all per-thread, exactly as in the
-paper's design).
+shared :class:`~repro.nvram.machine.Machine` and
+:class:`~repro.atlas.region.RegionManager` (software caches, logs and
+FASEs are all per-thread, exactly as in the paper's design).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
-from repro.atlas.fase import FaseLock, FaseManager
+from repro.atlas.fase import FaseLock
 from repro.atlas.log import UndoLog
 from repro.atlas.region import DEFAULT_REGION_SIZE, PersistentRegion, RegionManager
 from repro.cache.spec import technique_factory
@@ -78,31 +83,10 @@ class AtlasRuntime:
         self.session: MachineSession = machine.session(
             self.technique, thread_id, record_trace=record_trace
         )
-        self.fases = FaseManager(self.session)
         log_region = self.regions.find_or_create(
             f"__atlas_log_{thread_id}", LOG_REGION_SIZE
         )
         self.log = UndoLog(log_region, self.session)
-        self._thread_id = thread_id
-        self._all_log_regions = [log_region]
-
-    @classmethod
-    def for_machine(
-        cls,
-        machine: Machine,
-        regions: RegionManager,
-        technique: str,
-        thread_id: int,
-        **technique_options,
-    ) -> "AtlasRuntime":
-        """A per-thread runtime sharing ``machine`` and ``regions``."""
-        return cls(
-            technique=technique,
-            machine=machine,
-            regions=regions,
-            thread_id=thread_id,
-            **technique_options,
-        )
 
     # -- regions & allocation --------------------------------------------
 
@@ -128,40 +112,44 @@ class AtlasRuntime:
 
     # -- FASEs -------------------------------------------------------------
 
+    def fase_begin(self) -> None:
+        """Enter a failure-atomic section (sections nest; only the
+        outermost one is atomic)."""
+        self.session.fase_begin()
+
+    def fase_end(self) -> None:
+        """Leave the innermost open section.
+
+        Leaving the *outermost* one drains the technique's buffered lines
+        (data durable), then logs and flushes the commit record — the
+        Atlas ordering that makes recovery sound.  An end outside any
+        section is a :class:`SimulationError`.
+        """
+        fase_id = self.session.current_fase_id
+        self.session.fase_end()
+        if self.session.fase_depth == 0:
+            self.log.commit(fase_id)
+
     @contextmanager
     def fase(self) -> Iterator[None]:
-        """``with rt.fase(): ...`` — a failure-atomic section.
-
-        On exit of the *outermost* section: the technique drains its
-        buffered lines (data durable), then the commit record is logged
-        and flushed — the Atlas ordering that makes recovery sound.
-        """
-        self.fases.begin()
-        fase_id = self.fases.current_id
-        if self.fases.depth == 1:
-            self.log.on_fase_begin()
+        """``with rt.fase(): ...`` — a failure-atomic section."""
+        self.fase_begin()
         try:
             yield
         finally:
-            if self.fases.depth == 1:
-                # Order: data drain happens inside fase_end (the
-                # technique's commit), then the commit record.
-                self.fases.end()
-                self.log.commit(fase_id)
-            else:
-                self.fases.end()
+            self.fase_end()
 
     def lock(self, name: str) -> FaseLock:
         """A lock whose critical section is a FASE (Atlas's model)."""
-        return FaseLock(name, self.fases)
+        return FaseLock(name, self)
 
     # -- data access ---------------------------------------------------------
 
     def store(self, addr: int, size: int = 8, value: object = None) -> None:
         """A persistent store; undo-logged when inside a FASE."""
-        if self.fases.in_fase:
+        if self.session.fase_depth:
             old = self.machine.read_current(addr)
-            self.log.log_store(self.fases.current_id, addr, old)
+            self.log.log_store(self.session.current_fase_id, addr, old)
         self.session.store(addr, size, value)
 
     def load(self, addr: int, size: int = 8) -> object:

@@ -100,7 +100,6 @@ class GoldenRun:
     #: Persistent (shifted) addresses ever stored *outside* any FASE —
     #: unprotected by atomicity, so the oracle must not judge them.
     unprotected: Set[int]
-    final_nvram: Dict[int, object]
     layout: AtlasLayout
     #: Sorted FASE-protected addresses — what the oracle judges.  Derived
     #: by :meth:`seal` when the replay is over.
@@ -279,8 +278,8 @@ class AtlasReplayDriver:
         )
         regions = RegionManager()
         runtimes = [
-            AtlasRuntime.for_machine(
-                machine, regions, self.technique, tid, **self.technique_options
+            AtlasRuntime(
+                self.technique, machine, regions, tid, **self.technique_options
             )
             for tid in range(self.num_threads)
         ]
@@ -313,6 +312,7 @@ class AtlasReplayDriver:
 
         def step(tid: int, budget: int) -> bool:
             rt = runtimes[tid]
+            session = rt.session
             stream = events[tid]
             end = min(positions[tid] + budget, len(stream))
             thread_bits = tid << 40
@@ -332,43 +332,38 @@ class AtlasReplayDriver:
                         else:
                             golden.unprotected.add(addr)
                     else:
-                        rt.session.store(addr, ev.size, token)
+                        session.store(addr, ev.size, token)
                 elif kind == kind_work:
                     rt.work(ev.amount)
                 elif kind == kind_load:
                     addr = ev.addr
                     rt.load(addr + shift if addr >= nvram_base else addr, ev.size)
                 elif kind == kind_begin:
-                    rt.fases.begin()
-                    if rt.fases.depth == 1:
-                        rt.log.on_fase_begin()
+                    rt.fase_begin()
+                    if session.fase_depth == 1:
                         record = FaseRecord(
-                            uid=rt.fases.current_id,
+                            uid=session.current_fase_id,
                             thread_id=tid,
                             begin_site=machine.sites_seen,
                         )
                         golden.fases[record.uid] = record
                         open_fases[tid] = record
                 else:  # FASE_END
-                    if rt.fases.depth == 1:
-                        uid = rt.fases.current_id
-                        if self.commit_before_drain:
-                            # Broken ordering (negative control): the
-                            # commit record becomes durable while the
-                            # FASE's data still sits in volatile caches.
-                            rt.log.commit(uid)
-                            commit_site = machine.sites_seen - 1
-                            rt.fases.end()
-                        else:
-                            # Atlas ordering: drain data, then commit.
-                            rt.fases.end()
-                            rt.log.commit(uid)
-                            commit_site = machine.sites_seen - 1
+                    uid = session.current_fase_id
+                    if self.commit_before_drain and session.fase_depth == 1:
+                        # Broken ordering (negative control): the commit
+                        # record becomes durable while the FASE's data
+                        # still sits in volatile caches.
+                        rt.log.commit(uid)
+                        commit_site = machine.sites_seen - 1
+                        session.fase_end()
+                    else:
+                        rt.fase_end()
+                        commit_site = machine.sites_seen - 1
+                    if session.fase_depth == 0:
                         golden.fases[uid].commit_site = commit_site
                         golden.commit_order.append(uid)
                         open_fases[tid] = None
-                    else:
-                        rt.fases.end()
             positions[tid] = end
             return end < len(stream)
 
@@ -388,12 +383,10 @@ class AtlasReplayDriver:
             fases={},
             commit_order=[],
             unprotected=set(),
-            final_nvram={},
             layout=runtimes[0].layout(),
             journal=journal,
         )
         self._replay(machine, runtimes, shift, golden)
-        golden.final_nvram = machine.memory.nvram_snapshot()
         golden.seal()
         self._golden = golden
         return golden

@@ -139,7 +139,7 @@ def replayed_state(driver, site, fault_model="clean", fault_seed=0):
     machine.crashed_state = None
     machine.arm_crash_plan(CrashPlan(site, fault_model, fault_seed))
     scratch = GoldenRun(
-        sites=[], fases={}, commit_order=[], unprotected=set(), final_nvram={},
+        sites=[], fases={}, commit_order=[], unprotected=set(),
         layout=runtimes[0].layout(),
     )
     driver._replay(machine, runtimes, shift, scratch)

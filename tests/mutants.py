@@ -28,6 +28,8 @@ class Mutant(NamedTuple):
 _FAILURE = "repro/nvram/failure.py"
 _ORACLE = "repro/faults/oracle.py"
 _DRIVER = "repro/faults/driver.py"
+_RUNTIME = "repro/atlas/runtime.py"
+_FASE = "repro/atlas/fase.py"
 
 #: The journal walk against the live reference, across fault models.
 _CUT = (
@@ -52,6 +54,20 @@ _JUDGE = (
     "tests/test_oracle_differential.py::test_broken_ordering_is_named_exactly_as_the_reference_names_it",
     "tests/test_oracle_differential.py::test_a_stored_none_takes_the_fast_accept_and_names_nothing",
     "tests/test_oracle_differential.py::test_a_committed_none_takes_the_fast_accept",
+)
+
+#: The runtime's one FASE bracket, entered by lock and by ``fase()``.
+_BRACKET = (
+    "tests/test_fase.py::test_two_lock_fases_on_one_address_both_commit",
+    "tests/test_fase.py::test_a_crash_between_the_drain_and_the_commit_restores_the_first_value",
+    "tests/test_fase.py::test_a_fase_nested_in_a_lock_commits_once",
+)
+#: Sound crash campaigns: zero violations at every site.  (A replay
+#: whose runtime commits before the drain reads sound to them: the golden
+#: run takes the end's last site as the commit.)
+_SOUND = (
+    "tests/test_faults_campaign.py::test_correct_ordering_has_no_commit_window",
+    "tests/test_faults_campaign.py::test_linkedlist_two_threads_exhaustive_zero_violations",
 )
 
 MUTANTS = (
@@ -178,5 +194,31 @@ MUTANTS = (
         "record.writes[addr] = ev.value\n"
         "                            record.all_values.setdefault(addr, set()).add(ev.value)",
         _TOKENS, "the golden truth records the workload's payload, not what was stored",
+    ),
+    # -- The FASE bracket ----------------------------------------------------
+    Mutant(
+        "fase-end-without-commit", _RUNTIME,
+        "            self.log.commit(fase_id)", "            pass",
+        _BRACKET, "no FASE writes a commit record: recovery rolls every one back",
+    ),
+    Mutant(
+        "fase-end-commits-before-drain", _RUNTIME,
+        "        self.session.fase_end()\n"
+        "        if self.session.fase_depth == 0:\n"
+        "            self.log.commit(fase_id)",
+        "        if self.session.fase_depth == 1:\n"
+        "            self.log.commit(fase_id)\n"
+        "        self.session.fase_end()",
+        _BRACKET, "the commit record is durable while the FASE's data is still volatile",
+    ),
+    Mutant(
+        "lock-bypasses-runtime", _FASE,
+        "self.runtime.fase_end()", "self.runtime.session.fase_end()",
+        _BRACKET, "a lock-entered FASE leaves without a commit record",
+    ),
+    Mutant(
+        "replay-end-bypasses-bracket", _DRIVER,
+        "                        rt.fase_end()", "                        session.fase_end()",
+        _SOUND, "the crash replay's FASEs end without a commit record",
     ),
 )

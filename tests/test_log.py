@@ -49,13 +49,11 @@ def test_log_entry_is_durable_immediately(setup):
 
 def test_duplicate_addr_logged_once_per_fase(setup):
     machine, session, log = setup
-    log.on_fase_begin()
     log.log_store(1, 100, "a")
     log.log_store(1, 100, "stale")     # second store to the same addr
     assert log.appended == 1
     log.commit(1)
-    log.on_fase_begin()
-    log.log_store(2, 100, "b")         # new FASE: logged again
+    log.log_store(2, 100, "b")         # new FASE (the commit reset the set): logged again
     assert log.appended == 3           # undo + commit + undo
 
 

@@ -57,8 +57,7 @@ def test_vector_crash_mid_growth_rolls_back(rt):
     v = PersistentVector(rt, initial_capacity=4)
     v.extend(range(4))
     # Open the growth FASE by hand and crash inside it.
-    rt.fases.begin()
-    rt.log.on_fase_begin()
+    rt.fase_begin()
     length, cap, data = v._header()
     new_data = rt.alloc(8 * cap * 2)
     for i in range(length):
@@ -211,8 +210,7 @@ def test_queue_crash_recovers_committed_prefix(rt):
         q.enqueue(i)
     q.dequeue()
     # A torn enqueue: header update never commits.
-    rt.fases.begin()
-    rt.log.on_fase_begin()
+    rt.fase_begin()
     node = rt.alloc(8)
     rt.store(node, value=("torn", None))
     state = rt.crash()

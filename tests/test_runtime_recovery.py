@@ -42,8 +42,7 @@ def test_committed_fases_survive_crash(technique):
     rt = make_runtime(technique)
     expected = run_committed_fases(rt)
     # Open a FASE that never commits.
-    rt.fases.begin()
-    rt.log.on_fase_begin()
+    rt.fase_begin()
     doomed = [rt.alloc(8) for _ in range(4)]
     for a in doomed:
         rt.store(a, value="doomed")
@@ -72,8 +71,7 @@ def test_overwrite_rolls_back_to_committed_value(technique):
     slot = rt.alloc(8, region)
     with rt.fase():
         rt.store(slot, value="v1")
-    rt.fases.begin()
-    rt.log.on_fase_begin()
+    rt.fase_begin()
     rt.store(slot, value="v2")           # uncommitted overwrite
     state = rt.crash()
     report = recover(state, rt.layout())
@@ -112,8 +110,8 @@ def test_multi_thread_runtimes_share_machine():
 
     machine = Machine(MachineConfig(track_values=True))
     regions = RegionManager()
-    rt0 = AtlasRuntime.for_machine(machine, regions, "SC", 0)
-    rt1 = AtlasRuntime.for_machine(machine, regions, "SC", 1)
+    rt0 = AtlasRuntime("SC", machine, regions, thread_id=0)
+    rt1 = AtlasRuntime("SC", machine, regions, thread_id=1)
     a0 = rt0.alloc(8)
     a1 = rt1.alloc(8)
     assert a0 != a1
@@ -143,8 +141,7 @@ def test_crash_recovery_property(technique, n_committed, n_uncommitted, overwrit
     expected = run_committed_fases(rt, n_fases=n_committed, stores_per_fase=3)
     doomed = []
     if n_uncommitted:
-        rt.fases.begin()
-        rt.log.on_fase_begin()
+        rt.fase_begin()
         for _ in range(n_uncommitted):
             a = rt.alloc(8)
             rt.store(a, value="bad")
@@ -160,10 +157,19 @@ def test_crash_recovery_property(technique, n_committed, n_uncommitted, overwrit
         assert report.read(addr) is None
 
 
-@pytest.mark.parametrize("technique", ["SC", "AT"])
-def test_exhaustive_crash_point_sweep(technique):
+#: The two ways into a FASE: the section and the lock.
+BRACKETS = {"fase": lambda rt: rt.fase(), "lock": lambda rt: rt.lock("l")}
+
+
+@pytest.mark.parametrize(
+    "technique, bracket",
+    [("SC", "fase"), ("AT", "fase"), ("SC", "lock"), ("AT", "lock")],
+    ids=["SC", "AT", "SC-lock", "AT-lock"],
+)
+def test_exhaustive_crash_point_sweep(technique, bracket):
     """Crash after every possible store count of one program shape:
-    recovery must hold at *every* cut point, not just convenient ones."""
+    recovery must hold at *every* cut point, not just convenient ones,
+    whichever way its FASEs are entered."""
     def build():
         rt = make_runtime(technique)
         committed = {}
@@ -176,7 +182,7 @@ def test_exhaustive_crash_point_sweep(technique):
     # First pass: count data stores by running to completion.
     rt, committed, schedule = build()
     for slots, fase in schedule:
-        with rt.fase():
+        with BRACKETS[bracket](rt):
             for j, addr in enumerate(slots):
                 rt.store(addr, value=(fase, j))
     total = rt.stats.persistent_stores
@@ -186,9 +192,8 @@ def test_exhaustive_crash_point_sweep(technique):
         stores_done = 0
         state = None
         for slots, fase in schedule:
-            rt.fases.begin()
-            rt.log.on_fase_begin()
-            fase_id = rt.fases.current_id
+            section = BRACKETS[bracket](rt)
+            section.__enter__()
             wrote = {}
             for j, addr in enumerate(slots):
                 rt.store(addr, value=(fase, j))
@@ -199,8 +204,7 @@ def test_exhaustive_crash_point_sweep(technique):
                     break
             if state is not None:
                 break
-            rt.fases.end()
-            rt.log.commit(fase_id)
+            section.__exit__(None, None, None)
             committed.update(wrote)
         if state is None:
             state = rt.crash()
