@@ -68,6 +68,11 @@ class LogRecord(NamedTuple):
         return None
 
 
+#: ``LogRecord(*fields)`` without the Python frame of the generated
+#: ``__new__``: a FASE appends a record per address it stores to.
+_new_record = tuple.__new__
+
+
 class UndoLog:
     """Append-only undo log in a persistent region.
 
@@ -78,12 +83,12 @@ class UndoLog:
     flush path and are counted separately from data flushes.
     """
 
-    __slots__ = ("region", "session", "_logged", "appended", "commits")
+    __slots__ = ("region", "session", "logged", "appended", "commits")
 
     def __init__(self, region: PersistentRegion, session) -> None:
         self.region = region
         self.session = session
-        self._logged: set = set()      # addrs logged in the current FASE (commit clears)
+        self.logged: set = set()       # addrs logged in the current FASE (commit clears)
         self.appended = 0
         self.commits = 0
 
@@ -92,17 +97,16 @@ class UndoLog:
         # Log stores bypass the data technique (Atlas's table tracks
         # program data, not the log) and are flushed eagerly: the entry
         # must be durable before the guarded store may reach NVRAM.
-        self.session.store_unmanaged(slot, LOG_SLOT_BYTES, value=record.as_payload())
-        port = self.session._ctx.port
-        port.flush_async(slot >> 6, category=category)
+        self.session.store_flushed(slot, LOG_SLOT_BYTES, record, category)
         self.appended += 1
 
     def log_store(self, fase_id: int, addr: int, old_value: object) -> None:
-        """Log the old value before the first in-FASE store to ``addr``."""
-        if addr in self._logged:
+        """Log the old value before the first in-FASE store to ``addr``
+        (a later one to an address in :attr:`logged` appends nothing)."""
+        if addr in self.logged:
             return
-        self._logged.add(addr)
-        self._append(LogRecord(KIND_UNDO, fase_id, addr, old_value))
+        self.logged.add(addr)
+        self._append(_new_record(LogRecord, (KIND_UNDO, fase_id, addr, old_value)))
 
     def commit(self, fase_id: int) -> None:
         """Seal a FASE: its data is durable, write the commit record.
@@ -111,9 +115,9 @@ class UndoLog:
         enumeration can distinguish it from undo appends; the machine
         counts both into ``log_flushes``.
         """
-        self._append(LogRecord(KIND_COMMIT, fase_id), category="commit")
+        self._append(_new_record(LogRecord, (KIND_COMMIT, fase_id, 0, None)), "commit")
         self.commits += 1
-        self._logged.clear()
+        self.logged.clear()
 
     # -- post-crash scanning (class-level: no live log object exists) ----
 

@@ -146,11 +146,13 @@ class AtlasRuntime:
     # -- data access ---------------------------------------------------------
 
     def store(self, addr: int, size: int = 8, value: object = None) -> None:
-        """A persistent store; undo-logged when inside a FASE."""
-        if self.session.fase_depth:
+        """A persistent store; inside a FASE, the first one to ``addr``
+        undo-logs the value it overwrites (the only one that reads it)."""
+        session = self.session
+        if session.fase_depth and addr not in self.log.logged:
             old = self.machine.read_current(addr)
-            self.log.log_store(self.session.current_fase_id, addr, old)
-        self.session.store(addr, size, value)
+            self.log.log_store(session.current_fase_id, addr, old)
+        session.store(addr, size, value)
 
     def load(self, addr: int, size: int = 8) -> object:
         """A persistent load; returns the currently visible value."""

@@ -53,8 +53,8 @@ allocations before its first event and nothing else touches shared
 state, so a machine that pulls steps as it runs sees what a per-event
 generator would hand it.  They pack into batches
 (:func:`batches_from_steps`) where one execution serves every technique,
-decode into events (:func:`events_from_steps`) for crash replays, and
-feed live quanta.
+decode into events (:func:`events_from_steps`) for the per-event engine,
+and feed live quanta and crash replays as they are.
 
 No encoding carries store payloads: a decoded ``Store`` has ``value``
 ``None``.  A crash replay stores its own token per store (the fault
@@ -552,6 +552,40 @@ def ragged_step(tid: int, index: int, step: Step) -> SimulationError:
         f"thread {tid}: step {index} has columns of lengths {lengths} "
         "(kinds/args/sizes); every column needs one entry per event"
     )
+
+
+def not_an_event(tid: int, element: object) -> SimulationError:
+    """The error for an element of thread ``tid``'s per-object stream that
+    is not an event, on every consumer of such a stream."""
+    return SimulationError(f"thread {tid}: stream element {element!r} is not an event")
+
+
+def columns_from_events(events: Iterable[object], tid: int = 0) -> Tuple[list, list, list]:
+    """Encode thread ``tid``'s per-object events as one step's column
+    lists ``(kinds, args, sizes)``."""
+    kinds, args, sizes = [], [], []
+    try:
+        for ev in events:
+            if (kind := ev.kind) not in (0, 1, 2, 3, 4):
+                raise not_an_event(tid, ev)
+            args.append(ev.addr if kind < 2 else ev.amount if kind == 2 else 0)
+            sizes.append(ev.size if kind < 2 else 0)
+            kinds.append(kind)
+    except AttributeError:
+        raise not_an_event(tid, ev) from None
+    return kinds, args, sizes
+
+
+def columns_from_steps(steps: Iterable[Step], tid: int = 0) -> Tuple[list, list, list]:
+    """Concatenate thread ``tid``'s steps into one step's column lists."""
+    kinds, args, sizes = [], [], []
+    for index, step in enumerate(steps):
+        if not len(step[0]) == len(step[1]) == len(step[2]):
+            raise ragged_step(tid, index, step)
+        kinds += step[0]
+        args += step[1]
+        sizes += step[2]
+    return kinds, args, sizes
 
 
 def batches_from_steps(

@@ -15,12 +15,20 @@ is the dispatch: the stream path routes stores through the persistence
 technique only, while fault injection needs each in-FASE store to pass
 through :class:`~repro.atlas.runtime.AtlasRuntime` so old values are
 undo-logged first.  The driver therefore owns one runtime per thread
-over a shared value-tracking machine and a ``step`` that pushes a
+over a shared value-tracking machine and a ``step`` that walks a
 thread's next events through its runtime, and hands the interleaving to
 ``Machine.drive`` — the machine's own smallest-clock-first loop, with its
 quantum hooks and sampling.  A replay is therefore bit-deterministic and
 visits the same global site sequence as any other of its configuration,
 which is what makes a crash target's site index meaningful.
+
+A thread's program is kept as its ``(kinds, args, sizes)`` columns — the
+workload's steps concatenated, else its batches', else its per-object
+stream encoded once — and ``step`` walks them by index: no event object
+is built.  Each operation is one runtime call (``store``, ``load``,
+``work``, the ``fase_begin``/``fase_end`` bracket), and the runtime
+reaches the machine through its session only.  A FASE's commit site is
+read off the site log: its commit record's own ``commit`` entry.
 
 Address plumbing: workload allocators hand out addresses from
 ``NVRAM_BASE`` up — the same space the Atlas region manager carves log
@@ -47,9 +55,15 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tupl
 from repro.atlas.region import RegionManager
 from repro.atlas.runtime import AtlasLayout, AtlasRuntime
 from repro.common.errors import ConfigurationError, SimulationError, require_int
-from repro.common.events import EventKind
-from repro.common.geometry import CACHE_LINE_SIZE
-from repro.nvram.failure import FAULT_MODELS, CrashedState, CrashJournal, crashed_states
+from repro.common.events import columns_from_events, columns_from_steps
+from repro.common.geometry import CACHE_LINE_SIZE, negative_size
+from repro.nvram.failure import (
+    FAULT_MODELS,
+    SITE_COMMIT,
+    CrashedState,
+    CrashJournal,
+    crashed_states,
+)
 from repro.nvram.machine import Machine, MachineConfig
 from repro.nvram.memory import NVRAM_BASE
 from repro.nvram.timing import DEFAULT_TIMING, TimingModel
@@ -116,6 +130,8 @@ class GoldenRun:
         commit in ``commit_order`` (so :meth:`committed_by` is a prefix)."""
         begins = [record.begin_site for record in self.fases.values()]
         commits = [self.fases[uid].commit_site for uid in self.commit_order]
+        if None in commits:
+            raise SimulationError("golden run: a FASE ended with no commit record")
         if begins != sorted(begins) or commits != sorted(commits):
             raise SimulationError("golden run: FASE begin/commit sites do not ascend")
         protected: Set[int] = set()
@@ -241,23 +257,40 @@ class AtlasReplayDriver:
         self.commit_before_drain = commit_before_drain
         self.recorder = recorder
         self.metrics = metrics
-        self._events: Optional[List[List[object]]] = None
+        self._program: Optional[List[Tuple[list, list, list]]] = None
         self._golden: Optional[GoldenRun] = None
 
     # ------------------------------------------------------------------
 
-    def _materialized_events(self) -> List[List[object]]:
-        """Per-thread event lists, materialized once and replayed many
-        times (generators cannot be rewound; lists can)."""
-        if self._events is None:
-            streams = self.workload.streams(self.num_threads, self.seed)
-            if len(streams) != self.num_threads:
+    def _columns(self) -> List[Tuple[list, list, list]]:
+        """Each thread's program as its ``(kinds, args, sizes)`` columns,
+        materialized once and replayed many times: its ``steps()``
+        concatenated, else its ``batch_streams()``'s, else its
+        ``streams()`` encoded.  A ragged step, a stream element that is
+        not an event and a negative size are refused, as on every engine."""
+        if self._program is None:
+            workload, threads, seed = self.workload, self.num_threads, self.seed
+            absent = lambda threads, seed: None    # an encoding it does not emit
+            streams = getattr(workload, "steps", absent)(threads, seed)
+            if streams is None:
+                batches = getattr(workload, "batch_streams", absent)(threads, seed)
+                if batches is not None:
+                    streams = [
+                        ((b.kinds, b.args, b.sizes) for b in thread) for thread in batches
+                    ]
+            encode = columns_from_steps
+            if streams is None:
+                streams, encode = workload.streams(threads, seed), columns_from_events
+            if len(streams) != threads:
                 raise SimulationError(
-                    f"workload produced {len(streams)} streams for "
-                    f"{self.num_threads} threads"
+                    f"workload produced {len(streams)} streams for {threads} threads"
                 )
-            self._events = [list(s) for s in streams]
-        return self._events
+            program = [encode(stream, tid) for tid, stream in enumerate(streams)]
+            for _kinds, _args, sizes in program:
+                if sizes and min(sizes) < 0:
+                    raise negative_size(min(sizes))
+            self._program = program
+        return self._program
 
     def _build(self) -> Tuple[Machine, List[AtlasRuntime], int]:
         """A fresh machine + per-thread runtimes + the data-address shift.
@@ -301,30 +334,35 @@ class AtlasReplayDriver:
         """Drive all threads to completion, each store writing its token
         (module docstring), recording FASE ground truth into ``golden``
         as it executes."""
-        events = self._materialized_events()
+        program = self._columns()
+        sites = golden.sites
         positions = [0] * self.num_threads
         open_fases: List[Optional[FaseRecord]] = [None] * self.num_threads
-        kind_store = EventKind.STORE
-        kind_load = EventKind.LOAD
-        kind_work = EventKind.WORK
-        kind_begin = EventKind.FASE_BEGIN
         nvram_base = NVRAM_BASE
+
+        def committed_at(tid: int, mark: int) -> Optional[int]:
+            """The site of ``tid``'s commit record among the sites logged
+            from ``mark`` on (``None`` on a machine keeping no site log)."""
+            for entry in reversed(sites[mark:]):
+                if entry[1] == SITE_COMMIT and entry[2] == tid:
+                    return entry[0]
+            return None
 
         def step(tid: int, budget: int) -> bool:
             rt = runtimes[tid]
             session = rt.session
-            stream = events[tid]
-            end = min(positions[tid] + budget, len(stream))
+            kinds, args, sizes = program[tid]
+            start = positions[tid]
+            end = min(start + budget, len(kinds))
             thread_bits = tid << 40
-            for index in range(positions[tid], end):
-                ev = stream[index]
-                kind = ev.kind
-                if kind == kind_store:
-                    addr = ev.addr
+            for index in range(start, end):
+                kind = kinds[index]
+                if kind == 0:    # STORE
+                    addr = args[index]
                     token = thread_bits | index
                     if addr >= nvram_base:
                         addr += shift
-                        rt.store(addr, ev.size, token)
+                        rt.store(addr, sizes[index], token)
                         record = open_fases[tid]
                         if record is not None:
                             record.writes[addr] = token
@@ -332,13 +370,13 @@ class AtlasReplayDriver:
                         else:
                             golden.unprotected.add(addr)
                     else:
-                        session.store(addr, ev.size, token)
-                elif kind == kind_work:
-                    rt.work(ev.amount)
-                elif kind == kind_load:
-                    addr = ev.addr
-                    rt.load(addr + shift if addr >= nvram_base else addr, ev.size)
-                elif kind == kind_begin:
+                        session.store(addr, sizes[index], token)
+                elif kind == 2:  # WORK
+                    rt.work(args[index])
+                elif kind == 1:  # LOAD
+                    addr = args[index]
+                    rt.load(addr + shift if addr >= nvram_base else addr, sizes[index])
+                elif kind == 3:  # FASE_BEGIN
                     rt.fase_begin()
                     if session.fase_depth == 1:
                         record = FaseRecord(
@@ -348,24 +386,23 @@ class AtlasReplayDriver:
                         )
                         golden.fases[record.uid] = record
                         open_fases[tid] = record
-                else:  # FASE_END
+                else:            # FASE_END
                     uid = session.current_fase_id
+                    mark = len(sites)
                     if self.commit_before_drain and session.fase_depth == 1:
                         # Broken ordering (negative control): the commit
                         # record becomes durable while the FASE's data
                         # still sits in volatile caches.
                         rt.log.commit(uid)
-                        commit_site = machine.sites_seen - 1
                         session.fase_end()
                     else:
                         rt.fase_end()
-                        commit_site = machine.sites_seen - 1
                     if session.fase_depth == 0:
-                        golden.fases[uid].commit_site = commit_site
+                        golden.fases[uid].commit_site = committed_at(tid, mark)
                         golden.commit_order.append(uid)
                         open_fases[tid] = None
             positions[tid] = end
-            return end < len(stream)
+            return end < len(kinds)
 
         machine.drive([rt.session for rt in runtimes], step)
 

@@ -192,7 +192,7 @@ def overlaid(nvram: Dict[int, object], overlay: Dict[int, object]) -> Dict[int, 
 
 #: Journal entry kinds, the low three bits of a code.  The bits above hold
 #: the thread, or for a store how many lines past its address's it falls.
-_J_STORE, _J_DIRTY, _J_FLUSH, _J_EVICT, _J_DRAIN = range(5)
+J_STORE, J_DIRTY, J_FLUSH, J_EVICT, J_DRAIN = range(5)
 
 
 class CrashJournal:
@@ -205,10 +205,12 @@ class CrashJournal:
     ``Machine.record_sites``, whose site log notes its length at every
     site.  One entry per change, in columns: ``codes``, ``args`` (an
     address or a line) and, per store, a reference to its value in
-    ``payloads`` — nothing is copied.  The entries are a persistent
-    store's pending value, which dirties its line; a dirty bit set with no
-    value (a volatile store's line); a write-back of a line, an explicit
-    flush or a hardware eviction, with its thread; and a thread's drain.
+    ``payloads`` — nothing is copied.  The machine appends the entries
+    where it makes the changes: a persistent store's pending value
+    (``J_STORE``, which dirties its line); a dirty bit set with no value
+    (``J_DIRTY``, a volatile store's line); a write-back of a line, an
+    explicit flush (``J_FLUSH``) or a hardware eviction (``J_EVICT``),
+    with its thread; and a thread's drain (``J_DRAIN``, arg 0).
     """
 
     __slots__ = ("codes", "args", "payloads", "depth")
@@ -218,23 +220,6 @@ class CrashJournal:
         self.args = array("q")
         self.payloads: List[object] = []
         self.depth = depth  # the flush queues', which bounds what is in flight
-
-    def _add(self, code: int, arg: int) -> None:
-        self.codes.append(code)
-        self.args.append(arg)
-
-    def stored(self, line: int, addr: int, value: object) -> None:
-        self._add(_J_STORE | (line - (addr >> 6)) << 3, addr)
-        self.payloads.append(value)
-
-    def dirtied(self, line: int) -> None:
-        self._add(_J_DIRTY, line)
-
-    def written_back(self, tid: int, line: int, evicted: bool) -> None:
-        self._add((_J_EVICT if evicted else _J_FLUSH) | tid << 3, line)
-
-    def drained(self, tid: int) -> None:
-        self._add(_J_DRAIN | tid << 3, 0)
 
     def walk(
         self, targets: Iterable[Tuple[tuple, int]], fault_models: Tuple[str, ...]
@@ -258,20 +243,20 @@ class CrashJournal:
             landed: Set[int] = set()
             for code, arg in zip(codes[pos:end], args[pos:end]):
                 kind = code & 7
-                if kind == _J_STORE:
+                if kind == J_STORE:
                     line = (arg >> 6) + (code >> 3)
                     pending.setdefault(line, {})[arg] = next(payloads)
                     dirty.add(line)
-                elif kind == _J_DIRTY:
+                elif kind == J_DIRTY:
                     dirty.add(arg)
-                elif kind == _J_DRAIN:
+                elif kind == J_DRAIN:
                     if inflight is not None:
                         inflight.drained(code >> 3)
                 else:
                     dirty.discard(arg)
                     values = pending.pop(arg, None)
                     if inflight is not None:
-                        if kind == _J_FLUSH:
+                        if kind == J_FLUSH:
                             inflight.flushed(arg)
                         elif values:
                             inflight.evicted(code >> 3, arg, values)

@@ -11,8 +11,9 @@ propagated to NVRAM" (§I).  It provides:
   Atlas uses and the only flush modelled; the invalidation is why "the
   next access will be a cache miss" (§II-A), the indirect flush cost the
   software cache reduces.
-- value tracking per dirty line, so write-backs carry real data into
-  simulated NVRAM for crash/recovery tests.
+- value tracking per dirty line (``values``, kept by the machine's
+  per-line path), so write-backs carry real data into simulated NVRAM
+  for crash/recovery tests.
 
 Sets use ``OrderedDict`` for O(1) LRU: lookup, move-to-end on touch,
 pop-first on eviction.  When several simulated threads share the cache,
@@ -121,14 +122,6 @@ class HardwareCache:
             evicted = (victim, dirty)
         cache_set[line] = is_write
         return False, evicted
-
-    def store_value(self, line: int, addr: int, value: object) -> None:
-        """Attach a value to a dirty line (value-tracking mode only)."""
-        self.values.setdefault(line, {})[addr] = value
-
-    def take_values(self, line: int) -> Dict[int, object]:
-        """Remove and return the pending values of ``line`` (may be empty)."""
-        return self.values.pop(line, {})
 
     # ------------------------------------------------------------------
 

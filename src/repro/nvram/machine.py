@@ -56,17 +56,19 @@ from repro.common.errors import ConfigurationError, SimulationError, require_int
 from repro.common.events import (
     Event,
     EventKind,
-    FaseBegin,
-    FaseEnd,
-    Load,
-    Store,
     VisitCode,
-    Work,
+    columns_from_events,
+    not_an_event,
     ragged_step,
 )
 from repro.common.geometry import lines_spanned, negative_size
 from repro.locality.trace import WriteTrace
 from repro.nvram.failure import (
+    J_DIRTY,
+    J_DRAIN,
+    J_EVICT,
+    J_FLUSH,
+    J_STORE,
     SITE_COMMIT,
     SITE_DRAIN,
     SITE_EVICT_FLUSH,
@@ -284,11 +286,6 @@ class _ThreadContext:
         self.alive = True
 
 
-def _not_an_event(ctx: _ThreadContext, element: object) -> SimulationError:
-    what = f"stream element {element!r} is not an event"
-    return SimulationError(f"thread {ctx.thread_id}: {what}")
-
-
 def _none(num_threads: int, seed: int) -> None:
     """What a workload offers in an encoding it does not emit."""
 
@@ -324,15 +321,10 @@ def _live_quanta(
                 args += step_args
                 sizes += step_sizes
         else:
-            try:
-                for ev in islice(ctx.stream, SCHED_BATCH):
-                    if (kind := ev.kind) not in (0, 1, 2, 3, 4):
-                        raise _not_an_event(ctx, ev)
-                    args.append(ev.addr if kind < 2 else ev.amount if kind == 2 else 0)
-                    sizes.append(ev.size if kind < 2 else 0)
-                    kinds.append(kind)
-            except AttributeError:
-                raise _not_an_event(ctx, ev) from None
+            pulled = columns_from_events(islice(ctx.stream, SCHED_BATCH), ctx.thread_id)
+            kinds += pulled[0]
+            args += pulled[1]
+            sizes += pulled[2]
         if not kinds:
             return
         quantum = kinds[:SCHED_BATCH], args[:SCHED_BATCH], sizes[:SCHED_BATCH]
@@ -463,13 +455,18 @@ class Machine:
         stats.instructions += 1
         stats.flushes += 1
         setattr(stats, counter, getattr(stats, counter) + 1)
-        dirty = self.hwcache.clflush(line)
+        hw = self.hwcache
+        dirty = hw.clflush(line)
         if self.config.track_values:
-            values = self.hwcache.take_values(line)
-            if self._journal is not None:
-                self._journal.written_back(ctx.thread_id, line, False)
-            if values:
-                self.memory.write_back(values.items())
+            values = hw.values.pop(line, None)
+            journal = self._journal
+            if journal is not None:
+                journal.codes.append(J_FLUSH | ctx.thread_id << 3)
+                journal.args.append(line)
+            if values:     # ``write_back`` inline: pending values are all persistent
+                memory = self.memory
+                memory.writebacks += 1
+                memory.nvram.update(values)
         stall = 0
         if dirty:
             now, stall = ctx.flushq.issue(stats.cycles)
@@ -500,8 +497,10 @@ class Machine:
         stats.stall_cycles += stall
         if rec.enabled:
             self._record_drain(ctx, category, stall, outstanding)
-        if self._journal is not None:
-            self._journal.drained(ctx.thread_id)
+        journal = self._journal
+        if journal is not None:
+            journal.codes.append(J_DRAIN | ctx.thread_id << 3)
+            journal.args.append(0)
         if self._sites_active:
             self._note_site(ctx, SITE_DRAIN)
 
@@ -541,9 +540,11 @@ class Machine:
         # A dirty line displaced by a fill: the hardware writes it back in
         # the background (no CPU issue cost, but channel occupancy).
         if self.config.track_values:
-            values = self.hwcache.take_values(line)
-            if self._journal is not None:
-                self._journal.written_back(ctx.thread_id, line, True)
+            values = self.hwcache.values.pop(line, None)
+            journal = self._journal
+            if journal is not None:
+                journal.codes.append(J_EVICT | ctx.thread_id << 3)
+                journal.args.append(line)
             if values:
                 self.memory.write_back(values.items())
         stats = ctx.stats
@@ -563,27 +564,46 @@ class Machine:
         self, ctx: _ThreadContext, addr: int, size: int, value=None, managed=True
     ) -> None:
         """Store ``size`` bytes at ``addr``, line by line: the L1 write, the
-        write-back of a dirty line it displaces and the tracked value; for
-        a managed persistent store also the technique's ``insert`` (never
-        called without a flush category), the flush of the line it
-        returns, and the write trace.  An access inside one line — a
-        zero-byte one too — touches that line, any other the lines it
-        spans."""
+        write-back of a dirty line it displaces and, under value tracking,
+        the pending value and its journal entry (a volatile ``addr`` only
+        dirties its line); for a managed persistent store also the
+        technique's ``insert`` (never called without a flush category), the
+        flush of the line it returns, and the write trace.  An access inside
+        one line — a zero-byte one too — touches that line, any other the
+        lines it spans."""
         t = self.config.timing
         stats = ctx.stats
         first = addr >> 6
         one = first == (addr + size - 1) >> 6 and size >= 0
         lines = (first,) if one else lines_spanned(addr, size)
         technique = ctx.technique
-        persistent = managed and addr >= NVRAM_BASE
+        durable = addr >= NVRAM_BASE
+        persistent = managed and durable
         category = technique.flush_category
+        hw = self.hwcache
+        track = self.config.track_values
+        if track:
+            pending = hw.values
+            journal = self._journal
         for line in lines:
-            hit, evicted = self.hwcache.access(line, True)
+            hit, evicted = hw.access(line, True)
             stats.cycles += t.l1_hit if hit else t.l1_hit + t.l1_miss
             if evicted is not None and evicted[1]:
                 self._evict_writeback(ctx, evicted[0])
-            if self.config.track_values:
-                self._store_value(line, addr, value)
+            if track:
+                if durable:
+                    values = pending.get(line)
+                    if values is None:
+                        pending[line] = {addr: value}
+                    else:
+                        values[addr] = value
+                    if journal is not None:
+                        journal.codes.append(J_STORE | (line - first) << 3)
+                        journal.args.append(addr)
+                        journal.payloads.append(value)
+                elif journal is not None:
+                    journal.codes.append(J_DIRTY)
+                    journal.args.append(line)
             if persistent:
                 if category is not None:
                     victim = technique.insert(line)
@@ -623,7 +643,7 @@ class Machine:
             except AttributeError:
                 if hasattr(ev, "kind"):
                     raise
-                raise _not_an_event(ctx, ev) from None
+                raise not_an_event(ctx.thread_id, ev) from None
             count += 1
         return count == budget
 
@@ -1093,58 +1113,77 @@ class Machine:
             budget = yield alive
 
     def _process_event(self, ctx: _ThreadContext, ev: Event) -> None:
-        """Execute one event on behalf of ``ctx`` (the simulator core)."""
-        stats = ctx.stats
+        """Execute one event on behalf of ``ctx``: the per-event engine's
+        dispatch to the primitive of its kind (:meth:`_store`,
+        :meth:`_load`, :meth:`_work`, :meth:`_fase_begin`,
+        :meth:`_fase_end`), which sessions call directly.  An element
+        with no such kind is a ``SimulationError``."""
         kind = ev.kind
         if kind == EventKind.STORE:
-            addr = ev.addr
-            self._store_lines(ctx, addr, ev.size, ev.value)
-            stats.instructions += 1
-            if addr >= NVRAM_BASE:
-                cost_per_store = ctx.technique.cost_per_store
-                stats.persistent_stores += 1
-                stats.cycles += cost_per_store
-                stats.instructions += cost_per_store
-                self._stores_seen += 1
-                if self._sites_active:
-                    self._note_site(ctx, SITE_STORE)
+            self._store(ctx, ev.addr, ev.size, ev.value)
         elif kind == EventKind.WORK:
-            amount = ev.amount
-            stats.cycles += int(amount * self.config.timing.cpi)
-            stats.instructions += amount
+            self._work(ctx, ev.amount)
         elif kind == EventKind.LOAD:
-            addr = ev.addr
-            self._load_lines(ctx, addr, ev.size)
-            stats.instructions += 1
-            if addr >= NVRAM_BASE:
-                stats.persistent_loads += 1
+            self._load(ctx, ev.addr, ev.size)
         elif kind == EventKind.FASE_BEGIN:
-            ctx.fase_depth += 1
-            if ctx.fase_depth == 1:
-                ctx.fase_uid = ctx.next_fase_uid
-                ctx.next_fase_uid += 1
-                rec = self.recorder
-                if rec.enabled:
-                    rec.record(
-                        EV_FASE_BEGIN, ctx.thread_id, stats.cycles, ctx.fase_uid
-                    )
+            self._fase_begin(ctx)
         elif kind == EventKind.FASE_END:
-            if ctx.fase_depth == 0:
-                raise SimulationError(
-                    f"thread {ctx.thread_id}: FaseEnd without FaseBegin"
-                )
-            ctx.fase_depth -= 1
-            if ctx.fase_depth == 0:
-                ctx.commit_fase_uid = ctx.fase_uid
-                self._commit(ctx, "fase_end")
-                stats.fase_count += 1
-                rec = self.recorder
-                if rec.enabled:
-                    rec.record(
-                        EV_FASE_END, ctx.thread_id, stats.cycles, ctx.fase_uid
-                    )
+            self._fase_end(ctx)
         else:
-            raise _not_an_event(ctx, ev)
+            raise not_an_event(ctx.thread_id, ev)
+
+    def _store(self, ctx: _ThreadContext, addr: int, size: int, value=None) -> None:
+        """A store: its lines, and for a persistent one the technique's
+        per-store cost and a ``store`` site."""
+        self._store_lines(ctx, addr, size, value)
+        stats = ctx.stats
+        stats.instructions += 1
+        if addr >= NVRAM_BASE:
+            cost_per_store = ctx.technique.cost_per_store
+            stats.persistent_stores += 1
+            stats.cycles += cost_per_store
+            stats.instructions += cost_per_store
+            self._stores_seen += 1
+            if self._sites_active:
+                self._note_site(ctx, SITE_STORE)
+
+    def _load(self, ctx: _ThreadContext, addr: int, size: int) -> None:
+        """A load: its lines."""
+        self._load_lines(ctx, addr, size)
+        stats = ctx.stats
+        stats.instructions += 1
+        if addr >= NVRAM_BASE:
+            stats.persistent_loads += 1
+
+    def _work(self, ctx: _ThreadContext, amount: int) -> None:
+        """``amount`` instructions of computation."""
+        stats = ctx.stats
+        stats.cycles += int(amount * self.config.timing.cpi)
+        stats.instructions += amount
+
+    def _fase_begin(self, ctx: _ThreadContext) -> None:
+        """Enter a FASE; the outermost one takes the next uid."""
+        ctx.fase_depth += 1
+        if ctx.fase_depth == 1:
+            ctx.fase_uid = ctx.next_fase_uid
+            ctx.next_fase_uid += 1
+            rec = self.recorder
+            if rec.enabled:
+                rec.record(EV_FASE_BEGIN, ctx.thread_id, ctx.stats.cycles, ctx.fase_uid)
+
+    def _fase_end(self, ctx: _ThreadContext) -> None:
+        """Leave a FASE; the outermost end flushes what the technique drains."""
+        if ctx.fase_depth == 0:
+            raise SimulationError(f"thread {ctx.thread_id}: FaseEnd without FaseBegin")
+        ctx.fase_depth -= 1
+        if ctx.fase_depth == 0:
+            ctx.commit_fase_uid = ctx.fase_uid
+            self._commit(ctx, "fase_end")
+            stats = ctx.stats
+            stats.fase_count += 1
+            rec = self.recorder
+            if rec.enabled:
+                rec.record(EV_FASE_END, ctx.thread_id, stats.cycles, ctx.fase_uid)
 
     def _sample_metrics(self, ctx: _ThreadContext) -> None:
         """Record one thread's gauge levels if its interval elapsed.
@@ -1199,16 +1238,6 @@ class Machine:
         m.inc(f"stall_cycles/{key}", s.stall_cycles)
         m.inc(f"fase_count/{key}", s.fase_count)
         m.set_gauge(f"cycles/{key}", s.cycles)
-
-    def _store_value(self, line: int, addr: int, value: object) -> None:
-        """Track a store to ``line`` (a volatile ``addr`` only dirties it)."""
-        journal = self._journal
-        if addr >= NVRAM_BASE:
-            self.hwcache.store_value(line, addr, value)
-            if journal is not None:
-                journal.stored(line, addr, value)
-        elif journal is not None:
-            journal.dirtied(line)
 
     def power_cut(self) -> CrashedState:
         """What a clean power cut *now* leaves: the durable image, copied,
@@ -1420,8 +1449,9 @@ class Machine:
 class MachineSession:
     """Imperative single-thread execution handle (see ``Machine.session``).
 
-    Methods mirror the event vocabulary; each call executes immediately
-    against the machine's cache, flush queue and the session's technique.
+    Methods mirror the event vocabulary; each call is the machine's
+    primitive of its kind, executed immediately against the machine's
+    cache, flush queue and the session's technique.
     The session must be closed with :meth:`finish` so the technique can
     drain its remaining buffered lines.
     """
@@ -1436,35 +1466,41 @@ class MachineSession:
 
     def store(self, addr: int, size: int = 8, value: object = None) -> None:
         """Execute a store (persistent iff ``addr`` is in NVRAM)."""
-        self.machine._process_event(self._ctx, Store(addr, size, value))
+        self.machine._store(self._ctx, addr, size, value)
 
-    def store_unmanaged(self, addr: int, size: int = 8, value: object = None) -> None:
-        """A persistent store *not* routed to the persistence technique.
+    def store_flushed(
+        self, addr: int, size: int, value: object, category: str
+    ) -> None:
+        """A persistent store *not* routed to the persistence technique,
+        then one ``clflush`` of ``addr``'s line in ``category``.
 
-        Used for runtime metadata (undo-log records) that has its own
-        flush discipline: the technique must not buffer these lines, or
-        it would re-flush already-durable log entries at every drain.
-        Still pays full hardware-cache timing and value tracking.
+        Used for runtime metadata (undo-log and commit records) that has
+        its own, eager flush discipline: the technique must not buffer
+        these lines, or it would re-flush already-durable log entries at
+        every drain.  Still pays full hardware-cache timing and value
+        tracking.
         """
-        self.machine._store_lines(self._ctx, addr, size, value, managed=False)
-        self._ctx.stats.instructions += 1
+        machine, ctx = self.machine, self._ctx
+        machine._store_lines(ctx, addr, size, value, managed=False)
+        ctx.stats.instructions += 1
+        machine._do_flush(ctx, addr >> 6, category)
 
     def load(self, addr: int, size: int = 8) -> object:
         """Execute a load; return the currently visible value."""
-        self.machine._process_event(self._ctx, Load(addr, size))
+        self.machine._load(self._ctx, addr, size)
         return self.machine.read_current(addr)
 
     def work(self, amount: int) -> None:
         """Execute ``amount`` instructions of computation."""
-        self.machine._process_event(self._ctx, Work(amount))
+        self.machine._work(self._ctx, amount)
 
     def fase_begin(self) -> None:
         """Enter a failure-atomic section (may nest)."""
-        self.machine._process_event(self._ctx, FaseBegin())
+        self.machine._fase_begin(self._ctx)
 
     def fase_end(self) -> None:
         """Leave a failure-atomic section."""
-        self.machine._process_event(self._ctx, FaseEnd())
+        self.machine._fase_end(self._ctx)
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -8,9 +8,11 @@ rather than NVRAM").
 
 For crash/recovery testing the NVRAM region tracks actual values: a store
 becomes *durable* only when its cache line is written back (evicted dirty
-or flushed).  :class:`MainMemory` therefore exposes ``write_back`` — the
-only way values enter NVRAM — and a read path that recovery code uses
-after a simulated power failure.
+or flushed).  :class:`MainMemory` therefore exposes ``write_back`` — how
+values enter NVRAM; the machine's explicit flush, once per undo-log
+record, lands a line's pending values (all persistent) in ``nvram``
+itself — and a read path that recovery code uses after a simulated power
+failure.
 """
 
 from __future__ import annotations
@@ -58,10 +60,6 @@ class MainMemory:
         if addr >= NVRAM_BASE:
             return self.nvram.get(addr, default)
         return self.dram.get(addr, default)
-
-    def nvram_snapshot(self) -> Dict[int, object]:
-        """A copy of the NVRAM contents (what survives a crash)."""
-        return dict(self.nvram)
 
     def require_persistent(self, addr: int) -> None:
         """Raise unless ``addr`` is in the persistence domain."""

@@ -1,4 +1,5 @@
-"""The live crash plan: the reference every journal cut is held to.
+"""The crash references: the live crash plan every journal cut is held
+to, and the event-by-event golden replay the driver's is held to.
 
 A campaign cuts each crashed image from its golden run's journal
 (``CrashJournal.walk``).  This is the mechanism the walk replaced, kept
@@ -9,6 +10,11 @@ in-flight eviction write-backs itself, hook by hook — and stops the run
 with :class:`PowerFailure`.  It shares with the walk only ``InFlight``
 and ``crash_overlay``, whose rules ``test_failure_misc.py`` checks on
 their own.
+
+:func:`reference_golden` is the golden replay as the driver ran it
+before it walked its program's columns: every thread's decoded
+``Event`` list, one ``Event`` at a time, each FASE's commit site taken
+as the last site its end produced.
 """
 
 from __future__ import annotations
@@ -18,16 +24,19 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.common.errors import ConfigurationError, ReproError
-from repro.faults.driver import GoldenRun
+from repro.common.events import EventKind
+from repro.faults.driver import FaseRecord, GoldenRun
 from repro.nvram.failure import (
     FAULT_CLEAN,
     FAULT_MODELS,
     FAULT_REORDERED_FLUSH,
     CrashedState,
+    CrashJournal,
     InFlight,
     crash_overlay,
     overlaid,
 )
+from repro.nvram.memory import NVRAM_BASE
 from repro.nvram.machine import Machine
 
 
@@ -144,3 +153,74 @@ def replayed_state(driver, site, fault_model="clean", fault_seed=0):
     )
     driver._replay(machine, runtimes, shift, scratch)
     return machine.crashed_state
+
+
+def reference_golden(driver) -> GoldenRun:
+    """The golden run of ``driver``'s configuration, replayed event by
+    event over the workload's ``streams()`` (module docstring)."""
+    machine, runtimes, shift = driver._build()
+    journal = CrashJournal(driver.timing.flush_queue_depth)
+    golden = GoldenRun(
+        sites=machine.record_sites(journal), fases={}, commit_order=[],
+        unprotected=set(), layout=runtimes[0].layout(), journal=journal,
+    )
+    streams = driver.workload.streams(driver.num_threads, driver.seed)
+    events = [list(stream) for stream in streams]
+    positions = [0] * driver.num_threads
+    open_fases = [None] * driver.num_threads
+
+    def step(tid: int, budget: int) -> bool:
+        rt = runtimes[tid]
+        session = rt.session
+        stream = events[tid]
+        end = min(positions[tid] + budget, len(stream))
+        for index in range(positions[tid], end):
+            ev = stream[index]
+            kind = ev.kind
+            if kind == EventKind.STORE:
+                addr = ev.addr
+                token = (tid << 40) | index
+                if addr >= NVRAM_BASE:
+                    addr += shift
+                    rt.store(addr, ev.size, token)
+                    record = open_fases[tid]
+                    if record is not None:
+                        record.writes[addr] = token
+                        record.all_values.setdefault(addr, set()).add(token)
+                    else:
+                        golden.unprotected.add(addr)
+                else:
+                    session.store(addr, ev.size, token)
+            elif kind == EventKind.WORK:
+                rt.work(ev.amount)
+            elif kind == EventKind.LOAD:
+                addr = ev.addr
+                rt.load(addr + shift if addr >= NVRAM_BASE else addr, ev.size)
+            elif kind == EventKind.FASE_BEGIN:
+                rt.fase_begin()
+                if session.fase_depth == 1:
+                    record = FaseRecord(
+                        uid=session.current_fase_id, thread_id=tid,
+                        begin_site=machine.sites_seen,
+                    )
+                    golden.fases[record.uid] = record
+                    open_fases[tid] = record
+            else:  # FASE_END
+                uid = session.current_fase_id
+                if driver.commit_before_drain and session.fase_depth == 1:
+                    rt.log.commit(uid)
+                    commit_site = machine.sites_seen - 1
+                    session.fase_end()
+                else:
+                    rt.fase_end()
+                    commit_site = machine.sites_seen - 1
+                if session.fase_depth == 0:
+                    golden.fases[uid].commit_site = commit_site
+                    golden.commit_order.append(uid)
+                    open_fases[tid] = None
+        positions[tid] = end
+        return end < len(stream)
+
+    machine.drive([rt.session for rt in runtimes], step)
+    golden.seal()
+    return golden

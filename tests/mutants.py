@@ -30,6 +30,8 @@ _ORACLE = "repro/faults/oracle.py"
 _DRIVER = "repro/faults/driver.py"
 _RUNTIME = "repro/atlas/runtime.py"
 _FASE = "repro/atlas/fase.py"
+_LOGFILE = "repro/atlas/log.py"
+_MACHINE = "repro/nvram/machine.py"
 
 #: The journal walk against the live reference, across fault models.
 _CUT = (
@@ -62,12 +64,23 @@ _BRACKET = (
     "tests/test_fase.py::test_a_crash_between_the_drain_and_the_commit_restores_the_first_value",
     "tests/test_fase.py::test_a_fase_nested_in_a_lock_commits_once",
 )
-#: Sound crash campaigns: zero violations at every site.  (A replay
-#: whose runtime commits before the drain reads sound to them: the golden
-#: run takes the end's last site as the commit.)
+#: Sound crash campaigns: zero violations at every site.  The golden run
+#: reads each FASE's commit site off its commit record's own site, so a
+#: runtime that commits before the drain fails them.
 _SOUND = (
     "tests/test_faults_campaign.py::test_correct_ordering_has_no_commit_window",
     "tests/test_faults_campaign.py::test_linkedlist_two_threads_exhaustive_zero_violations",
+)
+#: The golden run against the event-by-event replay, field for field.
+_GOLDEN = (
+    "tests/test_golden_identity.py::test_the_golden_run_equals_the_event_by_event_replay",
+)
+#: The undo log's records: one per address and FASE, each durable at once.
+_LOG = (
+    "tests/test_log.py::test_log_entry_is_durable_immediately",
+    "tests/test_log.py::test_duplicate_addr_logged_once_per_fase",
+    "tests/test_log.py::test_log_flushes_counted_separately",
+    "tests/test_runtime_recovery.py::test_a_fase_reads_and_logs_each_address_once",
 )
 
 MUTANTS = (
@@ -85,8 +98,8 @@ MUTANTS = (
     ),
     Mutant(
         "walk-dirty-ignored", _FAILURE,
-        "elif kind == _J_DIRTY:\n                    dirty.add(arg)",
-        "elif kind == _J_DIRTY:\n                    pass",
+        "elif kind == J_DIRTY:\n                    dirty.add(arg)",
+        "elif kind == J_DIRTY:\n                    pass",
         _CUT, "a volatile store's dirty line is missing from the lost lines",
     ),
     Mutant(
@@ -191,9 +204,40 @@ MUTANTS = (
         "truth-records-payload", _DRIVER,
         "record.writes[addr] = token\n"
         "                            record.all_values.setdefault(addr, set()).add(token)",
-        "record.writes[addr] = ev.value\n"
-        "                            record.all_values.setdefault(addr, set()).add(ev.value)",
-        _TOKENS, "the golden truth records the workload's payload, not what was stored",
+        "record.writes[addr] = None\n"
+        "                            record.all_values.setdefault(addr, set()).add(None)",
+        _TOKENS, "the golden truth records the payload a program carries (none), not what was stored",
+    ),
+    Mutant(
+        "commit-site-read-as-drain", _DRIVER,
+        "if entry[1] == SITE_COMMIT and entry[2] == tid:",
+        "if entry[1] != SITE_COMMIT and entry[2] == tid:",
+        _SOUND + _GOLDEN, "a FASE counts as committed from its drain, before its commit record is durable",
+    ),
+    # -- The machine's journal and the runtime's records ----------------------
+    Mutant(
+        "journal-store-without-line-offset", _MACHINE,
+        "journal.codes.append(J_STORE | (line - first) << 3)",
+        "journal.codes.append(J_STORE)",
+        _CUT, "a store spanning two lines journals its second line's value under the first",
+    ),
+    Mutant(
+        "record-stored-without-flush", _MACHINE,
+        "        machine._do_flush(ctx, addr >> 6, category)\n",
+        "",
+        _LOG, "an undo or commit record sits in the L1, not durable, when the guarded store runs",
+    ),
+    Mutant(
+        "runtime-skips-logged-check", _RUNTIME,
+        "if session.fase_depth and addr not in self.log.logged:",
+        "if session.fase_depth:",
+        _LOG, "every in-FASE store reads the value it overwrites, logged or not",
+    ),
+    Mutant(
+        "log-skips-logged-check", _LOGFILE,
+        "        if addr in self.logged:\n            return\n",
+        "",
+        _LOG, "an address stored to twice in a FASE is logged twice",
     ),
     # -- The FASE bracket ----------------------------------------------------
     Mutant(
@@ -209,7 +253,7 @@ MUTANTS = (
         "        if self.session.fase_depth == 1:\n"
         "            self.log.commit(fase_id)\n"
         "        self.session.fase_end()",
-        _BRACKET, "the commit record is durable while the FASE's data is still volatile",
+        _BRACKET + _SOUND, "the commit record is durable while the FASE's data is still volatile",
     ),
     Mutant(
         "lock-bypasses-runtime", _FASE,

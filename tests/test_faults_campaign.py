@@ -227,21 +227,21 @@ def test_every_in_fase_store_writes_its_own_token():
     driver = AtlasReplayDriver(LinkedListWorkload(elements=16), technique="SC", num_threads=2)
     golden = driver.golden()
     shift = driver._build()[2]
-    for tid, stream in enumerate(driver._materialized_events()):
+    for tid, (kinds, addrs, _sizes) in enumerate(driver._columns()):
         records = iter([f for f in golden.fases.values() if f.thread_id == tid])
         depth = 0
-        for index, ev in enumerate(stream):
-            if ev.kind == FaseBegin.kind:
+        for index, (kind, addr) in enumerate(zip(kinds, addrs)):
+            if kind == FaseBegin.kind:
                 depth += 1
                 if depth == 1:
                     record, last, every = next(records), {}, {}
-            elif ev.kind == FaseEnd.kind:
+            elif kind == FaseEnd.kind:
                 depth -= 1
                 if depth == 0:
                     assert (record.writes, record.all_values) == (last, every)
-            elif ev.kind == Store.kind and depth:
-                last[ev.addr + shift] = token(tid, index)
-                every.setdefault(ev.addr + shift, set()).add(token(tid, index))
+            elif kind == Store.kind and depth:
+                last[addr + shift] = token(tid, index)
+                every.setdefault(addr + shift, set()).add(token(tid, index))
         assert next(records, None) is None
     tokens = [t for f in golden.fases.values() for ts in f.all_values.values() for t in ts]
     assert len(golden.fases) == 16
@@ -825,11 +825,11 @@ def test_mdb_exhaustive_all_fault_models_zero_violations(threads):
     workload = get_workload("mdb", scale=0.002)
     driver = AtlasReplayDriver(workload, technique="SC+victim:16", num_threads=threads)
     golden = driver.golden()
-    writer = driver._materialized_events()[0]
+    writer = driver._columns()[0][0]
     written = [t for f in golden.fases.values() for ts in f.all_values.values() for t in ts]
     assert None not in written
     assert len(set(written)) == len(written) >= workload.pairs
-    assert all(writer[t].kind == Store.kind for t in written)
+    assert all(writer[t] == Store.kind for t in written)
 
 
 def test_a_campaign_over_a_payload_free_stream_is_judged():

@@ -82,16 +82,6 @@ def test_dirty_lines_enumeration():
     assert sorted(c.dirty_lines()) == [1, 3]
 
 
-def test_value_tracking():
-    c = HardwareCache(64, 8, track_values=True)
-    c.access(1, True)
-    c.store_value(1, 100, "v1")
-    c.store_value(1, 108, "v2")
-    values = c.take_values(1)
-    assert values == {100: "v1", 108: "v2"}
-    assert c.take_values(1) == {}
-
-
 def test_counters_and_miss_ratio():
     c = HardwareCache(64, 8)
     c.access(1, False)      # load miss

@@ -300,7 +300,7 @@ def test_a_negative_access_size_is_refused_everywhere(kind, offset):
         (session.store if kind == 0 else session.load)(addr, -1)
     if kind == 0:
         with refused:
-            session.store_unmanaged(addr, -1)
+            session.store_flushed(addr, -1, None, "log")
 
 
 @pytest.fixture

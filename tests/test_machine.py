@@ -183,19 +183,25 @@ def test_a_flush_with_a_trace_cause_is_never_a_commit_train(category, track_valu
 
 
 def test_a_zero_byte_store_touches_its_line_managed_or_not():
-    """A session's unmanaged store takes the managed one's line rule: a
-    zero-byte store touches its address's line, unless the address is a
-    line's first byte."""
+    """A session's unmanaged store (a record's, flushed at once) takes the
+    managed one's line rule: a zero-byte store touches its address's line,
+    unless the address is a line's first byte."""
+    machine = Machine()
+    session = machine.session(technique_factory("BEST")(0))
+    session.store(PA + 8, 0)
+    session.store(PA + 128, 0)
+    hw = machine.hwcache
+    assert (hw.stores, session.stats.cycles, hw.dirty_lines()) == (1, 101, [PA >> 6])
+    machine = Machine()
+    session = machine.session(technique_factory("BEST")(0))
+    hw = machine.hwcache
     seen = []
-    for managed in (True, False):
-        machine = Machine()
-        session = machine.session(technique_factory("BEST")(0))
-        store = session.store if managed else session.store_unmanaged
-        store(PA + 8, 0)
-        store(PA + 128, 0)
-        hw = machine.hwcache
-        seen.append((hw.stores, session.stats.cycles, hw.dirty_lines()))
-    assert seen[0] == seen[1] == (1, 101, [PA >> 6])
+    for addr in (PA + 8, PA + 128):
+        session.store_flushed(addr, 0, None, "log")
+        seen.append((hw.stores, hw.flush_writebacks, hw.clean_flushes))
+    # The first touched and wrote back its line; the second touched none.
+    assert seen == [(1, 1, 0), (1, 1, 1)]
+    assert hw.dirty_lines() == []
 
 
 def test_load_touches_cache(machine):
@@ -370,12 +376,13 @@ def test_session_store_unmanaged_bypasses_technique(value_machine):
     tech = technique_factory("LA")(0)
     s = value_machine.session(tech)
     s.fase_begin()
-    s.store_unmanaged(PA, 8, value="meta")
+    s.store_flushed(PA, 8, "meta", "log")
     s.fase_end()
-    # Not routed to LA: nothing to drain, no flush counted.
-    assert s.stats.flushes == 0
+    # Not routed to LA: nothing to drain; the one flush is the store's own.
+    assert s.stats.flushes == s.stats.log_flushes == 1
+    assert s.stats.fase_end_flushes == 0
     assert s.stats.persistent_stores == 0
-    assert value_machine.read_current(PA) == "meta"
+    assert value_machine.memory.read(PA) == "meta"
 
 
 def test_session_finish_inside_fase_raises(value_machine):

@@ -28,14 +28,6 @@ def test_read_with_default():
     assert mem.read(NVRAM_BASE) == 42
 
 
-def test_snapshot_is_a_copy():
-    mem = MainMemory()
-    mem.write_back([(NVRAM_BASE, 1)])
-    snap = mem.nvram_snapshot()
-    mem.write_back([(NVRAM_BASE, 2)])
-    assert snap[NVRAM_BASE] == 1
-
-
 def test_require_persistent():
     mem = MainMemory()
     mem.require_persistent(NVRAM_BASE)

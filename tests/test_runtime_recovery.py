@@ -100,6 +100,29 @@ def test_root_pointer_roundtrip():
     assert report.read(node) == "payload"
 
 
+def test_a_fase_reads_and_logs_each_address_once(monkeypatch):
+    """Only a FASE's first store to an address reads the value it
+    overwrites and appends an undo record; the next FASE logs it again."""
+    rt = make_runtime("SC")
+    reads = []
+    read_current = rt.machine.read_current
+    monkeypatch.setattr(
+        rt.machine, "read_current",
+        lambda addr, default=None: reads.append(addr) or read_current(addr, default),
+    )
+    a, b = rt.alloc(8), rt.alloc(8)
+    with rt.fase():
+        for value in range(3):
+            rt.store(a, value=value)
+            rt.store(b, value=value)
+    assert reads == [a, b]
+    assert rt.log.appended == 3            # two undo records and the commit
+    with rt.fase():
+        rt.store(a, value=9)
+    assert reads == [a, b, a]
+    assert rt.log.appended == 5
+
+
 def test_runtime_requires_value_tracking():
     with pytest.raises(SimulationError):
         AtlasRuntime(machine=Machine(MachineConfig(track_values=False)))
