@@ -23,10 +23,10 @@ def main() -> None:
     spec = api.RunSpec(workload="water-spatial", technique="SC", scale=0.25)
     harness = api.harness_for(spec)
 
-    # Step 1 - profile: run once without flushing (BEST) and record the
-    # persistent-write trace.
-    profile = harness.profile(spec.workload)
-    trace = profile.traces[0]
+    # Step 1 - profile: the program's persistent-write trace, read off
+    # its event columns (the paper's instrumentation pass; nothing is
+    # simulated).
+    trace = harness.trace(spec.workload)
     print(f"trace: {trace.n} persistent writes, {trace.m} distinct lines\n")
 
     # Step 2 - the paper's locality theory: a miss-ratio curve for every

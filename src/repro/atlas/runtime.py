@@ -66,7 +66,6 @@ class AtlasRuntime:
         machine: Optional[Machine] = None,
         regions: Optional[RegionManager] = None,
         thread_id: int = 0,
-        record_trace: bool = False,
         **technique_options,
     ) -> None:
         if machine is None:
@@ -80,9 +79,7 @@ class AtlasRuntime:
         self.regions = regions if regions is not None else RegionManager()
         factory = technique_factory(technique, **technique_options)
         self.technique = factory(thread_id)
-        self.session: MachineSession = machine.session(
-            self.technique, thread_id, record_trace=record_trace
-        )
+        self.session: MachineSession = machine.session(self.technique, thread_id)
         log_region = self.regions.find_or_create(
             f"__atlas_log_{thread_id}", LOG_REGION_SIZE
         )
@@ -156,7 +153,8 @@ class AtlasRuntime:
 
     def load(self, addr: int, size: int = 8) -> object:
         """A persistent load; returns the currently visible value."""
-        return self.session.load(addr, size)
+        self.session.load(addr, size)
+        return self.machine.read_current(addr)
 
     def work(self, amount: int) -> None:
         """Computation not touching persistent state."""

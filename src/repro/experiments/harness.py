@@ -14,8 +14,7 @@ Technique plumbing the paper's §IV-A implies:
   write trace, whole-trace MRC, knee selection — "the offline choice is
   the best single cache size for the whole execution".  The trace is a
   pure function of the program's event columns
-  (:meth:`WriteTrace.from_batches`), so profiling simulates nothing;
-  :meth:`Harness.profile`, the BEST run, is the tests' oracle for it.
+  (:meth:`WriteTrace.from_batches`), so profiling simulates nothing.
 
 Execution is factored so one grid cell is a *pure function* of
 ``(HarnessConfig, name, technique, threads, ProfileSummary)`` —
@@ -30,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.cache.adaptive import AdaptiveConfig
 from repro.cache.spec import TechniqueSpec, technique_factory
@@ -211,7 +210,9 @@ class Harness:
     ``cache_dir`` enables the on-disk result cache: completed cells and
     profile summaries are persisted as JSON keyed by the full
     configuration, so repeat invocations (and parallel workers) skip
-    simulation entirely.
+    simulation entirely.  The write trace behind a summary, Fig. 7 and
+    :meth:`offline_mrc` is the single-thread program's, read off its
+    columns (:meth:`trace`); no run records one.
     """
 
     def __init__(
@@ -223,8 +224,7 @@ class Harness:
         self.cache_dir = cache_dir
         self._disk = ResultCache(cache_dir) if cache_dir else None
         self._runs: Dict[Cell, RunResult] = {}
-        self._profiles: Dict[Tuple[str, int], RunResult] = {}
-        self._traces: Dict[Tuple[str, int], Tuple[List[WriteTrace], int]] = {}
+        self._traces: Dict[str, Tuple[WriteTrace, int]] = {}
         self._summaries: Dict[str, ProfileSummary] = {}
         self._workloads: Dict[str, Workload] = {}
 
@@ -238,48 +238,18 @@ class Harness:
             self._workloads[name] = wl
         return wl
 
-    def profile(self, name: str, threads: int = 1) -> RunResult:
-        """The trace-recording BEST run: the simulated oracle of
-        :meth:`trace`, and its source for a program without columns.
-
-        Kept in memory only: recorded traces are large and the disk
-        cache stores the distilled :class:`ProfileSummary` instead.
-        """
-        key = (name, threads)
-        result = self._profiles.get(key)
-        if result is None:
-            machine = Machine(self.config.machine_config())
-            result = machine.run(
-                self.workload(name),
-                technique_factory("BEST"),
-                num_threads=threads,
-                seed=self.config.seed,
-                record_traces=True,
-            )
-            self._profiles[key] = result
-        return result
-
-    def _write_traces(self, name: str, threads: int) -> Tuple[List[WriteTrace], int]:
-        """Per-thread write traces and the persistent-store count of one
-        program, read off its event columns — or off the BEST run where
-        it has none (``queue``/``linked-list`` above one thread)."""
-        key = (name, threads)
-        facts = self._traces.get(key)
+    def _write_trace(self, name: str) -> Tuple[WriteTrace, int]:
+        """The single-thread program's write trace and persistent-store
+        count, read off its event columns."""
+        facts = self._traces.get(name)
         if facts is None:
-            streams = self.workload(name).batch_streams(threads, self.config.seed)
-            if streams is None:
-                run = self.profile(name, threads)
-                facts = run.traces, run.persistent_stores
-            else:
-                programs = [list(stream) for stream in streams]
-                facts = (
-                    [
-                        WriteTrace.from_batches(batches, tid, NVRAM_BASE)
-                        for tid, batches in enumerate(programs)
-                    ],
-                    sum(b.count_stores(NVRAM_BASE) for p in programs for b in p),
-                )
-            self._traces[key] = facts
+            (batches,) = self.workload(name).batch_streams(1, self.config.seed)
+            batches = list(batches)
+            facts = (
+                WriteTrace.from_batches(batches, 0, NVRAM_BASE),
+                sum(batch.count_stores(NVRAM_BASE) for batch in batches),
+            )
+            self._traces[name] = facts
         return facts
 
     def profile_summary(self, name: str) -> ProfileSummary:
@@ -295,12 +265,10 @@ class Harness:
             if summary is not None:
                 self._summaries[name] = summary
                 return summary
-        traces, persistent_stores = self._write_traces(name, 1)
+        trace, persistent_stores = self._write_trace(name)
         summary = ProfileSummary(
             persistent_stores=persistent_stores,
-            offline_size=select_cache_size(
-                mrc_from_trace(traces[0]), self.config.selection
-            ),
+            offline_size=select_cache_size(mrc_from_trace(trace), self.config.selection),
         )
         self._summaries[name] = summary
         if self._disk is not None:
@@ -324,10 +292,10 @@ class Harness:
         """Adopt summaries computed elsewhere (parallel phase 1)."""
         self._summaries.update(summaries)
 
-    def trace(self, name: str, thread: int = 0, threads: int = 1) -> WriteTrace:
-        """One thread's persistent-write trace: what :meth:`profile`
-        would record, derived from the program's columns."""
-        return self._write_traces(name, threads)[0][thread]
+    def trace(self, name: str) -> WriteTrace:
+        """The single-thread program's persistent-write trace, derived
+        from its columns (:meth:`WriteTrace.from_batches`)."""
+        return self._write_trace(name)[0]
 
     def offline_mrc(self, name: str) -> MissRatioCurve:
         """The whole-trace (offline) MRC of the single-thread run."""

@@ -25,9 +25,10 @@ which is what makes a crash target's site index meaningful.
 A thread's program is kept as its ``(kinds, args, sizes)`` columns — the
 workload's steps concatenated, else its batches', else its per-object
 stream encoded once — and ``step`` walks them by index: no event object
-is built.  Each operation is one runtime call (``store``, ``load``,
-``work``, the ``fase_begin``/``fase_end`` bracket), and the runtime
-reaches the machine through its session only.  A FASE's commit site is
+is built.  Each operation is one call: a persistent ``store``, ``work``
+and the ``fase_begin``/``fase_end`` bracket on the runtime, a ``load``
+(whose value nothing reads) and a volatile store on the session, through
+which the runtime reaches the machine too.  A FASE's commit site is
 read off the site log: its commit record's own ``commit`` entry.
 
 Address plumbing: workload allocators hand out addresses from
@@ -375,7 +376,7 @@ class AtlasReplayDriver:
                     rt.work(args[index])
                 elif kind == 1:  # LOAD
                     addr = args[index]
-                    rt.load(addr + shift if addr >= nvram_base else addr, sizes[index])
+                    session.load(addr + shift if addr >= nvram_base else addr, sizes[index])
                 elif kind == 3:  # FASE_BEGIN
                     rt.fase_begin()
                     if session.fase_depth == 1:

@@ -25,7 +25,7 @@ from repro.common.geometry import line_of
 
 def _count_distinct(values: np.ndarray) -> int:
     """``len(set(values))`` by the cheapest counting pass that applies:
-    the changes of non-decreasing values (a machine trace's FASE uids),
+    the changes of non-decreasing values (a program trace's FASE uids),
     a boolean mask over a span of under ~8 slots per entry (line ids of
     one heap), and ``np.unique``'s sort for anything else."""
     n = len(values)
@@ -93,12 +93,16 @@ class WriteTrace:
     def from_batches(
         cls, batches: Iterable[EventBatch], thread_id: int, nvram_base: int
     ) -> "WriteTrace":
-        """The trace a machine records running one thread's ``batches``,
-        read off the columns: a row per cache line of every ``STORE`` at
-        or above ``nvram_base``, tagged with the machine's FASE uid
-        (``thread_id << 40`` + outermost ``FASE_BEGIN``s so far, -1
-        outside a FASE).  Malformed bracketing raises the machine's own
-        :class:`~repro.common.errors.SimulationError`.
+        """One thread's persistent-write trace, read off its program's
+        columns — the one trace path (the paper's offline profile, taken
+        by instrumentation, §III-C): a row per cache line of every
+        ``STORE`` at or above ``nvram_base``, on the machine's line rule
+        (an access inside one line, zero bytes too, is that line), tagged
+        with the machine's FASE uid (``thread_id << 40`` + outermost
+        ``FASE_BEGIN``s so far, -1 outside a FASE).  Malformed bracketing
+        raises the machine's own
+        :class:`~repro.common.errors.SimulationError`.  The tests hold it
+        to a machine that records the lines it stores.
         """
         # An empty batch first, so a thread with no batches has columns too.
         views = [batch.columns() for batch in (EventBatch(), *batches)]

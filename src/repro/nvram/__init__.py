@@ -5,9 +5,9 @@ NVRAM; flush counts come from software accounting and L1 miss ratios from
 perf counters.  We replace that testbed with a deterministic simulator
 that measures the same architectural quantities directly:
 
-- :mod:`repro.nvram.memory` — the physical address space: a DRAM region
-  and an NVRAM region (the persistence domain), with value tracking for
-  crash/recovery testing.
+- :mod:`repro.nvram.memory` — the physical address space: the boundary
+  of the NVRAM region (the persistence domain) and its durable image,
+  which crash/recovery testing reads.
 - :mod:`repro.nvram.hwcache` — a set-associative write-back hardware
   cache with ``clflush`` (write back + invalidate, what Atlas uses) and
   hit/miss/write-back counters.

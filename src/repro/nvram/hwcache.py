@@ -41,15 +41,11 @@ class HardwareCache:
     ways:
         Associativity.  ``ways == capacity_lines`` gives a fully
         associative cache.
-    track_values:
-        When true, dirty lines carry an ``{addr: value}`` payload that is
-        handed to the write-back sink on eviction or flush.
     """
 
     __slots__ = (
         "num_sets",
         "ways",
-        "track_values",
         "sets",
         "values",
         "loads",
@@ -61,9 +57,7 @@ class HardwareCache:
         "clean_flushes",
     )
 
-    def __init__(
-        self, capacity_lines: int = 512, ways: int = 8, track_values: bool = False
-    ) -> None:
+    def __init__(self, capacity_lines: int = 512, ways: int = 8) -> None:
         if capacity_lines < 1 or ways < 1:
             raise ConfigurationError("capacity and ways must be >= 1")
         if capacity_lines % ways:
@@ -72,7 +66,6 @@ class HardwareCache:
             )
         self.num_sets = capacity_lines // ways
         self.ways = ways
-        self.track_values = track_values
         # One OrderedDict per set: line -> dirty flag, LRU order = insertion order.
         self.sets: List[OrderedDict[int, bool]] = [
             OrderedDict() for _ in range(self.num_sets)

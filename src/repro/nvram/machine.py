@@ -62,7 +62,6 @@ from repro.common.events import (
     ragged_step,
 )
 from repro.common.geometry import lines_spanned, negative_size
-from repro.locality.trace import WriteTrace
 from repro.nvram.failure import (
     J_DIRTY,
     J_DRAIN,
@@ -251,16 +250,12 @@ class _ThreadContext:
         "fase_uid",
         "commit_fase_uid",
         "next_fase_uid",
-        "trace_lines",
-        "trace_fids",
         "alive",
         "batch_iter",
         "loop",
     )
 
-    def __init__(
-        self, thread_id: int, technique: object, record_trace: bool
-    ) -> None:
+    def __init__(self, thread_id: int, technique: object) -> None:
         self.thread_id = thread_id
         self.technique = technique
         # What ``Machine.run`` pulls from: a per-object stream, or batches
@@ -281,8 +276,6 @@ class _ThreadContext:
         self.commit_fase_uid = -1
         # FASE uids unique across threads: thread_id in the high bits.
         self.next_fase_uid = thread_id << 40
-        self.trace_lines: Optional[List[int]] = [] if record_trace else None
-        self.trace_fids: Optional[List[int]] = [] if record_trace else None
         self.alive = True
 
 
@@ -365,11 +358,7 @@ class Machine:
     ) -> None:
         self.config = config or MachineConfig()
         self.memory = MainMemory()
-        self.hwcache = HardwareCache(
-            self.config.l1_capacity_lines,
-            self.config.l1_ways,
-            track_values=self.config.track_values,
-        )
+        self.hwcache = HardwareCache(self.config.l1_capacity_lines, self.config.l1_ways)
         # Observability is strictly opt-in: the default NULL_RECORDER has
         # ``enabled = False``, which every recording site checks first,
         # so an untraced run does no extra work (DESIGN.md §9).
@@ -394,11 +383,9 @@ class Machine:
         self._site_log: Optional[List[tuple]] = None
         self._journal: Optional[CrashJournal] = None
 
-    def _new_context(
-        self, thread_id: int, technique: object, record_trace: bool
-    ) -> "_ThreadContext":
+    def _new_context(self, thread_id: int, technique: object) -> "_ThreadContext":
         """A thread's execution state, its technique bound to its port."""
-        ctx = _ThreadContext(thread_id, technique, record_trace)
+        ctx = _ThreadContext(thread_id, technique)
         t = self.config.timing
         ctx.flushq = FlushQueue(t.flush_queue_depth, t.writeback_service)
         ctx.port = FlushPort(self, ctx)
@@ -463,10 +450,8 @@ class Machine:
             if journal is not None:
                 journal.codes.append(J_FLUSH | ctx.thread_id << 3)
                 journal.args.append(line)
-            if values:     # ``write_back`` inline: pending values are all persistent
-                memory = self.memory
-                memory.writebacks += 1
-                memory.nvram.update(values)
+            if values:
+                self.memory.nvram.update(values)
         stall = 0
         if dirty:
             now, stall = ctx.flushq.issue(stats.cycles)
@@ -546,7 +531,7 @@ class Machine:
                 journal.codes.append(J_EVICT | ctx.thread_id << 3)
                 journal.args.append(line)
             if values:
-                self.memory.write_back(values.items())
+                self.memory.nvram.update(values)
         stats = ctx.stats
         now, stall = ctx.flushq.issue(stats.cycles)
         stats.cycles = now
@@ -567,10 +552,10 @@ class Machine:
         write-back of a dirty line it displaces and, under value tracking,
         the pending value and its journal entry (a volatile ``addr`` only
         dirties its line); for a managed persistent store also the
-        technique's ``insert`` (never called without a flush category), the
-        flush of the line it returns, and the write trace.  An access inside
-        one line — a zero-byte one too — touches that line, any other the
-        lines it spans."""
+        technique's ``insert`` (never called without a flush category) and
+        the flush of the line it returns.  An access inside one line — a
+        zero-byte one too — touches that line, any other the lines it
+        spans."""
         t = self.config.timing
         stats = ctx.stats
         first = addr >> 6
@@ -609,9 +594,6 @@ class Machine:
                     victim = technique.insert(line)
                     if victim is not None:
                         self._do_flush(ctx, victim, category)
-                if ctx.trace_lines is not None:
-                    ctx.trace_lines.append(line)
-                    ctx.trace_fids.append(ctx.fase_uid if ctx.fase_depth > 0 else -1)
 
     def _load_lines(self, ctx: _ThreadContext, addr: int, size: int) -> None:
         """Load ``size`` bytes at ``addr``, line by line, on
@@ -678,11 +660,11 @@ class Machine:
 
         *Runs.*  A run's head executes as any store; the rest — ``n``
         same-line stores and the ``WORK`` between them — is one step: ``n``
-        L1 hits, ``absorb_repeats(line, n)``, the summed cycles, ``n`` trace
-        records.  That is exact because the run lies inside one quantum (no
-        other thread touches the set), the head left its line dirty in L1
-        (the set says so), and nothing in the run reads the clock.  A
-        declined run arrives store by store.
+        L1 hits, ``absorb_repeats(line, n)``, the summed cycles.  That is
+        exact because the run lies inside one quantum (no other thread
+        touches the set), the head left its line dirty in L1 (the set says
+        so), and nothing in the run reads the clock.  A declined run
+        arrives store by store.
 
         *Inline and per line.*  A ``STORE``/``LOAD`` row touches its L1 set
         in place; a ``STORE`` row's ``insert`` returns a line that is
@@ -721,8 +703,6 @@ class Machine:
         technique = ctx.technique
         cost_per_store = technique.cost_per_store
         absorb = technique.absorb_repeats
-        trace_lines = ctx.trace_lines
-        trace_fids = ctx.trace_fids
         evict_writeback = self._evict_writeback
         # Structured tracing: ``recording`` gates the trace records below;
         # it never changes which path a store or a commit takes.
@@ -883,11 +863,6 @@ class Machine:
                                         self._record_flush(
                                             thread_id, cycles, victim, dirty, cause, stall
                                         )
-                            if trace_lines is not None:
-                                trace_lines.append(arg)
-                                trace_fids.append(
-                                    ctx.fase_uid if ctx.fase_depth > 0 else -1
-                                )
                             cycles += cost_per_store
                             if write_through:
                                 # A write-through run: per repeat the ``WORK``
@@ -922,9 +897,6 @@ class Machine:
                                 store_misses += n
                                 written += n
                                 flushed += n
-                                if trace_lines is not None:
-                                    trace_lines.extend([arg] * n)
-                                    trace_fids.extend([trace_fids[-1]] * n)
                                 continue
                             if not span:
                                 continue
@@ -948,9 +920,6 @@ class Machine:
                                         takes = taken and not settling
                                     if takes or taken:
                                         absorbed += n
-                                        if trace_lines is not None:
-                                            trace_lines.extend([arg] * n)
-                                            trace_fids.extend([trace_fids[-1]] * n)
                                         cycles += n * repeat_cost + work_cycles
                                         instructions += amount
                                         continue
@@ -1249,12 +1218,7 @@ class Machine:
     # Imperative per-thread driver (used by the Atlas runtime)
     # ------------------------------------------------------------------
 
-    def session(
-        self,
-        technique: object,
-        thread_id: int = 0,
-        record_trace: bool = False,
-    ) -> "MachineSession":
+    def session(self, technique: object, thread_id: int = 0) -> "MachineSession":
         """Open an imperative execution session for one simulated thread.
 
         Unlike :meth:`run`, which pulls events from workload streams, a
@@ -1262,9 +1226,7 @@ class Machine:
         boundaries) as they happen — this is how the Atlas runtime and
         the MDB store drive the machine.
         """
-        return MachineSession(
-            self, self._new_context(thread_id, technique, record_trace)
-        )
+        return MachineSession(self, self._new_context(thread_id, technique))
 
     def read_current(self, addr: int, default: object = None) -> object:
         """The value a load of ``addr`` would observe right now.
@@ -1290,7 +1252,6 @@ class Machine:
         *,
         num_threads: int = 1,
         seed: int = 0,
-        record_traces: bool = False,
         use_batches: Optional[bool] = None,
     ) -> RunResult:
         """Execute ``workload`` and return the collected statistics.
@@ -1305,12 +1266,11 @@ class Machine:
         technique_factory:
             Called once per thread id; returns a fresh technique instance
             (software caches are per-thread).
-        num_threads, seed, record_traces, use_batches:
-            Keyword-only.  ``record_traces`` collects the per-thread
-            persistent-write traces (needed for offline MRC analysis and
-            the figure pipelines).  ``use_batches=False`` selects the
-            per-event reference engine; either engine gives bit-identical
-            results.
+        num_threads, seed, use_batches:
+            Keyword-only.  ``use_batches=False`` selects the per-event
+            reference engine; either engine gives bit-identical results.
+            A run's write traces are the program's, read off its columns
+            (:meth:`WriteTrace.from_batches`), not recorded here.
 
         Routing: a run goes event by event only under ``use_batches=False``,
         value tracking (the batched loop reads no payloads) or crash sites
@@ -1336,7 +1296,7 @@ class Machine:
             )
         contexts = []
         for tid, stream in enumerate(streams):
-            ctx = self._new_context(tid, technique_factory(tid), record_traces)
+            ctx = self._new_context(tid, technique_factory(tid))
             if batched:
                 ctx.batch_iter = iter(stream)
             elif steps is not None:
@@ -1349,12 +1309,6 @@ class Machine:
         self._schedule(contexts, self._run_batch if per_event else self._run_batches)
         for ctx in contexts:    # ports let go: no cycle keeps the machine alive
             ctx.port._ctx = None
-
-        traces = None
-        if record_traces:
-            traces = [
-                WriteTrace(ctx.trace_lines, ctx.trace_fids) for ctx in contexts
-            ]
         return RunResult(
             workload=getattr(workload, "name", type(workload).__name__),
             technique=getattr(
@@ -1364,7 +1318,6 @@ class Machine:
             threads=[ctx.stats for ctx in contexts],
             l1_accesses=self.hwcache.accesses,
             l1_misses=self.hwcache.misses,
-            traces=traces,
         )
 
     def drive(
@@ -1485,10 +1438,9 @@ class MachineSession:
         ctx.stats.instructions += 1
         machine._do_flush(ctx, addr >> 6, category)
 
-    def load(self, addr: int, size: int = 8) -> object:
-        """Execute a load; return the currently visible value."""
+    def load(self, addr: int, size: int = 8) -> None:
+        """Execute a load."""
         self.machine._load(self._ctx, addr, size)
-        return self.machine.read_current(addr)
 
     def work(self, amount: int) -> None:
         """Execute ``amount`` instructions of computation."""
@@ -1518,12 +1470,6 @@ class MachineSession:
     def stats(self) -> ThreadStats:
         """Live counters of this session's thread."""
         return self._ctx.stats
-
-    def trace(self) -> Optional[WriteTrace]:
-        """The persistent-write trace, if recording was requested."""
-        if self._ctx.trace_lines is None:
-            return None
-        return WriteTrace(self._ctx.trace_lines, self._ctx.trace_fids)
 
     def finish(self) -> None:
         """Close the session: drain the technique's remaining lines."""

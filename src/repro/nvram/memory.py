@@ -8,18 +8,14 @@ rather than NVRAM").
 
 For crash/recovery testing the NVRAM region tracks actual values: a store
 becomes *durable* only when its cache line is written back (evicted dirty
-or flushed).  :class:`MainMemory` therefore exposes ``write_back`` — how
-values enter NVRAM; the machine's explicit flush, once per undo-log
-record, lands a line's pending values (all persistent) in ``nvram``
-itself — and a read path that recovery code uses after a simulated power
-failure.
+or flushed), when the machine lands the line's pending values — all
+persistent — in ``nvram``.  :meth:`MainMemory.read` is the durable read
+path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
-
-from repro.common.errors import SimulationError
+from typing import Dict
 
 #: Start of the persistence domain.  Everything at or above this byte
 #: address survives a crash once written back.
@@ -27,43 +23,20 @@ NVRAM_BASE: int = 0x1000_0000
 
 
 class MainMemory:
-    """Backing store: volatile DRAM plus non-volatile NVRAM.
+    """Backing store: the durable NVRAM image.
 
     Values are Python objects keyed by byte address.  Workloads that only
     study flush *counts* never materialise values (they pass
-    ``value=None`` in their stores) and pay no bookkeeping here.
+    ``value=None`` in their stores) and pay no bookkeeping here.  No
+    volatile value is ever written back: a volatile address reads
+    ``default``.
     """
 
-    __slots__ = ("nvram", "dram", "writebacks")
+    __slots__ = ("nvram",)
 
     def __init__(self) -> None:
         self.nvram: Dict[int, object] = {}
-        self.dram: Dict[int, object] = {}
-        self.writebacks: int = 0
-
-    @staticmethod
-    def is_persistent(addr: int) -> bool:
-        """True when ``addr`` lies in the persistence domain."""
-        return addr >= NVRAM_BASE
-
-    def write_back(self, values: Iterable[Tuple[int, object]]) -> None:
-        """Make ``(addr, value)`` pairs durable (a cache-line write-back)."""
-        self.writebacks += 1
-        for addr, value in values:
-            if addr >= NVRAM_BASE:
-                self.nvram[addr] = value
-            else:
-                self.dram[addr] = value
 
     def read(self, addr: int, default: object = None) -> object:
         """Read the durable value at ``addr`` (post-write-back state)."""
-        if addr >= NVRAM_BASE:
-            return self.nvram.get(addr, default)
-        return self.dram.get(addr, default)
-
-    def require_persistent(self, addr: int) -> None:
-        """Raise unless ``addr`` is in the persistence domain."""
-        if addr < NVRAM_BASE:
-            raise SimulationError(
-                f"address {addr:#x} is below NVRAM_BASE {NVRAM_BASE:#x}"
-            )
+        return self.nvram.get(addr, default)

@@ -9,10 +9,9 @@ cycle times with the stall breakdown.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.common.errors import ConfigurationError
-from repro.locality.trace import WriteTrace
 
 
 @dataclass
@@ -57,9 +56,9 @@ class RunResult:
     threads: List[ThreadStats]
     l1_accesses: int
     l1_misses: int
-    traces: Optional[List[WriteTrace]] = None
     #: Always False from ``Machine.run``; kept in the schema that stored
-    #: results and the benchmark's goldens read.
+    #: results and the benchmark's goldens read, as is ``to_dict``'s
+    #: constant ``has_traces``.
     crashed: bool = False
 
     # ---- aggregates ---------------------------------------------------
@@ -117,14 +116,7 @@ class RunResult:
     # ---- serialization ------------------------------------------------
 
     def to_dict(self) -> Dict:
-        """A JSON-serializable form of every counter.
-
-        Recorded traces are *not* serialized (they are large numpy
-        arrays, and the disk cache only stores plain runs); a
-        ``has_traces`` flag records whether any were dropped so loaders
-        can refuse to serve a trace-needing request from a traceless
-        cache entry.
-        """
+        """A JSON-serializable form of every counter."""
         return {
             "workload": self.workload,
             "technique": self.technique,
@@ -133,7 +125,7 @@ class RunResult:
             "l1_accesses": self.l1_accesses,
             "l1_misses": self.l1_misses,
             "crashed": self.crashed,
-            "has_traces": self.traces is not None,
+            "has_traces": False,
         }
 
     #: Exact key sets :meth:`from_dict` accepts.  An on-disk cache entry
@@ -154,7 +146,7 @@ class RunResult:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "RunResult":
-        """Rebuild a (traceless) result serialized by :meth:`to_dict`.
+        """Rebuild a result serialized by :meth:`to_dict`.
 
         Raises
         ------
@@ -192,7 +184,6 @@ class RunResult:
             threads=threads,
             l1_accesses=data["l1_accesses"],
             l1_misses=data["l1_misses"],
-            traces=None,
             crashed=data["crashed"],
         )
 

@@ -32,6 +32,7 @@ _RUNTIME = "repro/atlas/runtime.py"
 _FASE = "repro/atlas/fase.py"
 _LOGFILE = "repro/atlas/log.py"
 _MACHINE = "repro/nvram/machine.py"
+_TRACE = "repro/locality/trace.py"
 
 #: The journal walk against the live reference, across fault models.
 _CUT = (
@@ -81,6 +82,13 @@ _LOG = (
     "tests/test_log.py::test_duplicate_addr_logged_once_per_fase",
     "tests/test_log.py::test_log_flushes_counted_separately",
     "tests/test_runtime_recovery.py::test_a_fase_reads_and_logs_each_address_once",
+)
+#: The one write-trace path, ``WriteTrace.from_batches``, against the
+#: reference recorder (``tests/trace_reference.py``) and hand-worked rows.
+_COLUMNS = (
+    "tests/test_machine.py::test_trace_recording",
+    "tests/test_harness.py::test_trace_from_columns_equals_the_best_run",
+    "tests/test_machine_invariants.py::test_trace_from_columns_is_the_trace_the_machine_records",
 )
 
 MUTANTS = (
@@ -264,5 +272,23 @@ MUTANTS = (
         "replay-end-bypasses-bracket", _DRIVER,
         "                        rt.fase_end()", "                        session.fase_end()",
         _SOUND, "the crash replay's FASEs end without a commit record",
+    ),
+    # -- The write trace, read off the columns -------------------------------
+    Mutant(
+        "columns-spanning-store-once", _TRACE,
+        "spans = np.maximum(((args[rows] + sizes[rows] - 1) >> 6) - first + 1, 0)",
+        "spans = np.minimum(np.maximum(((args[rows] + sizes[rows] - 1) >> 6) - first + 1, 0), 1)",
+        _COLUMNS, "a store spanning two lines writes only its first",
+    ),
+    Mutant(
+        "columns-uid-without-thread-bits", _TRACE,
+        "uid = (thread_id << 40) - 1 + np.cumsum(begin & (depth == 1))",
+        "uid = -1 + np.cumsum(begin & (depth == 1))",
+        _COLUMNS, "threads' FASE uids collide: every thread numbers its FASEs from 0",
+    ),
+    Mutant(
+        "columns-outside-fase-tagged", _TRACE,
+        "np.where(depth[rows] > 0, uid[rows], -1)", "uid[rows]",
+        _COLUMNS, "a store outside any FASE carries the last FASE's uid, not -1",
     ),
 )

@@ -5,8 +5,7 @@ fork: whatever ``batch_streams`` serves — a native emitter's columns or
 ``BatchCachingWorkload``'s one-time recording of a generator — a batched
 run must produce exactly the statistics of the same run with
 ``use_batches=False``: every per-thread counter, every flush category,
-the shared hardware cache's counters and final image, and the recorded
-traces.
+and the shared hardware cache's counters and final image.
 """
 
 import contextlib
@@ -16,7 +15,6 @@ import pickle
 import random
 from unittest import mock
 
-import numpy as np
 import pytest
 
 from repro.cache.adaptive import AdaptiveConfig
@@ -40,6 +38,7 @@ from repro.experiments.harness import (
     execute_cell,
     sc_factory_kwargs,
 )
+from repro.locality.trace import WriteTrace
 from repro.nvram.hwcache import HardwareCache
 from repro.nvram.machine import Machine, MachineConfig
 from repro.nvram.memory import NVRAM_BASE
@@ -100,7 +99,6 @@ def _run(workload, technique, threads, use_batches, recorder=None, **factory_kwa
         technique_factory(technique, **factory_kwargs),
         num_threads=threads,
         seed=SEED,
-        record_traces=True,
         use_batches=use_batches,
     )
     return machine, result
@@ -131,11 +129,6 @@ def test_batched_run_is_bit_identical(harness, name, technique, threads):
                  "evict_writebacks", "flush_writebacks", "clean_flushes"):
         assert getattr(m_b.hwcache, attr) == getattr(m_ev.hwcache, attr), attr
     assert _l1_image(m_b) == _l1_image(m_ev)
-    # Recorded traces: same lines, same FASE ids, per thread.
-    assert len(r_b.traces) == len(r_ev.traces)
-    for got, want in zip(r_b.traces, r_ev.traces):
-        assert np.array_equal(got.lines, want.lines)
-        assert np.array_equal(got.fase_ids, want.fase_ids)
 
 
 @pytest.mark.parametrize("name", NATIVE)
@@ -143,11 +136,12 @@ def test_native_batches_encode_the_stream(name):
     """A program is spelled once: these workloads define ``batch_streams``
     only, and their ``streams`` is the decoding of it."""
     if name == "trace":
-        recorded = Machine(MachineConfig()).run(
-            get_workload("water-spatial", scale=0.02), technique_factory("BEST"),
-            num_threads=4, seed=SEED, record_traces=True,
-        )
-        workload, thread_counts = TraceWorkload(recorded.traces), (4,)
+        programs = get_workload("water-spatial", scale=0.02).batch_streams(4, SEED)
+        traces = [
+            WriteTrace.from_batches(batches, tid, NVRAM_BASE)
+            for tid, batches in enumerate(programs)
+        ]
+        workload, thread_counts = TraceWorkload(traces), (4,)
     else:
         workload, thread_counts = get_workload(name, scale=0.05), THREADS
     assert type(workload).streams is Workload.streams
@@ -204,9 +198,13 @@ def test_the_batched_loop_owns_write_throughs_and_the_l1():
     with mock.patch.object(
         EagerTechnique, "insert", autospec=True, side_effect=EagerTechnique.insert
     ) as insert:
-        machine, result = _run(barnes, "ER", 8, True, recorder=TraceRecorder())
+        machine, _ = _run(barnes, "ER", 8, True, recorder=TraceRecorder())
     assert insert.call_count == 0
-    assert machine.absorbed_stores == sum(t.n for t in result.traces) > 0
+    touches = sum(
+        WriteTrace.from_batches(batches, tid, NVRAM_BASE).n
+        for tid, batches in enumerate(barnes.batch_streams(8, SEED))
+    )
+    assert machine.absorbed_stores == touches > 0
     queue = BatchCachingWorkload(get_workload("queue", scale=0.05))
     for workload in (get_workload("ocean", scale=0.1), queue):
         calls = _both_engines(workload, "AT", 1, spied=("access", "clflush"))
@@ -515,8 +513,7 @@ def test_generator_executes_once_per_threads_and_seed():
                     summary=summary, workload=workload,
                 )
             Machine(config.machine_config()).run(
-                workload, technique_factory("BEST"), num_threads=threads,
-                seed=seed, record_traces=True,
+                workload, technique_factory("BEST"), num_threads=threads, seed=seed,
             )
             assert inner.executions == expected
 

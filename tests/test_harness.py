@@ -5,8 +5,11 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.experiments import harness as harness_module
 from repro.experiments.harness import Harness, HarnessConfig
+from repro.locality.trace import WriteTrace
 from repro.nvram.machine import Machine
+from repro.nvram.memory import NVRAM_BASE
 from repro.workloads.registry import WORKLOAD_NAMES, get_workload
+from tests.trace_reference import recorded_traces
 
 
 def test_registry_covers_table3():
@@ -35,31 +38,33 @@ def test_unknown_technique_rejected(tiny_harness):
         tiny_harness.run("queue", "nope")
 
 
-def test_profile_records_traces(tiny_harness):
-    prof = tiny_harness.profile("persistent-array")
-    assert prof.traces is not None
-    assert prof.traces[0].n == prof.persistent_stores
-
-
 @pytest.mark.parametrize("seed", [7, 11])
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)
 def test_trace_from_columns_equals_the_best_run(name, seed):
-    """Profiling reads the program's columns; ``profile`` — the BEST
-    simulation it used to be — is the oracle, thread for thread."""
+    """Profiling reads the program's columns; a BEST run that records
+    each line it stores (``tests/trace_reference.py``) is the oracle,
+    thread for thread: every program at one thread, and at four those
+    whose streams do not depend on the interleaving."""
     harness = Harness(HarnessConfig(scale=0.02, seed=seed))
+    workload = harness.workload(name)
     for threads in (1, 4):
-        if not harness.workload(name).supports_threads(threads):
+        if not workload.supports_threads(threads):
             continue
-        run = harness.profile(name, threads)
-        for thread, want in enumerate(run.traces):
-            got = harness.trace(name, thread, threads)
+        streams = workload.batch_streams(threads, seed)
+        if streams is None:
+            assert threads > 1     # a shared allocator: no columns to read
+            continue
+        programs = [list(stream) for stream in streams]
+        run, recorded = recorded_traces(workload, threads, seed)
+        for thread, (batches, want) in enumerate(zip(programs, recorded)):
+            got = WriteTrace.from_batches(batches, thread, NVRAM_BASE)
             assert got.lines.tolist() == want.lines.tolist()
             assert got.fase_ids.tolist() == want.fase_ids.tolist()
-        assert harness._write_traces(name, threads)[1] == run.persistent_stores
-    assert (
-        harness.profile_summary(name).persistent_stores
-        == harness.profile(name).persistent_stores
-    )
+        stores = sum(b.count_stores(NVRAM_BASE) for p in programs for b in p)
+        assert stores == run.persistent_stores
+        if threads == 1:
+            assert harness.trace(name).lines.tolist() == recorded[0].lines.tolist()
+            assert harness.profile_summary(name).persistent_stores == stores
 
 
 class CountingMachine(Machine):
@@ -79,12 +84,7 @@ def test_no_simulation_behind_a_summary(monkeypatch):
         harness.trace(name)
         harness.offline_mrc(name)
         harness.burst_length(name)
-    harness.trace("mdb", thread=3, threads=4)
     assert CountingMachine.built == 0
-    # Shared-allocator streams above one thread have no columns to read:
-    # there the BEST run is still the source.
-    assert harness.trace("queue", thread=1, threads=4).n > 0
-    assert CountingMachine.built == 1
 
 
 def test_offline_size_persistent_array(tiny_harness):
@@ -93,7 +93,7 @@ def test_offline_size_persistent_array(tiny_harness):
 
 
 def test_burst_length_proportional(tiny_harness):
-    n = tiny_harness.profile("persistent-array").persistent_stores
+    n = tiny_harness.profile_summary("persistent-array").persistent_stores
     burst = tiny_harness.burst_length("persistent-array")
     assert 512 <= burst <= 65536
     assert burst <= max(512, n)

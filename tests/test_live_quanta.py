@@ -5,7 +5,7 @@ thread, whose generators share an allocator, or any bare generator
 workload — runs each thread's next quantum as visit rows of span 0
 (``repro.nvram.machine._live_quanta``).  Everything it leaves behind must be what the
 per-event reference (``use_batches=False``) leaves: every counter, the
-L1 image, the recorded write traces, the trace JSONL and the metrics.
+L1 image, the trace JSONL and the metrics.
 """
 
 from collections import Counter
@@ -26,6 +26,7 @@ from repro.obs.trace import TraceRecorder
 from repro.workloads import base
 from repro.workloads.base import BatchCachingWorkload, Workload
 from repro.workloads.registry import get_workload
+from tests.trace_reference import TraceRecordingMachine, recorded_traces
 
 SEED = 7
 #: (spec, factory keywords): every base technique and the victim stage,
@@ -87,7 +88,6 @@ def observe(workload, spec, threads, use_batches, traced):
         technique_factory(spec, **TECHNIQUES[spec]),
         num_threads=threads,
         seed=SEED,
-        record_traces=True,
         use_batches=use_batches,
     )
     hw = machine.hwcache
@@ -96,7 +96,6 @@ def observe(workload, spec, threads, use_batches, traced):
         "l1":(hw.loads, hw.stores, hw.load_misses, hw.store_misses,
                hw.evict_writebacks, hw.flush_writebacks, hw.clean_flushes),
         "l1_image": [list(ways.items()) for ways in hw.sets],
-        "traces": [(t.lines.tolist(), t.fase_ids.tolist()) for t in result.traces],
         "jsonl": recorder.to_jsonl() if traced else None,
         "metrics": metrics.to_dict() if traced else None,
     }
@@ -128,9 +127,7 @@ def test_sampler_edges_on_repeated_stores_match_the_reference():
     store's line in the same FASE: the traced run is the reference's
     byte for byte."""
     workload = get_workload("queue", scale=0.02)
-    trace = Machine().run(
-        workload, technique_factory("BEST"), num_threads=2, seed=SEED, record_traces=True
-    ).traces[0]
+    trace = recorded_traces(workload, 2, SEED)[1][0]
     writes = list(zip(trace.lines.tolist(), trace.fase_ids.tolist()))
     repeats = [i for i in range(1, len(writes)) if writes[i] == writes[i - 1]]
     skip = next(i for i in repeats if i > 100 and i - 1 in repeats)
@@ -139,15 +136,17 @@ def test_sampler_edges_on_repeated_stores_match_the_reference():
     jsonl = {}
     for use_batches in (None, False):
         recorder = TraceRecorder()
-        result = Machine(recorder=recorder).run(
+        machine = TraceRecordingMachine(recorder=recorder)
+        result = machine.run(
             workload,
             technique_factory("SC", adaptive_config=config),
             num_threads=2,
             seed=SEED,
-            record_traces=True,
             use_batches=use_batches,
         )
-        assert result.traces[0].lines.tolist() == trace.lines.tolist()
+        if use_batches is False:
+            # SC stores what BEST stored: the edges above fall on repeats.
+            assert machine.traces(2)[0].lines.tolist() == trace.lines.tolist()
         assert result.threads[0].selected_sizes
         jsonl[use_batches] = recorder.to_jsonl()
     assert jsonl[None] == jsonl[False]

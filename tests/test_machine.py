@@ -6,7 +6,16 @@ import pytest
 
 from repro.cache.spec import technique_factory
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.common.events import EventKind, FaseBegin, FaseEnd, Load, Store, Work
+from repro.common.events import (
+    EventBatch,
+    EventKind,
+    FaseBegin,
+    FaseEnd,
+    Load,
+    Store,
+    Work,
+)
+from repro.locality.trace import WriteTrace
 from repro.nvram.failure import CrashJournal, crashed_states
 from repro.nvram.machine import Machine, MachineConfig
 from repro.nvram.memory import NVRAM_BASE
@@ -16,6 +25,7 @@ from repro.obs.trace import TraceRecorder
 from repro.workloads.base import Workload
 from repro.workloads.registry import get_workload
 from tests.crash_reference import CrashPlan, LiveCrashMachine, PowerFailure
+from tests.trace_reference import TraceRecordingMachine
 
 
 class ListWorkload(Workload):
@@ -270,16 +280,21 @@ def test_a_thread_count_that_is_no_int_is_a_typed_error(machine, num_threads):
         machine.run(w, technique_factory("LA"), num_threads=num_threads, seed=0)
 
 
-def test_trace_recording(machine):
+def test_trace_recording():
+    """The reference recorder and the column pass read one trace: a row
+    per stored line, tagged with its FASE's uid, -1 outside any."""
     events = [
         FaseBegin(), Store(PA, 8), Store(PA + 64, 8), FaseEnd(),
-        Store(PA + 128, 8),
+        Store(PA + 128, 8), FaseBegin(), Store(PA + 60, 8), FaseEnd(),
     ]
-    res = run(machine, events, technique="BEST", record_traces=True)
-    trace = res.traces[0]
-    assert trace.n == 3
-    assert list(trace.fase_ids)[:2] == [0, 0]
-    assert list(trace.fase_ids)[2] == -1   # outside any FASE
+    machine = TraceRecordingMachine()
+    run(machine, events, technique="BEST", use_batches=False)
+    (recorded,) = machine.traces(1)
+    columns = WriteTrace.from_batches([EventBatch.from_events(events)], 0, NVRAM_BASE)
+    for trace in (recorded, columns):
+        assert trace.lines.tolist() == [PA >> 6, (PA >> 6) + 1, (PA >> 6) + 2,
+                                        PA >> 6, (PA >> 6) + 1]
+        assert trace.fase_ids.tolist() == [0, 0, -1, 1, 1]
 
 
 def test_crash_plan_stops_execution():
@@ -367,8 +382,9 @@ def test_session_load_reads_through_cache(value_machine):
     tech = technique_factory("BEST")(0)
     s = value_machine.session(tech)
     s.store(PA, 8, value=41)
+    s.load(PA)
     # Dirty in cache, not in NVRAM - but loads must see it.
-    assert s.load(PA) == 41
+    assert value_machine.read_current(PA) == 41
     assert value_machine.memory.read(PA) is None
 
 
@@ -390,15 +406,6 @@ def test_session_finish_inside_fase_raises(value_machine):
     s.fase_begin()
     with pytest.raises(SimulationError):
         s.finish()
-
-
-def test_session_trace_recording(value_machine):
-    s = value_machine.session(technique_factory("BEST")(0), record_trace=True)
-    s.fase_begin()
-    s.store(PA, 8)
-    s.fase_end()
-    s.finish()
-    assert s.trace().n == 1
 
 
 def test_read_current_prefers_pending_value(value_machine):

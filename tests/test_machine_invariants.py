@@ -29,6 +29,7 @@ from repro.obs.trace import TraceRecorder
 from repro.workloads.base import Workload
 from repro.workloads.registry import get_workload
 from tests.crash_reference import CrashPlan, LiveCrashMachine
+from tests.trace_reference import recorded_traces
 
 
 class ListWorkload(Workload):
@@ -300,13 +301,13 @@ def run_engine(streams, chunk, technique, burst, use_batches, **run_kwargs):
     machine._new_context = queued_context
     access = WriteCombiningCache.access
     WriteCombiningCache.access = counted_access
+    workload = BatchedListWorkload(streams, chunk)
     try:
         result = machine.run(
-            BatchedListWorkload(streams, chunk),
+            workload,
             factory,
             num_threads=len(streams),
             seed=0,
-            record_traces=True,
             use_batches=use_batches,
             **run_kwargs,
         )
@@ -321,7 +322,6 @@ def run_engine(streams, chunk, technique, burst, use_batches, **run_kwargs):
         "l1": (hw.loads, hw.stores, hw.load_misses, hw.store_misses,
                hw.evict_writebacks, hw.flush_writebacks, hw.clean_flushes),
         "dirty": sorted(hw.dirty_lines()),
-        "traces": [(t.lines.tolist(), t.fase_ids.tolist()) for t in result.traces],
         "jsonl": recorder.to_jsonl() if recorder is not None else None,
         "write_caches": [c.snapshot() for c in caches if c is not None],
         "atlas_tables": [(t.hits, t.misses, t.conflicts) for t in tables if t is not None],
@@ -329,7 +329,11 @@ def run_engine(streams, chunk, technique, burst, use_batches, **run_kwargs):
         # a forgotten count or a stale ``_seen`` shows here.
         "flush_queues": [(q.last_completion, q.issued, q.outstanding) for q in queues],
     }
-    touches = sum(t.n for t in result.traces)
+    # Persistent line touches: the rows of the program's write traces.
+    touches = sum(
+        WriteTrace.from_batches(batches, tid, NVRAM_BASE).n
+        for tid, batches in enumerate(workload.batch_streams(len(streams), 0))
+    )
     return machine, observed, entered[0], touches
 
 
@@ -955,16 +959,14 @@ def test_technique_counters_survive_coalescing_on_a_splash_stream(technique, thr
     st.sampled_from([1, 50, 64, 4096]),
 )
 def test_trace_from_columns_is_the_trace_the_machine_records(streams, chunk):
-    """``WriteTrace.from_batches`` against the BEST run it replaces:
-    nested FASEs, stores spanning two lines, stores below ``NVRAM_BASE``,
-    loads, empty threads, batch edges anywhere."""
+    """``WriteTrace.from_batches`` against the lines a BEST run stores
+    (``tests/trace_reference.py``): nested FASEs, stores spanning two
+    lines, stores below ``NVRAM_BASE``, loads, empty threads, batch edges
+    anywhere."""
     workload = BatchedListWorkload(streams, chunk)
-    result = Machine(MachineConfig()).run(
-        workload, technique_factory("BEST"), num_threads=len(streams), seed=0,
-        record_traces=True,
-    )
+    result, recorded = recorded_traces(workload, len(streams), 0)
     programs = [list(s) for s in workload.batch_streams(len(streams), 0)]
-    for tid, (batches, want) in enumerate(zip(programs, result.traces)):
+    for tid, (batches, want) in enumerate(zip(programs, recorded)):
         got = WriteTrace.from_batches(batches, tid, NVRAM_BASE)
         assert got.lines.tolist() == want.lines.tolist()
         assert got.fase_ids.tolist() == want.fase_ids.tolist()

@@ -70,7 +70,7 @@ def test_parallel_grid_adopts_profiles_from_workers(monkeypatch):
     assert harness._summaries == {
         "water-spatial": sequential.profile_summary("water-spatial")
     }
-    assert harness._profiles == {} and harness._traces == {}
+    assert harness._traces == {}
 
     def no_machine(*args, **kwargs):
         raise AssertionError("a trace request simulated")
@@ -83,10 +83,6 @@ def test_parallel_grid_adopts_profiles_from_workers(monkeypatch):
         harness.offline_mrc("water-spatial").miss_ratios.tolist()
         == sequential.offline_mrc("water-spatial").miss_ratios.tolist()
     )
-    # The oracle agrees with both.
-    monkeypatch.undo()
-    fresh = Harness(CONFIG).profile("water-spatial")
-    assert [t.lines.tolist() for t in fresh.traces] == [got.lines.tolist()]
 
 
 def test_parallel_results_land_in_harness_cache():
@@ -103,16 +99,12 @@ def _state(harness):
     return (
         {cell: run.to_dict() for cell, run in harness._runs.items()},
         dict(harness._summaries),
-        {
-            key: (run.to_dict(), [t.lines.tolist() for t in run.traces])
-            for key, run in harness._profiles.items()
-        },
     )
 
 
 @pytest.mark.parametrize("jobs", [2, 4])
 def test_parallel_sweep_leaves_the_sequential_harness_state(jobs):
-    """Runs, summaries and (absent) profiling runs: jobs=N == jobs=1, and
+    """Runs and summaries: jobs=N == jobs=1, and
     every worker is joined by the time run_grid returns."""
     sequential, fanned = Harness(CONFIG), Harness(CONFIG)
     want = sequential.run_grid(CELLS, jobs=1)
@@ -310,8 +302,8 @@ def test_disk_cache_profile_summary_round_trip(tmp_path):
     summary = Harness(CONFIG, cache_dir=cache_dir).profile_summary("barnes")
     reloaded = Harness(CONFIG, cache_dir=cache_dir)
     assert reloaded.profile_summary("barnes") == summary
-    # Served from disk: the new harness derived no trace, ran no profile.
-    assert reloaded._profiles == {} and reloaded._traces == {}
+    # Served from disk: the new harness derived no trace.
+    assert reloaded._traces == {}
 
 
 def test_disk_cache_key_covers_the_whole_config(tmp_path):
@@ -393,16 +385,17 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
 
 
 def test_run_result_serialization_drops_traces():
+    """A result carries no trace: it serializes the schema's constant
+    ``has_traces: false`` and rebuilds to the same dict."""
     harness = Harness(CONFIG)
-    result = harness.profile("water-spatial")
+    result = harness.run("water-spatial", "BEST")
     data = result.to_dict()
-    assert data["has_traces"] is True
+    assert data["has_traces"] is False
     assert json.loads(json.dumps(data)) == data
     from repro.nvram.stats import RunResult
 
     back = RunResult.from_dict(data)
-    assert back.traces is None
-    assert back.to_dict() == {**data, "has_traces": False}
+    assert back.to_dict() == data
     assert back.flush_ratio == result.flush_ratio
     assert back.time == result.time
 

@@ -12,7 +12,9 @@ from repro.cache.spec import technique_factory
 from repro.common.errors import ConfigurationError
 from repro.locality.knee import select_cache_size
 from repro.locality.mrc import mrc_from_trace
+from repro.locality.trace import WriteTrace
 from repro.nvram.machine import Machine, MachineConfig
+from repro.nvram.memory import NVRAM_BASE
 from repro.workloads.parray import PersistentArray
 
 
@@ -78,9 +80,9 @@ def test_sc_offline_matches_lazy_bound(parray):
 
 
 def test_offline_selection_picks_26(parray):
-    machine = Machine(MachineConfig())
-    res = machine.run(parray, technique_factory("BEST"), num_threads=1, seed=0, record_traces=True)
-    assert select_cache_size(mrc_from_trace(res.traces[0])) == 26
+    (batches,) = parray.batch_streams(1, 0)
+    trace = WriteTrace.from_batches(batches, 0, NVRAM_BASE)
+    assert select_cache_size(mrc_from_trace(trace)) == 26
 
 
 def test_sequential_benchmark_rejects_threads(parray):

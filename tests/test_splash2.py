@@ -6,7 +6,9 @@ from repro.cache.spec import technique_factory
 from repro.common.errors import ConfigurationError
 from repro.locality.knee import select_cache_size
 from repro.locality.mrc import mrc_from_trace
+from repro.locality.trace import WriteTrace
 from repro.nvram.machine import Machine, MachineConfig
+from repro.nvram.memory import NVRAM_BASE
 from repro.workloads.splash2 import SPLASH2_PROFILES, make_splash2
 
 BUDGET = 60_000   # scaled-down store budget for the test suite
@@ -23,9 +25,10 @@ def results():
     out = {}
     for name, profile in SPLASH2_PROFILES.items():
         w = make_splash2(name, store_budget=BUDGET)
-        machine = Machine(MachineConfig())
-        best = machine.run(w, technique_factory("BEST"), num_threads=1, seed=1, record_traces=True)
-        knee = select_cache_size(mrc_from_trace(best.traces[0]))
+        (batches,) = w.batch_streams(1, 1)
+        knee = select_cache_size(
+            mrc_from_trace(WriteTrace.from_batches(batches, 0, NVRAM_BASE))
+        )
         out[name] = {
             "profile": profile,
             "la": run(w, "LA"),

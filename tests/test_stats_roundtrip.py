@@ -44,7 +44,6 @@ def test_round_trip_preserves_every_counter(crashed):
     ]
     assert back.to_dict() == result.to_dict()
     assert back.selected_sizes == {0: [4, 8], 1: []}
-    assert back.traces is None
 
 
 def test_from_dict_rejects_missing_and_unknown_keys():

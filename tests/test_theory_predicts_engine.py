@@ -6,7 +6,9 @@ flush count is the miss count of its buffer over the thread's write
 trace, with no machine in the loop: an LRU of the fixed size for
 SC-offline (``reference.lru_write_cache_misses``), the same at unbounded
 size for LA, an 8-slot direct-mapped table for AT.  ER flushes every
-write, BEST none.  SC-offline at size ``c`` behind a ``victim:V`` stage
+write, BEST none.  The trace is the program's, read off its columns
+(``WriteTrace.from_batches``), so the engine's counts check that pass
+too.  SC-offline at size ``c`` behind a ``victim:V`` stage
 is, by flush count, an LRU of ``c + V``: the cache keeps the ``c`` most
 recent lines, the victim buffer the next ``V``, a rescue swaps the two
 ends, and only the line both let go is flushed.  Both engines are held
@@ -23,7 +25,9 @@ from repro.cache.spec import technique_factory
 from repro.common.events import events_from_batches
 from repro.experiments.harness import Harness
 from repro.locality.reference import lru_write_cache_misses
+from repro.locality.trace import WriteTrace
 from repro.nvram.machine import Machine, MachineConfig
+from repro.nvram.memory import NVRAM_BASE
 from repro.workloads.base import BatchCachingWorkload, Workload
 from repro.workloads.registry import WORKLOAD_NAMES, get_workload
 
@@ -44,6 +48,13 @@ class Recorded(Workload):
         streams = program.batch_streams(threads, seed)
         assert streams is not None, (name, threads)
         self.batches = [list(stream) for stream in streams]
+
+    @cached_property
+    def traces(self):
+        return [
+            WriteTrace.from_batches(batches, tid, NVRAM_BASE)
+            for tid, batches in enumerate(self.batches)
+        ]
 
     @cached_property
     def events(self):
@@ -74,46 +85,38 @@ def flushes(workload, technique, use_batches, threads=1, **kwargs):
     result = Machine(MachineConfig()).run(
         workload, technique_factory(technique, **kwargs), seed=0,
         num_threads=threads, use_batches=use_batches,
-        record_traces=technique == "BEST",
     )
     if threads == 1:
-        return result.flushes, result.traces
-    return [t.flushes for t in result.threads], result.traces
+        return result.flushes
+    return [t.flushes for t in result.threads]
 
 
 @pytest.mark.parametrize("seed", [7, 11])
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)
 def test_flushes_are_the_buffer_misses_of_the_trace(name, seed):
     workload = Recorded(name, seed)
-    predicted = None
+    (trace,) = workload.traces
+    predicted = {
+        "BEST": 0,
+        "ER": trace.n,
+        "LA": lru_write_cache_misses(trace, trace.n + 1),
+        "AT": atlas_table_misses(trace),
+        **{size: lru_write_cache_misses(trace, size) for size in SC_SIZES},
+        **{(c, v): lru_write_cache_misses(trace, c + v) for c, v in VICTIM_SIZES},
+    }
     for use_batches in (True, False):
-        best, (trace,) = flushes(workload, "BEST", use_batches)
-        if predicted is None:
-            predicted = {
-                "ER": trace.n,
-                "LA": lru_write_cache_misses(trace, trace.n + 1),
-                "AT": atlas_table_misses(trace),
-                **{
-                    size: lru_write_cache_misses(trace, size) for size in SC_SIZES
-                },
-                **{
-                    (c, v): lru_write_cache_misses(trace, c + v)
-                    for c, v in VICTIM_SIZES
-                },
-            }
         engine = {
-            technique: flushes(workload, technique, use_batches)[0]
-            for technique in ("ER", "LA", "AT")
+            technique: flushes(workload, technique, use_batches)
+            for technique in ("BEST", "ER", "LA", "AT")
         }
         for size in SC_SIZES:
             engine[size] = flushes(
                 workload, "SC-offline", use_batches, sc_fixed_size=size
-            )[0]
+            )
         for c, v in VICTIM_SIZES:
             engine[c, v] = flushes(
                 workload, f"SC-offline+victim:{v}", use_batches, sc_fixed_size=c
-            )[0]
-        assert best == 0
+            )
         assert engine == predicted, (name, seed, use_batches)
 
 
@@ -123,7 +126,7 @@ def test_flushes_per_thread_at_four_threads(name, seed):
     """Each thread's buffer sees only its own trace, whatever the other
     threads do to the shared L1 between its quanta."""
     workload = Recorded(name, seed, threads=4)
-    best, traces = flushes(workload, "BEST", True, threads=4)
+    traces = workload.traces
     predicted = {
         "BEST": [0] * 4,
         "ER": [trace.n for trace in traces],
@@ -134,12 +137,13 @@ def test_flushes_per_thread_at_four_threads(name, seed):
             for size in SC_SIZES
         },
     }
-    engine = {"BEST": best}
-    for technique in ("ER", "LA", "AT"):
-        engine[technique] = flushes(workload, technique, True, threads=4)[0]
+    engine = {
+        technique: flushes(workload, technique, True, threads=4)
+        for technique in ("BEST", "ER", "LA", "AT")
+    }
     for size in SC_SIZES:
         engine[size] = flushes(
             workload, "SC-offline", True, threads=4, sc_fixed_size=size
-        )[0]
+        )
     assert sum(trace.n for trace in traces) > 0
     assert engine == predicted, (name, seed)

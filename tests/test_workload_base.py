@@ -42,10 +42,11 @@ def test_trace_workload_replays_fases():
     t = WriteTrace([1, 2, 1, 3], [0, 0, 1, -1])
     w = TraceWorkload([t])
     machine = Machine(MachineConfig())
-    res = machine.run(w, technique_factory("LA"), num_threads=1, seed=0, record_traces=True)
+    res = machine.run(w, technique_factory("LA"), num_threads=1, seed=0)
     assert res.persistent_stores == 4
     assert res.fase_count == 2
-    replayed = res.traces[0]
+    (batches,) = w.batch_streams(1, 0)
+    replayed = WriteTrace.from_batches(batches, 0, NVRAM_BASE)
     # Line pattern preserved (modulo the NVRAM shift).
     assert (replayed.lines[0] == replayed.lines[2])
     assert (replayed.lines[0] != replayed.lines[1])
