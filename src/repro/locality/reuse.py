@@ -40,6 +40,14 @@ integrating twice yields ``total(k)`` for every ``k`` in O(n + r) time,
 where ``r`` is the number of reuse intervals.  This is the same
 accumulation structure as the all-window liveness algorithm of Li, Ding
 and Luo (ISMM'14) that the paper builds on.
+
+Each interval adds ``+1`` at ``d+1`` and ``-1`` at ``k1+1`` and at
+``k2+1``.  As a multiset ``{k1, k2}`` is just ``{e, n-s+1}``, so the
+kernel (:func:`second_differences`) is three ``np.bincount`` passes —
+``d2 = bincount(e-s+1) - bincount(e+1) - bincount(n-s+2)`` — with no
+minimum, maximum or scatter.  ``total`` is any prefix of
+``cumsum(cumsum(d2))``, which is how :mod:`repro.locality.mrc` evaluates
+a curve only as far as it is read.
 """
 
 from __future__ import annotations
@@ -48,6 +56,17 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.locality.trace import WriteTrace
+
+
+def second_differences(starts: np.ndarray, ends: np.ndarray, n: int) -> np.ndarray:
+    """The second differences of ``total(k)``, ``k = 0..n+1``, summed over
+    the (already validated, int64) reuse intervals: ``total`` is
+    ``cumsum(cumsum(d2))[: n + 1]``, and its first ``K + 1`` entries need
+    only ``d2[: K + 1]``."""
+    d2 = np.bincount(ends - starts + 1, minlength=n + 2)   # +1 at d+1
+    d2 -= np.bincount(ends + 1, minlength=n + 2)           # -1 at e+1
+    d2 -= np.bincount(n - starts + 2, minlength=n + 2)     # -1 at n-s+2
+    return d2
 
 
 def reuse_counts(starts: np.ndarray, ends: np.ndarray, n: int) -> np.ndarray:
@@ -77,19 +96,14 @@ def reuse_counts(starts: np.ndarray, ends: np.ndarray, n: int) -> np.ndarray:
         starts.min() < 1 or ends.max() > n or np.any(ends <= starts)
     ):
         raise ConfigurationError("reuse intervals must satisfy 1 <= s < e <= n")
+    return np.cumsum(np.cumsum(second_differences(starts, ends, n)[: n + 1]))
 
-    # Second-difference accumulator over k = 0..n (+2 slack for k2+1 <= n+1).
-    d2 = np.zeros(n + 3, dtype=np.int64)
-    if len(starts):
-        d = ends - starts
-        k1 = np.minimum(ends, n - starts + 1)
-        k2 = np.maximum(ends, n - starts + 1)
-        np.add.at(d2, d + 1, 1)       # slope becomes +1 at k = d+1
-        np.add.at(d2, k1 + 1, -1)     # slope +1 -> 0 after the rise
-        np.add.at(d2, k2 + 1, -1)     # slope 0 -> -1 after the plateau
-    slope = np.cumsum(d2[: n + 1])
-    total = np.cumsum(slope)
-    return total
+
+def reuse_from_counts(total: np.ndarray, n: int, first: int = 0) -> np.ndarray:
+    """``reuse(k)`` for ``k = first, first+1, ...`` of a length-``n``
+    trace: each ``total[k]`` (a slice of :func:`reuse_counts`) divided by
+    its window count ``n - k + 1`` (``reuse(0) = 0/(n+1) = 0``)."""
+    return total / (n + 1 - np.arange(first, first + len(total)))
 
 
 def reuse_curve(starts: np.ndarray, ends: np.ndarray, n: int) -> np.ndarray:
@@ -98,12 +112,7 @@ def reuse_curve(starts: np.ndarray, ends: np.ndarray, n: int) -> np.ndarray:
     ``reuse[0]`` is defined as 0.  Each ``reuse[k]`` for ``k >= 1`` is the
     enclosing-window total divided by the window count ``n - k + 1``.
     """
-    total = reuse_counts(starts, ends, n)
-    reuse = np.zeros(n + 1, dtype=np.float64)
-    if n >= 1:
-        ks = np.arange(1, n + 1)
-        reuse[1:] = total[1:] / (n - ks + 1)
-    return reuse
+    return reuse_from_counts(reuse_counts(starts, ends, n), n)
 
 
 def reuse_curve_from_trace(trace: WriteTrace, honor_fases: bool = True) -> np.ndarray:

@@ -33,6 +33,8 @@ _FASE = "repro/atlas/fase.py"
 _LOGFILE = "repro/atlas/log.py"
 _MACHINE = "repro/nvram/machine.py"
 _TRACE = "repro/locality/trace.py"
+_REUSE = "repro/locality/reuse.py"
+_MRC = "repro/locality/mrc.py"
 
 #: The journal walk against the live reference, across fault models.
 _CUT = (
@@ -89,6 +91,13 @@ _COLUMNS = (
     "tests/test_machine.py::test_trace_recording",
     "tests/test_harness.py::test_trace_from_columns_equals_the_best_run",
     "tests/test_machine_invariants.py::test_trace_from_columns_is_the_trace_the_machine_records",
+)
+
+#: The on-demand MRC against the eager Eq. 3 conversion of the whole
+#: reuse curve, read whole, at every size and past a size plateau.
+_ON_DEMAND = (
+    "tests/test_locality_kernels.py::test_the_on_demand_mrc_is_the_eager_curve",
+    "tests/test_locality_kernels.py::test_a_curve_that_never_reaches_the_query_is_read_whole",
 )
 
 MUTANTS = (
@@ -290,5 +299,44 @@ MUTANTS = (
         "columns-outside-fase-tagged", _TRACE,
         "np.where(depth[rows] > 0, uid[rows], -1)", "uid[rows]",
         _COLUMNS, "a store outside any FASE carries the last FASE's uid, not -1",
+    ),
+    # -- The reuse kernel and the on-demand MRC -------------------------------
+    Mutant(
+        "kernel-without-late-fall", _REUSE,
+        "    d2 -= np.bincount(n - starts + 2, minlength=n + 2)     # -1 at n-s+2\n", "",
+        (
+            "tests/test_reuse.py::test_reuse_counts_with_repeated_ends",
+            "tests/test_reuse.py::test_linear_time_matches_brute_force",
+        ),
+        "an interval's enclosing-window count never stops rising at k = n-s+1",
+    ),
+    Mutant(
+        "prefix-one-total-short", _MRC,
+        "np.cumsum(self._d2[k + 1 : stop + 1])", "np.cumsum(self._d2[k + 1 : stop])",
+        _ON_DEMAND, "each extension integrates one second difference short: samples go missing",
+    ),
+    Mutant(
+        "prefix-stops-at-sample-count", _MRC,
+        "not (len(self._sizes) and self._sizes[-1] > size)",
+        "not (len(self._sizes) and len(self._sizes) > size)",
+        _ON_DEMAND, "a prefix of more samples than the query is taken to reach it, though c(k) <= k",
+    ),
+    Mutant(
+        "extension-keeps-old-slope", _MRC,
+        "self._carry = slopes[-1], totals[-1], reuses[-1]",
+        "self._carry = slope, totals[-1], reuses[-1]",
+        _ON_DEMAND, "a later extension integrates from the first prefix's slope",
+    ),
+    Mutant(
+        "nan-size-answered", _MRC,
+        "if not np.all(q >= 0):", "if np.any(q < 0):",
+        ("tests/test_mrc.py::test_a_nan_size_is_rejected",),
+        "a NaN cache size gets an answer (or a bare ValueError), not a ConfigurationError",
+    ),
+    Mutant(
+        "empty-trace-curve-made", _MRC,
+        "    if trace.n < 1:\n", "    if False:\n",
+        ("tests/test_mrc.py::test_an_empty_trace_is_rejected_when_its_curve_is_made",),
+        "an empty trace makes a curve that answers 1.0 everywhere",
     ),
 )

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.locality.fase_transform import rename_for_fases
 from repro.locality.footprint import footprint_curve
+from repro.locality.mrc import mrc_from_reuse, mrc_from_trace
 from repro.locality.reference import lru_write_cache_misses
 from repro.locality.reuse import reuse_curve_from_trace
 from repro.locality.stack_distance import COLD, exact_mrc, stack_distances
@@ -107,6 +108,58 @@ def test_duality_holds_on_the_renamed_trace(trace):
     reuse = reuse_curve_from_trace(trace)
     fp = footprint_curve(rename_for_fases(trace))
     assert np.allclose(reuse + fp, np.arange(trace.n + 1))
+
+
+def eager_mrc(trace, honor_fases):
+    """Eq. 3 over the whole reuse curve, as ``mrc_from_trace`` once was."""
+    return mrc_from_reuse(reuse_curve_from_trace(trace, honor_fases), n=trace.n)
+
+
+def assert_read_as_the_eager_curve(trace, honor_fases, queries):
+    """Each query on a fresh on-demand curve, so each grows its own
+    prefix, answers as the eager curve does; so do all at once."""
+    eager = eager_mrc(trace, honor_fases)
+    for q in queries:
+        assert mrc_from_trace(trace, honor_fases).miss_ratio(q) == eager.miss_ratio(q), q
+    both = mrc_from_trace(trace, honor_fases).miss_ratios_at(queries), eager.miss_ratios_at(queries)
+    assert both[0].tobytes() == both[1].tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans().flatmap(fase_traces), st.booleans())
+def test_the_on_demand_mrc_is_the_eager_curve(trace, honor_fases):
+    """Read whole or at any size, the curve that evaluates Eq. 3 only as
+    far as it is read is the eager conversion to the last bit."""
+    eager = eager_mrc(trace, honor_fases)
+    whole = mrc_from_trace(trace, honor_fases)
+    assert whole.sizes.tobytes() == eager.sizes.tobytes()
+    assert whole.miss_ratios.tobytes() == eager.miss_ratios.tobytes()
+    assert whole.n == eager.n
+    top = int(eager.sizes[-1])
+    assert_read_as_the_eager_curve(
+        trace, honor_fases, [*range(top + 2), 0.5, top / 3, top + 0.75]
+    )
+
+
+def test_a_size_plateau_at_the_query_reads_to_its_end():
+    """``"aaaa"``'s sizes are 0, 1, 1, 1, and a run of 64 stays at 1 to
+    the end: a prefix whose last size equals the query is not enough."""
+    assert eager_mrc(WriteTrace.from_string("aaaa"), False).sizes.tolist() == [0, 1, 1, 1]
+    for trace in (WriteTrace.from_string("aaaa"), WriteTrace([7] * 64)):
+        assert_read_as_the_eager_curve(trace, False, [0, 0.5, 1, 1.5, 2, 50])
+
+
+def test_a_curve_that_never_reaches_the_query_is_read_whole():
+    """Five lines in a cycle never fill a cache of 50, nor does a hot
+    line written 80 % of the time among Zipf-drawn others, whose size
+    climbs slowly: its prefix is extended several times on the way."""
+    rng = np.random.default_rng(0)
+    zipf = rng.zipf(2.0, 2000)
+    cyclic = WriteTrace(list(range(5)) * 40)
+    hot = WriteTrace(np.where(rng.random(2000) < 0.8, 0, zipf))
+    for trace in (cyclic, hot):
+        assert eager_mrc(trace, False).sizes[-1] < 50
+        assert_read_as_the_eager_curve(trace, False, [*range(52), 2.5])
 
 
 @settings(max_examples=150, deadline=None)

@@ -62,6 +62,27 @@ def test_negative_size_rejected():
         mrc.miss_ratio(-1)
 
 
+def test_a_nan_size_is_rejected():
+    """NaN is no cache size, on a curve read on demand or built from
+    arrays alike."""
+    nan = float("nan")
+    for mrc in (
+        mrc_from_trace(WriteTrace.from_string("abab|ab")),
+        MissRatioCurve(np.asarray([0.0, 1.0]), np.asarray([1.0, 0.5])),
+    ):
+        with pytest.raises(ConfigurationError):
+            mrc.miss_ratio(nan)
+        with pytest.raises(ConfigurationError):
+            mrc.miss_ratios_at([1.0, nan])
+
+
+def test_an_empty_trace_is_rejected_when_its_curve_is_made():
+    with pytest.raises(ConfigurationError):
+        mrc_from_trace(WriteTrace([]))
+    with pytest.raises(ConfigurationError):
+        mrc_from_trace(WriteTrace([]), honor_fases=False)
+
+
 def test_constructor_validation():
     with pytest.raises(ConfigurationError):
         MissRatioCurve(np.asarray([1.0, 0.5]), np.asarray([0.5, 0.2]))

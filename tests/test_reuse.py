@@ -75,6 +75,36 @@ def test_single_interval_window_count(n, s, d):
         assert total[k] == sum(w <= s and e <= w + k - 1 for w in range(1, n - k + 2))
 
 
+def windows_enclosing(starts, ends, n):
+    """``total[k]`` by enumerating every window of every length."""
+    return [
+        sum(w <= s and e <= w + k - 1 for s, e in zip(starts, ends) for w in range(1, n - k + 2))
+        for k in range(n + 1)
+    ]
+
+
+def test_reuse_counts_with_repeated_ends():
+    """Shared starts, shared ends, and ``e + 1 == n - s + 2`` (the rise
+    ends where the fall begins): each lands on one bincount bin."""
+    n = 7
+    starts = [1, 1, 2, 2, 3, 3, 3, 6]
+    ends = [4, 4, 4, 6, 6, 5, 7, 7]
+    assert reuse_counts(np.asarray(starts), np.asarray(ends), n).tolist() == (
+        windows_enclosing(starts, ends, n)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_reuse_counts_sum_any_interval_multiset(data):
+    n = data.draw(st.integers(min_value=2, max_value=12))
+    starts = data.draw(st.lists(st.integers(1, n - 1), max_size=12))
+    ends = [data.draw(st.integers(s + 1, n)) for s in starts]
+    assert reuse_counts(np.asarray(starts), np.asarray(ends), n).tolist() == (
+        windows_enclosing(starts, ends, n)
+    )
+
+
 def test_reuse_counts_validation():
     with pytest.raises(ConfigurationError):
         reuse_counts(np.asarray([1]), np.asarray([1]), 5)   # e <= s
