@@ -3,7 +3,7 @@
 The fault-injection campaign needs to execute a workload *with full Atlas
 semantics* — undo logging, data-drain-before-commit ordering, per-thread
 software caches — once, crash-free, recording every injectable site, the
-ground-truth FASE bookkeeping and a
+ground-truth FASE bookkeeping and the value-tracking machine's
 :class:`~repro.nvram.failure.CrashJournal` of every change to what a
 crash capture reads (the **golden run**).  The crashed image of any
 fault model at any site is then cut from that journal (a **sweep**)
@@ -415,14 +415,13 @@ class AtlasReplayDriver:
         and :meth:`crash_at` cut from the last one.  Any stream is judged:
         its payloads, if it has any, are not read."""
         machine, runtimes, shift = self._build()
-        journal = CrashJournal(self.timing.flush_queue_depth)
         golden = GoldenRun(
-            sites=machine.record_sites(journal),
+            sites=machine.record_sites(),
             fases={},
             commit_order=[],
             unprotected=set(),
             layout=runtimes[0].layout(),
-            journal=journal,
+            journal=machine.journal,
         )
         self._replay(machine, runtimes, shift, golden)
         golden.seal()

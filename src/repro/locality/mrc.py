@@ -119,18 +119,18 @@ class MissRatioCurve:
 
     def miss_ratio(self, size: float) -> float:
         """Miss ratio of a cache of ``size`` blocks (step interpolation)."""
-        return float(self.miss_ratios_at(np.asarray([size]))[0])
+        return float(self.miss_ratios_at(size))
 
-    def miss_ratios_at(self, sizes: Sequence[float] | np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`miss_ratio`."""
+    def miss_ratios_at(self, sizes: float | Sequence[float] | np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`miss_ratio`, answered in the query's shape."""
         q = np.asarray(sizes, dtype=np.float64)
         if not np.all(q >= 0):
             raise ConfigurationError("cache sizes must be non-negative numbers")
-        samples, miss = self._samples(float(q.max()) if len(q) else 0.0)
+        samples, miss = self._samples(float(q.max()) if q.size else 0.0)
         # Largest sample index whose size is <= query; below the first
         # sample every access misses (an empty cache).
         idx = np.searchsorted(samples, q, side="right") - 1
-        out = np.ones(len(q), dtype=np.float64)
+        out = np.ones(q.shape, dtype=np.float64)
         valid = idx >= 0
         out[valid] = miss[idx[valid]]
         return out

@@ -6,8 +6,7 @@ perf counters.  We replace that testbed with a deterministic simulator
 that measures the same architectural quantities directly:
 
 - :mod:`repro.nvram.memory` — the physical address space: the boundary
-  of the NVRAM region (the persistence domain) and its durable image,
-  which crash/recovery testing reads.
+  of the NVRAM region (the persistence domain).
 - :mod:`repro.nvram.hwcache` — a set-associative write-back hardware
   cache with ``clflush`` (write back + invalidate, what Atlas uses) and
   hit/miss/write-back counters.
@@ -21,11 +20,11 @@ that measures the same architectural quantities directly:
   the cache, the flush queue and a persistence technique.
 - :mod:`repro.nvram.failure` — crash injection: at a crash, dirty lines
   still in the hardware cache are lost; only written-back values survive
-  in NVRAM.
+  in NVRAM, as a value-tracking machine's crash journal records them.
 """
 
 from repro.nvram.timing import TimingModel
-from repro.nvram.memory import MainMemory, NVRAM_BASE
+from repro.nvram.memory import NVRAM_BASE
 from repro.nvram.hwcache import HardwareCache
 from repro.nvram.flushqueue import FlushQueue
 from repro.nvram.machine import Machine, MachineConfig, FlushPort
@@ -34,7 +33,6 @@ from repro.nvram.failure import CrashedState
 
 __all__ = [
     "TimingModel",
-    "MainMemory",
     "NVRAM_BASE",
     "HardwareCache",
     "FlushQueue",

@@ -10,9 +10,10 @@ state just changed or a persistence-critical operation just completed;
 every retired persistent store is one, so "after the k-th store" is the
 k-th ``store`` site.  The machine numbers sites globally in execution
 order (see :data:`SITE_CLASSES`); the fault-injection campaign
-(:mod:`repro.faults`) enumerates them in a golden run that also keeps a
-:class:`CrashJournal`, and cuts the crashed image of every fault model
-at every target site from that journal without running anything again.
+(:mod:`repro.faults`) enumerates them in a golden run and cuts the
+crashed image of every fault model at every target site from its
+machine's :class:`CrashJournal` (``Machine.power_cut`` walks it to its
+end) without running anything again.
 
 Fault models sharpen the failure beyond a clean power cut:
 
@@ -191,7 +192,7 @@ def overlaid(nvram: Dict[int, object], overlay: Dict[int, object]) -> Dict[int, 
 
 
 #: Journal entry kinds, the low three bits of a code.  The bits above hold
-#: the thread, or for a store how many lines past its address's it falls.
+#: a write-back's or a drain's thread.
 J_STORE, J_DIRTY, J_FLUSH, J_EVICT, J_DRAIN = range(5)
 
 
@@ -201,16 +202,17 @@ class CrashJournal:
     in-flight write-backs — so that the crashed state at any site is cut
     by walking it (:meth:`walk`) rather than by replaying the run.
 
-    A value-tracking machine records into the journal handed to
-    ``Machine.record_sites``, whose site log notes its length at every
-    site.  One entry per change, in columns: ``codes``, ``args`` (an
-    address or a line) and, per store, a reference to its value in
-    ``payloads`` — nothing is copied.  The machine appends the entries
-    where it makes the changes: a persistent store's pending value
-    (``J_STORE``, which dirties its line); a dirty bit set with no value
-    (``J_DIRTY``, a volatile store's line); a write-back of a line, an
-    explicit flush (``J_FLUSH``) or a hardware eviction (``J_EVICT``),
-    with its thread; and a thread's drain (``J_DRAIN``, arg 0).
+    Every value-tracking machine owns one (``Machine.journal``): the only
+    record of its persistent values a crash reads.  ``Machine.record_sites``
+    notes its length at every site.  One entry per change, in columns:
+    ``codes``, ``args`` (an address or a line) and, per store, a reference
+    to its value in ``payloads`` — nothing is copied.  The machine appends
+    them where it makes the changes: a persistent store's value
+    (``J_STORE``, arg its address: the value belongs to, and dirties, the
+    line of the store's first byte); a dirty bit with no value
+    (``J_DIRTY``: a volatile store's lines, a persistent one's past its
+    first); a write-back, an explicit flush (``J_FLUSH``) or a hardware
+    eviction (``J_EVICT``), with its thread; a thread's drain (``J_DRAIN``).
     """
 
     __slots__ = ("codes", "args", "payloads", "depth")
@@ -244,7 +246,7 @@ class CrashJournal:
             for code, arg in zip(codes[pos:end], args[pos:end]):
                 kind = code & 7
                 if kind == J_STORE:
-                    line = (arg >> 6) + (code >> 3)
+                    line = arg >> 6
                     pending.setdefault(line, {})[arg] = next(payloads)
                     dirty.add(line)
                 elif kind == J_DIRTY:

@@ -11,9 +11,6 @@ propagated to NVRAM" (§I).  It provides:
   Atlas uses and the only flush modelled; the invalidation is why "the
   next access will be a cache miss" (§II-A), the indirect flush cost the
   software cache reduces.
-- value tracking per dirty line (``values``, kept by the machine's
-  per-line path), so write-backs carry real data into simulated NVRAM
-  for crash/recovery tests.
 
 Sets use ``OrderedDict`` for O(1) LRU: lookup, move-to-end on touch,
 pop-first on eviction.  When several simulated threads share the cache,
@@ -26,7 +23,7 @@ and its commits; every other access is one ``access`` call.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 
@@ -47,7 +44,6 @@ class HardwareCache:
         "num_sets",
         "ways",
         "sets",
-        "values",
         "loads",
         "stores",
         "load_misses",
@@ -70,8 +66,6 @@ class HardwareCache:
         self.sets: List[OrderedDict[int, bool]] = [
             OrderedDict() for _ in range(self.num_sets)
         ]
-        # Pending (not yet written back) values per dirty line.
-        self.values: Dict[int, Dict[int, object]] = {}
         self.loads = 0
         self.stores = 0
         self.load_misses = 0

@@ -63,6 +63,7 @@ from repro.common.events import (
 )
 from repro.common.geometry import lines_spanned, negative_size
 from repro.nvram.failure import (
+    FAULT_CLEAN,
     J_DIRTY,
     J_DRAIN,
     J_EVICT,
@@ -75,10 +76,11 @@ from repro.nvram.failure import (
     SITE_STORE,
     CrashedState,
     CrashJournal,
+    crashed_states,
 )
 from repro.nvram.flushqueue import FlushQueue
 from repro.nvram.hwcache import HardwareCache
-from repro.nvram.memory import NVRAM_BASE, MainMemory
+from repro.nvram.memory import NVRAM_BASE
 from repro.nvram.stats import RunResult, ThreadStats
 from repro.nvram.timing import DEFAULT_TIMING, TimingModel
 from repro.obs.trace import (
@@ -153,7 +155,8 @@ class MachineConfig:
     timing: TimingModel = DEFAULT_TIMING
     l1_capacity_lines: int = 512      # 32 KiB of 64-byte lines
     l1_ways: int = 8
-    track_values: bool = False        # needed for crash/recovery tests
+    #: Journal persistent values (crash/recovery tests; runs event by event).
+    track_values: bool = False
 
     def __post_init__(self) -> None:
         require_int("l1_ways", self.l1_ways, 1)
@@ -357,7 +360,6 @@ class Machine:
         metrics: Optional[object] = None,
     ) -> None:
         self.config = config or MachineConfig()
-        self.memory = MainMemory()
         self.hwcache = HardwareCache(self.config.l1_capacity_lines, self.config.l1_ways)
         # Observability is strictly opt-in: the default NULL_RECORDER has
         # ``enabled = False``, which every recording site checks first,
@@ -381,7 +383,12 @@ class Machine:
         self._sites_active = False
         self._sites_seen = 0
         self._site_log: Optional[List[tuple]] = None
-        self._journal: Optional[CrashJournal] = None
+        # Value tracking: the crash journal ``power_cut`` walks, and the
+        # last value stored at each persistent address (``read_current``).
+        self.journal: Optional[CrashJournal] = None
+        self._current: dict = {}
+        if self.config.track_values:
+            self.journal = CrashJournal(self.config.timing.flush_queue_depth)
 
     def _new_context(self, thread_id: int, technique: object) -> "_ThreadContext":
         """A thread's execution state, its technique bound to its port."""
@@ -396,21 +403,20 @@ class Machine:
     # Crash-site enumeration (repro.faults)
     # ------------------------------------------------------------------
 
-    def record_sites(self, journal: Optional[CrashJournal] = None) -> List[tuple]:
+    def record_sites(self) -> List[tuple]:
         """Enable crash-site enumeration; returns the live site log.
 
         Each completed injectable site appends one ``(index, site_class,
         thread_id, cycles, journal_length, stores_seen)`` tuple.  Indices
         are global and in execution order, and the same on every replay
         of one configuration: enumeration runs the per-event engine,
-        whatever ``use_batches`` a later :meth:`run` is given.  A
-        value-tracking machine also records into ``journal`` every change
-        a crash capture reads (its length is 0 without one), so any
-        site's crashed state is cut from it afterwards.
+        whatever ``use_batches`` a later :meth:`run` is given.  On a
+        value-tracking machine ``journal_length`` is where its
+        :attr:`journal` stood (0 without one), so any site's crashed
+        state is cut from the journal afterwards.
         """
         self._site_log = []
         self._sites_active = True
-        self._journal = journal
         return self._site_log
 
     @property
@@ -424,7 +430,7 @@ class Machine:
         self._sites_seen = idx + 1
         log = self._site_log
         if log is not None:
-            journal = self._journal
+            journal = self.journal
             size = 0 if journal is None else len(journal.codes)
             log.append(
                 (idx, site_class, ctx.thread_id, ctx.stats.cycles, size, self._stores_seen)
@@ -442,16 +448,11 @@ class Machine:
         stats.instructions += 1
         stats.flushes += 1
         setattr(stats, counter, getattr(stats, counter) + 1)
-        hw = self.hwcache
-        dirty = hw.clflush(line)
-        if self.config.track_values:
-            values = hw.values.pop(line, None)
-            journal = self._journal
-            if journal is not None:
-                journal.codes.append(J_FLUSH | ctx.thread_id << 3)
-                journal.args.append(line)
-            if values:
-                self.memory.nvram.update(values)
+        dirty = self.hwcache.clflush(line)
+        journal = self.journal
+        if journal is not None:
+            journal.codes.append(J_FLUSH | ctx.thread_id << 3)
+            journal.args.append(line)
         stall = 0
         if dirty:
             now, stall = ctx.flushq.issue(stats.cycles)
@@ -482,7 +483,7 @@ class Machine:
         stats.stall_cycles += stall
         if rec.enabled:
             self._record_drain(ctx, category, stall, outstanding)
-        journal = self._journal
+        journal = self.journal
         if journal is not None:
             journal.codes.append(J_DRAIN | ctx.thread_id << 3)
             journal.args.append(0)
@@ -524,14 +525,10 @@ class Machine:
     def _evict_writeback(self, ctx: _ThreadContext, line: int) -> None:
         # A dirty line displaced by a fill: the hardware writes it back in
         # the background (no CPU issue cost, but channel occupancy).
-        if self.config.track_values:
-            values = self.hwcache.values.pop(line, None)
-            journal = self._journal
-            if journal is not None:
-                journal.codes.append(J_EVICT | ctx.thread_id << 3)
-                journal.args.append(line)
-            if values:
-                self.memory.nvram.update(values)
+        journal = self.journal
+        if journal is not None:
+            journal.codes.append(J_EVICT | ctx.thread_id << 3)
+            journal.args.append(line)
         stats = ctx.stats
         now, stall = ctx.flushq.issue(stats.cycles)
         stats.cycles = now
@@ -550,8 +547,10 @@ class Machine:
     ) -> None:
         """Store ``size`` bytes at ``addr``, line by line: the L1 write, the
         write-back of a dirty line it displaces and, under value tracking,
-        the pending value and its journal entry (a volatile ``addr`` only
-        dirties its line); for a managed persistent store also the
+        its journal entry — a persistent store's value belongs to the line
+        of its first byte (``J_STORE``, and the last value ``read_current``
+        reads), any other line is only dirtied (``J_DIRTY``, as is every
+        line of a volatile store); for a managed persistent store also the
         technique's ``insert`` (never called without a flush category) and
         the flush of the line it returns.  An access inside one line — a
         zero-byte one too — touches that line, any other the lines it
@@ -566,27 +565,19 @@ class Machine:
         persistent = managed and durable
         category = technique.flush_category
         hw = self.hwcache
-        track = self.config.track_values
-        if track:
-            pending = hw.values
-            journal = self._journal
+        journal = self.journal
         for line in lines:
             hit, evicted = hw.access(line, True)
             stats.cycles += t.l1_hit if hit else t.l1_hit + t.l1_miss
             if evicted is not None and evicted[1]:
                 self._evict_writeback(ctx, evicted[0])
-            if track:
-                if durable:
-                    values = pending.get(line)
-                    if values is None:
-                        pending[line] = {addr: value}
-                    else:
-                        values[addr] = value
-                    if journal is not None:
-                        journal.codes.append(J_STORE | (line - first) << 3)
-                        journal.args.append(addr)
-                        journal.payloads.append(value)
-                elif journal is not None:
+            if journal is not None:
+                if durable and line == first:
+                    self._current[addr] = value
+                    journal.codes.append(J_STORE)
+                    journal.args.append(addr)
+                    journal.payloads.append(value)
+                else:
                     journal.codes.append(J_DIRTY)
                     journal.args.append(line)
             if persistent:
@@ -1209,10 +1200,14 @@ class Machine:
         m.set_gauge(f"cycles/{key}", s.cycles)
 
     def power_cut(self) -> CrashedState:
-        """What a clean power cut *now* leaves: the durable image, copied,
-        and the dirty lines lost.  The machine itself is left as it was."""
-        lost = sorted(self.hwcache.dirty_lines())
-        return CrashedState(dict(self.memory.nvram), lost, self._stores_seen)
+        """What a clean power cut *now* leaves: the :attr:`journal` walked
+        to its end — the durable image and the dirty lines lost.  The
+        machine itself is left as it was.  Needs ``track_values``."""
+        journal = self.journal
+        if journal is None:
+            raise SimulationError("power_cut needs MachineConfig(track_values=True)")
+        end = (None, None, None, None, len(journal.codes), self._stores_seen)
+        return next(crashed_states(journal.walk([(end, 0)], (FAULT_CLEAN,))))
 
     # ------------------------------------------------------------------
     # Imperative per-thread driver (used by the Atlas runtime)
@@ -1229,17 +1224,11 @@ class Machine:
         return MachineSession(self, self._new_context(thread_id, technique))
 
     def read_current(self, addr: int, default: object = None) -> object:
-        """The value a load of ``addr`` would observe right now.
-
-        Reads through the hardware cache's pending (dirty, un-written-
-        back) values, falling back to the durable memory image.  Only
-        meaningful with ``track_values`` enabled.
-        """
-        line = addr >> 6
-        pending = self.hwcache.values.get(line)
-        if pending is not None and addr in pending:
-            return pending[addr]
-        return self.memory.read(addr, default)
+        """The value a load of ``addr`` would observe right now: the last
+        value stored there, written back or not (``default`` where none
+        was, or the address is volatile).  Only meaningful with
+        ``track_values`` enabled."""
+        return self._current.get(addr, default)
 
     # ------------------------------------------------------------------
     # Public driver

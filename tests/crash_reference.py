@@ -5,11 +5,14 @@ A campaign cuts each crashed image from its golden run's journal
 (``CrashJournal.walk``).  This is the mechanism the walk replaced, kept
 only to check it: a :class:`LiveCrashMachine` armed with a
 :class:`CrashPlan` runs until the planned site completes, captures there
-what a power cut leaves under the plan's fault model — tracking the
-in-flight eviction write-backs itself, hook by hook — and stops the run
-with :class:`PowerFailure`.  It shares with the walk only ``InFlight``
-and ``crash_overlay``, whose rules ``test_failure_misc.py`` checks on
-their own.
+what a power cut leaves under the plan's fault model and stops the run
+with :class:`PowerFailure`.  It keeps, hook by hook, its own record of
+what a crash reads — each dirty line's pending values (a store's under
+the line of its first byte), the durable image write-backs land them
+in, and the in-flight eviction write-backs — so it reads nothing of the
+machine's journal.  It shares with the walk only ``InFlight`` and
+``crash_overlay``, whose rules ``test_failure_misc.py`` checks on their
+own.
 
 :func:`reference_golden` is the golden replay as the driver ran it
 before it walked its program's columns: every thread's decoded
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.common.errors import ConfigurationError, ReproError
 from repro.common.events import EventKind
@@ -31,7 +34,6 @@ from repro.nvram.failure import (
     FAULT_MODELS,
     FAULT_REORDERED_FLUSH,
     CrashedState,
-    CrashJournal,
     InFlight,
     crash_overlay,
     overlaid,
@@ -67,12 +69,27 @@ class CrashPlan:
 
 
 class LiveCrashMachine(Machine):
-    """A machine that crashes live where its armed :class:`CrashPlan` says."""
+    """A machine that crashes live where its armed :class:`CrashPlan` says.
+
+    Under value tracking it keeps ``pending`` (``{line: {addr: value}}``,
+    the values not yet written back) and ``durable`` (the image write-backs
+    landed them in) itself; :meth:`live_cut` reads them."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.crashed_state: Optional[CrashedState] = None
+        self.start_live_record()
         self.arm_crash_plan(None)
+
+    def start_live_record(self) -> None:
+        """An empty record: nothing crashed, pending or durable yet."""
+        self.crashed_state: Optional[CrashedState] = None
+        self.pending: Dict[int, Dict[int, object]] = {}
+        self.durable: Dict[int, object] = {}
+
+    def live_cut(self) -> CrashedState:
+        """What a clean power cut now leaves, read off the live record."""
+        lost = sorted(self.hwcache.dirty_lines())
+        return CrashedState(dict(self.durable), lost, self._stores_seen)
 
     def arm_crash_plan(self, plan: Optional[CrashPlan]) -> None:
         """Schedule the crash ``plan`` names (``None`` disarms).  Crash
@@ -84,7 +101,7 @@ class LiveCrashMachine(Machine):
             self._sites_active = True
             if plan.fault_model == FAULT_REORDERED_FLUSH:
                 depth = self.config.timing.flush_queue_depth
-                self._inflight = InFlight(depth, self.memory.nvram)
+                self._inflight = InFlight(depth, self.durable)
 
     def run(self, workload, technique_factory, *, crash_plan=None, **kwargs):
         """``Machine.run`` armed with ``crash_plan``; the result reads
@@ -98,9 +115,9 @@ class LiveCrashMachine(Machine):
         super()._note_site(ctx, site_class)
         if idx == self._target:
             plan = self._plan
-            nvram, lost = self.memory.nvram, sorted(self.hwcache.dirty_lines())
+            nvram, lost = self.durable, sorted(self.hwcache.dirty_lines())
             overlay, torn, dropped = crash_overlay(
-                nvram, lost, self.hwcache.values, self._inflight,
+                nvram, lost, self.pending, self._inflight,
                 plan.fault_model, plan.fault_seed,
             )
             self.crashed_state = CrashedState(
@@ -118,11 +135,23 @@ class LiveCrashMachine(Machine):
                 for ctx in contexts:
                     self._final_metrics(ctx)
 
-    # The in-flight write-backs a reordered_flush crash may drop.
+    # The live record: pending values, their write-backs, and the
+    # in-flight write-backs a reordered_flush crash may drop.  Each hook
+    # updates it before the machine's own step, whose site (if any) is
+    # noted last.
+
+    def _store_lines(self, ctx, addr, size, value=None, managed=True) -> None:
+        # The first line's access evicts only other lines, so the value
+        # may be pending before the machine touches any line.  A zero-byte
+        # store at a line's first byte touches none and stores nothing.
+        if self.config.track_values and addr >= NVRAM_BASE and (size > 0 or addr & 63):
+            self.pending.setdefault(addr >> 6, {})[addr] = value
+        super()._store_lines(ctx, addr, size, value, managed)
 
     def _do_flush(self, ctx, line: int, category: str) -> None:
         if self._inflight is not None:
             self._inflight.flushed(line)
+        self.durable.update(self.pending.pop(line, {}))
         super()._do_flush(ctx, line, category)
 
     def _do_drain(self, ctx, category: str = "final") -> None:
@@ -131,22 +160,30 @@ class LiveCrashMachine(Machine):
         super()._do_drain(ctx, category)
 
     def _evict_writeback(self, ctx, line: int) -> None:
-        values = self.hwcache.values.get(line)
+        values = self.pending.pop(line, {})
         if self._inflight is not None and values:
             self._inflight.evicted(ctx.thread_id, line, values)
+        self.durable.update(values)
         super()._evict_writeback(ctx, line)
+
+
+def live_build(driver, plan: Optional[CrashPlan] = None):
+    """``driver._build()``, its machine a :class:`LiveCrashMachine` with
+    an empty live record, armed with ``plan``."""
+    machine, runtimes, shift = driver._build()
+    # The driver builds a plain Machine; it becomes the subclass (which
+    # adds methods and no slots) before it is armed.
+    machine.__class__ = LiveCrashMachine
+    machine.start_live_record()
+    machine.arm_crash_plan(plan)
+    return machine, runtimes, shift
 
 
 def replayed_state(driver, site, fault_model="clean", fault_seed=0):
     """One fresh replay of ``driver``'s configuration on a live-crashing
     machine armed at ``site``, stopped by the power failure there: its
     crashed state (``None`` if the site never fires)."""
-    machine, runtimes, shift = driver._build()
-    # The driver builds a plain Machine; it becomes the subclass (which
-    # adds methods and no slots) before it is armed.
-    machine.__class__ = LiveCrashMachine
-    machine.crashed_state = None
-    machine.arm_crash_plan(CrashPlan(site, fault_model, fault_seed))
+    machine, runtimes, shift = live_build(driver, CrashPlan(site, fault_model, fault_seed))
     scratch = GoldenRun(
         sites=[], fases={}, commit_order=[], unprotected=set(),
         layout=runtimes[0].layout(),
@@ -159,10 +196,9 @@ def reference_golden(driver) -> GoldenRun:
     """The golden run of ``driver``'s configuration, replayed event by
     event over the workload's ``streams()`` (module docstring)."""
     machine, runtimes, shift = driver._build()
-    journal = CrashJournal(driver.timing.flush_queue_depth)
     golden = GoldenRun(
-        sites=machine.record_sites(journal), fases={}, commit_order=[],
-        unprotected=set(), layout=runtimes[0].layout(), journal=journal,
+        sites=machine.record_sites(), fases={}, commit_order=[],
+        unprotected=set(), layout=runtimes[0].layout(), journal=machine.journal,
     )
     streams = driver.workload.streams(driver.num_threads, driver.seed)
     events = [list(stream) for stream in streams]

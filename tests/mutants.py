@@ -78,6 +78,17 @@ _SOUND = (
 _GOLDEN = (
     "tests/test_golden_identity.py::test_the_golden_run_equals_the_event_by_event_replay",
 )
+#: A value-tracking machine's one record: the journal ``power_cut`` walks
+#: and the last stored values ``read_current`` reads, against the live
+#: reference's own record and hand-worked spanning stores.
+_VALUES = (
+    "tests/test_power_cut.py::test_a_spanning_stores_value_belongs_to_its_first_line",
+    "tests/test_power_cut.py::test_a_spanning_store_dirties_every_line_it_spans",
+    "tests/test_power_cut.py::test_an_eager_spanning_store_is_durable_once_both_lines_flush",
+    "tests/test_power_cut.py::test_an_evicted_lines_value_lands",
+    "tests/test_power_cut.py::test_read_current_is_the_last_stored_value",
+    "tests/test_power_cut.py::test_a_golden_runs_power_cut_is_the_live_capture",
+)
 #: The undo log's records: one per address and FASE, each durable at once.
 _LOG = (
     "tests/test_log.py::test_log_entry_is_durable_immediately",
@@ -103,9 +114,9 @@ _ON_DEMAND = (
 MUTANTS = (
     # -- CrashJournal.walk -------------------------------------------------
     Mutant(
-        "walk-store-first-line", _FAILURE,
-        "line = (arg >> 6) + (code >> 3)", "line = arg >> 6",
-        _CUT, "a store spanning two lines files its second line's value under the first",
+        "walk-store-under-a-later-line", _FAILURE,
+        "line = arg >> 6", "line = (arg + 7) >> 6",
+        _VALUES, "a value stored in a line's last bytes is pending, and dirty, on the next line",
     ),
     Mutant(
         "walk-store-leaves-line-clean", _FAILURE,
@@ -233,10 +244,25 @@ MUTANTS = (
     ),
     # -- The machine's journal and the runtime's records ----------------------
     Mutant(
-        "journal-store-without-line-offset", _MACHINE,
-        "journal.codes.append(J_STORE | (line - first) << 3)",
-        "journal.codes.append(J_STORE)",
-        _CUT, "a store spanning two lines journals its second line's value under the first",
+        "store-skips-current-value", _MACHINE,
+        "                    self._current[addr] = value\n", "",
+        _VALUES, "read_current never sees a stored value: the undo log records None",
+    ),
+    Mutant(
+        "spanning-value-under-last-line", _MACHINE,
+        "if durable and line == first:", "if durable and line == lines[-1]:",
+        _VALUES, "a spanning store's value is journaled after its first line's flush, so it stays pending",
+    ),
+    Mutant(
+        "eviction-not-journaled", _MACHINE,
+        "journal.codes.append(J_EVICT | ctx.thread_id << 3)\n            journal.args.append(line)",
+        "pass",
+        _VALUES, "a line the L1 evicts stays dirty in the journal and its values never land",
+    ),
+    Mutant(
+        "power-cut-one-entry-short", _MACHINE,
+        "len(journal.codes), self._stores_seen)", "len(journal.codes) - 1, self._stores_seen)",
+        _VALUES, "a power cut misses the journal's last change",
     ),
     Mutant(
         "record-stored-without-flush", _MACHINE,

@@ -43,7 +43,7 @@ def test_from_payload_rejects_garbage():
 def test_log_entry_is_durable_immediately(setup):
     machine, session, log = setup
     log.log_store(fase_id=1, addr=999, old_value="before")
-    records = list(UndoLog.scan(machine.memory.nvram, log.region.base, log.region.size))
+    records = list(UndoLog.scan(machine.power_cut().nvram, log.region.base, log.region.size))
     assert records == [LogRecord(KIND_UNDO, 1, 999, "before")]
 
 
@@ -61,7 +61,7 @@ def test_commit_record_written(setup):
     machine, session, log = setup
     log.log_store(5, 100, None)
     log.commit(5)
-    records = list(UndoLog.scan(machine.memory.nvram, log.region.base, log.region.size))
+    records = list(UndoLog.scan(machine.power_cut().nvram, log.region.base, log.region.size))
     assert records[-1] == LogRecord(KIND_COMMIT, 5, 0, None)
     assert log.commits == 1
 
@@ -71,7 +71,7 @@ def test_scan_stops_at_first_hole(setup):
     log.log_store(1, 100, "x")
     log.log_store(1, 200, "y")
     # Corrupt the middle slot (as if it never became durable).
-    nvram = dict(machine.memory.nvram)
+    nvram = dict(machine.power_cut().nvram)
     first_slot = log.region.base + 64
     del nvram[first_slot]
     assert list(UndoLog.scan(nvram, log.region.base, log.region.size)) == []
@@ -82,7 +82,7 @@ def test_log_slot_spacing(setup):
     log.log_store(1, 100, "x")
     log.log_store(1, 200, "y")
     slots = sorted(
-        a for a in machine.memory.nvram if log.region.contains(a)
+        a for a in machine.power_cut().nvram if log.region.contains(a)
     )
     assert slots[1] - slots[0] == LOG_SLOT_BYTES
 

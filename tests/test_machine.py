@@ -16,7 +16,7 @@ from repro.common.events import (
     Work,
 )
 from repro.locality.trace import WriteTrace
-from repro.nvram.failure import CrashJournal, crashed_states
+from repro.nvram.failure import crashed_states
 from repro.nvram.machine import Machine, MachineConfig
 from repro.nvram.memory import NVRAM_BASE
 from repro.nvram.timing import TimingModel
@@ -183,7 +183,7 @@ def test_a_flush_with_a_trace_cause_is_never_a_commit_train(category, track_valu
             machine.recorder.to_jsonl(),
             dataclasses.asdict(session.stats),
             (hw.loads, hw.stores, hw.flush_writebacks, hw.clean_flushes, hw.dirty_lines()),
-            dict(machine.memory.nvram),
+            machine.power_cut().nvram if track_values else None,
             (flushq.last_completion, flushq.issued, flushq.outstanding),
         ))
     assert seen[0] == seen[1]
@@ -319,9 +319,9 @@ def test_site_crash_plan_stops_run_at_that_site():
 
 
 def test_a_journal_cut_is_what_a_plan_captures_live():
-    """A value-tracking machine recording sites into a journal can give
-    the crashed state at any of them afterwards: the state a machine
-    armed with a plan at that site captures as it stops there."""
+    """A value-tracking machine recording sites can give the crashed
+    state at any of them afterwards, cut from its journal: the state a
+    machine armed with a plan at that site captures as it stops there."""
 
     def store_ten(machine):
         session = machine.session(technique_factory("ER")(0))
@@ -329,8 +329,8 @@ def test_a_journal_cut_is_what_a_plan_captures_live():
             session.store(PA + i * 64, 8, i)
 
     golden = Machine(MachineConfig(track_values=True))
-    journal = CrashJournal(golden.config.timing.flush_queue_depth)
-    sites = golden.record_sites(journal)
+    journal = golden.journal
+    sites = golden.record_sites()
     store_ten(golden)
     cut = list(crashed_states(journal.walk([(sites[site], 0) for site in (1, 3, 5)], ("clean",))))
     assert [len(state.nvram) for state in cut] == [2, 4, 6]
@@ -375,7 +375,7 @@ def test_session_basic_flow(value_machine):
     assert s.stats.persistent_stores == 1
     assert s.stats.flushes == 1
     s.finish()
-    assert value_machine.memory.read(PA) == "x"
+    assert value_machine.power_cut().read(PA) == "x"
 
 
 def test_session_load_reads_through_cache(value_machine):
@@ -385,7 +385,7 @@ def test_session_load_reads_through_cache(value_machine):
     s.load(PA)
     # Dirty in cache, not in NVRAM - but loads must see it.
     assert value_machine.read_current(PA) == 41
-    assert value_machine.memory.read(PA) is None
+    assert value_machine.power_cut().read(PA) is None
 
 
 def test_session_store_unmanaged_bypasses_technique(value_machine):
@@ -398,7 +398,7 @@ def test_session_store_unmanaged_bypasses_technique(value_machine):
     assert s.stats.flushes == s.stats.log_flushes == 1
     assert s.stats.fase_end_flushes == 0
     assert s.stats.persistent_stores == 0
-    assert value_machine.memory.read(PA) == "meta"
+    assert value_machine.power_cut().read(PA) == "meta"
 
 
 def test_session_finish_inside_fase_raises(value_machine):

@@ -180,4 +180,4 @@ def test_atlas_ops_is_durable():
         ops.work(3)
     assert ops.load(a) == "durable"
     rt.finish()
-    assert rt.machine.memory.read(a) == "durable"
+    assert rt.machine.power_cut().read(a) == "durable"

@@ -56,6 +56,35 @@ def test_miss_ratio_below_first_sample_is_one():
     assert mrc.miss_ratio(7.0) == pytest.approx(0.1)
 
 
+def _both_kinds():
+    """A curve read on demand and one built from arrays."""
+    return (
+        mrc_from_trace(WriteTrace.from_string("abcabd|ab")),
+        MissRatioCurve(np.asarray([2.0, 5.0]), np.asarray([0.4, 0.1])),
+    )
+
+
+def test_a_scalar_query_is_answered_as_a_scalar():
+    for mrc in _both_kinds():
+        answer = mrc.miss_ratios_at(3.0)
+        assert answer.shape == ()
+        assert float(answer) == mrc.miss_ratio(3.0) == mrc.miss_ratios_at([3.0])[0]
+
+
+def test_an_empty_query_is_answered_in_its_shape():
+    for mrc in _both_kinds():
+        assert mrc.miss_ratios_at([]).shape == (0,)
+        assert mrc.miss_ratios_at(np.zeros((0, 3))).shape == (0, 3)
+
+
+def test_a_2d_query_is_answered_in_its_shape():
+    for mrc in _both_kinds():
+        q = np.asarray([[0.0, 1.5, 2.0], [3.0, 5.0, 9.0]])
+        answer = mrc.miss_ratios_at(q)
+        assert answer.shape == (2, 3)
+        assert answer.tolist() == [mrc.miss_ratios_at(row).tolist() for row in q]
+
+
 def test_negative_size_rejected():
     mrc = MissRatioCurve(np.asarray([0.0]), np.asarray([1.0]))
     with pytest.raises(ConfigurationError):

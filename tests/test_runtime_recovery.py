@@ -83,7 +83,7 @@ def test_clean_shutdown_makes_everything_durable():
     expected = run_committed_fases(rt)
     rt.finish()
     for addr, value in expected.items():
-        assert rt.machine.memory.read(addr) == value
+        assert rt.machine.power_cut().read(addr) == value
 
 
 def test_root_pointer_roundtrip():
