@@ -8,11 +8,9 @@
 - :mod:`repro.cache.adaptive` — the online controller: bursty sampling →
   MRC → knee → resize (§III-C).
 - :mod:`repro.cache.policies` — the six techniques of §IV-A: ER, LA, AT,
-  SC, SC-offline and BEST.
-- :mod:`repro.cache.spec` — the declarative ``BASE+stage:param`` spec
+  SC, SC-offline and BEST, and SC with a victim cache behind it.
+- :mod:`repro.cache.spec` — the declarative ``BASE+victim:V`` spec
   grammar and the one technique factory every entry point uses.
-- :mod:`repro.cache.stages` — the composable policy stage (a victim
-  cache behind SC).
 """
 
 from repro.cache.write_cache import WriteCombiningCache
@@ -24,16 +22,11 @@ from repro.cache.policies import (
     LazyTechnique,
     AtlasTechnique,
     SoftwareCacheTechnique,
+    VictimCacheTechnique,
     BestTechnique,
     TECHNIQUES,
 )
-from repro.cache.spec import (
-    STAGES,
-    TechniqueSpec,
-    list_techniques,
-    technique_factory,
-)
-from repro.cache.stages import StagedTechnique
+from repro.cache.spec import TechniqueSpec, list_techniques, technique_factory
 
 __all__ = [
     "WriteCombiningCache",
@@ -45,11 +38,10 @@ __all__ = [
     "LazyTechnique",
     "AtlasTechnique",
     "SoftwareCacheTechnique",
+    "VictimCacheTechnique",
     "BestTechnique",
     "TECHNIQUES",
-    "STAGES",
     "TechniqueSpec",
-    "StagedTechnique",
     "list_techniques",
     "technique_factory",
 ]

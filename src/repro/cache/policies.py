@@ -25,7 +25,9 @@ BEST an empty buffer that never flushes (category ``None``: its
 is its cache's ``access``; an adaptive SC's counts its warm-up, records
 its burst and, on the burst's last write, resizes and *settles* into the
 same ``access`` — ``settling`` tells the machine to re-read ``insert``
-until then.  ``on_store``, ``on_fase_begin``, ``on_fase_end`` and
+until then.  ``SC+victim:V`` is :class:`VictimCacheTechnique`, SC with a
+victim cache behind it: a buffer of two levels that never settles.
+``on_store``, ``on_fase_begin``, ``on_fase_end`` and
 ``finish`` are those calls spelled as port flushes, for a caller that
 drives a technique without a machine.
 The per-store costs are read off the paper's Table IV instruction counts
@@ -60,7 +62,7 @@ class PersistenceTechnique:
     levels = 1
     #: True while ``insert`` may rebind itself, call the port or charge
     #: cycles, or ``absorb_repeats`` may decline a run — an adapting SC
-    #: until its burst closes, the victim stage always: the machine's
+    #: until its burst closes, the victim cache always: the machine's
     #: batched loop then re-reads ``insert`` (and this flag) and hands it
     #: the thread's clock before each call, and asks ``absorb_repeats``
     #: run by run.  False promises the opposite: ``insert`` calls no port
@@ -206,12 +208,12 @@ class SoftwareCacheTechnique(PersistenceTechnique):
         if name is not None:
             self.name = name
         self.drain = self.cache.drain
-        self.settling = controller is not None
         if controller is None:
-            # Fixed-size operation (SC-offline): nothing adapts, so a
-            # store is the cache's own access.
-            self.insert = self.cache.access
+            # Fixed-size operation (SC-offline): nothing adapts, so it
+            # starts settled.
+            self._settle()
         else:
+            self.settling = True
             self.sampler = controller.sampler
 
     def bind(self, port) -> None:
@@ -230,6 +232,11 @@ class SoftwareCacheTechnique(PersistenceTechnique):
             # counts them as eviction flushes (same site class, same
             # RunResult totals).
             port.flush_async(evicted, "resize_eviction")
+
+    def _settle(self) -> None:
+        """Nothing adapts any more: a store is the cache's own access."""
+        self.insert = self.cache.access
+        self.settling = False
 
     def insert(self, line: int) -> Optional[int]:
         # An adapting SC's store until its burst closes.  Strictly inside
@@ -256,8 +263,7 @@ class SoftwareCacheTechnique(PersistenceTechnique):
                     controller.config.sample_cost + controller.analysis_cost()
                 )
                 self._resize(new_size)
-                self.insert = self.cache.access
-                self.settling = False
+                self._settle()
             elif not sampler.skipping:
                 port.add_adaptation_cost(controller.config.sample_cost)
         return self.cache.access(line)
@@ -281,6 +287,88 @@ class SoftwareCacheTechnique(PersistenceTechnique):
         # longer dirty in L1.
         self.cache.hits += n
         return True
+
+
+class VictimCacheTechnique(SoftwareCacheTechnique):
+    """SC with a victim cache behind it: ``SC+victim:V`` (DESIGN.md §14).
+
+    Lines the cache evicts, by capacity or by its resize, park in a small
+    LRU buffer of ``victim`` lines instead of flushing; a re-store rescues
+    its line back into the cache (no flush at all), and overflow flushes
+    the oldest victim (category ``victim``).  By flush count the pair is
+    one LRU of ``c + V`` lines; it differs from SC at that size only in
+    timing.  A commit is two trains: the cache's lines, then the victims.
+    """
+
+    flush_category = "victim"
+    levels = 2
+    # One victim lookup per store, in the spirit of the paper's Table IV
+    # instruction accounting.
+    cost_per_store = SoftwareCacheTechnique.cost_per_store + 3
+    #: Never settled: ``insert`` may flush a victim the resize displaced,
+    #: and ``absorb_repeats`` declines a parked line.  Whether SC itself
+    #: still samples is ``adapting``.
+    settling = True
+    adapting = True
+
+    def __init__(
+        self,
+        victim: int,
+        name: str,
+        initial_size: int = 8,
+        controller: Optional[AdaptiveController] = None,
+    ) -> None:
+        super().__init__(initial_size, controller, name)
+        del self.drain  # SC's is its cache's; a commit here drains the victims too
+        self.victim_capacity = victim
+        self._victim: Dict[int, None] = {}
+
+    def _settle(self) -> None:
+        self.adapting = False
+
+    def _resize(self, new_size: int) -> None:
+        port = self.port
+        port.record_selected_size(new_size)
+        for evicted in self.cache.resize(new_size):
+            oldest = self._park(evicted)
+            if oldest is not None:
+                port.flush_async(oldest, "victim")
+
+    def insert(self, line: int) -> Optional[int]:
+        victim = self._victim
+        if line in victim:
+            # The line earned a second life: back into the cache, no
+            # flush issued at all for its eviction.
+            del victim[line]
+        evicted = super().insert(line) if self.adapting else self.cache.access(line)
+        return None if evicted is None else self._park(evicted)
+
+    def drain(self) -> Collection[int]:
+        # The cache first; once it is empty, the victims.
+        lines = self.cache.drain()
+        if not lines:
+            lines, self._victim = self._victim, {}
+        return lines
+
+    def absorb_repeats(self, line: int, n: int) -> bool:
+        if line in self._victim:
+            return False  # the resize parked it: a repeat rescues it
+        if self.adapting:
+            return super().absorb_repeats(line, n)
+        self.cache.hits += n
+        return True
+
+    def _park(self, line: int) -> Optional[int]:
+        """Park an evicted ``line``; return the oldest victim it displaces."""
+        victim = self._victim
+        if line in victim:
+            del victim[line]  # refresh recency
+        victim[line] = None
+        if len(victim) > self.victim_capacity:
+            oldest = next(iter(victim))
+            del victim[oldest]
+            return oldest
+        return None
 
 
 class BestTechnique(PersistenceTechnique):
@@ -307,19 +395,24 @@ TECHNIQUES = ("ER", "LA", "AT", "SC", "SC-offline", "BEST")
 def _base_factory(
     technique: str,
     *,
+    victim: Optional[int] = None,
+    name: Optional[str] = None,
     sc_fixed_size: Optional[int] = None,
     adaptive_config: Optional[AdaptiveConfig] = None,
 ) -> Callable[[int], PersistenceTechnique]:
     """Build a per-thread factory for one *base* technique.
 
     Internal: callers go through
-    :func:`repro.cache.spec.technique_factory`, which parses a spec,
-    builds the base here and wraps it in the composed policy stages.
+    :func:`repro.cache.spec.technique_factory`, which parses a spec and
+    builds it here.
 
     Parameters
     ----------
     technique:
         One of :data:`TECHNIQUES`.
+    victim:
+        For ``SC`` and ``SC-offline``: the victim-cache entries behind
+        the cache (``None`` or 0: none), under the spec's ``name``.
     sc_fixed_size:
         For ``SC-offline``: the profiled best size.
     adaptive_config:
@@ -333,11 +426,17 @@ def _base_factory(
         return lambda tid: AtlasTechnique()
     if technique == "SC":
         cfg = adaptive_config or AdaptiveConfig()
+        if victim:
+            return lambda tid: VictimCacheTechnique(
+                victim, name, controller=AdaptiveController(config=cfg)
+            )
         return lambda tid: SoftwareCacheTechnique(controller=AdaptiveController(config=cfg))
     if technique == "SC-offline":
         if sc_fixed_size is None:
             raise ConfigurationError("SC-offline requires sc_fixed_size")
         require_int("sc_fixed_size", sc_fixed_size, 1)
+        if victim:
+            return lambda tid: VictimCacheTechnique(victim, name, sc_fixed_size)
         return lambda tid: SoftwareCacheTechnique(sc_fixed_size, name="SC-offline")
     if technique == "BEST":
         return lambda tid: BestTechnique()

@@ -1,26 +1,23 @@
-"""Declarative technique specs: the ``BASE+stage:param`` grammar.
+"""Declarative technique specs: a base technique and its victim cache.
 
-The paper evaluates six monolithic techniques; a spec may stack a
-policy stage on top of one.  :class:`TechniqueSpec` is the one parser
+The paper evaluates six monolithic techniques; a spec names one, and may
+put a victim cache behind SC.  :class:`TechniqueSpec` is the one parser
 every entry point (harness, CLI, ``repro.api``, fault campaigns) routes
-through: a frozen, serializable value describing a base technique plus
-an ordered stack of policy stages.  The one stage is ``victim`` (a
-victim cache behind SC); ``nhit``, ``cutoff`` and ``clean`` were
-removed, and naming one is an error that says so.
+through: a frozen value ``(base, victim)``.  ``victim`` is the one policy
+stage; ``nhit``, ``cutoff`` and ``clean`` were removed, and naming one is
+an error that says so.
 
 Grammar (see DESIGN.md §14)::
 
-    spec   := base ("+" stage)*
+    spec   := base ("+" "victim" (":" int)?)?
     base   := "ER" | "LA" | "AT" | "SC" | "SC-offline" | "BEST"
-    stage  := name (":" int)?          # int >= 0; omitted -> default
+                                       # int >= 0; omitted -> 16
 
 Examples: ``SC``, ``SC+victim``, ``SC-offline+victim:4``.
 
 ``parse``/``format`` round-trip exactly (property-tested with
-hypothesis); ``to_dict``/``from_dict`` give the deterministic form used
-for :class:`~repro.experiments.cache.ResultCache` sha256 keys.
-A degenerate stage parameter (``victim:0``) is dropped at factory time,
-so ``SC+victim:0`` builds the *same* bare
+hypothesis); the canonical string is what cache keys and worker tasks
+carry.  ``SC+victim:0`` builds the *same* bare
 :class:`~repro.cache.policies.SoftwareCacheTechnique` as plain ``SC``
 and produces bit-identical results.
 """
@@ -28,125 +25,75 @@ and produces bit-identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Union
 
 from repro.common.errors import ConfigurationError, require_int
 from repro.cache.adaptive import AdaptiveConfig
 from repro.cache.policies import TECHNIQUES, PersistenceTechnique, _base_factory
 
 
-@dataclass(frozen=True)
-class StageInfo:
-    """Registry entry describing one composable policy stage."""
-
-    name: str
-    default: int
-    #: Parameter values below this make the stage a guaranteed no-op;
-    #: the factory drops such stages so degenerate specs build the bare
-    #: base technique (bit-identical results to the un-staged spec).
-    noop_below: int
-    #: Base techniques the stage composes with.
-    bases: Tuple[str, ...]
-    param_doc: str
-    doc: str
-
-
-#: The composable policy stages, in their canonical documentation order.
-STAGES: Dict[str, StageInfo] = {
-    info.name: info
-    for info in (
-        StageInfo(
-            name="victim",
-            default=16,
-            noop_below=1,
-            bases=("SC", "SC-offline"),
-            param_doc="victim-cache entries",
-            doc=(
-                "victim cache: evicted lines park in a small LRU buffer "
-                "instead of flushing; a re-store rescues the line back "
-                "into the base cache, overflow flushes the oldest entry"
-            ),
-        ),
-    )
-}
-
+#: The one policy stage: a victim cache behind SC (DESIGN.md §14).
+VICTIM = "victim"
+VICTIM_DEFAULT = 16
+VICTIM_BASES = ("SC", "SC-offline")
+_VICTIM_PARAM = "victim-cache entries"
 
 #: Stages that composed here once and were deleted: by the policy zoo's
 #: own numbers none was worth its code over plain SC (DESIGN.md §14).
 REMOVED_STAGES = ("nhit", "cutoff", "clean")
 
 
-def _stage_info(name: str, text: str) -> StageInfo:
-    """The registry entry of stage ``name`` in spec ``text``."""
-    info = STAGES.get(name)
-    if info is not None:
-        return info
-    if name in REMOVED_STAGES:
-        raise ConfigurationError(
-            f"policy stage {name!r} in technique spec {text!r} was removed "
-            f"(DESIGN.md §14); the stages are {tuple(STAGES)}"
-        )
-    raise ConfigurationError(
-        f"unknown policy stage {name!r} in technique spec {text!r}; "
-        f"expected one of {tuple(STAGES)}"
-    )
-
-
-def _parse_stage_token(token: str, text: str) -> Tuple[str, int]:
-    """Decode one ``name`` / ``name:int`` stage token of spec ``text``."""
+def _parse_victim_token(token: str, text: str) -> int:
+    """The parameter of one ``victim`` / ``victim:int`` token of spec ``text``."""
     name, sep, param_text = token.partition(":")
-    info = _stage_info(name, text)
+    if name != VICTIM:
+        if name in REMOVED_STAGES:
+            raise ConfigurationError(
+                f"policy stage {name!r} in technique spec {text!r} was removed "
+                f"(DESIGN.md §14); the stages are {(VICTIM,)}"
+            )
+        raise ConfigurationError(
+            f"unknown policy stage {name!r} in technique spec {text!r}; "
+            f"expected one of {(VICTIM,)}"
+        )
     if not sep:
-        return name, info.default
+        return VICTIM_DEFAULT
     try:
-        param = int(param_text)
+        return int(param_text)
     except ValueError:
         raise ConfigurationError(
             f"stage {name!r} in technique spec {text!r} takes an integer "
-            f"parameter ({info.param_doc}), got {param_text!r}"
+            f"parameter ({_VICTIM_PARAM}), got {param_text!r}"
         ) from None
-    return name, param
 
 
 @dataclass(frozen=True)
 class TechniqueSpec:
-    """A base technique plus an ordered stack of policy stages.
+    """A base technique, and the size of the victim cache behind it.
 
     Frozen and hashable; ``str()`` gives the canonical spec string and
-    :meth:`parse` accepts it back (exact round-trip).  Construction
-    validates the base name, stage names, parameter ranges, duplicate
-    stages and base/stage compatibility, raising
-    :class:`~repro.common.errors.ConfigurationError` naming the bad
-    stage or parameter — the same error text at every entry point.
+    :meth:`parse` accepts it back (exact round-trip).  ``victim`` is
+    ``None`` without a ``+victim`` stage.  Construction validates the
+    base name, the parameter's range and the base it composes with,
+    raising :class:`~repro.common.errors.ConfigurationError` naming the
+    bad stage or parameter — the same error text at every entry point.
     """
 
     base: str
-    stages: Tuple[Tuple[str, int], ...] = ()
+    victim: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.base not in TECHNIQUES:
             raise ConfigurationError(
                 f"unknown technique {self.base!r}; expected one of {TECHNIQUES}"
             )
-        stages = tuple((str(n), p) for n, p in self.stages)
-        object.__setattr__(self, "stages", stages)
-        text = self._format(self.base, stages)
-        seen = set()
-        for name, param in stages:
-            info = _stage_info(name, text)
-            if name in seen:
+        if self.victim is not None:
+            require_int(f"stage {VICTIM!r} parameter ({_VICTIM_PARAM})", self.victim, 0)
+            if self.base not in VICTIM_BASES:
                 raise ConfigurationError(
-                    f"duplicate policy stage {name!r} in technique spec {text!r}"
+                    f"stage {VICTIM!r} requires a base technique in "
+                    f"{VICTIM_BASES}, not {self.base!r}"
                 )
-            seen.add(name)
-            require_int(f"stage {name!r} parameter ({info.param_doc})", param, 0)
-            if self.base not in info.bases:
-                raise ConfigurationError(
-                    f"stage {name!r} requires a base technique in "
-                    f"{info.bases}, not {self.base!r}"
-                )
-
-    # -- parse / format --------------------------------------------------
 
     @classmethod
     def parse(cls, spec: Union[str, "TechniqueSpec"]) -> "TechniqueSpec":
@@ -162,61 +109,28 @@ class TechniqueSpec:
                 f"technique spec must be a string or TechniqueSpec, "
                 f"got {type(spec).__name__}"
             )
-        tokens = spec.split("+")
-        base = tokens[0]
+        base, *tokens = spec.split("+")
         if base not in TECHNIQUES:
             raise ConfigurationError(
                 f"unknown technique {base!r}; expected one of {TECHNIQUES}"
             )
-        stages = tuple(_parse_stage_token(tok, spec) for tok in tokens[1:])
-        return cls(base, stages)
-
-    @staticmethod
-    def _format(base: str, stages: Tuple[Tuple[str, int], ...]) -> str:
-        return "+".join([base] + [f"{n}:{p}" for n, p in stages])
+        params = [_parse_victim_token(token, spec) for token in tokens]
+        parsed = cls(base, params[0] if params else None)
+        if len(params) > 1:
+            text = "+".join([base] + [f"{VICTIM}:{p}" for p in params])
+            raise ConfigurationError(
+                f"duplicate policy stage {VICTIM!r} in technique spec {text!r}"
+            )
+        return parsed
 
     def format(self) -> str:
         """The canonical spec string (parameters always explicit)."""
-        return self._format(self.base, self.stages)
+        if self.victim is None:
+            return self.base
+        return f"{self.base}+{VICTIM}:{self.victim}"
 
     def __str__(self) -> str:
         return self.format()
-
-    # -- serialization ---------------------------------------------------
-
-    def to_dict(self) -> Dict:
-        """Deterministic JSON-ready form (cache keys)."""
-        return {
-            "base": self.base,
-            "stages": [[name, param] for name, param in self.stages],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "TechniqueSpec":
-        keys = set(data)
-        if keys != {"base", "stages"}:
-            raise ConfigurationError(
-                f"bad TechniqueSpec dict: expected keys base/stages, "
-                f"got {sorted(keys)}"
-            )
-        return cls(data["base"], tuple((n, p) for n, p in data["stages"]))
-
-    # -- introspection ---------------------------------------------------
-
-    def stage_param(self, name: str) -> Optional[int]:
-        """The parameter of stage ``name``, or ``None`` if absent."""
-        for stage, param in self.stages:
-            if stage == name:
-                return param
-        return None
-
-    def effective_stages(self) -> Tuple[Tuple[str, int], ...]:
-        """The stages that actually do anything (no-op params dropped)."""
-        return tuple(
-            (name, param)
-            for name, param in self.stages
-            if param >= STAGES[name].noop_below
-        )
 
 
 def list_techniques() -> Dict:
@@ -228,14 +142,17 @@ def list_techniques() -> Dict:
     return {
         "bases": list(TECHNIQUES),
         "stages": {
-            info.name: {
-                "default": info.default,
-                "noop_below": info.noop_below,
-                "bases": list(info.bases),
-                "param": info.param_doc,
-                "doc": info.doc,
-            }
-            for info in STAGES.values()
+            VICTIM: {
+                "default": VICTIM_DEFAULT,
+                "noop_below": 1,
+                "bases": list(VICTIM_BASES),
+                "param": _VICTIM_PARAM,
+                "doc": (
+                    "victim cache: evicted lines park in a small LRU buffer "
+                    "instead of flushing; a re-store rescues the line back "
+                    "into the base cache, overflow flushes the oldest entry"
+                ),
+            },
         },
         "grammar": "BASE(+stage(:int)?)*  e.g. SC+victim:16",
     }
@@ -263,10 +180,9 @@ def technique_factory(
     Accepts a spec string or :class:`TechniqueSpec`; the keyword
     context (:data:`TECHNIQUE_OPTIONS`) configures the *base* technique,
     and any other keyword is a
-    :class:`~repro.common.errors.ConfigurationError` naming it.  Specs
-    whose stages are all no-ops (``SC+victim:0``) return the bare
-    base factory, so their results are bit-identical to the un-staged
-    spec.
+    :class:`~repro.common.errors.ConfigurationError` naming it.
+    ``SC+victim:0`` builds the bare base, so its results are
+    bit-identical to plain ``SC``.
     """
     for name in others:
         if name in REMOVED_OPTIONS:
@@ -278,17 +194,10 @@ def technique_factory(
             f"unknown technique option {name!r}; expected one of {TECHNIQUE_OPTIONS}"
         )
     parsed = TechniqueSpec.parse(spec)
-    base_factory = _base_factory(
-        parsed.base, sc_fixed_size=sc_fixed_size, adaptive_config=adaptive_config
+    return _base_factory(
+        parsed.base,
+        victim=parsed.victim,
+        name=str(parsed),
+        sc_fixed_size=sc_fixed_size,
+        adaptive_config=adaptive_config,
     )
-    active = parsed.effective_stages()
-    if not active:
-        return base_factory
-    from repro.cache.stages import StagedTechnique
-
-    name = str(parsed)
-
-    def factory(tid: int) -> PersistenceTechnique:
-        return StagedTechnique(base_factory(tid), name=name, stages=active)
-
-    return factory

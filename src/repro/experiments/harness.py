@@ -129,6 +129,12 @@ def make_workload(config: HarnessConfig, name: str) -> Workload:
     return BatchCachingWorkload(get_workload(name, scale=config.scale))
 
 
+def needs_profile(technique: str) -> bool:
+    """Whether a spec's base (``SC``, ``SC-offline``) is sized from a
+    :class:`ProfileSummary`."""
+    return TechniqueSpec.parse(technique).base in ("SC", "SC-offline")
+
+
 def sc_factory_kwargs(
     config: HarnessConfig,
     workload: Workload,
@@ -142,14 +148,13 @@ def sc_factory_kwargs(
     plumbing.  ``SC`` and ``SC-offline`` bases are the only ones that
     need profile facts; for them ``summary`` is required.
     """
-    base = TechniqueSpec.parse(technique).base
-    if base not in ("SC", "SC-offline"):
+    if not needs_profile(technique):
         return {}
     if summary is None:
         raise ConfigurationError(
             f"{technique} needs a ProfileSummary (burst/offline sizing)"
         )
-    if base == "SC-offline":
+    if TechniqueSpec.parse(technique).base == "SC-offline":
         return {"sc_fixed_size": summary.offline_size}
     # SC: online sampling burst, proportional to each thread's stores.
     # Sampling is per thread (each software cache adapts on its own MRC,
@@ -360,10 +365,9 @@ class Harness:
         and profile summary — what :meth:`run` does on a miss, and what
         a traced run does with ``recorder``/``metrics`` attached.
         """
-        needs_profile = TechniqueSpec.parse(technique).base in ("SC", "SC-offline")
         return execute_cell(
             self.config, name, technique, threads,
-            summary=self.profile_summary(name) if needs_profile else None,
+            summary=self.profile_summary(name) if needs_profile(technique) else None,
             workload=self.workload(name),
             recorder=recorder, metrics=metrics,
         )

@@ -37,19 +37,9 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.cache.spec import TechniqueSpec
 from repro.common.errors import SimulationError
-from repro.experiments.harness import Cell, Harness, ProfileSummary
+from repro.experiments.harness import Cell, Harness, ProfileSummary, needs_profile
 from repro.nvram.stats import RunResult
-
-#: Base techniques whose cells require a profiling pass first.
-_NEEDS_SUMMARY = ("SC", "SC-offline")
-
-
-def _needs_summary(technique: str) -> bool:
-    """Whether a technique spec's *base* needs a profiling pass."""
-    return TechniqueSpec.parse(technique).base in _NEEDS_SUMMARY
-
 
 # ---------------------------------------------------------------------------
 # The pool
@@ -241,7 +231,7 @@ def run_grid_parallel(
         {
             name
             for (name, technique, _threads) in pending
-            if _needs_summary(technique) and name not in harness._summaries
+            if needs_profile(technique) and name not in harness._summaries
         }
     )
     # Largest groups first, so stragglers start early and small groups
@@ -249,7 +239,7 @@ def run_grid_parallel(
     by_size = sorted(groups, key=lambda key: (-len(groups[key]) * key[1], key))
 
     wants_summary = {
-        key: any(_needs_summary(t) for (_n, t, _th) in group)
+        key: any(needs_profile(t) for (_n, t, _th) in group)
         for key, group in groups.items()
     }
     blocked: Dict[str, List[Tuple[str, int]]] = {}

@@ -125,23 +125,6 @@ class HardwareCache:
         self.clean_flushes += 1
         return False
 
-    def contains(self, line: int) -> bool:
-        """True when ``line`` is currently cached."""
-        return line in self.sets[line % self.num_sets]
-
-    def line_state(self, line: int) -> Optional[bool]:
-        """True when ``line`` is cached dirty, False clean, None absent."""
-        return self.sets[line % self.num_sets].get(line)
-
-    def dirty_lines(self) -> List[int]:
-        """All currently dirty lines (the data lost in a crash)."""
-        return [
-            line
-            for cache_set in self.sets
-            for line, dirty in cache_set.items()
-            if dirty
-        ]
-
     # ------------------------------------------------------------------
 
     @property

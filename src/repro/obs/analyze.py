@@ -35,6 +35,7 @@ runs of one configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
@@ -278,292 +279,218 @@ class TraceProfile:
 from repro.obs.metrics import nearest_rank as _percentile  # noqa: E402
 
 
-class _ThreadFold:
-    """Per-thread accumulator state for the one-pass fold (internal)."""
-
-    __slots__ = (
-        "open_uid",
-        "open_time",
-        "cand",
-        "expected_cands",
-        "awaiting_selection",
-        "sizes",
-        "sel_times",
-        "unmatched",
-        "fallbacks",
-        "unbalanced_ends",
-    )
-
-    def __init__(self) -> None:
-        self.open_uid = -1
-        self.open_time = -1
-        self.cand: List[int] = []
-        self.expected_cands = 0
-        self.awaiting_selection = False
-        self.sizes: List[int] = []
-        self.sel_times: List[int] = []
-        self.unmatched: List[Tuple[int, int]] = []
-        self.fallbacks = 0
-        self.unbalanced_ends = 0
-
-
-class ProfileFold:
-    """The accumulator behind :func:`analyze`.
-
-    :meth:`feed_columns` folds the trace's parallel columns event by
-    event into the cumulative counters (``prov``, ``fase``, ``adapt``,
-    ``counts``, ``events``); :meth:`finalize` adds the order-independent
-    post-processing (percentiles, top-K ranking, diagnosis generation).
-    """
-
-    __slots__ = (
-        "top_k",
-        "prov",
-        "fase",
-        "adapt",
-        "counts",
-        "events",
-        "_durations",
-        "_folds",
-    )
-
-    def __init__(self, top_k: int) -> None:
-        self.top_k = top_k
-        self.prov = FlushProvenance()
-        self.fase = FaseLatencyProfile()
-        self.adapt = AdaptationProfile()
-        self.counts: Dict[str, int] = {}
-        self.events = 0
-        self._durations: List[int] = []
-        self._folds: Dict[int, _ThreadFold] = {}
-
-    def feed_columns(
-        self,
-        kinds: List[str],
-        tids: List[int],
-        times: List[int],
-        a_col: List[int],
-        b_col: List[int],
-        c_col: List[int],
-    ) -> None:
-        """Fold one chunk of parallel event columns into the profile."""
-        n = len(kinds)
-        self.events += n
-        prov = self.prov
-        fase = self.fase
-        adapt = self.adapt
-        counts = self.counts
-        durations = self._durations
-        folds = self._folds
-        line_flushes = prov.line_flushes
-        per_thread = prov.per_thread
-
-        def thread_fold(tid: int) -> _ThreadFold:
-            f = folds.get(tid)
-            if f is None:
-                f = folds[tid] = _ThreadFold()
-                per_thread[tid] = {
-                    "capacity": 0,
-                    "resize": 0,
-                    "victim": 0,
-                    "fase_drains": 0,
-                    "drain_stall": 0,
-                }
-            return f
-
-        for i in range(n):
-            kind = kinds[i]
-            counts[kind] = counts.get(kind, 0) + 1
-            tid = tids[i]
-            f = thread_fold(tid)
-            if kind == EV_EVICT_FLUSH:
-                line = a_col[i]
-                line_flushes[line] = line_flushes.get(line, 0) + 1
-                if b_col[i]:
-                    prov.dirty_evict_flushes += 1
-                cause = c_col[i]
-                if cause == 0:
-                    prov.capacity_evictions += 1
-                    per_thread[tid]["capacity"] += 1
-                elif cause == 1:
-                    prov.resize_evictions += 1
-                    per_thread[tid]["resize"] += 1
-                elif cause == 4:
-                    prov.victim_flushes += 1
-                    per_thread[tid]["victim"] += 1
-                else:
-                    raise ConfigurationError(
-                        f"evict_flush with unknown cause {cause!r} "
-                        f"(tid {tid}, ts {times[i]}); expected 0, 1 or 4"
-                    )
-            elif kind == EV_STALL:
-                if b_col[i]:
-                    prov.writeback_stall_cycles += a_col[i]
-                else:
-                    prov.issue_stall_cycles += a_col[i]
-            elif kind == EV_DRAIN:
-                stall = a_col[i]
-                fase_id = c_col[i]
-                if fase_id >= 0:
-                    prov.fase_drains += 1
-                    prov.fase_drain_stall_cycles += stall
-                    prov.fase_drain_outstanding += b_col[i]
-                    per_thread[tid]["fase_drains"] += 1
-                    per_thread[tid]["drain_stall"] += stall
-                    prov.fase_drain_stall_by_fase[fase_id] = (
-                        prov.fase_drain_stall_by_fase.get(fase_id, 0) + stall
-                    )
-                    fase.drain_stall_cycles += stall
-                else:
-                    prov.final_drains += 1
-                    prov.final_drain_stall_cycles += stall
-                    prov.final_drain_outstanding += b_col[i]
-            elif kind == EV_FASE_BEGIN:
-                f.open_uid = a_col[i]
-                f.open_time = times[i]
-            elif kind == EV_FASE_END:
-                if f.open_time < 0 or f.open_uid != a_col[i]:
-                    f.unbalanced_ends += 1
-                else:
-                    durations.append(times[i] - f.open_time)
-                    fase.count += 1
-                    fase.total_cycles += times[i] - f.open_time
-                    fase.per_thread_count[tid] = fase.per_thread_count.get(tid, 0) + 1
-                f.open_uid = -1
-                f.open_time = -1
-            elif kind == EV_BURST_START:
-                adapt.bursts += 1
-            elif kind == EV_MRC_COMPUTED:
-                adapt.analyses += 1
-                adapt.analysis_cost_cycles += a_col[i]
-                f.cand = []
-                f.expected_cands = b_col[i]
-                f.awaiting_selection = True
-            elif kind == EV_KNEE_CANDIDATE:
-                adapt.knee_candidates += 1
-                f.cand.append(a_col[i])
-            elif kind == EV_SIZE_SELECTED:
-                size = a_col[i]
-                adapt.selections += 1
-                f.sizes.append(size)
-                f.sel_times.append(times[i])
-                if f.awaiting_selection:
-                    if f.expected_cands == 0:
-                        f.fallbacks += 1
-                        adapt.fallbacks += 1
-                    elif size not in f.cand:
-                        f.unmatched.append((times[i], size))
-                    f.awaiting_selection = False
-
-    def finalize(self) -> TraceProfile:
-        """Post-process the accumulated state into a :class:`TraceProfile`."""
-        prov = self.prov
-        fase = self.fase
-        adapt = self.adapt
-        durations = self._durations
-        folds = self._folds
-
-        durations.sort()
-        fase.p50 = _percentile(durations, 0.50)
-        fase.p95 = _percentile(durations, 0.95)
-        fase.p99 = _percentile(durations, 0.99)
-        fase.max = durations[-1] if durations else 0
-
-        # Top-K hottest flushed lines: count desc, line asc for ties.
-        prov.top_lines = sorted(
-            prov.line_flushes.items(), key=lambda kv: (-kv[1], kv[0])
-        )[: self.top_k]
-
-        diagnoses: List[Diagnosis] = []
-        for tid in sorted(folds):
-            f = folds[tid]
-            if f.sizes:
-                adapt.trajectories[tid] = list(zip(f.sel_times, f.sizes))
-            if f.open_time >= 0:
-                diagnoses.append(
-                    Diagnosis(
-                        code="unbalanced_fase",
-                        severity="error",
-                        thread_id=tid,
-                        message=(
-                            f"thread {tid}: fase_begin (uid {f.open_uid}) never "
-                            f"closed — truncated trace or a crashed run"
-                        ),
-                        data={"open_uid": f.open_uid},
-                    )
-                )
-            if f.unbalanced_ends:
-                diagnoses.append(
-                    Diagnosis(
-                        code="unbalanced_fase",
-                        severity="error",
-                        thread_id=tid,
-                        message=(
-                            f"thread {tid}: {f.unbalanced_ends} fase_end event(s) "
-                            f"with no matching fase_begin"
-                        ),
-                        data={"count": f.unbalanced_ends},
-                    )
-                )
-            if f.unmatched:
-                cycle, size = f.unmatched[0]
-                diagnoses.append(
-                    Diagnosis(
-                        code="unmatched_selection",
-                        severity="error",
-                        thread_id=tid,
-                        message=(
-                            f"thread {tid}: {len(f.unmatched)} selection(s) match "
-                            f"no knee candidate of the preceding MRC (first: size "
-                            f"{size} at cycle {cycle})"
-                        ),
-                        data={
-                            "count": len(f.unmatched),
-                            "first_cycle": cycle,
-                            "size": size,
-                        },
-                    )
-                )
-            if f.fallbacks:
-                diagnoses.append(
-                    Diagnosis(
-                        code="knee_fallback",
-                        severity="info",
-                        thread_id=tid,
-                        message=(
-                            f"thread {tid}: {f.fallbacks} MRC(s) yielded no knee; "
-                            f"the controller fell back to the maximum size"
-                        ),
-                        data={"count": f.fallbacks},
-                    )
-                )
-
-        diagnoses.sort(
-            key=lambda d: (-_SEVERITY_RANK[d.severity], d.code, d.thread_id)
-        )
-        return TraceProfile(
-            schema=TRACE_SCHEMA_VERSION,
-            events=self.events,
-            event_counts=self.counts,
-            threads=sorted(folds),
-            provenance=prov,
-            fase=fase,
-            adaptation=adapt,
-            diagnoses=diagnoses,
-        )
-
-
 def analyze(trace: TraceRecorder, top_k: int = 10) -> TraceProfile:
     """Fold a trace into a :class:`TraceProfile` in one pass, ranking
     the ``top_k`` hottest flushed lines.
 
     Walks the recorder's parallel arrays directly (no per-event tuple
     per event); cost is linear in the trace and independent of the
-    model's size.
+    model's size.  Per-thread state (the open FASE, the last MRC's knee
+    candidates, the selections) lives in ``folds``; percentiles, the
+    top-K ranking and the diagnoses are computed after the pass.
     """
-    fold = ProfileFold(top_k)
-    fold.feed_columns(*trace.columns())
-    return fold.finalize()
+    kinds, tids, times, a_col, b_col, c_col = trace.columns()
+    prov = FlushProvenance()
+    fase = FaseLatencyProfile()
+    adapt = AdaptationProfile()
+    counts: Dict[str, int] = {}
+    durations: List[int] = []
+    folds: Dict[int, SimpleNamespace] = {}
+    line_flushes = prov.line_flushes
+    per_thread = prov.per_thread
+
+    for i in range(len(kinds)):
+        kind = kinds[i]
+        counts[kind] = counts.get(kind, 0) + 1
+        tid = tids[i]
+        f = folds.get(tid)
+        if f is None:
+            f = folds[tid] = SimpleNamespace(
+                open_uid=-1,
+                open_time=-1,
+                cand=[],
+                expected_cands=0,
+                awaiting_selection=False,
+                sizes=[],
+                sel_times=[],
+                unmatched=[],
+                fallbacks=0,
+                unbalanced_ends=0,
+            )
+            per_thread[tid] = {
+                "capacity": 0,
+                "resize": 0,
+                "victim": 0,
+                "fase_drains": 0,
+                "drain_stall": 0,
+            }
+        if kind == EV_EVICT_FLUSH:
+            line = a_col[i]
+            line_flushes[line] = line_flushes.get(line, 0) + 1
+            if b_col[i]:
+                prov.dirty_evict_flushes += 1
+            cause = c_col[i]
+            if cause == 0:
+                prov.capacity_evictions += 1
+                per_thread[tid]["capacity"] += 1
+            elif cause == 1:
+                prov.resize_evictions += 1
+                per_thread[tid]["resize"] += 1
+            elif cause == 4:
+                prov.victim_flushes += 1
+                per_thread[tid]["victim"] += 1
+            else:
+                raise ConfigurationError(
+                    f"evict_flush with unknown cause {cause!r} "
+                    f"(tid {tid}, ts {times[i]}); expected 0, 1 or 4"
+                )
+        elif kind == EV_STALL:
+            if b_col[i]:
+                prov.writeback_stall_cycles += a_col[i]
+            else:
+                prov.issue_stall_cycles += a_col[i]
+        elif kind == EV_DRAIN:
+            stall = a_col[i]
+            fase_id = c_col[i]
+            if fase_id >= 0:
+                prov.fase_drains += 1
+                prov.fase_drain_stall_cycles += stall
+                prov.fase_drain_outstanding += b_col[i]
+                per_thread[tid]["fase_drains"] += 1
+                per_thread[tid]["drain_stall"] += stall
+                prov.fase_drain_stall_by_fase[fase_id] = (
+                    prov.fase_drain_stall_by_fase.get(fase_id, 0) + stall
+                )
+                fase.drain_stall_cycles += stall
+            else:
+                prov.final_drains += 1
+                prov.final_drain_stall_cycles += stall
+                prov.final_drain_outstanding += b_col[i]
+        elif kind == EV_FASE_BEGIN:
+            f.open_uid = a_col[i]
+            f.open_time = times[i]
+        elif kind == EV_FASE_END:
+            if f.open_time < 0 or f.open_uid != a_col[i]:
+                f.unbalanced_ends += 1
+            else:
+                durations.append(times[i] - f.open_time)
+                fase.count += 1
+                fase.total_cycles += times[i] - f.open_time
+                fase.per_thread_count[tid] = fase.per_thread_count.get(tid, 0) + 1
+            f.open_uid = -1
+            f.open_time = -1
+        elif kind == EV_BURST_START:
+            adapt.bursts += 1
+        elif kind == EV_MRC_COMPUTED:
+            adapt.analyses += 1
+            adapt.analysis_cost_cycles += a_col[i]
+            f.cand = []
+            f.expected_cands = b_col[i]
+            f.awaiting_selection = True
+        elif kind == EV_KNEE_CANDIDATE:
+            adapt.knee_candidates += 1
+            f.cand.append(a_col[i])
+        elif kind == EV_SIZE_SELECTED:
+            size = a_col[i]
+            adapt.selections += 1
+            f.sizes.append(size)
+            f.sel_times.append(times[i])
+            if f.awaiting_selection:
+                if f.expected_cands == 0:
+                    f.fallbacks += 1
+                    adapt.fallbacks += 1
+                elif size not in f.cand:
+                    f.unmatched.append((times[i], size))
+                f.awaiting_selection = False
+
+    durations.sort()
+    fase.p50 = _percentile(durations, 0.50)
+    fase.p95 = _percentile(durations, 0.95)
+    fase.p99 = _percentile(durations, 0.99)
+    fase.max = durations[-1] if durations else 0
+
+    # Top-K hottest flushed lines: count desc, line asc for ties.
+    prov.top_lines = sorted(
+        prov.line_flushes.items(), key=lambda kv: (-kv[1], kv[0])
+    )[:top_k]
+
+    diagnoses: List[Diagnosis] = []
+    for tid in sorted(folds):
+        f = folds[tid]
+        if f.sizes:
+            adapt.trajectories[tid] = list(zip(f.sel_times, f.sizes))
+        if f.open_time >= 0:
+            diagnoses.append(
+                Diagnosis(
+                    code="unbalanced_fase",
+                    severity="error",
+                    thread_id=tid,
+                    message=(
+                        f"thread {tid}: fase_begin (uid {f.open_uid}) never "
+                        f"closed — truncated trace or a crashed run"
+                    ),
+                    data={"open_uid": f.open_uid},
+                )
+            )
+        if f.unbalanced_ends:
+            diagnoses.append(
+                Diagnosis(
+                    code="unbalanced_fase",
+                    severity="error",
+                    thread_id=tid,
+                    message=(
+                        f"thread {tid}: {f.unbalanced_ends} fase_end event(s) "
+                        f"with no matching fase_begin"
+                    ),
+                    data={"count": f.unbalanced_ends},
+                )
+            )
+        if f.unmatched:
+            cycle, size = f.unmatched[0]
+            diagnoses.append(
+                Diagnosis(
+                    code="unmatched_selection",
+                    severity="error",
+                    thread_id=tid,
+                    message=(
+                        f"thread {tid}: {len(f.unmatched)} selection(s) match "
+                        f"no knee candidate of the preceding MRC (first: size "
+                        f"{size} at cycle {cycle})"
+                    ),
+                    data={
+                        "count": len(f.unmatched),
+                        "first_cycle": cycle,
+                        "size": size,
+                    },
+                )
+            )
+        if f.fallbacks:
+            diagnoses.append(
+                Diagnosis(
+                    code="knee_fallback",
+                    severity="info",
+                    thread_id=tid,
+                    message=(
+                        f"thread {tid}: {f.fallbacks} MRC(s) yielded no knee; "
+                        f"the controller fell back to the maximum size"
+                    ),
+                    data={"count": f.fallbacks},
+                )
+            )
+
+    diagnoses.sort(
+        key=lambda d: (-_SEVERITY_RANK[d.severity], d.code, d.thread_id)
+    )
+    return TraceProfile(
+        schema=TRACE_SCHEMA_VERSION,
+        events=len(kinds),
+        event_counts=counts,
+        threads=sorted(folds),
+        provenance=prov,
+        fase=fase,
+        adaptation=adapt,
+        diagnoses=diagnoses,
+    )
 
 
 def reconcile(profile: TraceProfile, result: object) -> List[str]:

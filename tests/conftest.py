@@ -22,6 +22,18 @@ from repro.locality.trace import WriteTrace
 from repro.nvram.machine import Machine, MachineConfig
 
 
+def l1_lines(hw) -> dict:
+    """The L1's cached lines in set order, each mapped to its dirty bit:
+    ``line in l1_lines(hw)`` is "cached", ``.get(line)`` True dirty,
+    False clean, None absent."""
+    return {line: dirty for cache_set in hw.sets for line, dirty in cache_set.items()}
+
+
+def l1_dirty(hw) -> list:
+    """The L1's dirty lines in set order (what a power cut loses)."""
+    return [line for line, dirty in l1_lines(hw).items() if dirty]
+
+
 def token(thread: int, index: int) -> int:
     """What a crash replay's store ``index`` of thread ``thread``'s
     stream writes, and its golden truth records."""

@@ -40,6 +40,7 @@ from repro.nvram.failure import (
 )
 from repro.nvram.memory import NVRAM_BASE
 from repro.nvram.machine import Machine
+from tests.conftest import l1_dirty
 
 
 class PowerFailure(ReproError):
@@ -88,7 +89,7 @@ class LiveCrashMachine(Machine):
 
     def live_cut(self) -> CrashedState:
         """What a clean power cut now leaves, read off the live record."""
-        lost = sorted(self.hwcache.dirty_lines())
+        lost = sorted(l1_dirty(self.hwcache))
         return CrashedState(dict(self.durable), lost, self._stores_seen)
 
     def arm_crash_plan(self, plan: Optional[CrashPlan]) -> None:
@@ -115,7 +116,7 @@ class LiveCrashMachine(Machine):
         super()._note_site(ctx, site_class)
         if idx == self._target:
             plan = self._plan
-            nvram, lost = self.durable, sorted(self.hwcache.dirty_lines())
+            nvram, lost = self.durable, sorted(l1_dirty(self.hwcache))
             overlay, torn, dropped = crash_overlay(
                 nvram, lost, self.pending, self._inflight,
                 plan.fault_model, plan.fault_seed,

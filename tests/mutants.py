@@ -35,6 +35,7 @@ _MACHINE = "repro/nvram/machine.py"
 _TRACE = "repro/locality/trace.py"
 _REUSE = "repro/locality/reuse.py"
 _MRC = "repro/locality/mrc.py"
+_POLICIES = "repro/cache/policies.py"
 
 #: The journal walk against the live reference, across fault models.
 _CUT = (
@@ -364,5 +365,61 @@ MUTANTS = (
         "    if trace.n < 1:\n", "    if False:\n",
         ("tests/test_mrc.py::test_an_empty_trace_is_rejected_when_its_curve_is_made",),
         "an empty trace makes a curve that answers 1.0 everywhere",
+    ),
+    # -- The victim cache behind SC ------------------------------------------
+    Mutant(
+        "victim-restore-not-rescued", _POLICIES,
+        "            # flush issued at all for its eviction.\n            del victim[line]\n",
+        "            # flush issued at all for its eviction.\n            pass\n",
+        (
+            "tests/test_stages.py::test_victim_catches_evictions_and_rescues_restores",
+            "tests/test_stages.py::test_a_restore_rescues_its_line",
+        ),
+        "a re-stored line stays parked as well as cached: it is flushed twice",
+    ),
+    Mutant(
+        "victim-resize-flushes", _POLICIES,
+        "            oldest = self._park(evicted)\n"
+        "            if oldest is not None:\n"
+        "                port.flush_async(oldest, \"victim\")\n",
+        "            port.flush_async(evicted, \"resize_eviction\")\n",
+        ("tests/test_stages.py::test_a_resize_eviction_parks",),
+        "a resize's evictions are flushed, not parked: the pair is no LRU of c + V",
+    ),
+    Mutant(
+        "victim-drains-first", _POLICIES,
+        "        lines = self.cache.drain()\n"
+        "        if not lines:\n"
+        "            lines, self._victim = self._victim, {}\n",
+        "        lines, self._victim = self._victim, {}\n"
+        "        if not lines:\n"
+        "            lines = self.cache.drain()\n",
+        (
+            "tests/test_stages.py::test_a_commit_drains_the_base_then_the_victims",
+        ),
+        "a commit's first train is the victims, not the cache's lines",
+    ),
+    Mutant(
+        "victim-cost-dropped", _POLICIES,
+        "cost_per_store = SoftwareCacheTechnique.cost_per_store + 3",
+        "cost_per_store = SoftwareCacheTechnique.cost_per_store",
+        ("tests/test_stages.py::test_cost_per_store_adds_stage_bookkeeping",),
+        "the victim lookup costs no cycles",
+    ),
+    Mutant(
+        "victim-absorbs-parked-line", _POLICIES,
+        "        if line in self._victim:\n            return False",
+        "        if False:\n            return False",
+        (
+            "tests/test_machine_invariants.py::test_a_parked_lines_repeat_is_declined_and_rescued",
+        ),
+        "a repeat of the line the resize parked is taken as a hit: it is never rescued",
+    ),
+    Mutant(
+        "victim-samples-while-settled", _POLICIES,
+        "        if self.adapting:\n            return super().absorb_repeats(line, n)",
+        "        if self.settling:\n            return super().absorb_repeats(line, n)",
+        ("tests/test_theory_predicts_engine.py::test_flushes_are_the_buffer_misses_of_the_trace",),
+        "the victim cache's own settling flag is read as SC's: SC-offline+victim samples (no sampler)",
     ),
 )

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.nvram.hwcache import HardwareCache
+from tests.conftest import l1_dirty, l1_lines
 
 
 def test_geometry_validation():
@@ -21,15 +22,15 @@ def test_hit_after_fill():
     assert not hit and evicted is None
     hit, _ = c.access(5, is_write=True)
     assert hit
-    assert c.line_state(5) is True
+    assert l1_lines(c).get(5) is True
 
 
 def test_write_allocate_and_dirty_tracking():
     c = HardwareCache(64, 8)
     c.access(3, is_write=True)
-    assert c.contains(3) and c.line_state(3) is True
+    assert 3 in l1_lines(c) and l1_lines(c).get(3) is True
     c.access(4, is_write=False)
-    assert c.line_state(4) is False
+    assert l1_lines(c).get(4) is False
 
 
 def test_lru_eviction_within_set():
@@ -49,7 +50,7 @@ def test_clflush_dirty_writes_back_and_invalidates():
     c = HardwareCache(64, 8)
     c.access(7, True)
     assert c.clflush(7) is True
-    assert not c.contains(7)
+    assert 7 not in l1_lines(c)
     assert c.flush_writebacks == 1
     # The next access misses: the indirect flush cost of §II-A.
     hit, _ = c.access(7, False)
@@ -71,7 +72,7 @@ def test_sets_are_independent():
     c.access(1, True)                   # different set
     hit, evicted = c.access(16, True)   # set 0 full: evicts LRU (0)
     assert evicted == (0, True)
-    assert c.contains(1)
+    assert 1 in l1_lines(c)
 
 
 def test_dirty_lines_enumeration():
@@ -79,7 +80,7 @@ def test_dirty_lines_enumeration():
     c.access(1, True)
     c.access(2, False)
     c.access(3, True)
-    assert sorted(c.dirty_lines()) == [1, 3]
+    assert sorted(l1_dirty(c)) == [1, 3]
 
 
 def test_counters_and_miss_ratio():

@@ -26,6 +26,7 @@ from repro.workloads.base import Workload
 from repro.workloads.registry import get_workload
 from tests.crash_reference import CrashPlan, LiveCrashMachine, PowerFailure
 from tests.trace_reference import TraceRecordingMachine
+from tests.conftest import l1_dirty
 
 
 class ListWorkload(Workload):
@@ -182,7 +183,7 @@ def test_a_flush_with_a_trace_cause_is_never_a_commit_train(category, track_valu
         seen.append((
             machine.recorder.to_jsonl(),
             dataclasses.asdict(session.stats),
-            (hw.loads, hw.stores, hw.flush_writebacks, hw.clean_flushes, hw.dirty_lines()),
+            (hw.loads, hw.stores, hw.flush_writebacks, hw.clean_flushes, l1_dirty(hw)),
             machine.power_cut().nvram if track_values else None,
             (flushq.last_completion, flushq.issued, flushq.outstanding),
         ))
@@ -201,7 +202,7 @@ def test_a_zero_byte_store_touches_its_line_managed_or_not():
     session.store(PA + 8, 0)
     session.store(PA + 128, 0)
     hw = machine.hwcache
-    assert (hw.stores, session.stats.cycles, hw.dirty_lines()) == (1, 101, [PA >> 6])
+    assert (hw.stores, session.stats.cycles, l1_dirty(hw)) == (1, 101, [PA >> 6])
     machine = Machine()
     session = machine.session(technique_factory("BEST")(0))
     hw = machine.hwcache
@@ -211,7 +212,7 @@ def test_a_zero_byte_store_touches_its_line_managed_or_not():
         seen.append((hw.stores, hw.flush_writebacks, hw.clean_flushes))
     # The first touched and wrote back its line; the second touched none.
     assert seen == [(1, 1, 0), (1, 1, 1)]
-    assert hw.dirty_lines() == []
+    assert l1_dirty(hw) == []
 
 
 def test_load_touches_cache(machine):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.adaptive import AdaptiveConfig
+from repro.cache.policies import VictimCacheTechnique
 from repro.cache.spec import technique_factory
-from repro.cache.stages import StagedTechnique
 from repro.cache.write_cache import WriteCombiningCache
 from repro.common.errors import SimulationError
 from repro.common.events import (
@@ -30,6 +30,7 @@ from repro.workloads.base import Workload
 from repro.workloads.registry import get_workload
 from tests.crash_reference import CrashPlan, LiveCrashMachine
 from tests.trace_reference import recorded_traces
+from tests.conftest import l1_dirty
 
 
 class ListWorkload(Workload):
@@ -162,7 +163,7 @@ def test_hw_accesses_match_issued_operations(events):
 def test_nothing_left_dirty_after_finish(events, technique):
     """After the final drain only BEST may leave dirty persistent lines."""
     machine, _res = run(events, technique)
-    assert machine.hwcache.dirty_lines() == []
+    assert l1_dirty(machine.hwcache) == []
 
 
 # -- line-touch runs: the batched loop against the per-event oracle ---------
@@ -321,7 +322,7 @@ def run_engine(streams, chunk, technique, burst, use_batches, **run_kwargs):
         "crashed": (result.crashed, machine.crashed_state if live else None),
         "l1": (hw.loads, hw.stores, hw.load_misses, hw.store_misses,
                hw.evict_writebacks, hw.flush_writebacks, hw.clean_flushes),
-        "dirty": sorted(hw.dirty_lines()),
+        "dirty": sorted(l1_dirty(hw)),
         "jsonl": recorder.to_jsonl() if recorder is not None else None,
         "write_caches": [c.snapshot() for c in caches if c is not None],
         "atlas_tables": [(t.hits, t.misses, t.conflicts) for t in tables if t is not None],
@@ -676,10 +677,10 @@ def test_a_settled_technique_takes_a_quantums_repeats_in_one_call(technique, mon
 
 
 def test_a_parked_lines_repeat_is_declined_and_rescued(monkeypatch):
-    """The victim stage is never settled: the resize at its burst's end
+    """The victim cache is never settled: the resize at its burst's end
     parks A, the store it closes on, and A's repeat is declined — it
     arrives by ``insert``, which rescues A from the victim buffer."""
-    absorb, insert = StagedTechnique.absorb_repeats, StagedTechnique.insert
+    absorb, insert = VictimCacheTechnique.absorb_repeats, VictimCacheTechnique.insert
     declined, rescued = [], []
 
     def spied_absorb(self, line, n):
@@ -693,8 +694,8 @@ def test_a_parked_lines_repeat_is_declined_and_rescued(monkeypatch):
             rescued.append(line)
         return insert(self, line)
 
-    monkeypatch.setattr(StagedTechnique, "absorb_repeats", spied_absorb)
-    monkeypatch.setattr(StagedTechnique, "insert", spied_insert)
+    monkeypatch.setattr(VictimCacheTechnique, "absorb_repeats", spied_absorb)
+    monkeypatch.setattr(VictimCacheTechnique, "insert", spied_insert)
     assert technique_factory("SC+victim:16", **adaptive(6, 3))(0).settling
     seen = {}
     for use_batches in (True, False):

@@ -11,9 +11,9 @@ from repro.cache.policies import (
     LazyTechnique,
     PersistenceTechnique,
     SoftwareCacheTechnique,
+    VictimCacheTechnique,
 )
 from repro.cache.spec import technique_factory
-from repro.cache.stages import StagedTechnique
 from repro.cache.table import AtlasTable
 from repro.common.errors import ConfigurationError
 
@@ -150,7 +150,7 @@ BUFFERS = {
     AtlasTechnique: ("eviction", 1),
     SoftwareCacheTechnique: ("eviction", 1),
     BestTechnique: (None, 1),
-    StagedTechnique: ("victim", 2),
+    VictimCacheTechnique: ("victim", 2),
 }
 
 

@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.policies import TECHNIQUES, SoftwareCacheTechnique
+from repro.cache.policies import TECHNIQUES, SoftwareCacheTechnique, VictimCacheTechnique
 from repro.atlas.runtime import AtlasRuntime
 from repro.cache.spec import (
     REMOVED_OPTIONS,
-    STAGES,
     TechniqueSpec,
     list_techniques,
     technique_factory,
@@ -17,23 +16,14 @@ from repro.common.errors import ConfigurationError
 from repro.faults.campaign import run_campaign
 
 def spec_strategy():
-    """Strategy over valid TechniqueSpec values."""
+    """Strategy over valid TechniqueSpec values: a base, and a victim
+    cache where the base takes one."""
 
     def build(base):
-        allowed = [n for n, info in STAGES.items() if base in info.bases]
-        names = (
-            st.lists(st.sampled_from(allowed), unique=True, max_size=len(allowed))
-            if allowed
-            else st.just([])
-        )
-        return names.flatmap(
-            lambda names: st.tuples(
-                *[
-                    st.tuples(st.just(n), st.integers(0, 64))
-                    for n in names
-                ]
-            )
-        ).map(lambda stages: TechniqueSpec(base, stages))
+        victims = st.none()
+        if base in ("SC", "SC-offline"):
+            victims = st.none() | st.integers(0, 64)
+        return victims.map(lambda victim: TechniqueSpec(base, victim))
 
     return st.sampled_from(TECHNIQUES).flatmap(build)
 
@@ -44,18 +34,6 @@ def test_parse_format_round_trip(spec):
     """parse(format(x)) == x for every valid spec."""
     assert TechniqueSpec.parse(spec.format()) == spec
     assert TechniqueSpec.parse(str(spec)) == spec
-
-
-@settings(max_examples=200, deadline=None)
-@given(spec_strategy())
-def test_dict_round_trip(spec):
-    """from_dict(to_dict(x)) == x, and to_dict is JSON-deterministic."""
-    import json
-
-    d = spec.to_dict()
-    assert TechniqueSpec.from_dict(d) == spec
-    # Survives a JSON round-trip (cache keys).
-    assert TechniqueSpec.from_dict(json.loads(json.dumps(d))) == spec
 
 
 @settings(max_examples=100, deadline=None)
@@ -74,8 +52,8 @@ def test_default_parameters_become_explicit():
 def test_passthrough_and_stage_param():
     spec = TechniqueSpec.parse("SC+victim:3")
     assert TechniqueSpec.parse(spec) is spec
-    assert spec.stage_param("victim") == 3
-    assert TechniqueSpec.parse("SC").stage_param("victim") is None
+    assert spec == TechniqueSpec("SC", victim=3)
+    assert TechniqueSpec.parse("SC").victim is None
 
 
 def test_unknown_base_is_rejected():
@@ -100,17 +78,15 @@ def test_non_integer_parameter_is_named():
 
 def test_negative_parameter_is_rejected():
     with pytest.raises(ConfigurationError, match="must be >= 0"):
-        TechniqueSpec(base="SC", stages=(("victim", -1),))
+        TechniqueSpec(base="SC", victim=-1)
 
 
 @pytest.mark.parametrize("param", [2.5, True, "16", 2.9])
 def test_non_int_parameter_is_rejected_not_truncated(param):
-    """A dict form (cache keys, worker transport) or a direct
-    construction never rounds a parameter into a different spec."""
+    """A direct construction never rounds a parameter into a different
+    spec."""
     with pytest.raises(ConfigurationError, match="must be an int"):
-        TechniqueSpec.from_dict({"base": "SC", "stages": [["victim", param]]})
-    with pytest.raises(ConfigurationError, match="must be an int"):
-        TechniqueSpec("SC", (("victim", param),))
+        TechniqueSpec("SC", victim=param)
 
 
 def test_base_incompatible_stage_is_rejected():
@@ -118,17 +94,17 @@ def test_base_incompatible_stage_is_rejected():
         TechniqueSpec.parse("ER+victim")
     with pytest.raises(ConfigurationError, match="requires a base technique"):
         TechniqueSpec.parse("AT+victim:8")
-
-
-def test_from_dict_rejects_bad_keyset():
-    with pytest.raises(ConfigurationError, match="expected keys base/stages"):
-        TechniqueSpec.from_dict({"base": "SC"})
+    with pytest.raises(ConfigurationError, match="requires a base technique"):
+        TechniqueSpec("LA", victim=4)
 
 
 def test_effective_stages_drop_noops():
-    assert TechniqueSpec.parse("SC+victim:0").effective_stages() == ()
-    spec = TechniqueSpec.parse("SC+victim:2")
-    assert spec.effective_stages() == (("victim", 2),)
+    """``victim:0`` stays in the spec and its string, and builds no
+    victim cache; ``victim:1`` builds one."""
+    spec = TechniqueSpec.parse("SC+victim:0")
+    assert spec.victim == 0 and str(spec) == "SC+victim:0"
+    assert type(technique_factory(spec)(0)) is SoftwareCacheTechnique
+    assert type(technique_factory("SC+victim:1")(0)) is VictimCacheTechnique
 
 
 def test_degenerate_spec_builds_bare_base_technique():
@@ -141,11 +117,12 @@ def test_degenerate_spec_builds_bare_base_technique():
 def test_list_techniques_catalogue():
     cat = list_techniques()
     assert cat["bases"] == list(TECHNIQUES)
-    assert list(cat["stages"]) == list(STAGES) == ["victim"]
-    for name, entry in cat["stages"].items():
-        assert entry["default"] == STAGES[name].default
-        assert entry["noop_below"] == STAGES[name].noop_below
-        assert set(entry) == {"default", "noop_below", "bases", "param", "doc"}
+    assert list(cat["stages"]) == ["victim"]
+    entry = cat["stages"]["victim"]
+    assert list(entry) == ["default", "noop_below", "bases", "param", "doc"]
+    assert (entry["default"], entry["noop_below"]) == (16, 1)
+    assert entry["bases"] == ["SC", "SC-offline"]
+    assert str(TechniqueSpec.parse("SC+victim")) == f"SC+victim:{entry['default']}"
     assert "grammar" in cat
 
 

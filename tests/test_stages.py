@@ -1,11 +1,10 @@
-"""The victim stage: unit behaviour and end-to-end equivalence."""
+"""The victim cache behind SC: unit behaviour and end-to-end equivalence."""
 
 import pytest
 
 from repro import api
-from repro.cache.policies import SoftwareCacheTechnique
+from repro.cache.policies import SoftwareCacheTechnique, VictimCacheTechnique
 from repro.cache.spec import REMOVED_STAGES, TechniqueSpec, technique_factory
-from repro.cache.stages import StagedTechnique
 from repro.common.errors import ConfigurationError
 from repro.experiments.harness import Harness, HarnessConfig
 from repro.faults.campaign import run_campaign
@@ -54,7 +53,7 @@ def test_victim_catches_evictions_and_rescues_restores():
     assert 1 in t._victim
     t.on_store(1)                     # rescue: back into SC, still no flush
     assert 1 not in t._victim
-    assert 1 in t.inner.cache
+    assert 1 in t.cache
     assert port.async_calls == []
 
 
@@ -78,7 +77,7 @@ def test_victim_drains_at_fase_end_and_finish():
 
 
 def test_insert_returns_the_victim_it_displaces():
-    """The stage is a buffer: ``insert`` parks what the base evicts and
+    """The victim cache is a buffer: ``insert`` parks what SC evicts and
     hands back the oldest victim that overflows, for the machine to flush
     (category ``victim``); it flushes nothing itself."""
     t, port = staged("SC-offline+victim:1", sc_fixed_size=1)
@@ -95,25 +94,25 @@ def test_a_restore_rescues_its_line():
     t.insert(1)
     t.insert(2)                       # 1 parks
     assert t.insert(1) is None        # 1 back in the base, 2 parks
-    assert list(t._victim) == [2] and 1 in t.inner.cache
+    assert list(t._victim) == [2] and 1 in t.cache
     assert port.async_calls == []
 
 
 def test_a_resize_eviction_parks():
-    """The base's resize evicts through its port: the stage parks those
-    lines too, and flushes the victim one displaces."""
+    """SC's resize parks the lines it evicts too, and flushes the victim
+    one displaces."""
     t, port = staged("SC-offline+victim:1", sc_fixed_size=4)
     for line in (1, 2, 3):
         t.insert(line)
-    t.inner._resize(1)                # evicts 1 then 2: 1 parks, 2 displaces it
-    assert list(t._victim) == [2] and 3 in t.inner.cache and len(t.inner.cache) == 1
+    t._resize(1)                      # evicts 1 then 2: 1 parks, 2 displaces it
+    assert list(t._victim) == [2] and 3 in t.cache and len(t.cache) == 1
     assert port.async_calls == [(1, "victim")]
 
 
 @pytest.mark.parametrize("category", ["fase_end", "final"])
 def test_a_commit_drains_the_base_then_the_victims(category):
-    """Two levels, one flush train each: the base cache, then the victims
-    — and the victims alone when the base level is empty."""
+    """Two levels, one flush train each: the cache, then the victims —
+    and the victims alone when the cache is empty."""
     t, port = staged("SC-offline+victim:4", sc_fixed_size=2)
     commit = t.on_fase_end if category == "fase_end" else t.finish
     for line in (1, 2, 3):            # 1 parks; 2 and 3 stay in the base
@@ -177,8 +176,36 @@ def test_staged_runs_from_every_base_entry_point(harness):
     )
     assert r1.to_dict() == r2.to_dict()
     t = technique_factory(TechniqueSpec.parse(spec))(0)
-    assert isinstance(t, StagedTechnique)
-    assert isinstance(t.inner, SoftwareCacheTechnique)
+    assert isinstance(t, VictimCacheTechnique)
+    assert isinstance(t, SoftwareCacheTechnique)
+
+
+def test_a_default_victim_shares_its_cache_entries(tmp_path, monkeypatch):
+    """``SC+victim`` is ``SC+victim:16``: one ``Harness.run`` entry, one
+    ``ResultCache`` key, and one simulation between them."""
+    from repro.experiments.cache import ResultCache
+
+    executed = []
+    execute = Harness.execute
+
+    def counted(self, name, technique, threads=1, **kwargs):
+        executed.append(technique)
+        return execute(self, name, technique, threads, **kwargs)
+
+    monkeypatch.setattr(Harness, "execute", counted)
+    config = HarnessConfig(scale=0.05, seed=0)
+    harness = Harness(config, cache_dir=str(tmp_path))
+    first = harness.run("queue", "SC+victim")
+    assert harness.run("queue", "SC+victim:16") is first
+    assert list(harness._runs) == [("queue", "SC+victim:16", 1)]
+    key, raw = (
+        ResultCache.key(config, "run", name="queue", technique=t, threads=1)
+        for t in ("SC+victim:16", "SC+victim")
+    )
+    assert (tmp_path / f"{key}.json").exists() and not (tmp_path / f"{raw}.json").exists()
+    fresh = Harness(config, cache_dir=str(tmp_path)).run("queue", "SC+victim")
+    assert fresh.to_dict() == first.to_dict()
+    assert executed == ["SC+victim:16"]
 
 
 # -- the removed stages are named at every entry point -------------------
@@ -194,9 +221,6 @@ def _cli_exit(argv, capsys):
 #: Entry point -> how it takes the stage ``name`` (raises on a bad spec).
 _ENTRY_POINTS = {
     "parse": lambda name, capsys: TechniqueSpec.parse(f"SC+{name}:2"),
-    "from_dict": lambda name, capsys: TechniqueSpec.from_dict(
-        {"base": "SC", "stages": [[name, 2]]}
-    ),
     "RunSpec": lambda name, capsys: api.RunSpec(
         workload="queue", technique=f"SC+{name}:2"
     ),
